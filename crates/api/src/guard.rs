@@ -140,6 +140,16 @@ pub fn validate_launch_spec(spec: &LaunchSpec, limits: &DescriptorLimits) -> Cud
     Ok(())
 }
 
+/// Validates a job-length hint (`HintJobLength`): the wire carries floats
+/// bit-exact, so NaN and ±∞ reach the service, and shortest-job-first
+/// ordering over them is meaningless.
+pub fn validate_job_length_hint(flops: f64) -> CudaResult<()> {
+    if !flops.is_finite() || flops < 0.0 {
+        return Err(reject("non-finite or negative job-length hint"));
+    }
+    Ok(())
+}
+
 /// Validates a host buffer on the upload path: the payload may not exceed
 /// its declared length (length-forgery games), and a sealed buffer's bytes
 /// must match their FNV-1a digest.
@@ -218,6 +228,18 @@ mod tests {
         assert!(validate_launch_spec(&s, &limits).is_err());
         s.work = Work { flops: -1.0, bytes: 0.0 };
         assert!(validate_launch_spec(&s, &limits).is_err());
+    }
+
+    #[test]
+    fn non_finite_job_length_hint_rejected() {
+        validate_job_length_hint(0.0).unwrap();
+        validate_job_length_hint(3.5e12).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            assert!(matches!(
+                validate_job_length_hint(bad),
+                Err(CudaError::MalformedDescriptor(_))
+            ));
+        }
     }
 
     #[test]

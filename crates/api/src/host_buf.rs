@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// digest of the payload, and the server's Guardian-style validation layer
 /// refuses sealed buffers whose bytes no longer match the digest (see
 /// [`crate::guard`]). Unsealed buffers (`content_hash == None`) skip the
-/// check, so the field is wire-compatible with older peers.
+/// check.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct HostBuf {
     /// Bytes this buffer *represents* (accounting/timing).
@@ -20,7 +20,7 @@ pub struct HostBuf {
     /// Real bytes carried (≤ `declared_len`).
     pub payload: Vec<u8>,
     /// Optional FNV-1a digest of `payload` (Guardian payload-hash check).
-    /// `None` (serialized as `null`) means the buffer is unsealed.
+    /// `None` means the buffer is unsealed.
     pub content_hash: Option<u64>,
 }
 
@@ -134,15 +134,17 @@ mod tests {
         let mut forged = b.clone();
         forged.payload[0] ^= 0xff;
         assert!(!forged.hash_matches());
-        // Unsealed buffers always pass (wire compatibility).
+        // Unsealed buffers always pass.
         assert!(HostBuf::from_slice(&[1]).hash_matches());
     }
 
     #[test]
     fn seal_survives_the_wire() {
+        use crate::wire::{decode_exact, Wire};
         let b = HostBuf::from_slice(&[1, 2]).sealed();
-        let j = serde_json::to_string(&b).unwrap();
-        let back: HostBuf = serde_json::from_str(&j).unwrap();
+        let mut bytes = Vec::new();
+        b.encode(&mut bytes);
+        let back: HostBuf = decode_exact(&bytes).unwrap();
         assert_eq!(back, b);
         assert!(back.hash_matches());
     }

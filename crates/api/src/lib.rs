@@ -12,9 +12,9 @@
 //!   semantics (programmer-visible devices, immediate allocation, no virtual
 //!   memory). This is the paper's baseline ("bare CUDA runtime").
 //! * [`FrontendClient`] — the gVirtuS-style *interposition library*: every
-//!   call is encoded as a [`protocol::CudaCall`], shipped over a
-//!   [`transport::Transport`] (in-process channel or framed TCP socket) to a
-//!   runtime daemon, and the reply decoded. Applications cannot tell the
+//!   call is encoded as a [`protocol::CudaCall`] by the binary [`wire`] codec,
+//!   shipped over a [`transport::Transport`] (in-process channel or framed
+//!   socket) to a runtime daemon, and the reply decoded. Applications cannot tell the
 //!   difference — which is the point of API remoting.
 
 pub mod bare;
@@ -24,6 +24,7 @@ pub mod guard;
 pub mod host_buf;
 pub mod protocol;
 pub mod transport;
+pub mod wire;
 
 pub use bare::BareClient;
 pub use client::{CudaClient, CudaThread};

@@ -256,6 +256,7 @@ impl CudaCall {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{decode_exact, Wire};
     use mtgpu_gpusim::{KernelArg, Work};
 
     #[test]
@@ -278,18 +279,17 @@ mod tests {
 
     #[test]
     fn wire_roundtrip() {
-        let call =
-            CudaCall::MemcpyH2D { dst: DeviceAddr(0x1000), buf: HostBuf::from_slice(&[1, 2, 3]) };
-        let j = serde_json::to_string(&call).unwrap();
-        assert_eq!(serde_json::from_str::<CudaCall>(&j).unwrap(), call);
-
-        let reply: CudaReply = Ok(ReplyValue::Ptr(DeviceAddr(0x2000)));
-        let j = serde_json::to_string(&reply).unwrap();
-        assert_eq!(serde_json::from_str::<CudaReply>(&j).unwrap(), reply);
-
-        let err: CudaReply = Err(CudaError::MemoryAllocation);
-        let j = serde_json::to_string(&err).unwrap();
-        assert_eq!(serde_json::from_str::<CudaReply>(&j).unwrap(), err);
+        fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
+            let mut bytes = Vec::new();
+            value.encode(&mut bytes);
+            assert_eq!(decode_exact::<T>(&bytes).unwrap(), value);
+        }
+        roundtrip(CudaCall::MemcpyH2D {
+            dst: DeviceAddr(0x1000),
+            buf: HostBuf::from_slice(&[1, 2, 3]),
+        });
+        roundtrip::<CudaReply>(Ok(ReplyValue::Ptr(DeviceAddr(0x2000))));
+        roundtrip::<CudaReply>(Err(CudaError::MemoryAllocation));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! stand-in, also used for inter-node offloading).
 
 mod channel;
+mod frame;
 mod mux;
 mod reactor;
 mod tcp;
@@ -15,12 +16,13 @@ mod tcp;
 mod unix;
 
 pub use channel::{channel_pair, ChannelServerConn, ChannelTransport};
-pub use mux::{encode_frame, FrameBuf, MuxChannel, MuxConnection, MuxPool};
+pub use frame::{encode_frame, read_frame, write_frame, FrameBuf, MAX_FRAME_BYTES};
+pub use mux::{MuxChannel, MuxConnection, MuxPool};
 pub use reactor::{
     spawn_reactor, ConnId, MuxService, ReactorConfig, ReactorHandle, ReactorStats, ReplyQueue,
     ReplySink,
 };
-pub use tcp::{read_frame, write_frame, TcpServerConn, TcpTransport, MAX_FRAME_BYTES};
+pub use tcp::{TcpServerConn, TcpTransport};
 #[cfg(unix)]
 pub use unix::{UnixServerConn, UnixTransport};
 

@@ -9,102 +9,20 @@
 //! may arrive out of order; a single reader thread per connection routes
 //! each one back to the caller that registered the ID.
 //!
-//! The pure framing layer ([`FrameBuf`], [`encode_frame`]) is shared with
-//! the server reactor and is deliberately free of I/O so the proptests in
-//! `tests/proptests.rs` can replay arbitrary split/coalesced byte
-//! interleavings against it.
+//! Framing and the body codec are [`super::frame`]'s, shared with the server
+//! reactor.
 
-use super::tcp::MAX_FRAME_BYTES;
+use super::frame::{encode_frame, FrameBuf};
 use super::Transport;
 use crate::error::CudaError;
 use crate::protocol::{CudaCall, CudaReply, MuxFrame};
 use crossbeam::channel::{bounded, Sender};
 use mtgpu_simtime::{lock_rank, RankedMutex};
-use serde::de::DeserializeOwned;
-use serde::Serialize;
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Serializes one length-prefixed JSON frame into `out`.
-pub fn encode_frame<T: Serialize>(value: &T, out: &mut Vec<u8>) -> std::io::Result<()> {
-    let body = serde_json::to_vec(value)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    Ok(())
-}
-
-/// Incremental decoder for length-prefixed JSON frames.
-///
-/// Bytes arrive in whatever chunks the socket produces — a frame may be
-/// split across many reads, and one read may coalesce many frames. The
-/// buffer accepts raw bytes via [`FrameBuf::push`] and yields complete
-/// frames via [`FrameBuf::next_frame`]; anything left over is a partial
-/// frame still in flight (the signal the reactor's slow-loris shedding
-/// keys off).
-#[derive(Debug, Default)]
-pub struct FrameBuf {
-    buf: Vec<u8>,
-    /// Bytes of `buf` already consumed by decoded frames.
-    consumed: usize,
-}
-
-impl FrameBuf {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        FrameBuf::default()
-    }
-
-    /// Appends raw bytes from the wire.
-    pub fn push(&mut self, bytes: &[u8]) {
-        // Compact lazily: only when the dead prefix dominates.
-        if self.consumed > 4096 && self.consumed * 2 > self.buf.len() {
-            self.buf.drain(..self.consumed);
-            self.consumed = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Decodes the next complete frame, if one is buffered.
-    ///
-    /// `Ok(None)` means more bytes are needed; an error means the peer sent
-    /// an oversized length prefix or an undecodable body (the connection is
-    /// unrecoverable — framing has lost sync).
-    pub fn next_frame<T: DeserializeOwned>(&mut self) -> std::io::Result<Option<T>> {
-        let pending = &self.buf[self.consumed..];
-        if pending.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes([pending[0], pending[1], pending[2], pending[3]]) as usize;
-        if len > MAX_FRAME_BYTES {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"),
-            ));
-        }
-        if pending.len() < 4 + len {
-            return Ok(None);
-        }
-        let body = &pending[4..4 + len];
-        let value = serde_json::from_slice(body)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        self.consumed += 4 + len;
-        Ok(Some(value))
-    }
-
-    /// Whether a partial frame (or partial length prefix) is buffered.
-    pub fn has_partial(&self) -> bool {
-        self.buf.len() > self.consumed
-    }
-
-    /// Bytes of the partial frame buffered so far.
-    pub fn partial_len(&self) -> usize {
-        self.buf.len() - self.consumed
-    }
-}
 
 /// Pending-reply demux state of one multiplexed connection.
 struct PendingReplies {
@@ -193,7 +111,7 @@ impl MuxConnection {
     /// connection.
     pub fn channel(&self) -> MuxChannel {
         let chan = self.inner.next_chan.fetch_add(1, Ordering::Relaxed);
-        MuxChannel { conn: Arc::clone(&self.inner), chan }
+        MuxChannel { conn: Arc::clone(&self.inner), chan, wbuf: Vec::new() }
     }
 
     /// Whether the connection has failed (reader observed EOF or error).
@@ -221,13 +139,10 @@ impl MuxConnection {
 
 fn reader_loop(stream: Arc<TcpStream>, conn: &MuxConnInner) {
     let mut framebuf = FrameBuf::new();
-    let mut chunk = vec![0u8; 64 * 1024];
     'read: loop {
-        let n = match (&*stream).read(&mut chunk) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => n,
-        };
-        framebuf.push(&chunk[..n]);
+        if matches!(framebuf.read_from(&mut &*stream), Ok(0) | Err(_)) {
+            break;
+        }
         loop {
             match framebuf.next_frame::<MuxFrame>() {
                 Ok(Some(MuxFrame::Response { id, reply })) => {
@@ -263,7 +178,14 @@ fn reader_loop(stream: Arc<TcpStream>, conn: &MuxConnInner) {
 pub struct MuxChannel {
     conn: Arc<MuxConnInner>,
     chan: u64,
+    /// Encode buffer, kept across calls so a round trip allocates nothing
+    /// for its request frame.
+    wbuf: Vec<u8>,
 }
+
+/// Largest encode buffer a channel keeps between calls; one bigger (an
+/// image import, say) is released after its write.
+const WBUF_KEEP_BYTES: usize = 1 << 20;
 
 impl MuxChannel {
     /// The channel ID on the wire (diagnostic).
@@ -287,22 +209,25 @@ impl MuxChannel {
     fn unregister(&self, id: u64) {
         self.conn.pending.lock().waiters.remove(&id);
     }
+
+    /// Ships the frames encoded in `wbuf` with one write.
+    fn write_wbuf(&mut self) -> std::io::Result<()> {
+        let wrote = (&**self.conn.writer.lock()).write_all(&self.wbuf);
+        if self.wbuf.capacity() > WBUF_KEEP_BYTES {
+            self.wbuf = Vec::new();
+        }
+        wrote
+    }
 }
 
 impl Transport for MuxChannel {
     fn roundtrip(&mut self, call: CudaCall) -> CudaReply {
         let (id, rx) = self.register()?;
         let frame = MuxFrame::Request { chan: self.chan, id, call };
-        let mut bytes = Vec::new();
-        encode_frame(&frame, &mut bytes).map_err(|_| CudaError::Disconnected)?;
-        {
-            let writer = self.conn.writer.lock();
-            if let Err(e) = (&**writer).write_all(&bytes) {
-                drop(writer);
-                self.unregister(id);
-                let _ = e;
-                return Err(CudaError::Disconnected);
-            }
+        self.wbuf.clear();
+        if encode_frame(&frame, &mut self.wbuf).and_then(|()| self.write_wbuf()).is_err() {
+            self.unregister(id);
+            return Err(CudaError::Disconnected);
         }
         rx.recv().map_err(|_| CudaError::Disconnected)?
     }
@@ -313,12 +238,12 @@ impl Transport for MuxChannel {
         // order, so replies complete in order even though the wire allows
         // out-of-order delivery across channels.
         let mut waiters = Vec::with_capacity(calls.len());
-        let mut bytes = Vec::new();
+        self.wbuf.clear();
         for call in calls {
             match self.register() {
                 Ok((id, rx)) => {
                     let frame = MuxFrame::Request { chan: self.chan, id, call };
-                    if encode_frame(&frame, &mut bytes).is_err() {
+                    if encode_frame(&frame, &mut self.wbuf).is_err() {
                         self.unregister(id);
                         waiters.push(None);
                         continue;
@@ -328,7 +253,7 @@ impl Transport for MuxChannel {
                 Err(_) => waiters.push(None),
             }
         }
-        let wrote = { (&**self.conn.writer.lock()).write_all(&bytes).is_ok() };
+        let wrote = self.write_wbuf().is_ok();
         waiters
             .into_iter()
             .map(|slot| match slot {
@@ -405,100 +330,5 @@ impl MuxPool {
 impl Drop for MuxPool {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::protocol::ReplyValue;
-
-    fn frame(i: u64) -> MuxFrame {
-        MuxFrame::Response { id: i, reply: Ok(ReplyValue::DeviceCount(i as u32)) }
-    }
-
-    #[test]
-    fn framebuf_decodes_split_and_coalesced_writes() {
-        let mut bytes = Vec::new();
-        for i in 0..5 {
-            encode_frame(&frame(i), &mut bytes).unwrap();
-        }
-        // Feed one byte at a time: every frame must still come out intact.
-        let mut fb = FrameBuf::new();
-        let mut out = Vec::new();
-        for b in &bytes {
-            fb.push(std::slice::from_ref(b));
-            while let Some(f) = fb.next_frame::<MuxFrame>().unwrap() {
-                out.push(f);
-            }
-        }
-        assert_eq!(out.len(), 5);
-        for (i, f) in out.iter().enumerate() {
-            assert_eq!(*f, frame(i as u64));
-        }
-        assert!(!fb.has_partial());
-
-        // Feed everything at once: same result.
-        let mut fb = FrameBuf::new();
-        fb.push(&bytes);
-        let mut out2 = Vec::new();
-        while let Some(f) = fb.next_frame::<MuxFrame>().unwrap() {
-            out2.push(f);
-        }
-        assert_eq!(out, out2);
-    }
-
-    #[test]
-    fn framebuf_reports_partials() {
-        let mut bytes = Vec::new();
-        encode_frame(&frame(7), &mut bytes).unwrap();
-        let mut fb = FrameBuf::new();
-        fb.push(&bytes[..3]); // partial length prefix
-        assert!(fb.next_frame::<MuxFrame>().unwrap().is_none());
-        assert!(fb.has_partial());
-        assert_eq!(fb.partial_len(), 3);
-        fb.push(&bytes[3..bytes.len() - 1]); // all but the last byte
-        assert!(fb.next_frame::<MuxFrame>().unwrap().is_none());
-        assert!(fb.has_partial());
-        fb.push(&bytes[bytes.len() - 1..]);
-        assert_eq!(fb.next_frame::<MuxFrame>().unwrap(), Some(frame(7)));
-        assert!(!fb.has_partial());
-    }
-
-    #[test]
-    fn framebuf_rejects_oversized_length_prefix() {
-        let mut fb = FrameBuf::new();
-        fb.push(&(u32::MAX).to_le_bytes());
-        assert!(fb.next_frame::<MuxFrame>().is_err());
-    }
-
-    #[test]
-    fn framebuf_rejects_undecodable_body() {
-        let mut fb = FrameBuf::new();
-        fb.push(&5u32.to_le_bytes());
-        fb.push(b"hello");
-        assert!(fb.next_frame::<MuxFrame>().is_err());
-    }
-
-    #[test]
-    fn framebuf_compaction_preserves_stream() {
-        // Many small frames pushed after large consumed prefixes exercise
-        // the lazy compaction path.
-        let mut bytes = Vec::new();
-        for i in 0..64 {
-            encode_frame(&frame(i), &mut bytes).unwrap();
-        }
-        let mut fb = FrameBuf::new();
-        let mut out = Vec::new();
-        for chunk in bytes.chunks(97) {
-            fb.push(chunk);
-            while let Some(f) = fb.next_frame::<MuxFrame>().unwrap() {
-                out.push(f);
-            }
-        }
-        assert_eq!(out.len(), 64);
-        for (i, f) in out.iter().enumerate() {
-            assert_eq!(*f, frame(i as u64));
-        }
     }
 }

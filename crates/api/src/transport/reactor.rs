@@ -27,9 +27,10 @@
 //! - an outbound backlog past `max_outbuf_bytes` (a peer that writes but
 //!   never reads) sheds the connection.
 
+use super::frame::{encode_frame, FrameBuf};
 #[cfg(test)]
 use super::mux::MuxChannel;
-use super::mux::{encode_frame, FrameBuf};
+use crate::error::CudaError;
 use crate::protocol::{CudaCall, CudaReply, MuxFrame};
 #[cfg(not(unix))]
 use crossbeam::channel::RecvTimeoutError;
@@ -323,9 +324,13 @@ fn queue_reply(
     let Some(conn) = conns.get_mut(&conn_id) else { return false };
     conn.inflight.remove(&id);
     let frame = MuxFrame::Response { id, reply };
-    if encode_frame(&frame, &mut conn.outbuf).is_ok() {
-        stats.replies.fetch_add(1, Ordering::Relaxed);
+    if let Err(e) = encode_frame(&frame, &mut conn.outbuf) {
+        // A reply past the frame limit (an exported image, say) must still
+        // answer its caller, or the caller waits forever.
+        let refusal = MuxFrame::Response { id, reply: Err(CudaError::Protocol(e.to_string())) };
+        let _ = encode_frame(&refusal, &mut conn.outbuf);
     }
+    stats.replies.fetch_add(1, Ordering::Relaxed);
     true
 }
 
@@ -401,17 +406,15 @@ fn flush_conn(conn: &mut Conn, max_outbuf: usize) -> Result<bool, CloseReason> {
 fn read_conn(
     id: ConnId,
     conn: &mut Conn,
-    chunk: &mut [u8],
     service: &dyn MuxService,
     stats: &ReactorStats,
 ) -> Result<bool, CloseReason> {
     let mut productive = false;
     loop {
-        match conn.stream.read(chunk) {
+        match conn.framebuf.read_from(&mut conn.stream) {
             Ok(0) => return Err(CloseReason::Peer),
-            Ok(n) => {
+            Ok(_) => {
                 productive = true;
-                conn.framebuf.push(&chunk[..n]);
                 if let Some(reason) = drain_frames(id, conn, service, stats) {
                     return Err(reason);
                 }
@@ -513,7 +516,6 @@ fn poll_loop(
     let mut conns: BTreeMap<ConnId, Conn> = BTreeMap::new();
     let mut next_conn: ConnId = 1;
     let mut closed: Vec<(ConnId, CloseReason)> = Vec::new();
-    let mut chunk = vec![0u8; 64 * 1024];
     let mut fds: Vec<PollFd> = Vec::new();
     let mut ids: Vec<ConnId> = Vec::new();
     let mut touched: Vec<ConnId> = Vec::new();
@@ -570,8 +572,9 @@ fn poll_loop(
 
         // --- clear the wake pipe -----------------------------------------
         if fds[1].revents != 0 {
-            while let Ok(n) = (&wake_rx).read(&mut chunk) {
-                if n < chunk.len() {
+            let mut wakes = [0u8; 64];
+            while let Ok(n) = (&wake_rx).read(&mut wakes) {
+                if n < wakes.len() {
                     break;
                 }
             }
@@ -595,7 +598,7 @@ fn poll_loop(
                 }
             }
             if re & (POLLIN | POLLHUP | POLLERR) != 0 {
-                match read_conn(id, conn, &mut chunk, service.as_ref(), &stats) {
+                match read_conn(id, conn, service.as_ref(), &stats) {
                     Ok(_) => match update_partial(conn) {
                         1 => partials += 1,
                         -1 => partials -= 1,
@@ -634,7 +637,6 @@ fn sweep_loop(
     let mut conns: BTreeMap<ConnId, Conn> = BTreeMap::new();
     let mut next_conn: ConnId = 1;
     let mut closed: Vec<(ConnId, CloseReason)> = Vec::new();
-    let mut chunk = vec![0u8; 64 * 1024];
     let mut partials: usize = 0;
     let mut idle_streak: u32 = 0;
 
@@ -656,7 +658,7 @@ fn sweep_loop(
                     continue;
                 }
             }
-            match read_conn(id, conn, &mut chunk, service.as_ref(), &stats) {
+            match read_conn(id, conn, service.as_ref(), &stats) {
                 Ok(p) => {
                     productive |= p;
                     match update_partial(conn) {
@@ -749,7 +751,6 @@ pub fn test_channel(addr: std::net::SocketAddr) -> MuxChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::CudaError;
     use crate::protocol::ReplyValue;
     use crate::transport::Transport;
 

@@ -1,50 +1,18 @@
-//! Framed TCP transport: length-prefixed JSON frames over a socket.
+//! Framed TCP transport: one [`super::frame`] frame per call and per reply.
 //!
 //! Used for separate-process node daemons and for the inter-node offloading
 //! path (§4.7, "the runtime redirects application threads ... to other nodes
-//! using a TCP socket interface"). JSON keeps the wire debuggable; transfer
-//! payloads are shadow buffers so encoding cost is negligible against the
-//! simulated durations being arbitrated.
+//! using a TCP socket interface"). The body is the binary [`crate::wire`]
+//! codec: every CUDA call of every tenant pays the wire twice, so its cost
+//! is part of each call's latency (EXPERIMENTS.md, wire codec).
 
+use super::frame::{read_frame, write_frame};
 use super::{RecvOutcome, ServerConn, Transport};
 use crate::error::CudaError;
 use crate::protocol::{CudaCall, CudaReply};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
-use serde::de::DeserializeOwned;
-use serde::Serialize;
-use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
-
-/// Writes one length-prefixed JSON frame.
-pub fn write_frame<T: Serialize>(stream: &mut impl Write, value: &T) -> std::io::Result<()> {
-    let body = serde_json::to_vec(value)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    stream.write_all(&(body.len() as u32).to_le_bytes())?;
-    stream.write_all(&body)?;
-    stream.flush()
-}
-
-/// Largest accepted frame (a hostile length prefix must not drive an
-/// unbounded allocation). Shadow payloads are capped well below this.
-pub const MAX_FRAME_BYTES: usize = 256 << 20;
-
-/// Reads one length-prefixed JSON frame.
-pub fn read_frame<T: DeserializeOwned>(stream: &mut impl Read) -> std::io::Result<T> {
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"),
-        ));
-    }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    serde_json::from_slice(&body)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-}
 
 /// Client end over TCP.
 pub struct TcpTransport {
@@ -161,37 +129,5 @@ mod tests {
         assert_eq!(client.get_device_count().unwrap(), 4);
         client.call(CudaCall::Exit).unwrap();
         assert_eq!(server.join().unwrap(), 2);
-    }
-
-    #[test]
-    fn frame_roundtrip_preserves_payload() {
-        let mut buf = Vec::new();
-        let call = CudaCall::MemcpyH2D {
-            dst: mtgpu_gpusim::DeviceAddr(0x42),
-            buf: crate::HostBuf::with_shadow(1 << 20, vec![7u8; 64]),
-        };
-        write_frame(&mut buf, &call).unwrap();
-        let mut cursor = std::io::Cursor::new(buf);
-        let back: CudaCall = read_frame(&mut cursor).unwrap();
-        assert_eq!(back, call);
-    }
-
-    #[test]
-    fn truncated_frame_is_io_error() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &CudaCall::Synchronize).unwrap();
-        buf.truncate(buf.len() - 1);
-        let mut cursor = std::io::Cursor::new(buf);
-        assert!(read_frame::<CudaCall>(&mut cursor).is_err());
-    }
-
-    #[test]
-    fn garbage_frame_is_decode_error() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&5u32.to_le_bytes());
-        buf.extend_from_slice(b"hello");
-        let mut cursor = std::io::Cursor::new(buf);
-        let err = read_frame::<CudaCall>(&mut cursor).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 }

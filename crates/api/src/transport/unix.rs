@@ -3,7 +3,7 @@
 //! and the runtime daemon sharing a host. Framing is identical to the TCP
 //! transport.
 
-use super::tcp::{read_frame, write_frame};
+use super::frame::{read_frame, write_frame};
 use super::{RecvOutcome, ServerConn, Transport};
 use crate::error::CudaError;
 use crate::protocol::{CudaCall, CudaReply};

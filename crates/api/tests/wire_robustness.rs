@@ -1,10 +1,9 @@
-//! Wire-protocol robustness: arbitrary bytes must never panic the frame
-//! decoder, and every protocol value must survive an encode/decode
-//! round-trip.
+//! Wire-protocol robustness: hostile or dying peers on live sockets must
+//! surface as clean errors and shed only themselves, and arbitrary bytes
+//! must never panic the frame decoder. (Round trips of every protocol value
+//! and the decoder's own fuzz battery are in `wire_codec.rs`.)
 
-use mtgpu_api::protocol::{
-    AllocKind, ContextImage, CudaCall, CudaReply, ImageEntry, ModuleHandle, MuxFrame, ReplyValue,
-};
+use mtgpu_api::protocol::{CudaCall, CudaReply, ModuleHandle, MuxFrame, ReplyValue};
 use mtgpu_api::transport::{
     encode_frame, read_frame, spawn_reactor, write_frame, ConnId, FrameBuf, FrontendClient,
     MuxConnection, MuxService, ReactorConfig, ReactorHandle, ReplySink, ServerConn, TcpServerConn,
@@ -24,97 +23,6 @@ fn roundtrip_call(call: &CudaCall) {
     let mut cursor = std::io::Cursor::new(buf);
     let back: CudaCall = read_frame(&mut cursor).unwrap();
     assert_eq!(&back, call);
-}
-
-#[test]
-fn every_call_variant_roundtrips() {
-    let calls = vec![
-        CudaCall::RegisterFatBinary,
-        CudaCall::RegisterFunction {
-            module: ModuleHandle(3),
-            kernel: KernelDesc {
-                name: "k".into(),
-                uses_nested_pointers: true,
-                uses_dynamic_alloc: false,
-                read_only_args: vec![0, 2],
-            },
-        },
-        CudaCall::RegisterVar { module: ModuleHandle(3), name: "v".into(), size: 64 },
-        CudaCall::RegisterTexture { module: ModuleHandle(3), name: "t".into() },
-        CudaCall::SetApplication { app_id: 9 },
-        CudaCall::SetDevice { device: 2 },
-        CudaCall::GetDeviceCount,
-        CudaCall::GetDeviceProperties { device: 0 },
-        CudaCall::Malloc { size: 1 << 30, kind: AllocKind::Pitched },
-        CudaCall::Free { ptr: DeviceAddr(0x7f00_0000_0100) },
-        CudaCall::MemcpyH2D {
-            dst: DeviceAddr(1),
-            buf: HostBuf::with_shadow(1 << 20, vec![1, 2, 3]),
-        },
-        CudaCall::MemcpyD2H { src: DeviceAddr(1), len: 64 },
-        CudaCall::MemcpyD2D { dst: DeviceAddr(1), src: DeviceAddr(2), len: 8 },
-        CudaCall::ConfigureCall { config: LaunchConfig::default() },
-        CudaCall::Launch {
-            spec: LaunchSpec {
-                kernel: "matmul".into(),
-                config: LaunchConfig::default(),
-                args: vec![
-                    KernelArg::Ptr(DeviceAddr(7)),
-                    KernelArg::Scalar(42),
-                    KernelArg::Float(-1.25),
-                ],
-                work: Work { flops: 1e12, bytes: 4e9 },
-            },
-        },
-        CudaCall::Synchronize,
-        CudaCall::RegisterNested { parent: DeviceAddr(1), members: vec![DeviceAddr(2)] },
-        CudaCall::Checkpoint,
-        CudaCall::ExportImage,
-        CudaCall::ImportImage {
-            image: ContextImage {
-                label: "job".into(),
-                entries: vec![ImageEntry {
-                    vaddr: DeviceAddr(0x7f00_0000_0000),
-                    size: 4096,
-                    kind: AllocKind::Linear,
-                    data: vec![9; 64],
-                    nested_members: vec![DeviceAddr(0x7f00_0000_1000)],
-                    nested_parent: None,
-                }],
-            },
-        },
-        CudaCall::Offloaded,
-        CudaCall::Exit,
-    ];
-    for call in &calls {
-        roundtrip_call(call);
-    }
-}
-
-#[test]
-fn reply_variants_roundtrip() {
-    let replies: Vec<CudaReply> = vec![
-        Ok(ReplyValue::Unit),
-        Ok(ReplyValue::Module(ModuleHandle(1))),
-        Ok(ReplyValue::DeviceCount(12)),
-        Ok(ReplyValue::Ptr(DeviceAddr(0xffff))),
-        Ok(ReplyValue::Bytes(HostBuf::from_slice(&[1, 2, 3]))),
-        Ok(ReplyValue::LaunchDone { sim_nanos: 123_456_789 }),
-        Err(CudaError::MemoryAllocation),
-        Err(CudaError::LaunchFailure("boom".into())),
-        Err(CudaError::NotEligible("reason".into())),
-        Err(CudaError::QuotaExceeded("mem lease".into())),
-        Err(CudaError::LeaseExpired),
-        Err(CudaError::MalformedDescriptor("64 args".into())),
-        Err(CudaError::PayloadHashMismatch),
-    ];
-    for reply in &replies {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, reply).unwrap();
-        let mut cursor = std::io::Cursor::new(buf);
-        let back: CudaReply = read_frame(&mut cursor).unwrap();
-        assert_eq!(&back, reply);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -140,7 +48,7 @@ fn tcp_truncated_reply_frame_surfaces_clean_error() {
         let _: CudaCall = read_frame(&mut stream).unwrap();
         // Declare a 64-byte reply, deliver 10 bytes, hang up.
         stream.write_all(&64u32.to_le_bytes()).unwrap();
-        stream.write_all(&[0x7b; 10]).unwrap();
+        stream.write_all(&[0u8; 10]).unwrap();
     });
     let mut client = FrontendClient::new(TcpTransport::connect(addr).unwrap());
     assert_eq!(client.get_device_count(), Err(CudaError::Disconnected));
@@ -304,21 +212,44 @@ fn mux_client_sent_response_sheds_connection() {
 fn mux_undecodable_frame_mid_stream_sheds_only_that_connection() {
     let reactor = spawn_echo_reactor(ReactorConfig::default());
     let good = MuxConnection::connect(reactor.addr()).unwrap();
+    let protocol_errors =
+        || reactor.stats().protocol_errors.load(std::sync::atomic::Ordering::Relaxed);
 
-    // Hostile peer: one valid request, then a well-framed but undecodable
-    // body interleaved mid-stream.
-    let mut attacker = TcpStream::connect(reactor.addr()).unwrap();
-    let mut wire = Vec::new();
-    encode_frame(&MuxFrame::Request { chan: 0, id: 1, call: CudaCall::Synchronize }, &mut wire)
-        .unwrap();
-    let garbage = b"{\"neither\":\"request nor response\"}";
-    wire.extend_from_slice(&(garbage.len() as u32).to_le_bytes());
-    wire.extend_from_slice(garbage);
-    attacker.write_all(&wire).unwrap();
-    expect_eof(&mut attacker, Duration::from_secs(5));
+    let mut valid = Vec::new();
+    let sync = MuxFrame::Request { chan: 0, id: 1, call: CudaCall::Synchronize };
+    encode_frame(&sync, &mut valid).unwrap();
+    let valid_body = &valid[4..];
 
-    assert!(reactor.stats().protocol_errors.load(std::sync::atomic::Ordering::Relaxed) >= 1);
-    probe_roundtrip(&good);
+    // Well-framed bodies the decoder must refuse, each on its own
+    // connection, each after one valid request (so the failure is
+    // mid-stream).
+    let hostile_bodies: Vec<(&str, Vec<u8>)> = vec![
+        // An old peer still speaking the JSON codec: `{` is no frame tag.
+        (
+            "JSON body from an old peer",
+            br#"{"Request":{"chan":0,"id":2,"call":"Synchronize"}}"#.to_vec(),
+        ),
+        ("unknown frame tag", vec![0x02, 0, 0, 0, 0, 0, 0, 0, 0]),
+        ("unknown call tag", [&valid_body[..17], &[0xEE]].concat()),
+        ("trailing byte after the value", [valid_body, &[0]].concat()),
+        ("body ends inside the value", valid_body[..valid_body.len() - 1].to_vec()),
+        // MemcpyH2D whose payload length claims 4 GiB.
+        (
+            "inner length past the frame",
+            [&valid_body[..17], &[10], &[0; 16], &u32::MAX.to_le_bytes(), &[1, 2, 3]].concat(),
+        ),
+    ];
+    for (i, (what, body)) in hostile_bodies.iter().enumerate() {
+        let mut attacker = TcpStream::connect(reactor.addr()).unwrap();
+        let mut wire = valid.clone();
+        wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        wire.extend_from_slice(body);
+        attacker.write_all(&wire).unwrap();
+        expect_eof(&mut attacker, Duration::from_secs(5));
+        assert_eq!(protocol_errors(), i as u64 + 1, "{what}: one shed, counted once");
+        probe_roundtrip(&good);
+    }
+
     good.shutdown();
     reactor.shutdown();
 }
@@ -333,7 +264,7 @@ fn mux_slow_loris_is_shed_without_stalling_neighbours() {
     // Slow loris: promises a frame, drips 2 bytes, goes quiet.
     let mut loris = TcpStream::connect(reactor.addr()).unwrap();
     loris.write_all(&64u32.to_le_bytes()).unwrap();
-    loris.write_all(&[0x7b, 0x22]).unwrap();
+    loris.write_all(&[0, 1]).unwrap();
 
     // Neighbours keep full service while the loris ages out.
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -422,6 +353,7 @@ impl MuxService for ValidatingEcho {
                 guard::validate_kernel_desc(kernel, &limits)
             }
             CudaCall::MemcpyH2D { buf, .. } => guard::validate_host_buf(buf),
+            CudaCall::HintJobLength { flops } => guard::validate_job_length_hint(*flops),
             _ => Ok(()),
         };
         match verdict {
@@ -446,6 +378,7 @@ fn hostile_descriptors_rejected_with_typed_errors_before_dispatch() {
 
     let conn = MuxConnection::connect(reactor.addr()).unwrap();
     let mut client = FrontendClient::new(conn.channel());
+    let mut sibling = FrontendClient::new(conn.channel());
 
     let good_spec = LaunchSpec {
         kernel: "matmul".into(),
@@ -476,14 +409,31 @@ fn hostile_descriptors_rejected_with_typed_errors_before_dispatch() {
         Err(CudaError::MalformedDescriptor(_))
     ));
 
-    // Negative declared work (non-finite values never even encode — the
-    // JSON framing refuses them client-side, one layer earlier).
-    let mut s = good_spec.clone();
-    s.work = Work { flops: -1.0, bytes: -1.0 };
+    // Negative or non-finite declared work, and a non-finite job-length
+    // hint. The binary wire carries NaN and ±∞ bit-exact, so it is the
+    // guard that answers — with a typed error for that one call, while the
+    // connection and a sibling channel on it stay in service.
+    for work in [
+        Work { flops: -1.0, bytes: -1.0 },
+        Work { flops: f64::NAN, bytes: 0.0 },
+        Work { flops: 1.0, bytes: f64::INFINITY },
+        Work { flops: f64::NEG_INFINITY, bytes: f64::NAN },
+    ] {
+        let mut s = good_spec.clone();
+        s.work = work;
+        assert!(matches!(
+            client.call(CudaCall::Launch { spec: s }),
+            Err(CudaError::MalformedDescriptor(_))
+        ));
+        assert!(!conn.is_dead());
+        sibling.synchronize().unwrap();
+    }
     assert!(matches!(
-        client.call(CudaCall::Launch { spec: s }),
+        client.call(CudaCall::HintJobLength { flops: f64::NAN }),
         Err(CudaError::MalformedDescriptor(_))
     ));
+    assert!(!conn.is_dead());
+    sibling.synchronize().unwrap();
 
     // Hostile registration: unbounded name, out-of-bounds read-only map.
     assert!(matches!(
@@ -513,8 +463,11 @@ fn hostile_descriptors_rejected_with_typed_errors_before_dispatch() {
         Err(CudaError::MalformedDescriptor(_))
     ));
 
-    // Nothing hostile reached dispatch...
-    assert_eq!(dispatched.load(Ordering::SeqCst), 0, "a malformed descriptor was dispatched");
+    // Nothing hostile reached dispatch (the sibling's five probes did), and
+    // the reactor shed nobody...
+    assert_eq!(dispatched.load(Ordering::SeqCst), 5, "a malformed descriptor was dispatched");
+    assert_eq!(reactor.stats().protocol_errors.load(Ordering::SeqCst), 0);
+    assert_eq!(reactor.open_connections(), 1);
 
     // ...while well-formed traffic still flows on the same connection.
     client.call(CudaCall::Launch { spec: good_spec }).unwrap();
@@ -525,7 +478,7 @@ fn hostile_descriptors_rejected_with_typed_errors_before_dispatch() {
             buf: HostBuf::from_slice(&[5, 6, 7]).sealed(),
         })
         .unwrap();
-    assert_eq!(dispatched.load(Ordering::SeqCst), 3);
+    assert_eq!(dispatched.load(Ordering::SeqCst), 8);
 
     conn.shutdown();
     reactor.shutdown();

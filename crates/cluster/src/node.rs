@@ -283,6 +283,40 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_hint_is_a_typed_rejection_that_spares_the_connection() {
+        // The binary wire carries NaN bit-exact (JSON rendered it as `null`,
+        // and the decode failure closed the whole connection): the guard
+        // must refuse it, per call, with co-tenant channels unharmed.
+        let node = ClusterNode::start(
+            "n0".into(),
+            Clock::with_scale(1e-7),
+            vec![GpuSpec::test_small()],
+            RuntimeConfig::paper_default(),
+            true,
+        );
+        let pool = node.mux_pool(1).unwrap();
+        let mut hostile = FrontendClient::new(pool.channel());
+        let mut sibling = FrontendClient::new(pool.channel());
+        let ptr = sibling.malloc(256).unwrap();
+        for flops in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                hostile.call(mtgpu_api::CudaCall::HintJobLength { flops }),
+                Err(mtgpu_api::CudaError::MalformedDescriptor(_))
+            ));
+        }
+        assert_eq!(node.metrics().descriptor_rejections, 3);
+        // Same socket, both channels: still served.
+        hostile.call(mtgpu_api::CudaCall::HintJobLength { flops: 1e9 }).unwrap();
+        sibling.memcpy_h2d(ptr, mtgpu_api::HostBuf::from_slice(&[5u8; 256])).unwrap();
+        assert_eq!(sibling.memcpy_d2h(ptr, 256).unwrap().payload, vec![5u8; 256]);
+        let stats = node.mux_stats().unwrap();
+        assert_eq!(stats.protocol_errors.load(std::sync::atomic::Ordering::Relaxed), 0);
+        hostile.exit().unwrap();
+        sibling.exit().unwrap();
+        node.shutdown();
+    }
+
+    #[test]
     fn non_listening_node_has_no_endpoint() {
         let node = ClusterNode::start(
             "n0".into(),

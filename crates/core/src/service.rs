@@ -180,6 +180,10 @@ pub(crate) fn handle_call(rt: &NodeRuntime, ctx: &Arc<AppContext>, call: CudaCal
         }
         CudaCall::RegisterVar { .. } | CudaCall::RegisterTexture { .. } => Ok(ReplyValue::Unit),
         CudaCall::HintJobLength { flops } => {
+            if let Err(e) = guard::validate_job_length_hint(flops) {
+                RuntimeMetrics::bump(&rt.metrics_ref().descriptor_rejections);
+                return Err(e);
+            }
             ctx.inner().est_job_flops = Some(flops);
             Ok(ReplyValue::Unit)
         }
