@@ -752,7 +752,9 @@ pub fn test_channel(addr: std::net::SocketAddr) -> MuxChannel {
 mod tests {
     use super::*;
     use crate::protocol::ReplyValue;
-    use crate::transport::Transport;
+    use crate::transport::{Transport, MAX_FRAME_BYTES};
+    use crate::HostBuf;
+    use mtgpu_gpusim::DeviceAddr;
 
     /// Replies `DeviceCount(chan)` to every request, immediately, from the
     /// reactor thread itself (exercises the sink → outbuf path).
@@ -802,6 +804,53 @@ mod tests {
         for r in replies {
             assert_eq!(r, Ok(ReplyValue::DeviceCount(chan)));
         }
+        reactor.shutdown();
+    }
+
+    /// Answers `MemcpyD2H` with one byte more than a frame may carry, and
+    /// anything else like [`Echo`].
+    struct Oversharer {
+        sink: ReplySink,
+    }
+
+    impl MuxService for Oversharer {
+        fn on_request(&self, conn: ConnId, chan: u64, id: u64, call: CudaCall) {
+            let value = match call {
+                CudaCall::MemcpyD2H { .. } => ReplyValue::Bytes(HostBuf {
+                    declared_len: 1 << 40,
+                    payload: vec![0u8; MAX_FRAME_BYTES + 1],
+                    content_hash: None,
+                }),
+                _ => ReplyValue::DeviceCount(chan as u32),
+            };
+            self.sink.reply(conn, id, Ok(value));
+        }
+        fn on_disconnect(&self, _conn: ConnId) {}
+    }
+
+    #[test]
+    fn oversized_reply_reaches_its_caller_as_a_protocol_error() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (sink, queue) = ReplySink::channel();
+        let service = Arc::new(Oversharer { sink });
+        let reactor = spawn_reactor(listener, ReactorConfig::default(), service, queue).unwrap();
+        let conn = super::super::mux::MuxConnection::connect(reactor.addr()).unwrap();
+        let mut ch = conn.channel();
+        let mut sibling = conn.channel();
+        let chan = ch.chan() as u32;
+
+        let big = CudaCall::MemcpyD2H { src: DeviceAddr(0), len: 1 << 40 };
+        match ch.roundtrip(big) {
+            Err(CudaError::Protocol(why)) => assert!(why.contains("limit"), "{why}"),
+            other => panic!("oversized reply surfaced as {other:?}"),
+        }
+        // Answered, counted, and nothing shed: the same channel and its
+        // sibling keep working over the same connection.
+        assert_eq!(ch.roundtrip(CudaCall::Synchronize), Ok(ReplyValue::DeviceCount(chan)));
+        assert!(sibling.roundtrip(CudaCall::Synchronize).is_ok());
+        assert_eq!(reactor.open_connections(), 1);
+        assert_eq!(reactor.stats().replies.load(Ordering::Relaxed), 3);
+        assert_eq!(reactor.stats().protocol_errors.load(Ordering::Relaxed), 0);
         reactor.shutdown();
     }
 

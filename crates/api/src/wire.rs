@@ -18,8 +18,9 @@
 //!
 //! The decoder is a trust boundary: it never panics, checks every inner
 //! length against the bytes that remain *before* it allocates (a vector
-//! count is bounded by `remaining / MIN_WIRE` of its element type, so no
-//! length field alone can size an allocation), and rejects unknown tags,
+//! count is refused past `remaining / MIN_WIRE` of its element type and
+//! reserves at most `remaining` bytes of memory, so no length field alone
+//! can size an allocation larger than the frame), and rejects unknown tags,
 //! non-0/1 booleans, invalid UTF-8 and — through [`decode_exact`] — bytes
 //! left over after the value.
 
@@ -210,7 +211,11 @@ impl<T: Wire> Wire for Vec<T> {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let n = r.count(T::MIN_WIRE)?;
-        let mut items = Vec::with_capacity(n);
+        // An element can be wider in memory than its shortest wire form, so
+        // the count is not yet a safe capacity: reserve no more memory than
+        // there are unread bytes and let elements that decode pay for the rest.
+        let affordable = r.remaining() / std::mem::size_of::<T>().max(1);
+        let mut items = Vec::with_capacity(n.min(affordable));
         for _ in 0..n {
             items.push(T::decode(r)?);
         }

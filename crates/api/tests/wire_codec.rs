@@ -616,16 +616,17 @@ fn frames_stay_within_their_size_budget() {
 // --- hostile decode -------------------------------------------------------------------
 
 /// Decodes one hostile body and checks the battery's contract: no panic;
-/// nothing allocated that the body's own size does not pay for (the factor
-/// is the widest in-memory/on-wire ratio of any element, `ImageEntry`'s);
-/// and an accepted body is canonical, i.e. re-encodes to itself.
+/// nothing allocated that the body's own length does not pay for (on top of
+/// it, only `Vec`'s first growth steps, four then eight elements, for a
+/// short vector of the widest element, `ImageEntry`); and an accepted body
+/// is canonical, i.e. re-encodes to itself.
 fn check_hostile_body(body: &[u8], what: &str) {
     let outcome =
         std::panic::catch_unwind(|| counting_allocations(|| decode_exact::<MuxFrame>(body)));
     let Ok((decoded, peak, total)) = outcome else {
         panic!("{what}: decoder panicked on {body:02x?}");
     };
-    let budget = 4 * body.len() + 256;
+    let budget = body.len() + 8 * std::mem::size_of::<ImageEntry>();
     assert!(
         peak <= budget && total <= budget,
         "{what}: {} bytes of body drove allocations of {peak} peak / {total} total",
@@ -780,6 +781,29 @@ fn json_body_from_an_old_peer_is_a_clean_protocol_error() {
         let err = read_frame::<CudaCall>(&mut wire.as_slice()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
+}
+
+#[test]
+fn vector_count_reserves_no_more_than_the_bytes_behind_it() {
+    // The count passes the `remaining / MIN_WIRE` check (`MIN_WIRE` bytes
+    // follow per claimed entry), but an `ImageEntry` is several times wider in memory
+    // than its shortest wire form: the reservation must follow the bytes,
+    // not the count.
+    let image = ContextImage { label: String::new(), entries: Vec::new() };
+    let mut body =
+        encoded(&MuxFrame::Request { chan: 1, id: 1, call: CudaCall::ImportImage { image } });
+    let claimed = 4096usize;
+    assert!(std::mem::size_of::<ImageEntry>() > 3 * ImageEntry::MIN_WIRE);
+    let count_at = body.len() - 4;
+    body[count_at..].copy_from_slice(&(claimed as u32).to_le_bytes());
+    body.resize(body.len() + claimed * ImageEntry::MIN_WIRE, 0xff);
+    let (result, peak, total) = counting_allocations(|| decode_exact::<MuxFrame>(&body));
+    assert_eq!(result, Err(WireError::UnknownTag { ty: "AllocKind", tag: 0xff }));
+    assert!(
+        peak <= body.len() && total <= body.len(),
+        "{} bytes of body reserved {peak} peak / {total} total",
+        body.len()
+    );
 }
 
 #[test]
