@@ -8,6 +8,7 @@
 //! | `swap-vs-free`      | [`MemoryManager`]  | `mm.swap`                 |
 //! | `lease-admit-vs-reap` | [`LeaseBook`]    | `policy.lease.global_used`|
 //! | `migrate-vs-launch` | [`MemoryManager`]  | `mm.swap` (migration path)|
+//! | `reply-vs-retire`   | mux [`ReplySink`]  | `reactor.out.closed`      |
 //! | `fixture-race`      | seeded fixture     | `fixture.check.cell`      |
 //!
 //! Every builder constructs *fresh* component state on the (unregistered)
@@ -16,6 +17,8 @@
 //! deliberately broken control: two threads mutate a shadow cell under two
 //! *different* ranked locks, which the detector must flag.
 
+use mtgpu_api::protocol::{MuxFrame, ReplyValue};
+use mtgpu_api::transport::{FrameBuf, ReplySink};
 use mtgpu_core::memory::AllocKind;
 use mtgpu_core::{
     BindingManager, CtxId, GpuLease, LeaseBook, MemoryConfig, MemoryManager, RuntimeMetrics,
@@ -24,7 +27,9 @@ use mtgpu_core::{
 use mtgpu_gpusim::{DeviceId, Gpu, GpuSpec, KernelArg};
 use mtgpu_simtime::mtcheck::Participant;
 use mtgpu_simtime::{Clock, LockRank, RankedMutex, Shadow, SimDuration};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// One named scenario of the matrix.
 pub struct Scenario {
@@ -53,7 +58,7 @@ pub fn find(name: &str) -> Option<&'static Scenario> {
     MATRIX.iter().find(|s| s.name == name)
 }
 
-static MATRIX: [Scenario; 5] = [
+static MATRIX: [Scenario; 6] = [
     Scenario {
         name: "dispatcher-churn",
         about: "two contexts churn try_acquire_on/release against one \
@@ -81,6 +86,14 @@ static MATRIX: [Scenario; 5] = [
                 closure walk over the same memory-manager state",
         expect_clean: true,
         builder: migrate_vs_launch,
+    },
+    Scenario {
+        name: "reply-vs-retire",
+        about: "two workers post reply batches to one mux connection \
+                while the reactor retires it (table, then the \
+                connection's outbound half under CONN_OUT)",
+        expect_clean: true,
+        builder: reply_vs_retire,
     },
     Scenario {
         name: "fixture-race",
@@ -192,6 +205,62 @@ fn migrate_vs_launch() -> Vec<Participant> {
             let _plan = migrator.migration_plan(CtxId(2));
             let _plan_again = migrator.migration_plan(CtxId(2));
             migrator.remove_ctx(CtxId(2), None);
+        }),
+    ]
+}
+
+/// Mux teardown against in-flight replies, first slice: the sink side of
+/// one connection. Whatever the interleaving, the peer must see whole
+/// frames, each reply at most once, then end of stream — a reply that
+/// loses the race with the retire is dropped, never half-written and never
+/// written after the close.
+fn reply_vs_retire() -> Vec<Participant> {
+    const CONN: u64 = 1;
+    const BATCHES: u64 = 3;
+    let (sink, reactor) = ReplySink::channel();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind scenario listener");
+    let mut peer =
+        TcpStream::connect(listener.local_addr().expect("listener address")).expect("connect");
+    let (accepted, _) = listener.accept().expect("accept scenario connection");
+    accepted.set_nonblocking(true).expect("nonblocking");
+    reactor.attach(CONN, accepted);
+    let worker = |first_id: u64| {
+        let sink = sink.clone();
+        Box::new(move || {
+            for batch in 0..BATCHES {
+                let id = first_id + 2 * batch;
+                sink.reply_batch(
+                    CONN,
+                    [(id, Ok(ReplyValue::Unit)), (id + 1, Ok(ReplyValue::Unit))],
+                );
+            }
+        }) as Participant
+    };
+    vec![
+        worker(0),
+        worker(100),
+        Box::new(move || {
+            reactor.detach(CONN);
+            // The socket is shut down: what was written is buffered, the
+            // rest never comes, so these reads cannot wait on a worker.
+            peer.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+            let mut framebuf = FrameBuf::new();
+            let mut ids = Vec::new();
+            while framebuf.read_from(&mut peer).expect("read up to end of stream") != 0 {
+                while let Some(frame) = framebuf.next_frame::<MuxFrame>().expect("whole frames") {
+                    match frame {
+                        MuxFrame::Response { id, .. } => ids.push(id),
+                        MuxFrame::Request { .. } => panic!("a sink wrote a request"),
+                    }
+                }
+            }
+            assert!(!framebuf.has_partial(), "a frame was cut by the retire");
+            // Batches are atomic: replies come in pairs, each pair once.
+            assert!(ids.chunks(2).all(|pair| pair.len() == 2 && pair[1] == pair[0] + 1), "{ids:?}");
+            let mut once = ids.clone();
+            once.sort_unstable();
+            once.dedup();
+            assert_eq!(once.len(), ids.len(), "a reply was written twice: {ids:?}");
         }),
     ]
 }

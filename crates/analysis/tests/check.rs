@@ -7,12 +7,18 @@
 use mtgpu_analysis::check::{explore, parse_schedule_id, scenarios, schedule_id};
 
 #[test]
-fn matrix_has_four_clean_scenarios_plus_the_fixture() {
+fn matrix_has_five_clean_scenarios_plus_the_fixture() {
     let clean: Vec<_> =
         scenarios::all().iter().filter(|s| s.expect_clean).map(|s| s.name).collect();
     assert_eq!(
         clean,
-        ["dispatcher-churn", "swap-vs-free", "lease-admit-vs-reap", "migrate-vs-launch"]
+        [
+            "dispatcher-churn",
+            "swap-vs-free",
+            "lease-admit-vs-reap",
+            "migrate-vs-launch",
+            "reply-vs-retire"
+        ]
     );
     let fixture = scenarios::find("fixture-race").expect("fixture scenario");
     assert!(!fixture.expect_clean);
@@ -59,6 +65,9 @@ fn pinned_schedules_stay_clean_and_replay_identically() {
         ("lease-admit-vs-reap", "s:1"),
         // Migration planning preempts the launch-closure walk.
         ("migrate-vs-launch", "s:1.1"),
+        // The retire wins the table before either worker has looked up
+        // the connection: every reply is dropped.
+        ("reply-vs-retire", "s:2.2"),
     ];
     for (name, id) in pins {
         let scn = scenarios::find(name).unwrap();

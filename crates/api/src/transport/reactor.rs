@@ -1,21 +1,31 @@
 //! The multiplexed server reactor: one nonblocking thread, all connections.
 //!
 //! Replaces thread-per-connection for multiplexed peers (DESIGN.md §12).
-//! A single reactor thread owns every socket: it accepts nonblockingly,
-//! waits for readiness, decodes [`MuxFrame::Request`]s and hands them to a
-//! [`MuxService`] (the runtime's gateway), and is the *only* writer —
-//! workers complete replies through a [`ReplySink`] and the reactor encodes
-//! and ships them, stashing what the socket will not take yet. No reactor
-//! state is shared with workers except the sink channel (and its wake
-//! pipe), so the loop needs no locks of its own.
+//! A single reactor thread owns every socket's *read* half: it accepts
+//! nonblockingly, waits for readiness, decodes [`MuxFrame::Request`]s and
+//! hands them to a [`MuxService`] (the runtime's gateway). The *write* half
+//! of a connection — socket handle, unsent bytes, in-flight request IDs —
+//! sits behind one per-connection lock ([`Outbound`]), because replies are
+//! written by whoever completes them: a [`ReplySink`] encodes under that
+//! lock and writes to the nonblocking socket from the calling thread. The
+//! reactor hears about a reply only when the socket would not take all of
+//! it (it then flushes the rest on `POLLOUT`) or the write failed (it then
+//! retires the connection), so the common reply costs no thread hand-off.
+//! Replies the reactor thread posts itself (a service answering inside
+//! `on_request`) wait for the end of that connection's read sweep.
 //!
-//! On Unix the loop blocks in `poll(2)` — called directly through the C
-//! runtime the process already links, no crate needed — so ten thousand
-//! idle connections cost zero CPU and a readable socket is served on the
-//! next scheduler slice. Worker completions interrupt the poll through a
-//! socketpair: the sink writes one byte when (and only when) the reactor
-//! is committed to sleeping. Elsewhere a sweep loop with exponential idle
-//! backoff stands in.
+//! Lock order: the sink's connection table, then one connection's outbound
+//! half; the table is never held while writing, and the reactor holds
+//! neither across [`MuxService::on_request`], so a service may reply from
+//! inside it.
+//!
+//! The loop blocks in `poll(2)` — called directly through the C runtime the
+//! process already links, no crate needed — so ten thousand idle
+//! connections cost zero CPU and a readable socket is served on the next
+//! scheduler slice. A sink that needs the reactor interrupts the poll
+//! through a socketpair: it writes one byte when (and only when) the
+//! reactor is committed to sleeping. `poll(2)` and the socketpair make the
+//! module Unix-only.
 //!
 //! Hostile peers are shed per-connection, never per-server:
 //! - an oversized or undecodable frame closes that connection;
@@ -28,28 +38,24 @@
 //!   never reads) sheds the connection.
 
 use super::frame::{encode_frame, FrameBuf};
-#[cfg(test)]
-use super::mux::MuxChannel;
 use crate::error::CudaError;
 use crate::protocol::{CudaCall, CudaReply, MuxFrame};
-#[cfg(not(unix))]
-use crossbeam::channel::RecvTimeoutError;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use mtgpu_simtime::{lock_rank, RankedMutex, Shadow};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 /// Readiness via `poll(2)`, bound straight from the C runtime (the process
 /// links libc through std already; this adds no dependency).
-#[cfg(unix)]
 mod sys {
     pub const POLLIN: i16 = 0x001;
     pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
 
     /// `struct pollfd` from `<poll.h>`.
     #[repr(C)]
@@ -78,31 +84,18 @@ mod sys {
     }
 }
 
-/// Wakes a reactor that has committed to sleeping. On Unix one byte down a
-/// socketpair interrupts `poll(2)`; the sweep fallback parks on the reply
-/// queue itself and needs no pipe. `sleeping` is the handshake that keeps
-/// the byte off the hot path: senders write only when the reactor is (or
-/// is about to be) inside the wait.
+/// Wakes a reactor that has committed to sleeping: one byte down a
+/// socketpair interrupts `poll(2)`. `sleeping` is the handshake that keeps
+/// the byte off the hot path: sinks write only when the reactor is (or is
+/// about to be) inside the wait.
 struct ReactorWake {
     sleeping: AtomicBool,
-    #[cfg(unix)]
-    pipe: OnceLock<std::os::unix::net::UnixStream>,
-    #[cfg(not(unix))]
-    _pipe: (),
+    pipe: OnceLock<UnixStream>,
 }
 
 impl ReactorWake {
-    fn new() -> Self {
-        ReactorWake {
-            sleeping: AtomicBool::new(false),
-            #[cfg(unix)]
-            pipe: OnceLock::new(),
-            #[cfg(not(unix))]
-            _pipe: (),
-        }
-    }
-
-    /// Called by reply senders: nudge the reactor if it may be sleeping.
+    /// Called by sinks that left work for the reactor: nudge it if it may
+    /// be sleeping.
     fn notify(&self) {
         if self.sleeping.load(Ordering::SeqCst) {
             self.force();
@@ -111,7 +104,6 @@ impl ReactorWake {
 
     /// Unconditional nudge (shutdown path).
     fn force(&self) {
-        #[cfg(unix)]
         if let Some(pipe) = self.pipe.get() {
             // WouldBlock means a wake byte is already pending: done.
             let _ = (&*pipe).write(&[1u8]);
@@ -130,41 +122,238 @@ pub trait MuxService: Send + Sync {
     fn on_request(&self, conn: ConnId, chan: u64, id: u64, call: CudaCall);
 
     /// The connection closed (peer hangup, protocol violation or shed):
-    /// tear down every context its channels own. In-flight replies for the
-    /// connection are dropped by the reactor.
+    /// tear down every context its channels own. Replies that complete
+    /// for the connection from now on are dropped by the sink.
     fn on_disconnect(&self, conn: ConnId);
 
     /// A connection was accepted (diagnostic; default no-op).
     fn on_connect(&self, _conn: ConnId, _peer: &str) {}
 }
 
-/// Completed reply on its way back to a connection. Cloneable; workers hold
-/// one each.
+#[derive(Debug, Clone, Copy)]
+enum CloseReason {
+    Peer,
+    Protocol,
+    SlowLoris,
+    Backlog,
+}
+
+/// One connection's outbound half. Everything that puts bytes on the socket
+/// — a sink on a worker thread, the reactor on `POLLOUT` — does so under
+/// this lock, so frames never interleave and `outbuf` stays in wire order.
+struct Outbound {
+    /// The nonblocking socket. Shared with the reactor's read half, so the
+    /// descriptor stays this connection's for as long as any sink can still
+    /// reach this half — never a recycled one.
+    stream: Arc<TcpStream>,
+    /// Encoded-but-unsent outbound bytes (socket said would-block).
+    outbuf: Vec<u8>,
+    /// Bytes of `outbuf` already written.
+    out_sent: usize,
+    /// Request IDs handed to the service and not yet replied.
+    inflight: BTreeSet<u64>,
+    /// The reactor thread while it is inside this connection's read sweep:
+    /// replies it posts itself queue up and leave when the sweep ends, so a
+    /// service that answers inside `on_request` costs one write per sweep.
+    corked: Option<ThreadId>,
+    /// Set when the connection is retired or a write failed; checked under
+    /// the lock before every write, so a reply racing the retire is dropped.
+    /// Shadowed so mtcheck sees every access ordered by the lock.
+    closed: Shadow<bool>,
+}
+
+type OutHalf = Arc<RankedMutex<Outbound>>;
+
+impl Outbound {
+    /// Encodes one completed reply behind whatever is still unsent.
+    fn push_reply(&mut self, id: u64, reply: CudaReply) {
+        self.inflight.remove(&id);
+        let frame = MuxFrame::Response { id, reply };
+        if let Err(e) = encode_frame(&frame, &mut self.outbuf) {
+            // A reply past the frame limit (an exported image, say) must
+            // still answer its caller, or the caller waits forever.
+            let refusal = MuxFrame::Response { id, reply: Err(CudaError::Protocol(e.to_string())) };
+            let _ = encode_frame(&refusal, &mut self.outbuf);
+        }
+    }
+
+    fn backlog(&self) -> usize {
+        self.outbuf.len() - self.out_sent
+    }
+
+    /// Pushes buffered bytes as far as the socket allows; `Ok(true)` means
+    /// nothing is left over.
+    fn flush(&mut self, max_outbuf: usize) -> Result<bool, CloseReason> {
+        while self.out_sent < self.outbuf.len() {
+            match (&*self.stream).write(&self.outbuf[self.out_sent..]) {
+                Ok(0) => return Err(CloseReason::Peer),
+                Ok(n) => self.out_sent += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return Err(CloseReason::Peer),
+            }
+        }
+        if self.backlog() == 0 {
+            self.outbuf.clear();
+            self.out_sent = 0;
+            Ok(true)
+        } else if self.backlog() > max_outbuf {
+            Err(CloseReason::Backlog)
+        } else {
+            Ok(false)
+        }
+    }
+
+    /// Marks the half dead and drops what it still held.
+    fn close(&mut self) {
+        *self.closed = true;
+        self.outbuf = Vec::new();
+        self.out_sent = 0;
+        self.inflight.clear();
+    }
+}
+
+/// What sinks and the reactor share: who is connected, and which
+/// connections a sink left for the reactor to look at.
+struct Table {
+    conns: BTreeMap<ConnId, OutHalf>,
+    /// Connections whose outbound half needs the reactor: `None` for bytes
+    /// left over (watch for `POLLOUT`), a reason for one to retire.
+    attention: Vec<(ConnId, Option<CloseReason>)>,
+}
+
+struct Shared {
+    table: RankedMutex<Table>,
+    wake: ReactorWake,
+    stats: ReactorStats,
+    /// `ReactorConfig::max_outbuf_bytes` of the reactor this feeds.
+    max_outbuf: AtomicUsize,
+}
+
+impl Shared {
+    /// Registers an accepted connection's outbound half.
+    fn attach(&self, conn: ConnId, stream: Arc<TcpStream>) -> OutHalf {
+        let out = Arc::new(RankedMutex::new(
+            lock_rank::CONN_OUT,
+            Outbound {
+                stream,
+                outbuf: Vec::new(),
+                out_sent: 0,
+                inflight: BTreeSet::new(),
+                corked: None,
+                closed: Shadow::new("reactor.out.closed", false),
+            },
+        ));
+        self.table.lock().conns.insert(conn, Arc::clone(&out));
+        out
+    }
+
+    /// Retires a connection's outbound half: out of the table and closed
+    /// first, so no sink can find or write to it, and only then the socket.
+    fn detach(&self, conn: ConnId) {
+        let removed = self.table.lock().conns.remove(&conn);
+        if let Some(out) = removed {
+            let mut out = out.lock();
+            out.close();
+            let _ = out.stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// Where completed replies go: straight onto their connection's socket.
+/// Cloneable; workers hold one each.
 #[derive(Clone)]
 pub struct ReplySink {
-    tx: Sender<(ConnId, u64, CudaReply)>,
-    wake: Arc<ReactorWake>,
+    shared: Arc<Shared>,
 }
 
 impl ReplySink {
-    /// A sink and the queue end the reactor drains.
+    /// A sink and the handle that ties a reactor to it.
     pub fn channel() -> (ReplySink, ReplyQueue) {
-        let (tx, rx) = unbounded();
-        let wake = Arc::new(ReactorWake::new());
-        (ReplySink { tx, wake: Arc::clone(&wake) }, ReplyQueue { rx, wake })
+        let shared = Arc::new(Shared {
+            table: RankedMutex::new(
+                lock_rank::REACTOR_CONNS,
+                Table { conns: BTreeMap::new(), attention: Vec::new() },
+            ),
+            wake: ReactorWake { sleeping: AtomicBool::new(false), pipe: OnceLock::new() },
+            stats: ReactorStats::default(),
+            max_outbuf: AtomicUsize::new(usize::MAX),
+        });
+        (ReplySink { shared: Arc::clone(&shared) }, ReplyQueue { shared })
     }
 
     /// Completes request `id` on connection `conn`.
     pub fn reply(&self, conn: ConnId, id: u64, reply: CudaReply) {
-        let _ = self.tx.send((conn, id, reply));
-        self.wake.notify();
+        self.reply_batch(conn, [(id, reply)]);
+    }
+
+    /// Completes several requests of one connection with one lock pass and
+    /// (socket permitting) one write, in the order given. Replies for a
+    /// connection that is gone are dropped.
+    pub fn reply_batch(&self, conn: ConnId, replies: impl IntoIterator<Item = (u64, CudaReply)>) {
+        let mut replies = replies.into_iter().peekable();
+        if replies.peek().is_none() {
+            return;
+        }
+        let shared = &*self.shared;
+        // The table is held for the lookup only, never across the write.
+        let out = shared.table.lock().conns.get(&conn).cloned();
+        let Some(out) = out else { return };
+        let need = {
+            let mut out = out.lock();
+            if *out.closed {
+                return;
+            }
+            let max_outbuf = shared.max_outbuf.load(Ordering::Relaxed);
+            let corked = out.corked.is_some_and(|reactor| reactor == std::thread::current().id());
+            let backlogged = out.backlog() > 0 || corked;
+            for (id, reply) in replies {
+                out.push_reply(id, reply);
+                shared.stats.replies.fetch_add(1, Ordering::Relaxed);
+            }
+            // With bytes already left over (or the half corked) the reactor
+            // will send these behind them on POLLOUT (or at the end of its
+            // sweep); only the bound is this thread's to check.
+            let flushed = if !backlogged {
+                out.flush(max_outbuf)
+            } else if out.backlog() > max_outbuf {
+                Err(CloseReason::Backlog)
+            } else {
+                return;
+            };
+            match flushed {
+                Ok(true) => return,
+                Ok(false) => None,
+                Err(reason) => {
+                    out.close();
+                    Some(reason)
+                }
+            }
+        };
+        shared.table.lock().attention.push((conn, need));
+        shared.wake.notify();
     }
 }
 
-/// Reactor end of the reply channel.
+/// Ties a reactor to the [`ReplySink`] its service replies through.
 pub struct ReplyQueue {
-    rx: Receiver<(ConnId, u64, CudaReply)>,
-    wake: Arc<ReactorWake>,
+    shared: Arc<Shared>,
+}
+
+impl ReplyQueue {
+    /// Registers `stream` as connection `conn`'s outbound half, as the
+    /// reactor does on accept. For tests and mtcheck scenarios that drive a
+    /// sink without a reactor thread.
+    #[doc(hidden)]
+    pub fn attach(&self, conn: ConnId, stream: TcpStream) {
+        self.shared.attach(conn, Arc::new(stream));
+    }
+
+    /// Retires connection `conn`'s outbound half, as the reactor does.
+    #[doc(hidden)]
+    pub fn detach(&self, conn: ConnId) {
+        self.shared.detach(conn);
+    }
 }
 
 /// Tunables for one reactor instance.
@@ -174,19 +363,11 @@ pub struct ReactorConfig {
     pub frame_deadline: Duration,
     /// Shed a connection whose unsent outbound backlog exceeds this.
     pub max_outbuf_bytes: usize,
-    /// Sweep-fallback park quantum when nothing is readable and nothing is
-    /// pending (non-Unix builds only; the `poll(2)` path sleeps until
-    /// readiness or a wake byte and ignores this).
-    pub idle_wait: Duration,
 }
 
 impl Default for ReactorConfig {
     fn default() -> Self {
-        ReactorConfig {
-            frame_deadline: Duration::from_secs(10),
-            max_outbuf_bytes: 64 << 20,
-            idle_wait: Duration::from_micros(200),
-        }
+        ReactorConfig { frame_deadline: Duration::from_secs(10), max_outbuf_bytes: 64 << 20 }
     }
 }
 
@@ -213,9 +394,8 @@ pub struct ReactorStats {
 /// Handle to a spawned reactor.
 pub struct ReactorHandle {
     addr: std::net::SocketAddr,
-    stats: Arc<ReactorStats>,
+    shared: Arc<Shared>,
     stop: Arc<AtomicBool>,
-    wake: Arc<ReactorWake>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -227,60 +407,44 @@ impl ReactorHandle {
 
     /// Live counters.
     pub fn stats(&self) -> &ReactorStats {
-        &self.stats
+        &self.shared.stats
     }
 
     /// Currently open connections.
     pub fn open_connections(&self) -> usize {
-        self.stats.open.load(Ordering::Relaxed)
+        self.shared.stats.open.load(Ordering::Relaxed)
     }
 
     /// Stops the reactor thread, closing every connection (each gets its
-    /// `on_disconnect`).
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.wake.force();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
+    /// `on_disconnect`). Dropping the handle does the same.
+    pub fn shutdown(self) {}
 }
 
 impl Drop for ReactorHandle {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        self.wake.force();
+        self.shared.wake.force();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
     }
 }
 
-/// Per-connection reactor state.
+/// The reactor's own (read-side) state of one connection.
 struct Conn {
-    stream: TcpStream,
+    stream: Arc<TcpStream>,
     framebuf: FrameBuf,
     /// Timestamp of the oldest byte of the current partial frame.
     partial_since: Option<Instant>,
-    /// Encoded-but-unsent outbound bytes (socket said would-block).
-    outbuf: Vec<u8>,
-    /// Bytes of `outbuf` already written.
-    out_sent: usize,
-    /// Request IDs handed to the service and not yet replied.
-    inflight: BTreeSet<u64>,
+    out: OutHalf,
+    /// A sink left bytes over: poll this connection for `POLLOUT` too.
+    want_out: bool,
 }
 
-enum CloseReason {
-    Peer,
-    Protocol,
-    SlowLoris,
-    Backlog,
-}
-
-/// Spawns a reactor over `listener` serving `service`, draining `queue`.
+/// Spawns a reactor over `listener` serving `service`.
 ///
-/// The sink half of `queue` is what `service`'s workers reply through;
-/// create both with [`ReplySink::channel`] before constructing the service.
+/// `queue` is the other half of the sink `service` replies through; create
+/// both with [`ReplySink::channel`] before constructing the service.
 pub fn spawn_reactor(
     listener: TcpListener,
     cfg: ReactorConfig,
@@ -289,251 +453,160 @@ pub fn spawn_reactor(
 ) -> std::io::Result<ReactorHandle> {
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let stats = Arc::new(ReactorStats::default());
+    let shared = queue.shared;
+    shared.max_outbuf.store(cfg.max_outbuf_bytes, Ordering::Relaxed);
     let stop = Arc::new(AtomicBool::new(false));
-    let wake = Arc::clone(&queue.wake);
-    #[cfg(unix)]
-    let wake_rx = {
-        let (rx, tx) = std::os::unix::net::UnixStream::pair()?;
-        rx.set_nonblocking(true)?;
-        tx.set_nonblocking(true)?;
-        let _ = wake.pipe.set(tx);
-        rx
-    };
-    let thread_stats = Arc::clone(&stats);
-    let thread_stop = Arc::clone(&stop);
-    let thread =
-        std::thread::Builder::new().name(format!("mux-reactor-{addr}")).spawn(move || {
-            #[cfg(unix)]
-            poll_loop(listener, wake_rx, cfg, service, queue, thread_stats, thread_stop);
-            #[cfg(not(unix))]
-            sweep_loop(listener, cfg, service, queue, thread_stats, thread_stop);
-        })?;
-    Ok(ReactorHandle { addr, stats, stop, wake, thread: Some(thread) })
+    let (wake_rx, wake_tx) = UnixStream::pair()?;
+    wake_rx.set_nonblocking(true)?;
+    wake_tx.set_nonblocking(true)?;
+    let _ = shared.wake.pipe.set(wake_tx);
+    let (thread_shared, thread_stop) = (Arc::clone(&shared), Arc::clone(&stop));
+    let thread = std::thread::Builder::new()
+        .name(format!("mux-reactor-{addr}"))
+        .spawn(move || poll_loop(listener, wake_rx, cfg, service, &thread_shared, &thread_stop))?;
+    Ok(ReactorHandle { addr, shared, stop, thread: Some(thread) })
 }
 
-/// Encodes a completed reply into its connection's outbound buffer.
-/// Returns false when the connection is gone (the reply is dropped).
-fn queue_reply(
-    conns: &mut BTreeMap<ConnId, Conn>,
-    conn_id: ConnId,
-    id: u64,
-    reply: CudaReply,
-    stats: &ReactorStats,
-) -> bool {
-    let Some(conn) = conns.get_mut(&conn_id) else { return false };
-    conn.inflight.remove(&id);
-    let frame = MuxFrame::Response { id, reply };
-    if let Err(e) = encode_frame(&frame, &mut conn.outbuf) {
-        // A reply past the frame limit (an exported image, say) must still
-        // answer its caller, or the caller waits forever.
-        let refusal = MuxFrame::Response { id, reply: Err(CudaError::Protocol(e.to_string())) };
-        let _ = encode_frame(&refusal, &mut conn.outbuf);
-    }
-    stats.replies.fetch_add(1, Ordering::Relaxed);
-    true
-}
-
-/// Accepts every pending connection; returns true if any arrived.
+/// Accepts every pending connection (until `accept` would block).
 fn accept_ready(
     listener: &TcpListener,
     conns: &mut BTreeMap<ConnId, Conn>,
     next_conn: &mut ConnId,
     service: &dyn MuxService,
-    stats: &ReactorStats,
-) -> bool {
-    let mut any = false;
-    loop {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                    continue;
-                }
-                let id = *next_conn;
-                *next_conn += 1;
-                conns.insert(
-                    id,
-                    Conn {
-                        stream,
-                        framebuf: FrameBuf::new(),
-                        partial_since: None,
-                        outbuf: Vec::new(),
-                        out_sent: 0,
-                        inflight: BTreeSet::new(),
-                    },
-                );
-                stats.accepted.fetch_add(1, Ordering::Relaxed);
-                stats.open.store(conns.len(), Ordering::Relaxed);
-                service.on_connect(id, &peer.to_string());
-                any = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(_) => break,
+    shared: &Shared,
+) {
+    while let Ok((stream, peer)) = listener.accept() {
+        if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
+            continue;
         }
+        let id = *next_conn;
+        *next_conn += 1;
+        let stream = Arc::new(stream);
+        let out = shared.attach(id, Arc::clone(&stream));
+        conns.insert(
+            id,
+            Conn { stream, framebuf: FrameBuf::new(), partial_since: None, out, want_out: false },
+        );
+        shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
+        shared.stats.open.store(conns.len(), Ordering::Relaxed);
+        service.on_connect(id, &peer.to_string());
     }
-    any
 }
 
-/// Pushes buffered outbound bytes as far as the socket allows; `Ok(true)`
-/// means progress was made.
-fn flush_conn(conn: &mut Conn, max_outbuf: usize) -> Result<bool, CloseReason> {
-    let mut productive = false;
-    while conn.out_sent < conn.outbuf.len() {
-        match conn.stream.write(&conn.outbuf[conn.out_sent..]) {
-            Ok(0) => return Err(CloseReason::Peer),
-            Ok(n) => {
-                conn.out_sent += n;
-                productive = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return Err(CloseReason::Peer),
-        }
-    }
-    if conn.out_sent == conn.outbuf.len() {
-        if !conn.outbuf.is_empty() {
-            conn.outbuf.clear();
-            conn.out_sent = 0;
-        }
-    } else if conn.outbuf.len() - conn.out_sent > max_outbuf {
-        return Err(CloseReason::Backlog);
-    }
-    Ok(productive)
-}
-
-/// Reads until the socket would block, dispatching every complete frame;
-/// `Ok(true)` means bytes arrived.
-fn read_conn(
+/// Reads until the socket would block, dispatching every complete frame,
+/// then writes what `conn` is owed: bytes an earlier write left over and the
+/// replies posted for it meanwhile.
+fn sweep_conn(
     id: ConnId,
     conn: &mut Conn,
     service: &dyn MuxService,
     stats: &ReactorStats,
-) -> Result<bool, CloseReason> {
-    let mut productive = false;
-    loop {
-        match conn.framebuf.read_from(&mut conn.stream) {
-            Ok(0) => return Err(CloseReason::Peer),
+    max_outbuf: usize,
+) -> Result<(), CloseReason> {
+    conn.out.lock().corked = Some(std::thread::current().id());
+    let swept = loop {
+        match conn.framebuf.read_from(&mut &*conn.stream) {
+            Ok(0) => break Err(CloseReason::Peer),
             Ok(_) => {
-                productive = true;
                 if let Some(reason) = drain_frames(id, conn, service, stats) {
-                    return Err(reason);
+                    break Err(reason);
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(productive),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break Ok(()),
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return Err(CloseReason::Peer),
+            Err(_) => break Err(CloseReason::Peer),
         }
+    };
+    let mut out = conn.out.lock();
+    out.corked = None;
+    if swept.is_ok() && !*out.closed {
+        conn.want_out = !out.flush(max_outbuf)?;
     }
+    swept
 }
 
-/// Re-arms or clears the partial-frame stopwatch after I/O on `conn`;
-/// returns the change (+1/0/-1) to the count of partial-holding conns.
-fn update_partial(conn: &mut Conn) -> isize {
+/// Re-arms or clears the partial-frame stopwatch after I/O on `conn`,
+/// keeping `partials` the count of connections that hold a partial frame.
+fn update_partial(conn: &mut Conn, partials: &mut usize) {
     if conn.framebuf.has_partial() {
         if conn.partial_since.is_none() {
             // mtlint: allow(wall-clock, reason = "slow-loris shedding deadline is a real network-I/O timeout, not simulated control flow")
             conn.partial_since = Some(Instant::now());
-            return 1;
+            *partials += 1;
         }
     } else if conn.partial_since.take().is_some() {
-        return -1;
-    }
-    0
-}
-
-/// Sheds every connection whose partial frame outlived `deadline`.
-fn scan_deadlines(
-    conns: &BTreeMap<ConnId, Conn>,
-    deadline: Duration,
-    closed: &mut Vec<(ConnId, CloseReason)>,
-) {
-    for (&id, conn) in conns.iter() {
-        if let Some(since) = conn.partial_since {
-            if since.elapsed() > deadline {
-                closed.push((id, CloseReason::SlowLoris));
-            }
-        }
+        *partials -= 1;
     }
 }
 
 /// Removes every queued-for-close connection, updating stats and telling
-/// the service; returns true if any was retired.
+/// the service.
 fn retire(
     conns: &mut BTreeMap<ConnId, Conn>,
     closed: &mut Vec<(ConnId, CloseReason)>,
     partials: &mut usize,
     service: &dyn MuxService,
-    stats: &ReactorStats,
-) -> bool {
-    if closed.is_empty() {
-        return false;
-    }
-    let mut any = false;
+    shared: &Shared,
+) {
     for (id, reason) in closed.drain(..) {
         if let Some(conn) = conns.remove(&id) {
-            any = true;
             if conn.partial_since.is_some() {
                 *partials -= 1;
             }
-            match reason {
-                CloseReason::Peer => {}
-                CloseReason::Protocol => {
-                    stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                }
-                CloseReason::SlowLoris => {
-                    stats.shed_slow.fetch_add(1, Ordering::Relaxed);
-                }
-                CloseReason::Backlog => {
-                    stats.shed_backlog.fetch_add(1, Ordering::Relaxed);
-                }
+            let stats = &shared.stats;
+            let counter = match reason {
+                CloseReason::Peer => None,
+                CloseReason::Protocol => Some(&stats.protocol_errors),
+                CloseReason::SlowLoris => Some(&stats.shed_slow),
+                CloseReason::Backlog => Some(&stats.shed_backlog),
+            };
+            if let Some(counter) = counter {
+                counter.fetch_add(1, Ordering::Relaxed);
             }
-            let _ = conn.stream.shutdown(Shutdown::Both);
+            // Counted out before the peer can see the socket close.
+            stats.open.store(conns.len(), Ordering::Relaxed);
+            shared.detach(id);
             service.on_disconnect(id);
         }
     }
-    if any {
-        stats.open.store(conns.len(), Ordering::Relaxed);
-    }
-    any
 }
 
 /// The `poll(2)` reactor: sleeps in the kernel until a socket is ready or
-/// a worker's wake byte arrives. Per-connection cost is one pollfd entry,
+/// a sink's wake byte arrives. Per-connection cost is one pollfd entry,
 /// so ten thousand idle connections burn no CPU at all.
-#[cfg(unix)]
 fn poll_loop(
     listener: TcpListener,
-    wake_rx: std::os::unix::net::UnixStream,
+    wake_rx: UnixStream,
     cfg: ReactorConfig,
     service: Arc<dyn MuxService>,
-    queue: ReplyQueue,
-    stats: Arc<ReactorStats>,
-    stop: Arc<AtomicBool>,
+    shared: &Shared,
+    stop: &AtomicBool,
 ) {
-    use std::os::unix::io::AsRawFd;
-    use sys::{PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
+    use sys::{PollFd, POLLIN, POLLOUT};
 
+    let stats = &shared.stats;
     let mut conns: BTreeMap<ConnId, Conn> = BTreeMap::new();
     let mut next_conn: ConnId = 1;
     let mut closed: Vec<(ConnId, CloseReason)> = Vec::new();
+    let mut attention: Vec<(ConnId, Option<CloseReason>)> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
     let mut ids: Vec<ConnId> = Vec::new();
-    let mut touched: Vec<ConnId> = Vec::new();
     let mut partials: usize = 0;
 
     while !stop.load(Ordering::SeqCst) {
-        // --- drain replies into outbufs, flush the conns they touched ----
-        while let Ok((conn_id, id, reply)) = queue.rx.try_recv() {
-            if queue_reply(&mut conns, conn_id, id, reply, &stats) {
-                touched.push(conn_id);
-            }
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        for id in touched.drain(..) {
-            if let Some(conn) = conns.get_mut(&id) {
-                if let Err(reason) = flush_conn(conn, cfg.max_outbuf_bytes) {
-                    closed.push((id, reason));
+        // --- what sinks left for us ---------------------------------------
+        // Arm the wake flag BEFORE taking the list: a sink posting after
+        // the take sees the flag and writes the byte that makes the poll
+        // below return immediately.
+        shared.wake.sleeping.store(true, Ordering::SeqCst);
+        std::mem::swap(&mut attention, &mut shared.table.lock().attention);
+        for (id, need) in attention.drain(..) {
+            match need {
+                Some(reason) => closed.push((id, reason)),
+                None => {
+                    if let Some(conn) = conns.get_mut(&id) {
+                        conn.want_out = true;
+                    }
                 }
             }
         }
@@ -544,31 +617,20 @@ fn poll_loop(
         fds.push(PollFd { fd: listener.as_raw_fd(), events: POLLIN, revents: 0 });
         fds.push(PollFd { fd: wake_rx.as_raw_fd(), events: POLLIN, revents: 0 });
         for (&id, conn) in conns.iter() {
-            let mut events = POLLIN;
-            if conn.out_sent < conn.outbuf.len() {
-                events |= POLLOUT;
-            }
+            let events = if conn.want_out { POLLIN | POLLOUT } else { POLLIN };
             fds.push(PollFd { fd: conn.stream.as_raw_fd(), events, revents: 0 });
             ids.push(id);
         }
 
         // --- sleep until readiness, a wake byte, or the loris tick -------
-        // Arm the wake flag BEFORE the final queue check: a reply landing
-        // after the check sees the flag and writes the byte that makes the
-        // poll return immediately.
         let tick: i32 = if partials > 0 {
             (cfg.frame_deadline.as_millis() / 4).clamp(1, 50) as i32
         } else {
             500
         };
-        queue.wake.sleeping.store(true, Ordering::SeqCst);
-        let timeout = if queue.rx.is_empty() && !stop.load(Ordering::SeqCst) && closed.is_empty() {
-            tick
-        } else {
-            0
-        };
+        let timeout = if !stop.load(Ordering::SeqCst) && closed.is_empty() { tick } else { 0 };
         sys::wait(&mut fds, timeout);
-        queue.wake.sleeping.store(false, Ordering::SeqCst);
+        shared.wake.sleeping.store(false, Ordering::SeqCst);
 
         // --- clear the wake pipe -----------------------------------------
         if fds[1].revents != 0 {
@@ -581,7 +643,7 @@ fn poll_loop(
         }
 
         if fds[0].revents != 0 {
-            accept_ready(&listener, &mut conns, &mut next_conn, service.as_ref(), &stats);
+            accept_ready(&listener, &mut conns, &mut next_conn, service.as_ref(), shared);
         }
 
         // --- serve ready connections --------------------------------------
@@ -591,121 +653,28 @@ fn poll_loop(
                 continue;
             }
             let Some(conn) = conns.get_mut(&id) else { continue };
-            if re & POLLOUT != 0 {
-                if let Err(reason) = flush_conn(conn, cfg.max_outbuf_bytes) {
-                    closed.push((id, reason));
-                    continue;
-                }
-            }
-            if re & (POLLIN | POLLHUP | POLLERR) != 0 {
-                match read_conn(id, conn, service.as_ref(), &stats) {
-                    Ok(_) => match update_partial(conn) {
-                        1 => partials += 1,
-                        -1 => partials -= 1,
-                        _ => {}
-                    },
-                    Err(reason) => closed.push((id, reason)),
-                }
-            }
-        }
-
-        if partials > 0 {
-            scan_deadlines(&conns, cfg.frame_deadline, &mut closed);
-        }
-        retire(&mut conns, &mut closed, &mut partials, service.as_ref(), &stats);
-    }
-
-    // Shutdown: close every connection and notify the service.
-    for (id, conn) in std::mem::take(&mut conns) {
-        let _ = conn.stream.shutdown(Shutdown::Both);
-        service.on_disconnect(id);
-    }
-    stats.open.store(0, Ordering::Relaxed);
-}
-
-/// Portable fallback: sweep every connection nonblockingly, parking on the
-/// reply queue with exponential backoff when a sweep finds nothing.
-#[cfg(not(unix))]
-fn sweep_loop(
-    listener: TcpListener,
-    cfg: ReactorConfig,
-    service: Arc<dyn MuxService>,
-    queue: ReplyQueue,
-    stats: Arc<ReactorStats>,
-    stop: Arc<AtomicBool>,
-) {
-    let mut conns: BTreeMap<ConnId, Conn> = BTreeMap::new();
-    let mut next_conn: ConnId = 1;
-    let mut closed: Vec<(ConnId, CloseReason)> = Vec::new();
-    let mut partials: usize = 0;
-    let mut idle_streak: u32 = 0;
-
-    while !stop.load(Ordering::SeqCst) {
-        let mut productive =
-            accept_ready(&listener, &mut conns, &mut next_conn, service.as_ref(), &stats);
-
-        // Drain completed replies into outbound buffers.
-        while let Ok((conn_id, id, reply)) = queue.rx.try_recv() {
-            productive |= queue_reply(&mut conns, conn_id, id, reply, &stats);
-        }
-
-        // Per-connection write + read sweep.
-        for (&id, conn) in conns.iter_mut() {
-            match flush_conn(conn, cfg.max_outbuf_bytes) {
-                Ok(p) => productive |= p,
-                Err(reason) => {
-                    closed.push((id, reason));
-                    continue;
-                }
-            }
-            match read_conn(id, conn, service.as_ref(), &stats) {
-                Ok(p) => {
-                    productive |= p;
-                    match update_partial(conn) {
-                        1 => partials += 1,
-                        -1 => partials -= 1,
-                        _ => {}
-                    }
-                }
+            // Readable, writable or hung up: one sweep reads what is there
+            // and writes what is owed.
+            match sweep_conn(id, conn, service.as_ref(), stats, cfg.max_outbuf_bytes) {
+                Ok(()) => update_partial(conn, &mut partials),
                 Err(reason) => closed.push((id, reason)),
             }
         }
 
+        // --- shed connections whose partial frame outlived the deadline ----
         if partials > 0 {
-            scan_deadlines(&conns, cfg.frame_deadline, &mut closed);
-        }
-        productive |= retire(&mut conns, &mut closed, &mut partials, service.as_ref(), &stats);
-
-        // Idle strategy: spin while work is flowing; otherwise park on the
-        // reply queue so a worker completion wakes the loop immediately.
-        // The park doubles with consecutive idle sweeps (capped at ~16×
-        // idle_wait) so an idle reactor with thousands of open sockets does
-        // not monopolise a core, while the first byte after a burst is
-        // still picked up fast.
-        if productive {
-            idle_streak = 0;
-        } else {
-            idle_streak = (idle_streak + 1).min(4);
-            let park = cfg.idle_wait * (1u32 << idle_streak);
-            match queue.rx.recv_timeout(park) {
-                Ok((conn_id, id, reply)) => {
-                    queue_reply(&mut conns, conn_id, id, reply, &stats);
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Every sink is gone: nothing can ever reply again. Keep
-                    // sweeping reads (teardown may still be in progress) but
-                    // avoid a hot spin.
-                    // mtlint: allow(thread-sleep, reason = "teardown backoff in the real-time reactor thread; no simulated durations flow here")
-                    std::thread::sleep(cfg.idle_wait);
+            for (&id, conn) in conns.iter() {
+                if conn.partial_since.is_some_and(|t| t.elapsed() > cfg.frame_deadline) {
+                    closed.push((id, CloseReason::SlowLoris));
                 }
             }
         }
+        retire(&mut conns, &mut closed, &mut partials, service.as_ref(), shared);
     }
 
     // Shutdown: close every connection and notify the service.
-    for (id, conn) in std::mem::take(&mut conns) {
-        let _ = conn.stream.shutdown(Shutdown::Both);
+    for (id, _conn) in std::mem::take(&mut conns) {
+        shared.detach(id);
         service.on_disconnect(id);
     }
     stats.open.store(0, Ordering::Relaxed);
@@ -722,7 +691,10 @@ fn drain_frames(
     loop {
         match conn.framebuf.next_frame::<MuxFrame>() {
             Ok(Some(MuxFrame::Request { chan, id: req_id, call })) => {
-                if !conn.inflight.insert(req_id) {
+                // The out lock covers the ID set only: the service may
+                // reply from inside `on_request`, which takes it again.
+                let fresh = conn.out.lock().inflight.insert(req_id);
+                if !fresh {
                     // Duplicate in-flight request ID: the demux contract is
                     // broken; shed the connection before the two replies
                     // race for one ID.
@@ -739,13 +711,6 @@ fn drain_frames(
             Err(_) => return Some(CloseReason::Protocol),
         }
     }
-}
-
-/// Convenience: connect a [`MuxChannel`]-per-call client pool is overkill in
-/// unit tests; open one connection and one channel.
-#[cfg(test)]
-pub fn test_channel(addr: std::net::SocketAddr) -> MuxChannel {
-    super::mux::MuxConnection::connect(addr).expect("connect").channel()
 }
 
 #[cfg(test)]
@@ -793,7 +758,7 @@ mod tests {
     #[test]
     fn batch_pipelines_over_one_write() {
         let reactor = spawn_echo(ReactorConfig::default());
-        let mut ch = test_channel(reactor.addr());
+        let mut ch = super::super::mux::MuxConnection::connect(reactor.addr()).unwrap().channel();
         let chan = ch.chan() as u32;
         let replies = ch.roundtrip_batch(vec![
             CudaCall::Synchronize,
@@ -805,6 +770,78 @@ mod tests {
             assert_eq!(r, Ok(ReplyValue::DeviceCount(chan)));
         }
         reactor.shutdown();
+    }
+
+    /// Replies like [`Echo`] and checks, by peeking at the peer's end, that the
+    /// reply waits for the end of the sweep, and that one posted meanwhile by
+    /// another thread (ID [`FOREIGN`], before the first echo) does not.
+    struct PeekingEcho {
+        sink: ReplySink,
+        peer: TcpStream,
+    }
+
+    const FOREIGN: u64 = u64::MAX;
+
+    impl MuxService for PeekingEcho {
+        fn on_request(&self, conn: ConnId, chan: u64, id: u64, _call: CudaCall) {
+            let mut foreign = Vec::new();
+            let frame = MuxFrame::Response { id: FOREIGN, reply: Ok(ReplyValue::Unit) };
+            encode_frame(&frame, &mut foreign).unwrap();
+            let mut seen = [0u8; 256];
+            if id == 0 {
+                let sink = self.sink.clone();
+                let worker = move || sink.reply(conn, FOREIGN, Ok(ReplyValue::Unit));
+                std::thread::spawn(worker).join().unwrap();
+                let deadline = Instant::now() + WATCHDOG;
+                while self.peer.peek(&mut seen).unwrap_or(0) < foreign.len() {
+                    assert!(Instant::now() < deadline, "another thread's reply was held back");
+                    std::thread::yield_now();
+                }
+            }
+            self.sink.reply(conn, id, Ok(ReplyValue::DeviceCount(chan as u32)));
+            let visible = self.peer.peek(&mut seen).unwrap();
+            assert_eq!(visible, foreign.len(), "the reactor thread's reply left mid-sweep");
+        }
+        fn on_disconnect(&self, _conn: ConnId) {}
+    }
+
+    #[test]
+    fn replies_posted_during_a_read_sweep_go_out_when_it_ends() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let stream = Arc::new(listener.accept().unwrap().0);
+        stream.set_nonblocking(true).unwrap();
+        let (sink, queue) = ReplySink::channel();
+        let out = queue.shared.attach(1, Arc::clone(&stream));
+        let mut conn =
+            Conn { stream, framebuf: FrameBuf::new(), partial_since: None, out, want_out: false };
+        let mut burst = Vec::new();
+        for id in 0..3 {
+            let request = MuxFrame::Request { chan: 7, id, call: CudaCall::Synchronize };
+            encode_frame(&request, &mut burst).unwrap();
+        }
+        peer.write_all(&burst).unwrap();
+        peer.set_nonblocking(true).unwrap();
+        let service = PeekingEcho { sink, peer: peer.try_clone().unwrap() };
+        // Loopback delivery is not instantaneous: sweep until all three are in.
+        while queue.shared.stats.requests.load(Ordering::Relaxed) < 3 {
+            sweep_conn(1, &mut conn, &service, &queue.shared.stats, usize::MAX).unwrap();
+        }
+        assert!(!conn.want_out && conn.out.lock().backlog() == 0);
+        peer.set_nonblocking(false).unwrap();
+        let mut framebuf = FrameBuf::new();
+        let mut ids = Vec::new();
+        while ids.len() < 4 {
+            assert_ne!(framebuf.read_from(&mut peer).unwrap(), 0);
+            while let Some(frame) = framebuf.next_frame::<MuxFrame>().unwrap() {
+                let MuxFrame::Response { id, reply } = frame else { panic!("not a response") };
+                let want =
+                    if id == FOREIGN { ReplyValue::Unit } else { ReplyValue::DeviceCount(7) };
+                assert_eq!(reply, Ok(want));
+                ids.push(id);
+            }
+        }
+        assert_eq!(ids, [FOREIGN, 0, 1, 2]);
     }
 
     /// Answers `MemcpyD2H` with one byte more than a frame may carry, and
@@ -850,6 +887,197 @@ mod tests {
         assert!(sibling.roundtrip(CudaCall::Synchronize).is_ok());
         assert_eq!(reactor.open_connections(), 1);
         assert_eq!(reactor.stats().replies.load(Ordering::Relaxed), 3);
+        assert_eq!(reactor.stats().protocol_errors.load(Ordering::Relaxed), 0);
+        reactor.shutdown();
+    }
+
+    /// Never answers by itself: hands each accepted connection's ID to the
+    /// test, which then replies through its own clone of the sink.
+    struct Silent {
+        connected: std::sync::Mutex<std::sync::mpsc::Sender<ConnId>>,
+    }
+
+    impl MuxService for Silent {
+        fn on_request(&self, _conn: ConnId, _chan: u64, _id: u64, _call: CudaCall) {}
+        fn on_disconnect(&self, _conn: ConnId) {}
+        fn on_connect(&self, conn: ConnId, _peer: &str) {
+            let _ = self.connected.lock().unwrap().send(conn);
+        }
+    }
+
+    fn spawn_silent(
+        cfg: ReactorConfig,
+    ) -> (ReactorHandle, ReplySink, std::sync::mpsc::Receiver<ConnId>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (sink, queue) = ReplySink::channel();
+        let (tx, connected) = std::sync::mpsc::channel();
+        let service = Arc::new(Silent { connected: std::sync::Mutex::new(tx) });
+        (spawn_reactor(listener, cfg, service, queue).unwrap(), sink, connected)
+    }
+
+    const WATCHDOG: Duration = Duration::from_secs(30);
+
+    fn bytes_reply(len: usize, fill: u8) -> CudaReply {
+        Ok(ReplyValue::Bytes(HostBuf {
+            declared_len: len as u64,
+            payload: vec![fill; len],
+            content_hash: None,
+        }))
+    }
+
+    /// Reads response frames off a raw client socket until `want` arrived.
+    fn read_responses(stream: &mut TcpStream, want: usize) -> Vec<(u64, CudaReply)> {
+        stream.set_read_timeout(Some(WATCHDOG)).unwrap();
+        let mut framebuf = FrameBuf::new();
+        let mut got = Vec::new();
+        while got.len() < want {
+            assert_ne!(framebuf.read_from(stream).expect("reply bytes"), 0, "early EOF");
+            while let Some(frame) = framebuf.next_frame::<MuxFrame>().expect("frame decodes") {
+                match frame {
+                    MuxFrame::Response { id, reply } => got.push((id, reply)),
+                    MuxFrame::Request { .. } => panic!("server sent a request"),
+                }
+            }
+        }
+        got
+    }
+
+    #[test]
+    fn concurrent_writers_never_tear_a_frame_and_pollout_finishes_the_job() {
+        const WRITERS: u64 = 8;
+        const BATCHES: u64 = 8;
+        const PER_BATCH: u64 = 4;
+        const PAYLOAD: usize = 96 << 10;
+        let (reactor, sink, connected) = spawn_silent(ReactorConfig::default());
+        let mut client = TcpStream::connect(reactor.addr()).unwrap();
+        let conn = connected.recv_timeout(WATCHDOG).unwrap();
+
+        // 24 MiB against a peer that reads nothing yet: far past what the
+        // loopback socket buffers hold, well under `max_outbuf_bytes`.
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let sink = sink.clone();
+                std::thread::spawn(move || {
+                    for b in 0..BATCHES {
+                        let base = (w * BATCHES + b) * PER_BATCH;
+                        sink.reply_batch(
+                            conn,
+                            (base..base + PER_BATCH).map(|id| (id, bytes_reply(PAYLOAD, id as u8))),
+                        );
+                    }
+                })
+            })
+            .collect();
+        writers.into_iter().for_each(|t| t.join().unwrap());
+        let total = WRITERS * BATCHES * PER_BATCH;
+        assert_eq!(reactor.stats().replies.load(Ordering::Relaxed), total);
+        // Every writer is done and bytes are still unsent, so from here on
+        // only the reactor's POLLOUT path can deliver them.
+        let out = sink.shared.table.lock().conns.get(&conn).cloned().unwrap();
+        assert!(out.lock().backlog() > 0, "the socket took 24 MiB without a reader");
+
+        let got = read_responses(&mut client, total as usize);
+        let mut ids: Vec<u64> = got.iter().map(|(id, _)| *id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..total).collect::<Vec<_>>(), "every ID exactly once");
+        for (id, reply) in &got {
+            match reply {
+                Ok(ReplyValue::Bytes(buf)) => {
+                    assert_eq!(buf.payload.len(), PAYLOAD);
+                    assert!(buf.payload.iter().all(|b| *b == *id as u8), "payload of {id} torn");
+                }
+                other => panic!("reply {id} decoded as {other:?}"),
+            }
+        }
+        // One batch stays together and in order on the wire.
+        for batch in got.chunks(PER_BATCH as usize) {
+            let first = batch[0].0;
+            assert_eq!(first % PER_BATCH, 0);
+            assert!(batch.iter().map(|(id, _)| *id).eq(first..first + PER_BATCH));
+        }
+        assert_eq!(out.lock().backlog(), 0);
+        assert_eq!(reactor.open_connections(), 1);
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn peer_that_never_reads_is_shed_at_the_backlog_bound_and_siblings_keep_serving() {
+        let cfg = ReactorConfig { max_outbuf_bytes: 1 << 20, ..ReactorConfig::default() };
+        let (reactor, sink, connected) = spawn_silent(cfg);
+        let _deaf = TcpStream::connect(reactor.addr()).unwrap();
+        let deaf = connected.recv_timeout(WATCHDOG).unwrap();
+        let mut sibling = TcpStream::connect(reactor.addr()).unwrap();
+        let sibling_conn = connected.recv_timeout(WATCHDOG).unwrap();
+
+        // At most 64 MiB offered: socket buffers plus the 1 MiB bound are
+        // passed long before.
+        for id in 0..256 {
+            sink.reply(deaf, id, bytes_reply(256 << 10, 0));
+            if sink.shared.table.lock().conns.get(&deaf).is_none_or(|out| *out.lock().closed) {
+                break;
+            }
+        }
+        let deadline = Instant::now() + WATCHDOG;
+        while reactor.stats().shed_backlog.load(Ordering::Relaxed) == 0 {
+            assert!(Instant::now() < deadline, "backlogged peer was never shed");
+            std::thread::yield_now();
+        }
+        assert_eq!(reactor.stats().shed_backlog.load(Ordering::Relaxed), 1);
+        assert_eq!(reactor.open_connections(), 1);
+        // Replies to the shed connection are dropped, not buffered.
+        let before = reactor.stats().replies.load(Ordering::Relaxed);
+        sink.reply(deaf, 999, Ok(ReplyValue::Unit));
+        assert_eq!(reactor.stats().replies.load(Ordering::Relaxed), before);
+
+        sink.reply(sibling_conn, 5, Ok(ReplyValue::DeviceCount(3)));
+        assert_eq!(read_responses(&mut sibling, 1), [(5, Ok(ReplyValue::DeviceCount(3)))]);
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn reply_racing_a_disconnect_is_dropped_and_never_lands_elsewhere() {
+        const ROUNDS: u64 = 10_000;
+        let (reactor, sink, connected) = spawn_silent(ReactorConfig::default());
+        // The replier answers every connection with that connection's own
+        // ID, twice, as soon as it hears of it — while the client is busy
+        // hanging up. Server-side descriptors are recycled every round, so
+        // a write through a stale one would show up on a later connection
+        // as a frame carrying somebody else's ID.
+        let (to_replier, conns) = std::sync::mpsc::channel::<ConnId>();
+        let replier = std::thread::spawn(move || {
+            for conn in conns {
+                sink.reply(conn, conn, Ok(ReplyValue::Unit));
+                sink.reply_batch(conn, [(conn, Ok(ReplyValue::Unit)), (conn, bytes_reply(512, 7))]);
+            }
+        });
+        for round in 0..ROUNDS {
+            let mut client = TcpStream::connect(reactor.addr()).unwrap();
+            let conn = connected.recv_timeout(WATCHDOG).unwrap();
+            to_replier.send(conn).unwrap();
+            // Every third client lingers for a frame, so replies land on
+            // live, closing and closed connections alike.
+            if round % 3 == 0 {
+                client.set_nonblocking(round % 2 == 0).unwrap();
+                let mut framebuf = FrameBuf::new();
+                if framebuf.read_from(&mut client).is_ok() {
+                    while let Ok(Some(frame)) = framebuf.next_frame::<MuxFrame>() {
+                        match frame {
+                            MuxFrame::Response { id, .. } => assert_eq!(id, conn, "stray write"),
+                            MuxFrame::Request { .. } => panic!("server sent a request"),
+                        }
+                    }
+                }
+            }
+            let _ = client.shutdown(Shutdown::Both);
+        }
+        drop(to_replier);
+        replier.join().unwrap();
+        let deadline = Instant::now() + WATCHDOG;
+        while reactor.open_connections() != 0 {
+            assert!(Instant::now() < deadline, "closed clients were never retired");
+            std::thread::yield_now();
+        }
+        assert_eq!(reactor.stats().accepted.load(Ordering::Relaxed), ROUNDS);
         assert_eq!(reactor.stats().protocol_errors.load(Ordering::Relaxed), 0);
         reactor.shutdown();
     }

@@ -14,7 +14,7 @@ use mtgpu_gpusim::{DeviceAddr, KernelArg, KernelDesc, LaunchConfig, LaunchSpec, 
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn roundtrip_call(call: &CudaCall) {
@@ -163,30 +163,80 @@ fn expect_eof(stream: &mut TcpStream, within: Duration) {
     }
 }
 
+/// Holds every request until told to answer, like a gateway whose workers
+/// have not got to it yet. (With [`Echo`] a reply is written from inside
+/// `on_request`, so its ID is out of flight before the next frame decodes.)
+struct Deferred {
+    sink: ReplySink,
+    held: Mutex<Vec<(ConnId, u64)>>,
+}
+
+impl Deferred {
+    fn answer_all(&self) {
+        for (conn, id) in self.held.lock().unwrap().drain(..) {
+            self.sink.reply(conn, id, Ok(ReplyValue::Unit));
+        }
+    }
+}
+
+impl MuxService for Deferred {
+    fn on_request(&self, conn: ConnId, _chan: u64, id: u64, _call: CudaCall) {
+        self.held.lock().unwrap().push((conn, id));
+    }
+    fn on_disconnect(&self, _conn: ConnId) {}
+}
+
+fn request_frame(id: u64) -> Vec<u8> {
+    let mut wire = Vec::new();
+    encode_frame(&MuxFrame::Request { chan: 0, id, call: CudaCall::GetDeviceCount }, &mut wire)
+        .unwrap();
+    wire
+}
+
 #[test]
 fn mux_duplicate_request_id_sheds_connection() {
-    let reactor = spawn_echo_reactor(ReactorConfig::default());
-    let good = MuxConnection::connect(reactor.addr()).unwrap();
-    probe_roundtrip(&good);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let (sink, queue) = ReplySink::channel();
+    let svc = Arc::new(Deferred { sink, held: Mutex::new(Vec::new()) });
+    let reactor = spawn_reactor(listener, ReactorConfig::default(), svc.clone(), queue).unwrap();
+    let mut good = TcpStream::connect(reactor.addr()).unwrap();
+    good.write_all(&request_frame(1)).unwrap();
 
     // Hostile peer: two requests carrying the same in-flight ID, shipped in
     // one write so they decode in one sweep.
     let mut attacker = TcpStream::connect(reactor.addr()).unwrap();
-    let mut wire = Vec::new();
-    for _ in 0..2 {
-        encode_frame(
-            &MuxFrame::Request { chan: 0, id: 7, call: CudaCall::GetDeviceCount },
-            &mut wire,
-        )
-        .unwrap();
-    }
-    attacker.write_all(&wire).unwrap();
+    attacker.write_all(&[request_frame(7), request_frame(7)].concat()).unwrap();
     expect_eof(&mut attacker, Duration::from_secs(5));
 
-    assert!(reactor.stats().protocol_errors.load(std::sync::atomic::Ordering::Relaxed) >= 1);
-    // The neighbour never noticed.
-    probe_roundtrip(&good);
-    good.shutdown();
+    assert_eq!(reactor.stats().protocol_errors.load(std::sync::atomic::Ordering::Relaxed), 1);
+    // The neighbour never noticed: its held request is answered, and the
+    // reply to the shed connection's first request goes nowhere.
+    svc.answer_all();
+    let reply: MuxFrame = read_frame(&mut good).unwrap();
+    assert_eq!(reply, MuxFrame::Response { id: 1, reply: Ok(ReplyValue::Unit) });
+    assert_eq!(reactor.open_connections(), 1);
+    reactor.shutdown();
+}
+
+#[test]
+fn mux_request_id_reused_after_its_reply_is_accepted() {
+    let reactor = spawn_echo_reactor(ReactorConfig::default());
+    let mut peer = TcpStream::connect(reactor.addr()).unwrap();
+    // Sequentially, then back to back in one write: an ID is in flight only
+    // until its reply is posted, and `Echo` posts it before the next frame
+    // is decoded.
+    for wire in [request_frame(7), request_frame(7), [request_frame(7), request_frame(7)].concat()]
+    {
+        let frames = wire.len() / request_frame(7).len();
+        peer.write_all(&wire).unwrap();
+        for _ in 0..frames {
+            let reply: MuxFrame = read_frame(&mut peer).unwrap();
+            assert_eq!(reply, MuxFrame::Response { id: 7, reply: Ok(ReplyValue::DeviceCount(0)) });
+        }
+    }
+    assert_eq!(reactor.stats().protocol_errors.load(std::sync::atomic::Ordering::Relaxed), 0);
+    assert_eq!(reactor.stats().replies.load(std::sync::atomic::Ordering::Relaxed), 4);
+    assert_eq!(reactor.open_connections(), 1);
     reactor.shutdown();
 }
 

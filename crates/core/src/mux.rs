@@ -5,17 +5,20 @@
 //! one [`AppContext`] — with a fixed worker pool. The reactor thread calls
 //! [`MuxGateway::on_request`] for every decoded frame; the gateway enqueues
 //! the call on its channel's FIFO and marks the channel runnable. Workers
-//! pull runnable channels off a global work queue, execute exactly one call
-//! under the context's service lock, and complete the reply through the
-//! reactor's [`ReplySink`].
+//! pull runnable channels off a global work queue and *visit* them: a visit
+//! executes the channel's queued calls in order, each under the context's
+//! service lock, up to [`VISIT_BUDGET`], and posts the visit's replies as
+//! one batch through the reactor's [`ReplySink`] — so a pipelined flush
+//! costs one work-queue hand-off and one reply post, not one per call.
 //!
-//! Two invariants keep this sound:
+//! Three invariants keep this sound:
 //!
 //! 1. **Per-channel ordering.** A channel is on the work queue at most once
 //!    (`scheduled` flag, mutated only under the channel's queue lock), and a
-//!    worker re-enqueues it only after finishing the head call — so calls of
-//!    one channel execute strictly in arrival order, exactly like a legacy
-//!    connection, while different channels proceed in parallel.
+//!    worker lets go of it only after its visit's replies are posted — so
+//!    calls of one channel execute, and their replies reach the wire, in
+//!    arrival order, exactly like a legacy connection, while different
+//!    channels proceed in parallel.
 //! 2. **No pool-wide starvation.** Launches use the *bounded* dispatch path
 //!    ([`service::try_handle_call`]). With unbounded waits, `mux_workers`
 //!    launches waiting on fully-bound vGPUs would deadlock the pool — the
@@ -29,6 +32,13 @@
 //!    park inside the dispatcher's wait queue, where it gets the targeted
 //!    wakeup on release. Either way the pool never wedges and never burns
 //!    a full slice per retry under load.
+//! 3. **A finished reply never waits on something that may take long.** The
+//!    batch is posted before a call that may park (a launch given a bind
+//!    slice on an unbound context), before Exit's teardown, when a launch
+//!    would-blocks, when it holds [`VISIT_REPLY_BYTES`] of payload and when
+//!    the budget runs out. The budget bounds how long one deep channel can
+//!    hold a worker while others wait: past it the channel goes to the
+//!    *back* of the work queue.
 //!
 //! Teardown (Exit or disconnect) removes the channel from the map first;
 //! whichever path wins the `BTreeMap::remove` does the context teardown, so
@@ -39,7 +49,7 @@ use crate::metrics::RuntimeMetrics;
 use crate::runtime::NodeRuntime;
 use crate::service::{self, CallOutcome};
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use mtgpu_api::protocol::{CudaCall, CudaReply};
+use mtgpu_api::protocol::{CudaCall, CudaReply, ReplyValue};
 use mtgpu_api::transport::{ConnId, MuxService, ReplySink};
 use mtgpu_api::CudaError;
 use mtgpu_simtime::{lock_rank, RankedMutex};
@@ -54,6 +64,18 @@ use std::time::Duration;
 /// Capped so a burst of fresh requests always finds free workers even
 /// while many channels queue for vGPUs.
 const MAX_IDLE_PARKERS: usize = 2;
+
+/// Most calls one visit executes before the channel goes to the back of the
+/// work queue. Large enough that the two-frame `launch()` and the usual
+/// pipelined flush are one visit; small enough that a channel with a deep
+/// FIFO cannot keep a worker from the channels queued behind it. A constant
+/// because nothing in the tree wants a second value.
+const VISIT_BUDGET: usize = 64;
+
+/// Most reply payload one visit holds back before it posts what it has, so
+/// a run of bulk `MemcpyD2H`s leaves every few of them instead of sitting in
+/// the worker (then, all at once, under the out lock) until the visit ends.
+const VISIT_REPLY_BYTES: usize = 256 << 10;
 
 /// A channel's key: (connection, channel-on-that-connection).
 type ChanKey = (ConnId, u64);
@@ -73,7 +95,7 @@ struct ChannelState {
 }
 
 enum WorkItem {
-    /// A channel became runnable: execute its head call.
+    /// A channel became runnable: visit it.
     Chan(ChanKey),
     /// Channels removed on disconnect, awaiting context teardown.
     Teardown(Vec<Arc<ChannelState>>),
@@ -116,17 +138,7 @@ impl MuxGateway {
             0 => rt.bindings().total_vgpus() + 4,
             n => n,
         };
-        let bind_slice = rt.config().mux_bind_slice;
-        let (tx, rx) = unbounded();
-        let gateway = Arc::new(MuxGateway {
-            rt,
-            sink,
-            channels: RankedMutex::new(lock_rank::CONN_CHANNELS, BTreeMap::new()),
-            workq: tx,
-            bind_slice,
-            bind_waiters: RankedMutex::new(lock_rank::MUX_WAITERS, VecDeque::new()),
-            idle_parkers: AtomicUsize::new(0),
-        });
+        let (gateway, rx) = MuxGateway::new(rt, sink);
         let mut pool = Vec::with_capacity(workers);
         for i in 0..workers {
             let g = Arc::clone(&gateway);
@@ -141,19 +153,25 @@ impl MuxGateway {
         (Arc::clone(&gateway), MuxGatewayHandle { gateway, workers: pool })
     }
 
+    /// The gateway without its pool, plus the work queue's receiving end.
+    fn new(rt: Arc<NodeRuntime>, sink: ReplySink) -> (Arc<MuxGateway>, Receiver<WorkItem>) {
+        let bind_slice = rt.config().mux_bind_slice;
+        let (tx, rx) = unbounded();
+        let gateway = Arc::new(MuxGateway {
+            rt,
+            sink,
+            channels: RankedMutex::new(lock_rank::CONN_CHANNELS, BTreeMap::new()),
+            workq: tx,
+            bind_slice,
+            bind_waiters: RankedMutex::new(lock_rank::MUX_WAITERS, VecDeque::new()),
+            idle_parkers: AtomicUsize::new(0),
+        });
+        (gateway, rx)
+    }
+
     /// Live channels (diagnostic).
     pub fn channel_count(&self) -> usize {
         self.channels.lock().len()
-    }
-
-    /// Removes a channel from the map; the winner owns teardown.
-    fn take_channel(&self, key: ChanKey) -> Option<Arc<ChannelState>> {
-        self.channels.lock().remove(&key)
-    }
-
-    /// Parks a channel whose launch could not bind.
-    fn park_waiter(&self, key: ChanKey) {
-        self.bind_waiters.lock().push_back(key);
     }
 
     /// Takes the oldest parked channel, if any.
@@ -172,13 +190,11 @@ impl MuxGateway {
 
     /// Replies `Disconnected` to everything still queued on a dead channel.
     fn drain_dead(&self, conn: ConnId, state: &ChannelState) {
-        let drained: Vec<u64> = {
+        let drained: Vec<(u64, CudaReply)> = {
             let mut q = state.queue.lock();
-            q.calls.drain(..).map(|(id, _)| id).collect()
+            q.calls.drain(..).map(|(id, _)| (id, Err(CudaError::Disconnected))).collect()
         };
-        for id in drained {
-            self.sink.reply(conn, id, Err(CudaError::Disconnected));
-        }
+        self.sink.reply_batch(conn, drained);
     }
 }
 
@@ -248,6 +264,15 @@ impl MuxGatewayHandle {
     }
 }
 
+/// Payload bytes a reply carries onto the wire (zero for the scalar ones).
+fn bulk_bytes(reply: &CudaReply) -> usize {
+    match reply {
+        Ok(ReplyValue::Bytes(buf)) => buf.payload.len(),
+        Ok(ReplyValue::Image(image)) => image.entries.iter().map(|e| e.data.len()).sum(),
+        _ => 0,
+    }
+}
+
 fn worker_loop(g: &MuxGateway, rx: &Receiver<WorkItem>) {
     loop {
         // Runnable channels first; bind-waiters only soak up idle workers.
@@ -278,7 +303,7 @@ fn worker_loop(g: &MuxGateway, rx: &Receiver<WorkItem>) {
             WorkItem::Teardown(states) => {
                 for state in states {
                     // The connection is gone: queued calls get no replies
-                    // (the reactor drops them anyway) — just release what
+                    // (the sink drops them anyway) — just release what
                     // the context holds. Waits on the service lock until
                     // any in-flight call finishes.
                     service::teardown(&g.rt, &state.ctx);
@@ -293,9 +318,10 @@ fn worker_loop(g: &MuxGateway, rx: &Receiver<WorkItem>) {
     }
 }
 
-/// Executes the head call of a runnable channel, then reschedules it if
-/// more work is queued. `bind_slice` bounds how long a launch may park in
-/// the dispatcher's wait queue before the channel is handed back.
+/// One visit to a runnable channel: executes its queued calls in order, up
+/// to [`VISIT_BUDGET`], and posts their replies as one batch. `bind_slice`
+/// bounds how long a launch may park in the dispatcher's wait queue before
+/// the channel is handed back.
 fn serve_channel(g: &MuxGateway, key: ChanKey, bind_slice: Duration) {
     let Some(state) = ({
         let channels = g.channels.lock();
@@ -304,83 +330,101 @@ fn serve_channel(g: &MuxGateway, key: ChanKey, bind_slice: Duration) {
         // Torn down between scheduling and service: nothing to do.
         return;
     };
-    let Some((id, call)) = ({
-        let mut q = state.queue.lock();
-        let head = q.calls.pop_front();
-        if head.is_none() {
-            q.scheduled = false;
-        }
-        head
-    }) else {
-        return;
-    };
-    // Launches may would-block; keep a copy to requeue. Launch specs carry
-    // no bulk payloads, so the clone is cheap (bulk data travels in
-    // MemcpyH2D, which never blocks on binding).
-    let retry = if call.requires_binding() { Some(call.clone()) } else { None };
-    let is_exit = matches!(call, CudaCall::Exit);
-    // Snapshot the release counter: if this call frees any vGPU (unbind,
-    // victim swap-out, exit teardown), one parked launch gets a retry.
-    let unbound_before = g.rt.metrics_ref().unbindings.load(Ordering::Relaxed);
-    let outcome = {
-        let _guard = state.ctx.service_lock();
-        service::try_handle_call(&g.rt, &state.ctx, call, bind_slice)
-    };
-    match outcome {
-        CallOutcome::Reply(reply) => {
-            complete(g, key, id, reply, is_exit, &state);
-        }
-        CallOutcome::WouldBlock => {
-            RuntimeMetrics::bump(&g.rt.metrics_ref().mux_retries);
-            if g.rt.is_shutdown() {
-                complete(g, key, id, Err(CudaError::Disconnected), false, &state);
+    let conn = key.0;
+    let mut replies: Vec<(u64, CudaReply)> = Vec::new();
+    let mut held_bytes = 0;
+    let mut served = 0;
+    while served < VISIT_BUDGET {
+        let head = {
+            let mut q = state.queue.lock();
+            let head = q.calls.pop_front();
+            // The channel goes idle only with nothing left to post: while
+            // `scheduled` is set no other worker can execute its next call
+            // and get that reply onto the wire ahead of this visit's.
+            if head.is_none() && replies.is_empty() {
+                q.scheduled = false;
+            }
+            head
+        };
+        let Some((id, call)) = head else {
+            if replies.is_empty() {
                 return;
             }
-            // Put the call back at the head (ordering!) and park the
-            // channel on the waiters list — no worker is held while it
-            // waits. The next completion, teardown or idle worker pulls it
-            // back out for another attempt.
-            {
-                let mut q = state.queue.lock();
-                q.calls.push_front((id, retry.expect("only launches would-block")));
+            // Post, then look again: a call may have arrived meanwhile.
+            g.sink.reply_batch(conn, std::mem::take(&mut replies));
+            held_bytes = 0;
+            continue;
+        };
+        served += 1;
+        // Launches may would-block; keep a copy to requeue. Launch specs
+        // carry no bulk payloads, so the clone is cheap (bulk data travels
+        // in MemcpyH2D, which never blocks on binding).
+        let retry = if call.requires_binding() { Some(call.clone()) } else { None };
+        let is_exit = matches!(call, CudaCall::Exit);
+        if retry.is_some() && !bind_slice.is_zero() && state.ctx.binding().is_none() {
+            // This launch may park for the whole slice: what the visit has
+            // already answered goes out first.
+            g.sink.reply_batch(conn, std::mem::take(&mut replies));
+            held_bytes = 0;
+        }
+        // Snapshot the release counter: if this call frees any vGPU (unbind,
+        // victim swap-out, exit teardown), one parked launch gets a retry.
+        let unbound_before = g.rt.metrics_ref().unbindings.load(Ordering::Relaxed);
+        let outcome = {
+            let _guard = state.ctx.service_lock();
+            service::try_handle_call(&g.rt, &state.ctx, call, bind_slice)
+        };
+        let mut parked = false;
+        match outcome {
+            CallOutcome::Reply(reply) => {
+                held_bytes += bulk_bytes(&reply);
+                replies.push((id, reply));
+                if held_bytes >= VISIT_REPLY_BYTES {
+                    g.sink.reply_batch(conn, std::mem::take(&mut replies));
+                    held_bytes = 0;
+                }
             }
-            g.park_waiter(key);
+            CallOutcome::WouldBlock => {
+                RuntimeMetrics::bump(&g.rt.metrics_ref().mux_retries);
+                if g.rt.is_shutdown() {
+                    replies.push((id, Err(CudaError::Disconnected)));
+                } else {
+                    // Put the call back at the head (ordering!), answer
+                    // what the visit got done, and only then park the
+                    // channel on the waiters list, where the next completion,
+                    // teardown or idle worker may pick it up at once.
+                    let retry = retry.expect("only launches would-block");
+                    state.queue.lock().calls.push_front((id, retry));
+                    g.sink.reply_batch(conn, std::mem::take(&mut replies));
+                    g.bind_waiters.lock().push_back(key);
+                    parked = true;
+                }
+            }
+        }
+        if is_exit {
+            g.sink.reply_batch(conn, std::mem::take(&mut replies));
+            // Remove-then-teardown; a racing disconnect may have won the
+            // removal, in which case it owns the teardown.
+            let removed = g.channels.lock().remove(&key);
+            if let Some(owned) = removed {
+                g.drain_dead(conn, &owned);
+                service::teardown(&g.rt, &owned.ctx);
+            }
+        }
+        if g.rt.metrics_ref().unbindings.load(Ordering::Relaxed) != unbound_before {
+            g.kick_waiter();
+        }
+        if is_exit || parked {
+            return;
         }
     }
-    if g.rt.metrics_ref().unbindings.load(Ordering::Relaxed) != unbound_before {
-        g.kick_waiter();
-    }
-}
-
-/// Ships the reply, then either reschedules the channel or — after Exit —
-/// tears it down.
-fn complete(
-    g: &MuxGateway,
-    key: ChanKey,
-    id: u64,
-    reply: CudaReply,
-    is_exit: bool,
-    state: &Arc<ChannelState>,
-) {
-    let conn = key.0;
-    g.sink.reply(conn, id, reply);
-    if is_exit {
-        // Remove-then-teardown; a racing disconnect may have won the
-        // removal, in which case it owns the teardown.
-        if let Some(owned) = g.take_channel(key) {
-            g.drain_dead(conn, &owned);
-            service::teardown(&g.rt, &owned.ctx);
-        }
-        return;
-    }
+    // Out of budget: post first, then, with calls still queued, `scheduled`
+    // stays set and the channel goes behind whatever else is runnable.
+    g.sink.reply_batch(conn, replies);
     let more = {
         let mut q = state.queue.lock();
-        if q.calls.is_empty() {
-            q.scheduled = false;
-            false
-        } else {
-            true
-        }
+        q.scheduled = !q.calls.is_empty();
+        q.scheduled
     };
     if more {
         let _ = g.workq.send(WorkItem::Chan(key));
@@ -392,10 +436,11 @@ mod tests {
     use super::*;
     use crate::config::RuntimeConfig;
     use mtgpu_api::client::CudaClient;
+    use mtgpu_api::protocol::{AllocKind, ModuleHandle, MuxFrame};
     use mtgpu_api::transport::{
-        spawn_reactor, FrontendClient, MuxConnection, ReactorConfig, ReplySink,
+        spawn_reactor, FrameBuf, FrontendClient, MuxConnection, ReactorConfig, ReplySink,
     };
-    use mtgpu_gpusim::{Driver, GpuSpec};
+    use mtgpu_gpusim::{Driver, GpuSpec, KernelDesc, LaunchConfig, LaunchSpec, Work};
     use mtgpu_simtime::Clock;
     use std::net::TcpListener;
 
@@ -469,6 +514,228 @@ mod tests {
         conn.shutdown();
         assert!(rt.wait_idle(std::time::Duration::from_secs(10)), "disconnect must tear down");
         assert_eq!(gw.channel_count(), 0);
+        reactor.shutdown();
+        workers.shutdown();
+        rt.shutdown();
+    }
+
+    /// A gateway with no pool (the test is the worker), the receiving end
+    /// of its work queue, and the client end of a loopback socket attached
+    /// to the gateway's sink as connection 1.
+    fn poolless_gateway(
+        cfg: RuntimeConfig,
+    ) -> (Arc<NodeRuntime>, Arc<MuxGateway>, Receiver<WorkItem>, std::net::TcpStream) {
+        let driver = Driver::with_devices(Clock::with_scale(1e-7), vec![GpuSpec::test_small()]);
+        let rt = NodeRuntime::start(driver, RuntimeConfig { background_monitor: false, ..cfg });
+        let (sink, queue) = ReplySink::channel();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        queue.attach(1, listener.accept().unwrap().0);
+        let (gw, workq) = MuxGateway::new(Arc::clone(&rt), sink);
+        (rt, gw, workq, client)
+    }
+
+    /// Plays worker until the work queue is empty; returns how many
+    /// channel hand-offs it took.
+    fn run_queue(gw: &MuxGateway, workq: &Receiver<WorkItem>) -> usize {
+        let mut visits = 0;
+        while let Ok(item) = workq.try_recv() {
+            let WorkItem::Chan(key) = item else { panic!("only channel work is expected") };
+            serve_channel(gw, key, Duration::ZERO);
+            visits += 1;
+        }
+        visits
+    }
+
+    /// Reads `want` response frames off the client end, in wire order.
+    fn read_replies(client: &mut std::net::TcpStream, want: usize) -> Vec<(u64, CudaReply)> {
+        client.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let mut framebuf = FrameBuf::new();
+        let mut got = Vec::new();
+        while got.len() < want {
+            assert_ne!(framebuf.read_from(client).expect("reply bytes"), 0, "early EOF");
+            while let Some(frame) = framebuf.next_frame::<MuxFrame>().expect("frame decodes") {
+                let MuxFrame::Response { id, reply } = frame else { panic!("not a response") };
+                got.push((id, reply));
+            }
+        }
+        got
+    }
+
+    fn malloc() -> CudaCall {
+        CudaCall::Malloc { size: 64, kind: AllocKind::Linear }
+    }
+
+    fn noop_launch() -> CudaCall {
+        CudaCall::Launch {
+            spec: LaunchSpec {
+                kernel: "noop".into(),
+                config: LaunchConfig::default(),
+                args: Vec::new(),
+                work: Work::flops(1.0),
+            },
+        }
+    }
+
+    fn nothing_more_arrives(client: &mut std::net::TcpStream) {
+        client.set_nonblocking(true).unwrap();
+        let err = FrameBuf::new().read_from(client).expect_err("a reply nobody sent");
+        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
+        client.set_nonblocking(false).unwrap();
+    }
+
+    #[test]
+    fn pipelined_flush_costs_one_hand_off_per_visit_budget_and_keeps_order() {
+        let (rt, gw, workq, mut client) = poolless_gateway(RuntimeConfig::default());
+        // A full client pipeline (MAX_PIPELINE = 160) and the call that
+        // flushes it, all queued before any worker looks.
+        const CALLS: u64 = 161;
+        for id in 0..CALLS {
+            gw.on_request(1, 1, id, malloc());
+        }
+        assert_eq!(workq.len(), 1, "a channel sits on the work queue at most once");
+        assert_eq!(run_queue(&gw, &workq), (CALLS as usize).div_ceil(VISIT_BUDGET));
+        let replies = read_replies(&mut client, CALLS as usize);
+        assert!(replies.iter().map(|(id, _)| *id).eq(0..CALLS), "replies out of order");
+        assert!(replies.iter().all(|(_, r)| matches!(r, Ok(ReplyValue::Ptr(_)))));
+        // Idle again: the next request schedules the channel afresh. Exit
+        // answers what the visit produced and itself before it tears down;
+        // what was queued behind it is told the channel is gone.
+        for (id, call) in [malloc(), CudaCall::Exit, malloc()].into_iter().enumerate() {
+            gw.on_request(1, 1, CALLS + id as u64, call);
+        }
+        assert_eq!(run_queue(&gw, &workq), 1);
+        let last = read_replies(&mut client, 3);
+        assert!(last.iter().map(|(id, _)| *id).eq(CALLS..CALLS + 3));
+        assert!(matches!(last[0].1, Ok(ReplyValue::Ptr(_))));
+        assert_eq!(last[1].1, Ok(ReplyValue::Unit));
+        assert_eq!(last[2].1, Err(CudaError::Disconnected));
+        assert_eq!(gw.channel_count(), 0);
+        rt.shutdown();
+    }
+
+    #[test]
+    fn finished_replies_go_out_before_a_launch_parks() {
+        let (rt, gw, workq, mut client) = poolless_gateway(RuntimeConfig::serialized());
+        let hog = rt.new_context("hog".into());
+        let held = rt.bindings().acquire(&hog, 0.0, 0, Duration::ZERO).expect("free vGPU");
+        let register = CudaCall::RegisterFunction {
+            module: ModuleHandle(1),
+            kernel: KernelDesc::plain("noop"),
+        };
+        for (id, call) in [register, malloc(), noop_launch()].into_iter().enumerate() {
+            gw.on_request(1, 1, id as u64, call);
+        }
+        let Ok(WorkItem::Chan(key)) = workq.try_recv() else { panic!("channel not scheduled") };
+        std::thread::scope(|s| {
+            // An idle worker lending itself to the channel: the launch may
+            // park in the dispatcher for as long as this slice.
+            let parker = s.spawn(|| serve_channel(&gw, key, Duration::from_secs(60)));
+            // Only this thread can end the park, and it does so after the
+            // first two replies are in hand.
+            let early = read_replies(&mut client, 2);
+            assert!(early.iter().map(|(id, _)| *id).eq(0..2));
+            rt.bindings().release(hog.id, held.vgpu);
+            let done = read_replies(&mut client, 1);
+            assert!(matches!(done[0], (2, Ok(_))), "{done:?}");
+            parker.join().unwrap();
+        });
+        gw.on_request(1, 1, 3, CudaCall::Exit);
+        run_queue(&gw, &workq);
+        rt.shutdown();
+    }
+
+    #[test]
+    fn would_block_mid_visit_ships_earlier_replies_and_keeps_the_rest_queued_in_order() {
+        let (rt, gw, workq, mut client) = poolless_gateway(RuntimeConfig::serialized());
+        // The node's only vGPU is taken, so the channel's launch cannot bind.
+        let hog = rt.new_context("hog".into());
+        let held = rt.bindings().acquire(&hog, 0.0, 0, Duration::ZERO).expect("free vGPU");
+        let calls = [
+            CudaCall::RegisterFunction {
+                module: ModuleHandle(1),
+                kernel: KernelDesc::plain("noop"),
+            },
+            malloc(),
+            noop_launch(),
+            malloc(),
+            CudaCall::Synchronize,
+        ];
+        for (id, call) in calls.into_iter().enumerate() {
+            gw.on_request(1, 1, id as u64, call);
+        }
+        assert_eq!(run_queue(&gw, &workq), 1);
+        // The two calls ahead of the launch are answered without waiting
+        // for it; the launch and its successors wait, still in order, and
+        // the channel is parked, not rescheduled.
+        let early = read_replies(&mut client, 2);
+        assert!(early.iter().map(|(id, _)| *id).eq(0..2));
+        nothing_more_arrives(&mut client);
+        assert_eq!(rt.metrics().mux_retries, 1);
+        assert!(workq.is_empty());
+        assert_eq!(*gw.bind_waiters.lock(), [(1, 1)]);
+        {
+            let state = gw.channels.lock().get(&(1, 1)).cloned().unwrap();
+            let q = state.queue.lock();
+            assert!(q.scheduled);
+            assert!(q.calls.iter().map(|(id, _)| *id).eq(2..5));
+            assert!(matches!(q.calls[0].1, CudaCall::Launch { .. }));
+        }
+        // The vGPU comes free: a kick puts the channel back on the queue
+        // and one visit finishes the batch.
+        rt.bindings().release(hog.id, held.vgpu);
+        gw.kick_waiter();
+        assert_eq!(run_queue(&gw, &workq), 1);
+        let late = read_replies(&mut client, 3);
+        assert!(late.iter().map(|(id, _)| *id).eq(2..5));
+        assert!(late.iter().all(|(_, r)| r.is_ok()), "{late:?}");
+        gw.on_request(1, 1, 5, CudaCall::Exit);
+        run_queue(&gw, &workq);
+        rt.shutdown();
+    }
+
+    #[test]
+    fn bulk_replies_past_the_byte_bound_arrive_whole_and_in_order() {
+        use mtgpu_api::transport::Transport;
+        let clock = Clock::with_scale(1e-7);
+        let driver = Driver::with_devices(clock, vec![GpuSpec::test_small()]);
+        let rt = NodeRuntime::start(
+            driver,
+            RuntimeConfig { background_monitor: false, ..RuntimeConfig::default() },
+        );
+        let (sink, queue) = ReplySink::channel();
+        let (gw, workers) = MuxGateway::start(Arc::clone(&rt), sink);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let svc: Arc<dyn mtgpu_api::transport::MuxService> = gw;
+        let reactor = spawn_reactor(listener, ReactorConfig::default(), svc, queue).unwrap();
+        let conn = MuxConnection::connect(reactor.addr()).unwrap();
+        let mut ch = conn.channel();
+
+        // Six downloads of half the bound each, small calls in between: a
+        // visit that finds them all queued posts three times on the way.
+        let len = VISIT_REPLY_BYTES / 2;
+        let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        let size = len as u64;
+        let Ok(ReplyValue::Ptr(ptr)) =
+            ch.roundtrip(CudaCall::Malloc { size, kind: AllocKind::Linear })
+        else {
+            panic!("malloc failed")
+        };
+        let upload = CudaCall::MemcpyH2D { dst: ptr, buf: mtgpu_api::HostBuf::from_slice(&data) };
+        assert_eq!(ch.roundtrip(upload), Ok(ReplyValue::Unit));
+        let mut calls = Vec::new();
+        for _ in 0..6 {
+            calls.push(CudaCall::MemcpyD2H { src: ptr, len: size });
+            calls.push(CudaCall::GetDeviceCount);
+        }
+        let replies = ch.roundtrip_batch(calls);
+        assert_eq!(replies.len(), 12);
+        for pair in replies.chunks(2) {
+            let Ok(ReplyValue::Bytes(buf)) = &pair[0] else { panic!("{:?}", pair[0]) };
+            assert!(buf.payload == data, "download differs from what was uploaded");
+            assert!(matches!(pair[1], Ok(ReplyValue::DeviceCount(_))), "{:?}", pair[1]);
+        }
+        assert_eq!(ch.roundtrip(CudaCall::Exit), Ok(ReplyValue::Unit));
         reactor.shutdown();
         workers.shutdown();
         rt.shutdown();

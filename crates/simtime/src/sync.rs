@@ -96,11 +96,19 @@ pub mod lock_rank {
     pub const KERNEL_STORE: LockRank = LockRank { value: 150, name: "KERNEL_STORE" };
     /// The runtime tracer's event ring (innermost: recorded from anywhere).
     pub const TRACER_RING: LockRank = LockRank { value: 200, name: "TRACER_RING" };
+    /// The mux reactor's connection table: which connections exist and
+    /// which of them a reply sink left for the reactor to look at. Every
+    /// reply takes it for a lookup, never across a write or a service call.
+    pub const REACTOR_CONNS: LockRank = LockRank { value: 201, name: "REACTOR_CONNS" };
     /// The server pump's connection registry (leaf tier: nothing below it
     /// but a connection's write half; never held across runtime calls).
     pub const CONN_REGISTRY: LockRank = LockRank { value: 202, name: "CONN_REGISTRY" };
     /// A multiplexed client's pending-reply demux map (leaf tier).
     pub const MUX_PENDING: LockRank = LockRank { value: 203, name: "MUX_PENDING" };
+    /// One reactor connection's outbound half (socket, unsent bytes,
+    /// in-flight IDs): held by whichever thread encodes and writes a
+    /// reply, taken after the reactor's table, never across a service call.
+    pub const CONN_OUT: LockRank = LockRank { value: 204, name: "CONN_OUT" };
     /// One connection's write half: serializes frame writes and the
     /// would-block stash (innermost of the transport tier).
     pub const CONN_WRITE: LockRank = LockRank { value: 205, name: "CONN_WRITE" };
@@ -128,8 +136,10 @@ pub mod lock_rank {
         ENGINE_TICKETS,
         KERNEL_STORE,
         TRACER_RING,
+        REACTOR_CONNS,
         CONN_REGISTRY,
         MUX_PENDING,
+        CONN_OUT,
         CONN_WRITE,
     ];
 }

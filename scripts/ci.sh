@@ -132,8 +132,13 @@ if [[ "$tier" == "all" || "$tier" == "4" ]]; then
     # probed end-to-end; a stalled reactor shows up as the timeout firing.
     timeout 600 cargo test -q --release --test dispatch_stress -- --ignored \
         --exact dispatch_soak_10k_persistent_connections
-    # Closed-loop smoke: identical per-tenant demand, so the max/min
-    # tenant completion-time ratio gates scheduling fairness.
+    # Closed-loop smoke: the max/min tenant completion-time ratio gates
+    # scheduling fairness. Tenants issue the same number of requests but
+    # each draws its own jobs, so demand is not identical and the ratio has
+    # a per-seed floor (about 1.6 at the default seed 42). Over ~15 ms of
+    # wall time on two vCPUs the gate is noisy: on the unchanged PR 15
+    # parent one run was above 2.0 in 59 % of 150 (EXPERIMENTS.md,
+    # "Tier-4 fairness smoke"). Rerun before suspecting the scheduler.
     ./target/release/loadgen --quick --max-fairness 2.0 \
         --out target/ci-loadgen-quick.json > /dev/null
     # Transfer-pipelining + oversubscription smoke: pipelined materialize
