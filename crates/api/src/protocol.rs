@@ -134,11 +134,11 @@ pub enum CudaCall {
     Exit,
 }
 
-/// One frame on a *multiplexed* connection, where many client contexts
-/// share a single socket (DESIGN.md §12).
+/// One frame on the wire, where many client contexts may share a single
+/// socket (DESIGN.md §12).
 ///
 /// A request names the channel it belongs to (`chan`, the server-side
-/// context key — one channel behaves exactly like one legacy connection)
+/// context key — one channel is one application thread's call stream)
 /// and a connection-unique request ID (`id`, the client-side demux key).
 /// Responses echo only the ID and may arrive in any order; the client
 /// matches them back to waiting callers.

@@ -1,5 +1,6 @@
-//! In-process transport over crossbeam channels — the AF_UNIX-socket
-//! equivalent for single-process deployments and tests.
+//! In-process transport over crossbeam channels: application threads linked
+//! into the daemon's own process (single-process deployments, the figures,
+//! the deterministic harness, tests).
 
 use super::{RecvOutcome, ServerConn, Transport};
 use crate::error::CudaError;
@@ -58,10 +59,6 @@ impl ServerConn for ChannelServerConn {
         }
     }
 
-    fn has_pending(&self) -> bool {
-        !self.rx.is_empty()
-    }
-
     fn send(&mut self, reply: CudaReply) -> bool {
         self.tx.send(reply).is_ok()
     }
@@ -77,13 +74,9 @@ mod tests {
     use crate::protocol::ReplyValue;
 
     #[test]
-    fn pending_detection() {
+    fn call_and_reply_cross_the_pair() {
         let (mut t, mut s) = channel_pair();
-        assert!(!s.has_pending());
         let h = std::thread::spawn(move || t.roundtrip(CudaCall::Synchronize));
-        while !s.has_pending() {
-            std::hint::spin_loop();
-        }
         let call = s.recv().unwrap();
         assert_eq!(call.name(), "Synchronize");
         assert!(s.send(Ok(ReplyValue::Unit)));

@@ -1,10 +1,11 @@
 //! Framing: a `u32` little-endian body length, then a [`Wire`]-encoded body.
 //!
-//! This is the only framing in the crate. The mux client, the reactor, the
-//! TCP and AF_UNIX transports and the §4.7 offload relay all go through
-//! [`encode_frame`]/[`write_frame`] to send and [`FrameBuf`]/[`read_frame`]
-//! to receive, so the size limit, its error text and the body codec live
-//! here once.
+//! This is the only framing in the crate. The mux client and the reactor —
+//! and so every remote frontend and the §4.7 offload relay — go through
+//! [`encode_frame`] to send and [`FrameBuf`] to receive ([`write_frame`] and
+//! [`read_frame`] are the blocking one-frame forms, for tools and tests that
+//! hold a raw socket), so the size limit, its error text and the body codec
+//! live here once.
 //!
 //! [`FrameBuf`] and [`encode_frame`] are free of I/O so the proptests in
 //! `tests/proptests.rs` can replay arbitrary split/coalesced byte

@@ -1,19 +1,19 @@
 //! Transports carrying the interposed call stream to the runtime daemon.
 //!
 //! The paper's prototype uses the gVirtuS socket framework: AF_UNIX sockets
-//! natively, VM-sockets under virtualization (§3). We provide three
-//! equivalents: an in-process crossbeam channel (the fast path used by tests
-//! and single-process experiments), an AF_UNIX socket (the native gVirtuS
-//! path for co-located processes), and a framed TCP socket (the VM-socket
-//! stand-in, also used for inter-node offloading).
+//! natively, VM-sockets under virtualization (§3). We provide two
+//! equivalents: an in-process crossbeam channel (application threads linked
+//! into the daemon's process: tests, figures, the deterministic harness) and
+//! **one** network wire — multiplexed frames over TCP ([`MuxConnection`] on
+//! the client, [`spawn_reactor`] on the server) — which every remote
+//! frontend, the inter-node offload relay (§4.7) and the load drivers speak.
+//! One codec, one framing, one listener per node, one set of hostile-peer
+//! checks.
 
 mod channel;
 mod frame;
 mod mux;
 mod reactor;
-mod tcp;
-#[cfg(unix)]
-mod unix;
 
 pub use channel::{channel_pair, ChannelServerConn, ChannelTransport};
 pub use frame::{encode_frame, read_frame, write_frame, FrameBuf, MAX_FRAME_BYTES};
@@ -22,9 +22,6 @@ pub use reactor::{
     spawn_reactor, ConnId, MuxService, ReactorConfig, ReactorHandle, ReactorStats, ReplyQueue,
     ReplySink,
 };
-pub use tcp::{TcpServerConn, TcpTransport};
-#[cfg(unix)]
-pub use unix::{UnixServerConn, UnixTransport};
 
 use crate::client::CudaClient;
 use crate::error::CudaError;
@@ -67,10 +64,6 @@ pub trait ServerConn: Send {
 
     /// Waits up to `timeout` (real time) for the next call.
     fn recv_timeout(&mut self, timeout: Duration) -> RecvOutcome;
-
-    /// Whether a call is already queued (used for CPU-phase detection
-    /// without consuming anything).
-    fn has_pending(&self) -> bool;
 
     /// Sends a reply; `false` if the peer is gone.
     fn send(&mut self, reply: CudaReply) -> bool;

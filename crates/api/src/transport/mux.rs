@@ -1,13 +1,15 @@
-//! Multiplexed client transport: many channels over one TCP connection.
+//! Multiplexed client transport: many channels over one TCP connection —
+//! the client side of the node's only network wire.
 //!
-//! The legacy transports speak strict request/response per socket, so every
-//! concurrent application thread costs a connection (and, server-side, a
-//! handler thread). The multiplexed wire format ([`MuxFrame`]) instead tags
-//! every request with a *channel* (the server-side context key — one channel
-//! behaves exactly like one legacy connection) and a connection-unique
-//! *request ID* (the client-side demux key). Responses carry only the ID and
-//! may arrive out of order; a single reader thread per connection routes
-//! each one back to the caller that registered the ID.
+//! A strict request/response socket would cost every concurrent application
+//! thread a connection (and, server-side, a handler thread). The wire format
+//! ([`MuxFrame`]) instead tags every request with a *channel* (the
+//! server-side context key — one channel is one application thread's call
+//! stream) and a connection-unique *request ID* (the client-side demux key).
+//! Responses carry only the ID and may arrive out of order; a single reader
+//! thread per connection routes each one back to the caller that registered
+//! the ID. A client that wants a socket of its own opens a connection and
+//! uses its one channel; the socket closes with its last handle.
 //!
 //! Framing and the body codec are [`super::frame`]'s, shared with the server
 //! reactor.
@@ -61,12 +63,25 @@ impl MuxConnInner {
     }
 }
 
+/// Shuts the socket down when the last client-side handle — connection or
+/// channel — goes away. The reader thread holds the shared state but not
+/// this, so it sees EOF and exits, and the server tears the connection's
+/// contexts down: dropping a client hangs up, as closing a socket should.
+struct CloseOnDrop(Arc<TcpStream>);
+
+impl Drop for CloseOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.shutdown(Shutdown::Both);
+    }
+}
+
 /// One multiplexed TCP connection. Cheap to clone ([`Arc`] inside); open
-/// channels with [`MuxConnection::channel`] — each behaves like a dedicated
-/// legacy connection while sharing this one socket.
+/// channels with [`MuxConnection::channel`] — each is an application
+/// thread's own call stream while sharing this one socket.
 #[derive(Clone)]
 pub struct MuxConnection {
     inner: Arc<MuxConnInner>,
+    life: Arc<CloseOnDrop>,
 }
 
 /// Stack size for the per-connection reader thread. Kept small so 10k
@@ -86,6 +101,7 @@ impl MuxConnection {
         stream.set_nodelay(true)?;
         let stream = Arc::new(stream);
         let reader = Arc::clone(&stream);
+        let life = Arc::new(CloseOnDrop(Arc::clone(&stream)));
         let inner = Arc::new(MuxConnInner {
             writer: RankedMutex::new(lock_rank::CONN_WRITE, stream),
             pending: RankedMutex::new(
@@ -104,14 +120,19 @@ impl MuxConnection {
             .stack_size(READER_STACK_BYTES)
             .spawn(move || reader_loop(reader, &pump))
             .map_err(|e| std::io::Error::other(format!("spawn mux reader: {e}")))?;
-        Ok(MuxConnection { inner })
+        Ok(MuxConnection { inner, life })
     }
 
     /// Opens a fresh channel (a new server-side context) on this
     /// connection.
     pub fn channel(&self) -> MuxChannel {
         let chan = self.inner.next_chan.fetch_add(1, Ordering::Relaxed);
-        MuxChannel { conn: Arc::clone(&self.inner), chan, wbuf: Vec::new() }
+        MuxChannel {
+            conn: Arc::clone(&self.inner),
+            _life: Arc::clone(&self.life),
+            chan,
+            wbuf: Vec::new(),
+        }
     }
 
     /// Whether the connection has failed (reader observed EOF or error).
@@ -177,6 +198,8 @@ fn reader_loop(stream: Arc<TcpStream>, conn: &MuxConnInner) {
 /// number of channels share the socket without blocking each other.
 pub struct MuxChannel {
     conn: Arc<MuxConnInner>,
+    /// Keeps the socket open for as long as this channel lives.
+    _life: Arc<CloseOnDrop>,
     chan: u64,
     /// Encode buffer, kept across calls so a round trip allocates nothing
     /// for its request frame.
@@ -275,8 +298,8 @@ impl Transport for MuxChannel {
 ///
 /// This is the client-side shape of the DESIGN.md §12 transport: a handful
 /// of sockets carrying thousands of logical channels. `FrontendClient`s
-/// built from pool channels are interchangeable with legacy per-connection
-/// clients.
+/// built from pool channels are interchangeable with clients that own a
+/// connection.
 pub struct MuxPool {
     conns: Vec<MuxConnection>,
     next: AtomicU64,

@@ -1,6 +1,6 @@
 //! The multiplexed server reactor: one nonblocking thread, all connections.
 //!
-//! Replaces thread-per-connection for multiplexed peers (DESIGN.md §12).
+//! The server side of the node's only network wire (DESIGN.md §12).
 //! A single reactor thread owns every socket's *read* half: it accepts
 //! nonblockingly, waits for readiness, decodes [`MuxFrame::Request`]s and
 //! hands them to a [`MuxService`] (the runtime's gateway). The *write* half

@@ -1,8 +1,8 @@
 //! The binary wire codec: the one way a protocol value becomes frame bytes.
 //!
-//! Every framed transport (mux + reactor, TCP, AF_UNIX, the §4.7 offload
-//! relay) carries bodies encoded by the [`Wire`] impls in this file — see
-//! DESIGN.md §12 for the layout table. The rules are few:
+//! The node's one network wire (mux client + reactor, and through them the
+//! §4.7 offload relay) carries bodies encoded by the [`Wire`] impls in this
+//! file — see DESIGN.md §12 for the layout table. The rules are few:
 //!
 //! - integers are fixed-width little-endian; `f64` travels as `to_bits`, so
 //!   every bit pattern (NaN payloads, ±∞, −0.0) survives and it is

@@ -6,16 +6,47 @@
 use mtgpu_api::protocol::{CudaCall, CudaReply, ModuleHandle, MuxFrame, ReplyValue};
 use mtgpu_api::transport::{
     encode_frame, read_frame, spawn_reactor, write_frame, ConnId, FrameBuf, FrontendClient,
-    MuxConnection, MuxService, ReactorConfig, ReactorHandle, ReplySink, ServerConn, TcpServerConn,
-    TcpTransport, MAX_FRAME_BYTES,
+    MuxConnection, MuxService, ReactorConfig, ReactorHandle, ReplySink, Transport, MAX_FRAME_BYTES,
 };
 use mtgpu_api::{CudaClient, CudaError, HostBuf};
 use mtgpu_gpusim::{DeviceAddr, KernelArg, KernelDesc, LaunchConfig, LaunchSpec, Work};
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Largest single request any thread of this test binary ever made of the
+/// allocator: the client's reader thread is not the test's, so "no
+/// allocation sized by a hostile prefix" has to be read process-wide.
+static LARGEST_ALLOCATION: AtomicUsize = AtomicUsize::new(0);
+
+struct Watermark;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the bookkeeping neither allocates nor
+// unwinds.
+unsafe impl GlobalAlloc for Watermark {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST_ALLOCATION.fetch_max(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's obligations are passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LARGEST_ALLOCATION.fetch_max(new_size, Ordering::Relaxed);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Watermark = Watermark;
 
 fn roundtrip_call(call: &CudaCall) {
     let mut buf = Vec::new();
@@ -27,7 +58,8 @@ fn roundtrip_call(call: &CudaCall) {
 
 // ---------------------------------------------------------------------
 // Live-socket robustness: a hostile or dying server must surface as a
-// clean client-side error — never a hang, a panic, or a huge allocation.
+// clean error at every caller waiting on the connection — never a hang, a
+// panic, or a huge allocation.
 // ---------------------------------------------------------------------
 
 /// Binds an ephemeral port, hands the first accepted stream to `serve` on
@@ -42,73 +74,85 @@ fn hostile_server(serve: impl FnOnce(TcpStream) + Send + 'static) -> SocketAddr 
     addr
 }
 
+/// Reads one request off a hostile server's end; returns its ID.
+fn read_request(stream: &mut TcpStream) -> u64 {
+    match read_frame::<MuxFrame>(stream).unwrap() {
+        MuxFrame::Request { id, .. } => id,
+        MuxFrame::Response { .. } => panic!("a client sent a response"),
+    }
+}
+
+/// Parks one caller on each of two fresh channels of `conn` (the hostile
+/// servers below read both requests before they misbehave) and returns
+/// what each got back.
+fn two_pending_callers(conn: &MuxConnection) -> Vec<CudaReply> {
+    let callers: Vec<_> = (0..2)
+        .map(|_| {
+            let mut chan = conn.channel();
+            std::thread::spawn(move || chan.roundtrip(CudaCall::GetDeviceCount))
+        })
+        .collect();
+    callers.into_iter().map(|c| c.join().expect("caller thread")).collect()
+}
+
+/// Every pending caller got the typed error, the connection knows it is
+/// dead, and a later call fails at once instead of waiting on it.
+fn assert_dead(conn: &MuxConnection, pending: &[CudaReply]) {
+    assert_eq!(pending, [Err(CudaError::Disconnected), Err(CudaError::Disconnected)]);
+    assert!(conn.is_dead());
+    let mut late = FrontendClient::new(conn.channel());
+    assert_eq!(late.synchronize(), Err(CudaError::Disconnected));
+}
+
 #[test]
-fn tcp_truncated_reply_frame_surfaces_clean_error() {
+fn mux_truncated_reply_frame_fails_every_pending_caller() {
     let addr = hostile_server(|mut stream| {
-        let _: CudaCall = read_frame(&mut stream).unwrap();
+        read_request(&mut stream);
+        read_request(&mut stream);
         // Declare a 64-byte reply, deliver 10 bytes, hang up.
         stream.write_all(&64u32.to_le_bytes()).unwrap();
         stream.write_all(&[0u8; 10]).unwrap();
     });
-    let mut client = FrontendClient::new(TcpTransport::connect(addr).unwrap());
-    assert_eq!(client.get_device_count(), Err(CudaError::Disconnected));
-    // The connection is dead, not wedged: follow-up calls error too.
-    assert_eq!(client.synchronize(), Err(CudaError::Disconnected));
+    let conn = MuxConnection::connect(addr).unwrap();
+    assert_dead(&conn, &two_pending_callers(&conn));
 }
 
 #[test]
-fn tcp_oversized_length_prefix_rejected_without_waiting() {
+fn mux_oversized_length_prefix_rejected_without_waiting_or_allocating() {
     assert!((MAX_FRAME_BYTES as u64) < u32::MAX as u64);
     let addr = hostile_server(|mut stream| {
-        let _: CudaCall = read_frame(&mut stream).unwrap();
+        read_request(&mut stream);
+        read_request(&mut stream);
         // Declares a ~4 GiB frame. The client must refuse it from the
         // prefix alone rather than allocate or wait for the body.
         stream.write_all(&u32::MAX.to_le_bytes()).unwrap();
         stream.write_all(&[0u8; 32]).unwrap();
-        // Hold the socket open: a client that ignored the limit would
-        // block in read_exact here. Unblocks when the client hangs up.
+        // Hold the socket open: a client that ignored the limit would wait
+        // for the body here. Unblocks when the client hangs up.
         let _ = stream.read(&mut [0u8; 1]);
     });
-    let mut client = FrontendClient::new(TcpTransport::connect(addr).unwrap());
-    assert_eq!(client.get_device_count(), Err(CudaError::Disconnected));
+    let conn = MuxConnection::connect(addr).unwrap();
+    assert_dead(&conn, &two_pending_callers(&conn));
+    // Nothing in this binary has a reason to ask for more than one frame's
+    // worth at once; the hostile prefix asked for sixteen times that.
+    let largest = LARGEST_ALLOCATION.load(Ordering::Relaxed);
+    assert!(largest <= 2 * MAX_FRAME_BYTES, "an allocation of {largest} bytes");
 }
 
 #[test]
-fn tcp_mid_stream_disconnect_fails_fast() {
+fn mux_mid_stream_disconnect_fails_fast() {
     let addr = hostile_server(|mut stream| {
         // Serve one call normally...
-        let _: CudaCall = read_frame(&mut stream).unwrap();
-        let reply: CudaReply = Ok(ReplyValue::DeviceCount(2));
+        let id = read_request(&mut stream);
+        let reply = MuxFrame::Response { id, reply: Ok(ReplyValue::DeviceCount(2)) };
         write_frame(&mut stream, &reply).unwrap();
-        // ...then swallow the next call and vanish without replying.
-        let _: CudaCall = read_frame(&mut stream).unwrap();
-        drop(stream);
+        // ...then swallow the next two and vanish without replying.
+        read_request(&mut stream);
+        read_request(&mut stream);
     });
-    let mut client = FrontendClient::new(TcpTransport::connect(addr).unwrap());
-    assert_eq!(client.get_device_count().unwrap(), 2);
-    assert_eq!(client.synchronize(), Err(CudaError::Disconnected));
-    assert_eq!(client.get_device_count(), Err(CudaError::Disconnected));
-}
-
-#[test]
-fn tcp_server_pump_closes_on_oversized_client_frame() {
-    // Mirror image: a hostile *client* sends the huge prefix. The server's
-    // pump thread must reject it and signal a clean Closed, so the handler
-    // tears the session down instead of spinning or allocating.
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let attacker = std::thread::spawn(move || {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(&u32::MAX.to_le_bytes()).unwrap();
-        stream.write_all(&[0u8; 16]).unwrap();
-        // Keep our end open; the server must still give up on us.
-        let _ = stream.read(&mut [0u8; 1]);
-    });
-    let (accepted, _) = listener.accept().unwrap();
-    let mut conn = TcpServerConn::from_stream(accepted).unwrap();
-    assert!(conn.recv().is_none(), "pump must close, not hang");
-    drop(conn);
-    attacker.join().unwrap();
+    let conn = MuxConnection::connect(addr).unwrap();
+    assert_eq!(FrontendClient::new(conn.channel()).get_device_count().unwrap(), 2);
+    assert_dead(&conn, &two_pending_callers(&conn));
 }
 
 // ---------------------------------------------------------------------
@@ -383,7 +427,7 @@ fn mux_client_counts_responses_for_unknown_ids() {
 // ---------------------------------------------------------------------
 
 use mtgpu_api::guard::{self, DescriptorLimits};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 
 /// A reactor service with the same boundary discipline as the runtime's
 /// `service.rs`: Guardian validation first, dispatch only on a clean

@@ -1,11 +1,12 @@
 //! Dispatcher throughput + ranked-lock overhead gate.
 //!
-//! Part 1 (throughput): the seed (single-lock, broadcast-wakeup) binding
-//! manager against the sharded one, under acquire/release churn from 8, 64
-//! and 256 client threads on a 4-device node. Every episode performs the
-//! same total number of bind/unbind cycles, so times are directly
-//! comparable across client counts: growth with the thread count is pure
-//! contention cost.
+//! Part 1 (throughput): the sharded binding manager under acquire/release
+//! churn from 8, 64 and 256 client threads on a 4-device node. Every episode
+//! performs the same total number of bind/unbind cycles, so times are
+//! directly comparable across client counts: growth with the thread count is
+//! pure contention cost. (The seed single-lock dispatcher this used to race
+//! against is retired; its last numbers are in EXPERIMENTS.md, *Retired
+//! baselines*.)
 //!
 //! Part 2 (rank gate): the runtime lock-order checker lives behind
 //! `#[cfg(debug_assertions)]`, so release builds must compile
@@ -21,9 +22,7 @@
 //!
 //! Usage: dispatch [--quick] [--gate-rank RATIO] [--out PATH]
 
-use mtgpu_core::{
-    AppContext, BindingManager, CtxId, LegacyBindingManager, RuntimeMetrics, SchedulerPolicy,
-};
+use mtgpu_core::{AppContext, BindingManager, CtxId, RuntimeMetrics, SchedulerPolicy};
 use mtgpu_gpusim::{DeviceId, Gpu, GpuSpec};
 use mtgpu_simtime::{lock_rank, Clock, RankedMutex};
 use serde::Serialize;
@@ -37,7 +36,6 @@ const EPISODE_OPS: usize = 2048;
 
 #[derive(Serialize)]
 struct ThroughputCase {
-    dispatcher: String,
     clients: usize,
     episode_ops: usize,
     best_nanos: u64,
@@ -65,36 +63,9 @@ struct Report {
     rank_gate: RankGate,
 }
 
-/// The surface both dispatchers share, for generic episodes.
-trait Dispatcher: Send + Sync + 'static {
-    fn acquire_release(&self, ctx: &Arc<AppContext>);
-}
-
-impl Dispatcher for BindingManager {
-    fn acquire_release(&self, ctx: &Arc<AppContext>) {
-        let b = self.acquire(ctx, 1.0, 0, Duration::from_secs(30)).expect("grant");
-        self.release(ctx.id, b.vgpu);
-    }
-}
-
-impl Dispatcher for LegacyBindingManager {
-    fn acquire_release(&self, ctx: &Arc<AppContext>) {
-        let b = self.acquire(ctx, 1.0, 0, Duration::from_secs(30)).expect("grant");
-        self.release(ctx.id, b.vgpu);
-    }
-}
-
-fn add_devices(add: impl Fn(DeviceId, Arc<Gpu>, u32)) {
-    let clock = Clock::with_scale(1e-7);
-    for i in 0..DEVICES {
-        let gpu = Gpu::new(GpuSpec::test_small(), clock.clone(), i);
-        add(DeviceId(i), gpu, VGPUS_PER_DEVICE);
-    }
-}
-
 /// `clients` threads, each cycling acquire→release until the episode's op
 /// budget is spent.
-fn episode<D: Dispatcher>(bm: &Arc<D>, clients: usize) {
+fn episode(bm: &Arc<BindingManager>, clients: usize) {
     let cycles = EPISODE_OPS / clients;
     let handles: Vec<_> = (0..clients)
         .map(|i| {
@@ -102,7 +73,8 @@ fn episode<D: Dispatcher>(bm: &Arc<D>, clients: usize) {
             let ctx = AppContext::new(CtxId(i as u64 + 1), i as u64, format!("c{i}"));
             std::thread::spawn(move || {
                 for _ in 0..cycles {
-                    bm.acquire_release(&ctx);
+                    let b = bm.acquire(&ctx, 1.0, 0, Duration::from_secs(30)).expect("grant");
+                    bm.release(ctx.id, b.vgpu);
                 }
             })
         })
@@ -112,8 +84,8 @@ fn episode<D: Dispatcher>(bm: &Arc<D>, clients: usize) {
     }
 }
 
-/// Best-of-`samples` episode time for one dispatcher at one client count.
-fn measure<D: Dispatcher>(bm: &Arc<D>, clients: usize, samples: usize) -> u64 {
+/// Best-of-`samples` episode time at one client count.
+fn measure(bm: &Arc<BindingManager>, clients: usize, samples: usize) -> u64 {
     let mut best = u64::MAX;
     for _ in 0..samples {
         let start = Instant::now();
@@ -183,35 +155,28 @@ fn main() {
     let samples = if quick { 3 } else { 10 };
 
     let mut throughput = Vec::new();
+    let clock = Clock::with_scale(1e-7);
     for &clients in client_counts {
-        let seed = Arc::new(LegacyBindingManager::new(
+        let bm = Arc::new(BindingManager::new(
             SchedulerPolicy::FcfsRoundRobin,
             Arc::new(RuntimeMetrics::default()),
         ));
-        add_devices(|id, gpu, n| seed.add_device(id, gpu, n).unwrap());
-        let seed_best = measure(&seed, clients, samples);
-
-        let sharded = Arc::new(BindingManager::new(
-            SchedulerPolicy::FcfsRoundRobin,
-            Arc::new(RuntimeMetrics::default()),
-        ));
-        add_devices(|id, gpu, n| sharded.add_device(id, gpu, n).unwrap());
-        let sharded_best = measure(&sharded, clients, samples);
-
-        for (name, best) in [("seed", seed_best), ("sharded", sharded_best)] {
-            eprintln!(
-                "{name:<8} clients={clients:<4} best={:>8.2}ms ({:>10.0} ops/s)",
-                best as f64 / 1e6,
-                EPISODE_OPS as f64 * 1e9 / best as f64
-            );
-            throughput.push(ThroughputCase {
-                dispatcher: name.to_string(),
-                clients,
-                episode_ops: EPISODE_OPS,
-                best_nanos: best,
-                ops_per_sec: EPISODE_OPS as f64 * 1e9 / best as f64,
-            });
+        for i in 0..DEVICES {
+            let gpu = Gpu::new(GpuSpec::test_small(), clock.clone(), i);
+            bm.add_device(DeviceId(i), gpu, VGPUS_PER_DEVICE).unwrap();
         }
+        let best = measure(&bm, clients, samples);
+        let ops_per_sec = EPISODE_OPS as f64 * 1e9 / best as f64;
+        eprintln!(
+            "clients={clients:<4} best={:>8.2}ms ({ops_per_sec:>10.0} ops/s)",
+            best as f64 / 1e6
+        );
+        throughput.push(ThroughputCase {
+            clients,
+            episode_ops: EPISODE_OPS,
+            best_nanos: best,
+            ops_per_sec,
+        });
     }
 
     let (iters, rank_samples) = if quick { (500_000, 3) } else { (2_000_000, 5) };

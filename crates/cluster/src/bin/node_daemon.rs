@@ -4,16 +4,16 @@
 //! point frontends and peers at it).
 //!
 //! ```sh
-//! node-daemon --listen 127.0.0.1:7070 --mux-listen 127.0.0.1:7071 \
-//!             --gpus c2050,c2050,c1060 \
+//! node-daemon --listen 127.0.0.1:7070 --gpus c2050,c2050,c1060 \
 //!             --vgpus 4 --clock 1e-3 [--peer host:port]... \
 //!             [--offload-threshold N] [--serialized] [--load-balancing]
 //! ```
 //!
-//! The daemon prints `listening on <addr>` (the legacy thread-per-connection
-//! endpoint) and `mux listening on <addr>` (the multiplexed reactor
-//! endpoint, DESIGN.md §12) once ready. All connected frontends must use the
-//! same `--clock` scale for coherent timing.
+//! The daemon prints `listening on <addr>` — its one endpoint, the
+//! multiplexed reactor of DESIGN.md §12, which frontends (`submit`) and
+//! peers (`--peer`, the other daemons' `--listen` addresses) alike connect
+//! to — once ready. All connected frontends must use the same `--clock`
+//! scale for coherent timing.
 
 use mtgpu_cluster::ClusterNode;
 use mtgpu_core::RuntimeConfig;
@@ -33,7 +33,6 @@ fn gpu_by_name(name: &str) -> Result<GpuSpec, String> {
 
 struct Args {
     listen: String,
-    mux_listen: String,
     gpus: Vec<GpuSpec>,
     vgpus: u32,
     clock: f64,
@@ -45,7 +44,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         listen: "127.0.0.1:0".to_string(),
-        mux_listen: "127.0.0.1:0".to_string(),
         gpus: vec![GpuSpec::tesla_c2050()],
         vgpus: 4,
         clock: 1e-3,
@@ -62,7 +60,6 @@ fn parse_args() -> Result<Args, String> {
     while i < argv.len() {
         match argv[i].as_str() {
             "--listen" => args.listen = value(&mut i)?,
-            "--mux-listen" => args.mux_listen = value(&mut i)?,
             "--gpus" => {
                 args.gpus = value(&mut i)?.split(',').map(gpu_by_name).collect::<Result<_, _>>()?;
             }
@@ -81,8 +78,8 @@ fn parse_args() -> Result<Args, String> {
             "--load-balancing" => args.load_balancing = true,
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: node-daemon [--listen ADDR] [--mux-listen ADDR] [--gpus LIST] \
-                     [--vgpus N] [--clock SCALE] [--peer ADDR]... [--offload-threshold N] \
+                    "usage: node-daemon [--listen ADDR] [--gpus LIST] [--vgpus N] \
+                     [--clock SCALE] [--peer ADDR]... [--offload-threshold N] \
                      [--serialized] [--load-balancing]"
                 );
                 std::process::exit(0);
@@ -115,22 +112,16 @@ fn main() {
         eprintln!("cannot bind {}: {e}", args.listen);
         std::process::exit(1);
     });
-    let mux_listener = std::net::TcpListener::bind(&args.mux_listen).unwrap_or_else(|e| {
-        eprintln!("cannot bind {}: {e}", args.mux_listen);
-        std::process::exit(1);
-    });
     let names: Vec<&str> = args.gpus.iter().map(|g| g.name.as_str()).collect();
-    let node = ClusterNode::start_with_listeners(
+    let node = ClusterNode::start_on(
         "node".to_string(),
         Clock::with_scale(args.clock),
         args.gpus.clone(),
         cfg,
-        listener,
-        mux_listener,
+        Some(listener),
     );
-    // The line tooling (and the process-spawn tests) parse these two:
-    println!("listening on {}", node.addr().expect("listening node"));
-    println!("mux listening on {}", node.mux_addr().expect("mux endpoint"));
+    // The line tooling (and the process-spawn tests) parse this one:
+    println!("listening on {}", node.mux_addr().expect("listening node"));
     println!(
         "devices: {} | vGPUs/device: {} | clock: 1 sim s = {} real s",
         names.join(", "),

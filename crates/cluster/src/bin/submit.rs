@@ -1,6 +1,6 @@
-//! Submits one Table 2 workload to a running `node-daemon` over TCP and
-//! prints its report — the "application binary" of a multi-process
-//! deployment.
+//! Submits one Table 2 workload to a running `node-daemon` (its `--listen`
+//! endpoint) over a connection of its own and prints its report — the
+//! "application binary" of a multi-process deployment.
 //!
 //! ```sh
 //! submit --node 127.0.0.1:7070 --app MM-L --cpu-fraction 1.0 \
@@ -10,7 +10,7 @@
 //! `--clock` must match the daemon's scale: the workload's CPU phases run
 //! on the client side of the wire.
 
-use mtgpu_api::transport::{FrontendClient, TcpTransport};
+use mtgpu_api::transport::{FrontendClient, MuxConnection};
 use mtgpu_api::CudaClient;
 use mtgpu_simtime::{Clock, Stopwatch};
 use mtgpu_workloads::calib::Scale;
@@ -88,11 +88,11 @@ fn main() {
     };
     mtgpu_workloads::install_kernel_library();
     let clock = Clock::with_scale(args.clock);
-    let transport = TcpTransport::connect(args.node.as_str()).unwrap_or_else(|e| {
+    let conn = MuxConnection::connect(args.node.as_str()).unwrap_or_else(|e| {
         eprintln!("cannot reach node {}: {e}", args.node);
         std::process::exit(1);
     });
-    let mut client: Box<dyn CudaClient> = Box::new(FrontendClient::new(transport));
+    let mut client: Box<dyn CudaClient> = Box::new(FrontendClient::new(conn.channel()));
     let job = args.app.build_with(args.scale, args.cpu_fraction);
     let watch = Stopwatch::start(&clock);
     let result = register_workload(client.as_mut(), job.as_ref())

@@ -6,9 +6,9 @@
 //! scheduling), while each node runtime maps CUDA calls onto GPUs
 //! (fine-grained scheduling). This crate provides:
 //!
-//! * [`ClusterNode`] — a node daemon: a `NodeRuntime` plus a TCP acceptor
-//!   so remote frontends (and peer nodes offloading connections) can reach
-//!   it;
+//! * [`ClusterNode`] — a node daemon: a `NodeRuntime` plus its one TCP
+//!   endpoint (reactor + gateway), by which remote frontends and peer nodes
+//!   offloading connections reach it;
 //! * [`torque`] — the batch scheduler substrate: FIFO job queue at a head
 //!   node with the two GPU-visibility modes of §5.4;
 //! * [`Cluster`] — an in-process test cluster wiring nodes together with
@@ -41,57 +41,17 @@ impl Cluster {
     /// `cfg` (offload peers are wired automatically when
     /// `cfg.offload_threshold` is set).
     pub fn start(clock: Clock, gpu_sets: Vec<Vec<GpuSpec>>, cfg: RuntimeConfig) -> Cluster {
-        // First pass: bind every node's listener so peers are known.
-        let mut nodes: Vec<ClusterNode> = Vec::new();
-        let mut addrs = Vec::new();
-        for (i, specs) in gpu_sets.iter().enumerate() {
-            // Temporarily start without peers; we need all addresses first.
-            let node = ClusterNode::start(
-                format!("node{i}"),
-                clock.clone(),
-                specs.clone(),
-                RuntimeConfig { offload_peers: Vec::new(), ..cfg.clone() },
-                true,
-            );
-            addrs.push(node.addr().expect("listening node has an address"));
-            nodes.push(node);
-        }
-        // Second pass: re-create nodes with full peer lists when offload is
-        // requested. (Simpler than mutating a running runtime's config and
-        // cheap at test scale.)
-        if cfg.offload_threshold.is_some() && gpu_sets.len() > 1 {
-            for node in nodes.drain(..) {
-                node.shutdown();
-            }
-            let mut listeners = Vec::new();
-            for _ in &gpu_sets {
-                listeners.push(node::reserve_listener());
-            }
-            let addrs: Vec<String> =
-                listeners.iter().map(|l| l.local_addr().unwrap().to_string()).collect();
-            for (i, specs) in gpu_sets.iter().enumerate() {
-                let peers: Vec<String> = addrs
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .map(|(_, a)| a.clone())
-                    .collect();
-                let node_cfg = RuntimeConfig { offload_peers: peers, ..cfg.clone() };
-                nodes.push(ClusterNode::start_with_listener(
-                    format!("node{i}"),
-                    clock.clone(),
-                    specs.clone(),
-                    node_cfg,
-                    listeners.remove(0),
-                ));
-            }
-        }
-        Cluster { nodes, clock }
+        Self::start_heterogeneous(
+            clock,
+            gpu_sets.into_iter().map(|specs| (specs, cfg.clone())).collect(),
+        )
     }
 
     /// Builds a cluster with an explicit per-node (devices, config) list.
     /// `offload_peers` in each config are replaced with the other nodes'
-    /// addresses when empty and that node sets an `offload_threshold`.
+    /// endpoints when empty and that node sets an `offload_threshold`: the
+    /// listeners are reserved first so every peer address is known before
+    /// any node starts, and each node is built once.
     pub fn start_heterogeneous(
         clock: Clock,
         nodes_spec: Vec<(Vec<GpuSpec>, RuntimeConfig)>,
@@ -100,25 +60,22 @@ impl Cluster {
             nodes_spec.iter().map(|_| node::reserve_listener()).collect();
         let addrs: Vec<String> =
             listeners.iter().map(|l| l.local_addr().unwrap().to_string()).collect();
-        let mut nodes = Vec::new();
-        let mut listeners = listeners;
-        for (i, (specs, mut cfg)) in nodes_spec.into_iter().enumerate() {
-            if cfg.offload_threshold.is_some() && cfg.offload_peers.is_empty() {
-                cfg.offload_peers = addrs
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .map(|(_, a)| a.clone())
-                    .collect();
-            }
-            nodes.push(ClusterNode::start_with_listener(
-                format!("node{i}"),
-                clock.clone(),
-                specs,
-                cfg,
-                listeners.remove(0),
-            ));
-        }
+        let nodes = nodes_spec
+            .into_iter()
+            .zip(listeners)
+            .enumerate()
+            .map(|(i, ((specs, mut cfg), listener))| {
+                if cfg.offload_threshold.is_some() && cfg.offload_peers.is_empty() {
+                    cfg.offload_peers = addrs
+                        .iter()
+                        .enumerate()
+                        .filter(|&(j, _)| j != i)
+                        .map(|(_, a)| a.clone())
+                        .collect();
+                }
+                ClusterNode::start_on(format!("node{i}"), clock.clone(), specs, cfg, Some(listener))
+            })
+            .collect();
         Cluster { nodes, clock }
     }
 

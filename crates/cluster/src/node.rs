@@ -1,17 +1,14 @@
-//! A cluster node: runtime daemon + TCP acceptor.
+//! A cluster node: runtime daemon + its one network endpoint.
 
 use mtgpu_api::transport::{
     spawn_reactor, ChannelTransport, FrontendClient, MuxChannel, MuxConnection, MuxPool,
-    MuxService, ReactorConfig, ReactorHandle, ReactorStats, ReplySink, TcpServerConn, TcpTransport,
+    MuxService, ReactorConfig, ReactorHandle, ReactorStats, ReplySink,
 };
 use mtgpu_core::{MetricsSnapshot, MuxGateway, MuxGatewayHandle, NodeRuntime, RuntimeConfig};
 use mtgpu_gpusim::{Driver, GpuSpec};
 use mtgpu_simtime::Clock;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Binds an ephemeral localhost listener (used to pre-reserve peer
 /// addresses before the nodes exist).
@@ -19,8 +16,8 @@ pub(crate) fn reserve_listener() -> TcpListener {
     TcpListener::bind("127.0.0.1:0").expect("bind ephemeral listener")
 }
 
-/// The node's multiplexed endpoint: one reactor serving every mux
-/// connection, backed by the gateway's worker pool.
+/// The node's endpoint: one reactor serving every connection, backed by the
+/// gateway's worker pool.
 struct MuxEndpoint {
     addr: SocketAddr,
     reactor: ReactorHandle,
@@ -28,25 +25,21 @@ struct MuxEndpoint {
     workers: Option<MuxGatewayHandle>,
 }
 
-/// One compute node: devices + runtime daemon + (optionally) a TCP
-/// endpoint accepting remote frontends and offloaded connections.
+/// One compute node: devices + runtime daemon + (optionally) the TCP
+/// endpoint remote frontends and peers offloading connections reach it by.
 ///
-/// Listening nodes open *two* ports: the legacy thread-per-connection
-/// endpoint ([`ClusterNode::addr`], one handler thread and one socket per
-/// frontend) and the multiplexed endpoint ([`ClusterNode::mux_addr`], one
-/// nonblocking reactor multiplexing every connection; see DESIGN.md §12).
+/// A listening node owns exactly one listener ([`ClusterNode::mux_addr`]):
+/// one nonblocking reactor multiplexing every connection into the gateway
+/// (DESIGN.md §12). There is no second port and no acceptor thread.
 pub struct ClusterNode {
     name: String,
     runtime: Arc<NodeRuntime>,
-    addr: Option<SocketAddr>,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
     mux: Option<MuxEndpoint>,
 }
 
 impl ClusterNode {
-    /// Starts a node with the given GPUs; `listen` controls whether a TCP
-    /// endpoint is opened.
+    /// Starts a node with the given GPUs; `listen` controls whether the TCP
+    /// endpoint is opened (on an ephemeral localhost port).
     pub fn start(
         name: String,
         clock: Clock,
@@ -54,93 +47,34 @@ impl ClusterNode {
         cfg: RuntimeConfig,
         listen: bool,
     ) -> ClusterNode {
-        if listen {
-            Self::start_with_listener(name, clock, specs, cfg, reserve_listener())
-        } else {
-            let driver = Driver::with_devices(clock, specs);
-            let runtime = NodeRuntime::start(driver, cfg);
-            ClusterNode {
-                name,
-                runtime,
-                addr: None,
-                stop: Arc::new(AtomicBool::new(false)),
-                acceptor: None,
-                mux: None,
-            }
-        }
+        Self::start_on(name, clock, specs, cfg, listen.then(reserve_listener))
     }
 
-    /// Starts a node serving on an already-bound (legacy) listener; the
-    /// multiplexed endpoint binds an ephemeral port of its own.
-    pub fn start_with_listener(
+    /// Starts a node serving on an already-bound listener, if any.
+    pub fn start_on(
         name: String,
         clock: Clock,
         specs: Vec<GpuSpec>,
         cfg: RuntimeConfig,
-        listener: TcpListener,
-    ) -> ClusterNode {
-        Self::start_with_listeners(name, clock, specs, cfg, listener, reserve_listener())
-    }
-
-    /// Starts a node serving on already-bound legacy and mux listeners.
-    pub fn start_with_listeners(
-        name: String,
-        clock: Clock,
-        specs: Vec<GpuSpec>,
-        cfg: RuntimeConfig,
-        listener: TcpListener,
-        mux_listener: TcpListener,
+        listener: Option<TcpListener>,
     ) -> ClusterNode {
         let driver = Driver::with_devices(clock, specs);
         let runtime = NodeRuntime::start(driver, cfg);
-        let addr = listener.local_addr().expect("listener address");
-        listener.set_nonblocking(true).expect("nonblocking listener");
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_rt = Arc::clone(&runtime);
-        let accept_stop = Arc::clone(&stop);
-        let acceptor = std::thread::Builder::new()
-            .name(format!("{name}-accept"))
-            .spawn(move || {
-                while !accept_stop.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            if let Ok(conn) = TcpServerConn::from_stream(stream) {
-                                accept_rt.connect(Box::new(conn));
-                            }
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            // mtlint: allow(thread-sleep, reason = "non-blocking TCP accept backoff on a real OS socket; outside every deterministic replay path")
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                        Err(_) => break,
-                    }
-                }
-            })
-            .expect("spawn acceptor");
-        let mux_addr = mux_listener.local_addr().expect("mux listener address");
-        let (sink, queue) = ReplySink::channel();
-        let (gateway, workers) = MuxGateway::start(Arc::clone(&runtime), sink);
-        let svc: Arc<dyn MuxService> = gateway.clone();
-        let reactor = spawn_reactor(mux_listener, ReactorConfig::default(), svc, queue)
-            .expect("spawn mux reactor");
-        ClusterNode {
-            name,
-            runtime,
-            addr: Some(addr),
-            stop,
-            acceptor: Some(acceptor),
-            mux: Some(MuxEndpoint { addr: mux_addr, reactor, gateway, workers: Some(workers) }),
-        }
+        let mux = listener.map(|listener| {
+            let addr = listener.local_addr().expect("listener address");
+            let (sink, queue) = ReplySink::channel();
+            let (gateway, workers) = MuxGateway::start(Arc::clone(&runtime), sink);
+            let svc: Arc<dyn MuxService> = gateway.clone();
+            let reactor = spawn_reactor(listener, ReactorConfig::default(), svc, queue)
+                .expect("spawn mux reactor");
+            MuxEndpoint { addr, reactor, gateway, workers: Some(workers) }
+        });
+        ClusterNode { name, runtime, mux }
     }
 
     /// Node name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// TCP endpoint, if listening.
-    pub fn addr(&self) -> Option<SocketAddr> {
-        self.addr
     }
 
     /// The node's runtime.
@@ -166,18 +100,17 @@ impl ClusterNode {
         mtgpu_api::BareClient::new(std::sync::Arc::clone(self.runtime.driver()))
     }
 
-    /// A TCP client (application or VM frontend reaching the node over the
-    /// network).
-    pub fn tcp_client(&self) -> std::io::Result<FrontendClient<TcpTransport>> {
-        let addr = self.addr.ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::AddrNotAvailable, "node not listening")
-        })?;
-        Ok(FrontendClient::new(TcpTransport::connect(addr)?))
-    }
-
-    /// Multiplexed TCP endpoint, if listening.
+    /// The node's TCP endpoint, if listening.
     pub fn mux_addr(&self) -> Option<SocketAddr> {
         self.mux.as_ref().map(|m| m.addr)
+    }
+
+    /// [`Self::mux_addr`], or the error every connect helper reports on a
+    /// node that is not listening.
+    fn listening_addr(&self) -> std::io::Result<SocketAddr> {
+        self.mux_addr().ok_or_else(|| {
+            std::io::Error::new(std::io::ErrorKind::AddrNotAvailable, "node not listening")
+        })
     }
 
     /// Reactor statistics for the multiplexed endpoint, if listening.
@@ -190,22 +123,17 @@ impl ClusterNode {
         self.mux.as_ref().map_or(0, |m| m.gateway.channel_count())
     }
 
-    /// A client over its own multiplexed connection (first channel on a
-    /// fresh socket).
+    /// A client over a connection of its own (an application or VM frontend
+    /// reaching the node over the network): the one channel of a fresh
+    /// socket, which closes when the client is dropped.
     pub fn mux_client(&self) -> std::io::Result<FrontendClient<MuxChannel>> {
-        let addr = self.mux_addr().ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::AddrNotAvailable, "node not listening")
-        })?;
-        Ok(FrontendClient::new(MuxConnection::connect(addr)?.channel()))
+        Ok(FrontendClient::new(MuxConnection::connect(self.listening_addr()?)?.channel()))
     }
 
     /// A pool of `conns` multiplexed connections; many frontends share them
     /// round-robin via [`MuxPool::channel`].
     pub fn mux_pool(&self, conns: usize) -> std::io::Result<MuxPool> {
-        let addr = self.mux_addr().ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::AddrNotAvailable, "node not listening")
-        })?;
-        MuxPool::connect(addr, conns)
+        MuxPool::connect(self.listening_addr()?, conns)
     }
 
     /// Physical GPUs on the node (what a GPU-aware scheduler sees).
@@ -213,14 +141,10 @@ impl ClusterNode {
         self.runtime.driver().device_count()
     }
 
-    /// Stops the acceptors and the runtime. Ordering matters: the reactor
-    /// goes first (no new mux requests, open connections disconnect), then
-    /// the gateway workers drain queued teardowns, then the runtime stops.
+    /// Stops the endpoint and the runtime. Ordering matters: the reactor
+    /// goes first (no new requests, open connections disconnect), then the
+    /// gateway workers drain queued teardowns, then the runtime stops.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
         if let Some(mut mux) = self.mux.take() {
             mux.reactor.shutdown();
             if let Some(workers) = mux.workers.take() {
@@ -237,7 +161,7 @@ mod tests {
     use mtgpu_api::CudaClient;
 
     #[test]
-    fn tcp_frontend_reaches_node_runtime() {
+    fn frontend_on_its_own_connection_reaches_node_runtime() {
         let node = ClusterNode::start(
             "n0".into(),
             Clock::with_scale(1e-7),
@@ -245,7 +169,7 @@ mod tests {
             RuntimeConfig::paper_default(),
             true,
         );
-        let mut client = node.tcp_client().unwrap();
+        let mut client = node.mux_client().unwrap();
         // 1 device × 4 vGPUs visible through the socket.
         assert_eq!(client.get_device_count().unwrap(), 4);
         let ptr = client.malloc(1024).unwrap();
@@ -325,8 +249,6 @@ mod tests {
             RuntimeConfig::paper_default(),
             false,
         );
-        assert!(node.addr().is_none());
-        assert!(node.tcp_client().is_err());
         assert!(node.mux_addr().is_none());
         assert!(node.mux_client().is_err());
         node.shutdown();

@@ -101,7 +101,7 @@ fn remote_tcp_frontend_runs_full_workload() {
         RuntimeConfig::paper_default(),
         true,
     );
-    let mut client: Box<dyn mtgpu_api::CudaClient> = Box::new(node.tcp_client().unwrap());
+    let mut client: Box<dyn mtgpu_api::CudaClient> = Box::new(node.mux_client().unwrap());
     let job = AppKind::Hs.build(Scale::TINY);
     mtgpu_workloads::register_workload(client.as_mut(), job.as_ref()).unwrap();
     let report = job.run(client.as_mut(), &clock).unwrap();

@@ -6,7 +6,8 @@ use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-struct DaemonGuard(Child);
+/// The daemon process and its stderr (where it reports load every 5 s).
+struct DaemonGuard(Child, BufReader<std::process::ChildStderr>);
 
 impl Drop for DaemonGuard {
     fn drop(&mut self) {
@@ -15,13 +16,24 @@ impl Drop for DaemonGuard {
     }
 }
 
+impl DaemonGuard {
+    /// Blocks for the daemon's next load report; returns its `launches=`.
+    fn reported_launches(&mut self) -> u64 {
+        let mut line = String::new();
+        self.1.read_line(&mut line).expect("load report");
+        let (_, launches) = line.trim().rsplit_once("launches=").expect("a load report line");
+        launches.parse().expect("a launch count")
+    }
+}
+
 fn spawn_daemon(extra: &[&str]) -> (DaemonGuard, String) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_node_daemon"));
     cmd.args(["--listen", "127.0.0.1:0", "--gpus", "test", "--clock", "1e-6"])
         .args(extra)
         .stdout(Stdio::piped())
-        .stderr(Stdio::null());
+        .stderr(Stdio::piped());
     let mut child = cmd.spawn().expect("spawn node-daemon");
+    let stderr = BufReader::new(child.stderr.take().expect("daemon stderr"));
     let stdout = child.stdout.take().expect("daemon stdout");
     let mut reader = BufReader::new(stdout);
     let mut line = String::new();
@@ -38,7 +50,7 @@ fn spawn_daemon(extra: &[&str]) -> (DaemonGuard, String) {
             sink.clear();
         }
     });
-    (DaemonGuard(child), addr)
+    (DaemonGuard(child, stderr), addr)
 }
 
 fn submit(addr: &str, app: &str) -> std::process::Output {
@@ -89,6 +101,21 @@ fn concurrent_submits_share_the_daemon() {
         assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
         assert!(String::from_utf8_lossy(&out.stdout).contains("verified=true"));
     }
+}
+
+#[test]
+fn two_daemons_relay_a_submitted_job() {
+    // The deployment shape of §4.7: `edge` keeps nothing local and names
+    // `peer`'s one endpoint — the same address a frontend would dial.
+    let (mut peer, peer_addr) = spawn_daemon(&[]);
+    let (mut edge, edge_addr) = spawn_daemon(&["--peer", &peer_addr, "--offload-threshold", "0"]);
+    let out = submit(&edge_addr, "VA");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout} {}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("verified=true"), "{stdout}");
+    // The job went in at `edge` and its kernels ran at `peer`.
+    assert_eq!(edge.reported_launches(), 0);
+    assert!(peer.reported_launches() > 0);
 }
 
 #[test]

@@ -29,8 +29,6 @@ pub struct RuntimeConfig {
     /// (§4.5). Eager mode writes through to the device once bound, enabling
     /// compute/transfer overlap at the price of higher swap cost.
     pub defer_transfers: bool,
-    /// Enable intra-application swap (§4.5).
-    pub intra_app_swap: bool,
     /// Enable inter-application swap (§4.5). When off, memory pressure is
     /// resolved only by unbind-and-retry.
     pub inter_app_swap: bool,
@@ -41,10 +39,6 @@ pub struct RuntimeConfig {
     /// device's copy engines. Off forces the serial one-transfer-at-a-time
     /// path regardless of how many engines the device has.
     pub pipelined_transfers: bool,
-    /// Cap on concurrent transfers per plan. `0` means "as many as the
-    /// device has copy engines"; nonzero values are still clamped to the
-    /// engine count (more in-flight than engines cannot help).
-    pub max_inflight_transfers: usize,
     /// Scheduling policy.
     pub scheduler: SchedulerPolicy,
     /// Migrate idle contexts from slower to faster devices when the fast
@@ -56,11 +50,8 @@ pub struct RuntimeConfig {
     /// Backlog (bound + waiting contexts) beyond which new connections are
     /// offloaded to peer nodes (§4.7). `None` disables offloading.
     pub offload_threshold: Option<usize>,
-    /// Peer runtime daemons (TCP addresses) eligible for offloading.
+    /// Peer runtime daemons (their listen addresses) eligible for offloading.
     pub offload_peers: Vec<String>,
-    /// Real-time tick used by service loops to notice revocation, failure
-    /// and idleness. Lower = more responsive, more wakeups.
-    pub service_tick: Duration,
     /// Cap on total swap-area bytes per node; `None` = unbounded. Exceeding
     /// it produces the Table 1 "Swap memory cannot be allocated" error.
     pub swap_capacity: Option<u64>,
@@ -82,15 +73,6 @@ pub struct RuntimeConfig {
     /// [`crate::NodeRuntime::monitor_tick`], so monitor actions land at
     /// reproducible points of the schedule.
     pub background_monitor: bool,
-    /// Worker threads executing calls arriving over multiplexed
-    /// connections (DESIGN.md §12). `0` sizes the pool automatically
-    /// (total vGPUs + a small constant for unbound/teardown work).
-    pub mux_workers: usize,
-    /// One bounded binding-acquisition attempt per multiplexed launch;
-    /// when it expires, the worker requeues the channel and serves other
-    /// work instead of blocking the pool (the deadlock guard for a fixed
-    /// pool over unbounded waits).
-    pub mux_bind_slice: Duration,
     /// Tenant-policy layer: leases, admission control, TTL reaping and
     /// priority preemption. `None` (the default) disables the layer
     /// entirely — every tenant is admitted unconditionally, as before.
@@ -125,25 +107,20 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             vgpus_per_device: 4,
             defer_transfers: true,
-            intra_app_swap: true,
             inter_app_swap: true,
             coalesce_transfers: true,
             pipelined_transfers: true,
-            max_inflight_transfers: 0,
             scheduler: SchedulerPolicy::FcfsRoundRobin,
             dynamic_load_balancing: false,
             auto_checkpoint_after: None,
             offload_threshold: None,
             offload_peers: Vec::new(),
-            service_tick: Duration::from_millis(2),
             swap_capacity: None,
             max_ptes_per_context: 1 << 20,
             monitor_interval: Duration::from_millis(5),
             trace_capacity: 4096,
             seed: 0,
             background_monitor: true,
-            mux_workers: 0,
-            mux_bind_slice: Duration::from_millis(5),
             tenant_policy: None,
             eviction_policy: crate::memory::EvictionPolicyKind::SeedOrder,
             async_prefetch: false,
@@ -191,26 +168,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Builder-style toggle of pipelined transfer plans.
-    pub fn with_pipelined_transfers(mut self, on: bool) -> Self {
-        self.pipelined_transfers = on;
-        self
-    }
-
-    /// Builder-style override of the per-plan in-flight transfer cap
-    /// (`0` = device copy-engine count).
-    pub fn with_max_inflight_transfers(mut self, n: usize) -> Self {
-        self.max_inflight_transfers = n;
-        self
-    }
-
-    /// Builder-style override of the multiplexed worker-pool size
-    /// (`0` = automatic).
-    pub fn with_mux_workers(mut self, n: usize) -> Self {
-        self.mux_workers = n;
-        self
-    }
-
     /// Builder-style activation of the tenant-policy layer.
     pub fn with_tenant_policy(mut self, policy: crate::policy::TenantPolicyConfig) -> Self {
         self.tenant_policy = Some(policy);
@@ -251,7 +208,6 @@ mod tests {
         let c = RuntimeConfig::paper_default();
         assert_eq!(c.vgpus_per_device, 4);
         assert!(c.defer_transfers);
-        assert!(c.intra_app_swap);
         assert!(c.inter_app_swap);
         assert_eq!(c.scheduler, SchedulerPolicy::FcfsRoundRobin);
     }
@@ -280,7 +236,6 @@ mod tests {
         assert_eq!(c.seed, 0, "seed 0 keeps the legacy rr tie-break");
         assert!(c.background_monitor);
         assert!(c.pipelined_transfers);
-        assert_eq!(c.max_inflight_transfers, 0, "0 tracks the device engine count");
         assert_eq!(c.eviction_policy, crate::memory::EvictionPolicyKind::SeedOrder);
         assert!(!c.async_prefetch, "prefetch is opt-in");
         assert!(!c.double_buffer_launch, "double-buffering is opt-in");
@@ -303,13 +258,5 @@ mod tests {
         assert_eq!(c.eviction_policy, crate::memory::EvictionPolicyKind::CostAware);
         assert!(c.async_prefetch);
         assert!(c.double_buffer_launch);
-    }
-
-    #[test]
-    fn transfer_builders_compose() {
-        let c =
-            RuntimeConfig::default().with_pipelined_transfers(false).with_max_inflight_transfers(3);
-        assert!(!c.pipelined_transfers);
-        assert_eq!(c.max_inflight_transfers, 3);
     }
 }

@@ -51,6 +51,5 @@ pub use migrate::{MigrationError, MigrationPhase, MigrationStats};
 pub use mux::{MuxGateway, MuxGatewayHandle};
 pub use policy::{GpuLease, LeaseBook, TenantKey, TenantPolicyConfig, TenantUsage};
 pub use runtime::{LoadInfo, NodeRuntime};
-pub use sched::legacy::LegacyBindingManager;
 pub use sched::{BindingManager, DeviceView, VGpu};
 pub use trace::{TraceEvent, TraceRecord, Tracer, UnbindReason};

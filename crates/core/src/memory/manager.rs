@@ -166,11 +166,8 @@ struct MmState {
 pub struct MemoryConfig {
     pub defer_transfers: bool,
     pub coalesce_transfers: bool,
-    pub intra_app_swap: bool,
     /// Spread transfer plans across the bound device's copy engines.
     pub pipelined_transfers: bool,
-    /// Per-plan in-flight cap; `0` = the device's copy-engine count.
-    pub max_inflight_transfers: usize,
     pub max_ptes_per_context: usize,
     pub swap_capacity: Option<u64>,
     pub materialize_cap: u64,
@@ -184,9 +181,7 @@ impl Default for MemoryConfig {
         MemoryConfig {
             defer_transfers: true,
             coalesce_transfers: true,
-            intra_app_swap: true,
             pipelined_transfers: true,
-            max_inflight_transfers: 0,
             max_ptes_per_context: 1 << 20,
             swap_capacity: None,
             materialize_cap: DEFAULT_MATERIALIZE_CAP,
@@ -264,18 +259,12 @@ impl MemoryManager {
 
     /// How many copy-engine lanes a plan of `ops` operations may use on the
     /// bound device: 1 when pipelining is off, otherwise the engine count
-    /// clamped by `max_inflight_transfers` (0 = no extra clamp) and by the
-    /// plan size.
+    /// clamped by the plan size.
     fn plan_lanes(&self, binding: &Binding, ops: usize) -> usize {
         if !self.cfg.pipelined_transfers {
             return 1;
         }
-        let engines = binding.gpu.spec().copy_engines as usize;
-        let cap = match self.cfg.max_inflight_transfers {
-            0 => engines,
-            n => n.min(engines),
-        };
-        cap.max(1).min(ops.max(1))
+        (binding.gpu.spec().copy_engines as usize).max(1).min(ops.max(1))
     }
 
     /// Accounts an executed transfer plan (metrics + trace).
@@ -788,9 +777,7 @@ impl MemoryManager {
                         }
                     }
                     Err(mtgpu_gpusim::GpuError::OutOfMemory) => {
-                        if !self.cfg.intra_app_swap
-                            || !self.evict_next_own_entry(ctx, bases, binding, &mut victims)?
-                        {
+                        if !self.evict_next_own_entry(ctx, bases, binding, &mut victims)? {
                             return Ok(Some(size));
                         }
                         continue 'alloc;
@@ -1573,8 +1560,7 @@ mod tests {
 
     #[test]
     fn materialize_reports_shortfall_when_working_set_too_big() {
-        let cfg = MemoryConfig { intra_app_swap: true, ..MemoryConfig::default() };
-        let m = MemoryManager::new(cfg, Arc::new(RuntimeMetrics::default()));
+        let m = mm();
         m.register_ctx(CTX);
         let b = gpu_binding();
         let too_big = b.gpu.mem_available() + (1 << 20);

@@ -1,10 +1,12 @@
-//! The multiplex gateway: the runtime's [`MuxService`] implementation.
+//! The multiplex gateway: the runtime's [`MuxService`] implementation, behind
+//! the node's one listener.
 //!
-//! Where the legacy path dedicates one handler thread to every connection,
-//! the gateway serves *channels* — (connection, chan) pairs, each backed by
-//! one [`AppContext`] — with a fixed worker pool. The reactor thread calls
-//! [`MuxGateway::on_request`] for every decoded frame; the gateway enqueues
-//! the call on its channel's FIFO and marks the channel runnable. Workers
+//! Where the in-process path dedicates one handler thread to every
+//! connection, the gateway serves *channels* — (connection, chan) pairs, each
+//! backed by one [`AppContext`] — with a fixed worker pool. The reactor
+//! thread calls [`MuxGateway::on_request`] for every decoded frame; the
+//! gateway enqueues the call on its channel's FIFO and marks the channel
+//! runnable. Workers
 //! pull runnable channels off a global work queue and *visit* them: a visit
 //! executes the channel's queued calls in order, each under the context's
 //! service lock, up to [`VISIT_BUDGET`], and posts the visit's replies as
@@ -17,10 +19,10 @@
 //!    (`scheduled` flag, mutated only under the channel's queue lock), and a
 //!    worker lets go of it only after its visit's replies are posted — so
 //!    calls of one channel execute, and their replies reach the wire, in
-//!    arrival order, exactly like a legacy connection, while different
+//!    arrival order, exactly like a connection of its own, while different
 //!    channels proceed in parallel.
 //! 2. **No pool-wide starvation.** Launches use the *bounded* dispatch path
-//!    ([`service::try_handle_call`]). With unbounded waits, `mux_workers`
+//!    ([`service::try_handle_call`]). With unbounded waits, a pool's worth of
 //!    launches waiting on fully-bound vGPUs would deadlock the pool — the
 //!    bound contexts' own calls (the ones that would eventually release
 //!    those vGPUs) could never run. A launch that cannot bind immediately
@@ -28,10 +30,12 @@
 //!    holding a worker: every completed call kicks one waiter back onto the
 //!    work queue for a cheap retry (completions are the only events that
 //!    release vGPUs, so a kick rides every release), and a worker with an
-//!    otherwise-empty queue gives one waiter a bounded `mux_bind_slice`
+//!    otherwise-empty queue gives one waiter a bounded [`BIND_SLICE`]
 //!    park inside the dispatcher's wait queue, where it gets the targeted
 //!    wakeup on release. Either way the pool never wedges and never burns
-//!    a full slice per retry under load.
+//!    a full slice per retry under load. The price, stated plainly: remote
+//!    launches queue for vGPUs in this FIFO list, not in the dispatcher's
+//!    policy-ordered queue (DESIGN.md §12, known limits).
 //! 3. **A finished reply never waits on something that may take long.** The
 //!    batch is posted before a call that may park (a launch given a bind
 //!    slice on an unbound context), before Exit's teardown, when a launch
@@ -43,27 +47,47 @@
 //! Teardown (Exit or disconnect) removes the channel from the map first;
 //! whichever path wins the `BTreeMap::remove` does the context teardown, so
 //! it happens exactly once even when an Exit races a connection drop.
+//!
+//! # Offload (§4.7)
+//!
+//! On a node with offloading configured, a new channel claims a local
+//! service slot with its first call, unless that call is the
+//! [`CudaCall::Offloaded`] marker of a stream a peer relayed here. With no
+//! slot left the channel is not served by the pool at all: the gateway hands
+//! it to a relay thread ([`NodeRuntime::offload`]) as a [`RelayedChannel`] —
+//! the same relay loop, local fallback included, that in-process
+//! connections use — and from then on only forwards its calls. That thread,
+//! not the reactor, connects to the peer, and no pool worker is tied up for
+//! the stream's lifetime.
 
 use crate::ctx::AppContext;
 use crate::metrics::RuntimeMetrics;
 use crate::runtime::NodeRuntime;
 use crate::service::{self, CallOutcome};
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use mtgpu_api::protocol::{CudaCall, CudaReply, ReplyValue};
-use mtgpu_api::transport::{ConnId, MuxService, ReplySink};
+use mtgpu_api::transport::{ConnId, MuxService, RecvOutcome, ReplySink, ServerConn};
 use mtgpu_api::CudaError;
 use mtgpu_simtime::{lock_rank, RankedMutex};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// How many workers may simultaneously lend themselves to a parked
-/// bind-waiter (a bounded `mux_bind_slice` wait inside the dispatcher).
+/// bind-waiter (a bounded [`BIND_SLICE`] wait inside the dispatcher).
 /// Capped so a burst of fresh requests always finds free workers even
 /// while many channels queue for vGPUs.
 const MAX_IDLE_PARKERS: usize = 2;
+
+/// How long an idle worker parks inside the dispatcher on a bind-waiter's
+/// behalf before it hands the channel back and looks at the work queue.
+const BIND_SLICE: Duration = Duration::from_millis(5);
+
+/// Workers beyond one per vGPU: every slot stays servable while unbound and
+/// teardown work never waits on launches.
+const SPARE_WORKERS: usize = 4;
 
 /// Most calls one visit executes before the channel goes to the back of the
 /// work queue. Large enough that the two-frame `launch()` and the usual
@@ -92,6 +116,79 @@ struct ChanQueue {
 struct ChannelState {
     ctx: Arc<AppContext>,
     queue: RankedMutex<ChanQueue>,
+    /// Whether the channel claimed a §4.7 local-service slot at creation,
+    /// to give back at teardown.
+    holds_slot: bool,
+}
+
+/// What the gateway keeps for one channel key.
+enum Chan {
+    /// Served here, by the worker pool.
+    Local(Arc<ChannelState>),
+    /// Handed to a relay thread (§4.7), which owns the context: the gateway
+    /// only forwards calls. Dropping the sender hangs the relay up.
+    Relayed(Sender<(u64, CudaCall)>),
+}
+
+/// The relay thread's end of a channel the gateway handed off. Calls arrive
+/// from the reactor in wire order and each reply is posted before the next
+/// call is taken, so the channel's call/reply order holds without the pool.
+struct RelayedChannel {
+    gateway: Weak<MuxGateway>,
+    key: ChanKey,
+    calls: Receiver<(u64, CudaCall)>,
+    sink: ReplySink,
+    /// Request id of the call handed out last, until its reply is posted.
+    awaiting: Option<u64>,
+}
+
+impl RelayedChannel {
+    fn take(&mut self, (id, call): (u64, CudaCall)) -> CudaCall {
+        self.awaiting = Some(id);
+        call
+    }
+}
+
+impl ServerConn for RelayedChannel {
+    fn recv(&mut self) -> Option<CudaCall> {
+        self.calls.recv().ok().map(|next| self.take(next))
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> RecvOutcome {
+        match self.calls.recv_timeout(timeout) {
+            Ok(next) => RecvOutcome::Call(self.take(next)),
+            Err(RecvTimeoutError::Timeout) => RecvOutcome::Idle,
+            Err(RecvTimeoutError::Disconnected) => RecvOutcome::Closed,
+        }
+    }
+
+    fn send(&mut self, reply: CudaReply) -> bool {
+        let Some(id) = self.awaiting.take() else { return false };
+        // A reply for a connection that is gone is dropped by the sink; the
+        // next `recv` then reports the hang-up.
+        self.sink.reply(self.key.0, id, reply);
+        true
+    }
+
+    fn peer(&self) -> String {
+        format!("mux-{}-{}", self.key.0, self.key.1)
+    }
+}
+
+impl Drop for RelayedChannel {
+    /// The stream is over (Exit, hang-up or shutdown): the key leaves the
+    /// map unless a disconnect took it already, and what was queued behind
+    /// an Exit is told the channel is gone. The reactor forwards under the
+    /// map lock, so nothing is queued after the removal.
+    fn drop(&mut self) {
+        if let Some(gateway) = self.gateway.upgrade() {
+            gateway.channels.lock().remove(&self.key);
+        }
+        let dead: Vec<(u64, CudaReply)> = std::iter::from_fn(|| self.calls.try_recv().ok())
+            .map(|(id, _)| (id, Err(CudaError::Disconnected)))
+            .collect();
+        self.sink.reply_batch(self.key.0, dead);
+    }
 }
 
 enum WorkItem {
@@ -105,13 +202,17 @@ enum WorkItem {
 
 /// The runtime's service endpoint for multiplexed connections.
 pub struct MuxGateway {
+    /// For the relay hand-off, which outlives the call that makes it.
+    me: Weak<MuxGateway>,
     rt: Arc<NodeRuntime>,
     sink: ReplySink,
     /// channel key → state. BTreeMap so disconnects can range-scan a
     /// connection's channels and iteration order is deterministic.
-    channels: RankedMutex<BTreeMap<ChanKey, Arc<ChannelState>>>,
+    channels: RankedMutex<BTreeMap<ChanKey, Chan>>,
     workq: Sender<WorkItem>,
-    bind_slice: Duration,
+    /// [`NodeRuntime::offloads`], read once: with it off a new channel
+    /// costs nothing it did not cost before.
+    offloads: bool,
     /// Channels whose head launch found no free vGPU. They hold no worker
     /// while parked; releases and idle workers pull them back out.
     bind_waiters: RankedMutex<VecDeque<ChanKey>>,
@@ -132,12 +233,7 @@ impl MuxGateway {
     /// `sink` must be the reply sink of the reactor that will drive this
     /// gateway (create both with `ReplySink::channel()`).
     pub fn start(rt: Arc<NodeRuntime>, sink: ReplySink) -> (Arc<MuxGateway>, MuxGatewayHandle) {
-        let workers = match rt.config().mux_workers {
-            // Auto: one worker per vGPU keeps every slot servable, plus
-            // headroom so unbound/teardown work never waits on launches.
-            0 => rt.bindings().total_vgpus() + 4,
-            n => n,
-        };
+        let workers = rt.bindings().total_vgpus() + SPARE_WORKERS;
         let (gateway, rx) = MuxGateway::new(rt, sink);
         let mut pool = Vec::with_capacity(workers);
         for i in 0..workers {
@@ -155,14 +251,14 @@ impl MuxGateway {
 
     /// The gateway without its pool, plus the work queue's receiving end.
     fn new(rt: Arc<NodeRuntime>, sink: ReplySink) -> (Arc<MuxGateway>, Receiver<WorkItem>) {
-        let bind_slice = rt.config().mux_bind_slice;
         let (tx, rx) = unbounded();
-        let gateway = Arc::new(MuxGateway {
+        let gateway = Arc::new_cyclic(|me| MuxGateway {
+            me: me.clone(),
+            offloads: rt.offloads(),
             rt,
             sink,
             channels: RankedMutex::new(lock_rank::CONN_CHANNELS, BTreeMap::new()),
             workq: tx,
-            bind_slice,
             bind_waiters: RankedMutex::new(lock_rank::MUX_WAITERS, VecDeque::new()),
             idle_parkers: AtomicUsize::new(0),
         });
@@ -188,6 +284,15 @@ impl MuxGateway {
         }
     }
 
+    /// Tears a removed channel's context down and gives its local-service
+    /// slot back.
+    fn retire(&self, state: &ChannelState) {
+        service::teardown(&self.rt, &state.ctx);
+        if state.holds_slot {
+            self.rt.release_local_slot();
+        }
+    }
+
     /// Replies `Disconnected` to everything still queued on a dead channel.
     fn drain_dead(&self, conn: ConnId, state: &ChannelState) {
         let drained: Vec<(u64, CudaReply)> = {
@@ -202,28 +307,51 @@ impl MuxService for MuxGateway {
     fn on_request(&self, conn: ConnId, chan: u64, id: u64, call: CudaCall) {
         // Runs on the reactor thread: enqueue and get out. Context creation
         // (first call on a channel) is the only heavier step and is a
-        // bounded map-insert + registry insert.
+        // bounded map-insert + registry insert — plus, for a channel this
+        // node offloads, one thread spawn; the connect is that thread's.
         let key = (conn, chan);
+        RuntimeMetrics::bump(&self.rt.metrics_ref().mux_requests);
         let state = {
             let mut channels = self.channels.lock();
             match channels.get(&key) {
-                Some(s) => Arc::clone(s),
+                Some(Chan::Local(s)) => Arc::clone(s),
+                Some(Chan::Relayed(relay)) => {
+                    // Under the map lock, so the relay's final drain (which
+                    // removes the key first) misses nothing.
+                    let _ = relay.send((id, call));
+                    return;
+                }
                 None => {
                     let ctx = self.rt.new_context(format!("mux-{conn}-{chan}"));
                     RuntimeMetrics::bump(&self.rt.metrics_ref().mux_channels);
+                    // §4.7: a stream a peer relayed here is served
+                    // unconditionally; any other new one needs a slot.
+                    let holds_slot = self.offloads && !matches!(call, CudaCall::Offloaded);
+                    if holds_slot && !self.rt.try_keep_local() {
+                        let (relay, calls) = unbounded();
+                        channels.insert(key, Chan::Relayed(relay));
+                        // The thread spawn need not hold the map.
+                        drop(channels);
+                        let gateway = self.me.clone();
+                        let sink = self.sink.clone();
+                        let relayed =
+                            RelayedChannel { gateway, key, calls, sink, awaiting: Some(id) };
+                        self.rt.offload(ctx, Box::new(relayed), call);
+                        return;
+                    }
                     let state = Arc::new(ChannelState {
                         ctx,
                         queue: RankedMutex::new(
                             lock_rank::CHAN_QUEUE,
                             ChanQueue { calls: VecDeque::new(), scheduled: false },
                         ),
+                        holds_slot,
                     });
-                    channels.insert(key, Arc::clone(&state));
+                    channels.insert(key, Chan::Local(Arc::clone(&state)));
                     state
                 }
             }
         };
-        RuntimeMetrics::bump(&self.rt.metrics_ref().mux_requests);
         let schedule = {
             let mut q = state.queue.lock();
             q.calls.push_back((id, call));
@@ -243,7 +371,14 @@ impl MuxService for MuxGateway {
             let mut channels = self.channels.lock();
             let keys: Vec<ChanKey> =
                 channels.range((conn, 0)..=(conn, u64::MAX)).map(|(k, _)| *k).collect();
-            keys.into_iter().filter_map(|k| channels.remove(&k)).collect()
+            // A relayed channel's sender drops here: its relay thread sees
+            // the hang-up and does that context's teardown itself.
+            keys.into_iter()
+                .filter_map(|k| match channels.remove(&k) {
+                    Some(Chan::Local(state)) => Some(state),
+                    _ => None,
+                })
+                .collect()
         };
         if !removed.is_empty() {
             let _ = self.workq.send(WorkItem::Teardown(removed));
@@ -286,7 +421,7 @@ fn worker_loop(g: &MuxGateway, rx: &Receiver<WorkItem>) {
                 if g.idle_parkers.load(Ordering::Relaxed) < MAX_IDLE_PARKERS {
                     if let Some(key) = g.pop_waiter() {
                         g.idle_parkers.fetch_add(1, Ordering::Relaxed);
-                        serve_channel(g, key, g.bind_slice);
+                        serve_channel(g, key, BIND_SLICE);
                         g.idle_parkers.fetch_sub(1, Ordering::Relaxed);
                         continue;
                     }
@@ -306,7 +441,7 @@ fn worker_loop(g: &MuxGateway, rx: &Receiver<WorkItem>) {
                     // (the sink drops them anyway) — just release what
                     // the context holds. Waits on the service lock until
                     // any in-flight call finishes.
-                    service::teardown(&g.rt, &state.ctx);
+                    g.retire(&state);
                 }
                 // Teardown released vGPUs: let a parked launch at them.
                 g.kick_waiter();
@@ -323,12 +458,10 @@ fn worker_loop(g: &MuxGateway, rx: &Receiver<WorkItem>) {
 /// bounds how long a launch may park in the dispatcher's wait queue before
 /// the channel is handed back.
 fn serve_channel(g: &MuxGateway, key: ChanKey, bind_slice: Duration) {
-    let Some(state) = ({
-        let channels = g.channels.lock();
-        channels.get(&key).map(Arc::clone)
-    }) else {
+    let state = match g.channels.lock().get(&key) {
+        Some(Chan::Local(state)) => Arc::clone(state),
         // Torn down between scheduling and service: nothing to do.
-        return;
+        _ => return,
     };
     let conn = key.0;
     let mut replies: Vec<(u64, CudaReply)> = Vec::new();
@@ -406,9 +539,9 @@ fn serve_channel(g: &MuxGateway, key: ChanKey, bind_slice: Duration) {
             // Remove-then-teardown; a racing disconnect may have won the
             // removal, in which case it owns the teardown.
             let removed = g.channels.lock().remove(&key);
-            if let Some(owned) = removed {
+            if let Some(Chan::Local(owned)) = removed {
                 g.drain_dead(conn, &owned);
-                service::teardown(&g.rt, &owned.ctx);
+                g.retire(&owned);
             }
         }
         if g.rt.metrics_ref().unbindings.load(Ordering::Relaxed) != unbound_before {
@@ -675,7 +808,10 @@ mod tests {
         assert!(workq.is_empty());
         assert_eq!(*gw.bind_waiters.lock(), [(1, 1)]);
         {
-            let state = gw.channels.lock().get(&(1, 1)).cloned().unwrap();
+            let state = match gw.channels.lock().get(&(1, 1)) {
+                Some(Chan::Local(state)) => Arc::clone(state),
+                _ => panic!("the channel is served here"),
+            };
             let q = state.queue.lock();
             assert!(q.scheduled);
             assert!(q.calls.iter().map(|(id, _)| *id).eq(2..5));
@@ -691,6 +827,48 @@ mod tests {
         assert!(late.iter().all(|(_, r)| r.is_ok()), "{late:?}");
         gw.on_request(1, 1, 5, CudaCall::Exit);
         run_queue(&gw, &workq);
+        rt.shutdown();
+    }
+
+    #[test]
+    fn relayed_channel_is_forwarded_in_order_and_leaves_the_map_when_its_relay_ends() {
+        let (rt, gw, workq, mut client) = poolless_gateway(RuntimeConfig::default());
+        let key = (1, 2);
+        // What `on_request` sets up for a channel it offloads, by hand: the
+        // test is the relay thread.
+        let open_relay = || {
+            let (relay, calls) = unbounded();
+            gw.channels.lock().insert(key, Chan::Relayed(relay));
+            let (gateway, sink) = (Arc::downgrade(&gw), gw.sink.clone());
+            RelayedChannel { gateway, key, calls, sink, awaiting: None }
+        };
+        let mut conn = open_relay();
+        for (id, call) in [malloc(), CudaCall::Exit, malloc()].into_iter().enumerate() {
+            gw.on_request(1, 2, id as u64, call);
+        }
+        assert!(workq.is_empty(), "a relayed channel's calls never reach the pool");
+        assert!(matches!(conn.recv(), Some(CudaCall::Malloc { .. })));
+        assert!(conn.send(Ok(ReplyValue::Unit)));
+        assert!(!conn.send(Ok(ReplyValue::Unit)), "one reply per call");
+        assert!(matches!(conn.recv_timeout(Duration::ZERO), RecvOutcome::Call(CudaCall::Exit)));
+        assert!(conn.send(Ok(ReplyValue::Unit)));
+        // The relay ends at Exit: what was queued behind it is told so, and
+        // the key is free again.
+        drop(conn);
+        let replies = read_replies(&mut client, 3);
+        assert!(replies.iter().map(|(id, _)| *id).eq(0..3));
+        assert_eq!(replies[2].1, Err(CudaError::Disconnected));
+        assert_eq!(gw.channel_count(), 0);
+
+        // A client that vanishes hangs the relay up; the teardown is the
+        // relay's, so the pool is handed nothing.
+        let mut conn = open_relay();
+        gw.on_disconnect(1);
+        assert_eq!(gw.channel_count(), 0);
+        assert!(workq.is_empty());
+        assert!(conn.recv().is_none());
+        assert!(matches!(conn.recv_timeout(Duration::ZERO), RecvOutcome::Closed));
+        drop(conn);
         rt.shutdown();
     }
 

@@ -10,8 +10,10 @@ use crate::policy::LeaseBook;
 use crate::sched::BindingManager;
 use crate::service;
 use crate::trace::{TraceEvent, Tracer};
-use mtgpu_api::transport::{channel_pair, ChannelTransport, FrontendClient, ServerConn};
-use mtgpu_api::{CudaError, CudaReply, Transport};
+use mtgpu_api::transport::{
+    channel_pair, ChannelTransport, FrontendClient, MuxConnection, ServerConn,
+};
+use mtgpu_api::Transport;
 use mtgpu_gpusim::{DeviceId, Driver, GpuSpec};
 use mtgpu_simtime::{lock_rank, Clock, RankedMutex, Shadow};
 use serde::{Deserialize, Serialize};
@@ -94,9 +96,7 @@ impl NodeRuntime {
             MemoryConfig {
                 defer_transfers: cfg.defer_transfers,
                 coalesce_transfers: cfg.coalesce_transfers,
-                intra_app_swap: cfg.intra_app_swap,
                 pipelined_transfers: cfg.pipelined_transfers,
-                max_inflight_transfers: cfg.max_inflight_transfers,
                 max_ptes_per_context: cfg.max_ptes_per_context,
                 swap_capacity: cfg.swap_capacity,
                 eviction_policy: cfg.eviction_policy,
@@ -271,8 +271,11 @@ impl NodeRuntime {
 
     /// Current load, for cluster-level scheduling and offload decisions.
     pub fn load(&self) -> LoadInfo {
+        // Its own statement: the registry guard must be gone before the
+        // dispatcher's (lower-ranked) locks are taken below.
+        let registered = self.registry.lock().len();
         LoadInfo {
-            contexts: self.active_conns.load(Ordering::SeqCst).max(self.registry.lock().len()),
+            contexts: self.active_conns.load(Ordering::SeqCst).max(registered),
             waiting: self.bm.waiting_count(),
             bound: self.bm.bound_count(),
             total_vgpus: self.bm.total_vgpus(),
@@ -284,15 +287,49 @@ impl NodeRuntime {
     /// call arrives while the backlog exceeds the offload threshold (§4.7).
     pub fn connect(self: &Arc<Self>, conn: Box<dyn ServerConn>) {
         self.active_conns.fetch_add(1, Ordering::SeqCst);
+        self.spawn_handler("mtgpu-conn", move |rt| {
+            service::serve_connection(rt, conn);
+            rt.active_conns.fetch_sub(1, Ordering::SeqCst);
+        });
+    }
+
+    /// Runs `serve` on a handler thread of its own, joined at shutdown.
+    fn spawn_handler(
+        self: &Arc<Self>,
+        name: &str,
+        serve: impl FnOnce(&Arc<NodeRuntime>) + Send + 'static,
+    ) {
         let rt = Arc::clone(self);
         let handle = std::thread::Builder::new()
-            .name("mtgpu-conn".into())
-            .spawn(move || {
-                service::serve_connection(Arc::clone(&rt), conn);
-                rt.active_conns.fetch_sub(1, Ordering::SeqCst);
-            })
+            .name(name.into())
+            .spawn(move || serve(&rt))
             .expect("spawn connection handler");
-        self.handlers.lock().push(handle);
+        let mut handlers = self.handlers.lock();
+        handlers.retain(|h| !h.is_finished());
+        handlers.push(handle);
+    }
+
+    /// Hands a stream this node declined to keep (its first call `first`
+    /// already read, [`Self::try_keep_local`] already failed) to a relay
+    /// thread of its own: the connect to the peer and the stream's whole
+    /// lifetime stay off the caller's thread — the gateway calls this from
+    /// the reactor, and a pool worker per relayed stream would let two
+    /// nodes offloading to each other exhaust both pools.
+    pub(crate) fn offload(
+        self: &Arc<Self>,
+        ctx: Arc<AppContext>,
+        conn: Box<dyn ServerConn>,
+        first: mtgpu_api::CudaCall,
+    ) {
+        self.spawn_handler("mtgpu-relay", move |rt| {
+            service::serve_offloaded(rt, &ctx, conn, first)
+        });
+    }
+
+    /// Whether §4.7 offloading is configured (a threshold and a peer to
+    /// send to); when not, every connection is served here unconditionally.
+    pub(crate) fn offloads(&self) -> bool {
+        self.cfg.offload_threshold.is_some() && !self.cfg.offload_peers.is_empty()
     }
 
     /// Tries to claim a local-service slot for a new connection; `false`
@@ -316,43 +353,36 @@ impl NodeRuntime {
     }
 
     /// Relays a connection (whose first call has already been read) to a
-    /// peer node over TCP. Returns the connection back if no peer is
-    /// reachable, so the caller serves it locally.
+    /// peer node's endpoint, over a connection of its own: closing it when
+    /// the stream ends — Exit or a vanished client — is what tears the
+    /// peer's context down. Peers are tried once each, starting at the
+    /// round-robin index; the first call comes back if none is reachable,
+    /// so the caller serves the stream locally.
     pub(crate) fn relay(
         &self,
         ctx: CtxId,
-        mut conn: Box<dyn ServerConn>,
+        conn: &mut dyn ServerConn,
         first: mtgpu_api::CudaCall,
-    ) -> Result<(), (Box<dyn ServerConn>, mtgpu_api::CudaCall)> {
-        let idx = self.offload_rr.fetch_add(1, Ordering::Relaxed) as usize;
-        let peer = self.cfg.offload_peers[idx % self.cfg.offload_peers.len()].clone();
-        let mut transport = match mtgpu_api::transport::TcpTransport::connect(peer.as_str()) {
-            Ok(t) => t,
-            Err(_) => return Err((conn, first)),
-        };
+    ) -> Result<(), mtgpu_api::CudaCall> {
+        let peers = &self.cfg.offload_peers;
+        let start = self.offload_rr.fetch_add(1, Ordering::Relaxed) as usize;
+        // The connection's one channel; the socket closes when it drops.
+        let dialed = (0..peers.len()).map(|i| &peers[(start + i) % peers.len()]).find_map(|peer| {
+            MuxConnection::connect(peer.as_str()).ok().map(|link| (peer, link.channel()))
+        });
+        let Some((peer, mut transport)) = dialed else { return Err(first) };
         RuntimeMetrics::bump(&self.metrics.offloaded_connections);
         self.tracer.record(TraceEvent::Offloaded { ctx, peer: peer.clone() });
-        // This connection no longer consumes local capacity.
-        self.active_conns.fetch_sub(1, Ordering::SeqCst);
         // Mark the relayed stream so the peer never re-offloads it.
         let _ = transport.roundtrip(mtgpu_api::CudaCall::Offloaded);
         let mut next = Some(first);
-        loop {
-            let call = match next.take() {
-                Some(c) => c,
-                None => match conn.recv() {
-                    Some(c) => c,
-                    None => break,
-                },
-            };
+        while let Some(call) = next.take().or_else(|| conn.recv()) {
             let done = matches!(call, mtgpu_api::CudaCall::Exit);
-            let reply: CudaReply = transport.roundtrip(call);
-            let sent = conn.send(reply);
+            let sent = conn.send(transport.roundtrip(call));
             if !sent || done {
                 break;
             }
         }
-        self.active_conns.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }
 
@@ -413,8 +443,7 @@ impl NodeRuntime {
     /// relayed to a peer before any work happened).
     pub(crate) fn drop_context_of(&self, ctx: &Arc<AppContext>) {
         self.mm.remove_ctx(ctx.id, None);
-        self.policy.release_ctx(ctx.id);
-        self.registry.lock().remove(&ctx.id);
+        self.drop_context(ctx.id);
     }
 
     /// Number of live application contexts (connections whose handler has
@@ -476,10 +505,4 @@ impl std::fmt::Debug for NodeRuntime {
             .field("contexts", &self.registry.lock().len())
             .finish()
     }
-}
-
-/// Convenience: map an error when a reply is needed in offload paths.
-#[allow(dead_code)]
-fn disconnected() -> CudaError {
-    CudaError::Disconnected
 }

@@ -21,9 +21,8 @@
 //! notifies exactly the granted waiter's private condvar instead of the
 //! seed implementation's global `notify_all` (under which every release
 //! woke *all* W parked waiters, each re-locking the global mutex and
-//! re-running an O(W) grant scan — O(W²) wasted work per release). The
-//! baseline survives as [`legacy::LegacyBindingManager`] for
-//! `benches/dispatch.rs`.
+//! re-running an O(W) grant scan — O(W²) wasted work per release; its last
+//! measured throughput is in EXPERIMENTS.md, *Retired baselines*).
 //!
 //! Placement still sees a consistent cross-device view: each shard
 //! maintains lock-free `free`/`bound` hint counters, and
@@ -42,8 +41,6 @@
 //! in a `BTreeMap` and are always drained/nudged in ascending device-id
 //! order, and tie-breaks draw from the same seeded [`DetRng`] stream (or
 //! rotating cursor) as the seed implementation.
-
-pub mod legacy;
 
 use crate::config::SchedulerPolicy;
 use crate::ctx::{AppContext, Binding, CtxId, VGpuId};

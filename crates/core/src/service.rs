@@ -1,9 +1,11 @@
 //! Per-connection service: the dispatcher's call handling (§4.3) and the
 //! launch path with its memory-pressure escalation ladder (§4.5).
 //!
-//! Each accepted connection is served by one handler thread (the paper's
-//! "each dispatcher thread processes a different connection"). Calls are
-//! handled as Table 1 specifies:
+//! Each in-process connection is served by one handler thread (the paper's
+//! "each dispatcher thread processes a different connection"); channels
+//! arriving over the wire are served by the gateway's worker pool
+//! ([`crate::mux`]) through the same [`handle_call`]. Calls are handled as
+//! Table 1 specifies:
 //!
 //! 1. registration functions are absorbed before any binding exists;
 //! 2. device-management functions are serviced and overridden to hide the
@@ -41,79 +43,98 @@ const ACQUIRE_SLICE: Duration = Duration::from_millis(50);
 /// not thrash the device while others finish.
 const RETRY_BACKOFF: Duration = Duration::from_millis(2);
 
-/// Serves one connection to completion. Runs on its own handler thread.
+/// Real-time tick at which an in-process connection's service loop looks up
+/// from an idle stream to notice shutdown.
+const SERVICE_TICK: Duration = Duration::from_millis(2);
+
+/// Serves one in-process connection to completion. Runs on its own handler
+/// thread.
 ///
 /// The offload decision (§4.7) is made when the first call arrives: if the
 /// local backlog exceeds the threshold and the connection was not itself
 /// relayed from a peer (no [`CudaCall::Offloaded`] marker), the handler
-/// turns into a relay toward a peer node.
-pub(crate) fn serve_connection(rt: Arc<NodeRuntime>, mut conn: Box<dyn ServerConn>) {
-    let mut first_call = true;
-    let mut arrived_offloaded = false;
-    let mut holds_slot = false;
+/// turns into a relay toward a peer node ([`serve_offloaded`], the same loop
+/// the gateway hands its over-threshold channels to).
+pub(crate) fn serve_connection(rt: &Arc<NodeRuntime>, mut conn: Box<dyn ServerConn>) {
     let ctx = rt.new_context(conn.peer());
-    loop {
-        match conn.recv_timeout(rt.config().service_tick) {
-            RecvOutcome::Closed => break,
-            RecvOutcome::Idle => {
-                if rt.is_shutdown() {
-                    break;
-                }
-            }
-            RecvOutcome::Call(call) => {
-                if matches!(call, CudaCall::Offloaded) {
-                    // A peer relayed this connection to us: serve it
-                    // unconditionally (never re-offload).
-                    arrived_offloaded = true;
-                    first_call = false;
-                    if !conn.send(Ok(ReplyValue::Unit)) {
-                        break;
-                    }
-                    continue;
-                }
-                if first_call {
-                    first_call = false;
-                    if !arrived_offloaded && !rt.try_keep_local() {
-                        match rt.relay(ctx.id, conn, call) {
-                            Ok(()) => {
-                                // The relay ran the connection to completion.
-                                rt.drop_context_of(&ctx);
-                                return;
-                            }
-                            Err((returned_conn, returned_call)) => {
-                                // No peer reachable: serve locally anyway.
-                                rt.force_keep_local();
-                                holds_slot = true;
-                                conn = returned_conn;
-                                let is_exit = matches!(returned_call, CudaCall::Exit);
-                                let reply = {
-                                    let _guard = ctx.service_lock();
-                                    handle_call(&rt, &ctx, returned_call)
-                                };
-                                if !conn.send(reply) || is_exit {
-                                    break;
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                    holds_slot = !arrived_offloaded;
-                }
-                let is_exit = matches!(call, CudaCall::Exit);
-                let reply = {
-                    let _guard = ctx.service_lock();
-                    handle_call(&rt, &ctx, call)
-                };
-                if !conn.send(reply) || is_exit {
-                    break;
-                }
-            }
-        }
+    let Some(first) = next_call(rt, conn.as_mut()) else {
+        return teardown(rt, &ctx);
+    };
+    // A stream a peer relayed to us is served unconditionally (never
+    // re-offloaded) and is not charged against the local slot budget.
+    let holds_slot = !matches!(first, CudaCall::Offloaded);
+    if holds_slot && !rt.try_keep_local() {
+        return serve_offloaded(rt, &ctx, conn, first);
     }
+    serve_local(rt, &ctx, conn.as_mut(), first);
     if holds_slot {
         rt.release_local_slot();
     }
-    teardown(&rt, &ctx);
+    teardown(rt, &ctx);
+}
+
+/// Serves a stream this node declined to keep (§4.7), on the calling thread:
+/// relays it to a peer, or — no peer reachable — serves it here after all,
+/// over the slot budget.
+pub(crate) fn serve_offloaded(
+    rt: &Arc<NodeRuntime>,
+    ctx: &Arc<AppContext>,
+    mut conn: Box<dyn ServerConn>,
+    first: CudaCall,
+) {
+    // Either way the connection goes before the context (a gateway channel
+    // leaves the gateway's map as it drops), so a drained registry means
+    // nothing of the stream is left anywhere.
+    match rt.relay(ctx.id, conn.as_mut(), first) {
+        // The relay ran the stream to completion; the context never served
+        // a call here.
+        Ok(()) => {
+            drop(conn);
+            rt.drop_context_of(ctx);
+        }
+        Err(first) => {
+            rt.force_keep_local();
+            serve_local(rt, ctx, conn.as_mut(), first);
+            drop(conn);
+            rt.release_local_slot();
+            teardown(rt, ctx);
+        }
+    }
+}
+
+/// The next call of a stream served on a thread of its own; `None` once the
+/// peer is gone or the runtime is shutting down.
+fn next_call(rt: &NodeRuntime, conn: &mut dyn ServerConn) -> Option<CudaCall> {
+    loop {
+        match conn.recv_timeout(SERVICE_TICK) {
+            RecvOutcome::Call(call) => return Some(call),
+            RecvOutcome::Closed => return None,
+            RecvOutcome::Idle if rt.is_shutdown() => return None,
+            RecvOutcome::Idle => {}
+        }
+    }
+}
+
+/// Executes a stream's calls in order on the calling thread, starting with
+/// `first`, until Exit, disconnect or shutdown. Launches wait for a vGPU
+/// inside the dispatcher's policy-ordered queue for as long as it takes.
+fn serve_local(
+    rt: &NodeRuntime,
+    ctx: &Arc<AppContext>,
+    conn: &mut dyn ServerConn,
+    first: CudaCall,
+) {
+    let mut next = Some(first);
+    while let Some(call) = next.take().or_else(|| next_call(rt, conn)) {
+        let is_exit = matches!(call, CudaCall::Exit);
+        let reply = {
+            let _guard = ctx.service_lock();
+            handle_call(rt, ctx, call)
+        };
+        if !conn.send(reply) || is_exit {
+            break;
+        }
+    }
 }
 
 /// Releases everything a finished/disconnected context holds.
@@ -349,7 +370,7 @@ fn handle_launch(rt: &NodeRuntime, ctx: &Arc<AppContext>, spec: LaunchSpec) -> C
 }
 
 /// The delayed-binding launch path. `bind_slice: None` re-arms binding
-/// acquisition until shutdown (the legacy handler-thread behaviour);
+/// acquisition until shutdown (a dedicated handler or relay thread);
 /// `Some(slice)` makes every vGPU wait bounded and surfaces
 /// [`CallOutcome::WouldBlock`] instead of parking the calling thread.
 fn handle_launch_bounded(

@@ -188,6 +188,22 @@ fn table1_error_paths() {
 }
 
 #[test]
+fn load_counts_connected_and_bound_contexts() {
+    // Debug builds check lock order: `load()` once read the dispatcher's
+    // counters with the registry guard still alive, which killed a debug
+    // `node_daemon` at its first load report.
+    let rt = test_runtime(1, RuntimeConfig::paper_default());
+    let mut c = rt.local_client();
+    register(&mut c);
+    let p = c.malloc(64).unwrap();
+    c.launch(launch("fill", vec![KernelArg::Ptr(p), KernelArg::Scalar(7)], 1e3)).unwrap();
+    let load = rt.load();
+    assert_eq!((load.contexts, load.bound, load.waiting, load.total_vgpus), (1, 1, 0, 4));
+    c.exit().unwrap();
+    rt.shutdown();
+}
+
+#[test]
 fn set_device_is_ignored_and_count_reports_vgpus() {
     let rt = test_runtime(2, RuntimeConfig::paper_default());
     let mut c = rt.local_client();

@@ -1,16 +1,16 @@
-//! Open- and closed-loop multi-tenant drivers over the real TCP transport.
+//! Open- and closed-loop multi-tenant drivers over the node's TCP endpoint.
 //!
 //! Each tenant is a thread issuing catalog workloads (Table 2, tiny scale)
-//! against a freshly started node daemon, over one of two wire paths:
+//! against a freshly started node daemon. Both modes speak the one wire the
+//! node has (DESIGN.md §12); they differ in who owns the socket:
 //!
-//! * **Reconnect** (the default baseline): one fresh TCP connection per
-//!   request, so every request walks the whole connection-manager hot path —
-//!   accept, handler spawn, dispatch/bind, run, unbind, teardown.
+//! * **Reconnect** (the default): one fresh connection per request, so
+//!   every request walks the whole connection path — accept, channel and
+//!   context creation, dispatch/bind, run, unbind, teardown on hang-up.
 //! * **Persistent** ([`LoadgenConfig::persistent`]): tenants share a pool of
-//!   long-lived multiplexed connections to the node's reactor endpoint
-//!   (DESIGN.md §12); each request opens a fresh *channel* on a pooled
-//!   socket, so connection setup/teardown leaves the per-request path and
-//!   many tenants share one socket.
+//!   long-lived connections; each request opens a fresh *channel* on a
+//!   pooled socket, so connection setup/teardown leaves the per-request
+//!   path and many tenants share one socket.
 //!
 //! Closed loop issues the next request the moment the previous one finishes
 //! (dispatcher saturation); open loop paces requests at an aggregate offered
@@ -19,7 +19,7 @@
 
 use crate::hist::LatencyHistogram;
 use crate::report::{fairness_ratio, LoadReport, TenantReport};
-use mtgpu_api::transport::{MuxPool, TcpTransport};
+use mtgpu_api::transport::{MuxChannel, MuxConnection, MuxPool};
 use mtgpu_api::{CudaClient, FrontendClient};
 use mtgpu_cluster::ClusterNode;
 use mtgpu_core::RuntimeConfig;
@@ -45,7 +45,8 @@ pub enum Mode {
 #[derive(Debug, Clone)]
 pub struct LoadgenConfig {
     pub mode: Mode,
-    /// Concurrent tenants (one thread + one TCP connection per request).
+    /// Concurrent tenants (one thread each; one connection per request
+    /// unless `persistent`).
     pub clients: usize,
     pub requests_per_client: usize,
     /// Seed for workload draws and the runtime dispatcher.
@@ -57,8 +58,8 @@ pub struct LoadgenConfig {
     /// default makes simulated kernel time nearly free so wall latency is
     /// dominated by the runtime's own dispatch path.
     pub clock_scale: f64,
-    /// Drive the multiplexed endpoint over persistent pooled connections
-    /// instead of reconnecting per request.
+    /// Share persistent pooled connections instead of reconnecting per
+    /// request.
     pub persistent: bool,
     /// Pooled connections in persistent mode; 0 = one per client.
     pub connections: usize,
@@ -88,6 +89,10 @@ impl LoadgenConfig {
     }
 }
 
+/// How long a finished run waits for the node's last contexts to tear down
+/// before it snapshots the runtime counters.
+pub(crate) const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
+
 struct TenantOutcome {
     hist: LatencyHistogram,
     completed: u64,
@@ -95,15 +100,23 @@ struct TenantOutcome {
     makespan_nanos: u64,
 }
 
-/// One request: register, run the workload, exit. `client` is either a
-/// fresh TCP connection (reconnect mode) or a fresh channel on a pooled
-/// multiplexed socket (persistent mode). Returns an error string on any
-/// failure, including a wrong result.
-fn run_request<C: CudaClient>(
-    mut client: C,
+/// The one channel of a fresh connection to the node; the socket closes
+/// with it.
+pub(crate) fn fresh_connection(addr: SocketAddr) -> Result<MuxChannel, String> {
+    MuxConnection::connect(addr).map(|conn| conn.channel()).map_err(|e| format!("connect: {e}"))
+}
+
+/// One request on `channel` (a [`fresh_connection`] in reconnect mode, a
+/// fresh channel on a pooled socket in persistent mode): register, run the
+/// workload, exit. Launches are pipelined — the workloads never read a
+/// launch reply. Returns an error string on any failure, including a wrong
+/// result.
+pub(crate) fn run_request(
+    channel: MuxChannel,
     job: &dyn Workload,
     clock: &Clock,
 ) -> Result<(), String> {
+    let mut client = FrontendClient::new(channel).with_pipelining();
     register_workload(&mut client, job).map_err(|e| format!("register: {e}"))?;
     let report = job.run(&mut client, clock).map_err(|e| format!("{}: {e}", job.name()))?;
     client.exit().map_err(|e| format!("exit: {e}"))?;
@@ -120,19 +133,17 @@ fn issue(
     job: &dyn Workload,
     clock: &Clock,
 ) -> Result<(), String> {
-    // Both modes opt into launch pipelining — the workloads never read a
-    // launch reply — so reconnect vs persistent compares transports, not
-    // client-side batching policies.
-    match pool {
-        Some(pool) => {
-            run_request(FrontendClient::new(pool.channel()).with_pipelining(), job, clock)
+    let channel = match pool {
+        Some(pool) => pool.channel(),
+        None => fresh_connection(addr)?,
+    };
+    run_request(channel, job, clock).map_err(|e| {
+        if cfg.persistent {
+            format!("persistent: {e}")
+        } else {
+            e
         }
-        None => {
-            let transport = TcpTransport::connect(addr).map_err(|e| format!("connect: {e}"))?;
-            run_request(FrontendClient::new(transport).with_pipelining(), job, clock)
-        }
-    }
-    .map_err(|e| if cfg.persistent { format!("persistent: {e}") } else { e })
+    })
 }
 
 fn tenant_loop(
@@ -186,7 +197,7 @@ pub fn run_load(cfg: &LoadgenConfig) -> LoadReport {
     let rt_cfg =
         RuntimeConfig::paper_default().with_vgpus(cfg.vgpus_per_device).with_seed(cfg.seed);
     let node = ClusterNode::start("loadgen".into(), clock.clone(), specs, rt_cfg, true);
-    let addr = node.addr().expect("listening node");
+    let addr = node.mux_addr().expect("listening node");
     let pool: Option<Arc<MuxPool>> = if cfg.persistent {
         let conns = if cfg.connections == 0 { cfg.clients } else { cfg.connections };
         Some(Arc::new(node.mux_pool(conns).expect("connect mux pool")))
@@ -233,6 +244,9 @@ pub fn run_load(cfg: &LoadgenConfig) -> LoadReport {
         Mode::Closed => tenants.iter().map(|t| t.makespan_nanos).collect(),
         Mode::Open { .. } => tenants.iter().map(|t| t.completed).collect(),
     };
+    // An Exit is answered before its context's teardown: let the last ones
+    // finish, so the snapshot is the drained node's.
+    node.runtime().wait_idle(DRAIN_TIMEOUT);
     let runtime = node.metrics();
     let pooled_conns = pool.as_ref().map_or(0, |p| p.len());
     drop(pool);

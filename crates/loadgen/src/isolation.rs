@@ -16,15 +16,15 @@
 //! over-quota grants), and its spam cannot degrade honest tail latency
 //! beyond a fixed ratio.
 
+use crate::driver::{fresh_connection, run_request, DRAIN_TIMEOUT};
 use crate::hist::{LatencyHistogram, LatencySummary};
 use crate::report::fairness_ratio;
-use mtgpu_api::transport::TcpTransport;
 use mtgpu_api::{CudaClient, CudaError, FrontendClient};
 use mtgpu_cluster::ClusterNode;
 use mtgpu_core::{GpuLease, MetricsSnapshot, RuntimeConfig, TenantPolicyConfig};
 use mtgpu_gpusim::GpuSpec;
 use mtgpu_simtime::{Clock, DetRng};
-use mtgpu_workloads::{catalog, register_workload};
+use mtgpu_workloads::catalog;
 use serde::{Deserialize, Serialize};
 use std::net::SocketAddr;
 use std::time::Instant;
@@ -253,21 +253,15 @@ fn honest_loop(
         let job = kind.build(mtgpu_workloads::calib::Scale::TINY);
         // mtlint: allow(wall-clock, reason = "per-request latency epoch for the isolation measurement")
         let started = Instant::now();
-        let ok = (|| -> Result<bool, String> {
-            let transport = TcpTransport::connect(addr).map_err(|e| format!("connect: {e}"))?;
-            let mut client = FrontendClient::new(transport).with_pipelining();
-            register_workload(&mut client, job.as_ref()).map_err(|e| format!("register: {e}"))?;
-            let report = job.run(&mut client, clock).map_err(|e| format!("{}: {e}", job.name()))?;
-            client.exit().map_err(|e| format!("exit: {e}"))?;
-            Ok(report.verified)
-        })();
-        match ok {
-            Ok(true) => {
+        let served =
+            fresh_connection(addr).and_then(|channel| run_request(channel, job.as_ref(), clock));
+        match served {
+            Ok(()) => {
                 out.completed += 1;
                 out.hist.record(started.elapsed().as_nanos() as u64);
                 out.makespan_nanos = t0.elapsed().as_nanos() as u64;
             }
-            _ => out.errors += 1,
+            Err(_) => out.errors += 1,
         }
     }
     out
@@ -280,11 +274,11 @@ fn hostile_loop(tenant: usize, cfg: &IsolationConfig, addr: SocketAddr) -> Hosti
     let app = hostile_app(tenant);
     let mut out = HostileReport::default();
     for _ in 0..cfg.hostile_iterations {
-        let Ok(transport) = TcpTransport::connect(addr) else {
+        let Ok(channel) = fresh_connection(addr) else {
             out.errors += 1;
             continue;
         };
-        let mut client = FrontendClient::new(transport);
+        let mut client = FrontendClient::new(channel);
         if let Err(e) = client.set_application(app) {
             // Adoption can only bounce off our own single-context cap if a
             // previous incarnation is still tearing down; retry next spin.
@@ -297,8 +291,8 @@ fn hostile_loop(tenant: usize, cfg: &IsolationConfig, addr: SocketAddr) -> Hosti
         }
         // Probe the context cap: a second thread of this application must
         // be refused while the first holds the single-context lease.
-        if let Ok(probe_tp) = TcpTransport::connect(addr) {
-            let mut probe = FrontendClient::new(probe_tp);
+        if let Ok(probe_channel) = fresh_connection(addr) {
+            let mut probe = FrontendClient::new(probe_channel);
             match probe.set_application(app) {
                 Err(CudaError::QuotaExceeded(_)) => out.context_cap_rejections += 1,
                 Err(_) => out.errors += 1,
@@ -349,7 +343,7 @@ fn run_pass(cfg: &IsolationConfig, with_hostile: bool) -> (PassReport, HostileRe
         .with_seed(cfg.seed)
         .with_tenant_policy(cfg.policy());
     let node = ClusterNode::start("isolation".into(), clock.clone(), specs, rt_cfg, true);
-    let addr = node.addr().expect("listening node");
+    let addr = node.mux_addr().expect("listening node");
 
     let hostile_handles: Vec<_> = if with_hostile {
         (0..cfg.hostile_clients)
@@ -382,6 +376,8 @@ fn run_pass(cfg: &IsolationConfig, with_hostile: bool) -> (PassReport, HostileRe
         hostile.merge(&h.join().expect("hostile thread panicked"));
     }
 
+    // As in `run_load`: snapshot the drained node.
+    node.runtime().wait_idle(DRAIN_TIMEOUT);
     let runtime = node.metrics();
     node.shutdown();
 

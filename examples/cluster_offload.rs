@@ -32,7 +32,7 @@ fn main() {
         println!(
             "{} listening on {} with {} GPU(s)",
             node.name(),
-            node.addr().unwrap(),
+            node.mux_addr().unwrap(),
             node.gpu_count()
         );
     }

@@ -14,7 +14,7 @@ mkdir -p results
 # the workspace root.
 cargo bench -q -p mtgpu-bench --bench memory -- --gate 1.4 \
     --gate-makespan 1.2 --out "$PWD/results/BENCH_memory.json" "$@"
-# Dispatcher throughput plus the ranked-lock overhead gate: in release
+# Dispatcher churn throughput plus the ranked-lock overhead gate: in release
 # builds RankedMutex must cost no more than 1.02x the raw shim mutex (the
 # rank bookkeeping is #[cfg(debug_assertions)] and must compile out).
 # Since the mtcheck work this same 1.02x gate also covers the race-
@@ -23,11 +23,6 @@ cargo bench -q -p mtgpu-bench --bench memory -- --gate 1.4 \
 # #[cfg(debug_assertions)] and must vanish from release builds.
 cargo bench -q -p mtgpu-bench --bench dispatch -- --gate-rank 1.02 \
     --out "$PWD/results/BENCH_dispatch.json" "$@"
-# Transport gate: persistent multiplexed connections must beat the
-# reconnect-per-request baseline at 64 clients — ≥1.3x throughput at no
-# p99 cost — plus an ungated 1000-connection sustain case (full runs).
-cargo bench -q -p mtgpu-bench --bench loadgen -- --gate-throughput 1.3 \
-    --out "$PWD/results/BENCH_loadgen.json" "$@"
 # Migration gate: on the churned 4-device skewed mix the utilization
 # rebalancer must deliver ≥1.3x static-placement throughput at no p99
 # cost, with at least one live migration and no aborts. Virtual-clock

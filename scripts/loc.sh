@@ -1,0 +1,41 @@
+#!/usr/bin/env bash
+# Non-test Rust lines of the workspace: the ROADMAP's "tracked number that
+# should go down". Counts `src/` and `crates/*/src/`; leaves out `tests/`,
+# `benches/`, `examples/`, `shims/`, `#[cfg(test)]` modules, blank lines and
+# comment-only lines (doc comments included). One row per crate, then the
+# total. CI tier 0 prints it; CHANGES.md records it before/after each PR
+# that moves it.
+#
+# Usage: scripts/loc.sh [ROOT]   (default: this checkout)
+set -euo pipefail
+cd "${1:-$(dirname "$0")/..}"
+
+count() {
+    # A `#[cfg(test)]` attribute followed by a `mod` item opens a test
+    # module: skip to its closing brace (brace counting is exact enough —
+    # no test module here closes on a brace inside a string).
+    find "$@" -name '*.rs' -print0 | xargs -0 awk '
+        FNR == 1 { pending = 0; depth = 0 }
+        depth > 0 {
+            depth += gsub(/\{/, "{") - gsub(/\}/, "}")
+            next
+        }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { pending = 1; next }
+        pending && /^[[:space:]]*(pub )?mod [A-Za-z_0-9]+ *\{/ {
+            pending = 0
+            depth = gsub(/\{/, "{") - gsub(/\}/, "}")
+            next
+        }
+        { pending = 0 }
+        /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+        { n++ }
+        END { print n + 0 }'
+}
+
+total=0
+for dir in src crates/*/src; do
+    n=$(count "$dir")
+    total=$((total + n))
+    printf '%8d  %s\n' "$n" "${dir%/src}"
+done
+printf '%8d  total non-test Rust lines\n' "$total"

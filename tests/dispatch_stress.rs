@@ -1,19 +1,29 @@
-//! Dispatcher stress: many concurrent TCP tenants against one node.
+//! Dispatcher stress: many concurrent tenants against one node.
 //!
-//! Each tenant opens a real TCP connection per request (reconnect mode) or
-//! shares a pool of persistent multiplexed connections (persistent mode)
-//! and runs a catalog workload drawn from the seeded short pool, so the
-//! whole connection-manager hot path — accept, handler spawn or channel
-//! enqueue, dispatch/bind, launch, unbind, teardown — is exercised under
-//! heavy thread contention. A watchdog converts a dispatcher deadlock into
-//! a loud failure instead of a hung test run.
+//! Each tenant opens a real TCP connection to the node's endpoint per
+//! request (reconnect mode) or shares a pool of persistent connections
+//! (persistent mode) and runs a catalog workload drawn from the seeded short
+//! pool, so the whole serving path — accept, channel enqueue, dispatch/bind,
+//! launch, unbind, teardown — is exercised under heavy thread contention. A
+//! watchdog converts a dispatcher deadlock into a loud failure instead of a
+//! hung test run.
 //!
-//! The 256-client full version and the 10k-persistent-connection soak are
-//! `#[ignore]`d for ordinary `cargo test` and run by CI tier 4 under a
-//! hard timeout.
+//! Remote launches queue for vGPUs in the gateway (at most two of its
+//! workers are ever parked inside the dispatcher), so one case drives 256
+//! *in-process* clients instead: a parked handler thread each, which is what
+//! stresses the dispatcher's own wait queue and its targeted wakeups.
+//!
+//! The 256-client version over the wire and the 10k-persistent-connection
+//! soak are `#[ignore]`d for ordinary `cargo test` and run by CI tier 4
+//! under a hard timeout.
 
 use mtgpu::api::transport::MuxConnection;
 use mtgpu::api::{CudaClient, FrontendClient};
+use mtgpu::core::{NodeRuntime, RuntimeConfig};
+use mtgpu::gpusim::{Driver, GpuSpec};
+use mtgpu::simtime::Clock;
+use mtgpu::workloads::calib::Scale;
+use mtgpu::workloads::{draw_short_kinds, install_kernel_library, register_workload};
 use mtgpu_loadgen::{run_load, LoadReport, LoadgenConfig, Mode};
 use std::io::BufRead;
 use std::net::SocketAddr;
@@ -80,8 +90,7 @@ fn dispatch_stress_48_tcp_clients() {
 }
 
 /// Tier-2 persistent variant: the same 48-tenant contention, but over 8
-/// long-lived multiplexed connections through the reactor instead of one
-/// TCP connect per request.
+/// long-lived connections instead of one TCP connect per request.
 #[test]
 fn dispatch_stress_48_persistent_clients() {
     let cfg = LoadgenConfig {
@@ -105,8 +114,8 @@ fn dispatch_stress_48_persistent_clients() {
     );
 }
 
-/// The full 256-client stress of the issue: 16× overcommit of the node's
-/// vGPUs, mixed catalog workloads, real TCP transport. Run with
+/// The full 256-client stress: 16× overcommit of the node's vGPUs, mixed
+/// catalog workloads, one real TCP connection per request. Run with
 /// `cargo test --release --test dispatch_stress -- --ignored`.
 #[test]
 #[ignore = "heavy; run by CI tier 4 under a timeout"]
@@ -123,9 +132,48 @@ fn dispatch_stress_256_tcp_clients() {
     };
     let report = run_with_watchdog(cfg, Duration::from_secs(300));
     assert_clean(&report);
-    // 256 tenants over 16 slots: the run is only meaningful if the
-    // dispatcher actually parked and woke waiters.
-    assert!(report.runtime.targeted_wakeups > 0, "no waiter was ever parked: {:?}", report.runtime);
+    // 256 tenants over 16 slots: the run is only meaningful if launches
+    // actually found every vGPU taken and queued at the gateway.
+    assert!(report.runtime.mux_retries > 0, "no launch ever queued: {:?}", report.runtime);
+}
+
+/// 256 in-process clients over the same 16 slots: every launch that cannot
+/// bind parks its own handler thread inside the dispatcher's wait queue, so
+/// hundreds of waiters are parked at once and every release must find the
+/// right one. Seconds even in a debug build (where the lock-order checker
+/// is armed), so it runs with every `cargo test`.
+#[test]
+fn dispatch_stress_256_in_process_clients() {
+    const CLIENTS: usize = 256;
+    install_kernel_library();
+    let clock = Clock::with_scale(1e-7);
+    let driver = Driver::with_devices(clock.clone(), vec![GpuSpec::test_small(); 4]);
+    let rt = NodeRuntime::start(driver, RuntimeConfig::paper_default().with_seed(42));
+    let (tx, rx) = std::sync::mpsc::channel();
+    for kind in draw_short_kinds(CLIENTS, 42) {
+        let (rt, clock, tx) = (Arc::clone(&rt), clock.clone(), tx.clone());
+        std::thread::spawn(move || {
+            let job = kind.build(Scale::TINY);
+            let mut client = rt.local_client();
+            register_workload(&mut client, job.as_ref()).expect("register");
+            let verified = job.run(&mut client, &clock).expect("run").verified;
+            client.exit().expect("exit");
+            let _ = tx.send(verified);
+        });
+    }
+    drop(tx);
+    for done in 0..CLIENTS {
+        let verified = rx
+            .recv_timeout(Duration::from_secs(300))
+            .unwrap_or_else(|_| panic!("only {done} of {CLIENTS} in-process clients finished"));
+        assert!(verified, "a workload failed verification");
+    }
+    assert!(rt.wait_idle(Duration::from_secs(30)), "contexts did not drain");
+    let m = rt.metrics();
+    assert_eq!(m.bindings, m.unbindings, "bindings/unbindings diverged: {m:?}");
+    assert!(m.bindings >= CLIENTS as u64, "each client binds at least once: {m:?}");
+    assert!(m.targeted_wakeups > 0, "no waiter was ever parked: {m:?}");
+    rt.shutdown();
 }
 
 /// Open-loop pacing under moderate overcommit also drains cleanly.
@@ -192,8 +240,8 @@ impl Drop for DaemonGuard {
 }
 
 /// Spawns `node_daemon` (built into the same target directory as this test
-/// binary) and returns its multiplexed endpoint address, parsed from the
-/// `mux listening on <addr>` banner.
+/// binary) and returns its endpoint address, parsed from the
+/// `listening on <addr>` banner.
 fn spawn_daemon() -> (DaemonGuard, SocketAddr) {
     let exe = std::env::current_exe().expect("test exe path");
     // target/<profile>/deps/<test> → target/<profile>/node_daemon
@@ -205,18 +253,7 @@ fn spawn_daemon() -> (DaemonGuard, SocketAddr) {
         bin.display()
     );
     let mut child = Command::new(bin)
-        .args([
-            "--listen",
-            "127.0.0.1:0",
-            "--mux-listen",
-            "127.0.0.1:0",
-            "--gpus",
-            "test,test",
-            "--vgpus",
-            "4",
-            "--clock",
-            "1e-7",
-        ])
+        .args(["--listen", "127.0.0.1:0", "--gpus", "test,test", "--vgpus", "4", "--clock", "1e-7"])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -228,14 +265,14 @@ fn spawn_daemon() -> (DaemonGuard, SocketAddr) {
     std::thread::spawn(move || {
         for line in std::io::BufReader::new(stdout).lines() {
             let Ok(line) = line else { break };
-            if let Some(rest) = line.strip_prefix("mux listening on ") {
+            if let Some(rest) = line.strip_prefix("listening on ") {
                 let _ = tx.send(rest.trim().to_string());
             }
         }
     });
     let addr = rx
         .recv_timeout(Duration::from_secs(60))
-        .expect("daemon never printed its mux address")
+        .expect("daemon never printed its address")
         .parse()
         .expect("daemon printed a valid address");
     (DaemonGuard(child), addr)

@@ -1,7 +1,7 @@
 //! Full-stack integration: Table 2 workloads through every deployment
-//! shape the paper describes — in-process frontends, TCP frontends
-//! (the VM / remote-application path), a TORQUE-scheduled cluster, and
-//! inter-node offloading — with functional verification throughout.
+//! shape the paper describes — in-process frontends, TCP frontends on the
+//! node's endpoint (the VM / remote-application path), a TORQUE-scheduled
+//! cluster, and inter-node offloading — with functional verification throughout.
 
 use mtgpu::api::CudaClient;
 use mtgpu::cluster::{Cluster, ClusterNode, GpuVisibility, Torque};
@@ -47,7 +47,7 @@ fn workload_through_tcp_with_memory_pressure() {
     );
     let handles: Vec<_> = (0..4)
         .map(|_| {
-            let mut client: Box<dyn CudaClient> = Box::new(node.tcp_client().unwrap());
+            let mut client: Box<dyn CudaClient> = Box::new(node.mux_client().unwrap());
             let clock = clock.clone();
             std::thread::spawn(move || {
                 // Tiny time scale, but real memory scale relative to the
