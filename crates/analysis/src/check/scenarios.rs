@@ -9,6 +9,8 @@
 //! | `lease-admit-vs-reap` | [`LeaseBook`]    | `policy.lease.global_used`|
 //! | `migrate-vs-launch` | [`MemoryManager`]  | `mm.swap` (migration path)|
 //! | `reply-vs-retire`   | mux [`ReplySink`]  | `reactor.out.closed`      |
+//! | `grant-vs-park`     | gateway + dispatcher | `sched.shard.free`      |
+//! | `cancel-vs-grant`   | [`BindingManager`] | `sched.shard.free`        |
 //! | `fixture-race`      | seeded fixture     | `fixture.check.cell`      |
 //!
 //! Every builder constructs *fresh* component state on the (unregistered)
@@ -17,17 +19,20 @@
 //! deliberately broken control: two threads mutate a shadow cell under two
 //! *different* ranked locks, which the detector must flag.
 
-use mtgpu_api::protocol::{MuxFrame, ReplyValue};
-use mtgpu_api::transport::{FrameBuf, ReplySink};
+use mtgpu_api::protocol::{CudaCall, CudaReply, ModuleHandle, MuxFrame, ReplyValue};
+use mtgpu_api::transport::{FrameBuf, MuxService, ReplyQueue, ReplySink};
 use mtgpu_core::memory::AllocKind;
 use mtgpu_core::{
-    BindingManager, CtxId, GpuLease, LeaseBook, MemoryConfig, MemoryManager, RuntimeMetrics,
-    SchedulerPolicy, TenantPolicyConfig,
+    AppContext, BindingManager, CtxId, GpuLease, LeaseBook, MemoryConfig, MemoryManager,
+    NodeRuntime, RuntimeConfig, RuntimeMetrics, SchedulerPolicy, TenantPolicyConfig,
 };
-use mtgpu_gpusim::{DeviceId, Gpu, GpuSpec, KernelArg};
+use mtgpu_gpusim::{
+    DeviceId, Driver, Gpu, GpuSpec, KernelArg, KernelDesc, LaunchConfig, LaunchSpec, Work,
+};
 use mtgpu_simtime::mtcheck::Participant;
 use mtgpu_simtime::{Clock, LockRank, RankedMutex, Shadow, SimDuration};
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -58,7 +63,7 @@ pub fn find(name: &str) -> Option<&'static Scenario> {
     MATRIX.iter().find(|s| s.name == name)
 }
 
-static MATRIX: [Scenario; 6] = [
+static MATRIX: [Scenario; 8] = [
     Scenario {
         name: "dispatcher-churn",
         about: "two contexts churn try_acquire_on/release against one \
@@ -94,6 +99,23 @@ static MATRIX: [Scenario; 6] = [
                 connection's outbound half under CONN_OUT)",
         expect_clean: true,
         builder: reply_vs_retire,
+    },
+    Scenario {
+        name: "grant-vs-park",
+        about: "a release grants the vGPU to a channel whose visit is \
+                just leaving its launch queued in the dispatcher, a third \
+                worker standing by: the launch runs once, replies keep \
+                call order",
+        expect_clean: true,
+        builder: grant_vs_park,
+    },
+    Scenario {
+        name: "cancel-vs-grant",
+        about: "teardown of a queued context races the release that \
+                grants to it and a late arrival: every slot comes back, \
+                no entry stays queued",
+        expect_clean: true,
+        builder: cancel_vs_grant,
     },
     Scenario {
         name: "fixture-race",
@@ -218,12 +240,7 @@ fn reply_vs_retire() -> Vec<Participant> {
     const CONN: u64 = 1;
     const BATCHES: u64 = 3;
     let (sink, reactor) = ReplySink::channel();
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind scenario listener");
-    let mut peer =
-        TcpStream::connect(listener.local_addr().expect("listener address")).expect("connect");
-    let (accepted, _) = listener.accept().expect("accept scenario connection");
-    accepted.set_nonblocking(true).expect("nonblocking");
-    reactor.attach(CONN, accepted);
+    let mut peer = attach_client(&reactor, CONN);
     let worker = |first_id: u64| {
         let sink = sink.clone();
         Box::new(move || {
@@ -262,6 +279,164 @@ fn reply_vs_retire() -> Vec<Participant> {
             once.dedup();
             assert_eq!(once.len(), ids.len(), "a reply was written twice: {ids:?}");
         }),
+    ]
+}
+
+/// The client end of a loopback socket attached to a sink as connection
+/// `conn`, the way the reactor attaches what it accepts.
+fn attach_client(sink: &ReplyQueue, conn: u64) -> TcpStream {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind scenario listener");
+    let client =
+        TcpStream::connect(listener.local_addr().expect("listener address")).expect("connect");
+    let (accepted, _) = listener.accept().expect("accept scenario connection");
+    accepted.set_nonblocking(true).expect("nonblocking");
+    sink.attach(conn, accepted);
+    client
+}
+
+/// Reads `want` replies off a scenario client's socket, in wire order.
+fn read_replies(client: &mut TcpStream, want: usize) -> Vec<(u64, CudaReply)> {
+    client.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    let mut framebuf = FrameBuf::new();
+    let mut got = Vec::new();
+    while got.len() < want {
+        assert_ne!(framebuf.read_from(client).expect("reply bytes"), 0, "early end of stream");
+        while let Some(frame) = framebuf.next_frame::<MuxFrame>().expect("whole frames") {
+            match frame {
+                MuxFrame::Response { id, reply } => got.push((id, reply)),
+                MuxFrame::Request { .. } => panic!("a sink wrote a request"),
+            }
+        }
+    }
+    got
+}
+
+/// The hand-off at the heart of the serving path: one worker's visit finds
+/// no vGPU for its channel's launch, puts the launch back, and queues the
+/// context in the dispatcher, while another worker's visit tears down the
+/// context that holds the vGPU, which grants it. Whichever way the two
+/// interleave — the grant may fire inside the first worker's `enqueue` —
+/// the wake hands the channel to exactly one worker, with the launch at its
+/// head: the launch runs once, and the channel's replies keep call order.
+fn grant_vs_park() -> Vec<Participant> {
+    const WAITER: u64 = 1;
+    const HOG: u64 = 2;
+    let register = || CudaCall::RegisterFunction {
+        module: ModuleHandle(1),
+        kernel: KernelDesc::plain("noop"),
+    };
+    let launch = || CudaCall::Launch {
+        spec: LaunchSpec {
+            kernel: "noop".into(),
+            config: LaunchConfig::default(),
+            args: Vec::new(),
+            work: Work::flops(1.0),
+        },
+    };
+    let driver = Driver::with_devices(Clock::virtual_clock(), vec![GpuSpec::test_small()]);
+    let cfg = RuntimeConfig::serialized().with_background_monitor(false);
+    let rt = NodeRuntime::start_poolless(driver, cfg);
+    let waiter = attach_client(&rt.reply_queue(), WAITER);
+    let mut hog = attach_client(&rt.reply_queue(), HOG);
+    // The hog binds the node's only vGPU (served here, on the setup
+    // thread); then its Exit and the waiter's batch are queued, unserved.
+    rt.on_request(HOG, 1, 0, register());
+    rt.on_request(HOG, 1, 1, launch());
+    rt.serve_queued();
+    assert!(read_replies(&mut hog, 2).iter().all(|(_, r)| r.is_ok()), "the hog never bound");
+    let batch = [
+        register(),
+        CudaCall::GetDeviceCount,
+        launch(),
+        CudaCall::Malloc { size: 64, kind: AllocKind::Linear },
+    ];
+    for (id, call) in batch.into_iter().enumerate() {
+        rt.on_request(WAITER, 1, id as u64, call);
+    }
+    rt.on_request(HOG, 1, 2, CudaCall::Exit);
+
+    // Three workers drain the work queue — the visit that queues, the one
+    // that releases, and one more to pick the woken channel up while the
+    // first is still on its way out; the one that leaves last checks (each
+    // holds a handle on the waiter's socket for that).
+    let left = Arc::new(AtomicUsize::new(0));
+    let socket = || waiter.try_clone().expect("clone scenario socket");
+    [socket(), socket(), socket()]
+        .into_iter()
+        .map(|mut waiter| {
+            let (rt, left) = (Arc::clone(&rt), Arc::clone(&left));
+            Box::new(move || {
+                rt.serve_queued();
+                if left.fetch_add(1, Ordering::SeqCst) < 2 {
+                    return;
+                }
+                let replies = read_replies(&mut waiter, 4);
+                assert!(replies.iter().map(|(id, _)| *id).eq(0..4), "call order: {replies:?}");
+                assert!(matches!(replies[2].1, Ok(ReplyValue::LaunchDone { .. })), "{replies:?}");
+                assert!(matches!(replies[3].1, Ok(ReplyValue::Ptr(_))), "{replies:?}");
+                rt.on_request(WAITER, 1, 4, CudaCall::Exit);
+                rt.serve_queued();
+                let m = rt.metrics();
+                assert_eq!(m.launches, 2, "the queued launch ran {} time(s)", m.launches - 1);
+                assert_eq!((m.bindings, m.unbindings), (2, 2));
+                assert_eq!((rt.load().waiting, rt.context_count()), (0, 0));
+            }) as Participant
+        })
+        .collect()
+}
+
+/// Teardown of a queued context against the release that would grant to it,
+/// with a late arrival queueing and leaving in between. Whoever wins, the
+/// vGPU is released, never leaked: a cancel that finds the entry queued
+/// takes it out, one that finds it granted hands the binding back.
+fn cancel_vs_grant() -> Vec<Participant> {
+    let metrics = metrics();
+    let bm = Arc::new(BindingManager::new_seeded(
+        SchedulerPolicy::FcfsRoundRobin,
+        Arc::clone(&metrics),
+        0x5eed,
+    ));
+    let gpu = Gpu::new(GpuSpec::tesla_c2050(), Clock::virtual_clock(), 0);
+    bm.add_device(DeviceId(0), gpu, 1).expect("attach scenario device");
+    let ctx = |id: u64| AppContext::new(CtxId(id), id, format!("s{id}"));
+    let (holder, queued, late) = (ctx(1), ctx(2), ctx(3));
+    let held = bm.poll(&holder, 0).expect("free scenario vGPU");
+    bm.enqueue(&queued, 1.0, 0, Box::new(|| {}));
+    // What a teardown does with a context the dispatcher may know.
+    let leave = |bm: &BindingManager, ctx: &Arc<AppContext>| {
+        if let Some(raced) = bm.cancel(ctx) {
+            bm.release(ctx.id, raced.vgpu);
+        }
+    };
+    let left = Arc::new(AtomicUsize::new(0));
+    let finish = move |bm: &BindingManager| {
+        if left.fetch_add(1, Ordering::SeqCst) < 2 {
+            return;
+        }
+        assert_eq!((bm.waiting_count(), bm.bound_count()), (0, 0));
+        let m = metrics.snapshot();
+        assert_eq!(m.bindings, m.unbindings, "{m:?}");
+        let free = bm.try_acquire_on(CtxId(9), DeviceId(0)).expect("the slot is free again");
+        bm.release(CtxId(9), free.vgpu);
+    };
+    // Each participant does its part, then leaves through `finish`.
+    let participant = |body: Box<dyn FnOnce(&BindingManager) + Send>| {
+        let (bm, finish) = (Arc::clone(&bm), finish.clone());
+        Box::new(move || {
+            body(&bm);
+            finish(&bm);
+        }) as Participant
+    };
+    vec![
+        participant(Box::new(move |bm| bm.release(holder.id, held.vgpu))),
+        participant(Box::new(move |bm| leave(bm, &queued))),
+        participant(Box::new(move |bm| {
+            match bm.poll(&late, 0) {
+                Some(bound) => bm.release(late.id, bound.vgpu),
+                None => bm.enqueue(&late, 1.0, 0, Box::new(|| {})),
+            }
+            leave(bm, &late);
+        })),
     ]
 }
 

@@ -7,7 +7,7 @@
 use mtgpu_analysis::check::{explore, parse_schedule_id, scenarios, schedule_id};
 
 #[test]
-fn matrix_has_five_clean_scenarios_plus_the_fixture() {
+fn matrix_has_seven_clean_scenarios_plus_the_fixture() {
     let clean: Vec<_> =
         scenarios::all().iter().filter(|s| s.expect_clean).map(|s| s.name).collect();
     assert_eq!(
@@ -17,7 +17,9 @@ fn matrix_has_five_clean_scenarios_plus_the_fixture() {
             "swap-vs-free",
             "lease-admit-vs-reap",
             "migrate-vs-launch",
-            "reply-vs-retire"
+            "reply-vs-retire",
+            "grant-vs-park",
+            "cancel-vs-grant"
         ]
     );
     let fixture = scenarios::find("fixture-race").expect("fixture scenario");
@@ -68,6 +70,10 @@ fn pinned_schedules_stay_clean_and_replay_identically() {
         // The retire wins the table before either worker has looked up
         // the connection: every reply is dropped.
         ("reply-vs-retire", "s:2.2"),
+        // The releasing visit overtakes the queueing one at its start.
+        ("grant-vs-park", "s:1.1.1"),
+        // The late arrival polls before the release, the cancel goes last.
+        ("cancel-vs-grant", "s:2.0.2"),
     ];
     for (name, id) in pins {
         let scn = scenarios::find(name).unwrap();
@@ -80,6 +86,42 @@ fn pinned_schedules_stay_clean_and_replay_identically() {
         assert_eq!(a.decisions, b.decisions, "{name} {id}");
         // The pin must actually steer: it names a real decision prefix.
         assert!(a.decisions.len() >= prefix.len(), "{name} {id}: schedule underran its prefix");
+    }
+}
+
+/// The enqueue-after-requeue rule of the serving path (DESIGN.md §12): a
+/// visit whose launch finds no vGPU puts the launch back at the head of its
+/// channel *before* it queues the context in the dispatcher, because a grant
+/// that fires inside `enqueue` hands the channel to whichever worker is
+/// free at once. The interleaving that would expose the other order — the
+/// release lands between the failed poll and the enqueue, and a third worker
+/// takes the woken channel before the first is out — is some forty
+/// consecutive flips deep, so it is swept, not searched: the queueing visit
+/// (participant 0) runs `k` segments, the releasing visit (1) runs up to
+/// `m` in one go and the first resumes for the rest of them, then the third
+/// worker (2) runs to completion. Swapping the two steps in
+/// `mux::serve_channel` fails this sweep (replies out of call order at
+/// `k` = 20, `m` = 28 when it was written).
+#[test]
+fn grant_vs_park_holds_wherever_the_release_and_a_third_worker_cut_into_the_visit() {
+    use mtgpu_simtime::mtcheck::PREFER_TID;
+    let scn = scenarios::find("grant-vs-park").unwrap();
+    for k in 8..36 {
+        for m in (12..44).step_by(2) {
+            let mut schedule = vec![PREFER_TID; k];
+            schedule.extend(std::iter::repeat_n(PREFER_TID + 1, m));
+            schedule.extend(std::iter::repeat_n(PREFER_TID + 2, 128));
+            let run = explore::replay(scn, &schedule);
+            let pin: Vec<u32> = run.decisions.iter().map(|d| d.chosen).collect();
+            assert!(
+                run.clean(),
+                "k={k} m={m} ({}): {:?} {:?} {:?}",
+                schedule_id(&pin),
+                run.races,
+                run.deadlock,
+                run.panics
+            );
+        }
     }
 }
 

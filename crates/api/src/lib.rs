@@ -13,8 +13,8 @@
 //!   memory). This is the paper's baseline ("bare CUDA runtime").
 //! * [`FrontendClient`] — the gVirtuS-style *interposition library*: every
 //!   call is encoded as a [`protocol::CudaCall`] by the binary [`wire`] codec,
-//!   shipped over a [`transport::Transport`] (in-process channel or framed
-//!   socket) to a runtime daemon, and the reply decoded. Applications cannot tell the
+//!   shipped over a [`transport::Transport`] (the framed socket, or the
+//!   runtime's in-process connection) to a runtime daemon, and the reply decoded. Applications cannot tell the
 //!   difference — which is the point of API remoting.
 
 pub mod bare;
@@ -32,10 +32,7 @@ pub use error::{CudaError, CudaResult};
 pub use guard::DescriptorLimits;
 pub use host_buf::HostBuf;
 pub use protocol::{CudaCall, CudaReply, MuxFrame, ReplyValue};
-pub use transport::{
-    channel_pair, ChannelServerConn, FrontendClient, MuxChannel, MuxConnection, MuxPool,
-    ServerConn, Transport,
-};
+pub use transport::{FrontendClient, MuxChannel, MuxConnection, MuxPool, Transport};
 
 // Re-export the gpusim vocabulary types that appear in the API surface.
 pub use mtgpu_gpusim::{DeviceAddr, KernelArg, KernelDesc, LaunchConfig, LaunchSpec, Work};

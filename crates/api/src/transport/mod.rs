@@ -1,21 +1,21 @@
 //! Transports carrying the interposed call stream to the runtime daemon.
 //!
 //! The paper's prototype uses the gVirtuS socket framework: AF_UNIX sockets
-//! natively, VM-sockets under virtualization (§3). We provide two
-//! equivalents: an in-process crossbeam channel (application threads linked
-//! into the daemon's process: tests, figures, the deterministic harness) and
-//! **one** network wire — multiplexed frames over TCP ([`MuxConnection`] on
-//! the client, [`spawn_reactor`] on the server) — which every remote
-//! frontend, the inter-node offload relay (§4.7) and the load drivers speak.
-//! One codec, one framing, one listener per node, one set of hostile-peer
-//! checks.
+//! natively, VM-sockets under virtualization (§3). We provide **one**
+//! network wire — multiplexed frames over TCP ([`MuxConnection`] on the
+//! client, [`spawn_reactor`] on the server) — which every remote frontend,
+//! the inter-node offload relay (§4.7) and the load drivers speak: one
+//! codec, one framing, one listener per node, one set of hostile-peer
+//! checks. Application threads linked into the daemon's own process (tests,
+//! figures, the deterministic harness) skip the wire but not the service:
+//! the runtime opens an in-process connection on the same [`ReplySink`]
+//! ([`ReplySink::open_in_process`]), whose replies complete a channel
+//! instead of being written to a socket.
 
-mod channel;
 mod frame;
 mod mux;
 mod reactor;
 
-pub use channel::{channel_pair, ChannelServerConn, ChannelTransport};
 pub use frame::{encode_frame, read_frame, write_frame, FrameBuf, MAX_FRAME_BYTES};
 pub use mux::{MuxChannel, MuxConnection, MuxPool};
 pub use reactor::{
@@ -26,7 +26,6 @@ pub use reactor::{
 use crate::client::CudaClient;
 use crate::error::CudaError;
 use crate::protocol::{CudaCall, CudaReply};
-use std::time::Duration;
 
 /// Client side of a connection: ships one call, waits for one reply.
 pub trait Transport: Send {
@@ -40,36 +39,6 @@ pub trait Transport: Send {
     fn roundtrip_batch(&mut self, calls: Vec<CudaCall>) -> Vec<CudaReply> {
         calls.into_iter().map(|c| self.roundtrip(c)).collect()
     }
-}
-
-/// Outcome of a non-blocking/timed receive on the server side.
-#[derive(Debug)]
-pub enum RecvOutcome {
-    /// A call arrived.
-    Call(CudaCall),
-    /// Nothing pending within the timeout — the application is in a CPU
-    /// phase (or finished). This is the signal inter-application swap keys
-    /// off (§4.5: "an application running in a CPU phase with no pending
-    /// requests may swap").
-    Idle,
-    /// The peer disconnected.
-    Closed,
-}
-
-/// Server side of a connection: the runtime's view of one application
-/// thread.
-pub trait ServerConn: Send {
-    /// Blocks for the next call; `None` when the peer disconnected.
-    fn recv(&mut self) -> Option<CudaCall>;
-
-    /// Waits up to `timeout` (real time) for the next call.
-    fn recv_timeout(&mut self, timeout: Duration) -> RecvOutcome;
-
-    /// Sends a reply; `false` if the peer is gone.
-    fn send(&mut self, reply: CudaReply) -> bool;
-
-    /// Human-readable peer label for diagnostics.
-    fn peer(&self) -> String;
 }
 
 /// The interposition frontend: a [`CudaClient`] that forwards every call
@@ -192,48 +161,47 @@ mod tests {
     use crate::client::CudaClient;
     use crate::protocol::ReplyValue;
 
-    /// Echo server used to exercise FrontendClient framing.
-    fn spawn_echo(mut conn: ChannelServerConn) -> std::thread::JoinHandle<usize> {
-        std::thread::spawn(move || {
-            let mut served = 0;
-            while let Some(call) = conn.recv() {
-                let done = matches!(call, CudaCall::Exit);
-                conn.send(Ok(ReplyValue::Unit));
-                served += 1;
-                if done {
-                    break;
-                }
+    /// Answers every call `Unit` and counts them; `hung_up` makes it the
+    /// far end of a dead connection.
+    #[derive(Default)]
+    struct Echo {
+        served: usize,
+        hung_up: bool,
+    }
+
+    impl Transport for &mut Echo {
+        fn roundtrip(&mut self, _call: CudaCall) -> CudaReply {
+            if self.hung_up {
+                return Err(CudaError::Disconnected);
             }
-            served
-        })
+            self.served += 1;
+            Ok(ReplyValue::Unit)
+        }
     }
 
     #[test]
-    fn frontend_roundtrips_over_channel() {
-        let (transport, server) = channel_pair();
-        let handle = spawn_echo(server);
-        let mut client = FrontendClient::new(transport);
+    fn frontend_forwards_every_call() {
+        let mut echo = Echo::default();
+        let mut client = FrontendClient::new(&mut echo);
         client.synchronize().unwrap();
         client.set_device(3).unwrap();
         client.exit().unwrap();
-        assert_eq!(handle.join().unwrap(), 3);
+        assert_eq!(echo.served, 3);
     }
 
     #[test]
     fn calls_after_exit_fail_fast() {
-        let (transport, server) = channel_pair();
-        let handle = spawn_echo(server);
-        let mut client = FrontendClient::new(transport);
+        let mut echo = Echo::default();
+        let mut client = FrontendClient::new(&mut echo);
         client.exit().unwrap();
         assert_eq!(client.synchronize(), Err(CudaError::Disconnected));
-        handle.join().unwrap();
+        assert_eq!(echo.served, 1, "nothing is sent once the client hung up");
     }
 
     #[test]
     fn server_disconnect_surfaces_as_error() {
-        let (transport, server) = channel_pair();
-        drop(server);
-        let mut client = FrontendClient::new(transport);
+        let mut echo = Echo { hung_up: true, ..Echo::default() };
+        let mut client = FrontendClient::new(&mut echo);
         assert_eq!(client.synchronize(), Err(CudaError::Disconnected));
     }
 }

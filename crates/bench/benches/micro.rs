@@ -1,10 +1,9 @@
 //! Micro-benchmarks: the per-operation costs of the runtime's building
 //! blocks (page-table operations, device allocator, engine arbitration,
-//! transport round-trips, end-to-end call overhead).
+//! end-to-end call overhead through the in-process connection).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mtgpu_api::transport::{channel_pair, ServerConn};
-use mtgpu_api::{BareClient, CudaCall, CudaClient, HostBuf};
+use mtgpu_api::{BareClient, CudaClient, HostBuf};
 use mtgpu_core::memory::{MemoryConfig, MemoryManager};
 use mtgpu_core::{CtxId, NodeRuntime, RuntimeConfig, RuntimeMetrics};
 use mtgpu_gpusim::alloc::BlockAllocator;
@@ -63,28 +62,6 @@ fn bench_engine(c: &mut Criterion) {
     });
 }
 
-fn bench_transport(c: &mut Criterion) {
-    c.bench_function("transport/channel_roundtrip", |b| {
-        let (mut client, mut server) = channel_pair();
-        let pump = std::thread::spawn(move || {
-            while let Some(call) = server.recv() {
-                let done = matches!(call, CudaCall::Exit);
-                server.send(Ok(mtgpu_api::ReplyValue::Unit));
-                if done {
-                    break;
-                }
-            }
-        });
-        b.iter(|| {
-            use mtgpu_api::Transport;
-            client.roundtrip(black_box(CudaCall::Synchronize)).unwrap()
-        });
-        use mtgpu_api::Transport;
-        let _ = client.roundtrip(CudaCall::Exit);
-        pump.join().unwrap();
-    });
-}
-
 fn bench_end_to_end_call(c: &mut Criterion) {
     c.bench_function("call/bare_synchronize", |b| {
         let driver = Driver::with_devices(Clock::with_scale(1e-9), vec![GpuSpec::test_small()]);
@@ -118,7 +95,6 @@ criterion_group!(
     bench_block_allocator,
     bench_page_table,
     bench_engine,
-    bench_transport,
     bench_end_to_end_call
 );
 criterion_main!(micro);

@@ -1,10 +1,10 @@
 //! A cluster node: runtime daemon + its one network endpoint.
 
 use mtgpu_api::transport::{
-    spawn_reactor, ChannelTransport, FrontendClient, MuxChannel, MuxConnection, MuxPool,
-    MuxService, ReactorConfig, ReactorHandle, ReactorStats, ReplySink,
+    spawn_reactor, FrontendClient, MuxChannel, MuxConnection, MuxPool, ReactorConfig,
+    ReactorHandle, ReactorStats,
 };
-use mtgpu_core::{MetricsSnapshot, MuxGateway, MuxGatewayHandle, NodeRuntime, RuntimeConfig};
+use mtgpu_core::{InProcessChannel, MetricsSnapshot, NodeRuntime, RuntimeConfig};
 use mtgpu_gpusim::{Driver, GpuSpec};
 use mtgpu_simtime::Clock;
 use std::net::{SocketAddr, TcpListener};
@@ -16,21 +16,19 @@ pub(crate) fn reserve_listener() -> TcpListener {
     TcpListener::bind("127.0.0.1:0").expect("bind ephemeral listener")
 }
 
-/// The node's endpoint: one reactor serving every connection, backed by the
-/// gateway's worker pool.
+/// The node's endpoint: one reactor in front of the runtime's gateway.
 struct MuxEndpoint {
     addr: SocketAddr,
     reactor: ReactorHandle,
-    gateway: Arc<MuxGateway>,
-    workers: Option<MuxGatewayHandle>,
 }
 
 /// One compute node: devices + runtime daemon + (optionally) the TCP
 /// endpoint remote frontends and peers offloading connections reach it by.
 ///
 /// A listening node owns exactly one listener ([`ClusterNode::mux_addr`]):
-/// one nonblocking reactor multiplexing every connection into the gateway
-/// (DESIGN.md §12). There is no second port and no acceptor thread.
+/// one nonblocking reactor multiplexing every connection into the runtime's
+/// gateway (DESIGN.md §12), which serves in-process clients too. There is
+/// no second port, no acceptor thread and no second serving loop.
 pub struct ClusterNode {
     name: String,
     runtime: Arc<NodeRuntime>,
@@ -62,12 +60,10 @@ impl ClusterNode {
         let runtime = NodeRuntime::start(driver, cfg);
         let mux = listener.map(|listener| {
             let addr = listener.local_addr().expect("listener address");
-            let (sink, queue) = ReplySink::channel();
-            let (gateway, workers) = MuxGateway::start(Arc::clone(&runtime), sink);
-            let svc: Arc<dyn MuxService> = gateway.clone();
-            let reactor = spawn_reactor(listener, ReactorConfig::default(), svc, queue)
+            let (service, queue) = (runtime.clone(), runtime.reply_queue());
+            let reactor = spawn_reactor(listener, ReactorConfig::default(), service, queue)
                 .expect("spawn mux reactor");
-            MuxEndpoint { addr, reactor, gateway, workers: Some(workers) }
+            MuxEndpoint { addr, reactor }
         });
         ClusterNode { name, runtime, mux }
     }
@@ -88,7 +84,7 @@ impl ClusterNode {
     }
 
     /// An in-process client (application running locally on this node).
-    pub fn client(&self) -> FrontendClient<ChannelTransport> {
+    pub fn client(&self) -> FrontendClient<InProcessChannel> {
         self.runtime.local_client()
     }
 
@@ -118,9 +114,9 @@ impl ClusterNode {
         self.mux.as_ref().map(|m| m.reactor.stats())
     }
 
-    /// Live multiplexed channels (diagnostic).
+    /// Live gateway channels, in-process ones included (diagnostic).
     pub fn mux_channel_count(&self) -> usize {
-        self.mux.as_ref().map_or(0, |m| m.gateway.channel_count())
+        self.runtime.channel_count()
     }
 
     /// A client over a connection of its own (an application or VM frontend
@@ -143,13 +139,10 @@ impl ClusterNode {
 
     /// Stops the endpoint and the runtime. Ordering matters: the reactor
     /// goes first (no new requests, open connections disconnect), then the
-    /// gateway workers drain queued teardowns, then the runtime stops.
+    /// runtime, whose workers drain the queued teardowns on their way out.
     pub fn shutdown(mut self) {
-        if let Some(mut mux) = self.mux.take() {
+        if let Some(mux) = self.mux.take() {
             mux.reactor.shutdown();
-            if let Some(workers) = mux.workers.take() {
-                workers.shutdown();
-            }
         }
         self.runtime.shutdown();
     }

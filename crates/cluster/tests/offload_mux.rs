@@ -164,6 +164,67 @@ fn no_reachable_peer_means_local_service_and_one_dead_peer_is_skipped() {
     live.shutdown();
 }
 
+/// A listener whose owner accepts every connection and closes it at once —
+/// what dialling a peer that is shutting down, wedged or shedding looks
+/// like. Runs until the process ends.
+fn accept_and_close() -> String {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || listener.incoming().for_each(drop));
+    addr
+}
+
+#[test]
+fn peer_that_accepts_and_hangs_up_is_not_a_peer_reached() {
+    install_kernel_library();
+    let clock = Clock::with_scale(1e-7);
+    let live = ClusterNode::start(
+        "live".into(),
+        clock.clone(),
+        vec![GpuSpec::test_small()],
+        RuntimeConfig::default(),
+        true,
+    );
+    let node_with_peers = |peers: Vec<String>| {
+        let cfg = RuntimeConfig {
+            offload_threshold: Some(0),
+            offload_peers: peers,
+            ..RuntimeConfig::default()
+        };
+        ClusterNode::start("edge".into(), clock.clone(), vec![GpuSpec::test_small()], cfg, true)
+    };
+
+    // Wherever the round-robin index starts, every stream ends up on the
+    // peer that answers, whole.
+    let edge = node_with_peers(vec![accept_and_close(), live.mux_addr().unwrap().to_string()]);
+    for _ in 0..4 {
+        let mut client = edge.mux_client().unwrap();
+        let job = AppKind::Va.build(Scale::TINY);
+        register_workload(&mut client, job.as_ref()).unwrap();
+        assert!(job.run(&mut client, &clock).unwrap().verified);
+        client.exit().unwrap();
+    }
+    assert_eq!(edge.metrics().offloaded_connections, 4);
+    assert_eq!((edge.metrics().launches, live.metrics().mux_channels), (0, 4));
+    assert_drained(&edge);
+    edge.shutdown();
+
+    // Nobody answers: the stream is served here, by the pool, with what the
+    // client pipelined behind its first call while the relay dialled.
+    let edge = node_with_peers(vec![accept_and_close()]);
+    let mut client = edge.mux_client().unwrap().with_pipelining();
+    let job = AppKind::Va.build(Scale::TINY);
+    register_workload(&mut client, job.as_ref()).unwrap();
+    assert!(job.run(&mut client, &clock).unwrap().verified);
+    client.exit().unwrap();
+    assert_eq!(edge.metrics().offloaded_connections, 0);
+    assert!(edge.metrics().launches > 0);
+    assert_drained(&edge);
+    edge.shutdown();
+    assert_drained(&live);
+    live.shutdown();
+}
+
 #[test]
 fn sibling_channels_on_a_relayed_clients_connection_keep_their_own_order() {
     let clock = Clock::with_scale(1e-7);

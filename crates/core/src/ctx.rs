@@ -48,6 +48,26 @@ impl std::fmt::Debug for Binding {
     }
 }
 
+/// Where a context's request for a vGPU stands. Written by the dispatcher
+/// under the lock of the queue the request's entry sits in or leaves; the
+/// context's owner reads it through [`crate::sched::BindingManager::poll`].
+#[derive(Default)]
+pub enum BindWait {
+    /// Nothing asked for.
+    #[default]
+    Idle,
+    /// An entry for the context sits in a shard queue or the lobby.
+    Queued,
+    /// A drain granted the entry this vGPU; the owner's next poll takes it.
+    Granted(Binding),
+    /// The entry left its queue without a grant (device removed, a nudge
+    /// toward a slot elsewhere, affinity moved): the owner places again.
+    Reroute,
+    /// The context was withdrawn for teardown: it neither queues nor binds
+    /// again.
+    Closed,
+}
+
 /// Mutable metadata of a context (short-held lock).
 #[derive(Default)]
 pub struct CtxInner {
@@ -71,9 +91,11 @@ pub struct CtxInner {
     pub ineligible_reason: Option<String>,
     /// Scheduling credits (credit-based policy).
     pub credits: u32,
-    /// FCFS ticket kept across re-armed acquisition timeouts so a context's
-    /// queue position survives the slice-based waiting in the launch path.
+    /// FCFS ticket kept until the grant, so a context's queue position
+    /// survives re-placements and a blocking acquisition that timed out.
     pub wait_ticket: Option<u64>,
+    /// The dispatcher's side of a pending vGPU request.
+    pub bind_wait: BindWait,
     /// CUDA 4.0 application identifier (§4.8): threads of one application
     /// must be bound to the same device so they could share data.
     pub app_id: Option<u64>,
@@ -99,8 +121,8 @@ pub struct AppContext {
     pub seq: u64,
     /// Diagnostic label (job name).
     pub label: String,
-    /// Long-held lock serializing all servicing of this context. The owner
-    /// handler thread takes it around each call; swappers/migrators take it
+    /// Long-held lock serializing all servicing of this context. The worker
+    /// visiting its channel takes it around each call; swappers/migrators take it
     /// opportunistically (`try_lock`) — success implies the context is in a
     /// CPU phase with no call in flight (§4.5's victim condition).
     service: RankedMutex<()>,
@@ -126,7 +148,7 @@ impl AppContext {
         })
     }
 
-    /// Acquires the service lock (the owning handler thread, blocking).
+    /// Acquires the service lock (the worker serving a call, blocking).
     pub fn service_lock(&self) -> RankedMutexGuard<'_, ()> {
         self.service.lock()
     }

@@ -48,7 +48,7 @@ pub use memory::{
 };
 pub use metrics::{DeviceUtilization, MetricsSnapshot, RuntimeMetrics};
 pub use migrate::{MigrationError, MigrationPhase, MigrationStats};
-pub use mux::{MuxGateway, MuxGatewayHandle};
+pub use mux::InProcessChannel;
 pub use policy::{GpuLease, LeaseBook, TenantKey, TenantPolicyConfig, TenantUsage};
 pub use runtime::{LoadInfo, NodeRuntime};
 pub use sched::{BindingManager, DeviceView, VGpu};

@@ -81,6 +81,9 @@ fn reap_context(rt: &NodeRuntime, ctx_id: CtxId) {
     // calls on the connection observe the typed `LeaseExpired` failure.
     let _guard = ctx.service_lock();
     ctx.mark_failed(CudaError::LeaseExpired);
+    // A condemned context's launches fail before they bind: a grant it was
+    // queued for must not be left waiting for one.
+    crate::service::withdraw(rt, &ctx);
     let binding = ctx.inner().binding.take();
     if let Some(b) = &binding {
         rt.tracer().record(TraceEvent::Unbound {

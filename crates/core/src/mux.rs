@@ -1,89 +1,86 @@
-//! The multiplex gateway: the runtime's [`MuxService`] implementation, behind
-//! the node's one listener.
+//! The gateway: the runtime's one serving loop, behind every connection.
 //!
-//! Where the in-process path dedicates one handler thread to every
-//! connection, the gateway serves *channels* — (connection, chan) pairs, each
-//! backed by one [`AppContext`] — with a fixed worker pool. The reactor
-//! thread calls [`MuxGateway::on_request`] for every decoded frame; the
-//! gateway enqueues the call on its channel's FIFO and marks the channel
-//! runnable. Workers
-//! pull runnable channels off a global work queue and *visit* them: a visit
-//! executes the channel's queued calls in order, each under the context's
-//! service lock, up to [`VISIT_BUDGET`], and posts the visit's replies as
-//! one batch through the reactor's [`ReplySink`] — so a pipelined flush
-//! costs one work-queue hand-off and one reply post, not one per call.
+//! A connection is either accepted by the node's reactor (remote frontends,
+//! peers relaying a stream) or opened in-process
+//! ([`NodeRuntime::local_client`]: tests, figures, the deterministic
+//! harness). Both carry *channels* — (connection, chan) pairs, each backed
+//! by one [`AppContext`] — and both are served here, by a fixed worker pool
+//! the runtime owns. Each arriving call ([`MuxService::on_request`] on the
+//! reactor thread, [`InProcessChannel`] on the client's) is queued on its
+//! channel's FIFO and the channel marked runnable. Workers pull runnable
+//! channels off a global work queue and *visit* them: a visit executes the
+//! channel's queued calls in order, each under the context's service lock,
+//! up to [`VISIT_BUDGET`], and posts the visit's replies as one batch
+//! through the [`ReplySink`] — onto the connection's socket, or into the
+//! in-process client's channel — so a pipelined flush costs one work-queue
+//! hand-off and one reply post, not one per call.
 //!
 //! Three invariants keep this sound:
 //!
 //! 1. **Per-channel ordering.** A channel is on the work queue at most once
 //!    (`scheduled` flag, mutated only under the channel's queue lock), and a
 //!    worker lets go of it only after its visit's replies are posted — so
-//!    calls of one channel execute, and their replies reach the wire, in
+//!    calls of one channel execute, and their replies reach the client, in
 //!    arrival order, exactly like a connection of its own, while different
 //!    channels proceed in parallel.
-//! 2. **No pool-wide starvation.** Launches use the *bounded* dispatch path
-//!    ([`service::try_handle_call`]). With unbounded waits, a pool's worth of
-//!    launches waiting on fully-bound vGPUs would deadlock the pool — the
+//! 2. **No thread waits for a vGPU.** With blocking waits, a pool's worth
+//!    of launches waiting on fully-bound vGPUs would deadlock the pool — the
 //!    bound contexts' own calls (the ones that would eventually release
-//!    those vGPUs) could never run. A launch that cannot bind immediately
-//!    parks its channel on the gateway's *bind-waiters* list instead of
-//!    holding a worker: every completed call kicks one waiter back onto the
-//!    work queue for a cheap retry (completions are the only events that
-//!    release vGPUs, so a kick rides every release), and a worker with an
-//!    otherwise-empty queue gives one waiter a bounded [`BIND_SLICE`]
-//!    park inside the dispatcher's wait queue, where it gets the targeted
-//!    wakeup on release. Either way the pool never wedges and never burns
-//!    a full slice per retry under load. The price, stated plainly: remote
-//!    launches queue for vGPUs in this FIFO list, not in the dispatcher's
-//!    policy-ordered queue (DESIGN.md §12, known limits).
+//!    those vGPUs) could never run. A launch that cannot bind comes back
+//!    [`Abort::WouldBlock`]; the visit puts it back at the head of the
+//!    channel's FIFO, posts what it has answered, and only *then* queues the
+//!    context in the dispatcher's policy-ordered wait queue
+//!    ([`crate::sched::BindingManager::enqueue`]) and lets go of the
+//!    channel. The entry's wake — run by the release that grants the vGPU,
+//!    possibly before `enqueue` returns — puts the channel back on the work
+//!    queue, and the next visit runs the launch. Enqueueing any earlier
+//!    would let a grant that fires at once hand the channel to a second
+//!    worker while its next call, not the launch, is at the head.
 //! 3. **A finished reply never waits on something that may take long.** The
-//!    batch is posted before a call that may park (a launch given a bind
-//!    slice on an unbound context), before Exit's teardown, when a launch
-//!    would-blocks, when it holds [`VISIT_REPLY_BYTES`] of payload and when
-//!    the budget runs out. The budget bounds how long one deep channel can
-//!    hold a worker while others wait: past it the channel goes to the
-//!    *back* of the work queue.
+//!    batch is posted before Exit's teardown, when a launch has to queue,
+//!    when it holds [`VISIT_REPLY_BYTES`] of payload and when the budget
+//!    runs out. The budget bounds how long one deep channel can hold a
+//!    worker while others wait: past it the channel goes to the *back* of
+//!    the work queue.
+//!
+//! The pool is sized for what the vGPU count bounds — one call in flight per
+//! bound context — plus [`SPARE_WORKERS`]. The backoffs the service sits out
+//! on the worker (unbind-and-retry, admission) are bounded by nothing but
+//! the number of contexts, so they go through [`pause`], which grows the
+//! pool to cover the pauses that overlap.
 //!
 //! Teardown (Exit or disconnect) removes the channel from the map first;
 //! whichever path wins the `BTreeMap::remove` does the context teardown, so
-//! it happens exactly once even when an Exit races a connection drop.
+//! it happens exactly once even when an Exit races a connection drop. It
+//! also withdraws the context from the dispatcher, so an entry queued for a
+//! channel that is gone neither takes a vGPU nor spends a wake-up.
 //!
 //! # Offload (§4.7)
 //!
 //! On a node with offloading configured, a new channel claims a local
 //! service slot with its first call, unless that call is the
 //! [`CudaCall::Offloaded`] marker of a stream a peer relayed here. With no
-//! slot left the channel is not served by the pool at all: the gateway hands
-//! it to a relay thread ([`NodeRuntime::offload`]) as a [`RelayedChannel`] —
-//! the same relay loop, local fallback included, that in-process
-//! connections use — and from then on only forwards its calls. That thread,
-//! not the reactor, connects to the peer, and no pool worker is tied up for
-//! the stream's lifetime.
+//! slot left the channel is not served by the pool: the gateway hands it to
+//! a relay thread ([`NodeRuntime::offload`]) as a [`RelayedChannel`] and
+//! from then on only forwards its calls. That thread, not the reactor,
+//! connects to the peer, and no pool worker is tied up for the stream's
+//! lifetime. If no peer answers, the relay hands the channel back: it
+//! becomes a pool-served channel after all, over the slot budget, with the
+//! calls that arrived meanwhile moved over in order.
 
 use crate::ctx::AppContext;
 use crate::metrics::RuntimeMetrics;
 use crate::runtime::NodeRuntime;
-use crate::service::{self, CallOutcome};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crate::service::{self, Abort};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use mtgpu_api::protocol::{CudaCall, CudaReply, ReplyValue};
-use mtgpu_api::transport::{ConnId, MuxService, RecvOutcome, ReplySink, ServerConn};
+use mtgpu_api::transport::{ConnId, MuxService, ReplyQueue, ReplySink, Transport};
 use mtgpu_api::CudaError;
 use mtgpu_simtime::{lock_rank, RankedMutex};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// How many workers may simultaneously lend themselves to a parked
-/// bind-waiter (a bounded [`BIND_SLICE`] wait inside the dispatcher).
-/// Capped so a burst of fresh requests always finds free workers even
-/// while many channels queue for vGPUs.
-const MAX_IDLE_PARKERS: usize = 2;
-
-/// How long an idle worker parks inside the dispatcher on a bind-waiter's
-/// behalf before it hands the channel back and looks at the work queue.
-const BIND_SLICE: Duration = Duration::from_millis(5);
 
 /// Workers beyond one per vGPU: every slot stays servable while unbound and
 /// teardown work never waits on launches.
@@ -108,17 +105,25 @@ type ChanKey = (ConnId, u64);
 struct ChanQueue {
     /// FIFO of (request id, call) not yet executed.
     calls: VecDeque<(u64, CudaCall)>,
-    /// Whether the channel currently sits on the work queue (at most once).
+    /// Whether the channel is taken: on the work queue, being visited, or
+    /// waiting in the dispatcher for its wake (at most one of them).
     scheduled: bool,
 }
 
-/// One multiplexed channel: an application context plus its call FIFO.
+/// One channel: an application context plus its call FIFO.
 struct ChannelState {
     ctx: Arc<AppContext>,
     queue: RankedMutex<ChanQueue>,
     /// Whether the channel claimed a §4.7 local-service slot at creation,
     /// to give back at teardown.
     holds_slot: bool,
+}
+
+impl ChannelState {
+    fn new(ctx: Arc<AppContext>, queue: ChanQueue, holds_slot: bool) -> Arc<ChannelState> {
+        let queue = RankedMutex::new(lock_rank::CHAN_QUEUE, queue);
+        Arc::new(ChannelState { ctx, queue, holds_slot })
+    }
 }
 
 /// What the gateway keeps for one channel key.
@@ -131,10 +136,11 @@ enum Chan {
 }
 
 /// The relay thread's end of a channel the gateway handed off. Calls arrive
-/// from the reactor in wire order and each reply is posted before the next
-/// call is taken, so the channel's call/reply order holds without the pool.
-struct RelayedChannel {
-    gateway: Weak<MuxGateway>,
+/// in the order the client sent them and each reply is posted before the
+/// next call is taken, so the channel's call/reply order holds without the
+/// pool.
+pub(crate) struct RelayedChannel {
+    rt: Weak<NodeRuntime>,
     key: ChanKey,
     calls: Receiver<(u64, CudaCall)>,
     sink: ReplySink,
@@ -143,26 +149,15 @@ struct RelayedChannel {
 }
 
 impl RelayedChannel {
-    fn take(&mut self, (id, call): (u64, CudaCall)) -> CudaCall {
+    /// Blocks for the stream's next call; `None` once the client is gone.
+    pub(crate) fn recv(&mut self) -> Option<CudaCall> {
+        let (id, call) = self.calls.recv().ok()?;
         self.awaiting = Some(id);
-        call
-    }
-}
-
-impl ServerConn for RelayedChannel {
-    fn recv(&mut self) -> Option<CudaCall> {
-        self.calls.recv().ok().map(|next| self.take(next))
+        Some(call)
     }
 
-    fn recv_timeout(&mut self, timeout: Duration) -> RecvOutcome {
-        match self.calls.recv_timeout(timeout) {
-            Ok(next) => RecvOutcome::Call(self.take(next)),
-            Err(RecvTimeoutError::Timeout) => RecvOutcome::Idle,
-            Err(RecvTimeoutError::Disconnected) => RecvOutcome::Closed,
-        }
-    }
-
-    fn send(&mut self, reply: CudaReply) -> bool {
+    /// Answers the call taken last; `false` if there is none to answer.
+    pub(crate) fn send(&mut self, reply: CudaReply) -> bool {
         let Some(id) = self.awaiting.take() else { return false };
         // A reply for a connection that is gone is dropped by the sink; the
         // next `recv` then reports the hang-up.
@@ -170,19 +165,43 @@ impl ServerConn for RelayedChannel {
         true
     }
 
-    fn peer(&self) -> String {
-        format!("mux-{}-{}", self.key.0, self.key.1)
+    /// No peer took the stream (its first call, `first`, is still
+    /// unanswered): the channel goes back to the pool, over the slot budget,
+    /// with `first` and whatever the gateway forwarded meanwhile queued in
+    /// arrival order. The gateway forwards under the map lock, so swapping
+    /// the map entry under it loses and reorders nothing.
+    fn hand_back(mut self, ctx: Arc<AppContext>, first: CudaCall) {
+        let Some(rt) = self.rt.upgrade() else { return };
+        let mut channels = rt.gateway().channels.lock();
+        if !matches!(channels.get(&self.key), Some(Chan::Relayed(_))) {
+            // The client hung up while the peers were dialled; the context
+            // never served a call.
+            drop(channels);
+            return rt.drop_context_of(&ctx);
+        }
+        rt.force_keep_local();
+        let first = (self.awaiting.take().expect("the first call is unanswered"), first);
+        let forwarded = std::iter::from_fn(|| self.calls.try_recv().ok());
+        let calls = std::iter::once(first).chain(forwarded).collect();
+        let state = ChannelState::new(ctx, ChanQueue { calls, scheduled: true }, true);
+        channels.insert(self.key, Chan::Local(state));
+        drop(channels);
+        let _ = rt.gateway().workq.send(WorkItem::Chan(self.key));
     }
 }
 
 impl Drop for RelayedChannel {
     /// The stream is over (Exit, hang-up or shutdown): the key leaves the
-    /// map unless a disconnect took it already, and what was queued behind
-    /// an Exit is told the channel is gone. The reactor forwards under the
-    /// map lock, so nothing is queued after the removal.
+    /// map unless a disconnect took it already (or the channel was handed
+    /// back to the pool), and what was queued behind an Exit is told the
+    /// channel is gone. The gateway forwards under the map lock, so nothing
+    /// is queued after the removal.
     fn drop(&mut self) {
-        if let Some(gateway) = self.gateway.upgrade() {
-            gateway.channels.lock().remove(&self.key);
+        if let Some(rt) = self.rt.upgrade() {
+            let mut channels = rt.gateway().channels.lock();
+            if matches!(channels.get(&self.key), Some(Chan::Relayed(_))) {
+                channels.remove(&self.key);
+            }
         }
         let dead: Vec<(u64, CudaReply)> = std::iter::from_fn(|| self.calls.try_recv().ok())
             .map(|(id, _)| (id, Err(CudaError::Disconnected)))
@@ -191,211 +210,274 @@ impl Drop for RelayedChannel {
     }
 }
 
+/// A relay thread's whole life (§4.7): the stream runs on a peer, or — no
+/// peer reached — goes back to the pool.
+pub(crate) fn run_relay(
+    rt: &Arc<NodeRuntime>,
+    ctx: Arc<AppContext>,
+    mut chan: RelayedChannel,
+    first: CudaCall,
+) {
+    match rt.relay(ctx.id, &mut chan, first) {
+        Ok(()) => {
+            // The channel goes before the context (it leaves the gateway's
+            // map as it drops), so a drained registry means nothing of the
+            // stream is left anywhere. The context never served a call here.
+            drop(chan);
+            rt.drop_context_of(&ctx);
+        }
+        Err(first) => chan.hand_back(ctx, first),
+    }
+}
+
 enum WorkItem {
     /// A channel became runnable: visit it.
     Chan(ChanKey),
     /// Channels removed on disconnect, awaiting context teardown.
     Teardown(Vec<Arc<ChannelState>>),
-    /// Worker shutdown.
+    /// Shutdown: the worker that takes it passes it on and exits.
     Stop,
 }
 
-/// The runtime's service endpoint for multiplexed connections.
-pub struct MuxGateway {
-    /// For the relay hand-off, which outlives the call that makes it.
-    me: Weak<MuxGateway>,
-    rt: Arc<NodeRuntime>,
+/// The gateway's state, owned by the runtime.
+pub(crate) struct Gateway {
     sink: ReplySink,
     /// channel key → state. BTreeMap so disconnects can range-scan a
     /// connection's channels and iteration order is deterministic.
     channels: RankedMutex<BTreeMap<ChanKey, Chan>>,
     workq: Sender<WorkItem>,
-    /// [`NodeRuntime::offloads`], read once: with it off a new channel
-    /// costs nothing it did not cost before.
-    offloads: bool,
-    /// Channels whose head launch found no free vGPU. They hold no worker
-    /// while parked; releases and idle workers pull them back out.
-    bind_waiters: RankedMutex<VecDeque<ChanKey>>,
-    /// Workers currently parked in a bounded dispatcher wait on behalf of
-    /// a bind-waiter (≤ [`MAX_IDLE_PARKERS`]).
-    idle_parkers: AtomicUsize,
+    work: Receiver<WorkItem>,
+    /// Pool workers alive (none on a pool-less runtime).
+    workers: AtomicUsize,
+    /// Workers sitting out a backoff ([`pause`]).
+    paused: AtomicUsize,
 }
 
-/// Owns the gateway's worker pool; joining it drains outstanding teardowns.
-pub struct MuxGatewayHandle {
-    gateway: Arc<MuxGateway>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl MuxGateway {
-    /// Spawns the worker pool and returns the service plus its handle.
-    ///
-    /// `sink` must be the reply sink of the reactor that will drive this
-    /// gateway (create both with `ReplySink::channel()`).
-    pub fn start(rt: Arc<NodeRuntime>, sink: ReplySink) -> (Arc<MuxGateway>, MuxGatewayHandle) {
-        let workers = rt.bindings().total_vgpus() + SPARE_WORKERS;
-        let (gateway, rx) = MuxGateway::new(rt, sink);
-        let mut pool = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let g = Arc::clone(&gateway);
-            let rx: Receiver<WorkItem> = rx.clone();
-            pool.push(
-                std::thread::Builder::new()
-                    .name(format!("mux-worker-{i}"))
-                    .spawn(move || worker_loop(&g, &rx))
-                    .expect("spawn mux worker"),
-            );
-        }
-        (Arc::clone(&gateway), MuxGatewayHandle { gateway, workers: pool })
-    }
-
-    /// The gateway without its pool, plus the work queue's receiving end.
-    fn new(rt: Arc<NodeRuntime>, sink: ReplySink) -> (Arc<MuxGateway>, Receiver<WorkItem>) {
-        let (tx, rx) = unbounded();
-        let gateway = Arc::new_cyclic(|me| MuxGateway {
-            me: me.clone(),
-            offloads: rt.offloads(),
-            rt,
-            sink,
+impl Gateway {
+    pub(crate) fn new() -> Gateway {
+        let (workq, work) = unbounded();
+        Gateway {
+            // The other half is minted when a reactor is put in front
+            // ([`NodeRuntime::reply_queue`]).
+            sink: ReplySink::channel().0,
             channels: RankedMutex::new(lock_rank::CONN_CHANNELS, BTreeMap::new()),
-            workq: tx,
-            bind_waiters: RankedMutex::new(lock_rank::MUX_WAITERS, VecDeque::new()),
-            idle_parkers: AtomicUsize::new(0),
-        });
-        (gateway, rx)
-    }
-
-    /// Live channels (diagnostic).
-    pub fn channel_count(&self) -> usize {
-        self.channels.lock().len()
-    }
-
-    /// Takes the oldest parked channel, if any.
-    fn pop_waiter(&self) -> Option<ChanKey> {
-        self.bind_waiters.lock().pop_front()
-    }
-
-    /// Moves one parked channel back onto the work queue. Called whenever
-    /// a call or teardown released a vGPU (observed as a bump of the
-    /// `unbindings` counter), so every release is chased by a retry.
-    fn kick_waiter(&self) {
-        if let Some(key) = self.pop_waiter() {
-            let _ = self.workq.send(WorkItem::Chan(key));
+            workq,
+            work,
+            workers: AtomicUsize::new(0),
+            paused: AtomicUsize::new(0),
         }
-    }
-
-    /// Tears a removed channel's context down and gives its local-service
-    /// slot back.
-    fn retire(&self, state: &ChannelState) {
-        service::teardown(&self.rt, &state.ctx);
-        if state.holds_slot {
-            self.rt.release_local_slot();
-        }
-    }
-
-    /// Replies `Disconnected` to everything still queued on a dead channel.
-    fn drain_dead(&self, conn: ConnId, state: &ChannelState) {
-        let drained: Vec<(u64, CudaReply)> = {
-            let mut q = state.queue.lock();
-            q.calls.drain(..).map(|(id, _)| (id, Err(CudaError::Disconnected))).collect()
-        };
-        self.sink.reply_batch(conn, drained);
     }
 }
 
-impl MuxService for MuxGateway {
-    fn on_request(&self, conn: ConnId, chan: u64, id: u64, call: CudaCall) {
-        // Runs on the reactor thread: enqueue and get out. Context creation
-        // (first call on a channel) is the only heavier step and is a
-        // bounded map-insert + registry insert — plus, for a channel this
-        // node offloads, one thread spawn; the connect is that thread's.
-        let key = (conn, chan);
-        RuntimeMetrics::bump(&self.rt.metrics_ref().mux_requests);
-        let state = {
-            let mut channels = self.channels.lock();
-            match channels.get(&key) {
-                Some(Chan::Local(s)) => Arc::clone(s),
-                Some(Chan::Relayed(relay)) => {
-                    // Under the map lock, so the relay's final drain (which
-                    // removes the key first) misses nothing.
-                    let _ = relay.send((id, call));
-                    return;
-                }
-                None => {
-                    let ctx = self.rt.new_context(format!("mux-{conn}-{chan}"));
-                    RuntimeMetrics::bump(&self.rt.metrics_ref().mux_channels);
-                    // §4.7: a stream a peer relayed here is served
-                    // unconditionally; any other new one needs a slot.
-                    let holds_slot = self.offloads && !matches!(call, CudaCall::Offloaded);
-                    if holds_slot && !self.rt.try_keep_local() {
-                        let (relay, calls) = unbounded();
-                        channels.insert(key, Chan::Relayed(relay));
-                        // The thread spawn need not hold the map.
-                        drop(channels);
-                        let gateway = self.me.clone();
-                        let sink = self.sink.clone();
-                        let relayed =
-                            RelayedChannel { gateway, key, calls, sink, awaiting: Some(id) };
-                        self.rt.offload(ctx, Box::new(relayed), call);
-                        return;
-                    }
-                    let state = Arc::new(ChannelState {
-                        ctx,
-                        queue: RankedMutex::new(
-                            lock_rank::CHAN_QUEUE,
-                            ChanQueue { calls: VecDeque::new(), scheduled: false },
-                        ),
-                        holds_slot,
-                    });
-                    channels.insert(key, Chan::Local(Arc::clone(&state)));
-                    state
-                }
-            }
-        };
-        let schedule = {
-            let mut q = state.queue.lock();
-            q.calls.push_back((id, call));
-            let was = q.scheduled;
-            q.scheduled = true;
-            !was
-        };
-        if schedule {
-            let _ = self.workq.send(WorkItem::Chan(key));
+/// Workers a runtime's pool keeps able to serve: one per vGPU plus the
+/// spares.
+fn pool_size(rt: &NodeRuntime) -> usize {
+    rt.bindings().total_vgpus() + SPARE_WORKERS
+}
+
+/// Starts one more pool worker.
+fn spawn_worker(rt: &Arc<NodeRuntime>) {
+    let n = rt.gateway().workers.fetch_add(1, Ordering::SeqCst);
+    rt.spawn_handler(&format!("mux-worker-{n}"), worker_loop);
+}
+
+/// Starts the pool.
+pub(crate) fn spawn_pool(rt: &Arc<NodeRuntime>) {
+    (0..pool_size(rt)).for_each(|_| spawn_worker(rt));
+}
+
+/// Sits out a backoff on the calling worker (`Clock::backoff`: real time on
+/// a scaled clock, a step of the timeline on a virtual one). A paused worker
+/// serves nobody, and any number of contexts may be pausing at once — unlike
+/// launches, which the vGPU count bounds — so the pool grows by one when a
+/// pause would leave it fewer than [`pool_size`] workers that can serve. It
+/// never shrinks: it ends up larger by the most pauses that ever overlapped,
+/// and stops growing there.
+pub(crate) fn pause(rt: &NodeRuntime, backoff: Duration) {
+    let g = rt.gateway();
+    let paused = g.paused.fetch_add(1, Ordering::SeqCst) + 1;
+    let workers = g.workers.load(Ordering::SeqCst);
+    if workers > 0 && workers.saturating_sub(paused) < pool_size(rt) {
+        if let Some(rt) = rt.me().upgrade() {
+            spawn_worker(&rt);
         }
+    }
+    rt.clock().backoff(backoff);
+    g.paused.fetch_sub(1, Ordering::SeqCst);
+}
+
+impl NodeRuntime {
+    /// What ties a reactor to this runtime's gateway: pass it to
+    /// `spawn_reactor` with the runtime itself as the service. One reactor
+    /// per runtime.
+    pub fn reply_queue(&self) -> ReplyQueue {
+        self.gateway().sink.queue()
+    }
+
+    /// Live channels, in-process and accepted (diagnostic).
+    pub fn channel_count(&self) -> usize {
+        self.gateway().channels.lock().len()
+    }
+
+    /// Plays worker on the calling thread until the work queue is empty;
+    /// returns how many items it served. See [`Self::start_poolless`].
+    #[doc(hidden)]
+    pub fn serve_queued(&self) -> usize {
+        let mut served = 0;
+        while let Ok(item) = self.gateway().work.try_recv() {
+            if !serve_item(self, item) {
+                break;
+            }
+            served += 1;
+        }
+        served
+    }
+}
+
+/// Queues one call on its channel — created, and its §4.7 placement decided,
+/// with its first call — and makes the channel runnable. Never blocks:
+/// context creation is a bounded map-insert + registry insert, plus, for a
+/// channel this node offloads, one thread spawn (the connect is that
+/// thread's). `wire` says the call came through the reactor, which is what
+/// the `mux_*` counters count.
+fn submit(rt: &NodeRuntime, key: ChanKey, id: u64, call: CudaCall, wire: bool) {
+    let g = rt.gateway();
+    if rt.is_shutdown() {
+        // The pool is stopping: nobody would serve the call.
+        return g.sink.reply(key.0, id, Err(CudaError::Disconnected));
+    }
+    let state = {
+        let mut channels = g.channels.lock();
+        match channels.get(&key) {
+            Some(Chan::Local(s)) => Arc::clone(s),
+            Some(Chan::Relayed(relay)) => {
+                // Under the map lock, so the relay's final drain (which
+                // removes the key first) misses nothing.
+                let _ = relay.send((id, call));
+                return;
+            }
+            None => {
+                let label = if wire { format!("mux-{}-{}", key.0, key.1) } else { "local".into() };
+                let ctx = rt.new_context(label);
+                if wire {
+                    RuntimeMetrics::bump(&rt.metrics_ref().mux_channels);
+                }
+                // §4.7: a stream a peer relayed here is served
+                // unconditionally; any other new one needs a slot.
+                let holds_slot = rt.offloads() && !matches!(call, CudaCall::Offloaded);
+                if holds_slot && !rt.try_keep_local() {
+                    let (relay, calls) = unbounded();
+                    channels.insert(key, Chan::Relayed(relay));
+                    // The thread spawn need not hold the map.
+                    drop(channels);
+                    let (sink, awaiting) = (g.sink.clone(), Some(id));
+                    let relayed = RelayedChannel { rt: rt.me(), key, calls, sink, awaiting };
+                    return rt.offload(ctx, relayed, call);
+                }
+                let queue = ChanQueue { calls: VecDeque::new(), scheduled: false };
+                let state = ChannelState::new(ctx, queue, holds_slot);
+                channels.insert(key, Chan::Local(Arc::clone(&state)));
+                state
+            }
+        }
+    };
+    let schedule = {
+        let mut q = state.queue.lock();
+        q.calls.push_back((id, call));
+        !std::mem::replace(&mut q.scheduled, true)
+    };
+    if schedule {
+        let _ = g.workq.send(WorkItem::Chan(key));
+    }
+}
+
+/// Detaches a connection's channels quickly and hands the (potentially
+/// blocking) context teardown to the worker pool.
+fn disconnect(rt: &NodeRuntime, conn: ConnId) {
+    let g = rt.gateway();
+    let removed: Vec<Arc<ChannelState>> = {
+        let mut channels = g.channels.lock();
+        let keys: Vec<ChanKey> =
+            channels.range((conn, 0)..=(conn, u64::MAX)).map(|(k, _)| *k).collect();
+        // A relayed channel's sender drops here: its relay thread sees
+        // the hang-up and does that context's teardown itself.
+        keys.into_iter()
+            .filter_map(|k| match channels.remove(&k) {
+                Some(Chan::Local(state)) => Some(state),
+                _ => None,
+            })
+            .collect()
+    };
+    if !removed.is_empty() {
+        let _ = g.workq.send(WorkItem::Teardown(removed));
+    }
+}
+
+impl MuxService for NodeRuntime {
+    fn on_request(&self, conn: ConnId, chan: u64, id: u64, call: CudaCall) {
+        // Runs on the reactor thread: enqueue and get out.
+        RuntimeMetrics::bump(&self.metrics_ref().mux_requests);
+        submit(self, (conn, chan), id, call, true);
     }
 
     fn on_disconnect(&self, conn: ConnId) {
-        // Reactor thread: detach the connection's channels quickly and hand
-        // the (potentially blocking) context teardown to the worker pool.
-        let removed: Vec<Arc<ChannelState>> = {
-            let mut channels = self.channels.lock();
-            let keys: Vec<ChanKey> =
-                channels.range((conn, 0)..=(conn, u64::MAX)).map(|(k, _)| *k).collect();
-            // A relayed channel's sender drops here: its relay thread sees
-            // the hang-up and does that context's teardown itself.
-            keys.into_iter()
-                .filter_map(|k| match channels.remove(&k) {
-                    Some(Chan::Local(state)) => Some(state),
-                    _ => None,
-                })
-                .collect()
-        };
-        if !removed.is_empty() {
-            let _ = self.workq.send(WorkItem::Teardown(removed));
-        }
+        disconnect(self, conn);
     }
 }
 
-impl MuxGatewayHandle {
-    /// Stops the worker pool after it drains all queued work (FIFO: the
-    /// stop markers enqueue behind any outstanding teardowns).
-    pub fn shutdown(self) {
-        for _ in 0..self.workers.len() {
-            let _ = self.gateway.workq.send(WorkItem::Stop);
-        }
-        for w in self.workers {
-            let _ = w.join();
-        }
+/// The client end of an in-process connection: one channel of the gateway,
+/// fed by the calling thread instead of the reactor and answered through a
+/// channel instead of a socket. Nothing else differs — the same FIFO, the
+/// same visits, the same teardown when it is dropped.
+pub struct InProcessChannel {
+    rt: Arc<NodeRuntime>,
+    conn: ConnId,
+    replies: Receiver<CudaReply>,
+    next_id: u64,
+}
+
+impl InProcessChannel {
+    pub(crate) fn open(rt: &Arc<NodeRuntime>) -> InProcessChannel {
+        let (conn, replies) = rt.gateway().sink.open_in_process();
+        InProcessChannel { rt: Arc::clone(rt), conn, replies, next_id: 0 }
+    }
+}
+
+impl Transport for InProcessChannel {
+    fn roundtrip(&mut self, call: CudaCall) -> CudaReply {
+        self.next_id += 1;
+        submit(&self.rt, (self.conn, 0), self.next_id, call, false);
+        // Replies come in call order; a closed channel is a hang-up (the
+        // runtime shut down).
+        self.replies.recv().unwrap_or(Err(CudaError::Disconnected))
+    }
+}
+
+impl Drop for InProcessChannel {
+    fn drop(&mut self) {
+        self.rt.gateway().sink.close_in_process(self.conn);
+        disconnect(&self.rt, self.conn);
+    }
+}
+
+/// Stops serving: hangs up the in-process connections still open (their
+/// contexts are torn down by the pool on its way out) and posts the stop
+/// marker behind whatever is queued.
+pub(crate) fn stop(rt: &NodeRuntime) {
+    let g = rt.gateway();
+    for conn in g.sink.in_process_conns() {
+        g.sink.close_in_process(conn);
+        disconnect(rt, conn);
+    }
+    let _ = g.workq.send(WorkItem::Stop);
+}
+
+/// Tears a removed channel's context down and gives its local-service slot
+/// back.
+fn retire(rt: &NodeRuntime, state: &ChannelState) {
+    service::teardown(rt, &state.ctx);
+    if state.holds_slot {
+        rt.release_local_slot();
     }
 }
 
@@ -408,56 +490,41 @@ fn bulk_bytes(reply: &CudaReply) -> usize {
     }
 }
 
-fn worker_loop(g: &MuxGateway, rx: &Receiver<WorkItem>) {
-    loop {
-        // Runnable channels first; bind-waiters only soak up idle workers.
-        let item = match rx.try_recv() {
-            Ok(item) => item,
-            Err(TryRecvError::Empty) => {
-                // Nothing else to run: give one waiter a *bounded* park
-                // inside the dispatcher's wait queue, where a release
-                // reaches it by targeted wakeup. Capped so most workers
-                // stay parked on the work queue, ready for fresh calls.
-                if g.idle_parkers.load(Ordering::Relaxed) < MAX_IDLE_PARKERS {
-                    if let Some(key) = g.pop_waiter() {
-                        g.idle_parkers.fetch_add(1, Ordering::Relaxed);
-                        serve_channel(g, key, BIND_SLICE);
-                        g.idle_parkers.fetch_sub(1, Ordering::Relaxed);
-                        continue;
-                    }
-                }
-                match rx.recv() {
-                    Ok(item) => item,
-                    Err(_) => break,
-                }
-            }
-            Err(TryRecvError::Disconnected) => break,
-        };
-        match item {
-            WorkItem::Stop => break,
-            WorkItem::Teardown(states) => {
-                for state in states {
-                    // The connection is gone: queued calls get no replies
-                    // (the sink drops them anyway) — just release what
-                    // the context holds. Waits on the service lock until
-                    // any in-flight call finishes.
-                    g.retire(&state);
-                }
-                // Teardown released vGPUs: let a parked launch at them.
-                g.kick_waiter();
-            }
-            // Queue-driven attempts never park: a launch that cannot bind
-            // right now goes to the waiters list, not a worker slice.
-            WorkItem::Chan(key) => serve_channel(g, key, Duration::ZERO),
+/// A pool worker's life: work items until the stop marker.
+fn worker_loop(rt: &Arc<NodeRuntime>) {
+    while let Ok(item) = rt.gateway().work.recv() {
+        if !serve_item(rt, item) {
+            break;
         }
     }
 }
 
+/// Serves one work item; `false` on the stop marker, which stays queued for
+/// the next worker.
+fn serve_item(rt: &NodeRuntime, item: WorkItem) -> bool {
+    match item {
+        WorkItem::Stop => {
+            let _ = rt.gateway().workq.send(WorkItem::Stop);
+            return false;
+        }
+        WorkItem::Teardown(states) => {
+            for state in states {
+                // The connection is gone: queued calls get no replies (the
+                // sink drops them anyway) — just release what the context
+                // holds. Waits on the service lock until any in-flight call
+                // finishes.
+                retire(rt, &state);
+            }
+        }
+        WorkItem::Chan(key) => serve_channel(rt, key),
+    }
+    true
+}
+
 /// One visit to a runnable channel: executes its queued calls in order, up
-/// to [`VISIT_BUDGET`], and posts their replies as one batch. `bind_slice`
-/// bounds how long a launch may park in the dispatcher's wait queue before
-/// the channel is handed back.
-fn serve_channel(g: &MuxGateway, key: ChanKey, bind_slice: Duration) {
+/// to [`VISIT_BUDGET`], and posts their replies as one batch.
+fn serve_channel(rt: &NodeRuntime, key: ChanKey) {
+    let g = rt.gateway();
     let state = match g.channels.lock().get(&key) {
         Some(Chan::Local(state)) => Arc::clone(state),
         // Torn down between scheduling and service: nothing to do.
@@ -473,7 +540,7 @@ fn serve_channel(g: &MuxGateway, key: ChanKey, bind_slice: Duration) {
             let head = q.calls.pop_front();
             // The channel goes idle only with nothing left to post: while
             // `scheduled` is set no other worker can execute its next call
-            // and get that reply onto the wire ahead of this visit's.
+            // and get that reply to the client ahead of this visit's.
             if head.is_none() && replies.is_empty() {
                 q.scheduled = false;
             }
@@ -489,65 +556,55 @@ fn serve_channel(g: &MuxGateway, key: ChanKey, bind_slice: Duration) {
             continue;
         };
         served += 1;
-        // Launches may would-block; keep a copy to requeue. Launch specs
-        // carry no bulk payloads, so the clone is cheap (bulk data travels
-        // in MemcpyH2D, which never blocks on binding).
+        // Launches may have to queue for a vGPU; keep a copy to put back.
+        // Launch specs carry no bulk payloads, so the clone is cheap (bulk
+        // data travels in MemcpyH2D, which never needs a binding).
         let retry = if call.requires_binding() { Some(call.clone()) } else { None };
         let is_exit = matches!(call, CudaCall::Exit);
-        if retry.is_some() && !bind_slice.is_zero() && state.ctx.binding().is_none() {
-            // This launch may park for the whole slice: what the visit has
-            // already answered goes out first.
+        let outcome = {
+            let _guard = state.ctx.service_lock();
+            service::handle_call(rt, &state.ctx, call)
+        };
+        let reply = match outcome {
+            Ok(value) => Ok(value),
+            Err(Abort::Fail(e)) => Err(e),
+            Err(Abort::WouldBlock { .. }) if rt.is_shutdown() => Err(CudaError::Disconnected),
+            Err(Abort::WouldBlock { work, mem }) => {
+                RuntimeMetrics::bump(&rt.metrics_ref().mux_retries);
+                // Put the call back at the head (ordering!), answer what
+                // the visit got done, and only then queue for the vGPU.
+                let retry = retry.expect("only launches would-block");
+                state.queue.lock().calls.push_front((id, retry));
+                g.sink.reply_batch(conn, replies);
+                // From here the channel is the dispatcher's: the wake, which
+                // may have run by the time `enqueue` returns, hands it to
+                // whichever worker is free, with the launch at its head.
+                let workq = g.workq.clone();
+                let wake = move || drop(workq.send(WorkItem::Chan(key)));
+                return rt.bindings().enqueue(&state.ctx, work, mem, Box::new(wake));
+            }
+        };
+        held_bytes += bulk_bytes(&reply);
+        replies.push((id, reply));
+        if held_bytes >= VISIT_REPLY_BYTES {
             g.sink.reply_batch(conn, std::mem::take(&mut replies));
             held_bytes = 0;
         }
-        // Snapshot the release counter: if this call frees any vGPU (unbind,
-        // victim swap-out, exit teardown), one parked launch gets a retry.
-        let unbound_before = g.rt.metrics_ref().unbindings.load(Ordering::Relaxed);
-        let outcome = {
-            let _guard = state.ctx.service_lock();
-            service::try_handle_call(&g.rt, &state.ctx, call, bind_slice)
-        };
-        let mut parked = false;
-        match outcome {
-            CallOutcome::Reply(reply) => {
-                held_bytes += bulk_bytes(&reply);
-                replies.push((id, reply));
-                if held_bytes >= VISIT_REPLY_BYTES {
-                    g.sink.reply_batch(conn, std::mem::take(&mut replies));
-                    held_bytes = 0;
-                }
-            }
-            CallOutcome::WouldBlock => {
-                RuntimeMetrics::bump(&g.rt.metrics_ref().mux_retries);
-                if g.rt.is_shutdown() {
-                    replies.push((id, Err(CudaError::Disconnected)));
-                } else {
-                    // Put the call back at the head (ordering!), answer
-                    // what the visit got done, and only then park the
-                    // channel on the waiters list, where the next completion,
-                    // teardown or idle worker may pick it up at once.
-                    let retry = retry.expect("only launches would-block");
-                    state.queue.lock().calls.push_front((id, retry));
-                    g.sink.reply_batch(conn, std::mem::take(&mut replies));
-                    g.bind_waiters.lock().push_back(key);
-                    parked = true;
-                }
-            }
-        }
         if is_exit {
-            g.sink.reply_batch(conn, std::mem::take(&mut replies));
+            g.sink.reply_batch(conn, replies);
             // Remove-then-teardown; a racing disconnect may have won the
             // removal, in which case it owns the teardown.
             let removed = g.channels.lock().remove(&key);
             if let Some(Chan::Local(owned)) = removed {
-                g.drain_dead(conn, &owned);
-                g.retire(&owned);
+                // Whatever was queued behind the Exit is told the channel
+                // is gone.
+                let dead: Vec<(u64, CudaReply)> = {
+                    let mut q = owned.queue.lock();
+                    q.calls.drain(..).map(|(id, _)| (id, Err(CudaError::Disconnected))).collect()
+                };
+                g.sink.reply_batch(conn, dead);
+                retire(rt, &owned);
             }
-        }
-        if g.rt.metrics_ref().unbindings.load(Ordering::Relaxed) != unbound_before {
-            g.kick_waiter();
-        }
-        if is_exit || parked {
             return;
         }
     }
@@ -571,39 +628,31 @@ mod tests {
     use mtgpu_api::client::CudaClient;
     use mtgpu_api::protocol::{AllocKind, ModuleHandle, MuxFrame};
     use mtgpu_api::transport::{
-        spawn_reactor, FrameBuf, FrontendClient, MuxConnection, ReactorConfig, ReplySink,
+        spawn_reactor, FrameBuf, FrontendClient, MuxConnection, ReactorConfig, ReactorHandle,
     };
-    use mtgpu_gpusim::{Driver, GpuSpec, KernelDesc, LaunchConfig, LaunchSpec, Work};
+    use mtgpu_gpusim::{DeviceId, Driver, GpuSpec, KernelDesc, LaunchConfig, LaunchSpec, Work};
     use mtgpu_simtime::Clock;
     use std::net::TcpListener;
 
-    fn start_node() -> (Arc<NodeRuntime>, Arc<MuxGateway>, MuxGatewayHandle) {
-        let clock = Clock::with_scale(1e-7);
-        let driver = Driver::with_devices(clock, vec![GpuSpec::test_small(); 2]);
-        let rt = NodeRuntime::start(
-            driver,
-            RuntimeConfig { background_monitor: false, ..RuntimeConfig::default() },
-        );
-        let (sink, _queue) = ReplySink::channel();
-        let (gw, handle) = MuxGateway::start(Arc::clone(&rt), sink);
-        let _ = _queue;
-        (rt, gw, handle)
+    fn quiet(cfg: RuntimeConfig) -> RuntimeConfig {
+        RuntimeConfig { background_monitor: false, ..cfg }
+    }
+
+    /// A runtime over `devices` small GPUs with a reactor in front of it.
+    fn start_node(devices: usize) -> (Arc<NodeRuntime>, ReactorHandle) {
+        let driver =
+            Driver::with_devices(Clock::with_scale(1e-7), vec![GpuSpec::test_small(); devices]);
+        let rt = NodeRuntime::start(driver, quiet(RuntimeConfig::default()));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let reactor =
+            spawn_reactor(listener, ReactorConfig::default(), rt.clone(), rt.reply_queue())
+                .unwrap();
+        (rt, reactor)
     }
 
     #[test]
     fn end_to_end_over_reactor() {
-        let clock = Clock::with_scale(1e-7);
-        let driver = Driver::with_devices(clock, vec![GpuSpec::test_small(); 2]);
-        let rt = NodeRuntime::start(
-            driver,
-            RuntimeConfig { background_monitor: false, ..RuntimeConfig::default() },
-        );
-        let (sink, queue) = ReplySink::channel();
-        let (gw, workers) = MuxGateway::start(Arc::clone(&rt), sink);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let svc: Arc<dyn mtgpu_api::transport::MuxService> = gw.clone();
-        let reactor = spawn_reactor(listener, ReactorConfig::default(), svc, queue).unwrap();
-
+        let (rt, reactor) = start_node(2);
         let conn = MuxConnection::connect(reactor.addr()).unwrap();
         // Two channels on one socket, interleaved.
         let mut a = FrontendClient::new(conn.channel());
@@ -617,67 +666,71 @@ mod tests {
         assert_eq!(a.memcpy_d2h(pa, 3).unwrap().payload[..3], [1, 2, 3]);
         a.exit().unwrap();
         b.exit().unwrap();
-        assert!(rt.wait_idle(std::time::Duration::from_secs(10)), "contexts must tear down");
-        assert_eq!(gw.channel_count(), 0);
+        assert!(rt.wait_idle(Duration::from_secs(10)), "contexts must tear down");
+        assert_eq!(rt.channel_count(), 0);
         assert!(rt.metrics().mux_channels >= 2);
         reactor.shutdown();
-        workers.shutdown();
         rt.shutdown();
     }
 
     #[test]
     fn disconnect_tears_channels_down() {
-        let clock = Clock::with_scale(1e-7);
-        let driver = Driver::with_devices(clock, vec![GpuSpec::test_small()]);
-        let rt = NodeRuntime::start(
-            driver,
-            RuntimeConfig { background_monitor: false, ..RuntimeConfig::default() },
-        );
-        let (sink, queue) = ReplySink::channel();
-        let (gw, workers) = MuxGateway::start(Arc::clone(&rt), sink);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let svc: Arc<dyn mtgpu_api::transport::MuxService> = gw.clone();
-        let reactor = spawn_reactor(listener, ReactorConfig::default(), svc, queue).unwrap();
-
+        let (rt, reactor) = start_node(1);
         let conn = MuxConnection::connect(reactor.addr()).unwrap();
         let mut c = FrontendClient::new(conn.channel());
         let _ = c.malloc(4096).unwrap();
         // Drop the socket without Exit: the reactor must notice and the
         // gateway must release the context and its memory.
         conn.shutdown();
-        assert!(rt.wait_idle(std::time::Duration::from_secs(10)), "disconnect must tear down");
-        assert_eq!(gw.channel_count(), 0);
+        assert!(rt.wait_idle(Duration::from_secs(10)), "disconnect must tear down");
+        assert_eq!(rt.channel_count(), 0);
         reactor.shutdown();
-        workers.shutdown();
         rt.shutdown();
     }
 
-    /// A gateway with no pool (the test is the worker), the receiving end
-    /// of its work queue, and the client end of a loopback socket attached
-    /// to the gateway's sink as connection 1.
-    fn poolless_gateway(
-        cfg: RuntimeConfig,
-    ) -> (Arc<NodeRuntime>, Arc<MuxGateway>, Receiver<WorkItem>, std::net::TcpStream) {
+    #[test]
+    fn in_process_client_is_a_gateway_connection_that_never_counts_as_wire_traffic() {
         let driver = Driver::with_devices(Clock::with_scale(1e-7), vec![GpuSpec::test_small()]);
-        let rt = NodeRuntime::start(driver, RuntimeConfig { background_monitor: false, ..cfg });
-        let (sink, queue) = ReplySink::channel();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        queue.attach(1, listener.accept().unwrap().0);
-        let (gw, workq) = MuxGateway::new(Arc::clone(&rt), sink);
-        (rt, gw, workq, client)
+        let rt = NodeRuntime::start(driver, quiet(RuntimeConfig::default()));
+        let mut a = rt.local_client();
+        let mut b = rt.local_client();
+        let pa = a.malloc(1024).unwrap();
+        a.memcpy_h2d(pa, mtgpu_api::HostBuf::from_slice(&[4, 5, 6])).unwrap();
+        assert_eq!(b.get_device_count().unwrap(), 4);
+        assert_eq!(a.memcpy_d2h(pa, 3).unwrap().payload[..3], [4, 5, 6]);
+        assert_eq!((rt.channel_count(), rt.context_count()), (2, 2));
+        // Exit tears one down, dropping the client the other.
+        a.exit().unwrap();
+        drop(b);
+        assert!(rt.wait_idle(Duration::from_secs(10)), "contexts must tear down");
+        assert_eq!(rt.channel_count(), 0);
+        let m = rt.metrics();
+        assert_eq!((m.mux_requests, m.mux_channels), (0, 0), "nothing arrived over a wire");
+
+        // A client the shutdown finds open is hung up and its context torn
+        // down; calls on it, or on one opened afterwards, fail at once.
+        let mut open = rt.local_client();
+        open.malloc(64).unwrap();
+        rt.shutdown();
+        assert_eq!(rt.context_count(), 0);
+        assert_eq!(open.malloc(64), Err(CudaError::Disconnected));
+        assert_eq!(rt.local_client().malloc(64), Err(CudaError::Disconnected));
     }
 
-    /// Plays worker until the work queue is empty; returns how many
-    /// channel hand-offs it took.
-    fn run_queue(gw: &MuxGateway, workq: &Receiver<WorkItem>) -> usize {
-        let mut visits = 0;
-        while let Ok(item) = workq.try_recv() {
-            let WorkItem::Chan(key) = item else { panic!("only channel work is expected") };
-            serve_channel(gw, key, Duration::ZERO);
-            visits += 1;
-        }
-        visits
+    /// A runtime with no pool (the test is the worker) and the client end
+    /// of a loopback socket attached to its sink as connection 1.
+    fn poolless_runtime(cfg: RuntimeConfig) -> (Arc<NodeRuntime>, std::net::TcpStream) {
+        let driver = Driver::with_devices(Clock::with_scale(1e-7), vec![GpuSpec::test_small()]);
+        let rt = NodeRuntime::start_poolless(driver, quiet(cfg));
+        (Arc::clone(&rt), attach_client(&rt, 1))
+    }
+
+    /// The client end of a loopback socket attached as connection `conn`.
+    fn attach_client(rt: &NodeRuntime, conn: ConnId) -> std::net::TcpStream {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        rt.reply_queue().attach(conn, listener.accept().unwrap().0);
+        client
     }
 
     /// Reads `want` response frames off the client end, in wire order.
@@ -699,6 +752,10 @@ mod tests {
         CudaCall::Malloc { size: 64, kind: AllocKind::Linear }
     }
 
+    fn register_noop() -> CudaCall {
+        CudaCall::RegisterFunction { module: ModuleHandle(1), kernel: KernelDesc::plain("noop") }
+    }
+
     fn noop_launch() -> CudaCall {
         CudaCall::Launch {
             spec: LaunchSpec {
@@ -717,17 +774,25 @@ mod tests {
         client.set_nonblocking(false).unwrap();
     }
 
+    /// The state of a channel the pool serves.
+    fn local_state(rt: &NodeRuntime, key: ChanKey) -> Arc<ChannelState> {
+        match rt.gateway().channels.lock().get(&key) {
+            Some(Chan::Local(state)) => Arc::clone(state),
+            _ => panic!("channel {key:?} is not served here"),
+        }
+    }
+
     #[test]
     fn pipelined_flush_costs_one_hand_off_per_visit_budget_and_keeps_order() {
-        let (rt, gw, workq, mut client) = poolless_gateway(RuntimeConfig::default());
+        let (rt, mut client) = poolless_runtime(RuntimeConfig::default());
         // A full client pipeline (MAX_PIPELINE = 160) and the call that
         // flushes it, all queued before any worker looks.
         const CALLS: u64 = 161;
         for id in 0..CALLS {
-            gw.on_request(1, 1, id, malloc());
+            rt.on_request(1, 1, id, malloc());
         }
-        assert_eq!(workq.len(), 1, "a channel sits on the work queue at most once");
-        assert_eq!(run_queue(&gw, &workq), (CALLS as usize).div_ceil(VISIT_BUDGET));
+        assert_eq!(rt.gateway().work.len(), 1, "a channel sits on the work queue at most once");
+        assert_eq!(rt.serve_queued(), (CALLS as usize).div_ceil(VISIT_BUDGET));
         let replies = read_replies(&mut client, CALLS as usize);
         assert!(replies.iter().map(|(id, _)| *id).eq(0..CALLS), "replies out of order");
         assert!(replies.iter().all(|(_, r)| matches!(r, Ok(ReplyValue::Ptr(_)))));
@@ -735,122 +800,132 @@ mod tests {
         // answers what the visit produced and itself before it tears down;
         // what was queued behind it is told the channel is gone.
         for (id, call) in [malloc(), CudaCall::Exit, malloc()].into_iter().enumerate() {
-            gw.on_request(1, 1, CALLS + id as u64, call);
+            rt.on_request(1, 1, CALLS + id as u64, call);
         }
-        assert_eq!(run_queue(&gw, &workq), 1);
+        assert_eq!(rt.serve_queued(), 1);
         let last = read_replies(&mut client, 3);
         assert!(last.iter().map(|(id, _)| *id).eq(CALLS..CALLS + 3));
         assert!(matches!(last[0].1, Ok(ReplyValue::Ptr(_))));
         assert_eq!(last[1].1, Ok(ReplyValue::Unit));
         assert_eq!(last[2].1, Err(CudaError::Disconnected));
-        assert_eq!(gw.channel_count(), 0);
+        assert_eq!(rt.channel_count(), 0);
         rt.shutdown();
     }
 
     #[test]
-    fn finished_replies_go_out_before_a_launch_parks() {
-        let (rt, gw, workq, mut client) = poolless_gateway(RuntimeConfig::serialized());
+    fn launch_without_a_vgpu_ships_earlier_replies_and_waits_in_the_dispatcher_queue() {
+        // Two one-vGPU devices. Application 7 has a thread bound on one of
+        // them, so the channel's context, which joins it, must wait for
+        // that device (§4.8) while the other stands free.
+        let driver = Driver::with_devices(Clock::with_scale(1e-7), vec![GpuSpec::test_small(); 2]);
+        let rt = NodeRuntime::start_poolless(driver, quiet(RuntimeConfig::serialized()));
+        let mut client = attach_client(&rt, 1);
         let hog = rt.new_context("hog".into());
-        let held = rt.bindings().acquire(&hog, 0.0, 0, Duration::ZERO).expect("free vGPU");
-        let register = CudaCall::RegisterFunction {
-            module: ModuleHandle(1),
-            kernel: KernelDesc::plain("noop"),
-        };
-        for (id, call) in [register, malloc(), noop_launch()].into_iter().enumerate() {
-            gw.on_request(1, 1, id as u64, call);
-        }
-        let Ok(WorkItem::Chan(key)) = workq.try_recv() else { panic!("channel not scheduled") };
-        std::thread::scope(|s| {
-            // An idle worker lending itself to the channel: the launch may
-            // park in the dispatcher for as long as this slice.
-            let parker = s.spawn(|| serve_channel(&gw, key, Duration::from_secs(60)));
-            // Only this thread can end the park, and it does so after the
-            // first two replies are in hand.
-            let early = read_replies(&mut client, 2);
-            assert!(early.iter().map(|(id, _)| *id).eq(0..2));
-            rt.bindings().release(hog.id, held.vgpu);
-            let done = read_replies(&mut client, 1);
-            assert!(matches!(done[0], (2, Ok(_))), "{done:?}");
-            parker.join().unwrap();
-        });
-        gw.on_request(1, 1, 3, CudaCall::Exit);
-        run_queue(&gw, &workq);
-        rt.shutdown();
-    }
-
-    #[test]
-    fn would_block_mid_visit_ships_earlier_replies_and_keeps_the_rest_queued_in_order() {
-        let (rt, gw, workq, mut client) = poolless_gateway(RuntimeConfig::serialized());
-        // The node's only vGPU is taken, so the channel's launch cannot bind.
-        let hog = rt.new_context("hog".into());
-        let held = rt.bindings().acquire(&hog, 0.0, 0, Duration::ZERO).expect("free vGPU");
+        hog.inner().app_id = Some(7);
+        let held = rt.bindings().poll(&hog, 0).expect("free vGPU");
+        let free_device = DeviceId(1 - held.vgpu.device.0);
         let calls = [
-            CudaCall::RegisterFunction {
-                module: ModuleHandle(1),
-                kernel: KernelDesc::plain("noop"),
-            },
-            malloc(),
+            CudaCall::SetApplication { app_id: 7 },
+            register_noop(),
             noop_launch(),
             malloc(),
             CudaCall::Synchronize,
         ];
         for (id, call) in calls.into_iter().enumerate() {
-            gw.on_request(1, 1, id as u64, call);
+            rt.on_request(1, 1, id as u64, call);
         }
-        assert_eq!(run_queue(&gw, &workq), 1);
+        assert_eq!(rt.serve_queued(), 1);
         // The two calls ahead of the launch are answered without waiting
         // for it; the launch and its successors wait, still in order, and
-        // the channel is parked, not rescheduled.
+        // the channel is the dispatcher's, not the work queue's.
         let early = read_replies(&mut client, 2);
         assert!(early.iter().map(|(id, _)| *id).eq(0..2));
         nothing_more_arrives(&mut client);
         assert_eq!(rt.metrics().mux_retries, 1);
-        assert!(workq.is_empty());
-        assert_eq!(*gw.bind_waiters.lock(), [(1, 1)]);
+        assert!(rt.gateway().work.is_empty());
         {
-            let state = match gw.channels.lock().get(&(1, 1)) {
-                Some(Chan::Local(state)) => Arc::clone(state),
-                _ => panic!("the channel is served here"),
-            };
+            let state = local_state(&rt, (1, 1));
             let q = state.queue.lock();
             assert!(q.scheduled);
             assert!(q.calls.iter().map(|(id, _)| *id).eq(2..5));
             assert!(matches!(q.calls[0].1, CudaCall::Launch { .. }));
         }
-        // The vGPU comes free: a kick puts the channel back on the queue
-        // and one visit finishes the batch.
+        // A remote waiter is a waiter: the node's load shows it, and no
+        // migration may take the free vGPU past it (§5.3.4).
+        assert_eq!(rt.load().waiting, 1);
+        assert!(rt.bindings().try_acquire_on(hog.id, free_device).is_none());
+        // The release grants the vGPU to the queue entry, whose wake puts
+        // the channel back on the work queue: one visit finishes the batch.
         rt.bindings().release(hog.id, held.vgpu);
-        gw.kick_waiter();
-        assert_eq!(run_queue(&gw, &workq), 1);
+        assert_eq!(rt.load().waiting, 0);
+        assert_eq!(rt.gateway().work.len(), 1);
+        assert_eq!(rt.serve_queued(), 1);
         let late = read_replies(&mut client, 3);
         assert!(late.iter().map(|(id, _)| *id).eq(2..5));
         assert!(late.iter().all(|(_, r)| r.is_ok()), "{late:?}");
-        gw.on_request(1, 1, 5, CudaCall::Exit);
-        run_queue(&gw, &workq);
+        assert_eq!(rt.binding_of(local_state(&rt, (1, 1)).ctx.id), Some(held.vgpu));
+        rt.on_request(1, 1, 5, CudaCall::Exit);
+        rt.serve_queued();
+        let m = rt.metrics();
+        assert_eq!((m.bindings, m.unbindings), (2, 2));
+        rt.shutdown();
+    }
+
+    #[test]
+    fn grant_skips_a_waiter_whose_connection_is_gone() {
+        let (rt, mut first) = poolless_runtime(RuntimeConfig::serialized());
+        let mut second = attach_client(&rt, 2);
+        let hog = rt.new_context("hog".into());
+        let held = rt.bindings().poll(&hog, 0).expect("free vGPU");
+        // Two connections' launches queue behind the hog, in this order.
+        for conn in [1, 2] {
+            for (id, call) in [register_noop(), noop_launch()].into_iter().enumerate() {
+                rt.on_request(conn, 1, id as u64, call);
+            }
+            assert_eq!(rt.serve_queued(), 1);
+            assert_eq!(rt.bindings().waiting_count(), conn as usize);
+        }
+        read_replies(&mut first, 1);
+        read_replies(&mut second, 1);
+        // The first hangs up: its teardown takes its entry out of the queue.
+        rt.on_disconnect(1);
+        assert_eq!(rt.serve_queued(), 1);
+        assert_eq!(rt.bindings().waiting_count(), 1);
+        // One release, one wake-up, and it is the second channel's.
+        rt.bindings().release(hog.id, held.vgpu);
+        assert_eq!(rt.gateway().work.len(), 1);
+        assert_eq!(rt.serve_queued(), 1);
+        assert!(matches!(read_replies(&mut second, 1)[0], (1, Ok(_))));
+        rt.on_request(2, 1, 2, CudaCall::Exit);
+        rt.serve_queued();
+        assert_eq!(rt.bindings().waiting_count(), 0);
+        let m = rt.metrics();
+        assert_eq!(m.bindings, m.unbindings, "{m:?}");
+        assert_eq!(rt.context_count(), 1, "only the hog is left");
         rt.shutdown();
     }
 
     #[test]
     fn relayed_channel_is_forwarded_in_order_and_leaves_the_map_when_its_relay_ends() {
-        let (rt, gw, workq, mut client) = poolless_gateway(RuntimeConfig::default());
+        let (rt, mut client) = poolless_runtime(RuntimeConfig::default());
         let key = (1, 2);
-        // What `on_request` sets up for a channel it offloads, by hand: the
+        // What `submit` sets up for a channel it offloads, by hand: the
         // test is the relay thread.
         let open_relay = || {
             let (relay, calls) = unbounded();
-            gw.channels.lock().insert(key, Chan::Relayed(relay));
-            let (gateway, sink) = (Arc::downgrade(&gw), gw.sink.clone());
-            RelayedChannel { gateway, key, calls, sink, awaiting: None }
+            rt.gateway().channels.lock().insert(key, Chan::Relayed(relay));
+            let sink = rt.gateway().sink.clone();
+            RelayedChannel { rt: rt.me(), key, calls, sink, awaiting: None }
         };
         let mut conn = open_relay();
         for (id, call) in [malloc(), CudaCall::Exit, malloc()].into_iter().enumerate() {
-            gw.on_request(1, 2, id as u64, call);
+            rt.on_request(1, 2, id as u64, call);
         }
-        assert!(workq.is_empty(), "a relayed channel's calls never reach the pool");
+        assert!(rt.gateway().work.is_empty(), "a relayed channel's calls never reach the pool");
         assert!(matches!(conn.recv(), Some(CudaCall::Malloc { .. })));
         assert!(conn.send(Ok(ReplyValue::Unit)));
         assert!(!conn.send(Ok(ReplyValue::Unit)), "one reply per call");
-        assert!(matches!(conn.recv_timeout(Duration::ZERO), RecvOutcome::Call(CudaCall::Exit)));
+        assert!(matches!(conn.recv(), Some(CudaCall::Exit)));
         assert!(conn.send(Ok(ReplyValue::Unit)));
         // The relay ends at Exit: what was queued behind it is told so, and
         // the key is free again.
@@ -858,34 +933,57 @@ mod tests {
         let replies = read_replies(&mut client, 3);
         assert!(replies.iter().map(|(id, _)| *id).eq(0..3));
         assert_eq!(replies[2].1, Err(CudaError::Disconnected));
-        assert_eq!(gw.channel_count(), 0);
+        assert_eq!(rt.channel_count(), 0);
 
         // A client that vanishes hangs the relay up; the teardown is the
         // relay's, so the pool is handed nothing.
         let mut conn = open_relay();
-        gw.on_disconnect(1);
-        assert_eq!(gw.channel_count(), 0);
-        assert!(workq.is_empty());
+        rt.on_disconnect(1);
+        assert_eq!(rt.channel_count(), 0);
+        assert!(rt.gateway().work.is_empty());
         assert!(conn.recv().is_none());
-        assert!(matches!(conn.recv_timeout(Duration::ZERO), RecvOutcome::Closed));
         drop(conn);
         rt.shutdown();
     }
 
     #[test]
+    fn relay_that_reaches_no_peer_hands_the_channel_back_to_the_pool_in_order() {
+        let (rt, mut client) = poolless_runtime(RuntimeConfig::default());
+        let key = (1, 2);
+        let (relay, calls) = unbounded();
+        rt.gateway().channels.lock().insert(key, Chan::Relayed(relay));
+        let sink = rt.gateway().sink.clone();
+        // The relay thread holds the first call (a malloc, id 0) while it
+        // dials; two more arrive meanwhile.
+        let relayed = RelayedChannel { rt: rt.me(), key, calls, sink, awaiting: Some(0) };
+        rt.on_request(1, 2, 1, malloc());
+        rt.on_request(1, 2, 2, CudaCall::GetDeviceCount);
+        assert!(rt.gateway().work.is_empty());
+        relayed.hand_back(rt.new_context("relayed".into()), malloc());
+        // One runnable channel holding all three, then a fourth behind them.
+        rt.on_request(1, 2, 3, CudaCall::Exit);
+        assert_eq!(rt.gateway().work.len(), 1);
+        assert_eq!(rt.serve_queued(), 1);
+        let replies = read_replies(&mut client, 4);
+        assert!(replies.iter().map(|(id, _)| *id).eq(0..4));
+        assert!(matches!(replies[1].1, Ok(ReplyValue::Ptr(_))));
+        assert!(matches!(replies[2].1, Ok(ReplyValue::DeviceCount(_))));
+        assert_eq!((rt.channel_count(), rt.context_count()), (0, 0));
+
+        // A client that hung up while the relay dialled leaves nothing to
+        // hand back but the context.
+        let (_relay, calls) = unbounded();
+        let sink = rt.gateway().sink.clone();
+        let relayed = RelayedChannel { rt: rt.me(), key, calls, sink, awaiting: Some(0) };
+        relayed.hand_back(rt.new_context("gone".into()), malloc());
+        assert_eq!((rt.channel_count(), rt.context_count()), (0, 0));
+        assert!(rt.gateway().work.is_empty());
+        rt.shutdown();
+    }
+
+    #[test]
     fn bulk_replies_past_the_byte_bound_arrive_whole_and_in_order() {
-        use mtgpu_api::transport::Transport;
-        let clock = Clock::with_scale(1e-7);
-        let driver = Driver::with_devices(clock, vec![GpuSpec::test_small()]);
-        let rt = NodeRuntime::start(
-            driver,
-            RuntimeConfig { background_monitor: false, ..RuntimeConfig::default() },
-        );
-        let (sink, queue) = ReplySink::channel();
-        let (gw, workers) = MuxGateway::start(Arc::clone(&rt), sink);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let svc: Arc<dyn mtgpu_api::transport::MuxService> = gw;
-        let reactor = spawn_reactor(listener, ReactorConfig::default(), svc, queue).unwrap();
+        let (rt, reactor) = start_node(1);
         let conn = MuxConnection::connect(reactor.addr()).unwrap();
         let mut ch = conn.channel();
 
@@ -915,15 +1013,35 @@ mod tests {
         }
         assert_eq!(ch.roundtrip(CudaCall::Exit), Ok(ReplyValue::Unit));
         reactor.shutdown();
-        workers.shutdown();
         rt.shutdown();
     }
 
     #[test]
-    fn worker_pool_sizes_automatically() {
-        let (rt, _gw, handle) = start_node();
-        assert_eq!(handle.workers.len(), rt.bindings().total_vgpus() + 4);
-        handle.shutdown();
+    fn pool_starts_at_one_worker_per_vgpu_plus_spares_and_grows_only_to_cover_pauses() {
+        let driver = Driver::with_devices(Clock::with_scale(1e-7), vec![GpuSpec::test_small(); 2]);
+        let rt = NodeRuntime::start(driver, quiet(RuntimeConfig::default()));
+        let base = rt.bindings().total_vgpus() + 4;
+        let workers = || rt.gateway().workers.load(Ordering::SeqCst);
+        assert_eq!(workers(), base);
+        // One pause at a time: one worker more covers it, however often.
+        pause(&rt, Duration::ZERO);
+        pause(&rt, Duration::ZERO);
+        assert_eq!(workers(), base + 1);
+        // Two other workers are pausing meanwhile: each pause that finds
+        // fewer than `base` able to serve adds one, until three are covered.
+        rt.gateway().paused.fetch_add(2, Ordering::SeqCst);
+        for _ in 0..3 {
+            pause(&rt, Duration::ZERO);
+        }
+        assert_eq!(workers(), base + 3);
+        rt.gateway().paused.fetch_sub(2, Ordering::SeqCst);
+        rt.shutdown();
+
+        // A pool-less runtime has no pool to grow.
+        let driver = Driver::with_devices(Clock::with_scale(1e-7), vec![GpuSpec::test_small()]);
+        let rt = NodeRuntime::start_poolless(driver, quiet(RuntimeConfig::default()));
+        pause(&rt, Duration::ZERO);
+        assert_eq!(rt.gateway().workers.load(Ordering::SeqCst), 0);
         rt.shutdown();
     }
 }

@@ -1,25 +1,24 @@
-//! The node runtime: the daemon that owns the connection manager,
-//! dispatcher, virtual GPUs, memory manager and monitors (Figure 3).
+//! The node runtime: the daemon that owns the connection manager (the
+//! gateway, [`crate::mux`]), dispatcher, virtual GPUs, memory manager and
+//! monitors (Figure 3).
 
 use crate::config::RuntimeConfig;
 use crate::ctx::{AppContext, CtxId, VGpuId};
 use crate::memory::{MemoryConfig, MemoryManager};
 use crate::metrics::{DeviceUtilization, MetricsSnapshot, RuntimeMetrics};
 use crate::monitor;
+use crate::mux::{self, Gateway, InProcessChannel, RelayedChannel};
 use crate::policy::LeaseBook;
 use crate::sched::BindingManager;
-use crate::service;
 use crate::trace::{TraceEvent, Tracer};
-use mtgpu_api::transport::{
-    channel_pair, ChannelTransport, FrontendClient, MuxConnection, ServerConn,
-};
+use mtgpu_api::transport::{FrontendClient, MuxConnection};
 use mtgpu_api::Transport;
 use mtgpu_gpusim::{DeviceId, Driver, GpuSpec};
 use mtgpu_simtime::{lock_rank, Clock, RankedMutex, Shadow};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -49,6 +48,8 @@ impl LoadInfo {
 /// cluster, it intercepts the CUDA call streams of all local applications
 /// and schedules them over the node's GPUs.
 pub struct NodeRuntime {
+    /// For the threads the runtime starts on its own behalf (relays).
+    me: Weak<NodeRuntime>,
     cfg: RuntimeConfig,
     driver: Arc<Driver>,
     clock: Clock,
@@ -58,13 +59,13 @@ pub struct NodeRuntime {
     registry: RankedMutex<HashMap<CtxId, Arc<AppContext>>>,
     next_ctx: AtomicU64,
     shutdown: AtomicBool,
+    /// Every connection's channels, in-process or accepted, and the work
+    /// queue the pool serves them from.
+    gateway: Gateway,
+    /// The gateway's workers and the §4.7 relay threads.
     handlers: RankedMutex<Vec<JoinHandle<()>>>,
     monitor: RankedMutex<Option<JoinHandle<()>>>,
     offload_rr: AtomicU64,
-    /// Connections currently served locally, counted synchronously at
-    /// accept time (the §4.7 backlog measure must not race with handler
-    /// startup).
-    active_conns: AtomicUsize,
     /// Local-service slots remaining before new connections are offloaded
     /// (§4.7: "we allow the dispatcher to process pending connections only
     /// if the number of pending contexts is below a given threshold").
@@ -83,12 +84,22 @@ pub struct NodeRuntime {
 
 impl NodeRuntime {
     /// Starts the runtime: spawns the configured vGPUs on every attached
-    /// device and the health/migration monitor.
+    /// device, the gateway's worker pool and the health/migration monitor.
     ///
     /// # Panics
     /// Panics if a vGPU's persistent CUDA context cannot be created (a
     /// misconfiguration: more vGPUs than the device supports contexts).
     pub fn start(driver: Arc<Driver>, cfg: RuntimeConfig) -> Arc<NodeRuntime> {
+        let rt = Self::start_poolless(driver, cfg);
+        mux::spawn_pool(&rt);
+        rt
+    }
+
+    /// The runtime without its worker pool: whoever holds it plays worker
+    /// through [`Self::serve_queued`]. For tests and mtcheck scenarios that
+    /// decide which thread runs which visit.
+    #[doc(hidden)]
+    pub fn start_poolless(driver: Arc<Driver>, cfg: RuntimeConfig) -> Arc<NodeRuntime> {
         let metrics = Arc::new(RuntimeMetrics::default());
         let clock = driver.clock().clone();
         let tracer = Arc::new(Tracer::new(clock.clone(), cfg.trace_capacity));
@@ -112,7 +123,8 @@ impl NodeRuntime {
             _ => i64::MAX,
         };
         let policy = LeaseBook::new(cfg.tenant_policy.clone());
-        let rt = Arc::new(NodeRuntime {
+        let rt = Arc::new_cyclic(|me| NodeRuntime {
+            me: me.clone(),
             cfg,
             clock,
             mm,
@@ -121,10 +133,10 @@ impl NodeRuntime {
             registry: RankedMutex::new(lock_rank::RT_REGISTRY, HashMap::new()),
             next_ctx: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
+            gateway: Gateway::new(),
             handlers: RankedMutex::new(lock_rank::RT_HANDLERS, Vec::new()),
             monitor: RankedMutex::new(lock_rank::RT_MONITOR, None),
             offload_rr: AtomicU64::new(0),
-            active_conns: AtomicUsize::new(0),
             local_slots: std::sync::atomic::AtomicI64::new(local_slots),
             tracer,
             policy,
@@ -218,6 +230,16 @@ impl NodeRuntime {
         &self.bm
     }
 
+    /// The gateway's state.
+    pub(crate) fn gateway(&self) -> &Gateway {
+        &self.gateway
+    }
+
+    /// A handle on this runtime for something that may outlive it.
+    pub(crate) fn me(&self) -> Weak<NodeRuntime> {
+        self.me.clone()
+    }
+
     /// Metric counters.
     pub(crate) fn metrics_ref(&self) -> &RuntimeMetrics {
         &self.metrics
@@ -273,28 +295,17 @@ impl NodeRuntime {
     pub fn load(&self) -> LoadInfo {
         // Its own statement: the registry guard must be gone before the
         // dispatcher's (lower-ranked) locks are taken below.
-        let registered = self.registry.lock().len();
+        let contexts = self.registry.lock().len();
         LoadInfo {
-            contexts: self.active_conns.load(Ordering::SeqCst).max(registered),
+            contexts,
             waiting: self.bm.waiting_count(),
             bound: self.bm.bound_count(),
             total_vgpus: self.bm.total_vgpus(),
         }
     }
 
-    /// Accepts a connection: spawns a handler thread serving it. The
-    /// handler itself may turn into a relay to a peer node when the first
-    /// call arrives while the backlog exceeds the offload threshold (§4.7).
-    pub fn connect(self: &Arc<Self>, conn: Box<dyn ServerConn>) {
-        self.active_conns.fetch_add(1, Ordering::SeqCst);
-        self.spawn_handler("mtgpu-conn", move |rt| {
-            service::serve_connection(rt, conn);
-            rt.active_conns.fetch_sub(1, Ordering::SeqCst);
-        });
-    }
-
-    /// Runs `serve` on a handler thread of its own, joined at shutdown.
-    fn spawn_handler(
+    /// Runs `serve` on a thread of its own, joined at shutdown.
+    pub(crate) fn spawn_handler(
         self: &Arc<Self>,
         name: &str,
         serve: impl FnOnce(&Arc<NodeRuntime>) + Send + 'static,
@@ -303,7 +314,7 @@ impl NodeRuntime {
         let handle = std::thread::Builder::new()
             .name(name.into())
             .spawn(move || serve(&rt))
-            .expect("spawn connection handler");
+            .expect("spawn runtime thread");
         let mut handlers = self.handlers.lock();
         handlers.retain(|h| !h.is_finished());
         handlers.push(handle);
@@ -316,14 +327,13 @@ impl NodeRuntime {
     /// the reactor, and a pool worker per relayed stream would let two
     /// nodes offloading to each other exhaust both pools.
     pub(crate) fn offload(
-        self: &Arc<Self>,
+        &self,
         ctx: Arc<AppContext>,
-        conn: Box<dyn ServerConn>,
+        chan: RelayedChannel,
         first: mtgpu_api::CudaCall,
     ) {
-        self.spawn_handler("mtgpu-relay", move |rt| {
-            service::serve_offloaded(rt, &ctx, conn, first)
-        });
+        let me = self.me.upgrade().expect("a runtime serving calls is alive");
+        me.spawn_handler("mtgpu-relay", move |rt| mux::run_relay(rt, ctx, chan, first));
     }
 
     /// Whether §4.7 offloading is configured (a threshold and a peer to
@@ -352,33 +362,35 @@ impl NodeRuntime {
         self.local_slots.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Relays a connection (whose first call has already been read) to a
-    /// peer node's endpoint, over a connection of its own: closing it when
-    /// the stream ends — Exit or a vanished client — is what tears the
-    /// peer's context down. Peers are tried once each, starting at the
-    /// round-robin index; the first call comes back if none is reachable,
-    /// so the caller serves the stream locally.
+    /// Relays a channel (whose first call has already been read) to a peer
+    /// node's endpoint, over a connection of its own: closing it when the
+    /// stream ends — Exit or a vanished client — is what tears the peer's
+    /// context down. Peers are tried once each, starting at the round-robin
+    /// index, and one counts as reached when it has answered the marker
+    /// that tells it never to re-offload the stream — a peer that accepts
+    /// the connect and hangs up (shutting down, wedged, shedding) is
+    /// skipped like one that refuses it. The first call comes back if none
+    /// is reached, so the caller serves the stream locally.
     pub(crate) fn relay(
         &self,
         ctx: CtxId,
-        conn: &mut dyn ServerConn,
+        chan: &mut RelayedChannel,
         first: mtgpu_api::CudaCall,
     ) -> Result<(), mtgpu_api::CudaCall> {
         let peers = &self.cfg.offload_peers;
         let start = self.offload_rr.fetch_add(1, Ordering::Relaxed) as usize;
-        // The connection's one channel; the socket closes when it drops.
         let dialed = (0..peers.len()).map(|i| &peers[(start + i) % peers.len()]).find_map(|peer| {
-            MuxConnection::connect(peer.as_str()).ok().map(|link| (peer, link.channel()))
+            // The connection's one channel; the socket closes when it drops.
+            let mut transport = MuxConnection::connect(peer.as_str()).ok()?.channel();
+            transport.roundtrip(mtgpu_api::CudaCall::Offloaded).ok().map(|_| (peer, transport))
         });
         let Some((peer, mut transport)) = dialed else { return Err(first) };
         RuntimeMetrics::bump(&self.metrics.offloaded_connections);
         self.tracer.record(TraceEvent::Offloaded { ctx, peer: peer.clone() });
-        // Mark the relayed stream so the peer never re-offloads it.
-        let _ = transport.roundtrip(mtgpu_api::CudaCall::Offloaded);
         let mut next = Some(first);
-        while let Some(call) = next.take().or_else(|| conn.recv()) {
+        while let Some(call) = next.take().or_else(|| chan.recv()) {
             let done = matches!(call, mtgpu_api::CudaCall::Exit);
-            let sent = conn.send(transport.roundtrip(call));
+            let sent = chan.send(transport.roundtrip(call));
             if !sent || done {
                 break;
             }
@@ -388,11 +400,10 @@ impl NodeRuntime {
 
     /// Creates an in-process client connected to this runtime — the
     /// equivalent of an application thread linking the interposition
-    /// library on this node.
-    pub fn local_client(self: &Arc<Self>) -> FrontendClient<ChannelTransport> {
-        let (transport, server) = channel_pair();
-        self.connect(Box::new(server));
-        FrontendClient::new(transport)
+    /// library on this node. It is a gateway connection like any accepted
+    /// one, minus the wire; dropping the client hangs it up.
+    pub fn local_client(self: &Arc<Self>) -> FrontendClient<InProcessChannel> {
+        FrontendClient::new(InProcessChannel::open(self))
     }
 
     /// Hot-attaches a device (dynamic upgrade, §2): registers it with the
@@ -411,8 +422,8 @@ impl NodeRuntime {
     pub fn detach_device(&self, id: DeviceId) {
         let _ = self.driver.detach(id);
         // The monitor notices the failed device and recovers its contexts;
-        // nudge waiters so nobody sleeps through the event.
-        // mtlint: allow(notify-all, reason = "device topology changed: every parked waiter must re-run placement against the new device set")
+        // queued contexts place again, against the devices that are left.
+        // mtlint: allow(notify-all, reason = "device topology changed: every queued entry must re-run placement against the new device set")
         self.bm.notify_all();
     }
 
@@ -446,10 +457,10 @@ impl NodeRuntime {
         self.drop_context(ctx.id);
     }
 
-    /// Number of live application contexts (connections whose handler has
-    /// not yet torn down). Deterministic harnesses use this as a barrier
-    /// after severing a transport: the count drops exactly when the
-    /// handler's cleanup — memory release, vGPU release — has completed.
+    /// Number of live application contexts (channels not yet torn down).
+    /// Deterministic harnesses use this as a barrier after severing a
+    /// transport: the count drops exactly when the teardown — memory
+    /// release, vGPU release — has completed.
     pub fn context_count(&self) -> usize {
         self.registry.lock().len()
     }
@@ -457,43 +468,32 @@ impl NodeRuntime {
     /// Blocks until every connection has drained or `timeout` passes.
     /// Returns `true` if the runtime went idle.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
-        // mtlint: allow(wall-clock, reason = "test/operator barrier against real handler threads; never part of a deterministic replay")
+        // mtlint: allow(wall-clock, reason = "test/operator barrier against the real worker threads; never part of a deterministic replay")
         let deadline = Instant::now() + timeout;
-        // mtlint: allow(wall-clock, reason = "test/operator barrier against real handler threads; never part of a deterministic replay")
+        // mtlint: allow(wall-clock, reason = "test/operator barrier against the real worker threads; never part of a deterministic replay")
         while Instant::now() < deadline {
             if self.registry.lock().is_empty() {
                 return true;
             }
-            // mtlint: allow(thread-sleep, reason = "polling real handler-thread teardown, not simulated time")
+            // mtlint: allow(thread-sleep, reason = "polling real worker-thread teardown, not simulated time")
             std::thread::sleep(Duration::from_millis(1));
         }
         self.registry.lock().is_empty()
     }
 
-    /// Requests shutdown and joins all handler and monitor threads.
-    /// Connections still open get `Disconnected`-style terminations as
-    /// their peers drop.
+    /// Requests shutdown and joins the monitor, the worker pool and the
+    /// relay threads. In-process connections still open are hung up (a
+    /// call waiting on one returns `Disconnected`) and their contexts torn
+    /// down; whoever put a reactor in front of this runtime stops it first.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // mtlint: allow(notify-all, reason = "shutdown broadcast: every parked waiter must observe the flag and unwind")
-        self.bm.notify_all();
         if let Some(m) = self.monitor.lock().take() {
             let _ = m.join();
         }
+        mux::stop(self);
         let handlers = std::mem::take(&mut *self.handlers.lock());
         for h in handlers {
             let _ = h.join();
-        }
-    }
-}
-
-impl Drop for NodeRuntime {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // mtlint: allow(notify-all, reason = "shutdown broadcast: every parked waiter must observe the flag and unwind")
-        self.bm.notify_all();
-        if let Some(m) = self.monitor.lock().take() {
-            let _ = m.join();
         }
     }
 }

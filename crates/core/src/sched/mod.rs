@@ -8,30 +8,45 @@
 //! which is how the runtime stays stable under hundreds of applications.
 //!
 //! The [`BindingManager`] is the dispatcher's scheduling core: it tracks
-//! free vGPUs per device, parks contexts that cannot bind (the paper's
+//! free vGPUs per device, queues contexts that cannot bind (the paper's
 //! *waiting contexts* list), and grants bindings according to the
 //! configured [`SchedulerPolicy`] — FCFS round-robin with vGPU-count load
 //! balancing (the policy of §5), shortest-job-first, or credit-based.
 //!
+//! # Waiters are queue entries
+//!
+//! A context that cannot bind at once ([`BindingManager::poll`]) leaves an
+//! *entry* in a queue ([`BindingManager::enqueue`]): its FCFS ticket, SJF
+//! key, memory footprint, application id, and a *wake*. The dispatcher
+//! takes the entry out of its queue exactly once — granted a vGPU by a
+//! drain, or told to place again (device removed, a nudge toward a slot
+//! elsewhere) — writes the outcome into the context
+//! ([`crate::ctx::BindWait`]) and runs the wake; the owner then polls
+//! again. No waiter owns a thread or a timer: the gateway's wake puts the
+//! waiting channel back on the work queue, and blocking
+//! [`BindingManager::acquire`] is the same entry with a wake that notifies
+//! a condition variable. [`BindingManager::cancel`] withdraws a context at
+//! teardown and hands back a grant that raced it.
+//!
 //! # Sharded dispatch
 //!
 //! State is sharded **per device**: each [`Shard`] owns its vGPU slots and
-//! its own wait queue behind a private mutex, so an `acquire`/`release` on
+//! its own wait queue behind a private mutex, so a bind or release on
 //! device A never contends with device B. Wakeups are **targeted**: a grant
-//! notifies exactly the granted waiter's private condvar instead of the
-//! seed implementation's global `notify_all` (under which every release
-//! woke *all* W parked waiters, each re-locking the global mutex and
-//! re-running an O(W) grant scan — O(W²) wasted work per release; its last
+//! wakes exactly the granted entry, never every waiter (the seed
+//! implementation's global `notify_all` cost O(W²) per release; its last
 //! measured throughput is in EXPERIMENTS.md, *Retired baselines*).
 //!
 //! Placement still sees a consistent cross-device view: each shard
-//! maintains lock-free `free`/`bound` hint counters, and
-//! [`BindingManager::acquire`] snapshots them (plus device health, speed
-//! and free memory) without taking any shard lock. The snapshot is
-//! *bounded-stale*: a waiter parked on a full device re-evaluates placement
-//! every `REPLACE_SLICE`, and a release whose device still has free slots
-//! *nudges* one waiter parked elsewhere to re-place, so no waiter is ever
-//! stranded behind a stale decision for more than one slice.
+//! maintains lock-free `free`/`bound` hint counters, and placement
+//! snapshots them (plus device health, speed and free memory) without
+//! taking any shard lock. The snapshot is *bounded-stale* without a timer:
+//! an entry re-checks the hints right after it is queued (a slot freed
+//! elsewhere between snapshot and enqueue either shows in that re-check or
+//! its release saw the entry counted in `total_waiting`), a release whose
+//! device still has free slots *nudges* one entry queued elsewhere to place
+//! again, a nudge spent on a context that is then cancelled is passed on,
+//! and every topology change reroutes the entries it strands.
 //!
 //! # Determinism
 //!
@@ -43,7 +58,7 @@
 //! rotating cursor) as the seed implementation.
 
 use crate::config::SchedulerPolicy;
-use crate::ctx::{AppContext, Binding, CtxId, VGpuId};
+use crate::ctx::{AppContext, BindWait, Binding, CtxId, VGpuId};
 use crate::metrics::RuntimeMetrics;
 use mtgpu_gpusim::{DeviceId, Gpu, GpuContextId};
 use mtgpu_simtime::{lock_rank, DetRng, RankedCondvar, RankedMutex, RankedRwLock, Shadow};
@@ -51,12 +66,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How long a parked waiter waits before re-evaluating placement. Bounds
-/// the staleness of a parking decision: if a slot frees on another device
-/// and the release-side nudge misses this waiter, it re-places itself
-/// within one slice.
-const REPLACE_SLICE: Duration = Duration::from_millis(5);
 
 /// One virtual GPU slot.
 #[derive(Clone)]
@@ -86,44 +95,22 @@ pub enum AddDeviceError {
     ContextCreation(mtgpu_gpusim::GpuError),
 }
 
-/// What a parked waiter observes when it wakes.
-enum SlotState {
-    Waiting,
-    /// A drain granted this waiter a binding (and dequeued it).
-    Granted(Binding),
-    /// The waiter was dequeued without a grant (device removed, or a nudge
-    /// asked it to re-place); it must re-run placement.
-    Reroute,
-}
+/// What a queued entry's owner is told with: run once, right after the
+/// entry's outcome is written into its context. Called with the entry's
+/// queue locked, so it must not block or call back into the manager.
+pub type Wake = Box<dyn FnOnce() + Send>;
 
-/// Per-waiter parking spot: the grant path notifies exactly this condvar,
-/// never a global one.
-struct WaitSlot {
-    state: RankedMutex<SlotState>,
-    cv: RankedCondvar,
-}
-
-impl WaitSlot {
-    fn new() -> Self {
-        WaitSlot {
-            state: RankedMutex::new(lock_rank::WAIT_SLOT, SlotState::Waiting),
-            cv: RankedCondvar::new(),
-        }
-    }
-}
-
+/// One queued request for a vGPU.
 struct Waiter {
     ctx: Arc<AppContext>,
-    /// FIFO ticket (preserved across re-placements and re-armed waits).
+    /// FIFO ticket (the context's, kept across re-placements).
     enq_seq: u64,
     /// Declared work of the launch that needs the binding (SJF key).
     pending_work: f64,
-    /// Declared memory footprint (placement heuristic).
-    mem_usage: u64,
     /// CUDA 4.0 application id (§4.8): constrains placement to the device
     /// already hosting the application's other threads.
     app_id: Option<u64>,
-    slot: WaitSlot,
+    wake: Wake,
 }
 
 struct ShardState {
@@ -134,9 +121,9 @@ struct ShardState {
     /// Ordered by vGPU index so every walk over the bound set is
     /// deterministic without a defensive sort at each consumer.
     bound: BTreeMap<u32, (CtxId, Option<u64>)>,
-    /// Waiters parked on this device, unordered; policy order is computed
+    /// Entries queued on this device, unordered; policy order is computed
     /// per drain.
-    queue: Vec<Arc<Waiter>>,
+    queue: Vec<Waiter>,
     /// Set when the device is removed; queued waiters are rerouted and the
     /// shard does not grant again.
     defunct: bool,
@@ -186,18 +173,11 @@ pub struct BindingManager {
     shards: RankedRwLock<BTreeMap<DeviceId, Arc<Shard>>>,
     global: RankedMutex<GlobalState>,
     next_seq: AtomicU64,
-    /// Waiters currently parked anywhere (shard queues + lobby).
+    /// Entries currently queued anywhere (shard queues + lobby).
     total_waiting: AtomicUsize,
-    /// Generation counter for waiters parked while no device is placeable
-    /// at all; bumped by `add_device` and `notify_all`.
-    lobby_gen: RankedMutex<u64>,
-    lobby_cv: RankedCondvar,
-}
-
-enum Parked {
-    Granted(Binding),
-    Deadline,
-    Replace,
+    /// Entries queued while no device is placeable at all; `add_device`
+    /// and `notify_all` reroute them.
+    lobby: RankedMutex<Vec<Waiter>>,
 }
 
 impl BindingManager {
@@ -225,8 +205,7 @@ impl BindingManager {
             ),
             next_seq: AtomicU64::new(0),
             total_waiting: AtomicUsize::new(0),
-            lobby_gen: RankedMutex::new(lock_rank::SCHED_LOBBY, 0),
-            lobby_cv: RankedCondvar::new(),
+            lobby: RankedMutex::new(lock_rank::SCHED_LOBBY, Vec::new()),
         }
     }
 
@@ -261,14 +240,9 @@ impl BindingManager {
             ),
         });
         self.shards.write().insert(id, shard);
-        // Wake lobby waiters and pull waiters parked on full devices onto
-        // the fresh slots.
-        {
-            let mut gen = self.lobby_gen.lock();
-            *gen += 1;
-            // mtlint: allow(notify-all, reason = "device hot-add: every lobby waiter must observe the generation bump and re-run placement")
-            self.lobby_cv.notify_all();
-        }
+        // Lobby entries place again, and entries queued on full devices are
+        // pulled onto the fresh slots.
+        self.reroute_all(&mut self.lobby.lock());
         for _ in 0..count {
             if self.total_waiting.load(Ordering::SeqCst) == 0 {
                 break;
@@ -299,13 +273,10 @@ impl BindingManager {
         affected.sort_unstable();
         st.bound.clear();
         st.free.clear();
-        shard.free_hint.store(0, Ordering::Relaxed);
+        shard.free_hint.store(0, Ordering::SeqCst);
         shard.bound_hint.store(0, Ordering::Relaxed);
-        for w in st.queue.drain(..) {
-            self.total_waiting.fetch_sub(1, Ordering::SeqCst);
-            Self::set_slot(&w, SlotState::Reroute);
-            RuntimeMetrics::bump(&self.metrics.waiter_reroutes);
-        }
+        RuntimeMetrics::add(&self.metrics.waiter_reroutes, st.queue.len() as u64);
+        self.reroute_all(&mut st.queue);
         affected
     }
 
@@ -323,38 +294,96 @@ impl BindingManager {
         self.shards.read().contains_key(&id)
     }
 
-    /// Blocks until a vGPU is granted to `ctx` (per policy) or `timeout`
-    /// expires. The granted binding is also written into the context's
-    /// metadata by the caller.
-    pub fn acquire(
-        &self,
-        ctx: &Arc<AppContext>,
-        pending_work: f64,
-        mem_usage: u64,
-        timeout: Duration,
-    ) -> Option<Binding> {
-        // mtlint: allow(wall-clock, reason = "acquisition timeout is a real-time liveness bound on parked OS threads, not simulated time; det harnesses drive clients sequentially so it never fires under replay")
-        let deadline = Instant::now() + timeout;
-        // Keep the context's original FCFS position across re-armed waits
-        // and re-placements.
-        let enq_seq = {
+    /// The non-blocking request: the grant a queued entry of `ctx` was given
+    /// meanwhile, or — nothing pending — a free vGPU with nobody queued
+    /// ahead, taken without allocating an entry or reading a clock. `None`
+    /// means wait: [`Self::enqueue`], and poll again when woken. The granted
+    /// binding is written into the context's metadata by the caller.
+    pub fn poll(&self, ctx: &Arc<AppContext>, mem_usage: u64) -> Option<Binding> {
+        let (app_id, ticketed) = {
             let mut inner = ctx.inner();
-            match inner.wait_ticket {
-                Some(t) => t,
-                None => {
-                    let t = self.next_seq.fetch_add(1, Ordering::Relaxed);
-                    inner.wait_ticket = Some(t);
-                    t
+            match std::mem::take(&mut inner.bind_wait) {
+                BindWait::Granted(binding) => {
+                    inner.wait_ticket = None;
+                    return Some(binding);
+                }
+                BindWait::Idle | BindWait::Reroute => {}
+                pending => {
+                    inner.bind_wait = pending;
+                    return None;
                 }
             }
+            (inner.app_id, inner.wait_ticket.is_some())
         };
-        let app_id = ctx.inner().app_id;
+        loop {
+            let shard = self.placement_target(app_id, mem_usage, true)?;
+            let mut st = shard.state.lock();
+            if st.defunct {
+                continue;
+            }
+            // Someone queued ahead, or the hint was stale: the policy
+            // decides, through the queue.
+            if !st.queue.is_empty() || st.free.is_empty() || shard.gpu.is_failed() {
+                return None;
+            }
+            if !self.commit_affinity(app_id, shard.device) {
+                // A sibling bound elsewhere between placement and now.
+                continue;
+            }
+            let binding = Self::grant_slot(&shard, &mut st, ctx.id, app_id);
+            drop(st);
+            if ticketed || self.policy == SchedulerPolicy::CreditBased {
+                let mut inner = ctx.inner();
+                inner.wait_ticket = None;
+                if self.policy == SchedulerPolicy::CreditBased {
+                    // Sole candidate with exhausted credits refills, as in
+                    // a drain where every candidate is at zero.
+                    if inner.credits == 0 {
+                        inner.credits = 4;
+                    }
+                    inner.credits -= 1;
+                }
+            }
+            RuntimeMetrics::bump(&self.metrics.bindings);
+            return Some(binding);
+        }
+    }
+
+    /// Queues a request of `ctx` after [`Self::poll`] found nothing: the
+    /// entry goes to the shard placement picks (or the lobby while no
+    /// device is placeable) under the context's FCFS ticket, and `wake`
+    /// runs once, when the entry is granted a vGPU or has to place again —
+    /// possibly before this returns. A context that was cancelled is not
+    /// queued and its wake never runs.
+    pub fn enqueue(&self, ctx: &Arc<AppContext>, pending_work: f64, mem_usage: u64, wake: Wake) {
+        let (enq_seq, app_id) = {
+            let mut inner = ctx.inner();
+            let ticket = inner
+                .wait_ticket
+                .get_or_insert_with(|| self.next_seq.fetch_add(1, Ordering::Relaxed));
+            (*ticket, inner.app_id)
+        };
+        let mut entry = Waiter { ctx: Arc::clone(ctx), enq_seq, pending_work, app_id, wake };
+        // Enqueue, then re-check: placement read the hints before the entry
+        // counted in `total_waiting`, so a release in between nudged nobody.
+        // What it freed shows in the hints now (both sides are SeqCst: the
+        // release bumps its hint, then reads the count; this bumps the
+        // count, then reads the hints), and the entry moves toward it.
         loop {
             let Some(shard) = self.placement_target(app_id, mem_usage, false) else {
-                // No placeable device at all: park in the lobby until one
-                // appears (or the deadline passes).
-                if self.park_in_lobby(deadline) {
-                    return None;
+                let mut lobby = self.lobby.lock();
+                if !self.push_entry(&mut lobby, entry) {
+                    return;
+                }
+                drop(lobby);
+                if !self.shards.read().values().any(|s| !s.gpu.is_failed()) {
+                    return;
+                }
+                // A device appeared between the failed placement and the push.
+                let pulled = self.pull_entry(&mut self.lobby.lock(), ctx.id, BindWait::Idle);
+                match pulled {
+                    Some(back) => entry = back,
+                    None => return,
                 }
                 continue;
             };
@@ -362,135 +391,161 @@ impl BindingManager {
             if st.defunct {
                 continue;
             }
-            // Fast path: free slot, nobody queued ahead — grant directly
-            // without allocating a waiter or touching any condvar.
-            if st.queue.is_empty() && !st.free.is_empty() && !shard.gpu.is_failed() {
-                if !self.commit_affinity(app_id, shard.device) {
-                    // A sibling bound elsewhere between placement and now.
-                    continue;
-                }
-                let binding = Self::grant_slot(&shard, &mut st, ctx.id, app_id);
-                drop(st);
-                if self.policy == SchedulerPolicy::CreditBased {
-                    let mut inner = ctx.inner();
-                    // Sole candidate with exhausted credits refills, as in
-                    // a drain where every candidate is at zero.
-                    if inner.credits == 0 {
-                        inner.credits = 4;
-                    }
-                    inner.credits = inner.credits.saturating_sub(1);
-                }
-                ctx.inner().wait_ticket = None;
-                RuntimeMetrics::bump(&self.metrics.bindings);
-                return Some(binding);
+            if !self.push_entry(&mut st.queue, entry) {
+                return;
             }
-            // Slow path: park on this shard's queue and wait for a
-            // targeted wakeup.
-            let waiter = Arc::new(Waiter {
-                ctx: Arc::clone(ctx),
-                enq_seq,
-                pending_work,
-                mem_usage,
-                app_id,
-                slot: WaitSlot::new(),
-            });
-            st.queue.push(Arc::clone(&waiter));
-            self.total_waiting.fetch_add(1, Ordering::SeqCst);
             self.drain_shard(&shard, &mut st);
             drop(st);
-            match self.park(&shard, &waiter, deadline) {
-                Parked::Granted(b) => {
-                    ctx.inner().wait_ticket = None;
-                    return Some(b);
-                }
-                Parked::Deadline => return None,
-                Parked::Replace => continue,
+            // Move only toward an actual free slot elsewhere; otherwise stay
+            // put (keeps local order, no ping-pong between full shards).
+            match self.placement_target(app_id, mem_usage, true) {
+                Some(target) if target.device != shard.device => {}
+                _ => return,
+            }
+            let pulled = self.pull_entry(&mut shard.state.lock().queue, ctx.id, BindWait::Idle);
+            match pulled {
+                Some(back) => entry = back,
+                // Granted or rerouted meanwhile: the wake has run.
+                None => return,
             }
         }
     }
 
-    /// Parks on the waiter's private slot until granted, rerouted, the
-    /// deadline passes, or a re-placement opportunity appears.
-    fn park(&self, shard: &Arc<Shard>, waiter: &Arc<Waiter>, deadline: Instant) -> Parked {
-        // mtlint: allow(wall-clock, reason = "re-placement slice bounds real parking staleness of an OS thread; never consulted on the sequential replay path")
-        let mut slice_end = Instant::now() + REPLACE_SLICE;
-        let mut s = waiter.slot.state.lock();
-        loop {
-            match std::mem::replace(&mut *s, SlotState::Waiting) {
-                SlotState::Granted(b) => return Parked::Granted(b),
-                SlotState::Reroute => return Parked::Replace,
-                SlotState::Waiting => {}
-            }
-            // mtlint: allow(wall-clock, reason = "deadline/slice checks for a parked OS thread; never consulted on the sequential replay path")
-            let now = Instant::now();
-            if now >= deadline {
-                drop(s);
-                return self.abandon(shard, waiter, true);
-            }
-            if now >= slice_end {
-                drop(s);
-                // Migrate only toward an actual free slot elsewhere;
-                // otherwise stay put (preserves local FCFS order and
-                // avoids ping-ponging between equally-loaded full shards).
-                if let Some(t) = self.placement_target(waiter.app_id, waiter.mem_usage, true) {
-                    if t.device != shard.device {
-                        return self.abandon(shard, waiter, false);
-                    }
-                }
-                // mtlint: allow(wall-clock, reason = "re-arms the real-time re-placement slice; never consulted on the sequential replay path")
-                slice_end = Instant::now() + REPLACE_SLICE;
-                s = waiter.slot.state.lock();
-                continue;
-            }
-            let _ = waiter.slot.cv.wait_until(&mut s, deadline.min(slice_end));
-        }
-    }
-
-    /// Dequeues the waiter from its shard. If a grant or reroute raced us
-    /// (both happen under the shard lock before the entry leaves the
-    /// queue), honours it — a grant at the buzzer is still taken.
-    fn abandon(&self, shard: &Arc<Shard>, waiter: &Arc<Waiter>, at_deadline: bool) -> Parked {
-        let mut st = shard.state.lock();
-        if let Some(pos) = st.queue.iter().position(|w| Arc::ptr_eq(w, waiter)) {
-            st.queue.remove(pos);
-            self.total_waiting.fetch_sub(1, Ordering::SeqCst);
-            drop(st);
-            return if at_deadline { Parked::Deadline } else { Parked::Replace };
-        }
-        drop(st);
-        let mut s = waiter.slot.state.lock();
-        match std::mem::replace(&mut *s, SlotState::Waiting) {
-            SlotState::Granted(b) => Parked::Granted(b),
-            _ => {
-                if at_deadline {
-                    Parked::Deadline
-                } else {
-                    Parked::Replace
-                }
-            }
-        }
-    }
-
-    /// Parks until any device is added (generation bump) or the deadline
-    /// passes; returns `true` on deadline.
-    fn park_in_lobby(&self, deadline: Instant) -> bool {
-        self.total_waiting.fetch_add(1, Ordering::SeqCst);
-        // mtlint: allow(wall-clock, reason = "lobby parking slice for an OS thread waiting on device hot-add; never consulted on the sequential replay path")
-        let slice_end = Instant::now() + REPLACE_SLICE;
+    /// Queues `entry` (caller holds the queue's lock) unless its context
+    /// was cancelled.
+    fn push_entry(&self, queue: &mut Vec<Waiter>, entry: Waiter) -> bool {
         {
-            let mut gen = self.lobby_gen.lock();
-            let seen = *gen;
-            while *gen == seen {
-                let timed_out =
-                    self.lobby_cv.wait_until(&mut gen, deadline.min(slice_end)).timed_out();
-                if timed_out {
-                    break;
+            let mut inner = entry.ctx.inner();
+            if matches!(inner.bind_wait, BindWait::Closed) {
+                return false;
+            }
+            debug_assert!(
+                !matches!(inner.bind_wait, BindWait::Queued),
+                "{} queued twice",
+                entry.ctx.id
+            );
+            inner.bind_wait = BindWait::Queued;
+        }
+        queue.push(entry);
+        self.total_waiting.fetch_add(1, Ordering::SeqCst);
+        true
+    }
+
+    /// Takes `ctx`'s entry back out of `queue` (caller holds its lock),
+    /// leaving the context in `state`; `None` if it is not queued there.
+    /// The entry's wake does not run.
+    fn pull_entry(&self, queue: &mut Vec<Waiter>, ctx: CtxId, state: BindWait) -> Option<Waiter> {
+        let pos = queue.iter().position(|w| w.ctx.id == ctx)?;
+        let entry = queue.remove(pos);
+        self.total_waiting.fetch_sub(1, Ordering::SeqCst);
+        entry.ctx.inner().bind_wait = state;
+        Some(entry)
+    }
+
+    /// Writes the outcome of an entry that has just left its queue (caller
+    /// holds that queue's lock) into its context and wakes the owner.
+    fn resolve(&self, entry: Waiter, outcome: BindWait) {
+        self.total_waiting.fetch_sub(1, Ordering::SeqCst);
+        entry.ctx.inner().bind_wait = outcome;
+        (entry.wake)();
+    }
+
+    /// Sends every entry of `queue` (caller holds its lock) back to place
+    /// again.
+    fn reroute_all(&self, queue: &mut Vec<Waiter>) {
+        for entry in queue.drain(..) {
+            self.resolve(entry, BindWait::Reroute);
+        }
+    }
+
+    /// Blocks until a vGPU is granted to `ctx` (per policy) or `timeout`
+    /// expires: [`Self::poll`], and when that finds nothing, the same queue
+    /// entry everyone waits in, with a wake that notifies this thread. The
+    /// granted binding is written into the context's metadata by the caller.
+    pub fn acquire(
+        &self,
+        ctx: &Arc<AppContext>,
+        pending_work: f64,
+        mem_usage: u64,
+        timeout: Duration,
+    ) -> Option<Binding> {
+        if let Some(binding) = self.poll(ctx, mem_usage) {
+            return Some(binding);
+        }
+        // mtlint: allow(wall-clock, reason = "acquisition timeout is a real-time liveness bound on a parked OS thread, not simulated time; the serving path never blocks here and det harnesses never wait")
+        let deadline = Instant::now() + timeout;
+        let woken = Arc::new(RankedCondvar::new());
+        loop {
+            let wake = Arc::clone(&woken);
+            self.enqueue(ctx, pending_work, mem_usage, Box::new(move || wake.notify_one()));
+            let mut inner = ctx.inner();
+            while matches!(inner.bind_wait, BindWait::Queued) {
+                if woken.wait_until(&mut inner, deadline).timed_out() {
+                    drop(inner);
+                    // A grant at the buzzer is still taken.
+                    return self.withdraw(ctx, false);
                 }
             }
+            if matches!(inner.bind_wait, BindWait::Closed) {
+                return None;
+            }
+            drop(inner);
+            // Granted: taken here. Rerouted: one more look at the fast path
+            // before queueing again.
+            if let Some(binding) = self.poll(ctx, mem_usage) {
+                return Some(binding);
+            }
         }
-        self.total_waiting.fetch_sub(1, Ordering::SeqCst);
-        // mtlint: allow(wall-clock, reason = "deadline check for a parked OS thread; never consulted on the sequential replay path")
-        Instant::now() >= deadline
+    }
+
+    /// Withdraws `ctx` from the dispatcher for good (teardown): its entry
+    /// leaves whatever queue it is in without its wake running, and nothing
+    /// queues or binds the context again. A grant that raced the
+    /// withdrawal comes back for the caller to [`Self::release`].
+    pub fn cancel(&self, ctx: &Arc<AppContext>) -> Option<Binding> {
+        self.withdraw(ctx, true)
+    }
+
+    /// Takes `ctx` out of the dispatcher, for good when `close` is set.
+    fn withdraw(&self, ctx: &Arc<AppContext>, close: bool) -> Option<Binding> {
+        let settled = || if close { BindWait::Closed } else { BindWait::Idle };
+        loop {
+            {
+                let mut inner = ctx.inner();
+                match std::mem::replace(&mut inner.bind_wait, settled()) {
+                    BindWait::Granted(binding) => {
+                        inner.wait_ticket = None;
+                        return Some(binding);
+                    }
+                    BindWait::Reroute => {
+                        drop(inner);
+                        // A nudge was spent on this context: pass it on, or
+                        // the slot it pointed at idles while others wait.
+                        if self.total_waiting.load(Ordering::SeqCst) > 0 {
+                            self.nudge(None);
+                        }
+                        return None;
+                    }
+                    // The entry has to leave its queue first.
+                    BindWait::Queued => inner.bind_wait = BindWait::Queued,
+                    BindWait::Closed => {
+                        inner.bind_wait = BindWait::Closed;
+                        return None;
+                    }
+                    BindWait::Idle => return None,
+                }
+            }
+            let shards: Vec<Arc<Shard>> = self.shards.read().values().map(Arc::clone).collect();
+            let pulled = shards
+                .iter()
+                .any(|s| self.pull_entry(&mut s.state.lock().queue, ctx.id, settled()).is_some())
+                || self.pull_entry(&mut self.lobby.lock(), ctx.id, settled()).is_some();
+            if pulled {
+                return None;
+            }
+            // In no queue: a grant or reroute took the entry between the
+            // two looks, and the outcome is in the context by now.
+        }
     }
 
     /// Chooses the shard for a placement: the CUDA 4.0 affinity device if
@@ -502,8 +557,9 @@ impl BindingManager {
     /// seeded-rng or rotating-cursor tiebreak within a 5% load band.
     ///
     /// With `require_free`, only devices with a free vGPU are considered
-    /// (the re-placement check); otherwise full devices are acceptable
-    /// parking targets and `None` means no healthy device exists.
+    /// (the fast path and the re-check after queueing); otherwise full
+    /// devices are acceptable queueing targets and `None` means no healthy
+    /// device exists.
     fn placement_target(
         &self,
         app_id: Option<u64>,
@@ -516,7 +572,8 @@ impl BindingManager {
                 // The application's device, full or not: threads of a
                 // CUDA 4.0 app wait rather than split (§4.8).
                 if let Some(s) = self.shards.read().get(&dev) {
-                    return (!require_free).then(|| Arc::clone(s));
+                    let usable = !require_free || s.free_hint.load(Ordering::SeqCst) > 0;
+                    return usable.then(|| Arc::clone(s));
                 }
                 // Device removed entirely: drop the stale affinity so the
                 // app can regroup elsewhere.
@@ -530,7 +587,7 @@ impl BindingManager {
                 .filter(|s| !s.gpu.is_failed())
                 .map(|s| DevSnap {
                     shard: Arc::clone(s),
-                    free: s.free_hint.load(Ordering::Relaxed),
+                    free: s.free_hint.load(Ordering::SeqCst),
                     bound: s.bound_hint.load(Ordering::Relaxed),
                     flops: s.gpu.spec().effective_flops(),
                     fits: s.gpu.mem_available() >= mem_usage,
@@ -604,15 +661,9 @@ impl BindingManager {
         let vgpu_idx = st.free.pop().expect("grant without free slot");
         let vgpu = st.vgpus[vgpu_idx as usize].clone();
         st.bound.insert(vgpu_idx, (ctx_id, app_id));
-        shard.free_hint.fetch_sub(1, Ordering::Relaxed);
+        shard.free_hint.fetch_sub(1, Ordering::SeqCst);
         shard.bound_hint.fetch_add(1, Ordering::Relaxed);
         Binding { vgpu: vgpu.id, gpu: vgpu.gpu, gpu_ctx: vgpu.gpu_ctx }
-    }
-
-    fn set_slot(w: &Waiter, state: SlotState) {
-        let mut s = w.slot.state.lock();
-        *s = state;
-        w.slot.cv.notify_one();
     }
 
     /// Grants free vGPUs to this shard's queue in policy order until slots
@@ -628,11 +679,9 @@ impl BindingManager {
             // First candidate in policy order (the queue is non-empty, so
             // there always is one).
             let idx = self.ordered_local(st)[0];
-            let w = Arc::clone(&st.queue[idx]);
+            let w = st.queue.remove(idx);
             if !self.commit_affinity(w.app_id, shard.device) {
-                st.queue.remove(idx);
-                self.total_waiting.fetch_sub(1, Ordering::SeqCst);
-                Self::set_slot(&w, SlotState::Reroute);
+                self.resolve(w, BindWait::Reroute);
                 RuntimeMetrics::bump(&self.metrics.waiter_reroutes);
                 continue;
             }
@@ -641,9 +690,7 @@ impl BindingManager {
                 let mut inner = w.ctx.inner();
                 inner.credits = inner.credits.saturating_sub(1);
             }
-            st.queue.remove(idx);
-            self.total_waiting.fetch_sub(1, Ordering::SeqCst);
-            Self::set_slot(&w, SlotState::Granted(binding));
+            self.resolve(w, BindWait::Granted(binding));
             RuntimeMetrics::bump(&self.metrics.bindings);
             RuntimeMetrics::bump(&self.metrics.targeted_wakeups);
         }
@@ -700,8 +747,7 @@ impl BindingManager {
                 continue;
             };
             let w = st.queue.remove(idx);
-            self.total_waiting.fetch_sub(1, Ordering::SeqCst);
-            Self::set_slot(&w, SlotState::Reroute);
+            self.resolve(w, BindWait::Reroute);
             drop(st);
             RuntimeMetrics::bump(&self.metrics.waiter_reroutes);
             return;
@@ -722,7 +768,7 @@ impl BindingManager {
                     if owner_ok {
                         let (_, app) = st.bound.remove(&vgpu.index).expect("checked above");
                         st.free.push(vgpu.index);
-                        shard.free_hint.fetch_add(1, Ordering::Relaxed);
+                        shard.free_hint.fetch_add(1, Ordering::SeqCst);
                         shard.bound_hint.fetch_sub(1, Ordering::Relaxed);
                         if let Some(app) = app {
                             Self::app_release(&mut self.global.lock().app_devices, app);
@@ -829,22 +875,13 @@ impl BindingManager {
         None
     }
 
-    /// Wakes every parked waiter (used on shutdown and device events).
-    /// Waiters that wake without a grant re-check their deadline and
-    /// re-place, so a shutting-down runtime unparks promptly.
+    /// Sends every queued entry back to place again (device events: the
+    /// set of placeable devices changed under them).
     pub fn notify_all(&self) {
-        {
-            let mut gen = self.lobby_gen.lock();
-            *gen += 1;
-            // mtlint: allow(notify-all, reason = "shutdown/device-event broadcast: every lobby waiter must observe the generation bump")
-            self.lobby_cv.notify_all();
-        }
+        self.reroute_all(&mut self.lobby.lock());
         let shards: Vec<Arc<Shard>> = self.shards.read().values().map(Arc::clone).collect();
         for shard in shards {
-            let st = shard.state.lock();
-            for w in &st.queue {
-                w.slot.cv.notify_one();
-            }
+            self.reroute_all(&mut shard.state.lock().queue);
         }
     }
 
@@ -856,7 +893,7 @@ impl BindingManager {
         vec![
             ("SHARD_STATE", shard_total),
             ("SCHED_GLOBAL", self.global.take_contended()),
-            ("SCHED_LOBBY", self.lobby_gen.take_contended()),
+            ("SCHED_LOBBY", self.lobby.take_contended()),
         ]
     }
 }
@@ -1126,6 +1163,170 @@ mod tests {
         bm.release(b.id, _bb.vgpu);
         let bc = waiter.join().unwrap().expect("waiter stranded after device removal");
         assert_ne!(bc.vgpu.device, dev_a);
+    }
+}
+
+#[cfg(test)]
+mod entry_tests {
+    use super::*;
+    use mtgpu_gpusim::GpuSpec;
+    use mtgpu_simtime::Clock;
+    use std::sync::atomic::AtomicUsize;
+
+    fn manager(devices: u32) -> (Arc<BindingManager>, Arc<RuntimeMetrics>) {
+        let metrics = Arc::new(RuntimeMetrics::default());
+        let bm =
+            Arc::new(BindingManager::new(SchedulerPolicy::FcfsRoundRobin, Arc::clone(&metrics)));
+        for i in 0..devices {
+            let gpu = Gpu::new(GpuSpec::test_small(), Clock::with_scale(1e-7), i);
+            bm.add_device(DeviceId(i), gpu, 1).unwrap();
+        }
+        (bm, metrics)
+    }
+
+    fn ctx(id: u64) -> Arc<AppContext> {
+        AppContext::new(CtxId(id), id, format!("e{id}"))
+    }
+
+    /// A wake that counts how often it ran.
+    fn counting(woken: &Arc<AtomicUsize>) -> Wake {
+        let woken = Arc::clone(woken);
+        Box::new(move || {
+            woken.fetch_add(1, Ordering::SeqCst);
+        })
+    }
+
+    #[test]
+    fn queued_entry_is_granted_by_the_release_and_woken_exactly_once() {
+        let (bm, metrics) = manager(1);
+        let (holder, waiter) = (ctx(1), ctx(2));
+        let held = bm.poll(&holder, 0).expect("free vGPU");
+        let woken = Arc::new(AtomicUsize::new(0));
+        assert!(bm.poll(&waiter, 0).is_none());
+        bm.enqueue(&waiter, 1.0, 0, counting(&woken));
+        assert_eq!((bm.waiting_count(), woken.load(Ordering::SeqCst)), (1, 0));
+        assert!(bm.poll(&waiter, 0).is_none(), "still queued");
+        // No thread is parked anywhere: the release itself does the grant.
+        bm.release(holder.id, held.vgpu);
+        assert_eq!((bm.waiting_count(), woken.load(Ordering::SeqCst)), (0, 1));
+        let granted = bm.poll(&waiter, 0).expect("the grant is the waiter's to take");
+        assert_eq!(granted.vgpu, held.vgpu);
+        assert!(waiter.inner().wait_ticket.is_none());
+        bm.release(waiter.id, granted.vgpu);
+        let m = metrics.snapshot();
+        assert_eq!((m.bindings, m.unbindings, m.targeted_wakeups), (2, 2, 1));
+    }
+
+    #[test]
+    fn enqueue_that_finds_the_slot_free_after_all_is_granted_before_it_returns() {
+        let (bm, _) = manager(1);
+        let (holder, waiter) = (ctx(1), ctx(2));
+        let held = bm.poll(&holder, 0).unwrap();
+        assert!(bm.poll(&waiter, 0).is_none());
+        // The release lands between the failed poll and the enqueue.
+        bm.release(holder.id, held.vgpu);
+        let woken = Arc::new(AtomicUsize::new(0));
+        bm.enqueue(&waiter, 1.0, 0, counting(&woken));
+        assert_eq!((bm.waiting_count(), woken.load(Ordering::SeqCst)), (0, 1));
+        assert!(bm.poll(&waiter, 0).is_some());
+    }
+
+    #[test]
+    fn cancel_takes_a_queued_entry_out_and_returns_a_grant_that_raced_it() {
+        let (bm, metrics) = manager(1);
+        let (holder, queued, granted) = (ctx(1), ctx(2), ctx(3));
+        let held = bm.poll(&holder, 0).unwrap();
+        let woken = Arc::new(AtomicUsize::new(0));
+        bm.enqueue(&queued, 1.0, 0, counting(&woken));
+        bm.enqueue(&granted, 1.0, 0, counting(&woken));
+        // Cancelled while queued: out of the queue, never woken, and the
+        // context neither queues nor binds again.
+        assert!(bm.cancel(&queued).is_none());
+        assert_eq!(bm.waiting_count(), 1);
+        bm.enqueue(&queued, 1.0, 0, counting(&woken));
+        assert_eq!(bm.waiting_count(), 1, "a cancelled context does not queue");
+        // Cancelled after the grant: the vGPU comes back to be released.
+        bm.release(holder.id, held.vgpu);
+        assert_eq!(woken.load(Ordering::SeqCst), 1);
+        let raced = bm.cancel(&granted).expect("the grant raced the cancel");
+        bm.release(granted.id, raced.vgpu);
+        assert!(bm.poll(&granted, 0).is_none(), "a cancelled context does not bind");
+        assert!(bm.poll(&queued, 0).is_none());
+        assert_eq!((bm.waiting_count(), bm.bound_count()), (0, 0));
+        let m = metrics.snapshot();
+        assert_eq!(m.bindings, m.unbindings);
+        assert!(bm.poll(&holder, 0).is_some(), "the slot is free again");
+    }
+
+    #[test]
+    fn blocking_acquire_is_the_same_entry_and_a_timeout_leaves_the_context_usable() {
+        let (bm, _) = manager(1);
+        let (holder, waiter) = (ctx(1), ctx(2));
+        let held = bm.acquire(&holder, 1.0, 0, Duration::ZERO).expect("fast path");
+        // Times out queued, keeps its ticket, and may ask again.
+        assert!(bm.acquire(&waiter, 1.0, 0, Duration::from_millis(5)).is_none());
+        assert_eq!(bm.waiting_count(), 0);
+        let ticket = waiter.inner().wait_ticket.expect("ticket survives the timeout");
+        let parked = std::thread::scope(|s| {
+            let parked = s.spawn(|| bm.acquire(&waiter, 1.0, 0, Duration::from_secs(30)));
+            while bm.waiting_count() == 0 {
+                std::hint::spin_loop();
+            }
+            assert_eq!(waiter.inner().wait_ticket, Some(ticket));
+            bm.release(holder.id, held.vgpu);
+            parked.join().unwrap()
+        });
+        let bound = parked.expect("granted by the release");
+        // A cancelled context is refused at once, not parked until the
+        // deadline.
+        bm.release(waiter.id, bound.vgpu);
+        assert!(bm.cancel(&waiter).is_none());
+        assert!(bm.acquire(&holder, 1.0, 0, Duration::ZERO).is_some());
+        assert!(bm.acquire(&waiter, 1.0, 0, Duration::from_secs(3600)).is_none());
+    }
+
+    #[test]
+    fn nudge_spent_on_a_context_that_is_cancelled_is_passed_on() {
+        // Device 0 has two vGPUs, device 1 one, all bound: device 1 is the
+        // less loaded, so both waiters queue there.
+        let (bm, _) = manager(0);
+        for (i, vgpus) in [(0, 2), (1, 1)] {
+            let gpu = Gpu::new(GpuSpec::test_small(), Clock::with_scale(1e-7), i);
+            bm.add_device(DeviceId(i), gpu, vgpus).unwrap();
+        }
+        let holders = [ctx(1), ctx(2), ctx(3)];
+        let held = holders.each_ref().map(|c| bm.poll(c, 0).expect("free vGPU"));
+        let (first, second) = (ctx(4), ctx(5));
+        let woken = [Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0))];
+        bm.enqueue(&first, 1.0, 0, counting(&woken[0]));
+        bm.enqueue(&second, 1.0, 0, counting(&woken[1]));
+        // A slot frees on device 0, whose own queue is empty: the release
+        // nudges the first waiter over.
+        let on_zero = held.iter().position(|b| b.vgpu.device == DeviceId(0)).unwrap();
+        bm.release(holders[on_zero].id, held[on_zero].vgpu);
+        assert!(matches!(first.inner().bind_wait, BindWait::Reroute));
+        assert_eq!((woken[0].load(Ordering::SeqCst), woken[1].load(Ordering::SeqCst)), (1, 0));
+        // Its channel is torn down before it follows the nudge. The slot it
+        // was pointed at must not idle while the second waiter queues.
+        assert!(bm.cancel(&first).is_none());
+        assert_eq!(woken[1].load(Ordering::SeqCst), 1, "the nudge was not passed on");
+        let moved = bm.poll(&second, 0).expect("the freed slot");
+        assert_eq!(moved.vgpu.device, DeviceId(0));
+        assert_eq!(bm.waiting_count(), 0);
+    }
+
+    #[test]
+    fn lobby_entry_places_again_when_a_device_appears() {
+        let (bm, _) = manager(0);
+        let waiter = ctx(1);
+        let woken = Arc::new(AtomicUsize::new(0));
+        assert!(bm.poll(&waiter, 0).is_none());
+        bm.enqueue(&waiter, 1.0, 0, counting(&woken));
+        assert_eq!((bm.waiting_count(), woken.load(Ordering::SeqCst)), (1, 0));
+        let gpu = Gpu::new(GpuSpec::test_small(), Clock::with_scale(1e-7), 0);
+        bm.add_device(DeviceId(0), gpu, 1).unwrap();
+        assert_eq!((bm.waiting_count(), woken.load(Ordering::SeqCst)), (0, 1));
+        assert!(bm.poll(&waiter, 0).is_some(), "rerouted onto the new device");
     }
 }
 

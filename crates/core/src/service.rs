@@ -1,11 +1,11 @@
-//! Per-connection service: the dispatcher's call handling (§4.3) and the
-//! launch path with its memory-pressure escalation ladder (§4.5).
+//! Per-call service: the dispatcher's call handling (§4.3) and the launch
+//! path with its memory-pressure escalation ladder (§4.5).
 //!
-//! Each in-process connection is served by one handler thread (the paper's
-//! "each dispatcher thread processes a different connection"); channels
-//! arriving over the wire are served by the gateway's worker pool
-//! ([`crate::mux`]) through the same [`handle_call`]. Calls are handled as
-//! Table 1 specifies:
+//! Every connection — in-process or over the wire — is a gateway channel
+//! ([`crate::mux`]), and a worker's visit hands each of its calls to
+//! [`handle_call`] under the context's service lock (the paper's "each
+//! dispatcher thread processes a different connection", with a pool in
+//! place of a thread each). Calls are handled as Table 1 specifies:
 //!
 //! 1. registration functions are absorbed before any binding exists;
 //! 2. device-management functions are serviced and overridden to hide the
@@ -19,6 +19,10 @@
 //! On launch-time memory pressure the escalation is: intra-application swap
 //! (inside [`crate::memory::MemoryManager::materialize`]) → inter-application swap of an
 //! idle victim on the same device → unbind-and-retry.
+//!
+//! Nothing here waits for a vGPU: a launch that cannot bind at once comes
+//! back as [`Abort::WouldBlock`], and the only place it then waits is
+//! a [`crate::sched::BindingManager`] queue entry.
 
 use crate::ctx::{AppContext, Binding, CtxId};
 use crate::memory::{eviction, Materialize, Recovery, SwapReason};
@@ -27,7 +31,6 @@ use crate::runtime::NodeRuntime;
 use crate::trace::{TraceEvent, UnbindReason};
 use mtgpu_api::guard::{self, DescriptorLimits};
 use mtgpu_api::protocol::{AllocKind, CudaCall, CudaReply, ModuleHandle, ReplyValue};
-use mtgpu_api::transport::{RecvOutcome, ServerConn};
 use mtgpu_api::CudaError;
 use mtgpu_gpusim::kernel::{library, RegisteredKernel};
 use mtgpu_gpusim::DeviceAddr;
@@ -36,110 +39,14 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Timeout for one binding-acquisition attempt; the launch loop re-arms it
-/// until shutdown, so this only bounds reaction latency.
-const ACQUIRE_SLICE: Duration = Duration::from_millis(50);
 /// Real-time backoff after an unbind-and-retry, so a starved large job does
 /// not thrash the device while others finish.
 const RETRY_BACKOFF: Duration = Duration::from_millis(2);
 
-/// Real-time tick at which an in-process connection's service loop looks up
-/// from an idle stream to notice shutdown.
-const SERVICE_TICK: Duration = Duration::from_millis(2);
-
-/// Serves one in-process connection to completion. Runs on its own handler
-/// thread.
-///
-/// The offload decision (§4.7) is made when the first call arrives: if the
-/// local backlog exceeds the threshold and the connection was not itself
-/// relayed from a peer (no [`CudaCall::Offloaded`] marker), the handler
-/// turns into a relay toward a peer node ([`serve_offloaded`], the same loop
-/// the gateway hands its over-threshold channels to).
-pub(crate) fn serve_connection(rt: &Arc<NodeRuntime>, mut conn: Box<dyn ServerConn>) {
-    let ctx = rt.new_context(conn.peer());
-    let Some(first) = next_call(rt, conn.as_mut()) else {
-        return teardown(rt, &ctx);
-    };
-    // A stream a peer relayed to us is served unconditionally (never
-    // re-offloaded) and is not charged against the local slot budget.
-    let holds_slot = !matches!(first, CudaCall::Offloaded);
-    if holds_slot && !rt.try_keep_local() {
-        return serve_offloaded(rt, &ctx, conn, first);
-    }
-    serve_local(rt, &ctx, conn.as_mut(), first);
-    if holds_slot {
-        rt.release_local_slot();
-    }
-    teardown(rt, &ctx);
-}
-
-/// Serves a stream this node declined to keep (§4.7), on the calling thread:
-/// relays it to a peer, or — no peer reachable — serves it here after all,
-/// over the slot budget.
-pub(crate) fn serve_offloaded(
-    rt: &Arc<NodeRuntime>,
-    ctx: &Arc<AppContext>,
-    mut conn: Box<dyn ServerConn>,
-    first: CudaCall,
-) {
-    // Either way the connection goes before the context (a gateway channel
-    // leaves the gateway's map as it drops), so a drained registry means
-    // nothing of the stream is left anywhere.
-    match rt.relay(ctx.id, conn.as_mut(), first) {
-        // The relay ran the stream to completion; the context never served
-        // a call here.
-        Ok(()) => {
-            drop(conn);
-            rt.drop_context_of(ctx);
-        }
-        Err(first) => {
-            rt.force_keep_local();
-            serve_local(rt, ctx, conn.as_mut(), first);
-            drop(conn);
-            rt.release_local_slot();
-            teardown(rt, ctx);
-        }
-    }
-}
-
-/// The next call of a stream served on a thread of its own; `None` once the
-/// peer is gone or the runtime is shutting down.
-fn next_call(rt: &NodeRuntime, conn: &mut dyn ServerConn) -> Option<CudaCall> {
-    loop {
-        match conn.recv_timeout(SERVICE_TICK) {
-            RecvOutcome::Call(call) => return Some(call),
-            RecvOutcome::Closed => return None,
-            RecvOutcome::Idle if rt.is_shutdown() => return None,
-            RecvOutcome::Idle => {}
-        }
-    }
-}
-
-/// Executes a stream's calls in order on the calling thread, starting with
-/// `first`, until Exit, disconnect or shutdown. Launches wait for a vGPU
-/// inside the dispatcher's policy-ordered queue for as long as it takes.
-fn serve_local(
-    rt: &NodeRuntime,
-    ctx: &Arc<AppContext>,
-    conn: &mut dyn ServerConn,
-    first: CudaCall,
-) {
-    let mut next = Some(first);
-    while let Some(call) = next.take().or_else(|| next_call(rt, conn)) {
-        let is_exit = matches!(call, CudaCall::Exit);
-        let reply = {
-            let _guard = ctx.service_lock();
-            handle_call(rt, ctx, call)
-        };
-        if !conn.send(reply) || is_exit {
-            break;
-        }
-    }
-}
-
 /// Releases everything a finished/disconnected context holds.
 pub(crate) fn teardown(rt: &NodeRuntime, ctx: &Arc<AppContext>) {
     let _guard = ctx.service_lock();
+    withdraw(rt, ctx);
     let binding = {
         let mut inner = ctx.inner();
         inner.binding.take()
@@ -151,80 +58,93 @@ pub(crate) fn teardown(rt: &NodeRuntime, ctx: &Arc<AppContext>) {
     rt.drop_context(ctx.id);
 }
 
-/// Outcome of a bounded-wait dispatch ([`try_handle_call`]).
-pub(crate) enum CallOutcome {
-    /// The call completed (successfully or not).
-    Reply(CudaReply),
-    /// A launch could not obtain a vGPU binding within its bounded slice.
-    /// The caller must requeue the call and retry later; retrying a launch
-    /// from scratch is idempotent (the closure is recomputed, the staged
-    /// config take is ignored, and unbind paths leave consistent state).
-    WouldBlock,
-}
-
-/// Dispatches one call with a *bounded* binding wait: where [`handle_call`]
-/// re-arms binding acquisition until it succeeds (fine for a dedicated
-/// handler thread), this returns [`CallOutcome::WouldBlock`] once
-/// `bind_slice` expires so a fixed worker pool never wedges every worker
-/// behind contended vGPUs while bound contexts' own calls starve in queue.
-/// The caller holds the context's service lock.
-pub(crate) fn try_handle_call(
-    rt: &NodeRuntime,
-    ctx: &Arc<AppContext>,
-    call: CudaCall,
-    bind_slice: Duration,
-) -> CallOutcome {
-    match call {
-        CudaCall::Launch { spec } => handle_launch_bounded(rt, ctx, spec, Some(bind_slice)),
-        other => CallOutcome::Reply(handle_call(rt, ctx, other)),
+/// Takes a context out of the dispatcher's queues for good (teardown, lease
+/// reaping), giving back a grant that raced the withdrawal. The caller holds
+/// the context's service lock.
+pub(crate) fn withdraw(rt: &NodeRuntime, ctx: &Arc<AppContext>) {
+    if let Some(raced) = rt.bindings().cancel(ctx) {
+        rt.bindings().release(ctx.id, raced.vgpu);
     }
 }
 
+/// Why a call ended without a value.
+pub(crate) enum Abort {
+    /// A real error to report to the application.
+    Fail(CudaError),
+    /// A launch found no vGPU to bind. The caller puts the call back at the
+    /// head of its stream and then queues the context in the dispatcher
+    /// under these keys ([`crate::sched::BindingManager::enqueue`]); running
+    /// the launch again from scratch once woken is idempotent (the closure
+    /// is recomputed, the staged config take is ignored, and unbind paths
+    /// leave consistent state).
+    WouldBlock { work: f64, mem: u64 },
+}
+
+impl From<CudaError> for Abort {
+    fn from(e: CudaError) -> Self {
+        Abort::Fail(e)
+    }
+}
+
+/// Counts a descriptor the guard refused.
+fn checked(rt: &NodeRuntime, verdict: Result<(), CudaError>) -> Result<(), CudaError> {
+    if verdict.is_err() {
+        RuntimeMetrics::bump(&rt.metrics_ref().descriptor_rejections);
+    }
+    verdict
+}
+
 /// Dispatches one call. The caller holds the context's service lock.
-pub(crate) fn handle_call(rt: &NodeRuntime, ctx: &Arc<AppContext>, call: CudaCall) -> CudaReply {
-    match call {
+pub(crate) fn handle_call(
+    rt: &NodeRuntime,
+    ctx: &Arc<AppContext>,
+    call: CudaCall,
+) -> Result<ReplyValue, Abort> {
+    let reply: CudaReply = match call {
+        CudaCall::Launch { spec } => return launch_loop(rt, ctx, spec),
         CudaCall::RegisterFatBinary => {
             let mut inner = ctx.inner();
             inner.modules += 1;
             Ok(ReplyValue::Module(ModuleHandle(inner.modules)))
         }
         CudaCall::RegisterFunction { kernel, .. } => {
-            if let Err(e) = guard::validate_kernel_desc(&kernel, &DescriptorLimits::default()) {
-                RuntimeMetrics::bump(&rt.metrics_ref().descriptor_rejections);
-                return Err(e);
-            }
-            // Resolve the functional payload from the backend's library
-            // (the fat binary's machine code).
-            let payload = library::lookup(&kernel.name).and_then(|k| k.payload);
-            ctx.register_kernel(RegisteredKernel { desc: kernel, payload });
-            Ok(ReplyValue::Unit)
+            checked(rt, guard::validate_kernel_desc(&kernel, &DescriptorLimits::default())).map(
+                |()| {
+                    // Resolve the functional payload from the backend's
+                    // library (the fat binary's machine code).
+                    let payload = library::lookup(&kernel.name).and_then(|k| k.payload);
+                    ctx.register_kernel(RegisteredKernel { desc: kernel, payload });
+                    ReplyValue::Unit
+                },
+            )
         }
         CudaCall::RegisterVar { .. } | CudaCall::RegisterTexture { .. } => Ok(ReplyValue::Unit),
-        CudaCall::HintJobLength { flops } => {
-            if let Err(e) = guard::validate_job_length_hint(flops) {
-                RuntimeMetrics::bump(&rt.metrics_ref().descriptor_rejections);
-                return Err(e);
-            }
-            ctx.inner().est_job_flops = Some(flops);
-            Ok(ReplyValue::Unit)
-        }
+        CudaCall::HintJobLength { flops } => checked(rt, guard::validate_job_length_hint(flops))
+            .map(|()| {
+                ctx.inner().est_job_flops = Some(flops);
+                ReplyValue::Unit
+            }),
         // §4.8: record the application id so this thread is co-located
         // with its application's other threads. Under the policy layer this
         // is also the admission point: joining the application's tenant may
         // be refused (context cap, expired lease, unabsorbable charges).
         CudaCall::SetApplication { app_id } => {
-            if let Err(e) = rt.policy().adopt(ctx.id, app_id, rt.clock().now()) {
-                if matches!(e, CudaError::QuotaExceeded(_)) {
-                    RuntimeMetrics::bump(&rt.metrics_ref().quota_rejections);
-                    rt.tracer().record(TraceEvent::QuotaRejected {
-                        ctx: ctx.id,
-                        what: format!("join application {app_id}"),
-                    });
+            match rt.policy().adopt(ctx.id, app_id, rt.clock().now()) {
+                Ok(()) => {
+                    ctx.inner().app_id = Some(app_id);
+                    Ok(ReplyValue::Unit)
                 }
-                return Err(e);
+                Err(e) => {
+                    if matches!(e, CudaError::QuotaExceeded(_)) {
+                        RuntimeMetrics::bump(&rt.metrics_ref().quota_rejections);
+                        rt.tracer().record(TraceEvent::QuotaRejected {
+                            ctx: ctx.id,
+                            what: format!("join application {app_id}"),
+                        });
+                    }
+                    Err(e)
+                }
             }
-            ctx.inner().app_id = Some(app_id);
-            Ok(ReplyValue::Unit)
         }
         // §4.3: "some device management functions are ignored by our runtime
         // (e.g. cudaSetDevice)" — binding is the runtime's decision.
@@ -244,14 +164,9 @@ pub(crate) fn handle_call(rt: &NodeRuntime, ctx: &Arc<AppContext>, call: CudaCal
             rt.policy().uncharge(ctx.id, freed);
             Ok(ReplyValue::Unit)
         }
-        CudaCall::MemcpyH2D { dst, buf } => {
-            if let Err(e) = guard::validate_host_buf(&buf) {
-                RuntimeMetrics::bump(&rt.metrics_ref().descriptor_rejections);
-                return Err(e);
-            }
-            let binding = ctx.binding();
-            rt.memory().copy_h2d(ctx.id, dst, &buf, binding.as_ref()).map(|()| ReplyValue::Unit)
-        }
+        CudaCall::MemcpyH2D { dst, buf } => checked(rt, guard::validate_host_buf(&buf))
+            .and_then(|()| rt.memory().copy_h2d(ctx.id, dst, &buf, ctx.binding().as_ref()))
+            .map(|()| ReplyValue::Unit),
         CudaCall::MemcpyD2H { src, len } => with_device_retry(rt, ctx, |rt, ctx, binding| {
             rt.memory().copy_d2h(ctx.id, src, len, binding.as_ref())
         })
@@ -264,7 +179,6 @@ pub(crate) fn handle_call(rt: &NodeRuntime, ctx: &Arc<AppContext>, call: CudaCal
             ctx.inner().staged_config = Some(config);
             Ok(ReplyValue::Unit)
         }
-        CudaCall::Launch { spec } => handle_launch(rt, ctx, spec),
         CudaCall::Synchronize => Ok(ReplyValue::Unit),
         CudaCall::RegisterNested { parent, members } => {
             rt.memory().register_nested(ctx.id, parent, members).map(|()| ReplyValue::Unit)
@@ -288,7 +202,8 @@ pub(crate) fn handle_call(rt: &NodeRuntime, ctx: &Arc<AppContext>, call: CudaCal
         }
         CudaCall::Offloaded => Ok(ReplyValue::Unit),
         CudaCall::Exit => Ok(ReplyValue::Unit),
-    }
+    };
+    Ok(reply?)
 }
 
 /// The admission-controlled allocation path: charge the tenant's lease
@@ -315,7 +230,7 @@ fn admit_malloc(
                 retries_left -= 1;
                 // Through the clock, not `thread::sleep`: queued admission
                 // must replay bit-for-bit under a virtual clock.
-                rt.clock().backoff(backoff);
+                crate::mux::pause(rt, backoff);
             }
             Err(e) => {
                 if matches!(e, CudaError::QuotaExceeded(_)) {
@@ -360,63 +275,19 @@ fn with_device_retry<T>(
     }
 }
 
-/// The delayed-binding launch path (unbounded binding wait).
-fn handle_launch(rt: &NodeRuntime, ctx: &Arc<AppContext>, spec: LaunchSpec) -> CudaReply {
-    match handle_launch_bounded(rt, ctx, spec, None) {
-        CallOutcome::Reply(r) => r,
-        // Unreachable with `bind_slice: None` — the loop re-arms forever.
-        CallOutcome::WouldBlock => Err(CudaError::Disconnected),
-    }
-}
-
-/// The delayed-binding launch path. `bind_slice: None` re-arms binding
-/// acquisition until shutdown (a dedicated handler or relay thread);
-/// `Some(slice)` makes every vGPU wait bounded and surfaces
-/// [`CallOutcome::WouldBlock`] instead of parking the calling thread.
-fn handle_launch_bounded(
-    rt: &NodeRuntime,
-    ctx: &Arc<AppContext>,
-    spec: LaunchSpec,
-    bind_slice: Option<Duration>,
-) -> CallOutcome {
-    match launch_loop(rt, ctx, spec, bind_slice) {
-        Ok(v) => CallOutcome::Reply(Ok(v)),
-        Err(LaunchAbort::Fail(e)) => CallOutcome::Reply(Err(e)),
-        Err(LaunchAbort::WouldBlock) => CallOutcome::WouldBlock,
-    }
-}
-
-/// Why [`launch_loop`] stopped without a completed launch.
-enum LaunchAbort {
-    /// A real error to report to the application.
-    Fail(CudaError),
-    /// The bounded binding slice expired (bounded mode only).
-    WouldBlock,
-}
-
-impl From<CudaError> for LaunchAbort {
-    fn from(e: CudaError) -> Self {
-        LaunchAbort::Fail(e)
-    }
-}
-
+/// The delayed-binding launch path.
 fn launch_loop(
     rt: &NodeRuntime,
     ctx: &Arc<AppContext>,
     spec: LaunchSpec,
-    bind_slice: Option<Duration>,
-) -> Result<ReplyValue, LaunchAbort> {
+) -> Result<ReplyValue, Abort> {
     if let Some(err) = ctx.inner().failed.clone() {
         return Err(err.into());
     }
     // Guardian-style boundary validation: a malformed or forged descriptor
     // dies here with a typed error, before scheduling or the memory manager
-    // see it (both the handler-thread and the mux worker path run through
-    // this check).
-    if let Err(e) = guard::validate_launch_spec(&spec, &DescriptorLimits::default()) {
-        RuntimeMetrics::bump(&rt.metrics_ref().descriptor_rejections);
-        return Err(e.into());
-    }
+    // see it.
+    checked(rt, guard::validate_launch_spec(&spec, &DescriptorLimits::default()))?;
     // An expired lease refuses new work even before the reaper visits.
     rt.policy().check_active(ctx.id)?;
     // Table 1 "Launch": check valid PTEs (and extend to nested closures).
@@ -460,28 +331,15 @@ fn launch_loop(
             Some(b) => b,
             None => {
                 let mem = rt.memory().mem_usage(ctx.id);
-                // SJF key: the profiled job length when hinted, else the
-                // pending launch's own work.
-                let sjf_work = ctx.inner().est_job_flops.unwrap_or(spec.work.flops);
-                match rt.bindings().acquire(ctx, sjf_work, mem, bind_slice.unwrap_or(ACQUIRE_SLICE))
-                {
-                    Some(b) => {
-                        ctx.inner().binding = Some(b.clone());
-                        rt.tracer().record(TraceEvent::Bound { ctx: ctx.id, vgpu: b.vgpu });
-                        b
-                    }
-                    None => {
-                        if rt.is_shutdown() {
-                            return Err(CudaError::Disconnected.into());
-                        }
-                        if bind_slice.is_some() {
-                            // Bounded mode: hand the thread back instead of
-                            // re-arming; the caller requeues the launch.
-                            return Err(LaunchAbort::WouldBlock);
-                        }
-                        continue;
-                    }
-                }
+                let Some(b) = rt.bindings().poll(ctx, mem) else {
+                    // SJF key: the profiled job length when hinted, else the
+                    // pending launch's own work.
+                    let work = ctx.inner().est_job_flops.unwrap_or(spec.work.flops);
+                    return Err(Abort::WouldBlock { work, mem });
+                };
+                ctx.inner().binding = Some(b.clone());
+                rt.tracer().record(TraceEvent::Bound { ctx: ctx.id, vgpu: b.vgpu });
+                b
             }
         };
         // 1b. Async prefetch (opt-in, once per launch): warm the predicted
@@ -534,7 +392,7 @@ fn launch_loop(
                 RuntimeMetrics::bump(&rt.metrics_ref().launch_retries);
                 // Through the clock, not `thread::sleep`: under a virtual
                 // clock the retry path must advance virtual time only.
-                rt.clock().backoff(RETRY_BACKOFF);
+                crate::mux::pause(rt, RETRY_BACKOFF);
                 continue;
             }
             Err(CudaError::DeviceUnavailable) => {

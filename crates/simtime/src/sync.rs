@@ -54,9 +54,6 @@ pub mod lock_rank {
     /// One multiplexed channel's pending-call queue (taken after the
     /// channel map, before any runtime lock).
     pub const CHAN_QUEUE: LockRank = LockRank { value: 8, name: "CHAN_QUEUE" };
-    /// The gateway's bind-waiters parking list: channels whose head launch
-    /// found no free vGPU, awaiting a completion kick or an idle worker.
-    pub const MUX_WAITERS: LockRank = LockRank { value: 9, name: "MUX_WAITERS" };
     /// A context's service lock: held for the duration of one CUDA call.
     pub const CTX_SERVICE: LockRank = LockRank { value: 10, name: "CTX_SERVICE" };
     /// The node-wide migration turnstile: serializes live context
@@ -70,11 +67,11 @@ pub mod lock_rank {
     pub const SHARD_STATE: LockRank = LockRank { value: 40, name: "SHARD_STATE" };
     /// Dispatcher-global affinity/sequence state.
     pub const SCHED_GLOBAL: LockRank = LockRank { value: 50, name: "SCHED_GLOBAL" };
-    /// The lobby generation counter for unplaced waiters.
+    /// The lobby: entries queued while no device is placeable.
     pub const SCHED_LOBBY: LockRank = LockRank { value: 55, name: "SCHED_LOBBY" };
-    /// One parked waiter's grant slot.
-    pub const WAIT_SLOT: LockRank = LockRank { value: 60, name: "WAIT_SLOT" };
-    /// A context's inner bookkeeping (binding, credits, kernels).
+    /// A context's inner bookkeeping (binding, credits, kernels, and the
+    /// outcome of its queued vGPU request, which the dispatcher writes with
+    /// a shard's or the lobby's lock held).
     pub const CTX_INNER: LockRank = LockRank { value: 70, name: "CTX_INNER" };
     /// The tenant-policy lease book (quota charges, TTLs, priorities).
     pub const TENANT_POLICY: LockRank = LockRank { value: 75, name: "TENANT_POLICY" };
@@ -117,14 +114,12 @@ pub mod lock_rank {
     pub const ALL: &[LockRank] = &[
         CONN_CHANNELS,
         CHAN_QUEUE,
-        MUX_WAITERS,
         CTX_SERVICE,
         MIGRATION,
         SHARD_MAP,
         SHARD_STATE,
         SCHED_GLOBAL,
         SCHED_LOBBY,
-        WAIT_SLOT,
         CTX_INNER,
         TENANT_POLICY,
         DRIVER_SLOTS,

@@ -15,9 +15,12 @@
 #                                policy's fingerprint must be stable (and the
 #                                recency policies divergent from seed order)
 #   tier 4  dispatch stress      256 reconnecting clients on the node's
-#                                endpoint under a 60s timeout (the
-#                                256-in-process-client stress of the
-#                                dispatcher's own wait queue runs in tier 2),
+#                                endpoint under a 60s timeout (every launch
+#                                that cannot bind waits in the dispatcher's
+#                                one queue, remote or in-process; the
+#                                256-in-process-client stress of that queue
+#                                and of the gateway's fixed pool, and the
+#                                policy-over-the-wire test, run in tier 2),
 #                                the 10k-persistent-connection reactor soak
 #                                (out-of-process daemon) under a 600s
 #                                timeout, a --quick loadgen smoke that fails

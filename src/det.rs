@@ -18,10 +18,10 @@
 //! drops are applied here by severing the victim client's channel, exactly
 //! what an application crash looks like to the runtime.
 
-use mtgpu_api::transport::ChannelTransport;
 use mtgpu_api::{CudaCall, CudaClient, CudaError, FrontendClient, HostBuf, ReplyValue};
 use mtgpu_core::{
-    EvictionPolicyKind, GpuLease, MetricsSnapshot, NodeRuntime, RuntimeConfig, TenantPolicyConfig,
+    EvictionPolicyKind, GpuLease, InProcessChannel, MetricsSnapshot, NodeRuntime, RuntimeConfig,
+    TenantPolicyConfig,
 };
 use mtgpu_gpusim::kernel::{library, KernelExec, RegisteredKernel};
 use mtgpu_gpusim::{
@@ -299,7 +299,7 @@ struct BufState {
 }
 
 struct ClientState {
-    client: Option<FrontendClient<ChannelTransport>>,
+    client: Option<FrontendClient<InProcessChannel>>,
     bufs: Vec<BufState>,
     script: Vec<Op>,
     outcome: ClientOutcome,
@@ -372,7 +372,7 @@ fn wait_for_contexts(rt: &NodeRuntime, n: usize) {
     while rt.context_count() > n {
         assert!(
             Instant::now() < deadline,
-            "handler teardown did not complete: {} contexts live, want {n}",
+            "context teardown did not complete: {} contexts live, want {n}",
             rt.context_count()
         );
         std::thread::sleep(Duration::from_micros(200));
@@ -401,8 +401,8 @@ pub fn run(scenario: DetScenario) -> DetFingerprint {
     let mut states: Vec<ClientState> = Vec::with_capacity(scenario.clients);
     for i in 0..scenario.clients {
         let mut client = rt.local_client();
-        // The immediate roundtrip pins context-id assignment to client
-        // order (handler threads otherwise race their registrations).
+        // A context is created with its channel's first call: the immediate
+        // roundtrip pins context-id assignment to client order.
         let module = client.register_fat_binary().expect("register module");
         client.register_function(module, KernelDesc::plain(DET_KERNEL)).expect("register kernel");
         let (bufs, script) = build_client(&scenario, i);

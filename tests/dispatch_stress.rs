@@ -8,10 +8,10 @@
 //! watchdog converts a dispatcher deadlock into a loud failure instead of a
 //! hung test run.
 //!
-//! Remote launches queue for vGPUs in the gateway (at most two of its
-//! workers are ever parked inside the dispatcher), so one case drives 256
-//! *in-process* clients instead: a parked handler thread each, which is what
-//! stresses the dispatcher's own wait queue and its targeted wakeups.
+//! Every launch that cannot bind waits as an entry in the dispatcher's
+//! queue, whichever way its client connected; one case drives 256
+//! *in-process* clients, which takes the wire out of the picture and leaves
+//! the queue, its targeted wakeups and the gateway's fixed pool.
 //!
 //! The 256-client version over the wire and the 10k-persistent-connection
 //! soak are `#[ignore]`d for ordinary `cargo test` and run by CI tier 4
@@ -133,14 +133,25 @@ fn dispatch_stress_256_tcp_clients() {
     let report = run_with_watchdog(cfg, Duration::from_secs(300));
     assert_clean(&report);
     // 256 tenants over 16 slots: the run is only meaningful if launches
-    // actually found every vGPU taken and queued at the gateway.
+    // actually found every vGPU taken and queued in the dispatcher.
     assert!(report.runtime.mux_retries > 0, "no launch ever queued: {:?}", report.runtime);
 }
 
+/// Names of this process's threads, from `/proc/self/task/*/comm`.
+#[cfg(target_os = "linux")]
+fn thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim().to_string())
+        .collect()
+}
+
 /// 256 in-process clients over the same 16 slots: every launch that cannot
-/// bind parks its own handler thread inside the dispatcher's wait queue, so
-/// hundreds of waiters are parked at once and every release must find the
-/// right one. Seconds even in a debug build (where the lock-order checker
+/// bind leaves an entry in the dispatcher's wait queue, so hundreds of
+/// entries are queued at once and every release must wake the right one —
+/// while the runtime serves them all from its fixed pool, not a thread per
+/// connection. Seconds even in a debug build (where the lock-order checker
 /// is armed), so it runs with every `cargo test`.
 #[test]
 fn dispatch_stress_256_in_process_clients() {
@@ -167,6 +178,13 @@ fn dispatch_stress_256_in_process_clients() {
             .recv_timeout(Duration::from_secs(300))
             .unwrap_or_else(|_| panic!("only {done} of {CLIENTS} in-process clients finished"));
         assert!(verified, "a workload failed verification");
+        // With most clients still live: nobody got a handler thread.
+        #[cfg(target_os = "linux")]
+        if done == 0 {
+            let names = thread_names();
+            assert!(names.iter().any(|n| n.starts_with("mux-worker")), "{names:?}");
+            assert!(!names.iter().any(|n| n.starts_with("mtgpu-conn")), "{names:?}");
+        }
     }
     assert!(rt.wait_idle(Duration::from_secs(30)), "contexts did not drain");
     let m = rt.metrics();
