@@ -100,26 +100,37 @@ fn pinned_schedules_stay_clean_and_replay_identically() {
 /// (participant 0) runs `k` segments, the releasing visit (1) runs up to
 /// `m` in one go and the first resumes for the rest of them, then the third
 /// worker (2) runs to completion. Swapping the two steps in
-/// `mux::serve_channel` fails this sweep (replies out of call order at
-/// `k` = 20, `m` = 28 when it was written).
+/// `mux::serve_channel` fails this sweep (first at `k` = 20, `m` = 26 when
+/// it was written: the third worker answers the call behind the launch and
+/// the run stalls waiting for replies in call order).
+///
+/// A schedule entry is an index into the enabled participants, sorted by id,
+/// taken modulo their number. With three participants that makes 0 the
+/// lowest enabled id and 5 (−1 modulo 1, 2 and 3) the highest; 4 is index 1
+/// of three and index 0 of two, which, as long as the third worker has yet
+/// to start and so is enabled, is the releasing visit when it can run and
+/// the queueing one when it cannot.
 #[test]
 fn grant_vs_park_holds_wherever_the_release_and_a_third_worker_cut_into_the_visit() {
-    use mtgpu_simtime::mtcheck::PREFER_TID;
+    const QUEUEING: u32 = 0;
+    const RELEASING_ELSE_QUEUEING: u32 = 4;
+    const THIRD: u32 = 5;
     let scn = scenarios::find("grant-vs-park").unwrap();
     for k in 8..36 {
         for m in (12..44).step_by(2) {
-            let mut schedule = vec![PREFER_TID; k];
-            schedule.extend(std::iter::repeat_n(PREFER_TID + 1, m));
-            schedule.extend(std::iter::repeat_n(PREFER_TID + 2, 128));
+            let mut schedule = vec![QUEUEING; k];
+            schedule.extend(std::iter::repeat_n(RELEASING_ELSE_QUEUEING, m));
+            schedule.extend(std::iter::repeat_n(THIRD, 128));
             let run = explore::replay(scn, &schedule);
             let pin: Vec<u32> = run.decisions.iter().map(|d| d.chosen).collect();
             assert!(
                 run.clean(),
-                "k={k} m={m} ({}): {:?} {:?} {:?}",
+                "k={k} m={m} ({}): {:?} {:?} {:?} stalled={}",
                 schedule_id(&pin),
                 run.races,
                 run.deadlock,
-                run.panics
+                run.panics,
+                run.stalled
             );
         }
     }

@@ -81,9 +81,12 @@ fn reap_context(rt: &NodeRuntime, ctx_id: CtxId) {
     // calls on the connection observe the typed `LeaseExpired` failure.
     let _guard = ctx.service_lock();
     ctx.mark_failed(CudaError::LeaseExpired);
-    // A condemned context's launches fail before they bind: a grant it was
-    // queued for must not be left waiting for one.
-    crate::service::withdraw(rt, &ctx);
+    // A launch queued for a vGPU is woken now, to fail like any later call
+    // (the connection is still there and waits for its reply), and a grant
+    // it was given meanwhile goes back: a condemned context never binds.
+    if let Some(raced) = rt.bindings().kick(&ctx) {
+        rt.bindings().release(ctx_id, raced.vgpu);
+    }
     let binding = ctx.inner().binding.take();
     if let Some(b) = &binding {
         rt.tracer().record(TraceEvent::Unbound {

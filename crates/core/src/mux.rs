@@ -44,10 +44,12 @@
 //!    the work queue.
 //!
 //! The pool is sized for what the vGPU count bounds — one call in flight per
-//! bound context — plus [`SPARE_WORKERS`]. The backoffs the service sits out
-//! on the worker (unbind-and-retry, admission) are bounded by nothing but
-//! the number of contexts, so they go through [`pause`], which grows the
-//! pool to cover the pauses that overlap.
+//! bound context — plus [`SPARE_WORKERS`], and that holds because no worker
+//! sits out a wait that the vGPU count does not bound: a launch that gave
+//! its vGPU up for want of memory ([`Abort::Retry`], §4.5 unbind-and-retry —
+//! any number of contexts may be at it at once) is handed off like one that
+//! found no vGPU, and the channel comes back when the *retry timer* — one
+//! thread, started by the first such launch — finds its backoff over.
 //!
 //! Teardown (Exit or disconnect) removes the channel from the map first;
 //! whichever path wins the `BTreeMap::remove` does the context teardown, so
@@ -78,9 +80,8 @@ use mtgpu_api::transport::{ConnId, MuxService, ReplyQueue, ReplySink, Transport}
 use mtgpu_api::CudaError;
 use mtgpu_simtime::{lock_rank, RankedMutex};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::sync::{Arc, OnceLock, Weak};
+use std::time::Instant;
 
 /// Workers beyond one per vGPU: every slot stays servable while unbound and
 /// teardown work never waits on launches.
@@ -105,8 +106,9 @@ type ChanKey = (ConnId, u64);
 struct ChanQueue {
     /// FIFO of (request id, call) not yet executed.
     calls: VecDeque<(u64, CudaCall)>,
-    /// Whether the channel is taken: on the work queue, being visited, or
-    /// waiting in the dispatcher for its wake (at most one of them).
+    /// Whether the channel is taken: on the work queue, being visited,
+    /// waiting in the dispatcher for its wake or with the retry timer (at
+    /// most one of them).
     scheduled: bool,
 }
 
@@ -247,10 +249,9 @@ pub(crate) struct Gateway {
     channels: RankedMutex<BTreeMap<ChanKey, Chan>>,
     workq: Sender<WorkItem>,
     work: Receiver<WorkItem>,
-    /// Pool workers alive (none on a pool-less runtime).
-    workers: AtomicUsize,
-    /// Workers sitting out a backoff ([`pause`]).
-    paused: AtomicUsize,
+    /// The retry timer's inbox: work items and when they are due. The timer
+    /// starts with the first retry that needs it.
+    timer: OnceLock<Sender<(Instant, WorkItem)>>,
 }
 
 impl Gateway {
@@ -263,47 +264,57 @@ impl Gateway {
             channels: RankedMutex::new(lock_rank::CONN_CHANNELS, BTreeMap::new()),
             workq,
             work,
-            workers: AtomicUsize::new(0),
-            paused: AtomicUsize::new(0),
+            timer: OnceLock::new(),
         }
     }
 }
 
-/// Workers a runtime's pool keeps able to serve: one per vGPU plus the
-/// spares.
-fn pool_size(rt: &NodeRuntime) -> usize {
-    rt.bindings().total_vgpus() + SPARE_WORKERS
+/// Starts the pool: one worker per vGPU plus the spares. Returns their
+/// number.
+pub(crate) fn spawn_pool(rt: &Arc<NodeRuntime>) -> usize {
+    let workers = rt.bindings().total_vgpus() + SPARE_WORKERS;
+    for n in 0..workers {
+        rt.spawn_handler(&format!("mux-worker-{n}"), worker_loop);
+    }
+    workers
 }
 
-/// Starts one more pool worker.
-fn spawn_worker(rt: &Arc<NodeRuntime>) {
-    let n = rt.gateway().workers.fetch_add(1, Ordering::SeqCst);
-    rt.spawn_handler(&format!("mux-worker-{n}"), worker_loop);
-}
-
-/// Starts the pool.
-pub(crate) fn spawn_pool(rt: &Arc<NodeRuntime>) {
-    (0..pool_size(rt)).for_each(|_| spawn_worker(rt));
-}
-
-/// Sits out a backoff on the calling worker (`Clock::backoff`: real time on
-/// a scaled clock, a step of the timeline on a virtual one). A paused worker
-/// serves nobody, and any number of contexts may be pausing at once — unlike
-/// launches, which the vGPU count bounds — so the pool grows by one when a
-/// pause would leave it fewer than [`pool_size`] workers that can serve. It
-/// never shrinks: it ends up larger by the most pauses that ever overlapped,
-/// and stops growing there.
-pub(crate) fn pause(rt: &NodeRuntime, backoff: Duration) {
+/// Lets go of channel `key`, whose launch is back at the head of its FIFO,
+/// until the unbind-and-retry backoff is over (`Clock::backoff`: real time
+/// on a scaled clock, a step of the timeline on a virtual one). A step takes
+/// no time, so the visit takes it and requeues the channel; real time is the
+/// timer's to sit out, not the calling worker's.
+fn retry_later(rt: &NodeRuntime, key: ChanKey) {
     let g = rt.gateway();
-    let paused = g.paused.fetch_add(1, Ordering::SeqCst) + 1;
-    let workers = g.workers.load(Ordering::SeqCst);
-    if workers > 0 && workers.saturating_sub(paused) < pool_size(rt) {
-        if let Some(rt) = rt.me().upgrade() {
-            spawn_worker(&rt);
+    if rt.clock().is_virtual() {
+        rt.clock().backoff(service::RETRY_BACKOFF);
+        return drop(g.workq.send(WorkItem::Chan(key)));
+    }
+    let timer = g.timer.get_or_init(|| {
+        let (timer, due) = unbounded();
+        let rt = rt.me().upgrade().expect("a runtime serving calls is alive");
+        rt.spawn_handler("mux-timer", move |rt| timer_loop(rt, due));
+        timer
+    });
+    // mtlint: allow(wall-clock, reason = "the retry backoff is real time by definition (Clock::backoff sleeps it on a scaled clock); a virtual clock returned above")
+    let _ = timer.send((Instant::now() + service::RETRY_BACKOFF, WorkItem::Chan(key)));
+}
+
+/// The retry timer's life: passes each item on to the work queue when it is
+/// due, the stop marker last. Every item asks for the same backoff, so they
+/// arrive in the order they fall due and the inbox is the whole timer.
+fn timer_loop(rt: &Arc<NodeRuntime>, inbox: Receiver<(Instant, WorkItem)>) {
+    while let Ok((due, item)) = inbox.recv() {
+        // mtlint: allow(wall-clock, reason = "see retry_later: the real-time half of Clock::backoff, sat out here instead of on a worker")
+        let wait = due.saturating_duration_since(Instant::now());
+        // mtlint: allow(thread-sleep, reason = "see retry_later: the real-time half of Clock::backoff, sat out here instead of on a worker")
+        std::thread::sleep(wait);
+        let last = matches!(item, WorkItem::Stop);
+        let _ = rt.gateway().workq.send(item);
+        if last {
+            return;
         }
     }
-    rt.clock().backoff(backoff);
-    g.paused.fetch_sub(1, Ordering::SeqCst);
 }
 
 impl NodeRuntime {
@@ -462,14 +473,20 @@ impl Drop for InProcessChannel {
 
 /// Stops serving: hangs up the in-process connections still open (their
 /// contexts are torn down by the pool on its way out) and posts the stop
-/// marker behind whatever is queued.
+/// marker behind whatever is queued — through the timer, which ends with
+/// it, if one was started; if not, the inbox nobody reads that is left in
+/// its place keeps a retry that races the shutdown from starting one.
 pub(crate) fn stop(rt: &NodeRuntime) {
     let g = rt.gateway();
     for conn in g.sink.in_process_conns() {
         g.sink.close_in_process(conn);
         disconnect(rt, conn);
     }
-    let _ = g.workq.send(WorkItem::Stop);
+    let timer = g.timer.get_or_init(|| unbounded().0);
+    // mtlint: allow(wall-clock, reason = "a due time of now: the marker is passed on at once")
+    if timer.send((Instant::now(), WorkItem::Stop)).is_err() {
+        let _ = g.workq.send(WorkItem::Stop);
+    }
 }
 
 /// Tears a removed channel's context down and gives its local-service slot
@@ -568,14 +585,17 @@ fn serve_channel(rt: &NodeRuntime, key: ChanKey) {
         let reply = match outcome {
             Ok(value) => Ok(value),
             Err(Abort::Fail(e)) => Err(e),
-            Err(Abort::WouldBlock { .. }) if rt.is_shutdown() => Err(CudaError::Disconnected),
-            Err(Abort::WouldBlock { work, mem }) => {
-                RuntimeMetrics::bump(&rt.metrics_ref().mux_retries);
+            Err(_) if rt.is_shutdown() => Err(CudaError::Disconnected),
+            Err(hand_off) => {
                 // Put the call back at the head (ordering!), answer what
-                // the visit got done, and only then queue for the vGPU.
-                let retry = retry.expect("only launches would-block");
+                // the visit got done, and only then let go of the channel.
+                let retry = retry.expect("only launches hand off");
                 state.queue.lock().calls.push_front((id, retry));
                 g.sink.reply_batch(conn, replies);
+                let Abort::WouldBlock { work, mem } = hand_off else {
+                    return retry_later(rt, key);
+                };
+                RuntimeMetrics::bump(&rt.metrics_ref().mux_retries);
                 // From here the channel is the dispatcher's: the wake, which
                 // may have run by the time `enqueue` returns, hands it to
                 // whichever worker is free, with the launch at its head.
@@ -630,9 +650,12 @@ mod tests {
     use mtgpu_api::transport::{
         spawn_reactor, FrameBuf, FrontendClient, MuxConnection, ReactorConfig, ReactorHandle,
     };
-    use mtgpu_gpusim::{DeviceId, Driver, GpuSpec, KernelDesc, LaunchConfig, LaunchSpec, Work};
+    use mtgpu_gpusim::{
+        DeviceId, Driver, GpuSpec, KernelArg, KernelDesc, LaunchConfig, LaunchSpec, Work,
+    };
     use mtgpu_simtime::Clock;
     use std::net::TcpListener;
+    use std::time::Duration;
 
     fn quiet(cfg: RuntimeConfig) -> RuntimeConfig {
         RuntimeConfig { background_monitor: false, ..cfg }
@@ -906,6 +929,121 @@ mod tests {
     }
 
     #[test]
+    fn lease_reaped_while_queued_for_a_vgpu_answers_the_launch_and_what_follows() {
+        use crate::policy::{GpuLease, TenantPolicyConfig};
+        use mtgpu_simtime::SimDuration;
+        // Anonymous tenants' leases last one second; application 7's, the
+        // hog's, does not expire.
+        let clock = Clock::virtual_clock();
+        let driver = Driver::with_devices(clock.clone(), vec![GpuSpec::test_small()]);
+        let policy = TenantPolicyConfig::default()
+            .with_default_lease(GpuLease { ttl_s: 1, ..GpuLease::unlimited() })
+            .with_tenant_lease(7, GpuLease::unlimited());
+        let cfg = RuntimeConfig { tenant_policy: Some(policy), ..RuntimeConfig::serialized() };
+        let rt = NodeRuntime::start_poolless(driver, quiet(cfg));
+        let mut client = attach_client(&rt, 1);
+        let hog = rt.new_context("hog".into());
+        rt.policy().adopt(hog.id, 7, clock.now()).unwrap();
+        let held = rt.bindings().poll(&hog, 0).expect("free vGPU");
+        for (id, call) in [register_noop(), noop_launch(), malloc()].into_iter().enumerate() {
+            rt.on_request(1, 1, id as u64, call);
+        }
+        assert_eq!(rt.serve_queued(), 1);
+        read_replies(&mut client, 1);
+        assert_eq!(rt.load().waiting, 1);
+        // The lease runs out with the launch queued behind the hog. The
+        // reaper takes the entry out and wakes the channel: the launch is
+        // answered now, not at a grant, and so is the call behind it.
+        clock.advance(SimDuration::from_secs(2));
+        rt.monitor_tick();
+        assert_eq!(rt.load().waiting, 0);
+        assert_eq!(rt.gateway().work.len(), 1, "the reaped entry's wake must run");
+        assert_eq!(rt.serve_queued(), 1);
+        let late = read_replies(&mut client, 2);
+        assert!(late.iter().map(|(id, _)| *id).eq(1..3));
+        assert!(late.iter().all(|(_, r)| *r == Err(CudaError::LeaseExpired)), "{late:?}");
+        // The channel is as live as any: Exit is served and tears it down.
+        rt.on_request(1, 1, 3, CudaCall::Exit);
+        assert_eq!(rt.serve_queued(), 1);
+        assert_eq!(read_replies(&mut client, 1)[0], (3, Ok(ReplyValue::Unit)));
+        rt.bindings().release(hog.id, held.vgpu);
+        let m = rt.metrics();
+        assert_eq!((m.bindings, m.unbindings, m.lease_reaps), (1, 1, 1));
+        assert_eq!((rt.channel_count(), rt.context_count()), (0, 1));
+        rt.shutdown();
+    }
+
+    #[test]
+    fn launch_that_unbinds_to_retry_lets_go_of_the_worker_and_keeps_the_channel_in_order() {
+        // Unbind-and-retry is the only answer to memory pressure here.
+        let clock = Clock::virtual_clock();
+        let driver = Driver::with_devices(clock.clone(), vec![GpuSpec::test_small()]);
+        let cfg = RuntimeConfig { inter_app_swap: false, ..RuntimeConfig::default() };
+        let rt = NodeRuntime::start_poolless(driver, quiet(cfg));
+        let mut client = attach_client(&rt, 1);
+        let chunk = rt.driver().device(DeviceId(0)).unwrap().mem_available() * 6 / 10;
+        let big_malloc = || CudaCall::Malloc { size: chunk, kind: AllocKind::Linear };
+        let launch_on = |ptr| {
+            let CudaCall::Launch { mut spec } = noop_launch() else { unreachable!() };
+            spec.args = vec![KernelArg::Ptr(ptr)];
+            CudaCall::Launch { spec }
+        };
+        let ptr_of = |reply: &(u64, CudaReply)| match reply.1 {
+            Ok(ReplyValue::Ptr(ptr)) => ptr,
+            ref other => panic!("not a pointer: {other:?}"),
+        };
+        // Channel 1 holds most of the device and stays bound.
+        rt.on_request(1, 1, 0, register_noop());
+        rt.on_request(1, 1, 1, big_malloc());
+        rt.serve_queued();
+        let held = ptr_of(&read_replies(&mut client, 2)[1]);
+        rt.on_request(1, 1, 2, launch_on(held));
+        rt.serve_queued();
+        assert!(read_replies(&mut client, 1)[0].1.is_ok());
+        // Channel 2's launch needs as much again.
+        rt.on_request(1, 2, 10, register_noop());
+        rt.on_request(1, 2, 11, big_malloc());
+        rt.serve_queued();
+        let wanted = ptr_of(&read_replies(&mut client, 2)[1]);
+        let before = clock.now();
+        for (id, call) in [malloc(), launch_on(wanted), malloc()].into_iter().enumerate() {
+            rt.on_request(1, 2, 12 + id as u64, call);
+        }
+        // One visit, played by hand (`serve_queued` would retry for ever):
+        // the call ahead of the launch is answered, the launch gives its
+        // vGPU up and is back at the head, its successor behind it, and the
+        // channel is runnable again one backoff later — on this clock, a
+        // step of the timeline.
+        let visit = || assert!(serve_item(&rt, rt.gateway().work.try_recv().expect("runnable")));
+        visit();
+        assert!(matches!(read_replies(&mut client, 1)[0], (12, Ok(ReplyValue::Ptr(_)))));
+        nothing_more_arrives(&mut client);
+        let waiting = local_state(&rt, (1, 2));
+        {
+            let q = waiting.queue.lock();
+            assert!(q.scheduled);
+            assert!(q.calls.iter().map(|(id, _)| *id).eq(13..15));
+        }
+        assert_eq!(rt.binding_of(waiting.ctx.id), None);
+        assert_eq!((rt.metrics().launch_retries, rt.load().waiting), (1, 0));
+        assert_eq!(clock.now().duration_since(before).as_nanos(), 2_000_000);
+        assert_eq!(rt.gateway().work.len(), 1);
+        visit();
+        assert_eq!(rt.metrics().launch_retries, 2);
+        nothing_more_arrives(&mut client);
+        // Channel 1 frees its memory: the next retry goes through, and the
+        // call behind the launch follows it.
+        rt.on_request(1, 1, 3, CudaCall::Free { ptr: held });
+        rt.serve_queued();
+        let mut rest = read_replies(&mut client, 3);
+        rest.sort_by_key(|(id, _)| *id);
+        assert!(rest.iter().map(|(id, _)| *id).eq([3, 13, 14]));
+        assert!(matches!(rest[1].1, Ok(ReplyValue::LaunchDone { .. })), "{rest:?}");
+        assert!(matches!(rest[2].1, Ok(ReplyValue::Ptr(_))), "{rest:?}");
+        rt.shutdown();
+    }
+
+    #[test]
     fn relayed_channel_is_forwarded_in_order_and_leaves_the_map_when_its_relay_ends() {
         let (rt, mut client) = poolless_runtime(RuntimeConfig::default());
         let key = (1, 2);
@@ -1017,31 +1155,10 @@ mod tests {
     }
 
     #[test]
-    fn pool_starts_at_one_worker_per_vgpu_plus_spares_and_grows_only_to_cover_pauses() {
+    fn worker_pool_sizes_automatically() {
         let driver = Driver::with_devices(Clock::with_scale(1e-7), vec![GpuSpec::test_small(); 2]);
-        let rt = NodeRuntime::start(driver, quiet(RuntimeConfig::default()));
-        let base = rt.bindings().total_vgpus() + 4;
-        let workers = || rt.gateway().workers.load(Ordering::SeqCst);
-        assert_eq!(workers(), base);
-        // One pause at a time: one worker more covers it, however often.
-        pause(&rt, Duration::ZERO);
-        pause(&rt, Duration::ZERO);
-        assert_eq!(workers(), base + 1);
-        // Two other workers are pausing meanwhile: each pause that finds
-        // fewer than `base` able to serve adds one, until three are covered.
-        rt.gateway().paused.fetch_add(2, Ordering::SeqCst);
-        for _ in 0..3 {
-            pause(&rt, Duration::ZERO);
-        }
-        assert_eq!(workers(), base + 3);
-        rt.gateway().paused.fetch_sub(2, Ordering::SeqCst);
-        rt.shutdown();
-
-        // A pool-less runtime has no pool to grow.
-        let driver = Driver::with_devices(Clock::with_scale(1e-7), vec![GpuSpec::test_small()]);
         let rt = NodeRuntime::start_poolless(driver, quiet(RuntimeConfig::default()));
-        pause(&rt, Duration::ZERO);
-        assert_eq!(rt.gateway().workers.load(Ordering::SeqCst), 0);
+        assert_eq!(spawn_pool(&rt), rt.bindings().total_vgpus() + 4);
         rt.shutdown();
     }
 }

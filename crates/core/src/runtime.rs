@@ -485,8 +485,14 @@ impl NodeRuntime {
     /// relay threads. In-process connections still open are hung up (a
     /// call waiting on one returns `Disconnected`) and their contexts torn
     /// down; whoever put a reactor in front of this runtime stops it first.
+    ///
+    /// Not optional: the monitor and the pool hold the runtime, so one that
+    /// is started and never shut down stays, threads and all, until the
+    /// process ends.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // mtlint: allow(notify-all, reason = "shutdown broadcast: every queued entry's owner must look again, see the flag and unwind")
+        self.bm.notify_all();
         if let Some(m) = self.monitor.lock().take() {
             let _ = m.join();
         }

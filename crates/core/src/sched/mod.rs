@@ -26,7 +26,10 @@
 //! waiting channel back on the work queue, and blocking
 //! [`BindingManager::acquire`] is the same entry with a wake that notifies
 //! a condition variable. [`BindingManager::cancel`] withdraws a context at
-//! teardown and hands back a grant that raced it.
+//! teardown and hands back a grant that raced it; [`BindingManager::kick`]
+//! wakes a queued owner early (its lease was reaped). An entry whose wake
+//! could never be followed by a launch — the context cancelled or failed —
+//! is not queued at all: its wake runs at once.
 //!
 //! # Sharded dispatch
 //!
@@ -96,8 +99,8 @@ pub enum AddDeviceError {
 }
 
 /// What a queued entry's owner is told with: run once, right after the
-/// entry's outcome is written into its context. Called with the entry's
-/// queue locked, so it must not block or call back into the manager.
+/// entry's outcome is written into its context. Usually called with the
+/// entry's queue locked, so it must not block or call back into the manager.
 pub type Wake = Box<dyn FnOnce() + Send>;
 
 /// One queued request for a vGPU.
@@ -353,8 +356,9 @@ impl BindingManager {
     /// entry goes to the shard placement picks (or the lobby while no
     /// device is placeable) under the context's FCFS ticket, and `wake`
     /// runs once, when the entry is granted a vGPU or has to place again —
-    /// possibly before this returns. A context that was cancelled is not
-    /// queued and its wake never runs.
+    /// possibly before this returns. A context that will not launch again
+    /// (cancelled, or failed) is not queued: its wake runs at once, so its
+    /// owner looks again and finds out.
     pub fn enqueue(&self, ctx: &Arc<AppContext>, pending_work: f64, mem_usage: u64, wake: Wake) {
         let (enq_seq, app_id) = {
             let mut inner = ctx.inner();
@@ -411,12 +415,15 @@ impl BindingManager {
         }
     }
 
-    /// Queues `entry` (caller holds the queue's lock) unless its context
-    /// was cancelled.
+    /// Queues `entry` (caller holds the queue's lock), or — its context was
+    /// cancelled or has failed, so no grant would ever be used — wakes its
+    /// owner instead.
     fn push_entry(&self, queue: &mut Vec<Waiter>, entry: Waiter) -> bool {
         {
             let mut inner = entry.ctx.inner();
-            if matches!(inner.bind_wait, BindWait::Closed) {
+            if matches!(inner.bind_wait, BindWait::Closed) || inner.failed.is_some() {
+                drop(inner);
+                (entry.wake)();
                 return false;
             }
             debug_assert!(
@@ -486,7 +493,7 @@ impl BindingManager {
                     return self.withdraw(ctx, false);
                 }
             }
-            if matches!(inner.bind_wait, BindWait::Closed) {
+            if matches!(inner.bind_wait, BindWait::Closed) || inner.failed.is_some() {
                 return None;
             }
             drop(inner);
@@ -498,15 +505,25 @@ impl BindingManager {
         }
     }
 
-    /// Withdraws `ctx` from the dispatcher for good (teardown): its entry
-    /// leaves whatever queue it is in without its wake running, and nothing
-    /// queues or binds the context again. A grant that raced the
-    /// withdrawal comes back for the caller to [`Self::release`].
+    /// Withdraws `ctx` from the dispatcher for good (teardown, when nobody
+    /// is left to tell): its entry leaves whatever queue it is in without
+    /// its wake running, and nothing queues or binds the context again. A
+    /// grant that raced the withdrawal comes back for the caller to
+    /// [`Self::release`].
     pub fn cancel(&self, ctx: &Arc<AppContext>) -> Option<Binding> {
         self.withdraw(ctx, true)
     }
 
-    /// Takes `ctx` out of the dispatcher, for good when `close` is set.
+    /// Takes `ctx`'s entry out of whatever queue it is in and runs its wake,
+    /// so its owner looks again now instead of at a grant (lease reaping:
+    /// the look finds the context failed). A grant already given comes back
+    /// for the caller to [`Self::release`].
+    pub fn kick(&self, ctx: &Arc<AppContext>) -> Option<Binding> {
+        self.withdraw(ctx, false)
+    }
+
+    /// Takes `ctx` out of the dispatcher: for good and in silence when
+    /// `close` is set, else waking the owner of the entry it pulls.
     fn withdraw(&self, ctx: &Arc<AppContext>, close: bool) -> Option<Binding> {
         let settled = || if close { BindWait::Closed } else { BindWait::Idle };
         loop {
@@ -538,9 +555,12 @@ impl BindingManager {
             let shards: Vec<Arc<Shard>> = self.shards.read().values().map(Arc::clone).collect();
             let pulled = shards
                 .iter()
-                .any(|s| self.pull_entry(&mut s.state.lock().queue, ctx.id, settled()).is_some())
-                || self.pull_entry(&mut self.lobby.lock(), ctx.id, settled()).is_some();
-            if pulled {
+                .find_map(|s| self.pull_entry(&mut s.state.lock().queue, ctx.id, settled()))
+                .or_else(|| self.pull_entry(&mut self.lobby.lock(), ctx.id, settled()));
+            if let Some(entry) = pulled {
+                if !close {
+                    (entry.wake)();
+                }
                 return None;
             }
             // In no queue: a grant or reroute took the entry between the
@@ -1240,11 +1260,14 @@ mod entry_tests {
         bm.enqueue(&queued, 1.0, 0, counting(&woken));
         bm.enqueue(&granted, 1.0, 0, counting(&woken));
         // Cancelled while queued: out of the queue, never woken, and the
-        // context neither queues nor binds again.
+        // context neither queues nor binds again — an owner that asks
+        // anyway is woken at once, to find that out.
         assert!(bm.cancel(&queued).is_none());
-        assert_eq!(bm.waiting_count(), 1);
-        bm.enqueue(&queued, 1.0, 0, counting(&woken));
+        assert_eq!((bm.waiting_count(), woken.load(Ordering::SeqCst)), (1, 0));
+        let refused = Arc::new(AtomicUsize::new(0));
+        bm.enqueue(&queued, 1.0, 0, counting(&refused));
         assert_eq!(bm.waiting_count(), 1, "a cancelled context does not queue");
+        assert_eq!(refused.load(Ordering::SeqCst), 1, "a refused entry's wake is not dropped");
         // Cancelled after the grant: the vGPU comes back to be released.
         bm.release(holder.id, held.vgpu);
         assert_eq!(woken.load(Ordering::SeqCst), 1);
@@ -1256,6 +1279,37 @@ mod entry_tests {
         let m = metrics.snapshot();
         assert_eq!(m.bindings, m.unbindings);
         assert!(bm.poll(&holder, 0).is_some(), "the slot is free again");
+    }
+
+    #[test]
+    fn kick_wakes_a_queued_entry_and_a_failed_context_is_woken_instead_of_queued() {
+        let (bm, metrics) = manager(1);
+        let (holder, waiter) = (ctx(1), ctx(2));
+        let held = bm.poll(&holder, 0).unwrap();
+        let woken = Arc::new(AtomicUsize::new(0));
+        bm.enqueue(&waiter, 1.0, 0, counting(&woken));
+        // Kicked while queued (its lease was reaped): out of the queue and
+        // woken, so the owner runs its launch again and sees the failure.
+        waiter.mark_failed(mtgpu_api::CudaError::LeaseExpired);
+        assert!(bm.kick(&waiter).is_none());
+        assert_eq!((bm.waiting_count(), woken.load(Ordering::SeqCst)), (0, 1));
+        // The reap landed between the failed poll and the enqueue instead:
+        // nothing is queued for a grant nobody would use, and the owner is
+        // woken all the same. A blocking caller is refused, not parked.
+        bm.enqueue(&waiter, 1.0, 0, counting(&woken));
+        assert_eq!((bm.waiting_count(), woken.load(Ordering::SeqCst)), (0, 2));
+        assert!(bm.acquire(&waiter, 1.0, 0, Duration::from_secs(3600)).is_none());
+        // Kicked after the grant: the vGPU comes back to be released.
+        let late = ctx(3);
+        bm.enqueue(&late, 1.0, 0, counting(&woken));
+        bm.release(holder.id, held.vgpu);
+        let raced = bm.kick(&late).expect("the grant raced the kick");
+        bm.release(late.id, raced.vgpu);
+        assert_eq!((bm.waiting_count(), bm.bound_count()), (0, 0));
+        let m = metrics.snapshot();
+        assert_eq!(m.bindings, m.unbindings);
+        // Unlike a cancelled context, a kicked one may ask again.
+        assert!(bm.poll(&late, 0).is_some());
     }
 
     #[test]

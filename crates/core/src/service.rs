@@ -22,7 +22,9 @@
 //!
 //! Nothing here waits for a vGPU: a launch that cannot bind at once comes
 //! back as [`Abort::WouldBlock`], and the only place it then waits is
-//! a [`crate::sched::BindingManager`] queue entry.
+//! a [`crate::sched::BindingManager`] queue entry. Nor does a launch sit out
+//! its unbind-and-retry backoff here ([`Abort::Retry`]): the gateway's timer
+//! brings it back.
 
 use crate::ctx::{AppContext, Binding, CtxId};
 use crate::memory::{eviction, Materialize, Recovery, SwapReason};
@@ -41,12 +43,16 @@ use std::time::Duration;
 
 /// Real-time backoff after an unbind-and-retry, so a starved large job does
 /// not thrash the device while others finish.
-const RETRY_BACKOFF: Duration = Duration::from_millis(2);
+pub(crate) const RETRY_BACKOFF: Duration = Duration::from_millis(2);
 
 /// Releases everything a finished/disconnected context holds.
 pub(crate) fn teardown(rt: &NodeRuntime, ctx: &Arc<AppContext>) {
     let _guard = ctx.service_lock();
-    withdraw(rt, ctx);
+    // Out of the dispatcher's queues for good; a grant that raced the
+    // withdrawal goes straight back.
+    if let Some(raced) = rt.bindings().cancel(ctx) {
+        rt.bindings().release(ctx.id, raced.vgpu);
+    }
     let binding = {
         let mut inner = ctx.inner();
         inner.binding.take()
@@ -56,15 +62,6 @@ pub(crate) fn teardown(rt: &NodeRuntime, ctx: &Arc<AppContext>) {
         rt.bindings().release(ctx.id, b.vgpu);
     }
     rt.drop_context(ctx.id);
-}
-
-/// Takes a context out of the dispatcher's queues for good (teardown, lease
-/// reaping), giving back a grant that raced the withdrawal. The caller holds
-/// the context's service lock.
-pub(crate) fn withdraw(rt: &NodeRuntime, ctx: &Arc<AppContext>) {
-    if let Some(raced) = rt.bindings().cancel(ctx) {
-        rt.bindings().release(ctx.id, raced.vgpu);
-    }
 }
 
 /// Why a call ended without a value.
@@ -78,20 +75,17 @@ pub(crate) enum Abort {
     /// is recomputed, the staged config take is ignored, and unbind paths
     /// leave consistent state).
     WouldBlock { work: f64, mem: u64 },
+    /// A launch gave its vGPU up for want of device memory (§4.5
+    /// unbind-and-retry). The caller puts the call back at the head of its
+    /// stream and runs it again, from scratch, once [`RETRY_BACKOFF`] has
+    /// passed.
+    Retry,
 }
 
 impl From<CudaError> for Abort {
     fn from(e: CudaError) -> Self {
         Abort::Fail(e)
     }
-}
-
-/// Counts a descriptor the guard refused.
-fn checked(rt: &NodeRuntime, verdict: Result<(), CudaError>) -> Result<(), CudaError> {
-    if verdict.is_err() {
-        RuntimeMetrics::bump(&rt.metrics_ref().descriptor_rejections);
-    }
-    verdict
 }
 
 /// Dispatches one call. The caller holds the context's service lock.
@@ -108,43 +102,42 @@ pub(crate) fn handle_call(
             Ok(ReplyValue::Module(ModuleHandle(inner.modules)))
         }
         CudaCall::RegisterFunction { kernel, .. } => {
-            checked(rt, guard::validate_kernel_desc(&kernel, &DescriptorLimits::default())).map(
-                |()| {
-                    // Resolve the functional payload from the backend's
-                    // library (the fat binary's machine code).
-                    let payload = library::lookup(&kernel.name).and_then(|k| k.payload);
-                    ctx.register_kernel(RegisteredKernel { desc: kernel, payload });
-                    ReplyValue::Unit
-                },
-            )
+            if let Err(e) = guard::validate_kernel_desc(&kernel, &DescriptorLimits::default()) {
+                RuntimeMetrics::bump(&rt.metrics_ref().descriptor_rejections);
+                return Err(e.into());
+            }
+            // Resolve the functional payload from the backend's library
+            // (the fat binary's machine code).
+            let payload = library::lookup(&kernel.name).and_then(|k| k.payload);
+            ctx.register_kernel(RegisteredKernel { desc: kernel, payload });
+            Ok(ReplyValue::Unit)
         }
         CudaCall::RegisterVar { .. } | CudaCall::RegisterTexture { .. } => Ok(ReplyValue::Unit),
-        CudaCall::HintJobLength { flops } => checked(rt, guard::validate_job_length_hint(flops))
-            .map(|()| {
-                ctx.inner().est_job_flops = Some(flops);
-                ReplyValue::Unit
-            }),
+        CudaCall::HintJobLength { flops } => {
+            if let Err(e) = guard::validate_job_length_hint(flops) {
+                RuntimeMetrics::bump(&rt.metrics_ref().descriptor_rejections);
+                return Err(e.into());
+            }
+            ctx.inner().est_job_flops = Some(flops);
+            Ok(ReplyValue::Unit)
+        }
         // §4.8: record the application id so this thread is co-located
         // with its application's other threads. Under the policy layer this
         // is also the admission point: joining the application's tenant may
         // be refused (context cap, expired lease, unabsorbable charges).
         CudaCall::SetApplication { app_id } => {
-            match rt.policy().adopt(ctx.id, app_id, rt.clock().now()) {
-                Ok(()) => {
-                    ctx.inner().app_id = Some(app_id);
-                    Ok(ReplyValue::Unit)
+            if let Err(e) = rt.policy().adopt(ctx.id, app_id, rt.clock().now()) {
+                if matches!(e, CudaError::QuotaExceeded(_)) {
+                    RuntimeMetrics::bump(&rt.metrics_ref().quota_rejections);
+                    rt.tracer().record(TraceEvent::QuotaRejected {
+                        ctx: ctx.id,
+                        what: format!("join application {app_id}"),
+                    });
                 }
-                Err(e) => {
-                    if matches!(e, CudaError::QuotaExceeded(_)) {
-                        RuntimeMetrics::bump(&rt.metrics_ref().quota_rejections);
-                        rt.tracer().record(TraceEvent::QuotaRejected {
-                            ctx: ctx.id,
-                            what: format!("join application {app_id}"),
-                        });
-                    }
-                    Err(e)
-                }
+                return Err(e.into());
             }
+            ctx.inner().app_id = Some(app_id);
+            Ok(ReplyValue::Unit)
         }
         // §4.3: "some device management functions are ignored by our runtime
         // (e.g. cudaSetDevice)" — binding is the runtime's decision.
@@ -164,9 +157,14 @@ pub(crate) fn handle_call(
             rt.policy().uncharge(ctx.id, freed);
             Ok(ReplyValue::Unit)
         }
-        CudaCall::MemcpyH2D { dst, buf } => checked(rt, guard::validate_host_buf(&buf))
-            .and_then(|()| rt.memory().copy_h2d(ctx.id, dst, &buf, ctx.binding().as_ref()))
-            .map(|()| ReplyValue::Unit),
+        CudaCall::MemcpyH2D { dst, buf } => {
+            if let Err(e) = guard::validate_host_buf(&buf) {
+                RuntimeMetrics::bump(&rt.metrics_ref().descriptor_rejections);
+                return Err(e.into());
+            }
+            let binding = ctx.binding();
+            rt.memory().copy_h2d(ctx.id, dst, &buf, binding.as_ref()).map(|()| ReplyValue::Unit)
+        }
         CudaCall::MemcpyD2H { src, len } => with_device_retry(rt, ctx, |rt, ctx, binding| {
             rt.memory().copy_d2h(ctx.id, src, len, binding.as_ref())
         })
@@ -230,7 +228,7 @@ fn admit_malloc(
                 retries_left -= 1;
                 // Through the clock, not `thread::sleep`: queued admission
                 // must replay bit-for-bit under a virtual clock.
-                crate::mux::pause(rt, backoff);
+                rt.clock().backoff(backoff);
             }
             Err(e) => {
                 if matches!(e, CudaError::QuotaExceeded(_)) {
@@ -287,7 +285,10 @@ fn launch_loop(
     // Guardian-style boundary validation: a malformed or forged descriptor
     // dies here with a typed error, before scheduling or the memory manager
     // see it.
-    checked(rt, guard::validate_launch_spec(&spec, &DescriptorLimits::default()))?;
+    if let Err(e) = guard::validate_launch_spec(&spec, &DescriptorLimits::default()) {
+        RuntimeMetrics::bump(&rt.metrics_ref().descriptor_rejections);
+        return Err(e.into());
+    }
     // An expired lease refuses new work even before the reaper visits.
     rt.policy().check_active(ctx.id)?;
     // Table 1 "Launch": check valid PTEs (and extend to nested closures).
@@ -387,13 +388,11 @@ fn launch_loop(
                     continue;
                 }
                 // 3c. No application honoured the request: unbind and retry
-                // later (§4.5).
+                // later (§4.5). The backoff is the caller's to arrange: no
+                // serving thread sits it out.
                 unbind_self(rt, ctx, &binding, SwapReason::Unbind)?;
                 RuntimeMetrics::bump(&rt.metrics_ref().launch_retries);
-                // Through the clock, not `thread::sleep`: under a virtual
-                // clock the retry path must advance virtual time only.
-                crate::mux::pause(rt, RETRY_BACKOFF);
-                continue;
+                return Err(Abort::Retry);
             }
             Err(CudaError::DeviceUnavailable) => {
                 recover_from_device_loss(rt, ctx, binding)?;

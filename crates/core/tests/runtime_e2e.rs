@@ -782,6 +782,57 @@ fn retry_backoff_advances_virtual_time_only() {
 }
 
 #[test]
+fn retry_backoff_in_real_time_is_sat_out_by_the_timer_while_the_pool_serves() {
+    // On a scaled clock the backoff is real time. More tenants than the
+    // pool has workers retry at once, each holding no worker while it backs
+    // off: the pool keeps serving, and every retry waits its two
+    // milliseconds.
+    install_kernels();
+    let driver = Driver::with_devices(Clock::with_scale(1e-7), vec![GpuSpec::test_small()]);
+    let mut cfg = RuntimeConfig::paper_default();
+    cfg.inter_app_swap = false; // force the unbind-and-retry path
+    let rt = NodeRuntime::start(driver, cfg);
+    let gpu = rt.driver().device(DeviceId(0)).unwrap();
+    let chunk = gpu.mem_available() * 6 / 10;
+    let mut a = rt.local_client();
+    register(&mut a);
+    let pa = a.malloc(chunk).unwrap();
+    a.launch(launch("noop", vec![KernelArg::Ptr(pa)], 1e6)).unwrap();
+    let tenants = rt.load().total_vgpus + 4 + 4;
+    let started = std::time::Instant::now();
+    let retrying: Vec<_> = (0..tenants)
+        .map(|_| {
+            let rt = Arc::clone(&rt);
+            std::thread::spawn(move || {
+                let mut b = rt.local_client();
+                register(&mut b);
+                let pb = b.malloc(chunk).unwrap();
+                b.launch(launch("noop", vec![KernelArg::Ptr(pb)], 1e6)).unwrap();
+                b.exit().unwrap();
+            })
+        })
+        .collect();
+    let deadline = started + Duration::from_secs(20);
+    while rt.metrics().launch_retries < 4 * tenants as u64 {
+        assert!(std::time::Instant::now() < deadline, "retry path never taken");
+        // Served at once, whatever the others are waiting for.
+        assert_eq!(a.get_device_count().unwrap(), 4);
+    }
+    let (retries, elapsed) = (rt.metrics().launch_retries, started.elapsed());
+    assert!(
+        retries <= tenants as u64 * (elapsed.as_micros() as u64 / 2000 + 1),
+        "{retries} retries of {tenants} tenants in {elapsed:?}: the backoff was cut short"
+    );
+    a.free(pa).unwrap();
+    for t in retrying {
+        t.join().unwrap();
+    }
+    a.exit().unwrap();
+    assert!(rt.wait_idle(Duration::from_secs(10)));
+    rt.shutdown();
+}
+
+#[test]
 fn read_only_annotations_skip_swap_synchronization() {
     // §4.5 fine-grained handling: an input annotated read-only stays clean
     // after the launch, so evicting it costs no device-to-host copy —

@@ -854,15 +854,6 @@ pub fn observe(threads: Vec<Participant>) -> RunReport {
     run(Mode::Observe, Vec::new(), threads)
 }
 
-/// A schedule entry of `PREFER_TID + t` grants the turn to participant `t`
-/// if it is enabled at that decision (the lowest-tid enabled thread if not),
-/// where a plain entry is an index into the enabled set. It lets a test run
-/// one participant *atomically* from a chosen point — a sweep over that
-/// point reaches interleavings many consecutive flips deep, which the
-/// breadth-first explorer does not. Reports record the index actually
-/// chosen, so any run found this way replays from its plain schedule id.
-pub const PREFER_TID: u32 = 1 << 16;
-
 /// Runs `threads` under the cooperative scheduler, following `schedule` as
 /// a prefix of decision indices (beyond the prefix, the lowest-tid enabled
 /// thread is chosen). Deterministic: equal schedules yield equal reports.
@@ -1061,12 +1052,7 @@ fn controller() -> bool {
             }
             continue;
         }
-        let idx = match s.schedule.get(step).copied().unwrap_or(0) {
-            want if want >= PREFER_TID => {
-                enabled.iter().position(|tid| *tid == want - PREFER_TID).unwrap_or(0)
-            }
-            index => index as usize % enabled.len(),
-        };
+        let idx = s.schedule.get(step).copied().unwrap_or(0) as usize % enabled.len();
         let chosen = enabled[idx];
         let point = match &s.statuses[chosen as usize] {
             Status::Arrived(p) => p.describe(chosen),

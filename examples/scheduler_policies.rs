@@ -38,6 +38,7 @@ fn run(policy: SchedulerPolicy) -> (f64, f64) {
     let clients: Vec<Box<dyn CudaClient>> =
         jobs.iter().map(|_| Box::new(rt.local_client()) as Box<dyn CudaClient>).collect();
     let result = run_batch(&clock, jobs, clients);
+    rt.shutdown();
     assert!(result.all_verified(), "{:?}", result.errors);
     let short_avg = result
         .reports
