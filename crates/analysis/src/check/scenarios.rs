@@ -9,6 +9,7 @@
 //! | `lease-admit-vs-reap` | [`LeaseBook`]    | `policy.lease.global_used`|
 //! | `migrate-vs-launch` | [`MemoryManager`]  | `mm.swap` (migration path)|
 //! | `reply-vs-retire`   | mux [`ReplySink`]  | `reactor.out.closed`      |
+//! | `lead-vs-follow`    | [`MuxConnection`]  | `mux.demux.leader`        |
 //! | `grant-vs-park`     | gateway + dispatcher | `sched.shard.free`      |
 //! | `cancel-vs-grant`   | [`BindingManager`] | `sched.shard.free`        |
 //! | `fixture-race`      | seeded fixture     | `fixture.check.cell`      |
@@ -20,7 +21,10 @@
 //! *different* ranked locks, which the detector must flag.
 
 use mtgpu_api::protocol::{CudaCall, CudaReply, ModuleHandle, MuxFrame, ReplyValue};
-use mtgpu_api::transport::{FrameBuf, MuxService, ReplyQueue, ReplySink};
+use mtgpu_api::transport::{
+    encode_frame, ByteStream, FrameBuf, MuxConnection, MuxService, ReplyQueue, ReplySink, Transport,
+};
+use mtgpu_api::CudaError;
 use mtgpu_core::memory::AllocKind;
 use mtgpu_core::{
     AppContext, BindingManager, CtxId, GpuLease, LeaseBook, MemoryConfig, MemoryManager,
@@ -30,7 +34,7 @@ use mtgpu_gpusim::{
     DeviceId, Driver, Gpu, GpuSpec, KernelArg, KernelDesc, LaunchConfig, LaunchSpec, Work,
 };
 use mtgpu_simtime::mtcheck::Participant;
-use mtgpu_simtime::{Clock, LockRank, RankedMutex, Shadow, SimDuration};
+use mtgpu_simtime::{Clock, LockRank, RankedCondvar, RankedMutex, Shadow, SimDuration};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -63,7 +67,7 @@ pub fn find(name: &str) -> Option<&'static Scenario> {
     MATRIX.iter().find(|s| s.name == name)
 }
 
-static MATRIX: [Scenario; 8] = [
+static MATRIX: [Scenario; 9] = [
     Scenario {
         name: "dispatcher-churn",
         about: "two contexts churn try_acquire_on/release against one \
@@ -99,6 +103,16 @@ static MATRIX: [Scenario; 8] = [
                 connection's outbound half under CONN_OUT)",
         expect_clean: true,
         builder: reply_vs_retire,
+    },
+    Scenario {
+        name: "lead-vs-follow",
+        about: "two callers share one client connection with no reader \
+                thread: whoever finds the stream unread reads it, files \
+                the other's reply, hands the read on when it leaves; the \
+                scripted peer answers out of order, volunteers stray \
+                frames and hangs up on the last request but one",
+        expect_clean: true,
+        builder: lead_vs_follow,
     },
     Scenario {
         name: "grant-vs-park",
@@ -280,6 +294,123 @@ fn reply_vs_retire() -> Vec<Participant> {
             assert_eq!(once.len(), ids.len(), "a reply was written twice: {ids:?}");
         }),
     ]
+}
+
+const CHK_PEER: LockRank = LockRank { value: 242, name: "CHK_PEER" };
+
+/// The far end of a client connection as a script. It sits behind a ranked
+/// lock and condvar of its own, so a read that has to wait for the other
+/// caller's request is a wait the explorer models — a real socket would
+/// block the one thread that holds the turn.
+///
+/// The script: nothing until the second request is in, then a response
+/// nobody asked for, a request (only a server sends those), the answer to
+/// the second request and the answer to the first; nothing again until the
+/// fourth, which is answered; the third never is — the peer hangs up.
+/// A request is answered with its channel, so a caller knows its own reply.
+struct ScriptedPeer {
+    state: RankedMutex<PeerState>,
+    arrived: RankedCondvar,
+}
+
+#[derive(Default)]
+struct PeerState {
+    /// What the client wrote, until it parses as requests.
+    written: FrameBuf,
+    /// `(chan, id)` of every request so far, in arrival order.
+    requests: Vec<(u64, u64)>,
+    /// Bytes the client has yet to read.
+    inbox: Vec<u8>,
+    hung_up: bool,
+}
+
+impl PeerState {
+    fn send(&mut self, frame: MuxFrame) {
+        encode_frame(&frame, &mut self.inbox).expect("small frame");
+    }
+
+    fn answer(&mut self, nth: usize) {
+        let (chan, id) = self.requests[nth];
+        self.send(MuxFrame::Response { id, reply: Ok(ReplyValue::DeviceCount(chan as u32)) });
+    }
+}
+
+impl ByteStream for ScriptedPeer {
+    fn read_into(&self, framebuf: &mut FrameBuf) -> std::io::Result<usize> {
+        let mut state = self.state.lock();
+        while state.inbox.is_empty() && !state.hung_up {
+            self.arrived.wait(&mut state);
+        }
+        // What was sent before the hang-up is still read; then end of stream.
+        let n = framebuf.read_from(&mut state.inbox.as_slice())?;
+        state.inbox.drain(..n);
+        Ok(n)
+    }
+
+    fn write_all(&self, buf: &[u8]) -> std::io::Result<()> {
+        let mut state = self.state.lock();
+        if state.hung_up {
+            return Err(std::io::ErrorKind::BrokenPipe.into());
+        }
+        state.written.push(buf);
+        while let Some(frame) = state.written.next_frame::<MuxFrame>()? {
+            let MuxFrame::Request { chan, id, .. } = frame else { panic!("a client responded") };
+            state.requests.push((chan, id));
+            match state.requests.len() {
+                2 => {
+                    state.send(MuxFrame::Response { id: u64::MAX, reply: Ok(ReplyValue::Unit) });
+                    state.send(MuxFrame::Request { chan, id, call: CudaCall::Synchronize });
+                    state.answer(1);
+                    state.answer(0);
+                }
+                4 => {
+                    state.answer(3);
+                    state.hung_up = true;
+                }
+                _ => continue,
+            }
+            // At most one caller reads at a time.
+            self.arrived.notify_one();
+        }
+        Ok(())
+    }
+
+    fn shutdown(&self) {
+        self.state.lock().hung_up = true;
+        self.arrived.notify_one();
+    }
+}
+
+/// The client's reply demux with no reader thread (DESIGN.md §12,
+/// *Client*): each caller makes two round trips on a channel of its own.
+/// Whatever the interleaving, the first is answered with the caller's own
+/// reply though the replies arrive in the other order behind two stray
+/// frames, the second with the caller's own reply or `Disconnected`; and
+/// when both callers are back the connection is dead, nobody is reading, no
+/// request is filed, and each stray frame was counted once.
+fn lead_vs_follow() -> Vec<Participant> {
+    let peer = ScriptedPeer {
+        state: RankedMutex::new(CHK_PEER, PeerState::default()),
+        arrived: RankedCondvar::new(),
+    };
+    let conn = MuxConnection::over(peer);
+    let left = Arc::new(AtomicUsize::new(0));
+    (0..2)
+        .map(|_| {
+            let (conn, left) = (conn.clone(), Arc::clone(&left));
+            Box::new(move || {
+                let mut chan = conn.channel();
+                let mine = Ok(ReplyValue::DeviceCount(chan.chan() as u32));
+                assert_eq!(chan.roundtrip(CudaCall::GetDeviceCount), mine);
+                let last = chan.roundtrip(CudaCall::GetDeviceCount);
+                assert!(last == mine || last == Err(CudaError::Disconnected), "{last:?}");
+                if left.fetch_add(1, Ordering::SeqCst) == 1 {
+                    assert!(conn.is_dead() && conn.is_idle());
+                    assert_eq!((conn.unknown_responses(), conn.protocol_errors()), (1, 1));
+                }
+            }) as Participant
+        })
+        .collect()
 }
 
 /// The client end of a loopback socket attached to a sink as connection

@@ -7,7 +7,7 @@
 use mtgpu_analysis::check::{explore, parse_schedule_id, scenarios, schedule_id};
 
 #[test]
-fn matrix_has_seven_clean_scenarios_plus_the_fixture() {
+fn matrix_has_eight_clean_scenarios_plus_the_fixture() {
     let clean: Vec<_> =
         scenarios::all().iter().filter(|s| s.expect_clean).map(|s| s.name).collect();
     assert_eq!(
@@ -18,6 +18,7 @@ fn matrix_has_seven_clean_scenarios_plus_the_fixture() {
             "lease-admit-vs-reap",
             "migrate-vs-launch",
             "reply-vs-retire",
+            "lead-vs-follow",
             "grant-vs-park",
             "cancel-vs-grant"
         ]
@@ -70,6 +71,12 @@ fn pinned_schedules_stay_clean_and_replay_identically() {
         // The retire wins the table before either worker has looked up
         // the connection: every reply is dropped.
         ("reply-vs-retire", "s:2.2"),
+        // The second caller to send reads; the first goes to sleep behind
+        // it. The reader's own reply is the first real one to arrive, so it
+        // leaves with the sleeper's still buffered: only the hand-off wakes
+        // the sleeper, which decodes that reply before it reads (nine
+        // decisions deep, past the default breadth-first budget).
+        ("lead-vs-follow", "s:0.1.0.1.0.0.1.1.1"),
         // The releasing visit overtakes the queueing one at its start.
         ("grant-vs-park", "s:1.1.1"),
         // The late arrival polls before the release, the cancel goes last.

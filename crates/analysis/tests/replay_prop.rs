@@ -14,10 +14,18 @@ proptest! {
     #[test]
     fn any_schedule_replays_bit_for_bit(
         prefix in prop::collection::vec(0u32..4, 0..6),
-        which in 0usize..4,
+        which in 0usize..5,
     ) {
-        let clean: Vec<_> = scenarios::all().iter().filter(|s| s.expect_clean).collect();
-        let scn = clean[which % clean.len()];
+        // The scenarios that touch no socket: nothing outside the schedule
+        // can reorder what they observe.
+        let scn = scenarios::find([
+            "dispatcher-churn",
+            "swap-vs-free",
+            "lease-admit-vs-reap",
+            "migrate-vs-launch",
+            "lead-vs-follow",
+        ][which])
+        .expect("a scenario of the matrix");
         let a = explore::replay(scn, &prefix);
         let b = explore::replay(scn, &prefix);
         prop_assert_eq!(a.fingerprint, b.fingerprint);

@@ -148,6 +148,12 @@ impl FrameBuf {
         Ok(n)
     }
 
+    /// Whether the last [`FrameBuf::read_from`] returned fewer bytes than the
+    /// room it offered: a socket had no more to give just then.
+    pub fn read_short(&self) -> bool {
+        self.tail < self.buf.len()
+    }
+
     /// Decodes the next complete frame, if one is buffered.
     ///
     /// `Ok(None)` means more bytes are needed; an error means the peer sent

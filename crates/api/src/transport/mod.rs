@@ -17,7 +17,7 @@ mod mux;
 mod reactor;
 
 pub use frame::{encode_frame, read_frame, write_frame, FrameBuf, MAX_FRAME_BYTES};
-pub use mux::{MuxChannel, MuxConnection, MuxPool};
+pub use mux::{ByteStream, MuxChannel, MuxConnection, MuxPool};
 pub use reactor::{
     spawn_reactor, ConnId, MuxService, ReactorConfig, ReactorHandle, ReactorStats, ReplyQueue,
     ReplySink,

@@ -6,10 +6,34 @@
 //! ([`MuxFrame`]) instead tags every request with a *channel* (the
 //! server-side context key — one channel is one application thread's call
 //! stream) and a connection-unique *request ID* (the client-side demux key).
-//! Responses carry only the ID and may arrive out of order; a single reader
-//! thread per connection routes each one back to the caller that registered
-//! the ID. A client that wants a socket of its own opens a connection and
-//! uses its one channel; the socket closes with its last handle.
+//! Responses carry only the ID and may arrive out of order. A client that
+//! wants a socket of its own opens a connection and uses its one channel;
+//! the socket closes with its last handle.
+//!
+//! **The caller reads its own reply.** A connection has no thread. A caller
+//! files one *group* for the requests it sends (one call, or a pipelined
+//! batch under consecutive IDs), writes them, and then, if nobody is reading
+//! the socket, reads it itself — it is the *leader* — into the connection's
+//! one [`FrameBuf`]. Its own replies it keeps without any wake-up; a reply
+//! for another caller it files in that caller's group, waking the caller
+//! (and only that one) when the group is complete; a response nobody asked
+//! for and a client-bound request are counted and dropped. A caller that
+//! finds a leader sleeps on its channel's condvar. A leader whose group is
+//! complete leaves at once — frames still buffered are the next leader's to
+//! decode before it reads — and hands the read to exactly one sleeping
+//! caller; one that is awake (still writing, say) finds the socket unread
+//! when it gets there. End of stream, an undecodable frame, a failed write
+//! or [`MuxConnection::shutdown`] kill the connection: every sleeping
+//! caller is woken, whoever has replies missing gets `Disconnected` for
+//! them, the socket is shut (which is what gets a leader out of its `read`),
+//! and later calls fail at once with nothing written. Nothing watches an
+//! idle connection, so [`MuxConnection::is_dead`] turns true on the next I/O
+//! any caller attempts, not in the background.
+//!
+//! Lock order: the demux state ([`lock_rank::MUX_PENDING`]) is never held
+//! across a read or a write and nothing is taken under it; frame writes are
+//! serialized by the innermost transport-tier rank ([`lock_rank::CONN_WRITE`])
+//! with nothing else held.
 //!
 //! Framing and the body codec are [`super::frame`]'s, shared with the server
 //! reactor.
@@ -18,109 +42,186 @@ use super::frame::{encode_frame, FrameBuf};
 use super::Transport;
 use crate::error::CudaError;
 use crate::protocol::{CudaCall, CudaReply, MuxFrame};
-use crossbeam::channel::{bounded, Sender};
-use mtgpu_simtime::{lock_rank, RankedMutex};
+use mtgpu_simtime::{lock_rank, RankedCondvar, RankedMutex, Shadow};
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Pending-reply demux state of one multiplexed connection.
-struct PendingReplies {
-    /// Request ID → the waiting caller's one-shot channel.
-    waiters: BTreeMap<u64, Sender<CudaReply>>,
-    /// Set once the reader thread observed a transport failure; later
-    /// registrations fail fast instead of waiting forever.
-    dead: bool,
+/// The byte stream under a connection: a [`TcpStream`], or a peer that
+/// mtcheck scripts over ranked locks, so that a read with nothing to return
+/// is a wait its explorer schedules around instead of a blocked thread.
+#[doc(hidden)]
+pub trait ByteStream: Send + Sync + 'static {
+    /// One [`FrameBuf::read_from`] off the stream.
+    fn read_into(&self, framebuf: &mut FrameBuf) -> std::io::Result<usize>;
+    /// As `Write::write_all`.
+    fn write_all(&self, buf: &[u8]) -> std::io::Result<()>;
+    /// Ends the stream in both directions; a blocked read returns.
+    fn shutdown(&self);
 }
 
-/// Shared state of one multiplexed TCP connection.
+impl ByteStream for TcpStream {
+    fn read_into(&self, framebuf: &mut FrameBuf) -> std::io::Result<usize> {
+        framebuf.read_from(&mut &*self)
+    }
+    fn write_all(&self, buf: &[u8]) -> std::io::Result<()> {
+        Write::write_all(&mut &*self, buf)
+    }
+    fn shutdown(&self) {
+        let _ = TcpStream::shutdown(self, Shutdown::Both);
+    }
+}
+
+/// The requests one caller has in flight — one call, or a pipelined batch
+/// under consecutive IDs — filed under the first ID.
+struct Group {
+    /// One place per request, in call order; `None` until its reply is in.
+    replies: Vec<Option<CudaReply>>,
+    /// Places still `None`.
+    missing: usize,
+    /// Where the caller sleeps, while it does.
+    parked: Option<Arc<RankedCondvar>>,
+}
+
+/// Reply demux state of one multiplexed connection.
+struct Demux {
+    pending: BTreeMap<u64, Group>,
+    /// A caller is reading the socket (and holds `framebuf`). Shadowed so
+    /// mtcheck sees every access ordered by the lock.
+    leader: Shadow<bool>,
+    /// The receive buffer; between leaders it keeps what the last one read
+    /// past its own replies.
+    framebuf: FrameBuf,
+}
+
+/// Shared state of one multiplexed connection. The socket closes when the
+/// last handle — connection or channel — drops it, and the server then
+/// tears the connection's contexts down: dropping a client hangs up.
 struct MuxConnInner {
-    /// The socket, shared with the reader thread (one fd per connection;
-    /// `&TcpStream` implements `Write`). Frame writes are serialized under
-    /// the innermost transport-tier rank.
-    writer: RankedMutex<Arc<TcpStream>>,
-    /// Demux map the reader thread completes into.
-    pending: RankedMutex<PendingReplies>,
+    io: Box<dyn ByteStream>,
+    /// Serializes frame writes (innermost transport-tier rank).
+    writer: RankedMutex<()>,
+    demux: RankedMutex<Demux>,
     next_id: AtomicU64,
     next_chan: AtomicU64,
     /// Responses whose ID matched no waiter (hostile or confused server).
     unknown_responses: AtomicU64,
     /// Frames that were not `Response` at all (protocol violation).
     protocol_errors: AtomicU64,
+    /// Written under the demux lock, so a caller that saw it clear there
+    /// and went to sleep is woken by the `fail` that sets it.
     dead: AtomicBool,
 }
 
 impl MuxConnInner {
-    fn fail_all(&self) {
+    /// Kills the connection: later calls fail fast, every sleeping caller
+    /// wakes to find it dead, and the stream is shut so that a leader
+    /// blocked in `read` returns.
+    fn fail(&self, demux: &mut Demux) {
         self.dead.store(true, Ordering::SeqCst);
-        let mut pending = self.pending.lock();
-        pending.dead = true;
-        for (_, tx) in std::mem::take(&mut pending.waiters) {
-            let _ = tx.send(Err(CudaError::Disconnected));
+        // No broadcast: every sleeper has a condvar of its own.
+        for parked in demux.pending.values_mut().filter_map(|group| group.parked.take()) {
+            parked.notify_one();
+        }
+        self.io.shutdown();
+    }
+
+    /// Files the reply to request `id`; true if that completes group `mine`.
+    fn file(&self, id: u64, reply: CudaReply, mine: u64) -> bool {
+        let mut demux = self.demux.lock();
+        if let Some((&first, group)) = demux.pending.range_mut(..=id).next_back() {
+            let place = usize::try_from(id - first).ok().and_then(|i| group.replies.get_mut(i));
+            if let Some(place @ None) = place {
+                *place = Some(reply);
+                group.missing -= 1;
+                let complete = group.missing == 0;
+                let parked = if complete { group.parked.take() } else { None };
+                drop(demux);
+                if let Some(parked) = parked {
+                    parked.notify_one();
+                }
+                return complete && first == mine;
+            }
+        }
+        // A response nobody asked for, or asked for once and sent twice:
+        // count and drop. Closing would let a hostile server kill every
+        // caller sharing the connection with one frame.
+        self.unknown_responses.fetch_add(1, Ordering::Relaxed);
+        false
+    }
+
+    /// Reads the stream until group `mine` is complete (true) or the stream
+    /// ends or loses framing (false), decoding what was buffered first.
+    fn lead(&self, mine: u64, framebuf: &mut FrameBuf) -> bool {
+        loop {
+            loop {
+                match framebuf.next_frame::<MuxFrame>() {
+                    Ok(Some(MuxFrame::Response { id, reply })) => {
+                        if self.file(id, reply, mine) {
+                            return true;
+                        }
+                    }
+                    Ok(Some(MuxFrame::Request { .. })) => {
+                        // Only a server sends requests; framing is intact, so
+                        // count the violation and carry on.
+                        self.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Ok(None) => break,
+                    Err(_) => return false,
+                }
+            }
+            match self.io.read_into(framebuf) {
+                Ok(0) => return false,
+                Err(e) if e.kind() != ErrorKind::Interrupted => return false,
+                _ => {}
+            }
         }
     }
 }
 
-/// Shuts the socket down when the last client-side handle — connection or
-/// channel — goes away. The reader thread holds the shared state but not
-/// this, so it sees EOF and exits, and the server tears the connection's
-/// contexts down: dropping a client hangs up, as closing a socket should.
-struct CloseOnDrop(Arc<TcpStream>);
-
-impl Drop for CloseOnDrop {
-    fn drop(&mut self) {
-        let _ = self.0.shutdown(Shutdown::Both);
-    }
-}
-
-/// One multiplexed TCP connection. Cheap to clone ([`Arc`] inside); open
+/// One multiplexed connection. Cheap to clone ([`Arc`] inside); open
 /// channels with [`MuxConnection::channel`] — each is an application
 /// thread's own call stream while sharing this one socket.
 #[derive(Clone)]
 pub struct MuxConnection {
     inner: Arc<MuxConnInner>,
-    life: Arc<CloseOnDrop>,
 }
 
-/// Stack size for the per-connection reader thread. Kept small so 10k
-/// persistent connections stay cheap; the reader only decodes frames and
-/// completes one-shot channels.
-const READER_STACK_BYTES: usize = 256 * 1024;
-
 impl MuxConnection {
-    /// Connects to a reactor endpoint and spawns the reader thread.
+    /// Connects to a reactor endpoint.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        MuxConnection::from_stream(stream)
+        MuxConnection::from_stream(TcpStream::connect(addr)?)
     }
 
     /// Adopts an already-connected stream.
     pub fn from_stream(stream: TcpStream) -> std::io::Result<Self> {
         stream.set_nodelay(true)?;
-        let stream = Arc::new(stream);
-        let reader = Arc::clone(&stream);
-        let life = Arc::new(CloseOnDrop(Arc::clone(&stream)));
-        let inner = Arc::new(MuxConnInner {
-            writer: RankedMutex::new(lock_rank::CONN_WRITE, stream),
-            pending: RankedMutex::new(
+        Ok(MuxConnection::over(stream))
+    }
+
+    /// A connection over any byte stream (mtcheck's scripted peer).
+    #[doc(hidden)]
+    pub fn over(io: impl ByteStream) -> Self {
+        let inner = MuxConnInner {
+            io: Box::new(io),
+            writer: RankedMutex::new(lock_rank::CONN_WRITE, ()),
+            demux: RankedMutex::new(
                 lock_rank::MUX_PENDING,
-                PendingReplies { waiters: BTreeMap::new(), dead: false },
+                Demux {
+                    pending: BTreeMap::new(),
+                    leader: Shadow::new("mux.demux.leader", false),
+                    framebuf: FrameBuf::new(),
+                },
             ),
             next_id: AtomicU64::new(1),
             next_chan: AtomicU64::new(1),
             unknown_responses: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
             dead: AtomicBool::new(false),
-        });
-        let pump = Arc::clone(&inner);
-        std::thread::Builder::new()
-            .name("mux-reader".to_string())
-            .stack_size(READER_STACK_BYTES)
-            .spawn(move || reader_loop(reader, &pump))
-            .map_err(|e| std::io::Error::other(format!("spawn mux reader: {e}")))?;
-        Ok(MuxConnection { inner, life })
+        };
+        MuxConnection { inner: Arc::new(inner) }
     }
 
     /// Opens a fresh channel (a new server-side context) on this
@@ -129,13 +230,14 @@ impl MuxConnection {
         let chan = self.inner.next_chan.fetch_add(1, Ordering::Relaxed);
         MuxChannel {
             conn: Arc::clone(&self.inner),
-            _life: Arc::clone(&self.life),
             chan,
             wbuf: Vec::new(),
+            wake: Arc::new(RankedCondvar::new()),
         }
     }
 
-    /// Whether the connection has failed (reader observed EOF or error).
+    /// Whether the connection has failed: a caller met end of stream, an
+    /// undecodable frame or a write error, or `shutdown` was called.
     pub fn is_dead(&self) -> bool {
         self.inner.dead.load(Ordering::SeqCst)
     }
@@ -150,60 +252,33 @@ impl MuxConnection {
         self.inner.protocol_errors.load(Ordering::Relaxed)
     }
 
-    /// Tears the connection down: wakes every waiter with `Disconnected`
-    /// and closes the socket so the reader thread exits.
-    pub fn shutdown(&self) {
-        self.inner.fail_all();
-        let _ = self.inner.writer.lock().shutdown(Shutdown::Both);
+    /// Whether nobody is reading the stream and no request is in flight:
+    /// where every caller's return must leave the demux (tests, mtcheck).
+    #[doc(hidden)]
+    pub fn is_idle(&self) -> bool {
+        let demux = self.inner.demux.lock();
+        !*demux.leader && demux.pending.is_empty()
     }
-}
 
-fn reader_loop(stream: Arc<TcpStream>, conn: &MuxConnInner) {
-    let mut framebuf = FrameBuf::new();
-    'read: loop {
-        if matches!(framebuf.read_from(&mut &*stream), Ok(0) | Err(_)) {
-            break;
-        }
-        loop {
-            match framebuf.next_frame::<MuxFrame>() {
-                Ok(Some(MuxFrame::Response { id, reply })) => {
-                    let waiter = conn.pending.lock().waiters.remove(&id);
-                    match waiter {
-                        Some(tx) => {
-                            let _ = tx.send(reply);
-                        }
-                        None => {
-                            // A response we never asked for: count and drop.
-                            // Closing would let a hostile server kill every
-                            // caller sharing the connection with one frame.
-                            conn.unknown_responses.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                Ok(Some(MuxFrame::Request { .. })) => {
-                    // Only a server sends requests; framing is intact, so
-                    // count the violation and carry on.
-                    conn.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(None) => break,
-                Err(_) => break 'read,
-            }
-        }
+    /// Tears the connection down: every waiter gets `Disconnected` and the
+    /// socket is shut.
+    pub fn shutdown(&self) {
+        self.inner.fail(&mut self.inner.demux.lock());
     }
-    conn.fail_all();
 }
 
 /// One channel on a [`MuxConnection`]: a [`Transport`] whose calls are
 /// tagged with the channel ID and demultiplexed by request ID, so any
 /// number of channels share the socket without blocking each other.
 pub struct MuxChannel {
-    conn: Arc<MuxConnInner>,
     /// Keeps the socket open for as long as this channel lives.
-    _life: Arc<CloseOnDrop>,
+    conn: Arc<MuxConnInner>,
     chan: u64,
     /// Encode buffer, kept across calls so a round trip allocates nothing
     /// for its request frame.
     wbuf: Vec<u8>,
+    /// Where this channel's caller sleeps while another caller leads.
+    wake: Arc<RankedCondvar>,
 }
 
 /// Largest encode buffer a channel keeps between calls; one bigger (an
@@ -216,81 +291,90 @@ impl MuxChannel {
         self.chan
     }
 
-    /// Registers a waiter for a fresh request ID. Fails if the connection
-    /// is already dead.
-    fn register(&self) -> Result<(u64, crossbeam::channel::Receiver<CudaReply>), CudaError> {
-        let id = self.conn.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = bounded(1);
-        let mut pending = self.conn.pending.lock();
-        if pending.dead {
-            return Err(CudaError::Disconnected);
+    /// Ships `calls` under consecutive request IDs with one write, then
+    /// collects their replies in call order. The server executes calls of
+    /// one channel in order, so they complete in order even though the wire
+    /// allows out-of-order delivery across channels.
+    fn exchange(&mut self, calls: impl ExactSizeIterator<Item = CudaCall>) -> Vec<CudaReply> {
+        let mut group =
+            Group { replies: Vec::with_capacity(calls.len()), missing: 0, parked: None };
+        // At least one ID, so that an empty batch too files under a key of
+        // its own.
+        let first = self.conn.next_id.fetch_add(calls.len().max(1) as u64, Ordering::Relaxed);
+        self.wbuf.clear();
+        for (id, call) in (first..).zip(calls) {
+            let frame = MuxFrame::Request { chan: self.chan, id, call };
+            // A call too big for a frame is answered here, alone.
+            let refused = encode_frame(&frame, &mut self.wbuf).is_err();
+            group.replies.push(refused.then_some(Err(CudaError::Disconnected)));
+            group.missing += usize::from(!refused);
         }
-        pending.waiters.insert(id, tx);
-        Ok((id, rx))
-    }
-
-    fn unregister(&self, id: u64) {
-        self.conn.pending.lock().waiters.remove(&id);
-    }
-
-    /// Ships the frames encoded in `wbuf` with one write.
-    fn write_wbuf(&mut self) -> std::io::Result<()> {
-        let wrote = (&**self.conn.writer.lock()).write_all(&self.wbuf);
+        self.conn.demux.lock().pending.insert(first, group);
+        let wrote = !self.conn.dead.load(Ordering::SeqCst) && {
+            let _writing = self.conn.writer.lock();
+            self.conn.io.write_all(&self.wbuf).is_ok()
+        };
+        if !wrote {
+            // Part of a frame may be on the wire: the stream is out of step
+            // for every channel, and nobody else would notice.
+            self.conn.fail(&mut self.conn.demux.lock());
+        }
         if self.wbuf.capacity() > WBUF_KEEP_BYTES {
             self.wbuf = Vec::new();
         }
-        wrote
+        self.collect(first)
+    }
+
+    /// Waits until group `first` is complete or the connection dead,
+    /// reading the stream itself whenever nobody else is.
+    fn collect(&self, first: u64) -> Vec<CudaReply> {
+        let conn = &*self.conn;
+        let mut successor = None;
+        let mut demux = conn.demux.lock();
+        loop {
+            let Demux { pending, leader, framebuf } = &mut *demux;
+            let group = pending.get_mut(&first).expect("a group stays filed until collected");
+            // Awake, whatever woke us: a hand-off must not pick this group.
+            group.parked = None;
+            if group.missing == 0 || conn.dead.load(Ordering::SeqCst) {
+                break;
+            }
+            if **leader {
+                group.parked = Some(Arc::clone(&self.wake));
+                self.wake.wait(&mut demux);
+                continue;
+            }
+            **leader = true;
+            let mut framebuf = std::mem::take(framebuf);
+            drop(demux);
+            let alive = conn.lead(first, &mut framebuf);
+            demux = conn.demux.lock();
+            demux.framebuf = framebuf;
+            *demux.leader = false;
+            if alive {
+                // Hand the read to one caller that sleeps; one that is
+                // awake finds the stream unread when it gets here.
+                successor = demux.pending.values_mut().find_map(|group| group.parked.take());
+            } else {
+                conn.fail(&mut demux);
+            }
+        }
+        let group = demux.pending.remove(&first).expect("a group stays filed until collected");
+        drop(demux);
+        if let Some(successor) = successor {
+            successor.notify_one();
+        }
+        group.replies.into_iter().map(|r| r.unwrap_or(Err(CudaError::Disconnected))).collect()
     }
 }
 
 impl Transport for MuxChannel {
     fn roundtrip(&mut self, call: CudaCall) -> CudaReply {
-        let (id, rx) = self.register()?;
-        let frame = MuxFrame::Request { chan: self.chan, id, call };
-        self.wbuf.clear();
-        if encode_frame(&frame, &mut self.wbuf).and_then(|()| self.write_wbuf()).is_err() {
-            self.unregister(id);
-            return Err(CudaError::Disconnected);
-        }
-        rx.recv().map_err(|_| CudaError::Disconnected)?
+        self.exchange(std::iter::once(call)).pop().unwrap_or(Err(CudaError::Disconnected))
     }
 
     fn roundtrip_batch(&mut self, calls: Vec<CudaCall>) -> Vec<CudaReply> {
-        // Pipelined: register every ID, ship all frames in one write, then
-        // collect the replies. The server executes calls of one channel in
-        // order, so replies complete in order even though the wire allows
-        // out-of-order delivery across channels.
-        let mut waiters = Vec::with_capacity(calls.len());
-        self.wbuf.clear();
-        for call in calls {
-            match self.register() {
-                Ok((id, rx)) => {
-                    let frame = MuxFrame::Request { chan: self.chan, id, call };
-                    if encode_frame(&frame, &mut self.wbuf).is_err() {
-                        self.unregister(id);
-                        waiters.push(None);
-                        continue;
-                    }
-                    waiters.push(Some((id, rx)));
-                }
-                Err(_) => waiters.push(None),
-            }
-        }
-        let wrote = self.write_wbuf().is_ok();
-        waiters
-            .into_iter()
-            .map(|slot| match slot {
-                Some((id, rx)) => {
-                    if wrote {
-                        rx.recv().unwrap_or(Err(CudaError::Disconnected))
-                    } else {
-                        self.unregister(id);
-                        Err(CudaError::Disconnected)
-                    }
-                }
-                None => Err(CudaError::Disconnected),
-            })
-            .collect()
+        self.exchange(calls.into_iter())
     }
 }
 

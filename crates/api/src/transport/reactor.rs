@@ -557,8 +557,10 @@ fn accept_ready(
     }
 }
 
-/// Reads until the socket would block, dispatching every complete frame,
-/// then writes what `conn` is owed: bytes an earlier write left over and the
+/// Reads until the socket has no more — a read came back short of the room
+/// it was offered, or would block; the poll is level-triggered, so whatever
+/// arrives later is reported again — dispatching every complete frame, then
+/// writes what `conn` is owed: bytes an earlier write left over and the
 /// replies posted for it meanwhile.
 fn sweep_conn(
     id: ConnId,
@@ -574,6 +576,9 @@ fn sweep_conn(
             Ok(_) => {
                 if let Some(reason) = drain_frames(id, conn, service, stats) {
                     break Err(reason);
+                }
+                if conn.framebuf.read_short() {
+                    break Ok(());
                 }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => break Ok(()),

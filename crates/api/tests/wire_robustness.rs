@@ -13,14 +13,16 @@ use mtgpu_gpusim::{DeviceAddr, KernelArg, KernelDesc, LaunchConfig, LaunchSpec, 
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Largest single request any thread of this test binary ever made of the
-/// allocator: the client's reader thread is not the test's, so "no
-/// allocation sized by a hostile prefix" has to be read process-wide.
+/// allocator: a reply is read by whichever caller leads, on a thread that is
+/// not the test's, so "no allocation sized by a hostile prefix" has to be
+/// read process-wide.
 static LARGEST_ALLOCATION: AtomicUsize = AtomicUsize::new(0);
 
 struct Watermark;
@@ -74,32 +76,36 @@ fn hostile_server(serve: impl FnOnce(TcpStream) + Send + 'static) -> SocketAddr 
     addr
 }
 
-/// Reads one request off a hostile server's end; returns its ID.
-fn read_request(stream: &mut TcpStream) -> u64 {
+/// Reads one request off a hostile server's end; returns its channel and ID.
+fn read_request(stream: &mut TcpStream) -> (u64, u64) {
     match read_frame::<MuxFrame>(stream).unwrap() {
-        MuxFrame::Request { id, .. } => id,
+        MuxFrame::Request { chan, id, .. } => (chan, id),
         MuxFrame::Response { .. } => panic!("a client sent a response"),
     }
 }
 
-/// Parks one caller on each of two fresh channels of `conn` (the hostile
-/// servers below read both requests before they misbehave) and returns
-/// what each got back.
-fn two_pending_callers(conn: &MuxConnection) -> Vec<CudaReply> {
-    let callers: Vec<_> = (0..2)
-        .map(|_| {
-            let mut chan = conn.channel();
-            std::thread::spawn(move || chan.roundtrip(CudaCall::GetDeviceCount))
-        })
-        .collect();
-    callers.into_iter().map(|c| c.join().expect("caller thread")).collect()
+/// Parks one caller on each of three fresh channels of `conn` — one of them
+/// reads the socket, two sleep behind it (the hostile servers below read all
+/// three requests before they misbehave) — and returns what each got back.
+fn three_pending_callers(conn: &MuxConnection) -> Vec<CudaReply> {
+    let callers: Vec<_> = (0..3).map(|_| spawn_caller(conn, CudaCall::GetDeviceCount)).collect();
+    callers.into_iter().map(|(_, caller)| caller.join().expect("caller thread")).collect()
+}
+
+/// One call on a fresh channel of `conn`, from a thread of its own; returns
+/// the channel's ID and the thread that yields the reply.
+fn spawn_caller(conn: &MuxConnection, call: CudaCall) -> (u64, JoinHandle<CudaReply>) {
+    let mut chan = conn.channel();
+    (chan.chan(), std::thread::spawn(move || chan.roundtrip(call)))
 }
 
 /// Every pending caller got the typed error, the connection knows it is
-/// dead, and a later call fails at once instead of waiting on it.
+/// dead, nobody is left reading or filed, and a later call fails at once
+/// instead of waiting on it.
 fn assert_dead(conn: &MuxConnection, pending: &[CudaReply]) {
-    assert_eq!(pending, [Err(CudaError::Disconnected), Err(CudaError::Disconnected)]);
+    assert!(pending.iter().all(|reply| *reply == Err(CudaError::Disconnected)), "{pending:?}");
     assert!(conn.is_dead());
+    assert!(conn.is_idle());
     let mut late = FrontendClient::new(conn.channel());
     assert_eq!(late.synchronize(), Err(CudaError::Disconnected));
 }
@@ -107,22 +113,24 @@ fn assert_dead(conn: &MuxConnection, pending: &[CudaReply]) {
 #[test]
 fn mux_truncated_reply_frame_fails_every_pending_caller() {
     let addr = hostile_server(|mut stream| {
-        read_request(&mut stream);
-        read_request(&mut stream);
-        // Declare a 64-byte reply, deliver 10 bytes, hang up.
+        for _ in 0..3 {
+            read_request(&mut stream);
+        }
+        // Declare a 64-byte reply, deliver 10 bytes, hang up mid-frame.
         stream.write_all(&64u32.to_le_bytes()).unwrap();
         stream.write_all(&[0u8; 10]).unwrap();
     });
     let conn = MuxConnection::connect(addr).unwrap();
-    assert_dead(&conn, &two_pending_callers(&conn));
+    assert_dead(&conn, &three_pending_callers(&conn));
 }
 
 #[test]
 fn mux_oversized_length_prefix_rejected_without_waiting_or_allocating() {
     assert!((MAX_FRAME_BYTES as u64) < u32::MAX as u64);
     let addr = hostile_server(|mut stream| {
-        read_request(&mut stream);
-        read_request(&mut stream);
+        for _ in 0..3 {
+            read_request(&mut stream);
+        }
         // Declares a ~4 GiB frame. The client must refuse it from the
         // prefix alone rather than allocate or wait for the body.
         stream.write_all(&u32::MAX.to_le_bytes()).unwrap();
@@ -132,7 +140,7 @@ fn mux_oversized_length_prefix_rejected_without_waiting_or_allocating() {
         let _ = stream.read(&mut [0u8; 1]);
     });
     let conn = MuxConnection::connect(addr).unwrap();
-    assert_dead(&conn, &two_pending_callers(&conn));
+    assert_dead(&conn, &three_pending_callers(&conn));
     // Nothing in this binary has a reason to ask for more than one frame's
     // worth at once; the hostile prefix asked for sixteen times that.
     let largest = LARGEST_ALLOCATION.load(Ordering::Relaxed);
@@ -143,16 +151,235 @@ fn mux_oversized_length_prefix_rejected_without_waiting_or_allocating() {
 fn mux_mid_stream_disconnect_fails_fast() {
     let addr = hostile_server(|mut stream| {
         // Serve one call normally...
-        let id = read_request(&mut stream);
+        let (_, id) = read_request(&mut stream);
         let reply = MuxFrame::Response { id, reply: Ok(ReplyValue::DeviceCount(2)) };
         write_frame(&mut stream, &reply).unwrap();
-        // ...then swallow the next two and vanish without replying.
-        read_request(&mut stream);
-        read_request(&mut stream);
+        // ...then swallow the next three and vanish without replying.
+        for _ in 0..3 {
+            read_request(&mut stream);
+        }
     });
     let conn = MuxConnection::connect(addr).unwrap();
     assert_eq!(FrontendClient::new(conn.channel()).get_device_count().unwrap(), 2);
-    assert_dead(&conn, &two_pending_callers(&conn));
+    assert_dead(&conn, &three_pending_callers(&conn));
+}
+
+// ---------------------------------------------------------------------
+// The client's demux under a scripted server. A connection has no reader
+// thread: a reply is read by whichever caller finds the socket unread, and
+// that caller hands the read on when it leaves. The test thread plays the
+// server on the accepted end of a loopback pair, so each case decides what
+// arrives when; a lost wake-up or hand-off is a hang, so every case runs
+// under a watchdog.
+// ---------------------------------------------------------------------
+
+const WATCHDOG: Duration = Duration::from_secs(30);
+
+/// Runs `case` on a thread of its own and fails if it is not done in time.
+fn under_watchdog(case: impl FnOnce() + Send + 'static) {
+    let (done, finished) = std::sync::mpsc::channel();
+    let case = std::thread::spawn(move || {
+        case();
+        let _ = done.send(());
+    });
+    if finished.recv_timeout(WATCHDOG) == Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
+        panic!("a caller never came back: lost wake-up or hand-off");
+    }
+    if let Err(panic) = case.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
+
+/// A client connection, the server's end of it, and a second handle on the
+/// client's own socket.
+fn scripted_socket() -> (MuxConnection, TcpStream, TcpStream) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let local = stream.try_clone().unwrap();
+    let (peer, _) = listener.accept().unwrap();
+    peer.set_read_timeout(Some(WATCHDOG)).unwrap();
+    (MuxConnection::from_stream(stream).unwrap(), peer, local)
+}
+
+fn scripted_pair() -> (MuxConnection, TcpStream) {
+    let (conn, peer, _) = scripted_socket();
+    (conn, peer)
+}
+
+fn respond(peer: &mut TcpStream, id: u64, value: u32) {
+    let reply = MuxFrame::Response { id, reply: Ok(ReplyValue::DeviceCount(value)) };
+    write_frame(peer, &reply).unwrap();
+}
+
+/// Starts a caller and makes sure it is the one reading the socket: the
+/// server volunteers a response nobody asked for and a request, which only a
+/// caller that reads can count — and counting is all it may do about them.
+/// Returns the caller and its request's ID.
+fn pinned_leader(conn: &MuxConnection, peer: &mut TcpStream) -> (JoinHandle<CudaReply>, u64) {
+    let (_, leader) = spawn_caller(conn, CudaCall::GetDeviceCount);
+    let (_, id) = read_request(peer);
+    let counted = (conn.unknown_responses() + 1, conn.protocol_errors() + 1);
+    write_frame(peer, &MuxFrame::Response { id: u64::MAX, reply: Ok(ReplyValue::Unit) }).unwrap();
+    write_frame(peer, &MuxFrame::Request { chan: 0, id, call: CudaCall::Synchronize }).unwrap();
+    let deadline = Instant::now() + WATCHDOG;
+    while (conn.unknown_responses(), conn.protocol_errors()) != counted {
+        assert!(Instant::now() < deadline, "stray frames were never read");
+        std::thread::yield_now();
+    }
+    assert!(!conn.is_dead(), "stray frames must not kill the connection");
+    (leader, id)
+}
+
+#[test]
+fn mux_stray_frames_are_counted_by_the_caller_that_reads_and_kill_nothing() {
+    under_watchdog(|| {
+        let (conn, mut peer) = scripted_pair();
+        let (leader, id) = pinned_leader(&conn, &mut peer);
+        respond(&mut peer, id, 5);
+        assert_eq!(leader.join().unwrap(), Ok(ReplyValue::DeviceCount(5)));
+        assert_eq!((conn.unknown_responses(), conn.protocol_errors()), (1, 1));
+        assert!(conn.is_idle() && !conn.is_dead());
+    });
+}
+
+#[test]
+fn mux_replies_in_reverse_order_reach_their_own_callers() {
+    under_watchdog(|| {
+        let (conn, mut peer) = scripted_pair();
+        let callers: Vec<_> =
+            (0..3).map(|_| spawn_caller(&conn, CudaCall::GetDeviceCount)).collect();
+        // All three are waiting — one reading, two asleep — before the
+        // first reply, which is for whoever asked last.
+        let requests: Vec<_> = (0..3).map(|_| read_request(&mut peer)).collect();
+        for (chan, id) in requests.into_iter().rev() {
+            respond(&mut peer, id, chan as u32);
+        }
+        for (chan, caller) in callers {
+            assert_eq!(caller.join().unwrap(), Ok(ReplyValue::DeviceCount(chan as u32)));
+        }
+        assert!(conn.is_idle() && !conn.is_dead());
+    });
+}
+
+#[test]
+fn mux_leadership_reaches_every_waiting_caller_in_turn() {
+    under_watchdog(|| {
+        let (conn, mut peer) = scripted_pair();
+        let (leader, leader_id) = pinned_leader(&conn, &mut peer);
+        let mut followers: Vec<_> =
+            (0..2).map(|_| spawn_caller(&conn, CudaCall::GetDeviceCount)).collect();
+        let requests: Vec<_> = (0..2).map(|_| read_request(&mut peer)).collect();
+        // The leader's reply first: it leaves with two callers waiting...
+        respond(&mut peer, leader_id, 7);
+        assert_eq!(leader.join().unwrap(), Ok(ReplyValue::DeviceCount(7)));
+        // ...so one of them must take the read over for the next reply to
+        // arrive at all, and once that caller is gone, the other.
+        for (chan, id) in requests {
+            respond(&mut peer, id, chan as u32);
+            let at = followers.iter().position(|(c, _)| *c == chan).expect("a follower's channel");
+            let (_, follower) = followers.swap_remove(at);
+            assert_eq!(follower.join().unwrap(), Ok(ReplyValue::DeviceCount(chan as u32)));
+        }
+        assert!(conn.is_idle() && !conn.is_dead());
+    });
+}
+
+#[test]
+fn mux_batch_of_64_interleaves_with_a_sibling_channels_single_calls() {
+    const BATCH: usize = 64;
+    const SINGLES: usize = 16;
+    under_watchdog(|| {
+        let (conn, mut peer) = scripted_pair();
+        let (mut batcher, mut sibling) = (conn.channel(), conn.channel());
+        let batch_chan = batcher.chan();
+        let batch =
+            std::thread::spawn(move || batcher.roundtrip_batch(vec![CudaCall::Synchronize; BATCH]));
+        let singles = std::thread::spawn(move || {
+            (0..SINGLES).map(|_| sibling.roundtrip(CudaCall::GetDeviceCount)).collect::<Vec<_>>()
+        });
+        // The server answers a channel's n-th request with `DeviceCount(n)`.
+        // It holds the batch's answers back and lets four of them out in
+        // front of each of the sibling's, in one write: whichever of the two
+        // callers reads, it files replies for the other, and the batch's
+        // caller is owed nothing until its sixty-fourth is in.
+        let (mut batch_ids, mut single_ids) = (Vec::new(), Vec::new());
+        let (mut released, mut answered) = (0, 0);
+        let mut framebuf = FrameBuf::new();
+        while answered < SINGLES {
+            assert_ne!(framebuf.read_from(&mut peer).unwrap(), 0, "client hung up");
+            while let Some(frame) = framebuf.next_frame::<MuxFrame>().unwrap() {
+                let MuxFrame::Request { chan, id, .. } = frame else { panic!("not a request") };
+                if chan == batch_chan { &mut batch_ids } else { &mut single_ids }.push(id);
+            }
+            while batch_ids.len() == BATCH && answered < single_ids.len() {
+                let mut wire = Vec::new();
+                let mut answer = |id: u64, n: usize| {
+                    let reply = Ok(ReplyValue::DeviceCount(n as u32));
+                    encode_frame(&MuxFrame::Response { id, reply }, &mut wire).unwrap();
+                };
+                for _ in 0..BATCH / SINGLES {
+                    answer(batch_ids[released], released);
+                    released += 1;
+                }
+                answer(single_ids[answered], answered);
+                answered += 1;
+                peer.write_all(&wire).unwrap();
+            }
+        }
+        // One batch, one run of request IDs, one reply each, in call order.
+        assert!(batch_ids.windows(2).all(|pair| pair[1] == pair[0] + 1), "{batch_ids:?}");
+        let in_order = |n: usize| (0..n).map(|i| Ok(ReplyValue::DeviceCount(i as u32)));
+        assert!(batch.join().unwrap().into_iter().eq(in_order(BATCH)));
+        assert!(singles.join().unwrap().into_iter().eq(in_order(SINGLES)));
+        assert!(conn.is_idle() && !conn.is_dead());
+    });
+}
+
+#[test]
+fn mux_shutdown_from_a_third_thread_releases_a_leader_blocked_in_read() {
+    under_watchdog(|| {
+        let (conn, mut peer) = scripted_pair();
+        let (leader, _) = pinned_leader(&conn, &mut peer);
+        let (_, follower) = spawn_caller(&conn, CudaCall::GetDeviceCount);
+        read_request(&mut peer);
+        conn.shutdown();
+        assert_dead(&conn, &[leader.join().unwrap(), follower.join().unwrap()]);
+        assert_eq!(peer.read(&mut [0u8; 16]).unwrap(), 0, "the server must see the hang-up");
+    });
+}
+
+/// A request write that fails may have left part of a frame on the wire: the
+/// stream is useless to every channel, and with no reader thread nobody but
+/// the writer is there to notice.
+#[test]
+fn mux_failed_request_write_kills_the_connection_for_every_channel() {
+    under_watchdog(|| {
+        let (conn, peer) = scripted_pair();
+        // The peer closes without reading a byte; no socket buffer holds a
+        // multi-MiB frame, so the upload's write fails part-way.
+        drop(peer);
+        let upload = || CudaCall::MemcpyH2D {
+            dst: DeviceAddr(0x1000),
+            buf: HostBuf::from_slice(&vec![7u8; 8 << 20]),
+        };
+        let callers = [spawn_caller(&conn, upload()), spawn_caller(&conn, upload())];
+        let replies: Vec<_> = callers.into_iter().map(|(_, c)| c.join().unwrap()).collect();
+        assert_dead(&conn, &replies);
+    });
+}
+
+#[test]
+fn mux_write_error_alone_kills_the_connection_and_releases_the_reader() {
+    under_watchdog(|| {
+        let (conn, mut peer, local) = scripted_socket();
+        let (leader, _) = pinned_leader(&conn, &mut peer);
+        // Only the client's outbound half goes. The peer stays connected and
+        // silent, so no read will ever tell: the caller whose write fails
+        // has to, and has to get the reader out of its `read`.
+        local.shutdown(Shutdown::Write).unwrap();
+        let (_, writer) = spawn_caller(&conn, CudaCall::GetDeviceCount);
+        assert_dead(&conn, &[writer.join().unwrap(), leader.join().unwrap()]);
+    });
 }
 
 // ---------------------------------------------------------------------

@@ -642,8 +642,12 @@ pub(crate) fn hook_cv_should_resume(cv_addr: usize) -> bool {
     s.cvs.get(&cv_addr).is_some_and(|cv| cv.notified.contains(&tid))
 }
 
-/// The wait returned (mutex reacquired): acquire edges from the condvar and
-/// the mutex, then park for a turn (explore mode).
+/// The wait returned (mutex reacquired): park for a turn (explore mode),
+/// then acquire edges from the condvar and the mutex. The turn comes first
+/// because a notifier that signals after (or just before) releasing the
+/// mutex is still running when its waiter gets here: an event recorded now
+/// would land before or behind the notifier's next ones as the OS pleases,
+/// and replays of one schedule would stop being bit-identical.
 pub(crate) fn hook_cv_wait_end(cv_addr: usize, mutex_addr: usize, rank: LockRank) {
     if !armed() {
         return;
@@ -651,20 +655,21 @@ pub(crate) fn hook_cv_wait_end(cv_addr: usize, mutex_addr: usize, rank: LockRank
     let mut st = STATE.lock();
     let Some(s) = st.as_mut() else { return };
     let Some(tid) = cur_tid(s) else { return };
-    let cv_vc = s.cvs.get(&cv_addr).map(|cv| cv.vc.clone()).unwrap_or_default();
     if let Some(cv) = s.cvs.get_mut(&cv_addr) {
         cv.waiters.retain(|w| *w != tid);
         cv.notified.retain(|w| *w != tid);
     }
-    let lock = s.lock_entry(mutex_addr);
-    let (stable, lock_vc) = (lock.stable, lock.vc.clone());
-    lock.hold = Hold::Excl(tid);
-    s.clocks[tid as usize].join(&cv_vc);
-    s.clocks[tid as usize].join(&lock_vc);
-    s.event(5, tid, stable as u64, 0);
+    s.lock_entry(mutex_addr).hold = Hold::Excl(tid);
     if s.mode == Mode::Explore && !s.aborting {
         arrive(&mut st, tid, Point::PostWait { rank: rank.name });
     }
+    let Some(s) = st.as_mut() else { return };
+    let cv_vc = s.cvs.get(&cv_addr).map(|cv| cv.vc.clone()).unwrap_or_default();
+    let lock = s.lock_entry(mutex_addr);
+    let (stable, lock_vc) = (lock.stable, lock.vc.clone());
+    s.clocks[tid as usize].join(&cv_vc);
+    s.clocks[tid as usize].join(&lock_vc);
+    s.event(5, tid, stable as u64, 0);
 }
 
 /// A notify. Returns `true` when the caller is an explore-mode participant:

@@ -100,14 +100,16 @@ pub mod lock_rank {
     /// The server pump's connection registry (leaf tier: nothing below it
     /// but a connection's write half; never held across runtime calls).
     pub const CONN_REGISTRY: LockRank = LockRank { value: 202, name: "CONN_REGISTRY" };
-    /// A multiplexed client's pending-reply demux map (leaf tier).
+    /// A multiplexed client connection's reply demux: the requests in
+    /// flight, which caller is reading the socket, and what the last reader
+    /// left buffered (leaf tier; never held across a read or a write).
     pub const MUX_PENDING: LockRank = LockRank { value: 203, name: "MUX_PENDING" };
     /// One reactor connection's outbound half (socket, unsent bytes,
     /// in-flight IDs): held by whichever thread encodes and writes a
     /// reply, taken after the reactor's table, never across a service call.
     pub const CONN_OUT: LockRank = LockRank { value: 204, name: "CONN_OUT" };
-    /// One connection's write half: serializes frame writes and the
-    /// would-block stash (innermost of the transport tier).
+    /// One client connection's write half: serializes frame writes
+    /// (innermost of the transport tier).
     pub const CONN_WRITE: LockRank = LockRank { value: 205, name: "CONN_WRITE" };
 
     /// Every declared rank, in order — the lock graph's node set.

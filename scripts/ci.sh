@@ -22,7 +22,9 @@
 #                                and of the gateway's fixed pool, and the
 #                                policy-over-the-wire test, run in tier 2),
 #                                the 10k-persistent-connection reactor soak
-#                                (out-of-process daemon) under a 600s
+#                                (out-of-process daemon; the client holds
+#                                its 10k connections on under 200 threads,
+#                                a caller reads its own reply) under a 600s
 #                                timeout, a --quick loadgen smoke that fails
 #                                if the tenant fairness ratio exceeds 2.0,
 #                                then a --quick memory-transfer bench smoke
@@ -138,7 +140,8 @@ if [[ "$tier" == "all" || "$tier" == "4" ]]; then
     timeout 60 cargo test -q --release --test dispatch_stress -- --ignored \
         --exact dispatch_stress_256_tcp_clients
     # 10k persistent connections multiplexed through one reactor, each
-    # probed end-to-end; a stalled reactor shows up as the timeout firing.
+    # probed end-to-end, the client's thread count checked with all of them
+    # open; a stalled reactor shows up as the timeout firing.
     timeout 600 cargo test -q --release --test dispatch_stress -- --ignored \
         --exact dispatch_soak_10k_persistent_connections
     # Closed-loop smoke: the max/min tenant completion-time ratio gates

@@ -296,9 +296,23 @@ fn spawn_daemon() -> (DaemonGuard, SocketAddr) {
     (DaemonGuard(child), addr)
 }
 
+/// Threads of this process, from `/proc/self/status`.
+#[cfg(target_os = "linux")]
+fn thread_count() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    let line = status.lines().find_map(|l| l.strip_prefix("Threads:")).expect("Threads: line");
+    line.trim().parse().expect("thread count is a number")
+}
+
+#[cfg(not(target_os = "linux"))]
+fn thread_count() -> usize {
+    0
+}
+
 /// The soak body: open 10k persistent multiplexed connections, then probe
 /// every one of them (fresh channel, device-count roundtrip, exit) from a
-/// bounded worker pool. Every connection must stay alive end to end.
+/// bounded worker pool. Every connection must stay alive end to end, and
+/// none of them may cost the client a thread.
 fn soak_10k(addr: SocketAddr) {
     const CONNS: usize = 10_000;
     const WORKERS: usize = 64;
@@ -310,6 +324,11 @@ fn soak_10k(addr: SocketAddr) {
             })
             .collect(),
     );
+    // A connection is a socket and some state: its replies are read by the
+    // thread that asks. (The test harness and the daemon's stdout drain are
+    // the handful of threads there are.)
+    let threads = thread_count();
+    assert!(threads < 200, "{threads} threads with {CONNS} connections open and nobody calling");
     let failures = Arc::new(AtomicU64::new(0));
     std::thread::scope(|s| {
         for w in 0..WORKERS {
@@ -330,6 +349,8 @@ fn soak_10k(addr: SocketAddr) {
         }
     });
     assert_eq!(failures.load(Ordering::Relaxed), 0, "some probes failed");
+    let threads = thread_count();
+    assert!(threads < 200, "{threads} threads after probing {CONNS} connections");
     let dead = conns.iter().filter(|c| c.is_dead()).count();
     assert_eq!(dead, 0, "{dead} of {CONNS} persistent connections died during the soak");
     for c in conns.iter() {
@@ -341,7 +362,7 @@ fn soak_10k(addr: SocketAddr) {
 /// probed end-to-end. Run with
 /// `cargo test --release --test dispatch_stress -- --ignored`.
 #[test]
-#[ignore = "10k sockets and threads; run by CI tier 4 under a timeout"]
+#[ignore = "10k sockets on each side, two processes; run by CI tier 4 under a timeout"]
 fn dispatch_soak_10k_persistent_connections() {
     raise_fd_limit();
     let (daemon, addr) = spawn_daemon();
