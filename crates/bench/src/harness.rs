@@ -20,8 +20,9 @@ pub struct ExperimentScale {
     pub repeats: u32,
     /// Workload time/memory scale (figures run at paper scale).
     pub workload: Scale,
-    /// Determinism seed plumbed into every runtime the experiment starts
-    /// (`0` = legacy behaviour). Set from the `--seed` flag.
+    /// Determinism seed plumbed into every runtime the experiment starts.
+    /// Set from the `--seed` flag; `0`, the default, is a seed like any
+    /// other.
     pub seed: u64,
     /// Run on a virtual (logical-time) clock: no real sleeps, so the whole
     /// experiment runs at CPU speed. Set from the `--virtual-clock` flag.

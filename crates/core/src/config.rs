@@ -2,7 +2,6 @@
 
 use mtgpu_simtime::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 /// Which scheduling algorithm the dispatcher uses (§4.3: "the dispatcher can
 /// be configured to use different scheduling algorithms").
@@ -35,14 +34,12 @@ pub struct RuntimeConfig {
     /// Coalesce repeated copies into one bulk upload per page-table entry
     /// (§4.5 "multiple data copy operations ... single, bulk transfer").
     pub coalesce_transfers: bool,
-    /// Execute materialize/swap transfer plans concurrently across the
-    /// device's copy engines. Off forces the serial one-transfer-at-a-time
-    /// path regardless of how many engines the device has.
-    pub pipelined_transfers: bool,
     /// Scheduling policy.
     pub scheduler: SchedulerPolicy,
-    /// Migrate idle contexts from slower to faster devices when the fast
-    /// device has free vGPUs and nothing is waiting (§5.3.4).
+    /// Live-migrate ([`crate::NodeRuntime::migrate_ctx`]) an idle context
+    /// off the device under the most pressure — a slower device counts as
+    /// more pressed at equal load — when another device has a free vGPU and
+    /// nothing is waiting (§5.3.4, DESIGN.md §15). One move per monitor pass.
     pub dynamic_load_balancing: bool,
     /// Take an automatic checkpoint after any kernel whose simulated
     /// duration meets this threshold (§4.6). `None` disables.
@@ -58,15 +55,13 @@ pub struct RuntimeConfig {
     /// Cap on live page-table entries per context; exceeding it produces the
     /// Table 1 "A virtual address cannot be assigned" error.
     pub max_ptes_per_context: usize,
-    /// How often the health/migration monitor scans, real time.
-    pub monitor_interval: Duration,
     /// Events retained by the runtime's trace ring buffer (0 disables
     /// tracing).
     pub trace_capacity: usize,
     /// Root seed for every randomized decision the runtime makes
-    /// (dispatcher tie-breaks). `0` selects the legacy round-robin
-    /// cursor; any other value derives a [`mtgpu_simtime::DetRng`] so a
-    /// whole run replays bit-for-bit.
+    /// (dispatcher tie-breaks draw from a [`mtgpu_simtime::DetRng`] derived
+    /// from it), so a whole run replays bit-for-bit. `0` is a seed like any
+    /// other.
     pub seed: u64,
     /// Spawn the background health/migration monitor thread. Deterministic
     /// harnesses turn this off and drive recovery explicitly through
@@ -77,29 +72,6 @@ pub struct RuntimeConfig {
     /// priority preemption. `None` (the default) disables the layer
     /// entirely — every tenant is admitted unconditionally, as before.
     pub tenant_policy: Option<crate::policy::TenantPolicyConfig>,
-    /// Victim-selection policy for intra- and inter-application swap.
-    /// `SeedOrder` (the default) reproduces the original largest-first /
-    /// (resident, id) ordering; the other policies score candidates off
-    /// virtual-clock touch stamps and clean/dirty PTE state.
-    pub eviction_policy: crate::memory::EvictionPolicyKind,
-    /// Prefetch a context's predicted working set (its last launch's
-    /// argument buffers) onto idle copy-engine lanes while the launch
-    /// waits for admission. Speculative traffic runs at lane offset 1 and
-    /// is charge-accounted against the tenant's lease for its duration.
-    pub async_prefetch: bool,
-    /// Split a launch's materialization into a first-touch wave and a
-    /// remainder wave: the kernel dispatches once wave 1 commits while
-    /// wave 2 streams on the second copy-engine lane.
-    pub double_buffer_launch: bool,
-    /// Utilization-driven rebalancer (DESIGN.md §15): each monitor pass
-    /// samples per-device pressure (resident bytes, swap traffic, queue
-    /// depth), scores placements deterministically off the virtual clock,
-    /// and **live-migrates** ([`crate::NodeRuntime::migrate_ctx`]) the
-    /// costliest-misplaced context off the hottest device — working set
-    /// moved device-to-device over peer-DMA lanes, not through the swap
-    /// tier. Respects lease priorities: a higher-priority tenant is never
-    /// displaced for a lower one.
-    pub utilization_rebalancer: bool,
 }
 
 impl Default for RuntimeConfig {
@@ -109,7 +81,6 @@ impl Default for RuntimeConfig {
             defer_transfers: true,
             inter_app_swap: true,
             coalesce_transfers: true,
-            pipelined_transfers: true,
             scheduler: SchedulerPolicy::FcfsRoundRobin,
             dynamic_load_balancing: false,
             auto_checkpoint_after: None,
@@ -117,15 +88,10 @@ impl Default for RuntimeConfig {
             offload_peers: Vec::new(),
             swap_capacity: None,
             max_ptes_per_context: 1 << 20,
-            monitor_interval: Duration::from_millis(5),
             trace_capacity: 4096,
             seed: 0,
             background_monitor: true,
             tenant_policy: None,
-            eviction_policy: crate::memory::EvictionPolicyKind::SeedOrder,
-            async_prefetch: false,
-            double_buffer_launch: false,
-            utilization_rebalancer: false,
         }
     }
 }
@@ -155,8 +121,7 @@ impl RuntimeConfig {
         self
     }
 
-    /// Builder-style override of the determinism seed (`0` = legacy
-    /// round-robin tie-breaks).
+    /// Builder-style override of the determinism seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -171,30 +136,6 @@ impl RuntimeConfig {
     /// Builder-style activation of the tenant-policy layer.
     pub fn with_tenant_policy(mut self, policy: crate::policy::TenantPolicyConfig) -> Self {
         self.tenant_policy = Some(policy);
-        self
-    }
-
-    /// Builder-style override of the eviction policy.
-    pub fn with_eviction_policy(mut self, p: crate::memory::EvictionPolicyKind) -> Self {
-        self.eviction_policy = p;
-        self
-    }
-
-    /// Builder-style toggle of async launch prefetch.
-    pub fn with_async_prefetch(mut self, on: bool) -> Self {
-        self.async_prefetch = on;
-        self
-    }
-
-    /// Builder-style toggle of double-buffered launch materialization.
-    pub fn with_double_buffer_launch(mut self, on: bool) -> Self {
-        self.double_buffer_launch = on;
-        self
-    }
-
-    /// Builder-style toggle of the utilization-driven rebalancer.
-    pub fn with_utilization_rebalancer(mut self, on: bool) -> Self {
-        self.utilization_rebalancer = on;
         self
     }
 }
@@ -231,32 +172,13 @@ mod tests {
     }
 
     #[test]
-    fn defaults_are_backward_compatible() {
-        let c = RuntimeConfig::default();
-        assert_eq!(c.seed, 0, "seed 0 keeps the legacy rr tie-break");
-        assert!(c.background_monitor);
-        assert!(c.pipelined_transfers);
-        assert_eq!(c.eviction_policy, crate::memory::EvictionPolicyKind::SeedOrder);
-        assert!(!c.async_prefetch, "prefetch is opt-in");
-        assert!(!c.double_buffer_launch, "double-buffering is opt-in");
-        assert!(!c.utilization_rebalancer, "the rebalancer is opt-in");
-    }
-
-    #[test]
-    fn rebalancer_builder_composes() {
-        let c = RuntimeConfig::default().with_utilization_rebalancer(true);
-        assert!(c.utilization_rebalancer);
-        assert!(!c.dynamic_load_balancing, "legacy balancer stays independent");
-    }
-
-    #[test]
-    fn adaptive_memory_builders_compose() {
-        let c = RuntimeConfig::default()
-            .with_eviction_policy(crate::memory::EvictionPolicyKind::CostAware)
-            .with_async_prefetch(true)
-            .with_double_buffer_launch(true);
-        assert_eq!(c.eviction_policy, crate::memory::EvictionPolicyKind::CostAware);
-        assert!(c.async_prefetch);
-        assert!(c.double_buffer_launch);
+    fn paper_default_is_the_default() {
+        let (paper, default) = (RuntimeConfig::paper_default(), RuntimeConfig::default());
+        assert_eq!(
+            serde_json::to_string(&paper).unwrap(),
+            serde_json::to_string(&default).unwrap()
+        );
+        assert!(default.background_monitor);
+        assert!(!default.dynamic_load_balancing, "migration is opt-in (Fig. 9 turns it on)");
     }
 }

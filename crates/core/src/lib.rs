@@ -43,8 +43,8 @@ pub mod trace;
 pub use config::{RuntimeConfig, SchedulerPolicy};
 pub use ctx::{AppContext, Binding, CtxId, VGpuId};
 pub use memory::{
-    EvictionPolicyKind, Flags, Materialize, MemoryConfig, MemoryManager, MigrationEntry,
-    PendingWave, PrefetchPlan, Recovery, SwapOutcome, SwapReason, TouchStamp,
+    Flags, Materialize, MemoryConfig, MemoryManager, MigrationEntry, Recovery, SwapOutcome,
+    SwapReason, TouchStamp,
 };
 pub use metrics::{DeviceUtilization, MetricsSnapshot, RuntimeMetrics};
 pub use migrate::{MigrationError, MigrationPhase, MigrationStats};

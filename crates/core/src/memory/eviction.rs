@@ -1,70 +1,24 @@
-//! Pluggable victim-selection policies for the memory manager.
+//! The intra-application victim order (§4.5).
 //!
-//! The seed runtime hard-codes two victim orders: intra-application eviction
-//! picks the largest allocated entry (ties broken by the page table's vaddr
-//! iteration order), and inter-application swap sorts candidates by
-//! `(resident, id)` — the paper's §4.5 behavior. This module lifts both into
-//! a policy layer selected by [`EvictionPolicyKind`] in `RuntimeConfig`:
+//! When a launch's working set does not fit, the memory manager evicts the
+//! context's *own* resident entries outside that working set, best victim
+//! first by `bytes × staleness ÷ writeback cost`: a big entry frees more, a
+//! stale one is less likely to be needed next, and a dirty one (`to_swap`
+//! set — the device copy diverged from the host slab) must be written back
+//! over PCIe before its memory can be reused, so it scores half a clean
+//! entry of the same size and age.
 //!
-//! * [`EvictionPolicyKind::SeedOrder`] reproduces the seed orders bit for
-//!   bit, so default-config replays and fingerprints are unchanged.
-//! * [`EvictionPolicyKind::Lru`] evicts the least-recently-touched entry
-//!   (oldest [`TouchStamp`]).
-//! * [`EvictionPolicyKind::WorkingSet`] evicts entries outside the current
-//!   working set first — anything not touched in the current or previous
-//!   launch generation — falling back to LRU order inside each class.
-//! * [`EvictionPolicyKind::CostAware`] scores candidates as
-//!   `bytes × staleness / writeback-cost` using the clean/dirty PTE bit
-//!   (`to_swap`): a dirty victim must be written back over PCIe before its
-//!   device memory can be reused, so dirty entries score half as attractive
-//!   as clean ones of the same size and age.
+//! Inter-application and preemption victims are whole contexts and keep the
+//! paper's rule — smallest sufficient resident set, ties by context id — in
+//! the service layer; nothing here orders them.
 //!
-//! Every input to a policy decision is deterministic under seeded replay:
-//! touch stamps combine the *virtual* clock with a per-manager sequence
-//! number assigned under the `MmState` lock (no wall-clock reads), and all
-//! orderings break ties on vaddr / context id. Given the same op sequence,
-//! every policy therefore picks the same victims on every run — the policies
-//! differ from each other, not from themselves.
+//! Every input is deterministic under seeded replay: a [`TouchStamp`] pairs
+//! the *virtual* clock with a per-manager sequence number assigned under the
+//! `MmState` lock (no wall-clock reads), staleness is counted in touches,
+//! and ties break on the virtual address. The same op sequence picks the
+//! same victims on every run.
 
-use crate::ctx::CtxId;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-
-/// Which victim-selection policy drives intra- and inter-application
-/// eviction. See the module docs for the semantics of each variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum EvictionPolicyKind {
-    /// The seed runtime's fixed orders: largest entry intra-app,
-    /// `(resident, id)` inter-app.
-    #[default]
-    SeedOrder,
-    /// Least-recently-touched first.
-    Lru,
-    /// Entries outside the last two launch generations first, LRU within.
-    WorkingSet,
-    /// Maximize reclaimed bytes per writeback cost, weighted by staleness.
-    CostAware,
-}
-
-impl EvictionPolicyKind {
-    /// All policy kinds, in a canonical order (useful for sweeps).
-    pub const ALL: [EvictionPolicyKind; 4] = [
-        EvictionPolicyKind::SeedOrder,
-        EvictionPolicyKind::Lru,
-        EvictionPolicyKind::WorkingSet,
-        EvictionPolicyKind::CostAware,
-    ];
-
-    /// Stable lowercase name (bench report rows, traces).
-    pub fn name(self) -> &'static str {
-        match self {
-            EvictionPolicyKind::SeedOrder => "seed_order",
-            EvictionPolicyKind::Lru => "lru",
-            EvictionPolicyKind::WorkingSet => "working_set",
-            EvictionPolicyKind::CostAware => "cost_aware",
-        }
-    }
-}
 
 /// A deterministic touch stamp: the virtual-clock reading paired with a
 /// per-manager monotone sequence number assigned under the `MmState` lock.
@@ -94,27 +48,9 @@ pub struct EntryCandidate {
     pub dirty: bool,
     /// Most recent touch.
     pub last_touch: TouchStamp,
-    /// Launch generation of the owning table when this entry last belonged
-    /// to a materialized working set.
-    pub touch_gen: u64,
 }
 
-/// An inter-application victim candidate, snapshotted per bound context.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CtxCandidate {
-    /// Context id (the deterministic tie-break).
-    pub id: CtxId,
-    /// Device-resident bytes.
-    pub resident: u64,
-    /// Resident bytes that are dirty (`to_swap`): the writeback bill an
-    /// eviction of this context would pay.
-    pub dirty_bytes: u64,
-    /// Most recent touch of any entry in the context's table.
-    pub last_touch: TouchStamp,
-}
-
-/// `CostAware` score: reclaimed bytes × staleness, halved when the entry is
-/// dirty (eviction pays a writeback before the memory is reusable). Larger
+/// Reclaimed bytes × staleness, halved when the entry is dirty. Larger
 /// scores are better victims. Pure and overflow-safe (u128 arithmetic).
 pub fn cost_score(c: &EntryCandidate, now_seq: u64) -> u128 {
     let age = now_seq.saturating_sub(c.last_touch.seq) as u128 + 1;
@@ -122,204 +58,56 @@ pub fn cost_score(c: &EntryCandidate, now_seq: u64) -> u128 {
     (c.size as u128) * age / cost
 }
 
-/// True when the entry was touched in the table's current or previous launch
-/// generation — the `WorkingSet` policy's definition of "in the working set".
-pub fn in_working_set(c: &EntryCandidate, table_gen: u64) -> bool {
-    c.touch_gen + 1 >= table_gen
-}
-
 /// Orders intra-application eviction candidates so the best victim is
 /// first. The order is invariant within one plan generation (evictions only
 /// remove candidates), which is what lets the manager build the queue once
 /// per materialize call instead of re-scanning on every OOM re-plan.
-pub fn order_entry_victims(
-    kind: EvictionPolicyKind,
-    candidates: &mut [EntryCandidate],
-    table_gen: u64,
-    now_seq: u64,
-) {
-    match kind {
-        // The seed behavior is `max_by_key(size)` over vaddr-ascending
-        // iteration, which returns the *last* maximum — i.e. the largest
-        // vaddr among equal-size entries. Sorting by (size desc, vaddr
-        // desc) and popping from the front replays that choice sequence
-        // exactly as entries are removed.
-        EvictionPolicyKind::SeedOrder => {
-            candidates.sort_by_key(|c| (Reverse(c.size), Reverse(c.vaddr)));
-        }
-        EvictionPolicyKind::Lru => {
-            candidates.sort_by_key(|c| (c.last_touch, c.vaddr));
-        }
-        // `false < true`, so out-of-working-set candidates sort first.
-        EvictionPolicyKind::WorkingSet => {
-            candidates.sort_by_key(|c| (in_working_set(c, table_gen), c.last_touch, c.vaddr));
-        }
-        EvictionPolicyKind::CostAware => {
-            candidates.sort_by_key(|c| (Reverse(cost_score(c, now_seq)), c.vaddr));
-        }
-    }
-}
-
-/// Sort key for inter-application victim candidates; smaller keys are
-/// evicted first. Kept as a plain tuple so callers can compose it with
-/// higher-priority keys (the preemption path prefixes the tenant priority).
-pub fn ctx_victim_key(kind: EvictionPolicyKind, c: &CtxCandidate) -> (u64, u64, u64) {
-    match kind {
-        // Seed behavior: smallest sufficient resident set, ties by id.
-        EvictionPolicyKind::SeedOrder => (c.resident, c.id.0, 0),
-        // Context-level recency: the table least recently touched goes
-        // first. WorkingSet has no per-context generation, so it shares
-        // the LRU order at this granularity (documented in DESIGN.md §14).
-        EvictionPolicyKind::Lru | EvictionPolicyKind::WorkingSet => {
-            (c.last_touch.nanos, c.last_touch.seq, c.id.0)
-        }
-        // Cheapest writeback bill first, then smallest resident set.
-        EvictionPolicyKind::CostAware => (c.dirty_bytes, c.resident, c.id.0),
-    }
+pub fn order_entry_victims(candidates: &mut [EntryCandidate], now_seq: u64) {
+    candidates.sort_by_key(|c| (Reverse(cost_score(c, now_seq)), c.vaddr));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn cand(vaddr: u64, size: u64, dirty: bool, seq: u64, touch_gen: u64) -> EntryCandidate {
-        EntryCandidate {
-            vaddr,
-            size,
-            dirty,
-            last_touch: TouchStamp { nanos: seq * 10, seq },
-            touch_gen,
-        }
+    fn cand(vaddr: u64, size: u64, dirty: bool, seq: u64) -> EntryCandidate {
+        EntryCandidate { vaddr, size, dirty, last_touch: TouchStamp { nanos: seq * 10, seq } }
     }
 
-    fn victims(
-        kind: EvictionPolicyKind,
-        mut cands: Vec<EntryCandidate>,
-        table_gen: u64,
-        now_seq: u64,
-    ) -> Vec<u64> {
-        order_entry_victims(kind, &mut cands, table_gen, now_seq);
+    fn victims(mut cands: Vec<EntryCandidate>, now_seq: u64) -> Vec<u64> {
+        order_entry_victims(&mut cands, now_seq);
         cands.iter().map(|c| c.vaddr).collect()
     }
 
     #[test]
-    fn seed_order_matches_last_max_by_size() {
-        // Equal sizes: the seed's max_by_key keeps the last (largest vaddr).
-        let cands =
-            vec![cand(1, 100, false, 1, 0), cand(2, 100, true, 2, 0), cand(3, 50, false, 3, 0)];
-        assert_eq!(victims(EvictionPolicyKind::SeedOrder, cands, 0, 3), vec![2, 1, 3]);
-    }
-
-    #[test]
-    fn lru_orders_by_stamp_oldest_first() {
-        let cands =
-            vec![cand(1, 10, false, 5, 0), cand(2, 999, true, 1, 0), cand(3, 10, false, 3, 0)];
-        assert_eq!(victims(EvictionPolicyKind::Lru, cands, 0, 5), vec![2, 3, 1]);
-    }
-
-    #[test]
-    fn lru_seq_breaks_equal_nanos() {
-        let mut cands = vec![
-            EntryCandidate {
-                vaddr: 7,
-                size: 1,
-                dirty: false,
-                last_touch: TouchStamp { nanos: 0, seq: 2 },
-                touch_gen: 0,
-            },
-            EntryCandidate {
-                vaddr: 8,
-                size: 1,
-                dirty: false,
-                last_touch: TouchStamp { nanos: 0, seq: 1 },
-                touch_gen: 0,
-            },
-        ];
-        order_entry_victims(EvictionPolicyKind::Lru, &mut cands, 0, 2);
-        assert_eq!(cands[0].vaddr, 8);
-    }
-
-    #[test]
-    fn working_set_evicts_stale_generations_first() {
-        // Generation 5: entries touched in gen 4 or 5 are protected-ish.
-        let cands = vec![
-            cand(1, 10, false, 9, 5), // current gen
-            cand(2, 10, false, 1, 2), // stale, oldest
-            cand(3, 10, false, 4, 4), // previous gen
-            cand(4, 10, false, 2, 3), // stale, newer
-        ];
-        assert_eq!(victims(EvictionPolicyKind::WorkingSet, cands, 5, 9), vec![2, 4, 3, 1]);
-    }
-
-    #[test]
-    fn cost_aware_prefers_clean_stale_bytes() {
+    fn prefers_clean_stale_bytes() {
         // Same size and age: the clean entry scores double the dirty one.
-        let clean = cand(1, 100, false, 1, 0);
-        let dirty = cand(2, 100, true, 1, 0);
+        let clean = cand(1, 100, false, 1);
+        let dirty = cand(2, 100, true, 1);
         assert!(cost_score(&clean, 10) > cost_score(&dirty, 10));
-        assert_eq!(victims(EvictionPolicyKind::CostAware, vec![dirty, clean], 0, 10), vec![1, 2]);
+        assert_eq!(victims(vec![dirty, clean], 10), vec![1, 2]);
         // A dirty entry must be big or stale enough to outscore a clean one.
-        let big_dirty = cand(3, 500, true, 1, 0);
-        let small_clean = cand(4, 100, false, 1, 0);
-        assert_eq!(
-            victims(EvictionPolicyKind::CostAware, vec![small_clean, big_dirty], 0, 10),
-            vec![3, 4]
-        );
+        let big_dirty = cand(3, 500, true, 1);
+        let small_clean = cand(4, 100, false, 1);
+        assert_eq!(victims(vec![small_clean, big_dirty], 10), vec![3, 4]);
+    }
+
+    #[test]
+    fn staleness_outweighs_a_smaller_size() {
+        let stale_small = cand(1, 100, false, 1);
+        let fresh_large = cand(2, 150, false, 9);
+        assert_eq!(victims(vec![fresh_large, stale_small], 10), vec![1, 2]);
+    }
+
+    #[test]
+    fn equal_scores_break_on_vaddr() {
+        assert_eq!(victims(vec![cand(9, 64, false, 3), cand(7, 64, false, 3)], 5), vec![7, 9]);
     }
 
     #[test]
     fn cost_score_is_overflow_safe() {
-        let c = EntryCandidate {
-            vaddr: 0,
-            size: u64::MAX,
-            dirty: false,
-            last_touch: TouchStamp { nanos: 0, seq: 0 },
-            touch_gen: 0,
-        };
+        let c = cand(0, u64::MAX, false, 0);
         // u64::MAX bytes times u64::MAX age fits in u128.
         let _ = cost_score(&c, u64::MAX);
-    }
-
-    #[test]
-    fn ctx_keys_reproduce_seed_and_diverge_elsewhere() {
-        let a = CtxCandidate {
-            id: CtxId(1),
-            resident: 100,
-            dirty_bytes: 100,
-            last_touch: TouchStamp { nanos: 50, seq: 5 },
-        };
-        let b = CtxCandidate {
-            id: CtxId(2),
-            resident: 50,
-            dirty_bytes: 0,
-            last_touch: TouchStamp { nanos: 90, seq: 9 },
-        };
-        let order = |kind| {
-            let mut v = [a, b];
-            v.sort_by_key(|c| ctx_victim_key(kind, c));
-            v.iter().map(|c| c.id).collect::<Vec<_>>()
-        };
-        // Seed: smallest resident first.
-        assert_eq!(order(EvictionPolicyKind::SeedOrder), vec![CtxId(2), CtxId(1)]);
-        // LRU: oldest touch first.
-        assert_eq!(order(EvictionPolicyKind::Lru), vec![CtxId(1), CtxId(2)]);
-        // CostAware: cheapest writeback first.
-        assert_eq!(order(EvictionPolicyKind::CostAware), vec![CtxId(2), CtxId(1)]);
-    }
-
-    #[test]
-    fn policy_names_are_stable() {
-        let names: Vec<_> = EvictionPolicyKind::ALL.iter().map(|k| k.name()).collect();
-        assert_eq!(names, vec!["seed_order", "lru", "working_set", "cost_aware"]);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        for kind in EvictionPolicyKind::ALL {
-            let s = serde_json::to_string(&kind).unwrap();
-            let back: EvictionPolicyKind = serde_json::from_str(&s).unwrap();
-            assert_eq!(kind, back);
-        }
-        assert_eq!(EvictionPolicyKind::default(), EvictionPolicyKind::SeedOrder);
     }
 }

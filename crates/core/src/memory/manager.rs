@@ -19,10 +19,10 @@
 //! under it again.
 
 use crate::ctx::{Binding, CtxId};
-use crate::memory::eviction::{self, CtxCandidate, EntryCandidate, EvictionPolicyKind, TouchStamp};
+use crate::memory::eviction::{self, EntryCandidate, TouchStamp};
 use crate::memory::page_table::{PageTable, PageTableEntry, SwapSlab};
 use crate::memory::swap::SwapArea;
-use crate::memory::transfer::{self, PlanShape, TransferOp};
+use crate::memory::transfer::{self, TransferOp};
 use crate::metrics::RuntimeMetrics;
 use crate::trace::{TraceEvent, Tracer};
 use mtgpu_api::protocol::AllocKind;
@@ -57,8 +57,6 @@ pub enum SwapReason {
     InterAppVictim,
     /// Unbound voluntarily (requeue after failed materialization).
     Unbind,
-    /// Migrating to a different device (§5.3.4).
-    Migration,
     /// Device failed or was removed.
     DeviceLoss,
     /// Evicted by priority preemption: a higher-priority tenant was under
@@ -104,44 +102,6 @@ pub enum Recovery {
     LostDirtyData,
 }
 
-/// The remainder wave of a double-buffered launch: uploads planned but not
-/// yet executed, streamed on the speculative lane while the kernel runs.
-/// Until [`MemoryManager::execute_wave`] commits, every deferred entry keeps
-/// its `to_dev` flag — a device lost between the waves leaves each PTE in
-/// its classifiable "upload pending" state, slab data intact.
-#[derive(Debug)]
-pub struct PendingWave {
-    ops: Vec<TransferOp>,
-}
-
-impl PendingWave {
-    /// Number of deferred upload operations.
-    pub fn op_count(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Total deferred bytes.
-    pub fn bytes(&self) -> u64 {
-        self.ops.iter().map(|o| o.size).sum()
-    }
-}
-
-/// An async-prefetch plan: predicted next-launch buffers and the lease
-/// charge uploading them would incur.
-#[derive(Debug, Clone, Default)]
-pub struct PrefetchPlan {
-    /// PTE bases to warm.
-    pub bases: Vec<DeviceAddr>,
-    /// Declared bytes across `bases` (the tenant-lease charge).
-    pub bytes: u64,
-}
-
-/// The lane offset speculative waves execute on: lane 0 serves the admit
-/// path's own plan, so prefetches and remainder waves stream from lane 1
-/// upward. A pure function of the plan — never of observed engine load — so
-/// placement replays bit-for-bit.
-const SPECULATIVE_LANE_OFFSET: usize = 1;
-
 struct MmState {
     tables: HashMap<CtxId, PageTable>,
     /// Host swap accounting. Shadowed so mtcheck's happens-before detector
@@ -151,9 +111,6 @@ struct MmState {
     /// Monotone touch sequence shared by every table; assigned under this
     /// lock so stamps are totally ordered and replay-stable.
     touch_seq: u64,
-    /// Per-context argument closure of the most recent materialized launch —
-    /// the prefetch predictor's one-launch history.
-    last_launch: HashMap<CtxId, Vec<DeviceAddr>>,
     /// Cumulative per-device swap traffic: `device → (bytes_in, bytes_out)`.
     /// `in` counts host→device upload commits, `out` counts device→host
     /// writeback commits — the pressure signal the rebalancer reads.
@@ -166,14 +123,8 @@ struct MmState {
 pub struct MemoryConfig {
     pub defer_transfers: bool,
     pub coalesce_transfers: bool,
-    /// Spread transfer plans across the bound device's copy engines.
-    pub pipelined_transfers: bool,
     pub max_ptes_per_context: usize,
     pub swap_capacity: Option<u64>,
-    pub materialize_cap: u64,
-    /// Victim-selection policy for intra-application eviction (and, via the
-    /// service layer, inter-application victim ordering).
-    pub eviction_policy: EvictionPolicyKind,
 }
 
 impl Default for MemoryConfig {
@@ -181,11 +132,8 @@ impl Default for MemoryConfig {
         MemoryConfig {
             defer_transfers: true,
             coalesce_transfers: true,
-            pipelined_transfers: true,
             max_ptes_per_context: 1 << 20,
             swap_capacity: None,
-            materialize_cap: DEFAULT_MATERIALIZE_CAP,
-            eviction_policy: EvictionPolicyKind::SeedOrder,
         }
     }
 }
@@ -218,7 +166,6 @@ impl MemoryManager {
                     swap,
                     next_vaddr: VADDR_BASE,
                     touch_seq: 0,
-                    last_launch: HashMap::new(),
                     dev_swap: BTreeMap::new(),
                 },
             ),
@@ -257,18 +204,17 @@ impl MemoryManager {
         &self.cfg
     }
 
-    /// How many copy-engine lanes a plan of `ops` operations may use on the
-    /// bound device: 1 when pipelining is off, otherwise the engine count
-    /// clamped by the plan size.
-    fn plan_lanes(&self, binding: &Binding, ops: usize) -> usize {
-        if !self.cfg.pipelined_transfers {
-            return 1;
-        }
-        (binding.gpu.spec().copy_engines as usize).max(1).min(ops.max(1))
-    }
-
-    /// Accounts an executed transfer plan (metrics + trace).
-    fn note_plan(&self, ctx: CtxId, shape: &PlanShape) {
+    /// Runs a transfer plan across the bound device's copy engines (a
+    /// one-engine device runs it inline, serially) and accounts it (metrics
+    /// + trace).
+    fn run_plan(
+        &self,
+        ctx: CtxId,
+        binding: &Binding,
+        ops: Vec<TransferOp>,
+    ) -> Vec<transfer::TransferOutcome> {
+        let lanes = binding.gpu.spec().copy_engines as usize;
+        let (outcomes, shape) = transfer::execute(&binding.gpu, binding.gpu_ctx, ops, lanes);
         RuntimeMetrics::bump(&self.metrics.transfer_plans);
         if shape.overlapped {
             RuntimeMetrics::bump(&self.metrics.transfer_overlap_events);
@@ -281,6 +227,7 @@ impl MemoryManager {
                 bytes: shape.bytes,
             });
         }
+        outcomes
     }
 
     /// Records swap traffic against a device, under the held `MmState` lock.
@@ -305,7 +252,6 @@ impl MemoryManager {
     pub fn remove_ctx(&self, ctx: CtxId, binding: Option<&Binding>) {
         let frees: Vec<(DeviceAddr, u64)> = {
             let mut st = self.state.lock();
-            st.last_launch.remove(&ctx);
             let Some(table) = st.tables.remove(&ctx) else { return };
             let mut frees = Vec::new();
             let mut swap_bytes = 0;
@@ -339,10 +285,9 @@ impl MemoryManager {
         st.swap.reserve(size)?;
         let vaddr = DeviceAddr(st.next_vaddr);
         st.next_vaddr += (size + VALIGN - 1) & !(VALIGN - 1);
-        let slab = SwapSlab::new(size, self.cfg.materialize_cap);
+        let slab = SwapSlab::new(size, DEFAULT_MATERIALIZE_CAP);
         let last_touch = self.stamp(&mut st);
         let table = st.tables.get_mut(&ctx).expect("table vanished");
-        let touch_gen = table.generation();
         table.insert(PageTableEntry {
             vaddr,
             size,
@@ -353,7 +298,6 @@ impl MemoryManager {
             nested_members: Vec::new(),
             nested_parent: None,
             last_touch,
-            touch_gen,
         });
         Ok(vaddr)
     }
@@ -638,94 +582,11 @@ impl MemoryManager {
         }
         // Execute concurrent uploads across the copy engines, no manager
         // lock held; commit flag transitions under the lock after.
-        let lanes = self.plan_lanes(binding, ops.len());
-        let (outcomes, shape) = transfer::execute(&binding.gpu, binding.gpu_ctx, ops, lanes);
-        self.note_plan(ctx, &shape);
+        let outcomes = self.run_plan(ctx, binding, ops);
         match self.commit_uploads(ctx, binding.vgpu.device, outcomes) {
             None => Ok(Materialize::Ready),
             Some(e) => Err(e),
         }
-    }
-
-    /// Double-buffered variant of [`Self::materialize`]: the upload plan is
-    /// split into a **first-touch wave** (`first_touch` — normally the
-    /// kernel's direct pointer arguments) executed and committed before
-    /// returning, and a **remainder wave** (nested members, reached later by
-    /// pointer chasing) returned as a [`PendingWave`] for the caller to
-    /// stream on the speculative lane *while the kernel runs*.
-    ///
-    /// Residency (allocation) still covers the full closure before the
-    /// kernel dispatches — only payload uploads are deferred. In this
-    /// simulator a kernel payload dereferences its direct arguments only,
-    /// never nested members, so deferring member uploads past dispatch is
-    /// functionally safe; a real CUDA backend would fault wave-2 pages in
-    /// on demand.
-    pub fn materialize_split(
-        &self,
-        ctx: CtxId,
-        bases: &[DeviceAddr],
-        first_touch: &[DeviceAddr],
-        binding: &Binding,
-    ) -> CudaResult<(Materialize, Option<PendingWave>)> {
-        if let Some(need) = self.ensure_resident(ctx, bases, binding)? {
-            return Ok((Materialize::NeedBytes(need), None));
-        }
-        let ops = self.plan_uploads(ctx, bases)?;
-        self.touch_working_set(ctx, bases);
-        let (wave1, wave2): (Vec<TransferOp>, Vec<TransferOp>) =
-            ops.into_iter().partition(|op| first_touch.contains(&DeviceAddr(op.base)));
-        if !wave1.is_empty() {
-            let lanes = self.plan_lanes(binding, wave1.len());
-            let (outcomes, shape) = transfer::execute(&binding.gpu, binding.gpu_ctx, wave1, lanes);
-            self.note_plan(ctx, &shape);
-            if let Some(e) = self.commit_uploads(ctx, binding.vgpu.device, outcomes) {
-                return Err(e);
-            }
-        }
-        Ok((Materialize::Ready, (!wave2.is_empty()).then_some(PendingWave { ops: wave2 })))
-    }
-
-    /// Executes and commits a remainder wave on the speculative lane. Safe
-    /// to run concurrently with the kernel launch: no manager lock is held
-    /// during the transfers, and lane pinning keeps engine placement a pure
-    /// function of the plan. Ops that fail keep their `to_dev` flag, so
-    /// every entry stays classifiable after a device loss (the slab still
-    /// holds the authoritative data).
-    pub fn execute_wave(&self, ctx: CtxId, binding: &Binding, wave: PendingWave) -> CudaResult<()> {
-        if wave.ops.is_empty() {
-            return Ok(());
-        }
-        let (outcomes, shape) = transfer::execute_on_lanes(
-            &binding.gpu,
-            binding.gpu_ctx,
-            wave.ops,
-            1,
-            SPECULATIVE_LANE_OFFSET,
-        );
-        self.note_plan(ctx, &shape);
-        match self.commit_uploads(ctx, binding.vgpu.device, outcomes) {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-
-    /// Resolves a launch's *direct* pointer arguments to PTE bases, without
-    /// the nested-member extension — the first-touch set of a
-    /// double-buffered launch.
-    pub fn arg_bases(&self, ctx: CtxId, args: &[KernelArg]) -> CudaResult<Vec<DeviceAddr>> {
-        let st = self.state.lock();
-        let table = st.tables.get(&ctx).ok_or(CudaError::InvalidDevicePointer)?;
-        let mut bases = Vec::new();
-        for arg in args {
-            if let KernelArg::Ptr(p) = arg {
-                let base =
-                    table.resolve(*p).map(|(b, _)| b).ok_or(CudaError::InvalidDevicePointer)?;
-                if !bases.contains(&base) {
-                    bases.push(base);
-                }
-            }
-        }
-        Ok(bases)
     }
 
     /// Phase A of materialization: make every entry in `bases` device-
@@ -741,11 +602,9 @@ impl MemoryManager {
         bases: &[DeviceAddr],
         binding: &Binding,
     ) -> CudaResult<Option<u64>> {
-        // The policy-ordered victim queue is built lazily on the first OOM
-        // and reused across re-plans: candidate order is invariant within
-        // one plan generation (evictions only remove entries), so the seed
-        // behavior of re-sorting the full resident set on every re-plan
-        // was pure overhead.
+        // The victim queue is built lazily on the first OOM and reused
+        // across re-plans: candidate order is invariant within one plan
+        // generation (evictions only remove entries).
         let mut victims: Option<VecDeque<DeviceAddr>> = None;
         'alloc: loop {
             let pending: Vec<(DeviceAddr, u64)> = {
@@ -837,27 +696,22 @@ impl MemoryManager {
         first_err
     }
 
-    /// Stamps a materialized working set, advances the table's launch
-    /// generation, and records the set as the prefetch predictor's
-    /// last-launch history.
+    /// Stamps a materialized working set.
     fn touch_working_set(&self, ctx: CtxId, bases: &[DeviceAddr]) {
         let mut st = self.state.lock();
         let touch = self.stamp(&mut st);
-        st.last_launch.insert(ctx, bases.to_vec());
         if let Some(table) = st.tables.get_mut(&ctx) {
-            let generation = table.advance_generation();
             for &base in bases {
                 if let Some(entry) = table.get_mut(base) {
                     entry.last_touch = touch;
-                    entry.touch_gen = generation;
                 }
             }
         }
     }
 
     /// Evicts the next victim among `ctx`'s own resident entries outside
-    /// the working set, in the configured policy's order. Returns `false`
-    /// when there is nothing left to evict.
+    /// the working set, in [`eviction::order_entry_victims`]' order. Returns
+    /// `false` when there is nothing left to evict.
     fn evict_next_own_entry(
         &self,
         ctx: CtxId,
@@ -876,15 +730,9 @@ impl MemoryManager {
                     size: e.size,
                     dirty: e.flags.to_swap,
                     last_touch: e.last_touch,
-                    touch_gen: e.touch_gen,
                 })
                 .collect();
-            eviction::order_entry_victims(
-                self.cfg.eviction_policy,
-                &mut cands,
-                table.generation(),
-                st.touch_seq,
-            );
+            eviction::order_entry_victims(&mut cands, st.touch_seq);
             *victims = Some(cands.into_iter().map(|c| DeviceAddr(c.vaddr)).collect());
         }
         let queue = victims.as_mut().expect("victim queue just built");
@@ -927,143 +775,6 @@ impl MemoryManager {
         Ok(false)
     }
 
-    /// What an async prefetch for `ctx` would upload: the previous launch's
-    /// working set minus `exclude` (the current launch's closure — the
-    /// admit path uploads those itself), restricted to entries that still
-    /// exist and still need device work. `bytes` is the charge the caller
-    /// accounts against the tenant's lease before executing.
-    pub fn prefetch_plan(&self, ctx: CtxId, exclude: &[DeviceAddr]) -> PrefetchPlan {
-        let st = self.state.lock();
-        let Some(table) = st.tables.get(&ctx) else {
-            return PrefetchPlan::default();
-        };
-        let mut plan = PrefetchPlan::default();
-        if let Some(last) = st.last_launch.get(&ctx) {
-            for &base in last {
-                if exclude.contains(&base) {
-                    continue;
-                }
-                let Some(entry) = table.get(base) else { continue };
-                if !entry.flags.allocated || entry.flags.to_dev {
-                    plan.bases.push(base);
-                    plan.bytes += entry.size;
-                }
-            }
-        }
-        plan
-    }
-
-    /// Executes a prefetch plan: opportunistically allocates (never
-    /// evicting — an OOM just drops the candidate), uploads on the
-    /// speculative lanes, and commits with re-validation. Entries whose
-    /// state moved on since the plan (freed, rewritten) are dropped at
-    /// commit — cancellation, counted in `prefetch_cancelled`. Returns the
-    /// committed bytes. Device errors cancel remaining ops rather than
-    /// erroring: a prefetch is speculative by definition, and the admit
-    /// path that follows will surface any real device failure.
-    pub fn prefetch(&self, ctx: CtxId, plan: &PrefetchPlan, binding: &Binding) -> u64 {
-        if plan.bases.is_empty() {
-            return 0;
-        }
-        RuntimeMetrics::bump(&self.metrics.prefetch_plans);
-        // Phase A — opportunistic allocation from free memory only.
-        for &base in &plan.bases {
-            let need = {
-                let st = self.state.lock();
-                st.tables
-                    .get(&ctx)
-                    .and_then(|t| t.get(base))
-                    .filter(|e| !e.flags.allocated)
-                    .map(|e| e.size)
-            };
-            let Some(size) = need else { continue };
-            let Ok(dptr) = binding.gpu.malloc(binding.gpu_ctx, size) else { continue };
-            let mut st = self.state.lock();
-            if let Some(entry) = st.tables.get_mut(&ctx).and_then(|t| t.get_mut(base)) {
-                entry.device_ptr = Some(dptr);
-                entry.flags.allocated = true;
-            } else {
-                let _ = binding.gpu.free(binding.gpu_ctx, dptr);
-            }
-        }
-        // Phase B — plan uploads for whatever is now resident and pending.
-        let ops: Vec<TransferOp> = {
-            let st = self.state.lock();
-            let Some(table) = st.tables.get(&ctx) else { return 0 };
-            plan.bases
-                .iter()
-                .filter_map(|&base| {
-                    let entry = table.get(base)?;
-                    (entry.flags.allocated && entry.flags.to_dev).then(|| TransferOp {
-                        base: base.0,
-                        dptr: entry.device_ptr.expect("allocated without ptr"),
-                        size: entry.size,
-                        payload: Some(entry.slab.data.clone()),
-                    })
-                })
-                .collect()
-        };
-        if ops.is_empty() {
-            return 0;
-        }
-        // Phase C — execute on the speculative lanes, leaving lane 0 clear
-        // for the admit path that follows.
-        let lanes = self.plan_lanes(binding, ops.len());
-        let planned = ops.len() as u64;
-        let (outcomes, shape) = transfer::execute_on_lanes(
-            &binding.gpu,
-            binding.gpu_ctx,
-            ops,
-            lanes,
-            SPECULATIVE_LANE_OFFSET,
-        );
-        self.note_plan(ctx, &shape);
-        // Phase D — commit with re-validation; anything else is cancelled.
-        let mut committed_bytes = 0;
-        let mut committed_ops = 0u64;
-        {
-            let mut st = self.state.lock();
-            for out in outcomes {
-                let landed = out.result.is_ok();
-                if let Some(entry) =
-                    st.tables.get_mut(&ctx).and_then(|t| t.get_mut(DeviceAddr(out.base)))
-                {
-                    if landed && entry.flags.allocated && entry.flags.to_dev {
-                        entry.flags.to_dev = false;
-                        committed_bytes += out.size;
-                        committed_ops += 1;
-                    }
-                }
-            }
-            Self::note_dev_swap(&mut st, binding.vgpu.device, committed_bytes, 0);
-        }
-        let cancelled = planned - committed_ops;
-        RuntimeMetrics::add(&self.metrics.prefetch_bytes, committed_bytes);
-        RuntimeMetrics::add(&self.metrics.prefetch_cancelled, cancelled);
-        if let Some(tracer) = &self.tracer {
-            tracer.record(TraceEvent::Prefetched {
-                ctx,
-                ops: committed_ops as u32,
-                bytes: committed_bytes,
-                cancelled: cancelled as u32,
-            });
-        }
-        committed_bytes
-    }
-
-    /// Snapshot of a context as an inter-application victim candidate, for
-    /// policy-ordered victim selection in the service layer.
-    pub fn victim_candidate(&self, ctx: CtxId) -> Option<CtxCandidate> {
-        let st = self.state.lock();
-        let table = st.tables.get(&ctx)?;
-        Some(CtxCandidate {
-            id: ctx,
-            resident: table.resident_bytes(),
-            dirty_bytes: table.dirty_bytes(),
-            last_touch: table.last_touch(),
-        })
-    }
-
     /// Rewrites a launch's virtual pointer arguments into device pointers.
     /// All referenced entries must be resident (call [`Self::materialize`]
     /// first).
@@ -1102,8 +813,8 @@ impl MemoryManager {
     /// Swaps out **all** of a context's device-resident entries
     /// (synchronizing dirty ones first) and frees their device memory.
     /// This is the `Swap` internal function of Table 1 applied to the whole
-    /// context — used for inter-application victims, voluntary unbinds and
-    /// migration.
+    /// context — used for inter-application victims, preemption and
+    /// voluntary unbinds.
     ///
     /// Dirty entries are written back as one pipelined D2H plan, then
     /// committed to swap *before* any device memory is freed, so a device
@@ -1152,10 +863,7 @@ impl MemoryManager {
         let mut sync_err: Option<CudaError> = None;
         let mut synced: HashSet<u64> = HashSet::new();
         if !sync_ops.is_empty() {
-            let lanes = self.plan_lanes(binding, sync_ops.len());
-            let (outcomes, shape) =
-                transfer::execute(&binding.gpu, binding.gpu_ctx, sync_ops, lanes);
-            self.note_plan(ctx, &shape);
+            let outcomes = self.run_plan(ctx, binding, sync_ops);
             // Phase C — commit the writebacks first: swap copies become
             // current before their device copies are released.
             let mut st = self.state.lock();
@@ -1298,9 +1006,7 @@ impl MemoryManager {
         };
         let mut first_err = None;
         if !ops.is_empty() {
-            let lanes = self.plan_lanes(binding, ops.len());
-            let (outcomes, shape) = transfer::execute(&binding.gpu, binding.gpu_ctx, ops, lanes);
-            self.note_plan(ctx, &shape);
+            let outcomes = self.run_plan(ctx, binding, ops);
             let mut st = self.state.lock();
             for out in outcomes {
                 match out.result {
@@ -1429,12 +1135,10 @@ impl MemoryManager {
         if st.next_vaddr < max_end {
             st.next_vaddr = (max_end + VALIGN - 1) & !(VALIGN - 1);
         }
-        let cap = self.cfg.materialize_cap;
         let last_touch = self.stamp(&mut st);
         let table = st.tables.get_mut(&ctx).expect("table vanished");
-        let touch_gen = table.generation();
         for e in image.entries {
-            let mut slab = SwapSlab::new(e.size, cap);
+            let mut slab = SwapSlab::new(e.size, DEFAULT_MATERIALIZE_CAP);
             slab.write(0, &e.data);
             table.insert(PageTableEntry {
                 vaddr: e.vaddr,
@@ -1451,7 +1155,6 @@ impl MemoryManager {
                 nested_members: e.nested_members,
                 nested_parent: e.nested_parent,
                 last_touch,
-                touch_gen,
             });
         }
         Ok(())
@@ -1765,7 +1468,7 @@ mod tests {
         m.copy_h2d(CTX, src, &HostBuf::from_slice(&[7u8; 128]), None).unwrap();
         let c = m.launch_closure(CTX, &[KernelArg::Ptr(src), KernelArg::Ptr(dst)]).unwrap();
         m.materialize(CTX, &c, &old).unwrap();
-        m.swap_out_ctx(CTX, &old, SwapReason::Migration).unwrap();
+        m.swap_out_ctx(CTX, &old, SwapReason::Unbind).unwrap();
         let new = binding_with(GpuSpec::test_small());
 
         let before_old = old.gpu.stats().snapshot();
@@ -1846,24 +1549,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelining_toggle_forces_serial_plans() {
-        let metrics = Arc::new(RuntimeMetrics::default());
-        let cfg = MemoryConfig { pipelined_transfers: false, ..MemoryConfig::default() };
-        let m = MemoryManager::new(cfg, Arc::clone(&metrics));
-        m.register_ctx(CTX);
-        let b = binding_with(GpuSpec::tesla_c2050());
-        let mut ptrs = Vec::new();
-        for _ in 0..4 {
-            let v = m.malloc(CTX, 1024, AllocKind::Linear).unwrap();
-            m.copy_h2d(CTX, v, &HostBuf::from_slice(&[1u8; 1024]), None).unwrap();
-            ptrs.push(KernelArg::Ptr(v));
-        }
-        let c = m.launch_closure(CTX, &ptrs).unwrap();
-        m.materialize(CTX, &c, &b).unwrap();
-        assert_eq!(metrics.snapshot().transfer_overlap_events, 0);
-    }
-
-    #[test]
     fn swap_out_skips_writeback_for_clean_entries() {
         let metrics = Arc::new(RuntimeMetrics::default());
         let m = MemoryManager::new(MemoryConfig::default(), Arc::clone(&metrics));
@@ -1923,170 +1608,47 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_restores_last_launch_working_set() {
-        let metrics = Arc::new(RuntimeMetrics::default());
-        let m = MemoryManager::new(MemoryConfig::default(), Arc::clone(&metrics));
-        m.register_ctx(CTX);
-        let b = binding_with(GpuSpec::tesla_c2050());
-        let x = m.malloc(CTX, 4096, AllocKind::Linear).unwrap();
-        let y = m.malloc(CTX, 2048, AllocKind::Linear).unwrap();
-        m.copy_h2d(CTX, x, &HostBuf::from_slice(&[7u8; 4096]), None).unwrap();
-        let c = m.launch_closure(CTX, &[KernelArg::Ptr(x), KernelArg::Ptr(y)]).unwrap();
-        m.materialize(CTX, &c, &b).unwrap();
-        // Swapped out wholesale (unbind): the next launch would fault the
-        // set back in through the admit path — unless prefetch beats it.
-        m.swap_out_ctx(CTX, &b, SwapReason::Unbind).unwrap();
-        // Prediction = last launch's argument set minus the new closure.
-        let plan = m.prefetch_plan(CTX, &[y]);
-        assert_eq!(plan.bases, vec![x]);
-        assert_eq!(plan.bytes, 4096);
-        assert_eq!(m.prefetch(CTX, &plan, &b), 4096);
-        let f = m.flags_of(CTX, x).unwrap();
-        assert!(f.allocated && !f.to_dev, "prefetched entry is device-current");
-        let snap = metrics.snapshot();
-        assert_eq!(snap.prefetch_plans, 1);
-        assert_eq!(snap.prefetch_bytes, 4096);
-        assert_eq!(snap.prefetch_cancelled, 0);
-        // The payload survived the swap → prefetch round trip.
-        let args = m.translate_args(CTX, &[KernelArg::Ptr(x)]).unwrap();
-        let KernelArg::Ptr(dptr) = args[0] else { unreachable!() };
-        assert_eq!(b.gpu.peek(dptr, 16).unwrap(), vec![7u8; 16]);
-    }
-
-    #[test]
-    fn prefetch_cancels_on_device_failure() {
-        let metrics = Arc::new(RuntimeMetrics::default());
-        let m = MemoryManager::new(MemoryConfig::default(), Arc::clone(&metrics));
-        m.register_ctx(CTX);
-        let b = binding_with(GpuSpec::tesla_c2050());
-        let x = m.malloc(CTX, 1024, AllocKind::Linear).unwrap();
-        let c = m.launch_closure(CTX, &[KernelArg::Ptr(x)]).unwrap();
-        m.materialize(CTX, &c, &b).unwrap();
-        // Re-dirty on the host so the entry has a pending upload again.
-        m.copy_h2d(CTX, x, &HostBuf::from_slice(&[9u8; 1024]), None).unwrap();
-        b.gpu.fail();
-        let plan = m.prefetch_plan(CTX, &[]);
-        assert_eq!(plan.bases, vec![x]);
-        assert_eq!(m.prefetch(CTX, &plan, &b), 0, "dead device commits nothing");
-        assert_eq!(metrics.snapshot().prefetch_cancelled, 1);
-        let f = m.flags_of(CTX, x).unwrap();
-        assert!(f.allocated && f.to_dev, "cancelled prefetch keeps the entry classifiable");
-        assert!(matches!(m.on_device_lost(CTX), Recovery::Recovered));
-    }
-
-    #[test]
-    fn materialize_split_streams_nested_members_in_wave_two() {
+    fn staleness_outweighs_size_in_intra_app_victim_choice() {
+        // `large` is touched more recently than `small`; under pressure the
+        // stale small buffer scores higher (bytes × staleness) and goes,
+        // while the recently used large one stays.
         let m = mm();
         m.register_ctx(CTX);
-        let b = binding_with(GpuSpec::tesla_c2050());
-        let parent = m.malloc(CTX, 1024, AllocKind::Linear).unwrap();
-        let member = m.malloc(CTX, 2048, AllocKind::Linear).unwrap();
-        m.register_nested(CTX, parent, vec![member]).unwrap();
-        m.copy_h2d(CTX, parent, &HostBuf::from_slice(&[1u8; 1024]), None).unwrap();
-        m.copy_h2d(CTX, member, &HostBuf::from_slice(&[2u8; 2048]), None).unwrap();
-        let closure = m.launch_closure(CTX, &[KernelArg::Ptr(parent)]).unwrap();
-        assert_eq!(closure.len(), 2, "closure extends to the nested member");
-        let first = m.arg_bases(CTX, &[KernelArg::Ptr(parent)]).unwrap();
-        assert_eq!(first, vec![parent], "first touch is the direct args only");
-        let (mat, wave) = m.materialize_split(CTX, &closure, &first, &b).unwrap();
-        assert_eq!(mat, Materialize::Ready);
-        let wave = wave.expect("member upload defers to wave 2");
-        assert_eq!(wave.op_count(), 1);
-        assert_eq!(wave.bytes(), 2048);
-        // Wave 1 committed before dispatch; the member is resident (full
-        // closure allocated) but its payload is still pending.
-        let fp = m.flags_of(CTX, parent).unwrap();
-        assert!(fp.allocated && !fp.to_dev);
-        let fm = m.flags_of(CTX, member).unwrap();
-        assert!(fm.allocated && fm.to_dev);
-        m.execute_wave(CTX, &b, wave).unwrap();
-        let fm = m.flags_of(CTX, member).unwrap();
-        assert!(fm.allocated && !fm.to_dev);
-        assert_eq!(b.gpu.stats().snapshot().h2d_bytes, 1024 + 2048);
+        let b = gpu_binding();
+        let avail = b.gpu.mem_available();
+        let large = m.malloc(CTX, avail / 5 * 2, AllocKind::Linear).unwrap();
+        let small = m.malloc(CTX, avail / 3, AllocKind::Linear).unwrap();
+        let c1 = m.launch_closure(CTX, &[KernelArg::Ptr(large), KernelArg::Ptr(small)]).unwrap();
+        m.materialize(CTX, &c1, &b).unwrap();
+        let c2 = m.launch_closure(CTX, &[KernelArg::Ptr(large)]).unwrap();
+        m.materialize(CTX, &c2, &b).unwrap();
+        let d = m.malloc(CTX, avail / 3, AllocKind::Linear).unwrap();
+        let c3 = m.launch_closure(CTX, &[KernelArg::Ptr(d)]).unwrap();
+        assert_eq!(m.materialize(CTX, &c3, &b).unwrap(), Materialize::Ready);
+        assert!(m.flags_of(CTX, large).unwrap().allocated, "the fresh large buffer stays");
+        assert!(!m.flags_of(CTX, small).unwrap().allocated, "the stale small buffer goes");
     }
 
     #[test]
-    fn wave_two_failure_leaves_every_pte_classifiable() {
+    fn clean_bytes_are_evicted_before_dirty() {
+        // Equal sizes and ages; `dirty` holds device-only kernel output, so
+        // its eviction pays a writeback: its score is halved and the clean
+        // buffer is evicted free of charge.
         let m = mm();
         m.register_ctx(CTX);
-        let b = binding_with(GpuSpec::tesla_c2050());
-        let parent = m.malloc(CTX, 1024, AllocKind::Linear).unwrap();
-        let member = m.malloc(CTX, 2048, AllocKind::Linear).unwrap();
-        m.register_nested(CTX, parent, vec![member]).unwrap();
-        m.copy_h2d(CTX, member, &HostBuf::from_slice(&[2u8; 2048]), None).unwrap();
-        let closure = m.launch_closure(CTX, &[KernelArg::Ptr(parent)]).unwrap();
-        let first = m.arg_bases(CTX, &[KernelArg::Ptr(parent)]).unwrap();
-        let (_, wave) = m.materialize_split(CTX, &closure, &first, &b).unwrap();
-        // Device dies between wave-1 commit and wave-2 execute.
-        b.gpu.fail();
-        assert!(m.execute_wave(CTX, &b, wave.unwrap()).is_err());
-        let fm = m.flags_of(CTX, member).unwrap();
-        assert!(fm.allocated && fm.to_dev, "uncommitted wave-2 op keeps to_dev");
-        // Nothing dirty was device-only, so the context survives the loss.
-        assert!(matches!(m.on_device_lost(CTX), Recovery::Recovered));
-    }
-
-    #[test]
-    fn eviction_policy_changes_intra_app_victim() {
-        // `large` is touched more recently than `small`; under pressure
-        // SeedOrder evicts the biggest candidate while LRU protects the
-        // recently-used one and evicts the stale small buffer instead.
-        for (kind, large_evicted) in
-            [(EvictionPolicyKind::SeedOrder, true), (EvictionPolicyKind::Lru, false)]
-        {
-            let cfg = MemoryConfig { eviction_policy: kind, ..MemoryConfig::default() };
-            let m = MemoryManager::new(cfg, Arc::new(RuntimeMetrics::default()));
-            m.register_ctx(CTX);
-            let b = gpu_binding();
-            let avail = b.gpu.mem_available();
-            let large = m.malloc(CTX, avail / 5 * 2, AllocKind::Linear).unwrap();
-            let small = m.malloc(CTX, avail / 3, AllocKind::Linear).unwrap();
-            let c1 =
-                m.launch_closure(CTX, &[KernelArg::Ptr(large), KernelArg::Ptr(small)]).unwrap();
-            m.materialize(CTX, &c1, &b).unwrap();
-            let c2 = m.launch_closure(CTX, &[KernelArg::Ptr(large)]).unwrap();
-            m.materialize(CTX, &c2, &b).unwrap();
-            let d = m.malloc(CTX, avail / 3, AllocKind::Linear).unwrap();
-            let c3 = m.launch_closure(CTX, &[KernelArg::Ptr(d)]).unwrap();
-            assert_eq!(m.materialize(CTX, &c3, &b).unwrap(), Materialize::Ready);
-            assert_eq!(
-                !m.flags_of(CTX, large).unwrap().allocated,
-                large_evicted,
-                "policy {kind:?} picked the wrong victim"
-            );
-            assert_eq!(!m.flags_of(CTX, small).unwrap().allocated, !large_evicted);
-        }
-    }
-
-    #[test]
-    fn cost_aware_evicts_clean_bytes_before_dirty() {
-        // Equal sizes; `dirty` holds device-only kernel output, so its
-        // eviction pays a writeback. CostAware halves its score and evicts
-        // the clean buffer free of charge; SeedOrder breaks the size tie
-        // by highest address and picks `dirty`.
-        for (kind, clean_evicted) in
-            [(EvictionPolicyKind::SeedOrder, false), (EvictionPolicyKind::CostAware, true)]
-        {
-            let cfg = MemoryConfig { eviction_policy: kind, ..MemoryConfig::default() };
-            let m = MemoryManager::new(cfg, Arc::new(RuntimeMetrics::default()));
-            m.register_ctx(CTX);
-            let b = gpu_binding();
-            let avail = b.gpu.mem_available();
-            let clean = m.malloc(CTX, avail / 5 * 2, AllocKind::Linear).unwrap();
-            let dirty = m.malloc(CTX, avail / 5 * 2, AllocKind::Linear).unwrap();
-            let c1 =
-                m.launch_closure(CTX, &[KernelArg::Ptr(clean), KernelArg::Ptr(dirty)]).unwrap();
-            m.materialize(CTX, &c1, &b).unwrap();
-            m.mark_launched(CTX, &[dirty]);
-            let d = m.malloc(CTX, avail / 5 * 2, AllocKind::Linear).unwrap();
-            let c2 = m.launch_closure(CTX, &[KernelArg::Ptr(d)]).unwrap();
-            assert_eq!(m.materialize(CTX, &c2, &b).unwrap(), Materialize::Ready);
-            assert_eq!(
-                !m.flags_of(CTX, clean).unwrap().allocated,
-                clean_evicted,
-                "policy {kind:?} picked the wrong victim"
-            );
-            assert_eq!(!m.flags_of(CTX, dirty).unwrap().allocated, !clean_evicted);
-        }
+        let b = gpu_binding();
+        let avail = b.gpu.mem_available();
+        let clean = m.malloc(CTX, avail / 5 * 2, AllocKind::Linear).unwrap();
+        let dirty = m.malloc(CTX, avail / 5 * 2, AllocKind::Linear).unwrap();
+        let c1 = m.launch_closure(CTX, &[KernelArg::Ptr(clean), KernelArg::Ptr(dirty)]).unwrap();
+        m.materialize(CTX, &c1, &b).unwrap();
+        m.mark_launched(CTX, &[dirty]);
+        let d = m.malloc(CTX, avail / 5 * 2, AllocKind::Linear).unwrap();
+        let c2 = m.launch_closure(CTX, &[KernelArg::Ptr(d)]).unwrap();
+        let d2h_before = b.gpu.stats().snapshot().d2h_bytes;
+        assert_eq!(m.materialize(CTX, &c2, &b).unwrap(), Materialize::Ready);
+        assert!(!m.flags_of(CTX, clean).unwrap().allocated, "the clean buffer goes");
+        assert!(m.flags_of(CTX, dirty).unwrap().allocated, "the dirty buffer stays");
+        assert_eq!(b.gpu.stats().snapshot().d2h_bytes, d2h_before, "no writeback was paid");
     }
 }

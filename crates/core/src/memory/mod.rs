@@ -6,10 +6,9 @@ pub mod page_table;
 pub mod swap;
 pub mod transfer;
 
-pub use eviction::{CtxCandidate, EntryCandidate, EvictionPolicyKind, TouchStamp};
+pub use eviction::{EntryCandidate, TouchStamp};
 pub use manager::{
-    Materialize, MemoryConfig, MemoryManager, MigrationEntry, PendingWave, PrefetchPlan, Recovery,
-    SwapOutcome, SwapReason,
+    Materialize, MemoryConfig, MemoryManager, MigrationEntry, Recovery, SwapOutcome, SwapReason,
 };
 pub use page_table::{Flags, PageTable, PageTableEntry, SwapSlab};
 pub use swap::SwapArea;

@@ -143,11 +143,8 @@ pub struct PageTableEntry {
     /// Virtual address of the nesting parent, if this entry is a member.
     pub nested_parent: Option<DeviceAddr>,
     /// Most recent deterministic touch (virtual clock + manager sequence);
-    /// the recency signal the eviction policies order by.
+    /// the staleness signal the intra-application victim order reads.
     pub last_touch: TouchStamp,
-    /// The owning table's launch generation when this entry last belonged
-    /// to a materialized working set.
-    pub touch_gen: u64,
 }
 
 impl PageTableEntry {
@@ -165,9 +162,6 @@ impl PageTableEntry {
 #[derive(Debug, Default)]
 pub struct PageTable {
     entries: BTreeMap<u64, PageTableEntry>,
-    /// Launch generation: bumped once per materialized working set. The
-    /// `WorkingSet` eviction policy compares entry `touch_gen`s against it.
-    generation: u64,
 }
 
 impl PageTable {
@@ -232,29 +226,6 @@ impl PageTable {
     pub fn resident_bytes(&self) -> u64 {
         self.entries.values().filter(|e| e.is_allocated()).map(|e| e.size).sum()
     }
-
-    /// Sum of resident sizes whose device copy is dirty (`to_swap`) — the
-    /// writeback bill an eviction of this whole table would pay.
-    pub fn dirty_bytes(&self) -> u64 {
-        self.entries.values().filter(|e| e.is_allocated() && e.flags.to_swap).map(|e| e.size).sum()
-    }
-
-    /// Most recent touch across all entries (swapped-out entries included:
-    /// recency describes the application, not residency).
-    pub fn last_touch(&self) -> TouchStamp {
-        self.entries.values().map(|e| e.last_touch).max().unwrap_or_default()
-    }
-
-    /// Current launch generation.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Starts a new launch generation and returns it.
-    pub fn advance_generation(&mut self) -> u64 {
-        self.generation += 1;
-        self.generation
-    }
 }
 
 #[cfg(test)]
@@ -272,7 +243,6 @@ mod tests {
             nested_members: Vec::new(),
             nested_parent: None,
             last_touch: TouchStamp::default(),
-            touch_gen: 0,
         }
     }
 

@@ -92,22 +92,6 @@ pub fn execute(
     ops: Vec<TransferOp>,
     lanes: usize,
 ) -> (Vec<TransferOutcome>, PlanShape) {
-    execute_on_lanes(gpu, gpu_ctx, ops, lanes, 0)
-}
-
-/// [`execute`] with a lane offset: op `i` is pinned to lane
-/// `lane_offset + (i % lanes)`. Speculative work (prefetch, the second wave
-/// of a double-buffered launch) runs at offset 1 so the admit path keeps
-/// lane 0 to itself; the engine bank wraps lane indices modulo its engine
-/// count, so the offset is safe on single-engine devices (where it simply
-/// lands back on the only engine).
-pub fn execute_on_lanes(
-    gpu: &Gpu,
-    gpu_ctx: GpuContextId,
-    ops: Vec<TransferOp>,
-    lanes: usize,
-    lane_offset: usize,
-) -> (Vec<TransferOutcome>, PlanShape) {
     let lanes = lanes.max(1).min(ops.len().max(1));
     let shape = PlanShape {
         ops: ops.len() as u32,
@@ -119,7 +103,7 @@ pub fn execute_on_lanes(
         return (Vec::new(), shape);
     }
     if lanes == 1 {
-        let outcomes = ops.iter().map(|op| run_op(gpu, gpu_ctx, op, lane_offset)).collect();
+        let outcomes = ops.iter().map(|op| run_op(gpu, gpu_ctx, op, 0)).collect();
         return (outcomes, shape);
     }
     let mut outcomes: Vec<Option<TransferOutcome>> = Vec::new();
@@ -136,16 +120,16 @@ pub fn execute_on_lanes(
     drop(slot_iter);
     std::thread::scope(|scope| {
         let mut lane_work = per_lane.into_iter().enumerate();
-        let (lane0_idx, lane0) = lane_work.next().expect("lanes >= 1");
+        let (_, lane0) = lane_work.next().expect("lanes >= 1");
         for (lane_idx, work) in lane_work {
             scope.spawn(move || {
                 for (op, slot) in work {
-                    *slot = Some(run_op(gpu, gpu_ctx, op, lane_offset + lane_idx));
+                    *slot = Some(run_op(gpu, gpu_ctx, op, lane_idx));
                 }
             });
         }
         for (op, slot) in lane0 {
-            *slot = Some(run_op(gpu, gpu_ctx, op, lane_offset + lane0_idx));
+            *slot = Some(run_op(gpu, gpu_ctx, op, 0));
         }
     });
     let outcomes = outcomes.into_iter().map(|o| o.expect("every op executed")).collect();
@@ -246,30 +230,6 @@ mod tests {
         let (outs, _) = execute(&gpu, ctx, ops, 2);
         assert_eq!(outs.len(), 4);
         assert!(outs.iter().all(|o| o.result.is_err()));
-    }
-
-    #[test]
-    fn lane_offset_shifts_engine_placement() {
-        // With offset 1 on a two-engine device, a single-lane plan lands on
-        // engine 1 instead of engine 0 — the admit path's lane stays idle.
-        let gpu = gpu_with(GpuSpec::tesla_c2050(), 1e-7);
-        let ctx = gpu.create_context().unwrap();
-        let ops = upload_plan(&gpu, ctx, 3, 4096);
-        let (outs, shape) = execute_on_lanes(&gpu, ctx, ops, 1, 1);
-        assert!(outs.iter().all(|o| o.result.is_ok()));
-        assert!(!shape.overlapped);
-        let busy = gpu.engine_busy_times();
-        assert_eq!(busy[0], mtgpu_simtime::SimDuration::ZERO, "lane 0 must stay idle");
-        assert!(busy[1] > mtgpu_simtime::SimDuration::ZERO, "offset lane carries the plan");
-    }
-
-    #[test]
-    fn lane_offset_wraps_on_single_engine_devices() {
-        let gpu = gpu_with(GpuSpec::tesla_c1060(), 1e-7);
-        let ctx = gpu.create_context().unwrap();
-        let ops = upload_plan(&gpu, ctx, 2, 1024);
-        let (outs, _) = execute_on_lanes(&gpu, ctx, ops, 2, 1);
-        assert!(outs.iter().all(|o| o.result.is_ok()));
     }
 
     #[test]

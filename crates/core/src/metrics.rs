@@ -5,106 +5,6 @@ use mtgpu_gpusim::DeviceId;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Lock-free counters owned by the node runtime.
-#[derive(Debug, Default)]
-pub struct RuntimeMetrics {
-    /// Intra-application swap-outs (per PTE evicted), §4.5.
-    pub intra_app_swaps: AtomicU64,
-    /// Inter-application swap-outs (per victim context), §4.5.
-    pub inter_app_swaps: AtomicU64,
-    /// Bytes moved device→swap by swap operations.
-    pub swap_bytes: AtomicU64,
-    /// Bytes freed by `swap_out_ctx` without a writeback because the entry
-    /// was clean (swap slab already current) — bandwidth the deferral
-    /// machinery saved.
-    pub swap_bytes_skipped_clean: AtomicU64,
-    /// Transfer plans (materialize/swap/checkpoint batches) executed.
-    pub transfer_plans: AtomicU64,
-    /// Plans that put more than one transfer in flight at once (≥2 ops on
-    /// ≥2 copy-engine lanes).
-    pub transfer_overlap_events: AtomicU64,
-    /// `copy_d2d` calls served device-side (one bus copy) instead of the
-    /// host D2H+H2D double hop.
-    pub d2d_device_copies: AtomicU64,
-    /// Contexts migrated between devices (dynamic binding), §5.3.4.
-    pub migrations: AtomicU64,
-    /// Live migrations (`migrate_ctx`): quiesce → transfer → rebind →
-    /// resume without routing the working set through the swap tier.
-    pub live_migrations: AtomicU64,
-    /// Bytes moved device-to-device by live migrations (peer DMA lanes).
-    pub migration_p2p_bytes: AtomicU64,
-    /// Live migrations aborted and rolled back (destination full, device
-    /// death mid-transfer); the context stayed fully on its source.
-    pub migration_failures: AtomicU64,
-    /// Migrations initiated by the utilization rebalancer (subset of
-    /// `live_migrations`).
-    pub rebalance_migrations: AtomicU64,
-    /// Connections relayed to another node, §4.7.
-    pub offloaded_connections: AtomicU64,
-    /// Context-to-vGPU bindings granted.
-    pub bindings: AtomicU64,
-    /// Unbinds of any kind (victim, voluntary, failure).
-    pub unbindings: AtomicU64,
-    /// Kernel launches serviced.
-    pub launches: AtomicU64,
-    /// Launches that had to unbind-and-retry for lack of memory.
-    pub launch_retries: AtomicU64,
-    /// Host→device bulk uploads performed at launch time.
-    pub bulk_uploads: AtomicU64,
-    /// Application copy calls absorbed into an already-dirty swap slab
-    /// (the "single, bulk memory transfer" optimization, §4.5).
-    pub coalesced_copies: AtomicU64,
-    /// Bad memory operations rejected before reaching the GPU (§4.5).
-    pub bad_ops_rejected: AtomicU64,
-    /// Checkpoints taken (explicit + automatic).
-    pub checkpoints: AtomicU64,
-    /// Contexts recovered after a device failure/removal.
-    pub recovered_contexts: AtomicU64,
-    /// Contexts lost to a device failure (dirty data without checkpoint).
-    pub failed_contexts: AtomicU64,
-    /// Grants delivered by waking exactly the granted waiter (sharded
-    /// dispatcher; the seed code woke every parked waiter per release).
-    pub targeted_wakeups: AtomicU64,
-    /// Parked waiters asked to re-run placement (device removed, or a slot
-    /// freed on another device).
-    pub waiter_reroutes: AtomicU64,
-    /// Contended ranked-lock acquisitions observed by the monitor (debug
-    /// builds only; release builds compile the probe out, and sequential
-    /// deterministic drivers never contend, so this stays 0 under replay).
-    pub lock_contention_events: AtomicU64,
-    /// Requests served through the multiplexed gateway (DESIGN.md §12).
-    pub mux_requests: AtomicU64,
-    /// Multiplexed launches requeued because binding acquisition exceeded
-    /// the worker's bounded slice (the would-block path).
-    pub mux_retries: AtomicU64,
-    /// Channels (contexts) opened over multiplexed connections.
-    pub mux_channels: AtomicU64,
-    /// Allocations/context creations refused by the admission controller
-    /// (tenant over its lease's `mem_mb`/`max_contexts`, or the node over
-    /// its global admission cap).
-    pub quota_rejections: AtomicU64,
-    /// Tenant leases that reached their TTL on the virtual clock.
-    pub lease_expiries: AtomicU64,
-    /// Contexts reaped (failed + evicted + freed) because their tenant's
-    /// lease expired.
-    pub lease_reaps: AtomicU64,
-    /// Lower-priority victim contexts evicted by priority preemption.
-    pub priority_preemptions: AtomicU64,
-    /// Requests rejected by Guardian-style descriptor validation before
-    /// reaching scheduling or dispatch.
-    pub descriptor_rejections: AtomicU64,
-    /// Prefetch plans issued ahead of a launch (non-empty predicted sets).
-    pub prefetch_plans: AtomicU64,
-    /// Bytes committed to the device by async prefetch.
-    pub prefetch_bytes: AtomicU64,
-    /// Prefetch candidates planned but cancelled before commit (allocation
-    /// lost to eviction mid-flight, device error, or stale flags).
-    pub prefetch_cancelled: AtomicU64,
-    /// Launches whose materialization split into two waves, dispatching the
-    /// kernel after wave 1 while wave 2 streamed on the speculative lane.
-    pub double_buffer_launches: AtomicU64,
-}
-
 /// One device's utilization sample, taken when a [`MetricsSnapshot`] is
 /// assembled: the pressure signals the rebalancer scores placements with
 /// (DESIGN.md §15), surfaced so operators can see them too.
@@ -113,8 +13,8 @@ pub struct DeviceUtilization {
     pub device: DeviceId,
     /// Bytes currently device-resident across every context bound here.
     pub resident_bytes: u64,
-    /// Cumulative bytes swapped *in* to this device (uploads via
-    /// materialize/prefetch commits).
+    /// Cumulative bytes swapped *in* to this device (uploads committed by
+    /// materialize).
     pub swap_in_bytes: u64,
     /// Cumulative bytes swapped *out* of this device (writebacks).
     pub swap_out_bytes: u64,
@@ -124,54 +24,130 @@ pub struct DeviceUtilization {
     pub queue_depth: u64,
 }
 
-/// Serializable snapshot of [`RuntimeMetrics`].
-///
-/// `per_device` is populated by [`crate::NodeRuntime::metrics`] (the raw
-/// counter struct has no device axis); snapshots taken straight off
-/// [`RuntimeMetrics::snapshot`] leave it empty.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
-    pub intra_app_swaps: u64,
-    pub inter_app_swaps: u64,
-    pub swap_bytes: u64,
-    pub swap_bytes_skipped_clean: u64,
-    pub transfer_plans: u64,
-    pub transfer_overlap_events: u64,
-    pub d2d_device_copies: u64,
-    pub migrations: u64,
-    pub live_migrations: u64,
-    pub migration_p2p_bytes: u64,
-    pub migration_failures: u64,
-    pub rebalance_migrations: u64,
-    pub offloaded_connections: u64,
-    pub bindings: u64,
-    pub unbindings: u64,
-    pub launches: u64,
-    pub launch_retries: u64,
-    pub bulk_uploads: u64,
-    pub coalesced_copies: u64,
-    pub bad_ops_rejected: u64,
-    pub checkpoints: u64,
-    pub recovered_contexts: u64,
-    pub failed_contexts: u64,
-    pub targeted_wakeups: u64,
-    pub waiter_reroutes: u64,
-    pub lock_contention_events: u64,
-    pub mux_requests: u64,
-    pub mux_retries: u64,
-    pub mux_channels: u64,
-    pub quota_rejections: u64,
-    pub lease_expiries: u64,
-    pub lease_reaps: u64,
-    pub priority_preemptions: u64,
-    pub descriptor_rejections: u64,
-    pub prefetch_plans: u64,
-    pub prefetch_bytes: u64,
-    pub prefetch_cancelled: u64,
-    pub double_buffer_launches: u64,
-    /// Per-device utilization samples, in device-id order (empty unless
-    /// assembled by the node runtime).
-    pub per_device: Vec<DeviceUtilization>,
+/// Declares every counter once: generates [`RuntimeMetrics`] (one
+/// `AtomicU64` per counter), [`MetricsSnapshot`] (one `u64` per counter, in
+/// declaration order and under the same serialized name, then `per_device`)
+/// and [`RuntimeMetrics::snapshot`].
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Lock-free counters owned by the node runtime.
+        #[derive(Debug, Default)]
+        pub struct RuntimeMetrics {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+        }
+
+        /// Serializable snapshot of [`RuntimeMetrics`].
+        ///
+        /// `per_device` is populated by [`crate::NodeRuntime::metrics`] (the
+        /// raw counter struct has no device axis); snapshots taken straight
+        /// off [`RuntimeMetrics::snapshot`] leave it empty.
+        #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+        pub struct MetricsSnapshot {
+            $(pub $name: u64,)*
+            /// Per-device utilization samples, in device-id order (empty
+            /// unless assembled by the node runtime).
+            pub per_device: Vec<DeviceUtilization>,
+        }
+
+        impl RuntimeMetrics {
+            /// Takes a snapshot.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                    per_device: Vec::new(),
+                }
+            }
+        }
+    };
+}
+
+counters! {
+    /// Intra-application swap-outs (per PTE evicted), §4.5.
+    intra_app_swaps,
+    /// Inter-application swap-outs (per victim context), §4.5.
+    inter_app_swaps,
+    /// Bytes moved device→swap by swap operations.
+    swap_bytes,
+    /// Bytes freed by `swap_out_ctx` without a writeback because the entry
+    /// was clean (swap slab already current) — bandwidth the deferral
+    /// machinery saved.
+    swap_bytes_skipped_clean,
+    /// Transfer plans (materialize/swap/checkpoint batches) executed.
+    transfer_plans,
+    /// Plans that put more than one transfer in flight at once (≥2 ops on
+    /// ≥2 copy-engine lanes).
+    transfer_overlap_events,
+    /// `copy_d2d` calls served device-side (one bus copy) instead of the
+    /// host D2H+H2D double hop.
+    d2d_device_copies,
+    /// Contexts migrated between devices (dynamic binding), §5.3.4: the
+    /// per-bar annotation of Fig. 9. Every migration is a live one.
+    migrations,
+    /// Live migrations (`migrate_ctx`): quiesce → transfer → rebind →
+    /// resume without routing the working set through the swap tier.
+    live_migrations,
+    /// Bytes moved device-to-device by live migrations (peer DMA lanes).
+    migration_p2p_bytes,
+    /// Live migrations aborted and rolled back (destination full, device
+    /// death mid-transfer); the context stayed fully on its source.
+    migration_failures,
+    /// Migrations initiated by the monitor's load-balancing pass (subset
+    /// of `live_migrations`; the rest were asked for through `migrate_ctx`).
+    rebalance_migrations,
+    /// Connections relayed to another node, §4.7.
+    offloaded_connections,
+    /// Context-to-vGPU bindings granted.
+    bindings,
+    /// Unbinds of any kind (victim, voluntary, failure).
+    unbindings,
+    /// Kernel launches serviced.
+    launches,
+    /// Launches that had to unbind-and-retry for lack of memory.
+    launch_retries,
+    /// Host→device bulk uploads performed at launch time.
+    bulk_uploads,
+    /// Application copy calls absorbed into an already-dirty swap slab
+    /// (the "single, bulk memory transfer" optimization, §4.5).
+    coalesced_copies,
+    /// Bad memory operations rejected before reaching the GPU (§4.5).
+    bad_ops_rejected,
+    /// Checkpoints taken (explicit + automatic).
+    checkpoints,
+    /// Contexts recovered after a device failure/removal.
+    recovered_contexts,
+    /// Contexts lost to a device failure (dirty data without checkpoint).
+    failed_contexts,
+    /// Grants delivered by waking exactly the granted waiter (sharded
+    /// dispatcher; the seed code woke every parked waiter per release).
+    targeted_wakeups,
+    /// Parked waiters asked to re-run placement (device removed, or a slot
+    /// freed on another device).
+    waiter_reroutes,
+    /// Contended ranked-lock acquisitions observed by the monitor (debug
+    /// builds only; release builds compile the probe out, and sequential
+    /// deterministic drivers never contend, so this stays 0 under replay).
+    lock_contention_events,
+    /// Requests served through the multiplexed gateway (DESIGN.md §12).
+    mux_requests,
+    /// Multiplexed launches requeued because binding acquisition exceeded
+    /// the worker's bounded slice (the would-block path).
+    mux_retries,
+    /// Channels (contexts) opened over multiplexed connections.
+    mux_channels,
+    /// Allocations/context creations refused by the admission controller
+    /// (tenant over its lease's `mem_mb`/`max_contexts`, or the node over
+    /// its global admission cap).
+    quota_rejections,
+    /// Tenant leases that reached their TTL on the virtual clock.
+    lease_expiries,
+    /// Contexts reaped (failed + evicted + freed) because their tenant's
+    /// lease expired.
+    lease_reaps,
+    /// Lower-priority victim contexts evicted by priority preemption.
+    priority_preemptions,
+    /// Requests rejected by Guardian-style descriptor validation before
+    /// reaching scheduling or dispatch.
+    descriptor_rejections,
 }
 
 impl MetricsSnapshot {
@@ -193,51 +169,6 @@ impl RuntimeMetrics {
     pub fn add(counter: &AtomicU64, v: u64) {
         counter.fetch_add(v, Ordering::Relaxed);
     }
-
-    /// Takes a snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            intra_app_swaps: self.intra_app_swaps.load(Ordering::Relaxed),
-            inter_app_swaps: self.inter_app_swaps.load(Ordering::Relaxed),
-            swap_bytes: self.swap_bytes.load(Ordering::Relaxed),
-            swap_bytes_skipped_clean: self.swap_bytes_skipped_clean.load(Ordering::Relaxed),
-            transfer_plans: self.transfer_plans.load(Ordering::Relaxed),
-            transfer_overlap_events: self.transfer_overlap_events.load(Ordering::Relaxed),
-            d2d_device_copies: self.d2d_device_copies.load(Ordering::Relaxed),
-            migrations: self.migrations.load(Ordering::Relaxed),
-            live_migrations: self.live_migrations.load(Ordering::Relaxed),
-            migration_p2p_bytes: self.migration_p2p_bytes.load(Ordering::Relaxed),
-            migration_failures: self.migration_failures.load(Ordering::Relaxed),
-            rebalance_migrations: self.rebalance_migrations.load(Ordering::Relaxed),
-            offloaded_connections: self.offloaded_connections.load(Ordering::Relaxed),
-            bindings: self.bindings.load(Ordering::Relaxed),
-            unbindings: self.unbindings.load(Ordering::Relaxed),
-            launches: self.launches.load(Ordering::Relaxed),
-            launch_retries: self.launch_retries.load(Ordering::Relaxed),
-            bulk_uploads: self.bulk_uploads.load(Ordering::Relaxed),
-            coalesced_copies: self.coalesced_copies.load(Ordering::Relaxed),
-            bad_ops_rejected: self.bad_ops_rejected.load(Ordering::Relaxed),
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            recovered_contexts: self.recovered_contexts.load(Ordering::Relaxed),
-            failed_contexts: self.failed_contexts.load(Ordering::Relaxed),
-            targeted_wakeups: self.targeted_wakeups.load(Ordering::Relaxed),
-            waiter_reroutes: self.waiter_reroutes.load(Ordering::Relaxed),
-            lock_contention_events: self.lock_contention_events.load(Ordering::Relaxed),
-            mux_requests: self.mux_requests.load(Ordering::Relaxed),
-            mux_retries: self.mux_retries.load(Ordering::Relaxed),
-            mux_channels: self.mux_channels.load(Ordering::Relaxed),
-            quota_rejections: self.quota_rejections.load(Ordering::Relaxed),
-            lease_expiries: self.lease_expiries.load(Ordering::Relaxed),
-            lease_reaps: self.lease_reaps.load(Ordering::Relaxed),
-            priority_preemptions: self.priority_preemptions.load(Ordering::Relaxed),
-            descriptor_rejections: self.descriptor_rejections.load(Ordering::Relaxed),
-            prefetch_plans: self.prefetch_plans.load(Ordering::Relaxed),
-            prefetch_bytes: self.prefetch_bytes.load(Ordering::Relaxed),
-            prefetch_cancelled: self.prefetch_cancelled.load(Ordering::Relaxed),
-            double_buffer_launches: self.double_buffer_launches.load(Ordering::Relaxed),
-            per_device: Vec::new(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -254,5 +185,12 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.total_swaps(), 3);
         assert_eq!(s.swap_bytes, 1024);
+    }
+
+    #[test]
+    fn snapshot_serializes_counters_in_declaration_order_then_per_device() {
+        let json = serde_json::to_string(&RuntimeMetrics::default().snapshot()).unwrap();
+        assert!(json.starts_with(r#"{"intra_app_swaps":0,"inter_app_swaps":0,"swap_bytes":0,"#));
+        assert!(json.ends_with(r#""descriptor_rejections":0,"per_device":[]}"#), "{json}");
     }
 }

@@ -148,11 +148,7 @@ impl NodeRuntime {
         // back and the context never left its source.
         probe(MigrationPhase::Transfer);
         let plan = self.memory().migration_plan(ctx_id);
-        let lanes = if self.config().pipelined_transfers {
-            (old.gpu.spec().copy_engines as usize).max(1)
-        } else {
-            1
-        };
+        let lanes = (old.gpu.spec().copy_engines as usize).max(1);
         let mut moves: Vec<(DeviceAddr, DeviceAddr)> = Vec::new();
         let mut dropped: Vec<DeviceAddr> = Vec::new();
         let mut p2p_bytes = 0u64;

@@ -7,9 +7,10 @@
 //!    whose device-resident data had a consistent swap copy rebind
 //!    transparently on their next launch; contexts with unrecoverable dirty
 //!    data are marked failed (§4.6).
-//! 2. **Dynamic load balancing** — when a *faster* device has idle vGPUs
-//!    and nothing is waiting, migrates an idle context from a slower device
-//!    ("the dispatcher keeps track of fast GPUs becoming idle, and, in the
+//! 2. **Dynamic load balancing** — when nothing is waiting, live-migrates
+//!    an idle context off the device under the most pressure (a slower
+//!    device is under more at equal load) to one with a free vGPU ("the
+//!    dispatcher keeps track of fast GPUs becoming idle, and, in the
 //!    absence of pending jobs, migrates running jobs from slow to fast
 //!    GPUs", §5.3.4).
 //! 3. **Lease reaping** — when the tenant-policy layer is active, tenants
@@ -21,37 +22,28 @@
 //! [`Clock`]: mtgpu_simtime::Clock
 
 use crate::ctx::CtxId;
-use crate::memory::SwapReason;
 use crate::metrics::RuntimeMetrics;
 use crate::runtime::NodeRuntime;
 use crate::sched::DeviceView;
 use crate::trace::{TraceEvent, UnbindReason};
 use mtgpu_api::CudaError;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Duration;
 
-/// Minimum speed advantage (effective FLOPS ratio) for a migration to be
-/// worth its data-transfer cost.
-const MIGRATION_SPEEDUP: f64 = 1.25;
-
-/// Minimum pressure ratio (hottest / coolest device) before the
-/// utilization rebalancer moves a context: below this the placement is
-/// close enough that a migration would thrash.
+/// Minimum pressure ratio (hottest device / destination as it would look
+/// after the move) before the rebalancer moves a context: below this the
+/// placement is close enough that a migration would thrash.
 const REBALANCE_MARGIN: f64 = 1.25;
+
+/// How often the background monitor scans, real time.
+const MONITOR_INTERVAL: Duration = Duration::from_millis(5);
 
 /// Monitor entry point; returns when the runtime shuts down.
 pub(crate) fn run(rt: Arc<NodeRuntime>) {
     while !rt.is_shutdown() {
-        reap_expired_leases(&rt);
-        recover_failed_devices(&rt);
-        if rt.config().utilization_rebalancer {
-            rebalance_once(&rt);
-        } else if rt.config().dynamic_load_balancing {
-            balance_once(&rt);
-        }
-        rt.observe_lock_contention();
+        rt.monitor_tick();
         // mtlint: allow(thread-sleep, reason = "monitor cadence is a real-time polling interval of a background OS thread; deterministic harnesses disable the thread and call monitor_tick instead")
-        std::thread::sleep(rt.config().monitor_interval);
+        std::thread::sleep(MONITOR_INTERVAL);
     }
 }
 
@@ -145,43 +137,11 @@ fn recover_context(rt: &NodeRuntime, ctx_id: CtxId) {
     }
 }
 
-/// One load-balancing pass: at most one migration per tick (avoids
-/// thrashing).
-pub(crate) fn balance_once(rt: &NodeRuntime) {
-    let views = rt.bindings().device_views();
-    if views.len() < 2 {
-        return;
-    }
-    // §5.3.4: migrate only in the absence of pending jobs — waiting
-    // contexts will soak up the free fast vGPUs by themselves.
-    if rt.bindings().waiting_count() > 0 {
-        return;
-    }
-    let Some(fast) = views
-        .iter()
-        .filter(|v| v.free_vgpus > 0 && !v.gpu.is_failed())
-        .max_by(|a, b| a.effective_flops.total_cmp(&b.effective_flops))
-    else {
-        return;
-    };
-    let Some(slow) = views
-        .iter()
-        .filter(|v| !v.bound.is_empty() && v.id != fast.id && !v.gpu.is_failed())
-        .min_by(|a, b| a.effective_flops.total_cmp(&b.effective_flops))
-    else {
-        return;
-    };
-    if fast.effective_flops < slow.effective_flops * MIGRATION_SPEEDUP {
-        return;
-    }
-    migrate_one(rt, slow, fast);
-}
-
-/// The utilization rebalancer (DESIGN.md §15): samples per-device pressure
+/// One load-balancing pass (DESIGN.md §15): samples per-device pressure
 /// signals, scores every device deterministically off the virtual clock,
 /// and live-migrates ([`NodeRuntime::migrate_ctx`]) the costliest-misplaced
 /// context from the hottest device to the coolest — at most one migration
-/// per pass, like [`balance_once`].
+/// per pass (avoids thrashing).
 ///
 /// Pressure combines resident-memory fraction, vGPU occupancy, compute
 /// queue depth and the device's swap-traffic rate (bytes per virtual
@@ -248,14 +208,18 @@ pub(crate) fn rebalance_once(rt: &NodeRuntime) {
                 continue;
             }
             let to = healthy[t].id;
-            rt.tracer().record(TraceEvent::RebalancePicked {
-                ctx: ctx_id,
-                from,
-                to,
-                score: ((scores[hot] - projected) * 1000.0) as i64,
-            });
+            // Traced only for the move that happened: a pass whose
+            // candidates are all mid-call (`Busy`) would otherwise write
+            // candidates × targets records every few milliseconds and push
+            // everything else out of the ring.
             if rt.migrate_ctx(ctx_id, to).is_ok() {
                 RuntimeMetrics::bump(&rt.metrics_ref().rebalance_migrations);
+                rt.tracer().record(TraceEvent::RebalancePicked {
+                    ctx: ctx_id,
+                    from,
+                    to,
+                    score: ((scores[hot] - projected) * 1000.0) as i64,
+                });
                 return;
             }
         }
@@ -294,62 +258,49 @@ fn pressure_score_with(
     (mem_frac + occupancy + queue + swap_frac) / speed
 }
 
-/// Migrates one idle context from `slow` to `fast`. Returns `true` on
-/// success.
-fn migrate_one(rt: &NodeRuntime, slow: &DeviceView, fast: &DeviceView) -> bool {
-    for ctx_id in &slow.bound {
-        let Some(ctx) = rt.context(*ctx_id) else { continue };
-        if !ctx.is_eligible() {
-            continue;
-        }
-        // §4.8: threads of a CUDA 4.0 application stay together; migrating
-        // one alone would split the application across devices.
-        if ctx.inner().app_id.is_some() {
-            continue;
-        }
-        // Only an idle context (CPU phase, no call in flight) can move.
-        let Some(_guard) = ctx.try_service_lock() else { continue };
-        let Some(old) = ctx.binding() else { continue };
-        if old.vgpu.device != slow.id {
-            continue;
-        }
-        // Reserve the fast slot first so we never strand the context.
-        let Some(new) = rt.bindings().try_acquire_on(*ctx_id, fast.id) else { return false };
-        match rt.memory().swap_out_ctx(*ctx_id, &old, SwapReason::Migration) {
-            Ok(out) => {
-                rt.bindings().release(*ctx_id, old.vgpu);
-                rt.tracer().record(TraceEvent::SwappedOut {
-                    ctx: *ctx_id,
-                    bytes: out.freed,
-                    reason: SwapReason::Migration.into(),
-                });
-                rt.tracer().record(TraceEvent::Unbound {
-                    ctx: *ctx_id,
-                    vgpu: old.vgpu,
-                    reason: UnbindReason::Migration,
-                });
-                rt.tracer().record(TraceEvent::Migrated {
-                    ctx: *ctx_id,
-                    from: slow.id,
-                    to: fast.id,
-                });
-                let new_vgpu = new.vgpu;
-                ctx.inner().binding = Some(new);
-                ctx.stats.times_migrated.fetch_add(1, Ordering::Relaxed);
-                RuntimeMetrics::bump(&rt.metrics_ref().migrations);
-                rt.tracer().record(TraceEvent::Bound { ctx: *ctx_id, vgpu: new_vgpu });
-                // Data re-materializes on the fast device at the next
-                // launch (lazy restore, §4.6: "replay only memory
-                // operations required by not-yet-executed kernel calls").
-                return true;
-            }
-            Err(_) => {
-                // Old device died mid-swap: give the slot back and let the
-                // fault path clean up.
-                rt.bindings().release(*ctx_id, new.vgpu);
-                return false;
-            }
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::RuntimeConfig;
+    use mtgpu_api::client::CudaClient;
+    use mtgpu_gpusim::{Driver, GpuSpec, KernelDesc, LaunchConfig, LaunchSpec, Work};
+    use mtgpu_simtime::Clock;
+
+    #[test]
+    fn a_pass_whose_candidates_are_all_busy_leaves_the_trace_as_it_was() {
+        // One job bound on the slow device, a fast one attached afterwards:
+        // the placement the balancer exists to fix.
+        let driver = Driver::with_devices(Clock::with_scale(1e-7), vec![GpuSpec::quadro_2000()]);
+        let cfg = RuntimeConfig::default().with_vgpus(1).with_background_monitor(false);
+        let rt = NodeRuntime::start(driver, cfg);
+        let mut c = rt.local_client();
+        let module = c.register_fat_binary().unwrap();
+        c.register_function(module, KernelDesc::plain("noop")).unwrap();
+        c.launch(LaunchSpec {
+            kernel: "noop".into(),
+            config: LaunchConfig::default(),
+            args: Vec::new(),
+            work: Work::flops(1.0),
+        })
+        .unwrap();
+        rt.attach_device(GpuSpec::tesla_c2050());
+        let ctx = rt.context(CtxId(1)).expect("the one context");
+
+        // Mid-call, as far as the migrator can tell.
+        let busy = ctx.service_lock();
+        let before = rt.trace();
+        rebalance_once(&rt);
+        assert_eq!(rt.trace(), before, "a pass that moved nothing wrote to the trace");
+        assert_eq!(rt.metrics().rebalance_migrations, 0);
+        drop(busy);
+
+        rebalance_once(&rt);
+        let picked = |r: &crate::trace::TraceRecord| {
+            matches!(r.event, TraceEvent::RebalancePicked { ctx: CtxId(1), .. })
+        };
+        assert_eq!(rt.trace().iter().filter(|r| picked(r)).count(), 1);
+        assert_eq!(rt.metrics().rebalance_migrations, 1);
+        c.exit().unwrap();
+        rt.shutdown();
     }
-    false
 }

@@ -107,11 +107,8 @@ impl NodeRuntime {
             MemoryConfig {
                 defer_transfers: cfg.defer_transfers,
                 coalesce_transfers: cfg.coalesce_transfers,
-                pipelined_transfers: cfg.pipelined_transfers,
                 max_ptes_per_context: cfg.max_ptes_per_context,
                 swap_capacity: cfg.swap_capacity,
-                eviction_policy: cfg.eviction_policy,
-                ..MemoryConfig::default()
             },
             Arc::clone(&metrics),
         )
@@ -163,17 +160,16 @@ impl NodeRuntime {
         rt
     }
 
-    /// Runs one monitor pass synchronously: fault recovery, then (if
-    /// enabled) a load-balancing step. Deterministic harnesses configure
-    /// `background_monitor = false` and call this at chosen points so
+    /// Runs one monitor pass synchronously: lease reaping, fault recovery,
+    /// then (if enabled) a load-balancing step. The background monitor
+    /// thread calls this on its cadence; deterministic harnesses configure
+    /// `background_monitor = false` and call it at chosen points so
     /// recovery and migration land at reproducible schedule positions.
     pub fn monitor_tick(&self) {
         monitor::reap_expired_leases(self);
         monitor::recover_failed_devices(self);
-        if self.cfg.utilization_rebalancer {
+        if self.cfg.dynamic_load_balancing {
             monitor::rebalance_once(self);
-        } else if self.cfg.dynamic_load_balancing {
-            monitor::balance_once(self);
         }
         self.observe_lock_contention();
     }
@@ -183,7 +179,7 @@ impl NodeRuntime {
     /// ever advance in debug builds (release compiles the probe out) and
     /// only under concurrent load, so sequential deterministic harnesses
     /// observe zero and replay fingerprints are unaffected.
-    pub(crate) fn observe_lock_contention(&self) {
+    fn observe_lock_contention(&self) {
         let mut sources = vec![("MM_STATE", self.mm.take_lock_contention())];
         sources.extend(self.bm.take_lock_contention());
         for (name, count) in sources {

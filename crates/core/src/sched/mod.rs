@@ -57,8 +57,7 @@
 //! placement decision observes quiescent hint counters and the grant
 //! sequence is a pure function of the seed and arrival order: shards live
 //! in a `BTreeMap` and are always drained/nudged in ascending device-id
-//! order, and tie-breaks draw from the same seeded [`DetRng`] stream (or
-//! rotating cursor) as the seed implementation.
+//! order, and tie-breaks draw from one seeded [`DetRng`] stream.
 
 use crate::config::SchedulerPolicy;
 use crate::ctx::{AppContext, BindWait, Binding, CtxId, VGpuId};
@@ -150,10 +149,8 @@ struct Shard {
 /// the CUDA 4.0 application affinity map. A small leaf lock, never held
 /// while parking.
 struct GlobalState {
-    rr_cursor: usize,
-    /// Seeded tie-break generator (`Some` when the runtime runs with a
-    /// nonzero determinism seed); `None` keeps the legacy rotating cursor.
-    rng: Option<DetRng>,
+    /// Tie-break generator, forked off the runtime's determinism seed.
+    rng: DetRng,
     /// CUDA 4.0 application → (device, bound thread count) affinity map.
     app_devices: HashMap<u64, (DeviceId, usize)>,
 }
@@ -184,15 +181,14 @@ pub struct BindingManager {
 }
 
 impl BindingManager {
-    /// Creates an empty manager with the legacy round-robin tie-break.
+    /// Creates an empty manager on seed 0.
     pub fn new(policy: SchedulerPolicy, metrics: Arc<RuntimeMetrics>) -> Self {
         Self::new_seeded(policy, metrics, 0)
     }
 
-    /// Creates an empty manager. A nonzero `seed` makes placement
-    /// tie-breaks draw from a [`DetRng`] forked on `"sched"` instead of the
-    /// rotating cursor, so the grant sequence is a pure function of the
-    /// seed and the arrival order.
+    /// Creates an empty manager. Placement tie-breaks draw from a
+    /// [`DetRng`] forked off `seed` on `"sched"`, so the grant sequence is a
+    /// pure function of the seed and the arrival order.
     pub fn new_seeded(policy: SchedulerPolicy, metrics: Arc<RuntimeMetrics>, seed: u64) -> Self {
         BindingManager {
             policy,
@@ -201,8 +197,7 @@ impl BindingManager {
             global: RankedMutex::new(
                 lock_rank::SCHED_GLOBAL,
                 GlobalState {
-                    rr_cursor: 0,
-                    rng: (seed != 0).then(|| DetRng::from_seed(seed).fork("sched")),
+                    rng: DetRng::from_seed(seed).fork("sched"),
                     app_devices: HashMap::new(),
                 },
             ),
@@ -574,7 +569,7 @@ impl BindingManager {
     /// (`(bound+1) / relative speed`, the §2 principle of "maximizing the
     /// overall processor utilization while favoring the use of more
     /// powerful cores"), preferring devices whose free memory fits,
-    /// seeded-rng or rotating-cursor tiebreak within a 5% load band.
+    /// seeded-rng tiebreak within a 5% load band.
     ///
     /// With `require_free`, only devices with a free vGPU are considered
     /// (the fast path and the re-check after queueing); otherwise full
@@ -625,17 +620,7 @@ impl BindingManager {
         if pool.is_empty() {
             return None;
         }
-        let rr = {
-            let mut g = self.global.lock();
-            match g.rng.as_mut() {
-                Some(rng) => rng.next_u64() as usize,
-                None => {
-                    let rr = g.rr_cursor;
-                    g.rr_cursor = g.rr_cursor.wrapping_add(1);
-                    rr
-                }
-            }
-        };
+        let draw = self.global.lock().rng.next_u64() as usize;
         let max_flops = pool.iter().map(|s| s.flops).fold(f64::MIN, f64::max);
         let keyed: Vec<(&DevSnap, f64)> = pool
             .into_iter()
@@ -646,14 +631,14 @@ impl BindingManager {
             })
             .collect();
         let min_load = keyed.iter().map(|&(_, l)| l).fold(f64::INFINITY, f64::min);
-        // Among near-equal loads (within 5%), prefer memory fit, then rotate.
+        // Among near-equal loads (within 5%), prefer memory fit, then draw.
         let tied: Vec<&DevSnap> = {
             let close: Vec<&(&DevSnap, f64)> =
                 keyed.iter().filter(|&&(_, l)| l <= min_load * 1.05).collect();
             let any_fits = close.iter().any(|&&(s, _)| s.fits);
             close.into_iter().filter(|&&(s, _)| s.fits == any_fits).map(|&(s, _)| s).collect()
         };
-        Some(Arc::clone(&tied[rr % tied.len()].shard))
+        Some(Arc::clone(&tied[draw % tied.len()].shard))
     }
 
     /// Commits (or re-checks) the CUDA 4.0 affinity of `app_id` to `dev`

@@ -27,7 +27,7 @@
 //! brings it back.
 
 use crate::ctx::{AppContext, Binding, CtxId};
-use crate::memory::{eviction, Materialize, Recovery, SwapReason};
+use crate::memory::{Materialize, Recovery, SwapReason};
 use crate::metrics::RuntimeMetrics;
 use crate::runtime::NodeRuntime;
 use crate::trace::{TraceEvent, UnbindReason};
@@ -324,7 +324,6 @@ fn launch_loop(
         .ok_or_else(|| CudaError::InvalidDeviceFunction(spec.kernel.clone()))?;
     // Consume the staged cudaConfigureCall, if the app used the split form.
     let _ = ctx.inner().staged_config.take();
-    let mut prefetched = false;
 
     loop {
         // 1. Ensure a binding (delayed until this very first launch).
@@ -343,33 +342,10 @@ fn launch_loop(
                 b
             }
         };
-        // 1b. Async prefetch (opt-in, once per launch): warm the predicted
-        // working set — the previous launch's argument buffers, minus this
-        // launch's own closure — on the speculative copy-engine lane before
-        // the admit path runs. The transient lease charge keeps speculative
-        // footprint inside the tenant's budget; if the lease cannot absorb
-        // it, the prefetch is skipped silently (it is purely advisory).
-        if rt.config().async_prefetch && !prefetched {
-            prefetched = true;
-            let plan = rt.memory().prefetch_plan(ctx.id, &closure);
-            if plan.bytes > 0 && rt.policy().try_charge(ctx.id, plan.bytes).is_ok() {
-                rt.memory().prefetch(ctx.id, &plan, &binding);
-                rt.policy().uncharge(ctx.id, plan.bytes);
-            }
-        }
         // 2. Make the working set resident (intra-app swap happens inside).
-        // Double-buffered mode commits only the first-touch wave (direct
-        // kernel arguments) before dispatch and hands back the remainder
-        // to stream while the kernel runs.
-        let split = if rt.config().double_buffer_launch {
-            let first_touch = rt.memory().arg_bases(ctx.id, &spec.args)?;
-            rt.memory().materialize_split(ctx.id, &closure, &first_touch, &binding)
-        } else {
-            rt.memory().materialize(ctx.id, &closure, &binding).map(|m| (m, None))
-        };
-        let pending_wave = match split {
-            Ok((Materialize::Ready, wave)) => wave,
-            Ok((Materialize::NeedBytes(need), _)) => {
+        match rt.memory().materialize(ctx.id, &closure, &binding) {
+            Ok(Materialize::Ready) => {}
+            Ok(Materialize::NeedBytes(need)) => {
                 // 3a. Inter-application swap: ask an idle co-tenant to give
                 // up the device (§4.5).
                 if rt.config().inter_app_swap
@@ -399,44 +375,12 @@ fn launch_loop(
                 continue;
             }
             Err(e) => return Err(e.into()),
-        };
-        // 4. Translate virtual pointers and launch. With a pending second
-        // wave the kernel dispatches immediately and the wave streams on
-        // the speculative lane concurrently (both engines carry traffic).
+        }
+        // 4. Translate virtual pointers and launch.
         let args = rt.memory().translate_args(ctx.id, &spec.args)?;
         let dev_spec = LaunchSpec { args, ..spec.clone() };
-        let (launch_res, wave_res) = match pending_wave {
-            None => (binding.gpu.launch(binding.gpu_ctx, &kernel, &dev_spec), Ok(())),
-            Some(wave) => {
-                RuntimeMetrics::bump(&rt.metrics_ref().double_buffer_launches);
-                rt.tracer().record(TraceEvent::DoubleBuffered {
-                    ctx: ctx.id,
-                    wave2_ops: wave.op_count() as u32,
-                    wave2_bytes: wave.bytes(),
-                });
-                std::thread::scope(|s| {
-                    let mm = rt.memory();
-                    let b = &binding;
-                    let id = ctx.id;
-                    let wave_thread = s.spawn(move || mm.execute_wave(id, b, wave));
-                    let launch = binding.gpu.launch(binding.gpu_ctx, &kernel, &dev_spec);
-                    (launch, wave_thread.join().expect("wave-2 thread panicked"))
-                })
-            }
-        };
-        match launch_res {
+        match binding.gpu.launch(binding.gpu_ctx, &kernel, &dev_spec) {
             Ok(dur) => {
-                // A failed remainder wave means the launch's working set
-                // never fully landed: fault-safe commit ordering left every
-                // PTE classifiable, so recover and retry from host state
-                // exactly as if the dispatch itself had died.
-                if let Err(e) = wave_res {
-                    if matches!(e, CudaError::DeviceUnavailable) {
-                        recover_from_device_loss(rt, ctx, binding)?;
-                        continue;
-                    }
-                    return Err(e.into());
-                }
                 rt.memory().mark_launched(ctx.id, &written);
                 ctx.stats.launches.fetch_add(1, Ordering::Relaxed);
                 ctx.add_kernel_time(dur.as_nanos());
@@ -523,29 +467,24 @@ fn recover_from_device_loss(
 /// the device slot — and their data re-materializes from swap at their
 /// next launch. Returns `true` if enough bytes were freed.
 fn try_priority_preempt(rt: &NodeRuntime, requester: CtxId, binding: &Binding, need: u64) -> bool {
-    // (lease priority, policy context key): lowest-priority victim first.
-    type PreemptKey = (u8, (u64, u64, u64));
     let my_prio = rt.policy().priority_of(requester);
-    let policy = rt.config().eviction_policy;
-    let mut candidates: Vec<(PreemptKey, CtxId)> = rt
+    // (lease priority, resident bytes, id): lowest priority first, then the
+    // smallest resident set, so the victim sequence is a pure function of
+    // state.
+    let mut candidates: Vec<(u8, u64, CtxId)> = rt
         .bindings()
         .bound_on(binding.vgpu.device)
         .into_iter()
         .filter(|&id| id != requester)
         .filter_map(|id| {
             let prio = rt.policy().priority_of(id);
-            let c = rt.memory().victim_candidate(id)?;
-            (prio < my_prio && c.resident > 0)
-                .then(|| ((prio, eviction::ctx_victim_key(policy, &c)), id))
+            let resident = rt.memory().resident_bytes(id);
+            (prio < my_prio && resident > 0).then_some((prio, resident, id))
         })
         .collect();
-    // Lowest priority first; ties break by the configured eviction
-    // policy's context key (for `SeedOrder` that is (resident, id), the
-    // original ordering), so the victim sequence stays a pure function of
-    // state.
     candidates.sort_unstable();
     let mut freed_total = 0u64;
-    for (_, victim_id) in candidates {
+    for (_, _, victim_id) in candidates {
         if freed_total >= need {
             break;
         }
@@ -588,22 +527,16 @@ fn try_priority_preempt(rt: &NodeRuntime, requester: CtxId, binding: &Binding, n
 /// out wholesale and release its vGPU (§4.5). Returns `true` if memory was
 /// freed.
 fn try_inter_app_swap(rt: &NodeRuntime, requester: CtxId, binding: &Binding, need: u64) -> bool {
-    let policy = rt.config().eviction_policy;
-    let mut candidates: Vec<((u64, u64, u64), CtxId)> = rt
+    // (resident bytes, id): the smallest sufficient victim, ties broken by
+    // context id — a pure function of state.
+    let mut candidates: Vec<(u64, CtxId)> = rt
         .bindings()
         .bound_on(binding.vgpu.device)
         .into_iter()
         .filter(|&id| id != requester)
-        .filter_map(|id| {
-            let c = rt.memory().victim_candidate(id)?;
-            (c.resident >= need).then(|| (eviction::ctx_victim_key(policy, &c), id))
-        })
+        .map(|id| (rt.memory().resident_bytes(id), id))
+        .filter(|&(resident, _)| resident >= need)
         .collect();
-    // Victims in the configured eviction policy's order. `SeedOrder` keys
-    // by (resident, id) — the smallest sufficient victim, ties broken by
-    // context id, exactly the original behaviour; recency- and cost-aware
-    // policies prefer stale or cheap-to-evict contexts instead. Either
-    // way the choice is a pure function of state.
     candidates.sort_unstable();
     for (_, victim_id) in candidates {
         let Some(victim) = rt.context(victim_id) else { continue };

@@ -44,8 +44,8 @@ pub enum TraceEvent {
     /// A live migration aborted at `phase` and rolled back; the context
     /// remains fully on its source device.
     MigrationAborted { ctx: CtxId, phase: String },
-    /// The rebalancer picked `ctx` as the costliest-misplaced context on a
-    /// hot device (`score` is the deterministic pressure-score delta ×1000).
+    /// The rebalancer moved `ctx`, the costliest-misplaced context on a hot
+    /// device (`score` is the deterministic pressure-score delta ×1000).
     RebalancePicked { ctx: CtxId, from: DeviceId, to: DeviceId, score: i64 },
     /// A checkpoint synchronized the context's dirty data (§4.6).
     Checkpointed { ctx: CtxId, explicit: bool },
@@ -66,15 +66,6 @@ pub enum TraceEvent {
     /// A low-priority victim was evicted so a higher-priority tenant could
     /// materialize under memory pressure.
     Preempted { victim: CtxId, by: CtxId, bytes: u64 },
-    /// Async prefetch committed `ops` predicted uploads (`bytes` total)
-    /// ahead of the context's next launch; `cancelled` candidates were
-    /// planned but dropped before commit (OOM, device error, stale flags).
-    Prefetched { ctx: CtxId, ops: u32, bytes: u64, cancelled: u32 },
-    /// A launch's materialization split into two waves: the kernel
-    /// dispatched once its first-touch wave committed while `wave2_ops`
-    /// uploads (`wave2_bytes`) streamed on the speculative copy-engine
-    /// lane during execution.
-    DoubleBuffered { ctx: CtxId, wave2_ops: u32, wave2_bytes: u64 },
     /// Debug-build observability: a ranked lock saw `count` contended
     /// acquisitions since the last monitor pass. Structural counts only —
     /// no timings — and never emitted by sequential (deterministic)
@@ -107,7 +98,6 @@ pub enum UnbindReason {
 pub enum SwapKindTag {
     InterAppVictim,
     Unbind,
-    Migration,
     DeviceLoss,
     Preempted,
 }
@@ -117,7 +107,6 @@ impl From<SwapReason> for SwapKindTag {
         match r {
             SwapReason::InterAppVictim => SwapKindTag::InterAppVictim,
             SwapReason::Unbind => SwapKindTag::Unbind,
-            SwapReason::Migration => SwapKindTag::Migration,
             SwapReason::DeviceLoss => SwapKindTag::DeviceLoss,
             SwapReason::Preempted => SwapKindTag::Preempted,
         }

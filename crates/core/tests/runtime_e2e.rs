@@ -406,7 +406,6 @@ fn migration_moves_idle_job_to_fast_gpu() {
     let driver = Driver::with_devices(clock, vec![GpuSpec::quadro_2000()]);
     let mut cfg = RuntimeConfig::paper_default().with_vgpus(1);
     cfg.dynamic_load_balancing = true;
-    cfg.monitor_interval = Duration::from_millis(2);
     let rt = NodeRuntime::start(driver, cfg);
     let mut c = rt.local_client();
     register(&mut c);
@@ -426,6 +425,7 @@ fn migration_moves_idle_job_to_fast_gpu() {
         std::thread::sleep(Duration::from_millis(2));
     }
     assert!(rt.metrics().migrations >= 1, "idle job never migrated to the fast GPU");
+    assert!(rt.metrics().live_migrations >= 1, "the move must be a live migration");
     // The next kernel runs on the fast device with state intact.
     c.launch(launch("add_one", vec![KernelArg::Ptr(p), KernelArg::Scalar(64)], 1e8)).unwrap();
     assert_eq!(c.memcpy_d2h(p, 64).unwrap().payload, vec![6u8; 64]);

@@ -154,20 +154,9 @@ impl Gpu {
     }
 
     /// Per-lane copy-engine busy times, indexed by lane. Exposes whether
-    /// lane-pinned traffic (admit path on lane 0, speculative prefetch and
-    /// second-wave uploads at offset 1) actually overlapped.
+    /// a transfer plan's lane-pinned traffic actually overlapped.
     pub fn engine_busy_times(&self) -> Vec<SimDuration> {
         self.copy.busy_times()
-    }
-
-    /// Busy time of copy-engine lane `lane % copy_engines`.
-    pub fn copy_busy_time_on(&self, lane: usize) -> SimDuration {
-        self.copy.busy_time_on(lane)
-    }
-
-    /// Transfers queued or executing on copy-engine lane `lane % copy_engines`.
-    pub fn copy_queue_depth_on(&self, lane: usize) -> u64 {
-        self.copy.queue_depth_on(lane)
     }
 
     /// Free device memory in bytes (possibly fragmented).

@@ -129,18 +129,6 @@ impl EngineBank {
         self.engines.iter().map(|e| e.busy_time()).sum()
     }
 
-    /// Busy time of the engine at `lane % len` — per-lane occupancy lets a
-    /// scheduler (or a test) see whether speculative traffic actually landed
-    /// on the lane it was pinned to.
-    pub fn busy_time_on(&self, lane: usize) -> SimDuration {
-        self.engines[lane % self.engines.len()].busy_time()
-    }
-
-    /// Transfers queued or executing on the engine at `lane % len`.
-    pub fn queue_depth_on(&self, lane: usize) -> u64 {
-        self.engines[lane % self.engines.len()].queue_depth()
-    }
-
     /// Per-lane busy times, indexed by lane.
     pub fn busy_times(&self) -> Vec<SimDuration> {
         self.engines.iter().map(|e| e.busy_time()).collect()

@@ -21,7 +21,7 @@
 //! into an exit-code gate (as does any over-quota grant).
 //!
 //! `--profile skewed` runs the migration benchmark: a churned 4-device
-//! mix played twice, with the utilization rebalancer off then on.
+//! mix played twice, with dynamic load balancing off then on.
 //! `--min-speedup F` gates the rebalanced/static throughput ratio (the
 //! structural checks — clean passes, a live migration, p99 no worse —
 //! always gate).
@@ -205,7 +205,7 @@ fn main_hostile(args: &Args) -> ExitCode {
 }
 
 /// The skewed migration benchmark (`--profile skewed`): static placement
-/// against the utilization rebalancer on a churned 4-device mix.
+/// against dynamic load balancing on a churned 4-device mix.
 fn main_skewed(args: &Args) -> ExitCode {
     let cfg = MigrationLoadConfig {
         seed: args.cfg.seed,

@@ -1,5 +1,5 @@
-//! Skewed-placement migration benchmark: static placement against the
-//! utilization rebalancer, on a virtual clock.
+//! Skewed-placement migration benchmark: static placement against dynamic
+//! load balancing, on a virtual clock.
 //!
 //! The scenario reproduces the regime the rebalancer exists for —
 //! *placement gone stale through churn*, not static imbalance (the
@@ -13,7 +13,7 @@
 //! * the short tenants exit after one job, stranding the long tenants on
 //!   slow silicon with idle fast devices next door.
 //!
-//! The static pass plays the mix with the rebalancer off; the rebalanced
+//! The static pass plays the mix with load balancing off; the rebalanced
 //! pass turns it on and ticks the monitor between rounds, live-migrating
 //! the stranded contexts. Both passes run the identical seeded job
 //! sequence sequentially (one request in flight) over
@@ -134,11 +134,11 @@ fn run_pass(cfg: &MigrationLoadConfig, rebalance: bool) -> MigrationPassReport {
     let mut specs: Vec<GpuSpec> = Vec::new();
     specs.extend(std::iter::repeat_with(|| fast.clone()).take(cfg.short_tenants));
     specs.extend(std::iter::repeat_with(|| slow.clone()).take(cfg.long_tenants));
-    let rt_cfg = RuntimeConfig::paper_default()
+    let mut rt_cfg = RuntimeConfig::paper_default()
         .with_vgpus(1)
         .with_seed(cfg.seed)
-        .with_background_monitor(false)
-        .with_utilization_rebalancer(rebalance);
+        .with_background_monitor(false);
+    rt_cfg.dynamic_load_balancing = rebalance;
     let driver = Driver::with_devices(clock.clone(), specs);
     let rt = NodeRuntime::start(driver, rt_cfg);
 

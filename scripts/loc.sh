@@ -3,8 +3,9 @@
 # should go down". Counts `src/` and `crates/*/src/`; leaves out `tests/`,
 # `benches/`, `examples/`, `shims/`, `#[cfg(test)]` modules, blank lines and
 # comment-only lines (doc comments included). One row per crate, then the
-# total. CI tier 0 prints it; CHANGES.md records it before/after each PR
-# that moves it.
+# total, then the number of settable fields of `RuntimeConfig` and
+# `MemoryConfig` (the ROADMAP's other tracked number). CI tier 0 prints it;
+# CHANGES.md records it before/after each PR that moves it.
 #
 # Usage: scripts/loc.sh [ROOT]   (default: this checkout)
 set -euo pipefail
@@ -39,3 +40,14 @@ for dir in src crates/*/src; do
     printf '%8d  %s\n' "$n" "${dir%/src}"
 done
 printf '%8d  total non-test Rust lines\n' "$total"
+
+# `pub name: Type,` lines between `pub struct NAME {` and its closing brace.
+fields() {
+    awk -v name="$1" '
+        $0 ~ "^pub struct " name " \\{" { inside = 1; next }
+        inside && /^}/ { exit }
+        inside && /^    pub [a-z_0-9]+:/ { n++ }
+        END { print n + 0 }' "$2"
+}
+printf '%8d  RuntimeConfig fields\n' "$(fields RuntimeConfig crates/core/src/config.rs)"
+printf '%8d  MemoryConfig fields\n' "$(fields MemoryConfig crates/core/src/memory/manager.rs)"

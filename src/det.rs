@@ -20,8 +20,7 @@
 
 use mtgpu_api::{CudaCall, CudaClient, CudaError, FrontendClient, HostBuf, ReplyValue};
 use mtgpu_core::{
-    EvictionPolicyKind, GpuLease, InProcessChannel, MetricsSnapshot, NodeRuntime, RuntimeConfig,
-    TenantPolicyConfig,
+    GpuLease, InProcessChannel, MetricsSnapshot, NodeRuntime, RuntimeConfig, TenantPolicyConfig,
 };
 use mtgpu_gpusim::kernel::{library, KernelExec, RegisteredKernel};
 use mtgpu_gpusim::{
@@ -109,19 +108,9 @@ pub struct DetScenario {
     /// Tenant-policy layer for the run; `None` keeps admission off, so all
     /// pre-policy scenarios fingerprint exactly as before.
     pub tenant_policy: Option<TenantPolicyConfig>,
-    /// Victim-selection policy for the run's memory manager. The default
-    /// ([`EvictionPolicyKind::SeedOrder`]) keeps pre-policy fingerprints
-    /// unchanged.
-    pub eviction_policy: EvictionPolicyKind,
-    /// Enable the async prefetch path (predicted next-launch uploads on the
-    /// speculative copy-engine lane).
-    pub async_prefetch: bool,
-    /// Enable the two-wave double-buffered launch path.
-    pub double_buffer_launch: bool,
-    /// Enable the utilization rebalancer (DESIGN.md §15): each
-    /// `monitor_tick` may live-migrate one context off the
-    /// highest-pressure device.
-    pub utilization_rebalancer: bool,
+    /// Let each `monitor_tick` live-migrate one context off the
+    /// highest-pressure device (DESIGN.md §15).
+    pub dynamic_load_balancing: bool,
 }
 
 impl DetScenario {
@@ -146,10 +135,7 @@ impl DetScenario {
             plan: FaultPlan::new(),
             client_apps: Vec::new(),
             tenant_policy: None,
-            eviction_policy: EvictionPolicyKind::SeedOrder,
-            async_prefetch: false,
-            double_buffer_launch: false,
-            utilization_rebalancer: false,
+            dynamic_load_balancing: false,
         }
     }
 
@@ -193,7 +179,7 @@ impl DetScenario {
             rounds_per_client: vec![1, 1, 6, 6],
             devices: vec![GpuSpec::test_small(), GpuSpec::test_small(), slow.clone(), slow],
             vgpus_per_device: 1,
-            utilization_rebalancer: true,
+            dynamic_load_balancing: true,
             ..Self::fig7_shape(seed)
         }
     }
@@ -388,11 +374,8 @@ pub fn run(scenario: DetScenario) -> DetFingerprint {
     let mut cfg = RuntimeConfig::default()
         .with_vgpus(scenario.vgpus_per_device)
         .with_seed(scenario.seed)
-        .with_background_monitor(false)
-        .with_eviction_policy(scenario.eviction_policy)
-        .with_async_prefetch(scenario.async_prefetch)
-        .with_double_buffer_launch(scenario.double_buffer_launch)
-        .with_utilization_rebalancer(scenario.utilization_rebalancer);
+        .with_background_monitor(false);
+    cfg.dynamic_load_balancing = scenario.dynamic_load_balancing;
     if let Some(policy) = scenario.tenant_policy.clone() {
         cfg = cfg.with_tenant_policy(policy);
     }

@@ -69,74 +69,45 @@ fn pipelined_path_fingerprint_stable_across_three_runs() {
 
 #[test]
 fn eviction_policy_fingerprints_stable_and_divergent() {
-    use mtgpu::core::EvictionPolicyKind;
     // One client with eight 12 MiB buffers on a 64 MiB device (60 MiB
     // usable: exactly five resident), launching each buffer in turn for two
     // rounds. Every launch past the fifth must evict, so the victim
     // sequence — and with it the writeback/re-upload traffic in the metrics
-    // — *is* the policy under test. Seed order victimizes the
-    // most-recently-allocated buffer (largest vaddr among equal sizes) and
-    // thrashes; the recency policies evict the coldest buffer instead, so
-    // their eviction counts and byte totals tell a different story.
-    let mk = |policy| DetScenario {
+    // — *is* the intra-application order under test: three runs, one
+    // fingerprint.
+    let mk = |buffers| DetScenario {
         clients: 1,
         rounds: 2,
         devices: vec![mtgpu::gpusim::GpuSpec::test_small()],
         vgpus_per_device: 1,
-        buffers_per_client: 8,
+        buffers_per_client: buffers,
         declared_base: 12 * 1024 * 1024,
         declared_stride: 0,
-        eviction_policy: policy,
         ..DetScenario::fig7_shape(42)
     };
-    let mut prints = std::collections::BTreeMap::new();
-    for policy in EvictionPolicyKind::ALL {
-        let runs = [run(mk(policy)), run(mk(policy)), run(mk(policy))];
-        assert_eq!(
-            runs[0].canonical(),
-            runs[1].canonical(),
-            "{}: replay 2 diverged",
-            policy.name()
-        );
-        assert_eq!(
-            runs[0].canonical(),
-            runs[2].canonical(),
-            "{}: replay 3 diverged",
-            policy.name()
-        );
-        let a = &runs[0];
-        assert!(a.clients.iter().all(|c| c.verified), "{}: data integrity", policy.name());
-        assert!(a.metrics.intra_app_swaps > 0, "{}: shape never evicted", policy.name());
-        prints.insert(policy.name(), runs[0].canonical());
-    }
-    // The policy knob is live: every non-seed policy diverges from the seed
-    // fingerprint on this shape. (The recency policies may agree with each
-    // other here — all victims are equal-sized and dirty — and that's fine.)
-    for policy in
-        [EvictionPolicyKind::Lru, EvictionPolicyKind::WorkingSet, EvictionPolicyKind::CostAware]
-    {
-        assert_ne!(
-            prints["seed_order"],
-            prints[policy.name()],
-            "{} fingerprint identical to seed order — the policy is decorative",
-            policy.name()
-        );
-    }
+    let runs = [run(mk(8)), run(mk(8)), run(mk(8))];
+    assert_eq!(runs[0].canonical(), runs[1].canonical(), "replay 2 diverged");
+    assert_eq!(runs[0].canonical(), runs[2].canonical(), "replay 3 diverged");
+    let a = &runs[0];
+    assert!(a.clients.iter().all(|c| c.verified), "data integrity under eviction");
+    assert!(a.metrics.intra_app_swaps > 0, "shape never evicted");
+
+    // The eviction path is live in the fingerprint: the same client with
+    // five buffers fits, never evicts, and tells a different story.
+    let fits = run(mk(5));
+    assert_eq!(fits.metrics.intra_app_swaps, 0);
+    assert_ne!(a.canonical(), fits.canonical(), "eviction is decorative");
 }
 
 #[test]
-fn adaptive_prefetch_fingerprint_stable_across_three_runs() {
+fn inter_app_cascade_fingerprint_stable_across_three_runs() {
     // Four tenants, two 16 MiB buffers each, one 60 MiB-usable device: only
     // three buffers fit, so the fourth tenant's very first launch must
     // inter-app-swap a peer — and because every requester's *own* spare
     // buffer is then already host-resident, each subsequent launch keeps
-    // 3a-ing the next peer in a deterministic cascade. A victim's
-    // last-launch buffer is therefore swapped out when its next launch
-    // arrives, which is exactly the state the prefetch predictor plans
-    // for. With prefetch and the double-buffered launch path both enabled,
-    // three full runs must still collapse to one fingerprint (the
-    // speculative lane is planned and committed under the same locks as
-    // everything else).
+    // 3a-ing the next peer in a deterministic cascade: every launch of the
+    // run finds its buffer swapped out and a victim to pick. Three full
+    // runs must collapse to one fingerprint.
     let mk = || {
         let mut spec = mtgpu::gpusim::GpuSpec::test_small();
         spec.copy_engines = 2;
@@ -148,25 +119,16 @@ fn adaptive_prefetch_fingerprint_stable_across_three_runs() {
             buffers_per_client: 2,
             declared_base: 16 * 1024 * 1024,
             declared_stride: 0,
-            async_prefetch: true,
-            double_buffer_launch: true,
             ..DetScenario::fig7_shape(42)
         }
     };
     let runs = [run(mk()), run(mk()), run(mk())];
-    assert_eq!(runs[0].canonical(), runs[1].canonical(), "prefetch replay 2 diverged");
-    assert_eq!(runs[0].canonical(), runs[2].canonical(), "prefetch replay 3 diverged");
+    assert_eq!(runs[0].canonical(), runs[1].canonical(), "cascade replay 2 diverged");
+    assert_eq!(runs[0].canonical(), runs[2].canonical(), "cascade replay 3 diverged");
 
     let a = &runs[0];
-    assert!(a.clients.iter().all(|c| c.verified), "data integrity with prefetch on");
-    assert!(a.metrics.prefetch_plans > 0, "shape never prefetched");
-    assert!(a.metrics.inter_app_swaps > 0, "no inter-app cascade to feed the predictor");
-
-    // The prefetch path is live in the fingerprint: the same shape with the
-    // adaptive features off tells a different story.
-    let off = run(DetScenario { async_prefetch: false, double_buffer_launch: false, ..mk() });
-    assert_eq!(off.metrics.prefetch_plans, 0);
-    assert_ne!(a.canonical(), off.canonical(), "prefetch is decorative");
+    assert!(a.clients.iter().all(|c| c.verified), "data integrity through the cascade");
+    assert!(a.metrics.inter_app_swaps > 0, "no inter-app cascade");
 }
 
 #[test]
@@ -180,8 +142,7 @@ fn fig9_unbalanced_shape_replays_bit_for_bit() {
 
 #[test]
 fn seed_matrix_replays_and_seeds_diverge() {
-    // Includes seed 0 — the legacy (round-robin cursor) dispatcher path,
-    // which must be just as replayable under sequential driving.
+    // Includes seed 0, the default: a seed like any other.
     let seeds = [0u64, 1, 7, 42, 0xDEC0DE];
     let mut canonicals = Vec::new();
     for &seed in &seeds {
@@ -258,7 +219,7 @@ fn quota_pressure_with_lease_expiry_replays_bit_for_bit() {
 #[test]
 fn migration_rebalancer_fingerprint_stable_across_three_runs() {
     // The live-migration tentpole under deterministic replay: a skewed
-    // four-device node (two at half clock) with the utilization rebalancer
+    // four-device node (two at quarter clock) with dynamic load balancing
     // on. Each monitor tick samples pressure, picks the hottest/coolest
     // devices off the virtual clock and peer-DMA-migrates one context, so
     // the *sequence* of migrations — source, destination, lane placement,
@@ -284,7 +245,7 @@ fn migration_rebalancer_fingerprint_stable_across_three_runs() {
     // The knob is live: the same shape with the rebalancer off migrates
     // nothing and tells a different story.
     let off =
-        run(DetScenario { utilization_rebalancer: false, ..DetScenario::migration_shape(42) });
+        run(DetScenario { dynamic_load_balancing: false, ..DetScenario::migration_shape(42) });
     assert_eq!(off.metrics.live_migrations, 0);
     assert_ne!(a.canonical(), off.canonical(), "rebalancer is decorative");
 }

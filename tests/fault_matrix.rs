@@ -324,14 +324,14 @@ fn device_failure_mid_preemption_keeps_victim_classifiable_and_leases_consistent
 
 #[test]
 fn device_failure_between_waves_keeps_entries_classifiable_and_leases_balanced() {
-    // The double-buffered launch probe: wave 1 (the kernel's direct
-    // arguments) has committed and the kernel is notionally dispatched;
-    // the device dies at the exact boundary before wave 2 (nested members)
-    // executes on the speculative lane. Three invariants: (1) the failed
-    // wave surfaces its error and leaves *every* page-table entry
-    // classifiable — wave-2 members keep `to_dev` so the slab stays
-    // authoritative; (2) the lease book, charged on admission, never moves
-    // through the failed wave, a cancelled prefetch, or recovery; (3) no
+    // Two upload waves of one nested working set: the first launch's
+    // materialization commits the whole closure; the host then rewrites the
+    // two members, so the next launch owes a second wave of uploads for
+    // entries that are resident but stale. The device dies between the two.
+    // Three invariants: (1) the failed wave surfaces its error and leaves
+    // *every* page-table entry classifiable — its members keep `to_dev`, so
+    // the slab stays authoritative; (2) the lease book, charged on
+    // admission, never moves through the failed wave or recovery; (3) no
     // dirty data existed (the kernel never marked), so recovery is
     // `Recovered` and every payload survives byte-for-byte.
     use mtgpu::api::protocol::AllocKind;
@@ -340,7 +340,7 @@ fn device_failure_between_waves_keeps_entries_classifiable_and_leases_balanced()
         Binding, CtxId, GpuLease, LeaseBook, Materialize, MemoryConfig, MemoryManager, Recovery,
         RuntimeMetrics, TenantPolicyConfig, VGpuId,
     };
-    use mtgpu::gpusim::{Gpu, GpuSpec};
+    use mtgpu::gpusim::{Gpu, GpuSpec, KernelArg};
     use mtgpu::simtime::Clock;
     use std::sync::Arc;
 
@@ -367,15 +367,18 @@ fn device_failure_between_waves_keeps_entries_classifiable_and_leases_balanced()
         gpu_ctx,
     };
 
-    // A nested structure: one direct argument (wave 1) pointing at two
-    // members (wave 2), everything uploaded to slabs first.
-    let payloads: Vec<Vec<u8>> = (0..3).map(|i| vec![0xC0 + i as u8; PAYLOAD]).collect();
-    let bases: Vec<_> = payloads
-        .iter()
-        .map(|p| {
+    // A nested structure: one direct argument pointing at two members,
+    // everything uploaded to slabs first.
+    let upload = |v, fill: u8| {
+        let payload = vec![fill; PAYLOAD];
+        m.copy_h2d(CTX, v, &HostBuf::with_shadow(DECLARED, payload.clone()), None).unwrap();
+        payload
+    };
+    let bases: Vec<_> = (0..3u8)
+        .map(|i| {
             book.try_charge(CTX, DECLARED).expect("admission fits the lease");
             let v = m.malloc(CTX, DECLARED, AllocKind::Linear).unwrap();
-            m.copy_h2d(CTX, v, &HostBuf::with_shadow(DECLARED, p.clone()), None).unwrap();
+            upload(v, 0xC0 + i);
             v
         })
         .collect();
@@ -384,12 +387,11 @@ fn device_failure_between_waves_keeps_entries_classifiable_and_leases_balanced()
     let charged = 3 * DECLARED;
     assert_eq!(book.global_used(), charged);
 
-    let closure = [parent, members[0], members[1]];
-    let (ready, wave) = m.materialize_split(CTX, &closure, &[parent], &binding).unwrap();
-    assert_eq!(ready, Materialize::Ready);
-    let wave = wave.expect("nested members form a remainder wave");
-    // Wave-1 boundary state: the parent committed, the members are resident
-    // but still awaiting their payload.
+    // Wave 1: the whole closure lands. Then the host rewrites the members.
+    let closure = m.launch_closure(CTX, &[KernelArg::Ptr(parent)]).unwrap();
+    assert_eq!(closure.len(), 3, "closure extends to the nested members");
+    assert_eq!(m.materialize(CTX, &closure, &binding).unwrap(), Materialize::Ready);
+    let payloads = [vec![0xC0; PAYLOAD], upload(members[0], 0xD1), upload(members[1], 0xD2)];
     let pf = m.flags_of(CTX, parent).unwrap();
     assert!(pf.allocated && !pf.to_dev, "wave 1 must have committed: {pf:?}");
     for &mb in &members {
@@ -399,14 +401,14 @@ fn device_failure_between_waves_keeps_entries_classifiable_and_leases_balanced()
 
     // The device dies exactly between the waves.
     gpu.fail();
-    let res = m.execute_wave(CTX, &binding, wave);
+    let res = m.materialize(CTX, &closure, &binding);
     assert!(
         matches!(res, Err(CudaError::DeviceUnavailable)),
         "wave 2 on a dead device must surface the loss: {res:?}"
     );
 
-    // (1) Classifiability: failed wave-2 ops keep `to_dev`, so every entry
-    // is either clean-committed (the parent) or host-authoritative with a
+    // (1) Classifiability: failed uploads keep `to_dev`, so every entry is
+    // either clean-committed (the parent) or host-authoritative with a
     // pending re-upload (the members). Nothing in between, nothing dirty.
     for (i, &base) in bases.iter().enumerate() {
         let f = m.flags_of(CTX, base).unwrap();
@@ -415,19 +417,12 @@ fn device_failure_between_waves_keeps_entries_classifiable_and_leases_balanced()
         assert_eq!(f.to_dev, i != 0, "entry {i} misclassified: {f:?}");
     }
 
-    // (2) A prefetch attempted against the dead device cancels without
-    // committing; its transient lease charge unwinds to exactly the
-    // admitted bytes, the way the service layer drives it.
-    let plan = m.prefetch_plan(CTX, &[parent]);
-    if plan.bytes > 0 && book.try_charge(CTX, plan.bytes).is_ok() {
-        assert_eq!(m.prefetch(CTX, &plan, &binding), 0, "dead device cannot commit a prefetch");
-        book.uncharge(CTX, plan.bytes);
-    }
-    assert_eq!(book.global_used(), charged, "failed wave/prefetch corrupted the lease book");
+    // (2) Residency events are not admission events.
+    assert_eq!(book.global_used(), charged, "failed wave corrupted the lease book");
     assert!(book.check_active(CTX).is_ok(), "the lease must survive the fault");
 
     // (3) No entry was dirty — the kernel never marked — so recovery keeps
-    // the context, and the slabs still serve the original payloads.
+    // the context, and the slabs still serve the last host-written payloads.
     assert_eq!(m.on_device_lost(CTX), Recovery::Recovered);
     for (i, &base) in bases.iter().enumerate() {
         let f = m.flags_of(CTX, base).unwrap();

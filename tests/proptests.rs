@@ -145,7 +145,6 @@ proptest! {
                 nested_members: Vec::new(),
                 nested_parent: None,
                 last_touch: TouchStamp::default(),
-                touch_gen: 0,
             });
             ranges.push((base, size));
             base += size + (base % 97); // irregular gaps
@@ -643,49 +642,50 @@ fn mux_framing_seeded_chunkings_replay() {
 }
 
 // ---------------------------------------------------------------------
-// Eviction-policy victim ordering vs independent reference models
+// Intra-application victim order vs an independent reference model
 // ---------------------------------------------------------------------
 
 use mtgpu::core::memory::eviction::{self, EntryCandidate, TouchStamp};
-use mtgpu::core::{EvictionPolicyKind, Materialize};
+use mtgpu::core::Materialize;
 
 fn entry_candidates_strategy() -> impl Strategy<Value = Vec<EntryCandidate>> {
-    prop::collection::vec((1u64..1_000_000, any::<bool>(), 0u64..40, 0u64..40, 0u64..8), 1..40)
-        .prop_map(|raw| {
-            raw.into_iter()
-                .enumerate()
-                .map(|(i, (size, dirty, nanos, seq, touch_gen))| EntryCandidate {
-                    // Unique vaddrs (as in a real page table); stamps are drawn
-                    // from a small range so collisions exercise the vaddr
-                    // tie-break.
-                    vaddr: 0x1000 + i as u64 * 0x100,
-                    size,
-                    dirty,
-                    last_touch: TouchStamp { nanos, seq },
-                    touch_gen,
-                })
-                .collect()
-        })
+    // Unique vaddrs (as in a real page table); a common size and a small
+    // stamp range so that score collisions exercise the vaddr tie-break.
+    let size = prop_oneof![Just(4096u64), 1u64..1_000_000];
+    prop::collection::vec((size, any::<bool>(), 0u64..40, 0u64..40), 1..40).prop_map(|raw| {
+        raw.into_iter()
+            .enumerate()
+            .map(|(i, (size, dirty, nanos, seq))| EntryCandidate {
+                vaddr: 0x1000 + i as u64 * 0x100,
+                size,
+                dirty,
+                last_touch: TouchStamp { nanos, seq },
+            })
+            .collect()
+    })
 }
 
-/// Independent LRU reference: repeated linear scan for the oldest stamp
-/// with explicit field-by-field comparison, ties to the smaller vaddr.
-/// Deliberately not a sort-by-key, so it cannot share a bug with the
-/// implementation's comparator.
-fn lru_reference(mut pool: Vec<EntryCandidate>) -> Vec<u64> {
+/// Independent reference for the victim order: repeated linear scan for the
+/// best remaining candidate, comparing `bytes × touches since ÷ cost`
+/// (dirty costs two, rounded down) field by field, ties to the smaller
+/// vaddr. Deliberately not a sort-by-key over a shared scoring function, so
+/// it cannot share a bug with the implementation's comparator.
+fn victim_order_reference(mut pool: Vec<EntryCandidate>, now_seq: u64) -> Vec<u64> {
+    let worth = |c: &EntryCandidate| {
+        let touches_since = now_seq.saturating_sub(c.last_touch.seq);
+        let reclaimed = u128::from(c.size) * (u128::from(touches_since) + 1);
+        if c.dirty {
+            reclaimed >> 1
+        } else {
+            reclaimed
+        }
+    };
     let mut out = Vec::with_capacity(pool.len());
     while !pool.is_empty() {
         let mut best = 0;
         for i in 1..pool.len() {
-            let (a, b) = (&pool[i], &pool[best]);
-            let older = if a.last_touch.nanos != b.last_touch.nanos {
-                a.last_touch.nanos < b.last_touch.nanos
-            } else if a.last_touch.seq != b.last_touch.seq {
-                a.last_touch.seq < b.last_touch.seq
-            } else {
-                a.vaddr < b.vaddr
-            };
-            if older {
+            let (a, b) = (worth(&pool[i]), worth(&pool[best]));
+            if a > b || (a == b && pool[i].vaddr < pool[best].vaddr) {
                 best = i;
             }
         }
@@ -694,70 +694,44 @@ fn lru_reference(mut pool: Vec<EntryCandidate>) -> Vec<u64> {
     out
 }
 
-/// Independent WorkingSet reference: everything outside the last two launch
-/// generations first (oldest within), then the in-set remainder.
-fn working_set_reference(pool: Vec<EntryCandidate>, table_gen: u64) -> Vec<u64> {
-    let (stale, fresh): (Vec<_>, Vec<_>) =
-        pool.into_iter().partition(|c| c.touch_gen + 1 < table_gen);
-    let mut out = lru_reference(stale);
-    out.extend(lru_reference(fresh));
-    out
-}
-
 proptest! {
-    /// The Lru victim order equals the independent oldest-first model for
-    /// any candidate set, including stamp collisions.
+    /// The victim order equals the independent best-first model for any
+    /// candidate set, including score collisions and stamps from the
+    /// future of `now_seq`.
     #[test]
-    fn lru_ordering_matches_reference_model(cands in entry_candidates_strategy()) {
-        let expected = lru_reference(cands.clone());
-        let mut got = cands;
-        eviction::order_entry_victims(EvictionPolicyKind::Lru, &mut got, 0, 100);
-        prop_assert_eq!(got.iter().map(|c| c.vaddr).collect::<Vec<_>>(), expected);
-    }
-
-    /// The WorkingSet victim order equals the independent
-    /// stale-generations-first model for any candidate set and generation.
-    #[test]
-    fn working_set_ordering_matches_reference_model(
+    fn eviction_order_matches_reference_model(
         cands in entry_candidates_strategy(),
-        table_gen in 0u64..10,
+        now_seq in 0u64..60,
     ) {
-        let expected = working_set_reference(cands.clone(), table_gen);
+        let expected = victim_order_reference(cands.clone(), now_seq);
         let mut got = cands;
-        eviction::order_entry_victims(EvictionPolicyKind::WorkingSet, &mut got, table_gen, 100);
+        eviction::order_entry_victims(&mut got, now_seq);
         prop_assert_eq!(got.iter().map(|c| c.vaddr).collect::<Vec<_>>(), expected);
     }
 }
 
 proptest! {
-    // Each case builds a simulated GPU; 5! touch orders only need a modest
-    // case count for full coverage.
+    // Each case builds a simulated GPU; 5! touch orders × 2^5 dirty sets
+    // only need a modest case count for good coverage.
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// End-to-end through the manager: for *any* touch order, the recency
-    /// policies evict exactly the buffer the independent model predicts —
-    /// the least recently materialized one — while everything touched later
-    /// stays resident.
+    /// End-to-end through the manager: for *any* touch order and any set of
+    /// kernel-written buffers, memory pressure evicts exactly the buffer
+    /// the independent model ranks first, everything else stays resident,
+    /// and every buffer — the evicted one included, written back if it was
+    /// dirty — still reads back what was uploaded.
     #[test]
-    fn recency_policies_evict_reference_victim(
+    fn eviction_order_evicts_reference_victim(
         order_keys in prop::collection::vec(any::<u64>(), 5),
-        use_working_set in any::<bool>(),
+        written in prop::collection::vec(any::<bool>(), 5),
     ) {
         // Random keys define a permutation of the five buffers (ties break
         // by index, so any key vector is a valid order).
         let mut order: Vec<usize> = (0..5).collect();
         order.sort_by_key(|&i| (order_keys[i], i));
-        let policy = if use_working_set {
-            EvictionPolicyKind::WorkingSet
-        } else {
-            EvictionPolicyKind::Lru
-        };
         let clock = Clock::with_scale(1e-8);
         let gpu = Gpu::new(GpuSpec::test_small(), clock, 0);
-        let mm = MemoryManager::new(
-            MemoryConfig { eviction_policy: policy, ..MemoryConfig::default() },
-            Arc::new(RuntimeMetrics::default()),
-        );
+        let mm = MemoryManager::new(MemoryConfig::default(), Arc::new(RuntimeMetrics::default()));
         let ctx = CtxId(1);
         mm.register_ctx(ctx);
         let binding = Binding {
@@ -765,25 +739,53 @@ proptest! {
             gpu: gpu.clone(),
             gpu_ctx: gpu.create_context().unwrap(),
         };
-        // Five buffers fill the device exactly; materializing each alone in
-        // the generated order defines the recency history.
+        // Five buffers fill the device exactly. Each is uploaded, then
+        // launched alone in the generated order; a launch that writes its
+        // buffer leaves it dirty on the device. The model tracks the same
+        // history: one touch per malloc, upload, materialize and launch.
         let size = gpu.mem_available() / 5;
+        let payload = |i: usize| vec![0xA0 + i as u8; 256];
+        let mut touches = 0u64;
+        let mut model: Vec<EntryCandidate> = Vec::new();
         let bufs: Vec<DeviceAddr> = (0..5)
-            .map(|_| mm.malloc(ctx, size, mtgpu::api::protocol::AllocKind::Linear).unwrap())
+            .map(|i| {
+                let v = mm.malloc(ctx, size, mtgpu::api::protocol::AllocKind::Linear).unwrap();
+                let buf = mtgpu::api::HostBuf::with_shadow(size, payload(i));
+                mm.copy_h2d(ctx, v, &buf, None).unwrap();
+                touches += 2;
+                model.push(EntryCandidate {
+                    vaddr: v.0,
+                    size,
+                    dirty: false,
+                    last_touch: TouchStamp { nanos: 0, seq: touches },
+                });
+                v
+            })
             .collect();
         for &i in &order {
             let m = mm.materialize(ctx, &[bufs[i]], &binding).unwrap();
             prop_assert!(matches!(m, Materialize::Ready));
+            touches += 1;
+            if written[i] {
+                mm.mark_launched(ctx, &[bufs[i]]);
+                touches += 1;
+                model[i].dirty = true;
+            }
+            model[i].last_touch.seq = touches;
         }
-        // A sixth buffer fits only by evicting one victim; the reference
-        // model says it must be the first-touched buffer.
+        // A sixth buffer (one more touch: its malloc) fits only by evicting
+        // one victim; the reference model says which.
         let newcomer = mm.malloc(ctx, size, mtgpu::api::protocol::AllocKind::Linear).unwrap();
+        touches += 1;
+        let victim = victim_order_reference(model, touches)[0];
         let m = mm.materialize(ctx, &[newcomer], &binding).unwrap();
         prop_assert!(matches!(m, Materialize::Ready));
         for (i, &v) in bufs.iter().enumerate() {
             let resident = mm.flags_of(ctx, v).unwrap().allocated;
-            prop_assert_eq!(resident, i != order[0],
-                "policy {:?}, touch order {:?}: buffer {} wrong residency", policy, order, i);
+            prop_assert_eq!(resident, v.0 != victim,
+                "touch order {:?}, written {:?}: buffer {} wrong residency", order, written, i);
+            let back = mm.copy_d2h(ctx, v, 256, Some(&binding)).unwrap();
+            prop_assert_eq!(back.payload, payload(i), "buffer {} lost its data", i);
         }
         prop_assert!(mm.flags_of(ctx, newcomer).unwrap().allocated);
     }
