@@ -4,14 +4,14 @@
 //!
 //! | scenario            | component          | shadow cell               |
 //! |---------------------|--------------------|---------------------------|
-//! | `dispatcher-churn`  | [`BindingManager`] | `sched.shard.free`        |
+//! | `dispatcher-churn`  | [`BindingManager`] | `sched.free`              |
 //! | `swap-vs-free`      | [`MemoryManager`]  | `mm.swap`                 |
 //! | `lease-admit-vs-reap` | [`LeaseBook`]    | `policy.lease.global_used`|
 //! | `migrate-vs-launch` | [`MemoryManager`]  | `mm.swap` (migration path)|
 //! | `reply-vs-retire`   | mux [`ReplySink`]  | `reactor.out.closed`      |
 //! | `lead-vs-follow`    | [`MuxConnection`]  | `mux.demux.leader`        |
-//! | `grant-vs-park`     | gateway + dispatcher | `sched.shard.free`      |
-//! | `cancel-vs-grant`   | [`BindingManager`] | `sched.shard.free`        |
+//! | `grant-vs-park`     | gateway + dispatcher | `sched.free`            |
+//! | `cancel-vs-grant`   | [`BindingManager`] | `sched.free`              |
 //! | `fixture-race`      | seeded fixture     | `fixture.check.cell`      |
 //!
 //! Every builder constructs *fresh* component state on the (unregistered)
@@ -71,7 +71,7 @@ static MATRIX: [Scenario; 9] = [
     Scenario {
         name: "dispatcher-churn",
         about: "two contexts churn try_acquire_on/release against one \
-                2-vGPU device (shard free-list under SHARD_STATE)",
+                2-vGPU device (its free-list under SCHED)",
         expect_clean: true,
         builder: dispatcher_churn,
     },

@@ -60,7 +60,7 @@ fn workspace_scenarios_explore_clean_on_a_small_budget() {
 #[test]
 fn pinned_schedules_stay_clean_and_replay_identically() {
     let pins: &[(&str, &str)] = &[
-        // Let ctx B win the shard lock first, then alternate.
+        // Let ctx B win the dispatcher's lock first, then alternate.
         ("dispatcher-churn", "s:1.0.1"),
         // Frees overtake the first malloc.
         ("swap-vs-free", "s:1.1.0"),

@@ -1,12 +1,12 @@
 //! Dispatcher throughput + ranked-lock overhead gate.
 //!
-//! Part 1 (throughput): the sharded binding manager under acquire/release
-//! churn from 8, 64 and 256 client threads on a 4-device node. Every episode
-//! performs the same total number of bind/unbind cycles, so times are
-//! directly comparable across client counts: growth with the thread count is
-//! pure contention cost. (The seed single-lock dispatcher this used to race
-//! against is retired; its last numbers are in EXPERIMENTS.md, *Retired
-//! baselines*.)
+//! Part 1 (throughput, reported, not gated): the one-lock binding manager
+//! under acquire/release churn from 8, 64 and 256 client threads on a
+//! 4-device node. Every episode performs the same total number of
+//! bind/unbind cycles, so times are directly comparable across client
+//! counts: growth with the thread count is pure contention cost. (The seed
+//! dispatcher and the per-device-sharded one this bench was written for are
+//! retired; their last numbers are in EXPERIMENTS.md, *Retired baselines*.)
 //!
 //! Part 2 (rank gate): the runtime lock-order checker lives behind
 //! `#[cfg(debug_assertions)]`, so release builds must compile

@@ -49,20 +49,19 @@ impl std::fmt::Debug for Binding {
 }
 
 /// Where a context's request for a vGPU stands. Written by the dispatcher
-/// under the lock of the queue the request's entry sits in or leaves; the
-/// context's owner reads it through [`crate::sched::BindingManager::poll`].
+/// under its lock (`Queued` exactly while an entry for the context is in
+/// the waiting list); the context's owner reads it through
+/// [`crate::sched::BindingManager::poll`].
 #[derive(Default)]
 pub enum BindWait {
-    /// Nothing asked for.
+    /// Nothing asked for (or the entry was taken out again: a timeout, a
+    /// kick, shutdown).
     #[default]
     Idle,
-    /// An entry for the context sits in a shard queue or the lobby.
+    /// An entry for the context sits in the dispatcher's waiting list.
     Queued,
-    /// A drain granted the entry this vGPU; the owner's next poll takes it.
+    /// The entry was granted this vGPU; the owner's next poll takes it.
     Granted(Binding),
-    /// The entry left its queue without a grant (device removed, a nudge
-    /// toward a slot elsewhere, affinity moved): the owner places again.
-    Reroute,
     /// The context was withdrawn for teardown: it neither queues nor binds
     /// again.
     Closed,
@@ -92,7 +91,7 @@ pub struct CtxInner {
     /// Scheduling credits (credit-based policy).
     pub credits: u32,
     /// FCFS ticket kept until the grant, so a context's queue position
-    /// survives re-placements and a blocking acquisition that timed out.
+    /// survives a kick and a blocking acquisition that timed out.
     pub wait_ticket: Option<u64>,
     /// The dispatcher's side of a pending vGPU request.
     pub bind_wait: BindWait,

@@ -117,11 +117,12 @@ counters! {
     recovered_contexts,
     /// Contexts lost to a device failure (dirty data without checkpoint).
     failed_contexts,
-    /// Grants delivered by waking exactly the granted waiter (sharded
-    /// dispatcher; the seed code woke every parked waiter per release).
+    /// Grants made to an entry of the dispatcher's waiting list, each
+    /// delivered by waking exactly the granted waiter.
     targeted_wakeups,
-    /// Parked waiters asked to re-run placement (device removed, or a slot
-    /// freed on another device).
+    /// Nothing bumps this any more: a waiting entry belongs to no device,
+    /// so none is ever sent to place again. Kept declared because the
+    /// frozen benchmark reads it by name (ROADMAP item 3).
     waiter_reroutes,
     /// Contended ranked-lock acquisitions observed by the monitor (debug
     /// builds only; release builds compile the probe out, and sequential

@@ -4,7 +4,7 @@
 //! local devices without routing its working set through the swap tier:
 //! the context is quiesced at a kernel boundary, device-current pages are
 //! copied source→destination over peer-DMA lanes, the binding is rebound
-//! through the sharded dispatcher, and the context resumes — typically a
+//! through the dispatcher, and the context resumes — typically a
 //! single PCIe hop per page instead of the D2H-writeback + lazy-H2D double
 //! hop of swap-based migration.
 //!

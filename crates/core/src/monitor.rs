@@ -108,8 +108,6 @@ pub(crate) fn recover_failed_devices(rt: &NodeRuntime) {
         }
         let affected = rt.bindings().remove_device(view.id);
         rt.tracer().record(TraceEvent::DeviceLost { device: view.id });
-        // mtlint: allow(notify-all, reason = "device loss: every parked waiter must re-run placement against the surviving devices")
-        rt.bindings().notify_all();
         for ctx_id in affected {
             recover_context(rt, ctx_id);
         }

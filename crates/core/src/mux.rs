@@ -877,8 +877,11 @@ mod tests {
         // migration may take the free vGPU past it (§5.3.4).
         assert_eq!(rt.load().waiting, 1);
         assert!(rt.bindings().try_acquire_on(hog.id, free_device).is_none());
-        // The release grants the vGPU to the queue entry, whose wake puts
+        // The release grants a vGPU to the waiting entry, whose wake puts
         // the channel back on the work queue: one visit finishes the batch.
+        // Which vGPU is the placement's draw: the application's last bound
+        // thread has just released, so its affinity has lapsed and either
+        // device is legal.
         rt.bindings().release(hog.id, held.vgpu);
         assert_eq!(rt.load().waiting, 0);
         assert_eq!(rt.gateway().work.len(), 1);
@@ -886,7 +889,7 @@ mod tests {
         let late = read_replies(&mut client, 3);
         assert!(late.iter().map(|(id, _)| *id).eq(2..5));
         assert!(late.iter().all(|(_, r)| r.is_ok()), "{late:?}");
-        assert_eq!(rt.binding_of(local_state(&rt, (1, 1)).ctx.id), Some(held.vgpu));
+        assert!(rt.binding_of(local_state(&rt, (1, 1)).ctx.id).is_some());
         rt.on_request(1, 1, 5, CudaCall::Exit);
         rt.serve_queued();
         let m = rt.metrics();

@@ -180,8 +180,10 @@ impl NodeRuntime {
     /// only under concurrent load, so sequential deterministic harnesses
     /// observe zero and replay fingerprints are unaffected.
     fn observe_lock_contention(&self) {
-        let mut sources = vec![("MM_STATE", self.mm.take_lock_contention())];
-        sources.extend(self.bm.take_lock_contention());
+        let sources = [
+            ("MM_STATE", self.mm.take_lock_contention()),
+            ("SCHED", self.bm.take_lock_contention()),
+        ];
         for (name, count) in sources {
             if count > 0 {
                 RuntimeMetrics::add(&self.metrics.lock_contention_events, count);
@@ -414,13 +416,10 @@ impl NodeRuntime {
     }
 
     /// Hot-detaches a device (dynamic downgrade, §2). Contexts bound to it
-    /// are recovered by the fault monitor exactly as for a failure.
+    /// are recovered by the fault monitor exactly as for a failure; waiting
+    /// contexts belong to no device and bind wherever a vGPU frees up next.
     pub fn detach_device(&self, id: DeviceId) {
         let _ = self.driver.detach(id);
-        // The monitor notices the failed device and recovers its contexts;
-        // queued contexts place again, against the devices that are left.
-        // mtlint: allow(notify-all, reason = "device topology changed: every queued entry must re-run placement against the new device set")
-        self.bm.notify_all();
     }
 
     /// Registers a new application context (one per connection).

@@ -7,23 +7,28 @@
 //! limiting the vGPU count caps the contexts the CUDA runtime must sustain,
 //! which is how the runtime stays stable under hundreds of applications.
 //!
-//! The [`BindingManager`] is the dispatcher's scheduling core: it tracks
-//! free vGPUs per device, queues contexts that cannot bind (the paper's
-//! *waiting contexts* list), and grants bindings according to the
+//! The [`BindingManager`] is the dispatcher's scheduling core, as §4.3
+//! draws it: every device's vGPU slots and the node's one list of *waiting
+//! contexts* behind one lock. It grants bindings according to the
 //! configured [`SchedulerPolicy`] — FCFS round-robin with vGPU-count load
-//! balancing (the policy of §5), shortest-job-first, or credit-based.
+//! balancing (the policy of §5), shortest-job-first, or credit-based — and
+//! the policy orders the whole node's waiters, whichever device frees up.
 //!
-//! # Waiters are queue entries
+//! # Waiters are list entries
 //!
 //! A context that cannot bind at once ([`BindingManager::poll`]) leaves an
-//! *entry* in a queue ([`BindingManager::enqueue`]): its FCFS ticket, SJF
-//! key, memory footprint, application id, and a *wake*. The dispatcher
-//! takes the entry out of its queue exactly once — granted a vGPU by a
-//! drain, or told to place again (device removed, a nudge toward a slot
-//! elsewhere) — writes the outcome into the context
-//! ([`crate::ctx::BindWait`]) and runs the wake; the owner then polls
-//! again. No waiter owns a thread or a timer: the gateway's wake puts the
-//! waiting channel back on the work queue, and blocking
+//! *entry* in the waiting list ([`BindingManager::enqueue`]): its FCFS
+//! ticket, SJF key, memory footprint, application id, and a *wake*. An
+//! entry belongs to no device. Whatever frees or adds a slot, or adds an
+//! entry — a release, a new device, the enqueue itself — ends by handing
+//! free vGPUs to the first entry in policy order that may run on a device
+//! with a free one (`grant_waiting`), so outside the lock a free slot never
+//! coexists with an entry that could take it: there is nothing to re-check
+//! and nobody to send elsewhere. A grant is written into the context
+//! ([`crate::ctx::BindWait`]) and the entry's wake runs — exactly that
+//! entry's, exactly once; the owner then polls again and takes it. No
+//! waiter owns a thread or a timer: the gateway's wake puts the waiting
+//! channel back on the work queue, and blocking
 //! [`BindingManager::acquire`] is the same entry with a wake that notifies
 //! a condition variable. [`BindingManager::cancel`] withdraws a context at
 //! teardown and hands back a grant that raced it; [`BindingManager::kick`]
@@ -31,41 +36,19 @@
 //! could never be followed by a launch — the context cancelled or failed —
 //! is not queued at all: its wake runs at once.
 //!
-//! # Sharded dispatch
-//!
-//! State is sharded **per device**: each [`Shard`] owns its vGPU slots and
-//! its own wait queue behind a private mutex, so a bind or release on
-//! device A never contends with device B. Wakeups are **targeted**: a grant
-//! wakes exactly the granted entry, never every waiter (the seed
-//! implementation's global `notify_all` cost O(W²) per release; its last
-//! measured throughput is in EXPERIMENTS.md, *Retired baselines*).
-//!
-//! Placement still sees a consistent cross-device view: each shard
-//! maintains lock-free `free`/`bound` hint counters, and placement
-//! snapshots them (plus device health, speed and free memory) without
-//! taking any shard lock. The snapshot is *bounded-stale* without a timer:
-//! an entry re-checks the hints right after it is queued (a slot freed
-//! elsewhere between snapshot and enqueue either shows in that re-check or
-//! its release saw the entry counted in `total_waiting`), a release whose
-//! device still has free slots *nudges* one entry queued elsewhere to place
-//! again, a nudge spent on a context that is then cancelled is passed on,
-//! and every topology change reroutes the entries it strands.
-//!
 //! # Determinism
 //!
-//! Under the `det` harness clients are driven sequentially, so every
-//! placement decision observes quiescent hint counters and the grant
-//! sequence is a pure function of the seed and arrival order: shards live
-//! in a `BTreeMap` and are always drained/nudged in ascending device-id
-//! order, and tie-breaks draw from one seeded [`DetRng`] stream.
+//! Every decision is taken under the one lock over ordered maps, and
+//! tie-breaks draw from one seeded [`DetRng`] stream — one draw per grant
+//! that had a candidate device, none otherwise — so the grant sequence is a
+//! pure function of the seed and the arrival order.
 
 use crate::config::SchedulerPolicy;
 use crate::ctx::{AppContext, BindWait, Binding, CtxId, VGpuId};
 use crate::metrics::RuntimeMetrics;
 use mtgpu_gpusim::{DeviceId, Gpu, GpuContextId};
-use mtgpu_simtime::{lock_rank, DetRng, RankedCondvar, RankedMutex, RankedRwLock, Shadow};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use mtgpu_simtime::{lock_rank, DetRng, RankedCondvar, RankedMutex, Shadow};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -98,86 +81,75 @@ pub enum AddDeviceError {
 }
 
 /// What a queued entry's owner is told with: run once, right after the
-/// entry's outcome is written into its context. Usually called with the
-/// entry's queue locked, so it must not block or call back into the manager.
+/// entry's outcome is written into its context. Called with the
+/// dispatcher's lock held, so it must not block or call back into the
+/// manager.
 pub type Wake = Box<dyn FnOnce() + Send>;
 
 /// One queued request for a vGPU.
 struct Waiter {
     ctx: Arc<AppContext>,
-    /// FIFO ticket (the context's, kept across re-placements).
+    /// FIFO ticket (the context's, kept until it is granted).
     enq_seq: u64,
     /// Declared work of the launch that needs the binding (SJF key).
     pending_work: f64,
+    /// The context's memory footprint (placement prefers a device it fits).
+    mem_usage: u64,
     /// CUDA 4.0 application id (§4.8): constrains placement to the device
     /// already hosting the application's other threads.
     app_id: Option<u64>,
     wake: Wake,
 }
 
-struct ShardState {
+/// One device's vGPU slots.
+struct Device {
+    gpu: Arc<Gpu>,
     vgpus: Vec<VGpu>,
     /// Free vGPU slot indices. Shadowed so mtcheck's happens-before
-    /// detector audits every read/write against the shard lock.
+    /// detector audits every read/write against the dispatcher's lock.
     free: Shadow<Vec<u32>>,
     /// Ordered by vGPU index so every walk over the bound set is
     /// deterministic without a defensive sort at each consumer.
     bound: BTreeMap<u32, (CtxId, Option<u64>)>,
-    /// Entries queued on this device, unordered; policy order is computed
-    /// per drain.
-    queue: Vec<Waiter>,
-    /// Set when the device is removed; queued waiters are rerouted and the
-    /// shard does not grant again.
-    defunct: bool,
 }
 
-/// Per-device scheduling state: slots + wait queue behind a private lock,
-/// plus lock-free hint counters for cross-device placement snapshots.
-struct Shard {
-    device: DeviceId,
-    gpu: Arc<Gpu>,
-    vgpu_count: usize,
-    /// Mirrors `state.free.len()` (updated under the shard lock, read
-    /// without it by placement).
-    free_hint: AtomicUsize,
-    /// Mirrors `state.bound.len()`.
-    bound_hint: AtomicUsize,
-    state: RankedMutex<ShardState>,
+impl Device {
+    /// Whether a grant may land here now.
+    fn open(&self) -> bool {
+        !self.free.is_empty() && !self.gpu.is_failed()
+    }
+
+    /// Bound contexts in context-id order (the map iterates by vGPU index;
+    /// victim selection and recovery want context-id order).
+    fn bound_ctxs(&self) -> Vec<CtxId> {
+        let mut bound: Vec<CtxId> = self.bound.values().map(|&(c, _)| c).collect();
+        bound.sort_unstable();
+        bound
+    }
 }
 
-/// Placement-relevant state shared across shards: the tie-break source and
-/// the CUDA 4.0 application affinity map. A small leaf lock, never held
-/// while parking.
-struct GlobalState {
+/// Everything the dispatcher decides over, behind its one lock.
+struct State {
+    /// Ordered so placement, views and vGPU enumeration walk devices in
+    /// device-id order.
+    devices: BTreeMap<DeviceId, Device>,
+    /// The node's waiting contexts, unordered; policy order is computed
+    /// per grant.
+    waiting: Vec<Waiter>,
     /// Tie-break generator, forked off the runtime's determinism seed.
     rng: DetRng,
-    /// CUDA 4.0 application → (device, bound thread count) affinity map.
-    app_devices: HashMap<u64, (DeviceId, usize)>,
+    /// CUDA 4.0 application → (device, bound thread count) affinity map;
+    /// only ever points at a registered device.
+    app_devices: BTreeMap<u64, (DeviceId, usize)>,
+    /// Next FCFS ticket.
+    next_seq: u64,
 }
 
-/// Lock-free placement snapshot of one shard.
-struct DevSnap {
-    shard: Arc<Shard>,
-    free: usize,
-    bound: usize,
-    flops: f64,
-    fits: bool,
-}
-
-/// The dispatcher's binding/scheduling core (sharded; see module docs).
+/// The dispatcher's binding/scheduling core (see module docs).
 pub struct BindingManager {
     policy: SchedulerPolicy,
     metrics: Arc<RuntimeMetrics>,
-    /// Ordered so every cross-shard walk (drain nudges, views, specs) is
-    /// deterministic.
-    shards: RankedRwLock<BTreeMap<DeviceId, Arc<Shard>>>,
-    global: RankedMutex<GlobalState>,
-    next_seq: AtomicU64,
-    /// Entries currently queued anywhere (shard queues + lobby).
-    total_waiting: AtomicUsize,
-    /// Entries queued while no device is placeable at all; `add_device`
-    /// and `notify_all` reroute them.
-    lobby: RankedMutex<Vec<Waiter>>,
+    state: RankedMutex<State>,
 }
 
 impl BindingManager {
@@ -190,25 +162,19 @@ impl BindingManager {
     /// [`DetRng`] forked off `seed` on `"sched"`, so the grant sequence is a
     /// pure function of the seed and the arrival order.
     pub fn new_seeded(policy: SchedulerPolicy, metrics: Arc<RuntimeMetrics>, seed: u64) -> Self {
-        BindingManager {
-            policy,
-            metrics,
-            shards: RankedRwLock::new(lock_rank::SHARD_MAP, BTreeMap::new()),
-            global: RankedMutex::new(
-                lock_rank::SCHED_GLOBAL,
-                GlobalState {
-                    rng: DetRng::from_seed(seed).fork("sched"),
-                    app_devices: HashMap::new(),
-                },
-            ),
-            next_seq: AtomicU64::new(0),
-            total_waiting: AtomicUsize::new(0),
-            lobby: RankedMutex::new(lock_rank::SCHED_LOBBY, Vec::new()),
-        }
+        let state = State {
+            devices: BTreeMap::new(),
+            waiting: Vec::new(),
+            rng: DetRng::from_seed(seed).fork("sched"),
+            app_devices: BTreeMap::new(),
+            next_seq: 0,
+        };
+        BindingManager { policy, metrics, state: RankedMutex::new(lock_rank::SCHED, state) }
     }
 
     /// Registers a device and spawns `count` vGPUs on it, creating each
-    /// vGPU's persistent CUDA context.
+    /// vGPU's persistent CUDA context. Waiting contexts bind to the fresh
+    /// slots at once.
     pub fn add_device(
         &self,
         id: DeviceId,
@@ -220,83 +186,37 @@ impl BindingManager {
             let gpu_ctx = gpu.create_context().map_err(AddDeviceError::ContextCreation)?;
             vgpus.push(VGpu { id: VGpuId { device: id, index }, gpu: Arc::clone(&gpu), gpu_ctx });
         }
-        let shard = Arc::new(Shard {
-            device: id,
-            gpu,
-            vgpu_count: count as usize,
-            free_hint: AtomicUsize::new(count as usize),
-            bound_hint: AtomicUsize::new(0),
-            state: RankedMutex::new(
-                lock_rank::SHARD_STATE,
-                ShardState {
-                    vgpus,
-                    free: Shadow::new("sched.shard.free", (0..count).collect()),
-                    bound: BTreeMap::new(),
-                    queue: Vec::new(),
-                    defunct: false,
-                },
-            ),
-        });
-        self.shards.write().insert(id, shard);
-        // Lobby entries place again, and entries queued on full devices are
-        // pulled onto the fresh slots.
-        self.reroute_all(&mut self.lobby.lock());
-        for _ in 0..count {
-            if self.total_waiting.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-            self.nudge(Some(id));
-        }
+        let free = Shadow::new("sched.free", (0..count).collect());
+        let mut st = self.state.lock();
+        st.devices.insert(id, Device { gpu, vgpus, free, bound: BTreeMap::new() });
+        self.grant_waiting(&mut st);
         Ok(())
     }
 
     /// Removes a device (failure or hot detach), returning the contexts
     /// that were bound to it. Their device state must be recovered by the
-    /// caller via the memory manager. Queued waiters are rerouted to other
-    /// devices.
+    /// caller via the memory manager. Applications that lived on it may
+    /// regroup elsewhere: their waiting threads are granted what the
+    /// surviving devices have free.
     pub fn remove_device(&self, id: DeviceId) -> Vec<CtxId> {
-        let Some(shard) = self.shards.write().remove(&id) else { return Vec::new() };
-        let mut st = shard.state.lock();
-        st.defunct = true;
-        {
-            let mut g = self.global.lock();
-            for (_, app) in st.bound.values() {
-                if let Some(app) = app {
-                    Self::app_release(&mut g.app_devices, *app);
-                }
-            }
-        }
-        let mut affected: Vec<CtxId> = st.bound.values().map(|&(c, _)| c).collect();
-        // vGPU-index order in; recovery wants context-id order.
-        affected.sort_unstable();
-        st.bound.clear();
-        st.free.clear();
-        shard.free_hint.store(0, Ordering::SeqCst);
-        shard.bound_hint.store(0, Ordering::Relaxed);
-        RuntimeMetrics::add(&self.metrics.waiter_reroutes, st.queue.len() as u64);
-        self.reroute_all(&mut st.queue);
-        affected
-    }
-
-    fn app_release(map: &mut HashMap<u64, (DeviceId, usize)>, app: u64) {
-        if let Some((_, count)) = map.get_mut(&app) {
-            *count -= 1;
-            if *count == 0 {
-                map.remove(&app);
-            }
-        }
+        let mut st = self.state.lock();
+        let Some(device) = st.devices.remove(&id) else { return Vec::new() };
+        st.app_devices.retain(|_, &mut (dev, _)| dev != id);
+        self.grant_waiting(&mut st);
+        device.bound_ctxs()
     }
 
     /// Whether a device is registered.
     pub fn has_device(&self, id: DeviceId) -> bool {
-        self.shards.read().contains_key(&id)
+        self.state.lock().devices.contains_key(&id)
     }
 
     /// The non-blocking request: the grant a queued entry of `ctx` was given
-    /// meanwhile, or — nothing pending — a free vGPU with nobody queued
-    /// ahead, taken without allocating an entry or reading a clock. `None`
-    /// means wait: [`Self::enqueue`], and poll again when woken. The granted
-    /// binding is written into the context's metadata by the caller.
+    /// meanwhile, or — nothing pending — a free vGPU, taken without
+    /// allocating an entry or reading a clock (whoever is queued meanwhile
+    /// could not run on it, or would hold it already). `None` means wait:
+    /// [`Self::enqueue`], and poll again when woken. The granted binding is
+    /// written into the context's metadata by the caller.
     pub fn poll(&self, ctx: &Arc<AppContext>, mem_usage: u64) -> Option<Binding> {
         let (app_id, ticketed) = {
             let mut inner = ctx.inner();
@@ -305,7 +225,7 @@ impl BindingManager {
                     inner.wait_ticket = None;
                     return Some(binding);
                 }
-                BindWait::Idle | BindWait::Reroute => {}
+                BindWait::Idle => {}
                 pending => {
                     inner.bind_wait = pending;
                     return None;
@@ -313,155 +233,56 @@ impl BindingManager {
             }
             (inner.app_id, inner.wait_ticket.is_some())
         };
-        loop {
-            let shard = self.placement_target(app_id, mem_usage, true)?;
-            let mut st = shard.state.lock();
-            if st.defunct {
-                continue;
-            }
-            // Someone queued ahead, or the hint was stale: the policy
-            // decides, through the queue.
-            if !st.queue.is_empty() || st.free.is_empty() || shard.gpu.is_failed() {
-                return None;
-            }
-            if !self.commit_affinity(app_id, shard.device) {
-                // A sibling bound elsewhere between placement and now.
-                continue;
-            }
-            let binding = Self::grant_slot(&shard, &mut st, ctx.id, app_id);
-            drop(st);
-            if ticketed || self.policy == SchedulerPolicy::CreditBased {
-                let mut inner = ctx.inner();
-                inner.wait_ticket = None;
-                if self.policy == SchedulerPolicy::CreditBased {
-                    // Sole candidate with exhausted credits refills, as in
-                    // a drain where every candidate is at zero.
-                    if inner.credits == 0 {
-                        inner.credits = 4;
-                    }
-                    inner.credits -= 1;
+        let binding = {
+            let mut st = self.state.lock();
+            let dev = Self::place(&mut st, app_id, mem_usage)?;
+            Self::grant_slot(&mut st, dev, ctx.id, app_id)
+        };
+        if ticketed || self.policy == SchedulerPolicy::CreditBased {
+            let mut inner = ctx.inner();
+            inner.wait_ticket = None;
+            if self.policy == SchedulerPolicy::CreditBased {
+                // Sole candidate with exhausted credits refills, as in a
+                // grant where every waiting entry is at zero.
+                if inner.credits == 0 {
+                    inner.credits = 4;
                 }
+                inner.credits -= 1;
             }
-            RuntimeMetrics::bump(&self.metrics.bindings);
-            return Some(binding);
         }
+        RuntimeMetrics::bump(&self.metrics.bindings);
+        Some(binding)
     }
 
-    /// Queues a request of `ctx` after [`Self::poll`] found nothing: the
-    /// entry goes to the shard placement picks (or the lobby while no
-    /// device is placeable) under the context's FCFS ticket, and `wake`
-    /// runs once, when the entry is granted a vGPU or has to place again —
-    /// possibly before this returns. A context that will not launch again
-    /// (cancelled, or failed) is not queued: its wake runs at once, so its
-    /// owner looks again and finds out.
+    /// Queues a request of `ctx` after [`Self::poll`] found nothing, under
+    /// the context's FCFS ticket; `wake` runs once, when the entry is
+    /// granted a vGPU or taken out by [`Self::kick`] — possibly before this
+    /// returns. A context that will not launch again (cancelled, or failed)
+    /// is not queued: its wake runs at once, so its owner looks again and
+    /// finds out.
     pub fn enqueue(&self, ctx: &Arc<AppContext>, pending_work: f64, mem_usage: u64, wake: Wake) {
+        let mut st = self.state.lock();
         let (enq_seq, app_id) = {
             let mut inner = ctx.inner();
-            let ticket = inner
-                .wait_ticket
-                .get_or_insert_with(|| self.next_seq.fetch_add(1, Ordering::Relaxed));
-            (*ticket, inner.app_id)
-        };
-        let mut entry = Waiter { ctx: Arc::clone(ctx), enq_seq, pending_work, app_id, wake };
-        // Enqueue, then re-check: placement read the hints before the entry
-        // counted in `total_waiting`, so a release in between nudged nobody.
-        // What it freed shows in the hints now (both sides are SeqCst: the
-        // release bumps its hint, then reads the count; this bumps the
-        // count, then reads the hints), and the entry moves toward it.
-        loop {
-            let Some(shard) = self.placement_target(app_id, mem_usage, false) else {
-                let mut lobby = self.lobby.lock();
-                if !self.push_entry(&mut lobby, entry) {
-                    return;
-                }
-                drop(lobby);
-                if !self.shards.read().values().any(|s| !s.gpu.is_failed()) {
-                    return;
-                }
-                // A device appeared between the failed placement and the push.
-                let pulled = self.pull_entry(&mut self.lobby.lock(), ctx.id, BindWait::Idle);
-                match pulled {
-                    Some(back) => entry = back,
-                    None => return,
-                }
-                continue;
-            };
-            let mut st = shard.state.lock();
-            if st.defunct {
-                continue;
-            }
-            if !self.push_entry(&mut st.queue, entry) {
-                return;
-            }
-            self.drain_shard(&shard, &mut st);
-            drop(st);
-            // Move only toward an actual free slot elsewhere; otherwise stay
-            // put (keeps local order, no ping-pong between full shards).
-            match self.placement_target(app_id, mem_usage, true) {
-                Some(target) if target.device != shard.device => {}
-                _ => return,
-            }
-            let pulled = self.pull_entry(&mut shard.state.lock().queue, ctx.id, BindWait::Idle);
-            match pulled {
-                Some(back) => entry = back,
-                // Granted or rerouted meanwhile: the wake has run.
-                None => return,
-            }
-        }
-    }
-
-    /// Queues `entry` (caller holds the queue's lock), or — its context was
-    /// cancelled or has failed, so no grant would ever be used — wakes its
-    /// owner instead.
-    fn push_entry(&self, queue: &mut Vec<Waiter>, entry: Waiter) -> bool {
-        {
-            let mut inner = entry.ctx.inner();
             if matches!(inner.bind_wait, BindWait::Closed) || inner.failed.is_some() {
                 drop(inner);
-                (entry.wake)();
-                return false;
+                return wake();
             }
-            debug_assert!(
-                !matches!(inner.bind_wait, BindWait::Queued),
-                "{} queued twice",
-                entry.ctx.id
-            );
+            debug_assert!(!matches!(inner.bind_wait, BindWait::Queued), "{} queued twice", ctx.id);
             inner.bind_wait = BindWait::Queued;
-        }
-        queue.push(entry);
-        self.total_waiting.fetch_add(1, Ordering::SeqCst);
-        true
-    }
-
-    /// Takes `ctx`'s entry back out of `queue` (caller holds its lock),
-    /// leaving the context in `state`; `None` if it is not queued there.
-    /// The entry's wake does not run.
-    fn pull_entry(&self, queue: &mut Vec<Waiter>, ctx: CtxId, state: BindWait) -> Option<Waiter> {
-        let pos = queue.iter().position(|w| w.ctx.id == ctx)?;
-        let entry = queue.remove(pos);
-        self.total_waiting.fetch_sub(1, Ordering::SeqCst);
-        entry.ctx.inner().bind_wait = state;
-        Some(entry)
-    }
-
-    /// Writes the outcome of an entry that has just left its queue (caller
-    /// holds that queue's lock) into its context and wakes the owner.
-    fn resolve(&self, entry: Waiter, outcome: BindWait) {
-        self.total_waiting.fetch_sub(1, Ordering::SeqCst);
-        entry.ctx.inner().bind_wait = outcome;
-        (entry.wake)();
-    }
-
-    /// Sends every entry of `queue` (caller holds its lock) back to place
-    /// again.
-    fn reroute_all(&self, queue: &mut Vec<Waiter>) {
-        for entry in queue.drain(..) {
-            self.resolve(entry, BindWait::Reroute);
-        }
+            let ticket = *inner.wait_ticket.get_or_insert_with(|| {
+                st.next_seq += 1;
+                st.next_seq - 1
+            });
+            (ticket, inner.app_id)
+        };
+        let ctx = Arc::clone(ctx);
+        st.waiting.push(Waiter { ctx, enq_seq, pending_work, mem_usage, app_id, wake });
+        self.grant_waiting(&mut st);
     }
 
     /// Blocks until a vGPU is granted to `ctx` (per policy) or `timeout`
-    /// expires: [`Self::poll`], and when that finds nothing, the same queue
+    /// expires: [`Self::poll`], and when that finds nothing, the same list
     /// entry everyone waits in, with a wake that notifies this thread. The
     /// granted binding is written into the context's metadata by the caller.
     pub fn acquire(
@@ -492,7 +313,7 @@ impl BindingManager {
                 return None;
             }
             drop(inner);
-            // Granted: taken here. Rerouted: one more look at the fast path
+            // Granted: taken here. Kicked: one more look at the fast path
             // before queueing again.
             if let Some(binding) = self.poll(ctx, mem_usage) {
                 return Some(binding);
@@ -501,18 +322,17 @@ impl BindingManager {
     }
 
     /// Withdraws `ctx` from the dispatcher for good (teardown, when nobody
-    /// is left to tell): its entry leaves whatever queue it is in without
-    /// its wake running, and nothing queues or binds the context again. A
-    /// grant that raced the withdrawal comes back for the caller to
-    /// [`Self::release`].
+    /// is left to tell): its entry leaves the waiting list without its wake
+    /// running, and nothing queues or binds the context again. A grant that
+    /// raced the withdrawal comes back for the caller to [`Self::release`].
     pub fn cancel(&self, ctx: &Arc<AppContext>) -> Option<Binding> {
         self.withdraw(ctx, true)
     }
 
-    /// Takes `ctx`'s entry out of whatever queue it is in and runs its wake,
-    /// so its owner looks again now instead of at a grant (lease reaping:
-    /// the look finds the context failed). A grant already given comes back
-    /// for the caller to [`Self::release`].
+    /// Takes `ctx`'s entry out of the waiting list and runs its wake, so
+    /// its owner looks again now instead of at a grant (lease reaping: the
+    /// look finds the context failed). A grant already given comes back for
+    /// the caller to [`Self::release`].
     pub fn kick(&self, ctx: &Arc<AppContext>) -> Option<Binding> {
         self.withdraw(ctx, false)
     }
@@ -520,386 +340,239 @@ impl BindingManager {
     /// Takes `ctx` out of the dispatcher: for good and in silence when
     /// `close` is set, else waking the owner of the entry it pulls.
     fn withdraw(&self, ctx: &Arc<AppContext>, close: bool) -> Option<Binding> {
-        let settled = || if close { BindWait::Closed } else { BindWait::Idle };
-        loop {
-            {
-                let mut inner = ctx.inner();
-                match std::mem::replace(&mut inner.bind_wait, settled()) {
-                    BindWait::Granted(binding) => {
-                        inner.wait_ticket = None;
-                        return Some(binding);
-                    }
-                    BindWait::Reroute => {
-                        drop(inner);
-                        // A nudge was spent on this context: pass it on, or
-                        // the slot it pointed at idles while others wait.
-                        if self.total_waiting.load(Ordering::SeqCst) > 0 {
-                            self.nudge(None);
-                        }
-                        return None;
-                    }
-                    // The entry has to leave its queue first.
-                    BindWait::Queued => inner.bind_wait = BindWait::Queued,
-                    BindWait::Closed => {
-                        inner.bind_wait = BindWait::Closed;
-                        return None;
-                    }
-                    BindWait::Idle => return None,
-                }
+        let mut st = self.state.lock();
+        let mut inner = ctx.inner();
+        let settled = if close { BindWait::Closed } else { BindWait::Idle };
+        match std::mem::replace(&mut inner.bind_wait, settled) {
+            BindWait::Granted(binding) => {
+                inner.wait_ticket = None;
+                return Some(binding);
             }
-            let shards: Vec<Arc<Shard>> = self.shards.read().values().map(Arc::clone).collect();
-            let pulled = shards
-                .iter()
-                .find_map(|s| self.pull_entry(&mut s.state.lock().queue, ctx.id, settled()))
-                .or_else(|| self.pull_entry(&mut self.lobby.lock(), ctx.id, settled()));
-            if let Some(entry) = pulled {
+            BindWait::Queued => {
+                drop(inner);
+                let pos = st.waiting.iter().position(|w| w.ctx.id == ctx.id);
+                let entry = st.waiting.remove(pos.expect("a queued context has an entry"));
                 if !close {
                     (entry.wake)();
                 }
-                return None;
             }
-            // In no queue: a grant or reroute took the entry between the
-            // two looks, and the outcome is in the context by now.
+            BindWait::Closed => inner.bind_wait = BindWait::Closed,
+            BindWait::Idle => {}
         }
+        None
     }
 
-    /// Chooses the shard for a placement: the CUDA 4.0 affinity device if
-    /// the application already has one, else the seed heuristic over a
-    /// lock-free snapshot — lowest capability-weighted load first
-    /// (`(bound+1) / relative speed`, the §2 principle of "maximizing the
-    /// overall processor utilization while favoring the use of more
+    /// Chooses the device of a grant: the CUDA 4.0 affinity device if the
+    /// application already has one — full means wait, threads of one
+    /// application do not split (§4.8) — else the seed heuristic over the
+    /// healthy devices with a free vGPU: lowest capability-weighted load
+    /// first (`(bound+1) / relative speed`, the §2 principle of "maximizing
+    /// the overall processor utilization while favoring the use of more
     /// powerful cores"), preferring devices whose free memory fits,
-    /// seeded-rng tiebreak within a 5% load band.
-    ///
-    /// With `require_free`, only devices with a free vGPU are considered
-    /// (the fast path and the re-check after queueing); otherwise full
-    /// devices are acceptable queueing targets and `None` means no healthy
-    /// device exists.
-    fn placement_target(
-        &self,
-        app_id: Option<u64>,
-        mem_usage: u64,
-        require_free: bool,
-    ) -> Option<Arc<Shard>> {
-        if let Some(app) = app_id {
-            let aff = self.global.lock().app_devices.get(&app).map(|&(d, _)| d);
-            if let Some(dev) = aff {
-                // The application's device, full or not: threads of a
-                // CUDA 4.0 app wait rather than split (§4.8).
-                if let Some(s) = self.shards.read().get(&dev) {
-                    let usable = !require_free || s.free_hint.load(Ordering::SeqCst) > 0;
-                    return usable.then(|| Arc::clone(s));
-                }
-                // Device removed entirely: drop the stale affinity so the
-                // app can regroup elsewhere.
-                self.global.lock().app_devices.remove(&app);
-            }
+    /// seeded-rng tiebreak within a 5% load band. Draws exactly once when
+    /// there is such a device and not at all otherwise.
+    fn place(st: &mut State, app_id: Option<u64>, mem_usage: u64) -> Option<DeviceId> {
+        if let Some(&(dev, _)) = app_id.and_then(|app| st.app_devices.get(&app)) {
+            return st.devices[&dev].open().then_some(dev);
         }
-        let snaps: Vec<DevSnap> = {
-            let shards = self.shards.read();
-            shards
-                .values()
-                .filter(|s| !s.gpu.is_failed())
-                .map(|s| DevSnap {
-                    shard: Arc::clone(s),
-                    free: s.free_hint.load(Ordering::SeqCst),
-                    bound: s.bound_hint.load(Ordering::Relaxed),
-                    flops: s.gpu.spec().effective_flops(),
-                    fits: s.gpu.mem_available() >= mem_usage,
-                })
-                .collect()
-        };
-        let with_free: Vec<&DevSnap> = snaps.iter().filter(|s| s.free > 0).collect();
-        let pool: Vec<&DevSnap> = if !with_free.is_empty() {
-            with_free
-        } else if require_free {
-            return None;
-        } else {
-            snaps.iter().collect()
-        };
-        if pool.is_empty() {
-            return None;
-        }
-        let draw = self.global.lock().rng.next_u64() as usize;
-        let max_flops = pool.iter().map(|s| s.flops).fold(f64::MIN, f64::max);
-        let keyed: Vec<(&DevSnap, f64)> = pool
-            .into_iter()
-            .map(|s| {
-                let speed = s.flops / max_flops;
-                let load = (s.bound + 1) as f64 / speed;
-                (s, load)
-            })
+        let open: Vec<(DeviceId, &Device, f64)> = st
+            .devices
+            .iter()
+            .filter(|(_, d)| d.open())
+            .map(|(&id, d)| (id, d, d.gpu.spec().effective_flops()))
             .collect();
-        let min_load = keyed.iter().map(|&(_, l)| l).fold(f64::INFINITY, f64::min);
+        if open.is_empty() {
+            return None;
+        }
+        let draw = st.rng.next_u64() as usize;
+        let max_flops = open.iter().map(|&(_, _, flops)| flops).fold(f64::MIN, f64::max);
+        let load = |d: &Device, flops: f64| (d.bound.len() + 1) as f64 / (flops / max_flops);
+        let min_load = open.iter().map(|&(_, d, f)| load(d, f)).fold(f64::INFINITY, f64::min);
         // Among near-equal loads (within 5%), prefer memory fit, then draw.
-        let tied: Vec<&DevSnap> = {
-            let close: Vec<&(&DevSnap, f64)> =
-                keyed.iter().filter(|&&(_, l)| l <= min_load * 1.05).collect();
-            let any_fits = close.iter().any(|&&(s, _)| s.fits);
-            close.into_iter().filter(|&&(s, _)| s.fits == any_fits).map(|&(s, _)| s).collect()
-        };
-        Some(Arc::clone(&tied[draw % tied.len()].shard))
+        let close: Vec<(DeviceId, bool)> = open
+            .iter()
+            .filter(|&&(_, d, f)| load(d, f) <= min_load * 1.05)
+            .map(|&(id, d, _)| (id, d.gpu.mem_available() >= mem_usage))
+            .collect();
+        let any_fits = close.iter().any(|&(_, fits)| fits);
+        let tied: Vec<DeviceId> =
+            close.into_iter().filter(|&(_, fits)| fits == any_fits).map(|(id, _)| id).collect();
+        Some(tied[draw % tied.len()])
     }
 
-    /// Commits (or re-checks) the CUDA 4.0 affinity of `app_id` to `dev`
-    /// at grant time; `false` means the application bound elsewhere in the
-    /// meantime and the caller must re-place.
-    fn commit_affinity(&self, app_id: Option<u64>, dev: DeviceId) -> bool {
-        let Some(app) = app_id else { return true };
-        let mut g = self.global.lock();
-        match g.app_devices.get(&app) {
-            Some(&(d, _)) if d != dev => false,
-            _ => {
-                g.app_devices.entry(app).or_insert((dev, 0)).1 += 1;
-                true
-            }
+    /// Takes a free slot on `dev` and records the binding and, for a CUDA
+    /// 4.0 application thread, its application's affinity.
+    fn grant_slot(st: &mut State, dev: DeviceId, ctx_id: CtxId, app_id: Option<u64>) -> Binding {
+        let device = st.devices.get_mut(&dev).expect("grant on an unregistered device");
+        let index = device.free.pop().expect("grant without free slot");
+        device.bound.insert(index, (ctx_id, app_id));
+        if let Some(app) = app_id {
+            let affinity = st.app_devices.entry(app).or_insert((dev, 0));
+            debug_assert_eq!(affinity.0, dev, "application {app} split across devices");
+            affinity.1 += 1;
         }
+        let vgpu = &device.vgpus[index as usize];
+        Binding { vgpu: vgpu.id, gpu: Arc::clone(&vgpu.gpu), gpu_ctx: vgpu.gpu_ctx }
     }
 
-    /// Takes a free slot on the shard (lock held) and records the binding.
-    fn grant_slot(
-        shard: &Shard,
-        st: &mut ShardState,
-        ctx_id: CtxId,
-        app_id: Option<u64>,
-    ) -> Binding {
-        let vgpu_idx = st.free.pop().expect("grant without free slot");
-        let vgpu = st.vgpus[vgpu_idx as usize].clone();
-        st.bound.insert(vgpu_idx, (ctx_id, app_id));
-        shard.free_hint.fetch_sub(1, Ordering::SeqCst);
-        shard.bound_hint.fetch_add(1, Ordering::Relaxed);
-        Binding { vgpu: vgpu.id, gpu: vgpu.gpu, gpu_ctx: vgpu.gpu_ctx }
-    }
-
-    /// Grants free vGPUs to this shard's queue in policy order until slots
-    /// or placeable waiters run out, waking exactly the granted waiters.
-    /// Caller holds the shard lock. An entry whose CUDA 4.0 application
-    /// meanwhile acquired affinity to a *different* device is rerouted;
-    /// other waiters are not blocked behind it.
-    fn drain_shard(&self, shard: &Shard, st: &mut ShardState) {
-        if st.defunct || shard.gpu.is_failed() {
-            return;
-        }
-        while !st.free.is_empty() && !st.queue.is_empty() {
-            // First candidate in policy order (the queue is non-empty, so
-            // there always is one).
-            let idx = self.ordered_local(st)[0];
-            let w = st.queue.remove(idx);
-            if !self.commit_affinity(w.app_id, shard.device) {
-                self.resolve(w, BindWait::Reroute);
-                RuntimeMetrics::bump(&self.metrics.waiter_reroutes);
-                continue;
-            }
-            let binding = Self::grant_slot(shard, st, w.ctx.id, w.app_id);
-            if self.policy == SchedulerPolicy::CreditBased {
+    /// Hands free vGPUs to the waiting list — each to the first entry in
+    /// policy order that may run on a device with a free one — until no
+    /// such pair is left, waking exactly the granted entries. Every path
+    /// that frees or adds a slot or adds an entry ends here (lock held), so
+    /// a free slot and an entry that could take it never outlive the lock.
+    /// An entry pinned to a full device (CUDA 4.0 affinity) is passed over,
+    /// not waited behind.
+    fn grant_waiting(&self, st: &mut State) {
+        while !st.waiting.is_empty() && st.devices.values().any(Device::open) {
+            let granted = self.policy_order(st).into_iter().find_map(|i| {
+                let (app_id, mem_usage) = (st.waiting[i].app_id, st.waiting[i].mem_usage);
+                Self::place(st, app_id, mem_usage).map(|dev| (i, dev))
+            });
+            let Some((idx, dev)) = granted else { return };
+            let w = st.waiting.remove(idx);
+            let binding = Self::grant_slot(st, dev, w.ctx.id, w.app_id);
+            {
                 let mut inner = w.ctx.inner();
-                inner.credits = inner.credits.saturating_sub(1);
+                if self.policy == SchedulerPolicy::CreditBased {
+                    inner.credits = inner.credits.saturating_sub(1);
+                }
+                inner.bind_wait = BindWait::Granted(binding);
             }
-            self.resolve(w, BindWait::Granted(binding));
+            (w.wake)();
             RuntimeMetrics::bump(&self.metrics.bindings);
             RuntimeMetrics::bump(&self.metrics.targeted_wakeups);
         }
     }
 
-    /// This shard's queue indices in policy order.
-    fn ordered_local(&self, st: &mut ShardState) -> Vec<usize> {
-        let mut candidates: Vec<usize> = (0..st.queue.len()).collect();
+    /// The waiting list's indices in policy order.
+    fn policy_order(&self, st: &State) -> Vec<usize> {
+        let queue = &st.waiting;
+        let mut order: Vec<usize> = (0..queue.len()).collect();
         match self.policy {
-            SchedulerPolicy::FcfsRoundRobin => {
-                candidates.sort_by_key(|&i| st.queue[i].enq_seq);
-            }
-            SchedulerPolicy::ShortestJobFirst => {
-                candidates.sort_by(|&a, &b| {
-                    st.queue[a]
-                        .pending_work
-                        .total_cmp(&st.queue[b].pending_work)
-                        .then(st.queue[a].enq_seq.cmp(&st.queue[b].enq_seq))
-                });
-            }
+            SchedulerPolicy::FcfsRoundRobin => order.sort_by_key(|&i| queue[i].enq_seq),
+            SchedulerPolicy::ShortestJobFirst => order.sort_by(|&a, &b| {
+                let by_work = queue[a].pending_work.total_cmp(&queue[b].pending_work);
+                by_work.then(queue[a].enq_seq.cmp(&queue[b].enq_seq))
+            }),
             SchedulerPolicy::CreditBased => {
-                if !candidates.is_empty()
-                    && candidates.iter().all(|&i| st.queue[i].ctx.inner().credits == 0)
-                {
-                    for &i in &candidates {
-                        st.queue[i].ctx.inner().credits = 4;
+                if queue.iter().all(|w| w.ctx.inner().credits == 0) {
+                    for w in queue {
+                        w.ctx.inner().credits = 4;
                     }
                 }
-                candidates.sort_by_key(|&i| {
-                    (u32::MAX - st.queue[i].ctx.inner().credits, st.queue[i].enq_seq)
-                });
+                order.sort_by_key(|&i| (u32::MAX - queue[i].ctx.inner().credits, queue[i].enq_seq));
             }
         }
-        candidates
+        order
     }
 
-    /// Reroutes one policy-best waiter parked on some *other* shard so it
-    /// can re-place (toward a device that just gained a free slot). Walks
-    /// shards in device-id order; skips CUDA 4.0 affinity waiters, whose
-    /// placement is pinned.
-    fn nudge(&self, exclude: Option<DeviceId>) {
-        let shards: Vec<Arc<Shard>> = self
-            .shards
-            .read()
-            .iter()
-            .filter(|(id, _)| Some(**id) != exclude)
-            .map(|(_, s)| Arc::clone(s))
-            .collect();
-        for shard in shards {
-            let mut st = shard.state.lock();
-            let Some(idx) =
-                self.ordered_local(&mut st).into_iter().find(|&i| st.queue[i].app_id.is_none())
-            else {
-                continue;
-            };
-            let w = st.queue.remove(idx);
-            self.resolve(w, BindWait::Reroute);
-            drop(st);
-            RuntimeMetrics::bump(&self.metrics.waiter_reroutes);
-            return;
-        }
-    }
-
-    /// Releases the vGPU bound to `ctx_id`. Safe to call from the owner
-    /// handler, a swapper or the fault path. Only this device's shard is
-    /// locked; the next waiter (if any) gets a targeted wakeup.
+    /// Releases the vGPU bound to `ctx_id` and grants it to the next
+    /// waiting context that may run there, if any. Safe to call from the
+    /// owner handler, a swapper or the fault path.
     pub fn release(&self, ctx_id: CtxId, vgpu: VGpuId) {
-        let shard = self.shards.read().get(&vgpu.device).map(Arc::clone);
-        if let Some(shard) = shard {
-            let mut free_left = 0;
-            {
-                let mut st = shard.state.lock();
-                if !st.defunct {
-                    let owner_ok = st.bound.get(&vgpu.index).is_some_and(|&(o, _)| o == ctx_id);
-                    if owner_ok {
-                        let (_, app) = st.bound.remove(&vgpu.index).expect("checked above");
-                        st.free.push(vgpu.index);
-                        shard.free_hint.fetch_add(1, Ordering::SeqCst);
-                        shard.bound_hint.fetch_sub(1, Ordering::Relaxed);
-                        if let Some(app) = app {
-                            Self::app_release(&mut self.global.lock().app_devices, app);
-                        }
-                    } else {
-                        debug_assert!(
-                            !st.bound.contains_key(&vgpu.index),
-                            "release of unbound vGPU {vgpu}"
-                        );
+        let mut st = self.state.lock();
+        if let Some(device) = st.devices.get_mut(&vgpu.device) {
+            if device.bound.get(&vgpu.index).is_some_and(|&(owner, _)| owner == ctx_id) {
+                let (_, app) = device.bound.remove(&vgpu.index).expect("checked above");
+                device.free.push(vgpu.index);
+                if let Some(Entry::Occupied(mut affinity)) = app.map(|a| st.app_devices.entry(a)) {
+                    affinity.get_mut().1 -= 1;
+                    if affinity.get().1 == 0 {
+                        affinity.remove();
                     }
-                    self.drain_shard(&shard, &mut st);
-                    free_left = st.free.len();
                 }
-            }
-            // Slots left over after draining our own queue: offer one to a
-            // waiter parked on another (full) device.
-            if free_left > 0 && self.total_waiting.load(Ordering::SeqCst) > 0 {
-                self.nudge(Some(vgpu.device));
+                self.grant_waiting(&mut st);
+            } else {
+                debug_assert!(
+                    !device.bound.contains_key(&vgpu.index),
+                    "release of unbound vGPU {vgpu}"
+                );
             }
         }
+        drop(st);
         RuntimeMetrics::bump(&self.metrics.unbindings);
     }
 
     /// Immediately grants a free vGPU on `device` to `ctx_id`, bypassing the
-    /// waiting queue — the migration path (§5.3.4), only legal when nothing
+    /// waiting list — the migration path (§5.3.4), only legal when nothing
     /// is waiting (checked here).
     pub fn try_acquire_on(&self, ctx_id: CtxId, device: DeviceId) -> Option<Binding> {
-        if self.total_waiting.load(Ordering::SeqCst) > 0 {
+        let mut st = self.state.lock();
+        if !st.waiting.is_empty() || !st.devices.get(&device)?.open() {
             return None;
         }
-        let shard = self.shards.read().get(&device).map(Arc::clone)?;
-        let mut st = shard.state.lock();
-        if st.defunct || shard.gpu.is_failed() || st.free.is_empty() {
-            return None;
-        }
-        let binding = Self::grant_slot(&shard, &mut st, ctx_id, None);
+        let binding = Self::grant_slot(&mut st, device, ctx_id, None);
         RuntimeMetrics::bump(&self.metrics.bindings);
         Some(binding)
     }
 
-    /// Contexts currently bound to `device`, in context-id order (the
-    /// backing map iterates by vGPU index; sorting keeps every consumer —
-    /// victim selection, recovery — in context-id order).
+    /// Contexts currently bound to `device`, in context-id order.
     pub fn bound_on(&self, device: DeviceId) -> Vec<CtxId> {
-        let shard = self.shards.read().get(&device).map(Arc::clone);
-        let mut bound: Vec<CtxId> = shard
-            .map(|s| s.state.lock().bound.values().map(|&(c, _)| c).collect())
-            .unwrap_or_default();
-        bound.sort_unstable();
-        bound
+        self.state.lock().devices.get(&device).map(Device::bound_ctxs).unwrap_or_default()
     }
 
     /// Snapshot of every registered device, in device-id order.
     pub fn device_views(&self) -> Vec<DeviceView> {
-        let shards: Vec<Arc<Shard>> = self.shards.read().values().map(Arc::clone).collect();
-        shards
-            .into_iter()
-            .map(|shard| {
-                let st = shard.state.lock();
-                DeviceView {
-                    id: shard.device,
-                    gpu: Arc::clone(&shard.gpu),
-                    total_vgpus: st.vgpus.len(),
-                    free_vgpus: st.free.len(),
-                    bound: {
-                        let mut b: Vec<CtxId> = st.bound.values().map(|&(c, _)| c).collect();
-                        b.sort_unstable();
-                        b
-                    },
-                    effective_flops: shard.gpu.spec().effective_flops(),
-                    mem_available: shard.gpu.mem_available(),
-                }
+        let st = self.state.lock();
+        st.devices
+            .iter()
+            .map(|(&id, d)| DeviceView {
+                id,
+                gpu: Arc::clone(&d.gpu),
+                total_vgpus: d.vgpus.len(),
+                free_vgpus: d.free.len(),
+                bound: d.bound_ctxs(),
+                effective_flops: d.gpu.spec().effective_flops(),
+                mem_available: d.gpu.mem_available(),
             })
             .collect()
     }
 
     /// Number of contexts waiting for a binding.
     pub fn waiting_count(&self) -> usize {
-        self.total_waiting.load(Ordering::SeqCst)
+        self.state.lock().waiting.len()
     }
 
     /// Number of contexts currently bound.
     pub fn bound_count(&self) -> usize {
-        self.shards.read().values().map(|s| s.bound_hint.load(Ordering::Relaxed)).sum()
+        self.state.lock().devices.values().map(|d| d.bound.len()).sum()
     }
 
     /// Total vGPUs across healthy devices — what `cudaGetDeviceCount`
     /// reports to applications (§4.3).
     pub fn total_vgpus(&self) -> usize {
-        self.shards.read().values().filter(|s| !s.gpu.is_failed()).map(|s| s.vgpu_count).sum()
+        let st = self.state.lock();
+        st.devices.values().filter(|d| !d.gpu.is_failed()).map(|d| d.vgpus.len()).sum()
     }
 
     /// The spec of the physical device backing virtual device `index`
     /// (vGPUs enumerated device-major).
     pub fn vgpu_spec(&self, index: u32) -> Option<mtgpu_gpusim::GpuSpec> {
-        let shards = self.shards.read();
+        let st = self.state.lock();
         let mut remaining = index as usize;
-        for s in shards.values() {
-            if remaining < s.vgpu_count {
-                return Some(s.gpu.spec().clone());
+        for d in st.devices.values() {
+            if remaining < d.vgpus.len() {
+                return Some(d.gpu.spec().clone());
             }
-            remaining -= s.vgpu_count;
+            remaining -= d.vgpus.len();
         }
         None
     }
 
-    /// Sends every queued entry back to place again (device events: the
-    /// set of placeable devices changed under them).
+    /// Takes every entry out of the waiting list and wakes its owner to
+    /// look again (shutdown: the look sees the flag and unwinds).
     pub fn notify_all(&self) {
-        self.reroute_all(&mut self.lobby.lock());
-        let shards: Vec<Arc<Shard>> = self.shards.read().values().map(Arc::clone).collect();
-        for shard in shards {
-            self.reroute_all(&mut shard.state.lock().queue);
+        for entry in self.state.lock().waiting.drain(..) {
+            entry.ctx.inner().bind_wait = BindWait::Idle;
+            (entry.wake)();
         }
     }
 
-    /// Contended acquisitions per scheduler lock since the last monitor
-    /// pass (debug builds only — the ranked-lock observability hook).
-    /// Per-shard counts are aggregated under one `SHARD_STATE` entry.
-    pub(crate) fn take_lock_contention(&self) -> Vec<(&'static str, u64)> {
-        let shard_total: u64 = self.shards.read().values().map(|s| s.state.take_contended()).sum();
-        vec![
-            ("SHARD_STATE", shard_total),
-            ("SCHED_GLOBAL", self.global.take_contended()),
-            ("SCHED_LOBBY", self.lobby.take_contended()),
-        ]
+    /// Contended acquisitions of the dispatcher's lock since the last
+    /// monitor pass (debug builds only — the ranked-lock observability
+    /// hook).
+    pub(crate) fn take_lock_contention(&self) -> u64 {
+        self.state.take_contended()
     }
 }
 
@@ -908,6 +581,7 @@ mod tests {
     use super::*;
     use mtgpu_gpusim::GpuSpec;
     use mtgpu_simtime::Clock;
+    use std::collections::HashMap;
 
     fn setup(n_devices: u32, vgpus: u32) -> (Arc<BindingManager>, Vec<Arc<Gpu>>) {
         let clock = Clock::with_scale(1e-7);
@@ -1097,16 +771,15 @@ mod tests {
 
     #[test]
     fn release_on_other_device_unparks_cross_shard_waiter() {
-        // A waiter parked on a full device must be nudged toward a slot
-        // freed on a *different* device (the sharded analog of the old
-        // global notify_all).
+        // A waiter belongs to no device: whichever device frees a slot, the
+        // release grants it.
         let (bm, _) = setup(2, 1);
         let a = ctx(1);
         let b = ctx(2);
         let ba = bm.acquire(&a, 1.0, 0, Duration::from_secs(1)).unwrap();
         let bb = bm.acquire(&b, 1.0, 0, Duration::from_secs(1)).unwrap();
         assert_ne!(ba.vgpu.device, bb.vgpu.device);
-        // Both devices full; park a third context (it queues on one shard).
+        // Both devices full; park a third context.
         let c = ctx(3);
         let bm2 = Arc::clone(&bm);
         let c2 = Arc::clone(&c);
@@ -1114,10 +787,9 @@ mod tests {
         while bm.waiting_count() == 0 {
             std::hint::spin_loop();
         }
-        // Free a slot on whichever device: the waiter must get it even if
-        // it parked on the other shard.
+        // Free a slot on whichever device: the waiter must get it.
         bm.release(a.id, ba.vgpu);
-        let bc = waiter.join().unwrap().expect("cross-shard waiter stranded");
+        let bc = waiter.join().unwrap().expect("waiter stranded");
         assert_eq!(bc.vgpu.device, ba.vgpu.device);
         bm.release(b.id, bb.vgpu);
         bm.release(c.id, bc.vgpu);
@@ -1125,7 +797,7 @@ mod tests {
     }
 
     #[test]
-    fn add_device_unparks_lobby_waiter() {
+    fn add_device_unparks_waiter_queued_with_no_device() {
         let clock = Clock::with_scale(1e-7);
         let bm = Arc::new(BindingManager::new(
             SchedulerPolicy::FcfsRoundRobin,
@@ -1157,14 +829,12 @@ mod tests {
         while bm.waiting_count() == 0 {
             std::hint::spin_loop();
         }
-        // Remove the device holding `a`'s binding: if the waiter was parked
-        // there, it must re-place; either way it gets `a`'s or the freed
-        // capacity eventually.
+        // Remove the device holding `a`'s binding: the waiter stays in the
+        // list and gets the surviving device's capacity once it frees.
         let dev_a = ba.vgpu.device;
         let affected = bm.remove_device(dev_a);
         assert_eq!(affected, vec![a.id]);
-        // Free the *other* device so the waiter can bind wherever it ends
-        // up re-placed.
+        // Free the *other* device so the waiter can bind.
         bm.release(b.id, _bb.vgpu);
         let bc = waiter.join().unwrap().expect("waiter stranded after device removal");
         assert_ne!(bc.vgpu.device, dev_a);
@@ -1176,7 +846,7 @@ mod entry_tests {
     use super::*;
     use mtgpu_gpusim::GpuSpec;
     use mtgpu_simtime::Clock;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn manager(devices: u32) -> (Arc<BindingManager>, Arc<RuntimeMetrics>) {
         let metrics = Arc::new(RuntimeMetrics::default());
@@ -1325,10 +995,10 @@ mod entry_tests {
     }
 
     #[test]
-    fn nudge_spent_on_a_context_that_is_cancelled_is_passed_on() {
-        // Device 0 has two vGPUs, device 1 one, all bound: device 1 is the
-        // less loaded, so both waiters queue there.
-        let (bm, _) = manager(0);
+    fn grant_that_raced_a_cancel_is_released_to_the_next_waiter() {
+        // Device 0 has two vGPUs, device 1 one, all bound, two contexts
+        // waiting.
+        let (bm, metrics) = manager(0);
         for (i, vgpus) in [(0, 2), (1, 1)] {
             let gpu = Gpu::new(GpuSpec::test_small(), Clock::with_scale(1e-7), i);
             bm.add_device(DeviceId(i), gpu, vgpus).unwrap();
@@ -1339,23 +1009,58 @@ mod entry_tests {
         let woken = [Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0))];
         bm.enqueue(&first, 1.0, 0, counting(&woken[0]));
         bm.enqueue(&second, 1.0, 0, counting(&woken[1]));
-        // A slot frees on device 0, whose own queue is empty: the release
-        // nudges the first waiter over.
+        // A slot frees on device 0: the release grants it to the first
+        // waiter, and only that one is woken.
         let on_zero = held.iter().position(|b| b.vgpu.device == DeviceId(0)).unwrap();
         bm.release(holders[on_zero].id, held[on_zero].vgpu);
-        assert!(matches!(first.inner().bind_wait, BindWait::Reroute));
+        assert!(matches!(first.inner().bind_wait, BindWait::Granted(_)));
         assert_eq!((woken[0].load(Ordering::SeqCst), woken[1].load(Ordering::SeqCst)), (1, 0));
-        // Its channel is torn down before it follows the nudge. The slot it
-        // was pointed at must not idle while the second waiter queues.
-        assert!(bm.cancel(&first).is_none());
-        assert_eq!(woken[1].load(Ordering::SeqCst), 1, "the nudge was not passed on");
+        // Its channel is torn down before it takes the grant. The grant
+        // comes back, and releasing it hands the slot to the second waiter:
+        // it never idles while somebody waits.
+        let raced = bm.cancel(&first).expect("the grant raced the cancel");
+        bm.release(first.id, raced.vgpu);
+        assert_eq!(woken[1].load(Ordering::SeqCst), 1, "the slot was not passed on");
         let moved = bm.poll(&second, 0).expect("the freed slot");
         assert_eq!(moved.vgpu.device, DeviceId(0));
-        assert_eq!(bm.waiting_count(), 0);
+        assert_eq!((bm.waiting_count(), bm.bound_count()), (0, 3));
+        let m = metrics.snapshot();
+        assert_eq!((m.bindings, m.unbindings, m.targeted_wakeups), (5, 2, 2));
     }
 
     #[test]
-    fn lobby_entry_places_again_when_a_device_appears() {
+    fn policy_order_is_node_wide() {
+        // Two full one-vGPU devices and two contexts waiting, the earlier
+        // ticket also the shorter job. Whichever device frees its slot,
+        // under either policy and whatever the placement draws, the slot is
+        // the first waiter's: a tenant's turn does not hang on where
+        // another's placement landed.
+        let mut passed_over = Vec::new();
+        for policy in [SchedulerPolicy::FcfsRoundRobin, SchedulerPolicy::ShortestJobFirst] {
+            for (seed, freed) in (0..16).flat_map(|seed| [(seed, 0), (seed, 1)]) {
+                let bm =
+                    BindingManager::new_seeded(policy, Arc::new(RuntimeMetrics::default()), seed);
+                for i in 0..2 {
+                    let gpu = Gpu::new(GpuSpec::test_small(), Clock::with_scale(1e-7), i);
+                    bm.add_device(DeviceId(i), gpu, 1).unwrap();
+                }
+                let holders = [ctx(1), ctx(2)];
+                let held = holders.each_ref().map(|c| bm.poll(c, 0).expect("free vGPU"));
+                let (first, second) = (ctx(3), ctx(4));
+                bm.enqueue(&first, 1.0, 0, Box::new(|| {}));
+                bm.enqueue(&second, 2.0, 0, Box::new(|| {}));
+                let i = held.iter().position(|b| b.vgpu.device == DeviceId(freed)).unwrap();
+                bm.release(holders[i].id, held[i].vgpu);
+                if bm.poll(&first, 0).is_none() {
+                    passed_over.push((policy, seed, freed));
+                }
+            }
+        }
+        assert!(passed_over.is_empty(), "{} of 64: {passed_over:?}", passed_over.len());
+    }
+
+    #[test]
+    fn entry_queued_with_no_device_is_granted_when_one_appears() {
         let (bm, _) = manager(0);
         let waiter = ctx(1);
         let woken = Arc::new(AtomicUsize::new(0));
@@ -1489,6 +1194,40 @@ mod policy_tests {
         assert_eq!(bs.vgpu.device, ba.vgpu.device);
         bm.release(other.id, bo.vgpu);
         bm.release(sibling.id, bs.vgpu);
+    }
+
+    #[test]
+    fn removed_device_takes_its_applications_affinity_with_it() {
+        let bm = Arc::new(BindingManager::new(
+            SchedulerPolicy::FcfsRoundRobin,
+            Arc::new(RuntimeMetrics::default()),
+        ));
+        let clock = Clock::with_scale(1e-7);
+        for i in 0..2 {
+            bm.add_device(DeviceId(i), Gpu::new(GpuSpec::test_small(), clock.clone(), i), 1)
+                .unwrap();
+        }
+        let a = ctx(1);
+        a.inner().app_id = Some(9);
+        let ba = bm.poll(&a, 0).expect("free vGPU");
+        // The sibling waits for the application's device although the other
+        // one is idle (§4.8).
+        let sibling = ctx(2);
+        sibling.inner().app_id = Some(9);
+        assert!(bm.poll(&sibling, 0).is_none());
+        bm.enqueue(&sibling, 1.0, 0, Box::new(|| {}));
+        assert_eq!(bm.waiting_count(), 1);
+        // The device goes away with the first thread still bound on it: the
+        // affinity goes with it, and the sibling binds on the survivor.
+        assert_eq!(bm.remove_device(ba.vgpu.device), vec![a.id]);
+        let bs = bm.poll(&sibling, 0).expect("sibling stranded on a device that is gone");
+        assert_ne!(bs.vgpu.device, ba.vgpu.device);
+        // The first thread's stale release is a no-op; recovered, it follows
+        // the application to its new device and waits there.
+        bm.release(a.id, ba.vgpu);
+        assert!(bm.poll(&a, 0).is_none());
+        bm.release(sibling.id, bs.vgpu);
+        assert_eq!(bm.poll(&a, 0).expect("the application's slot").vgpu.device, bs.vgpu.device);
     }
 
     #[test]

@@ -137,7 +137,7 @@ pub struct AccessInfo {
 /// Two conflicting, happens-before-unordered accesses to one shadow cell.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RaceReport {
-    /// The cell's declared name (e.g. `"sched.shard.free"`).
+    /// The cell's declared name (e.g. `"sched.free"`).
     pub cell: String,
     /// `"write-write"`, `"write-read"` or `"read-write"`.
     pub kind: &'static str,

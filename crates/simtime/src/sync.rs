@@ -61,17 +61,12 @@ pub mod lock_rank {
     /// reserve slots and rewrite page tables while holding it, but inner to
     /// the service lock (migration quiesces a context first).
     pub const MIGRATION: LockRank = LockRank { value: 20, name: "MIGRATION" };
-    /// The dispatcher's device→shard map (readers bind, writers hotplug).
-    pub const SHARD_MAP: LockRank = LockRank { value: 30, name: "SHARD_MAP" };
-    /// One per-device shard's slot state.
-    pub const SHARD_STATE: LockRank = LockRank { value: 40, name: "SHARD_STATE" };
-    /// Dispatcher-global affinity/sequence state.
-    pub const SCHED_GLOBAL: LockRank = LockRank { value: 50, name: "SCHED_GLOBAL" };
-    /// The lobby: entries queued while no device is placeable.
-    pub const SCHED_LOBBY: LockRank = LockRank { value: 55, name: "SCHED_LOBBY" };
+    /// The dispatcher's one lock: every device's vGPU slots, the waiting
+    /// list, the affinity map and the tie-break generator.
+    pub const SCHED: LockRank = LockRank { value: 40, name: "SCHED" };
     /// A context's inner bookkeeping (binding, credits, kernels, and the
     /// outcome of its queued vGPU request, which the dispatcher writes with
-    /// a shard's or the lobby's lock held).
+    /// its lock held).
     pub const CTX_INNER: LockRank = LockRank { value: 70, name: "CTX_INNER" };
     /// The tenant-policy lease book (quota charges, TTLs, priorities).
     pub const TENANT_POLICY: LockRank = LockRank { value: 75, name: "TENANT_POLICY" };
@@ -118,10 +113,7 @@ pub mod lock_rank {
         CHAN_QUEUE,
         CTX_SERVICE,
         MIGRATION,
-        SHARD_MAP,
-        SHARD_STATE,
-        SCHED_GLOBAL,
-        SCHED_LOBBY,
+        SCHED,
         CTX_INNER,
         TENANT_POLICY,
         DRIVER_SLOTS,

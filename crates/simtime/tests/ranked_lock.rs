@@ -113,10 +113,10 @@ fn workspace_table_order_is_consistent() {
         lock_rank::ALL.windows(2).all(|w| w[0].value < w[1].value),
         "lock_rank::ALL must be strictly ascending"
     );
-    let shard_map = Arc::new(RankedRwLock::new(lock_rank::SHARD_MAP, ()));
+    let slots = Arc::new(RankedRwLock::new(lock_rank::DRIVER_SLOTS, ()));
     let mm = Arc::new(RankedMutex::new(lock_rank::MM_STATE, ()));
     let tracer = Arc::new(RankedMutex::new(lock_rank::TRACER_RING, ()));
-    let (s, m, t) = (Arc::clone(&shard_map), Arc::clone(&mm), Arc::clone(&tracer));
+    let (s, m, t) = (Arc::clone(&slots), Arc::clone(&mm), Arc::clone(&tracer));
     assert!(panic_message_of(move || {
         let _a = s.read();
         let _b = m.lock();
@@ -126,8 +126,8 @@ fn workspace_table_order_is_consistent() {
     // And the reverse nesting trips the checker through the rwlock too.
     let msg = panic_message_of(move || {
         let _c = tracer.lock();
-        let _a = shard_map.read();
+        let _a = slots.read();
     })
-    .expect("TRACER_RING → SHARD_MAP must panic");
-    assert!(msg.contains("SHARD_MAP") && msg.contains("TRACER_RING"), "{msg}");
+    .expect("TRACER_RING → DRIVER_SLOTS must panic");
+    assert!(msg.contains("DRIVER_SLOTS") && msg.contains("TRACER_RING"), "{msg}");
 }

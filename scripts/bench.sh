@@ -15,7 +15,8 @@ mkdir -p results
 # the workspace root.
 cargo bench -q -p mtgpu-bench --bench memory -- --gate 1.4 \
     --out "$PWD/results/BENCH_memory.json" "$@"
-# Dispatcher churn throughput plus the ranked-lock overhead gate: in release
+# The one-lock dispatcher's churn throughput (8/64/256 clients; reported,
+# not gated) plus the ranked-lock overhead gate: in release
 # builds RankedMutex must cost no more than 1.02x the raw shim mutex (the
 # rank bookkeeping is #[cfg(debug_assertions)] and must compile out).
 # Since the mtcheck work this same 1.02x gate also covers the race-

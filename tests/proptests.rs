@@ -813,7 +813,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Sharded dispatcher under concurrent churn
+// Dispatcher under concurrent churn
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -822,11 +822,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Seeded thread fuzz of acquire/release/add_device/remove_device on
-    /// the sharded dispatcher: per-device capacity is never exceeded, no
+    /// the dispatcher: per-device capacity is never exceeded, no
     /// waiter is stranded (every acquire completes well inside its
     /// timeout), and the manager drains to empty.
     #[test]
-    fn sharded_dispatcher_concurrent_churn(
+    fn dispatcher_concurrent_churn(
         seed in 1u64..1_000_000,
         clients in 2usize..10,
         vgpus in 1u32..4,
@@ -849,7 +849,7 @@ proptest! {
         }
 
         let done = Arc::new(AtomicBool::new(false));
-        // Capacity checker: samples consistent per-shard views during the
+        // Capacity checker: samples consistent per-device views during the
         // churn. A violation panics here and fails the case via join().
         let checker = {
             let bm = Arc::clone(&bm);
