@@ -7,7 +7,8 @@
 //! | `dispatcher-churn`  | [`BindingManager`] | `sched.free`              |
 //! | `swap-vs-free`      | [`MemoryManager`]  | `mm.swap`                 |
 //! | `lease-admit-vs-reap` | [`LeaseBook`]    | `policy.lease.global_used`|
-//! | `migrate-vs-launch` | [`MemoryManager`]  | `mm.swap` (migration path)|
+//! | `migrate-vs-launch` | [`MemoryManager`]  | `mm.swap`, `mm.table`     |
+//! | `victim-swap-vs-owner` | [`MemoryManager`] | `mm.table`, `mm.swap`   |
 //! | `reply-vs-retire`   | mux [`ReplySink`]  | `reactor.out.closed`      |
 //! | `lead-vs-follow`    | [`MuxConnection`]  | `mux.demux.leader`        |
 //! | `grant-vs-park`     | gateway + dispatcher | `sched.free`            |
@@ -27,8 +28,9 @@ use mtgpu_api::transport::{
 use mtgpu_api::CudaError;
 use mtgpu_core::memory::AllocKind;
 use mtgpu_core::{
-    AppContext, BindingManager, CtxId, GpuLease, LeaseBook, MemoryConfig, MemoryManager,
-    NodeRuntime, RuntimeConfig, RuntimeMetrics, SchedulerPolicy, TenantPolicyConfig,
+    AppContext, Binding, BindingManager, CtxId, GpuLease, LeaseBook, Materialize, MemoryConfig,
+    MemoryManager, NodeRuntime, RuntimeConfig, RuntimeMetrics, SchedulerPolicy, SwapReason,
+    TenantPolicyConfig, VGpuId,
 };
 use mtgpu_gpusim::{
     DeviceId, Driver, Gpu, GpuSpec, KernelArg, KernelDesc, LaunchConfig, LaunchSpec, Work,
@@ -67,7 +69,7 @@ pub fn find(name: &str) -> Option<&'static Scenario> {
     MATRIX.iter().find(|s| s.name == name)
 }
 
-static MATRIX: [Scenario; 9] = [
+static MATRIX: [Scenario; 10] = [
     Scenario {
         name: "dispatcher-churn",
         about: "two contexts churn try_acquire_on/release against one \
@@ -78,7 +80,8 @@ static MATRIX: [Scenario; 9] = [
     Scenario {
         name: "swap-vs-free",
         about: "one context mallocs (swap reserve) while another frees \
-                pre-staged allocations (swap release) under MM_STATE",
+                pre-staged allocations (swap release): each under its own \
+                MM_TABLE, the accounting under the MM_STATE leaf",
         expect_clean: true,
         builder: swap_vs_free,
     },
@@ -95,6 +98,16 @@ static MATRIX: [Scenario; 9] = [
                 closure walk over the same memory-manager state",
         expect_clean: true,
         builder: migrate_vs_launch,
+    },
+    Scenario {
+        name: "victim-swap-vs-owner",
+        about: "a requester materializes its own context, then swaps a \
+                co-tenant out under that tenant's service lock, while the \
+                tenant's owner frees entries and a third thread reads the \
+                tenant's resident bytes: one MM_TABLE per context, counters \
+                read with no lock",
+        expect_clean: true,
+        builder: victim_swap_vs_owner,
     },
     Scenario {
         name: "reply-vs-retire",
@@ -241,6 +254,63 @@ fn migrate_vs_launch() -> Vec<Participant> {
             let _plan = migrator.migration_plan(CtxId(2));
             let _plan_again = migrator.migration_plan(CtxId(2));
             migrator.remove_ctx(CtxId(2), None);
+        }),
+    ]
+}
+
+/// Inter-application swap against the victim's own traffic. The victim's
+/// table is only ever touched under its service lock (the requester wins it
+/// with a `try_lock` or leaves the victim alone) and its table lock; the
+/// reader touches neither. Whatever the interleaving, the victim's counters
+/// end where its table does and the swap area balances.
+fn victim_swap_vs_owner() -> Vec<Participant> {
+    const REQUESTER: CtxId = CtxId(1);
+    const VICTIM: CtxId = CtxId(2);
+    let mm = Arc::new(MemoryManager::new(MemoryConfig::default(), metrics()));
+    mm.register_ctx(REQUESTER);
+    mm.register_ctx(VICTIM);
+    let gpu = Gpu::new(GpuSpec::tesla_c2050(), Clock::virtual_clock(), 0);
+    let binding_on = |gpu: &Arc<Gpu>| Binding {
+        vgpu: VGpuId { device: DeviceId(0), index: 0 },
+        gpu: Arc::clone(gpu),
+        gpu_ctx: gpu.create_context().expect("scenario device context"),
+    };
+    let (mine, theirs) = (binding_on(&gpu), binding_on(&gpu));
+    // The victim starts resident and dirty, so the swap writes back.
+    let victim = AppContext::new(VICTIM, 2, "victim".into());
+    let staged: Vec<_> = (0..3)
+        .map(|_| mm.malloc(VICTIM, 4096, AllocKind::Linear).expect("stage victim entry"))
+        .collect();
+    mm.materialize(VICTIM, &staged, &theirs).expect("stage victim residency");
+    mm.mark_launched(VICTIM, &staged);
+    let wanted = mm.malloc(REQUESTER, 4096, AllocKind::Linear).expect("stage requester entry");
+    let (requester_mm, owner_mm, reader_mm) = (Arc::clone(&mm), Arc::clone(&mm), mm);
+    let (asked, owner) = (Arc::clone(&victim), victim);
+    let owner_binding = theirs.clone();
+    vec![
+        Box::new(move || {
+            let ready = requester_mm.materialize(REQUESTER, &[wanted], &mine);
+            assert_eq!(ready, Ok(Materialize::Ready));
+            // A busy victim refuses; an idle one is swapped out whole.
+            if let Some(_service) = asked.try_service_lock() {
+                let out = requester_mm
+                    .swap_out_ctx(VICTIM, &theirs, SwapReason::InterAppVictim)
+                    .expect("victim swap-out");
+                assert_eq!(out.freed, out.writeback_bytes + out.clean_bytes);
+            }
+        }),
+        Box::new(move || {
+            for vaddr in staged {
+                let _service = owner.service_lock();
+                owner_mm.free(VICTIM, vaddr, Some(&owner_binding)).expect("owner free");
+            }
+            assert_eq!((owner_mm.resident_bytes(VICTIM), owner_mm.mem_usage(VICTIM)), (0, 0));
+        }),
+        Box::new(move || {
+            for _ in 0..3 {
+                let resident = reader_mm.resident_bytes(VICTIM);
+                assert!(resident <= 3 * 4096 && resident % 4096 == 0, "torn count {resident}");
+            }
         }),
     ]
 }

@@ -7,7 +7,7 @@
 use mtgpu_analysis::check::{explore, parse_schedule_id, scenarios, schedule_id};
 
 #[test]
-fn matrix_has_eight_clean_scenarios_plus_the_fixture() {
+fn matrix_has_nine_clean_scenarios_plus_the_fixture() {
     let clean: Vec<_> =
         scenarios::all().iter().filter(|s| s.expect_clean).map(|s| s.name).collect();
     assert_eq!(
@@ -17,6 +17,7 @@ fn matrix_has_eight_clean_scenarios_plus_the_fixture() {
             "swap-vs-free",
             "lease-admit-vs-reap",
             "migrate-vs-launch",
+            "victim-swap-vs-owner",
             "reply-vs-retire",
             "lead-vs-follow",
             "grant-vs-park",
@@ -68,6 +69,9 @@ fn pinned_schedules_stay_clean_and_replay_identically() {
         ("lease-admit-vs-reap", "s:1"),
         // Migration planning preempts the launch-closure walk.
         ("migrate-vs-launch", "s:1.1"),
+        // The owner is first to its service lock and the reader looks in
+        // mid-free: the requester's try meets a busy or an emptied victim.
+        ("victim-swap-vs-owner", "s:1.1.2.1"),
         // The retire wins the table before either worker has looked up
         // the connection: every reply is dropped.
         ("reply-vs-retire", "s:2.2"),

@@ -13,15 +13,15 @@
 //! the service layer; nothing here orders them.
 //!
 //! Every input is deterministic under seeded replay: a [`TouchStamp`] pairs
-//! the *virtual* clock with a per-manager sequence number assigned under the
-//! `MmState` lock (no wall-clock reads), staleness is counted in touches,
+//! the *virtual* clock with a per-manager sequence number drawn from one
+//! atomic counter (no wall-clock reads), staleness is counted in touches,
 //! and ties break on the virtual address. The same op sequence picks the
 //! same victims on every run.
 
 use std::cmp::Reverse;
 
 /// A deterministic touch stamp: the virtual-clock reading paired with a
-/// per-manager monotone sequence number assigned under the `MmState` lock.
+/// per-manager monotone sequence number (one atomic counter for every table).
 ///
 /// The sequence component makes stamps totally ordered even when the virtual
 /// clock does not advance between touches (common in unit tests and at plan
@@ -36,7 +36,7 @@ pub struct TouchStamp {
 }
 
 /// An intra-application eviction candidate, snapshotted from a
-/// `PageTableEntry` under the `MmState` lock.
+/// `PageTableEntry` under its table's lock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EntryCandidate {
     /// Virtual address (unique per context; the deterministic tie-break).

@@ -6,21 +6,28 @@
 //! deferral). The manager implements the full Table 1 action matrix, the
 //! Figure 4 flag state machine, intra- and inter-application swap,
 //! bulk-transfer coalescing, bad-operation detection, nested-structure
-//! consistency, checkpointing, and device-loss recovery.
+//! consistency, checkpointing, and device-loss recovery. This file holds
+//! the tables, the accounting and the Table 1 calls; the residency passes
+//! are in [`super::residency`], [`super::swapout`], [`super::migration`]
+//! and [`super::image`].
 //!
 //! # Locking contract
 //!
 //! Every method taking a [`CtxId`] assumes the caller holds that context's
 //! *service lock* ([`crate::ctx::AppContext::service_lock`]): a context's
 //! memory state is only ever mutated by one thread at a time (its handler,
-//! or a swapper/migrator that won its `try_lock`). The manager's internal
-//! mutex is short-held and never spans a simulated-time device operation —
-//! transfers are planned under the lock, executed outside it, and committed
-//! under it again.
+//! or a swapper/migrator that won its `try_lock`). The page table belongs
+//! to its context: each has its own, behind its own lock (`MM_TABLE`), and
+//! a residency transition is **one pass under one acquisition** — device
+//! calls included, since that lock pins nobody but the context itself. A
+//! thread never holds two table locks. What is node-wide (the directory of
+//! tables, swap accounting, the virtual-address cursor, per-device swap
+//! traffic) sits behind the leaf lock `MM_STATE`, taken for a lookup or a
+//! sum and never across a device call.
 
 use crate::ctx::{Binding, CtxId};
-use crate::memory::eviction::{self, EntryCandidate, TouchStamp};
-use crate::memory::page_table::{PageTable, PageTableEntry, SwapSlab};
+use crate::memory::eviction::TouchStamp;
+use crate::memory::page_table::{Flags, PageTable, PageTableEntry, SwapSlab};
 use crate::memory::swap::SwapArea;
 use crate::memory::transfer::{self, TransferOp};
 use crate::metrics::RuntimeMetrics;
@@ -30,14 +37,15 @@ use mtgpu_api::{CudaError, CudaResult, HostBuf};
 use mtgpu_gpusim::device::DEFAULT_MATERIALIZE_CAP;
 use mtgpu_gpusim::{DeviceAddr, DeviceId, KernelArg};
 use mtgpu_simtime::{lock_rank, Clock, RankedMutex, Shadow};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Base of the virtual address space handed to applications. High enough to
 /// never collide with device-salted physical addresses.
-const VADDR_BASE: u64 = 0x7f00_0000_0000;
+pub(super) const VADDR_BASE: u64 = 0x7f00_0000_0000;
 /// Virtual allocation alignment (matches the device allocator).
-const VALIGN: u64 = 256;
+pub(super) const VALIGN: u64 = 256;
 
 /// Result of trying to make a launch's working set resident.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,18 +110,29 @@ pub enum Recovery {
     LostDirtyData,
 }
 
-struct MmState {
-    tables: HashMap<CtxId, PageTable>,
+/// One context's memory: its page table behind its own lock, and the two
+/// sums other threads read without taking it (statistics: `Relaxed`).
+pub(super) struct CtxMemory {
+    /// Shadowed so mtcheck audits every pass against the table lock.
+    pub(super) table: RankedMutex<Shadow<PageTable>>,
+    /// Declared bytes resident on the device; moves with every device
+    /// alloc/free, under `table`.
+    pub(super) resident: AtomicU64,
+    /// Declared bytes in total (the paper's `MemUsage`); moves with every
+    /// malloc/free, under `table`.
+    pub(super) usage: AtomicU64,
+}
+
+/// What stays node-wide, behind the leaf lock.
+pub(super) struct NodeState {
+    pub(super) tables: BTreeMap<CtxId, Arc<CtxMemory>>,
     /// Host swap accounting. Shadowed so mtcheck's happens-before detector
-    /// audits every reserve/release against the memory-manager lock.
-    swap: Shadow<SwapArea>,
-    next_vaddr: u64,
-    /// Monotone touch sequence shared by every table; assigned under this
-    /// lock so stamps are totally ordered and replay-stable.
-    touch_seq: u64,
+    /// audits every reserve/release against the leaf lock.
+    pub(super) swap: Shadow<SwapArea>,
+    pub(super) next_vaddr: u64,
     /// Cumulative per-device swap traffic: `device → (bytes_in, bytes_out)`.
-    /// `in` counts host→device upload commits, `out` counts device→host
-    /// writeback commits — the pressure signal the rebalancer reads.
+    /// `in` counts host→device uploads, `out` counts device→host
+    /// writebacks — the pressure signal the rebalancer reads.
     dev_swap: BTreeMap<DeviceId, (u64, u64)>,
 }
 
@@ -140,14 +159,17 @@ impl Default for MemoryConfig {
 
 /// The node-wide memory manager.
 pub struct MemoryManager {
-    cfg: MemoryConfig,
-    metrics: Arc<RuntimeMetrics>,
+    pub(super) cfg: MemoryConfig,
+    pub(super) metrics: Arc<RuntimeMetrics>,
     tracer: Option<Arc<Tracer>>,
     /// Virtual clock feeding touch stamps. Defaults to a fresh (never
     /// advanced) virtual clock, in which case stamp ordering degenerates to
     /// the sequence counter — still total, still deterministic.
     clock: Clock,
-    state: RankedMutex<MmState>,
+    pub(super) node: RankedMutex<NodeState>,
+    /// Monotone touch sequence shared by every table: stamps are totally
+    /// ordered, and replay-stable under a sequential driver.
+    pub(super) touch_seq: AtomicU64,
 }
 
 impl MemoryManager {
@@ -159,16 +181,16 @@ impl MemoryManager {
             metrics,
             tracer: None,
             clock: Clock::virtual_clock(),
-            state: RankedMutex::new(
+            node: RankedMutex::new(
                 lock_rank::MM_STATE,
-                MmState {
-                    tables: HashMap::new(),
+                NodeState {
+                    tables: BTreeMap::new(),
                     swap,
                     next_vaddr: VADDR_BASE,
-                    touch_seq: 0,
                     dev_swap: BTreeMap::new(),
                 },
             ),
+            touch_seq: AtomicU64::new(0),
         }
     }
 
@@ -179,17 +201,19 @@ impl MemoryManager {
         self
     }
 
-    /// Mints the next touch stamp. Callers hold the `MmState` lock (the
-    /// `&mut` proves it), so sequence numbers are race-free.
-    fn stamp(&self, st: &mut MmState) -> TouchStamp {
-        st.touch_seq += 1;
-        TouchStamp { nanos: self.clock.now().since_epoch().as_nanos(), seq: st.touch_seq }
+    /// Mints the next touch stamp.
+    pub(super) fn stamp(&self) -> TouchStamp {
+        let seq = self.touch_seq.fetch_add(1, Ordering::Relaxed) + 1;
+        TouchStamp { nanos: self.clock.now().since_epoch().as_nanos(), seq }
     }
 
-    /// Contended `MmState` acquisitions since the last monitor pass (debug
-    /// builds only — the ranked-lock observability hook).
+    /// Contended acquisitions of the leaf lock and of every live table lock
+    /// since the last monitor pass (debug builds only — the ranked-lock
+    /// observability hook).
     pub(crate) fn take_lock_contention(&self) -> u64 {
-        self.state.take_contended()
+        let node = self.node.lock();
+        let tables: u64 = node.tables.values().map(|cm| cm.table.take_contended()).sum();
+        self.node.take_contended() + tables
     }
 
     /// Attaches a tracer so transfer plans emit
@@ -204,15 +228,24 @@ impl MemoryManager {
         &self.cfg
     }
 
+    /// The context's memory. The leaf lock is let go before the caller
+    /// takes the table's.
+    pub(super) fn ctx_mem(&self, ctx: CtxId) -> CudaResult<Arc<CtxMemory>> {
+        self.node.lock().tables.get(&ctx).cloned().ok_or(CudaError::InvalidDevicePointer)
+    }
+
     /// Runs a transfer plan across the bound device's copy engines (a
     /// one-engine device runs it inline, serially) and accounts it (metrics
-    /// + trace).
-    fn run_plan(
+    /// + trace). An empty plan moves nothing and counts as none.
+    pub(super) fn run_plan(
         &self,
         ctx: CtxId,
         binding: &Binding,
-        ops: Vec<TransferOp>,
+        ops: &[TransferOp<'_>],
     ) -> Vec<transfer::TransferOutcome> {
+        if ops.is_empty() {
+            return Vec::new();
+        }
         let lanes = binding.gpu.spec().copy_engines as usize;
         let (outcomes, shape) = transfer::execute(&binding.gpu, binding.gpu_ctx, ops, lanes);
         RuntimeMetrics::bump(&self.metrics.transfer_plans);
@@ -230,43 +263,43 @@ impl MemoryManager {
         outcomes
     }
 
-    /// Records swap traffic against a device, under the held `MmState` lock.
-    fn note_dev_swap(st: &mut MmState, dev: DeviceId, bytes_in: u64, bytes_out: u64) {
-        let e = st.dev_swap.entry(dev).or_insert((0, 0));
-        e.0 += bytes_in;
-        e.1 += bytes_out;
+    /// Records a pass's swap traffic against its device.
+    pub(super) fn note_dev_swap(&self, dev: DeviceId, bytes_in: u64, bytes_out: u64) {
+        if bytes_in | bytes_out != 0 {
+            let mut node = self.node.lock();
+            let e = node.dev_swap.entry(dev).or_insert((0, 0));
+            e.0 += bytes_in;
+            e.1 += bytes_out;
+        }
     }
 
     /// Cumulative `(bytes_in, bytes_out)` swap traffic of one device.
     pub fn device_swap_traffic(&self, dev: DeviceId) -> (u64, u64) {
-        self.state.lock().dev_swap.get(&dev).copied().unwrap_or((0, 0))
+        self.node.lock().dev_swap.get(&dev).copied().unwrap_or((0, 0))
     }
 
     /// Registers a fresh context.
     pub fn register_ctx(&self, ctx: CtxId) {
-        self.state.lock().tables.insert(ctx, PageTable::new());
+        let cm = CtxMemory {
+            table: RankedMutex::new(lock_rank::MM_TABLE, Shadow::new("mm.table", PageTable::new())),
+            resident: AtomicU64::new(0),
+            usage: AtomicU64::new(0),
+        };
+        self.node.lock().tables.insert(ctx, Arc::new(cm));
     }
 
     /// Removes a context, releasing its swap reservation and (when bound)
     /// its device allocations.
     pub fn remove_ctx(&self, ctx: CtxId, binding: Option<&Binding>) {
-        let frees: Vec<(DeviceAddr, u64)> = {
-            let mut st = self.state.lock();
-            let Some(table) = st.tables.remove(&ctx) else { return };
-            let mut frees = Vec::new();
-            let mut swap_bytes = 0;
-            for e in table.iter() {
-                swap_bytes += e.size;
-                if let Some(d) = e.device_ptr {
-                    frees.push((d, e.size));
-                }
-            }
-            st.swap.release(swap_bytes);
-            frees
+        let cm = {
+            let mut node = self.node.lock();
+            let Some(cm) = node.tables.remove(&ctx) else { return };
+            node.swap.release(cm.usage.load(Ordering::Relaxed));
+            cm
         };
         if let Some(b) = binding {
-            for (d, _) in frees {
-                let _ = b.gpu.free(b.gpu_ctx, d);
+            for e in cm.table.lock().iter().filter(|e| e.flags.allocated()) {
+                let _ = b.gpu.free(b.gpu_ctx, e.dptr());
             }
         }
     }
@@ -276,29 +309,30 @@ impl MemoryManager {
         if size == 0 {
             return Err(CudaError::InvalidValue);
         }
-        let mut st = self.state.lock();
-        let max_ptes = self.cfg.max_ptes_per_context;
-        let table = st.tables.get(&ctx).ok_or(CudaError::InvalidDevicePointer)?;
-        if table.len() >= max_ptes {
+        let cm = self.ctx_mem(ctx)?;
+        let mut table = cm.table.lock();
+        if table.len() >= self.cfg.max_ptes_per_context {
             return Err(CudaError::VirtualAddressExhausted);
         }
-        st.swap.reserve(size)?;
-        let vaddr = DeviceAddr(st.next_vaddr);
-        st.next_vaddr += (size + VALIGN - 1) & !(VALIGN - 1);
-        let slab = SwapSlab::new(size, DEFAULT_MATERIALIZE_CAP);
-        let last_touch = self.stamp(&mut st);
-        let table = st.tables.get_mut(&ctx).expect("table vanished");
+        let vaddr = {
+            let mut node = self.node.lock();
+            node.swap.reserve(size)?;
+            let vaddr = DeviceAddr(node.next_vaddr);
+            node.next_vaddr += (size + VALIGN - 1) & !(VALIGN - 1);
+            vaddr
+        };
         table.insert(PageTableEntry {
             vaddr,
             size,
             device_ptr: None,
-            flags: crate::memory::page_table::Flags::INITIAL,
+            flags: Flags::INITIAL,
             kind,
-            slab,
+            slab: SwapSlab::new(size, DEFAULT_MATERIALIZE_CAP),
             nested_members: Vec::new(),
             nested_parent: None,
-            last_touch,
+            last_touch: self.stamp(),
         });
+        cm.usage.fetch_add(size, Ordering::Relaxed);
         Ok(vaddr)
     }
 
@@ -311,18 +345,34 @@ impl MemoryManager {
         vaddr: DeviceAddr,
         binding: Option<&Binding>,
     ) -> CudaResult<u64> {
-        let entry = {
-            let mut st = self.state.lock();
-            let table = st.tables.get_mut(&ctx).ok_or(CudaError::InvalidDevicePointer)?;
-            let entry = table.remove(vaddr).ok_or(CudaError::InvalidDevicePointer)?;
-            st.swap.release(entry.size);
-            entry
-        };
+        let cm = self.ctx_mem(ctx)?;
+        let mut table = cm.table.lock();
+        let entry = table.remove(vaddr).ok_or(CudaError::InvalidDevicePointer)?;
+        cm.usage.fetch_sub(entry.size, Ordering::Relaxed);
+        self.node.lock().swap.release(entry.size);
         if let Some(dptr) = entry.device_ptr {
+            cm.resident.fetch_sub(entry.size, Ordering::Relaxed);
             let b = binding.ok_or(CudaError::SwapDeallocation)?;
             b.gpu.free(b.gpu_ctx, dptr).map_err(CudaError::from_gpu)?;
         }
         Ok(entry.size)
+    }
+
+    /// Brings the slab of an entry whose only current copy is the device's
+    /// up to date (whole entry, D2H). Returns the device it came from when
+    /// there was something to bring.
+    fn sync_entry(
+        entry: &mut PageTableEntry,
+        binding: Option<&Binding>,
+    ) -> CudaResult<Option<DeviceId>> {
+        if !entry.flags.to_swap() {
+            return Ok(None);
+        }
+        let b = binding.ok_or(CudaError::InvalidDevicePointer)?;
+        let bytes =
+            b.gpu.memcpy_d2h(b.gpu_ctx, entry.dptr(), entry.size).map_err(CudaError::from_gpu)?;
+        entry.take_writeback(&bytes);
+        Ok(Some(b.vgpu.device))
     }
 
     /// `cudaMemcpy` host→device (Table 1): check PTE, move data to swap.
@@ -338,65 +388,36 @@ impl MemoryManager {
         if buf.declared_len == 0 {
             return Err(CudaError::InvalidValue);
         }
-        // Phase 0: if the entry is dirty on device (a kernel wrote it and
-        // no checkpoint followed), synchronize the slab first — a *partial*
+        let cm = self.ctx_mem(ctx)?;
+        let mut table = cm.table.lock();
+        let (entry, offset) = table.resolve_mut(dst).ok_or(CudaError::InvalidDevicePointer)?;
+        // If the entry is dirty on device (a kernel wrote it and no
+        // checkpoint followed), synchronize the slab first — a *partial*
         // host write must merge into the kernel's output, not clobber the
         // untouched region with the stale pre-kernel slab at the next bulk
         // upload. (Figure 4's flags are per-entry; this keeps the swap tier
         // authoritative at byte granularity.)
-        let sync_plan = {
-            let st = self.state.lock();
-            let table = st.tables.get(&ctx).ok_or(CudaError::InvalidDevicePointer)?;
-            let (base, _) = table.resolve(dst).ok_or(CudaError::InvalidDevicePointer)?;
-            let entry = table.get(base).expect("resolved entry vanished");
-            (entry.flags.to_swap && entry.flags.allocated)
-                .then(|| (base, entry.device_ptr.expect("allocated without ptr"), entry.size))
-        };
-        if let Some((base, dptr, size)) = sync_plan {
-            let b = binding.ok_or(CudaError::InvalidDevicePointer)?;
-            let bytes = b.gpu.memcpy_d2h(b.gpu_ctx, dptr, size).map_err(CudaError::from_gpu)?;
-            let mut st = self.state.lock();
-            if let Some(entry) = st.tables.get_mut(&ctx).and_then(|t| t.get_mut(base)) {
-                entry.slab.write(0, &bytes);
-                entry.flags = entry.flags.on_copy_dh();
-            }
+        Self::sync_entry(entry, binding)?;
+        let touch = self.stamp();
+        if offset + buf.declared_len > entry.size {
+            RuntimeMetrics::bump(&self.metrics.bad_ops_rejected);
+            return Err(CudaError::SizeMismatch);
         }
-        // Phase 1: validate, update slab + flags under the lock.
-        let eager_plan = {
-            let mut st = self.state.lock();
-            let touch = self.stamp(&mut st);
-            let table = st.tables.get_mut(&ctx).ok_or(CudaError::InvalidDevicePointer)?;
-            let (base, offset) = table.resolve(dst).ok_or(CudaError::InvalidDevicePointer)?;
-            let entry = table.get_mut(base).expect("resolved entry vanished");
-            if offset + buf.declared_len > entry.size {
-                RuntimeMetrics::bump(&self.metrics.bad_ops_rejected);
-                return Err(CudaError::SizeMismatch);
-            }
-            if entry.flags.to_dev && self.cfg.coalesce_transfers {
-                // A previous copy into this entry has not been uploaded yet:
-                // this one merges into the same future bulk transfer.
-                RuntimeMetrics::bump(&self.metrics.coalesced_copies);
-            }
-            entry.slab.write(offset, &buf.payload);
-            entry.flags = entry.flags.on_copy_hd();
-            entry.last_touch = touch;
-            if !self.cfg.defer_transfers && entry.flags.allocated {
-                entry.device_ptr.map(|d| (d, entry.size, entry.slab.data.clone()))
-            } else {
-                None
-            }
-        };
-        // Phase 2 (eager mode only): write through to the device.
-        if let (Some((dptr, size, data)), Some(b)) = (eager_plan, binding) {
-            b.gpu.memcpy_h2d(b.gpu_ctx, dptr, size, &data).map_err(CudaError::from_gpu)?;
-            let mut st = self.state.lock();
-            if let Some(entry) = st
-                .tables
-                .get_mut(&ctx)
-                .and_then(|t| t.resolve(dst).map(|(b, _)| b))
-                .and_then(|base| st.tables.get_mut(&ctx).unwrap().get_mut(base))
-            {
-                entry.flags.to_dev = false;
+        if entry.flags.to_dev() && self.cfg.coalesce_transfers {
+            // A previous copy into this entry has not been uploaded yet:
+            // this one merges into the same future bulk transfer.
+            RuntimeMetrics::bump(&self.metrics.coalesced_copies);
+        }
+        entry.slab.write(offset, &buf.payload);
+        entry.flags = entry.flags.on_copy_hd();
+        entry.last_touch = touch;
+        // Eager mode only: write through to the resident copy.
+        if !self.cfg.defer_transfers && entry.flags.allocated() {
+            if let Some(b) = binding {
+                b.gpu
+                    .memcpy_h2d(b.gpu_ctx, entry.dptr(), entry.size, &entry.slab.data)
+                    .map_err(CudaError::from_gpu)?;
+                entry.flags = entry.flags.on_upload();
             }
         }
         Ok(())
@@ -414,41 +435,19 @@ impl MemoryManager {
         if len == 0 {
             return Err(CudaError::InvalidValue);
         }
-        // Phase 1: plan.
-        let (base, offset, sync_plan) = {
-            let st = self.state.lock();
-            let table = st.tables.get(&ctx).ok_or(CudaError::InvalidDevicePointer)?;
-            let (base, offset) = table.resolve(src).ok_or(CudaError::InvalidDevicePointer)?;
-            let entry = table.get(base).expect("resolved entry vanished");
-            if offset + len > entry.size {
-                RuntimeMetrics::bump(&self.metrics.bad_ops_rejected);
-                return Err(CudaError::OutOfBounds);
-            }
-            let sync = (entry.flags.to_swap && entry.flags.allocated)
-                .then(|| (entry.device_ptr.expect("allocated without ptr"), entry.size));
-            (base, offset, sync)
-        };
-        // Phase 2: synchronize the whole entry from device if dirty.
-        if let Some((dptr, size)) = sync_plan {
-            let b = binding.ok_or(CudaError::InvalidDevicePointer)?;
-            let bytes = b.gpu.memcpy_d2h(b.gpu_ctx, dptr, size).map_err(CudaError::from_gpu)?;
-            let mut st = self.state.lock();
-            if let Some(entry) = st.tables.get_mut(&ctx).and_then(|t| t.get_mut(base)) {
-                entry.slab.write(0, &bytes);
-                entry.flags = entry.flags.on_copy_dh();
-            }
-            Self::note_dev_swap(&mut st, b.vgpu.device, 0, size);
+        let cm = self.ctx_mem(ctx)?;
+        let mut table = cm.table.lock();
+        let (entry, offset) = table.resolve_mut(src).ok_or(CudaError::InvalidDevicePointer)?;
+        if offset + len > entry.size {
+            RuntimeMetrics::bump(&self.metrics.bad_ops_rejected);
+            return Err(CudaError::OutOfBounds);
         }
-        // Phase 3: serve from the slab (a read is a touch — recency
-        // policies must not evict what the application is actively reading).
-        let mut st = self.state.lock();
-        let touch = self.stamp(&mut st);
-        let entry = st
-            .tables
-            .get_mut(&ctx)
-            .and_then(|t| t.get_mut(base))
-            .ok_or(CudaError::InvalidDevicePointer)?;
-        entry.last_touch = touch;
+        if let Some(dev) = Self::sync_entry(entry, binding)? {
+            self.note_dev_swap(dev, 0, entry.size);
+        }
+        // A read is a touch — recency policies must not evict what the
+        // application is actively reading.
+        entry.last_touch = self.stamp();
         Ok(HostBuf::with_shadow(len, entry.slab.read(offset, len)))
     }
 
@@ -469,43 +468,36 @@ impl MemoryManager {
         if len == 0 {
             return Err(CudaError::InvalidValue);
         }
-        // Validate both endpoints under one lock (same error kinds as the
-        // host route: src overflow reads out of bounds, dst overflow is a
-        // size mismatch) and decide the route.
-        let device_plan = {
-            let st = self.state.lock();
-            let table = st.tables.get(&ctx).ok_or(CudaError::InvalidDevicePointer)?;
-            let (src_base, src_off) = table.resolve(src).ok_or(CudaError::InvalidDevicePointer)?;
-            let (dst_base, dst_off) = table.resolve(dst).ok_or(CudaError::InvalidDevicePointer)?;
-            let src_entry = table.get(src_base).expect("resolved entry vanished");
-            let dst_entry = table.get(dst_base).expect("resolved entry vanished");
-            if src_off + len > src_entry.size {
+        {
+            // Validate both endpoints (same error kinds as the host route:
+            // src overflow reads out of bounds, dst overflow is a size
+            // mismatch) and decide the route.
+            let cm = self.ctx_mem(ctx)?;
+            let mut table = cm.table.lock();
+            let (s, src_off) = table.resolve_entry(src).ok_or(CudaError::InvalidDevicePointer)?;
+            let (d, dst_off) = table.resolve_entry(dst).ok_or(CudaError::InvalidDevicePointer)?;
+            if src_off + len > s.size {
                 RuntimeMetrics::bump(&self.metrics.bad_ops_rejected);
                 return Err(CudaError::OutOfBounds);
             }
-            if dst_off + len > dst_entry.size {
+            if dst_off + len > d.size {
                 RuntimeMetrics::bump(&self.metrics.bad_ops_rejected);
                 return Err(CudaError::SizeMismatch);
             }
-            let device_current = |e: &PageTableEntry| e.flags.allocated && !e.flags.to_dev;
-            (device_current(src_entry) && device_current(dst_entry)).then(|| {
-                let sdptr = src_entry.device_ptr.expect("allocated without ptr");
-                let ddptr = dst_entry.device_ptr.expect("allocated without ptr");
-                (dst_base, DeviceAddr(ddptr.0 + dst_off), DeviceAddr(sdptr.0 + src_off))
-            })
-        };
-        if let (Some((dst_base, ddptr, sdptr)), Some(b)) = (device_plan, binding) {
-            b.gpu.memcpy_d2d(b.gpu_ctx, ddptr, sdptr, len).map_err(CudaError::from_gpu)?;
-            RuntimeMetrics::bump(&self.metrics.d2d_device_copies);
-            let mut st = self.state.lock();
-            let touch = self.stamp(&mut st);
-            if let Some(entry) = st.tables.get_mut(&ctx).and_then(|t| t.get_mut(dst_base)) {
+            let device_current = |e: &PageTableEntry| e.flags.allocated() && !e.flags.to_dev();
+            if let (true, true, Some(b)) = (device_current(s), device_current(d), binding) {
+                let dst_base = d.vaddr;
+                let (ddptr, sdptr) =
+                    (DeviceAddr(d.dptr().0 + dst_off), DeviceAddr(s.dptr().0 + src_off));
+                b.gpu.memcpy_d2d(b.gpu_ctx, ddptr, sdptr, len).map_err(CudaError::from_gpu)?;
+                RuntimeMetrics::bump(&self.metrics.d2d_device_copies);
                 // The device now holds data the slab doesn't: same state a
                 // kernel write leaves behind.
+                let entry = table.get_mut(dst_base).expect("resolved entry vanished");
                 entry.flags = entry.flags.on_launch();
-                entry.last_touch = touch;
+                entry.last_touch = self.stamp();
+                return Ok(());
             }
-            return Ok(());
         }
         let data = self.copy_d2h(ctx, src, len, binding)?;
         self.copy_h2d(ctx, dst, &data, binding)
@@ -520,15 +512,14 @@ impl MemoryManager {
         parent: DeviceAddr,
         members: Vec<DeviceAddr>,
     ) -> CudaResult<()> {
-        let mut st = self.state.lock();
-        let table = st.tables.get_mut(&ctx).ok_or(CudaError::InvalidDevicePointer)?;
-        let parent_base =
-            table.resolve(parent).map(|(b, _)| b).ok_or(CudaError::InvalidDevicePointer)?;
-        let mut member_bases = Vec::with_capacity(members.len());
-        for m in &members {
-            let base = table.resolve(*m).map(|(b, _)| b).ok_or(CudaError::InvalidDevicePointer)?;
-            member_bases.push(base);
-        }
+        let cm = self.ctx_mem(ctx)?;
+        let mut table = cm.table.lock();
+        let base_of = |table: &PageTable, p| {
+            table.resolve(p).map(|(b, _)| b).ok_or(CudaError::InvalidDevicePointer)
+        };
+        let parent_base = base_of(&table, parent)?;
+        let member_bases =
+            members.iter().map(|&m| base_of(&table, m)).collect::<CudaResult<Vec<_>>>()?;
         for &mb in &member_bases {
             table.get_mut(mb).expect("member vanished").nested_parent = Some(parent_base);
         }
@@ -539,8 +530,8 @@ impl MemoryManager {
     /// Resolves a launch's pointer arguments to PTE bases and extends the
     /// set with registered nested members (transitively).
     pub fn launch_closure(&self, ctx: CtxId, args: &[KernelArg]) -> CudaResult<Vec<DeviceAddr>> {
-        let st = self.state.lock();
-        let table = st.tables.get(&ctx).ok_or(CudaError::InvalidDevicePointer)?;
+        let cm = self.ctx_mem(ctx)?;
+        let table = cm.table.lock();
         let mut closure: Vec<DeviceAddr> = Vec::new();
         let mut stack: Vec<DeviceAddr> = Vec::new();
         for arg in args {
@@ -561,232 +552,17 @@ impl MemoryManager {
         Ok(closure)
     }
 
-    /// Makes every entry in `bases` device-resident and uploaded on the
-    /// bound device, applying **intra-application swap** on memory pressure
-    /// (§4.5). Returns [`Materialize::NeedBytes`] if the device cannot hold
-    /// the working set even after evicting everything else this context
-    /// owns.
-    pub fn materialize(
-        &self,
-        ctx: CtxId,
-        bases: &[DeviceAddr],
-        binding: &Binding,
-    ) -> CudaResult<Materialize> {
-        if let Some(need) = self.ensure_resident(ctx, bases, binding)? {
-            return Ok(Materialize::NeedBytes(need));
-        }
-        let ops = self.plan_uploads(ctx, bases)?;
-        self.touch_working_set(ctx, bases);
-        if ops.is_empty() {
-            return Ok(Materialize::Ready);
-        }
-        // Execute concurrent uploads across the copy engines, no manager
-        // lock held; commit flag transitions under the lock after.
-        let outcomes = self.run_plan(ctx, binding, ops);
-        match self.commit_uploads(ctx, binding.vgpu.device, outcomes) {
-            None => Ok(Materialize::Ready),
-            Some(e) => Err(e),
-        }
-    }
-
-    /// Phase A of materialization: make every entry in `bases` device-
-    /// resident, evicting the context's own non-working-set entries on OOM
-    /// (intra-application swap, §4.5). Returns `Some(shortfall)` when the
-    /// device cannot hold the working set even after evicting everything
-    /// else this context owns. Mallocs cost no simulated time; an OOM
-    /// triggers one eviction and a full re-plan, since eviction changes
-    /// which entries are resident.
-    fn ensure_resident(
-        &self,
-        ctx: CtxId,
-        bases: &[DeviceAddr],
-        binding: &Binding,
-    ) -> CudaResult<Option<u64>> {
-        // The victim queue is built lazily on the first OOM and reused
-        // across re-plans: candidate order is invariant within one plan
-        // generation (evictions only remove entries).
-        let mut victims: Option<VecDeque<DeviceAddr>> = None;
-        'alloc: loop {
-            let pending: Vec<(DeviceAddr, u64)> = {
-                let st = self.state.lock();
-                let table = st.tables.get(&ctx).ok_or(CudaError::InvalidDevicePointer)?;
-                let mut pending = Vec::new();
-                for &base in bases {
-                    let entry = table.get(base).ok_or(CudaError::InvalidDevicePointer)?;
-                    if !entry.flags.allocated {
-                        pending.push((base, entry.size));
-                    }
-                }
-                pending
-            };
-            if pending.is_empty() {
-                return Ok(None);
-            }
-            for (base, size) in pending {
-                match binding.gpu.malloc(binding.gpu_ctx, size) {
-                    Ok(dptr) => {
-                        let mut st = self.state.lock();
-                        if let Some(entry) = st.tables.get_mut(&ctx).and_then(|t| t.get_mut(base)) {
-                            entry.device_ptr = Some(dptr);
-                            entry.flags.allocated = true;
-                        } else {
-                            // Entry freed concurrently is impossible under
-                            // the service lock; release the orphan.
-                            let _ = binding.gpu.free(binding.gpu_ctx, dptr);
-                        }
-                    }
-                    Err(mtgpu_gpusim::GpuError::OutOfMemory) => {
-                        if !self.evict_next_own_entry(ctx, bases, binding, &mut victims)? {
-                            return Ok(Some(size));
-                        }
-                        continue 'alloc;
-                    }
-                    Err(e) => return Err(CudaError::from_gpu(e)),
-                }
-            }
-        }
-    }
-
-    /// Plans one upload per entry awaiting its slab, in working-set order,
-    /// under one lock.
-    fn plan_uploads(&self, ctx: CtxId, bases: &[DeviceAddr]) -> CudaResult<Vec<TransferOp>> {
-        let st = self.state.lock();
-        let table = st.tables.get(&ctx).ok_or(CudaError::InvalidDevicePointer)?;
-        Ok(bases
-            .iter()
-            .filter_map(|&base| {
-                let entry = table.get(base)?;
-                (entry.flags.allocated && entry.flags.to_dev).then(|| TransferOp {
-                    base: base.0,
-                    dptr: entry.device_ptr.expect("allocated without ptr"),
-                    size: entry.size,
-                    payload: Some(entry.slab.data.clone()),
-                })
-            })
-            .collect())
-    }
-
-    /// Commits `to_dev` clears for successful uploads under one lock; the
-    /// first failed op (in plan order) becomes the caller's error.
-    fn commit_uploads(
-        &self,
-        ctx: CtxId,
-        dev: DeviceId,
-        outcomes: Vec<transfer::TransferOutcome>,
-    ) -> Option<CudaError> {
-        let mut first_err = None;
-        let mut st = self.state.lock();
-        for out in outcomes {
-            match out.result {
-                Ok(_) => {
-                    RuntimeMetrics::bump(&self.metrics.bulk_uploads);
-                    let landed = st
-                        .tables
-                        .get_mut(&ctx)
-                        .and_then(|t| t.get_mut(DeviceAddr(out.base)))
-                        .map(|entry| entry.flags.to_dev = false)
-                        .is_some();
-                    if landed {
-                        Self::note_dev_swap(&mut st, dev, out.size, 0);
-                    }
-                }
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        first_err
-    }
-
-    /// Stamps a materialized working set.
-    fn touch_working_set(&self, ctx: CtxId, bases: &[DeviceAddr]) {
-        let mut st = self.state.lock();
-        let touch = self.stamp(&mut st);
-        if let Some(table) = st.tables.get_mut(&ctx) {
-            for &base in bases {
-                if let Some(entry) = table.get_mut(base) {
-                    entry.last_touch = touch;
-                }
-            }
-        }
-    }
-
-    /// Evicts the next victim among `ctx`'s own resident entries outside
-    /// the working set, in [`eviction::order_entry_victims`]' order. Returns
-    /// `false` when there is nothing left to evict.
-    fn evict_next_own_entry(
-        &self,
-        ctx: CtxId,
-        protected: &[DeviceAddr],
-        binding: &Binding,
-        victims: &mut Option<VecDeque<DeviceAddr>>,
-    ) -> CudaResult<bool> {
-        if victims.is_none() {
-            let st = self.state.lock();
-            let table = st.tables.get(&ctx).ok_or(CudaError::InvalidDevicePointer)?;
-            let mut cands: Vec<EntryCandidate> = table
-                .iter()
-                .filter(|e| e.flags.allocated && !protected.contains(&e.vaddr))
-                .map(|e| EntryCandidate {
-                    vaddr: e.vaddr.0,
-                    size: e.size,
-                    dirty: e.flags.to_swap,
-                    last_touch: e.last_touch,
-                })
-                .collect();
-            eviction::order_entry_victims(&mut cands, st.touch_seq);
-            *victims = Some(cands.into_iter().map(|c| DeviceAddr(c.vaddr)).collect());
-        }
-        let queue = victims.as_mut().expect("victim queue just built");
-        while let Some(base) = queue.pop_front() {
-            // Re-validate: no *new* candidates appear within a plan
-            // generation, but a popped one may have been freed since.
-            let plan = {
-                let st = self.state.lock();
-                st.tables.get(&ctx).and_then(|t| t.get(base)).filter(|e| e.flags.allocated).map(
-                    |e| (e.device_ptr.expect("allocated without ptr"), e.size, e.flags.to_swap),
-                )
-            };
-            let Some((dptr, size, dirty)) = plan else { continue };
-            let synced = if dirty {
-                Some(
-                    binding
-                        .gpu
-                        .memcpy_d2h(binding.gpu_ctx, dptr, size)
-                        .map_err(CudaError::from_gpu)?,
-                )
-            } else {
-                None
-            };
-            binding.gpu.free(binding.gpu_ctx, dptr).map_err(CudaError::from_gpu)?;
-            RuntimeMetrics::bump(&self.metrics.intra_app_swaps);
-            RuntimeMetrics::add(&self.metrics.swap_bytes, size);
-            let mut st = self.state.lock();
-            if let Some(entry) = st.tables.get_mut(&ctx).and_then(|t| t.get_mut(base)) {
-                if let Some(bytes) = synced {
-                    entry.slab.write(0, &bytes);
-                }
-                entry.device_ptr = None;
-                entry.flags = entry.flags.on_swap();
-            }
-            if dirty {
-                Self::note_dev_swap(&mut st, binding.vgpu.device, 0, size);
-            }
-            return Ok(true);
-        }
-        Ok(false)
-    }
-
     /// Rewrites a launch's virtual pointer arguments into device pointers.
     /// All referenced entries must be resident (call [`Self::materialize`]
     /// first).
     pub fn translate_args(&self, ctx: CtxId, args: &[KernelArg]) -> CudaResult<Vec<KernelArg>> {
-        let st = self.state.lock();
-        let table = st.tables.get(&ctx).ok_or(CudaError::InvalidDevicePointer)?;
+        let cm = self.ctx_mem(ctx)?;
+        let table = cm.table.lock();
         args.iter()
             .map(|arg| match arg {
                 KernelArg::Ptr(p) => {
-                    let (base, offset) =
-                        table.resolve(*p).ok_or(CudaError::InvalidDevicePointer)?;
-                    let entry = table.get(base).expect("resolved entry vanished");
+                    let (entry, offset) =
+                        table.resolve_entry(*p).ok_or(CudaError::InvalidDevicePointer)?;
                     let dptr = entry.device_ptr.ok_or(CudaError::InvalidDevicePointer)?;
                     Ok(KernelArg::Ptr(DeviceAddr(dptr.0 + offset)))
                 }
@@ -798,378 +574,44 @@ impl MemoryManager {
     /// Applies the Figure 4 `launch` transition to the working set: data is
     /// now resident and (conservatively) dirty on device.
     pub fn mark_launched(&self, ctx: CtxId, bases: &[DeviceAddr]) {
-        let mut st = self.state.lock();
-        let touch = self.stamp(&mut st);
-        if let Some(table) = st.tables.get_mut(&ctx) {
-            for &base in bases {
-                if let Some(entry) = table.get_mut(base) {
-                    entry.flags = entry.flags.on_launch();
-                    entry.last_touch = touch;
-                }
+        let Ok(cm) = self.ctx_mem(ctx) else { return };
+        let mut table = cm.table.lock();
+        let touch = self.stamp();
+        for &base in bases {
+            if let Some(entry) = table.get_mut(base) {
+                entry.flags = entry.flags.on_launch();
+                entry.last_touch = touch;
             }
-        }
-    }
-
-    /// Swaps out **all** of a context's device-resident entries
-    /// (synchronizing dirty ones first) and frees their device memory.
-    /// This is the `Swap` internal function of Table 1 applied to the whole
-    /// context — used for inter-application victims, preemption and
-    /// voluntary unbinds.
-    ///
-    /// Dirty entries are written back as one pipelined D2H plan, then
-    /// committed to swap *before* any device memory is freed, so a device
-    /// failure mid-swap can never silently drop dirty bytes: an entry whose
-    /// writeback did not land stays allocated (and dirty), and device-loss
-    /// handling reports it as [`Recovery::LostDirtyData`].
-    pub fn swap_out_ctx(
-        &self,
-        ctx: CtxId,
-        binding: &Binding,
-        reason: SwapReason,
-    ) -> CudaResult<SwapOutcome> {
-        // Phase A — plan: every allocated entry, in page-table order.
-        let plan: Vec<(DeviceAddr, DeviceAddr, u64, bool)> = {
-            let st = self.state.lock();
-            st.tables
-                .get(&ctx)
-                .map(|table| {
-                    table
-                        .iter()
-                        .filter(|e| e.flags.allocated)
-                        .map(|e| {
-                            (
-                                e.vaddr,
-                                e.device_ptr.expect("allocated without ptr"),
-                                e.size,
-                                e.flags.to_swap,
-                            )
-                        })
-                        .collect()
-                })
-                .unwrap_or_default()
-        };
-        if reason == SwapReason::InterAppVictim {
-            RuntimeMetrics::bump(&self.metrics.inter_app_swaps);
-        }
-        if plan.is_empty() {
-            return Ok(SwapOutcome::default());
-        }
-        // Phase B — execute: writeback of every dirty entry, pipelined.
-        let sync_ops: Vec<TransferOp> = plan
-            .iter()
-            .filter(|&&(_, _, _, dirty)| dirty)
-            .map(|&(base, dptr, size, _)| TransferOp { base: base.0, dptr, size, payload: None })
-            .collect();
-        let mut sync_err: Option<CudaError> = None;
-        let mut synced: HashSet<u64> = HashSet::new();
-        if !sync_ops.is_empty() {
-            let outcomes = self.run_plan(ctx, binding, sync_ops);
-            // Phase C — commit the writebacks first: swap copies become
-            // current before their device copies are released.
-            let mut st = self.state.lock();
-            for out in outcomes {
-                match out.result {
-                    Ok(bytes) => {
-                        let bytes = bytes.expect("D2H op returns data");
-                        let landed = st
-                            .tables
-                            .get_mut(&ctx)
-                            .and_then(|t| t.get_mut(DeviceAddr(out.base)))
-                            .map(|entry| {
-                                entry.slab.write(0, &bytes);
-                                entry.flags = entry.flags.on_copy_dh();
-                            })
-                            .is_some();
-                        if landed {
-                            synced.insert(out.base);
-                            Self::note_dev_swap(&mut st, binding.vgpu.device, 0, out.size);
-                        }
-                    }
-                    Err(e) => sync_err = sync_err.or(Some(e)),
-                }
-            }
-        }
-        // Phase D — free, in plan order. Dirty entries whose writeback
-        // failed keep their device copy (the only current one).
-        let mut out = SwapOutcome::default();
-        let mut free_err: Option<CudaError> = None;
-        for (base, dptr, size, dirty) in plan {
-            if dirty && !synced.contains(&base.0) {
-                continue;
-            }
-            if free_err.is_some() {
-                break;
-            }
-            match binding.gpu.free(binding.gpu_ctx, dptr) {
-                Ok(()) => {
-                    out.freed += size;
-                    if dirty {
-                        out.writeback_bytes += size;
-                    } else {
-                        out.clean_bytes += size;
-                        RuntimeMetrics::add(&self.metrics.swap_bytes_skipped_clean, size);
-                    }
-                    let mut st = self.state.lock();
-                    if let Some(entry) = st.tables.get_mut(&ctx).and_then(|t| t.get_mut(base)) {
-                        entry.device_ptr = None;
-                        entry.flags = entry.flags.on_swap();
-                    }
-                }
-                Err(e) => free_err = Some(CudaError::from_gpu(e)),
-            }
-        }
-        if out.freed > 0 {
-            RuntimeMetrics::add(&self.metrics.swap_bytes, out.freed);
-        }
-        match sync_err.or(free_err) {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
-    }
-
-    /// Plans a live migration: every allocated entry of `ctx`, in
-    /// page-table order. Entries whose device copy is current
-    /// (`device_current`) must move with the context (peer-DMA on the
-    /// transfer lanes); the rest are slab-authoritative and their source
-    /// copies are simply dropped, rematerializing lazily on the
-    /// destination. The plan does **not** mutate any PTE — a failure
-    /// between plan and [`Self::commit_migration`] leaves the context
-    /// fully on its source with every flag intact.
-    pub fn migration_plan(&self, ctx: CtxId) -> Vec<MigrationEntry> {
-        let st = self.state.lock();
-        st.tables
-            .get(&ctx)
-            .map(|table| {
-                table
-                    .iter()
-                    .filter(|e| e.flags.allocated)
-                    .map(|e| MigrationEntry {
-                        vaddr: e.vaddr,
-                        src_dptr: e.device_ptr.expect("allocated without ptr"),
-                        size: e.size,
-                        device_current: !e.flags.to_dev,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// Commits a live migration under one lock: `moves` rewrites each
-    /// entry's device pointer to its destination allocation (flags
-    /// untouched — a dirty entry stays dirty, now on the destination);
-    /// `dropped` entries lose their (stale) source copy and fall back to
-    /// their authoritative slab (`on_swap` transition). This is the
-    /// migration's single atomic commit point: before it the context is
-    /// fully on src, after it fully on dst.
-    pub fn commit_migration(
-        &self,
-        ctx: CtxId,
-        moves: &[(DeviceAddr, DeviceAddr)],
-        dropped: &[DeviceAddr],
-    ) {
-        let mut st = self.state.lock();
-        let Some(table) = st.tables.get_mut(&ctx) else { return };
-        for &(vaddr, dst_dptr) in moves {
-            if let Some(entry) = table.get_mut(vaddr) {
-                entry.device_ptr = Some(dst_dptr);
-            }
-        }
-        for &vaddr in dropped {
-            if let Some(entry) = table.get_mut(vaddr) {
-                entry.device_ptr = None;
-                entry.flags = entry.flags.on_swap();
-            }
-        }
-    }
-
-    /// Checkpoint (§4.6): synchronize every dirty device-resident entry to
-    /// the swap area *without* evicting it, leaving the context restartable.
-    /// Dirty entries are synchronized as one pipelined D2H plan.
-    pub fn checkpoint(&self, ctx: CtxId, binding: &Binding) -> CudaResult<()> {
-        let ops: Vec<TransferOp> = {
-            let st = self.state.lock();
-            st.tables
-                .get(&ctx)
-                .map(|table| {
-                    table
-                        .iter()
-                        .filter(|e| e.flags.allocated && e.flags.to_swap)
-                        .map(|e| TransferOp {
-                            base: e.vaddr.0,
-                            dptr: e.device_ptr.expect("allocated without ptr"),
-                            size: e.size,
-                            payload: None,
-                        })
-                        .collect()
-                })
-                .unwrap_or_default()
-        };
-        let mut first_err = None;
-        if !ops.is_empty() {
-            let outcomes = self.run_plan(ctx, binding, ops);
-            let mut st = self.state.lock();
-            for out in outcomes {
-                match out.result {
-                    Ok(bytes) => {
-                        let bytes = bytes.expect("D2H op returns data");
-                        let landed = st
-                            .tables
-                            .get_mut(&ctx)
-                            .and_then(|t| t.get_mut(DeviceAddr(out.base)))
-                            .map(|entry| {
-                                entry.slab.write(0, &bytes);
-                                entry.flags = entry.flags.on_copy_dh();
-                            })
-                            .is_some();
-                        if landed {
-                            Self::note_dev_swap(&mut st, binding.vgpu.device, 0, out.size);
-                        }
-                    }
-                    Err(e) => first_err = first_err.or(Some(e)),
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        RuntimeMetrics::bump(&self.metrics.checkpoints);
-        Ok(())
-    }
-
-    /// Handles the loss of the device a context was bound to: resident
-    /// entries are reset to host-authoritative. If any entry was dirty on
-    /// the device (no checkpoint since its last kernel), the context's data
-    /// is inconsistent and it cannot transparently resume.
-    pub fn on_device_lost(&self, ctx: CtxId) -> Recovery {
-        let mut st = self.state.lock();
-        let Some(table) = st.tables.get_mut(&ctx) else {
-            return Recovery::Recovered;
-        };
-        let mut lost = false;
-        for entry in table.iter_mut() {
-            if entry.flags.allocated {
-                if entry.flags.to_swap {
-                    lost = true;
-                }
-                entry.device_ptr = None;
-                entry.flags.allocated = false;
-                entry.flags.to_swap = false;
-                entry.flags.to_dev = true;
-            }
-        }
-        if lost {
-            Recovery::LostDirtyData
-        } else {
-            Recovery::Recovered
         }
     }
 
     /// The context's total declared footprint (the paper's `MemUsage`).
     pub fn mem_usage(&self, ctx: CtxId) -> u64 {
-        self.state.lock().tables.get(&ctx).map_or(0, |t| t.mem_usage())
+        self.ctx_mem(ctx).map_or(0, |cm| cm.usage.load(Ordering::Relaxed))
     }
 
-    /// Bytes of the context currently resident on its device.
+    /// Bytes of the context currently resident on its device. Reads the
+    /// context's counter, so a victim search or the monitor never waits on
+    /// a table that is mid-transfer.
     pub fn resident_bytes(&self, ctx: CtxId) -> u64 {
-        self.state.lock().tables.get(&ctx).map_or(0, |t| t.resident_bytes())
+        self.ctx_mem(ctx).map_or(0, |cm| cm.resident.load(Ordering::Relaxed))
     }
 
     /// Total swap-area bytes in use.
     pub fn swap_used(&self) -> u64 {
-        self.state.lock().swap.used()
+        self.node.lock().swap.used()
     }
 
     /// Number of live PTEs for a context (diagnostics).
     pub fn pte_count(&self, ctx: CtxId) -> usize {
-        self.state.lock().tables.get(&ctx).map_or(0, |t| t.len())
-    }
-
-    /// Checkpoints (if bound) and exports the context's complete memory
-    /// image with virtual addresses preserved (§4.6). The image is
-    /// host-authoritative: residency is not captured — restoration
-    /// re-materializes lazily at the next launch.
-    pub fn export_image(
-        &self,
-        ctx: CtxId,
-        label: &str,
-        binding: Option<&Binding>,
-    ) -> CudaResult<mtgpu_api::protocol::ContextImage> {
-        if let Some(b) = binding {
-            self.checkpoint(ctx, b)?;
-        }
-        let st = self.state.lock();
-        let table = st.tables.get(&ctx).ok_or(CudaError::InvalidDevicePointer)?;
-        let entries = table
-            .iter()
-            .map(|e| mtgpu_api::protocol::ImageEntry {
-                vaddr: e.vaddr,
-                size: e.size,
-                kind: e.kind,
-                data: e.slab.data.clone(),
-                nested_members: e.nested_members.clone(),
-                nested_parent: e.nested_parent,
-            })
-            .collect();
-        Ok(mtgpu_api::protocol::ContextImage { label: label.to_string(), entries })
-    }
-
-    /// Restores an exported image into a context with an empty page table,
-    /// preserving every virtual address. Fails with
-    /// [`CudaError::InvalidValue`] if the context already has allocations,
-    /// and with [`CudaError::SwapAllocation`] if the swap area cannot hold
-    /// the image.
-    pub fn import_image(
-        &self,
-        ctx: CtxId,
-        image: mtgpu_api::protocol::ContextImage,
-    ) -> CudaResult<()> {
-        let mut st = self.state.lock();
-        let table = st.tables.get(&ctx).ok_or(CudaError::InvalidDevicePointer)?;
-        if !table.is_empty() {
-            return Err(CudaError::InvalidValue);
-        }
-        st.swap.reserve(image.declared_bytes())?;
-        // Future mallocs (of any context) must not collide with the
-        // imported virtual range within this runtime.
-        let max_end = image.entries.iter().map(|e| e.vaddr.0 + e.size).max().unwrap_or(VADDR_BASE);
-        if st.next_vaddr < max_end {
-            st.next_vaddr = (max_end + VALIGN - 1) & !(VALIGN - 1);
-        }
-        let last_touch = self.stamp(&mut st);
-        let table = st.tables.get_mut(&ctx).expect("table vanished");
-        for e in image.entries {
-            let mut slab = SwapSlab::new(e.size, DEFAULT_MATERIALIZE_CAP);
-            slab.write(0, &e.data);
-            table.insert(PageTableEntry {
-                vaddr: e.vaddr,
-                size: e.size,
-                device_ptr: None,
-                // Host-authoritative: upload before the next kernel use.
-                flags: crate::memory::page_table::Flags {
-                    allocated: false,
-                    to_dev: true,
-                    to_swap: false,
-                },
-                kind: e.kind,
-                slab,
-                nested_members: e.nested_members,
-                nested_parent: e.nested_parent,
-                last_touch,
-            });
-        }
-        Ok(())
+        self.ctx_mem(ctx).map_or(0, |cm| cm.table.lock().len())
     }
 
     /// Test/diagnostic hook: the flags of the entry at `vaddr`.
-    pub fn flags_of(
-        &self,
-        ctx: CtxId,
-        vaddr: DeviceAddr,
-    ) -> Option<crate::memory::page_table::Flags> {
-        let st = self.state.lock();
-        let table = st.tables.get(&ctx)?;
-        let (base, _) = table.resolve(vaddr)?;
-        table.get(base).map(|e| e.flags)
+    pub fn flags_of(&self, ctx: CtxId, vaddr: DeviceAddr) -> Option<Flags> {
+        let cm = self.ctx_mem(ctx).ok()?;
+        let table = cm.table.lock();
+        table.resolve_entry(vaddr).map(|(e, _)| e.flags)
     }
 }
 
@@ -1221,10 +663,7 @@ mod tests {
         let v = m.malloc(CTX, 1024, AllocKind::Linear).unwrap();
         let buf = HostBuf::from_slice(&[3u8; 1024]);
         m.copy_h2d(CTX, v, &buf, None).unwrap();
-        assert_eq!(
-            m.flags_of(CTX, v).unwrap(),
-            crate::memory::page_table::Flags { allocated: false, to_dev: true, to_swap: false }
-        );
+        assert_eq!(m.flags_of(CTX, v).unwrap(), Flags::new(false, true, false).unwrap());
         let closure = m.launch_closure(CTX, &[KernelArg::Ptr(v)]).unwrap();
         assert_eq!(m.materialize(CTX, &closure, &b).unwrap(), Materialize::Ready);
         assert_eq!(b.gpu.stats().snapshot().h2d_bytes, 1024);
@@ -1256,9 +695,9 @@ mod tests {
         // y, z next: x must be evicted.
         let c2 = m.launch_closure(CTX, &[KernelArg::Ptr(y), KernelArg::Ptr(z)]).unwrap();
         assert_eq!(m.materialize(CTX, &c2, &b).unwrap(), Materialize::Ready);
-        assert!(!m.flags_of(CTX, x).unwrap().allocated, "x should be swapped out");
-        assert!(m.flags_of(CTX, y).unwrap().allocated);
-        assert!(m.flags_of(CTX, z).unwrap().allocated);
+        assert!(!m.flags_of(CTX, x).unwrap().allocated(), "x should be swapped out");
+        assert!(m.flags_of(CTX, y).unwrap().allocated());
+        assert!(m.flags_of(CTX, z).unwrap().allocated());
     }
 
     #[test]
@@ -1304,10 +743,10 @@ mod tests {
         let c = m.launch_closure(CTX, &[KernelArg::Ptr(v)]).unwrap();
         m.materialize(CTX, &c, &b).unwrap();
         m.mark_launched(CTX, &c);
-        assert!(m.flags_of(CTX, v).unwrap().to_swap);
+        assert!(m.flags_of(CTX, v).unwrap().to_swap());
         m.checkpoint(CTX, &b).unwrap();
         let f = m.flags_of(CTX, v).unwrap();
-        assert!(f.allocated && !f.to_swap && !f.to_dev, "T/F/F after checkpoint: {f:?}");
+        assert!(f.allocated() && !f.to_swap() && !f.to_dev(), "T/F/F after checkpoint: {f:?}");
     }
 
     #[test]
@@ -1323,7 +762,7 @@ mod tests {
         assert_eq!(m.on_device_lost(CTX), Recovery::LostDirtyData);
         // After the reset the entry is host-authoritative again.
         let f = m.flags_of(CTX, v).unwrap();
-        assert!(!f.allocated && f.to_dev);
+        assert!(!f.allocated() && f.to_dev());
         // A clean context recovers.
         m.materialize(CTX, &c, &b).unwrap();
         m.mark_launched(CTX, &c);
@@ -1378,7 +817,7 @@ mod tests {
         assert_eq!(after.d2h_bytes, before.d2h_bytes);
         // The destination is now device-authoritative (like a kernel write).
         let f = m.flags_of(CTX, dst).unwrap();
-        assert!(f.allocated && !f.to_dev && f.to_swap, "{f:?}");
+        assert!(f.allocated() && !f.to_dev() && f.to_swap(), "{f:?}");
         // Reading it back syncs the device copy down and sees the data.
         assert_eq!(m.copy_d2h(CTX, dst, 128, Some(&b)).unwrap().payload, vec![4u8; 128]);
     }
@@ -1446,9 +885,9 @@ mod tests {
         assert_eq!(plan2[0].vaddr, a_ptr);
         assert_eq!(plan2[0].src_dptr, dst_dptr);
         let fa = m.flags_of(CTX, a_ptr).unwrap();
-        assert!(fa.allocated && !fa.to_dev);
+        assert!(fa.allocated() && !fa.to_dev());
         let fb = m.flags_of(CTX, b_ptr).unwrap();
-        assert!(!fb.allocated && fb.to_dev && !fb.to_swap);
+        assert!(!fb.allocated() && fb.to_dev() && !fb.to_swap());
         assert_eq!(m.copy_d2h(CTX, b_ptr, 64, None).unwrap().payload, vec![3u8; 64]);
     }
 
@@ -1497,6 +936,58 @@ mod tests {
         let gpu = Gpu::new(spec, Clock::with_scale(1e-7), 0);
         let gpu_ctx = gpu.create_context().unwrap();
         Binding { vgpu: VGpuId { device: DeviceId(0), index: 0 }, gpu, gpu_ctx }
+    }
+
+    #[test]
+    fn a_context_mid_transfer_pins_nobody_else() {
+        // At real-time scale the upload of A's 512 MiB (declared) buffer
+        // sleeps ~130 ms over the 4 GB/s PCIe model, with A's table lock
+        // held. Nothing B does, and no reader of A's counters, may wait for
+        // it.
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        const A: CtxId = CtxId(1);
+        const B: CtxId = CtxId(2);
+        const SIZE: u64 = 512 << 20;
+        let m = mm();
+        m.register_ctx(A);
+        m.register_ctx(B);
+        let gpu = Gpu::new(GpuSpec::tesla_c2050(), Clock::with_scale(1.0), 0);
+        let gpu_ctx = gpu.create_context().unwrap();
+        let binding = Binding { vgpu: VGpuId { device: DeviceId(0), index: 0 }, gpu, gpu_ctx };
+        let a_buf = m.malloc(A, SIZE, AllocKind::Linear).unwrap();
+        m.copy_h2d(A, a_buf, &HostBuf::with_shadow(SIZE, vec![1u8; 64]), None).unwrap();
+        let b_buf = m.malloc(B, 4096, AllocKind::Linear).unwrap();
+        let a_done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                assert_eq!(m.materialize(A, &[a_buf], &binding).unwrap(), Materialize::Ready);
+                a_done.store(true, Ordering::SeqCst);
+            });
+            // The counter moves at the device allocation, inside the pass
+            // and before the upload: from here A holds its lock for the
+            // length of the transfer.
+            while m.resident_bytes(A) == 0 {
+                std::thread::yield_now();
+            }
+            let timed = |what: &str, op: &dyn Fn()| {
+                let start = Instant::now();
+                op();
+                let took = start.elapsed();
+                assert!(took < Duration::from_millis(10), "{what} waited {took:?} for A's pass");
+            };
+            timed("malloc(B)", &|| assert!(m.malloc(B, 4096, AllocKind::Linear).is_ok()));
+            timed("copy_h2d(B)", &|| {
+                m.copy_h2d(B, b_buf, &HostBuf::from_slice(&[2u8; 64]), None).unwrap()
+            });
+            timed("launch_closure(B)", &|| {
+                assert_eq!(m.launch_closure(B, &[KernelArg::Ptr(b_buf)]).unwrap(), vec![b_buf])
+            });
+            timed("resident_bytes(A)", &|| assert_eq!(m.resident_bytes(A), SIZE));
+            timed("mem_usage(A)", &|| assert_eq!(m.mem_usage(A), SIZE));
+            assert!(!a_done.load(Ordering::SeqCst), "A's pass ended before B was done: no overlap");
+        });
+        assert!(!m.flags_of(A, a_buf).unwrap().to_dev(), "A's upload landed");
     }
 
     #[test]
@@ -1604,7 +1095,7 @@ mod tests {
             "eager mode must write through to the resident copy"
         );
         let f = m.flags_of(CTX, v).unwrap();
-        assert!(f.allocated && !f.to_dev);
+        assert!(f.allocated() && !f.to_dev());
     }
 
     #[test]
@@ -1625,8 +1116,8 @@ mod tests {
         let d = m.malloc(CTX, avail / 3, AllocKind::Linear).unwrap();
         let c3 = m.launch_closure(CTX, &[KernelArg::Ptr(d)]).unwrap();
         assert_eq!(m.materialize(CTX, &c3, &b).unwrap(), Materialize::Ready);
-        assert!(m.flags_of(CTX, large).unwrap().allocated, "the fresh large buffer stays");
-        assert!(!m.flags_of(CTX, small).unwrap().allocated, "the stale small buffer goes");
+        assert!(m.flags_of(CTX, large).unwrap().allocated(), "the fresh large buffer stays");
+        assert!(!m.flags_of(CTX, small).unwrap().allocated(), "the stale small buffer goes");
     }
 
     #[test]
@@ -1647,8 +1138,8 @@ mod tests {
         let c2 = m.launch_closure(CTX, &[KernelArg::Ptr(d)]).unwrap();
         let d2h_before = b.gpu.stats().snapshot().d2h_bytes;
         assert_eq!(m.materialize(CTX, &c2, &b).unwrap(), Materialize::Ready);
-        assert!(!m.flags_of(CTX, clean).unwrap().allocated, "the clean buffer goes");
-        assert!(m.flags_of(CTX, dirty).unwrap().allocated, "the dirty buffer stays");
+        assert!(!m.flags_of(CTX, clean).unwrap().allocated(), "the clean buffer goes");
+        assert!(m.flags_of(CTX, dirty).unwrap().allocated(), "the dirty buffer stays");
         assert_eq!(b.gpu.stats().snapshot().d2h_bytes, d2h_before, "no writeback was paid");
     }
 }

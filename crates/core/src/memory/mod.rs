@@ -1,9 +1,24 @@
 //! Virtual memory for GPUs: page table, swap area, memory manager (§4.5).
+//!
+//! One [`PageTable`] per context, each behind its own lock; the
+//! [`MemoryManager`] keeps the directory of them plus what is node-wide
+//! (swap accounting, the virtual-address cursor, per-device swap traffic)
+//! behind a leaf lock. Its methods are split along their seams:
+//! [`manager`] (tables, accounting, the Table 1 calls), [`residency`]
+//! (`materialize` and own-entry eviction), [`swapout`] (swap-out,
+//! checkpoint, device loss), [`migration`] and [`image`]. Every residency
+//! transition is one pass under the context's table lock, moving data
+//! through [`transfer::execute`] with payloads borrowed from the slabs;
+//! [`Flags`]' transitions are the only way a flag changes.
 
 pub mod eviction;
+mod image;
 pub mod manager;
+mod migration;
 pub mod page_table;
+mod residency;
 pub mod swap;
+mod swapout;
 pub mod transfer;
 
 pub use eviction::{EntryCandidate, TouchStamp};

@@ -15,22 +15,43 @@ use mtgpu_gpusim::DeviceAddr;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// The `isAllocated` / `toCopy2Dev` / `toCopy2Swap` flag triple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// The `isAllocated` / `toCopy2Dev` / `toCopy2Swap` flag triple. The fields
+/// are private: a value is one of Figure 4's five states by construction
+/// ([`Flags::new`] checks, the transitions are closed over them), so the
+/// legal machine is enforced from inside.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Flags {
-    /// A device allocation backs this entry.
-    pub allocated: bool,
-    /// The authoritative data lives only in the swap slab and must be
-    /// uploaded before the next kernel touches it.
-    pub to_dev: bool,
-    /// The authoritative data lives only on the device and must be copied
-    /// down before it can be served to the host or the entry evicted.
-    pub to_swap: bool,
+    allocated: bool,
+    to_dev: bool,
+    to_swap: bool,
 }
 
 impl Flags {
     /// State of a freshly created entry: no device allocation, no data.
     pub const INITIAL: Flags = Flags { allocated: false, to_dev: false, to_swap: false };
+
+    /// The triple as a state, if it is one of Figure 4's five.
+    pub fn new(allocated: bool, to_dev: bool, to_swap: bool) -> Option<Flags> {
+        let f = Flags { allocated, to_dev, to_swap };
+        Flags::REACHABLE.contains(&f).then_some(f)
+    }
+
+    /// A device allocation backs this entry.
+    pub fn allocated(self) -> bool {
+        self.allocated
+    }
+
+    /// The authoritative data lives only in the swap slab and must be
+    /// uploaded before the next kernel touches it.
+    pub fn to_dev(self) -> bool {
+        self.to_dev
+    }
+
+    /// The authoritative data lives only on the device and must be copied
+    /// down before it can be served to the host or the entry evicted.
+    pub fn to_swap(self) -> bool {
+        self.to_swap
+    }
 
     /// Host-to-device copy under deferral: the slab now holds the
     /// authoritative data, superseding any device copy.
@@ -66,6 +87,32 @@ impl Flags {
         } else {
             self
         }
+    }
+
+    /// Device allocation at materialization: the entry gains a device copy
+    /// with nothing in it yet, so who holds the data does not change.
+    #[must_use]
+    pub fn on_alloc(self) -> Flags {
+        Flags { allocated: true, ..self }
+    }
+
+    /// The slab reached the device (bulk upload at launch, or an eager
+    /// write-through): both copies are current. No-op when not allocated.
+    #[must_use]
+    pub fn on_upload(self) -> Flags {
+        if self.allocated {
+            Flags { to_dev: false, ..self }
+        } else {
+            self
+        }
+    }
+
+    /// The device is gone: an allocated entry falls back to its slab as
+    /// after a swap, whatever the device held — nothing was written back,
+    /// so the caller reports a dirty one as lost.
+    #[must_use]
+    pub fn on_device_lost(self) -> Flags {
+        self.on_swap()
     }
 
     /// The five reachable states of Figure 4, as (allocated, to_dev,
@@ -148,11 +195,16 @@ pub struct PageTableEntry {
 }
 
 impl PageTableEntry {
-    /// Whether a device allocation currently backs the entry. Kept in sync
-    /// with `device_ptr` by construction.
-    pub fn is_allocated(&self) -> bool {
-        debug_assert_eq!(self.flags.allocated, self.device_ptr.is_some());
-        self.device_ptr.is_some()
+    /// The device pointer of a resident entry.
+    pub(crate) fn dptr(&self) -> DeviceAddr {
+        self.device_ptr.expect("allocated without ptr")
+    }
+
+    /// Lands a whole-entry writeback (D2H from offset 0) in the slab it
+    /// belongs to: both copies are current afterwards.
+    pub(crate) fn take_writeback(&mut self, bytes: &[u8]) {
+        self.slab.write(0, bytes);
+        self.flags = self.flags.on_copy_dh();
     }
 }
 
@@ -183,8 +235,20 @@ impl PageTable {
 
     /// Resolves a (possibly interior) virtual address to `(base, offset)`.
     pub fn resolve(&self, vaddr: DeviceAddr) -> Option<(DeviceAddr, u64)> {
+        self.resolve_entry(vaddr).map(|(e, offset)| (e.vaddr, offset))
+    }
+
+    /// The entry a (possibly interior) virtual address falls in, and the
+    /// offset into it.
+    pub fn resolve_entry(&self, vaddr: DeviceAddr) -> Option<(&PageTableEntry, u64)> {
         let (&base, e) = self.entries.range(..=vaddr.0).next_back()?;
-        (vaddr.0 < base + e.size).then(|| (DeviceAddr(base), vaddr.0 - base))
+        (vaddr.0 < base + e.size).then(|| (e, vaddr.0 - base))
+    }
+
+    /// [`Self::resolve_entry`], mutably.
+    pub fn resolve_mut(&mut self, vaddr: DeviceAddr) -> Option<(&mut PageTableEntry, u64)> {
+        let (&base, e) = self.entries.range_mut(..=vaddr.0).next_back()?;
+        (vaddr.0 < base + e.size).then(|| (e, vaddr.0 - base))
     }
 
     /// The entry with virtual base `vaddr`.
@@ -215,16 +279,6 @@ impl PageTable {
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Sum of declared sizes (the context's `MemUsage`, §4.5).
-    pub fn mem_usage(&self) -> u64 {
-        self.entries.values().map(|e| e.size).sum()
-    }
-
-    /// Sum of declared sizes currently resident on device.
-    pub fn resident_bytes(&self) -> u64 {
-        self.entries.values().filter(|e| e.is_allocated()).map(|e| e.size).sum()
     }
 }
 
@@ -281,16 +335,49 @@ mod tests {
 
     #[test]
     fn figure4_closure_over_five_states() {
-        // Applying every event to every reachable state stays within the
-        // five states of Figure 4.
+        // Applying every event — the paper's four and the manager's own
+        // alloc / upload / device-loss — to every reachable state stays
+        // within the five states of Figure 4.
         for s in Flags::REACHABLE {
-            for next in [s.on_copy_hd(), s.on_launch(), s.on_copy_dh(), s.on_swap()] {
+            for next in [
+                s.on_copy_hd(),
+                s.on_launch(),
+                s.on_copy_dh(),
+                s.on_swap(),
+                s.on_alloc(),
+                s.on_upload(),
+                s.on_device_lost(),
+            ] {
                 assert!(
                     Flags::REACHABLE.contains(&next),
                     "{s:?} transitioned outside Figure 4 to {next:?}"
                 );
             }
+            // Who holds the data survives an allocation; an upload and a
+            // device loss leave nothing device-only behind.
+            assert!(s.on_alloc().allocated());
+            assert_eq!((s.on_alloc().to_dev(), s.on_alloc().to_swap()), (s.to_dev(), s.to_swap()));
+            assert!(!s.on_upload().to_dev() || !s.allocated());
+            assert!(!s.on_device_lost().allocated() && !s.on_device_lost().to_swap());
         }
+    }
+
+    #[test]
+    fn checked_constructor_admits_exactly_the_five_states() {
+        let mut legal = 0;
+        for bits in 0..8u8 {
+            let (a, d, w) = (bits & 4 != 0, bits & 2 != 0, bits & 1 != 0);
+            match Flags::new(a, d, w) {
+                Some(f) => {
+                    legal += 1;
+                    assert_eq!((f.allocated(), f.to_dev(), f.to_swap()), (a, d, w));
+                }
+                // Device-only data next to a pending upload (double
+                // authority) or with no device copy to hold it.
+                None => assert!(w && (d || !a), "{a}/{d}/{w} wrongly refused"),
+            }
+        }
+        assert_eq!(legal, 5);
     }
 
     #[test]
@@ -322,16 +409,5 @@ mod tests {
         assert_eq!(pt.resolve(DeviceAddr(0x1100)), None);
         assert_eq!(pt.resolve(DeviceAddr(0x2040)), Some((DeviceAddr(0x2000), 0x40)));
         assert_eq!(pt.resolve(DeviceAddr(0xfff)), None);
-    }
-
-    #[test]
-    fn mem_usage_sums_declared() {
-        let mut pt = PageTable::new();
-        pt.insert(entry(0x1000, 256));
-        pt.insert(entry(0x2000, 128));
-        assert_eq!(pt.mem_usage(), 384);
-        assert_eq!(pt.resident_bytes(), 0);
-        pt.remove(DeviceAddr(0x1000)).unwrap();
-        assert_eq!(pt.mem_usage(), 128);
     }
 }

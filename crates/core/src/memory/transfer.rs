@@ -1,12 +1,13 @@
 //! Pipelined transfer-plan execution.
 //!
-//! The memory manager's hot paths (`materialize`, `swap_out_ctx`,
+//! The memory manager's residency passes (`materialize`, `swap_out_ctx`,
 //! `checkpoint`) build a *plan* — the full list of H2D/D2H operations a
-//! state transition needs — under one `MmState` lock, then hand it to
-//! [`execute`] with the lock released. The executor spreads the plan across
-//! the device's copy-engine lanes so a C2050's two engines both carry
-//! traffic, while a single-engine C1060 runs the plan inline with zero
-//! threading overhead.
+//! state transition needs — from the context's page table and hand it to
+//! [`execute`] with that table's lock still held: an upload borrows its
+//! payload straight from the slab, and the lane threads are scoped inside
+//! the caller's borrow. The executor spreads the plan across the device's
+//! copy-engine lanes so a C2050's two engines both carry traffic, while a
+//! single-engine C1060 runs the plan inline with zero threading overhead.
 //!
 //! Determinism: operation `i` is pinned to lane `i % lanes`, and each lane
 //! issues its operations in plan order via the lane-pinned memcpy entry
@@ -16,13 +17,14 @@
 //! under the virtual clock (concurrent sleeps on a shared atomic clock sum
 //! commutatively).
 
+use crate::memory::page_table::PageTableEntry;
 use mtgpu_api::{CudaError, CudaResult};
 use mtgpu_gpusim::{DeviceAddr, Gpu, GpuContextId};
 
 /// One operation of a transfer plan, addressed by the page-table entry's
-/// virtual base so the caller can commit flag transitions afterwards.
+/// virtual base so the caller can apply flag transitions afterwards.
 #[derive(Debug, Clone)]
-pub struct TransferOp {
+pub struct TransferOp<'a> {
     /// Virtual base address of the page-table entry this op serves.
     pub base: u64,
     /// Resolved device pointer to transfer to/from.
@@ -31,7 +33,19 @@ pub struct TransferOp {
     pub size: u64,
     /// `Some(bytes)` uploads host data to the device (H2D); `None` reads
     /// the device copy back (D2H sync).
-    pub payload: Option<Vec<u8>>,
+    pub payload: Option<&'a [u8]>,
+}
+
+impl<'a> TransferOp<'a> {
+    /// Upload of a resident entry's slab.
+    pub(crate) fn upload(e: &'a PageTableEntry) -> Self {
+        TransferOp { payload: Some(&e.slab.data), ..TransferOp::writeback(e) }
+    }
+
+    /// Writeback of a resident entry's device copy.
+    pub(crate) fn writeback(e: &PageTableEntry) -> Self {
+        TransferOp { base: e.vaddr.0, dptr: e.dptr(), size: e.size, payload: None }
+    }
 }
 
 /// Result of one plan operation, reported in plan order.
@@ -41,9 +55,9 @@ pub struct TransferOutcome {
     pub base: u64,
     /// Declared size of the op.
     pub size: u64,
-    /// `Ok(Some(bytes))` for a completed D2H sync, `Ok(None)` for a
-    /// completed H2D upload, `Err` if the device rejected the transfer.
-    pub result: CudaResult<Option<Vec<u8>>>,
+    /// The bytes a completed D2H sync read back (none for a completed H2D
+    /// upload), `Err` if the device rejected the transfer.
+    pub result: CudaResult<Vec<u8>>,
 }
 
 /// What a plan execution looked like, for metrics/trace accounting.
@@ -59,16 +73,13 @@ pub struct PlanShape {
     pub overlapped: bool,
 }
 
-fn run_op(gpu: &Gpu, gpu_ctx: GpuContextId, op: &TransferOp, lane: usize) -> TransferOutcome {
-    let result = match &op.payload {
+fn run_op(gpu: &Gpu, gpu_ctx: GpuContextId, op: &TransferOp<'_>, lane: usize) -> TransferOutcome {
+    let result = match op.payload {
         Some(bytes) => gpu
             .memcpy_h2d_on(gpu_ctx, op.dptr, op.size, bytes, lane)
-            .map(|()| None)
+            .map(|()| Vec::new())
             .map_err(CudaError::from_gpu),
-        None => gpu
-            .memcpy_d2h_on(gpu_ctx, op.dptr, op.size, lane)
-            .map(Some)
-            .map_err(CudaError::from_gpu),
+        None => gpu.memcpy_d2h_on(gpu_ctx, op.dptr, op.size, lane).map_err(CudaError::from_gpu),
     };
     TransferOutcome { base: op.base, size: op.size, result }
 }
@@ -89,7 +100,7 @@ fn run_op(gpu: &Gpu, gpu_ctx: GpuContextId, op: &TransferOp, lane: usize) -> Tra
 pub fn execute(
     gpu: &Gpu,
     gpu_ctx: GpuContextId,
-    ops: Vec<TransferOp>,
+    ops: &[TransferOp<'_>],
     lanes: usize,
 ) -> (Vec<TransferOutcome>, PlanShape) {
     let lanes = lanes.max(1).min(ops.len().max(1));
@@ -110,7 +121,7 @@ pub fn execute(
     outcomes.resize_with(ops.len(), || None);
     // Deal ops and their outcome slots to lanes round-robin, preserving
     // plan order within each lane.
-    let mut per_lane: Vec<Vec<(&TransferOp, &mut Option<TransferOutcome>)>> =
+    let mut per_lane: Vec<Vec<(&TransferOp<'_>, &mut Option<TransferOutcome>)>> =
         (0..lanes).map(|_| Vec::new()).collect();
     let mut slot_iter = outcomes.iter_mut();
     for (i, op) in ops.iter().enumerate() {
@@ -147,13 +158,16 @@ mod tests {
         Gpu::new(spec, Clock::with_scale(scale), 0)
     }
 
-    fn upload_plan(gpu: &Gpu, ctx: GpuContextId, n: usize, size: u64) -> Vec<TransferOp> {
+    /// Op `i` uploads 64 bytes of `i`.
+    static FILLS: [[u8; 64]; 6] = [[0; 64], [1; 64], [2; 64], [3; 64], [4; 64], [5; 64]];
+
+    fn upload_plan(gpu: &Gpu, ctx: GpuContextId, n: usize, size: u64) -> Vec<TransferOp<'static>> {
         (0..n)
             .map(|i| TransferOp {
                 base: i as u64,
                 dptr: gpu.malloc(ctx, size).unwrap(),
                 size,
-                payload: Some(vec![i as u8; 64]),
+                payload: Some(&FILLS[i]),
             })
             .collect()
     }
@@ -165,7 +179,7 @@ mod tests {
             let ctx = gpu.create_context().unwrap();
             let ops = upload_plan(&gpu, ctx, 6, 4096);
             let dptrs: Vec<DeviceAddr> = ops.iter().map(|o| o.dptr).collect();
-            let (outcomes, shape) = execute(&gpu, ctx, ops, lanes);
+            let (outcomes, shape) = execute(&gpu, ctx, &ops, lanes);
             assert_eq!(outcomes.len(), 6);
             for (i, out) in outcomes.iter().enumerate() {
                 assert_eq!(out.base, i as u64, "outcomes must keep plan order");
@@ -186,12 +200,12 @@ mod tests {
             .iter()
             .map(|o| TransferOp { base: o.base, dptr: o.dptr, size: 64, payload: None })
             .collect();
-        let (outs, _) = execute(&gpu, ctx, uploads.clone(), 2);
+        let (outs, _) = execute(&gpu, ctx, &uploads, 2);
         assert!(outs.iter().all(|o| o.result.is_ok()));
-        let (outs, shape) = execute(&gpu, ctx, sync_ops, 2);
+        let (outs, shape) = execute(&gpu, ctx, &sync_ops, 2);
         assert!(shape.overlapped);
         for (i, out) in outs.iter().enumerate() {
-            let bytes = out.result.as_ref().unwrap().as_ref().unwrap();
+            let bytes = out.result.as_ref().unwrap();
             assert_eq!(bytes, &vec![i as u8; 64], "op {i} returned wrong payload");
         }
     }
@@ -204,14 +218,13 @@ mod tests {
         let gpu = gpu_with(GpuSpec::tesla_c2050(), 1.0);
         let ctx = gpu.create_context().unwrap();
         let size = 4u64 << 20;
-        let serial_ops = upload_plan(&gpu, ctx, 4, size);
-        let pipelined_ops = serial_ops.clone();
+        let ops = upload_plan(&gpu, ctx, 4, size);
         let start = Instant::now();
-        let (outs, _) = execute(&gpu, ctx, serial_ops, 1);
+        let (outs, _) = execute(&gpu, ctx, &ops, 1);
         let serial = start.elapsed();
         assert!(outs.iter().all(|o| o.result.is_ok()));
         let start = Instant::now();
-        let (outs, shape) = execute(&gpu, ctx, pipelined_ops, 2);
+        let (outs, shape) = execute(&gpu, ctx, &ops, 2);
         let pipelined = start.elapsed();
         assert!(outs.iter().all(|o| o.result.is_ok()));
         assert!(shape.overlapped);
@@ -227,7 +240,7 @@ mod tests {
         let ctx = gpu.create_context().unwrap();
         let ops = upload_plan(&gpu, ctx, 4, 1024);
         gpu.fail();
-        let (outs, _) = execute(&gpu, ctx, ops, 2);
+        let (outs, _) = execute(&gpu, ctx, &ops, 2);
         assert_eq!(outs.len(), 4);
         assert!(outs.iter().all(|o| o.result.is_err()));
     }
@@ -236,7 +249,7 @@ mod tests {
     fn empty_plan_is_a_noop() {
         let gpu = gpu_with(GpuSpec::tesla_c2050(), 1e-7);
         let ctx = gpu.create_context().unwrap();
-        let (outs, shape) = execute(&gpu, ctx, Vec::new(), 2);
+        let (outs, shape) = execute(&gpu, ctx, &[], 2);
         assert!(outs.is_empty());
         assert_eq!(shape.ops, 0);
         assert!(!shape.overlapped);

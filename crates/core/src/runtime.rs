@@ -181,7 +181,7 @@ impl NodeRuntime {
     /// observe zero and replay fingerprints are unaffected.
     fn observe_lock_contention(&self) {
         let sources = [
-            ("MM_STATE", self.mm.take_lock_contention()),
+            ("MM_TABLE+MM_STATE", self.mm.take_lock_contention()),
             ("SCHED", self.bm.take_lock_contention()),
         ];
         for (name, count) in sources {

@@ -206,6 +206,45 @@ mod tests {
     }
 
     #[test]
+    fn tickets_queued_behind_a_long_occupancy_are_all_served_in_order() {
+        // The turnstile's broadcast goes out only when somebody is parked
+        // (the condvar counts its waiters), so park a queue of them for
+        // certain: the head holds the engine until every ticket is taken,
+        // and ticket i + 1 is taken only once ticket i is in the queue.
+        const QUEUED: u64 = 16;
+        let engine = Arc::new(FifoEngine::new(Clock::virtual_clock()));
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let head = {
+            let e = Arc::clone(&engine);
+            std::thread::spawn(move || {
+                e.occupy_with(SimDuration::from_secs(1), || held.recv().unwrap())
+            })
+        };
+        let mut joiners = Vec::new();
+        for i in 0..QUEUED {
+            while engine.queue_depth() < i + 1 {
+                std::thread::yield_now();
+            }
+            let (e, o) = (Arc::clone(&engine), Arc::clone(&order));
+            joiners.push(std::thread::spawn(move || {
+                e.occupy_with(SimDuration::from_millis(1), || o.lock().push(i));
+            }));
+        }
+        while engine.queue_depth() < QUEUED + 1 {
+            std::thread::yield_now();
+        }
+        release.send(()).unwrap();
+        head.join().unwrap();
+        for j in joiners {
+            j.join().unwrap();
+        }
+        assert_eq!(*order.lock(), (0..QUEUED).collect::<Vec<_>>());
+        assert_eq!(engine.ops_completed(), QUEUED + 1);
+        assert_eq!(engine.queue_depth(), 0);
+    }
+
+    #[test]
     fn bank_allows_parallel_occupancy() {
         // Two engines: two 5-sim-second transfers overlap, finishing well
         // under 10 sim seconds. A barrier keeps thread-spawn latency out of

@@ -78,7 +78,14 @@ pub mod lock_rank {
     pub const RT_MONITOR: LockRank = LockRank { value: 91, name: "RT_MONITOR" };
     /// The runtime's context registry.
     pub const RT_REGISTRY: LockRank = LockRank { value: 95, name: "RT_REGISTRY" };
-    /// The memory manager's node-wide state (page tables + swap area).
+    /// One context's page table: held for a whole residency pass, device
+    /// calls included (it pins nobody but its context); a thread never
+    /// holds two.
+    pub const MM_TABLE: LockRank = LockRank { value: 98, name: "MM_TABLE" };
+    /// The memory manager's node-wide leaf: the directory of tables, swap
+    /// accounting, the virtual-address cursor and per-device swap traffic.
+    /// Taken under a table lock for a lookup or a sum, never across a
+    /// device call.
     pub const MM_STATE: LockRank = LockRank { value: 100, name: "MM_STATE" };
     /// One simulated device's allocator/context state.
     pub const DEVICE_STATE: LockRank = LockRank { value: 110, name: "DEVICE_STATE" };
@@ -120,6 +127,7 @@ pub mod lock_rank {
         RT_HANDLERS,
         RT_MONITOR,
         RT_REGISTRY,
+        MM_TABLE,
         MM_STATE,
         DEVICE_STATE,
         ENGINE_TICKETS,

@@ -114,15 +114,26 @@ fn workspace_table_order_is_consistent() {
         "lock_rank::ALL must be strictly ascending"
     );
     let slots = Arc::new(RankedRwLock::new(lock_rank::DRIVER_SLOTS, ()));
+    let table = Arc::new(RankedMutex::new(lock_rank::MM_TABLE, ()));
     let mm = Arc::new(RankedMutex::new(lock_rank::MM_STATE, ()));
     let tracer = Arc::new(RankedMutex::new(lock_rank::TRACER_RING, ()));
-    let (s, m, t) = (Arc::clone(&slots), Arc::clone(&mm), Arc::clone(&tracer));
+    let (s, p, m, t) =
+        (Arc::clone(&slots), Arc::clone(&table), Arc::clone(&mm), Arc::clone(&tracer));
     assert!(panic_message_of(move || {
         let _a = s.read();
-        let _b = m.lock();
-        let _c = t.lock();
+        let _b = p.lock();
+        let _c = m.lock();
+        let _d = t.lock();
     })
     .is_none());
+    // A context's table is outer to the memory manager's leaf: the leaf is
+    // never held while a table is taken.
+    let msg = panic_message_of(move || {
+        let _c = mm.lock();
+        let _b = table.lock();
+    })
+    .expect("MM_STATE → MM_TABLE must panic");
+    assert!(msg.contains("MM_TABLE") && msg.contains("MM_STATE"), "{msg}");
     // And the reverse nesting trips the checker through the rwlock too.
     let msg = panic_message_of(move || {
         let _c = tracer.lock();

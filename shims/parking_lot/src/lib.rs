@@ -10,6 +10,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// A mutual exclusion primitive (non-poisoning).
@@ -168,18 +169,43 @@ impl WaitTimeoutResult {
 }
 
 /// A condition variable usable with this module's [`MutexGuard`].
+///
+/// Like the real crate, and unlike `std::sync::Condvar` (whose notify is a
+/// `futex` system call whether or not anybody sleeps), it counts its
+/// waiters and a notify with none returns at once. The count is raised in
+/// `wait`/`wait_until` while the guard's mutex is still held and lowered on
+/// return, so a notify can miss a waiter only if it ran before that waiter
+/// took the mutex. That is safe under the rule every caller in this
+/// workspace follows (`gpusim::engine`, `simtime::sync::RankedCondvar`,
+/// `api::transport::mux`, `cluster::{queue, sem}`, `core::sched::acquire`
+/// and the shutdown broadcast in `core::runtime`): **the predicate changes
+/// under the mutex the waiters wait with**, before the notify. A waiter
+/// that locks later sees the new predicate and never sleeps; one that
+/// locked earlier was counted before it let go of the mutex, and the
+/// notifier's own acquisition of that mutex makes the count visible.
 pub struct Condvar {
     inner: std::sync::Condvar,
+    waiters: AtomicUsize,
+    /// Signals handed to the std condvar (test probe).
+    #[cfg(test)]
+    signals: AtomicUsize,
 }
 
 impl Condvar {
     pub const fn new() -> Self {
-        Condvar { inner: std::sync::Condvar::new() }
+        Condvar {
+            inner: std::sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
+            #[cfg(test)]
+            signals: AtomicUsize::new(0),
+        }
     }
 
     /// Blocks until notified, releasing the guard's mutex while parked.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         take_guard(guard, |g| self.inner.wait(g).unwrap_or_else(|p| p.into_inner()));
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Blocks until notified or `deadline` passes.
@@ -189,22 +215,36 @@ impl Condvar {
         deadline: Instant,
     ) -> WaitTimeoutResult {
         let mut timed_out = false;
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         take_guard(guard, |g| {
             let dur = deadline.saturating_duration_since(Instant::now());
             let (g, res) = self.inner.wait_timeout(g, dur).unwrap_or_else(|p| p.into_inner());
             timed_out = res.timed_out();
             g
         });
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         WaitTimeoutResult { timed_out }
     }
 
+    /// Whether a notify has anyone to wake (and counts it, under test).
+    fn has_waiters(&self) -> bool {
+        let any = self.waiters.load(Ordering::SeqCst) != 0;
+        #[cfg(test)]
+        self.signals.fetch_add(any as usize, Ordering::Relaxed);
+        any
+    }
+
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        if self.has_waiters() {
+            self.inner.notify_one();
+        }
     }
 
     pub fn notify_all(&self) {
-        // mtlint: allow(notify-all, reason = "this is the broadcast primitive itself; the rule audits its callers, each of which carries its own reason")
-        self.inner.notify_all();
+        if self.has_waiters() {
+            // mtlint: allow(notify-all, reason = "this is the broadcast primitive itself; the rule audits its callers, each of which carries its own reason")
+            self.inner.notify_all();
+        }
     }
 }
 
@@ -290,5 +330,121 @@ mod tests {
         let mut g = m.lock();
         let res = cv.wait_until(&mut g, Instant::now() + Duration::from_millis(10));
         assert!(res.timed_out());
+    }
+
+    #[test]
+    fn notify_without_waiter_is_not_stored() {
+        let m = Mutex::new(());
+        let cv = Condvar::new();
+        cv.notify_one();
+        cv.notify_all();
+        let mut g = m.lock();
+        let res = cv.wait_until(&mut g, Instant::now() + Duration::from_millis(10));
+        assert!(res.timed_out(), "a notify nobody heard must not wake a later waiter");
+    }
+
+    #[test]
+    fn ping_pong_loses_no_wakeup() {
+        const ROUNDS: u32 = 10_000;
+        let pair = Arc::new((Mutex::new(0u32), Condvar::new()));
+        // Each side waits for the turn to reach its parity, then passes it.
+        let play = |pair: &(Mutex<u32>, Condvar), parity: u32| {
+            let (turn, cv) = pair;
+            let mut t = turn.lock();
+            while *t < 2 * ROUNDS {
+                if *t % 2 == parity {
+                    *t += 1;
+                    cv.notify_one();
+                } else {
+                    let res = cv.wait_until(&mut t, Instant::now() + Duration::from_secs(30));
+                    assert!(!res.timed_out(), "wake-up lost at turn {}", *t);
+                }
+            }
+        };
+        let pair2 = Arc::clone(&pair);
+        let other = std::thread::spawn(move || play(&pair2, 1));
+        play(&pair, 0);
+        other.join().unwrap();
+        assert_eq!(*pair.0.lock(), 2 * ROUNDS);
+    }
+
+    #[test]
+    fn notify_all_wakes_every_parked_waiter() {
+        const N: usize = 8;
+        // (parked, go): a waiter counts itself in under the mutex just
+        // before it waits, so `parked == N` seen under the mutex means all
+        // N have let go of it inside `wait`.
+        let shared = Arc::new((Mutex::new((0usize, false)), Condvar::new()));
+        let waiters: Vec<_> = (0..N)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || {
+                    let (m, cv) = &*shared;
+                    let mut st = m.lock();
+                    st.0 += 1;
+                    while !st.1 {
+                        cv.wait(&mut st);
+                    }
+                })
+            })
+            .collect();
+        let (m, cv) = &*shared;
+        loop {
+            let mut st = m.lock();
+            if st.0 == N {
+                st.1 = true;
+                cv.notify_all();
+                break;
+            }
+            drop(st);
+            std::thread::yield_now();
+        }
+        for w in waiters {
+            w.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn only_a_notify_somebody_waits_for_is_sent() {
+        const ROUNDS: usize = 1_000;
+        let m = Mutex::new(0usize);
+        let cv = Condvar::new();
+        for _ in 0..ROUNDS {
+            *m.lock() += 1;
+            cv.notify_one();
+            cv.notify_all();
+        }
+        assert_eq!(cv.signals.load(Ordering::Relaxed), 0, "nobody waited: nothing to send");
+
+        // (round the waiter sleeps in, round the notifier released): the
+        // waiter publishes its round under the mutex just before it waits,
+        // so a notifier that reads it there finds the waiter counted.
+        let shared = Arc::new((Mutex::new((0usize, 0usize)), Condvar::new()));
+        let shared2 = Arc::clone(&shared);
+        let waiter = std::thread::spawn(move || {
+            let (m, cv) = &*shared2;
+            let mut st = m.lock();
+            for round in 1..=ROUNDS {
+                st.0 = round;
+                while st.1 < round {
+                    cv.wait(&mut st);
+                }
+            }
+        });
+        let (m, cv) = &*shared;
+        for round in 1..=ROUNDS {
+            loop {
+                let mut st = m.lock();
+                if st.0 == round {
+                    st.1 = round;
+                    cv.notify_one();
+                    break;
+                }
+                drop(st);
+                std::thread::yield_now();
+            }
+        }
+        waiter.join().unwrap();
+        assert_eq!(cv.signals.load(Ordering::Relaxed), ROUNDS, "one signal per parked round");
     }
 }

@@ -138,89 +138,147 @@ fn combined_fault_timeline_replays_bit_for_bit() {
 
 #[test]
 fn device_failure_mid_swap_leaves_page_table_consistent() {
-    // Direct manager-level probe of the pipelined swap-out path: the
-    // device dies while a two-lane writeback plan is in flight, so some
-    // entries have synced to their slabs and some have not. The failed
-    // `swap_out_ctx` must surface the error, never free an unsynced dirty
-    // entry, and leave every page-table entry in a state `on_device_lost`
-    // can classify — no silent data loss, no `allocated` entry without a
-    // device pointer.
+    // Direct manager-level probe of the swap-out pass: the device dies
+    // while the writeback plan is in flight, so some entries have synced to
+    // their slabs and some have not. The failed `swap_out_ctx` must surface
+    // the error, never free an unsynced dirty entry, and leave every
+    // page-table entry in a state `on_device_lost` can classify — no silent
+    // data loss, no `allocated` entry without a device pointer. Run on a
+    // one-engine device (the plan runs inline on the caller) and a
+    // two-engine one (two lanes), with the fault on a timer and with the
+    // fault placed between two writebacks of the one pass.
     use mtgpu::api::protocol::AllocKind;
     use mtgpu::api::HostBuf;
     use mtgpu::core::{
         Binding, CtxId, MemoryConfig, MemoryManager, Recovery, RuntimeMetrics, SwapReason, VGpuId,
     };
-    use mtgpu::gpusim::{Gpu, GpuSpec};
+    use mtgpu::gpusim::{Gpu, GpuSpec, KernelArg};
     use mtgpu::simtime::Clock;
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     const CTX: CtxId = CtxId(1);
-    // 128 MiB over the C2050's 4 GB/s PCIe model is ~33 ms of real wall
-    // time per writeback at clock scale 1.0; six of them across two lanes
-    // keep the plan in flight for ~100 ms — plenty of room to land a
-    // fault mid-plan.
+    // 128 MiB over the PCIe model is ~33 ms (C2050, 4 GB/s) or ~42 ms
+    // (C1060, 3.2 GB/s) of real wall time per writeback at clock scale 1.0;
+    // six of them keep the plan in flight for ~100 ms across two lanes and
+    // ~250 ms on one — plenty of room to land a fault mid-plan.
     const DECLARED: u64 = 128 << 20;
     const PAYLOAD: usize = 2048;
 
-    let m = MemoryManager::new(MemoryConfig::default(), Arc::new(RuntimeMetrics::default()));
-    m.register_ctx(CTX);
-    let gpu = Gpu::new(GpuSpec::tesla_c2050(), Clock::with_scale(1.0), 0);
-    let gpu_ctx = gpu.create_context().unwrap();
-    let binding = Binding {
-        vgpu: VGpuId { device: mtgpu::gpusim::DeviceId(0), index: 0 },
-        gpu: Arc::clone(&gpu),
-        gpu_ctx,
-    };
-    let payloads: Vec<Vec<u8>> = (0..6).map(|i| vec![0xA0 + i as u8; PAYLOAD]).collect();
-    let bases: Vec<_> = payloads
-        .iter()
-        .map(|p| {
-            let v = m.malloc(CTX, DECLARED, AllocKind::Linear).unwrap();
-            m.copy_h2d(CTX, v, &HostBuf::with_shadow(DECLARED, p.clone()), None).unwrap();
-            v
-        })
-        .collect();
-    assert_eq!(m.materialize(CTX, &bases, &binding).unwrap(), mtgpu::core::Materialize::Ready);
-    m.mark_launched(CTX, &bases);
-
-    // Fault timer: fires ~40 ms into the ~100 ms writeback plan, after the
-    // first op per lane (~33 ms) but long before the later ones.
-    let killer = {
-        let gpu = Arc::clone(&gpu);
-        std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(40));
-            gpu.fail();
-        })
-    };
-    let res = m.swap_out_ctx(CTX, &binding, SwapReason::Unbind);
-    killer.join().unwrap();
-    assert!(res.is_err(), "mid-plan device failure must surface: {res:?}");
-
-    // Per-entry consistency after the failed swap: an entry is either
-    // still allocated (sync or free never completed) or was fully swapped
-    // (freed, host-authoritative, marked for re-upload). Nothing in
-    // between.
-    let mut still_allocated = 0;
-    for &base in &bases {
-        let f = m.flags_of(CTX, base).unwrap();
-        if f.allocated {
-            still_allocated += 1;
-        } else {
-            assert!(f.to_dev && !f.to_swap, "freed entry must be host-authoritative: {f:?}");
-        }
+    #[derive(Clone, Copy, Debug)]
+    enum Fault {
+        /// ~40 ms in: on two lanes after the first op per lane, on one
+        /// engine before the first writeback is through.
+        Timer,
+        /// The moment the first writeback has left the device: the others
+        /// of the same pass are still in flight.
+        AfterFirstWriteback,
     }
-    assert!(still_allocated > 0, "a 40 ms fault cannot have let all six writebacks finish");
 
-    // The timer beat at least one writeback, so dirty device state was
-    // lost — recovery must say so explicitly rather than resume silently.
-    assert_eq!(m.on_device_lost(CTX), Recovery::LostDirtyData);
-    for (i, &base) in bases.iter().enumerate() {
-        let f = m.flags_of(CTX, base).unwrap();
-        assert!(!f.allocated && f.to_dev && !f.to_swap, "entry {i} not reset: {f:?}");
-        // Slabs still serve the last host-authoritative bytes — the upload
-        // payload — with no torn or partial writeback on top.
-        let buf = m.copy_d2h(CTX, base, PAYLOAD as u64, None).unwrap();
-        assert_eq!(buf.payload, payloads[i], "entry {i} slab corrupted");
+    let probe = |spec: GpuSpec, fault: Fault| {
+        let label = format!("{} engine(s), {fault:?}", spec.copy_engines);
+        let m = MemoryManager::new(MemoryConfig::default(), Arc::new(RuntimeMetrics::default()));
+        m.register_ctx(CTX);
+        let gpu = Gpu::new(spec, Clock::with_scale(1.0), 0);
+        let gpu_ctx = gpu.create_context().unwrap();
+        let binding = Binding {
+            vgpu: VGpuId { device: mtgpu::gpusim::DeviceId(0), index: 0 },
+            gpu: Arc::clone(&gpu),
+            gpu_ctx,
+        };
+        let payloads: Vec<Vec<u8>> = (0..6).map(|i| vec![0xA0 + i as u8; PAYLOAD]).collect();
+        let outputs: Vec<Vec<u8>> = (0..6).map(|i| vec![0x50 + i as u8; PAYLOAD]).collect();
+        let bases: Vec<_> = payloads
+            .iter()
+            .map(|p| {
+                let v = m.malloc(CTX, DECLARED, AllocKind::Linear).unwrap();
+                m.copy_h2d(CTX, v, &HostBuf::with_shadow(DECLARED, p.clone()), None).unwrap();
+                v
+            })
+            .collect();
+        assert_eq!(m.materialize(CTX, &bases, &binding).unwrap(), mtgpu::core::Materialize::Ready);
+        m.mark_launched(CTX, &bases);
+        // What the kernel left on the device differs from every slab, so a
+        // slab says which of the two it holds.
+        for (&base, output) in bases.iter().zip(&outputs) {
+            let args = m.translate_args(CTX, &[KernelArg::Ptr(base)]).unwrap();
+            let KernelArg::Ptr(dptr) = args[0] else { unreachable!() };
+            gpu.memcpy_h2d(gpu_ctx, dptr, PAYLOAD as u64, output).unwrap();
+        }
+        let d2h_before = gpu.stats().snapshot().d2h_bytes;
+
+        let killer = {
+            let gpu = Arc::clone(&gpu);
+            std::thread::spawn(move || {
+                match fault {
+                    Fault::Timer => std::thread::sleep(Duration::from_millis(40)),
+                    Fault::AfterFirstWriteback => {
+                        let deadline = Instant::now() + Duration::from_secs(30);
+                        while gpu.stats().snapshot().d2h_bytes < d2h_before + DECLARED {
+                            assert!(Instant::now() < deadline, "no writeback ever landed");
+                            std::thread::yield_now();
+                        }
+                    }
+                }
+                gpu.fail();
+            })
+        };
+        let res = m.swap_out_ctx(CTX, &binding, SwapReason::Unbind);
+        killer.join().unwrap();
+        assert!(res.is_err(), "{label}: mid-plan device failure must surface: {res:?}");
+
+        // Per-entry consistency after the failed swap: an entry is still
+        // allocated and dirty (its writeback never landed: the slab holds
+        // the old upload), still allocated and clean (the writeback is in
+        // its slab, the free never ran), or fully swapped (freed,
+        // host-authoritative, marked for re-upload). Nothing in between.
+        let (mut dirty, mut synced) = (0, 0);
+        let expected: Vec<&Vec<u8>> = bases
+            .iter()
+            .enumerate()
+            .map(|(i, &base)| {
+                let f = m.flags_of(CTX, base).unwrap();
+                if f.allocated() && f.to_swap() {
+                    dirty += 1;
+                    &payloads[i]
+                } else {
+                    synced += 1;
+                    assert!(
+                        f.allocated() != f.to_dev(),
+                        "{label}: entry {i} neither clean on device nor host-authoritative: {f:?}"
+                    );
+                    &outputs[i]
+                }
+            })
+            .collect();
+        assert!(dirty > 0, "{label}: the fault cannot have let all six writebacks finish");
+        if let Fault::AfterFirstWriteback = fault {
+            assert!(synced > 0, "{label}: the first writeback landed before the fault");
+        }
+        assert_eq!(m.resident_bytes(CTX), 6 * DECLARED, "{label}: a dead device frees nothing");
+
+        // Dirty device state was lost exactly when a dirty entry remained —
+        // recovery must say so explicitly rather than resume silently.
+        assert_eq!(m.on_device_lost(CTX), Recovery::LostDirtyData, "{label}");
+        assert_eq!(m.resident_bytes(CTX), 0, "{label}");
+        for (i, &base) in bases.iter().enumerate() {
+            let f = m.flags_of(CTX, base).unwrap();
+            assert!(
+                !f.allocated() && f.to_dev() && !f.to_swap(),
+                "{label}: entry {i} not reset: {f:?}"
+            );
+            // A slab serves the kernel's output if its writeback landed and
+            // the last upload if not — whole, never torn.
+            let buf = m.copy_d2h(CTX, base, PAYLOAD as u64, None).unwrap();
+            assert_eq!(&buf.payload, expected[i], "{label}: entry {i} slab corrupted");
+        }
+        // The other half of "exactly when": with nothing dirty left, the
+        // same call recovers.
+        assert_eq!(m.on_device_lost(CTX), Recovery::Recovered, "{label}");
+    };
+    for fault in [Fault::Timer, Fault::AfterFirstWriteback] {
+        probe(GpuSpec::tesla_c1060(), fault);
+        probe(GpuSpec::tesla_c2050(), fault);
     }
 }
 
@@ -299,10 +357,10 @@ fn device_failure_mid_preemption_keeps_victim_classifiable_and_leases_consistent
     let mut still_allocated = 0;
     for &base in &bases {
         let f = m.flags_of(VICTIM, base).unwrap();
-        if f.allocated {
+        if f.allocated() {
             still_allocated += 1;
         } else {
-            assert!(f.to_dev && !f.to_swap, "freed entry must be host-authoritative: {f:?}");
+            assert!(f.to_dev() && !f.to_swap(), "freed entry must be host-authoritative: {f:?}");
         }
     }
     assert!(still_allocated > 0, "a 40 ms fault cannot have let all six evictions finish");
@@ -393,10 +451,10 @@ fn device_failure_between_waves_keeps_entries_classifiable_and_leases_balanced()
     assert_eq!(m.materialize(CTX, &closure, &binding).unwrap(), Materialize::Ready);
     let payloads = [vec![0xC0; PAYLOAD], upload(members[0], 0xD1), upload(members[1], 0xD2)];
     let pf = m.flags_of(CTX, parent).unwrap();
-    assert!(pf.allocated && !pf.to_dev, "wave 1 must have committed: {pf:?}");
+    assert!(pf.allocated() && !pf.to_dev(), "wave 1 must have committed: {pf:?}");
     for &mb in &members {
         let f = m.flags_of(CTX, mb).unwrap();
-        assert!(f.allocated && f.to_dev, "member must await wave 2: {f:?}");
+        assert!(f.allocated() && f.to_dev(), "member must await wave 2: {f:?}");
     }
 
     // The device dies exactly between the waves.
@@ -412,9 +470,9 @@ fn device_failure_between_waves_keeps_entries_classifiable_and_leases_balanced()
     // pending re-upload (the members). Nothing in between, nothing dirty.
     for (i, &base) in bases.iter().enumerate() {
         let f = m.flags_of(CTX, base).unwrap();
-        assert!(f.allocated, "entry {i} lost its residency record: {f:?}");
-        assert!(!f.to_swap, "entry {i} claims unsynced device data: {f:?}");
-        assert_eq!(f.to_dev, i != 0, "entry {i} misclassified: {f:?}");
+        assert!(f.allocated(), "entry {i} lost its residency record: {f:?}");
+        assert!(!f.to_swap(), "entry {i} claims unsynced device data: {f:?}");
+        assert_eq!(f.to_dev(), i != 0, "entry {i} misclassified: {f:?}");
     }
 
     // (2) Residency events are not admission events.
@@ -426,7 +484,7 @@ fn device_failure_between_waves_keeps_entries_classifiable_and_leases_balanced()
     assert_eq!(m.on_device_lost(CTX), Recovery::Recovered);
     for (i, &base) in bases.iter().enumerate() {
         let f = m.flags_of(CTX, base).unwrap();
-        assert!(!f.allocated && f.to_dev && !f.to_swap, "entry {i} not reset: {f:?}");
+        assert!(!f.allocated() && f.to_dev() && !f.to_swap(), "entry {i} not reset: {f:?}");
         let buf = m.copy_d2h(CTX, base, PAYLOAD as u64, None).unwrap();
         assert_eq!(buf.payload, payloads[i], "entry {i} slab corrupted");
     }
@@ -444,7 +502,8 @@ fn device_failure_mid_swap_never_trips_lock_checker() {
     // at once (the swapping thread inside `swap_out_ctx`, the killer
     // inside `Gpu::fail`), and none of that may violate the ranked-lock
     // order. Debug builds arm the runtime rank checker, so an inversion
-    // anywhere on the MM_STATE → DEVICE_STATE → ENGINE_TICKETS path would
+    // anywhere on the MM_TABLE → MM_STATE / DEVICE_STATE → ENGINE_TICKETS
+    // paths (the table lock is held across the whole pass now) would
     // panic this thread; the test additionally asserts the thread's
     // held-rank stack unwinds to empty across the error return and the
     // subsequent recovery.
@@ -495,7 +554,7 @@ fn device_failure_mid_swap_never_trips_lock_checker() {
     assert!(res.is_err(), "mid-plan device failure must surface: {res:?}");
     assert!(held_ranks().is_empty(), "error return leaked ranks: {:?}", held_ranks());
 
-    // Recovery reacquires MM_STATE from scratch; still ordered, still
+    // Recovery takes the context's table from scratch; still ordered, still
     // unwinding cleanly.
     assert_eq!(m.on_device_lost(CTX), Recovery::LostDirtyData);
     assert!(held_ranks().is_empty(), "recovery leaked ranks: {:?}", held_ranks());
@@ -646,7 +705,7 @@ fn live_migration_fault_battery_each_phase_leaves_state_classifiable() {
         for (i, &b) in bufs.iter().enumerate() {
             let f = rt.memory().flags_of(ctx, b).unwrap();
             assert!(
-                f.allocated || (f.to_dev && !f.to_swap),
+                f.allocated() || (f.to_dev() && !f.to_swap()),
                 "{tag}: entry {i} unclassifiable: {f:?}"
             );
         }
@@ -658,7 +717,7 @@ fn live_migration_fault_battery_each_phase_leaves_state_classifiable() {
         for (i, &b) in bufs.iter().enumerate() {
             let f = rt.memory().flags_of(ctx, b).unwrap();
             assert!(
-                f.allocated || (f.to_dev && !f.to_swap),
+                f.allocated() || (f.to_dev() && !f.to_swap()),
                 "{tag}: entry {i} unclassifiable after recovery: {f:?}"
             );
         }

@@ -58,9 +58,9 @@ proptest! {
         let mut f = Flags::INITIAL;
         for e in events {
             f = apply(f, e);
-            prop_assert!(!(f.to_dev && f.to_swap));
+            prop_assert!(!(f.to_dev() && f.to_swap()));
             // And an unallocated entry can never hold device-only data.
-            prop_assert!(!f.to_swap || f.allocated);
+            prop_assert!(!f.to_swap() || f.allocated());
         }
     }
 
@@ -74,8 +74,8 @@ proptest! {
             f = apply(f, e);
         }
         let swapped = f.on_swap();
-        prop_assert!(!swapped.allocated);
-        prop_assert!(!swapped.to_swap);
+        prop_assert!(!swapped.allocated());
+        prop_assert!(!swapped.to_swap());
     }
 }
 
@@ -248,11 +248,11 @@ fn fig4_seeded_event_sequences_replay() {
         for e in events {
             f = apply(f, e);
             assert!(Flags::REACHABLE.contains(&f), "seed {seed:#x}: escaped Figure 4: {f:?}");
-            assert!(!(f.to_dev && f.to_swap), "seed {seed:#x}: double authority");
-            assert!(!f.to_swap || f.allocated, "seed {seed:#x}: device data unallocated");
+            assert!(!(f.to_dev() && f.to_swap()), "seed {seed:#x}: double authority");
+            assert!(!f.to_swap() || f.allocated(), "seed {seed:#x}: device data unallocated");
         }
         let swapped = f.on_swap();
-        assert!(!swapped.allocated && !swapped.to_swap, "seed {seed:#x}: swap not host-auth");
+        assert!(!swapped.allocated() && !swapped.to_swap(), "seed {seed:#x}: swap not host-auth");
     }
 }
 
@@ -781,13 +781,13 @@ proptest! {
         let m = mm.materialize(ctx, &[newcomer], &binding).unwrap();
         prop_assert!(matches!(m, Materialize::Ready));
         for (i, &v) in bufs.iter().enumerate() {
-            let resident = mm.flags_of(ctx, v).unwrap().allocated;
+            let resident = mm.flags_of(ctx, v).unwrap().allocated();
             prop_assert_eq!(resident, v.0 != victim,
                 "touch order {:?}, written {:?}: buffer {} wrong residency", order, written, i);
             let back = mm.copy_d2h(ctx, v, 256, Some(&binding)).unwrap();
             prop_assert_eq!(back.payload, payload(i), "buffer {} lost its data", i);
         }
-        prop_assert!(mm.flags_of(ctx, newcomer).unwrap().allocated);
+        prop_assert!(mm.flags_of(ctx, newcomer).unwrap().allocated());
     }
 }
 
@@ -985,11 +985,11 @@ proptest! {
         let mut want_clean = 0u64;
         for (i, &b) in bases.iter().enumerate() {
             let f = mm.flags_of(ctx, b).unwrap();
-            if !f.allocated {
+            if !f.allocated() {
                 continue;
             }
             want_freed += sizes[i];
-            if f.to_swap {
+            if f.to_swap() {
                 want_writeback += sizes[i];
             } else {
                 want_clean += sizes[i];
@@ -1016,7 +1016,119 @@ proptest! {
         // with a pending re-upload.
         for &b in &bases {
             let f = mm.flags_of(ctx, b).unwrap();
-            prop_assert!(!f.allocated && !f.to_swap, "entry not swapped clean: {:?}", f);
+            prop_assert!(!f.allocated() && !f.to_swap(), "entry not swapped clean: {:?}", f);
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// One copy engine and two: the same passes, the same outcome
+// ---------------------------------------------------------------------
+
+/// Everything a driver of [`drive_passes`] can observe at the end.
+#[derive(Debug, PartialEq)]
+struct PassOutcome {
+    /// `(vaddr, flags)` of every live entry, in allocation order.
+    flags: Vec<(DeviceAddr, Flags)>,
+    slabs: Vec<Vec<u8>>,
+    swap_traffic: (u64, u64),
+    resident: u64,
+    usage: u64,
+}
+
+/// Drives one context through `ops` on a 64 MiB device with `engines` copy
+/// engines. Entries are 4–19 MiB declared, so launches of three evict the
+/// context's own entries; a "kernel" writes straight into device memory, so
+/// writebacks carry bytes no slab has.
+fn drive_passes(engines: u32, ops: &[(u8, usize, u8)]) -> PassOutcome {
+    use mtgpu::api::protocol::AllocKind;
+    use mtgpu::api::HostBuf;
+    use mtgpu::core::Materialize;
+    use mtgpu::gpusim::KernelArg;
+
+    const MIB: u64 = 1 << 20;
+    let mm = MemoryManager::new(MemoryConfig::default(), Arc::new(RuntimeMetrics::default()));
+    let ctx = CtxId(1);
+    mm.register_ctx(ctx);
+    let spec = GpuSpec { copy_engines: engines, ..GpuSpec::test_small() };
+    let gpu = Gpu::new(spec, Clock::with_scale(1e-9), 0);
+    let gpu_ctx = gpu.create_context().unwrap();
+    let binding =
+        Binding { vgpu: VGpuId { device: DeviceId(0), index: 0 }, gpu: Arc::clone(&gpu), gpu_ctx };
+    let mut live: Vec<(DeviceAddr, u64)> = Vec::new();
+    for &(kind, pick, val) in ops {
+        if live.is_empty() || kind == 0 {
+            let size = (4 + val as u64 % 16) * MIB;
+            live.push((mm.malloc(ctx, size, AllocKind::Linear).unwrap(), size));
+            continue;
+        }
+        let (base, size) = live[pick % live.len()];
+        match kind {
+            1 => {
+                let buf = HostBuf::with_shadow(size / 2, vec![val; 48]);
+                mm.copy_h2d(ctx, DeviceAddr(base.0 + 16), &buf, Some(&binding)).unwrap();
+            }
+            2 | 3 => {
+                // A launch over this entry and its two neighbours:
+                // allocation, own-entry eviction and a multi-op upload plan.
+                let next = |k: usize| KernelArg::Ptr(live[(pick + k) % live.len()].0);
+                let args = [KernelArg::Ptr(base), next(1), next(2)];
+                let closure = mm.launch_closure(ctx, &args).unwrap();
+                // The allocator may be too fragmented for three: unbind
+                // and retry on the empty device, as the service layer does.
+                if mm.materialize(ctx, &closure, &binding).unwrap() != Materialize::Ready {
+                    mm.swap_out_ctx(ctx, &binding, SwapReason::Unbind).unwrap();
+                    assert_eq!(
+                        mm.materialize(ctx, &closure, &binding).unwrap(),
+                        Materialize::Ready
+                    );
+                }
+                for arg in mm.translate_args(ctx, &args).unwrap() {
+                    let KernelArg::Ptr(dptr) = arg else { unreachable!() };
+                    gpu.memcpy_h2d(gpu_ctx, dptr, 32, &[val ^ 0x5A; 32]).unwrap();
+                }
+                mm.mark_launched(ctx, &closure);
+            }
+            4 => drop(mm.swap_out_ctx(ctx, &binding, SwapReason::Unbind).unwrap()),
+            5 => {
+                live.remove(pick % live.len());
+                assert_eq!(mm.free(ctx, base, Some(&binding)).unwrap(), size);
+            }
+            6 => mm.checkpoint(ctx, &binding).unwrap(),
+            _ => drop(mm.copy_d2h(ctx, base, 64, Some(&binding)).unwrap()),
+        }
+    }
+    let flags: Vec<_> = live.iter().map(|&(b, _)| (b, mm.flags_of(ctx, b).unwrap())).collect();
+    // The counters other threads read agree with the table they shadow.
+    let resident: u64 =
+        live.iter().zip(&flags).filter(|(_, (_, f))| f.allocated()).map(|(&(_, s), _)| s).sum();
+    assert_eq!(mm.resident_bytes(ctx), resident);
+    assert_eq!(mm.mem_usage(ctx), live.iter().map(|&(_, s)| s).sum::<u64>());
+    assert_eq!(mm.swap_used(), mm.mem_usage(ctx));
+    PassOutcome {
+        flags,
+        swap_traffic: mm.device_swap_traffic(DeviceId(0)),
+        resident,
+        usage: mm.mem_usage(ctx),
+        slabs: live
+            .iter()
+            .map(|&(b, _)| mm.copy_d2h(ctx, b, 128, Some(&binding)).unwrap().payload)
+            .collect(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A pass borrows from the held table whether it runs inline (one
+    /// engine) or on two lanes (scoped threads): the same random
+    /// malloc/copy/launch/swap/free/checkpoint sequence ends in the same
+    /// flags, the same slab bytes and the same per-device swap traffic.
+    #[test]
+    fn one_lane_and_two_lanes_agree(
+        ops in prop::collection::vec((0u8..8, 0usize..16, any::<u8>()), 8..64),
+    ) {
+        let (one, two) = (drive_passes(1, &ops), drive_passes(2, &ops));
+        prop_assert_eq!(one, two);
     }
 }
