@@ -1,10 +1,10 @@
-//! The application-facing API: [`CudaClient`] and the [`CudaThread`]
-//! convenience wrapper workloads are written against.
+//! The application-facing API: [`CudaClient`], the trait the workloads are
+//! written against.
 
 use crate::error::{CudaError, CudaResult};
 use crate::host_buf::HostBuf;
 use crate::protocol::{AllocKind, CudaCall, CudaReply, ModuleHandle, ReplyValue};
-use mtgpu_gpusim::{DeviceAddr, GpuSpec, KernelArg, KernelDesc, LaunchConfig, LaunchSpec, Work};
+use mtgpu_gpusim::{DeviceAddr, GpuSpec, KernelDesc, LaunchSpec};
 
 /// One application thread's view of the CUDA runtime.
 ///
@@ -170,72 +170,10 @@ impl CudaClient for Box<dyn CudaClient> {
     }
 }
 
-/// Higher-level helper owned by one application thread: registers modules,
-/// tracks the staged launch configuration, and offers typed transfers.
-pub struct CudaThread<C: CudaClient> {
-    client: C,
-    module: Option<ModuleHandle>,
-}
-
-impl<C: CudaClient> CudaThread<C> {
-    /// Wraps a client.
-    pub fn new(client: C) -> Self {
-        CudaThread { client, module: None }
-    }
-
-    /// Access to the raw client for calls without a wrapper.
-    pub fn client(&mut self) -> &mut C {
-        &mut self.client
-    }
-
-    /// Registers a module and its kernels (the application binary's startup
-    /// registration sequence).
-    pub fn register_module(&mut self, kernels: &[KernelDesc]) -> CudaResult<ModuleHandle> {
-        let module = self.client.register_fat_binary()?;
-        for k in kernels {
-            self.client.register_function(module, k.clone())?;
-        }
-        self.module = Some(module);
-        Ok(module)
-    }
-
-    /// Allocates and uploads a slice of `f32`s, returning the device pointer.
-    pub fn upload_f32s(&mut self, values: &[f32]) -> CudaResult<DeviceAddr> {
-        let ptr = self.client.malloc(values.len() as u64 * 4)?;
-        self.client.memcpy_h2d(ptr, HostBuf::from_f32s(values))?;
-        Ok(ptr)
-    }
-
-    /// Downloads `count` f32s from a device pointer.
-    pub fn download_f32s(&mut self, src: DeviceAddr, count: usize) -> CudaResult<Vec<f32>> {
-        Ok(self.client.memcpy_d2h(src, count as u64 * 4)?.as_f32s())
-    }
-
-    /// Launches `kernel` with default 1-D configuration.
-    pub fn launch_kernel(
-        &mut self,
-        kernel: &str,
-        args: Vec<KernelArg>,
-        work: Work,
-    ) -> CudaResult<()> {
-        self.client.launch(LaunchSpec {
-            kernel: kernel.to_string(),
-            config: LaunchConfig::default(),
-            args,
-            work,
-        })
-    }
-
-    /// Consumes the wrapper, returning the client.
-    pub fn into_inner(mut self) -> C {
-        let _ = self.client.exit();
-        self.client
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mtgpu_gpusim::{LaunchConfig, Work};
 
     /// A scripted fake used to test the default-method decoding logic.
     struct Scripted {

@@ -87,11 +87,6 @@ impl HostBuf {
     pub fn as_f32s(&self) -> Vec<f32> {
         self.payload.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect()
     }
-
-    /// Whether the payload fully materializes the declared content.
-    pub fn is_exact(&self) -> bool {
-        self.payload.len() as u64 == self.declared_len
-    }
 }
 
 #[cfg(test)]
@@ -102,7 +97,7 @@ mod tests {
     fn from_slice_is_exact() {
         let b = HostBuf::from_slice(&[1, 2, 3]);
         assert_eq!(b.declared_len, 3);
-        assert!(b.is_exact());
+        assert_eq!(b.payload, [1, 2, 3]);
     }
 
     #[test]
@@ -110,7 +105,6 @@ mod tests {
         let b = HostBuf::declared(1 << 30);
         assert_eq!(b.declared_len, 1 << 30);
         assert!(b.payload.is_empty());
-        assert!(!b.is_exact());
     }
 
     #[test]

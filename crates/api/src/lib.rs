@@ -27,7 +27,7 @@ pub mod transport;
 pub mod wire;
 
 pub use bare::BareClient;
-pub use client::{CudaClient, CudaThread};
+pub use client::CudaClient;
 pub use error::{CudaError, CudaResult};
 pub use guard::DescriptorLimits;
 pub use host_buf::HostBuf;

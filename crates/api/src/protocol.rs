@@ -181,43 +181,6 @@ pub enum ReplyValue {
 pub type CudaReply = Result<ReplyValue, CudaError>;
 
 impl CudaCall {
-    /// Registration calls may be issued to the CUDA runtime before the
-    /// application is bound to any GPU (§4.3).
-    pub fn is_registration(&self) -> bool {
-        matches!(
-            self,
-            CudaCall::RegisterFatBinary
-                | CudaCall::RegisterFunction { .. }
-                | CudaCall::RegisterVar { .. }
-                | CudaCall::RegisterTexture { .. }
-        )
-    }
-
-    /// Device-management calls are serviced (and typically overridden)
-    /// without touching a GPU (§4.3).
-    pub fn is_device_management(&self) -> bool {
-        matches!(
-            self,
-            CudaCall::SetApplication { .. }
-                | CudaCall::SetDevice { .. }
-                | CudaCall::GetDeviceCount
-                | CudaCall::GetDeviceProperties { .. }
-        )
-    }
-
-    /// Memory operations are absorbed by the memory manager under deferral.
-    pub fn is_memory_op(&self) -> bool {
-        matches!(
-            self,
-            CudaCall::Malloc { .. }
-                | CudaCall::Free { .. }
-                | CudaCall::MemcpyH2D { .. }
-                | CudaCall::MemcpyD2H { .. }
-                | CudaCall::MemcpyD2D { .. }
-                | CudaCall::RegisterNested { .. }
-        )
-    }
-
     /// Calls that require the context to be bound to a (virtual) GPU.
     pub fn requires_binding(&self) -> bool {
         matches!(self, CudaCall::Launch { .. })
@@ -260,11 +223,7 @@ mod tests {
     use mtgpu_gpusim::{KernelArg, Work};
 
     #[test]
-    fn classification() {
-        assert!(CudaCall::RegisterFatBinary.is_registration());
-        assert!(CudaCall::SetDevice { device: 1 }.is_device_management());
-        assert!(CudaCall::Malloc { size: 64, kind: AllocKind::Linear }.is_memory_op());
-        assert!(!CudaCall::Synchronize.is_memory_op());
+    fn only_a_launch_requires_a_binding() {
         let launch = CudaCall::Launch {
             spec: LaunchSpec {
                 kernel: "k".into(),

@@ -173,11 +173,6 @@ impl FrameBuf {
     pub fn has_partial(&self) -> bool {
         self.tail > self.head
     }
-
-    /// Bytes of the partial frame buffered so far.
-    pub fn partial_len(&self) -> usize {
-        self.tail - self.head
-    }
 }
 
 #[cfg(test)]
@@ -229,7 +224,6 @@ mod tests {
         fb.push(&bytes[..3]); // partial length prefix
         assert!(fb.next_frame::<MuxFrame>().unwrap().is_none());
         assert!(fb.has_partial());
-        assert_eq!(fb.partial_len(), 3);
         fb.push(&bytes[3..bytes.len() - 1]); // all but the last byte
         assert!(fb.next_frame::<MuxFrame>().unwrap().is_none());
         assert!(fb.has_partial());

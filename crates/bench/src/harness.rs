@@ -73,11 +73,6 @@ impl ExperimentScale {
         }
     }
 
-    /// Scales a job count down in quick mode (at least 1).
-    pub fn jobs(&self, n: usize) -> usize {
-        n
-    }
-
     /// Builder-style override of the determinism seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;

@@ -15,13 +15,11 @@
 //!   mutual offload peering.
 
 pub mod node;
-pub mod queue;
 pub mod sem;
 pub mod stage;
 pub mod torque;
 
 pub use node::ClusterNode;
-pub use queue::{JobId, JobQueue, JobState};
 pub use stage::{stage_context, StagedContext};
 pub use torque::{ClusterRunResult, GpuVisibility, Torque};
 

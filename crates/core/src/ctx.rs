@@ -2,7 +2,7 @@
 
 use mtgpu_api::CudaError;
 use mtgpu_gpusim::kernel::RegisteredKernel;
-use mtgpu_gpusim::{DeviceId, Gpu, GpuContextId, LaunchConfig};
+use mtgpu_gpusim::{DeviceId, Gpu, GpuContextId};
 use mtgpu_simtime::{lock_rank, RankedMutex, RankedMutexGuard};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -54,8 +54,9 @@ impl std::fmt::Debug for Binding {
 /// [`crate::sched::BindingManager::poll`].
 #[derive(Default)]
 pub enum BindWait {
-    /// Nothing asked for (or the entry was taken out again: a timeout, a
-    /// kick, shutdown).
+    /// Nothing asked for, or the entry left the waiting list ungranted:
+    /// a lease reap's [`crate::sched::BindingManager::kick`], the
+    /// shutdown drain, `acquire` running out of its deadline.
     #[default]
     Idle,
     /// An entry for the context sits in the dispatcher's waiting list.
@@ -75,13 +76,8 @@ pub struct CtxInner {
     pub kernels: BTreeMap<String, RegisteredKernel>,
     /// Modules registered so far (handles are 1-based per context).
     pub modules: u64,
-    /// Staged `cudaConfigureCall` configuration awaiting its `cudaLaunch`.
-    pub staged_config: Option<LaunchConfig>,
     /// Current vGPU binding, if any.
     pub binding: Option<Binding>,
-    /// Set by a swapper/migrator/fault-handler: the binding it sees has been
-    /// revoked and its device state swapped out.
-    pub revoked: bool,
     /// Terminal failure, if the context could not be recovered.
     pub failed: Option<CudaError>,
     /// Whether this application is eligible for sharing and dynamic
@@ -90,8 +86,9 @@ pub struct CtxInner {
     pub ineligible_reason: Option<String>,
     /// Scheduling credits (credit-based policy).
     pub credits: u32,
-    /// FCFS ticket kept until the grant, so a context's queue position
-    /// survives a kick and a blocking acquisition that timed out.
+    /// FCFS ticket, drawn at the context's first `enqueue` and cleared by
+    /// the grant: an entry that leaves the list ungranted queues again at
+    /// its old position.
     pub wait_ticket: Option<u64>,
     /// The dispatcher's side of a pending vGPU request.
     pub bind_wait: BindWait,

@@ -602,11 +602,6 @@ impl MemoryManager {
         self.node.lock().swap.used()
     }
 
-    /// Number of live PTEs for a context (diagnostics).
-    pub fn pte_count(&self, ctx: CtxId) -> usize {
-        self.ctx_mem(ctx).map_or(0, |cm| cm.table.lock().len())
-    }
-
     /// Test/diagnostic hook: the flags of the entry at `vaddr`.
     pub fn flags_of(&self, ctx: CtxId, vaddr: DeviceAddr) -> Option<Flags> {
         let cm = self.ctx_mem(ctx).ok()?;
@@ -642,7 +637,6 @@ mod tests {
         let b = m.malloc(CTX, 100, AllocKind::Linear).unwrap();
         assert_ne!(a, b);
         assert!(a.0 >= VADDR_BASE && b.0 >= VADDR_BASE);
-        assert_eq!(m.pte_count(CTX), 2);
         assert_eq!(m.mem_usage(CTX), 200);
     }
 

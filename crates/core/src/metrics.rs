@@ -130,8 +130,8 @@ counters! {
     lock_contention_events,
     /// Requests served through the multiplexed gateway (DESIGN.md §12).
     mux_requests,
-    /// Multiplexed launches requeued because binding acquisition exceeded
-    /// the worker's bounded slice (the would-block path).
+    /// Launches that found no vGPU to bind, were put back at the head of
+    /// their channel and queued in the dispatcher (the would-block path).
     mux_retries,
     /// Channels (contexts) opened over multiplexed connections.
     mux_channels,

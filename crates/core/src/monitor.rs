@@ -38,12 +38,13 @@ const REBALANCE_MARGIN: f64 = 1.25;
 /// How often the background monitor scans, real time.
 const MONITOR_INTERVAL: Duration = Duration::from_millis(5);
 
-/// Monitor entry point; returns when the runtime shuts down.
+/// Monitor entry point; returns when the runtime shuts down. The nap
+/// between scans is a park, so `shutdown` (which unparks after raising the
+/// flag) does not wait it out.
 pub(crate) fn run(rt: Arc<NodeRuntime>) {
     while !rt.is_shutdown() {
         rt.monitor_tick();
-        // mtlint: allow(thread-sleep, reason = "monitor cadence is a real-time polling interval of a background OS thread; deterministic harnesses disable the thread and call monitor_tick instead")
-        std::thread::sleep(MONITOR_INTERVAL);
+        std::thread::park_timeout(MONITOR_INTERVAL);
     }
 }
 

@@ -1,4 +1,4 @@
-//! Tenant leases and admission control (ROADMAP item 2).
+//! Tenant leases and admission control (DESIGN.md §13).
 //!
 //! The paper's runtime multiplexes one node's GPUs among many applications,
 //! and PR 5's multiplexed transport lets thousands of clients reach it — but
@@ -23,7 +23,6 @@ use mtgpu_api::{CudaError, CudaResult};
 use mtgpu_simtime::{lock_rank, RankedMutex, Shadow, SimDuration, SimInstant};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 /// One tenant's resource lease (per the Guardian/MTVGPU sharing model):
 /// how much device memory it may hold, how many contexts it may run, how
@@ -81,7 +80,7 @@ impl Default for GpuLease {
 
 /// Node-wide tenant-policy configuration ([`crate::RuntimeConfig`] carries
 /// it as `Option`: `None` disables the policy layer entirely).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TenantPolicyConfig {
     /// Lease attached to tenants with no explicit entry (including every
     /// anonymous per-context tenant).
@@ -93,25 +92,6 @@ pub struct TenantPolicyConfig {
     /// Node-wide cap on the sum of all tenants' charged bytes; `None`
     /// disables the global backstop.
     pub global_mem_bytes: Option<u64>,
-    /// How many times an over-quota allocation is retried (queued
-    /// admission) before the rejection is returned. Each retry backs off
-    /// through the runtime clock, so queued admission stays replayable.
-    pub admission_retries: u32,
-    /// Real-time backoff between admission retries (virtual clocks advance
-    /// by the same nominal duration instead of blocking).
-    pub admission_backoff: Duration,
-}
-
-impl Default for TenantPolicyConfig {
-    fn default() -> Self {
-        TenantPolicyConfig {
-            default_lease: GpuLease::unlimited(),
-            tenant_leases: Vec::new(),
-            global_mem_bytes: None,
-            admission_retries: 0,
-            admission_backoff: Duration::from_millis(2),
-        }
-    }
 }
 
 impl TenantPolicyConfig {
@@ -135,13 +115,6 @@ impl TenantPolicyConfig {
     #[must_use]
     pub fn with_global_mem_bytes(mut self, cap: u64) -> Self {
         self.global_mem_bytes = Some(cap);
-        self
-    }
-
-    /// Builder-style queued-admission depth.
-    #[must_use]
-    pub fn with_admission_retries(mut self, n: u32) -> Self {
-        self.admission_retries = n;
         self
     }
 
@@ -228,11 +201,6 @@ impl LeaseBook {
     /// Whether the policy layer is active.
     pub fn enabled(&self) -> bool {
         self.cfg.is_some()
-    }
-
-    /// The active configuration, if any.
-    pub fn config(&self) -> Option<&TenantPolicyConfig> {
-        self.cfg.as_ref()
     }
 
     /// Registers a fresh context as its own anonymous tenant under the

@@ -14,7 +14,7 @@ use crate::trace::{TraceEvent, Tracer};
 use mtgpu_api::transport::{FrontendClient, MuxConnection};
 use mtgpu_api::Transport;
 use mtgpu_gpusim::{DeviceId, Driver, GpuSpec};
-use mtgpu_simtime::{lock_rank, Clock, RankedMutex, Shadow};
+use mtgpu_simtime::{lock_rank, Clock, RankedCondvar, RankedMutex, Shadow};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -57,6 +57,8 @@ pub struct NodeRuntime {
     bm: BindingManager,
     metrics: Arc<RuntimeMetrics>,
     registry: RankedMutex<HashMap<CtxId, Arc<AppContext>>>,
+    /// Signalled, on the registry's mutex, each time a context leaves it.
+    departed: RankedCondvar,
     next_ctx: AtomicU64,
     shutdown: AtomicBool,
     /// Every connection's channels, in-process or accepted, and the work
@@ -128,6 +130,7 @@ impl NodeRuntime {
             bm,
             metrics,
             registry: RankedMutex::new(lock_rank::RT_REGISTRY, HashMap::new()),
+            departed: RankedCondvar::new(),
             next_ctx: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
             gateway: Gateway::new(),
@@ -441,8 +444,11 @@ impl NodeRuntime {
     /// Unregisters a finished context.
     pub(crate) fn drop_context(&self, id: CtxId) {
         self.policy.release_ctx(id);
-        self.registry.lock().remove(&id);
         self.tracer.record(TraceEvent::ContextFinished { ctx: id });
+        // Last: whoever waits for the count sees everything above done.
+        self.registry.lock().remove(&id);
+        // mtlint: allow(notify-all, reason = "waiters wait for different counts: each must look at the new one")
+        self.departed.notify_all();
     }
 
     /// Releases a context that never served a call (its connection was
@@ -452,28 +458,35 @@ impl NodeRuntime {
         self.drop_context(ctx.id);
     }
 
-    /// Number of live application contexts (channels not yet torn down).
-    /// Deterministic harnesses use this as a barrier after severing a
-    /// transport: the count drops exactly when the teardown — memory
+    /// Number of live application contexts (channels not yet torn down):
+    /// a context leaves the count exactly when its teardown — memory
     /// release, vGPU release — has completed.
     pub fn context_count(&self) -> usize {
         self.registry.lock().len()
     }
 
+    /// Blocks until at most `n` contexts are live or `timeout` passes;
+    /// `true` if the count got there. An `Exit` is answered before its
+    /// context's teardown, so this is the barrier between "the client
+    /// heard back" and "the node let go": deterministic harnesses wait here
+    /// after every exit and severed transport, concurrent ones before they
+    /// snapshot the counters. Woken by `drop_context`, no polling.
+    pub fn wait_contexts(&self, n: usize, timeout: Duration) -> bool {
+        // mtlint: allow(wall-clock, reason = "real-time liveness bound on a wait for real worker threads; no replayed quantity derives from it")
+        let deadline = Instant::now() + timeout;
+        let mut registry = self.registry.lock();
+        while registry.len() > n {
+            if self.departed.wait_until(&mut registry, deadline).timed_out() {
+                break;
+            }
+        }
+        registry.len() <= n
+    }
+
     /// Blocks until every connection has drained or `timeout` passes.
     /// Returns `true` if the runtime went idle.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
-        // mtlint: allow(wall-clock, reason = "test/operator barrier against the real worker threads; never part of a deterministic replay")
-        let deadline = Instant::now() + timeout;
-        // mtlint: allow(wall-clock, reason = "test/operator barrier against the real worker threads; never part of a deterministic replay")
-        while Instant::now() < deadline {
-            if self.registry.lock().is_empty() {
-                return true;
-            }
-            // mtlint: allow(thread-sleep, reason = "polling real worker-thread teardown, not simulated time")
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        self.registry.lock().is_empty()
+        self.wait_contexts(0, timeout)
     }
 
     /// Requests shutdown and joins the monitor, the worker pool and the
@@ -489,6 +502,7 @@ impl NodeRuntime {
         // mtlint: allow(notify-all, reason = "shutdown broadcast: every queued entry's owner must look again, see the flag and unwind")
         self.bm.notify_all();
         if let Some(m) = self.monitor.lock().take() {
+            m.thread().unpark();
             let _ = m.join();
         }
         mux::stop(self);
@@ -505,5 +519,88 @@ impl std::fmt::Debug for NodeRuntime {
             .field("devices", &self.driver.device_count())
             .field("contexts", &self.registry.lock().len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn runtime() -> Arc<NodeRuntime> {
+        let driver = Driver::with_devices(Clock::with_scale(1e-7), vec![GpuSpec::test_small()]);
+        NodeRuntime::start(driver, RuntimeConfig::default().with_background_monitor(false))
+    }
+
+    #[test]
+    fn shutdown_does_not_wait_out_the_monitors_nap() {
+        // A millisecond after the start the monitor has made its first pass
+        // and is 1 ms into a 5 ms nap. Timing, so the quickest of a few
+        // tries is read: a join that sits the nap out never gets under ~4 ms.
+        let quickest = (0..8)
+            .map(|_| {
+                let clock = Clock::with_scale(1e-7);
+                let driver = Driver::with_devices(clock, vec![GpuSpec::test_small()]);
+                let rt = NodeRuntime::start(driver, RuntimeConfig::default());
+                assert!(rt.config().background_monitor);
+                std::thread::sleep(Duration::from_millis(1));
+                let t0 = Instant::now();
+                rt.shutdown();
+                t0.elapsed()
+            })
+            .min()
+            .expect("eight tries");
+        assert!(quickest < Duration::from_millis(2), "quickest shutdown took {quickest:?}");
+    }
+
+    #[test]
+    fn barrier_returns_at_once_when_the_count_is_already_met() {
+        let rt = runtime();
+        let ctx = rt.new_context("stays".into());
+        let t0 = Instant::now();
+        assert!(rt.wait_contexts(1, Duration::from_secs(60)));
+        assert!(rt.wait_contexts(4, Duration::ZERO));
+        assert!(t0.elapsed() < Duration::from_secs(10), "waited with nothing to wait for");
+        rt.drop_context_of(&ctx);
+        assert!(rt.wait_idle(Duration::ZERO));
+        rt.shutdown();
+    }
+
+    #[test]
+    fn barrier_is_woken_by_departures_on_another_thread() {
+        let rt = runtime();
+        let (a, b) = (rt.new_context("a".into()), rt.new_context("b".into()));
+        let (about_to_wait, go) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let t0 = Instant::now();
+                about_to_wait.send(()).unwrap();
+                // A minute: only a wake-up, not the deadline, ends this in time.
+                (rt.wait_contexts(0, Duration::from_secs(60)), t0.elapsed())
+            });
+            go.recv().unwrap();
+            // The first departure leaves one context: the waiter looks and
+            // waits on. Parked or not yet, either order must end `true`.
+            rt.drop_context_of(&a);
+            rt.drop_context_of(&b);
+            let (drained, took) = waiter.join().unwrap();
+            assert!(drained);
+            assert!(took < Duration::from_secs(20), "slept out the deadline: {took:?}");
+        });
+        rt.shutdown();
+    }
+
+    #[test]
+    fn barrier_gives_up_at_the_timeout_and_wait_idle_reports_the_straggler() {
+        let rt = runtime();
+        let (a, b) = (rt.new_context("a".into()), rt.new_context("never drains".into()));
+        let t0 = Instant::now();
+        assert!(!rt.wait_contexts(1, Duration::from_millis(20)));
+        assert!(t0.elapsed() >= Duration::from_millis(20));
+        rt.drop_context_of(&a);
+        assert!(rt.wait_contexts(1, Duration::ZERO));
+        assert!(!rt.wait_idle(Duration::from_millis(20)), "a live context is not idle");
+        assert_eq!(rt.context_count(), 1);
+        rt.drop_context_of(&b);
+        rt.shutdown();
     }
 }

@@ -72,8 +72,7 @@ pub(crate) enum Abort {
     /// head of its stream and then queues the context in the dispatcher
     /// under these keys ([`crate::sched::BindingManager::enqueue`]); running
     /// the launch again from scratch once woken is idempotent (the closure
-    /// is recomputed, the staged config take is ignored, and unbind paths
-    /// leave consistent state).
+    /// is recomputed and unbind paths leave consistent state).
     WouldBlock { work: f64, mem: u64 },
     /// A launch gave its vGPU up for want of device memory (§4.5
     /// unbind-and-retry). The caller puts the call back at the head of its
@@ -173,11 +172,7 @@ pub(crate) fn handle_call(
             rt.memory().copy_d2d(ctx.id, dst, src, len, binding.as_ref())
         })
         .map(|()| ReplyValue::Unit),
-        CudaCall::ConfigureCall { config } => {
-            ctx.inner().staged_config = Some(config);
-            Ok(ReplyValue::Unit)
-        }
-        CudaCall::Synchronize => Ok(ReplyValue::Unit),
+        CudaCall::ConfigureCall { .. } | CudaCall::Synchronize => Ok(ReplyValue::Unit),
         CudaCall::RegisterNested { parent, members } => {
             rt.memory().register_nested(ctx.id, parent, members).map(|()| ReplyValue::Unit)
         }
@@ -205,11 +200,10 @@ pub(crate) fn handle_call(
 }
 
 /// The admission-controlled allocation path: charge the tenant's lease
-/// before the memory manager sees the request, roll the charge back if the
-/// underlying allocation fails. Over-quota requests are queued — retried
-/// `admission_retries` times with a clock-driven backoff, so an allocation
-/// that would fit once a sibling frees or a lease expires gets its chance —
-/// before the typed rejection is returned.
+/// before the memory manager sees the request, and roll the charge back if
+/// the underlying allocation fails. Admission is reject-or-admit: an
+/// over-quota request comes back at once as the typed rejection, counted
+/// and traced; nothing is queued or retried here.
 fn admit_malloc(
     rt: &NodeRuntime,
     ctx: &Arc<AppContext>,
@@ -217,30 +211,15 @@ fn admit_malloc(
     kind: AllocKind,
 ) -> Result<DeviceAddr, CudaError> {
     let policy = rt.policy();
-    let (mut retries_left, backoff) = policy
-        .config()
-        .map(|c| (c.admission_retries, c.admission_backoff))
-        .unwrap_or((0, RETRY_BACKOFF));
-    loop {
-        match policy.try_charge(ctx.id, size) {
-            Ok(()) => break,
-            Err(CudaError::QuotaExceeded(_)) if retries_left > 0 => {
-                retries_left -= 1;
-                // Through the clock, not `thread::sleep`: queued admission
-                // must replay bit-for-bit under a virtual clock.
-                rt.clock().backoff(backoff);
-            }
-            Err(e) => {
-                if matches!(e, CudaError::QuotaExceeded(_)) {
-                    RuntimeMetrics::bump(&rt.metrics_ref().quota_rejections);
-                    rt.tracer().record(TraceEvent::QuotaRejected {
-                        ctx: ctx.id,
-                        what: format!("malloc of {size} bytes"),
-                    });
-                }
-                return Err(e);
-            }
+    if let Err(e) = policy.try_charge(ctx.id, size) {
+        if matches!(e, CudaError::QuotaExceeded(_)) {
+            RuntimeMetrics::bump(&rt.metrics_ref().quota_rejections);
+            rt.tracer().record(TraceEvent::QuotaRejected {
+                ctx: ctx.id,
+                what: format!("malloc of {size} bytes"),
+            });
         }
+        return Err(e);
     }
     match rt.memory().malloc(ctx.id, size, kind) {
         Ok(ptr) => Ok(ptr),
@@ -322,8 +301,6 @@ fn launch_loop(
         .get(&spec.kernel)
         .cloned()
         .ok_or_else(|| CudaError::InvalidDeviceFunction(spec.kernel.clone()))?;
-    // Consume the staged cudaConfigureCall, if the app used the split form.
-    let _ = ctx.inner().staged_config.take();
 
     loop {
         // 1. Ensure a binding (delayed until this very first launch).

@@ -63,21 +63,6 @@ impl BlockAllocator {
         self.free.iter().map(|b| b.len).max().unwrap_or(0)
     }
 
-    /// Number of live allocations.
-    pub fn live_count(&self) -> usize {
-        self.live.len()
-    }
-
-    /// External fragmentation ratio in `[0, 1]`: 1 − largest-free/total-free.
-    /// Zero when memory is unfragmented or full.
-    pub fn fragmentation(&self) -> f64 {
-        let free = self.free_bytes();
-        if free == 0 {
-            return 0.0;
-        }
-        1.0 - self.largest_free_block() as f64 / free as f64
-    }
-
     /// Allocates `len` bytes (rounded up to [`ALIGN`]); returns the base
     /// address. Fails with [`GpuError::OutOfMemory`] when no contiguous block
     /// fits, and [`GpuError::InvalidValue`] for zero-length requests.
@@ -108,16 +93,6 @@ impl BlockAllocator {
         let (_, len) = self.live.remove(pos);
         self.insert_free(FreeBlock { base, len });
         Ok(())
-    }
-
-    /// Returns `(base, len)` of the live allocation containing `addr`, if any.
-    pub fn find_containing(&self, addr: u64) -> Option<(u64, u64)> {
-        let pos = self.live.partition_point(|&(b, _)| b <= addr);
-        if pos == 0 {
-            return None;
-        }
-        let (base, len) = self.live[pos - 1];
-        (addr < base + len).then_some((base, len))
     }
 
     fn insert_free(&mut self, block: FreeBlock) {
@@ -206,16 +181,6 @@ mod tests {
             a.free(p).unwrap();
         }
         assert_eq!(a.largest_free_block(), 4096);
-        assert_eq!(a.fragmentation(), 0.0);
-    }
-
-    #[test]
-    fn find_containing_resolves_interior_addresses() {
-        let mut a = BlockAllocator::new(1 << 16);
-        let p = a.alloc(4096).unwrap();
-        assert_eq!(a.find_containing(p), Some((p, 4096)));
-        assert_eq!(a.find_containing(p + 4095), Some((p, 4096)));
-        assert_eq!(a.find_containing(p + 4096), None);
     }
 
     #[test]

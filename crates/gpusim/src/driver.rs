@@ -93,11 +93,6 @@ impl Driver {
             .filter_map(|(i, slot)| slot.clone().map(|g| (DeviceId(i as u32), g)))
             .collect()
     }
-
-    /// Devices that are attached and not failed.
-    pub fn healthy_devices(&self) -> Vec<(DeviceId, Arc<Gpu>)> {
-        self.devices().into_iter().filter(|(_, g)| !g.is_failed()).collect()
-    }
 }
 
 impl std::fmt::Debug for Driver {
@@ -144,18 +139,6 @@ mod tests {
         let id = driver.attach(GpuSpec::tesla_c2050());
         assert_eq!(id, DeviceId(1));
         assert_eq!(driver.device_count(), 1);
-    }
-
-    #[test]
-    fn healthy_excludes_failed() {
-        let driver = Driver::with_devices(
-            Clock::with_scale(1e-6),
-            vec![GpuSpec::test_small(), GpuSpec::test_small()],
-        );
-        driver.device(DeviceId(0)).unwrap().fail();
-        let healthy = driver.healthy_devices();
-        assert_eq!(healthy.len(), 1);
-        assert_eq!(healthy[0].0, DeviceId(1));
     }
 
     #[test]

@@ -22,7 +22,6 @@ pub struct FifoEngine {
     tickets: RankedMutex<Tickets>,
     cv: RankedCondvar,
     busy_nanos: AtomicU64,
-    ops: AtomicU64,
 }
 
 impl FifoEngine {
@@ -33,7 +32,6 @@ impl FifoEngine {
             tickets: RankedMutex::new(lock_rank::ENGINE_TICKETS, Tickets { next: 0, serving: 0 }),
             cv: RankedCondvar::new(),
             busy_nanos: AtomicU64::new(0),
-            ops: AtomicU64::new(0),
         }
     }
 
@@ -66,7 +64,6 @@ impl FifoEngine {
         self.clock.sleep(dur);
         let result = work();
         self.busy_nanos.fetch_add(dur.as_nanos(), Ordering::Relaxed);
-        self.ops.fetch_add(1, Ordering::Relaxed);
         let mut t = self.tickets.lock();
         t.serving += 1;
         // mtlint: allow(notify-all, reason = "ticket turnstile: every parked waiter must re-check `serving` because only the thread holding the next ticket may proceed")
@@ -78,11 +75,6 @@ impl FifoEngine {
     /// Total simulated time this engine has been busy.
     pub fn busy_time(&self) -> SimDuration {
         SimDuration::from_nanos(self.busy_nanos.load(Ordering::Relaxed))
-    }
-
-    /// Number of operations completed.
-    pub fn ops_completed(&self) -> u64 {
-        self.ops.load(Ordering::Relaxed)
     }
 
     /// Number of operations queued behind the current holder.
@@ -173,7 +165,6 @@ mod tests {
             elapsed_sim >= SimDuration::from_secs_f64(9.5),
             "two 5s occupancies overlapped: {elapsed_sim}"
         );
-        assert_eq!(engine.ops_completed(), 2);
         assert!(engine.busy_time() >= SimDuration::from_secs_f64(9.9));
     }
 
@@ -240,7 +231,6 @@ mod tests {
             j.join().unwrap();
         }
         assert_eq!(*order.lock(), (0..QUEUED).collect::<Vec<_>>());
-        assert_eq!(engine.ops_completed(), QUEUED + 1);
         assert_eq!(engine.queue_depth(), 0);
     }
 
@@ -345,11 +335,9 @@ mod stress_tests {
                     })
                 })
                 .collect();
-            let n = handles.len() as u64;
             for h in handles {
                 h.join().unwrap();
             }
-            prop_assert_eq!(engine.ops_completed(), n);
             prop_assert_eq!(engine.queue_depth(), 0);
             prop_assert_eq!(engine.busy_time(), SimDuration::from_micros(expected_busy));
         }

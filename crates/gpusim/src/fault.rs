@@ -99,16 +99,6 @@ impl FaultPlan {
         self.events.len() - self.cursor
     }
 
-    /// Virtual time of the next unfired event.
-    pub fn next_at(&self) -> Option<SimDuration> {
-        self.events.get(self.cursor).map(|e| e.at)
-    }
-
-    /// Whether every event has fired.
-    pub fn is_done(&self) -> bool {
-        self.cursor == self.events.len()
-    }
-
     /// Fires every event due at or before `now`: device fail/repair and
     /// context faults are applied to `driver`'s devices directly (events
     /// naming unknown devices are returned but have no device effect);
@@ -166,7 +156,6 @@ mod tests {
             .repair_device(SimDuration::from_secs(9), DeviceId(0))
             .fail_device(SimDuration::from_secs(3), DeviceId(0))
             .context_fault(SimDuration::from_secs(6), DeviceId(1));
-        assert_eq!(plan.next_at(), Some(SimDuration::from_secs(3)));
         assert!(plan.poll(clock.now(), &driver).is_empty(), "nothing due at t=0");
 
         clock.advance(SimDuration::from_secs(4));
@@ -180,7 +169,7 @@ mod tests {
         assert_eq!(fired.len(), 2, "context fault then repair");
         assert!(!driver.device(DeviceId(0)).unwrap().is_failed(), "repaired");
         assert!(driver.device(DeviceId(1)).unwrap().context_fault_armed());
-        assert!(plan.is_done());
+        assert_eq!(plan.pending(), 0);
     }
 
     #[test]

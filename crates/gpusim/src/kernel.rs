@@ -16,7 +16,6 @@
 use crate::device::DeviceAddr;
 use crate::error::GpuError;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -74,12 +73,6 @@ impl Work {
     /// Work dominated by computation.
     pub fn flops(flops: f64) -> Self {
         Work { flops, bytes: 0.0 }
-    }
-
-    /// Convenience: work that takes `secs` seconds on a device with
-    /// `gflops` effective GFLOPS.
-    pub fn seconds_on_gflops(secs: f64, gflops: f64) -> Self {
-        Work { flops: secs * gflops * 1e9, bytes: 0.0 }
     }
 }
 
@@ -269,54 +262,6 @@ pub mod library {
     }
 }
 
-/// A fat binary: the set of kernels an application module registers before
-/// context creation (`__cudaRegisterFatBinary` + `__cudaRegisterFunction`).
-#[derive(Debug, Clone, Default)]
-pub struct FatBinary {
-    /// Ordered so [`FatBinary::kernels`] iterates deterministically —
-    /// registration replay must not depend on hash order.
-    kernels: BTreeMap<String, RegisteredKernel>,
-}
-
-impl FatBinary {
-    /// An empty module.
-    pub fn new() -> Self {
-        FatBinary::default()
-    }
-
-    /// Registers a kernel without a functional payload (timing only).
-    pub fn register(&mut self, desc: KernelDesc) -> &mut Self {
-        self.kernels.insert(desc.name.clone(), RegisteredKernel { desc, payload: None });
-        self
-    }
-
-    /// Registers a kernel with a functional payload.
-    pub fn register_with_payload(&mut self, desc: KernelDesc, payload: KernelFn) -> &mut Self {
-        self.kernels.insert(desc.name.clone(), RegisteredKernel { desc, payload: Some(payload) });
-        self
-    }
-
-    /// Looks up a kernel by name.
-    pub fn get(&self, name: &str) -> Option<&RegisteredKernel> {
-        self.kernels.get(name)
-    }
-
-    /// Iterates over all registered kernels.
-    pub fn kernels(&self) -> impl Iterator<Item = &RegisteredKernel> {
-        self.kernels.values()
-    }
-
-    /// Number of kernels in the module.
-    pub fn len(&self) -> usize {
-        self.kernels.len()
-    }
-
-    /// True if no kernels have been registered.
-    pub fn is_empty(&self) -> bool {
-        self.kernels.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,18 +270,6 @@ mod tests {
     fn dim3_count() {
         assert_eq!(Dim3 { x: 4, y: 2, z: 3 }.count(), 24);
         assert_eq!(Dim3::x(7).count(), 7);
-    }
-
-    #[test]
-    fn fatbinary_registration_and_lookup() {
-        let mut fb = FatBinary::new();
-        fb.register(KernelDesc::plain("matmul"));
-        fb.register_with_payload(KernelDesc::plain("scale"), Arc::new(|_exec| Ok(())));
-        assert_eq!(fb.len(), 2);
-        assert!(fb.get("matmul").is_some());
-        assert!(fb.get("matmul").unwrap().payload.is_none());
-        assert!(fb.get("scale").unwrap().payload.is_some());
-        assert!(fb.get("absent").is_none());
     }
 
     #[test]
@@ -354,12 +287,6 @@ mod tests {
         };
         let ptrs: Vec<_> = spec.ptr_args().collect();
         assert_eq!(ptrs, vec![DeviceAddr(0x100), DeviceAddr(0x200)]);
-    }
-
-    #[test]
-    fn work_seconds_inverts_throughput() {
-        let w = Work::seconds_on_gflops(2.0, 1000.0);
-        assert!((w.flops - 2e12).abs() < 1.0);
     }
 
     #[test]

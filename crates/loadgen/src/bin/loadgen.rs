@@ -167,6 +167,21 @@ fn parse_args() -> Args {
     }
 }
 
+/// Writes a profile's report to `--out`, or `results/<default_name>`, and
+/// prints where it went; `false` (after saying why) if it could not.
+fn write_bench_report(args: &Args, default_name: &str, json: &str) -> bool {
+    let path = args.out.clone().unwrap_or_else(|| PathBuf::from("results").join(default_name));
+    let written = path
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(&path, json));
+    match &written {
+        Ok(()) => println!("report: {}", path.display()),
+        Err(e) => eprintln!("failed to write report: {e}"),
+    }
+    written.is_ok()
+}
+
 /// The adversarial-tenant isolation battery (`--profile hostile`).
 fn main_hostile(args: &Args) -> ExitCode {
     let mut cfg = if args.quick { IsolationConfig::quick() } else { IsolationConfig::default() };
@@ -179,20 +194,8 @@ fn main_hostile(args: &Args) -> ExitCode {
     }
     let report = run_isolation(&cfg);
     println!("{}", report.summary_line());
-    let path = match &args.out {
-        Some(path) => path.clone(),
-        None => PathBuf::from("results").join("BENCH_isolation.json"),
-    };
-    let written = path
-        .parent()
-        .map_or(Ok(()), std::fs::create_dir_all)
-        .and_then(|()| std::fs::write(&path, report.to_json()));
-    match written {
-        Ok(()) => println!("report: {}", path.display()),
-        Err(e) => {
-            eprintln!("failed to write report: {e}");
-            return ExitCode::FAILURE;
-        }
+    if !write_bench_report(args, "BENCH_isolation.json", &report.to_json()) {
+        return ExitCode::FAILURE;
     }
     // Even without an explicit latency bound, the structural half of the
     // gate (no honest failures, no over-quota grants, a live battery) must
@@ -202,6 +205,24 @@ fn main_hostile(args: &Args) -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+/// What `--profile skewed` writes: the report and the gate's verdict on it
+/// (`scripts/bench.sh` indexes every object that carries a `pass`).
+#[derive(serde::Serialize)]
+struct SkewedOutput {
+    bench: &'static str,
+    report: mtgpu_loadgen::MigrationBenchReport,
+    gate: SkewedGate,
+}
+
+#[derive(serde::Serialize)]
+struct SkewedGate {
+    speedup: f64,
+    min_speedup: f64,
+    p99_ratio: f64,
+    live_migrations: u64,
+    pass: bool,
 }
 
 /// The skewed migration benchmark (`--profile skewed`): static placement
@@ -222,24 +243,26 @@ fn main_skewed(args: &Args) -> ExitCode {
         report.p99_ratio,
         report.rebalanced_pass.live_migrations,
     );
-    let path = match &args.out {
-        Some(path) => path.clone(),
-        None => PathBuf::from("results").join("BENCH_migration.json"),
-    };
-    let written = path
-        .parent()
-        .map_or(Ok(()), std::fs::create_dir_all)
-        .and_then(|()| std::fs::write(&path, serde_json::to_string(&report).expect("serialize")));
-    match written {
-        Ok(()) => println!("report: {}", path.display()),
-        Err(e) => {
-            eprintln!("failed to write report: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
     // Structural checks (clean passes, a live migration, no aborts) always
     // gate; `--min-speedup` adds the throughput bound on top.
-    if let Err(reason) = report.gate(args.min_speedup.unwrap_or(0.0)) {
+    let min_speedup = args.min_speedup.unwrap_or(0.0);
+    let verdict = report.gate(min_speedup);
+    let output = SkewedOutput {
+        bench: "migration",
+        gate: SkewedGate {
+            speedup: report.speedup,
+            min_speedup,
+            p99_ratio: report.p99_ratio,
+            live_migrations: report.rebalanced_pass.live_migrations,
+            pass: verdict.is_ok(),
+        },
+        report,
+    };
+    let json = serde_json::to_string(&output).expect("report serializes");
+    if !write_bench_report(args, "BENCH_migration.json", &json) {
+        return ExitCode::FAILURE;
+    }
+    if let Err(reason) = verdict {
         eprintln!("migration gate failed: {reason}");
         return ExitCode::FAILURE;
     }

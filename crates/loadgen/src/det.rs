@@ -1,26 +1,22 @@
 //! Deterministic closed-loop driver: the latency-fingerprint harness.
 //!
-//! Trades concurrency for replayability the same way `mtgpu::det` does: a
-//! single driver thread issues requests round-robin across tenants, one
-//! request in flight at a time, over a [`Clock::virtual_clock`] with the
-//! background monitor off. Latencies are measured in *virtual* nanoseconds,
-//! so the whole latency distribution — and therefore the p50/p99 summary —
-//! is a pure function of the seed and is compared bit-for-bit across
-//! replays.
+//! The catalog script on the [`SeqHarness`]: requests issued round-robin
+//! across tenants, one in flight at a time, each a fresh context that runs
+//! one Table 2 job and exits. Latencies are measured in *virtual*
+//! nanoseconds, so the whole latency distribution — and therefore the
+//! p50/p99 summary — is a pure function of the seed and is compared
+//! bit-for-bit across replays.
 
+use crate::harness::SeqHarness;
 use crate::hist::LatencyHistogram;
 use crate::report::{fairness_ratio, LoadReport, TenantReport};
-use mtgpu_api::transport::MuxConnection;
 use mtgpu_api::CudaClient;
-use mtgpu_cluster::ClusterNode;
-use mtgpu_core::{MetricsSnapshot, NodeRuntime, RuntimeConfig};
-use mtgpu_gpusim::{Driver, GpuSpec};
-use mtgpu_simtime::{Clock, DetRng};
+use mtgpu_core::MetricsSnapshot;
+use mtgpu_gpusim::GpuSpec;
+use mtgpu_simtime::DetRng;
 use mtgpu_workloads::calib::Scale;
 use mtgpu_workloads::{catalog, register_workload};
 use serde::Serialize;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Which wire the deterministic driver replays over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,80 +92,17 @@ impl DetLoadFingerprint {
     }
 }
 
-/// Blocks (real time) until handler teardown completes: the determinism
-/// barrier between sequential requests.
-fn wait_idle(rt: &NodeRuntime) {
-    // mtlint: allow(wall-clock, reason = "real-time watchdog deadline only; no measured quantity derives from it")
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while rt.context_count() > 0 {
-        // mtlint: allow(wall-clock, reason = "watchdog comparison against the teardown deadline; replay state is untouched")
-        assert!(Instant::now() < deadline, "handler teardown did not complete");
-        // mtlint: allow(thread-sleep, reason = "polling backoff between determinism-barrier checks; runs between requests, never inside one")
-        std::thread::sleep(Duration::from_micros(200));
-    }
-}
-
-/// The node under test plus the wire the driver reaches it over.
-enum Backend {
-    Local(Arc<NodeRuntime>),
-    Mux { node: Box<ClusterNode>, conn: MuxConnection },
-}
-
-impl Backend {
-    fn runtime(&self) -> &Arc<NodeRuntime> {
-        match self {
-            Backend::Local(rt) => rt,
-            Backend::Mux { node, .. } => node.runtime(),
-        }
-    }
-
-    /// A fresh context for one request: in-process channel, or a fresh
-    /// multiplexed channel on the persistent socket.
-    fn client(&self) -> Box<dyn CudaClient> {
-        match self {
-            Backend::Local(rt) => Box::new(rt.local_client()),
-            Backend::Mux { conn, .. } => {
-                // Pipelined like the real persistent loadgen path, so the
-                // fingerprint covers the batched wire shape too.
-                Box::new(mtgpu_api::FrontendClient::new(conn.channel()).with_pipelining())
-            }
-        }
-    }
-
-    fn shutdown(self) {
-        match self {
-            Backend::Local(rt) => rt.shutdown(),
-            Backend::Mux { node, conn } => {
-                conn.shutdown();
-                node.shutdown();
-            }
-        }
-    }
-}
-
 /// Runs the deterministic sequential closed loop; two calls with an equal
 /// config return equal fingerprints.
 pub fn run_det(cfg: &DetLoadConfig) -> (LoadReport, DetLoadFingerprint) {
     mtgpu_workloads::install_kernel_library();
-    let clock = Clock::virtual_clock();
     let specs: Vec<GpuSpec> = (0..cfg.devices).map(|_| GpuSpec::test_small()).collect();
-    let rt_cfg = RuntimeConfig::paper_default()
-        .with_vgpus(cfg.vgpus_per_device)
-        .with_seed(cfg.seed)
-        .with_background_monitor(false);
-    let backend = match cfg.transport {
-        DetTransport::Local => {
-            let driver = Driver::with_devices(clock.clone(), specs);
-            Backend::Local(NodeRuntime::start(driver, rt_cfg))
-        }
-        DetTransport::Mux => {
-            let node = ClusterNode::start("det".into(), clock.clone(), specs, rt_cfg, true);
-            let conn = MuxConnection::connect(node.mux_addr().expect("mux endpoint"))
-                .expect("connect det mux");
-            Backend::Mux { node: Box::new(node), conn }
-        }
-    };
-    let rt = Arc::clone(backend.runtime());
+    let harness = SeqHarness::start(
+        specs,
+        SeqHarness::config(cfg.vgpus_per_device, cfg.seed),
+        cfg.transport == DetTransport::Mux,
+    );
+    let clock = harness.clock();
 
     // Same per-tenant draw as the concurrent driver: the det harness
     // measures the same workload mix it would race.
@@ -192,14 +125,14 @@ pub fn run_det(cfg: &DetLoadConfig) -> (LoadReport, DetLoadFingerprint) {
         for tenant in 0..cfg.clients {
             let job = sequences[tenant][round].build(Scale::TINY);
             let t_start = clock.now();
-            let mut client = backend.client();
+            let mut client = harness.client();
             let ok = (|| -> Result<bool, mtgpu_api::CudaError> {
                 register_workload(&mut client, job.as_ref())?;
-                let report = job.run(&mut client, &clock)?;
+                let report = job.run(&mut client, clock)?;
                 client.exit()?;
                 Ok(report.verified)
             })();
-            wait_idle(&rt);
+            harness.barrier(0);
             let nanos = clock.now().duration_since(t_start).as_nanos();
             match ok {
                 Ok(true) => {
@@ -213,10 +146,7 @@ pub fn run_det(cfg: &DetLoadConfig) -> (LoadReport, DetLoadFingerprint) {
         }
     }
 
-    let metrics = rt.metrics();
-    let final_virtual_nanos = clock.now().since_epoch().as_nanos();
-    drop(rt);
-    backend.shutdown();
+    let (metrics, final_virtual_nanos) = harness.finish();
 
     let summary = hist.summary();
     let completed: u64 = tenants.iter().map(|t| t.completed).sum();

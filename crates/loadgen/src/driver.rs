@@ -22,12 +22,13 @@ use crate::report::{fairness_ratio, LoadReport, TenantReport};
 use mtgpu_api::transport::{MuxChannel, MuxConnection, MuxPool};
 use mtgpu_api::{CudaClient, FrontendClient};
 use mtgpu_cluster::ClusterNode;
-use mtgpu_core::RuntimeConfig;
+use mtgpu_core::{RuntimeConfig, TenantPolicyConfig};
 use mtgpu_gpusim::GpuSpec;
 use mtgpu_simtime::{Clock, DetRng};
 use mtgpu_workloads::{catalog, register_workload, Workload};
 use std::net::SocketAddr;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How requests are issued.
@@ -91,7 +92,7 @@ impl LoadgenConfig {
 
 /// How long a finished run waits for the node's last contexts to tear down
 /// before it snapshots the runtime counters.
-pub(crate) const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
 
 struct TenantOutcome {
     hist: LatencyHistogram,
@@ -111,11 +112,7 @@ pub(crate) fn fresh_connection(addr: SocketAddr) -> Result<MuxChannel, String> {
 /// workload, exit. Launches are pipelined — the workloads never read a
 /// launch reply. Returns an error string on any failure, including a wrong
 /// result.
-pub(crate) fn run_request(
-    channel: MuxChannel,
-    job: &dyn Workload,
-    clock: &Clock,
-) -> Result<(), String> {
+fn run_request(channel: MuxChannel, job: &dyn Workload, clock: &Clock) -> Result<(), String> {
     let mut client = FrontendClient::new(channel).with_pipelining();
     register_workload(&mut client, job).map_err(|e| format!("register: {e}"))?;
     let report = job.run(&mut client, clock).map_err(|e| format!("{}: {e}", job.name()))?;
@@ -126,27 +123,10 @@ pub(crate) fn run_request(
     Ok(())
 }
 
-fn issue(
-    cfg: &LoadgenConfig,
-    addr: SocketAddr,
-    pool: Option<&MuxPool>,
-    job: &dyn Workload,
-    clock: &Clock,
-) -> Result<(), String> {
-    let channel = match pool {
-        Some(pool) => pool.channel(),
-        None => fresh_connection(addr)?,
-    };
-    run_request(channel, job, clock).map_err(|e| {
-        if cfg.persistent {
-            format!("persistent: {e}")
-        } else {
-            e
-        }
-    })
-}
-
+/// One tenant's requests, start to finish. `name` (`"tenant-3"`) labels the
+/// rng stream its jobs are drawn from.
 fn tenant_loop(
+    name: &str,
     tenant: usize,
     cfg: &LoadgenConfig,
     addr: SocketAddr,
@@ -154,7 +134,7 @@ fn tenant_loop(
     clock: &Clock,
     t0: Instant,
 ) -> TenantOutcome {
-    let mut rng = DetRng::from_seed(cfg.seed).fork(&format!("tenant-{tenant}"));
+    let mut rng = DetRng::from_seed(cfg.seed).fork(name);
     let kinds = catalog::draw_kinds(&catalog::short_pool(), cfg.requests_per_client, &mut rng);
     let mut out =
         TenantOutcome { hist: LatencyHistogram::new(), completed: 0, errors: 0, makespan_nanos: 0 };
@@ -176,7 +156,11 @@ fn tenant_loop(
                 intended // latency includes schedule slip
             }
         };
-        match issue(cfg, addr, pool, job.as_ref(), clock) {
+        let channel = match pool {
+            Some(pool) => Ok(pool.channel()),
+            None => fresh_connection(addr),
+        };
+        match channel.and_then(|channel| run_request(channel, job.as_ref(), clock)) {
             Ok(()) => {
                 out.completed += 1;
                 out.hist.record(started.elapsed().as_nanos() as u64);
@@ -191,11 +175,26 @@ fn tenant_loop(
 /// Runs a full load-generation pass against a private node daemon and
 /// returns the report (not yet written to disk).
 pub fn run_load(cfg: &LoadgenConfig) -> LoadReport {
+    run_load_beside(cfg, "tenant", None, |_| Vec::<JoinHandle<()>>::new()).0
+}
+
+/// [`run_load`] with company: the tenants' rng streams are `{stream}-{i}`,
+/// the node runs under `policy` if given, and `rivals` — handed the node's
+/// address before the first tenant starts — may spawn threads that are
+/// joined once the tenants are done, before the node is drained. The
+/// hostile profile's honest side is this loop and no other.
+pub(crate) fn run_load_beside<R>(
+    cfg: &LoadgenConfig,
+    stream: &str,
+    policy: Option<TenantPolicyConfig>,
+    rivals: impl FnOnce(SocketAddr) -> Vec<JoinHandle<R>>,
+) -> (LoadReport, Vec<R>) {
     mtgpu_workloads::install_kernel_library();
     let clock = Clock::with_scale(cfg.clock_scale);
     let specs = (0..cfg.devices).map(|_| GpuSpec::test_small()).collect();
-    let rt_cfg =
+    let mut rt_cfg =
         RuntimeConfig::paper_default().with_vgpus(cfg.vgpus_per_device).with_seed(cfg.seed);
+    rt_cfg.tenant_policy = policy;
     let node = ClusterNode::start("loadgen".into(), clock.clone(), specs, rt_cfg, true);
     let addr = node.mux_addr().expect("listening node");
     let pool: Option<Arc<MuxPool>> = if cfg.persistent {
@@ -205,22 +204,25 @@ pub fn run_load(cfg: &LoadgenConfig) -> LoadReport {
         None
     };
 
+    let rivals = rivals(addr);
     // mtlint: allow(wall-clock, reason = "wall-clock epoch for the load run; throughput/latency are real-time measurements")
     let t0 = Instant::now();
     let handles: Vec<_> = (0..cfg.clients)
         .map(|tenant| {
+            let name = format!("{stream}-{tenant}");
             let cfg = cfg.clone();
             let clock = clock.clone();
             let pool = pool.clone();
             std::thread::Builder::new()
-                .name(format!("tenant-{tenant}"))
-                .spawn(move || tenant_loop(tenant, &cfg, addr, pool.as_deref(), &clock, t0))
+                .name(name.clone())
+                .spawn(move || tenant_loop(&name, tenant, &cfg, addr, pool.as_deref(), &clock, t0))
                 .expect("spawn tenant thread")
         })
         .collect();
     let outcomes: Vec<TenantOutcome> =
         handles.into_iter().map(|h| h.join().expect("tenant thread panicked")).collect();
     let wall_nanos = t0.elapsed().as_nanos() as u64;
+    let rivals = rivals.into_iter().map(|h| h.join().expect("rival thread panicked")).collect();
 
     let mut hist = LatencyHistogram::new();
     let mut completed = 0u64;
@@ -252,7 +254,7 @@ pub fn run_load(cfg: &LoadgenConfig) -> LoadReport {
     drop(pool);
     node.shutdown();
 
-    LoadReport {
+    let report = LoadReport {
         mode: match cfg.mode {
             Mode::Closed => "closed".into(),
             Mode::Open { .. } => "open".into(),
@@ -281,7 +283,8 @@ pub fn run_load(cfg: &LoadgenConfig) -> LoadReport {
         fairness_ratio: fairness_ratio(&basis),
         tenants,
         runtime,
-    }
+    };
+    (report, rivals)
 }
 
 #[cfg(test)]

@@ -16,18 +16,12 @@
 //! over-quota grants), and its spam cannot degrade honest tail latency
 //! beyond a fixed ratio.
 
-use crate::driver::{fresh_connection, run_request, DRAIN_TIMEOUT};
-use crate::hist::{LatencyHistogram, LatencySummary};
-use crate::report::fairness_ratio;
+use crate::driver::{fresh_connection, run_load_beside, LoadgenConfig, Mode};
+use crate::hist::LatencySummary;
 use mtgpu_api::{CudaClient, CudaError, FrontendClient};
-use mtgpu_cluster::ClusterNode;
-use mtgpu_core::{GpuLease, MetricsSnapshot, RuntimeConfig, TenantPolicyConfig};
-use mtgpu_gpusim::GpuSpec;
-use mtgpu_simtime::{Clock, DetRng};
-use mtgpu_workloads::catalog;
+use mtgpu_core::{GpuLease, MetricsSnapshot, TenantPolicyConfig};
 use serde::{Deserialize, Serialize};
 use std::net::SocketAddr;
-use std::time::Instant;
 
 /// Memory lease granted to each hostile tenant, in MiB.
 const HOSTILE_MEM_MB: u64 = 8;
@@ -227,46 +221,6 @@ impl IsolationReport {
     }
 }
 
-struct HonestOutcome {
-    hist: LatencyHistogram,
-    completed: u64,
-    errors: u64,
-    makespan_nanos: u64,
-}
-
-/// One honest tenant: the plain reconnect-per-request closed loop from the
-/// concurrent driver, never calling `cudaSetApplication` — exactly the
-/// traffic an uninvolved tenant offers while a neighbour misbehaves.
-fn honest_loop(
-    tenant: usize,
-    cfg: &IsolationConfig,
-    addr: SocketAddr,
-    clock: &Clock,
-) -> HonestOutcome {
-    let mut rng = DetRng::from_seed(cfg.seed).fork(&format!("honest-{tenant}"));
-    let kinds = catalog::draw_kinds(&catalog::short_pool(), cfg.requests_per_client, &mut rng);
-    let mut out =
-        HonestOutcome { hist: LatencyHistogram::new(), completed: 0, errors: 0, makespan_nanos: 0 };
-    // mtlint: allow(wall-clock, reason = "honest-tenant latency under hostile load is a real-time measurement by design")
-    let t0 = Instant::now();
-    for kind in kinds {
-        let job = kind.build(mtgpu_workloads::calib::Scale::TINY);
-        // mtlint: allow(wall-clock, reason = "per-request latency epoch for the isolation measurement")
-        let started = Instant::now();
-        let served =
-            fresh_connection(addr).and_then(|channel| run_request(channel, job.as_ref(), clock));
-        match served {
-            Ok(()) => {
-                out.completed += 1;
-                out.hist.record(started.elapsed().as_nanos() as u64);
-                out.makespan_nanos = t0.elapsed().as_nanos() as u64;
-            }
-            Err(_) => out.errors += 1,
-        }
-    }
-    out
-}
-
 /// One hostile tenant: a tight loop of context churn, context-cap probes,
 /// over-quota malloc spam, and greedy within-quota hoarding — no pacing, no
 /// kernels, just admission pressure.
@@ -332,21 +286,27 @@ fn hostile_loop(tenant: usize, cfg: &IsolationConfig, addr: SocketAddr) -> Hosti
     out
 }
 
-/// Runs one pass (honest tenants, optionally racing hostile tenants)
-/// against a fresh private node with the lease table armed.
+/// Runs one pass against a fresh private node with the lease table armed:
+/// the honest tenants are the concurrent driver's plain
+/// reconnect-per-request closed loop, never calling `cudaSetApplication` —
+/// exactly the traffic an uninvolved tenant offers while a neighbour
+/// misbehaves — drawing their jobs from the `honest-{i}` streams, with the
+/// hostile tenants, if any, started just before them.
 fn run_pass(cfg: &IsolationConfig, with_hostile: bool) -> (PassReport, HostileReport) {
-    mtgpu_workloads::install_kernel_library();
-    let clock = Clock::with_scale(cfg.clock_scale);
-    let specs = (0..cfg.devices).map(|_| GpuSpec::test_small()).collect();
-    let rt_cfg = RuntimeConfig::paper_default()
-        .with_vgpus(cfg.vgpus_per_device)
-        .with_seed(cfg.seed)
-        .with_tenant_policy(cfg.policy());
-    let node = ClusterNode::start("isolation".into(), clock.clone(), specs, rt_cfg, true);
-    let addr = node.mux_addr().expect("listening node");
-
-    let hostile_handles: Vec<_> = if with_hostile {
-        (0..cfg.hostile_clients)
+    let honest = LoadgenConfig {
+        mode: Mode::Closed,
+        clients: cfg.honest_clients,
+        requests_per_client: cfg.requests_per_client,
+        seed: cfg.seed,
+        devices: cfg.devices,
+        vgpus_per_device: cfg.vgpus_per_device,
+        clock_scale: cfg.clock_scale,
+        persistent: false,
+        connections: 0,
+    };
+    let hostile_clients = if with_hostile { cfg.hostile_clients } else { 0 };
+    let (load, hostile_reports) = run_load_beside(&honest, "honest", Some(cfg.policy()), |addr| {
+        (0..hostile_clients)
             .map(|t| {
                 let cfg = cfg.clone();
                 std::thread::Builder::new()
@@ -355,49 +315,18 @@ fn run_pass(cfg: &IsolationConfig, with_hostile: bool) -> (PassReport, HostileRe
                     .expect("spawn hostile thread")
             })
             .collect()
-    } else {
-        Vec::new()
-    };
-    let honest_handles: Vec<_> = (0..cfg.honest_clients)
-        .map(|t| {
-            let cfg = cfg.clone();
-            let clock = clock.clone();
-            std::thread::Builder::new()
-                .name(format!("honest-{t}"))
-                .spawn(move || honest_loop(t, &cfg, addr, &clock))
-                .expect("spawn honest thread")
-        })
-        .collect();
-
-    let honest: Vec<HonestOutcome> =
-        honest_handles.into_iter().map(|h| h.join().expect("honest thread panicked")).collect();
+    });
     let mut hostile = HostileReport::default();
-    for h in hostile_handles {
-        hostile.merge(&h.join().expect("hostile thread panicked"));
-    }
-
-    // As in `run_load`: snapshot the drained node.
-    node.runtime().wait_idle(DRAIN_TIMEOUT);
-    let runtime = node.metrics();
-    node.shutdown();
-
-    let mut hist = LatencyHistogram::new();
-    let mut completed = 0u64;
-    let mut errors = 0u64;
-    let mut basis = Vec::with_capacity(honest.len());
-    for o in &honest {
-        hist.merge(&o.hist);
-        completed += o.completed;
-        errors += o.errors;
-        basis.push(o.makespan_nanos);
+    for report in &hostile_reports {
+        hostile.merge(report);
     }
     (
         PassReport {
-            honest_latency: hist.summary(),
-            honest_completed: completed,
-            honest_errors: errors,
-            honest_fairness_ratio: fairness_ratio(&basis),
-            runtime,
+            honest_latency: load.latency,
+            honest_completed: load.completed,
+            honest_errors: load.errors,
+            honest_fairness_ratio: load.fairness_ratio,
+            runtime: load.runtime,
         },
         hostile,
     )
@@ -439,6 +368,7 @@ pub fn run_isolation(cfg: &IsolationConfig) -> IsolationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mtgpu_workloads::catalog::{self, AppKind};
 
     #[test]
     fn hostile_battery_smoke() {
@@ -453,8 +383,21 @@ mod tests {
         let report = run_isolation(&cfg);
         // Structural gate only (no latency bound: unit tests race the rest
         // of the suite, so wall-clock ratios are not meaningful here).
-        assert_eq!(report.baseline.honest_errors, 0, "baseline honest failed");
-        assert_eq!(report.contended.honest_errors, 0, "contended honest failed");
+        // The honest side is the concurrent driver's loop on the `honest-{i}`
+        // rng streams. Pinned from the profile's own loop as it was before
+        // PR 24 folded it into the driver: at seed 42 the two tenants draw
+        // [Bfs, Va] and [Sp, Bfs], which is 50 launches, all four requests
+        // verified, in either pass.
+        let draws = |name: &str| {
+            let mut rng = mtgpu_simtime::DetRng::from_seed(42).fork(name);
+            catalog::draw_kinds(&catalog::short_pool(), 2, &mut rng)
+        };
+        assert_eq!(draws("honest-0"), [AppKind::Bfs, AppKind::Va]);
+        assert_eq!(draws("honest-1"), [AppKind::Sp, AppKind::Bfs]);
+        for pass in [&report.baseline, &report.contended] {
+            assert_eq!((pass.honest_completed, pass.honest_errors), (4, 0));
+            assert_eq!(pass.runtime.launches, 50, "the honest tenants ran other jobs");
+        }
         assert_eq!(report.hostile.overquota_granted, 0, "lease was pierced");
         assert_eq!(
             report.hostile.overquota_rejected, report.hostile.overquota_attempts,

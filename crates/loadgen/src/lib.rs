@@ -1,17 +1,19 @@
 //! Multi-tenant load generation for the mtgpu runtime.
 //!
-//! Three drivers over the Table 2 workload catalog:
+//! Two drivers over the Table 2 workload catalog, and what rides them:
 //!
-//! * **closed loop** ([`run_load`] with [`Mode::Closed`]) — each tenant
-//!   issues its next request the moment the previous one finishes,
-//!   saturating the dispatcher;
-//! * **open loop** ([`Mode::Open`]) — requests start on a fixed aggregate
-//!   schedule and latency charges any time spent behind it;
-//! * **deterministic** ([`run_det`]) — a sequential virtual-clock replay
-//!   whose latency distribution is a pure function of the seed;
-//! * **adversarial isolation** ([`run_isolation`]) — honest tenants racing
-//!   lease-capped hostile tenants under the tenant-policy layer, comparing
-//!   honest tail latency against a hostile-free baseline.
+//! * **concurrent** ([`run_load`]) — a thread per tenant against a node's
+//!   TCP endpoint, *closed loop* ([`Mode::Closed`]: the next request the
+//!   moment the previous one finishes, saturating the dispatcher) or *open
+//!   loop* ([`Mode::Open`]: a fixed aggregate schedule, latency charging any
+//!   time spent behind it). **Adversarial isolation** ([`run_isolation`])
+//!   is this closed loop as the honest side, racing lease-capped hostile
+//!   tenants, against a hostile-free baseline;
+//! * **sequential** ([`SeqHarness`]) — one request in flight on a virtual
+//!   clock, so a run is a pure function of its seed. Its scripts:
+//!   [`run_det`] (the catalog round-robin, latency fingerprint),
+//!   [`run_migration_load`] (skewed churn, static against rebalanced) and,
+//!   in the facade crate, `mtgpu::det` (fault injection).
 //!
 //! All drivers emit a [`LoadReport`] (JSON, conventionally under
 //! `results/`) with per-request latency quantiles, throughput, per-tenant
@@ -19,6 +21,7 @@
 
 pub mod det;
 pub mod driver;
+pub mod harness;
 pub mod hist;
 pub mod isolation;
 pub mod migration;
@@ -26,6 +29,7 @@ pub mod report;
 
 pub use det::{run_det, DetLoadConfig, DetLoadFingerprint, DetTransport};
 pub use driver::{run_load, LoadgenConfig, Mode};
+pub use harness::SeqHarness;
 pub use hist::{LatencyHistogram, LatencySummary};
 pub use isolation::{run_isolation, IsolationConfig, IsolationReport};
 pub use migration::{

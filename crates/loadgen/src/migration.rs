@@ -16,20 +16,18 @@
 //! The static pass plays the mix with load balancing off; the rebalanced
 //! pass turns it on and ticks the monitor between rounds, live-migrating
 //! the stranded contexts. Both passes run the identical seeded job
-//! sequence sequentially (one request in flight) over
-//! [`Clock::virtual_clock`], so throughput (jobs per virtual second) and
-//! latency quantiles (virtual nanoseconds) are pure functions of the
-//! seed — the speedup ratio is replayable bit-for-bit.
+//! sequence on the [`SeqHarness`] (one request in flight, virtual clock), so
+//! throughput (jobs per virtual second) and latency quantiles (virtual
+//! nanoseconds) are pure functions of the seed — the speedup ratio is
+//! replayable bit-for-bit.
 
+use crate::harness::SeqHarness;
 use crate::hist::LatencyHistogram;
 use mtgpu_api::CudaClient;
-use mtgpu_core::{NodeRuntime, RuntimeConfig};
-use mtgpu_gpusim::{Driver, GpuSpec};
-use mtgpu_simtime::Clock;
+use mtgpu_gpusim::GpuSpec;
 use mtgpu_workloads::calib::Scale;
 use mtgpu_workloads::{catalog, register_workload};
 use serde::Serialize;
-use std::time::{Duration, Instant};
 
 /// Parameters of the skewed migration scenario.
 #[derive(Debug, Clone)]
@@ -111,20 +109,8 @@ impl MigrationBenchReport {
     }
 }
 
-fn wait_for_contexts(rt: &NodeRuntime, n: usize) {
-    // mtlint: allow(wall-clock, reason = "real-time watchdog deadline only; no measured quantity derives from it")
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while rt.context_count() > n {
-        // mtlint: allow(wall-clock, reason = "watchdog comparison against the teardown deadline; replay state is untouched")
-        assert!(Instant::now() < deadline, "handler teardown did not complete");
-        // mtlint: allow(thread-sleep, reason = "polling backoff between determinism-barrier checks; runs between requests, never inside one")
-        std::thread::sleep(Duration::from_micros(200));
-    }
-}
-
 fn run_pass(cfg: &MigrationLoadConfig, rebalance: bool) -> MigrationPassReport {
     mtgpu_workloads::install_kernel_library();
-    let clock = Clock::virtual_clock();
     let fast = GpuSpec::test_small();
     let mut slow = GpuSpec::test_small();
     slow.name = "TestGPU-slow".to_string();
@@ -134,13 +120,10 @@ fn run_pass(cfg: &MigrationLoadConfig, rebalance: bool) -> MigrationPassReport {
     let mut specs: Vec<GpuSpec> = Vec::new();
     specs.extend(std::iter::repeat_with(|| fast.clone()).take(cfg.short_tenants));
     specs.extend(std::iter::repeat_with(|| slow.clone()).take(cfg.long_tenants));
-    let mut rt_cfg = RuntimeConfig::paper_default()
-        .with_vgpus(1)
-        .with_seed(cfg.seed)
-        .with_background_monitor(false);
+    let mut rt_cfg = SeqHarness::config(1, cfg.seed);
     rt_cfg.dynamic_load_balancing = rebalance;
-    let driver = Driver::with_devices(clock.clone(), specs);
-    let rt = NodeRuntime::start(driver, rt_cfg);
+    let harness = SeqHarness::start(specs, rt_cfg, false);
+    let clock = harness.clock();
 
     let tenants = cfg.short_tenants + cfg.long_tenants;
     let rounds: Vec<usize> =
@@ -153,7 +136,7 @@ fn run_pass(cfg: &MigrationLoadConfig, rebalance: bool) -> MigrationPassReport {
     // dispatcher prefers them while slots are free); long tenants follow.
     let mut clients: Vec<Option<_>> = (0..tenants)
         .map(|_| {
-            let mut c = rt.local_client();
+            let mut c = harness.client();
             // Immediate roundtrip pins context-id assignment to tenant order.
             let job = kind.build(Scale::TINY);
             register_workload(&mut c, job.as_ref()).expect("register workload");
@@ -168,7 +151,7 @@ fn run_pass(cfg: &MigrationLoadConfig, rebalance: bool) -> MigrationPassReport {
     for round in 0..cfg.long_rounds.max(1) {
         // Synchronous stand-in for the background monitor: with the
         // rebalancer on, this is where stranded contexts live-migrate.
-        rt.monitor_tick();
+        harness.runtime().monitor_tick();
         for t in 0..tenants {
             if round >= rounds[t] {
                 continue;
@@ -178,7 +161,7 @@ fn run_pass(cfg: &MigrationLoadConfig, rebalance: bool) -> MigrationPassReport {
             let t0 = clock.now();
             let ok = (|| -> Result<bool, mtgpu_api::CudaError> {
                 register_workload(client, job.as_ref())?;
-                Ok(job.run(client, &clock)?.verified)
+                Ok(job.run(client, clock)?.verified)
             })();
             match ok {
                 Ok(true) => {
@@ -197,16 +180,14 @@ fn run_pass(cfg: &MigrationLoadConfig, rebalance: bool) -> MigrationPassReport {
                     let _ = client.exit();
                     drop(client);
                     live -= 1;
-                    wait_for_contexts(&rt, live);
+                    harness.barrier(live);
                 }
             }
         }
     }
-    wait_for_contexts(&rt, 0);
+    harness.barrier(0);
 
-    let metrics = rt.metrics();
-    let final_virtual_nanos = clock.now().since_epoch().as_nanos();
-    rt.shutdown();
+    let (metrics, final_virtual_nanos) = harness.finish();
     let summary = hist.summary();
     MigrationPassReport {
         label: if rebalance { "rebalanced" } else { "static" }.to_string(),

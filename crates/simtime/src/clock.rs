@@ -100,11 +100,6 @@ impl Clock {
         Clock { inner: Arc::new(Backend::Scaled { epoch: Instant::now(), scale }) }
     }
 
-    /// A clock running at real time (scale 1.0).
-    pub fn realtime() -> Self {
-        Self::with_scale(1.0)
-    }
-
     /// Creates a virtual clock: time starts at zero and advances only via
     /// [`Clock::sleep`] / [`Clock::advance`], instantly and without
     /// blocking. Runs at CPU speed and, driven from a single thread,
@@ -186,15 +181,6 @@ impl Clock {
             Backend::Virtual { .. } => SimDuration::ZERO,
         }
     }
-
-    /// Converts a simulated duration into the real time it occupies: zero
-    /// on a virtual clock (simulated time is free).
-    pub fn sim_to_real(&self, sim: SimDuration) -> Duration {
-        match &*self.inner {
-            Backend::Scaled { scale, .. } => sim.to_real(*scale),
-            Backend::Virtual { .. } => Duration::ZERO,
-        }
-    }
 }
 
 impl Default for Clock {
@@ -251,12 +237,9 @@ mod tests {
     }
 
     #[test]
-    fn conversions_roundtrip() {
+    fn real_time_converts_by_the_scale() {
         let clock = Clock::with_scale(0.5);
-        let sim = SimDuration::from_secs(2);
-        let real = clock.sim_to_real(sim);
-        assert_eq!(real, Duration::from_secs(1));
-        assert_eq!(clock.real_to_sim(real), sim);
+        assert_eq!(clock.real_to_sim(Duration::from_secs(1)), SimDuration::from_secs(2));
     }
 
     #[test]
@@ -305,14 +288,13 @@ mod tests {
         let other = clock.clone();
         other.sleep(SimDuration::from_millis(7));
         assert_eq!(clock.now().since_epoch(), SimDuration::from_millis(7));
-        assert_eq!(clock.sim_to_real(SimDuration::from_secs(9)), Duration::ZERO);
         assert_eq!(clock.real_to_sim(Duration::from_secs(9)), SimDuration::ZERO);
         assert_eq!(clock.scale(), 0.0);
     }
 
     #[test]
     fn backoff_blocks_scaled_but_only_advances_virtual() {
-        let clock = Clock::realtime();
+        let clock = Clock::with_scale(1.0);
         let start = Instant::now();
         clock.backoff(Duration::from_millis(2));
         assert!(start.elapsed() >= Duration::from_millis(2));

@@ -113,11 +113,6 @@ impl SimDuration {
         }
     }
 
-    /// Scales the duration by a non-negative factor, saturating at the bounds.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        SimDuration::from_secs_f64(self.as_secs_f64() * factor)
-    }
-
     /// Converts to a real [`std::time::Duration`] scaled by
     /// `real_seconds_per_sim_second`.
     pub(crate) fn to_real(self, scale: f64) -> Duration {
@@ -247,13 +242,6 @@ mod tests {
         assert_eq!(SimDuration::from_millis(2).to_string(), "2.000ms");
         assert_eq!(SimDuration::from_micros(2).to_string(), "2.000us");
         assert_eq!(SimDuration::from_nanos(2).to_string(), "2ns");
-    }
-
-    #[test]
-    fn mul_f64_scales() {
-        let d = SimDuration::from_secs(10).mul_f64(0.25);
-        assert_eq!(d, SimDuration::from_millis(2500));
-        assert_eq!(SimDuration::from_secs(1).mul_f64(-2.0), SimDuration::ZERO);
     }
 
     #[test]

@@ -16,23 +16,9 @@ impl Stopwatch {
         Stopwatch { clock: clock.clone(), start: clock.now() }
     }
 
-    /// Simulated time elapsed since the stopwatch was started (or last reset).
+    /// Simulated time elapsed since the stopwatch was started.
     pub fn elapsed(&self) -> SimDuration {
         self.clock.now().duration_since(self.start)
-    }
-
-    /// Resets the stopwatch to the current simulated time and returns the
-    /// time elapsed up to the reset.
-    pub fn lap(&mut self) -> SimDuration {
-        let now = self.clock.now();
-        let elapsed = now.duration_since(self.start);
-        self.start = now;
-        elapsed
-    }
-
-    /// The instant the stopwatch was started (or last reset).
-    pub fn started_at(&self) -> SimInstant {
-        self.start
     }
 }
 
@@ -46,16 +32,5 @@ mod tests {
         let sw = Stopwatch::start(&clock);
         clock.sleep(SimDuration::from_secs(5));
         assert!(sw.elapsed() >= SimDuration::from_secs_f64(4.5));
-    }
-
-    #[test]
-    fn lap_resets() {
-        let clock = Clock::with_scale(1e-4);
-        let mut sw = Stopwatch::start(&clock);
-        clock.sleep(SimDuration::from_secs(2));
-        let first = sw.lap();
-        assert!(first >= SimDuration::from_secs_f64(1.8));
-        // After a lap the elapsed time restarts near zero.
-        assert!(sw.elapsed() < first);
     }
 }

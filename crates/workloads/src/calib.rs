@@ -39,11 +39,6 @@ impl Scale {
     /// A small scale for unit tests (microsecond kernels, kilobyte
     /// footprints).
     pub const TINY: Scale = Scale { time: 1e-4, mem: 1e-5 };
-
-    /// Uniform scale.
-    pub fn uniform(s: f64) -> Scale {
-        Scale { time: s, mem: s }
-    }
 }
 
 impl Default for Scale {

@@ -25,12 +25,14 @@ cargo bench -q -p mtgpu-bench --bench memory -- --gate 1.4 \
 # #[cfg(debug_assertions)] and must vanish from release builds.
 cargo bench -q -p mtgpu-bench --bench dispatch -- --gate-rank 1.02 \
     --out "$PWD/results/BENCH_dispatch.json" "$@"
-# Migration gate: on the churned 4-device skewed mix dynamic load
-# balancing must deliver ≥1.3x static-placement throughput at no p99
-# cost, with at least one live migration and no aborts. Virtual-clock
-# deterministic: the ratio is exact, not sampled.
-cargo bench -q -p mtgpu-bench --bench migration -- --gate 1.3 \
-    --out "$PWD/results/BENCH_migration.json" "$@"
+# Migration gate, a loadgen profile (the bench target that wrapped it is
+# gone): on the churned 4-device skewed mix dynamic load balancing must
+# deliver ≥1.3x static-placement throughput at no p99 cost, with at least
+# one live migration and no aborts. Virtual-clock deterministic: the ratio
+# is exact, not sampled. The report carries the gate's verdict (`gate.pass`)
+# for the index below.
+cargo run -q --release -p mtgpu-loadgen --bin loadgen -- --profile skewed \
+    --min-speedup 1.3 --out results/BENCH_migration.json "$@"
 # Consolidated trajectory index: one results/BENCH_trajectory.json row
 # per BENCH_*.json gate, so a PR's whole gate surface reads at a glance.
 python3 - "$PWD/results" <<'PYEOF'

@@ -55,12 +55,13 @@
 #   tier 7  live migration       the migration fault battery (device death
 #                                at each protocol phase leaves every PTE
 #                                classifiable, the context all-or-nothing),
-#                                the det-harness 3-run fingerprint of the
-#                                load-balancing pass migrating, cross-node
-#                                staging, then a --quick skewed-profile smoke
-#                                (load balancing on must at least match
-#                                static placement; the full 1.3x gate runs
-#                                via bench.sh)
+#                                cross-node staging, then a --quick
+#                                skewed-profile smoke (load balancing on
+#                                must at least match static placement; the
+#                                full 1.3x gate is the same loadgen profile,
+#                                run by bench.sh — there is no bench target
+#                                for it; the 3-run replay fingerprint of the
+#                                migrating shape is tier 3's)
 #   tier 8  race detection       mtcheck (debug build, instrumentation
 #                                armed): the DPOR-lite explorer over the
 #                                workspace scenario matrix must pass clean
@@ -215,24 +216,22 @@ if [[ "$tier" == "all" || "$tier" == "6" ]]; then
 fi
 
 if [[ "$tier" == "all" || "$tier" == "7" ]]; then
-    run_tier 7 "live-migration fault battery + replay + skewed smoke"
+    run_tier 7 "live-migration fault battery + staging + skewed smoke"
     cargo build -q --release -p mtgpu-loadgen --bin loadgen
     # Device death at every protocol phase (quiesce/transfer/rebind/
     # resume, source and destination) must leave all PTEs classifiable,
     # the lease book balanced, and the context fully on one side.
     cargo test -q --test fault_matrix \
         live_migration_fault_battery_each_phase_leaves_state_classifiable > /dev/null
-    # Load-balancing-driven migration replay: three runs, one fingerprint.
-    cargo test -q --test deterministic_repro migration_rebalancer -- --exact \
-        migration_rebalancer_fingerprint_stable_across_three_runs > /dev/null
     # Cross-node staging: pointers intact on the new node, failed import
     # leaves the source runnable.
     cargo test -q -p mtgpu-cluster --test stage_migration > /dev/null
     # Skewed smoke: the load-balanced pass must migrate, keep p99, and at
-    # least match static placement (the full 1.3x gate runs via bench.sh).
+    # least match static placement (bench.sh runs this profile in full
+    # against the 1.3x gate).
     ./target/release/loadgen --profile skewed --quick --min-speedup 1.0 \
         --out target/ci-migration-quick.json > /dev/null
-    echo "migration fault battery + replay fingerprint + staging + skewed smoke: ok"
+    echo "migration fault battery + staging + skewed smoke: ok"
 fi
 
 if [[ "$tier" == "all" || "$tier" == "8" ]]; then

@@ -3,34 +3,33 @@
 //!
 //! The figure experiments (`mtgpu-bench`) drive the runtime with one thread
 //! per application, so their *wall-clock numbers* are statistical. This
-//! harness trades concurrency for determinism: it owns a single driver
-//! thread that interleaves per-client CUDA call scripts round-robin, one
-//! call in flight at a time, over a [`Clock::virtual_clock`]. Because the
-//! virtual clock only moves when an operation (or the harness itself)
-//! advances it, and the dispatcher's tie-breaks, workload draws and fault
-//! timeline are all pure functions of the scenario seed, two runs of the
-//! same [`DetScenario`] produce **bit-for-bit identical** runtime metrics,
-//! per-client results and final virtual time — captured as a
-//! [`DetFingerprint`] that tests compare as canonical JSON.
+//! script trades concurrency for determinism: on the sequential harness
+//! ([`SeqHarness`]: one driver thread, a virtual clock, the monitor ticked
+//! by hand) it interleaves per-client CUDA call scripts round-robin, one
+//! call in flight at a time. Because the virtual clock only moves when an
+//! operation (or the script itself) advances it, and the dispatcher's
+//! tie-breaks, workload draws and fault timeline are all pure functions of
+//! the scenario seed, two runs of the same [`DetScenario`] produce
+//! **bit-for-bit identical** runtime metrics, per-client results and final
+//! virtual time — captured as a [`DetFingerprint`] that tests compare as
+//! canonical JSON.
 //!
 //! Faults come from a [`FaultPlan`] polled between steps: device failures
 //! and one-shot context faults are applied to the device layer, transport
 //! drops are applied here by severing the victim client's channel, exactly
 //! what an application crash looks like to the runtime.
 
-use mtgpu_api::{CudaCall, CudaClient, CudaError, FrontendClient, HostBuf, ReplyValue};
-use mtgpu_core::{
-    GpuLease, InProcessChannel, MetricsSnapshot, NodeRuntime, RuntimeConfig, TenantPolicyConfig,
-};
+use mtgpu_api::{CudaCall, CudaClient, CudaError, HostBuf, ReplyValue};
+use mtgpu_core::{GpuLease, MetricsSnapshot, TenantPolicyConfig};
 use mtgpu_gpusim::kernel::{library, KernelExec, RegisteredKernel};
 use mtgpu_gpusim::{
-    DeviceAddr, Driver, FaultKind, FaultPlan, GpuError, GpuSpec, KernelArg, KernelDesc,
-    LaunchConfig, LaunchSpec, Work,
+    DeviceAddr, FaultKind, FaultPlan, GpuError, GpuSpec, KernelArg, KernelDesc, LaunchConfig,
+    LaunchSpec, Work,
 };
-use mtgpu_simtime::{Clock, DetRng, SimDuration};
+use mtgpu_loadgen::SeqHarness;
+use mtgpu_simtime::{DetRng, SimDuration};
 use serde::Serialize;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Name of the harness's verification kernel: XORs a scalar into a buffer.
 pub const DET_KERNEL: &str = "det_xor";
@@ -285,7 +284,7 @@ struct BufState {
 }
 
 struct ClientState {
-    client: Option<FrontendClient<InProcessChannel>>,
+    client: Option<Box<dyn CudaClient>>,
     bufs: Vec<BufState>,
     script: Vec<Op>,
     outcome: ClientOutcome,
@@ -351,39 +350,19 @@ fn build_client(scenario: &DetScenario, i: usize) -> (Vec<BufState>, Vec<Op>) {
     (bufs, script)
 }
 
-/// Blocks (real time) until the runtime's live-context count drops to `n`;
-/// the determinism barrier after a teardown-inducing event.
-fn wait_for_contexts(rt: &NodeRuntime, n: usize) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while rt.context_count() > n {
-        assert!(
-            Instant::now() < deadline,
-            "context teardown did not complete: {} contexts live, want {n}",
-            rt.context_count()
-        );
-        std::thread::sleep(Duration::from_micros(200));
-    }
-}
-
 /// Runs the scenario to completion and digests it. Two calls with an equal
 /// scenario return equal fingerprints — that property *is* the test.
 pub fn run(scenario: DetScenario) -> DetFingerprint {
     register_det_kernels();
-    let clock = Clock::virtual_clock();
-    let driver = Driver::with_devices(clock.clone(), scenario.devices.clone());
-    let mut cfg = RuntimeConfig::default()
-        .with_vgpus(scenario.vgpus_per_device)
-        .with_seed(scenario.seed)
-        .with_background_monitor(false);
+    let mut cfg = SeqHarness::config(scenario.vgpus_per_device, scenario.seed);
     cfg.dynamic_load_balancing = scenario.dynamic_load_balancing;
-    if let Some(policy) = scenario.tenant_policy.clone() {
-        cfg = cfg.with_tenant_policy(policy);
-    }
-    let rt = NodeRuntime::start(Arc::clone(&driver), cfg);
+    cfg.tenant_policy = scenario.tenant_policy.clone();
+    let harness = SeqHarness::start(scenario.devices.clone(), cfg, false);
+    let (clock, rt) = (harness.clock(), harness.runtime());
 
     let mut states: Vec<ClientState> = Vec::with_capacity(scenario.clients);
     for i in 0..scenario.clients {
-        let mut client = rt.local_client();
+        let mut client = harness.client();
         // A context is created with its channel's first call: the immediate
         // roundtrip pins context-id assignment to client order.
         let module = client.register_fat_binary().expect("register module");
@@ -402,13 +381,13 @@ pub fn run(scenario: DetScenario) -> DetFingerprint {
     let mut plan = scenario.plan;
     for step in 0..steps {
         clock.advance(scenario.step_advance);
-        for event in plan.poll(clock.now(), &driver) {
+        for event in plan.poll(clock.now(), rt.driver()) {
             if let FaultKind::TransportDrop { conn } = event.kind {
                 let c = conn as usize;
                 if c < states.len() && states[c].client.take().is_some() {
                     states[c].outcome.dropped = true;
                     live -= 1;
-                    wait_for_contexts(&rt, live);
+                    harness.barrier(live);
                 }
             }
         }
@@ -436,20 +415,19 @@ pub fn run(scenario: DetScenario) -> DetFingerprint {
             if exited {
                 state.client = None;
                 live -= 1;
-                wait_for_contexts(&rt, live);
+                harness.barrier(live);
             }
         }
     }
-    wait_for_contexts(&rt, live);
+    harness.barrier(live);
 
-    let fp = DetFingerprint {
+    let (metrics, final_virtual_nanos) = harness.finish();
+    DetFingerprint {
         seed: scenario.seed,
-        final_virtual_nanos: clock.now().since_epoch().as_nanos(),
-        metrics: rt.metrics(),
+        final_virtual_nanos,
+        metrics,
         clients: states.into_iter().map(|s| s.outcome).collect(),
-    };
-    rt.shutdown();
-    fp
+    }
 }
 
 /// Executes one scripted operation against the client's connection.

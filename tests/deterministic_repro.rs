@@ -331,3 +331,39 @@ fn multiplexed_latency_fingerprint_stable_across_three_runs() {
     let (_, local) = run_det(&DetLoadConfig { transport: DetTransport::Local, ..cfg });
     assert_ne!(a.canonical(), local.canonical());
 }
+
+#[test]
+fn seed42_fingerprints_match_the_pinned_digests() {
+    // What a refactor of the harness or of anything under it must not
+    // move: FNV-1a of each canonical fingerprint at seed 42, captured on
+    // the parent commit of PR 24 (bcf191b) before the three sequential
+    // drivers were put on one harness core. A PR that changes a default on
+    // purpose refreshes them — run this test, copy the printed `got` column
+    // — and lists each fingerprint that moved, and why, in CHANGES.md.
+    fn fnv1a(s: String) -> u64 {
+        s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+    }
+    let mux = DetLoadConfig { transport: DetTransport::Mux, ..DetLoadConfig::default() };
+    let got = [
+        ("fig7_shape", fnv1a(run(DetScenario::fig7_shape(42)).canonical())),
+        ("fig9_shape", fnv1a(run(DetScenario::fig9_shape(42)).canonical())),
+        ("fault_shape", fnv1a(run(DetScenario::fault_shape(42)).canonical())),
+        ("migration_shape", fnv1a(run(DetScenario::migration_shape(42)).canonical())),
+        ("quota_shape", fnv1a(run(DetScenario::quota_shape(42)).canonical())),
+        ("run_det local", fnv1a(run_det(&DetLoadConfig::default()).1.canonical())),
+        ("run_det mux", fnv1a(run_det(&mux).1.canonical())),
+    ];
+    let pinned: [(&str, u64); 7] = [
+        ("fig7_shape", 0xc0ef_d65b_c951_ef0a),
+        ("fig9_shape", 0x8aab_a512_2b3d_f85c),
+        ("fault_shape", 0xfd03_35aa_af4a_7ae4),
+        ("migration_shape", 0x562a_4e43_6069_3c69),
+        ("quota_shape", 0x2805_f843_8214_e7dd),
+        ("run_det local", 0x4a15_0784_51d4_fa12),
+        ("run_det mux", 0x6425_7034_4b45_48d5),
+    ];
+    assert_eq!(
+        got.map(|(n, d)| format!("{n} {d:#018x}")),
+        pinned.map(|(n, d)| format!("{n} {d:#018x}"))
+    );
+}
