@@ -12,6 +12,7 @@
 //! | `reply-vs-retire`   | mux [`ReplySink`]  | `reactor.out.closed`      |
 //! | `lead-vs-follow`    | [`MuxConnection`]  | `mux.demux.leader`        |
 //! | `grant-vs-park`     | gateway + dispatcher | `sched.free`            |
+//! | `inline-vs-visit`   | gateway (reactor + pool) | `mux.chan.scheduled`, `sched.free` |
 //! | `cancel-vs-grant`   | [`BindingManager`] | `sched.free`              |
 //! | `fixture-race`      | seeded fixture     | `fixture.check.cell`      |
 //!
@@ -23,7 +24,8 @@
 
 use mtgpu_api::protocol::{CudaCall, CudaReply, ModuleHandle, MuxFrame, ReplyValue};
 use mtgpu_api::transport::{
-    encode_frame, ByteStream, FrameBuf, MuxConnection, MuxService, ReplyQueue, ReplySink, Transport,
+    encode_frame, ByteStream, FrameBuf, MuxConnection, MuxService, ReplyQueue, ReplySink,
+    Transport, SWEEP_RUN_BUDGET,
 };
 use mtgpu_api::CudaError;
 use mtgpu_core::memory::AllocKind;
@@ -69,7 +71,7 @@ pub fn find(name: &str) -> Option<&'static Scenario> {
     MATRIX.iter().find(|s| s.name == name)
 }
 
-static MATRIX: [Scenario; 10] = [
+static MATRIX: [Scenario; 11] = [
     Scenario {
         name: "dispatcher-churn",
         about: "two contexts churn try_acquire_on/release against one \
@@ -135,6 +137,15 @@ static MATRIX: [Scenario; 10] = [
                 call order",
         expect_clean: true,
         builder: grant_vs_park,
+    },
+    Scenario {
+        name: "inline-vs-visit",
+        about: "the reactor runs a channel's calls itself while a worker \
+                finishes a visit to it (posts, then looks again) and another \
+                tears down the context whose release wakes the channel: one \
+                thread per channel, each call once, replies in call order",
+        expect_clean: true,
+        builder: inline_vs_visit,
     },
     Scenario {
         name: "cancel-vs-grant",
@@ -579,6 +590,92 @@ fn grant_vs_park() -> Vec<Participant> {
                 rt.serve_queued();
                 let m = rt.metrics();
                 assert_eq!(m.launches, 2, "the queued launch ran {} time(s)", m.launches - 1);
+                assert_eq!((m.bindings, m.unbindings), (2, 2));
+                assert_eq!((rt.load().waiting, rt.context_count()), (0, 0));
+            }) as Participant
+        })
+        .collect()
+}
+
+/// Run-to-completion against the pool on one channel (DESIGN.md §12). The
+/// reactor reads three calls of a channel whose visit a worker may still be
+/// finishing — posted its replies, about to look for more — and runs each
+/// itself if it finds the channel idle; the launch among them finds no vGPU
+/// until a second worker tears down the context that holds it, whose release
+/// wakes the channel. Whoever wins each race, the channel is served by one
+/// thread at a time (`scheduled`, read and written under the channel's
+/// lock), every call runs once and the replies keep call order.
+fn inline_vs_visit() -> Vec<Participant> {
+    const WAITER: u64 = 1;
+    const HOG: u64 = 2;
+    let register = || CudaCall::RegisterFunction {
+        module: ModuleHandle(1),
+        kernel: KernelDesc::plain("noop"),
+    };
+    let launch = || CudaCall::Launch {
+        spec: LaunchSpec {
+            kernel: "noop".into(),
+            config: LaunchConfig::default(),
+            args: Vec::new(),
+            work: Work::flops(1.0),
+        },
+    };
+    let malloc = || CudaCall::Malloc { size: 64, kind: AllocKind::Linear };
+    let driver = Driver::with_devices(Clock::virtual_clock(), vec![GpuSpec::test_small()]);
+    let cfg = RuntimeConfig::serialized().with_background_monitor(false);
+    let rt = NodeRuntime::start_poolless(driver, cfg);
+    let waiter = attach_client(&rt.reply_queue(), WAITER);
+    let mut hog = attach_client(&rt.reply_queue(), HOG);
+    // The hog binds the node's only vGPU; then the waiter's first two calls
+    // and the hog's Exit are queued for the pool, unserved.
+    rt.on_request(HOG, 1, 0, register());
+    rt.on_request(HOG, 1, 1, launch());
+    rt.serve_queued();
+    assert!(read_replies(&mut hog, 2).iter().all(|(_, r)| r.is_ok()), "the hog never bound");
+    rt.on_request(WAITER, 1, 0, CudaCall::GetDeviceCount);
+    rt.on_request(WAITER, 1, 1, malloc());
+    rt.on_request(HOG, 1, 2, CudaCall::Exit);
+
+    // The reactor reads one sweep's worth of the waiter's calls while two
+    // workers drain the work queue; the one that leaves last checks (each
+    // holds a handle on the waiter's socket for that).
+    type Body = Box<dyn FnOnce(&NodeRuntime) + Send>;
+    let bodies: [Body; 3] = [
+        Box::new(move |rt| {
+            let mut budget = SWEEP_RUN_BUDGET;
+            for (id, call) in [register(), launch(), malloc()].into_iter().enumerate() {
+                rt.on_sweep_request(WAITER, 1, 2 + id as u64, call, &mut budget);
+            }
+        }),
+        Box::new(|rt| {
+            rt.serve_queued();
+        }),
+        Box::new(|rt| {
+            rt.serve_queued();
+        }),
+    ];
+    let left = Arc::new(AtomicUsize::new(0));
+    bodies
+        .into_iter()
+        .map(|body| {
+            let (rt, left) = (Arc::clone(&rt), Arc::clone(&left));
+            let mut waiter = waiter.try_clone().expect("clone scenario socket");
+            Box::new(move || {
+                body(&rt);
+                if left.fetch_add(1, Ordering::SeqCst) < 2 {
+                    return;
+                }
+                // What a wake left queued is served; then the waiter's
+                // replies are read, in call order, each once.
+                while rt.serve_queued() > 0 {}
+                let replies = read_replies(&mut waiter, 5);
+                assert!(replies.iter().map(|(id, _)| *id).eq(0..5), "call order: {replies:?}");
+                assert!(matches!(replies[3].1, Ok(ReplyValue::LaunchDone { .. })), "{replies:?}");
+                assert!(matches!(replies[4].1, Ok(ReplyValue::Ptr(_))), "{replies:?}");
+                rt.on_request(WAITER, 1, 5, CudaCall::Exit);
+                rt.serve_queued();
+                let m = rt.metrics();
+                assert_eq!(m.launches, 2, "the waiter's launch ran {} time(s)", m.launches - 1);
                 assert_eq!((m.bindings, m.unbindings), (2, 2));
                 assert_eq!((rt.load().waiting, rt.context_count()), (0, 0));
             }) as Participant

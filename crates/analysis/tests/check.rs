@@ -7,7 +7,7 @@
 use mtgpu_analysis::check::{explore, parse_schedule_id, scenarios, schedule_id};
 
 #[test]
-fn matrix_has_nine_clean_scenarios_plus_the_fixture() {
+fn matrix_has_ten_clean_scenarios_plus_the_fixture() {
     let clean: Vec<_> =
         scenarios::all().iter().filter(|s| s.expect_clean).map(|s| s.name).collect();
     assert_eq!(
@@ -21,6 +21,7 @@ fn matrix_has_nine_clean_scenarios_plus_the_fixture() {
             "reply-vs-retire",
             "lead-vs-follow",
             "grant-vs-park",
+            "inline-vs-visit",
             "cancel-vs-grant"
         ]
     );
@@ -83,6 +84,11 @@ fn pinned_schedules_stay_clean_and_replay_identically() {
         ("lead-vs-follow", "s:0.1.0.1.0.0.1.1.1"),
         // The releasing visit overtakes the queueing one at its start.
         ("grant-vs-park", "s:1.1.1"),
+        // A worker serves the waiter's queued calls and lets the channel go;
+        // the reactor then runs the next two itself, the launch finds the
+        // hog still bound and waits in the dispatcher, and the hog's
+        // teardown wakes the channel for the pool.
+        ("inline-vs-visit", "s:1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1"),
         // The late arrival polls before the release, the cancel goes last.
         ("cancel-vs-grant", "s:2.0.2"),
     ];
@@ -159,6 +165,37 @@ fn schedule_ids_round_trip_through_the_report() {
             run.fingerprint, sched.fingerprint,
             "{}: recorded fingerprint must replay bit-for-bit",
             sched.id
+        );
+    }
+}
+
+/// Run-to-completion against a visit (DESIGN.md §12), swept: a worker
+/// (participant 1) runs `k` segments before the reactor (0) reads its three
+/// calls, then everyone runs in id order. Small `k` puts the reactor's reads
+/// inside the worker's visit — before it pops, between its calls, in the
+/// window after it posts and before it looks again — where the reactor must
+/// queue behind it; from `k` ≈ 14 the channel is idle and the reactor runs
+/// the calls itself, its launch waiting in the dispatcher for the hog's
+/// teardown until `k` ≈ 28 and binding at once after. Every cut must keep
+/// one thread per channel, each call once and call order.
+#[test]
+fn inline_vs_visit_holds_wherever_the_reactor_cuts_into_the_visit() {
+    const REACTOR: u32 = 0;
+    const WORKER: u32 = 1;
+    let scn = scenarios::find("inline-vs-visit").unwrap();
+    for k in 0..64 {
+        let mut schedule = vec![WORKER; k];
+        schedule.extend(std::iter::repeat_n(REACTOR, 256));
+        let run = explore::replay(scn, &schedule);
+        let pin: Vec<u32> = run.decisions.iter().map(|d| d.chosen).collect();
+        assert!(
+            run.clean(),
+            "k={k} ({}): {:?} {:?} {:?} stalled={}",
+            schedule_id(&pin),
+            run.races,
+            run.deadlock,
+            run.panics,
+            run.stalled
         );
     }
 }

@@ -48,6 +48,11 @@ impl ContextImage {
     pub fn declared_bytes(&self) -> u64 {
         self.entries.iter().map(|e| e.size).sum()
     }
+
+    /// Host bytes the image carries: each entry's materialized data.
+    pub fn data_bytes(&self) -> usize {
+        self.entries.iter().map(|e| e.data.len()).sum()
+    }
 }
 
 /// Handle to a registered fat binary (module).
@@ -181,11 +186,6 @@ pub enum ReplyValue {
 pub type CudaReply = Result<ReplyValue, CudaError>;
 
 impl CudaCall {
-    /// Calls that require the context to be bound to a (virtual) GPU.
-    pub fn requires_binding(&self) -> bool {
-        matches!(self, CudaCall::Launch { .. })
-    }
-
     /// A short name for tracing.
     pub fn name(&self) -> &'static str {
         match self {
@@ -220,21 +220,6 @@ impl CudaCall {
 mod tests {
     use super::*;
     use crate::wire::{decode_exact, Wire};
-    use mtgpu_gpusim::{KernelArg, Work};
-
-    #[test]
-    fn only_a_launch_requires_a_binding() {
-        let launch = CudaCall::Launch {
-            spec: LaunchSpec {
-                kernel: "k".into(),
-                config: LaunchConfig::default(),
-                args: vec![KernelArg::Scalar(1)],
-                work: Work::flops(1.0),
-            },
-        };
-        assert!(launch.requires_binding());
-        assert!(!CudaCall::Checkpoint.requires_binding());
-    }
 
     #[test]
     fn wire_roundtrip() {

@@ -20,7 +20,7 @@ pub use frame::{encode_frame, read_frame, write_frame, FrameBuf, MAX_FRAME_BYTES
 pub use mux::{ByteStream, MuxChannel, MuxConnection, MuxPool};
 pub use reactor::{
     spawn_reactor, ConnId, MuxService, ReactorConfig, ReactorHandle, ReactorStats, ReplyQueue,
-    ReplySink,
+    ReplySink, SWEEP_RUN_BUDGET,
 };
 
 use crate::client::CudaClient;

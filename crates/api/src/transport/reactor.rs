@@ -11,8 +11,8 @@
 //! reactor hears about a reply only when the socket would not take all of
 //! it (it then flushes the rest on `POLLOUT`) or the write failed (it then
 //! retires the connection), so the common reply costs no thread hand-off.
-//! Replies the reactor thread posts itself (a service answering inside
-//! `on_request`) wait for the end of that connection's read sweep.
+//! Replies the reactor thread posts itself (a service answering inside the
+//! request hook) wait for the end of that connection's read sweep.
 //!
 //! A sink also serves connections that have no socket: an *in-process*
 //! connection ([`ReplySink::open_in_process`]) is an entry in the same
@@ -22,8 +22,8 @@
 //!
 //! Lock order: the sink's connection table, then one connection's outbound
 //! half; the table is never held while writing, and the reactor holds
-//! neither across [`MuxService::on_request`], so a service may reply from
-//! inside it.
+//! neither across [`MuxService::on_sweep_request`], so a service may reply
+//! from inside it.
 //!
 //! The loop blocks in `poll(2)` — called directly through the C runtime the
 //! process already links, no crate needed — so ten thousand idle
@@ -126,12 +126,22 @@ pub type ConnId = u64;
 /// counting accepts from 1, ever hands out.
 const FIRST_IN_PROCESS: ConnId = 1 << 63;
 
+/// Calls of one read sweep a service may run on the reactor thread (two fit
+/// a launch's two frames; EXPERIMENTS.md, *Run-to-completion on the reactor*).
+pub const SWEEP_RUN_BUDGET: usize = 4;
+
 /// What the reactor calls into when frames arrive. Implemented by the
-/// runtime's multiplex gateway; `on_request` runs on the reactor thread and
-/// must not block (it enqueues and returns).
+/// runtime's multiplex gateway; the request hooks run on the reactor thread,
+/// never wait on another thread and may answer the call before they return.
 pub trait MuxService: Send + Sync {
     /// One decoded request. Replies go back through the [`ReplySink`].
     fn on_request(&self, conn: ConnId, chan: u64, id: u64, call: CudaCall);
+
+    /// The same, with the sweep's budget left: the service may run the call
+    /// here while `*budget` > 0, taking one when it does. Default: never.
+    fn on_sweep_request(&self, conn: ConnId, chan: u64, id: u64, call: CudaCall, _: &mut usize) {
+        self.on_request(conn, chan, id, call)
+    }
 
     /// The connection closed (peer hangup, protocol violation or shed):
     /// tear down every context its channels own. Replies that complete
@@ -285,8 +295,8 @@ impl Shared {
     }
 }
 
-/// Where completed replies go: straight onto their connection's socket.
-/// Cloneable; workers hold one each.
+/// Where completed replies go: straight onto their connection's socket, from
+/// the thread that completed the call. Cloneable.
 #[derive(Clone)]
 pub struct ReplySink {
     shared: Arc<Shared>,
@@ -444,6 +454,9 @@ pub struct ReactorStats {
     pub accepted: AtomicU64,
     /// Requests decoded and handed to the service.
     pub requests: AtomicU64,
+    /// Of those, the ones the service ran on the reactor thread itself: the
+    /// sweep budget it spent ([`MuxService::on_sweep_request`]).
+    pub ran_inline: AtomicU64,
     /// Replies encoded and queued outbound.
     pub replies: AtomicU64,
     /// Connections shed for an incomplete frame past the deadline.
@@ -570,11 +583,12 @@ fn sweep_conn(
     max_outbuf: usize,
 ) -> Result<(), CloseReason> {
     conn.out.lock().corked = Some(std::thread::current().id());
+    let mut budget = SWEEP_RUN_BUDGET;
     let swept = loop {
         match conn.framebuf.read_from(&mut &*conn.stream) {
             Ok(0) => break Err(CloseReason::Peer),
             Ok(_) => {
-                if let Some(reason) = drain_frames(id, conn, service, stats) {
+                if let Some(reason) = drain_frames(id, conn, service, stats, &mut budget) {
                     break Err(reason);
                 }
                 if conn.framebuf.read_short() {
@@ -586,6 +600,7 @@ fn sweep_conn(
             Err(_) => break Err(CloseReason::Peer),
         }
     };
+    stats.ran_inline.fetch_add((SWEEP_RUN_BUDGET - budget) as u64, Ordering::Relaxed);
     let mut out = conn.out.lock();
     out.corked = None;
     if swept.is_ok() && !*out.closed {
@@ -756,12 +771,13 @@ fn drain_frames(
     conn: &mut Conn,
     service: &dyn MuxService,
     stats: &ReactorStats,
+    budget: &mut usize,
 ) -> Option<CloseReason> {
     loop {
         match conn.framebuf.next_frame::<MuxFrame>() {
             Ok(Some(MuxFrame::Request { chan, id: req_id, call })) => {
                 // The out lock covers the ID set only: the service may
-                // reply from inside `on_request`, which takes it again.
+                // reply from inside the hook, which takes it again.
                 let fresh = conn.out.lock().inflight.insert(req_id);
                 if !fresh {
                     // Duplicate in-flight request ID: the demux contract is
@@ -770,7 +786,7 @@ fn drain_frames(
                     return Some(CloseReason::Protocol);
                 }
                 stats.requests.fetch_add(1, Ordering::Relaxed);
-                service.on_request(id, chan, req_id, call);
+                service.on_sweep_request(id, chan, req_id, call, budget);
             }
             Ok(Some(MuxFrame::Response { .. })) => {
                 // Clients do not answer; a "response" here is hostile.

@@ -19,6 +19,7 @@ use mtgpu_cluster::ClusterNode;
 use mtgpu_core::RuntimeConfig;
 use mtgpu_gpusim::GpuSpec;
 use mtgpu_simtime::Clock;
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 fn gpu_by_name(name: &str) -> Result<GpuSpec, String> {
@@ -132,12 +133,14 @@ fn main() {
     loop {
         // mtlint: allow(thread-sleep, reason = "daemon load-report cadence in real wall time; the daemon serves live TCP clients and is never replayed")
         std::thread::sleep(Duration::from_secs(5));
-        let load = node.runtime().load();
+        let (load, wire) = (node.runtime().load(), node.mux_stats().expect("listening node"));
         eprintln!(
-            "[node] contexts={} bound={} waiting={} launches={}",
+            "[node] contexts={} bound={} waiting={} wire_calls={} on_reactor={} launches={}",
             load.contexts,
             load.bound,
             load.waiting,
+            wire.requests.load(Ordering::Relaxed),
+            wire.ran_inline.load(Ordering::Relaxed),
             node.metrics().launches
         );
     }

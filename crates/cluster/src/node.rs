@@ -234,6 +234,40 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_launch_work_is_refused_and_the_reactor_keeps_serving() {
+        // The reactor weighs a launch's work to decide where it runs before
+        // the guard has looked at it: infinite work must weigh as "too long
+        // for the reactor", not overflow, and the guard then refuses it.
+        let node = ClusterNode::start(
+            "n0".into(),
+            Clock::with_scale(1e-7),
+            vec![GpuSpec::test_small()],
+            RuntimeConfig::paper_default(),
+            true,
+        );
+        let pool = node.mux_pool(1).unwrap();
+        let mut hostile = FrontendClient::new(pool.channel());
+        let mut sibling = FrontendClient::new(pool.channel());
+        for flops in [f64::INFINITY, f64::NAN, f64::MAX] {
+            let spec = mtgpu_gpusim::LaunchSpec {
+                kernel: "k".into(),
+                config: mtgpu_gpusim::LaunchConfig::default(),
+                args: Vec::new(),
+                work: mtgpu_gpusim::Work { flops, bytes: f64::INFINITY },
+            };
+            assert!(matches!(
+                hostile.call(mtgpu_api::CudaCall::Launch { spec }),
+                Err(mtgpu_api::CudaError::MalformedDescriptor(_))
+            ));
+        }
+        assert_eq!(node.metrics().descriptor_rejections, 3);
+        assert_eq!(sibling.get_device_count().unwrap(), 4);
+        hostile.exit().unwrap();
+        sibling.exit().unwrap();
+        node.shutdown();
+    }
+
+    #[test]
     fn non_listening_node_has_no_endpoint() {
         let node = ClusterNode::start(
             "n0".into(),

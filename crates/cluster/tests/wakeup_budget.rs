@@ -6,11 +6,15 @@
 //! process belongs to the one node a case starts.
 #![cfg(target_os = "linux")]
 
-use mtgpu_api::CudaClient;
+use mtgpu_api::protocol::{AllocKind, CudaCall, ReplyValue};
+use mtgpu_api::transport::SWEEP_RUN_BUDGET;
+use mtgpu_api::{CudaClient, Transport};
 use mtgpu_cluster::ClusterNode;
+use mtgpu_core::mux::VISIT_BUDGET;
 use mtgpu_core::RuntimeConfig;
 use mtgpu_gpusim::{GpuSpec, KernelDesc, LaunchConfig, LaunchSpec, Work};
 use mtgpu_simtime::Clock;
+use std::sync::atomic::Ordering;
 use std::sync::{Barrier, Mutex};
 
 /// One case at a time: the counters below are per process.
@@ -61,13 +65,20 @@ fn assert_no_reader_thread() {
     assert_eq!(readers, 0, "a client connection has a thread again");
 }
 
+/// Requests the node's reactor has read so far, and how many of them it ran
+/// itself.
+fn wire_calls(node: &ClusterNode) -> (u64, u64) {
+    let stats = node.mux_stats().expect("a listening node");
+    (stats.requests.load(Ordering::Relaxed), stats.ran_inline.load(Ordering::Relaxed))
+}
+
 /// Times the calling thread has gone to sleep so far.
 fn own_switches() -> u64 {
     switches_of(std::path::Path::new("/proc/thread-self"), "").expect("the calling thread")
 }
 
 #[test]
-fn an_eager_launch_puts_caller_reactor_and_one_worker_to_sleep_once_each() {
+fn an_eager_launch_puts_caller_and_reactor_to_sleep_once_each_and_no_worker() {
     const LAUNCHES: u64 = 2_000;
     let _alone = ONE_NODE.lock().unwrap_or_else(|e| e.into_inner());
     let node = node();
@@ -85,6 +96,7 @@ fn an_eager_launch_puts_caller_reactor_and_one_worker_to_sleep_once_each() {
         client.launch(spec.clone()).unwrap();
     }
 
+    let before = wire_calls(&node);
     let (workers, reactor, caller) =
         (voluntary_switches("mux-worker-"), voluntary_switches("mux-reactor-"), own_switches());
     for _ in 0..LAUNCHES {
@@ -93,36 +105,97 @@ fn an_eager_launch_puts_caller_reactor_and_one_worker_to_sleep_once_each() {
     let caller = own_switches() - caller;
     let workers = voluntary_switches("mux-worker-") - workers;
     let reactor = voluntary_switches("mux-reactor-") - reactor;
+    let after = wire_calls(&node);
 
-    // One launch is two frames in one write: one poll wake-up, one worker
-    // hand-off, replies written by the worker and read by the caller
-    // itself — there is no thread per connection to pass them on. Before
-    // the hand-offs were made targeted the eight-plus workers slept ≈16
-    // times per launch.
+    // One launch is two frames in one write: one poll wake-up, and the
+    // reactor runs both calls itself and writes both replies in one go,
+    // which the caller reads itself — no worker, and no thread per
+    // connection to pass them on. Through a worker it was one sleep per
+    // launch more; before the hand-offs were targeted, the
+    // eight-plus workers slept ≈16 times per launch.
     let per_launch = |n: u64| n as f64 / LAUNCHES as f64;
+    let (calls, inline) = (after.0 - before.0, after.1 - before.1);
     assert_no_reader_thread();
     assert!(
-        caller <= 2 * LAUNCHES,
+        per_launch(caller) <= 1.2,
         "{:.2} caller sleeps per launch — is its reply handed over by another thread again?",
         per_launch(caller)
     );
     assert!(
-        workers <= 2 * LAUNCHES,
-        "{:.2} worker sleeps per launch — is the work queue waking the whole pool again?",
+        per_launch(workers) <= 0.1,
+        "{:.2} worker sleeps per launch — is the reactor handing launches to the pool again?",
         per_launch(workers)
     );
     assert!(
-        reactor <= 2 * LAUNCHES,
-        "{:.2} reactor sleeps per launch — are replies going through the reactor again?",
+        per_launch(reactor) <= 1.2,
+        "{:.2} reactor sleeps per launch — is the reactor woken to write replies again?",
         per_launch(reactor)
     );
+    assert_eq!(calls, 2 * LAUNCHES);
+    assert!(inline * 100 >= calls * 99, "the reactor ran {inline} of {calls} calls itself");
     println!(
-        "per launch: {:.2} caller sleeps, {:.2} worker sleeps, {:.2} reactor sleeps",
+        "per launch: {:.2} caller sleeps, {:.2} worker sleeps, {:.2} reactor sleeps; \
+         {inline} of {calls} calls run on the reactor",
         per_launch(caller),
         per_launch(workers),
         per_launch(reactor)
     );
     client.exit().unwrap();
+    node.shutdown();
+}
+
+/// A pipelined flush longer than the reactor's burst bound K: the reactor
+/// runs the first [`SWEEP_RUN_BUDGET`] calls of the sweep itself and hands
+/// the channel to the pool, whose visits take [`VISIT_BUDGET`] calls each,
+/// and the calls run in call order (each malloc's address is above the one
+/// before it). A flush queued whole costs ⌈(n − K) / `VISIT_BUDGET`⌉
+/// hand-offs, each waking one worker that sleeps again once; that count is
+/// pinned exactly where the test plays the pool (`mux.rs`,
+/// `reactor_runs_the_head_of_a_long_flush_and_the_pool_the_rest_in_order`).
+/// Here a visit races the reactor still decoding the flush, may drain the
+/// FIFO, let go and be handed the channel again: release builds read 3–4
+/// worker sleeps a flush, debug builds, whose decoding is slow next to a
+/// worker's malloc, about 10. The test holds them to a quarter of the 156
+/// that a hand-off per call would cost.
+#[test]
+fn a_flush_past_the_burst_bound_costs_one_hand_off_per_visit_budget_and_keeps_order() {
+    const CALLS: usize = 160; // a full client pipeline
+    const FLUSHES: u64 = 200;
+    let _alone = ONE_NODE.lock().unwrap_or_else(|e| e.into_inner());
+    let hand_offs = (CALLS - SWEEP_RUN_BUDGET).div_ceil(VISIT_BUDGET) as u64;
+    let node = node();
+    let pool = node.mux_pool(1).unwrap();
+    let mut chan = pool.channel();
+    let malloc = || CudaCall::Malloc { size: 64, kind: AllocKind::Linear };
+    let mut flush = |last: &mut u64| {
+        for reply in chan.roundtrip_batch(vec![malloc(); CALLS]) {
+            let Ok(ReplyValue::Ptr(ptr)) = reply else { panic!("malloc failed: {reply:?}") };
+            assert!(ptr.0 > *last, "{ptr:?} allocated after {last:#x}: calls ran out of order");
+            *last = ptr.0;
+        }
+    };
+    let mut last = 0;
+    flush(&mut last);
+
+    let ((_, before), workers) = (wire_calls(&node), voluntary_switches("mux-worker-"));
+    for _ in 0..FLUSHES {
+        flush(&mut last);
+    }
+    let workers = voluntary_switches("mux-worker-") - workers;
+    let inline = wire_calls(&node).1 - before;
+    println!(
+        "per flush of {CALLS}: {:.2} worker sleeps ({hand_offs} hand-offs if queued whole), {:.2} calls on the reactor",
+        workers as f64 / FLUSHES as f64,
+        inline as f64 / FLUSHES as f64
+    );
+    let per_call = (CALLS - SWEEP_RUN_BUDGET) as u64 * FLUSHES;
+    assert!(4 * workers <= per_call, "{workers} worker sleeps in {FLUSHES} flushes");
+    // At most K a flush, and K of most: one that arrives before the last
+    // visit has let go of the channel is the pool's from its first call.
+    let burst = SWEEP_RUN_BUDGET as u64 * FLUSHES;
+    assert!(burst / 2 <= inline && inline <= burst, "{inline} calls on the reactor");
+    drop(chan);
+    drop(pool);
     node.shutdown();
 }
 

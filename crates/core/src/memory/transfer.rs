@@ -88,7 +88,8 @@ fn run_op(gpu: &Gpu, gpu_ctx: GpuContextId, op: &TransferOp<'_>, lane: usize) ->
 ///
 /// With one lane (or one op) the plan runs inline on the calling thread —
 /// the serial path pays no synchronization at all, which keeps the
-/// single-engine C1060 at parity with the pre-pipelining code. With more,
+/// single-engine C1060 at parity with the pre-pipelining code — and so does
+/// a plan on a device the calling thread holds ([`Gpu::try_hold`]). With more,
 /// lane 0 runs on the calling thread and lanes 1.. on scoped threads; every
 /// lane issues its ops in plan order, so placement is canonical (op `i` →
 /// lane `i % lanes`).
@@ -113,8 +114,11 @@ pub fn execute(
     if ops.is_empty() {
         return (Vec::new(), shape);
     }
-    if lanes == 1 {
-        let outcomes = ops.iter().map(|op| run_op(gpu, gpu_ctx, op, 0)).collect();
+    // A device the calling thread holds would queue the other lanes' threads
+    // behind the hold: its plan runs here, each op still on its own lane.
+    if lanes == 1 || gpu.held_here() {
+        let outcomes =
+            ops.iter().enumerate().map(|(i, op)| run_op(gpu, gpu_ctx, op, i % lanes)).collect();
         return (outcomes, shape);
     }
     let mut outcomes: Vec<Option<TransferOutcome>> = Vec::new();
@@ -232,6 +236,21 @@ mod tests {
             pipelined.as_secs_f64() < serial.as_secs_f64() * 0.75,
             "2 lanes should overlap: serial {serial:?} pipelined {pipelined:?}"
         );
+    }
+
+    #[test]
+    fn a_held_device_runs_a_pipelined_plan_on_the_holders_thread_on_the_same_lanes() {
+        let gpu = gpu_with(GpuSpec::tesla_c2050(), 1e-7);
+        let ctx = gpu.create_context().unwrap();
+        let ops = upload_plan(&gpu, ctx, 5, 4096);
+        let hold = gpu.try_hold().expect("an idle device");
+        let (outs, shape) = execute(&gpu, ctx, &ops, 2);
+        drop(hold);
+        assert!(outs.iter().all(|o| o.result.is_ok()));
+        assert_eq!(shape.lanes, 2);
+        // Ops 0, 2, 4 on lane 0 and 1, 3 on lane 1, as on two threads.
+        let busy = gpu.engine_busy_times();
+        assert_eq!(busy[0] * 2, busy[1] * 3);
     }
 
     #[test]

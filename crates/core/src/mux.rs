@@ -4,22 +4,21 @@
 //! peers relaying a stream) or opened in-process
 //! ([`NodeRuntime::local_client`]: tests, figures, the deterministic
 //! harness). Both carry *channels* — (connection, chan) pairs, each backed
-//! by one [`AppContext`] — and both are served here, by a fixed worker pool
-//! the runtime owns. Each arriving call ([`MuxService::on_request`] on the
-//! reactor thread, [`InProcessChannel`] on the client's) is queued on its
-//! channel's FIFO and the channel marked runnable. Workers pull runnable
-//! channels off a global work queue and *visit* them: a visit executes the
-//! channel's queued calls in order, each under the context's service lock,
-//! up to [`VISIT_BUDGET`], and posts the visit's replies as one batch
-//! through the [`ReplySink`] — onto the connection's socket, or into the
-//! in-process client's channel — so a pipelined flush costs one work-queue
-//! hand-off and one reply post, not one per call.
+//! by one [`AppContext`] — and both are served here. Each arriving call
+//! (on the reactor thread, or [`InProcessChannel`] on the client's) is
+//! queued on its channel's FIFO and the channel *visited*: its calls run in
+//! order, each under the context's service lock, up to [`VISIT_BUDGET`],
+//! and their replies posted as one batch through the [`ReplySink`]. A wire
+//! call that finds its channel idle is visited by the thread that read it
+//! (§4.3), the reactor, within [`submit`]'s rule; any other runnable channel
+//! goes on a work queue for the runtime's fixed worker pool, so a pipelined
+//! flush costs one hand-off and one reply post, not one per call.
 //!
 //! Three invariants keep this sound:
 //!
-//! 1. **Per-channel ordering.** A channel is on the work queue at most once
-//!    (`scheduled` flag, mutated only under the channel's queue lock), and a
-//!    worker lets go of it only after its visit's replies are posted — so
+//! 1. **Per-channel ordering.** A channel is taken by one thread at a time
+//!    (`scheduled` flag, mutated only under the channel's queue lock), and
+//!    its visitor lets go of it only after the visit's replies are posted — so
 //!    calls of one channel execute, and their replies reach the client, in
 //!    arrival order, exactly like a connection of its own, while different
 //!    channels proceed in parallel.
@@ -78,7 +77,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use mtgpu_api::protocol::{CudaCall, CudaReply, ReplyValue};
 use mtgpu_api::transport::{ConnId, MuxService, ReplyQueue, ReplySink, Transport};
 use mtgpu_api::CudaError;
-use mtgpu_simtime::{lock_rank, RankedMutex};
+use mtgpu_simtime::{lock_rank, RankedMutex, Shadow};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Instant;
@@ -92,12 +91,12 @@ const SPARE_WORKERS: usize = 4;
 /// pipelined flush are one visit; small enough that a channel with a deep
 /// FIFO cannot keep a worker from the channels queued behind it. A constant
 /// because nothing in the tree wants a second value.
-const VISIT_BUDGET: usize = 64;
+pub const VISIT_BUDGET: usize = 64;
 
 /// Most reply payload one visit holds back before it posts what it has, so
 /// a run of bulk `MemcpyD2H`s leaves every few of them instead of sitting in
 /// the worker (then, all at once, under the out lock) until the visit ends.
-const VISIT_REPLY_BYTES: usize = 256 << 10;
+pub(crate) const VISIT_REPLY_BYTES: usize = 256 << 10;
 
 /// A channel's key: (connection, channel-on-that-connection).
 type ChanKey = (ConnId, u64);
@@ -108,8 +107,8 @@ struct ChanQueue {
     calls: VecDeque<(u64, CudaCall)>,
     /// Whether the channel is taken: on the work queue, being visited,
     /// waiting in the dispatcher for its wake or with the retry timer (at
-    /// most one of them).
-    scheduled: bool,
+    /// most one of them). Clear only while `calls` is empty.
+    scheduled: Shadow<bool>,
 }
 
 /// One channel: an application context plus its call FIFO.
@@ -122,8 +121,9 @@ struct ChannelState {
 }
 
 impl ChannelState {
-    fn new(ctx: Arc<AppContext>, queue: ChanQueue, holds_slot: bool) -> Arc<ChannelState> {
-        let queue = RankedMutex::new(lock_rank::CHAN_QUEUE, queue);
+    fn new(ctx: Arc<AppContext>, calls: VecDeque<(u64, CudaCall)>, holds_slot: bool) -> Arc<Self> {
+        let scheduled = Shadow::new("mux.chan.scheduled", !calls.is_empty());
+        let queue = RankedMutex::new(lock_rank::CHAN_QUEUE, ChanQueue { calls, scheduled });
         Arc::new(ChannelState { ctx, queue, holds_slot })
     }
 }
@@ -185,7 +185,7 @@ impl RelayedChannel {
         let first = (self.awaiting.take().expect("the first call is unanswered"), first);
         let forwarded = std::iter::from_fn(|| self.calls.try_recv().ok());
         let calls = std::iter::once(first).chain(forwarded).collect();
-        let state = ChannelState::new(ctx, ChanQueue { calls, scheduled: true }, true);
+        let state = ChannelState::new(ctx, calls, true);
         channels.insert(self.key, Chan::Local(state));
         drop(channels);
         let _ = rt.gateway().workq.send(WorkItem::Chan(self.key));
@@ -346,13 +346,16 @@ impl NodeRuntime {
 }
 
 /// Queues one call on its channel — created, and its §4.7 placement decided,
-/// with its first call — and makes the channel runnable. Never blocks:
-/// context creation is a bounded map-insert + registry insert, plus, for a
-/// channel this node offloads, one thread spawn (the connect is that
-/// thread's). `wire` says the call came through the reactor, which is what
-/// the `mux_*` counters count.
-fn submit(rt: &NodeRuntime, key: ChanKey, id: u64, call: CudaCall, wire: bool) {
+/// with its first call — and makes the channel runnable. Never waits on
+/// another thread: context creation is a bounded map-insert + registry
+/// insert, plus one thread spawn for a channel this node offloads. `budget`
+/// is what the reactor's sweep has left for a wire call (`None`: an
+/// in-process one, which the `mux_*` counters skip); the reactor visits the
+/// channel itself if it is idle, the budget not spent and
+/// [`service::fits_on_reactor`] admits the call.
+fn submit(rt: &NodeRuntime, key: ChanKey, id: u64, call: CudaCall, budget: Option<&mut usize>) {
     let g = rt.gateway();
+    let wire = budget.is_some();
     if rt.is_shutdown() {
         // The pool is stopping: nobody would serve the call.
         return g.sink.reply(key.0, id, Err(CudaError::Disconnected));
@@ -385,20 +388,22 @@ fn submit(rt: &NodeRuntime, key: ChanKey, id: u64, call: CudaCall, wire: bool) {
                     let relayed = RelayedChannel { rt: rt.me(), key, calls, sink, awaiting };
                     return rt.offload(ctx, relayed, call);
                 }
-                let queue = ChanQueue { calls: VecDeque::new(), scheduled: false };
-                let state = ChannelState::new(ctx, queue, holds_slot);
+                let state = ChannelState::new(ctx, VecDeque::new(), holds_slot);
                 channels.insert(key, Chan::Local(Arc::clone(&state)));
                 state
             }
         }
     };
-    let schedule = {
+    let here = budget.filter(|left| **left > 0 && service::fits_on_reactor(rt, &state.ctx, &call));
+    let idle = {
         let mut q = state.queue.lock();
         q.calls.push_back((id, call));
-        !std::mem::replace(&mut q.scheduled, true)
+        !std::mem::replace(&mut *q.scheduled, true)
     };
-    if schedule {
-        let _ = g.workq.send(WorkItem::Chan(key));
+    match here {
+        Some(left) if idle => serve_channel(rt, key, Some(left)),
+        _ if idle => drop(g.workq.send(WorkItem::Chan(key))),
+        _ => {}
     }
 }
 
@@ -425,10 +430,14 @@ fn disconnect(rt: &NodeRuntime, conn: ConnId) {
 }
 
 impl MuxService for NodeRuntime {
+    /// No budget: the call is the pool's (the path tests playing worker drive).
     fn on_request(&self, conn: ConnId, chan: u64, id: u64, call: CudaCall) {
-        // Runs on the reactor thread: enqueue and get out.
+        self.on_sweep_request(conn, chan, id, call, &mut 0);
+    }
+
+    fn on_sweep_request(&self, conn: ConnId, chan: u64, id: u64, call: CudaCall, left: &mut usize) {
         RuntimeMetrics::bump(&self.metrics_ref().mux_requests);
-        submit(self, (conn, chan), id, call, true);
+        submit(self, (conn, chan), id, call, Some(left));
     }
 
     fn on_disconnect(&self, conn: ConnId) {
@@ -457,7 +466,7 @@ impl InProcessChannel {
 impl Transport for InProcessChannel {
     fn roundtrip(&mut self, call: CudaCall) -> CudaReply {
         self.next_id += 1;
-        submit(&self.rt, (self.conn, 0), self.next_id, call, false);
+        submit(&self.rt, (self.conn, 0), self.next_id, call, None);
         // Replies come in call order; a closed channel is a hang-up (the
         // runtime shut down).
         self.replies.recv().unwrap_or(Err(CudaError::Disconnected))
@@ -502,7 +511,7 @@ fn retire(rt: &NodeRuntime, state: &ChannelState) {
 fn bulk_bytes(reply: &CudaReply) -> usize {
     match reply {
         Ok(ReplyValue::Bytes(buf)) => buf.payload.len(),
-        Ok(ReplyValue::Image(image)) => image.entries.iter().map(|e| e.data.len()).sum(),
+        Ok(ReplyValue::Image(image)) => image.data_bytes(),
         _ => 0,
     }
 }
@@ -533,14 +542,18 @@ fn serve_item(rt: &NodeRuntime, item: WorkItem) -> bool {
                 retire(rt, &state);
             }
         }
-        WorkItem::Chan(key) => serve_channel(rt, key),
+        WorkItem::Chan(key) => serve_channel(rt, key, None),
     }
     true
 }
 
 /// One visit to a runnable channel: executes its queued calls in order, up
-/// to [`VISIT_BUDGET`], and posts their replies as one batch.
-fn serve_channel(rt: &NodeRuntime, key: ChanKey) {
+/// to [`VISIT_BUDGET`], and posts their replies as one batch. The reactor's
+/// visit (one call, `sweep` the budget it takes one from when it runs it)
+/// waits neither for the service lock nor for a device: held elsewhere (a
+/// victim swap, a migration's quiesce, another channel's kernel), the call
+/// goes to the pool.
+fn serve_channel(rt: &NodeRuntime, key: ChanKey, mut sweep: Option<&mut usize>) {
     let g = rt.gateway();
     let state = match g.channels.lock().get(&key) {
         Some(Chan::Local(state)) => Arc::clone(state),
@@ -548,6 +561,12 @@ fn serve_channel(rt: &NodeRuntime, key: ChanKey) {
         _ => return,
     };
     let conn = key.0;
+    // Before a visit lets go of a channel whose head call cannot run now:
+    // the call back at the head (ordering!), then what it did answered.
+    let put_back = |call, replies| {
+        state.queue.lock().calls.push_front(call);
+        g.sink.reply_batch(conn, replies);
+    };
     let mut replies: Vec<(u64, CudaReply)> = Vec::new();
     let mut held_bytes = 0;
     let mut served = 0;
@@ -556,10 +575,10 @@ fn serve_channel(rt: &NodeRuntime, key: ChanKey) {
             let mut q = state.queue.lock();
             let head = q.calls.pop_front();
             // The channel goes idle only with nothing left to post: while
-            // `scheduled` is set no other worker can execute its next call
+            // `scheduled` is set no other thread can execute its next call
             // and get that reply to the client ahead of this visit's.
             if head.is_none() && replies.is_empty() {
-                q.scheduled = false;
+                *q.scheduled = false;
             }
             head
         };
@@ -573,28 +592,27 @@ fn serve_channel(rt: &NodeRuntime, key: ChanKey) {
             continue;
         };
         served += 1;
-        // Launches may have to queue for a vGPU; keep a copy to put back.
-        // Launch specs carry no bulk payloads, so the clone is cheap (bulk
-        // data travels in MemcpyH2D, which never needs a binding).
-        let retry = if call.requires_binding() { Some(call.clone()) } else { None };
         let is_exit = matches!(call, CudaCall::Exit);
-        let outcome = {
-            let _guard = state.ctx.service_lock();
-            service::handle_call(rt, &state.ctx, call)
-        };
+        let outcome = service::run_call(rt, &state.ctx, call, sweep.is_some());
+        // What the pool is handed back is the pool's to run and count.
+        let ran = !matches!(outcome, Err(Abort::Busy(_)));
+        if let Some(left) = sweep.as_deref_mut().filter(|_| ran) {
+            *left -= 1;
+        }
         let reply = match outcome {
             Ok(value) => Ok(value),
             Err(Abort::Fail(e)) => Err(e),
+            Err(Abort::Busy(call)) => {
+                put_back((id, call), replies);
+                return drop(g.workq.send(WorkItem::Chan(key)));
+            }
             Err(_) if rt.is_shutdown() => Err(CudaError::Disconnected),
-            Err(hand_off) => {
-                // Put the call back at the head (ordering!), answer what
-                // the visit got done, and only then let go of the channel.
-                let retry = retry.expect("only launches hand off");
-                state.queue.lock().calls.push_front((id, retry));
-                g.sink.reply_batch(conn, replies);
-                let Abort::WouldBlock { work, mem } = hand_off else {
-                    return retry_later(rt, key);
-                };
+            Err(Abort::Retry { spec }) => {
+                put_back((id, CudaCall::Launch { spec }), replies);
+                return retry_later(rt, key);
+            }
+            Err(Abort::WouldBlock { spec, work, mem }) => {
+                put_back((id, CudaCall::Launch { spec }), replies);
                 RuntimeMetrics::bump(&rt.metrics_ref().mux_retries);
                 // From here the channel is the dispatcher's: the wake, which
                 // may have run by the time `enqueue` returns, hands it to
@@ -633,8 +651,8 @@ fn serve_channel(rt: &NodeRuntime, key: ChanKey) {
     g.sink.reply_batch(conn, replies);
     let more = {
         let mut q = state.queue.lock();
-        q.scheduled = !q.calls.is_empty();
-        q.scheduled
+        *q.scheduled = !q.calls.is_empty();
+        *q.scheduled
     };
     if more {
         let _ = g.workq.send(WorkItem::Chan(key));
@@ -649,6 +667,7 @@ mod tests {
     use mtgpu_api::protocol::{AllocKind, ModuleHandle, MuxFrame};
     use mtgpu_api::transport::{
         spawn_reactor, FrameBuf, FrontendClient, MuxConnection, ReactorConfig, ReactorHandle,
+        SWEEP_RUN_BUDGET,
     };
     use mtgpu_gpusim::{
         DeviceId, Driver, GpuSpec, KernelArg, KernelDesc, LaunchConfig, LaunchSpec, Work,
@@ -741,7 +760,10 @@ mod tests {
     }
 
     /// A runtime with no pool (the test is the worker) and the client end
-    /// of a loopback socket attached to its sink as connection 1.
+    /// of a loopback socket attached to its sink as connection 1. The tests
+    /// that feed it through `on_request` drive the pool path: with no sweep
+    /// budget every call is queued for a visit the test plays; [`sweep`]
+    /// feeds a call the way the reactor does.
     fn poolless_runtime(cfg: RuntimeConfig) -> (Arc<NodeRuntime>, std::net::TcpStream) {
         let driver = Driver::with_devices(Clock::with_scale(1e-7), vec![GpuSpec::test_small()]);
         let rt = NodeRuntime::start_poolless(driver, quiet(cfg));
@@ -769,6 +791,12 @@ mod tests {
             }
         }
         got
+    }
+
+    /// A call of connection 1 read by the reactor, with what is left of
+    /// the sweep's budget: the gateway may run it on the calling thread.
+    fn sweep(rt: &NodeRuntime, chan: u64, id: u64, call: CudaCall, budget: &mut usize) {
+        rt.on_sweep_request(1, chan, id, call, budget);
     }
 
     fn malloc() -> CudaCall {
@@ -836,6 +864,145 @@ mod tests {
     }
 
     #[test]
+    fn reactor_runs_a_call_on_an_idle_channel_and_leaves_the_rest_to_the_pool() {
+        let (rt, mut client) = poolless_runtime(RuntimeConfig::default());
+        let mut budget = SWEEP_RUN_BUDGET;
+        // An idle channel: answered before the hook returns, nothing queued.
+        sweep(&rt, 1, 0, malloc(), &mut budget);
+        assert!(matches!(read_replies(&mut client, 1)[0], (0, Ok(ReplyValue::Ptr(_)))));
+        assert!(rt.gateway().work.is_empty());
+        assert_eq!(budget, SWEEP_RUN_BUDGET - 1);
+        // A context another thread holds (a victim swap, a quiesce): the
+        // reactor does not wait for it, the pool does. The channel is taken
+        // from then on, so the call behind it queues even with budget left.
+        let state = local_state(&rt, (1, 1));
+        let (held, release) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _service = state.ctx.service_lock();
+                held.wait();
+                release.wait();
+            });
+            held.wait();
+            sweep(&rt, 1, 1, malloc(), &mut budget);
+            sweep(&rt, 1, 2, CudaCall::GetDeviceCount, &mut budget);
+            release.wait();
+        });
+        assert_eq!(rt.gateway().work.len(), 1);
+        // An Exit, and any call once the sweep's budget is spent: the pool's.
+        // What the pool is handed takes none of the budget.
+        sweep(&rt, 2, 10, CudaCall::Exit, &mut budget);
+        sweep(&rt, 3, 20, CudaCall::GetDeviceCount, &mut 0);
+        assert_eq!(rt.gateway().work.len(), 3);
+        assert_eq!(budget, SWEEP_RUN_BUDGET - 1);
+        assert_eq!(rt.serve_queued(), 3);
+        let ids: Vec<u64> = read_replies(&mut client, 4).iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, [1, 2, 10, 20]);
+        assert_eq!((rt.metrics().mux_requests, rt.channel_count()), (5, 2));
+        rt.shutdown();
+    }
+
+    #[test]
+    fn call_the_reactor_finds_its_device_busy_for_goes_to_the_pool_and_keeps_its_place() {
+        let (rt, mut client) = poolless_runtime(RuntimeConfig::default());
+        // Channel 1 binds and allocates, all of it run here.
+        let mut budget = SWEEP_RUN_BUDGET;
+        for (id, call) in [register_noop(), noop_launch(), malloc()].into_iter().enumerate() {
+            sweep(&rt, 1, id as u64, call, &mut budget);
+        }
+        let Ok(ReplyValue::Ptr(src)) = read_replies(&mut client, 3)[2].1 else { panic!("malloc") };
+        // Another thread's work occupies the device (a kernel, a swap): a
+        // copy of the bound channel, and a launch that binds the unbound
+        // one, stop before they touch it and are the pool's; the channel
+        // keeps its call order, and calls that need no device still run
+        // here.
+        let gpu = rt.driver().device(DeviceId(0)).unwrap();
+        let (held, release) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        let mut budget = SWEEP_RUN_BUDGET;
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _device = gpu.try_hold().expect("an idle device");
+                held.wait();
+                release.wait();
+            });
+            held.wait();
+            sweep(&rt, 1, 3, CudaCall::MemcpyD2H { src, len: 64 }, &mut budget);
+            sweep(&rt, 1, 4, noop_launch(), &mut budget);
+            sweep(&rt, 2, 10, CudaCall::GetDeviceCount, &mut budget);
+            sweep(&rt, 3, 20, register_noop(), &mut budget);
+            sweep(&rt, 3, 21, noop_launch(), &mut budget);
+            release.wait();
+        });
+        let ids: Vec<u64> = read_replies(&mut client, 2).iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, [10, 20]);
+        nothing_more_arrives(&mut client);
+        assert_eq!((budget, rt.gateway().work.len()), (SWEEP_RUN_BUDGET - 2, 2));
+        assert_eq!(rt.load().bound, 2, "the launch that stopped keeps the vGPU it bound");
+        assert_eq!(rt.serve_queued(), 2);
+        let late = read_replies(&mut client, 3);
+        assert!(matches!(late[0], (3, Ok(ReplyValue::Bytes(_)))), "{late:?}");
+        assert!(matches!(late[1], (4, Ok(ReplyValue::LaunchDone { .. }))), "{late:?}");
+        assert!(matches!(late[2], (21, Ok(ReplyValue::LaunchDone { .. }))), "{late:?}");
+        assert_eq!(rt.metrics().launches, 3);
+        rt.shutdown();
+    }
+
+    #[test]
+    fn launch_the_reactor_cannot_bind_waits_in_the_dispatcher_and_the_pool_finishes_it() {
+        let (rt, mut client) = poolless_runtime(RuntimeConfig::serialized());
+        let hog = rt.new_context("hog".into());
+        let held = rt.bindings().poll(&hog, 0).expect("free vGPU");
+        let mut budget = SWEEP_RUN_BUDGET;
+        for (id, call) in [register_noop(), noop_launch(), malloc()].into_iter().enumerate() {
+            sweep(&rt, 1, id as u64, call, &mut budget);
+        }
+        // The registration and the launch ran here; the launch found no
+        // vGPU and left the channel, launch at its head and the malloc
+        // behind it, to the dispatcher — not to the work queue.
+        assert_eq!(read_replies(&mut client, 1)[0], (0, Ok(ReplyValue::Unit)));
+        nothing_more_arrives(&mut client);
+        let m = rt.metrics();
+        assert_eq!((budget, m.mux_retries, rt.load().waiting), (SWEEP_RUN_BUDGET - 2, 1, 1));
+        assert!(rt.gateway().work.is_empty());
+        // The release's wake hands the channel to the pool: one visit runs
+        // the launch and what queued behind it, in order.
+        rt.bindings().release(hog.id, held.vgpu);
+        assert_eq!(rt.serve_queued(), 1);
+        let late = read_replies(&mut client, 2);
+        assert!(matches!(late[0], (1, Ok(ReplyValue::LaunchDone { .. }))), "{late:?}");
+        assert!(matches!(late[1], (2, Ok(ReplyValue::Ptr(_)))), "{late:?}");
+        assert_eq!(rt.metrics().launches, 1);
+        rt.on_request(1, 1, 3, CudaCall::Exit);
+        rt.serve_queued();
+        let m = rt.metrics();
+        assert_eq!((m.bindings, m.unbindings), (2, 2));
+        rt.shutdown();
+    }
+
+    #[test]
+    fn reactor_runs_the_head_of_a_long_flush_and_the_pool_the_rest_in_order() {
+        let (rt, mut client) = poolless_runtime(RuntimeConfig::default());
+        // A full client pipeline read in one sweep, no worker looking yet:
+        // the first calls run here, the rest wait for the pool.
+        const CALLS: u64 = 160;
+        let mut budget = SWEEP_RUN_BUDGET;
+        for id in 0..CALLS {
+            sweep(&rt, 1, id, malloc(), &mut budget);
+        }
+        let head = read_replies(&mut client, SWEEP_RUN_BUDGET);
+        assert!(head.iter().map(|(id, _)| *id).eq(0..SWEEP_RUN_BUDGET as u64));
+        nothing_more_arrives(&mut client);
+        assert_eq!((budget, rt.gateway().work.len()), (0, 1));
+        // One hand-off per visit budget of what is left, in call order.
+        let rest = CALLS as usize - SWEEP_RUN_BUDGET;
+        assert_eq!(rt.serve_queued(), rest.div_ceil(VISIT_BUDGET));
+        let tail = read_replies(&mut client, rest);
+        assert!(tail.iter().map(|(id, _)| *id).eq(SWEEP_RUN_BUDGET as u64..CALLS));
+        assert!(tail.iter().all(|(_, r)| matches!(r, Ok(ReplyValue::Ptr(_)))));
+        rt.shutdown();
+    }
+
+    #[test]
     fn launch_without_a_vgpu_ships_earlier_replies_and_waits_in_the_dispatcher_queue() {
         // Two one-vGPU devices. Application 7 has a thread bound on one of
         // them, so the channel's context, which joins it, must wait for
@@ -869,7 +1036,7 @@ mod tests {
         {
             let state = local_state(&rt, (1, 1));
             let q = state.queue.lock();
-            assert!(q.scheduled);
+            assert!(*q.scheduled);
             assert!(q.calls.iter().map(|(id, _)| *id).eq(2..5));
             assert!(matches!(q.calls[0].1, CudaCall::Launch { .. }));
         }
@@ -1024,7 +1191,7 @@ mod tests {
         let waiting = local_state(&rt, (1, 2));
         {
             let q = waiting.queue.lock();
-            assert!(q.scheduled);
+            assert!(*q.scheduled);
             assert!(q.calls.iter().map(|(id, _)| *id).eq(13..15));
         }
         assert_eq!(rt.binding_of(waiting.ctx.id), None);
@@ -1041,6 +1208,60 @@ mod tests {
         let mut rest = read_replies(&mut client, 3);
         rest.sort_by_key(|(id, _)| *id);
         assert!(rest.iter().map(|(id, _)| *id).eq([3, 13, 14]));
+        assert!(matches!(rest[1].1, Ok(ReplyValue::LaunchDone { .. })), "{rest:?}");
+        assert!(matches!(rest[2].1, Ok(ReplyValue::Ptr(_))), "{rest:?}");
+        rt.shutdown();
+    }
+
+    #[test]
+    fn launch_the_reactor_runs_that_unbinds_to_retry_is_the_pools_after_the_backoff() {
+        // As above, with every call read by the reactor instead.
+        let clock = Clock::virtual_clock();
+        let driver = Driver::with_devices(clock.clone(), vec![GpuSpec::test_small()]);
+        let cfg = RuntimeConfig { inter_app_swap: false, ..RuntimeConfig::default() };
+        let rt = NodeRuntime::start_poolless(driver, quiet(cfg));
+        let mut client = attach_client(&rt, 1);
+        let chunk = rt.driver().device(DeviceId(0)).unwrap().mem_available() * 6 / 10;
+        let big_malloc = CudaCall::Malloc { size: chunk, kind: AllocKind::Linear };
+        let launch_on = |ptr| {
+            let CudaCall::Launch { mut spec } = noop_launch() else { unreachable!() };
+            spec.args = vec![KernelArg::Ptr(ptr)];
+            CudaCall::Launch { spec }
+        };
+        // Channels 1 and 2 each hold most of the device; 1 launches on its
+        // share and stays bound, all of it run here.
+        let mut held = Vec::new();
+        for chan in [1, 2] {
+            sweep(&rt, chan, 10 * chan, register_noop(), &mut SWEEP_RUN_BUDGET.clone());
+            sweep(&rt, chan, 10 * chan + 1, big_malloc.clone(), &mut SWEEP_RUN_BUDGET.clone());
+            match read_replies(&mut client, 2)[1] {
+                (_, Ok(ReplyValue::Ptr(ptr))) => held.push(ptr),
+                ref other => panic!("not a pointer: {other:?}"),
+            }
+        }
+        sweep(&rt, 1, 12, launch_on(held[0]), &mut SWEEP_RUN_BUDGET.clone());
+        assert!(read_replies(&mut client, 1)[0].1.is_ok());
+        // Channel 2's launch, run here, gives its vGPU up for want of
+        // memory: the call ahead of it is answered, the launch is back at
+        // the head with its successor behind it, and the channel is the
+        // pool's once the backoff (a step of this clock) is over.
+        let before = clock.now();
+        let mut budget = SWEEP_RUN_BUDGET;
+        for (id, call) in [malloc(), launch_on(held[1]), malloc()].into_iter().enumerate() {
+            sweep(&rt, 2, 22 + id as u64, call, &mut budget);
+        }
+        assert!(matches!(read_replies(&mut client, 1)[0], (22, Ok(ReplyValue::Ptr(_)))));
+        nothing_more_arrives(&mut client);
+        assert_eq!((rt.metrics().launch_retries, budget), (1, SWEEP_RUN_BUDGET - 2));
+        assert_eq!(clock.now().duration_since(before).as_nanos(), 2_000_000);
+        assert_eq!(rt.gateway().work.len(), 1);
+        // Channel 1 frees its memory; the pool's next try goes through and
+        // the call behind the launch follows it.
+        rt.on_request(1, 1, 13, CudaCall::Free { ptr: held[0] });
+        rt.serve_queued();
+        let mut rest = read_replies(&mut client, 3);
+        rest.sort_by_key(|(id, _)| *id);
+        assert!(rest.iter().map(|(id, _)| *id).eq([13, 23, 24]));
         assert!(matches!(rest[1].1, Ok(ReplyValue::LaunchDone { .. })), "{rest:?}");
         assert!(matches!(rest[2].1, Ok(ReplyValue::Ptr(_))), "{rest:?}");
         rt.shutdown();

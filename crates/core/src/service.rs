@@ -2,10 +2,11 @@
 //! path with its memory-pressure escalation ladder (§4.5).
 //!
 //! Every connection — in-process or over the wire — is a gateway channel
-//! ([`crate::mux`]), and a worker's visit hands each of its calls to
-//! [`handle_call`] under the context's service lock (the paper's "each
-//! dispatcher thread processes a different connection", with a pool in
-//! place of a thread each). Calls are handled as Table 1 specifies:
+//! ([`crate::mux`]), and a visit hands each of its calls to [`run_call`],
+//! under the context's service lock (the paper's "each dispatcher thread
+//! processes a different connection": the reactor that read the call when
+//! [`fits_on_reactor`] admits it and its channel is idle, a pool worker
+//! otherwise). Calls are handled as Table 1 specifies:
 //!
 //! 1. registration functions are absorbed before any binding exists;
 //! 2. device-management functions are serviced and overridden to hide the
@@ -29,6 +30,7 @@
 use crate::ctx::{AppContext, Binding, CtxId};
 use crate::memory::{Materialize, Recovery, SwapReason};
 use crate::metrics::RuntimeMetrics;
+use crate::mux::VISIT_REPLY_BYTES;
 use crate::runtime::NodeRuntime;
 use crate::trace::{TraceEvent, UnbindReason};
 use mtgpu_api::guard::{self, DescriptorLimits};
@@ -36,7 +38,7 @@ use mtgpu_api::protocol::{AllocKind, CudaCall, CudaReply, ModuleHandle, ReplyVal
 use mtgpu_api::CudaError;
 use mtgpu_gpusim::kernel::{library, RegisteredKernel};
 use mtgpu_gpusim::DeviceAddr;
-use mtgpu_gpusim::{GpuError, LaunchSpec};
+use mtgpu_gpusim::{Gpu, GpuError, GpuHold, LaunchSpec};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -68,17 +70,86 @@ pub(crate) fn teardown(rt: &NodeRuntime, ctx: &Arc<AppContext>) {
 pub(crate) enum Abort {
     /// A real error to report to the application.
     Fail(CudaError),
-    /// A launch found no vGPU to bind. The caller puts the call back at the
-    /// head of its stream and then queues the context in the dispatcher
-    /// under these keys ([`crate::sched::BindingManager::enqueue`]); running
-    /// the launch again from scratch once woken is idempotent (the closure
-    /// is recomputed and unbind paths leave consistent state).
-    WouldBlock { work: f64, mem: u64 },
+    /// A launch found no vGPU to bind. The caller puts the launch (`spec`,
+    /// handed back) at the head of its stream and then queues the context in
+    /// the dispatcher under these keys
+    /// ([`crate::sched::BindingManager::enqueue`]); running the launch again
+    /// from scratch once woken is idempotent (the closure is recomputed and
+    /// unbind paths leave consistent state).
+    WouldBlock { spec: LaunchSpec, work: f64, mem: u64 },
     /// A launch gave its vGPU up for want of device memory (§4.5
-    /// unbind-and-retry). The caller puts the call back at the head of its
+    /// unbind-and-retry). The caller puts the launch back at the head of its
     /// stream and runs it again, from scratch, once [`RETRY_BACKOFF`] has
     /// passed.
-    Retry,
+    Retry { spec: LaunchSpec },
+    /// The reactor found the device the call is about to use busy
+    /// ([`Engines::enter`]). The caller puts the call, handed back whole,
+    /// at the head of its stream and the channel on the pool's work queue.
+    Busy(CudaCall),
+}
+
+/// Whether a call may wait for a busy device. A pool worker does, like any
+/// user of a FIFO engine. The reactor never does: before a call touches a
+/// device it takes every engine of that device, only if all are idle
+/// ([`Gpu::try_hold`]), and keeps them to the end of the call; a busy device
+/// stops the call before it touches it ([`Abort::Busy`]).
+enum Engines {
+    Wait,
+    Hold(Option<GpuHold>),
+}
+
+impl Engines {
+    /// Whether the call may go on to use `gpu`.
+    fn enter(&mut self, gpu: &Arc<Gpu>) -> bool {
+        let Engines::Hold(held) = self else { return true };
+        if !held.as_ref().is_some_and(|h| Arc::ptr_eq(h.gpu(), gpu)) {
+            // A device lost mid-call is let go before the next is tried.
+            *held = None;
+            *held = gpu.try_hold();
+        }
+        held.is_some()
+    }
+}
+
+/// Most real time one call may take on the reactor thread, where every
+/// other connection's reads wait behind it (DESIGN.md §12).
+const REACTOR_CALL_LIMIT: Duration = Duration::from_micros(100);
+
+/// Whether `call` may run to completion on the reactor thread: never an
+/// `Exit` (its teardown waits for the service lock and hands the vGPU on),
+/// and otherwise only if its worst case on the node's slowest device, in
+/// real time at the clock's scale, is under [`REACTOR_CALL_LIMIT`]. A
+/// launch's worst case is its kernel after the context's declared footprint
+/// is brought in and one victim swapped out
+/// ([`mtgpu_gpusim::GpuSpec::worst_case_launch`]); a copy's or a
+/// checkpoint's, its bytes over PCIe. Nothing else touches a device. This
+/// is the call's own device time only: other threads' work queued on the
+/// same engines is [`Engines`]' to refuse when the call gets there.
+///
+/// A copy's, a checkpoint's or an image's bytes also pass through host
+/// memory on the calling thread, at any clock: past [`VISIT_REPLY_BYTES`]
+/// (where a visit posts its replies early) they are the pool's to move.
+pub(crate) fn fits_on_reactor(rt: &NodeRuntime, ctx: &AppContext, call: &CudaCall) -> bool {
+    let (work, copied) = match call {
+        CudaCall::Exit => return false,
+        // Host bytes only: the image's data into fresh slabs.
+        CudaCall::ImportImage { image } => return image.data_bytes() <= VISIT_REPLY_BYTES,
+        CudaCall::Launch { spec } => (Some(spec.work), rt.memory().mem_usage(ctx.id)),
+        CudaCall::MemcpyH2D { buf, .. } => (None, buf.declared_len),
+        CudaCall::MemcpyD2H { len, .. } | CudaCall::MemcpyD2D { len, .. } => (None, *len),
+        CudaCall::Checkpoint | CudaCall::ExportImage => (None, rt.memory().mem_usage(ctx.id)),
+        _ => return true,
+    };
+    if work.is_none() && copied > VISIT_REPLY_BYTES as u64 {
+        return false;
+    }
+    let on = |gpu: &Gpu| match work {
+        Some(work) => gpu.spec().worst_case_launch(work, copied),
+        None => gpu.spec().copy_duration(copied),
+    };
+    let devices = rt.driver().devices();
+    let worst = devices.iter().map(|(_, gpu)| on(gpu)).max().unwrap_or_default();
+    worst.as_secs_f64() * rt.clock().scale() < REACTOR_CALL_LIMIT.as_secs_f64()
 }
 
 impl From<CudaError> for Abort {
@@ -87,14 +158,50 @@ impl From<CudaError> for Abort {
     }
 }
 
-/// Dispatches one call. The caller holds the context's service lock.
-pub(crate) fn handle_call(
+/// Runs one call under its context's service lock. A pool worker waits for
+/// the lock and for the device like any caller; the reactor (`on_reactor`)
+/// waits for neither, and a held lock or a busy device hands the call back
+/// ([`Abort::Busy`]).
+pub(crate) fn run_call(
     rt: &NodeRuntime,
     ctx: &Arc<AppContext>,
     call: CudaCall,
+    on_reactor: bool,
 ) -> Result<ReplyValue, Abort> {
+    let (held, mut engines) = if on_reactor {
+        (ctx.try_service_lock(), Engines::Hold(None))
+    } else {
+        (Some(ctx.service_lock()), Engines::Wait)
+    };
+    match held {
+        Some(_) => handle_call(rt, ctx, call, &mut engines),
+        None => Err(Abort::Busy(call)),
+    }
+}
+
+/// Dispatches one call. The caller holds the context's service lock.
+fn handle_call(
+    rt: &NodeRuntime,
+    ctx: &Arc<AppContext>,
+    call: CudaCall,
+    engines: &mut Engines,
+) -> Result<ReplyValue, Abort> {
+    // The calls besides a launch that may move bytes on the bound device.
+    let copies = matches!(
+        call,
+        CudaCall::MemcpyH2D { .. }
+            | CudaCall::MemcpyD2H { .. }
+            | CudaCall::MemcpyD2D { .. }
+            | CudaCall::Checkpoint
+            | CudaCall::ExportImage
+    );
+    if let Some(binding) = copies.then(|| ctx.binding()).flatten() {
+        if !engines.enter(&binding.gpu) {
+            return Err(Abort::Busy(call));
+        }
+    }
     let reply: CudaReply = match call {
-        CudaCall::Launch { spec } => return launch_loop(rt, ctx, spec),
+        CudaCall::Launch { spec } => return launch_loop(rt, ctx, spec, engines),
         CudaCall::RegisterFatBinary => {
             let mut inner = ctx.inner();
             inner.modules += 1;
@@ -256,7 +363,8 @@ fn with_device_retry<T>(
 fn launch_loop(
     rt: &NodeRuntime,
     ctx: &Arc<AppContext>,
-    spec: LaunchSpec,
+    mut spec: LaunchSpec,
+    engines: &mut Engines,
 ) -> Result<ReplyValue, Abort> {
     if let Some(err) = ctx.inner().failed.clone() {
         return Err(err.into());
@@ -312,13 +420,18 @@ fn launch_loop(
                     // SJF key: the profiled job length when hinted, else the
                     // pending launch's own work.
                     let work = ctx.inner().est_job_flops.unwrap_or(spec.work.flops);
-                    return Err(Abort::WouldBlock { work, mem });
+                    return Err(Abort::WouldBlock { spec, work, mem });
                 };
                 ctx.inner().binding = Some(b.clone());
                 rt.tracer().record(TraceEvent::Bound { ctx: ctx.id, vgpu: b.vgpu });
                 b
             }
         };
+        // Everything from here runs on the bound device, victims' swaps
+        // included; the binding, if just made, stays for the next try.
+        if !engines.enter(&binding.gpu) {
+            return Err(Abort::Busy(CudaCall::Launch { spec }));
+        }
         // 2. Make the working set resident (intra-app swap happens inside).
         match rt.memory().materialize(ctx.id, &closure, &binding) {
             Ok(Materialize::Ready) => {}
@@ -345,7 +458,7 @@ fn launch_loop(
                 // serving thread sits it out.
                 unbind_self(rt, ctx, &binding, SwapReason::Unbind)?;
                 RuntimeMetrics::bump(&rt.metrics_ref().launch_retries);
-                return Err(Abort::Retry);
+                return Err(Abort::Retry { spec });
             }
             Err(CudaError::DeviceUnavailable) => {
                 recover_from_device_loss(rt, ctx, binding)?;
@@ -353,10 +466,14 @@ fn launch_loop(
             }
             Err(e) => return Err(e.into()),
         }
-        // 4. Translate virtual pointers and launch.
+        // 4. Translate virtual pointers and launch: the device sees its own
+        // addresses for the launch's duration, the spec gets the virtual
+        // ones back for a retry.
         let args = rt.memory().translate_args(ctx.id, &spec.args)?;
-        let dev_spec = LaunchSpec { args, ..spec.clone() };
-        match binding.gpu.launch(binding.gpu_ctx, &kernel, &dev_spec) {
+        let args = std::mem::replace(&mut spec.args, args);
+        let launched = binding.gpu.launch(binding.gpu_ctx, &kernel, &spec);
+        spec.args = args;
+        match launched {
             Ok(dur) => {
                 rt.memory().mark_launched(ctx.id, &written);
                 ctx.stats.launches.fetch_add(1, Ordering::Relaxed);
@@ -550,4 +667,74 @@ fn try_inter_app_swap(rt: &NodeRuntime, requester: CtxId, binding: &Binding, nee
         }
     }
     false
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::RuntimeConfig;
+    use mtgpu_gpusim::{Driver, GpuSpec, LaunchConfig, Work};
+    use mtgpu_simtime::Clock;
+
+    fn launch(flops: f64) -> CudaCall {
+        let config = LaunchConfig::default();
+        let work = Work::flops(flops);
+        CudaCall::Launch { spec: LaunchSpec { kernel: "k".into(), config, args: Vec::new(), work } }
+    }
+
+    /// Which of `calls` a fresh context may run on the reactor of a node
+    /// with `specs` on `clock`.
+    fn verdicts(clock: Clock, specs: Vec<GpuSpec>, calls: &[CudaCall]) -> Vec<bool> {
+        let cfg = RuntimeConfig::default().with_background_monitor(false);
+        let rt = NodeRuntime::start_poolless(Driver::with_devices(clock, specs), cfg);
+        let ctx = rt.new_context("rule".into());
+        let fits = calls.iter().map(|call| fits_on_reactor(&rt, &ctx, call)).collect();
+        rt.shutdown();
+        fits
+    }
+
+    #[test]
+    fn the_reactor_takes_what_is_short_on_the_slowest_device_at_the_clocks_scale() {
+        let download = |len: usize| CudaCall::MemcpyD2H { src: DeviceAddr(0), len: len as u64 };
+        // An image of one huge declared allocation, `len` bytes of it data.
+        let import = |len: usize| {
+            let entry = mtgpu_api::protocol::ImageEntry {
+                vaddr: DeviceAddr(1 << 20),
+                size: 1 << 40,
+                kind: AllocKind::Linear,
+                data: vec![7; len],
+                nested_members: Vec::new(),
+                nested_parent: None,
+            };
+            let image =
+                mtgpu_api::protocol::ContextImage { label: "i".into(), entries: vec![entry] };
+            CudaCall::ImportImage { image }
+        };
+        let calls = [
+            CudaCall::GetDeviceCount,
+            launch(1.0),
+            launch(1e13),
+            download(VISIT_REPLY_BYTES),
+            download(VISIT_REPLY_BYTES + 1),
+            import(VISIT_REPLY_BYTES),
+            import(VISIT_REPLY_BYTES + 1),
+            CudaCall::Exit,
+        ];
+        let small = || vec![GpuSpec::test_small()];
+        // At node_daemon's default clock on a small device, a tiny kernel
+        // fits even behind a device's worth of victim (64 MiB, ~17 µs of
+        // real time); a 39 s kernel (39 ms real) does not. An image touches
+        // no device: its data, not its declared size, is what it costs.
+        let at_1e3 = verdicts(Clock::with_scale(1e-3), small(), &calls);
+        assert_eq!(at_1e3, [true, true, false, true, false, true, false, false]);
+        // The slowest device decides: one victim on a C2050 can hold 3 GiB
+        // (0.8 ms real), so no launch fits on a node that has one.
+        let mixed = vec![GpuSpec::test_small(), GpuSpec::tesla_c2050()];
+        let at_1e3 = verdicts(Clock::with_scale(1e-3), mixed, &calls);
+        assert_eq!(at_1e3, [true, false, false, true, false, true, false, false]);
+        // No real time passes on a virtual clock: anything but an Exit and
+        // host bytes past the bound, which no clock makes cheaper.
+        let virtual_clock = verdicts(Clock::virtual_clock(), small(), &calls);
+        assert_eq!(virtual_clock, [true, true, true, true, false, true, false, false]);
+    }
 }

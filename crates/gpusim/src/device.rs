@@ -10,6 +10,7 @@ use crate::Result;
 use mtgpu_simtime::{lock_rank, Clock, RankedMutex, SimDuration};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -157,6 +158,27 @@ impl Gpu {
     /// a transfer plan's lane-pinned traffic actually overlapped.
     pub fn engine_busy_times(&self) -> Vec<SimDuration> {
         self.copy.busy_times()
+    }
+
+    /// Takes every engine of the device, compute and copy, for the calling
+    /// thread if all of them are idle, without waiting: `None` when one is
+    /// occupied or has a queue. While the hold lives, the thread's own
+    /// kernels and transfers on the device run at once and everyone else's
+    /// queue behind it. For a thread that must never wait out another
+    /// thread's device time.
+    pub fn try_hold(self: &Arc<Self>) -> Option<GpuHold> {
+        let engines = || std::iter::once(&self.compute).chain(self.copy.engines());
+        let taken = engines().take_while(|e| e.try_hold()).count();
+        if taken == 1 + self.copy.len() {
+            return Some(GpuHold { gpu: Arc::clone(self), _thread: PhantomData });
+        }
+        engines().take(taken).for_each(FifoEngine::release);
+        None
+    }
+
+    /// Whether the calling thread holds the device ([`Gpu::try_hold`]).
+    pub fn held_here(&self) -> bool {
+        self.compute.held_here()
     }
 
     /// Free device memory in bytes (possibly fragmented).
@@ -330,16 +352,11 @@ impl Gpu {
         Ok((base, internal - base, alloc.declared))
     }
 
-    fn copy_duration(&self, declared_len: u64) -> SimDuration {
-        COPY_OVERHEAD
-            + SimDuration::from_secs_f64(declared_len as f64 / self.spec.pcie_bytes_per_sec)
-    }
-
     /// Occupies one copy engine for a PCIe transfer of `declared_len`
     /// bytes: round-robin placement by default, lane-pinned when a plan
     /// executor dictates canonical placement.
     fn occupy_copy(&self, declared_len: u64, lane: Option<usize>) {
-        let dur = self.copy_duration(declared_len);
+        let dur = self.spec.copy_duration(declared_len);
         match lane {
             Some(l) => self.copy.occupy_on(l, dur),
             None => self.copy.occupy(dur),
@@ -582,7 +599,8 @@ impl Gpu {
             }
         }
         // One hop: the slower of the two PCIe links bounds the transfer.
-        let dur = src_dev.copy_duration(declared_len).max(dst_dev.copy_duration(declared_len));
+        let dur =
+            src_dev.spec.copy_duration(declared_len).max(dst_dev.spec.copy_duration(declared_len));
         src_dev.copy.occupy_on(lane, dur);
         src_dev.check_alive()?;
         dst_dev.check_alive()?;
@@ -606,13 +624,6 @@ impl Gpu {
         DeviceStats::add(&src_dev.stats.p2p_bytes_out, declared_len);
         DeviceStats::add(&dst_dev.stats.p2p_bytes_in, declared_len);
         Ok(())
-    }
-
-    /// Computes the simulated execution time of `work` on this device.
-    pub fn kernel_duration(&self, work: crate::kernel::Work) -> SimDuration {
-        let compute = work.flops / self.spec.effective_flops();
-        let memory = work.bytes / self.spec.mem_bytes_per_sec;
-        LAUNCH_OVERHEAD + SimDuration::from_secs_f64(compute.max(memory))
     }
 
     /// Launches a kernel: validates every pointer argument against `ctx`'s
@@ -639,7 +650,7 @@ impl Gpu {
                 Self::resolve(&st, self.addr_salt, Some(ctx), ptr)?;
             }
         }
-        let dur = self.kernel_duration(spec.work);
+        let dur = self.spec.kernel_duration(spec.work);
         let payload_result = self.compute.occupy_with(dur, || {
             let Some(payload) = kernel.payload.as_ref() else {
                 return Ok(());
@@ -679,6 +690,28 @@ impl Gpu {
         let start = (offset as usize).min(alloc.data.len());
         let end = ((offset + len) as usize).min(alloc.data.len());
         Ok(alloc.data[start..end].to_vec())
+    }
+}
+
+/// Every engine of one device, held by the thread that took them
+/// ([`Gpu::try_hold`]) until it drops the hold.
+pub struct GpuHold {
+    gpu: Arc<Gpu>,
+    /// Released by the thread that holds it: not `Send`.
+    _thread: PhantomData<*const ()>,
+}
+
+impl GpuHold {
+    /// The held device.
+    pub fn gpu(&self) -> &Arc<Gpu> {
+        &self.gpu
+    }
+}
+
+impl Drop for GpuHold {
+    fn drop(&mut self) {
+        self.gpu.compute.release();
+        self.gpu.copy.engines().iter().for_each(FifoEngine::release);
     }
 }
 
@@ -861,7 +894,7 @@ mod tests {
         let fast = Gpu::new(GpuSpec::tesla_c2050(), clock.clone(), 0);
         let slow = Gpu::new(GpuSpec::quadro_2000(), clock, 1);
         let work = Work::flops(1e12);
-        assert!(slow.kernel_duration(work) > fast.kernel_duration(work) * 3);
+        assert!(slow.spec().kernel_duration(work) > fast.spec().kernel_duration(work) * 3);
     }
 
     #[test]
@@ -932,6 +965,28 @@ mod tests {
         }
         gpu.destroy_context(ctx).unwrap();
         assert_eq!(gpu.mem_available(), before);
+    }
+
+    #[test]
+    fn a_held_device_serves_its_holder_at_once_and_nobody_else() {
+        let gpu = test_gpu();
+        let ctx = gpu.create_context().unwrap();
+        let ptr = gpu.malloc(ctx, 64).unwrap();
+        let hold = gpu.try_hold().expect("an idle device");
+        assert!(gpu.held_here());
+        gpu.memcpy_h2d(ctx, ptr, 64, &[3; 64]).unwrap();
+        gpu.launch(ctx, &plain_kernel(), &launch_of(&[ptr])).unwrap();
+        let elsewhere = |f: &(dyn Fn() + Sync)| std::thread::scope(|s| s.spawn(f).join().unwrap());
+        elsewhere(&|| assert!(gpu.try_hold().is_none() && !gpu.held_here()));
+        drop(hold);
+        assert!(!gpu.held_here());
+        // One busy copy engine is enough to refuse, and the refusal lets go
+        // of the engines it took on the way.
+        assert!(gpu.copy.engines()[0].try_hold());
+        elsewhere(&|| assert!(gpu.try_hold().is_none()));
+        assert_eq!(gpu.compute_queue_depth(), 0);
+        gpu.copy.engines()[0].release();
+        elsewhere(&|| assert!(gpu.try_hold().is_some()));
     }
 
     #[test]

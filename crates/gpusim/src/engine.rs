@@ -7,12 +7,16 @@
 //! arrival order, and the simulated busy time is accumulated for utilization
 //! accounting.
 
-use mtgpu_simtime::{lock_rank, Clock, RankedCondvar, RankedMutex, SimDuration};
+use mtgpu_simtime::{lock_rank, Clock, RankedCondvar, RankedMutex, RankedMutexGuard, SimDuration};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::thread::ThreadId;
 
 struct Tickets {
     next: u64,
     serving: u64,
+    /// The thread holding the engine ([`FifoEngine::try_hold`]), whose
+    /// serving ticket it is until [`FifoEngine::release`].
+    holder: Option<ThreadId>,
 }
 
 /// A hardware engine (compute unit or copy engine) that one operation at a
@@ -29,7 +33,10 @@ impl FifoEngine {
     pub fn new(clock: Clock) -> Self {
         FifoEngine {
             clock,
-            tickets: RankedMutex::new(lock_rank::ENGINE_TICKETS, Tickets { next: 0, serving: 0 }),
+            tickets: RankedMutex::new(
+                lock_rank::ENGINE_TICKETS,
+                Tickets { next: 0, serving: 0, holder: None },
+            ),
             cv: RankedCondvar::new(),
             busy_nanos: AtomicU64::new(0),
         }
@@ -47,29 +54,67 @@ impl FifoEngine {
     /// Like [`FifoEngine::occupy`], but runs `work` while holding the engine
     /// (after the timed occupancy). Used by kernel launches to apply their
     /// functional payload atomically with respect to other kernels on the
-    /// same engine.
+    /// same engine. The engine's holder ([`crate::Gpu::try_hold`]) occupies
+    /// it at once, on the ticket it holds.
     pub fn occupy_with<R>(&self, dur: SimDuration, work: impl FnOnce() -> R) -> R {
-        let ticket = {
+        let held = {
             let mut t = self.tickets.lock();
-            let ticket = t.next;
-            t.next += 1;
-            while t.serving != ticket {
-                self.cv.wait(&mut t);
+            let held = t.holder.is_some_and(|h| h == std::thread::current().id());
+            if !held {
+                let ticket = t.next;
+                t.next += 1;
+                while t.serving != ticket {
+                    self.cv.wait(&mut t);
+                }
             }
-            ticket
+            held
         };
-        debug_assert_eq!(ticket, self.tickets.lock().serving);
         // We are the serving ticket: exclusive occupancy. Sleep outside the
         // lock so waiters can enqueue without blocking each other.
         self.clock.sleep(dur);
         let result = work();
         self.busy_nanos.fetch_add(dur.as_nanos(), Ordering::Relaxed);
+        if !held {
+            self.serve_next(self.tickets.lock());
+        }
+        result
+    }
+
+    /// Takes the engine for the calling thread if nothing occupies it and
+    /// nobody is queued, without waiting. Until [`FifoEngine::release`], the
+    /// thread's own occupancies run at once and everyone else's queue behind
+    /// the hold.
+    pub(crate) fn try_hold(&self) -> bool {
         let mut t = self.tickets.lock();
+        if t.serving != t.next {
+            return false;
+        }
+        t.next += 1;
+        t.holder = Some(std::thread::current().id());
+        true
+    }
+
+    /// Lets the engine held by the calling thread go to the next in line.
+    /// Called from `GpuHold`'s drop, which is not `Send`: the caller is the
+    /// holder.
+    pub(crate) fn release(&self) {
+        let mut t = self.tickets.lock();
+        let held = t.holder.take();
+        debug_assert_eq!(held, Some(std::thread::current().id()), "released by a non-holder");
+        self.serve_next(t);
+    }
+
+    /// Whether the calling thread holds the engine.
+    pub(crate) fn held_here(&self) -> bool {
+        self.tickets.lock().holder.is_some_and(|h| h == std::thread::current().id())
+    }
+
+    /// Ends the serving ticket's turn.
+    fn serve_next(&self, mut t: RankedMutexGuard<'_, Tickets>) {
         t.serving += 1;
         // mtlint: allow(notify-all, reason = "ticket turnstile: every parked waiter must re-check `serving` because only the thread holding the next ticket may proceed")
         self.cv.notify_all();
         drop(t);
-        result
     }
 
     /// Total simulated time this engine has been busy.
@@ -124,6 +169,11 @@ impl EngineBank {
     /// Per-lane busy times, indexed by lane.
     pub fn busy_times(&self) -> Vec<SimDuration> {
         self.engines.iter().map(|e| e.busy_time()).collect()
+    }
+
+    /// The bank's engines, by lane.
+    pub(crate) fn engines(&self) -> &[FifoEngine] {
+        &self.engines
     }
 
     /// Number of engines in the bank.
@@ -232,6 +282,31 @@ mod tests {
         }
         assert_eq!(*order.lock(), (0..QUEUED).collect::<Vec<_>>());
         assert_eq!(engine.queue_depth(), 0);
+    }
+
+    #[test]
+    fn a_hold_is_taken_only_on_an_idle_engine_and_lets_its_holder_in_at_once() {
+        let engine = Arc::new(FifoEngine::new(Clock::virtual_clock()));
+        assert!(engine.try_hold() && engine.held_here());
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let other = {
+            let (e, o) = (Arc::clone(&engine), Arc::clone(&order));
+            std::thread::spawn(move || {
+                assert!(!e.try_hold() && !e.held_here());
+                e.occupy_with(SimDuration::from_millis(1), || o.lock().push("other"));
+            })
+        };
+        // The other thread queues behind the hold; the holder does not.
+        while engine.queue_depth() < 2 {
+            std::thread::yield_now();
+        }
+        engine.occupy_with(SimDuration::from_millis(1), || order.lock().push("holder"));
+        engine.release();
+        other.join().unwrap();
+        assert_eq!(*order.lock(), ["holder", "other"]);
+        assert!(!engine.held_here());
+        assert_eq!(engine.queue_depth(), 0);
+        assert_eq!(engine.busy_time(), SimDuration::from_millis(2));
     }
 
     #[test]

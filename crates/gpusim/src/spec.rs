@@ -1,3 +1,6 @@
+use crate::device::{COPY_OVERHEAD, LAUNCH_OVERHEAD};
+use crate::kernel::Work;
+use mtgpu_simtime::SimDuration;
 use serde::{Deserialize, Serialize};
 
 const MIB: u64 = 1024 * 1024;
@@ -48,6 +51,28 @@ impl GpuSpec {
             * 1e9
             * 2.0
             * self.efficiency
+    }
+
+    /// Simulated execution time of `work` on a device of this spec.
+    pub fn kernel_duration(&self, work: Work) -> SimDuration {
+        let compute = work.flops / self.effective_flops();
+        let memory = work.bytes / self.mem_bytes_per_sec;
+        LAUNCH_OVERHEAD.saturating_add(SimDuration::from_secs_f64(compute.max(memory)))
+    }
+
+    /// Simulated time of one host↔device transfer of `declared_len` bytes.
+    pub fn copy_duration(&self, declared_len: u64) -> SimDuration {
+        let bytes = SimDuration::from_secs_f64(declared_len as f64 / self.pcie_bytes_per_sec);
+        COPY_OVERHEAD.saturating_add(bytes)
+    }
+
+    /// The longest one launch of `work` can keep a device of this spec
+    /// busy, by a context that declares `footprint` bytes: bring the whole
+    /// footprint in, swap one victim out whole — and a victim holds at most
+    /// the device's memory — then run the kernel.
+    pub fn worst_case_launch(&self, work: Work, footprint: u64) -> SimDuration {
+        let copied = self.copy_duration(footprint.saturating_add(self.mem_bytes));
+        copied.saturating_add(self.kernel_duration(work))
     }
 
     /// NVIDIA Tesla C2050: 14 SMs × 32 cores @ 1.15 GHz, 3 GiB (the paper's
@@ -144,6 +169,19 @@ mod tests {
         assert!(c1060 > quadro);
         // "Two fast and one slow": the Quadro should be several times slower.
         assert!(c2050 / quadro > 3.0);
+    }
+
+    #[test]
+    fn worst_case_launch_adds_the_footprint_and_a_device_full_of_victim_to_the_kernel() {
+        let spec = GpuSpec::test_small();
+        let work = Work::flops(1e9);
+        let alone = spec.worst_case_launch(work, 0);
+        assert_eq!(alone, spec.kernel_duration(work) + spec.copy_duration(spec.mem_bytes));
+        assert!(spec.worst_case_launch(work, 1 << 30) > alone);
+        // Hostile work or a hostile declaration saturates instead of
+        // overflowing: the rule reads them before the guard does.
+        assert_eq!(spec.kernel_duration(Work::flops(f64::INFINITY)), SimDuration::MAX);
+        assert_eq!(spec.worst_case_launch(Work::flops(f64::INFINITY), u64::MAX), SimDuration::MAX);
     }
 
     #[test]

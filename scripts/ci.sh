@@ -64,13 +64,17 @@
 #                                migrating shape is tier 3's)
 #   tier 8  race detection       mtcheck (debug build, instrumentation
 #                                armed): the DPOR-lite explorer over the
-#                                workspace scenario matrix must pass clean
-#                                with >=50 distinct schedules per scenario
+#                                ten workspace scenarios (inline-vs-visit,
+#                                the reactor running a channel's calls
+#                                against a worker's visit and a dispatcher
+#                                wake, among them) must pass clean with
+#                                >=50 distinct schedules per scenario
 #                                under a watchdog timeout, the seeded race
 #                                fixture must be *detected* (nonzero exit
 #                                under --deny), and the engine's fixture
-#                                corpus + pinned-schedule regressions +
-#                                replay property must pass
+#                                corpus + pinned-schedule regressions (and
+#                                the grant-vs-park and inline-vs-visit
+#                                sweeps) + replay property must pass
 #
 # Usage: scripts/ci.sh [tier]   (default: all tiers)
 
@@ -240,8 +244,12 @@ if [[ "$tier" == "all" || "$tier" == "8" ]]; then
     # release binaries (mtcheck refuses to run there).
     cargo build -q -p mtgpu-analysis --bin mtcheck
     # The workspace matrix must explore clean — >=50 distinct schedules
-    # per scenario, no races/deadlocks/stalls — inside the watchdog.
+    # per scenario, no races/deadlocks/stalls — inside the watchdog. The
+    # run-to-completion race is named on its own as well, so dropping it
+    # from the matrix cannot pass unnoticed.
     timeout 300 ./target/debug/mtcheck explore --deny
+    timeout 120 ./target/debug/mtcheck explore --deny --scenario inline-vs-visit \
+        --out target/ci-mtcheck-inline > /dev/null
     # The seeded fixture is the detector's self-test: its race must be
     # found, which under --deny is a nonzero exit. Artifacts go to a
     # scratch dir so the matrix report in results/ stays authoritative.
