@@ -1,14 +1,16 @@
 //! Transports carrying the interposed call stream to the runtime daemon.
 //!
 //! The paper's prototype uses the gVirtuS socket framework: AF_UNIX sockets
-//! natively, VM-sockets under virtualization (§3). We provide **one**
-//! network wire — multiplexed frames over TCP ([`MuxConnection`] on the
-//! client, [`spawn_reactor`] on the server) — which every remote frontend,
-//! the inter-node offload relay (§4.7) and the load drivers speak: one
-//! codec, one framing, one listener per node, one set of hostile-peer
-//! checks. Application threads linked into the daemon's own process (tests,
-//! figures, the deterministic harness) skip the wire but not the service:
-//! the runtime opens an in-process connection on the same [`ReplySink`]
+//! natively, VM-sockets under virtualization (§3). We provide **one** wire
+//! — multiplexed frames ([`MuxConnection`] on the client, [`spawn_reactor`]
+//! on the server) over two socket families: TCP to the node's one listener,
+//! which every remote frontend and the inter-node offload relay (§4.7)
+//! speak, and Unix-domain socketpairs ([`ReactorHandle::connect_local`])
+//! for clients in the daemon's own process, such as the load drivers and
+//! the benchmark: one codec, one framing, one set of hostile-peer checks.
+//! Application threads that skip the wire (tests, figures, the in-process
+//! deterministic runs) still share the service: the runtime opens an
+//! in-process connection on the same [`ReplySink`]
 //! ([`ReplySink::open_in_process`]), whose replies complete a channel
 //! instead of being written to a socket.
 

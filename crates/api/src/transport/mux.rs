@@ -1,5 +1,7 @@
-//! Multiplexed client transport: many channels over one TCP connection —
-//! the client side of the node's only network wire.
+//! Multiplexed client transport: many channels over one connection — the
+//! client side of the node's one wire, over TCP to its listener or, from the
+//! node's own process, over a Unix-domain socketpair
+//! ([`super::ReactorHandle::connect_local`]).
 //!
 //! A strict request/response socket would cost every concurrent application
 //! thread a connection (and, server-side, a handler thread). The wire format
@@ -46,13 +48,15 @@ use mtgpu_simtime::{lock_rank, RankedCondvar, RankedMutex, Shadow};
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The byte stream under a connection: a [`TcpStream`], or a peer that
-/// mtcheck scripts over ranked locks, so that a read with nothing to return
-/// is a wait its explorer schedules around instead of a blocked thread.
-#[doc(hidden)]
+/// The byte stream under a connection: a [`TcpStream`] to a node's
+/// listener, a [`UnixStream`] from [`super::ReactorHandle::connect_local`],
+/// or a peer that mtcheck scripts over ranked locks, so that a read with
+/// nothing to return is a wait its explorer schedules around instead of a
+/// blocked thread.
 pub trait ByteStream: Send + Sync + 'static {
     /// One [`FrameBuf::read_from`] off the stream.
     fn read_into(&self, framebuf: &mut FrameBuf) -> std::io::Result<usize>;
@@ -71,6 +75,18 @@ impl ByteStream for TcpStream {
     }
     fn shutdown(&self) {
         let _ = TcpStream::shutdown(self, Shutdown::Both);
+    }
+}
+
+impl ByteStream for UnixStream {
+    fn read_into(&self, framebuf: &mut FrameBuf) -> std::io::Result<usize> {
+        framebuf.read_from(&mut &*self)
+    }
+    fn write_all(&self, buf: &[u8]) -> std::io::Result<()> {
+        Write::write_all(&mut &*self, buf)
+    }
+    fn shutdown(&self) {
+        let _ = UnixStream::shutdown(self, Shutdown::Both);
     }
 }
 
@@ -201,8 +217,8 @@ impl MuxConnection {
         Ok(MuxConnection::over(stream))
     }
 
-    /// A connection over any byte stream (mtcheck's scripted peer).
-    #[doc(hidden)]
+    /// A connection over any byte stream: a local socketpair's client end,
+    /// or mtcheck's scripted peer.
     pub fn over(io: impl ByteStream) -> Self {
         let inner = MuxConnInner {
             io: Box::new(io),
@@ -390,14 +406,15 @@ pub struct MuxPool {
 }
 
 impl MuxPool {
-    /// Opens `conns` connections to a reactor endpoint.
-    pub fn connect(addr: impl ToSocketAddrs + Copy, conns: usize) -> std::io::Result<Self> {
-        let conns = conns.max(1);
-        let mut pool = Vec::with_capacity(conns);
-        for _ in 0..conns {
-            pool.push(MuxConnection::connect(addr)?);
-        }
-        Ok(MuxPool { conns: pool, next: AtomicU64::new(0) })
+    /// A pool of `conns` connections (at least one), each made by `connect`:
+    /// [`MuxConnection::connect`] to a reactor's TCP endpoint, or a local
+    /// socketpair from [`super::ReactorHandle::connect_local`].
+    pub fn open(
+        conns: usize,
+        connect: impl FnMut() -> std::io::Result<MuxConnection>,
+    ) -> std::io::Result<Self> {
+        let conns = std::iter::repeat_with(connect).take(conns.max(1)).collect::<Result<_, _>>()?;
+        Ok(MuxPool { conns, next: AtomicU64::new(0) })
     }
 
     /// Number of pooled connections.
@@ -405,7 +422,7 @@ impl MuxPool {
         self.conns.len()
     }
 
-    /// Whether the pool holds no connections (never true after `connect`).
+    /// Whether the pool holds no connections (never true after `open`).
     pub fn is_empty(&self) -> bool {
         self.conns.is_empty()
     }

@@ -1,9 +1,13 @@
 //! The multiplexed server reactor: one nonblocking thread, all connections.
 //!
-//! The server side of the node's only network wire (DESIGN.md §12).
-//! A single reactor thread owns every socket's *read* half: it accepts
-//! nonblockingly, waits for readiness, decodes [`MuxFrame::Request`]s and
-//! hands them to a [`MuxService`] (the runtime's gateway). The *write* half
+//! The server side of the node's one wire (DESIGN.md §12), over two socket
+//! families: TCP connections from the listener, and the server ends of
+//! Unix-domain socketpairs handed out by [`ReactorHandle::connect_local`] to
+//! clients in the node's own process, adopted at the top of the next round.
+//! Past that point nothing tells them apart. A single reactor thread owns
+//! every socket's *read* half: it accepts nonblockingly, waits for
+//! readiness, decodes [`MuxFrame::Request`]s and hands them to a
+//! [`MuxService`] (the runtime's gateway). The *write* half
 //! of a connection — socket handle, unsent bytes, in-flight request IDs —
 //! sits behind one per-connection lock ([`Outbound`]), because replies are
 //! written by whoever completes them: a [`ReplySink`] encodes under that
@@ -42,6 +46,11 @@
 //!   sheds the connection;
 //! - an outbound backlog past `max_outbuf_bytes` (a peer that writes but
 //!   never reads) sheds the connection.
+//!
+//! A listener whose `accept` fails (out of descriptors, say) keeps the
+//! connection it could not take in its backlog, readable: the reactor
+//! counts the failure and leaves the listener out of the next poll rather
+//! than spin on it.
 
 use super::frame::{encode_frame, FrameBuf};
 use crate::error::CudaError;
@@ -51,7 +60,7 @@ use mtgpu_simtime::{lock_rank, RankedMutex, Shadow};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -160,6 +169,52 @@ enum CloseReason {
     Backlog,
 }
 
+/// A served connection's nonblocking socket, of either family.
+enum Sock {
+    /// Accepted from the listener.
+    Tcp(TcpStream),
+    /// The server end of a [`ReactorHandle::connect_local`] socketpair.
+    Unix(UnixStream),
+}
+
+impl Sock {
+    fn fd(&self) -> RawFd {
+        match self {
+            Sock::Tcp(s) => s.as_raw_fd(),
+            Sock::Unix(s) => s.as_raw_fd(),
+        }
+    }
+
+    fn shutdown(&self) {
+        let _ = match self {
+            Sock::Tcp(s) => s.shutdown(Shutdown::Both),
+            Sock::Unix(s) => s.shutdown(Shutdown::Both),
+        };
+    }
+}
+
+impl Read for &Sock {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match self {
+            Sock::Tcp(s) => (&*s).read(buf),
+            Sock::Unix(s) => (&*s).read(buf),
+        }
+    }
+}
+
+impl Write for &Sock {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        match self {
+            Sock::Tcp(s) => (&*s).write(buf),
+            Sock::Unix(s) => (&*s).write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 /// One connection's outbound half. Everything that puts bytes on the socket
 /// — a sink on a worker thread, the reactor on `POLLOUT` — does so under
 /// this lock, so frames never interleave and `outbuf` stays in wire order.
@@ -167,7 +222,7 @@ struct Outbound {
     /// The nonblocking socket. Shared with the reactor's read half, so the
     /// descriptor stays this connection's for as long as any sink can still
     /// reach this half — never a recycled one.
-    stream: Arc<TcpStream>,
+    stream: Arc<Sock>,
     /// Encoded-but-unsent outbound bytes (socket said would-block).
     outbuf: Vec<u8>,
     /// Bytes of `outbuf` already written.
@@ -251,6 +306,8 @@ struct Table {
     /// Connections whose outbound half needs the reactor: `None` for bytes
     /// left over (watch for `POLLOUT`), a reason for one to retire.
     attention: Vec<(ConnId, Option<CloseReason>)>,
+    /// Server ends of local socketpairs the reactor has yet to adopt.
+    local: Vec<UnixStream>,
 }
 
 struct Shared {
@@ -264,8 +321,8 @@ struct Shared {
 }
 
 impl Shared {
-    /// Registers an accepted connection's outbound half.
-    fn attach(&self, conn: ConnId, stream: Arc<TcpStream>) -> OutHalf {
+    /// Registers a served connection's outbound half.
+    fn attach(&self, conn: ConnId, stream: Arc<Sock>) -> OutHalf {
         let out = Arc::new(RankedMutex::new(
             lock_rank::CONN_OUT,
             Outbound {
@@ -290,7 +347,7 @@ impl Shared {
         if let Some(Half::Socket(out)) = removed {
             let mut out = out.lock();
             out.close();
-            let _ = out.stream.shutdown(Shutdown::Both);
+            out.stream.shutdown();
         }
     }
 }
@@ -308,7 +365,7 @@ impl ReplySink {
         let shared = Arc::new(Shared {
             table: RankedMutex::new(
                 lock_rank::REACTOR_CONNS,
-                Table { conns: BTreeMap::new(), attention: Vec::new() },
+                Table { conns: BTreeMap::new(), attention: Vec::new(), local: Vec::new() },
             ),
             wake: ReactorWake { sleeping: AtomicBool::new(false), pipe: OnceLock::new() },
             stats: ReactorStats::default(),
@@ -420,7 +477,7 @@ impl ReplyQueue {
     /// sink without a reactor thread.
     #[doc(hidden)]
     pub fn attach(&self, conn: ConnId, stream: TcpStream) {
-        self.shared.attach(conn, Arc::new(stream));
+        self.shared.attach(conn, Arc::new(Sock::Tcp(stream)));
     }
 
     /// Retires connection `conn`'s outbound half, as the reactor does.
@@ -448,10 +505,16 @@ impl Default for ReactorConfig {
 /// Counters exported by a running reactor (all monotonic except `open`).
 #[derive(Debug, Default)]
 pub struct ReactorStats {
-    /// Currently open connections.
+    /// Currently open connections, of both families.
     pub open: AtomicUsize,
     /// Connections accepted over the reactor's lifetime.
     pub accepted: AtomicU64,
+    /// Local connections ([`ReactorHandle::connect_local`]) adopted over the
+    /// reactor's lifetime.
+    pub local: AtomicU64,
+    /// `accept` calls that failed (out of descriptors, say); each leaves the
+    /// listener out of one poll.
+    pub accept_failures: AtomicU64,
     /// Requests decoded and handed to the service.
     pub requests: AtomicU64,
     /// Of those, the ones the service ran on the reactor thread itself: the
@@ -492,6 +555,20 @@ impl ReactorHandle {
         self.shared.stats.open.load(Ordering::Relaxed)
     }
 
+    /// A connection from the node's own process: the client end of a fresh
+    /// Unix-domain socketpair, for a [`super::MuxConnection`] to wrap. The
+    /// reactor adopts the other end at the top of its next round and serves
+    /// it as it serves an accepted one; until then requests wait in the
+    /// socket. A stream the reactor never adopts closes when its loop ends,
+    /// so a caller on it gets `Disconnected`, never a hang.
+    pub fn connect_local(&self) -> std::io::Result<UnixStream> {
+        let (client, server) = UnixStream::pair()?;
+        server.set_nonblocking(true)?;
+        self.shared.table.lock().local.push(server);
+        self.shared.wake.notify();
+        Ok(client)
+    }
+
     /// Stops the reactor thread, closing every connection (each gets its
     /// `on_disconnect`). Dropping the handle does the same.
     pub fn shutdown(self) {}
@@ -509,7 +586,7 @@ impl Drop for ReactorHandle {
 
 /// The reactor's own (read-side) state of one connection.
 struct Conn {
-    stream: Arc<TcpStream>,
+    stream: Arc<Sock>,
     framebuf: FrameBuf,
     /// Timestamp of the oldest byte of the current partial frame.
     partial_since: Option<Instant>,
@@ -544,29 +621,56 @@ pub fn spawn_reactor(
     Ok(ReactorHandle { addr, shared, stop, thread: Some(thread) })
 }
 
-/// Accepts every pending connection (until `accept` would block).
+/// Serves `sock` from now on as connection `*next_conn`, whichever family
+/// it is.
+fn register(
+    conns: &mut BTreeMap<ConnId, Conn>,
+    next_conn: &mut ConnId,
+    sock: Sock,
+    peer: &str,
+    service: &dyn MuxService,
+    shared: &Shared,
+) {
+    let id = *next_conn;
+    *next_conn += 1;
+    let stream = Arc::new(sock);
+    let out = shared.attach(id, Arc::clone(&stream));
+    conns.insert(
+        id,
+        Conn { stream, framebuf: FrameBuf::new(), partial_since: None, out, want_out: false },
+    );
+    shared.stats.open.store(conns.len(), Ordering::Relaxed);
+    service.on_connect(id, peer);
+}
+
+/// Accepts every pending connection (until `accept` would block). False when
+/// `accept` failed: the connection it could not take stays in the backlog,
+/// so the listener stays readable and the caller leaves it out of the next
+/// poll instead of spinning on it.
 fn accept_ready(
     listener: &TcpListener,
     conns: &mut BTreeMap<ConnId, Conn>,
     next_conn: &mut ConnId,
     service: &dyn MuxService,
     shared: &Shared,
-) {
-    while let Ok((stream, peer)) = listener.accept() {
+) -> bool {
+    loop {
+        let (stream, peer) = match listener.accept() {
+            Ok(accepted) => accepted,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
+            Err(e) if matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::ConnectionAborted) => {
+                continue
+            }
+            Err(_) => {
+                shared.stats.accept_failures.fetch_add(1, Ordering::Relaxed);
+                return false;
+            }
+        };
         if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
             continue;
         }
-        let id = *next_conn;
-        *next_conn += 1;
-        let stream = Arc::new(stream);
-        let out = shared.attach(id, Arc::clone(&stream));
-        conns.insert(
-            id,
-            Conn { stream, framebuf: FrameBuf::new(), partial_since: None, out, want_out: false },
-        );
         shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-        shared.stats.open.store(conns.len(), Ordering::Relaxed);
-        service.on_connect(id, &peer.to_string());
+        register(conns, next_conn, Sock::Tcp(stream), &peer.to_string(), service, shared);
     }
 }
 
@@ -673,17 +777,28 @@ fn poll_loop(
     let mut next_conn: ConnId = 1;
     let mut closed: Vec<(ConnId, CloseReason)> = Vec::new();
     let mut attention: Vec<(ConnId, Option<CloseReason>)> = Vec::new();
+    let mut local: Vec<UnixStream> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
     let mut ids: Vec<ConnId> = Vec::new();
     let mut partials: usize = 0;
+    let mut listening = true;
 
     while !stop.load(Ordering::SeqCst) {
-        // --- what sinks left for us ---------------------------------------
-        // Arm the wake flag BEFORE taking the list: a sink posting after
+        // --- what sinks and local connects left for us --------------------
+        // Arm the wake flag BEFORE taking the lists: a sink posting after
         // the take sees the flag and writes the byte that makes the poll
         // below return immediately.
         shared.wake.sleeping.store(true, Ordering::SeqCst);
-        std::mem::swap(&mut attention, &mut shared.table.lock().attention);
+        {
+            let mut table = shared.table.lock();
+            std::mem::swap(&mut attention, &mut table.attention);
+            std::mem::swap(&mut local, &mut table.local);
+        }
+        for stream in local.drain(..) {
+            stats.local.fetch_add(1, Ordering::Relaxed);
+            let sock = Sock::Unix(stream);
+            register(&mut conns, &mut next_conn, sock, "local", service.as_ref(), shared);
+        }
         for (id, need) in attention.drain(..) {
             match need {
                 Some(reason) => closed.push((id, reason)),
@@ -696,13 +811,17 @@ fn poll_loop(
         }
 
         // --- build the poll set: listener, wake pipe, every connection ---
+        // After a failed accept the listener sits this round out (poll
+        // skips a negative descriptor), or its backlog would wake us at
+        // once, forever.
         fds.clear();
         ids.clear();
-        fds.push(PollFd { fd: listener.as_raw_fd(), events: POLLIN, revents: 0 });
+        let listener_fd = if listening { listener.as_raw_fd() } else { -1 };
+        fds.push(PollFd { fd: listener_fd, events: POLLIN, revents: 0 });
         fds.push(PollFd { fd: wake_rx.as_raw_fd(), events: POLLIN, revents: 0 });
         for (&id, conn) in conns.iter() {
             let events = if conn.want_out { POLLIN | POLLOUT } else { POLLIN };
-            fds.push(PollFd { fd: conn.stream.as_raw_fd(), events, revents: 0 });
+            fds.push(PollFd { fd: conn.stream.fd(), events, revents: 0 });
             ids.push(id);
         }
 
@@ -726,9 +845,8 @@ fn poll_loop(
             }
         }
 
-        if fds[0].revents != 0 {
-            accept_ready(&listener, &mut conns, &mut next_conn, service.as_ref(), shared);
-        }
+        listening = fds[0].revents == 0
+            || accept_ready(&listener, &mut conns, &mut next_conn, service.as_ref(), shared);
 
         // --- serve ready connections --------------------------------------
         for (i, &id) in ids.iter().enumerate() {
@@ -756,11 +874,13 @@ fn poll_loop(
         retire(&mut conns, &mut closed, &mut partials, service.as_ref(), shared);
     }
 
-    // Shutdown: close every connection and notify the service.
+    // Shutdown: close every connection and notify the service; a local
+    // stream never adopted closes here, so its client sees the hang-up.
     for (id, _conn) in std::mem::take(&mut conns) {
         shared.detach(id);
         service.on_disconnect(id);
     }
+    drop(std::mem::take(&mut shared.table.lock().local));
     stats.open.store(0, Ordering::Relaxed);
 }
 
@@ -894,8 +1014,9 @@ mod tests {
     fn replies_posted_during_a_read_sweep_go_out_when_it_ends() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let stream = Arc::new(listener.accept().unwrap().0);
+        let stream = listener.accept().unwrap().0;
         stream.set_nonblocking(true).unwrap();
+        let stream = Arc::new(Sock::Tcp(stream));
         let (sink, queue) = ReplySink::channel();
         let out = queue.shared.attach(1, Arc::clone(&stream));
         let mut conn =

@@ -8,7 +8,8 @@
 //!
 //! * [`ClusterNode`] — a node daemon: a `NodeRuntime` plus its one TCP
 //!   endpoint (reactor + gateway), by which remote frontends and peer nodes
-//!   offloading connections reach it;
+//!   offloading connections reach it, and frontends in its own process
+//!   reach the same reactor over Unix-domain socketpairs;
 //! * [`torque`] — the batch scheduler substrate: FIFO job queue at a head
 //!   node with the two GPU-visibility modes of §5.4;
 //! * [`Cluster`] — an in-process test cluster wiring nodes together with

@@ -16,23 +16,20 @@ pub(crate) fn reserve_listener() -> TcpListener {
     TcpListener::bind("127.0.0.1:0").expect("bind ephemeral listener")
 }
 
-/// The node's endpoint: one reactor in front of the runtime's gateway.
-struct MuxEndpoint {
-    addr: SocketAddr,
-    reactor: ReactorHandle,
-}
-
 /// One compute node: devices + runtime daemon + (optionally) the TCP
 /// endpoint remote frontends and peers offloading connections reach it by.
 ///
 /// A listening node owns exactly one listener ([`ClusterNode::mux_addr`]):
 /// one nonblocking reactor multiplexing every connection into the runtime's
-/// gateway (DESIGN.md §12), which serves in-process clients too. There is
-/// no second port, no acceptor thread and no second serving loop.
+/// gateway (DESIGN.md §12), which serves in-process clients too. The same
+/// reactor serves the node's own process over Unix-domain socketpairs
+/// ([`ClusterNode::mux_client`], [`ClusterNode::mux_pool`]). There is no
+/// second port, no acceptor thread and no second serving loop.
 pub struct ClusterNode {
     name: String,
     runtime: Arc<NodeRuntime>,
-    mux: Option<MuxEndpoint>,
+    /// The reactor in front of the runtime's gateway, if listening.
+    mux: Option<ReactorHandle>,
 }
 
 impl ClusterNode {
@@ -59,11 +56,9 @@ impl ClusterNode {
         let driver = Driver::with_devices(clock, specs);
         let runtime = NodeRuntime::start(driver, cfg);
         let mux = listener.map(|listener| {
-            let addr = listener.local_addr().expect("listener address");
             let (service, queue) = (runtime.clone(), runtime.reply_queue());
-            let reactor = spawn_reactor(listener, ReactorConfig::default(), service, queue)
-                .expect("spawn mux reactor");
-            MuxEndpoint { addr, reactor }
+            spawn_reactor(listener, ReactorConfig::default(), service, queue)
+                .expect("spawn mux reactor")
         });
         ClusterNode { name, runtime, mux }
     }
@@ -98,20 +93,12 @@ impl ClusterNode {
 
     /// The node's TCP endpoint, if listening.
     pub fn mux_addr(&self) -> Option<SocketAddr> {
-        self.mux.as_ref().map(|m| m.addr)
-    }
-
-    /// [`Self::mux_addr`], or the error every connect helper reports on a
-    /// node that is not listening.
-    fn listening_addr(&self) -> std::io::Result<SocketAddr> {
-        self.mux_addr().ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::AddrNotAvailable, "node not listening")
-        })
+        self.mux.as_ref().map(ReactorHandle::addr)
     }
 
     /// Reactor statistics for the multiplexed endpoint, if listening.
     pub fn mux_stats(&self) -> Option<&ReactorStats> {
-        self.mux.as_ref().map(|m| m.reactor.stats())
+        self.mux.as_ref().map(ReactorHandle::stats)
     }
 
     /// Live gateway channels, in-process ones included (diagnostic).
@@ -119,17 +106,32 @@ impl ClusterNode {
         self.runtime.channel_count()
     }
 
-    /// A client over a connection of its own (an application or VM frontend
-    /// reaching the node over the network): the one channel of a fresh
-    /// socket, which closes when the client is dropped.
-    pub fn mux_client(&self) -> std::io::Result<FrontendClient<MuxChannel>> {
-        Ok(FrontendClient::new(MuxConnection::connect(self.listening_addr()?)?.channel()))
+    /// A connection to the reactor from this process, over a Unix-domain
+    /// socketpair ([`ReactorHandle::connect_local`]); an error on a node
+    /// that is not listening. Every client of the node's own process that
+    /// goes over the wire connects here, a remote one dials
+    /// [`Self::mux_addr`].
+    pub fn local_connection(&self) -> std::io::Result<MuxConnection> {
+        let reactor = self.mux.as_ref().ok_or_else(|| {
+            std::io::Error::new(std::io::ErrorKind::AddrNotAvailable, "node not listening")
+        })?;
+        Ok(MuxConnection::over(reactor.connect_local()?))
     }
 
-    /// A pool of `conns` multiplexed connections; many frontends share them
-    /// round-robin via [`MuxPool::channel`].
+    /// A client over a connection of its own (an application frontend on
+    /// this node, gVirtuS's AF_UNIX path): the one channel of a fresh
+    /// socketpair into the node's reactor, which closes when the client is
+    /// dropped. The same wire, framing and shedding as over TCP, without
+    /// the TCP stack; a remote frontend dials [`Self::mux_addr`] instead.
+    pub fn mux_client(&self) -> std::io::Result<FrontendClient<MuxChannel>> {
+        Ok(FrontendClient::new(self.local_connection()?.channel()))
+    }
+
+    /// A pool of `conns` multiplexed connections from this process, each a
+    /// socketpair into the node's reactor as for [`Self::mux_client`]; many
+    /// frontends share them round-robin via [`MuxPool::channel`].
     pub fn mux_pool(&self, conns: usize) -> std::io::Result<MuxPool> {
-        MuxPool::connect(self.listening_addr()?, conns)
+        MuxPool::open(conns, || self.local_connection())
     }
 
     /// Physical GPUs on the node (what a GPU-aware scheduler sees).
@@ -141,8 +143,8 @@ impl ClusterNode {
     /// goes first (no new requests, open connections disconnect), then the
     /// runtime, whose workers drain the queued teardowns on their way out.
     pub fn shutdown(mut self) {
-        if let Some(mux) = self.mux.take() {
-            mux.reactor.shutdown();
+        if let Some(reactor) = self.mux.take() {
+            reactor.shutdown();
         }
         self.runtime.shutdown();
     }
@@ -152,6 +154,7 @@ impl ClusterNode {
 mod tests {
     use super::*;
     use mtgpu_api::CudaClient;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn frontend_on_its_own_connection_reaches_node_runtime() {
@@ -196,6 +199,31 @@ mod tests {
         assert!(node.runtime().wait_idle(std::time::Duration::from_secs(10)));
         assert_eq!(node.mux_channel_count(), 0);
         assert!(node.mux_stats().unwrap().requests.load(std::sync::atomic::Ordering::Relaxed) >= 2);
+        node.shutdown();
+    }
+
+    #[test]
+    fn dropping_a_local_pool_tears_its_contexts_down() {
+        let node = ClusterNode::start(
+            "n0".into(),
+            Clock::with_scale(1e-7),
+            vec![GpuSpec::test_small()],
+            RuntimeConfig::paper_default(),
+            true,
+        );
+        let pool = node.mux_pool(2).unwrap();
+        let mut clients: Vec<_> = (0..4).map(|_| FrontendClient::new(pool.channel())).collect();
+        for client in &mut clients {
+            client.malloc(256).unwrap();
+        }
+        assert_eq!(node.runtime().context_count(), 4);
+        let stats = node.mux_stats().unwrap();
+        let (local, accepted) = (&stats.local, &stats.accepted);
+        assert_eq!((local.load(Ordering::Relaxed), accepted.load(Ordering::Relaxed)), (2, 0));
+        // No client said Exit: the pool's hang-up alone lets the node go.
+        drop(pool);
+        assert!(node.runtime().wait_contexts(0, std::time::Duration::from_secs(10)));
+        assert_eq!(clients[0].synchronize(), Err(mtgpu_api::CudaError::Disconnected));
         node.shutdown();
     }
 

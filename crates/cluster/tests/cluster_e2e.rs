@@ -101,12 +101,17 @@ fn remote_tcp_frontend_runs_full_workload() {
         RuntimeConfig::paper_default(),
         true,
     );
-    let mut client: Box<dyn mtgpu_api::CudaClient> = Box::new(node.mux_client().unwrap());
+    // A remote frontend dials the node's listener (`mux_client` is the
+    // local socketpair of an application on the node).
+    let conn = mtgpu_api::MuxConnection::connect(node.mux_addr().unwrap()).unwrap();
+    let mut client: Box<dyn mtgpu_api::CudaClient> =
+        Box::new(mtgpu_api::FrontendClient::new(conn.channel()));
     let job = AppKind::Hs.build(Scale::TINY);
     mtgpu_workloads::register_workload(client.as_mut(), job.as_ref()).unwrap();
     let report = job.run(client.as_mut(), &clock).unwrap();
     client.exit().unwrap();
     assert!(report.verified, "HS over TCP failed verification");
+    assert_eq!(node.mux_stats().unwrap().accepted.load(std::sync::atomic::Ordering::Relaxed), 1);
     node.shutdown();
 }
 

@@ -85,6 +85,10 @@ fn a_long_kernel_and_a_launch_behind_it_wait_on_the_pool_while_other_calls_are_a
     let stats = node.mux_stats().unwrap();
     let requests = stats.requests.load(Ordering::Relaxed);
     assert_eq!(stats.ran_inline.load(Ordering::Relaxed), requests - 2, "of {requests}");
+    // All three clients came over local socketpairs, none over TCP: the
+    // rule holds on the path an application on the node takes.
+    assert_eq!(stats.local.load(Ordering::Relaxed), 3);
+    assert_eq!(stats.accepted.load(Ordering::Relaxed), 0);
     println!(
         "kernel {kernel:?}; {probes} round trips beside it: median {median:?}, slowest {slowest:?}"
     );

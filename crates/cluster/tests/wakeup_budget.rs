@@ -1,13 +1,16 @@
 //! Structural wake-up budget of the mux serving path (DESIGN.md §12): how
 //! often the calling thread, the gateway's workers and the reactor go to
-//! sleep per call, read from the kernel's own per-thread counters.
+//! sleep per call, read from the kernel's own per-thread counters. The
+//! eager launch is read over both socket families, a TCP connection to the
+//! listener and the local socketpair `mux_client` opens; the other cases
+//! run over `mux_pool`'s local socketpairs.
 //! Independent of wall time, so it holds on a loaded machine; alone in its
 //! test binary and one case at a time, so every `mux-*` thread of the
 //! process belongs to the one node a case starts.
 #![cfg(target_os = "linux")]
 
 use mtgpu_api::protocol::{AllocKind, CudaCall, ReplyValue};
-use mtgpu_api::transport::SWEEP_RUN_BUDGET;
+use mtgpu_api::transport::{FrontendClient, MuxConnection, SWEEP_RUN_BUDGET};
 use mtgpu_api::{CudaClient, Transport};
 use mtgpu_cluster::ClusterNode;
 use mtgpu_core::mux::VISIT_BUDGET;
@@ -65,6 +68,15 @@ fn assert_no_reader_thread() {
     assert_eq!(readers, 0, "a client connection has a thread again");
 }
 
+/// The node's clients reached its reactor over `conns` local socketpairs
+/// and dialed no TCP: what is measured here is the path `mux_client` and
+/// `mux_pool` take.
+fn assert_local(node: &ClusterNode, conns: u64) {
+    let stats = node.mux_stats().expect("a listening node");
+    assert_eq!(stats.local.load(Ordering::Relaxed), conns, "local connections adopted");
+    assert_eq!(stats.accepted.load(Ordering::Relaxed), 0, "a client dialed the TCP listener");
+}
+
 /// Requests the node's reactor has read so far, and how many of them it ran
 /// itself.
 fn wire_calls(node: &ClusterNode) -> (u64, u64) {
@@ -77,12 +89,24 @@ fn own_switches() -> u64 {
     switches_of(std::path::Path::new("/proc/thread-self"), "").expect("the calling thread")
 }
 
-#[test]
-fn an_eager_launch_puts_caller_and_reactor_to_sleep_once_each_and_no_worker() {
+/// Sleeps per eager launch: the calling thread's, Σ `mux-worker-*`'s and
+/// the reactor's.
+struct LaunchSleeps {
+    caller: f64,
+    workers: f64,
+    reactor: f64,
+}
+
+/// Runs eager launches on `client`, a connection to `node`, and reads who
+/// slept how often; asserts what does not depend on the socket family, and
+/// leaves the caller's bound to the case. One launch is two frames in one
+/// write: one poll wake-up, and the reactor runs both calls itself and
+/// writes both replies in one go, which the caller reads itself — no
+/// worker, and no thread per connection to pass them on. Through a worker
+/// it was one sleep per launch more; before the hand-offs were targeted,
+/// the eight-plus workers slept ≈16 times per launch.
+fn eager_launch_sleeps(node: &ClusterNode, client: &mut dyn CudaClient) -> LaunchSleeps {
     const LAUNCHES: u64 = 2_000;
-    let _alone = ONE_NODE.lock().unwrap_or_else(|e| e.into_inner());
-    let node = node();
-    let mut client = node.mux_client().unwrap();
     let module = client.register_fat_binary().unwrap();
     client.register_function(module, KernelDesc::plain("wake_noop")).unwrap();
     let spec = LaunchSpec {
@@ -96,7 +120,7 @@ fn an_eager_launch_puts_caller_and_reactor_to_sleep_once_each_and_no_worker() {
         client.launch(spec.clone()).unwrap();
     }
 
-    let before = wire_calls(&node);
+    let before = wire_calls(node);
     let (workers, reactor, caller) =
         (voluntary_switches("mux-worker-"), voluntary_switches("mux-reactor-"), own_switches());
     for _ in 0..LAUNCHES {
@@ -105,42 +129,81 @@ fn an_eager_launch_puts_caller_and_reactor_to_sleep_once_each_and_no_worker() {
     let caller = own_switches() - caller;
     let workers = voluntary_switches("mux-worker-") - workers;
     let reactor = voluntary_switches("mux-reactor-") - reactor;
-    let after = wire_calls(&node);
+    let after = wire_calls(node);
 
-    // One launch is two frames in one write: one poll wake-up, and the
-    // reactor runs both calls itself and writes both replies in one go,
-    // which the caller reads itself — no worker, and no thread per
-    // connection to pass them on. Through a worker it was one sleep per
-    // launch more; before the hand-offs were targeted, the
-    // eight-plus workers slept ≈16 times per launch.
     let per_launch = |n: u64| n as f64 / LAUNCHES as f64;
+    let sleeps = LaunchSleeps {
+        caller: per_launch(caller),
+        workers: per_launch(workers),
+        reactor: per_launch(reactor),
+    };
     let (calls, inline) = (after.0 - before.0, after.1 - before.1);
-    assert_no_reader_thread();
-    assert!(
-        per_launch(caller) <= 1.2,
-        "{:.2} caller sleeps per launch — is its reply handed over by another thread again?",
-        per_launch(caller)
-    );
-    assert!(
-        per_launch(workers) <= 0.1,
-        "{:.2} worker sleeps per launch — is the reactor handing launches to the pool again?",
-        per_launch(workers)
-    );
-    assert!(
-        per_launch(reactor) <= 1.2,
-        "{:.2} reactor sleeps per launch — is the reactor woken to write replies again?",
-        per_launch(reactor)
-    );
-    assert_eq!(calls, 2 * LAUNCHES);
-    assert!(inline * 100 >= calls * 99, "the reactor ran {inline} of {calls} calls itself");
     println!(
         "per launch: {:.2} caller sleeps, {:.2} worker sleeps, {:.2} reactor sleeps; \
          {inline} of {calls} calls run on the reactor",
-        per_launch(caller),
-        per_launch(workers),
-        per_launch(reactor)
+        sleeps.caller, sleeps.workers, sleeps.reactor
     );
+    assert_no_reader_thread();
+    assert!(
+        sleeps.workers <= 0.1,
+        "{:.2} worker sleeps per launch — is the reactor handing launches to the pool again?",
+        sleeps.workers
+    );
+    assert!(
+        sleeps.reactor <= 1.2,
+        "{:.2} reactor sleeps per launch — is the reactor woken to write replies again?",
+        sleeps.reactor
+    );
+    assert_eq!(calls, 2 * LAUNCHES);
+    assert!(inline * 100 >= calls * 99, "the reactor ran {inline} of {calls} calls itself");
     client.exit().unwrap();
+    sleeps
+}
+
+/// A remote frontend's path, over TCP to the listener: the caller sleeps
+/// once per launch, for its replies.
+#[test]
+fn an_eager_launch_puts_caller_and_reactor_to_sleep_once_each_and_no_worker() {
+    let _alone = ONE_NODE.lock().unwrap_or_else(|e| e.into_inner());
+    let node = node();
+    let conn = MuxConnection::connect(node.mux_addr().unwrap()).unwrap();
+    let sleeps = eager_launch_sleeps(&node, &mut FrontendClient::new(conn.channel()));
+    let stats = node.mux_stats().unwrap();
+    assert_eq!(
+        (stats.accepted.load(Ordering::Relaxed), stats.local.load(Ordering::Relaxed)),
+        (1, 0)
+    );
+    assert!(
+        sleeps.caller <= 1.2,
+        "{:.2} caller sleeps per launch — is its reply handed over by another thread again?",
+        sleeps.caller
+    );
+    node.shutdown();
+}
+
+/// An application on the node, over the local socketpair `mux_client`
+/// opens. The caller sleeps once for the replies and, on many launches,
+/// once more for nothing: a Unix-domain reader blocked in `read` is woken
+/// when the reactor drains the request off the socketpair (the kernel
+/// signals the request's freed buffer space on the reader's own wait
+/// queue), finds no reply yet and sleeps again. That reads 1.2–2.0 per
+/// launch, pinned to one CPU or not, where the TCP case above reads 1.0;
+/// waiting in `poll(2)` would filter the wake but costs a syscall per call,
+/// and measured slower pinned and unpinned (DESIGN.md §12). A reply handed
+/// over by another thread would add a whole sleep per launch, so the bound
+/// sits half a sleep above the highest reading; the TCP case is the sharp
+/// check on hand-offs.
+#[test]
+fn an_eager_launch_over_a_local_socketpair_adds_only_the_drain_wake_up_to_the_caller() {
+    let _alone = ONE_NODE.lock().unwrap_or_else(|e| e.into_inner());
+    let node = node();
+    let sleeps = eager_launch_sleeps(&node, &mut node.mux_client().unwrap());
+    assert_local(&node, 1);
+    assert!(
+        sleeps.caller <= 2.5,
+        "{:.2} caller sleeps per launch — is its reply handed over by another thread again?",
+        sleeps.caller
+    );
     node.shutdown();
 }
 
@@ -194,6 +257,7 @@ fn a_flush_past_the_burst_bound_costs_one_hand_off_per_visit_budget_and_keeps_or
     // visit has let go of the channel is the pool's from its first call.
     let burst = SWEEP_RUN_BUDGET as u64 * FLUSHES;
     assert!(burst / 2 <= inline && inline <= burst, "{inline} calls on the reactor");
+    assert_local(&node, 1);
     drop(chan);
     drop(pool);
     node.shutdown();
@@ -216,7 +280,7 @@ fn sixteen_callers_on_one_connection_sleep_three_times_per_call_between_them() {
         let callers: Vec<_> = (0..CALLERS)
             .map(|_| {
                 s.spawn(|| {
-                    let mut client = mtgpu_api::transport::FrontendClient::new(pool.channel());
+                    let mut client = FrontendClient::new(pool.channel());
                     client.get_device_count().unwrap();
                     start.wait();
                     let before = own_switches();
@@ -234,6 +298,7 @@ fn sixteen_callers_on_one_connection_sleep_three_times_per_call_between_them() {
     let calls = CALLERS as u64 * CALLS;
     let per_call = sleeps as f64 / calls as f64;
     assert_no_reader_thread();
+    assert_local(&node, 1);
     assert!(sleeps <= 3 * calls, "{per_call:.2} caller sleeps per call — who is waking everybody?");
     println!("per call, over {CALLERS} callers: {per_call:.2} caller sleeps");
     drop(pool);

@@ -23,8 +23,9 @@ use serde::Serialize;
 pub enum DetTransport {
     /// In-process channel transport straight into the runtime.
     Local,
-    /// A real multiplexed TCP connection through the reactor (DESIGN.md
-    /// §12): every request is a fresh channel on one persistent socket.
+    /// A real multiplexed connection through the reactor, the node's local
+    /// socketpair (DESIGN.md §12): every request is a fresh channel on one
+    /// persistent socket.
     /// Sequential one-in-flight driving keeps the reactor and worker
     /// threads off the virtual-time axis, so latency fingerprints stay
     /// replayable bit-for-bit.

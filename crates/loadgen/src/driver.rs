@@ -1,16 +1,21 @@
-//! Open- and closed-loop multi-tenant drivers over the node's TCP endpoint.
+//! Open- and closed-loop multi-tenant drivers over the node's reactor.
 //!
 //! Each tenant is a thread issuing catalog workloads (Table 2, tiny scale)
 //! against a freshly started node daemon. Both modes speak the one wire the
-//! node has (DESIGN.md §12); they differ in who owns the socket:
+//! node has (DESIGN.md §12), over the local socketpairs
+//! [`ClusterNode::mux_client`] and [`ClusterNode::mux_pool`] open, since the
+//! tenants run in the node's process; they differ in who owns the socket:
 //!
 //! * **Reconnect** (the default): one fresh connection per request, so
-//!   every request walks the whole connection path — accept, channel and
+//!   every request walks the whole connection path — adoption, channel and
 //!   context creation, dispatch/bind, run, unbind, teardown on hang-up.
 //! * **Persistent** ([`LoadgenConfig::persistent`]): tenants share a pool of
 //!   long-lived connections; each request opens a fresh *channel* on a
 //!   pooled socket, so connection setup/teardown leaves the per-request
 //!   path and many tenants share one socket.
+//!
+//! The hostile profile's rivals model remote peers and dial the node's TCP
+//! listener ([`fresh_connection`]).
 //!
 //! Closed loop issues the next request the moment the previous one finishes
 //! (dispatcher saturation); open loop paces requests at an aggregate offered
@@ -27,7 +32,6 @@ use mtgpu_gpusim::GpuSpec;
 use mtgpu_simtime::{Clock, DetRng};
 use mtgpu_workloads::{catalog, register_workload, Workload};
 use std::net::SocketAddr;
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -101,19 +105,23 @@ struct TenantOutcome {
     makespan_nanos: u64,
 }
 
-/// The one channel of a fresh connection to the node; the socket closes
-/// with it.
+/// The one channel of a fresh TCP connection to the node's listener; the
+/// socket closes with it.
 pub(crate) fn fresh_connection(addr: SocketAddr) -> Result<MuxChannel, String> {
     MuxConnection::connect(addr).map(|conn| conn.channel()).map_err(|e| format!("connect: {e}"))
 }
 
-/// One request on `channel` (a [`fresh_connection`] in reconnect mode, a
-/// fresh channel on a pooled socket in persistent mode): register, run the
-/// workload, exit. Launches are pipelined — the workloads never read a
-/// launch reply. Returns an error string on any failure, including a wrong
-/// result.
-fn run_request(channel: MuxChannel, job: &dyn Workload, clock: &Clock) -> Result<(), String> {
-    let mut client = FrontendClient::new(channel).with_pipelining();
+/// One request on `client` (the one channel of a fresh connection in
+/// reconnect mode, a fresh channel on a pooled socket in persistent mode):
+/// register, run the workload, exit. Launches are pipelined — the workloads
+/// never read a launch reply. Returns an error string on any failure,
+/// including a wrong result.
+fn run_request(
+    client: FrontendClient<MuxChannel>,
+    job: &dyn Workload,
+    clock: &Clock,
+) -> Result<(), String> {
+    let mut client = client.with_pipelining();
     register_workload(&mut client, job).map_err(|e| format!("register: {e}"))?;
     let report = job.run(&mut client, clock).map_err(|e| format!("{}: {e}", job.name()))?;
     client.exit().map_err(|e| format!("exit: {e}"))?;
@@ -129,7 +137,7 @@ fn tenant_loop(
     name: &str,
     tenant: usize,
     cfg: &LoadgenConfig,
-    addr: SocketAddr,
+    node: &ClusterNode,
     pool: Option<&MuxPool>,
     clock: &Clock,
     t0: Instant,
@@ -156,11 +164,11 @@ fn tenant_loop(
                 intended // latency includes schedule slip
             }
         };
-        let channel = match pool {
-            Some(pool) => Ok(pool.channel()),
-            None => fresh_connection(addr),
+        let client = match pool {
+            Some(pool) => Ok(FrontendClient::new(pool.channel())),
+            None => node.mux_client().map_err(|e| format!("connect: {e}")),
         };
-        match channel.and_then(|channel| run_request(channel, job.as_ref(), clock)) {
+        match client.and_then(|client| run_request(client, job.as_ref(), clock)) {
             Ok(()) => {
                 out.completed += 1;
                 out.hist.record(started.elapsed().as_nanos() as u64);
@@ -196,31 +204,27 @@ pub(crate) fn run_load_beside<R>(
         RuntimeConfig::paper_default().with_vgpus(cfg.vgpus_per_device).with_seed(cfg.seed);
     rt_cfg.tenant_policy = policy;
     let node = ClusterNode::start("loadgen".into(), clock.clone(), specs, rt_cfg, true);
-    let addr = node.mux_addr().expect("listening node");
-    let pool: Option<Arc<MuxPool>> = if cfg.persistent {
+    let pool = cfg.persistent.then(|| {
         let conns = if cfg.connections == 0 { cfg.clients } else { cfg.connections };
-        Some(Arc::new(node.mux_pool(conns).expect("connect mux pool")))
-    } else {
-        None
-    };
+        node.mux_pool(conns).expect("connect mux pool")
+    });
 
-    let rivals = rivals(addr);
+    let rivals = rivals(node.mux_addr().expect("listening node"));
     // mtlint: allow(wall-clock, reason = "wall-clock epoch for the load run; throughput/latency are real-time measurements")
     let t0 = Instant::now();
-    let handles: Vec<_> = (0..cfg.clients)
-        .map(|tenant| {
-            let name = format!("{stream}-{tenant}");
-            let cfg = cfg.clone();
-            let clock = clock.clone();
-            let pool = pool.clone();
-            std::thread::Builder::new()
-                .name(name.clone())
-                .spawn(move || tenant_loop(&name, tenant, &cfg, addr, pool.as_deref(), &clock, t0))
-                .expect("spawn tenant thread")
-        })
-        .collect();
-    let outcomes: Vec<TenantOutcome> =
-        handles.into_iter().map(|h| h.join().expect("tenant thread panicked")).collect();
+    let outcomes: Vec<TenantOutcome> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..cfg.clients)
+            .map(|tenant| {
+                let name = format!("{stream}-{tenant}");
+                let (node, pool, clock) = (&node, pool.as_ref(), &clock);
+                std::thread::Builder::new()
+                    .name(name.clone())
+                    .spawn_scoped(s, move || tenant_loop(&name, tenant, cfg, node, pool, clock, t0))
+                    .expect("spawn tenant thread")
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("tenant thread panicked")).collect()
+    });
     let wall_nanos = t0.elapsed().as_nanos() as u64;
     let rivals = rivals.into_iter().map(|h| h.join().expect("rival thread panicked")).collect();
 

@@ -42,15 +42,15 @@ impl SeqHarness {
     }
 
     /// Starts the node under test. With `mux`, every client is a fresh
-    /// channel on one real TCP connection through the reactor (DESIGN.md
-    /// §12): one request in flight keeps the reactor and worker threads off
-    /// the virtual-time axis, so the run replays as the in-process one does.
+    /// channel on one connection through the reactor (DESIGN.md §12), the
+    /// node's own local socketpair ([`ClusterNode::local_connection`]): one
+    /// request in flight keeps the reactor and worker threads off the
+    /// virtual-time axis, so the run replays as the in-process one does.
     pub fn start(specs: Vec<GpuSpec>, cfg: RuntimeConfig, mux: bool) -> SeqHarness {
         assert!(!cfg.background_monitor, "a monitor thread would tick at real-time instants");
         let clock = Clock::virtual_clock();
         let node = ClusterNode::start("det".into(), clock.clone(), specs, cfg, mux);
-        let conn =
-            node.mux_addr().map(|addr| MuxConnection::connect(addr).expect("connect det mux"));
+        let conn = mux.then(|| node.local_connection().expect("connect det mux"));
         SeqHarness { clock, node, conn }
     }
 

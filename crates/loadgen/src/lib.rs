@@ -3,7 +3,7 @@
 //! Two drivers over the Table 2 workload catalog, and what rides them:
 //!
 //! * **concurrent** ([`run_load`]) — a thread per tenant against a node's
-//!   TCP endpoint, *closed loop* ([`Mode::Closed`]: the next request the
+//!   reactor, over local socketpairs, *closed loop* ([`Mode::Closed`]: the next request the
 //!   moment the previous one finishes, saturating the dispatcher) or *open
 //!   loop* ([`Mode::Open`]: a fixed aggregate schedule, latency charging any
 //!   time spent behind it). **Adversarial isolation** ([`run_isolation`])

@@ -17,7 +17,10 @@
 #                                must differ from the run that never evicts)
 #                                and the live-migration shape's
 #   tier 4  dispatch stress      256 reconnecting clients on the node's
-#                                endpoint under a 60s timeout (every launch
+#                                reactor, once over local socketpairs (as
+#                                loadgen connects) and once each dialing
+#                                its TCP listener, under a 60s timeout
+#                                each (every launch
 #                                that cannot bind waits in the dispatcher's
 #                                one queue, remote or in-process; the
 #                                256-in-process-client stress of that queue
@@ -46,7 +49,13 @@
 #   tier 6  tenant isolation     the adversarial-tenant battery: quota-
 #                                pressure deterministic replay must be
 #                                bit-identical, the hostile wire battery
-#                                and mid-preemption fault case must pass,
+#                                over TCP (wire_robustness) and over the
+#                                local AF_UNIX socketpairs in-process
+#                                clients take (local_socket: each hostile
+#                                peer shed alone, no hang around the
+#                                reactor's end, no spin on a listener out
+#                                of descriptors) and the mid-preemption
+#                                fault case must pass,
 #                                then loadgen --profile hostile must hold
 #                                a greedy tenant to its lease (zero
 #                                over-quota grants) with honest p99 within
@@ -148,9 +157,11 @@ if [[ "$tier" == "all" || "$tier" == "4" ]]; then
     # The 10k soak drives a separate node_daemon process (10k sockets per
     # side under the per-process fd limit).
     cargo build -q --release -p mtgpu-cluster --bin node_daemon
-    # The full 256-client stress over the wire must finish well inside a
-    # minute; a gateway or dispatcher deadlock or lost wakeup shows up as
-    # the timeout firing.
+    # The full 256-client stress over the wire, local and TCP, must finish
+    # well inside a minute; a gateway or dispatcher deadlock or lost wakeup
+    # shows up as the timeout firing.
+    timeout 60 cargo test -q --release --test dispatch_stress -- --ignored \
+        --exact dispatch_stress_256_reconnecting_clients
     timeout 60 cargo test -q --release --test dispatch_stress -- --ignored \
         --exact dispatch_stress_256_tcp_clients
     # 10k persistent connections multiplexed through one reactor, each
@@ -178,7 +189,7 @@ if [[ "$tier" == "all" || "$tier" == "4" ]]; then
     # workload is verified and every pass ends in a post-drain audit, so a
     # non-zero exit is a correctness failure, not a slow run.
     cargo run -q --release -p mtgpu-perf -- --workload all --seconds 2 > /dev/null
-    echo "256-client stress + 10k soak + loadgen fairness + memory bench smoke + perf workloads: ok"
+    echo "256-client stress (local + TCP) + 10k soak + loadgen fairness + memory bench smoke + perf workloads: ok"
 fi
 
 if [[ "$tier" == "all" || "$tier" == "5" ]]; then
@@ -206,6 +217,9 @@ if [[ "$tier" == "all" || "$tier" == "6" ]]; then
     # Hostile wire battery: malformed/oversized/tampered descriptors must
     # bounce with typed errors before dispatch.
     cargo test -q -p mtgpu-api --test wire_robustness > /dev/null
+    # The same reactor-level hostile peers over local socketpairs, the
+    # local path's lifecycle, and a listener out of descriptors.
+    cargo test -q -p mtgpu-api --test local_socket > /dev/null
     # A device dying mid-preemption must leave victims classifiable and
     # the lease book consistent.
     cargo test -q --test fault_matrix \

@@ -298,8 +298,9 @@ fn closed_loop_latency_fingerprint_replays_bit_for_bit() {
 
 #[test]
 fn multiplexed_latency_fingerprint_stable_across_three_runs() {
-    // Same harness, but every request crosses the real multiplexed TCP
-    // wire: reactor, framed MuxFrame stream, gateway worker pool, reply
+    // Same harness, but every request crosses the real multiplexed wire
+    // (the node's local socketpair): reactor, framed MuxFrame stream,
+    // gateway worker pool, reply
     // demux. Sequential one-in-flight driving keeps those threads off the
     // virtual-time axis, so three full runs must collapse to one
     // fingerprint — bit for bit, including the latency quantiles and the

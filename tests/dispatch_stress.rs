@@ -1,25 +1,31 @@
 //! Dispatcher stress: many concurrent tenants against one node.
 //!
-//! Each tenant opens a real TCP connection to the node's endpoint per
+//! Each tenant opens a connection of its own to the node's reactor per
 //! request (reconnect mode) or shares a pool of persistent connections
 //! (persistent mode) and runs a catalog workload drawn from the seeded short
-//! pool, so the whole serving path — accept, channel enqueue, dispatch/bind,
-//! launch, unbind, teardown — is exercised under heavy thread contention. A
-//! watchdog converts a dispatcher deadlock into a loud failure instead of a
-//! hung test run.
+//! pool, so the whole serving path — connect, channel enqueue,
+//! dispatch/bind, launch, unbind, teardown — is exercised under heavy thread
+//! contention. The `*_reconnecting_clients` and `*_persistent_clients`
+//! cases run `loadgen`, whose tenants sit in the node's process and connect
+//! over local socketpairs (`ClusterNode::mux_client`, `mux_pool`); the
+//! `*_tcp_clients` cases are remote frontends, each dialing the node's TCP
+//! listener per request, so accept, context creation and teardown on
+//! hang-up run under the same contention. A watchdog converts a dispatcher
+//! deadlock into a loud failure instead of a hung test run.
 //!
 //! Every launch that cannot bind waits as an entry in the dispatcher's
 //! queue, whichever way its client connected; one case drives 256
 //! *in-process* clients, which takes the wire out of the picture and leaves
 //! the queue, its targeted wakeups and the gateway's fixed pool.
 //!
-//! The 256-client version over the wire and the 10k-persistent-connection
+//! The 256-client versions over the wire and the 10k-persistent-connection
 //! soak are `#[ignore]`d for ordinary `cargo test` and run by CI tier 4
 //! under a hard timeout.
 
 use mtgpu::api::transport::MuxConnection;
 use mtgpu::api::{CudaClient, FrontendClient};
-use mtgpu::core::{NodeRuntime, RuntimeConfig};
+use mtgpu::cluster::ClusterNode;
+use mtgpu::core::{MetricsSnapshot, NodeRuntime, RuntimeConfig};
 use mtgpu::gpusim::{Driver, GpuSpec};
 use mtgpu::simtime::Clock;
 use mtgpu::workloads::calib::Scale;
@@ -30,7 +36,7 @@ use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Runs a load config under a watchdog; panics if it does not finish in
 /// `limit` (the no-deadlock assertion).
@@ -71,10 +77,78 @@ fn assert_clean(report: &LoadReport) {
     );
 }
 
-/// Tier-2 variant: enough tenants to contend hard for the 16 vGPUs of a
-/// 4-device node, small enough for every `cargo test` run.
+/// `clients` remote frontends against a 4-device node with 16 vGPUs, each
+/// dialing its TCP listener for its one request: connect, register, run a
+/// catalog workload pipelined, exit, hang up. Panics unless every client
+/// verified within `limit` (the no-deadlock assertion), came in through
+/// `accept`, and left nothing bound; returns the drained node's counters.
+fn run_tcp_clients(clients: usize, limit: Duration) -> MetricsSnapshot {
+    install_kernel_library();
+    let clock = Clock::with_scale(1e-7);
+    let cfg = RuntimeConfig::paper_default().with_vgpus(4).with_seed(42);
+    let node =
+        ClusterNode::start("tcp".into(), clock.clone(), vec![GpuSpec::test_small(); 4], cfg, true);
+    let addr = node.mux_addr().expect("listening node");
+    let (tx, rx) = std::sync::mpsc::channel();
+    for kind in draw_short_kinds(clients, 42) {
+        let (clock, tx) = (clock.clone(), tx.clone());
+        std::thread::spawn(move || {
+            let request = || -> Result<bool, String> {
+                let conn = MuxConnection::connect(addr).map_err(|e| format!("connect: {e}"))?;
+                let mut client = FrontendClient::new(conn.channel()).with_pipelining();
+                let job = kind.build(Scale::TINY);
+                register_workload(&mut client, job.as_ref())
+                    .map_err(|e| format!("register: {e}"))?;
+                let report = job.run(&mut client, &clock).map_err(|e| format!("run: {e}"))?;
+                client.exit().map_err(|e| format!("exit: {e}"))?;
+                Ok(report.verified)
+            };
+            let _ = tx.send(request());
+        });
+    }
+    drop(tx);
+    let deadline = Instant::now() + limit;
+    for done in 0..clients {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let outcome = rx.recv_timeout(left).unwrap_or_else(|_| {
+            panic!("only {done} of {clients} TCP clients finished in {limit:?}")
+        });
+        assert_eq!(outcome, Ok(true), "a TCP client failed");
+    }
+    assert!(node.runtime().wait_idle(Duration::from_secs(30)), "contexts did not drain");
+    let stats = node.mux_stats().expect("listening node");
+    let (accepted, local) = (&stats.accepted, &stats.local);
+    assert_eq!(accepted.load(Ordering::Relaxed), clients as u64, "every client dialed TCP");
+    assert_eq!(local.load(Ordering::Relaxed), 0, "a client took a local socketpair");
+    let m = node.metrics();
+    assert_eq!(m.bindings, m.unbindings, "bindings/unbindings diverged: {m:?}");
+    assert!(m.bindings >= clients as u64, "each request binds at least once: {m:?}");
+    node.shutdown();
+    m
+}
+
+/// Tier-2 variant: enough remote frontends to contend hard for the 16
+/// vGPUs, small enough for every `cargo test` run.
 #[test]
 fn dispatch_stress_48_tcp_clients() {
+    run_tcp_clients(48, Duration::from_secs(120));
+}
+
+/// The full 256-client stress over TCP: 16× overcommit of the node's vGPUs,
+/// one accepted connection per request. Run with
+/// `cargo test --release --test dispatch_stress -- --ignored`.
+#[test]
+#[ignore = "heavy; run by CI tier 4 under a timeout"]
+fn dispatch_stress_256_tcp_clients() {
+    let m = run_tcp_clients(256, Duration::from_secs(300));
+    assert!(m.mux_retries > 0, "no launch ever queued: {m:?}");
+}
+
+/// Tier-2 variant of the load harness: enough tenants to contend hard for
+/// the 16 vGPUs of a 4-device node, small enough for every `cargo test`
+/// run.
+#[test]
+fn dispatch_stress_48_reconnecting_clients() {
     let cfg = LoadgenConfig {
         mode: Mode::Closed,
         clients: 48,
@@ -90,7 +164,7 @@ fn dispatch_stress_48_tcp_clients() {
 }
 
 /// Tier-2 persistent variant: the same 48-tenant contention, but over 8
-/// long-lived connections instead of one TCP connect per request.
+/// long-lived connections instead of one connect per request.
 #[test]
 fn dispatch_stress_48_persistent_clients() {
     let cfg = LoadgenConfig {
@@ -115,11 +189,11 @@ fn dispatch_stress_48_persistent_clients() {
 }
 
 /// The full 256-client stress: 16× overcommit of the node's vGPUs, mixed
-/// catalog workloads, one real TCP connection per request. Run with
+/// catalog workloads, one connection of its own per request. Run with
 /// `cargo test --release --test dispatch_stress -- --ignored`.
 #[test]
 #[ignore = "heavy; run by CI tier 4 under a timeout"]
-fn dispatch_stress_256_tcp_clients() {
+fn dispatch_stress_256_reconnecting_clients() {
     let cfg = LoadgenConfig {
         mode: Mode::Closed,
         clients: 256,

@@ -3,7 +3,7 @@
 //! node's endpoint (the VM / remote-application path), a TORQUE-scheduled
 //! cluster, and inter-node offloading — with functional verification throughout.
 
-use mtgpu::api::CudaClient;
+use mtgpu::api::{CudaClient, FrontendClient, MuxConnection};
 use mtgpu::cluster::{Cluster, ClusterNode, GpuVisibility, Torque};
 use mtgpu::core::{NodeRuntime, RuntimeConfig};
 use mtgpu::gpusim::{Driver, GpuSpec};
@@ -47,7 +47,9 @@ fn workload_through_tcp_with_memory_pressure() {
     );
     let handles: Vec<_> = (0..4)
         .map(|_| {
-            let mut client: Box<dyn CudaClient> = Box::new(node.mux_client().unwrap());
+            // The remote-application path: a connection to the listener.
+            let conn = MuxConnection::connect(node.mux_addr().unwrap()).unwrap();
+            let mut client: Box<dyn CudaClient> = Box::new(FrontendClient::new(conn.channel()));
             let clock = clock.clone();
             std::thread::spawn(move || {
                 // Tiny time scale, but real memory scale relative to the
