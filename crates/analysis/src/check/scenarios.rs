@@ -14,6 +14,7 @@
 //! | `grant-vs-park`     | gateway + dispatcher | `sched.free`            |
 //! | `inline-vs-visit`   | gateway (reactor + pool) | `mux.chan.scheduled`, `sched.free` |
 //! | `cancel-vs-grant`   | [`BindingManager`] | `sched.free`              |
+//! | `retry-vs-free`     | gateway + dispatcher | `mux.chan.scheduled`, `sched.free` |
 //! | `fixture-race`      | seeded fixture     | `fixture.check.cell`      |
 //!
 //! Every builder constructs *fresh* component state on the (unregistered)
@@ -40,7 +41,7 @@ use mtgpu_gpusim::{
 use mtgpu_simtime::mtcheck::Participant;
 use mtgpu_simtime::{Clock, LockRank, RankedCondvar, RankedMutex, Shadow, SimDuration};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -71,7 +72,7 @@ pub fn find(name: &str) -> Option<&'static Scenario> {
     MATRIX.iter().find(|s| s.name == name)
 }
 
-static MATRIX: [Scenario; 11] = [
+static MATRIX: [Scenario; 12] = [
     Scenario {
         name: "dispatcher-churn",
         about: "two contexts churn try_acquire_on/release against one \
@@ -154,6 +155,16 @@ static MATRIX: [Scenario; 11] = [
                 no entry stays queued",
         expect_clean: true,
         builder: cancel_vs_grant,
+    },
+    Scenario {
+        name: "retry-vs-free",
+        about: "a launch that falls short for memory gives its vGPU up and \
+                waits for room while its co-tenant frees the memory in its \
+                way and is torn down, and a worker runs whatever is woken: \
+                the Free ends the wait wherever it lands, one grant, replies \
+                in call order",
+        expect_clean: true,
+        builder: retry_vs_free,
     },
     Scenario {
         name: "fixture-race",
@@ -523,6 +534,89 @@ fn read_replies(client: &mut TcpStream, want: usize) -> Vec<(u64, CudaReply)> {
     got
 }
 
+/// `noop`'s registration: the scenarios' launches run it.
+fn register_noop() -> CudaCall {
+    CudaCall::RegisterFunction { module: ModuleHandle(1), kernel: KernelDesc::plain("noop") }
+}
+
+/// A launch of `noop` over `args`.
+fn noop_launch(args: Vec<KernelArg>) -> CudaCall {
+    let (config, work) = (LaunchConfig::default(), Work::flops(1.0));
+    CudaCall::Launch { spec: LaunchSpec { kernel: "noop".into(), config, args, work } }
+}
+
+fn malloc(size: u64) -> CudaCall {
+    CudaCall::Malloc { size, kind: AllocKind::Linear }
+}
+
+/// What one participant of a gateway scenario does on the pool-less
+/// runtime: play the reactor, or a worker.
+type Body = Box<dyn FnOnce(&NodeRuntime) + Send>;
+
+/// A pool worker's body: serve what is queued.
+fn worker() -> Body {
+    Box::new(|rt| {
+        rt.serve_queued();
+    })
+}
+
+/// A gateway scenario's bodies, one participant each. The participant that
+/// leaves last serves what is still queued and runs `check` with its own
+/// handle on `socket`, the client end whose replies the scenario judges.
+fn gateway_participants(
+    rt: &Arc<NodeRuntime>,
+    socket: &TcpStream,
+    bodies: Vec<Body>,
+    check: fn(&NodeRuntime, &mut TcpStream),
+) -> Vec<Participant> {
+    let (left, last) = (Arc::new(AtomicUsize::new(0)), bodies.len() - 1);
+    bodies
+        .into_iter()
+        .map(|body| {
+            let (rt, left) = (Arc::clone(rt), Arc::clone(&left));
+            let mut socket = socket.try_clone().expect("clone scenario socket");
+            Box::new(move || {
+                body(&rt);
+                if left.fetch_add(1, Ordering::SeqCst) == last {
+                    while rt.serve_queued() > 0 {}
+                    check(&rt, &mut socket);
+                }
+            }) as Participant
+        })
+        .collect()
+}
+
+/// The end of a gateway scenario whose client's replies `ids` came in call
+/// order, the launch at `launch` run and the malloc after it answered: the
+/// client exits, and the node is drained.
+fn replies_in_order(
+    rt: &NodeRuntime,
+    socket: &mut TcpStream,
+    ids: std::ops::Range<u64>,
+    launch: usize,
+) {
+    let replies = read_replies(socket, ids.clone().count());
+    assert!(replies.iter().map(|(id, _)| *id).eq(ids.clone()), "call order: {replies:?}");
+    assert!(matches!(replies[launch].1, Ok(ReplyValue::LaunchDone { .. })), "{replies:?}");
+    assert!(matches!(replies[launch + 1].1, Ok(ReplyValue::Ptr(_))), "{replies:?}");
+    rt.on_request(1, 1, ids.end, CudaCall::Exit);
+    rt.serve_queued();
+    let m = rt.metrics();
+    assert_eq!(m.launches, 2, "the client's launch ran {} time(s)", m.launches - 1);
+    assert_eq!(m.bindings, m.unbindings, "{m:?}");
+    assert_eq!((rt.load().waiting, rt.context_count()), (0, 0));
+}
+
+/// A one-device node with no pool, and the client ends of connection 1
+/// (the scenario's client) and of connection 2 (its co-tenant).
+fn gateway_node(cfg: RuntimeConfig) -> (Arc<NodeRuntime>, TcpStream, TcpStream) {
+    let driver = Driver::with_devices(Clock::virtual_clock(), vec![GpuSpec::test_small()]);
+    let rt = NodeRuntime::start_poolless(driver, cfg.with_background_monitor(false));
+    let client = attach_client(&rt.reply_queue(), 1);
+    let other = attach_client(&rt.reply_queue(), 2);
+    (rt, client, other)
+}
+
 /// The hand-off at the heart of the serving path: one worker's visit finds
 /// no vGPU for its channel's launch, puts the launch back, and queues the
 /// context in the dispatcher, while another worker's visit tears down the
@@ -533,68 +627,23 @@ fn read_replies(client: &mut TcpStream, want: usize) -> Vec<(u64, CudaReply)> {
 fn grant_vs_park() -> Vec<Participant> {
     const WAITER: u64 = 1;
     const HOG: u64 = 2;
-    let register = || CudaCall::RegisterFunction {
-        module: ModuleHandle(1),
-        kernel: KernelDesc::plain("noop"),
-    };
-    let launch = || CudaCall::Launch {
-        spec: LaunchSpec {
-            kernel: "noop".into(),
-            config: LaunchConfig::default(),
-            args: Vec::new(),
-            work: Work::flops(1.0),
-        },
-    };
-    let driver = Driver::with_devices(Clock::virtual_clock(), vec![GpuSpec::test_small()]);
-    let cfg = RuntimeConfig::serialized().with_background_monitor(false);
-    let rt = NodeRuntime::start_poolless(driver, cfg);
-    let waiter = attach_client(&rt.reply_queue(), WAITER);
-    let mut hog = attach_client(&rt.reply_queue(), HOG);
+    let (rt, waiter, mut hog) = gateway_node(RuntimeConfig::serialized());
     // The hog binds the node's only vGPU (served here, on the setup
     // thread); then its Exit and the waiter's batch are queued, unserved.
-    rt.on_request(HOG, 1, 0, register());
-    rt.on_request(HOG, 1, 1, launch());
+    rt.on_request(HOG, 1, 0, register_noop());
+    rt.on_request(HOG, 1, 1, noop_launch(Vec::new()));
     rt.serve_queued();
     assert!(read_replies(&mut hog, 2).iter().all(|(_, r)| r.is_ok()), "the hog never bound");
-    let batch = [
-        register(),
-        CudaCall::GetDeviceCount,
-        launch(),
-        CudaCall::Malloc { size: 64, kind: AllocKind::Linear },
-    ];
+    let batch = [register_noop(), CudaCall::GetDeviceCount, noop_launch(Vec::new()), malloc(64)];
     for (id, call) in batch.into_iter().enumerate() {
         rt.on_request(WAITER, 1, id as u64, call);
     }
     rt.on_request(HOG, 1, 2, CudaCall::Exit);
-
     // Three workers drain the work queue — the visit that queues, the one
     // that releases, and one more to pick the woken channel up while the
-    // first is still on its way out; the one that leaves last checks (each
-    // holds a handle on the waiter's socket for that).
-    let left = Arc::new(AtomicUsize::new(0));
-    let socket = || waiter.try_clone().expect("clone scenario socket");
-    [socket(), socket(), socket()]
-        .into_iter()
-        .map(|mut waiter| {
-            let (rt, left) = (Arc::clone(&rt), Arc::clone(&left));
-            Box::new(move || {
-                rt.serve_queued();
-                if left.fetch_add(1, Ordering::SeqCst) < 2 {
-                    return;
-                }
-                let replies = read_replies(&mut waiter, 4);
-                assert!(replies.iter().map(|(id, _)| *id).eq(0..4), "call order: {replies:?}");
-                assert!(matches!(replies[2].1, Ok(ReplyValue::LaunchDone { .. })), "{replies:?}");
-                assert!(matches!(replies[3].1, Ok(ReplyValue::Ptr(_))), "{replies:?}");
-                rt.on_request(WAITER, 1, 4, CudaCall::Exit);
-                rt.serve_queued();
-                let m = rt.metrics();
-                assert_eq!(m.launches, 2, "the queued launch ran {} time(s)", m.launches - 1);
-                assert_eq!((m.bindings, m.unbindings), (2, 2));
-                assert_eq!((rt.load().waiting, rt.context_count()), (0, 0));
-            }) as Participant
-        })
-        .collect()
+    // first is still on its way out.
+    let bodies = vec![worker(), worker(), worker()];
+    gateway_participants(&rt, &waiter, bodies, |rt, waiter| replies_in_order(rt, waiter, 0..4, 2))
 }
 
 /// Run-to-completion against the pool on one channel (DESIGN.md §12). The
@@ -608,79 +657,30 @@ fn grant_vs_park() -> Vec<Participant> {
 fn inline_vs_visit() -> Vec<Participant> {
     const WAITER: u64 = 1;
     const HOG: u64 = 2;
-    let register = || CudaCall::RegisterFunction {
-        module: ModuleHandle(1),
-        kernel: KernelDesc::plain("noop"),
-    };
-    let launch = || CudaCall::Launch {
-        spec: LaunchSpec {
-            kernel: "noop".into(),
-            config: LaunchConfig::default(),
-            args: Vec::new(),
-            work: Work::flops(1.0),
-        },
-    };
-    let malloc = || CudaCall::Malloc { size: 64, kind: AllocKind::Linear };
-    let driver = Driver::with_devices(Clock::virtual_clock(), vec![GpuSpec::test_small()]);
-    let cfg = RuntimeConfig::serialized().with_background_monitor(false);
-    let rt = NodeRuntime::start_poolless(driver, cfg);
-    let waiter = attach_client(&rt.reply_queue(), WAITER);
-    let mut hog = attach_client(&rt.reply_queue(), HOG);
+    let (rt, waiter, mut hog) = gateway_node(RuntimeConfig::serialized());
     // The hog binds the node's only vGPU; then the waiter's first two calls
     // and the hog's Exit are queued for the pool, unserved.
-    rt.on_request(HOG, 1, 0, register());
-    rt.on_request(HOG, 1, 1, launch());
+    rt.on_request(HOG, 1, 0, register_noop());
+    rt.on_request(HOG, 1, 1, noop_launch(Vec::new()));
     rt.serve_queued();
     assert!(read_replies(&mut hog, 2).iter().all(|(_, r)| r.is_ok()), "the hog never bound");
     rt.on_request(WAITER, 1, 0, CudaCall::GetDeviceCount);
-    rt.on_request(WAITER, 1, 1, malloc());
+    rt.on_request(WAITER, 1, 1, malloc(64));
     rt.on_request(HOG, 1, 2, CudaCall::Exit);
-
     // The reactor reads one sweep's worth of the waiter's calls while two
-    // workers drain the work queue; the one that leaves last checks (each
-    // holds a handle on the waiter's socket for that).
-    type Body = Box<dyn FnOnce(&NodeRuntime) + Send>;
-    let bodies: [Body; 3] = [
+    // workers drain the work queue.
+    let bodies: Vec<Body> = vec![
         Box::new(move |rt| {
             let mut budget = SWEEP_RUN_BUDGET;
-            for (id, call) in [register(), launch(), malloc()].into_iter().enumerate() {
+            let calls = [register_noop(), noop_launch(Vec::new()), malloc(64)];
+            for (id, call) in calls.into_iter().enumerate() {
                 rt.on_sweep_request(WAITER, 1, 2 + id as u64, call, &mut budget);
             }
         }),
-        Box::new(|rt| {
-            rt.serve_queued();
-        }),
-        Box::new(|rt| {
-            rt.serve_queued();
-        }),
+        worker(),
+        worker(),
     ];
-    let left = Arc::new(AtomicUsize::new(0));
-    bodies
-        .into_iter()
-        .map(|body| {
-            let (rt, left) = (Arc::clone(&rt), Arc::clone(&left));
-            let mut waiter = waiter.try_clone().expect("clone scenario socket");
-            Box::new(move || {
-                body(&rt);
-                if left.fetch_add(1, Ordering::SeqCst) < 2 {
-                    return;
-                }
-                // What a wake left queued is served; then the waiter's
-                // replies are read, in call order, each once.
-                while rt.serve_queued() > 0 {}
-                let replies = read_replies(&mut waiter, 5);
-                assert!(replies.iter().map(|(id, _)| *id).eq(0..5), "call order: {replies:?}");
-                assert!(matches!(replies[3].1, Ok(ReplyValue::LaunchDone { .. })), "{replies:?}");
-                assert!(matches!(replies[4].1, Ok(ReplyValue::Ptr(_))), "{replies:?}");
-                rt.on_request(WAITER, 1, 5, CudaCall::Exit);
-                rt.serve_queued();
-                let m = rt.metrics();
-                assert_eq!(m.launches, 2, "the waiter's launch ran {} time(s)", m.launches - 1);
-                assert_eq!((m.bindings, m.unbindings), (2, 2));
-                assert_eq!((rt.load().waiting, rt.context_count()), (0, 0));
-            }) as Participant
-        })
-        .collect()
+    gateway_participants(&rt, &waiter, bodies, |rt, waiter| replies_in_order(rt, waiter, 0..5, 3))
 }
 
 /// Teardown of a queued context against the release that would grant to it,
@@ -699,7 +699,7 @@ fn cancel_vs_grant() -> Vec<Participant> {
     let ctx = |id: u64| AppContext::new(CtxId(id), id, format!("s{id}"));
     let (holder, queued, late) = (ctx(1), ctx(2), ctx(3));
     let held = bm.poll(&holder, 0).expect("free scenario vGPU");
-    bm.enqueue(&queued, 1.0, 0, Box::new(|| {}));
+    bm.enqueue(&queued, 1.0, 0, None, Box::new(|| {}));
     // What a teardown does with a context the dispatcher may know.
     let leave = |bm: &BindingManager, ctx: &Arc<AppContext>| {
         if let Some(raced) = bm.cancel(ctx) {
@@ -731,11 +731,83 @@ fn cancel_vs_grant() -> Vec<Participant> {
         participant(Box::new(move |bm| {
             match bm.poll(&late, 0) {
                 Some(bound) => bm.release(late.id, bound.vgpu),
-                None => bm.enqueue(&late, 1.0, 0, Box::new(|| {})),
+                None => bm.enqueue(&late, 1.0, 0, None, Box::new(|| {})),
             }
             leave(bm, &late);
         })),
     ]
+}
+
+/// §4.5 unbind-and-retry against the room events that end its wait
+/// (DESIGN.md §9). The holder's context fills most of the node's one
+/// device; the retrier's launch needs as much again, and with no
+/// inter-application swap the only way it runs is the holder giving the
+/// memory back. One participant runs the launch on its own thread, as the
+/// reactor does: it falls short, gives its vGPU up and queues for room.
+/// Another is the worker that runs the holder's `Free` — on the pool, as a
+/// `Free` the reactor finds the device held for the launch goes — and
+/// whatever that wakes; the third hangs the holder up once it has freed
+/// (the teardown whose release would end the wait too). The `Free` alone
+/// must end the wait, wherever it lands — before the launch looked, between
+/// its failed look and its enqueue, or after: whichever of the launch and
+/// the `Free` comes second checks that nobody waits any more. Every
+/// schedule ends with the launch run once and its successor answered after
+/// it, at most one retry, `bindings == unbindings`, no waiter, no context.
+fn retry_vs_free() -> Vec<Participant> {
+    const RETRIER: u64 = 1;
+    const HOLDER: u64 = 2;
+    let cfg = RuntimeConfig { inter_app_swap: false, ..RuntimeConfig::default() };
+    let (rt, mut retrier, mut holder) = gateway_node(cfg);
+    let chunk = rt.driver().device(DeviceId(0)).expect("device 0").mem_available() * 6 / 10;
+    // Served here, on the setup thread: each registers and declares a
+    // chunk; the holder binds and makes its chunk resident.
+    let setup = |conn: u64, client: &mut TcpStream| {
+        rt.on_request(conn, 1, 0, register_noop());
+        rt.on_request(conn, 1, 1, malloc(chunk));
+        rt.serve_queued();
+        match read_replies(client, 2)[1] {
+            (_, Ok(ReplyValue::Ptr(ptr))) => ptr,
+            ref other => panic!("not a pointer: {other:?}"),
+        }
+    };
+    let (held, wanted) = (setup(HOLDER, &mut holder), setup(RETRIER, &mut retrier));
+    rt.on_request(HOLDER, 1, 2, noop_launch(vec![KernelArg::Ptr(held)]));
+    rt.serve_queued();
+    assert!(read_replies(&mut holder, 1)[0].1.is_ok(), "the holder never bound");
+    let (freed, launched) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false)));
+    let launched_seen = Arc::clone(&launched);
+    let (freed_seen, freed_done) = (Arc::clone(&freed), Arc::clone(&freed));
+    let bodies: Vec<Body> = vec![
+        Box::new(move |rt| {
+            let mut budget = SWEEP_RUN_BUDGET;
+            let launch = noop_launch(vec![KernelArg::Ptr(wanted)]);
+            rt.on_sweep_request(RETRIER, 1, 2, launch, &mut budget);
+            launched.store(true, Ordering::SeqCst);
+            if freed_seen.load(Ordering::SeqCst) {
+                assert_eq!(rt.load().waiting, 0, "the Free before the enqueue was lost");
+            }
+            rt.on_sweep_request(RETRIER, 1, 3, malloc(64), &mut budget);
+        }),
+        Box::new(move |rt| {
+            rt.on_request(HOLDER, 1, 3, CudaCall::Free { ptr: held });
+            rt.serve_queued();
+            freed.store(true, Ordering::SeqCst);
+            if launched_seen.load(Ordering::SeqCst) {
+                assert_eq!(rt.load().waiting, 0, "the holder's Free woke nobody");
+            }
+        }),
+        Box::new(move |rt| {
+            if freed_done.load(Ordering::SeqCst) {
+                rt.on_disconnect(HOLDER);
+            }
+        }),
+    ];
+    gateway_participants(&rt, &retrier, bodies, |rt, retrier| {
+        rt.on_disconnect(HOLDER);
+        let retries = rt.metrics().launch_retries;
+        assert!(retries <= 1, "{retries} retries");
+        replies_in_order(rt, retrier, 2..4, 0);
+    })
 }
 
 const CHK_A: LockRank = LockRank { value: 240, name: "CHK_A" };

@@ -7,7 +7,7 @@
 use mtgpu_analysis::check::{explore, parse_schedule_id, scenarios, schedule_id};
 
 #[test]
-fn matrix_has_ten_clean_scenarios_plus_the_fixture() {
+fn matrix_has_eleven_clean_scenarios_plus_the_fixture() {
     let clean: Vec<_> =
         scenarios::all().iter().filter(|s| s.expect_clean).map(|s| s.name).collect();
     assert_eq!(
@@ -22,7 +22,8 @@ fn matrix_has_ten_clean_scenarios_plus_the_fixture() {
             "lead-vs-follow",
             "grant-vs-park",
             "inline-vs-visit",
-            "cancel-vs-grant"
+            "cancel-vs-grant",
+            "retry-vs-free"
         ]
     );
     let fixture = scenarios::find("fixture-race").expect("fixture scenario");
@@ -198,4 +199,49 @@ fn inline_vs_visit_holds_wherever_the_reactor_cuts_into_the_visit() {
             run.stalled
         );
     }
+}
+
+/// Unbind-and-retry against the room event that ends its wait (DESIGN.md
+/// §9), swept: the launch (participant 0) runs `k` segments, the holder's
+/// Free on its worker (1) runs whole — the launch going on while it waits
+/// for a lock — then the launch runs on, then the holder's hang-up (2).
+/// Small `k` frees before the launch looks (no retry); `k` = 24–38 lands
+/// the Free after the launch found the device short but before its entry
+/// is queued — the window only the enqueue's and placement's look at the
+/// memory free now cover: without both, exactly these fail — and from 39
+/// on the entry is queued and the Free wakes it (without the Free's room
+/// event, every `k` from 43 on fails).
+#[test]
+fn retry_vs_free_holds_wherever_the_free_cuts_into_the_launch() {
+    const LAUNCH: u32 = 0;
+    const FREE_ELSE_LAUNCH: u32 = 4;
+    const TEARDOWN: u32 = 5;
+    /// The Free between the failed look and the enqueue.
+    const IN_THE_WINDOW: usize = 29;
+    let scn = scenarios::find("retry-vs-free").unwrap();
+    let schedule = |k: usize| {
+        let mut schedule = vec![LAUNCH; k];
+        schedule.extend(std::iter::repeat_n(FREE_ELSE_LAUNCH, 64));
+        schedule.extend(std::iter::repeat_n(LAUNCH, 64));
+        schedule.extend(std::iter::repeat_n(TEARDOWN, 256));
+        schedule
+    };
+    for k in 0..80 {
+        let run = explore::replay(scn, &schedule(k));
+        let pin: Vec<u32> = run.decisions.iter().map(|d| d.chosen).collect();
+        assert!(
+            run.clean(),
+            "k={k} ({}): {:?} {:?} {:?} stalled={}",
+            schedule_id(&pin),
+            run.races,
+            run.deadlock,
+            run.panics,
+            run.stalled
+        );
+    }
+    let (a, b) = (
+        explore::replay(scn, &schedule(IN_THE_WINDOW)),
+        explore::replay(scn, &schedule(IN_THE_WINDOW)),
+    );
+    assert_eq!((a.fingerprint, a.events), (b.fingerprint, b.events), "replay diverged");
 }

@@ -5,7 +5,8 @@
 //! kernel varies from 0 to 2. Serialized execution (1 vGPU) grows linearly
 //! with the CPU fraction; GPU sharing (4 vGPUs) hides the CPU phases behind
 //! co-tenants via inter-application swap, keeping total time roughly flat.
-//! The number of swap operations is reported on each sharing bar.
+//! The number of swap operations is reported on each sharing bar, next to
+//! the launches that unbound to wait for a co-tenant to make room (§4.5).
 
 use crate::figures::FigureReport;
 use crate::harness::{run_on_runtime, ExperimentScale, NodeSetup};
@@ -51,6 +52,7 @@ pub fn run(opts: &Opts) -> FigureReport {
         "serialized 1 vGPU (s)",
         "sharing 4 vGPUs (s)",
         "swap ops (sharing)",
+        "launch retries (sharing)",
     ]);
     let mut serialized = Vec::new();
     let mut shared = Vec::new();
@@ -72,6 +74,7 @@ pub fn run(opts: &Opts) -> FigureReport {
             secs(ser.total_secs()),
             secs(shr.total_secs()),
             shr.metrics.total_swaps().to_string(),
+            shr.metrics.launch_retries.to_string(),
         ]);
         serialized.push(ser.total_secs());
         shared.push((shr.total_secs(), shr.metrics.total_swaps()));

@@ -51,6 +51,7 @@ pub fn run(opts: &Opts) -> FigureReport {
         "serialized 1 vGPU (s)",
         "sharing 4 vGPUs (s)",
         "swap ops (sharing)",
+        "launch retries (sharing)",
     ]);
     let mut gains = Vec::new();
     let mut swap_series = Vec::new();
@@ -73,6 +74,7 @@ pub fn run(opts: &Opts) -> FigureReport {
             secs(ser.total_secs()),
             secs(shr.total_secs()),
             shr.metrics.total_swaps().to_string(),
+            shr.metrics.launch_retries.to_string(),
         ]);
         gains.push((bs, ser.total_secs() / shr.total_secs()));
         swap_series.push(shr.metrics.total_swaps());

@@ -51,5 +51,5 @@ pub use migrate::{MigrationError, MigrationPhase, MigrationStats};
 pub use mux::InProcessChannel;
 pub use policy::{GpuLease, LeaseBook, TenantKey, TenantPolicyConfig, TenantUsage};
 pub use runtime::{LoadInfo, NodeRuntime};
-pub use sched::{BindingManager, DeviceView, VGpu};
+pub use sched::{BindingManager, DeviceView, Room, VGpu};
 pub use trace::{TraceEvent, TraceRecord, Tracer, UnbindReason};

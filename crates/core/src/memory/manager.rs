@@ -597,6 +597,15 @@ impl MemoryManager {
         self.ctx_mem(ctx).map_or(0, |cm| cm.resident.load(Ordering::Relaxed))
     }
 
+    /// Device bytes the entries at `bases` take when all are resident, each
+    /// rounded up to the device allocator's alignment.
+    pub fn working_set_bytes(&self, ctx: CtxId, bases: &[DeviceAddr]) -> u64 {
+        let Ok(cm) = self.ctx_mem(ctx) else { return 0 };
+        let table = cm.table.lock();
+        let sizes = bases.iter().filter_map(|&base| table.get(base)).map(|e| e.size);
+        sizes.map(|size| (size + VALIGN - 1) & !(VALIGN - 1)).sum()
+    }
+
     /// Total swap-area bytes in use.
     pub fn swap_used(&self) -> u64 {
         self.node.lock().swap.used()

@@ -102,7 +102,8 @@ counters! {
     unbindings,
     /// Kernel launches serviced.
     launches,
-    /// Launches that had to unbind-and-retry for lack of memory.
+    /// Launches that had to unbind-and-retry for lack of memory: each waits
+    /// in the dispatcher for a co-tenant to make room.
     launch_retries,
     /// Host→device bulk uploads performed at launch time.
     bulk_uploads,
@@ -130,8 +131,9 @@ counters! {
     lock_contention_events,
     /// Requests served through the multiplexed gateway (DESIGN.md §12).
     mux_requests,
-    /// Launches that found no vGPU to bind, were put back at the head of
-    /// their channel and queued in the dispatcher (the would-block path).
+    /// Launches put back at the head of their channel and queued in the
+    /// dispatcher (the would-block path): for a vGPU, or for room after an
+    /// unbind-and-retry (`launch_retries` counts those).
     mux_retries,
     /// Channels (contexts) opened over multiplexed connections.
     mux_channels,

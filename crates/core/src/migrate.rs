@@ -203,15 +203,17 @@ impl NodeRuntime {
         self.memory().commit_migration(ctx_id, &moves, &dropped);
         let new_vgpu = new.vgpu;
         ctx.inner().binding = Some(new);
-        self.bindings().release(ctx_id, old.vgpu);
 
         // Phase 4 — resume: free the stale source copies. Best-effort by
         // design — the data is already committed on the destination, and a
-        // dead source simply leaks allocations on a dead device.
+        // dead source simply leaks allocations on a dead device. The source
+        // slot goes last: its release tells whoever waits for room there
+        // that the room is made.
         probe(MigrationPhase::Resume);
         for entry in &plan {
             let _ = old.gpu.free(old.gpu_ctx, entry.src_dptr);
         }
+        self.bindings().release(ctx_id, old.vgpu);
         let from = old.vgpu.device;
         self.tracer().record(TraceEvent::MigrationTransferred {
             ctx: ctx_id,

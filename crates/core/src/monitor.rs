@@ -18,6 +18,9 @@
 //!    member context is failed with `LeaseExpired`, evicted from its vGPU
 //!    if bound, and its pages freed. TTLs are read off the [`Clock`], so
 //!    deterministic harnesses observe expiry at exact virtual instants.
+//! 4. **Idle victims** — a launch that unbound to wait for room on a device
+//!    (§4.5) is woken while a co-tenant there sits idle on device memory,
+//!    so that it asks that co-tenant to swap out.
 //!
 //! [`Clock`]: mtgpu_simtime::Clock
 
@@ -98,6 +101,27 @@ fn reap_context(rt: &NodeRuntime, ctx_id: CtxId) {
     rt.policy().release_ctx(ctx_id);
     RuntimeMetrics::bump(&rt.metrics_ref().lease_reaps);
     rt.tracer().record(TraceEvent::LeaseReaped { ctx: ctx_id });
+}
+
+/// Offers the launches that wait for room (§4.5 unbind-and-retry) every
+/// idle co-tenant as a victim: a room event on each device where one waits
+/// and a context holding device memory has no call in flight, so the launch
+/// runs again and an inter-application swap may take that memory. A
+/// co-tenant that stays idle makes no room by itself; one that only pauses
+/// between calls is seldom caught idle by a pass.
+pub(crate) fn offer_idle_victims(rt: &NodeRuntime) {
+    if !rt.config().inter_app_swap {
+        return;
+    }
+    let idle = |id: CtxId| {
+        rt.memory().resident_bytes(id) > 0
+            && rt.context(id).is_some_and(|ctx| ctx.try_service_lock().is_some())
+    };
+    for device in rt.bindings().parked_on() {
+        if rt.bindings().bound_on(device).into_iter().any(idle) {
+            rt.bindings().make_room(device);
+        }
+    }
 }
 
 /// Detects failed or detached devices and recovers their contexts.

@@ -45,10 +45,10 @@
 //! The pool is sized for what the vGPU count bounds — one call in flight per
 //! bound context — plus [`SPARE_WORKERS`], and that holds because no worker
 //! sits out a wait that the vGPU count does not bound: a launch that gave
-//! its vGPU up for want of memory ([`Abort::Retry`], §4.5 unbind-and-retry —
-//! any number of contexts may be at it at once) is handed off like one that
-//! found no vGPU, and the channel comes back when the *retry timer* — one
-//! thread, started by the first such launch — finds its backoff over.
+//! its vGPU up for want of memory (§4.5 unbind-and-retry — any number of
+//! contexts may be at it at once) comes back [`Abort::WouldBlock`] too,
+//! with a [`crate::sched::Room`], and waits in the same list until room is
+//! made on that device.
 //!
 //! Teardown (Exit or disconnect) removes the channel from the map first;
 //! whichever path wins the `BTreeMap::remove` does the context teardown, so
@@ -79,8 +79,7 @@ use mtgpu_api::transport::{ConnId, MuxService, ReplyQueue, ReplySink, Transport}
 use mtgpu_api::CudaError;
 use mtgpu_simtime::{lock_rank, RankedMutex, Shadow};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, OnceLock, Weak};
-use std::time::Instant;
+use std::sync::{Arc, Weak};
 
 /// Workers beyond one per vGPU: every slot stays servable while unbound and
 /// teardown work never waits on launches.
@@ -105,9 +104,9 @@ type ChanKey = (ConnId, u64);
 struct ChanQueue {
     /// FIFO of (request id, call) not yet executed.
     calls: VecDeque<(u64, CudaCall)>,
-    /// Whether the channel is taken: on the work queue, being visited,
-    /// waiting in the dispatcher for its wake or with the retry timer (at
-    /// most one of them). Clear only while `calls` is empty.
+    /// Whether the channel is taken: on the work queue, being visited or
+    /// waiting in the dispatcher for its wake (at most one of them). Clear
+    /// only while `calls` is empty.
     scheduled: Shadow<bool>,
 }
 
@@ -249,9 +248,6 @@ pub(crate) struct Gateway {
     channels: RankedMutex<BTreeMap<ChanKey, Chan>>,
     workq: Sender<WorkItem>,
     work: Receiver<WorkItem>,
-    /// The retry timer's inbox: work items and when they are due. The timer
-    /// starts with the first retry that needs it.
-    timer: OnceLock<Sender<(Instant, WorkItem)>>,
 }
 
 impl Gateway {
@@ -264,7 +260,6 @@ impl Gateway {
             channels: RankedMutex::new(lock_rank::CONN_CHANNELS, BTreeMap::new()),
             workq,
             work,
-            timer: OnceLock::new(),
         }
     }
 }
@@ -277,44 +272,6 @@ pub(crate) fn spawn_pool(rt: &Arc<NodeRuntime>) -> usize {
         rt.spawn_handler(&format!("mux-worker-{n}"), worker_loop);
     }
     workers
-}
-
-/// Lets go of channel `key`, whose launch is back at the head of its FIFO,
-/// until the unbind-and-retry backoff is over (`Clock::backoff`: real time
-/// on a scaled clock, a step of the timeline on a virtual one). A step takes
-/// no time, so the visit takes it and requeues the channel; real time is the
-/// timer's to sit out, not the calling worker's.
-fn retry_later(rt: &NodeRuntime, key: ChanKey) {
-    let g = rt.gateway();
-    if rt.clock().is_virtual() {
-        rt.clock().backoff(service::RETRY_BACKOFF);
-        return drop(g.workq.send(WorkItem::Chan(key)));
-    }
-    let timer = g.timer.get_or_init(|| {
-        let (timer, due) = unbounded();
-        let rt = rt.me().upgrade().expect("a runtime serving calls is alive");
-        rt.spawn_handler("mux-timer", move |rt| timer_loop(rt, due));
-        timer
-    });
-    // mtlint: allow(wall-clock, reason = "the retry backoff is real time by definition (Clock::backoff sleeps it on a scaled clock); a virtual clock returned above")
-    let _ = timer.send((Instant::now() + service::RETRY_BACKOFF, WorkItem::Chan(key)));
-}
-
-/// The retry timer's life: passes each item on to the work queue when it is
-/// due, the stop marker last. Every item asks for the same backoff, so they
-/// arrive in the order they fall due and the inbox is the whole timer.
-fn timer_loop(rt: &Arc<NodeRuntime>, inbox: Receiver<(Instant, WorkItem)>) {
-    while let Ok((due, item)) = inbox.recv() {
-        // mtlint: allow(wall-clock, reason = "see retry_later: the real-time half of Clock::backoff, sat out here instead of on a worker")
-        let wait = due.saturating_duration_since(Instant::now());
-        // mtlint: allow(thread-sleep, reason = "see retry_later: the real-time half of Clock::backoff, sat out here instead of on a worker")
-        std::thread::sleep(wait);
-        let last = matches!(item, WorkItem::Stop);
-        let _ = rt.gateway().workq.send(item);
-        if last {
-            return;
-        }
-    }
 }
 
 impl NodeRuntime {
@@ -482,20 +439,14 @@ impl Drop for InProcessChannel {
 
 /// Stops serving: hangs up the in-process connections still open (their
 /// contexts are torn down by the pool on its way out) and posts the stop
-/// marker behind whatever is queued — through the timer, which ends with
-/// it, if one was started; if not, the inbox nobody reads that is left in
-/// its place keeps a retry that races the shutdown from starting one.
+/// marker behind whatever is queued.
 pub(crate) fn stop(rt: &NodeRuntime) {
     let g = rt.gateway();
     for conn in g.sink.in_process_conns() {
         g.sink.close_in_process(conn);
         disconnect(rt, conn);
     }
-    let timer = g.timer.get_or_init(|| unbounded().0);
-    // mtlint: allow(wall-clock, reason = "a due time of now: the marker is passed on at once")
-    if timer.send((Instant::now(), WorkItem::Stop)).is_err() {
-        let _ = g.workq.send(WorkItem::Stop);
-    }
+    let _ = g.workq.send(WorkItem::Stop);
 }
 
 /// Tears a removed channel's context down and gives its local-service slot
@@ -607,11 +558,11 @@ fn serve_channel(rt: &NodeRuntime, key: ChanKey, mut sweep: Option<&mut usize>) 
                 return drop(g.workq.send(WorkItem::Chan(key)));
             }
             Err(_) if rt.is_shutdown() => Err(CudaError::Disconnected),
-            Err(Abort::Retry { spec }) => {
-                put_back((id, CudaCall::Launch { spec }), replies);
-                return retry_later(rt, key);
-            }
-            Err(Abort::WouldBlock { spec, work, mem }) => {
+            Err(Abort::WouldBlock { spec, room }) => {
+                // SJF key: the profiled job length when hinted, else the
+                // launch's own work; the footprint, for placement.
+                let work = state.ctx.inner().est_job_flops.unwrap_or(spec.work.flops);
+                let mem = rt.memory().mem_usage(state.ctx.id);
                 put_back((id, CudaCall::Launch { spec }), replies);
                 RuntimeMetrics::bump(&rt.metrics_ref().mux_retries);
                 // From here the channel is the dispatcher's: the wake, which
@@ -619,7 +570,7 @@ fn serve_channel(rt: &NodeRuntime, key: ChanKey, mut sweep: Option<&mut usize>) 
                 // whichever worker is free, with the launch at its head.
                 let workq = g.workq.clone();
                 let wake = move || drop(workq.send(WorkItem::Chan(key)));
-                return rt.bindings().enqueue(&state.ctx, work, mem, Box::new(wake));
+                return rt.bindings().enqueue(&state.ctx, work, mem, room, Box::new(wake));
             }
         };
         held_bytes += bulk_bytes(&reply);
@@ -1144,7 +1095,7 @@ mod tests {
     }
 
     #[test]
-    fn launch_that_unbinds_to_retry_lets_go_of_the_worker_and_keeps_the_channel_in_order() {
+    fn launch_that_unbinds_to_retry_waits_in_the_dispatcher_until_a_co_tenant_makes_room() {
         // Unbind-and-retry is the only answer to memory pressure here.
         let clock = Clock::virtual_clock();
         let driver = Driver::with_devices(clock.clone(), vec![GpuSpec::test_small()]);
@@ -1179,13 +1130,11 @@ mod tests {
         for (id, call) in [malloc(), launch_on(wanted), malloc()].into_iter().enumerate() {
             rt.on_request(1, 2, 12 + id as u64, call);
         }
-        // One visit, played by hand (`serve_queued` would retry for ever):
-        // the call ahead of the launch is answered, the launch gives its
-        // vGPU up and is back at the head, its successor behind it, and the
-        // channel is runnable again one backoff later — on this clock, a
-        // step of the timeline.
-        let visit = || assert!(serve_item(&rt, rt.gateway().work.try_recv().expect("runnable")));
-        visit();
+        // One visit: the call ahead of the launch is answered, the launch
+        // gives its vGPU up and is back at the head, its successor behind
+        // it, and the channel is the dispatcher's — waiting for channel 1,
+        // the co-tenant in its way, not on the work queue or a timer.
+        assert_eq!(rt.serve_queued(), 1);
         assert!(matches!(read_replies(&mut client, 1)[0], (12, Ok(ReplyValue::Ptr(_)))));
         nothing_more_arrives(&mut client);
         let waiting = local_state(&rt, (1, 2));
@@ -1195,26 +1144,31 @@ mod tests {
             assert!(q.calls.iter().map(|(id, _)| *id).eq(13..15));
         }
         assert_eq!(rt.binding_of(waiting.ctx.id), None);
-        assert_eq!((rt.metrics().launch_retries, rt.load().waiting), (1, 0));
-        assert_eq!(clock.now().duration_since(before).as_nanos(), 2_000_000);
-        assert_eq!(rt.gateway().work.len(), 1);
-        visit();
-        assert_eq!(rt.metrics().launch_retries, 2);
-        nothing_more_arrives(&mut client);
-        // Channel 1 frees its memory: the next retry goes through, and the
-        // call behind the launch follows it.
-        rt.on_request(1, 1, 3, CudaCall::Free { ptr: held });
-        rt.serve_queued();
+        assert_eq!((rt.metrics().launch_retries, rt.load().waiting), (1, 1));
+        assert!(rt.gateway().work.is_empty());
+        // A call of channel 1 that makes no room wakes nobody; no time
+        // passes while the launch waits.
+        rt.on_request(1, 1, 3, malloc());
+        assert_eq!(rt.serve_queued(), 1);
+        assert!(matches!(read_replies(&mut client, 1)[0], (3, Ok(ReplyValue::Ptr(_)))));
+        assert_eq!((rt.metrics().launch_retries, rt.load().waiting), (1, 1));
+        assert_eq!(clock.now(), before);
+        // Channel 1 frees its resident memory: that is the room event. The
+        // launch runs again once, goes through, and the call behind it
+        // follows.
+        rt.on_request(1, 1, 4, CudaCall::Free { ptr: held });
+        assert_eq!(rt.serve_queued(), 2);
         let mut rest = read_replies(&mut client, 3);
         rest.sort_by_key(|(id, _)| *id);
-        assert!(rest.iter().map(|(id, _)| *id).eq([3, 13, 14]));
+        assert!(rest.iter().map(|(id, _)| *id).eq([4, 13, 14]));
         assert!(matches!(rest[1].1, Ok(ReplyValue::LaunchDone { .. })), "{rest:?}");
         assert!(matches!(rest[2].1, Ok(ReplyValue::Ptr(_))), "{rest:?}");
+        assert_eq!((rt.metrics().launch_retries, rt.load().waiting), (1, 0));
         rt.shutdown();
     }
 
     #[test]
-    fn launch_the_reactor_runs_that_unbinds_to_retry_is_the_pools_after_the_backoff() {
+    fn launch_the_reactor_runs_that_unbinds_to_retry_is_the_pools_once_room_is_made() {
         // As above, with every call read by the reactor instead.
         let clock = Clock::virtual_clock();
         let driver = Driver::with_devices(clock.clone(), vec![GpuSpec::test_small()]);
@@ -1243,8 +1197,8 @@ mod tests {
         assert!(read_replies(&mut client, 1)[0].1.is_ok());
         // Channel 2's launch, run here, gives its vGPU up for want of
         // memory: the call ahead of it is answered, the launch is back at
-        // the head with its successor behind it, and the channel is the
-        // pool's once the backoff (a step of this clock) is over.
+        // the head with its successor behind it, and the channel waits in
+        // the dispatcher for channel 1 to make room.
         let before = clock.now();
         let mut budget = SWEEP_RUN_BUDGET;
         for (id, call) in [malloc(), launch_on(held[1]), malloc()].into_iter().enumerate() {
@@ -1253,12 +1207,14 @@ mod tests {
         assert!(matches!(read_replies(&mut client, 1)[0], (22, Ok(ReplyValue::Ptr(_)))));
         nothing_more_arrives(&mut client);
         assert_eq!((rt.metrics().launch_retries, budget), (1, SWEEP_RUN_BUDGET - 2));
-        assert_eq!(clock.now().duration_since(before).as_nanos(), 2_000_000);
-        assert_eq!(rt.gateway().work.len(), 1);
-        // Channel 1 frees its memory; the pool's next try goes through and
-        // the call behind the launch follows it.
-        rt.on_request(1, 1, 13, CudaCall::Free { ptr: held[0] });
-        rt.serve_queued();
+        assert_eq!((clock.now(), rt.load().waiting), (before, 1));
+        assert!(rt.gateway().work.is_empty());
+        // Channel 1 frees its memory, on the reactor too: its room event
+        // hands channel 2 to the pool, whose one try goes through, and the
+        // call behind the launch follows it.
+        sweep(&rt, 1, 13, CudaCall::Free { ptr: held[0] }, &mut SWEEP_RUN_BUDGET.clone());
+        assert_eq!(rt.serve_queued(), 1);
+        assert_eq!(rt.metrics().launch_retries, 1);
         let mut rest = read_replies(&mut client, 3);
         rest.sort_by_key(|(id, _)| *id);
         assert!(rest.iter().map(|(id, _)| *id).eq([13, 23, 24]));

@@ -164,13 +164,15 @@ impl NodeRuntime {
     }
 
     /// Runs one monitor pass synchronously: lease reaping, fault recovery,
-    /// then (if enabled) a load-balancing step. The background monitor
+    /// idle co-tenants offered to the launches that wait for room, then (if
+    /// enabled) a load-balancing step. The background monitor
     /// thread calls this on its cadence; deterministic harnesses configure
     /// `background_monitor = false` and call it at chosen points so
     /// recovery and migration land at reproducible schedule positions.
     pub fn monitor_tick(&self) {
         monitor::reap_expired_leases(self);
         monitor::recover_failed_devices(self);
+        monitor::offer_idle_victims(self);
         if self.cfg.dynamic_load_balancing {
             monitor::rebalance_once(self);
         }

@@ -36,6 +36,32 @@
 //! could never be followed by a launch — the context cancelled or failed —
 //! is not queued at all: its wake runs at once.
 //!
+//! # Waiting for room
+//!
+//! A launch that gave its vGPU up for want of device memory (§4.5
+//! unbind-and-retry) queues the same kind of entry, handed a [`Room`]: the
+//! device it fell short on and the working set it needs. The entry is
+//! *parked* on that device until another context makes room there
+//! ([`BindingManager::make_room`]): releases its vGPU, frees a resident
+//! entry, is swapped out by another application or a preemption, or sits
+//! idle at a monitor pass, a victim for the taking
+//! (`monitor::offer_idle_victims`). Then it is an ordinary entry again, and
+//! its launch runs again from scratch wherever it is granted. While parked
+//! it is granted only if its working set fits now where placement puts it
+//! (`place`, the one placement routine). Three rules keep that live
+//! without a timer:
+//!
+//! - a launch that unbinds to retry makes no room: what it gives back is
+//!   only its own attempt's, and two tenants that do not fit together
+//!   would wake each other for ever ([`BindingManager::release_to_retry`]);
+//! - room made between the launch's failed look and its `enqueue` is not
+//!   lost: an entry whose working set fits on its device by then does not
+//!   park;
+//! - an entry with nothing to wait for — no co-tenant on the device, or a
+//!   device that cannot hold its working set for one context — does not
+//!   park, and is never granted a device it cannot fit on alone (the launch
+//!   fails if no healthy device can hold it).
+//!
 //! # Determinism
 //!
 //! Every decision is taken under the one lock over ordered maps, and
@@ -49,6 +75,7 @@ use crate::metrics::RuntimeMetrics;
 use mtgpu_gpusim::{DeviceId, Gpu, GpuContextId};
 use mtgpu_simtime::{lock_rank, DetRng, RankedCondvar, RankedMutex, Shadow};
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -86,6 +113,14 @@ pub enum AddDeviceError {
 /// manager.
 pub type Wake = Box<dyn FnOnce() + Send>;
 
+/// What a launch that gave its vGPU up for want of memory waits for (§4.5
+/// unbind-and-retry): room on `device` for a working set of `needs` bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct Room {
+    pub device: DeviceId,
+    pub needs: u64,
+}
+
 /// One queued request for a vGPU.
 struct Waiter {
     ctx: Arc<AppContext>,
@@ -98,6 +133,13 @@ struct Waiter {
     /// CUDA 4.0 application id (§4.8): constrains placement to the device
     /// already hosting the application's other threads.
     app_id: Option<u64>,
+    /// The working set of a launch that fell short for memory, in bytes; 0
+    /// for one that found no vGPU. No device that cannot hold it alone is
+    /// granted.
+    needs: u64,
+    /// The device the launch waits for room on, while it waits: until then
+    /// it is granted only if its working set fits now where it is placed.
+    parked_on: Option<DeviceId>,
     wake: Wake,
 }
 
@@ -117,6 +159,13 @@ impl Device {
     /// Whether a grant may land here now.
     fn open(&self) -> bool {
         !self.free.is_empty() && !self.gpu.is_failed()
+    }
+
+    /// The most memory one context's data can take here: all of it but
+    /// what the persistent vGPU contexts reserve.
+    fn capacity_alone(&self) -> u64 {
+        let reserved = self.gpu.spec().ctx_reserved_bytes * self.vgpus.len() as u64;
+        self.gpu.mem_capacity().saturating_sub(reserved)
     }
 
     /// Bound contexts in context-id order (the map iterates by vGPU index;
@@ -197,11 +246,13 @@ impl BindingManager {
     /// that were bound to it. Their device state must be recovered by the
     /// caller via the memory manager. Applications that lived on it may
     /// regroup elsewhere: their waiting threads are granted what the
-    /// surviving devices have free.
+    /// surviving devices have free, and so are the launches that waited for
+    /// room on it.
     pub fn remove_device(&self, id: DeviceId) -> Vec<CtxId> {
         let mut st = self.state.lock();
         let Some(device) = st.devices.remove(&id) else { return Vec::new() };
         st.app_devices.retain(|_, &mut (dev, _)| dev != id);
+        Self::room_on(&mut st, id);
         self.grant_waiting(&mut st);
         device.bound_ctxs()
     }
@@ -235,7 +286,7 @@ impl BindingManager {
         };
         let binding = {
             let mut st = self.state.lock();
-            let dev = Self::place(&mut st, app_id, mem_usage)?;
+            let dev = Self::place(&mut st, app_id, mem_usage, 0, false)?;
             Self::grant_slot(&mut st, dev, ctx.id, app_id)
         };
         if ticketed || self.policy == SchedulerPolicy::CreditBased {
@@ -259,8 +310,16 @@ impl BindingManager {
     /// granted a vGPU or taken out by [`Self::kick`] — possibly before this
     /// returns. A context that will not launch again (cancelled, or failed)
     /// is not queued: its wake runs at once, so its owner looks again and
-    /// finds out.
-    pub fn enqueue(&self, ctx: &Arc<AppContext>, pending_work: f64, mem_usage: u64, wake: Wake) {
+    /// finds out. With a `room` the entry first waits for a co-tenant on
+    /// that device to make room (module docs, *Waiting for room*).
+    pub fn enqueue(
+        &self,
+        ctx: &Arc<AppContext>,
+        pending_work: f64,
+        mem_usage: u64,
+        room: Option<Room>,
+        wake: Wake,
+    ) {
         let mut st = self.state.lock();
         let (enq_seq, app_id) = {
             let mut inner = ctx.inner();
@@ -276,9 +335,54 @@ impl BindingManager {
             });
             (ticket, inner.app_id)
         };
+        // Parked if there is anything to wait for: the working set does not
+        // fit there now (room made since the launch looked is not lost), a
+        // co-tenant could make some, and the device could hold it alone.
+        let parks = |room: &Room| {
+            st.devices.get(&room.device).is_some_and(|d| {
+                d.gpu.largest_free_block() < room.needs
+                    && d.capacity_alone() >= room.needs
+                    && !d.bound.is_empty()
+            })
+        };
+        let parked_on = room.filter(parks).map(|room| room.device);
+        let needs = room.map_or(0, |room| room.needs);
         let ctx = Arc::clone(ctx);
-        st.waiting.push(Waiter { ctx, enq_seq, pending_work, mem_usage, app_id, wake });
+        let entry =
+            Waiter { ctx, enq_seq, pending_work, mem_usage, app_id, needs, parked_on, wake };
+        st.waiting.push(entry);
         self.grant_waiting(&mut st);
+    }
+
+    /// A room event on `device`: a context there gave device memory back
+    /// (freed a resident entry, lost pages to a preemption) or is idle, a
+    /// victim for the taking. Every entry that waited for room there is an
+    /// ordinary one from now on. A vGPU release is one too
+    /// ([`Self::release`]).
+    pub fn make_room(&self, device: DeviceId) {
+        let mut st = self.state.lock();
+        Self::room_on(&mut st, device);
+        self.grant_waiting(&mut st);
+    }
+
+    /// Lets go of the entries that waited for room on `device`; the caller
+    /// grants afterwards.
+    fn room_on(st: &mut State, device: DeviceId) {
+        for w in &mut st.waiting {
+            w.parked_on = w.parked_on.filter(|&d| d != device);
+        }
+    }
+
+    /// The devices launches wait for room on.
+    pub(crate) fn parked_on(&self) -> BTreeSet<DeviceId> {
+        self.state.lock().waiting.iter().filter_map(|w| w.parked_on).collect()
+    }
+
+    /// Whether a healthy device can hold a working set of `needs` bytes for
+    /// one context.
+    pub(crate) fn fits_alone(&self, needs: u64) -> bool {
+        let st = self.state.lock();
+        st.devices.values().any(|d| !d.gpu.is_failed() && d.capacity_alone() >= needs)
     }
 
     /// Blocks until a vGPU is granted to `ctx` (per policy) or `timeout`
@@ -300,7 +404,7 @@ impl BindingManager {
         let woken = Arc::new(RankedCondvar::new());
         loop {
             let wake = Arc::clone(&woken);
-            self.enqueue(ctx, pending_work, mem_usage, Box::new(move || wake.notify_one()));
+            self.enqueue(ctx, pending_work, mem_usage, None, Box::new(move || wake.notify_one()));
             let mut inner = ctx.inner();
             while matches!(inner.bind_wait, BindWait::Queued) {
                 if woken.wait_until(&mut inner, deadline).timed_out() {
@@ -370,15 +474,29 @@ impl BindingManager {
     /// the overall processor utilization while favoring the use of more
     /// powerful cores"), preferring devices whose free memory fits,
     /// seeded-rng tiebreak within a 5% load band. Draws exactly once when
-    /// there is such a device and not at all otherwise.
-    fn place(st: &mut State, app_id: Option<u64>, mem_usage: u64) -> Option<DeviceId> {
+    /// there is such a device and not at all otherwise. A launch that fell
+    /// short for memory (`needs` > 0) is placed only among the devices that
+    /// can hold its working set alone and, while it waits for room
+    /// (`parked`), granted only if it fits where it is placed now: a slower
+    /// device with room does not take it while a faster one is the better
+    /// place.
+    fn place(
+        st: &mut State,
+        app_id: Option<u64>,
+        mem_usage: u64,
+        needs: u64,
+        parked: bool,
+    ) -> Option<DeviceId> {
+        let may = |d: &Device| d.open() && d.capacity_alone() >= needs;
+        let fits = |d: &Device| !parked || d.gpu.largest_free_block() >= needs;
         if let Some(&(dev, _)) = app_id.and_then(|app| st.app_devices.get(&app)) {
-            return st.devices[&dev].open().then_some(dev);
+            let d = &st.devices[&dev];
+            return (may(d) && fits(d)).then_some(dev);
         }
         let open: Vec<(DeviceId, &Device, f64)> = st
             .devices
             .iter()
-            .filter(|(_, d)| d.open())
+            .filter(|(_, d)| may(d))
             .map(|(&id, d)| (id, d, d.gpu.spec().effective_flops()))
             .collect();
         if open.is_empty() {
@@ -394,10 +512,11 @@ impl BindingManager {
             .filter(|&&(_, d, f)| load(d, f) <= min_load * 1.05)
             .map(|&(id, d, _)| (id, d.gpu.mem_available() >= mem_usage))
             .collect();
-        let any_fits = close.iter().any(|&(_, fits)| fits);
+        let any_fits = close.iter().any(|&(_, fit)| fit);
         let tied: Vec<DeviceId> =
-            close.into_iter().filter(|&(_, fits)| fits == any_fits).map(|(id, _)| id).collect();
-        Some(tied[draw % tied.len()])
+            close.into_iter().filter(|&(_, fit)| fit == any_fits).map(|(id, _)| id).collect();
+        let dev = tied[draw % tied.len()];
+        fits(&st.devices[&dev]).then_some(dev)
     }
 
     /// Takes a free slot on `dev` and records the binding and, for a CUDA
@@ -420,13 +539,16 @@ impl BindingManager {
     /// such pair is left, waking exactly the granted entries. Every path
     /// that frees or adds a slot or adds an entry ends here (lock held), so
     /// a free slot and an entry that could take it never outlive the lock.
-    /// An entry pinned to a full device (CUDA 4.0 affinity) is passed over,
-    /// not waited behind.
+    /// An entry pinned to a full device (CUDA 4.0 affinity), or still
+    /// waiting for room and fitting nowhere yet, is passed over, not waited
+    /// behind.
     fn grant_waiting(&self, st: &mut State) {
         while !st.waiting.is_empty() && st.devices.values().any(Device::open) {
             let granted = self.policy_order(st).into_iter().find_map(|i| {
-                let (app_id, mem_usage) = (st.waiting[i].app_id, st.waiting[i].mem_usage);
-                Self::place(st, app_id, mem_usage).map(|dev| (i, dev))
+                let w = &st.waiting[i];
+                let (app_id, mem_usage, needs, parked) =
+                    (w.app_id, w.mem_usage, w.needs, w.parked_on.is_some());
+                Self::place(st, app_id, mem_usage, needs, parked).map(|dev| (i, dev))
             });
             let Some((idx, dev)) = granted else { return };
             let w = st.waiting.remove(idx);
@@ -467,9 +589,21 @@ impl BindingManager {
     }
 
     /// Releases the vGPU bound to `ctx_id` and grants it to the next
-    /// waiting context that may run there, if any. Safe to call from the
-    /// owner handler, a swapper or the fault path.
+    /// waiting context that may run there, if any. A release is a room
+    /// event on its device: whatever `ctx_id` held there is gone by then.
+    /// Safe to call from the owner handler, a swapper or the fault path.
     pub fn release(&self, ctx_id: CtxId, vgpu: VGpuId) {
+        self.free_slot(ctx_id, vgpu, true);
+    }
+
+    /// [`Self::release`] by a launch that unbinds to retry. What it gives
+    /// back is only its own attempt's, so it is no room event: two tenants
+    /// that do not fit together would wake each other for ever.
+    pub(crate) fn release_to_retry(&self, ctx_id: CtxId, vgpu: VGpuId) {
+        self.free_slot(ctx_id, vgpu, false);
+    }
+
+    fn free_slot(&self, ctx_id: CtxId, vgpu: VGpuId, room: bool) {
         let mut st = self.state.lock();
         if let Some(device) = st.devices.get_mut(&vgpu.device) {
             if device.bound.get(&vgpu.index).is_some_and(|&(owner, _)| owner == ctx_id) {
@@ -480,6 +614,9 @@ impl BindingManager {
                     if affinity.get().1 == 0 {
                         affinity.remove();
                     }
+                }
+                if room {
+                    Self::room_on(&mut st, vgpu.device);
                 }
                 self.grant_waiting(&mut st);
             } else {
@@ -844,7 +981,7 @@ mod tests {
 #[cfg(test)]
 mod entry_tests {
     use super::*;
-    use mtgpu_gpusim::GpuSpec;
+    use mtgpu_gpusim::{DeviceAddr, GpuSpec};
     use mtgpu_simtime::Clock;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -878,7 +1015,7 @@ mod entry_tests {
         let held = bm.poll(&holder, 0).expect("free vGPU");
         let woken = Arc::new(AtomicUsize::new(0));
         assert!(bm.poll(&waiter, 0).is_none());
-        bm.enqueue(&waiter, 1.0, 0, counting(&woken));
+        bm.enqueue(&waiter, 1.0, 0, None, counting(&woken));
         assert_eq!((bm.waiting_count(), woken.load(Ordering::SeqCst)), (1, 0));
         assert!(bm.poll(&waiter, 0).is_none(), "still queued");
         // No thread is parked anywhere: the release itself does the grant.
@@ -901,7 +1038,7 @@ mod entry_tests {
         // The release lands between the failed poll and the enqueue.
         bm.release(holder.id, held.vgpu);
         let woken = Arc::new(AtomicUsize::new(0));
-        bm.enqueue(&waiter, 1.0, 0, counting(&woken));
+        bm.enqueue(&waiter, 1.0, 0, None, counting(&woken));
         assert_eq!((bm.waiting_count(), woken.load(Ordering::SeqCst)), (0, 1));
         assert!(bm.poll(&waiter, 0).is_some());
     }
@@ -912,15 +1049,15 @@ mod entry_tests {
         let (holder, queued, granted) = (ctx(1), ctx(2), ctx(3));
         let held = bm.poll(&holder, 0).unwrap();
         let woken = Arc::new(AtomicUsize::new(0));
-        bm.enqueue(&queued, 1.0, 0, counting(&woken));
-        bm.enqueue(&granted, 1.0, 0, counting(&woken));
+        bm.enqueue(&queued, 1.0, 0, None, counting(&woken));
+        bm.enqueue(&granted, 1.0, 0, None, counting(&woken));
         // Cancelled while queued: out of the queue, never woken, and the
         // context neither queues nor binds again — an owner that asks
         // anyway is woken at once, to find that out.
         assert!(bm.cancel(&queued).is_none());
         assert_eq!((bm.waiting_count(), woken.load(Ordering::SeqCst)), (1, 0));
         let refused = Arc::new(AtomicUsize::new(0));
-        bm.enqueue(&queued, 1.0, 0, counting(&refused));
+        bm.enqueue(&queued, 1.0, 0, None, counting(&refused));
         assert_eq!(bm.waiting_count(), 1, "a cancelled context does not queue");
         assert_eq!(refused.load(Ordering::SeqCst), 1, "a refused entry's wake is not dropped");
         // Cancelled after the grant: the vGPU comes back to be released.
@@ -942,7 +1079,7 @@ mod entry_tests {
         let (holder, waiter) = (ctx(1), ctx(2));
         let held = bm.poll(&holder, 0).unwrap();
         let woken = Arc::new(AtomicUsize::new(0));
-        bm.enqueue(&waiter, 1.0, 0, counting(&woken));
+        bm.enqueue(&waiter, 1.0, 0, None, counting(&woken));
         // Kicked while queued (its lease was reaped): out of the queue and
         // woken, so the owner runs its launch again and sees the failure.
         waiter.mark_failed(mtgpu_api::CudaError::LeaseExpired);
@@ -951,12 +1088,12 @@ mod entry_tests {
         // The reap landed between the failed poll and the enqueue instead:
         // nothing is queued for a grant nobody would use, and the owner is
         // woken all the same. A blocking caller is refused, not parked.
-        bm.enqueue(&waiter, 1.0, 0, counting(&woken));
+        bm.enqueue(&waiter, 1.0, 0, None, counting(&woken));
         assert_eq!((bm.waiting_count(), woken.load(Ordering::SeqCst)), (0, 2));
         assert!(bm.acquire(&waiter, 1.0, 0, Duration::from_secs(3600)).is_none());
         // Kicked after the grant: the vGPU comes back to be released.
         let late = ctx(3);
-        bm.enqueue(&late, 1.0, 0, counting(&woken));
+        bm.enqueue(&late, 1.0, 0, None, counting(&woken));
         bm.release(holder.id, held.vgpu);
         let raced = bm.kick(&late).expect("the grant raced the kick");
         bm.release(late.id, raced.vgpu);
@@ -1007,8 +1144,8 @@ mod entry_tests {
         let held = holders.each_ref().map(|c| bm.poll(c, 0).expect("free vGPU"));
         let (first, second) = (ctx(4), ctx(5));
         let woken = [Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0))];
-        bm.enqueue(&first, 1.0, 0, counting(&woken[0]));
-        bm.enqueue(&second, 1.0, 0, counting(&woken[1]));
+        bm.enqueue(&first, 1.0, 0, None, counting(&woken[0]));
+        bm.enqueue(&second, 1.0, 0, None, counting(&woken[1]));
         // A slot frees on device 0: the release grants it to the first
         // waiter, and only that one is woken.
         let on_zero = held.iter().position(|b| b.vgpu.device == DeviceId(0)).unwrap();
@@ -1047,8 +1184,8 @@ mod entry_tests {
                 let holders = [ctx(1), ctx(2)];
                 let held = holders.each_ref().map(|c| bm.poll(c, 0).expect("free vGPU"));
                 let (first, second) = (ctx(3), ctx(4));
-                bm.enqueue(&first, 1.0, 0, Box::new(|| {}));
-                bm.enqueue(&second, 2.0, 0, Box::new(|| {}));
+                bm.enqueue(&first, 1.0, 0, None, Box::new(|| {}));
+                bm.enqueue(&second, 2.0, 0, None, Box::new(|| {}));
                 let i = held.iter().position(|b| b.vgpu.device == DeviceId(freed)).unwrap();
                 bm.release(holders[i].id, held[i].vgpu);
                 if bm.poll(&first, 0).is_none() {
@@ -1065,12 +1202,118 @@ mod entry_tests {
         let waiter = ctx(1);
         let woken = Arc::new(AtomicUsize::new(0));
         assert!(bm.poll(&waiter, 0).is_none());
-        bm.enqueue(&waiter, 1.0, 0, counting(&woken));
+        bm.enqueue(&waiter, 1.0, 0, None, counting(&woken));
         assert_eq!((bm.waiting_count(), woken.load(Ordering::SeqCst)), (1, 0));
         let gpu = Gpu::new(GpuSpec::test_small(), Clock::with_scale(1e-7), 0);
         bm.add_device(DeviceId(0), gpu, 1).unwrap();
         assert_eq!((bm.waiting_count(), woken.load(Ordering::SeqCst)), (0, 1));
         assert!(bm.poll(&waiter, 0).is_some(), "rerouted onto the new device");
+    }
+
+    const MIB: u64 = 1 << 20;
+
+    /// A 64 MiB device with two slots, a holder bound on it with 40 MiB
+    /// resident, and a launch of `retrier` needing 30 MiB that fell short
+    /// there and gave its vGPU up, queued for room. Returns the manager, the
+    /// entry's wake count, the holder's binding and its allocation.
+    fn retrying(holder: &Arc<AppContext>, retrier: &Arc<AppContext>) -> Fixture {
+        let (bm, _) = manager(0);
+        let gpu = Gpu::new(GpuSpec::test_small(), Clock::with_scale(1e-7), 0);
+        bm.add_device(DeviceId(0), gpu, 2).unwrap();
+        let held = bm.poll(holder, 0).expect("free vGPU");
+        let resident = held.gpu.malloc(held.gpu_ctx, 40 * MIB).unwrap();
+        let mine = bm.poll(retrier, 0).expect("free vGPU");
+        bm.release_to_retry(retrier.id, mine.vgpu);
+        let woken = Arc::new(AtomicUsize::new(0));
+        let room = Room { device: DeviceId(0), needs: 30 * MIB };
+        bm.enqueue(retrier, 1.0, 0, Some(room), counting(&woken));
+        (bm, woken, held, resident)
+    }
+
+    type Fixture = (Arc<BindingManager>, Arc<AtomicUsize>, Binding, DeviceAddr);
+
+    #[test]
+    fn entry_waiting_for_room_is_granted_once_the_co_tenant_in_its_way_makes_some() {
+        let (holder, retrier, bystander) = (ctx(1), ctx(2), ctx(3));
+        let (bm, woken, ..) = retrying(&holder, &retrier);
+        // A free slot does not grant it: it waits for room on its device.
+        // The fast path may take the slot past it, and a retry's own
+        // release wakes nothing.
+        assert_eq!((bm.waiting_count(), woken.load(Ordering::SeqCst)), (1, 0));
+        let passing = bm.poll(&bystander, 0).expect("the slot nobody can take");
+        bm.release_to_retry(bystander.id, passing.vgpu);
+        assert_eq!((bm.waiting_count(), woken.load(Ordering::SeqCst)), (1, 0));
+        assert!(bm.try_acquire_on(CtxId(9), DeviceId(0)).is_none(), "it is a waiter all the same");
+        // The holder makes room there (frees a resident entry, or sits idle
+        // at a monitor pass): granted, woken once, whether or not the
+        // working set fits yet.
+        assert!(bm.parked_on().into_iter().eq([DeviceId(0)]));
+        bm.make_room(DeviceId(0));
+        assert!(bm.parked_on().is_empty());
+        assert_eq!((bm.waiting_count(), woken.load(Ordering::SeqCst)), (0, 1));
+        assert!(bm.poll(&retrier, 0).is_some());
+    }
+
+    #[test]
+    fn entry_waiting_for_room_goes_wherever_its_working_set_fits_now() {
+        let (holder, retrier) = (ctx(1), ctx(2));
+        let (bm, woken, held, resident) = retrying(&holder, &retrier);
+        // The memory comes back with no word from the holder: the next grant
+        // step, whatever runs it — here room on a device nobody waits on —
+        // finds the working set fits and grants it.
+        held.gpu.free(held.gpu_ctx, resident).unwrap();
+        assert_eq!(woken.load(Ordering::SeqCst), 0);
+        bm.make_room(DeviceId(7));
+        assert_eq!((bm.waiting_count(), woken.load(Ordering::SeqCst)), (0, 1));
+    }
+
+    #[test]
+    fn room_made_between_the_shortfall_and_the_enqueue_is_not_lost() {
+        let (bm, _) = manager(0);
+        let gpu = Gpu::new(GpuSpec::test_small(), Clock::with_scale(1e-7), 0);
+        bm.add_device(DeviceId(0), gpu, 2).unwrap();
+        let (holder, retrier) = (ctx(1), ctx(2));
+        let held = bm.poll(&holder, 0).unwrap();
+        let resident = held.gpu.malloc(held.gpu_ctx, 40 * MIB).unwrap();
+        let mine = bm.poll(&retrier, 0).unwrap();
+        // The holder frees its memory after the retrier's failed look, before
+        // its enqueue: the entry finds the working set fits and does not wait
+        // for an event that came and went.
+        held.gpu.free(held.gpu_ctx, resident).unwrap();
+        bm.make_room(DeviceId(0));
+        bm.release_to_retry(retrier.id, mine.vgpu);
+        let woken = Arc::new(AtomicUsize::new(0));
+        let room = Room { device: DeviceId(0), needs: 30 * MIB };
+        bm.enqueue(&retrier, 1.0, 0, Some(room), counting(&woken));
+        assert_eq!((bm.waiting_count(), woken.load(Ordering::SeqCst)), (0, 1));
+        // A vGPU release is room too.
+        let (holder, retrier) = (ctx(3), ctx(4));
+        let (bm, woken, held, _) = retrying(&holder, &retrier);
+        bm.release(holder.id, held.vgpu);
+        assert_eq!((bm.waiting_count(), woken.load(Ordering::SeqCst)), (0, 1));
+    }
+
+    #[test]
+    fn entry_whose_working_set_a_device_cannot_hold_alone_is_placed_elsewhere() {
+        let (bm, _) = manager(0);
+        for (i, spec) in [GpuSpec::test_small(), GpuSpec::quadro_2000()].into_iter().enumerate() {
+            let gpu = Gpu::new(spec, Clock::with_scale(1e-7), i as u32);
+            bm.add_device(DeviceId(i as u32), gpu, 1).unwrap();
+        }
+        let needs = 100 << 20;
+        assert!(bm.fits_alone(needs) && !bm.fits_alone(1 << 40));
+        // The small device has a free slot, but 100 MiB is more than it
+        // holds for one context: the entry waits for nobody there (nothing
+        // could make room) and goes to the other device when its slot frees.
+        let (busy, waiter) = (CtxId(1), ctx(2));
+        let held = bm.try_acquire_on(busy, DeviceId(1)).expect("free vGPU");
+        let room = Room { device: DeviceId(0), needs };
+        let woken = Arc::new(AtomicUsize::new(0));
+        bm.enqueue(&waiter, 1.0, 0, Some(room), counting(&woken));
+        assert_eq!((bm.waiting_count(), woken.load(Ordering::SeqCst)), (1, 0));
+        bm.release(busy, held.vgpu);
+        assert_eq!(woken.load(Ordering::SeqCst), 1);
+        assert_eq!(bm.poll(&waiter, 0).expect("granted").vgpu.device, DeviceId(1));
     }
 }
 
@@ -1215,7 +1458,7 @@ mod policy_tests {
         let sibling = ctx(2);
         sibling.inner().app_id = Some(9);
         assert!(bm.poll(&sibling, 0).is_none());
-        bm.enqueue(&sibling, 1.0, 0, Box::new(|| {}));
+        bm.enqueue(&sibling, 1.0, 0, None, Box::new(|| {}));
         assert_eq!(bm.waiting_count(), 1);
         // The device goes away with the first thread still bound on it: the
         // affinity goes with it, and the sibling binds on the survivor.

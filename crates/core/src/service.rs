@@ -19,19 +19,22 @@
 //!
 //! On launch-time memory pressure the escalation is: intra-application swap
 //! (inside [`crate::memory::MemoryManager::materialize`]) → inter-application swap of an
-//! idle victim on the same device → unbind-and-retry.
+//! idle victim on the same device → priority preemption → unbind-and-retry.
 //!
-//! Nothing here waits for a vGPU: a launch that cannot bind at once comes
-//! back as [`Abort::WouldBlock`], and the only place it then waits is
-//! a [`crate::sched::BindingManager`] queue entry. Nor does a launch sit out
-//! its unbind-and-retry backoff here ([`Abort::Retry`]): the gateway's timer
-//! brings it back.
+//! Nothing here waits: a launch that cannot bind at once comes back as
+//! [`Abort::WouldBlock`], and the only place it then waits is a
+//! [`crate::sched::BindingManager`] queue entry. So does a launch that gave
+//! its vGPU up for want of memory: its entry carries a [`Room`] and is
+//! parked on that device until another context makes room there — releases
+//! its vGPU, frees a resident entry, is swapped out, or sits idle at a
+//! monitor pass — or its working set fits where placement puts it.
 
 use crate::ctx::{AppContext, Binding, CtxId};
 use crate::memory::{Materialize, Recovery, SwapReason};
 use crate::metrics::RuntimeMetrics;
 use crate::mux::VISIT_REPLY_BYTES;
 use crate::runtime::NodeRuntime;
+use crate::sched::Room;
 use crate::trace::{TraceEvent, UnbindReason};
 use mtgpu_api::guard::{self, DescriptorLimits};
 use mtgpu_api::protocol::{AllocKind, CudaCall, CudaReply, ModuleHandle, ReplyValue};
@@ -42,10 +45,6 @@ use mtgpu_gpusim::{Gpu, GpuError, GpuHold, LaunchSpec};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Real-time backoff after an unbind-and-retry, so a starved large job does
-/// not thrash the device while others finish.
-pub(crate) const RETRY_BACKOFF: Duration = Duration::from_millis(2);
 
 /// Releases everything a finished/disconnected context holds.
 pub(crate) fn teardown(rt: &NodeRuntime, ctx: &Arc<AppContext>) {
@@ -70,18 +69,14 @@ pub(crate) fn teardown(rt: &NodeRuntime, ctx: &Arc<AppContext>) {
 pub(crate) enum Abort {
     /// A real error to report to the application.
     Fail(CudaError),
-    /// A launch found no vGPU to bind. The caller puts the launch (`spec`,
-    /// handed back) at the head of its stream and then queues the context in
-    /// the dispatcher under these keys
+    /// A launch found no vGPU to bind or, with a `room`, gave its vGPU up
+    /// for want of device memory (§4.5 unbind-and-retry). The caller puts
+    /// the launch (`spec`, handed back) at the head of its stream and then
+    /// queues the context in the dispatcher
     /// ([`crate::sched::BindingManager::enqueue`]); running the launch again
     /// from scratch once woken is idempotent (the closure is recomputed and
     /// unbind paths leave consistent state).
-    WouldBlock { spec: LaunchSpec, work: f64, mem: u64 },
-    /// A launch gave its vGPU up for want of device memory (§4.5
-    /// unbind-and-retry). The caller puts the launch back at the head of its
-    /// stream and runs it again, from scratch, once [`RETRY_BACKOFF`] has
-    /// passed.
-    Retry { spec: LaunchSpec },
+    WouldBlock { spec: LaunchSpec, room: Option<Room> },
     /// The reactor found the device the call is about to use busy
     /// ([`Engines::enter`]). The caller puts the call, handed back whole,
     /// at the head of its stream and the channel on the pool's work queue.
@@ -128,19 +123,24 @@ const REACTOR_CALL_LIMIT: Duration = Duration::from_micros(100);
 ///
 /// A copy's, a checkpoint's or an image's bytes also pass through host
 /// memory on the calling thread, at any clock: past [`VISIT_REPLY_BYTES`]
-/// (where a visit posts its replies early) they are the pool's to move.
+/// (where a visit posts its replies early) they are the pool's to move. An
+/// upload's host bytes are its payload, not its declared length.
 pub(crate) fn fits_on_reactor(rt: &NodeRuntime, ctx: &AppContext, call: &CudaCall) -> bool {
-    let (work, copied) = match call {
+    // (kernel work, bytes over PCIe, bytes through host memory)
+    let (work, copied, host) = match call {
         CudaCall::Exit => return false,
         // Host bytes only: the image's data into fresh slabs.
         CudaCall::ImportImage { image } => return image.data_bytes() <= VISIT_REPLY_BYTES,
-        CudaCall::Launch { spec } => (Some(spec.work), rt.memory().mem_usage(ctx.id)),
-        CudaCall::MemcpyH2D { buf, .. } => (None, buf.declared_len),
-        CudaCall::MemcpyD2H { len, .. } | CudaCall::MemcpyD2D { len, .. } => (None, *len),
-        CudaCall::Checkpoint | CudaCall::ExportImage => (None, rt.memory().mem_usage(ctx.id)),
+        CudaCall::Launch { spec } => (Some(spec.work), rt.memory().mem_usage(ctx.id), 0),
+        CudaCall::MemcpyH2D { buf, .. } => (None, buf.declared_len, buf.payload.len() as u64),
+        CudaCall::MemcpyD2H { len, .. } | CudaCall::MemcpyD2D { len, .. } => (None, *len, *len),
+        CudaCall::Checkpoint | CudaCall::ExportImage => {
+            let usage = rt.memory().mem_usage(ctx.id);
+            (None, usage, usage)
+        }
         _ => return true,
     };
-    if work.is_none() && copied > VISIT_REPLY_BYTES as u64 {
+    if host > VISIT_REPLY_BYTES as u64 {
         return false;
     }
     let on = |gpu: &Gpu| match work {
@@ -259,8 +259,13 @@ fn handle_call(
         CudaCall::Malloc { size, kind } => admit_malloc(rt, ctx, size, kind).map(ReplyValue::Ptr),
         CudaCall::Free { ptr } => {
             let binding = ctx.binding();
+            let resident = binding.as_ref().map_or(0, |_| rt.memory().resident_bytes(ctx.id));
             let freed = rt.memory().free(ctx.id, ptr, binding.as_ref())?;
             rt.policy().uncharge(ctx.id, freed);
+            // A resident entry's device memory is room on that device.
+            if let Some(b) = binding.filter(|_| rt.memory().resident_bytes(ctx.id) < resident) {
+                rt.bindings().make_room(b.vgpu.device);
+            }
             Ok(ReplyValue::Unit)
         }
         CudaCall::MemcpyH2D { dst, buf } => {
@@ -417,10 +422,7 @@ fn launch_loop(
             None => {
                 let mem = rt.memory().mem_usage(ctx.id);
                 let Some(b) = rt.bindings().poll(ctx, mem) else {
-                    // SJF key: the profiled job length when hinted, else the
-                    // pending launch's own work.
-                    let work = ctx.inner().est_job_flops.unwrap_or(spec.work.flops);
-                    return Err(Abort::WouldBlock { spec, work, mem });
+                    return Err(Abort::WouldBlock { spec, room: None });
                 };
                 ctx.inner().binding = Some(b.clone());
                 rt.tracer().record(TraceEvent::Bound { ctx: ctx.id, vgpu: b.vgpu });
@@ -438,27 +440,35 @@ fn launch_loop(
             Ok(Materialize::NeedBytes(need)) => {
                 // 3a. Inter-application swap: ask an idle co-tenant to give
                 // up the device (§4.5).
+                let swap = SwapReason::InterAppVictim;
                 if rt.config().inter_app_swap
                     && ctx.is_eligible()
-                    && try_inter_app_swap(rt, ctx.id, &binding, need)
+                    && ask_co_tenants(rt, ctx.id, &binding, need, swap)
                 {
                     continue;
                 }
                 // 3b. Priority preemption (policy layer): a tenant whose
                 // lease outranks its co-tenants may evict their resident
                 // pages instead of yielding the device itself.
+                let preempt = SwapReason::Preempted;
                 if rt.policy().enabled()
                     && ctx.is_eligible()
-                    && try_priority_preempt(rt, ctx.id, &binding, need)
+                    && ask_co_tenants(rt, ctx.id, &binding, need, preempt)
                 {
                     continue;
                 }
-                // 3c. No application honoured the request: unbind and retry
-                // later (§4.5). The backoff is the caller's to arrange: no
-                // serving thread sits it out.
-                unbind_self(rt, ctx, &binding, SwapReason::Unbind)?;
+                // 3c. No application honoured the request: unbind, and retry
+                // once a co-tenant on the device makes room (§4.5). A
+                // working set no healthy device can hold, even alone, would
+                // wait for ever: it fails instead.
+                let needs = rt.memory().working_set_bytes(ctx.id, &closure);
+                if !rt.bindings().fits_alone(needs) {
+                    return Err(CudaError::MemoryAllocation.into());
+                }
+                unbind_self(rt, ctx, &binding)?;
                 RuntimeMetrics::bump(&rt.metrics_ref().launch_retries);
-                return Err(Abort::Retry { spec });
+                let room = Some(Room { device: binding.vgpu.device, needs });
+                return Err(Abort::WouldBlock { spec, room });
             }
             Err(CudaError::DeviceUnavailable) => {
                 recover_from_device_loss(rt, ctx, binding)?;
@@ -498,24 +508,24 @@ fn launch_loop(
     }
 }
 
-/// Swaps out this context's device state and releases its vGPU.
+/// Swaps out this context's device state and releases its vGPU, to retry a
+/// launch elsewhere or later.
 fn unbind_self(
     rt: &NodeRuntime,
     ctx: &Arc<AppContext>,
     binding: &Binding,
-    reason: SwapReason,
 ) -> Result<(), CudaError> {
-    match rt.memory().swap_out_ctx(ctx.id, binding, reason) {
+    match rt.memory().swap_out_ctx(ctx.id, binding, SwapReason::Unbind) {
         Ok(out) => rt.tracer().record(TraceEvent::SwappedOut {
             ctx: ctx.id,
             bytes: out.freed,
-            reason: reason.into(),
+            reason: SwapReason::Unbind.into(),
         }),
         Err(CudaError::DeviceUnavailable) => {}
         Err(e) => return Err(e),
     }
     ctx.inner().binding = None;
-    rt.bindings().release(ctx.id, binding.vgpu);
+    rt.bindings().release_to_retry(ctx.id, binding.vgpu);
     rt.tracer().record(TraceEvent::Unbound {
         ctx: ctx.id,
         vgpu: binding.vgpu,
@@ -554,119 +564,85 @@ fn recover_from_device_loss(
     }
 }
 
-/// Priority-aware preemption on `binding.vgpu.device`: evict resident
-/// pages of co-tenants whose lease priority is *strictly lower* than the
-/// requester's, least-important victims first, until the shortfall is
-/// covered. Victims keep their vGPU binding — this preempts memory, not
-/// the device slot — and their data re-materializes from swap at their
-/// next launch. Returns `true` if enough bytes were freed.
-fn try_priority_preempt(rt: &NodeRuntime, requester: CtxId, binding: &Binding, need: u64) -> bool {
-    let my_prio = rt.policy().priority_of(requester);
-    // (lease priority, resident bytes, id): lowest priority first, then the
-    // smallest resident set, so the victim sequence is a pure function of
-    // state.
-    let mut candidates: Vec<(u8, u64, CtxId)> = rt
+/// Asks the co-tenants on `binding.vgpu.device` to give device memory back
+/// (§4.5) until `need` bytes are freed. "The application may or may not
+/// accept the request": a busy co-tenant (mid-call, mid-kernel) refuses, an
+/// idle one accepts if, asked again under its service lock, it is still
+/// bound there and still a victim. An inter-application victim
+/// ([`SwapReason::InterAppVictim`]: the smallest whose resident set covers
+/// `need`) is swapped out whole and gives its vGPU up. A preempted one
+/// ([`SwapReason::Preempted`], the policy layer: lease priority below the
+/// requester's, lowest first, then the smallest resident set) keeps it —
+/// this preempts memory, not the device slot — and each of its swap-outs
+/// is a room event on the device. Either comes back from swap at its next
+/// launch. Returns `true` if enough was freed.
+fn ask_co_tenants(
+    rt: &NodeRuntime,
+    requester: CtxId,
+    binding: &Binding,
+    need: u64,
+    reason: SwapReason,
+) -> bool {
+    let mine = rt.policy().priority_of(requester);
+    // A co-tenant's place in the victim order, if it is a victim at all: a
+    // pure function of state.
+    let victim = |id: CtxId| {
+        let resident = rt.memory().resident_bytes(id);
+        match reason {
+            SwapReason::Preempted => {
+                let prio = rt.policy().priority_of(id);
+                (prio < mine && resident > 0).then_some((u64::from(prio), resident))
+            }
+            _ => (resident >= need).then_some((resident, 0)),
+        }
+    };
+    let device = binding.vgpu.device;
+    let mut asked: Vec<((u64, u64), CtxId)> = rt
         .bindings()
-        .bound_on(binding.vgpu.device)
+        .bound_on(device)
         .into_iter()
         .filter(|&id| id != requester)
-        .filter_map(|id| {
-            let prio = rt.policy().priority_of(id);
-            let resident = rt.memory().resident_bytes(id);
-            (prio < my_prio && resident > 0).then_some((prio, resident, id))
-        })
+        .filter_map(|id| Some((victim(id)?, id)))
         .collect();
-    candidates.sort_unstable();
-    let mut freed_total = 0u64;
-    for (_, _, victim_id) in candidates {
-        if freed_total >= need {
+    asked.sort_unstable();
+    let mut freed = 0;
+    for (_, victim_id) in asked {
+        if freed >= need {
             break;
         }
-        let Some(victim) = rt.context(victim_id) else { continue };
-        if !victim.is_eligible() {
+        let Some(ctx) = rt.context(victim_id).filter(|ctx| ctx.is_eligible()) else { continue };
+        let Some(_guard) = ctx.try_service_lock() else { continue };
+        let Some(vb) = ctx.binding() else { continue };
+        if vb.vgpu.device != device || victim(victim_id).is_none() {
             continue;
         }
-        // Like inter-app swap, only an idle victim can be preempted; a
-        // busy one (mid-call / mid-kernel) is skipped.
-        let Some(_guard) = victim.try_service_lock() else { continue };
-        // Re-validate under the lock: still bound here, still outranked.
-        let Some(vb) = victim.binding() else { continue };
-        if vb.vgpu.device != binding.vgpu.device || rt.policy().priority_of(victim_id) >= my_prio {
-            continue;
-        }
-        match rt.memory().swap_out_ctx(victim_id, &vb, SwapReason::Preempted) {
-            Ok(out) if out.freed > 0 => {
-                freed_total += out.freed;
-                victim.stats.times_swapped_out.fetch_add(1, Ordering::Relaxed);
-                RuntimeMetrics::bump(&rt.metrics_ref().priority_preemptions);
-                rt.tracer().record(TraceEvent::SwappedOut {
-                    ctx: victim_id,
-                    bytes: out.freed,
-                    reason: SwapReason::Preempted.into(),
-                });
-                rt.tracer().record(TraceEvent::Preempted {
-                    victim: victim_id,
-                    by: requester,
-                    bytes: out.freed,
-                });
-            }
-            Ok(_) | Err(_) => continue,
+        let out = match rt.memory().swap_out_ctx(victim_id, &vb, reason) {
+            Ok(out) if out.freed > 0 => out,
+            _ => continue,
+        };
+        freed += out.freed;
+        ctx.stats.times_swapped_out.fetch_add(1, Ordering::Relaxed);
+        rt.tracer().record(TraceEvent::SwappedOut {
+            ctx: victim_id,
+            bytes: out.freed,
+            reason: reason.into(),
+        });
+        if reason == SwapReason::Preempted {
+            rt.bindings().make_room(device);
+            RuntimeMetrics::bump(&rt.metrics_ref().priority_preemptions);
+            rt.tracer().record(TraceEvent::Preempted {
+                victim: victim_id,
+                by: requester,
+                bytes: out.freed,
+            });
+        } else {
+            ctx.inner().binding = None;
+            rt.bindings().release(victim_id, vb.vgpu);
+            let reason = UnbindReason::Victim;
+            rt.tracer().record(TraceEvent::Unbound { ctx: victim_id, vgpu: vb.vgpu, reason });
         }
     }
-    freed_total >= need
-}
-
-/// Attempts an inter-application swap on `binding.vgpu.device`: find one
-/// idle co-tenant whose resident footprint covers the shortfall, swap it
-/// out wholesale and release its vGPU (§4.5). Returns `true` if memory was
-/// freed.
-fn try_inter_app_swap(rt: &NodeRuntime, requester: CtxId, binding: &Binding, need: u64) -> bool {
-    // (resident bytes, id): the smallest sufficient victim, ties broken by
-    // context id — a pure function of state.
-    let mut candidates: Vec<(u64, CtxId)> = rt
-        .bindings()
-        .bound_on(binding.vgpu.device)
-        .into_iter()
-        .filter(|&id| id != requester)
-        .map(|id| (rt.memory().resident_bytes(id), id))
-        .filter(|&(resident, _)| resident >= need)
-        .collect();
-    candidates.sort_unstable();
-    for (_, victim_id) in candidates {
-        let Some(victim) = rt.context(victim_id) else { continue };
-        if !victim.is_eligible() {
-            continue;
-        }
-        // "The application may or may not accept the request": busy contexts
-        // (mid-call / mid-kernel) refuse; idle ones accept.
-        let Some(_guard) = victim.try_service_lock() else { continue };
-        // Re-validate under the lock: still bound to this device, still big
-        // enough.
-        let Some(vb) = victim.binding() else { continue };
-        if vb.vgpu.device != binding.vgpu.device || rt.memory().resident_bytes(victim_id) < need {
-            continue;
-        }
-        match rt.memory().swap_out_ctx(victim_id, &vb, SwapReason::InterAppVictim) {
-            Ok(out) => {
-                victim.inner().binding = None;
-                victim.stats.times_swapped_out.fetch_add(1, Ordering::Relaxed);
-                rt.bindings().release(victim_id, vb.vgpu);
-                rt.tracer().record(TraceEvent::SwappedOut {
-                    ctx: victim_id,
-                    bytes: out.freed,
-                    reason: SwapReason::InterAppVictim.into(),
-                });
-                rt.tracer().record(TraceEvent::Unbound {
-                    ctx: victim_id,
-                    vgpu: vb.vgpu,
-                    reason: UnbindReason::Victim,
-                });
-                return true;
-            }
-            Err(_) => continue,
-        }
-    }
-    false
+    freed >= need
 }
 
 #[cfg(test)]
@@ -710,6 +686,12 @@ mod tests {
                 mtgpu_api::protocol::ContextImage { label: "i".into(), entries: vec![entry] };
             CudaCall::ImportImage { image }
         };
+        // An upload of `len` bytes that declares 1.5 MiB (`oversub_swap`'s
+        // set-up uploads carry 4 KiB).
+        let upload = |len: usize| CudaCall::MemcpyH2D {
+            dst: DeviceAddr(0),
+            buf: mtgpu_api::HostBuf::with_shadow(3 << 19, vec![7; len]),
+        };
         let calls = [
             CudaCall::GetDeviceCount,
             launch(1.0),
@@ -718,23 +700,27 @@ mod tests {
             download(VISIT_REPLY_BYTES + 1),
             import(VISIT_REPLY_BYTES),
             import(VISIT_REPLY_BYTES + 1),
+            upload(4096),
+            upload(VISIT_REPLY_BYTES + 1),
             CudaCall::Exit,
         ];
         let small = || vec![GpuSpec::test_small()];
         // At node_daemon's default clock on a small device, a tiny kernel
         // fits even behind a device's worth of victim (64 MiB, ~17 µs of
         // real time); a 39 s kernel (39 ms real) does not. An image touches
-        // no device: its data, not its declared size, is what it costs.
+        // no device: its data, not its declared size, is what it costs. An
+        // upload's host bytes are its payload; its declared 1.5 MiB take
+        // ~0.4 µs of real time over PCIe.
         let at_1e3 = verdicts(Clock::with_scale(1e-3), small(), &calls);
-        assert_eq!(at_1e3, [true, true, false, true, false, true, false, false]);
+        assert_eq!(at_1e3, [true, true, false, true, false, true, false, true, false, false]);
         // The slowest device decides: one victim on a C2050 can hold 3 GiB
         // (0.8 ms real), so no launch fits on a node that has one.
         let mixed = vec![GpuSpec::test_small(), GpuSpec::tesla_c2050()];
         let at_1e3 = verdicts(Clock::with_scale(1e-3), mixed, &calls);
-        assert_eq!(at_1e3, [true, false, false, true, false, true, false, false]);
+        assert_eq!(at_1e3, [true, false, false, true, false, true, false, true, false, false]);
         // No real time passes on a virtual clock: anything but an Exit and
         // host bytes past the bound, which no clock makes cheaper.
         let virtual_clock = verdicts(Clock::virtual_clock(), small(), &calls);
-        assert_eq!(virtual_clock, [true, true, true, true, false, true, false, false]);
+        assert_eq!(virtual_clock, [true, true, true, true, false, true, false, true, false, false]);
     }
 }

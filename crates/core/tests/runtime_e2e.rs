@@ -724,111 +724,167 @@ fn cuda4_different_applications_still_spread() {
     rt.shutdown();
 }
 
-#[test]
-fn retry_backoff_advances_virtual_time_only() {
-    // Regression: the unbind-and-retry backoff used to be a real
-    // `thread::sleep`, which stalled virtual-clock runs and leaked wall
-    // time into replays. It must now advance the virtual timeline instead.
+/// A node with tenant A holding 60 % of its one device on a bound, launched
+/// context. Without inter-application swap (`swap`), unbind-and-retry is
+/// the only answer to memory pressure.
+fn node_with_a_co_tenant_in_the_way(
+    clock: Clock,
+    swap: bool,
+) -> (Arc<NodeRuntime>, FrontendA, DeviceAddr, u64) {
     install_kernels();
-    let clock = Clock::virtual_clock();
-    let driver = Driver::with_devices(clock.clone(), vec![GpuSpec::test_small()]);
-    let mut cfg = RuntimeConfig::paper_default();
-    cfg.inter_app_swap = false; // force the unbind-and-retry path
+    let driver = Driver::with_devices(clock, vec![GpuSpec::test_small()]);
+    let cfg = RuntimeConfig { inter_app_swap: swap, ..RuntimeConfig::paper_default() };
     let rt = NodeRuntime::start(driver, cfg);
-    let gpu = rt.driver().device(DeviceId(0)).unwrap();
-    let chunk = gpu.mem_available() * 6 / 10;
-    // Tenant A occupies most of the device and stays bound.
+    let chunk = rt.driver().device(DeviceId(0)).unwrap().mem_available() * 6 / 10;
     let mut a = rt.local_client();
     register(&mut a);
     let pa = a.malloc(chunk).unwrap();
     a.launch(launch("noop", vec![KernelArg::Ptr(pa)], 1e6)).unwrap();
-    let v0 = clock.now();
-    // Tenant B needs more memory than remains: no inter-app swap allowed,
-    // so its launch unbinds-and-retries until A frees.
-    let rt_b = Arc::clone(&rt);
+    (rt, a, pa, chunk)
+}
+
+type FrontendA = mtgpu_api::FrontendClient<mtgpu_core::InProcessChannel>;
+
+/// Waits (real time, bounded) until `retries` launches have unbound to retry.
+fn await_retries(rt: &NodeRuntime, retries: u64) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while rt.metrics().launch_retries < retries {
+        assert!(std::time::Instant::now() < deadline, "the retry path was never taken");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn retry_waits_for_the_co_tenants_free_once_and_takes_no_virtual_time() {
+    // B's launch does not fit beside A's memory: it gives its vGPU up and
+    // waits in the dispatcher for A to make room. Nothing polls meanwhile,
+    // so the timeline stands still, and A's free runs it — one retry.
+    let clock = Clock::virtual_clock();
+    let (rt, mut a, pa, chunk) = node_with_a_co_tenant_in_the_way(clock.clone(), false);
+    let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let (rt_b, done_b) = (Arc::clone(&rt), Arc::clone(&done));
     let tb = std::thread::spawn(move || {
         let mut b = rt_b.local_client();
         register(&mut b);
         let pb = b.malloc(chunk).unwrap();
-        b.launch(launch(
-            "fill",
-            vec![KernelArg::Ptr(pb), KernelArg::Scalar(6), KernelArg::Scalar(16)],
-            1e6,
-        ))
-        .unwrap();
+        let fill = vec![KernelArg::Ptr(pb), KernelArg::Scalar(6), KernelArg::Scalar(16)];
+        b.launch(launch("fill", fill, 1e6)).unwrap();
+        done_b.store(true, std::sync::atomic::Ordering::SeqCst);
         let back = b.memcpy_d2h(pb, 16).unwrap();
         b.exit().unwrap();
         back.payload
     });
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while rt.metrics().launch_retries == 0 {
-        assert!(std::time::Instant::now() < deadline, "retry path never taken");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    await_retries(&rt, 1);
+    let waiting_since = clock.now();
+    std::thread::sleep(Duration::from_millis(20));
+    assert!(!done.load(std::sync::atomic::Ordering::SeqCst), "B ran beside A's memory");
+    assert_eq!(clock.now(), waiting_since, "the wait took virtual time: a backoff step");
+    assert_eq!(rt.load().waiting, 1);
     a.free(pa).unwrap();
     assert_eq!(tb.join().unwrap(), vec![6u8; 16]);
-    let retries = rt.metrics().launch_retries;
-    assert!(retries >= 1);
-    // Each retry advanced the virtual timeline by the 2ms backoff; with a
-    // real sleep the virtual clock would not have moved at all (kernel
-    // durations here are far below a millisecond of simulated time).
-    let v_elapsed = clock.now().duration_since(v0);
-    assert!(
-        v_elapsed.as_nanos() >= retries * 2_000_000,
-        "virtual time did not absorb the backoff: {retries} retries but only {v_elapsed} elapsed"
-    );
+    assert_eq!(rt.metrics().launch_retries, 1);
     a.exit().unwrap();
+    assert!(rt.wait_idle(Duration::from_secs(10)));
     rt.shutdown();
 }
 
 #[test]
-fn retry_backoff_in_real_time_is_sat_out_by_the_timer_while_the_pool_serves() {
-    // On a scaled clock the backoff is real time. More tenants than the
-    // pool has workers retry at once, each holding no worker while it backs
-    // off: the pool keeps serving, and every retry waits its two
-    // milliseconds.
-    install_kernels();
-    let driver = Driver::with_devices(Clock::with_scale(1e-7), vec![GpuSpec::test_small()]);
-    let mut cfg = RuntimeConfig::paper_default();
-    cfg.inter_app_swap = false; // force the unbind-and-retry path
-    let rt = NodeRuntime::start(driver, cfg);
-    let gpu = rt.driver().device(DeviceId(0)).unwrap();
-    let chunk = gpu.mem_available() * 6 / 10;
-    let mut a = rt.local_client();
-    register(&mut a);
-    let pa = a.malloc(chunk).unwrap();
-    a.launch(launch("noop", vec![KernelArg::Ptr(pa)], 1e6)).unwrap();
+fn more_retrying_tenants_than_workers_hold_no_thread_and_all_run_after_the_free() {
+    // On a scaled clock, more tenants than the pool has workers unbind to
+    // retry at once, none fitting beside A. None holds a worker or a thread
+    // of its own while it waits: A's calls are answered throughout, no
+    // timer thread exists, nobody finishes before A's free and everybody
+    // after it.
+    let (rt, mut a, pa, chunk) = node_with_a_co_tenant_in_the_way(Clock::with_scale(1e-7), false);
     let tenants = rt.load().total_vgpus + 4 + 4;
-    let started = std::time::Instant::now();
+    let finished = Arc::new(std::sync::atomic::AtomicUsize::new(0));
     let retrying: Vec<_> = (0..tenants)
         .map(|_| {
-            let rt = Arc::clone(&rt);
+            let (rt, finished) = (Arc::clone(&rt), Arc::clone(&finished));
             std::thread::spawn(move || {
                 let mut b = rt.local_client();
                 register(&mut b);
                 let pb = b.malloc(chunk).unwrap();
                 b.launch(launch("noop", vec![KernelArg::Ptr(pb)], 1e6)).unwrap();
+                finished.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                 b.exit().unwrap();
             })
         })
         .collect();
-    let deadline = started + Duration::from_secs(20);
-    while rt.metrics().launch_retries < 4 * tenants as u64 {
-        assert!(std::time::Instant::now() < deadline, "retry path never taken");
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while rt.metrics().launch_retries < tenants as u64 {
+        assert!(std::time::Instant::now() < deadline, "not every tenant took the retry path");
         // Served at once, whatever the others are waiting for.
         assert_eq!(a.get_device_count().unwrap(), 4);
     }
-    let (retries, elapsed) = (rt.metrics().launch_retries, started.elapsed());
-    assert!(
-        retries <= tenants as u64 * (elapsed.as_micros() as u64 / 2000 + 1),
-        "{retries} retries of {tenants} tenants in {elapsed:?}: the backoff was cut short"
-    );
+    assert_eq!(finished.load(std::sync::atomic::Ordering::SeqCst), 0);
+    let threads: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .collect();
+    assert!(!threads.iter().any(|name| name.contains("timer")), "{threads:?}");
     a.free(pa).unwrap();
     for t in retrying {
         t.join().unwrap();
     }
+    assert_eq!(finished.load(std::sync::atomic::Ordering::SeqCst), tenants);
     a.exit().unwrap();
     assert!(rt.wait_idle(Duration::from_secs(10)));
+    rt.shutdown();
+}
+
+#[test]
+fn retry_runs_once_a_co_tenant_goes_idle_on_its_memory_and_stays_idle() {
+    // Inter-application swap on. A's long kernel (~80 ms real) is in flight
+    // when B's launch falls short, so A refuses to swap out and B waits for
+    // room. Then A goes idle holding its memory and makes no other call: a
+    // monitor pass offers it to B, whose launch swaps A out and runs.
+    let (rt, mut a, pa, chunk) = node_with_a_co_tenant_in_the_way(Clock::with_scale(1e-3), true);
+    let gpu = rt.driver().device(DeviceId(0)).unwrap();
+    let long = std::thread::spawn(move || {
+        a.launch(launch("noop", vec![KernelArg::Ptr(pa)], 2e13)).unwrap();
+        a
+    });
+    while gpu.compute_queue_depth() == 0 {
+        std::thread::yield_now();
+    }
+    let (done, ran) = std::sync::mpsc::channel();
+    let rt_b = Arc::clone(&rt);
+    std::thread::spawn(move || {
+        let mut b = rt_b.local_client();
+        register(&mut b);
+        let pb = b.malloc(chunk).unwrap();
+        let _ = done.send(b.launch(launch("noop", vec![KernelArg::Ptr(pb)], 1e6)).map(|_| b));
+    });
+    let mut a = long.join().unwrap();
+    let mut b =
+        ran.recv_timeout(Duration::from_secs(20)).expect("B waits beside an idle A").unwrap();
+    let m = rt.metrics();
+    assert_eq!((m.launch_retries, m.inter_app_swaps), (1, 1), "{m:?}");
+    b.exit().unwrap();
+    a.exit().unwrap();
+    assert!(rt.wait_idle(Duration::from_secs(10)));
+    rt.shutdown();
+}
+
+#[test]
+fn launch_no_device_can_hold_even_alone_fails_instead_of_retrying_for_ever() {
+    let rt = test_runtime(1, RuntimeConfig::paper_default());
+    let mut c = rt.local_client();
+    register(&mut c);
+    // 80 MiB declared against a 64 MiB device: nobody could make room.
+    let huge = c.malloc(80 * MIB).unwrap();
+    let err = c.launch(launch("noop", vec![KernelArg::Ptr(huge)], 1e6)).unwrap_err();
+    assert_eq!(err, CudaError::MemoryAllocation);
+    // The context is as usable as before: a launch that fits runs.
+    let small = c.malloc(MIB).unwrap();
+    c.launch(launch("noop", vec![KernelArg::Ptr(small)], 1e6)).unwrap();
+    c.exit().unwrap();
+    assert!(rt.wait_idle(Duration::from_secs(10)), "the node did not drain");
+    // It failed where it stood: no retry, and its vGPU came back at the
+    // exit like any other.
+    let m = rt.metrics();
+    assert_eq!((m.bindings, m.unbindings, m.launch_retries), (1, 1, 0), "{m:?}");
     rt.shutdown();
 }
 

@@ -186,6 +186,11 @@ impl Gpu {
         self.state.lock().allocator.free_bytes()
     }
 
+    /// The largest allocation the device could make now, in bytes.
+    pub fn largest_free_block(&self) -> u64 {
+        self.state.lock().allocator.largest_free_block()
+    }
+
     /// Device memory capacity in bytes.
     pub fn mem_capacity(&self) -> u64 {
         self.spec.mem_bytes

@@ -18,6 +18,7 @@
 
 use crate::driver::{fresh_connection, run_load_beside, LoadgenConfig, Mode};
 use crate::hist::LatencySummary;
+use mtgpu_api::transport::MuxChannel;
 use mtgpu_api::{CudaClient, CudaError, FrontendClient};
 use mtgpu_core::{GpuLease, MetricsSnapshot, TenantPolicyConfig};
 use serde::{Deserialize, Serialize};
@@ -33,6 +34,8 @@ const SMALL_BYTES: u64 = 2 << 20;
 const OVERQUOTA_PER_ITER: usize = 4;
 /// Within-quota mallocs per iteration (3 x 2 MiB fits the 8 MiB lease).
 const SMALL_PER_ITER: usize = 3;
+/// Adoptions one hostile iteration tries before it gives up (see `adopt`).
+const ADOPT_TRIES: usize = 64;
 
 fn hostile_app(i: usize) -> u64 {
     0xBAD0 + i as u64
@@ -228,21 +231,7 @@ fn hostile_loop(tenant: usize, cfg: &IsolationConfig, addr: SocketAddr) -> Hosti
     let app = hostile_app(tenant);
     let mut out = HostileReport::default();
     for _ in 0..cfg.hostile_iterations {
-        let Ok(channel) = fresh_connection(addr) else {
-            out.errors += 1;
-            continue;
-        };
-        let mut client = FrontendClient::new(channel);
-        if let Err(e) = client.set_application(app) {
-            // Adoption can only bounce off our own single-context cap if a
-            // previous incarnation is still tearing down; retry next spin.
-            match e {
-                CudaError::QuotaExceeded(_) => out.context_cap_rejections += 1,
-                _ => out.errors += 1,
-            }
-            let _ = client.exit();
-            continue;
-        }
+        let Some(mut client) = adopt(app, addr, &mut out) else { continue };
         // Probe the context cap: a second thread of this application must
         // be refused while the first holds the single-context lease.
         if let Ok(probe_channel) = fresh_connection(addr) {
@@ -284,6 +273,35 @@ fn hostile_loop(tenant: usize, cfg: &IsolationConfig, addr: SocketAddr) -> Hosti
         }
     }
     out
+}
+
+/// A fresh connection adopted into application `app`. Adoption can only
+/// bounce off the application's own single-context cap while the previous
+/// incarnation is still tearing down (an Exit's reply leaves before its
+/// teardown): counted, and tried again on a fresh connection.
+fn adopt(
+    app: u64,
+    addr: SocketAddr,
+    out: &mut HostileReport,
+) -> Option<FrontendClient<MuxChannel>> {
+    for _ in 0..ADOPT_TRIES {
+        let Ok(channel) = fresh_connection(addr) else {
+            out.errors += 1;
+            return None;
+        };
+        let mut client = FrontendClient::new(channel);
+        let capped = match client.set_application(app) {
+            Ok(()) => return Some(client),
+            Err(e) => matches!(e, CudaError::QuotaExceeded(_)),
+        };
+        let _ = client.exit();
+        if !capped {
+            out.errors += 1;
+            return None;
+        }
+        out.context_cap_rejections += 1;
+    }
+    None
 }
 
 /// Runs one pass against a fresh private node with the lease table armed:

@@ -108,12 +108,6 @@ impl Clock {
         Clock { inner: Arc::new(Backend::Virtual { nanos: std::sync::atomic::AtomicU64::new(0) }) }
     }
 
-    /// Whether this clock is a virtual (logical-time) clock.
-    #[inline]
-    pub fn is_virtual(&self) -> bool {
-        matches!(&*self.inner, Backend::Virtual { .. })
-    }
-
     /// Real seconds per simulated second. A virtual clock consumes no real
     /// time at all and reports a scale of `0.0`.
     #[inline]
@@ -156,20 +150,6 @@ impl Clock {
     pub fn advance(&self, dur: SimDuration) {
         if let Backend::Virtual { nanos } = &*self.inner {
             nanos.fetch_add(dur.as_nanos(), std::sync::atomic::Ordering::SeqCst);
-        }
-    }
-
-    /// Backs off for `real` wall time before retrying an operation. On a
-    /// scaled clock this sleeps the calling thread; on a virtual clock no
-    /// real time may pass, so the timeline advances by the same nominal
-    /// duration instead — retry loops consume virtual time only and stay
-    /// replayable.
-    pub fn backoff(&self, real: Duration) {
-        match &*self.inner {
-            Backend::Scaled { .. } => precise_sleep(real),
-            Backend::Virtual { nanos } => {
-                nanos.fetch_add(real.as_nanos() as u64, std::sync::atomic::Ordering::SeqCst);
-            }
         }
     }
 
@@ -260,7 +240,6 @@ mod tests {
     #[test]
     fn virtual_clock_starts_at_zero_and_never_drifts() {
         let clock = Clock::virtual_clock();
-        assert!(clock.is_virtual());
         let t0 = clock.now();
         assert_eq!(t0.since_epoch(), SimDuration::ZERO);
         // Real time passing does not move a virtual clock.
@@ -290,20 +269,6 @@ mod tests {
         assert_eq!(clock.now().since_epoch(), SimDuration::from_millis(7));
         assert_eq!(clock.real_to_sim(Duration::from_secs(9)), SimDuration::ZERO);
         assert_eq!(clock.scale(), 0.0);
-    }
-
-    #[test]
-    fn backoff_blocks_scaled_but_only_advances_virtual() {
-        let clock = Clock::with_scale(1.0);
-        let start = Instant::now();
-        clock.backoff(Duration::from_millis(2));
-        assert!(start.elapsed() >= Duration::from_millis(2));
-
-        let vclock = Clock::virtual_clock();
-        let start = Instant::now();
-        vclock.backoff(Duration::from_millis(2));
-        assert!(start.elapsed() < Duration::from_millis(2), "virtual backoff blocked");
-        assert_eq!(vclock.now().since_epoch(), SimDuration::from_millis(2));
     }
 
     #[test]

@@ -73,17 +73,21 @@
 #                                migrating shape is tier 3's)
 #   tier 8  race detection       mtcheck (debug build, instrumentation
 #                                armed): the DPOR-lite explorer over the
-#                                ten workspace scenarios (inline-vs-visit,
+#                                eleven workspace scenarios (inline-vs-visit,
 #                                the reactor running a channel's calls
 #                                against a worker's visit and a dispatcher
-#                                wake, among them) must pass clean with
+#                                wake, and retry-vs-free, a launch waiting
+#                                for room against its co-tenant's Free and
+#                                teardown, among them) must pass clean with
 #                                >=50 distinct schedules per scenario
+#                                (retry-vs-free, named on its own: >=200)
 #                                under a watchdog timeout, the seeded race
 #                                fixture must be *detected* (nonzero exit
 #                                under --deny), and the engine's fixture
 #                                corpus + pinned-schedule regressions (and
-#                                the grant-vs-park and inline-vs-visit
-#                                sweeps) + replay property must pass
+#                                the grant-vs-park, inline-vs-visit and
+#                                retry-vs-free sweeps) + replay property
+#                                must pass
 #
 # Usage: scripts/ci.sh [tier]   (default: all tiers)
 
@@ -259,11 +263,14 @@ if [[ "$tier" == "all" || "$tier" == "8" ]]; then
     cargo build -q -p mtgpu-analysis --bin mtcheck
     # The workspace matrix must explore clean — >=50 distinct schedules
     # per scenario, no races/deadlocks/stalls — inside the watchdog. The
-    # run-to-completion race is named on its own as well, so dropping it
-    # from the matrix cannot pass unnoticed.
+    # run-to-completion race and the unbind-and-retry wait are named on
+    # their own as well, so dropping either from the matrix cannot pass
+    # unnoticed.
     timeout 300 ./target/debug/mtcheck explore --deny
     timeout 120 ./target/debug/mtcheck explore --deny --scenario inline-vs-visit \
         --out target/ci-mtcheck-inline > /dev/null
+    timeout 120 ./target/debug/mtcheck explore --deny --scenario retry-vs-free \
+        --budget 400 --min-distinct 200 --out target/ci-mtcheck-retry > /dev/null
     # The seeded fixture is the detector's self-test: its race must be
     # found, which under --deny is a nonzero exit. Artifacts go to a
     # scratch dir so the matrix report in results/ stays authoritative.
@@ -274,7 +281,8 @@ if [[ "$tier" == "all" || "$tier" == "8" ]]; then
     fi
     # Engine fixture corpus (true race / lock-ordered / condvar handoff /
     # lost wakeup / bit-for-bit replay), then the explorer's pinned
-    # schedules and the generative replay-determinism property.
+    # schedules (and the grant-vs-park, inline-vs-visit and retry-vs-free
+    # sweeps) and the generative replay-determinism property.
     cargo test -q -p mtgpu-simtime --test mtcheck > /dev/null
     cargo test -q -p mtgpu-analysis --test check > /dev/null
     cargo test -q -p mtgpu-analysis --test replay_prop > /dev/null
