@@ -18,7 +18,7 @@ fn bench_block_allocator(c: &mut Criterion) {
         let mut a = BlockAllocator::new(1 << 30);
         b.iter(|| {
             let p = a.alloc(black_box(4096)).unwrap();
-            a.free(p).unwrap();
+            a.free(p, 4096).unwrap();
         });
     });
     c.bench_function("allocator/fragmented_alloc", |b| {
@@ -26,11 +26,11 @@ fn bench_block_allocator(c: &mut Criterion) {
         let mut a = BlockAllocator::new(1 << 26);
         let ptrs: Vec<u64> = (0..1024).map(|_| a.alloc(16 << 10).unwrap()).collect();
         for p in ptrs.iter().step_by(2) {
-            a.free(*p).unwrap();
+            a.free(*p, 16 << 10).unwrap();
         }
         b.iter(|| {
             let p = a.alloc(black_box(8 << 10)).unwrap();
-            a.free(p).unwrap();
+            a.free(p, 8 << 10).unwrap();
         });
     });
 }

@@ -72,8 +72,9 @@ pub enum BindWait {
 #[derive(Default)]
 pub struct CtxInner {
     /// Kernels registered by this application thread (ordered so that any
-    /// future iteration is deterministic).
-    pub kernels: BTreeMap<String, RegisteredKernel>,
+    /// future iteration is deterministic), shared with the launches that
+    /// run them.
+    pub kernels: BTreeMap<String, Arc<RegisteredKernel>>,
     /// Modules registered so far (handles are 1-based per context).
     pub modules: u64,
     /// Current vGPU binding, if any.
@@ -179,7 +180,7 @@ impl AppContext {
             inner.ineligible_reason =
                 Some(format!("kernel `{}` performs dynamic device allocation", kernel.desc.name));
         }
-        inner.kernels.insert(kernel.desc.name.clone(), kernel);
+        inner.kernels.insert(kernel.desc.name.clone(), Arc::new(kernel));
     }
 
     /// Whether the context may participate in sharing/dynamic scheduling.

@@ -371,7 +371,7 @@ impl MemoryManager {
         let b = binding.ok_or(CudaError::InvalidDevicePointer)?;
         let bytes =
             b.gpu.memcpy_d2h(b.gpu_ctx, entry.dptr(), entry.size).map_err(CudaError::from_gpu)?;
-        entry.take_writeback(&bytes);
+        entry.take_writeback(bytes);
         Ok(Some(b.vgpu.device))
     }
 
@@ -529,7 +529,11 @@ impl MemoryManager {
 
     /// Resolves a launch's pointer arguments to PTE bases and extends the
     /// set with registered nested members (transitively).
-    pub fn launch_closure(&self, ctx: CtxId, args: &[KernelArg]) -> CudaResult<Vec<DeviceAddr>> {
+    pub fn launch_closure<'a>(
+        &self,
+        ctx: CtxId,
+        args: impl IntoIterator<Item = &'a KernelArg>,
+    ) -> CudaResult<Vec<DeviceAddr>> {
         let cm = self.ctx_mem(ctx)?;
         let table = cm.table.lock();
         let mut closure: Vec<DeviceAddr> = Vec::new();

@@ -201,9 +201,16 @@ impl PageTableEntry {
     }
 
     /// Lands a whole-entry writeback (D2H from offset 0) in the slab it
-    /// belongs to: both copies are current afterwards.
-    pub(crate) fn take_writeback(&mut self, bytes: &[u8]) {
-        self.slab.write(0, bytes);
+    /// belongs to: both copies are current afterwards. A buffer that covers
+    /// the slab's materialized prefix becomes the slab; a shorter one is
+    /// copied over the front of it.
+    pub(crate) fn take_writeback(&mut self, mut bytes: Vec<u8>) {
+        bytes.truncate(self.slab.max_len as usize);
+        if bytes.len() >= self.slab.data.len() {
+            self.slab.data = bytes;
+        } else {
+            self.slab.write(0, &bytes);
+        }
         self.flags = self.flags.on_copy_dh();
     }
 }
@@ -397,6 +404,32 @@ mod tests {
         // Writes entirely past the prefix are dropped.
         slab.write(1 << 20, &[1, 2, 3]);
         assert_eq!(slab.read(0, 16), vec![9u8; 16]);
+    }
+
+    proptest::proptest! {
+        /// A writeback moved into its slab leaves the slab byte-identical to
+        /// one copied in at offset 0, for a device prefix shorter than,
+        /// equal to and longer than the slab's, and past its cap.
+        #[test]
+        fn take_writeback_is_a_copy_at_offset_zero(
+            slab_len in 0usize..=48,
+            step in 1usize..24,
+            salt in proptest::prelude::any::<u8>(),
+        ) {
+            const CAP: usize = 48;
+            for device_len in [slab_len.saturating_sub(step), slab_len, slab_len + step, CAP + step] {
+                let mut e = entry(0x1000, 1 << 20);
+                e.slab = SwapSlab::new(1 << 20, CAP as u64);
+                e.slab.write(0, &(0..slab_len).map(|i| i as u8).collect::<Vec<_>>());
+                e.flags = Flags::INITIAL.on_launch();
+                let bytes: Vec<u8> = (0..device_len).map(|i| salt ^ (i as u8 | 0x80)).collect();
+                let mut copied = e.slab.clone();
+                copied.write(0, &bytes);
+                e.take_writeback(bytes);
+                proptest::prop_assert_eq!(&e.slab, &copied);
+                proptest::prop_assert_eq!(e.flags, Flags::INITIAL.on_launch().on_copy_dh());
+            }
+        }
     }
 
     #[test]

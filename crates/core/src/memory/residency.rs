@@ -124,7 +124,7 @@ impl MemoryManager {
         RuntimeMetrics::bump(&self.metrics.intra_app_swaps);
         RuntimeMetrics::add(&self.metrics.swap_bytes, size);
         if let Some(bytes) = synced {
-            entry.slab.write(0, &bytes);
+            entry.take_writeback(bytes);
             self.note_dev_swap(binding.vgpu.device, 0, size);
         }
         entry.device_ptr = None;

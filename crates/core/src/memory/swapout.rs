@@ -50,7 +50,7 @@ impl MemoryManager {
             if dirty {
                 match writebacks.next().expect("one writeback per dirty entry").result {
                     Ok(bytes) => {
-                        e.take_writeback(&bytes);
+                        e.take_writeback(bytes);
                         written += e.size;
                     }
                     Err(err) => {
@@ -108,7 +108,7 @@ impl MemoryManager {
                     table
                         .get_mut(DeviceAddr(out.base))
                         .expect("planned above")
-                        .take_writeback(&bytes);
+                        .take_writeback(bytes);
                     written += out.size;
                 }
                 Err(e) => first_err = first_err.or(Some(e)),

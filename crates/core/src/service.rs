@@ -383,37 +383,23 @@ fn launch_loop(
     }
     // An expired lease refuses new work even before the reaper visits.
     rt.policy().check_active(ctx.id)?;
+    let kernel = ctx.inner().kernels.get(&spec.kernel).cloned();
     // Table 1 "Launch": check valid PTEs (and extend to nested closures).
+    // A bad pointer is reported before an unregistered kernel.
     let closure = rt.memory().launch_closure(ctx.id, &spec.args)?;
     // §4.5 fine-grained handling: only entries reachable through read-write
     // arguments become dirty after the launch; with no annotations every
     // pointer argument is conservatively read-write (Figure 4's default).
-    let written = {
-        let ro = &ctx
-            .inner()
-            .kernels
-            .get(&spec.kernel)
-            .map(|k| k.desc.read_only_args.clone())
-            .unwrap_or_default();
-        if ro.is_empty() {
-            closure.clone()
-        } else {
-            let written_args: Vec<mtgpu_gpusim::KernelArg> = spec
-                .args
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| !ro.contains(&(i as u32)))
-                .map(|(_, a)| *a)
-                .collect();
-            rt.memory().launch_closure(ctx.id, &written_args)?
+    let annotated = match kernel.as_ref().map(|k| &k.desc.read_only_args) {
+        Some(ro) if !ro.is_empty() => {
+            let args = spec.args.iter().enumerate();
+            let written_args = args.filter(|&(i, _)| !ro.contains(&(i as u32))).map(|(_, a)| a);
+            Some(rt.memory().launch_closure(ctx.id, written_args)?)
         }
+        _ => None,
     };
-    let kernel = ctx
-        .inner()
-        .kernels
-        .get(&spec.kernel)
-        .cloned()
-        .ok_or_else(|| CudaError::InvalidDeviceFunction(spec.kernel.clone()))?;
+    let written = annotated.as_deref().unwrap_or(&closure);
+    let kernel = kernel.ok_or_else(|| CudaError::InvalidDeviceFunction(spec.kernel.clone()))?;
 
     loop {
         // 1. Ensure a binding (delayed until this very first launch).
@@ -485,7 +471,7 @@ fn launch_loop(
         spec.args = args;
         match launched {
             Ok(dur) => {
-                rt.memory().mark_launched(ctx.id, &written);
+                rt.memory().mark_launched(ctx.id, written);
                 ctx.stats.launches.fetch_add(1, Ordering::Relaxed);
                 ctx.add_kernel_time(dur.as_nanos());
                 RuntimeMetrics::bump(&rt.metrics_ref().launches);
@@ -722,5 +708,26 @@ mod tests {
         // host bytes past the bound, which no clock makes cheaper.
         let virtual_clock = verdicts(Clock::virtual_clock(), small(), &calls);
         assert_eq!(virtual_clock, [true, true, true, true, false, true, false, true, false, false]);
+    }
+
+    #[test]
+    fn a_launch_reports_a_dangling_pointer_before_an_unregistered_kernel() {
+        let cfg = RuntimeConfig::default().with_background_monitor(false);
+        let driver = Driver::with_devices(Clock::virtual_clock(), vec![GpuSpec::test_small()]);
+        let rt = NodeRuntime::start_poolless(driver, cfg);
+        let ctx = rt.new_context("order".into());
+        let ptr = rt.memory().malloc(ctx.id, 256, AllocKind::Linear).unwrap();
+        let failure = |ptr: DeviceAddr| {
+            let args = vec![mtgpu_gpusim::KernelArg::Ptr(ptr)];
+            let (config, work) = (LaunchConfig::default(), Work::flops(1.0));
+            let spec = LaunchSpec { kernel: "unregistered".into(), config, args, work };
+            match run_call(&rt, &ctx, CudaCall::Launch { spec }, false) {
+                Err(Abort::Fail(e)) => e,
+                _ => panic!("the launch did not fail"),
+            }
+        };
+        assert_eq!(failure(DeviceAddr(ptr.0 + 4096)), CudaError::InvalidDevicePointer);
+        assert_eq!(failure(ptr), CudaError::InvalidDeviceFunction("unregistered".into()));
+        rt.shutdown();
     }
 }

@@ -287,6 +287,41 @@ fn inter_app_swap_resolves_conflicting_tenants() {
 }
 
 #[test]
+fn recycled_buffer_no_leak_across_tenants() {
+    // A (the victim) leaves 4 KiB of 0xAA on the device. B's launch does
+    // not fit beside it: A is swapped out, and B's buffer of A's size is
+    // materialized into the shadow buffer A's free left behind. Past the
+    // 16 bytes B wrote, B's kernel and B's D2H see only zeros (plus the
+    // kernel's one), never A's bytes.
+    let rt = test_runtime(1, RuntimeConfig::paper_default());
+    let chunk = rt.driver().device(DeviceId(0)).unwrap().mem_available() * 6 / 10;
+    let mut a = rt.local_client();
+    register(&mut a);
+    let pa = a.malloc(chunk).unwrap();
+    a.memcpy_h2d(pa, HostBuf::with_shadow(chunk, vec![0xAA; 4096])).unwrap();
+    a.launch(launch("noop", vec![KernelArg::Ptr(pa)], 1e6)).unwrap();
+    let mut b = rt.local_client();
+    register(&mut b);
+    let pb = b.malloc(chunk).unwrap();
+    b.memcpy_h2d(DeviceAddr(pb.0 + 64), HostBuf::from_slice(&[7; 16])).unwrap();
+    // Resident first (the working set is allocated last argument first),
+    // so a live allocation keeps A's freed buffer on the device for reuse.
+    let small = b.malloc(4096).unwrap();
+    let args = vec![KernelArg::Ptr(pb), KernelArg::Scalar(4096), KernelArg::Ptr(small)];
+    b.launch(launch("add_one", args, 1e6)).unwrap();
+    assert_eq!(rt.metrics().inter_app_swaps, 1);
+    let mut want = vec![1u8; 4096];
+    want[64..80].fill(8);
+    assert!(b.memcpy_d2h(pb, 4096).unwrap().payload == want, "B read A's bytes");
+    // A's own bytes came back intact from its swap-out.
+    assert_eq!(a.memcpy_d2h(pa, 4096).unwrap().payload, vec![0xAA; 4096]);
+    b.exit().unwrap();
+    a.exit().unwrap();
+    assert!(rt.wait_idle(Duration::from_secs(10)));
+    rt.shutdown();
+}
+
+#[test]
 fn serialized_config_never_shares() {
     let rt = test_runtime(1, RuntimeConfig::serialized());
     let rt2 = Arc::clone(&rt);

@@ -23,24 +23,20 @@ struct FreeBlock {
     len: u64,
 }
 
-/// A first-fit allocator over the address range `[0, capacity)`.
+/// A first-fit allocator over the address range `[0, capacity)`. It keeps
+/// only the free list: the owner of an allocation (the device's allocation
+/// record) knows its length and hands it back at [`BlockAllocator::free`].
 #[derive(Debug, Clone)]
 pub struct BlockAllocator {
     capacity: u64,
     /// Free blocks sorted by base address; adjacent blocks are coalesced.
     free: Vec<FreeBlock>,
-    /// Live allocations as `(base, len)` sorted by base.
-    live: Vec<(u64, u64)>,
 }
 
 impl BlockAllocator {
     /// Creates an allocator managing `capacity` bytes.
     pub fn new(capacity: u64) -> Self {
-        BlockAllocator {
-            capacity,
-            free: vec![FreeBlock { base: 0, len: capacity }],
-            live: Vec::new(),
-        }
+        BlockAllocator { capacity, free: vec![FreeBlock { base: 0, len: capacity }] }
     }
 
     /// Total managed capacity in bytes.
@@ -79,25 +75,22 @@ impl BlockAllocator {
         } else {
             self.free[idx] = FreeBlock { base: block.base + len, len: block.len - len };
         }
-        let pos = self.live.partition_point(|&(b, _)| b < base);
-        self.live.insert(pos, (base, len));
         Ok(base)
     }
 
-    /// Releases the allocation starting at `base`.
-    pub fn free(&mut self, base: u64) -> Result<()> {
-        let pos = self
-            .live
-            .binary_search_by_key(&base, |&(b, _)| b)
-            .map_err(|_| GpuError::InvalidAddress)?;
-        let (_, len) = self.live.remove(pos);
-        self.insert_free(FreeBlock { base, len });
-        Ok(())
-    }
-
-    fn insert_free(&mut self, block: FreeBlock) {
-        let pos = self.free.partition_point(|b| b.base < block.base);
-        self.free.insert(pos, block);
+    /// Releases the allocation of `len` bytes (as asked of
+    /// [`BlockAllocator::alloc`]) starting at `base`. A range that is not
+    /// wholly allocated — a double free, an address never handed out — is
+    /// refused with [`GpuError::InvalidAddress`] and changes nothing.
+    pub fn free(&mut self, base: u64, len: u64) -> Result<()> {
+        let end = base.saturating_add(align_up(len.min(self.capacity)));
+        let pos = self.free.partition_point(|b| b.base < base);
+        let after_prev = pos == 0 || self.free[pos - 1].base + self.free[pos - 1].len <= base;
+        let before_next = self.free.get(pos).is_none_or(|next| end <= next.base);
+        if len == 0 || end > self.capacity || !after_prev || !before_next {
+            return Err(GpuError::InvalidAddress);
+        }
+        self.free.insert(pos, FreeBlock { base, len: end - base });
         // Coalesce with successor, then predecessor.
         if pos + 1 < self.free.len()
             && self.free[pos].base + self.free[pos].len == self.free[pos + 1].base
@@ -109,6 +102,7 @@ impl BlockAllocator {
             self.free[pos - 1].len += self.free[pos].len;
             self.free.remove(pos);
         }
+        Ok(())
     }
 }
 
@@ -122,7 +116,7 @@ mod tests {
         let p = a.alloc(1000).unwrap();
         assert_eq!(p % ALIGN, 0);
         assert_eq!(a.used_bytes(), align_up(1000));
-        a.free(p).unwrap();
+        a.free(p, 1000).unwrap();
         assert_eq!(a.used_bytes(), 0);
         assert_eq!(a.free_bytes(), 1 << 20);
     }
@@ -144,14 +138,19 @@ mod tests {
     fn double_free_rejected() {
         let mut a = BlockAllocator::new(1 << 20);
         let p = a.alloc(512).unwrap();
-        a.free(p).unwrap();
-        assert_eq!(a.free(p), Err(GpuError::InvalidAddress));
+        let _q = a.alloc(512).unwrap();
+        a.free(p, 512).unwrap();
+        assert_eq!(a.free(p, 512), Err(GpuError::InvalidAddress));
+        // Nor may a free reach into a neighbouring hole.
+        assert_eq!(a.free(p + 512, 1024), Err(GpuError::InvalidAddress));
+        assert_eq!(a.used_bytes(), 512);
     }
 
     #[test]
     fn free_of_unknown_address_rejected() {
         let mut a = BlockAllocator::new(1 << 20);
-        assert_eq!(a.free(12345), Err(GpuError::InvalidAddress));
+        assert_eq!(a.free(12345, 256), Err(GpuError::InvalidAddress));
+        assert_eq!(a.free(1 << 20, 256), Err(GpuError::InvalidAddress));
     }
 
     #[test]
@@ -162,14 +161,14 @@ mod tests {
         let p0 = a.alloc(1024).unwrap();
         let p1 = a.alloc(1024).unwrap();
         let p2 = a.alloc(1024).unwrap();
-        a.free(p1).unwrap();
+        a.free(p1, 1024).unwrap();
         assert_eq!(a.free_bytes(), 1024);
         assert_eq!(a.alloc(2048), Err(GpuError::OutOfMemory));
         // Freeing a neighbour coalesces and the allocation succeeds.
-        a.free(p0).unwrap();
+        a.free(p0, 1024).unwrap();
         assert_eq!(a.largest_free_block(), 2048);
         assert!(a.alloc(2048).is_ok());
-        a.free(p2).unwrap();
+        a.free(p2, 1024).unwrap();
     }
 
     #[test]
@@ -178,7 +177,7 @@ mod tests {
         let ptrs: Vec<u64> = (0..4).map(|_| a.alloc(1024).unwrap()).collect();
         // Free in a scrambled order; the free list must still coalesce fully.
         for &p in &[ptrs[2], ptrs[0], ptrs[3], ptrs[1]] {
-            a.free(p).unwrap();
+            a.free(p, 1024).unwrap();
         }
         assert_eq!(a.largest_free_block(), 4096);
     }
@@ -188,7 +187,7 @@ mod tests {
         let mut a = BlockAllocator::new(8192);
         let p0 = a.alloc(1024).unwrap();
         let _p1 = a.alloc(1024).unwrap();
-        a.free(p0).unwrap();
+        a.free(p0, 1024).unwrap();
         let p2 = a.alloc(512).unwrap();
         assert_eq!(p2, p0, "first-fit must reuse the first hole");
     }

@@ -9,7 +9,7 @@ use crate::stats::DeviceStats;
 use crate::Result;
 use mtgpu_simtime::{lock_rank, Clock, RankedMutex, SimDuration};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,7 +39,7 @@ impl std::fmt::Display for DeviceAddr {
 }
 
 /// Identifier of a CUDA context living on a device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct GpuContextId(pub u64);
 
 #[derive(Debug)]
@@ -57,12 +57,35 @@ struct Allocation {
 
 impl Allocation {
     /// Grows the materialized prefix (zero-filled) to cover `end`, clamped
-    /// to `max_len`.
+    /// to `max_len`: what a kernel reads before it writes.
     fn ensure_len(&mut self, end: u64) {
         let target = end.min(self.max_len) as usize;
         if self.data.len() < target {
             self.data.resize(target, 0);
         }
+    }
+
+    /// Stores `bytes` at `offset`, clamped to `max_len`. Only a gap between
+    /// the materialized prefix and `offset` is zero-filled; the bytes
+    /// themselves are written once, whether they overwrite the prefix or
+    /// extend it.
+    fn write(&mut self, offset: u64, bytes: &[u8]) {
+        let start = offset.min(self.max_len) as usize;
+        let end = (offset + bytes.len() as u64).min(self.max_len) as usize;
+        if self.data.len() < start {
+            self.data.resize(start, 0);
+        }
+        let n = end - start;
+        let overwrite = (self.data.len() - start).min(n);
+        self.data[start..start + overwrite].copy_from_slice(&bytes[..overwrite]);
+        self.data.extend_from_slice(&bytes[overwrite..n]);
+    }
+
+    /// The materialized bytes of `[offset, offset + len)`.
+    fn read(&self, offset: u64, len: u64) -> &[u8] {
+        let start = (offset as usize).min(self.data.len());
+        let end = ((offset + len) as usize).min(self.data.len());
+        &self.data[start..end]
     }
 }
 
@@ -75,7 +98,27 @@ struct ContextInfo {
 struct DeviceState {
     allocator: BlockAllocator,
     allocs: BTreeMap<u64, Allocation>,
-    contexts: HashMap<GpuContextId, ContextInfo>,
+    contexts: BTreeMap<GpuContextId, ContextInfo>,
+    /// Shadow buffers of freed allocations, emptied, for the next `malloc`
+    /// to reuse. Fewer than there are live allocations, so the spares never
+    /// outnumber the buffers the device holds in use.
+    spare: Vec<Vec<u8>>,
+}
+
+impl DeviceState {
+    /// Releases the allocation at `base`: its range to the allocator, its
+    /// emptied buffer to `spare` within that field's bound.
+    fn release(&mut self, base: u64) -> Result<()> {
+        let alloc = self.allocs.remove(&base).ok_or(GpuError::InvalidAddress)?;
+        self.allocator.free(base, alloc.declared)?;
+        if self.spare.len() < self.allocs.len() && alloc.data.capacity() > 0 {
+            let mut data = alloc.data;
+            // Another context's next allocation must not see these bytes.
+            data.clear();
+            self.spare.push(data);
+        }
+        Ok(())
+    }
 }
 
 /// A simulated GPU device.
@@ -116,7 +159,8 @@ impl Gpu {
                 DeviceState {
                     allocator: BlockAllocator::new(spec.mem_bytes),
                     allocs: BTreeMap::new(),
-                    contexts: HashMap::new(),
+                    contexts: BTreeMap::new(),
+                    spare: Vec::new(),
                 },
             ),
             stats: DeviceStats::default(),
@@ -275,13 +319,12 @@ impl Gpu {
         let mut st = self.state.lock();
         let info = st.contexts.remove(&ctx).ok_or(GpuError::InvalidContext)?;
         if let Some(base) = info.reserved_base {
-            let _ = st.allocator.free(base);
+            let _ = st.allocator.free(base, self.spec.ctx_reserved_bytes);
         }
         let owned: Vec<u64> =
             st.allocs.iter().filter(|(_, a)| a.owner == ctx).map(|(&b, _)| b).collect();
         for base in owned {
-            st.allocs.remove(&base);
-            let _ = st.allocator.free(base);
+            let _ = st.release(base);
         }
         Ok(())
     }
@@ -304,15 +347,9 @@ impl Gpu {
                 return Err(e);
             }
         };
-        st.allocs.insert(
-            base,
-            Allocation {
-                declared,
-                data: Vec::new(),
-                max_len: declared.min(self.materialize_cap),
-                owner: ctx,
-            },
-        );
+        let data = st.spare.pop().unwrap_or_default();
+        let max_len = declared.min(self.materialize_cap);
+        st.allocs.insert(base, Allocation { declared, data, max_len, owner: ctx });
         DeviceStats::bump(&self.stats.allocs);
         Ok(DeviceAddr(base + self.addr_salt))
     }
@@ -323,13 +360,10 @@ impl Gpu {
         self.check_alive()?;
         let base = self.internal_base(addr)?;
         let mut st = self.state.lock();
-        match st.allocs.get(&base) {
-            None => return Err(GpuError::InvalidAddress),
-            Some(a) if a.owner != ctx => return Err(GpuError::InvalidAddress),
-            Some(_) => {}
+        if st.allocs.get(&base).is_none_or(|a| a.owner != ctx) {
+            return Err(GpuError::InvalidAddress);
         }
-        st.allocs.remove(&base);
-        st.allocator.free(base)?;
+        st.release(base)?;
         DeviceStats::bump(&self.stats.frees);
         Ok(())
     }
@@ -425,13 +459,7 @@ impl Gpu {
         self.check_alive()?;
         let mut st = self.state.lock();
         let (base, offset, _) = Self::resolve(&st, self.addr_salt, Some(ctx), dst)?;
-        let alloc = st.allocs.get_mut(&base).expect("resolved allocation vanished");
-        alloc.ensure_len(offset + payload.len() as u64);
-        let start = offset as usize;
-        if start < alloc.data.len() {
-            let n = payload.len().min(alloc.data.len() - start);
-            alloc.data[start..start + n].copy_from_slice(&payload[..n]);
-        }
+        st.allocs.get_mut(&base).expect("resolved allocation vanished").write(offset, payload);
         DeviceStats::add(&self.stats.h2d_bytes, declared_len);
         Ok(())
     }
@@ -489,10 +517,8 @@ impl Gpu {
         let st = self.state.lock();
         let (base, offset, _) = Self::resolve(&st, self.addr_salt, Some(ctx), src)?;
         let alloc = st.allocs.get(&base).expect("resolved allocation vanished");
-        let start = (offset as usize).min(alloc.data.len());
-        let end = ((offset + declared_len) as usize).min(alloc.data.len());
         DeviceStats::add(&self.stats.d2h_bytes, declared_len);
-        Ok(alloc.data[start..end].to_vec())
+        Ok(alloc.read(offset, declared_len).to_vec())
     }
 
     /// Device-internal copy between two allocations owned by `ctx`: charges
@@ -534,20 +560,9 @@ impl Gpu {
         let (src_base, src_off, _) = Self::resolve(&st, self.addr_salt, Some(ctx), src)?;
         // Stage through a temporary so src and dst may live in the same
         // allocation (BTreeMap won't hand out two &mut into it anyway).
-        let bytes = {
-            let alloc = st.allocs.get(&src_base).expect("resolved allocation vanished");
-            let start = (src_off as usize).min(alloc.data.len());
-            let end = ((src_off + declared_len) as usize).min(alloc.data.len());
-            alloc.data[start..end].to_vec()
-        };
+        let bytes = st.allocs[&src_base].read(src_off, declared_len).to_vec();
         let (dst_base, dst_off, _) = Self::resolve(&st, self.addr_salt, Some(ctx), dst)?;
-        let alloc = st.allocs.get_mut(&dst_base).expect("resolved allocation vanished");
-        alloc.ensure_len(dst_off + bytes.len() as u64);
-        let start = dst_off as usize;
-        if start < alloc.data.len() {
-            let n = bytes.len().min(alloc.data.len() - start);
-            alloc.data[start..start + n].copy_from_slice(&bytes[..n]);
-        }
+        st.allocs.get_mut(&dst_base).expect("resolved allocation vanished").write(dst_off, &bytes);
         DeviceStats::add(&self.stats.d2d_bytes, declared_len);
         Ok(())
     }
@@ -612,20 +627,11 @@ impl Gpu {
         let bytes = {
             let st = src_dev.state.lock();
             let (base, offset, _) = Self::resolve(&st, src_dev.addr_salt, Some(src_ctx), src)?;
-            let alloc = st.allocs.get(&base).expect("resolved allocation vanished");
-            let start = (offset as usize).min(alloc.data.len());
-            let end = ((offset + declared_len) as usize).min(alloc.data.len());
-            alloc.data[start..end].to_vec()
+            st.allocs[&base].read(offset, declared_len).to_vec()
         };
         let mut st = dst_dev.state.lock();
         let (base, offset, _) = Self::resolve(&st, dst_dev.addr_salt, Some(dst_ctx), dst)?;
-        let alloc = st.allocs.get_mut(&base).expect("resolved allocation vanished");
-        alloc.ensure_len(offset + bytes.len() as u64);
-        let start = offset as usize;
-        if start < alloc.data.len() {
-            let n = bytes.len().min(alloc.data.len() - start);
-            alloc.data[start..start + n].copy_from_slice(&bytes[..n]);
-        }
+        st.allocs.get_mut(&base).expect("resolved allocation vanished").write(offset, &bytes);
         DeviceStats::add(&src_dev.stats.p2p_bytes_out, declared_len);
         DeviceStats::add(&dst_dev.stats.p2p_bytes_in, declared_len);
         Ok(())
@@ -691,10 +697,7 @@ impl Gpu {
     pub fn peek(&self, addr: DeviceAddr, len: u64) -> Result<Vec<u8>> {
         let st = self.state.lock();
         let (base, offset, _) = Self::resolve(&st, self.addr_salt, None, addr)?;
-        let alloc = st.allocs.get(&base).expect("resolved allocation vanished");
-        let start = (offset as usize).min(alloc.data.len());
-        let end = ((offset + len) as usize).min(alloc.data.len());
-        Ok(alloc.data[start..end].to_vec())
+        Ok(st.allocs[&base].read(offset, len).to_vec())
     }
 }
 
@@ -992,6 +995,39 @@ mod tests {
         assert_eq!(gpu.compute_queue_depth(), 0);
         gpu.copy.engines()[0].release();
         elsewhere(&|| assert!(gpu.try_hold().is_some()));
+    }
+
+    #[test]
+    fn recycled_buffer_no_leak() {
+        // A's 4 KiB of 0xAA die with its allocation: B's allocation of the
+        // same size, made into the buffer the device kept from A's free,
+        // reads zeros past what B wrote, through a kernel and through D2H.
+        let gpu = test_gpu();
+        let (a, b) = (gpu.create_context().unwrap(), gpu.create_context().unwrap());
+        // One live allocation, so the freed buffer is kept for reuse.
+        let _held = gpu.malloc(b, 256).unwrap();
+        let secret = gpu.malloc(a, 4096).unwrap();
+        gpu.memcpy_h2d(a, secret, 4096, &[0xAA; 4096]).unwrap();
+        gpu.free(a, secret).unwrap();
+        let mine = gpu.malloc(b, 4096).unwrap();
+        gpu.memcpy_h2d(b, DeviceAddr(mine.0 + 64), 16, &[7; 16]).unwrap();
+        let mut want = vec![0u8; 4096];
+        want[64..80].fill(7);
+        assert_eq!(gpu.memcpy_d2h(b, mine, 4096).unwrap(), want[..80]);
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let reader = Arc::clone(&seen);
+        let kernel = RegisteredKernel {
+            desc: KernelDesc::plain("read"),
+            payload: Some(Arc::new(move |exec| {
+                let addr = exec.args()[0].as_ptr().unwrap();
+                exec.with_bytes_mut(addr, 4096, &mut |bytes| {
+                    *reader.lock().unwrap() = bytes.to_vec();
+                })
+            })),
+        };
+        gpu.launch(b, &kernel, &launch_of(&[mine])).unwrap();
+        assert!(*seen.lock().unwrap() == want, "the kernel saw the last owner's bytes");
+        assert!(gpu.memcpy_d2h(b, mine, 4096).unwrap() == want, "D2H shows the last owner's bytes");
     }
 
     #[test]

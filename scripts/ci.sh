@@ -54,8 +54,12 @@
 #                                clients take (local_socket: each hostile
 #                                peer shed alone, no hang around the
 #                                reactor's end, no spin on a listener out
-#                                of descriptors) and the mid-preemption
-#                                fault case must pass,
+#                                of descriptors), the mid-preemption
+#                                fault case and the no-leak tests (a
+#                                device buffer recycled from one tenant's
+#                                free reads as zeros to the next, in the
+#                                device model and through a victim's
+#                                swap-out at runtime level) must pass,
 #                                then loadgen --profile hostile must hold
 #                                a greedy tenant to its lease (zero
 #                                over-quota grants) with honest p99 within
@@ -229,12 +233,19 @@ if [[ "$tier" == "all" || "$tier" == "6" ]]; then
     cargo test -q --test fault_matrix \
         device_failure_mid_preemption_keeps_victim_classifiable_and_leases_consistent \
         > /dev/null
+    # No tenant's bytes survive its free: the shadow buffer a device
+    # recycles for the next allocation reads as zeros past the new owner's
+    # writes, through a kernel and through D2H.
+    cargo test -q -p mtgpu-gpusim --lib -- --exact \
+        device::tests::recycled_buffer_no_leak > /dev/null
+    cargo test -q -p mtgpu-core --test runtime_e2e -- --exact \
+        recycled_buffer_no_leak_across_tenants > /dev/null
     # The isolation gate proper: greedy tenants held to their leases
     # (zero over-quota grants) and honest p99 within 2x of the
     # hostile-free baseline.
     ./target/release/loadgen --profile hostile --quick --max-degradation 2.0 \
         --out results/BENCH_isolation.json > /dev/null
-    echo "quota-pressure replay + hostile wire/fault battery + isolation gate: ok"
+    echo "quota-pressure replay + hostile wire/fault battery + no-leak + isolation gate: ok"
 fi
 
 if [[ "$tier" == "all" || "$tier" == "7" ]]; then

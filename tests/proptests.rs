@@ -107,14 +107,15 @@ proptest! {
                     live.push((base, len));
                 }
             } else {
-                let (base, _) = live.swap_remove(live.len() / 2);
-                prop_assert!(a.free(base).is_ok());
+                let (base, len) = live.swap_remove(live.len() / 2);
+                prop_assert!(a.free(base, len).is_ok());
+                prop_assert!(a.free(base, len).is_err(), "double free accepted");
             }
             let used: u64 = live.iter().map(|&(_, l)| l).sum();
             prop_assert_eq!(a.used_bytes(), used);
         }
-        for (base, _) in live {
-            a.free(base).unwrap();
+        for (base, len) in live {
+            a.free(base, len).unwrap();
         }
         prop_assert_eq!(a.largest_free_block(), capacity);
     }
