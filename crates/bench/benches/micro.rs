@@ -1,6 +1,7 @@
 //! Micro-benchmarks: the per-operation costs of the runtime's building
 //! blocks (page-table operations, device allocator, engine arbitration,
-//! end-to-end call overhead through the in-process connection).
+//! end-to-end call overhead through the in-process connection, and one
+//! kernel's functional payload on the device model).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mtgpu_api::{BareClient, CudaClient, HostBuf};
@@ -8,7 +9,8 @@ use mtgpu_core::memory::{MemoryConfig, MemoryManager};
 use mtgpu_core::{CtxId, NodeRuntime, RuntimeConfig, RuntimeMetrics};
 use mtgpu_gpusim::alloc::BlockAllocator;
 use mtgpu_gpusim::engine::FifoEngine;
-use mtgpu_gpusim::{Driver, GpuSpec};
+use mtgpu_gpusim::kernel::library;
+use mtgpu_gpusim::{DeviceId, Driver, GpuSpec, KernelArg, LaunchConfig, LaunchSpec, Work};
 use mtgpu_simtime::{Clock, SimDuration};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -90,11 +92,43 @@ fn bench_end_to_end_call(c: &mut Criterion) {
     });
 }
 
+fn bench_kernel_payload(c: &mut Criterion) {
+    // One `bs_price` launch over BS-S's 256 shadow options on the device
+    // model, straight on the device: its pointer checks and its payload.
+    // A traced `mtgpu-perf` replay reports the median op, never a BS-S one,
+    // so this is the number that shows the pricer's cost. Reported, not
+    // gated; the best of 5000 launches.
+    let mut group = c.benchmark_group("kernel");
+    group.sample_size(5000).bench_function("bs_price_256", |b| {
+        const N: usize = 256;
+        mtgpu_workloads::install_kernel_library();
+        let driver = Driver::with_devices(Clock::with_scale(1e-9), vec![GpuSpec::test_small()]);
+        let gpu = driver.device(DeviceId(0)).unwrap();
+        let ctx = gpu.create_context().unwrap();
+        // BS-S's input ranges: spot 5–30, strike 1–100, 0.25–10 years.
+        let spread = |i: usize, lo: f32, hi: f32| lo + (hi - lo) * (i as f32 * 0.618_034).fract();
+        let mut args = Vec::new();
+        for (lo, hi) in [(5.0, 30.0), (1.0, 100.0), (0.25, 10.0), (0.0, 0.0), (0.0, 0.0)] {
+            let ptr = gpu.malloc(ctx, N as u64 * 4).unwrap();
+            let bytes: Vec<u8> = (0..N).flat_map(|i| spread(i, lo, hi).to_le_bytes()).collect();
+            gpu.memcpy_h2d(ctx, ptr, bytes.len() as u64, &bytes).unwrap();
+            args.push(KernelArg::Ptr(ptr));
+        }
+        args.push(KernelArg::Scalar(N as u64));
+        let kernel = library::lookup("bs_price").unwrap();
+        let config = LaunchConfig::default();
+        let spec = LaunchSpec { kernel: "bs_price".into(), config, args, work: Work::flops(1.0) };
+        b.iter(|| gpu.launch(ctx, &kernel, black_box(&spec)).unwrap());
+    });
+    group.finish();
+}
+
 criterion_group!(
     micro,
     bench_block_allocator,
     bench_page_table,
     bench_engine,
-    bench_end_to_end_call
+    bench_end_to_end_call,
+    bench_kernel_payload
 );
 criterion_main!(micro);

@@ -391,6 +391,23 @@ impl Gpu {
         Ok((base, internal - base, alloc.declared))
     }
 
+    /// [`Self::resolve`] plus a bounds check of the `len` bytes from `addr`:
+    /// returns `(base, offset)`. Lengths are outside input (a copy's, a
+    /// launch's arguments), so an end past `u64::MAX` is out of bounds too.
+    fn resolve_span(
+        st: &DeviceState,
+        salt: u64,
+        ctx: Option<GpuContextId>,
+        addr: DeviceAddr,
+        len: u64,
+    ) -> Result<(u64, u64)> {
+        let (base, offset, alloc_len) = Self::resolve(st, salt, ctx, addr)?;
+        if offset.checked_add(len).is_none_or(|end| end > alloc_len) {
+            return Err(GpuError::OutOfBounds { addr: addr.0, len, alloc_size: alloc_len });
+        }
+        Ok((base, offset))
+    }
+
     /// Occupies one copy engine for a PCIe transfer of `declared_len`
     /// bytes: round-robin placement by default, lane-pinned when a plan
     /// executor dictates canonical placement.
@@ -446,14 +463,7 @@ impl Gpu {
             if !st.contexts.contains_key(&ctx) {
                 return Err(GpuError::InvalidContext);
             }
-            let (_, offset, alloc_len) = Self::resolve(&st, self.addr_salt, Some(ctx), dst)?;
-            if offset + declared_len > alloc_len {
-                return Err(GpuError::OutOfBounds {
-                    addr: dst.0,
-                    len: declared_len,
-                    alloc_size: alloc_len,
-                });
-            }
+            Self::resolve_span(&st, self.addr_salt, Some(ctx), dst, declared_len)?;
         }
         self.occupy_copy(declared_len, lane);
         self.check_alive()?;
@@ -503,14 +513,7 @@ impl Gpu {
             if !st.contexts.contains_key(&ctx) {
                 return Err(GpuError::InvalidContext);
             }
-            let (_, offset, alloc_len) = Self::resolve(&st, self.addr_salt, Some(ctx), src)?;
-            if offset + declared_len > alloc_len {
-                return Err(GpuError::OutOfBounds {
-                    addr: src.0,
-                    len: declared_len,
-                    alloc_size: alloc_len,
-                });
-            }
+            Self::resolve_span(&st, self.addr_salt, Some(ctx), src, declared_len)?;
         }
         self.occupy_copy(declared_len, lane);
         self.check_alive()?;
@@ -542,14 +545,7 @@ impl Gpu {
                 return Err(GpuError::InvalidContext);
             }
             for addr in [src, dst] {
-                let (_, offset, alloc_len) = Self::resolve(&st, self.addr_salt, Some(ctx), addr)?;
-                if offset + declared_len > alloc_len {
-                    return Err(GpuError::OutOfBounds {
-                        addr: addr.0,
-                        len: declared_len,
-                        alloc_size: alloc_len,
-                    });
-                }
+                Self::resolve_span(&st, self.addr_salt, Some(ctx), addr, declared_len)?;
             }
         }
         let dur = COPY_OVERHEAD
@@ -595,28 +591,14 @@ impl Gpu {
             if !st.contexts.contains_key(&src_ctx) {
                 return Err(GpuError::InvalidContext);
             }
-            let (_, offset, alloc_len) = Self::resolve(&st, src_dev.addr_salt, Some(src_ctx), src)?;
-            if offset + declared_len > alloc_len {
-                return Err(GpuError::OutOfBounds {
-                    addr: src.0,
-                    len: declared_len,
-                    alloc_size: alloc_len,
-                });
-            }
+            Self::resolve_span(&st, src_dev.addr_salt, Some(src_ctx), src, declared_len)?;
         }
         {
             let st = dst_dev.state.lock();
             if !st.contexts.contains_key(&dst_ctx) {
                 return Err(GpuError::InvalidContext);
             }
-            let (_, offset, alloc_len) = Self::resolve(&st, dst_dev.addr_salt, Some(dst_ctx), dst)?;
-            if offset + declared_len > alloc_len {
-                return Err(GpuError::OutOfBounds {
-                    addr: dst.0,
-                    len: declared_len,
-                    alloc_size: alloc_len,
-                });
-            }
+            Self::resolve_span(&st, dst_dev.addr_salt, Some(dst_ctx), dst, declared_len)?;
         }
         // One hop: the slower of the two PCIe links bounds the transfer.
         let dur =
@@ -668,21 +650,16 @@ impl Gpu {
             };
             let mut st = self.state.lock();
             let salt = self.addr_salt;
-            let mut resolve = |addr: DeviceAddr,
-                               len: u64,
-                               f: &mut dyn FnMut(&mut [u8])|
-             -> Result<()> {
-                let (base, offset, alloc_len) = Self::resolve(&st, salt, Some(ctx), addr)?;
-                if offset + len > alloc_len {
-                    return Err(GpuError::OutOfBounds { addr: addr.0, len, alloc_size: alloc_len });
-                }
-                let alloc = st.allocs.get_mut(&base).expect("resolved allocation vanished");
-                alloc.ensure_len(offset + len);
-                let start = (offset as usize).min(alloc.data.len());
-                let end = ((offset + len) as usize).min(alloc.data.len());
-                f(&mut alloc.data[start..end]);
-                Ok(())
-            };
+            let mut resolve =
+                |addr: DeviceAddr, len: u64, f: &mut dyn FnMut(&mut [u8])| -> Result<()> {
+                    let (base, offset) = Self::resolve_span(&st, salt, Some(ctx), addr, len)?;
+                    let alloc = st.allocs.get_mut(&base).expect("resolved allocation vanished");
+                    alloc.ensure_len(offset + len);
+                    let start = (offset as usize).min(alloc.data.len());
+                    let end = ((offset + len) as usize).min(alloc.data.len());
+                    f(&mut alloc.data[start..end]);
+                    Ok(())
+                };
             let mut exec = KernelExec { resolve: &mut resolve, args: &spec.args };
             payload(&mut exec)
         });
@@ -961,6 +938,31 @@ mod tests {
         assert_eq!(gpu.memcpy_d2h(ctx, ptr, 128).unwrap(), vec![7u8; 128]);
         assert_eq!(gpu.stats().snapshot().h2d_bytes, declared);
         gpu.free(ctx, ptr).unwrap();
+    }
+
+    #[test]
+    fn f32_view_is_exact_or_a_typed_error() {
+        // A launch's arguments are outside input: a misaligned start, a view
+        // the materialization cap cuts short, or a length whose end wraps
+        // fail the launch with a typed error, not a panic or a short slice.
+        let gpu = Gpu::new(GpuSpec::tesla_c2050(), Clock::with_scale(1e-7), 0);
+        let ctx = gpu.create_context().unwrap();
+        let ptr = gpu.malloc(ctx, 64 << 20).unwrap();
+        let view = |addr: DeviceAddr, len: u64| {
+            let kernel = RegisteredKernel {
+                desc: KernelDesc::plain("view"),
+                payload: Some(Arc::new(move |exec: &mut crate::kernel::KernelExec<'_>| {
+                    exec.with_f32_mut(addr, len, |v| assert_eq!(v.len() as u64, len / 4))
+                })),
+            };
+            gpu.launch(ctx, &kernel, &launch_of(&[addr]))
+        };
+        assert!(view(ptr, 4001).is_ok());
+        assert!(view(DeviceAddr(ptr.0 + 4), 4000).is_ok());
+        assert_eq!(view(DeviceAddr(ptr.0 + 1), 4000), Err(GpuError::InvalidValue));
+        assert!(matches!(view(ptr, 32 << 20), Err(GpuError::LaunchFailed(_))));
+        let wraps = view(DeviceAddr(ptr.0 + 4), u64::MAX);
+        assert!(matches!(wraps, Err(GpuError::OutOfBounds { .. })), "{wraps:?}");
     }
 
     #[test]

@@ -190,20 +190,37 @@ impl<'a> KernelExec<'a> {
         (self.resolve)(addr, len, f)
     }
 
-    /// Typed convenience: view the shadow buffer at `addr` as `f32`s.
+    /// Typed convenience: runs `f` over exactly `len_bytes / 4` `f32`s at
+    /// `addr`. A start that is not 4-byte aligned fails `InvalidValue`, and
+    /// a view the materialization cap cuts short fails `LaunchFailed`;
+    /// either way `f` does not run.
     pub fn with_f32_mut(
         &mut self,
         addr: DeviceAddr,
         len_bytes: u64,
         f: impl FnOnce(&mut [f32]),
     ) -> Result<(), GpuError> {
+        let want = (len_bytes / 4) as usize;
         let mut f = Some(f);
+        let mut view = Ok(());
         self.with_bytes_mut(addr, len_bytes, &mut |bytes| {
-            let (_, floats, _) = unsafe { bytes.align_to_mut::<f32>() };
-            if let Some(f) = f.take() {
-                f(floats);
-            }
-        })
+            // SAFETY: every bit pattern is a valid `f32`; `align_to_mut`
+            // only hands out the aligned middle of the byte slice.
+            let (head, floats, _) = unsafe { bytes.align_to_mut::<f32>() };
+            view = if !head.is_empty() {
+                Err(GpuError::InvalidValue)
+            } else if floats.len() < want {
+                Err(GpuError::LaunchFailed(format!(
+                    "{len_bytes}-byte f32 view at {addr} exceeds the materialized prefix"
+                )))
+            } else {
+                if let Some(f) = f.take() {
+                    f(&mut floats[..want]);
+                }
+                Ok(())
+            };
+        })?;
+        view
     }
 }
 

@@ -68,35 +68,26 @@ pub(crate) fn install() {
     library::register(RegisteredKernel {
         desc: KernelDesc::plain("bp_layerforward"),
         payload: Some(Arc::new(|exec: &mut KernelExec<'_>| {
-            let input = ptr_arg(exec, 0, "bp_layerforward");
-            let weights = ptr_arg(exec, 1, "bp_layerforward");
-            let hidden = ptr_arg(exec, 2, "bp_layerforward");
-            let mut in_v = vec![0f32; IN_N];
-            let mut w_v = vec![0f32; IN_N * HID_N];
-            exec.with_f32_mut(input, (IN_N * 4) as u64, |v| in_v.copy_from_slice(&v[..IN_N]))?;
-            exec.with_f32_mut(weights, (IN_N * HID_N * 4) as u64, |v| {
-                w_v.copy_from_slice(&v[..IN_N * HID_N])
-            })?;
+            let input = ptr_arg(exec, 0)?;
+            let weights = ptr_arg(exec, 1)?;
+            let hidden = ptr_arg(exec, 2)?;
+            let in_v = read_f32(exec, input, IN_N)?;
+            let w_v = read_f32(exec, weights, IN_N * HID_N)?;
             let h = forward(&in_v, &w_v);
-            exec.with_f32_mut(hidden, (HID_N * 4) as u64, |v| v[..HID_N].copy_from_slice(&h))
+            exec.with_f32_mut(hidden, (HID_N * 4) as u64, |v| v.copy_from_slice(&h))
         })),
     });
     library::register(RegisteredKernel {
         desc: KernelDesc::plain("bp_adjust_weights"),
         payload: Some(Arc::new(|exec: &mut KernelExec<'_>| {
-            let input = ptr_arg(exec, 0, "bp_adjust_weights");
-            let weights = ptr_arg(exec, 1, "bp_adjust_weights");
-            let hidden = ptr_arg(exec, 2, "bp_adjust_weights");
-            let target = ptr_arg(exec, 3, "bp_adjust_weights");
-            let mut in_v = vec![0f32; IN_N];
-            let mut h_v = vec![0f32; HID_N];
-            let mut t_v = vec![0f32; HID_N];
-            exec.with_f32_mut(input, (IN_N * 4) as u64, |v| in_v.copy_from_slice(&v[..IN_N]))?;
-            exec.with_f32_mut(hidden, (HID_N * 4) as u64, |v| h_v.copy_from_slice(&v[..HID_N]))?;
-            exec.with_f32_mut(target, (HID_N * 4) as u64, |v| t_v.copy_from_slice(&v[..HID_N]))?;
-            exec.with_f32_mut(weights, (IN_N * HID_N * 4) as u64, |v| {
-                adjust(&in_v, &h_v, &t_v, &mut v[..IN_N * HID_N])
-            })
+            let input = ptr_arg(exec, 0)?;
+            let weights = ptr_arg(exec, 1)?;
+            let hidden = ptr_arg(exec, 2)?;
+            let target = ptr_arg(exec, 3)?;
+            let in_v = read_f32(exec, input, IN_N)?;
+            let h_v = read_f32(exec, hidden, HID_N)?;
+            let t_v = read_f32(exec, target, HID_N)?;
+            exec.with_f32_mut(weights, (IN_N * HID_N * 4) as u64, |v| adjust(&in_v, &h_v, &t_v, v))
         })),
     });
 }

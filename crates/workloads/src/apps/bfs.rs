@@ -47,10 +47,10 @@ pub(crate) fn install() {
     library::register(RegisteredKernel {
         desc: KernelDesc::plain("bfs_level"),
         payload: Some(Arc::new(|exec: &mut KernelExec<'_>| {
-            let dist = ptr_arg(exec, 0, "bfs_level");
+            let dist = ptr_arg(exec, 0)?;
             let level = scalar_arg(exec, 1) as f32;
             let n = scalar_arg(exec, 2) as usize;
-            exec.with_f32_mut(dist, (n * 4) as u64, |v| {
+            exec.with_f32_mut(dist, f32_bytes(n)?, |v| {
                 for i in 0..n.saturating_sub(1) {
                     if (v[i] - level).abs() < 0.5 && v[i + 1] > level + 1.0 {
                         v[i + 1] = level + 1.0;

@@ -66,19 +66,18 @@ impl BlackScholes {
     }
 }
 
-/// The Black-Scholes call/put prices via the cumulative normal
-/// approximation used by the CUDA SDK sample.
 // The Abramowitz–Stegun coefficients are quoted verbatim from the SDK
 // sample; keeping every digit beats matching f32 representable precision.
 #[allow(clippy::excessive_precision)]
+const CND_K: f32 = 0.231_641_9;
+#[allow(clippy::excessive_precision)]
+const A: [f32; 5] = [0.319_381_53, -0.356_563_782, 1.781_477_937, -1.821_255_978, 1.330_274_429];
+
+/// The Black-Scholes call/put prices via the cumulative normal
+/// approximation used by the CUDA SDK sample.
 fn cnd(d: f32) -> f32 {
-    const A1: f32 = 0.319_381_53;
-    const A2: f32 = -0.356_563_782;
-    const A3: f32 = 1.781_477_937;
-    const A4: f32 = -1.821_255_978;
-    const A5: f32 = 1.330_274_429;
-    let k = 1.0 / (1.0 + 0.231_641_9 * d.abs());
-    let poly = k * (A1 + k * (A2 + k * (A3 + k * (A4 + k * A5))));
+    let k = 1.0 / (1.0 + CND_K * d.abs());
+    let poly = k * (A[0] + k * (A[1] + k * (A[2] + k * (A[3] + k * A[4]))));
     let w = 1.0 - (-0.5 * d * d).exp() * poly / (2.0 * std::f32::consts::PI).sqrt();
     if d < 0.0 {
         1.0 - w
@@ -88,7 +87,7 @@ fn cnd(d: f32) -> f32 {
 }
 
 /// Host reference pricing.
-pub(crate) fn price(s: f32, x: f32, t: f32) -> (f32, f32) {
+pub fn price(s: f32, x: f32, t: f32) -> (f32, f32) {
     let sqrt_t = t.sqrt();
     let d1 =
         ((s / x).ln() + (RISK_FREE + 0.5 * VOLATILITY * VOLATILITY) * t) / (VOLATILITY * sqrt_t);
@@ -99,35 +98,79 @@ pub(crate) fn price(s: f32, x: f32, t: f32) -> (f32, f32) {
     (call, put)
 }
 
+/// [`price`] over whole arrays, one step per pass: every option goes
+/// through the same f32 operations in the same order, so each result is
+/// bit-identical to `price`'s, but no option waits on the one before, and
+/// the passes without a libm call vectorise. `cnd(d)` and `cnd(-d)` share
+/// one Gaussian and one polynomial: `-d` has the same `|d|` and `d * d`.
+/// Five buffers: `d1` holds `s / x` and its `ln` first, `d2` holds
+/// `sqrt(t)`, and the two Gaussians' buffers become the calls and puts.
+fn price_all(s: &[f32], x: &[f32], t: &[f32]) -> (Vec<f32>, Vec<f32>) {
+    let n = s.len();
+    let (x, t) = (&x[..n], &t[..n]);
+    // 1. s / x and sqrt(t); 2. ln.
+    let mut d1: Vec<f32> = s.iter().zip(x).map(|(s, x)| s / x).collect();
+    let mut d2: Vec<f32> = t.iter().map(|t| t.sqrt()).collect();
+    d1.iter_mut().for_each(|v| *v = v.ln());
+    // 3. d1, d2 and the three exponent arguments. Every slice is cut to
+    // `n`, so the loops carry no bounds checks.
+    let (mut exp_rt, mut g1, mut g2) = (vec![0f32; n], vec![0f32; n], vec![0f32; n]);
+    {
+        let (d1, d2, exp_rt) = (&mut d1[..n], &mut d2[..n], &mut exp_rt[..n]);
+        let (g1, g2) = (&mut g1[..n], &mut g2[..n]);
+        for i in 0..n {
+            let sqrt_t = d2[i];
+            d1[i] = (d1[i] + (RISK_FREE + 0.5 * VOLATILITY * VOLATILITY) * t[i])
+                / (VOLATILITY * sqrt_t);
+            d2[i] = d1[i] - VOLATILITY * sqrt_t;
+            exp_rt[i] = -RISK_FREE * t[i];
+            g1[i] = -0.5 * d1[i] * d1[i];
+            g2[i] = -0.5 * d2[i] * d2[i];
+        }
+    }
+    // 4. The three exps.
+    for v in exp_rt.iter_mut().chain(&mut g1).chain(&mut g2) {
+        *v = v.exp();
+    }
+    // 5. The four cnds and the call/put combine. `cnd(d)` is `1 - w` when
+    // `d < 0.0`, `cnd(-d)` when `-d < 0.0`, that is `d > 0.0`.
+    let w = |d: f32, gauss: f32| {
+        let k = 1.0 / (1.0 + CND_K * d.abs());
+        let poly = k * (A[0] + k * (A[1] + k * (A[2] + k * (A[3] + k * A[4]))));
+        1.0 - gauss * poly / (2.0 * std::f32::consts::PI).sqrt()
+    };
+    let cnd_pair =
+        |d: f32, w: f32| (if d < 0.0 { 1.0 - w } else { w }, if d > 0.0 { 1.0 - w } else { w });
+    {
+        let (d1, d2, exp_rt) = (&d1[..n], &d2[..n], &exp_rt[..n]);
+        let (call, put) = (&mut g1[..n], &mut g2[..n]);
+        for i in 0..n {
+            let (c1, c1_neg) = cnd_pair(d1[i], w(d1[i], call[i]));
+            let (c2, c2_neg) = cnd_pair(d2[i], w(d2[i], put[i]));
+            call[i] = s[i] * c1 - x[i] * exp_rt[i] * c2;
+            put[i] = x[i] * exp_rt[i] * c2_neg - s[i] * c1_neg;
+        }
+    }
+    (g1, g2)
+}
+
 /// Installs `bs_price`: prices the shadow options into call/put arrays.
 pub(crate) fn install() {
     library::register(RegisteredKernel {
         desc: KernelDesc::plain("bs_price"),
         payload: Some(Arc::new(|exec: &mut KernelExec<'_>| {
-            let spot = ptr_arg(exec, 0, "bs_price");
-            let strike = ptr_arg(exec, 1, "bs_price");
-            let years = ptr_arg(exec, 2, "bs_price");
-            let call_out = ptr_arg(exec, 3, "bs_price");
-            let put_out = ptr_arg(exec, 4, "bs_price");
+            let spot = ptr_arg(exec, 0)?;
+            let strike = ptr_arg(exec, 1)?;
+            let years = ptr_arg(exec, 2)?;
+            let call_out = ptr_arg(exec, 3)?;
+            let put_out = ptr_arg(exec, 4)?;
             let n = scalar_arg(exec, 5) as usize;
-            let bytes = (n * 4) as u64;
-            let mut s = vec![0f32; n];
-            let mut x = vec![0f32; n];
-            let mut t = vec![0f32; n];
-            exec.with_f32_mut(spot, bytes, |v| s.copy_from_slice(&v[..n]))?;
-            exec.with_f32_mut(strike, bytes, |v| x.copy_from_slice(&v[..n]))?;
-            exec.with_f32_mut(years, bytes, |v| t.copy_from_slice(&v[..n]))?;
-            let priced: Vec<(f32, f32)> = (0..n).map(|i| price(s[i], x[i], t[i])).collect();
-            exec.with_f32_mut(call_out, bytes, |v| {
-                for i in 0..n {
-                    v[i] = priced[i].0;
-                }
-            })?;
-            exec.with_f32_mut(put_out, bytes, |v| {
-                for i in 0..n {
-                    v[i] = priced[i].1;
-                }
-            })
+            let s = read_f32(exec, spot, n)?;
+            let x = read_f32(exec, strike, n)?;
+            let t = read_f32(exec, years, n)?;
+            let (call, put) = price_all(&s, &x, &t);
+            exec.with_f32_mut(call_out, f32_bytes(n)?, |v| v.copy_from_slice(&call))?;
+            exec.with_f32_mut(put_out, f32_bytes(n)?, |v| v.copy_from_slice(&put))
         })),
     });
 }
@@ -224,6 +267,78 @@ mod tests {
         let (call, put) = price(1000.0, 1.0, 0.25);
         assert!(call > 990.0);
         assert!(put < 1e-3);
+    }
+
+    /// `price`'s `d1`, to aim the edge cases.
+    fn d1_of(s: f32, x: f32, t: f32) -> f32 {
+        ((s / x).ln() + (RISK_FREE + 0.5 * VOLATILITY * VOLATILITY) * t) / (VOLATILITY * t.sqrt())
+    }
+
+    fn assert_bit_identical(s: &[f32], x: &[f32], t: &[f32]) {
+        let (calls, puts) = price_all(s, x, t);
+        for i in 0..s.len() {
+            let (call, put) = price(s[i], x[i], t[i]);
+            assert_eq!(
+                (calls[i].to_bits(), puts[i].to_bits()),
+                (call.to_bits(), put.to_bits()),
+                "S={} X={} T={}: pass-wise ({}, {}) vs price ({call}, {put})",
+                s[i],
+                x[i],
+                t[i],
+                calls[i],
+                puts[i]
+            );
+        }
+    }
+
+    #[test]
+    fn pass_wise_pricing_is_bit_identical_to_price() {
+        // 60 000 seeded options, spot and strike log-uniform over six
+        // decades, maturities from days to decades.
+        let mut rng = XorShift::new(0xB5_B175);
+        let mut log_uniform = |lo: f32, hi: f32| rng.range_f32(lo.ln(), hi.ln()).exp();
+        let (mut s, mut x, mut t) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..60_000 {
+            s.push(log_uniform(0.01, 10_000.0));
+            x.push(log_uniform(0.01, 10_000.0));
+            t.push(log_uniform(1e-3, 50.0));
+        }
+        assert_bit_identical(&s, &x, &t);
+
+        // An option with d1 exactly zero: ln(S/X) cancels the drift term.
+        // One ulp of T can move the drift by two ulps, so the search walks
+        // the spot too.
+        let x0 = 50.0f32;
+        let near =
+            |v: f32| (-16..16).map(move |k| f32::from_bits(v.to_bits().wrapping_add_signed(k)));
+        let (s_zero, t_zero) = near(40.0)
+            .flat_map(|s| {
+                let t0 = -(s / x0).ln() / (RISK_FREE + 0.5 * VOLATILITY * VOLATILITY);
+                near(t0).map(move |t| (s, t))
+            })
+            .find(|&(s, t)| d1_of(s, x0, t) == 0.0)
+            .expect("some option next to S=40, X=50 has d1 == 0");
+        let edges = [
+            (s_zero, x0, t_zero), // d1 == 0
+            (5.0, 100.0, 0.25),   // d1 < 0, deep out of the money
+            (100.0, 5.0, 0.25),   // d1 > 0, deep in the money
+            (1000.0, 1.0, 0.25),  // deeper in
+            (1.0, 1000.0, 10.0),  // deeper out
+            (20.0, 20.0, 1.0),    // S == X
+            (20.0, 20.0, 1e-20),  // S == X, tiny T
+            (20.0, 21.0, 1e-12),  // tiny T: |d1| huge
+            (21.0, 20.0, 1e-12),  //
+            (20.0, 20.0, 1e4),    // large T
+            (7.0, 90.0, 1e6),     // larger T: exp(-rT) underflows
+        ];
+        let mut edge = [Vec::new(), Vec::new(), Vec::new()];
+        for (s, x, t) in edges {
+            edge[0].push(s);
+            edge[1].push(x);
+            edge[2].push(t);
+        }
+        assert!(d1_of(5.0, 100.0, 0.25) < 0.0 && d1_of(100.0, 5.0, 0.25) > 0.0);
+        assert_bit_identical(&edge[0], &edge[1], &edge[2]);
     }
 
     #[test]

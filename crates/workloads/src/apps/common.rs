@@ -1,7 +1,7 @@
 //! Shared helpers for the benchmark applications.
 
 use mtgpu_api::{CudaClient, CudaResult, HostBuf, KernelArg, LaunchConfig, LaunchSpec};
-use mtgpu_gpusim::{DeviceAddr, Dim3, KernelExec, Work};
+use mtgpu_gpusim::{DeviceAddr, Dim3, GpuError, KernelExec, Work};
 
 /// Uploads `shadow` as the materialized prefix of a `declared`-byte
 /// allocation; returns the (virtual) device pointer.
@@ -81,14 +81,34 @@ pub(crate) fn scalar_arg(exec: &KernelExec<'_>, i: usize) -> u64 {
     }
 }
 
-/// Reads the `i`-th pointer argument; panics with the kernel's name if the
-/// caller launched with a malformed argument list (programming error in the
-/// workload, not a runtime condition).
-pub(crate) fn ptr_arg(exec: &KernelExec<'_>, i: usize, kernel: &str) -> DeviceAddr {
-    exec.args()
-        .get(i)
-        .and_then(|a| a.as_ptr())
-        .unwrap_or_else(|| panic!("kernel {kernel} expects pointer argument {i}"))
+/// Reads the `i`-th pointer argument. A launch's arguments are outside
+/// input: a missing pointer is `InvalidValue` for the caller, not a panic on
+/// the thread that serves every tenant.
+pub(crate) fn ptr_arg(exec: &KernelExec<'_>, i: usize) -> Result<DeviceAddr, GpuError> {
+    exec.args().get(i).and_then(KernelArg::as_ptr).ok_or(GpuError::InvalidValue)
+}
+
+/// The bytes of `count` f32s; `InvalidValue` if that overflows.
+pub(crate) fn f32_bytes(count: usize) -> Result<u64, GpuError> {
+    count.checked_mul(4).map(|b| b as u64).ok_or(GpuError::InvalidValue)
+}
+
+/// `n * n` elements of a square matrix; `InvalidValue` if that overflows.
+pub(crate) fn square(n: usize) -> Result<usize, GpuError> {
+    n.checked_mul(n).ok_or(GpuError::InvalidValue)
+}
+
+/// Copies the first `count` f32s at `ptr` out of device memory. The buffer
+/// resolves, bounds included, before anything is allocated, so a count the
+/// allocation cannot hold is a typed error, not a host allocation of its size.
+pub(crate) fn read_f32(
+    exec: &mut KernelExec<'_>,
+    ptr: DeviceAddr,
+    count: usize,
+) -> Result<Vec<f32>, GpuError> {
+    let mut out = Vec::new();
+    exec.with_f32_mut(ptr, f32_bytes(count)?, |v| out = v.to_vec())?;
+    Ok(out)
 }
 
 /// A deterministic xorshift PRNG for reproducible inputs.

@@ -61,17 +61,14 @@ pub(crate) fn install() {
     library::register(RegisteredKernel {
         desc: KernelDesc::plain("hs_stencil"),
         payload: Some(Arc::new(|exec: &mut KernelExec<'_>| {
-            let temp = ptr_arg(exec, 0, "hs_stencil");
-            let power = ptr_arg(exec, 1, "hs_stencil");
-            let out = ptr_arg(exec, 2, "hs_stencil");
+            let temp = ptr_arg(exec, 0)?;
+            let power = ptr_arg(exec, 1)?;
+            let out = ptr_arg(exec, 2)?;
             let n = scalar_arg(exec, 3) as usize;
-            let bytes = (n * n * 4) as u64;
-            let mut t = vec![0f32; n * n];
-            let mut p = vec![0f32; n * n];
-            exec.with_f32_mut(temp, bytes, |v| t.copy_from_slice(&v[..n * n]))?;
-            exec.with_f32_mut(power, bytes, |v| p.copy_from_slice(&v[..n * n]))?;
+            let t = read_f32(exec, temp, square(n)?)?;
+            let p = read_f32(exec, power, square(n)?)?;
             let result = stencil_step(&t, &p, n);
-            exec.with_f32_mut(out, bytes, |v| v[..n * n].copy_from_slice(&result))
+            exec.with_f32_mut(out, f32_bytes(square(n)?)?, |v| v.copy_from_slice(&result))
         })),
     });
 }

@@ -77,16 +77,13 @@ pub(crate) fn install() {
     library::register(RegisteredKernel {
         desc: KernelDesc::plain("mm_matmul"),
         payload: Some(Arc::new(|exec: &mut KernelExec<'_>| {
-            let a = ptr_arg(exec, 0, "mm_matmul");
-            let b = ptr_arg(exec, 1, "mm_matmul");
-            let c = ptr_arg(exec, 2, "mm_matmul");
+            let a = ptr_arg(exec, 0)?;
+            let b = ptr_arg(exec, 1)?;
+            let c = ptr_arg(exec, 2)?;
             let n = scalar_arg(exec, 3) as usize;
-            let bytes = (n * n * 4) as u64;
-            let mut av = vec![0f32; n * n];
-            let mut bv = vec![0f32; n * n];
-            exec.with_f32_mut(a, bytes, |s| av.copy_from_slice(&s[..n * n]))?;
-            exec.with_f32_mut(b, bytes, |s| bv.copy_from_slice(&s[..n * n]))?;
-            exec.with_f32_mut(c, bytes, |s| {
+            let av = read_f32(exec, a, square(n)?)?;
+            let bv = read_f32(exec, b, square(n)?)?;
+            exec.with_f32_mut(c, f32_bytes(square(n)?)?, |s| {
                 for i in 0..n {
                     for j in 0..n {
                         let mut acc = 0f32;

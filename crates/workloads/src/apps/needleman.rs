@@ -10,7 +10,7 @@ use crate::report::WorkloadReport;
 use crate::Workload;
 use mtgpu_api::{CudaClient, CudaResult, KernelArg};
 use mtgpu_gpusim::kernel::{library, KernelExec, RegisteredKernel};
-use mtgpu_gpusim::KernelDesc;
+use mtgpu_gpusim::{GpuError, KernelDesc};
 use mtgpu_simtime::Clock;
 use std::sync::Arc;
 
@@ -27,7 +27,8 @@ const MISMATCH: i32 = -1;
 
 /// Deterministic "DNA" sequence for pair `idx`.
 fn sequence(idx: u64, salt: u64) -> Vec<u8> {
-    let mut rng = XorShift::new(idx * 2 + salt + 1);
+    // `idx` is a launch argument: wrap rather than overflow on a hostile one.
+    let mut rng = XorShift::new(idx.wrapping_mul(2).wrapping_add(salt + 1));
     (0..SEQ_LEN).map(|_| (rng.next_u64() % 4) as u8).collect()
 }
 
@@ -82,13 +83,12 @@ pub(crate) fn install() {
     library::register(RegisteredKernel {
         desc: KernelDesc::plain("nw_align"),
         payload: Some(Arc::new(|exec: &mut KernelExec<'_>| {
-            let scores = ptr_arg(exec, 0, "nw_align");
+            let scores = ptr_arg(exec, 0)?;
             let idx = scalar_arg(exec, 1);
             let shadow = scalar_arg(exec, 2) as usize;
+            let slot = (idx as usize).checked_rem(shadow).ok_or(GpuError::InvalidValue)?;
             let score = align_score(&sequence(idx, 0), &sequence(idx, 1)) as f32;
-            exec.with_f32_mut(scores, (shadow * 4) as u64, |v| {
-                v[idx as usize % shadow] = score;
-            })
+            exec.with_f32_mut(scores, f32_bytes(shadow)?, |v| v[slot] = score)
         })),
     });
 }

@@ -48,12 +48,11 @@ pub(crate) fn install() {
     library::register(RegisteredKernel {
         desc: KernelDesc::plain("pr_reduce"),
         payload: Some(Arc::new(|exec: &mut KernelExec<'_>| {
-            let input = ptr_arg(exec, 0, "pr_reduce");
-            let output = ptr_arg(exec, 1, "pr_reduce");
+            let input = ptr_arg(exec, 0)?;
+            let output = ptr_arg(exec, 1)?;
             let n = scalar_arg(exec, 2) as usize;
-            let bytes = (n * 4) as u64;
             let mut sum = 0f32;
-            exec.with_f32_mut(input, bytes, |v| sum = v[..n].iter().sum())?;
+            exec.with_f32_mut(input, f32_bytes(n)?, |v| sum = v.iter().sum())?;
             exec.with_f32_mut(output, 4, |v| v[0] = sum)
         })),
     });

@@ -41,15 +41,12 @@ pub(crate) fn install() {
     library::register(RegisteredKernel {
         desc: KernelDesc::plain("sp_dot"),
         payload: Some(Arc::new(|exec: &mut KernelExec<'_>| {
-            let a = ptr_arg(exec, 0, "sp_dot");
-            let b = ptr_arg(exec, 1, "sp_dot");
-            let out = ptr_arg(exec, 2, "sp_dot");
+            let a = ptr_arg(exec, 0)?;
+            let b = ptr_arg(exec, 1)?;
+            let out = ptr_arg(exec, 2)?;
             let n = scalar_arg(exec, 3) as usize;
-            let bytes = (n * 4) as u64;
-            let mut av = vec![0f32; n];
-            let mut bv = vec![0f32; n];
-            exec.with_f32_mut(a, bytes, |s| av.copy_from_slice(&s[..n]))?;
-            exec.with_f32_mut(b, bytes, |s| bv.copy_from_slice(&s[..n]))?;
+            let av = read_f32(exec, a, n)?;
+            let bv = read_f32(exec, b, n)?;
             let dot: f32 = av.iter().zip(&bv).map(|(x, y)| x * y).sum();
             exec.with_f32_mut(out, 4, |s| s[0] = dot)
         })),

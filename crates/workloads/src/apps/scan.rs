@@ -50,13 +50,11 @@ pub(crate) fn install() {
     library::register(RegisteredKernel {
         desc: KernelDesc::plain("sc_scan"),
         payload: Some(Arc::new(|exec: &mut KernelExec<'_>| {
-            let input = ptr_arg(exec, 0, "sc_scan");
-            let output = ptr_arg(exec, 1, "sc_scan");
+            let input = ptr_arg(exec, 0)?;
+            let output = ptr_arg(exec, 1)?;
             let n = scalar_arg(exec, 2) as usize;
-            let bytes = (n * 4) as u64;
-            let mut inp = vec![0f32; n];
-            exec.with_f32_mut(input, bytes, |v| inp.copy_from_slice(&v[..n]))?;
-            exec.with_f32_mut(output, bytes, |v| {
+            let inp = read_f32(exec, input, n)?;
+            exec.with_f32_mut(output, f32_bytes(n)?, |v| {
                 let mut acc = 0f32;
                 for i in 0..n {
                     v[i] = acc;

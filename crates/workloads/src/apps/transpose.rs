@@ -51,13 +51,11 @@ pub(crate) fn install() {
     library::register(RegisteredKernel {
         desc: KernelDesc::plain("mt_transpose"),
         payload: Some(Arc::new(|exec: &mut KernelExec<'_>| {
-            let src = ptr_arg(exec, 0, "mt_transpose");
-            let dst = ptr_arg(exec, 1, "mt_transpose");
+            let src = ptr_arg(exec, 0)?;
+            let dst = ptr_arg(exec, 1)?;
             let n = scalar_arg(exec, 2) as usize;
-            let bytes = (n * n * 4) as u64;
-            let mut s = vec![0f32; n * n];
-            exec.with_f32_mut(src, bytes, |v| s.copy_from_slice(&v[..n * n]))?;
-            exec.with_f32_mut(dst, bytes, |v| {
+            let s = read_f32(exec, src, square(n)?)?;
+            exec.with_f32_mut(dst, f32_bytes(square(n)?)?, |v| {
                 for i in 0..n {
                     for j in 0..n {
                         v[j * n + i] = s[i * n + j];

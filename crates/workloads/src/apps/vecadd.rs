@@ -43,20 +43,17 @@ pub(crate) fn install() {
     library::register(RegisteredKernel {
         desc: KernelDesc::plain("va_add"),
         payload: Some(Arc::new(|exec: &mut KernelExec<'_>| {
-            let a = ptr_arg(exec, 0, "va_add");
-            let b = ptr_arg(exec, 1, "va_add");
-            let c = ptr_arg(exec, 2, "va_add");
+            let a = ptr_arg(exec, 0)?;
+            let b = ptr_arg(exec, 1)?;
+            let c = ptr_arg(exec, 2)?;
             let n = scalar_arg(exec, 3) as usize;
-            let bytes = (n * 4) as u64;
-            let mut av = vec![0f32; n];
-            let mut bv = vec![0f32; n];
-            exec.with_f32_mut(a, bytes, |s| av.copy_from_slice(&s[..n]))?;
-            exec.with_f32_mut(b, bytes, |s| bv.copy_from_slice(&s[..n]))?;
-            exec.with_f32_mut(c, bytes, |s| {
-                for i in 0..n {
-                    s[i] = av[i] + bv[i];
+            let mut sum = read_f32(exec, a, n)?;
+            exec.with_f32_mut(b, f32_bytes(n)?, |v| {
+                for (s, b) in sum.iter_mut().zip(v) {
+                    *s += *b;
                 }
-            })
+            })?;
+            exec.with_f32_mut(c, f32_bytes(n)?, |v| v.copy_from_slice(&sum))
         })),
     });
 }

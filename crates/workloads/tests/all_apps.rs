@@ -1,12 +1,13 @@
 //! Every Table 2 application must run and verify on both the bare CUDA
 //! baseline and the mtgpu runtime (including under sharing pressure).
 
-use mtgpu_api::{BareClient, CudaClient};
+use mtgpu_api::{BareClient, CudaCall, CudaClient, CudaReply, ReplyValue};
 use mtgpu_core::{NodeRuntime, RuntimeConfig};
 use mtgpu_gpusim::{Driver, GpuSpec};
 use mtgpu_simtime::Clock;
+use mtgpu_workloads::apps::blackscholes::price;
 use mtgpu_workloads::calib::Scale;
-use mtgpu_workloads::{install_kernel_library, run_batch, AppKind};
+use mtgpu_workloads::{install_kernel_library, register_workload, run_batch, AppKind};
 
 #[test]
 fn all_13_apps_verify_on_bare_runtime() {
@@ -87,4 +88,46 @@ fn mm_cpu_fraction_stretches_runtime() {
         elapsed[1],
         elapsed[0]
     );
+}
+
+/// A client that keeps what a job uploads and downloads, in order.
+struct Recorder {
+    inner: BareClient,
+    uploads: Vec<Vec<f32>>,
+    downloads: Vec<Vec<f32>>,
+}
+
+impl CudaClient for Recorder {
+    fn call(&mut self, call: CudaCall) -> CudaReply {
+        if let CudaCall::MemcpyH2D { buf, .. } = &call {
+            self.uploads.push(buf.as_f32s());
+        }
+        let reply = self.inner.call(call);
+        if let Ok(ReplyValue::Bytes(buf)) = &reply {
+            self.downloads.push(buf.as_f32s());
+        }
+        reply
+    }
+}
+
+#[test]
+fn bs_s_prices_on_the_device_bit_for_bit_as_the_host_reference() {
+    // `run` verifies within a tolerance; this holds the device model's
+    // pass-wise pricer to the scalar reference exactly, one ulp included.
+    install_kernel_library();
+    let clock = Clock::with_scale(1e-7);
+    let driver = Driver::with_devices(clock.clone(), vec![GpuSpec::tesla_c2050()]);
+    let mut app = Recorder { inner: BareClient::new(driver), uploads: vec![], downloads: vec![] };
+    let job = AppKind::BsS.build(Scale::TINY);
+    register_workload(&mut app, job.as_ref()).unwrap();
+    let report = job.run(&mut app, &clock).unwrap();
+    assert!(report.verified);
+    let [s, x, t] = &app.uploads[..] else { panic!("{} uploads", app.uploads.len()) };
+    let [calls, puts] = &app.downloads[..] else { panic!("{} downloads", app.downloads.len()) };
+    assert_eq!(calls.len(), 256);
+    for i in 0..s.len() {
+        let (call, put) = price(s[i], x[i], t[i]);
+        assert_eq!(calls[i].to_bits(), call.to_bits(), "call {i}: {} vs {call}", calls[i]);
+        assert_eq!(puts[i].to_bits(), put.to_bits(), "put {i}: {} vs {put}", puts[i]);
+    }
 }

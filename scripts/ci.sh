@@ -54,7 +54,11 @@
 #                                clients take (local_socket: each hostile
 #                                peer shed alone, no hang around the
 #                                reactor's end, no spin on a listener out
-#                                of descriptors), the mid-preemption
+#                                of descriptors), the hostile launch
+#                                arguments (a misaligned pointer, a scalar
+#                                in a pointer slot, a 2^40-element count:
+#                                typed errors, and the node's reactor keeps
+#                                answering), the mid-preemption
 #                                fault case and the no-leak tests (a
 #                                device buffer recycled from one tenant's
 #                                free reads as zeros to the next, in the
@@ -228,6 +232,11 @@ if [[ "$tier" == "all" || "$tier" == "6" ]]; then
     # The same reactor-level hostile peers over local socketpairs, the
     # local path's lifecycle, and a listener out of descriptors.
     cargo test -q -p mtgpu-api --test local_socket > /dev/null
+    # A kernel payload meeting hostile launch arguments answers its caller
+    # with a typed error; the reactor that serves every tenant keeps
+    # answering the next connection.
+    cargo test -q -p mtgpu-cluster --test hostile_launch -- --exact \
+        hostile_launch_arguments_get_typed_errors_and_the_node_keeps_serving > /dev/null
     # A device dying mid-preemption must leave victims classifiable and
     # the lease book consistent.
     cargo test -q --test fault_matrix \
@@ -245,7 +254,7 @@ if [[ "$tier" == "all" || "$tier" == "6" ]]; then
     # hostile-free baseline.
     ./target/release/loadgen --profile hostile --quick --max-degradation 2.0 \
         --out results/BENCH_isolation.json > /dev/null
-    echo "quota-pressure replay + hostile wire/fault battery + no-leak + isolation gate: ok"
+    echo "quota-pressure replay + hostile wire/launch/fault battery + no-leak + isolation gate: ok"
 fi
 
 if [[ "$tier" == "all" || "$tier" == "7" ]]; then
