@@ -12,10 +12,11 @@
 //!   semantics (programmer-visible devices, immediate allocation, no virtual
 //!   memory). This is the paper's baseline ("bare CUDA runtime").
 //! * [`FrontendClient`] — the gVirtuS-style *interposition library*: every
-//!   call is encoded as a [`protocol::CudaCall`] by the binary [`wire`] codec,
-//!   shipped over a [`transport::Transport`] (the framed socket, or the
-//!   runtime's in-process connection) to a runtime daemon, and the reply decoded. Applications cannot tell the
-//!   difference — which is the point of API remoting.
+//!   call becomes a [`protocol::CudaCall`] shipped over a
+//!   [`transport::Transport`] to a runtime daemon — encoded by the binary
+//!   [`wire`] codec onto the framed socket, or run on the calling thread by
+//!   the runtime's in-process client — and the reply comes back. Applications
+//!   cannot tell the difference — which is the point of API remoting.
 
 pub mod bare;
 pub mod client;

@@ -9,10 +9,8 @@
 //! for clients in the daemon's own process, such as the load drivers and
 //! the benchmark: one codec, one framing, one set of hostile-peer checks.
 //! Application threads that skip the wire (tests, figures, the in-process
-//! deterministic runs) still share the service: the runtime opens an
-//! in-process connection on the same [`ReplySink`]
-//! ([`ReplySink::open_in_process`]), whose replies complete a channel
-//! instead of being written to a socket.
+//! deterministic runs) never reach this module's server side: the runtime
+//! runs their calls on their own threads, behind a [`Transport`] of its own.
 
 mod frame;
 mod mux;

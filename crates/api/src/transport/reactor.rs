@@ -18,12 +18,6 @@
 //! Replies the reactor thread posts itself (a service answering inside the
 //! request hook) wait for the end of that connection's read sweep.
 //!
-//! A sink also serves connections that have no socket: an *in-process*
-//! connection ([`ReplySink::open_in_process`]) is an entry in the same
-//! table whose replies complete a channel the client waits on, so a service
-//! answers either kind through the one `reply` call. Their IDs come from a
-//! range of their own ([`FIRST_IN_PROCESS`] up; the reactor counts from 1).
-//!
 //! Lock order: the sink's connection table, then one connection's outbound
 //! half; the table is never held while writing, and the reactor holds
 //! neither across [`MuxService::on_sweep_request`], so a service may reply
@@ -55,7 +49,6 @@
 use super::frame::{encode_frame, FrameBuf};
 use crate::error::CudaError;
 use crate::protocol::{CudaCall, CudaReply, MuxFrame};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use mtgpu_simtime::{lock_rank, RankedMutex, Shadow};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{ErrorKind, Read, Write};
@@ -127,13 +120,8 @@ impl ReactorWake {
     }
 }
 
-/// Identifies one connection for the lifetime of its sink: accepted ones
-/// count from 1, in-process ones from [`FIRST_IN_PROCESS`].
+/// Identifies one connection for the lifetime of its sink, counting from 1.
 pub type ConnId = u64;
-
-/// The first in-process connection's ID: far above anything a reactor,
-/// counting accepts from 1, ever hands out.
-const FIRST_IN_PROCESS: ConnId = 1 << 63;
 
 /// Calls of one read sweep a service may run on the reactor thread (two fit
 /// a launch's two frames; EXPERIMENTS.md, *Run-to-completion on the reactor*).
@@ -241,15 +229,6 @@ struct Outbound {
 
 type OutHalf = Arc<RankedMutex<Outbound>>;
 
-/// Where a connection's replies go.
-#[derive(Clone)]
-enum Half {
-    /// Onto the socket the reactor accepted.
-    Socket(OutHalf),
-    /// Into the channel an in-process client waits on, in the order posted.
-    InProcess(Sender<CudaReply>),
-}
-
 impl Outbound {
     /// Encodes one completed reply behind whatever is still unsent.
     fn push_reply(&mut self, id: u64, reply: CudaReply) {
@@ -302,7 +281,7 @@ impl Outbound {
 /// What sinks and the reactor share: who is connected, and which
 /// connections a sink left for the reactor to look at.
 struct Table {
-    conns: BTreeMap<ConnId, Half>,
+    conns: BTreeMap<ConnId, OutHalf>,
     /// Connections whose outbound half needs the reactor: `None` for bytes
     /// left over (watch for `POLLOUT`), a reason for one to retire.
     attention: Vec<(ConnId, Option<CloseReason>)>,
@@ -316,8 +295,6 @@ struct Shared {
     stats: ReactorStats,
     /// `ReactorConfig::max_outbuf_bytes` of the reactor this feeds.
     max_outbuf: AtomicUsize,
-    /// The next in-process connection's ID.
-    next_in_process: AtomicU64,
 }
 
 impl Shared {
@@ -334,17 +311,15 @@ impl Shared {
                 closed: Shadow::new("reactor.out.closed", false),
             },
         ));
-        self.table.lock().conns.insert(conn, Half::Socket(Arc::clone(&out)));
+        self.table.lock().conns.insert(conn, Arc::clone(&out));
         out
     }
 
     /// Retires a connection's outbound half: out of the table and closed
     /// first, so no sink can find or write to it, and only then the socket.
-    /// An in-process client sees the hang-up once the replies already
-    /// posted are read.
     fn detach(&self, conn: ConnId) {
         let removed = self.table.lock().conns.remove(&conn);
-        if let Some(Half::Socket(out)) = removed {
+        if let Some(out) = removed {
             let mut out = out.lock();
             out.close();
             out.stream.shutdown();
@@ -370,38 +345,15 @@ impl ReplySink {
             wake: ReactorWake { sleeping: AtomicBool::new(false), pipe: OnceLock::new() },
             stats: ReactorStats::default(),
             max_outbuf: AtomicUsize::new(usize::MAX),
-            next_in_process: AtomicU64::new(FIRST_IN_PROCESS),
         });
         (ReplySink { shared: Arc::clone(&shared) }, ReplyQueue { shared })
     }
 
-    /// The handle that ties a reactor to this sink, for a sink that served
-    /// in-process connections before a listener was put in front of it. A
-    /// sink feeds at most one reactor.
+    /// The handle that ties a reactor to this sink, for a service that made
+    /// its sink before a reactor was put in front of it. A sink feeds at
+    /// most one reactor.
     pub fn queue(&self) -> ReplyQueue {
         ReplyQueue { shared: Arc::clone(&self.shared) }
-    }
-
-    /// Opens an in-process connection: replies posted for the returned ID
-    /// arrive on the returned channel in the order posted, without their
-    /// request IDs — the client has one stream and reads it in call order.
-    pub fn open_in_process(&self) -> (ConnId, Receiver<CudaReply>) {
-        let (tx, rx) = unbounded();
-        let conn = self.shared.next_in_process.fetch_add(1, Ordering::Relaxed);
-        self.shared.table.lock().conns.insert(conn, Half::InProcess(tx));
-        (conn, rx)
-    }
-
-    /// Closes an in-process connection's reply half: replies completing from
-    /// now on are dropped and the client's channel reports the hang-up.
-    pub fn close_in_process(&self, conn: ConnId) {
-        debug_assert!(conn >= FIRST_IN_PROCESS, "connection {conn} is the reactor's to retire");
-        self.shared.detach(conn);
-    }
-
-    /// The in-process connections currently open.
-    pub fn in_process_conns(&self) -> Vec<ConnId> {
-        self.shared.table.lock().conns.range(FIRST_IN_PROCESS..).map(|(id, _)| *id).collect()
     }
 
     /// Completes request `id` on connection `conn`.
@@ -419,17 +371,7 @@ impl ReplySink {
         }
         let shared = &*self.shared;
         // The table is held for the lookup only, never across the write.
-        let half = shared.table.lock().conns.get(&conn).cloned();
-        let out = match half {
-            Some(Half::Socket(out)) => out,
-            Some(Half::InProcess(client)) => {
-                for (_, reply) in replies {
-                    let _ = client.send(reply);
-                }
-                return;
-            }
-            None => return,
-        };
+        let Some(out) = shared.table.lock().conns.get(&conn).cloned() else { return };
         let need = {
             let mut out = out.lock();
             if *out.closed {
@@ -1179,8 +1121,8 @@ mod tests {
         assert_eq!(reactor.stats().replies.load(Ordering::Relaxed), total);
         // Every writer is done and bytes are still unsent, so from here on
         // only the reactor's POLLOUT path can deliver them.
-        let Some(Half::Socket(out)) = sink.shared.table.lock().conns.get(&conn).cloned() else {
-            panic!("connection {conn} has no socket half")
+        let Some(out) = sink.shared.table.lock().conns.get(&conn).cloned() else {
+            panic!("connection {conn} has no outbound half")
         };
         assert!(out.lock().backlog() > 0, "the socket took 24 MiB without a reader");
 
@@ -1221,8 +1163,7 @@ mod tests {
         // passed long before.
         for id in 0..256 {
             sink.reply(deaf, id, bytes_reply(256 << 10, 0));
-            let half = sink.shared.table.lock().conns.get(&deaf).cloned();
-            let Some(Half::Socket(out)) = half else { break };
+            let Some(out) = sink.shared.table.lock().conns.get(&deaf).cloned() else { break };
             if *out.lock().closed {
                 break;
             }
@@ -1289,38 +1230,6 @@ mod tests {
         }
         assert_eq!(reactor.stats().accepted.load(Ordering::Relaxed), ROUNDS);
         assert_eq!(reactor.stats().protocol_errors.load(Ordering::Relaxed), 0);
-        reactor.shutdown();
-    }
-
-    #[test]
-    fn in_process_connection_gets_its_replies_in_order_and_a_hang_up_when_closed() {
-        let (reactor, sink, connected) = spawn_silent(ReactorConfig::default());
-        let (first, replies) = sink.open_in_process();
-        let (second, _other) = sink.open_in_process();
-        // Accepted connections count from 1; these can never meet them.
-        let mut wire = TcpStream::connect(reactor.addr()).unwrap();
-        let accepted = connected.recv_timeout(WATCHDOG).unwrap();
-        assert!(accepted < first && first < second);
-        assert_eq!(sink.in_process_conns(), [first, second]);
-
-        sink.reply(first, 7, Ok(ReplyValue::DeviceCount(1)));
-        sink.reply_batch(first, [(9, Ok(ReplyValue::Unit)), (8, Err(CudaError::InvalidValue))]);
-        sink.reply(accepted, 5, Ok(ReplyValue::DeviceCount(3)));
-        let got: Vec<CudaReply> = (0..3).map(|_| replies.recv().unwrap()).collect();
-        assert_eq!(
-            got,
-            [Ok(ReplyValue::DeviceCount(1)), Ok(ReplyValue::Unit), Err(CudaError::InvalidValue)]
-        );
-        assert_eq!(read_responses(&mut wire, 1), [(5, Ok(ReplyValue::DeviceCount(3)))]);
-
-        // Closed: what was posted before is still read, later replies are
-        // dropped, and the client sees the hang-up instead of waiting.
-        sink.reply(first, 10, Ok(ReplyValue::Unit));
-        sink.close_in_process(first);
-        sink.reply(first, 11, Ok(ReplyValue::Unit));
-        assert_eq!(replies.recv(), Ok(Ok(ReplyValue::Unit)));
-        assert!(replies.recv().is_err());
-        assert_eq!(sink.in_process_conns(), [second]);
         reactor.shutdown();
     }
 

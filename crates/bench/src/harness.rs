@@ -31,10 +31,12 @@ pub struct ExperimentScale {
 
 impl ExperimentScale {
     /// Full-fidelity preset for short-running-app experiments: a coarse
-    /// enough clock that per-call interposition overhead (a few µs of real
-    /// time per channel hop) lands at the magnitude gVirtuS-style API
-    /// remoting costs on the 2012 testbed (tens of µs per call): at
-    /// 1 sim s = 0.1 real s, 5 µs real ≈ 50 µs sim.
+    /// enough clock that per-call interposition overhead lands at the
+    /// magnitude gVirtuS-style API remoting costs on the 2012 testbed (tens
+    /// of µs per call): an in-process small launch, two calls, costs
+    /// ≈ 1.5 µs of real time (`R_local` of `mtgpu-perf --trace 1`, pinned to
+    /// one CPU of a two-vCPU machine), ≈ 15 µs sim at 1 sim s = 0.1 real s;
+    /// the same launch over a local socketpair ≈ 10 µs real, ≈ 100 µs sim.
     pub fn short_apps() -> Self {
         ExperimentScale {
             clock_scale: 1e-1,

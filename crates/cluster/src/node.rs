@@ -21,10 +21,11 @@ pub(crate) fn reserve_listener() -> TcpListener {
 ///
 /// A listening node owns exactly one listener ([`ClusterNode::mux_addr`]):
 /// one nonblocking reactor multiplexing every connection into the runtime's
-/// gateway (DESIGN.md §12), which serves in-process clients too. The same
-/// reactor serves the node's own process over Unix-domain socketpairs
-/// ([`ClusterNode::mux_client`], [`ClusterNode::mux_pool`]). There is no
-/// second port, no acceptor thread and no second serving loop.
+/// gateway (DESIGN.md §12). The same reactor serves the node's own process
+/// over Unix-domain socketpairs ([`ClusterNode::mux_client`],
+/// [`ClusterNode::mux_pool`]). There is no second port, no acceptor thread
+/// and no second serving loop; an in-process client
+/// ([`ClusterNode::client`]) runs its calls on its own thread.
 pub struct ClusterNode {
     name: String,
     runtime: Arc<NodeRuntime>,
@@ -78,7 +79,10 @@ impl ClusterNode {
         self.runtime.metrics()
     }
 
-    /// An in-process client (application running locally on this node).
+    /// An in-process client (application running locally on this node): no
+    /// wire, no gateway channel, no §4.7 slot — its calls run on the thread
+    /// that makes them. An application that should count as the node's
+    /// backlog and may be offloaded connects with [`Self::mux_client`].
     pub fn client(&self) -> FrontendClient<InProcessChannel> {
         self.runtime.local_client()
     }
@@ -101,7 +105,8 @@ impl ClusterNode {
         self.mux.as_ref().map(ReactorHandle::stats)
     }
 
-    /// Live gateway channels, in-process ones included (diagnostic).
+    /// Live gateway channels, all of them wire ones (diagnostic): an
+    /// in-process client has none.
     pub fn mux_channel_count(&self) -> usize {
         self.runtime.channel_count()
     }

@@ -1,32 +1,38 @@
 //! A launch's arguments are outside input (DESIGN.md §13). A kernel payload
 //! that meets a pointer off 4-byte alignment, a scalar where a pointer
-//! belongs, or an element count no buffer holds answers its caller with a
-//! typed error — and the reactor that serves every tenant of the node keeps
-//! answering, the hostile connection's own later calls included.
+//! belongs, an element count no buffer holds, or more host work than the
+//! launch declares answers its caller with a typed error — and the reactor
+//! that serves every tenant of the node keeps answering, the hostile
+//! connection's own later calls included.
 
 use mtgpu_api::{CudaClient, CudaError};
 use mtgpu_cluster::ClusterNode;
 use mtgpu_core::RuntimeConfig;
 use mtgpu_gpusim::{DeviceAddr, GpuSpec, KernelArg, KernelDesc, LaunchConfig, LaunchSpec, Work};
 use mtgpu_simtime::Clock;
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn spec(kernel: &str, args: Vec<KernelArg>) -> LaunchSpec {
     let config = LaunchConfig::default();
     LaunchSpec { kernel: kernel.into(), config, args, work: Work::flops(1e6) }
 }
 
-fn battery() {
+fn node() -> ClusterNode {
     mtgpu_workloads::install_kernel_library();
     let cfg = RuntimeConfig::default().with_background_monitor(false);
-    let node = ClusterNode::start(
+    ClusterNode::start(
         "hostile".into(),
         Clock::with_scale(1e-7),
         vec![GpuSpec::tesla_c2050()],
         cfg,
         true,
-    );
+    )
+}
+
+fn battery() {
+    let node = node();
     let mut app = node.mux_client().unwrap();
     let devices = app.get_device_count().unwrap();
     let module = app.register_fat_binary().unwrap();
@@ -73,20 +79,66 @@ fn battery() {
     node.shutdown();
 }
 
-#[test]
-fn hostile_launch_arguments_get_typed_errors_and_the_node_keeps_serving() {
-    // A payload that panics on the reactor leaves every later call
-    // unanswered: the watchdog turns that hang into a failure.
+/// Runs `case` on a thread of its own; a case that does not end within
+/// `limit` fails (a payload that panics on the reactor, or holds it, leaves
+/// every later call unanswered).
+fn watchdog(limit: Duration, case: fn()) {
     let (done, finished) = mpsc::channel();
     let worker = std::thread::spawn(move || {
-        battery();
+        case();
         let _ = done.send(());
     });
-    match finished.recv_timeout(Duration::from_secs(60)) {
+    match finished.recv_timeout(limit) {
         Ok(()) => worker.join().unwrap(),
         Err(RecvTimeoutError::Disconnected) => {
             std::panic::resume_unwind(worker.join().unwrap_err())
         }
-        Err(RecvTimeoutError::Timeout) => panic!("the node stopped answering for 60 s"),
+        Err(RecvTimeoutError::Timeout) => panic!("the node stopped answering for {limit:?}"),
     }
+}
+
+#[test]
+fn hostile_launch_arguments_get_typed_errors_and_the_node_keeps_serving() {
+    watchdog(Duration::from_secs(60), battery);
+}
+
+/// A matrix multiplication over two full 16 MiB buffers (n = 2048) that
+/// declares a millionth of its 2·n³ ≈ 1.7·10¹⁰ flops: short enough by its
+/// declaration to run on the reactor, about 8.6·10⁹ multiply-adds of host
+/// work if the payload believed the scalar. It is refused before any of
+/// them, and a second connection is answered within a second of the
+/// launch reaching the reactor.
+fn overdrawn_matmul() {
+    const N: u64 = 2048;
+    let node = node();
+    let mut app = node.mux_client().unwrap();
+    let module = app.register_fat_binary().unwrap();
+    app.register_function(module, KernelDesc::plain("mm_matmul")).unwrap();
+    let mut args: Vec<KernelArg> =
+        (0..3).map(|_| KernelArg::Ptr(app.malloc(N * N * 4).unwrap())).collect();
+    args.push(KernelArg::Scalar(N));
+    let stats = node.mux_stats().unwrap();
+    let read = stats.requests.load(Ordering::Relaxed);
+    let hostile = std::thread::spawn(move || {
+        let refused = app.launch(spec("mm_matmul", args));
+        app.exit().unwrap();
+        refused
+    });
+    // The launch's two frames are read, and the reactor is at the launch.
+    while stats.requests.load(Ordering::Relaxed) < read + 2 {
+        std::thread::yield_now();
+    }
+    let asked = Instant::now();
+    let mut other = node.mux_client().unwrap();
+    assert_eq!(other.get_device_count(), Ok(4));
+    let answered = asked.elapsed();
+    assert!(answered < Duration::from_secs(1), "a second connection waited {answered:?}");
+    other.exit().unwrap();
+    assert_eq!(hostile.join().unwrap(), Err(CudaError::InvalidValue));
+    node.shutdown();
+}
+
+#[test]
+fn matmul_declaring_less_work_than_it_takes_is_refused_and_the_node_keeps_serving() {
+    watchdog(Duration::from_secs(60), overdrawn_matmul);
 }

@@ -48,8 +48,8 @@ pub use memory::{
 };
 pub use metrics::{DeviceUtilization, MetricsSnapshot, RuntimeMetrics};
 pub use migrate::{MigrationError, MigrationPhase, MigrationStats};
-pub use mux::InProcessChannel;
 pub use policy::{GpuLease, LeaseBook, TenantKey, TenantPolicyConfig, TenantUsage};
 pub use runtime::{LoadInfo, NodeRuntime};
 pub use sched::{BindingManager, DeviceView, Room, VGpu};
+pub use service::InProcessChannel;
 pub use trace::{TraceEvent, TraceRecord, Tracer, UnbindReason};

@@ -91,8 +91,10 @@ counters! {
     /// Live migrations aborted and rolled back (destination full, device
     /// death mid-transfer); the context stayed fully on its source.
     migration_failures,
-    /// Migrations initiated by the monitor's load-balancing pass (subset
-    /// of `live_migrations`; the rest were asked for through `migrate_ctx`).
+    /// Migrations the monitor's load-balancing pass made (subset of
+    /// `live_migrations`; the rest were asked for through `migrate_ctx`, or
+    /// picked by a pass while the context was mid-call and made by its next
+    /// launch).
     rebalance_migrations,
     /// Connections relayed to another node, §4.7.
     offloaded_connections,
@@ -131,9 +133,11 @@ counters! {
     lock_contention_events,
     /// Requests served through the multiplexed gateway (DESIGN.md §12).
     mux_requests,
-    /// Launches put back at the head of their channel and queued in the
-    /// dispatcher (the would-block path): for a vGPU, or for room after an
-    /// unbind-and-retry (`launch_retries` counts those).
+    /// Launches queued in the dispatcher (the would-block path): for a
+    /// vGPU, or for room after an unbind-and-retry (`launch_retries`
+    /// counts those). A wire channel's launch is put back at the head of
+    /// its channel; an in-process client's waits on the client's thread,
+    /// and counts here too.
     mux_retries,
     /// Channels (contexts) opened over multiplexed connections.
     mux_channels,

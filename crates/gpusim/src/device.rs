@@ -660,7 +660,7 @@ impl Gpu {
                     f(&mut alloc.data[start..end]);
                     Ok(())
                 };
-            let mut exec = KernelExec { resolve: &mut resolve, args: &spec.args };
+            let mut exec = KernelExec { resolve: &mut resolve, args: &spec.args, work: spec.work };
             payload(&mut exec)
         });
         payload_result?;

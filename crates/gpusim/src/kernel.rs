@@ -169,12 +169,20 @@ pub(crate) type ResolveFn<'a> =
 pub struct KernelExec<'a> {
     pub(crate) resolve: &'a mut ResolveFn<'a>,
     pub(crate) args: &'a [KernelArg],
+    pub(crate) work: Work,
 }
 
 impl<'a> KernelExec<'a> {
     /// The launch arguments.
     pub fn args(&self) -> &[KernelArg] {
         self.args
+    }
+
+    /// The work the launch declares: what the device charges for it, so a
+    /// payload whose host work grows faster than the bytes it reads bounds
+    /// that work by it.
+    pub fn work(&self) -> Work {
+        self.work
     }
 
     /// Runs `f` over the first `len` materialized bytes of the allocation at

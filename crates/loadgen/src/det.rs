@@ -21,7 +21,7 @@ use serde::Serialize;
 /// Which wire the deterministic driver replays over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DetTransport {
-    /// In-process channel transport straight into the runtime.
+    /// In-process clients: each call runs on the driver's own thread.
     Local,
     /// A real multiplexed connection through the reactor, the node's local
     /// socketpair (DESIGN.md §12): every request is a fresh channel on one

@@ -64,8 +64,8 @@ impl SeqHarness {
         self.node.runtime()
     }
 
-    /// A fresh context: an in-process channel, or a channel on the
-    /// connection — pipelined like `loadgen --persistent`, so the replay
+    /// A fresh context: an in-process client, which runs its calls on the
+    /// driver's thread, or a channel on the connection — pipelined like `loadgen --persistent`, so the replay
     /// covers the batched wire shape too.
     pub fn client(&self) -> Box<dyn CudaClient> {
         match &self.conn {

@@ -16,7 +16,7 @@ use crate::report::WorkloadReport;
 use crate::Workload;
 use mtgpu_api::{CudaClient, CudaResult, KernelArg};
 use mtgpu_gpusim::kernel::{library, KernelExec, RegisteredKernel};
-use mtgpu_gpusim::KernelDesc;
+use mtgpu_gpusim::{GpuError, KernelDesc};
 use mtgpu_simtime::{Clock, SimDuration};
 use std::sync::Arc;
 
@@ -72,7 +72,11 @@ impl MatMul {
     }
 }
 
-/// Installs `mm_matmul`: C = A×B on the 16×16 shadows.
+/// Installs `mm_matmul`: C = A×B on the 16×16 shadows. Its host work,
+/// `2·n³` flops, grows faster than the `n²` floats it reads, so a launch
+/// must declare at least that much work (`InvalidValue` otherwise): the
+/// host work a launch can buy on the thread that runs it is bounded by the
+/// work it declares, and is charged for.
 pub(crate) fn install() {
     library::register(RegisteredKernel {
         desc: KernelDesc::plain("mm_matmul"),
@@ -81,6 +85,9 @@ pub(crate) fn install() {
             let b = ptr_arg(exec, 1)?;
             let c = ptr_arg(exec, 2)?;
             let n = scalar_arg(exec, 3) as usize;
+            if 2.0 * (n as f64).powi(3) > exec.work().flops {
+                return Err(GpuError::InvalidValue);
+            }
             let av = read_f32(exec, a, square(n)?)?;
             let bv = read_f32(exec, b, square(n)?)?;
             exec.with_f32_mut(c, f32_bytes(square(n)?)?, |s| {
@@ -167,5 +174,24 @@ impl Workload for MatMul {
         } else {
             WorkloadReport::failed(self.name, self.repeats)
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_catalog_mm_job_declares_at_least_the_work_its_shadows_take() {
+        let shadow = 2.0 * (SHADOW_N as f64).powi(3);
+        // The tree's smallest time scale is `Scale::TINY`'s; `run` declares
+        // this work per launch.
+        for scale in [Scale::PAPER, Scale::TINY] {
+            for mm in [MatMul::small(0.0), MatMul::large(0.0)] {
+                let mm = mm.scaled(scale);
+                let work = work_c2050(mm.kernel_secs * mm.scale.time).flops;
+                assert!(work >= shadow, "{} at {scale:?}: {work} flops declared", mm.name);
+            }
+        }
     }
 }

@@ -23,9 +23,13 @@
 #                                each (every launch
 #                                that cannot bind waits in the dispatcher's
 #                                one queue, remote or in-process; the
-#                                256-in-process-client stress of that queue
-#                                and of the gateway's fixed pool, and the
-#                                policy-over-the-wire test, run in tier 2),
+#                                policy-over-the-wire test runs in tier 2),
+#                                the 256-in-process-client stress of that
+#                                queue (each client's own thread serves it
+#                                and blocks in the dispatcher) and the
+#                                in-process wake-up budget (an eager launch
+#                                puts no worker and no reactor to sleep)
+#                                by name,
 #                                the 10k-persistent-connection reactor soak
 #                                (out-of-process daemon; the client holds
 #                                its 10k connections on under 200 threads,
@@ -56,9 +60,11 @@
 #                                reactor's end, no spin on a listener out
 #                                of descriptors), the hostile launch
 #                                arguments (a misaligned pointer, a scalar
-#                                in a pointer slot, a 2^40-element count:
-#                                typed errors, and the node's reactor keeps
-#                                answering), the mid-preemption
+#                                in a pointer slot, a 2^40-element count, a
+#                                matrix multiplication declaring less work
+#                                than it takes: typed errors, and the
+#                                node's reactor keeps answering), the
+#                                mid-preemption
 #                                fault case and the no-leak tests (a
 #                                device buffer recycled from one tenant's
 #                                free reads as zeros to the next, in the
@@ -176,6 +182,13 @@ if [[ "$tier" == "all" || "$tier" == "4" ]]; then
         --exact dispatch_stress_256_reconnecting_clients
     timeout 60 cargo test -q --release --test dispatch_stress -- --ignored \
         --exact dispatch_stress_256_tcp_clients
+    # The same queue with the wire and the gateway taken out: 256
+    # in-process clients, each served by its own thread, and the sleeps an
+    # in-process launch costs the node's serving threads (none).
+    timeout 60 cargo test -q --release --test dispatch_stress -- \
+        --exact dispatch_stress_256_in_process_clients
+    cargo test -q --release -p mtgpu-cluster --test wakeup_budget -- \
+        --exact an_eager_in_process_launch_puts_no_serving_thread_to_sleep > /dev/null
     # 10k persistent connections multiplexed through one reactor, each
     # probed end-to-end, the client's thread count checked with all of them
     # open; a stalled reactor shows up as the timeout firing.
@@ -201,7 +214,7 @@ if [[ "$tier" == "all" || "$tier" == "4" ]]; then
     # workload is verified and every pass ends in a post-drain audit, so a
     # non-zero exit is a correctness failure, not a slow run.
     cargo run -q --release -p mtgpu-perf -- --workload all --seconds 2 > /dev/null
-    echo "256-client stress (local + TCP) + 10k soak + loadgen fairness + memory bench smoke + perf workloads: ok"
+    echo "256-client stress (local + TCP + in-process) + in-process wake-ups + 10k soak + loadgen fairness + memory bench smoke + perf workloads: ok"
 fi
 
 if [[ "$tier" == "all" || "$tier" == "5" ]]; then
@@ -232,11 +245,14 @@ if [[ "$tier" == "all" || "$tier" == "6" ]]; then
     # The same reactor-level hostile peers over local socketpairs, the
     # local path's lifecycle, and a listener out of descriptors.
     cargo test -q -p mtgpu-api --test local_socket > /dev/null
-    # A kernel payload meeting hostile launch arguments answers its caller
+    # A kernel payload meeting hostile launch arguments, or a launch that
+    # declares less work than its payload would do, answers its caller
     # with a typed error; the reactor that serves every tenant keeps
     # answering the next connection.
     cargo test -q -p mtgpu-cluster --test hostile_launch -- --exact \
-        hostile_launch_arguments_get_typed_errors_and_the_node_keeps_serving > /dev/null
+        hostile_launch_arguments_get_typed_errors_and_the_node_keeps_serving \
+        matmul_declaring_less_work_than_it_takes_is_refused_and_the_node_keeps_serving \
+        > /dev/null
     # A device dying mid-preemption must leave victims classifiable and
     # the lease book consistent.
     cargo test -q --test fault_matrix \
