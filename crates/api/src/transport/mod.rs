@@ -63,8 +63,11 @@ pub struct FrontendClient<T: Transport> {
 }
 
 /// Upper bound on queued pipelined calls, so one flush never balloons into
-/// an arbitrarily large wire burst. Sized to hold a whole catalog launch
-/// loop (a `ConfigureCall`/`Launch` pair per kernel) in a single flush.
+/// an arbitrarily large wire burst. A launch loop of up to 80 kernels (a
+/// `ConfigureCall`/`Launch` pair each) fits in a single flush; longer ones,
+/// BS-S's 256 launches (512 calls) and MM-S's 200, go out in several
+/// flushes: the launch that finds the queue full ships it along with
+/// itself.
 const MAX_PIPELINE: usize = 160;
 
 /// Calls whose replies are always `Unit` and whose errors may be deferred,

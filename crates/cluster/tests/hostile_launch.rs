@@ -3,13 +3,16 @@
 //! belongs, an element count no buffer holds, or more host work than the
 //! launch declares answers its caller with a typed error — and the reactor
 //! that serves every tenant of the node keeps answering, the hostile
-//! connection's own later calls included.
+//! connection's own later calls included. Hostile *values* in well-formed
+//! buffers are priced, not refused: the Black-Scholes payload answers NaN,
+//! infinite, zero, negative and denormal inputs as its host reference does.
 
-use mtgpu_api::{CudaClient, CudaError};
+use mtgpu_api::{CudaClient, CudaError, HostBuf};
 use mtgpu_cluster::ClusterNode;
 use mtgpu_core::RuntimeConfig;
 use mtgpu_gpusim::{DeviceAddr, GpuSpec, KernelArg, KernelDesc, LaunchConfig, LaunchSpec, Work};
 use mtgpu_simtime::Clock;
+use mtgpu_workloads::apps::blackscholes::price;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
@@ -100,6 +103,75 @@ fn watchdog(limit: Duration, case: fn()) {
 #[test]
 fn hostile_launch_arguments_get_typed_errors_and_the_node_keeps_serving() {
     watchdog(Duration::from_secs(60), battery);
+}
+
+/// Spot, strike and years holding NaN, ±inf, ±0, negatives and f32
+/// denormals, each in every slot of an ordinary option and all three at
+/// once, priced by `bs_price` over the wire: the launch answers, every price
+/// is the host reference's to the bit (NaN for NaN), and a second
+/// connection is still served.
+fn hostile_prices() {
+    let specials = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.0,
+        -0.0,
+        -1.0,
+        -20.0,
+        f32::from_bits(1),
+        f32::from_bits(0x007f_ffff),
+        -f32::from_bits(1),
+    ];
+    let mut options = vec![[20.0f32, 25.0, 1.0]];
+    for v in specials {
+        for slot in 0..3 {
+            let mut option = [20.0, 25.0, 1.0];
+            option[slot] = v;
+            options.push(option);
+        }
+        options.push([v; 3]);
+    }
+    let n = options.len();
+    let node = node();
+    let mut app = node.mux_client().unwrap();
+    let devices = app.get_device_count().unwrap();
+    let module = app.register_fat_binary().unwrap();
+    app.register_function(module, KernelDesc::plain("bs_price")).unwrap();
+    let mut args = Vec::new();
+    for slot in 0..5 {
+        let ptr = app.malloc(n as u64 * 4).unwrap();
+        if slot < 3 {
+            let column: Vec<f32> = options.iter().map(|o| o[slot]).collect();
+            app.memcpy_h2d(ptr, HostBuf::from_f32s(&column)).unwrap();
+        }
+        args.push(KernelArg::Ptr(ptr));
+    }
+    args.push(KernelArg::Scalar(n as u64));
+    let [call_out, put_out] = [&args[3], &args[4]].map(|a| a.as_ptr().unwrap());
+    app.launch(spec("bs_price", args)).unwrap();
+    let calls = app.memcpy_d2h(call_out, n as u64 * 4).unwrap().as_f32s();
+    let puts = app.memcpy_d2h(put_out, n as u64 * 4).unwrap().as_f32s();
+    let same = |a: f32, b: f32| if b.is_nan() { a.is_nan() } else { a.to_bits() == b.to_bits() };
+    for (i, [s, x, t]) in options.into_iter().enumerate() {
+        let (call, put) = price(s, x, t);
+        assert!(same(calls[i], call), "S={s} X={x} T={t}: call {} vs {call}", calls[i]);
+        assert!(same(puts[i], put), "S={s} X={x} T={t}: put {} vs {put}", puts[i]);
+    }
+    let mut other = node.mux_client().unwrap();
+    assert_eq!(
+        other.get_device_count(),
+        Ok(devices),
+        "after the hostile prices, a second connection"
+    );
+    other.exit().unwrap();
+    app.exit().unwrap();
+    node.shutdown();
+}
+
+#[test]
+fn hostile_pricing_inputs_price_as_the_host_reference_and_the_node_keeps_serving() {
+    watchdog(Duration::from_secs(60), hostile_prices);
 }
 
 /// A matrix multiplication over two full 16 MiB buffers (n = 2048) that

@@ -73,12 +73,83 @@ const CND_K: f32 = 0.231_641_9;
 #[allow(clippy::excessive_precision)]
 const A: [f32; 5] = [0.319_381_53, -0.356_563_782, 1.781_477_937, -1.821_255_978, 1.330_274_429];
 
+/// `e^r` on `|r| <= ln 2 / 2` as `1 + r + EXP_POLY[0]·r² + … +
+/// EXP_POLY[5]·r⁷`, that is `1 + r·q(r)` with `q` the degree-6 polynomial
+/// interpolating `(e^r - 1) / r` at the seven Chebyshev nodes of the
+/// interval. Its largest relative error there is 1.1·10⁻¹⁰; the Taylor
+/// polynomial's is 7·10⁻⁹.
+const EXP_POLY: [f64; 6] = [
+    0.500_000_004_711_775_7,
+    0.166_666_667_189_975_08,
+    0.041_666_352_896_775_16,
+    0.008_333_298_483_754_886,
+    0.001_394_110_843_397_267_4,
+    0.000_198_992_739_586_493_6,
+];
+
+/// `e^x`, the pricer's own: evaluated in f64 and rounded to f32 once, so
+/// within an ulp of libm's `expf`, and the same bits on every platform and
+/// in every build of the passes. Straight-line code, no call, no branch:
+/// a pass over a slice of these vectorises.
+#[inline(always)]
+fn exp(x: f32) -> f32 {
+    // 1.5·2⁵²: adding it rounds a value of magnitude below 2⁵¹ to an
+    // integer, held in the low bits of the sum.
+    const SHIFT: f64 = 6_755_399_441_055_744.0;
+    // e^-104 rounds to 0 in f32 and e^89 overflows it; clamped, `k` stays
+    // well inside f64's exponent range. The clamp is two selects: it maps
+    // ±inf to its bounds and keeps NaN, which the arithmetic carries
+    // through.
+    let x = (x as f64).clamp(-104.0, 89.0);
+    // x = k·ln 2 + r with k = round(x / ln 2).
+    let shifted = x * std::f64::consts::LOG2_E + SHIFT;
+    let k = shifted - SHIFT;
+    let r = x - k * std::f64::consts::LN_2;
+    let p = EXP_POLY;
+    let poly =
+        1.0 + r * (1.0 + r * (p[0] + r * (p[1] + r * (p[2] + r * (p[3] + r * (p[4] + r * p[5]))))));
+    // 2^k, built in the exponent field: the sum's low bits are k.
+    let scale = f64::from_bits(shifted.to_bits().wrapping_add(1023) << 52);
+    (poly * scale) as f32
+}
+
+/// `ln x`, the pricer's own, under [`exp`]'s contract: f64 inside, one
+/// rounding to f32. `x = 2^k · m` with `m` in `[√½, √2)`, and
+/// `ln m = 2·atanh(s)` with `s = (m - 1) / (m + 1)`, `|s| < 0.172`, summed
+/// to `s¹¹` (the first term left out is below 5·10⁻¹¹ of the sum). f32
+/// denormals are normal in f64; zero, negatives, +inf and NaN are selects.
+#[inline(always)]
+fn ln(x: f32) -> f32 {
+    const ONE: u64 = 1f64.to_bits();
+    const SQRT_HALF: u64 = std::f64::consts::FRAC_1_SQRT_2.to_bits();
+    const MANTISSA: u64 = (1 << 52) - 1;
+    // 2⁵²: an f64 whose low mantissa bits are an integer below 2¹² reads
+    // as 2⁵² plus that integer.
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    let x = x as f64;
+    // Offset so that the exponent field turns over at √½ instead of 1.
+    let bits = x.to_bits().wrapping_add(ONE - SQRT_HALF);
+    let k = f64::from_bits(TWO_52.to_bits() | (bits >> 52)) - (TWO_52 + 1023.0);
+    let m = f64::from_bits((bits & MANTISSA) + SQRT_HALF);
+    let s = (m - 1.0) / (m + 1.0);
+    let z = s * s;
+    let series = 2.0
+        * s
+        * (1.0 + z * (1.0 / 3.0 + z * (1.0 / 5.0 + z * (1.0 / 7.0 + z * (1.0 / 9.0 + z / 11.0)))));
+    let v = k * std::f64::consts::LN_2 + series;
+    let v = if x == f64::INFINITY { x } else { v };
+    let v = if x == 0.0 { f64::NEG_INFINITY } else { v };
+    // Negatives and NaN.
+    let v = if x >= 0.0 { v } else { f64::NAN };
+    v as f32
+}
+
 /// The Black-Scholes call/put prices via the cumulative normal
 /// approximation used by the CUDA SDK sample.
 fn cnd(d: f32) -> f32 {
     let k = 1.0 / (1.0 + CND_K * d.abs());
     let poly = k * (A[0] + k * (A[1] + k * (A[2] + k * (A[3] + k * A[4]))));
-    let w = 1.0 - (-0.5 * d * d).exp() * poly / (2.0 * std::f32::consts::PI).sqrt();
+    let w = 1.0 - exp(-0.5 * d * d) * poly / (2.0 * std::f32::consts::PI).sqrt();
     if d < 0.0 {
         1.0 - w
     } else {
@@ -89,10 +160,9 @@ fn cnd(d: f32) -> f32 {
 /// Host reference pricing.
 pub fn price(s: f32, x: f32, t: f32) -> (f32, f32) {
     let sqrt_t = t.sqrt();
-    let d1 =
-        ((s / x).ln() + (RISK_FREE + 0.5 * VOLATILITY * VOLATILITY) * t) / (VOLATILITY * sqrt_t);
+    let d1 = (ln(s / x) + (RISK_FREE + 0.5 * VOLATILITY * VOLATILITY) * t) / (VOLATILITY * sqrt_t);
     let d2 = d1 - VOLATILITY * sqrt_t;
-    let exp_rt = (-RISK_FREE * t).exp();
+    let exp_rt = exp(-RISK_FREE * t);
     let call = s * cnd(d1) - x * exp_rt * cnd(d2);
     let put = x * exp_rt * cnd(-d2) - s * cnd(-d1);
     (call, put)
@@ -101,17 +171,43 @@ pub fn price(s: f32, x: f32, t: f32) -> (f32, f32) {
 /// [`price`] over whole arrays, one step per pass: every option goes
 /// through the same f32 operations in the same order, so each result is
 /// bit-identical to `price`'s, but no option waits on the one before, and
-/// the passes without a libm call vectorise. `cnd(d)` and `cnd(-d)` share
-/// one Gaussian and one polynomial: `-d` has the same `|d|` and `d * d`.
-/// Five buffers: `d1` holds `s / x` and its `ln` first, `d2` holds
-/// `sqrt(t)`, and the two Gaussians' buffers become the calls and puts.
+/// every pass is a plain loop over slices that vectorises, `exp` and `ln`
+/// included. `cnd(d)` and `cnd(-d)` share one Gaussian and one polynomial:
+/// `-d` has the same `|d|` and `d * d`. Five buffers: `d1` holds `s / x`
+/// and its `ln` first, `d2` holds `sqrt(t)`, and the two Gaussians'
+/// buffers become the calls and puts.
+///
+/// On x86_64 a CPU with AVX2 runs the passes compiled for it, wider
+/// vectors over the same IEEE operations: no FMA (Rust never contracts a
+/// multiply and an add), nothing reassociated, so the bits are the same
+/// either way.
 fn price_all(s: &[f32], x: &[f32], t: &[f32]) -> (Vec<f32>, Vec<f32>) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU has just been found to support AVX2.
+        return unsafe { price_all_avx2(s, x, t) };
+    }
+    price_passes(s, x, t)
+}
+
+/// The passes compiled with AVX2 enabled; a caller must know the CPU has
+/// AVX2, which is why calling it takes `unsafe`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn price_all_avx2(s: &[f32], x: &[f32], t: &[f32]) -> (Vec<f32>, Vec<f32>) {
+    price_passes(s, x, t)
+}
+
+/// The five passes of [`price_all`], inlined into each build of it: the
+/// baseline one wherever it is called, the AVX2 one in `price_all_avx2`.
+#[inline(always)]
+fn price_passes(s: &[f32], x: &[f32], t: &[f32]) -> (Vec<f32>, Vec<f32>) {
     let n = s.len();
     let (x, t) = (&x[..n], &t[..n]);
     // 1. s / x and sqrt(t); 2. ln.
     let mut d1: Vec<f32> = s.iter().zip(x).map(|(s, x)| s / x).collect();
     let mut d2: Vec<f32> = t.iter().map(|t| t.sqrt()).collect();
-    d1.iter_mut().for_each(|v| *v = v.ln());
+    d1.iter_mut().for_each(|v| *v = ln(*v));
     // 3. d1, d2 and the three exponent arguments. Every slice is cut to
     // `n`, so the loops carry no bounds checks.
     let (mut exp_rt, mut g1, mut g2) = (vec![0f32; n], vec![0f32; n], vec![0f32; n]);
@@ -129,8 +225,8 @@ fn price_all(s: &[f32], x: &[f32], t: &[f32]) -> (Vec<f32>, Vec<f32>) {
         }
     }
     // 4. The three exps.
-    for v in exp_rt.iter_mut().chain(&mut g1).chain(&mut g2) {
-        *v = v.exp();
+    for v in [&mut exp_rt, &mut g1, &mut g2] {
+        v.iter_mut().for_each(|v| *v = exp(*v));
     }
     // 5. The four cnds and the call/put combine. `cnd(d)` is `1 - w` when
     // `d < 0.0`, `cnd(-d)` when `-d < 0.0`, that is `d > 0.0`.
@@ -271,7 +367,7 @@ mod tests {
 
     /// `price`'s `d1`, to aim the edge cases.
     fn d1_of(s: f32, x: f32, t: f32) -> f32 {
-        ((s / x).ln() + (RISK_FREE + 0.5 * VOLATILITY * VOLATILITY) * t) / (VOLATILITY * t.sqrt())
+        (ln(s / x) + (RISK_FREE + 0.5 * VOLATILITY * VOLATILITY) * t) / (VOLATILITY * t.sqrt())
     }
 
     fn assert_bit_identical(s: &[f32], x: &[f32], t: &[f32]) {
@@ -291,10 +387,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pass_wise_pricing_is_bit_identical_to_price() {
-        // 60 000 seeded options, spot and strike log-uniform over six
-        // decades, maturities from days to decades.
+    /// 60 000 seeded options, spot and strike log-uniform over six
+    /// decades, maturities from days to decades.
+    fn seeded_options() -> [Vec<f32>; 3] {
         let mut rng = XorShift::new(0xB5_B175);
         let mut log_uniform = |lo: f32, hi: f32| rng.range_f32(lo.ln(), hi.ln()).exp();
         let (mut s, mut x, mut t) = (Vec::new(), Vec::new(), Vec::new());
@@ -303,6 +398,12 @@ mod tests {
             x.push(log_uniform(0.01, 10_000.0));
             t.push(log_uniform(1e-3, 50.0));
         }
+        [s, x, t]
+    }
+
+    #[test]
+    fn pass_wise_pricing_is_bit_identical_to_price() {
+        let [s, x, t] = seeded_options();
         assert_bit_identical(&s, &x, &t);
 
         // An option with d1 exactly zero: ln(S/X) cancels the drift term.
@@ -313,7 +414,7 @@ mod tests {
             |v: f32| (-16..16).map(move |k| f32::from_bits(v.to_bits().wrapping_add_signed(k)));
         let (s_zero, t_zero) = near(40.0)
             .flat_map(|s| {
-                let t0 = -(s / x0).ln() / (RISK_FREE + 0.5 * VOLATILITY * VOLATILITY);
+                let t0 = -ln(s / x0) / (RISK_FREE + 0.5 * VOLATILITY * VOLATILITY);
                 near(t0).map(move |t| (s, t))
             })
             .find(|&(s, t)| d1_of(s, x0, t) == 0.0)
@@ -339,6 +440,177 @@ mod tests {
         }
         assert!(d1_of(5.0, 100.0, 0.25) < 0.0 && d1_of(100.0, 5.0, 0.25) > 0.0);
         assert_bit_identical(&edge[0], &edge[1], &edge[2]);
+    }
+
+    /// Every special input class: NaN, ±inf, ±0, negatives, f32's
+    /// denormals and extremes, and `exp`'s overflow and underflow edges.
+    const SPECIALS: [f32; 22] = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        f32::MIN_POSITIVE,
+        -f32::MIN_POSITIVE,
+        f32::from_bits(1),           // the smallest denormal
+        f32::from_bits(0x007f_ffff), // the largest
+        -f32::from_bits(1),
+        f32::MAX,
+        f32::MIN,
+        88.72,  // e^x is f32::MAX's neighbourhood ...
+        88.73,  // ... and overflows just past it
+        89.0,   // the clamp
+        1e30,   //
+        -87.0,  // e^x near f32::MIN_POSITIVE
+        -103.9, // e^x the smallest denormal
+        -104.0, // the clamp: rounds to 0
+        -1e30,  //
+    ];
+
+    /// The distance between two non-NaN f32s in ulps (`+0` and `-0` are
+    /// one point, the infinities one ulp past the largest finite values).
+    fn ulps(a: f32, b: f32) -> u64 {
+        let line = |v: f32| {
+            let bits = i64::from(v.to_bits() & 0x7fff_ffff);
+            if v.is_sign_negative() {
+                -bits
+            } else {
+                bits
+            }
+        };
+        line(a).abs_diff(line(b))
+    }
+
+    #[test]
+    fn exp_and_ln_stay_within_an_ulp_of_libm() {
+        // Every 251st bit pattern of either sign, from the zeros through
+        // the denormals to within 251 ulps of f32::MAX: 17 million inputs
+        // per function.
+        const STRIDE: usize = 251;
+        let finite = (0..0x7f80_0000u32).chain(0x8000_0000..0xff80_0000).step_by(STRIDE);
+        let mut worst = [0u64; 2];
+        let mut off_by_one = [0u64; 2];
+        let mut checked = 0u64;
+        for v in finite.map(f32::from_bits) {
+            checked += 1;
+            for (i, (ours, libm)) in [(exp(v), v.exp()), (ln(v), v.ln())].into_iter().enumerate() {
+                assert_eq!(
+                    ours.is_nan(),
+                    libm.is_nan(),
+                    "x = {v:e} ({:#x}): {ours} vs {libm}",
+                    v.to_bits()
+                );
+                if libm.is_nan() {
+                    continue;
+                }
+                let d = ulps(ours, libm);
+                assert!(
+                    d <= 1,
+                    "x = {v:e} ({:#x}): {ours:e} vs libm {libm:e}, {d} ulps",
+                    v.to_bits()
+                );
+                worst[i] = worst[i].max(d);
+                off_by_one[i] += d;
+            }
+        }
+        println!(
+            "{checked} inputs (stride {STRIDE}): exp worst {} ulp ({} off by one), ln worst {} ulp ({} off by one)",
+            worst[0], off_by_one[0], worst[1], off_by_one[1]
+        );
+    }
+
+    #[test]
+    fn exp_and_ln_match_libm_exactly_on_special_values() {
+        for v in SPECIALS {
+            for (what, ours, libm) in [("exp", exp(v), v.exp()), ("ln", ln(v), v.ln())] {
+                if libm.is_nan() {
+                    assert!(ours.is_nan(), "{what}({v:e}) = {ours:e}, libm NaN");
+                } else {
+                    assert_eq!(
+                        ours.to_bits(),
+                        libm.to_bits(),
+                        "{what}({v:e}): {ours:e} vs {libm:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// [`price`] as it read with libm's `expf` and `logf`.
+    fn price_libm(s: f32, x: f32, t: f32) -> (f32, f32) {
+        let cnd = |d: f32| {
+            let k = 1.0 / (1.0 + CND_K * d.abs());
+            let poly = k * (A[0] + k * (A[1] + k * (A[2] + k * (A[3] + k * A[4]))));
+            let w = 1.0 - (-0.5 * d * d).exp() * poly / (2.0 * std::f32::consts::PI).sqrt();
+            if d < 0.0 {
+                1.0 - w
+            } else {
+                w
+            }
+        };
+        let sqrt_t = t.sqrt();
+        let d1 = ((s / x).ln() + (RISK_FREE + 0.5 * VOLATILITY * VOLATILITY) * t)
+            / (VOLATILITY * sqrt_t);
+        let d2 = d1 - VOLATILITY * sqrt_t;
+        let exp_rt = (-RISK_FREE * t).exp();
+        let call = s * cnd(d1) - x * exp_rt * cnd(d2);
+        let put = x * exp_rt * cnd(-d2) - s * cnd(-d1);
+        (call, put)
+    }
+
+    #[test]
+    fn price_agrees_with_the_libm_pricer() {
+        let [s, x, t] = seeded_options();
+        let (mut worst, mut at, mut differ) = (0u64, String::new(), 0usize);
+        for i in 0..s.len() {
+            let ours = price(s[i], x[i], t[i]);
+            let libm = price_libm(s[i], x[i], t[i]);
+            for (a, b) in [(ours.0, libm.0), (ours.1, libm.1)] {
+                let option = || format!("S={} X={} T={}: {a:e} vs libm {b:e}", s[i], x[i], t[i]);
+                assert!(approx_eq(a, b), "{}", option());
+                if ulps(a, b) > worst {
+                    (worst, at) = (ulps(a, b), option());
+                }
+                differ += usize::from(a != b);
+            }
+        }
+        println!(
+            "{} prices, {differ} differ from libm's; the most, {worst} ulp, at {at}",
+            2 * s.len()
+        );
+    }
+
+    #[test]
+    fn baseline_and_avx2_builds_price_bit_for_bit() {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            let [mut s, mut x, mut t] = seeded_options();
+            // Every special value in every slot, against an ordinary option.
+            for v in SPECIALS {
+                for slot in 0..3 {
+                    let mut option = [20.0, 25.0, 1.0];
+                    option[slot] = v;
+                    s.push(option[0]);
+                    x.push(option[1]);
+                    t.push(option[2]);
+                }
+            }
+            let base = price_passes(&s, &x, &t);
+            // SAFETY: the CPU supports AVX2.
+            let wide = unsafe { price_all_avx2(&s, &x, &t) };
+            for (i, ((c0, p0), (c1, p1))) in
+                base.0.iter().zip(&base.1).zip(wide.0.iter().zip(&wide.1)).enumerate()
+            {
+                for (a, b) in [(c0, c1), (p0, p1)] {
+                    let same = if a.is_nan() { b.is_nan() } else { a.to_bits() == b.to_bits() };
+                    assert!(same, "S={} X={} T={}: baseline {a} vs AVX2 {b}", s[i], x[i], t[i]);
+                }
+            }
+            return;
+        }
+        println!("no AVX2 build on this CPU: price_all has one path, nothing to compare");
     }
 
     #[test]

@@ -7,7 +7,13 @@
 #                                manager's largest file, at most 600
 #                                lines), then cargo fmt --check
 #   tier 1  lints                cargo clippy --workspace -D warnings
-#   tier 2  tests                cargo test -q --workspace
+#   tier 2  tests                cargo test -q --workspace, then by name
+#                                in release (where the passes vectorise)
+#                                the Black-Scholes payload's own exp and
+#                                ln against libm (within an ulp over a
+#                                strided sweep of every finite f32, exact
+#                                on special values) and its baseline and
+#                                AVX2 builds pricing bit for bit
 #   tier 3  determinism smoke    fig7 --quick --virtual-clock --seed 42 runs
 #                                clean, then the sequential det-harness replay
 #                                of the fig7 shape must be bit-identical, the
@@ -63,7 +69,10 @@
 #                                in a pointer slot, a 2^40-element count, a
 #                                matrix multiplication declaring less work
 #                                than it takes: typed errors, and the
-#                                node's reactor keeps answering), the
+#                                node's reactor keeps answering), hostile
+#                                pricing inputs (NaN, ±inf, ±0, negatives
+#                                and denormals priced as the host
+#                                reference prices them), the
 #                                mid-preemption
 #                                fault case and the no-leak tests (a
 #                                device buffer recycled from one tenant's
@@ -139,6 +148,13 @@ fi
 if [[ "$tier" == "all" || "$tier" == "2" ]]; then
     run_tier 2 "cargo test"
     cargo test -q --workspace
+    # The Black-Scholes payload brings its own exp and ln; in the release
+    # build its passes vectorise, and on x86_64 run in a baseline and an
+    # AVX2 build that must price bit for bit alike.
+    cargo test -q --release -p mtgpu-workloads --lib -- --exact \
+        apps::blackscholes::tests::exp_and_ln_stay_within_an_ulp_of_libm \
+        apps::blackscholes::tests::exp_and_ln_match_libm_exactly_on_special_values \
+        apps::blackscholes::tests::baseline_and_avx2_builds_price_bit_for_bit > /dev/null
 fi
 
 if [[ "$tier" == "all" || "$tier" == "3" ]]; then
@@ -247,11 +263,13 @@ if [[ "$tier" == "all" || "$tier" == "6" ]]; then
     cargo test -q -p mtgpu-api --test local_socket > /dev/null
     # A kernel payload meeting hostile launch arguments, or a launch that
     # declares less work than its payload would do, answers its caller
-    # with a typed error; the reactor that serves every tenant keeps
-    # answering the next connection.
+    # with a typed error; hostile values in well-formed buffers price as
+    # the host reference prices them; the reactor that serves every tenant
+    # keeps answering the next connection.
     cargo test -q -p mtgpu-cluster --test hostile_launch -- --exact \
         hostile_launch_arguments_get_typed_errors_and_the_node_keeps_serving \
         matmul_declaring_less_work_than_it_takes_is_refused_and_the_node_keeps_serving \
+        hostile_pricing_inputs_price_as_the_host_reference_and_the_node_keeps_serving \
         > /dev/null
     # A device dying mid-preemption must leave victims classifiable and
     # the lease book consistent.

@@ -7,6 +7,9 @@
 //! (plain form). Timing is a simple best-of-samples wall-clock loop
 //! printed to stdout — enough to run `cargo bench`/`cargo test --benches`
 //! and compare configurations, with none of the statistics machinery.
+//! As in criterion, the arguments that do not start with `--` filter the
+//! benches: one runs when its full name contains any of them
+//! (`cargo bench --bench micro -- bs_price_256`); flags are ignored.
 
 use std::time::{Duration, Instant};
 
@@ -14,11 +17,13 @@ use std::time::{Duration, Instant};
 pub struct Criterion {
     sample_size: usize,
     measurement_time: Duration,
+    filters: Vec<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        Criterion { sample_size: 10, measurement_time: Duration::from_secs(3) }
+        let filters = std::env::args().skip(1).filter(|a| !a.starts_with("--")).collect();
+        Criterion { sample_size: 10, measurement_time: Duration::from_secs(3), filters }
     }
 }
 
@@ -29,24 +34,43 @@ impl Criterion {
         name: impl std::fmt::Display,
         f: F,
     ) -> &mut Self {
-        run_bench(&name.to_string(), self.sample_size, self.measurement_time, f);
+        self.run_bench(&name.to_string(), self.sample_size, self.measurement_time, f);
         self
     }
 
     /// Opens a named group; settings apply to benches registered on it.
     pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
-            _parent: self,
+            parent: self,
             name: name.to_string(),
             sample_size: 10,
             measurement_time: Duration::from_secs(3),
+        }
+    }
+
+    /// Runs `f` as the bench `name` unless the filters leave it out.
+    fn run_bench<F: FnMut(&mut Bencher)>(
+        &self,
+        name: &str,
+        sample_size: usize,
+        budget: Duration,
+        mut f: F,
+    ) {
+        if !self.filters.is_empty() && !self.filters.iter().any(|p| name.contains(p.as_str())) {
+            return;
+        }
+        let mut b = Bencher { sample_size, budget, best: None, iters: 0 };
+        f(&mut b);
+        match b.best {
+            Some(best) => println!("bench {name}: best {best:?} over {} iters", b.iters),
+            None => println!("bench {name}: no measurements"),
         }
     }
 }
 
 /// A named group of benchmarks with shared settings.
 pub struct BenchmarkGroup<'a> {
-    _parent: &'a mut Criterion,
+    parent: &'a mut Criterion,
     name: String,
     sample_size: usize,
     measurement_time: Duration,
@@ -69,7 +93,7 @@ impl<'a> BenchmarkGroup<'a> {
         f: F,
     ) -> &mut Self {
         let full = format!("{}/{}", self.name, name);
-        run_bench(&full, self.sample_size, self.measurement_time, f);
+        self.parent.run_bench(&full, self.sample_size, self.measurement_time, f);
         self
     }
 
@@ -102,15 +126,6 @@ impl Bencher {
                 break;
             }
         }
-    }
-}
-
-fn run_bench<F: FnMut(&mut Bencher)>(name: &str, sample_size: usize, budget: Duration, mut f: F) {
-    let mut b = Bencher { sample_size, budget, best: None, iters: 0 };
-    f(&mut b);
-    match b.best {
-        Some(best) => println!("bench {name}: best {best:?} over {} iters", b.iters),
-        None => println!("bench {name}: no measurements"),
     }
 }
 
