@@ -607,11 +607,12 @@ fn replies_in_order(
     assert_eq!((rt.load().waiting, rt.context_count()), (0, 0));
 }
 
-/// A one-device node with no pool, and the client ends of connection 1
-/// (the scenario's client) and of connection 2 (its co-tenant).
+/// A one-device node nobody called `serve` on, so it has no pool, and the
+/// client ends of connection 1 (the scenario's client) and of connection 2
+/// (its co-tenant).
 fn gateway_node(cfg: RuntimeConfig) -> (Arc<NodeRuntime>, TcpStream, TcpStream) {
     let driver = Driver::with_devices(Clock::virtual_clock(), vec![GpuSpec::test_small()]);
-    let rt = NodeRuntime::start_poolless(driver, cfg.with_background_monitor(false));
+    let rt = NodeRuntime::start(driver, cfg.with_background_monitor(false));
     let client = attach_client(&rt.reply_queue(), 1);
     let other = attach_client(&rt.reply_queue(), 2);
     (rt, client, other)

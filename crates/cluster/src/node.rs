@@ -1,8 +1,7 @@
 //! A cluster node: runtime daemon + its one network endpoint.
 
 use mtgpu_api::transport::{
-    spawn_reactor, FrontendClient, MuxChannel, MuxConnection, MuxPool, ReactorConfig,
-    ReactorHandle, ReactorStats,
+    FrontendClient, MuxChannel, MuxConnection, MuxPool, ReactorHandle, ReactorStats,
 };
 use mtgpu_core::{InProcessChannel, MetricsSnapshot, NodeRuntime, RuntimeConfig};
 use mtgpu_gpusim::{Driver, GpuSpec};
@@ -56,11 +55,7 @@ impl ClusterNode {
     ) -> ClusterNode {
         let driver = Driver::with_devices(clock, specs);
         let runtime = NodeRuntime::start(driver, cfg);
-        let mux = listener.map(|listener| {
-            let (service, queue) = (runtime.clone(), runtime.reply_queue());
-            spawn_reactor(listener, ReactorConfig::default(), service, queue)
-                .expect("spawn mux reactor")
-        });
+        let mux = listener.map(|listener| runtime.serve(listener).expect("spawn mux reactor"));
         ClusterNode { name, runtime, mux }
     }
 

@@ -209,8 +209,8 @@ fn peer_that_accepts_and_hangs_up_is_not_a_peer_reached() {
     assert_drained(&edge);
     edge.shutdown();
 
-    // Nobody answers: the stream is served here, by the pool, with what the
-    // client pipelined behind its first call while the relay dialled.
+    // Nobody answers: the stream is served here, by its relay thread, with
+    // what the client pipelined behind its first call while it dialled.
     let edge = node_with_peers(vec![accept_and_close()]);
     let mut client = edge.mux_client().unwrap().with_pipelining();
     let job = AppKind::Va.build(Scale::TINY);

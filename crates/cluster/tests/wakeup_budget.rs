@@ -288,6 +288,46 @@ fn an_eager_in_process_launch_puts_no_serving_thread_to_sleep() {
     node.shutdown();
 }
 
+/// The wire brings its own threads: a node started without a listener
+/// runs an in-process workload with no `mux-worker-*` thread and no
+/// reactor, and a listening node has exactly `total_vgpus + 4` workers.
+#[test]
+fn worker_threads_start_with_the_listener() {
+    let _alone = ONE_NODE.lock().unwrap_or_else(|e| e.into_inner());
+    let quiet = ClusterNode::start(
+        "quiet".into(),
+        Clock::with_scale(1e-7),
+        vec![GpuSpec::test_small(); 2],
+        RuntimeConfig::paper_default(),
+        false,
+    );
+    let mut client = quiet.client();
+    let module = client.register_fat_binary().unwrap();
+    client.register_function(module, KernelDesc::plain("wake_noop")).unwrap();
+    let spec = LaunchSpec {
+        kernel: "wake_noop".into(),
+        config: LaunchConfig::default(),
+        args: Vec::new(),
+        work: Work::flops(1.0),
+    };
+    let ptr = client.malloc(4096).unwrap();
+    for _ in 0..50 {
+        client.launch(spec.clone()).unwrap();
+    }
+    client.free(ptr).unwrap();
+    client.exit().unwrap();
+    assert_eq!(quiet.metrics().launches, 50);
+    assert_eq!(switches_by_thread("mux-worker-").len(), 0, "a node with no wire has workers");
+    assert_eq!(switches_by_thread("mux-reactor-").len(), 0);
+    quiet.shutdown();
+
+    let node = node();
+    serving_threads_started();
+    let workers = switches_by_thread("mux-worker-").len();
+    assert_eq!(workers, node.runtime().load().total_vgpus + 4);
+    node.shutdown();
+}
+
 /// A pipelined flush longer than the reactor's burst bound K: the reactor
 /// runs the first [`SWEEP_RUN_BUDGET`] calls of the sweep itself and hands
 /// the channel to the pool, whose visits take [`VISIT_BUDGET`] calls each,

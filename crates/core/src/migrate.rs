@@ -137,9 +137,10 @@ impl NodeRuntime {
         // rewrites against each other (rank order: CTX_SERVICE → MIGRATION
         // → scheduler/memory locks).
         let mut turnstile = self.migration_turnstile().lock();
-        **turnstile += 1; // shadowed sequence: each migration is an audited write
-                          // Reserve the destination slot *before* touching anything, so a
-                          // full destination can never strand the context.
+        // A shadowed sequence: each migration is an audited write.
+        **turnstile += 1;
+        // Reserve the destination slot *before* touching anything, so a full
+        // destination can never strand the context.
         let new = self.bindings().try_acquire_on(ctx_id, dst).ok_or(MigrationError::NoSlot)?;
 
         // Phase 2 — transfer. Device-current entries are copied peer-to-

@@ -181,18 +181,10 @@ fn recover_context(rt: &NodeRuntime, ctx_id: CtxId) {
     // will itself hit DeviceFailed and recover inline; this lock then sees
     // binding already cleared).
     let _guard = ctx.service_lock();
-    let Some(_binding) = ctx.binding() else { return };
-    ctx.inner().binding = None;
-    match rt.memory().on_device_lost(ctx_id) {
-        crate::memory::Recovery::Recovered => {
-            RuntimeMetrics::bump(&rt.metrics_ref().recovered_contexts);
-            rt.tracer().record(TraceEvent::Recovered { ctx: ctx_id });
-        }
-        crate::memory::Recovery::LostDirtyData => {
-            RuntimeMetrics::bump(&rt.metrics_ref().failed_contexts);
-            ctx.mark_failed(CudaError::DeviceUnavailable);
-            rt.tracer().record(TraceEvent::Failed { ctx: ctx_id });
-        }
+    if let Some(binding) = ctx.binding() {
+        // A context that lost dirty data is failed there, for its next call
+        // to report.
+        let _ = service::lose_binding(rt, &ctx, binding);
     }
 }
 

@@ -10,8 +10,10 @@
 //! idle is visited by the thread that read it (§4.3), the reactor, within
 //! [`submit`]'s rule; any other runnable channel goes on a work queue for
 //! the runtime's fixed worker pool, so a pipelined flush costs one hand-off
-//! and one reply post, not one per call. An in-process client never comes
-//! here: it runs its own calls ([`crate::service::InProcessChannel`]).
+//! and one reply post, not one per call. The pool starts with the reactor
+//! ([`NodeRuntime::serve`]) and is handed only what a reactor read. An
+//! in-process client never comes here: it runs its own calls
+//! ([`crate::service::InProcessChannel`]).
 //!
 //! Three invariants keep this sound:
 //!
@@ -64,21 +66,26 @@
 //! a relay thread ([`NodeRuntime::offload`]) as a [`RelayedChannel`] and
 //! from then on only forwards its calls. That thread, not the reactor,
 //! connects to the peer, and no pool worker is tied up for the stream's
-//! lifetime. If no peer answers, the relay hands the channel back: it
-//! becomes a pool-served channel after all, over the slot budget, with the
-//! calls that arrived meanwhile moved over in order. An in-process client
-//! claims no slot and is never relayed.
+//! lifetime. If no peer answers, the relay thread serves the stream itself,
+//! over the slot budget, one call at a time as it would have forwarded
+//! them: through the in-process path, an
+//! [`InProcessChannel`](crate::service::InProcessChannel) over the context
+//! [`submit`] made. An in-process client claims no slot and is never
+//! relayed.
 
 use crate::ctx::AppContext;
 use crate::metrics::RuntimeMetrics;
 use crate::runtime::NodeRuntime;
-use crate::service::{self, Abort};
+use crate::service::{self, Abort, InProcessChannel};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use mtgpu_api::protocol::{CudaCall, CudaReply, ReplyValue};
-use mtgpu_api::transport::{ConnId, MuxService, ReplyQueue, ReplySink};
-use mtgpu_api::CudaError;
+use mtgpu_api::transport::{
+    spawn_reactor, ConnId, MuxService, ReactorConfig, ReactorHandle, ReplyQueue, ReplySink,
+};
+use mtgpu_api::{CudaError, Transport};
 use mtgpu_simtime::{lock_rank, RankedMutex, Shadow};
 use std::collections::{BTreeMap, VecDeque};
+use std::net::TcpListener;
 use std::sync::{Arc, Weak};
 
 /// Workers beyond one per vGPU: every slot stays servable while unbound and
@@ -120,8 +127,9 @@ struct ChannelState {
 }
 
 impl ChannelState {
-    fn new(ctx: Arc<AppContext>, calls: VecDeque<(u64, CudaCall)>, holds_slot: bool) -> Arc<Self> {
-        let scheduled = Shadow::new("mux.chan.scheduled", !calls.is_empty());
+    fn new(ctx: Arc<AppContext>, holds_slot: bool) -> Arc<Self> {
+        let scheduled = Shadow::new("mux.chan.scheduled", false);
+        let calls = VecDeque::new();
         let queue = RankedMutex::new(lock_rank::CHAN_QUEUE, ChanQueue { calls, scheduled });
         Arc::new(ChannelState { ctx, queue, holds_slot })
     }
@@ -147,6 +155,8 @@ pub(crate) struct RelayedChannel {
     sink: ReplySink,
     /// Request id of the call handed out last, until its reply is posted.
     awaiting: Option<u64>,
+    /// Whether the key has left the gateway's map ([`Self::leave`]).
+    left: bool,
 }
 
 impl RelayedChannel {
@@ -166,44 +176,27 @@ impl RelayedChannel {
         true
     }
 
-    /// No peer took the stream (its first call, `first`, is still
-    /// unanswered): the channel goes back to the pool, over the slot budget,
-    /// with `first` and whatever the gateway forwarded meanwhile queued in
-    /// arrival order. The gateway forwards under the map lock, so swapping
-    /// the map entry under it loses and reorders nothing.
-    fn hand_back(mut self, ctx: Arc<AppContext>, first: CudaCall) {
-        let Some(rt) = self.rt.upgrade() else { return };
-        let mut channels = rt.gateway().channels.lock();
-        if !matches!(channels.get(&self.key), Some(Chan::Relayed(_))) {
-            // The client hung up while the peers were dialled; the context
-            // never served a call.
-            drop(channels);
-            return rt.drop_context_of(&ctx);
+    /// Takes the key out of the gateway's map, unless a disconnect took it
+    /// already; from then on nothing more is forwarded here. The gateway
+    /// forwards under the map lock, so nothing is queued after the removal.
+    fn leave(&mut self) {
+        if std::mem::replace(&mut self.left, true) {
+            return;
         }
-        rt.force_keep_local();
-        let first = (self.awaiting.take().expect("the first call is unanswered"), first);
-        let forwarded = std::iter::from_fn(|| self.calls.try_recv().ok());
-        let calls = std::iter::once(first).chain(forwarded).collect();
-        let state = ChannelState::new(ctx, calls, true);
-        channels.insert(self.key, Chan::Local(state));
-        drop(channels);
-        let _ = rt.gateway().workq.send(WorkItem::Chan(self.key));
-    }
-}
-
-impl Drop for RelayedChannel {
-    /// The stream is over (Exit, hang-up or shutdown): the key leaves the
-    /// map unless a disconnect took it already (or the channel was handed
-    /// back to the pool), and what was queued behind an Exit is told the
-    /// channel is gone. The gateway forwards under the map lock, so nothing
-    /// is queued after the removal.
-    fn drop(&mut self) {
         if let Some(rt) = self.rt.upgrade() {
             let mut channels = rt.gateway().channels.lock();
             if matches!(channels.get(&self.key), Some(Chan::Relayed(_))) {
                 channels.remove(&self.key);
             }
         }
+    }
+}
+
+impl Drop for RelayedChannel {
+    /// The stream is over (Exit, hang-up or shutdown): the key leaves the
+    /// map, and what was queued behind an Exit is told the channel is gone.
+    fn drop(&mut self) {
+        self.leave();
         let dead: Vec<(u64, CudaReply)> = std::iter::from_fn(|| self.calls.try_recv().ok())
             .map(|(id, _)| (id, Err(CudaError::Disconnected)))
             .collect();
@@ -211,23 +204,45 @@ impl Drop for RelayedChannel {
     }
 }
 
-/// A relay thread's whole life (§4.7): the stream runs on a peer, or — no
-/// peer reached — goes back to the pool.
+/// A relay thread's whole life (§4.7): the stream runs on a peer or — no
+/// peer reached — on this thread, through the in-process path over the
+/// context `submit` made, one call at a time either way. The channel leaves
+/// the gateway's map before the context leaves the registry (an `Exit`
+/// takes the key out before it runs), so a drained registry means nothing
+/// of the stream is left anywhere; a context that served no call goes when
+/// `local` drops.
 pub(crate) fn run_relay(
     rt: &Arc<NodeRuntime>,
     ctx: Arc<AppContext>,
     mut chan: RelayedChannel,
     first: CudaCall,
 ) {
-    match rt.relay(ctx.id, &mut chan, first) {
-        Ok(()) => {
-            // The channel goes before the context (it leaves the gateway's
-            // map as it drops), so a drained registry means nothing of the
-            // stream is left anywhere. The context never served a call here.
-            drop(chan);
-            rt.drop_context_of(&ctx);
+    let mut peer = rt.dial_peer(ctx.id);
+    let mut local = InProcessChannel { rt: Arc::clone(rt), ctx: Some(ctx) };
+    let here = peer.is_none();
+    if here {
+        rt.force_keep_local();
+    }
+    let via: &mut dyn Transport = match peer.as_mut() {
+        Some(peer) => peer,
+        None => &mut local,
+    };
+    let mut next = Some(first);
+    while let Some(call) = next.take().or_else(|| chan.recv()) {
+        let done = matches!(call, CudaCall::Exit);
+        if done {
+            chan.leave();
         }
-        Err(first) => chan.hand_back(ctx, first),
+        if !chan.send(via.roundtrip(call)) || done {
+            break;
+        }
+    }
+    // In this order: the peer's connection, the key, the context.
+    drop(peer);
+    drop(chan);
+    drop(local);
+    if here {
+        rt.release_local_slot();
     }
 }
 
@@ -275,9 +290,22 @@ pub(crate) fn spawn_pool(rt: &Arc<NodeRuntime>) -> usize {
 }
 
 impl NodeRuntime {
-    /// What ties a reactor to this runtime's gateway: pass it to
-    /// `spawn_reactor` with the runtime itself as the service. One reactor
-    /// per runtime.
+    /// Puts the node's one reactor in front of the gateway, on `listener`,
+    /// and starts the worker pool behind it: the wire and the threads that
+    /// serve it start together. Call it once; the reactor is stopped
+    /// through the handle, before [`Self::shutdown`].
+    pub fn serve(self: &Arc<Self>, listener: TcpListener) -> std::io::Result<ReactorHandle> {
+        // Workers before the reactor: the order in which threads first
+        // allocate decides which of them share a malloc arena, and the
+        // reactor first raised `mtgpu-perf`'s peak RSS by up to a quarter.
+        spawn_pool(self);
+        spawn_reactor(listener, ReactorConfig::default(), self.clone(), self.reply_queue())
+    }
+
+    /// The gateway's half of the reply path. [`Self::serve`] hands it to
+    /// the reactor; tests and mtcheck scenarios attach a socket to it
+    /// directly and play worker through [`Self::serve_queued`].
+    #[doc(hidden)]
     pub fn reply_queue(&self) -> ReplyQueue {
         self.gateway().sink.queue()
     }
@@ -288,7 +316,9 @@ impl NodeRuntime {
     }
 
     /// Plays worker on the calling thread until the work queue is empty;
-    /// returns how many items it served. See [`Self::start_poolless`].
+    /// returns how many items it served. For tests and mtcheck scenarios on
+    /// a runtime nobody called [`Self::serve`] on: no pool races them, so
+    /// they decide which thread runs which visit.
     #[doc(hidden)]
     pub fn serve_queued(&self) -> usize {
         let mut served = 0;
@@ -337,10 +367,11 @@ fn submit(rt: &NodeRuntime, key: ChanKey, id: u64, call: CudaCall, budget: &mut 
                     // The thread spawn need not hold the map.
                     drop(channels);
                     let (sink, awaiting) = (g.sink.clone(), Some(id));
-                    let relayed = RelayedChannel { rt: rt.me(), key, calls, sink, awaiting };
+                    let relayed =
+                        RelayedChannel { rt: rt.me(), key, calls, sink, awaiting, left: false };
                     return rt.offload(ctx, relayed, call);
                 }
-                let state = ChannelState::new(ctx, VecDeque::new(), holds_slot);
+                let state = ChannelState::new(ctx, holds_slot);
                 channels.insert(key, Chan::Local(Arc::clone(&state)));
                 state
             }
@@ -561,15 +592,11 @@ mod tests {
     use crate::config::RuntimeConfig;
     use mtgpu_api::client::CudaClient;
     use mtgpu_api::protocol::{AllocKind, ModuleHandle, MuxFrame};
-    use mtgpu_api::transport::{
-        spawn_reactor, FrameBuf, FrontendClient, MuxConnection, ReactorConfig, ReactorHandle,
-        Transport, SWEEP_RUN_BUDGET,
-    };
+    use mtgpu_api::transport::{FrameBuf, FrontendClient, MuxConnection, SWEEP_RUN_BUDGET};
     use mtgpu_gpusim::{
         DeviceId, Driver, GpuSpec, KernelArg, KernelDesc, LaunchConfig, LaunchSpec, Work,
     };
     use mtgpu_simtime::Clock;
-    use std::net::TcpListener;
     use std::time::Duration;
 
     fn quiet(cfg: RuntimeConfig) -> RuntimeConfig {
@@ -581,10 +608,7 @@ mod tests {
         let driver =
             Driver::with_devices(Clock::with_scale(1e-7), vec![GpuSpec::test_small(); devices]);
         let rt = NodeRuntime::start(driver, quiet(RuntimeConfig::default()));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let reactor =
-            spawn_reactor(listener, ReactorConfig::default(), rt.clone(), rt.reply_queue())
-                .unwrap();
+        let reactor = rt.serve(TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
         (rt, reactor)
     }
 
@@ -626,14 +650,15 @@ mod tests {
         rt.shutdown();
     }
 
-    /// A runtime with no pool (the test is the worker) and the client end
+    /// A runtime nobody called `serve` on, so it has no pool (the test is
+    /// the worker), and the client end
     /// of a loopback socket attached to its sink as connection 1. The tests
     /// that feed it through `on_request` drive the pool path: with no sweep
     /// budget every call is queued for a visit the test plays; [`sweep`]
     /// feeds a call the way the reactor does.
     fn poolless_runtime(cfg: RuntimeConfig) -> (Arc<NodeRuntime>, std::net::TcpStream) {
         let driver = Driver::with_devices(Clock::with_scale(1e-7), vec![GpuSpec::test_small()]);
-        let rt = NodeRuntime::start_poolless(driver, quiet(cfg));
+        let rt = NodeRuntime::start(driver, quiet(cfg));
         (Arc::clone(&rt), attach_client(&rt, 1))
     }
 
@@ -875,7 +900,7 @@ mod tests {
         // them, so the channel's context, which joins it, must wait for
         // that device (§4.8) while the other stands free.
         let driver = Driver::with_devices(Clock::with_scale(1e-7), vec![GpuSpec::test_small(); 2]);
-        let rt = NodeRuntime::start_poolless(driver, quiet(RuntimeConfig::serialized()));
+        let rt = NodeRuntime::start(driver, quiet(RuntimeConfig::serialized()));
         let mut client = attach_client(&rt, 1);
         let hog = rt.new_context("hog".into());
         hog.inner().app_id = Some(7);
@@ -977,7 +1002,7 @@ mod tests {
             .with_default_lease(GpuLease { ttl_s: 1, ..GpuLease::unlimited() })
             .with_tenant_lease(7, GpuLease::unlimited());
         let cfg = RuntimeConfig { tenant_policy: Some(policy), ..RuntimeConfig::serialized() };
-        let rt = NodeRuntime::start_poolless(driver, quiet(cfg));
+        let rt = NodeRuntime::start(driver, quiet(cfg));
         let mut client = attach_client(&rt, 1);
         let hog = rt.new_context("hog".into());
         rt.policy().adopt(hog.id, 7, clock.now()).unwrap();
@@ -1016,7 +1041,7 @@ mod tests {
         let clock = Clock::virtual_clock();
         let driver = Driver::with_devices(clock.clone(), vec![GpuSpec::test_small()]);
         let cfg = RuntimeConfig { inter_app_swap: false, ..RuntimeConfig::default() };
-        let rt = NodeRuntime::start_poolless(driver, quiet(cfg));
+        let rt = NodeRuntime::start(driver, quiet(cfg));
         let mut client = attach_client(&rt, 1);
         let chunk = rt.driver().device(DeviceId(0)).unwrap().mem_available() * 6 / 10;
         let big_malloc = || CudaCall::Malloc { size: chunk, kind: AllocKind::Linear };
@@ -1089,7 +1114,7 @@ mod tests {
         let clock = Clock::virtual_clock();
         let driver = Driver::with_devices(clock.clone(), vec![GpuSpec::test_small()]);
         let cfg = RuntimeConfig { inter_app_swap: false, ..RuntimeConfig::default() };
-        let rt = NodeRuntime::start_poolless(driver, quiet(cfg));
+        let rt = NodeRuntime::start(driver, quiet(cfg));
         let mut client = attach_client(&rt, 1);
         let chunk = rt.driver().device(DeviceId(0)).unwrap().mem_available() * 6 / 10;
         let big_malloc = CudaCall::Malloc { size: chunk, kind: AllocKind::Linear };
@@ -1149,7 +1174,7 @@ mod tests {
             let (relay, calls) = unbounded();
             rt.gateway().channels.lock().insert(key, Chan::Relayed(relay));
             let sink = rt.gateway().sink.clone();
-            RelayedChannel { rt: rt.me(), key, calls, sink, awaiting: None }
+            RelayedChannel { rt: rt.me(), key, calls, sink, awaiting: None, left: false }
         };
         let mut conn = open_relay();
         for (id, call) in [malloc(), CudaCall::Exit, malloc()].into_iter().enumerate() {
@@ -1181,37 +1206,62 @@ mod tests {
     }
 
     #[test]
-    fn relay_that_reaches_no_peer_hands_the_channel_back_to_the_pool_in_order() {
-        let (rt, mut client) = poolless_runtime(RuntimeConfig::default());
+    fn relay_that_reaches_no_peer_serves_the_stream_itself_in_order() {
+        // Offloading configured, no slot to keep anything here, and the one
+        // peer refuses every connect.
+        let unreachable = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let cfg = RuntimeConfig {
+            offload_threshold: Some(0),
+            offload_peers: vec![unreachable.to_string()],
+            ..RuntimeConfig::default()
+        };
+        let (rt, mut client) = poolless_runtime(cfg);
         let key = (1, 2);
-        let (relay, calls) = unbounded();
-        rt.gateway().channels.lock().insert(key, Chan::Relayed(relay));
-        let sink = rt.gateway().sink.clone();
-        // The relay thread holds the first call (a malloc, id 0) while it
-        // dials; two more arrive meanwhile.
-        let relayed = RelayedChannel { rt: rt.me(), key, calls, sink, awaiting: Some(0) };
-        rt.on_request(1, 2, 1, malloc());
-        rt.on_request(1, 2, 2, CudaCall::GetDeviceCount);
-        assert!(rt.gateway().work.is_empty());
-        relayed.hand_back(rt.new_context("relayed".into()), malloc());
-        // One runnable channel holding all three, then a fourth behind them.
-        rt.on_request(1, 2, 3, CudaCall::Exit);
-        assert_eq!(rt.gateway().work.len(), 1);
-        assert_eq!(rt.serve_queued(), 1);
-        let replies = read_replies(&mut client, 4);
-        assert!(replies.iter().map(|(id, _)| *id).eq(0..4));
+        // What `submit` sets up for a channel it offloads, by hand: the
+        // test thread is the relay thread.
+        let open_relay = |label: &str| {
+            let (relay, calls) = unbounded();
+            rt.gateway().channels.lock().insert(key, Chan::Relayed(relay));
+            let sink = rt.gateway().sink.clone();
+            let chan =
+                RelayedChannel { rt: rt.me(), key, calls, sink, awaiting: Some(0), left: false };
+            (rt.new_context(label.into()), chan)
+        };
+        // The slot budget is back at 0: one given back is the only one.
+        let slots_back_at_zero = || {
+            rt.release_local_slot();
+            rt.try_keep_local() && !rt.try_keep_local()
+        };
+        // The first call (a malloc, id 0) is held while the relay dials;
+        // three more arrive meanwhile, the last an Exit, and one behind it.
+        let (ctx, relayed) = open_relay("relayed");
+        let calls = [malloc(), CudaCall::GetDeviceCount, CudaCall::Exit, malloc()];
+        for (id, call) in calls.into_iter().enumerate() {
+            rt.on_request(1, 2, 1 + id as u64, call);
+        }
+        run_relay(&rt, ctx, relayed, malloc());
+        let replies = read_replies(&mut client, 5);
+        assert!(replies.iter().map(|(id, _)| *id).eq(0..5), "{replies:?}");
+        assert!(matches!(replies[0].1, Ok(ReplyValue::Ptr(_))));
         assert!(matches!(replies[1].1, Ok(ReplyValue::Ptr(_))));
         assert!(matches!(replies[2].1, Ok(ReplyValue::DeviceCount(_))));
-        assert_eq!((rt.channel_count(), rt.context_count()), (0, 0));
-
-        // A client that hung up while the relay dialled leaves nothing to
-        // hand back but the context.
-        let (_relay, calls) = unbounded();
-        let sink = rt.gateway().sink.clone();
-        let relayed = RelayedChannel { rt: rt.me(), key, calls, sink, awaiting: Some(0) };
-        relayed.hand_back(rt.new_context("gone".into()), malloc());
+        assert_eq!(replies[3].1, Ok(ReplyValue::Unit));
+        assert_eq!(replies[4].1, Err(CudaError::Disconnected));
+        // Once the Exit is answered, nothing of the stream is left: no
+        // channel, no context, nothing for a pool, and the slot taken over
+        // the budget given back.
         assert_eq!((rt.channel_count(), rt.context_count()), (0, 0));
         assert!(rt.gateway().work.is_empty());
+        assert_eq!(rt.metrics().offloaded_connections, 0);
+        assert!(slots_back_at_zero());
+
+        // A client that hangs up while the relay dials leaves no context.
+        let (ctx, relayed) = open_relay("gone");
+        rt.on_disconnect(1);
+        run_relay(&rt, ctx, relayed, malloc());
+        assert_eq!((rt.channel_count(), rt.context_count()), (0, 0));
+        assert!(rt.gateway().work.is_empty());
+        assert!(slots_back_at_zero());
         rt.shutdown();
     }
 
@@ -1253,7 +1303,7 @@ mod tests {
     #[test]
     fn worker_pool_sizes_automatically() {
         let driver = Driver::with_devices(Clock::with_scale(1e-7), vec![GpuSpec::test_small(); 2]);
-        let rt = NodeRuntime::start_poolless(driver, quiet(RuntimeConfig::default()));
+        let rt = NodeRuntime::start(driver, quiet(RuntimeConfig::default()));
         assert_eq!(spawn_pool(&rt), rt.bindings().total_vgpus() + 4);
         rt.shutdown();
     }

@@ -13,7 +13,7 @@ use crate::policy::LeaseBook;
 use crate::sched::BindingManager;
 use crate::service::InProcessChannel;
 use crate::trace::{TraceEvent, Tracer};
-use mtgpu_api::transport::{FrontendClient, MuxConnection};
+use mtgpu_api::transport::{FrontendClient, MuxChannel, MuxConnection};
 use mtgpu_api::Transport;
 use mtgpu_gpusim::{DeviceId, Driver, GpuSpec};
 use mtgpu_simtime::{lock_rank, Clock, RankedCondvar, RankedMutex, Shadow};
@@ -37,13 +37,6 @@ pub struct LoadInfo {
     pub bound: usize,
     /// vGPUs across healthy devices.
     pub total_vgpus: usize,
-}
-
-impl LoadInfo {
-    /// The §4.7 backlog measure driving offload decisions.
-    pub fn backlog(&self) -> usize {
-        self.contexts
-    }
 }
 
 /// The per-node runtime daemon (Figure 3): replicated on every node of the
@@ -90,22 +83,14 @@ pub struct NodeRuntime {
 
 impl NodeRuntime {
     /// Starts the runtime: spawns the configured vGPUs on every attached
-    /// device, the gateway's worker pool and the health/migration monitor.
+    /// device and the health/migration monitor. In-process clients need
+    /// nothing more; the wire, and the gateway's worker pool behind it,
+    /// start with [`Self::serve`].
     ///
     /// # Panics
     /// Panics if a vGPU's persistent CUDA context cannot be created (a
     /// misconfiguration: more vGPUs than the device supports contexts).
     pub fn start(driver: Arc<Driver>, cfg: RuntimeConfig) -> Arc<NodeRuntime> {
-        let rt = Self::start_poolless(driver, cfg);
-        mux::spawn_pool(&rt);
-        rt
-    }
-
-    /// The runtime without its worker pool: whoever holds it plays worker
-    /// through [`Self::serve_queued`]. For tests and mtcheck scenarios that
-    /// decide which thread runs which visit.
-    #[doc(hidden)]
-    pub fn start_poolless(driver: Arc<Driver>, cfg: RuntimeConfig) -> Arc<NodeRuntime> {
         let metrics = Arc::new(RuntimeMetrics::default());
         let clock = driver.clock().clone();
         let tracer = Arc::new(Tracer::new(clock.clone(), cfg.trace_capacity));
@@ -376,40 +361,26 @@ impl NodeRuntime {
         self.local_slots.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Relays a channel (whose first call has already been read) to a peer
-    /// node's endpoint, over a connection of its own: closing it when the
-    /// stream ends — Exit or a vanished client — is what tears the peer's
-    /// context down. Peers are tried once each, starting at the round-robin
-    /// index, and one counts as reached when it has answered the marker
-    /// that tells it never to re-offload the stream — a peer that accepts
-    /// the connect and hangs up (shutting down, wedged, shedding) is
-    /// skipped like one that refuses it. The first call comes back if none
-    /// is reached, so the caller serves the stream locally.
-    pub(crate) fn relay(
-        &self,
-        ctx: CtxId,
-        chan: &mut RelayedChannel,
-        first: mtgpu_api::CudaCall,
-    ) -> Result<(), mtgpu_api::CudaCall> {
+    /// Dials a peer node's endpoint for context `ctx`'s stream, over a
+    /// connection of its own: closing it when the stream ends — Exit or a
+    /// vanished client — is what tears the peer's context down. Peers are
+    /// tried once each, starting at the round-robin index, and one counts
+    /// as reached when it has answered the marker that tells it never to
+    /// re-offload the stream — a peer that accepts the connect and hangs up
+    /// (shutting down, wedged, shedding) is skipped like one that refuses
+    /// it. `None` if no peer is reached: the stream is served here.
+    pub(crate) fn dial_peer(&self, ctx: CtxId) -> Option<MuxChannel> {
         let peers = &self.cfg.offload_peers;
         let start = self.offload_rr.fetch_add(1, Ordering::Relaxed) as usize;
-        let dialed = (0..peers.len()).map(|i| &peers[(start + i) % peers.len()]).find_map(|peer| {
-            // The connection's one channel; the socket closes when it drops.
-            let mut transport = MuxConnection::connect(peer.as_str()).ok()?.channel();
-            transport.roundtrip(mtgpu_api::CudaCall::Offloaded).ok().map(|_| (peer, transport))
-        });
-        let Some((peer, mut transport)) = dialed else { return Err(first) };
+        let (peer, transport) =
+            (0..peers.len()).map(|i| &peers[(start + i) % peers.len()]).find_map(|peer| {
+                // The connection's one channel; the socket closes when it drops.
+                let mut transport = MuxConnection::connect(peer.as_str()).ok()?.channel();
+                transport.roundtrip(mtgpu_api::CudaCall::Offloaded).ok().map(|_| (peer, transport))
+            })?;
         RuntimeMetrics::bump(&self.metrics.offloaded_connections);
         self.tracer.record(TraceEvent::Offloaded { ctx, peer: peer.clone() });
-        let mut next = Some(first);
-        while let Some(call) = next.take().or_else(|| chan.recv()) {
-            let done = matches!(call, mtgpu_api::CudaCall::Exit);
-            let sent = chan.send(transport.roundtrip(call));
-            if !sent || done {
-                break;
-            }
-        }
-        Ok(())
+        Some(transport)
     }
 
     /// Creates an in-process client connected to this runtime — the
@@ -464,13 +435,6 @@ impl NodeRuntime {
         self.departed.notify_all();
     }
 
-    /// Releases a context that never served a call (its connection was
-    /// relayed to a peer before any work happened).
-    pub(crate) fn drop_context_of(&self, ctx: &Arc<AppContext>) {
-        self.mm.remove_ctx(ctx.id, None);
-        self.drop_context(ctx.id);
-    }
-
     /// Number of live application contexts (channels not yet torn down):
     /// a context leaves the count exactly when its teardown — memory
     /// release, vGPU release — has completed.
@@ -505,8 +469,8 @@ impl NodeRuntime {
     /// Requests shutdown and joins the monitor, the worker pool and the
     /// relay threads. An in-process client's call made afterwards, or
     /// waiting for a vGPU meanwhile, answers `Disconnected`; its context
-    /// goes when the client is dropped. Whoever put a reactor in front of
-    /// this runtime stops it first.
+    /// goes when the client is dropped. Whoever holds the handle of the
+    /// reactor [`Self::serve`] started stops it first.
     ///
     /// Not optional: the monitor and the pool hold the runtime, so one that
     /// is started and never shut down stays, threads and all, until the
@@ -538,6 +502,7 @@ impl std::fmt::Debug for NodeRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::teardown;
 
     fn runtime() -> Arc<NodeRuntime> {
         let driver = Driver::with_devices(Clock::with_scale(1e-7), vec![GpuSpec::test_small()]);
@@ -573,7 +538,7 @@ mod tests {
         assert!(rt.wait_contexts(1, Duration::from_secs(60)));
         assert!(rt.wait_contexts(4, Duration::ZERO));
         assert!(t0.elapsed() < Duration::from_secs(10), "waited with nothing to wait for");
-        rt.drop_context_of(&ctx);
+        teardown(&rt, &ctx);
         assert!(rt.wait_idle(Duration::ZERO));
         rt.shutdown();
     }
@@ -593,8 +558,8 @@ mod tests {
             go.recv().unwrap();
             // The first departure leaves one context: the waiter looks and
             // waits on. Parked or not yet, either order must end `true`.
-            rt.drop_context_of(&a);
-            rt.drop_context_of(&b);
+            teardown(&rt, &a);
+            teardown(&rt, &b);
             let (drained, took) = waiter.join().unwrap();
             assert!(drained);
             assert!(took < Duration::from_secs(20), "slept out the deadline: {took:?}");
@@ -609,11 +574,11 @@ mod tests {
         let t0 = Instant::now();
         assert!(!rt.wait_contexts(1, Duration::from_millis(20)));
         assert!(t0.elapsed() >= Duration::from_millis(20));
-        rt.drop_context_of(&a);
+        teardown(&rt, &a);
         assert!(rt.wait_contexts(1, Duration::ZERO));
         assert!(!rt.wait_idle(Duration::from_millis(20)), "a live context is not idle");
         assert_eq!(rt.context_count(), 1);
-        rt.drop_context_of(&b);
+        teardown(&rt, &b);
         rt.shutdown();
     }
 }

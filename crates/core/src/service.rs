@@ -65,6 +65,8 @@ pub(crate) fn teardown(rt: &NodeRuntime, ctx: &Arc<AppContext>) {
     rt.memory().remove_ctx(ctx.id, binding.as_ref());
     if let Some(b) = binding {
         rt.bindings().release(ctx.id, b.vgpu);
+        let reason = UnbindReason::Finished;
+        rt.tracer().record(TraceEvent::Unbound { ctx: ctx.id, vgpu: b.vgpu, reason });
     }
     rt.drop_context(ctx.id);
 }
@@ -589,22 +591,34 @@ fn unbind_self(
     Ok(())
 }
 
-/// Device-loss recovery: reset the context's memory to host-authoritative
-/// and drop the dead binding. Fails the context if dirty data was lost.
+/// A call found its device lost: recover the context as [`lose_binding`]
+/// does.
 fn recover_from_device_loss(
     rt: &NodeRuntime,
-    ctx: &Arc<AppContext>,
+    ctx: &AppContext,
     binding: Binding,
 ) -> Result<(), CudaError> {
-    let recovery = rt.memory().on_device_lost(ctx.id);
+    rt.tracer().record(TraceEvent::DeviceLost { device: binding.vgpu.device });
+    lose_binding(rt, ctx, binding)
+}
+
+/// Device-loss recovery, inline or from the fault monitor, under the
+/// context's service lock: drop the dead binding and reset the context's
+/// memory to host-authoritative. Fails the context if dirty data was lost.
+pub(crate) fn lose_binding(
+    rt: &NodeRuntime,
+    ctx: &AppContext,
+    binding: Binding,
+) -> Result<(), CudaError> {
     ctx.inner().binding = None;
     // Release only if the device (and thus the slot) is still registered;
     // the fault monitor removes dead devices wholesale.
     if rt.bindings().has_device(binding.vgpu.device) {
         rt.bindings().release(ctx.id, binding.vgpu);
     }
-    rt.tracer().record(TraceEvent::DeviceLost { device: binding.vgpu.device });
-    match recovery {
+    let reason = UnbindReason::DeviceLoss;
+    rt.tracer().record(TraceEvent::Unbound { ctx: ctx.id, vgpu: binding.vgpu, reason });
+    match rt.memory().on_device_lost(ctx.id) {
         Recovery::Recovered => {
             RuntimeMetrics::bump(&rt.metrics_ref().recovered_contexts);
             rt.tracer().record(TraceEvent::Recovered { ctx: ctx.id });
@@ -741,7 +755,7 @@ mod tests {
     /// with `specs` on `clock`.
     fn verdicts(clock: Clock, specs: Vec<GpuSpec>, calls: &[CudaCall]) -> Vec<bool> {
         let cfg = RuntimeConfig::default().with_background_monitor(false);
-        let rt = NodeRuntime::start_poolless(Driver::with_devices(clock, specs), cfg);
+        let rt = NodeRuntime::start(Driver::with_devices(clock, specs), cfg);
         let ctx = rt.new_context("rule".into());
         let fits = calls.iter().map(|call| fits_on_reactor(&rt, &ctx, call)).collect();
         rt.shutdown();
@@ -807,7 +821,7 @@ mod tests {
     fn a_launch_reports_a_dangling_pointer_before_an_unregistered_kernel() {
         let cfg = RuntimeConfig::default().with_background_monitor(false);
         let driver = Driver::with_devices(Clock::virtual_clock(), vec![GpuSpec::test_small()]);
-        let rt = NodeRuntime::start_poolless(driver, cfg);
+        let rt = NodeRuntime::start(driver, cfg);
         let ctx = rt.new_context("order".into());
         let ptr = rt.memory().malloc(ctx.id, 256, AllocKind::Linear).unwrap();
         let failure = |ptr: DeviceAddr| {

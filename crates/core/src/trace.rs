@@ -87,8 +87,6 @@ pub enum UnbindReason {
     Migration,
     /// The device failed.
     DeviceLoss,
-    /// Evicted by a higher-priority tenant under memory pressure.
-    Preempted,
     /// The tenant's lease expired and the context was reaped.
     LeaseReaped,
 }

@@ -675,6 +675,62 @@ fn trace_records_lifecycle_events() {
 }
 
 #[test]
+fn trace_pairs_every_bound_with_an_unbound() {
+    use mtgpu_core::{TraceEvent, UnbindReason};
+    let cfg = RuntimeConfig::paper_default().with_background_monitor(false);
+    let rt = test_runtime(1, cfg);
+    let chunk = rt.driver().device(DeviceId(0)).unwrap().mem_available() * 6 / 10;
+    let noop_on = |ptr| launch("noop", vec![KernelArg::Ptr(ptr)], 1e6);
+    // A binds holding most of the device; B's launch beside it swaps A out
+    // as an inter-application victim.
+    let mut a = rt.local_client();
+    register(&mut a);
+    let pa = a.malloc(chunk).unwrap();
+    a.launch(noop_on(pa)).unwrap();
+    let mut b = rt.local_client();
+    register(&mut b);
+    let pb = b.malloc(chunk).unwrap();
+    b.launch(noop_on(pb)).unwrap();
+    assert_eq!(rt.metrics().inter_app_swaps, 1);
+    // The device fails under B, and the monitor recovers it; A comes back
+    // from swap on a device attached meanwhile.
+    rt.attach_device(GpuSpec::test_small());
+    rt.driver().device(DeviceId(0)).unwrap().fail();
+    rt.monitor_tick();
+    a.launch(noop_on(pa)).unwrap();
+    // C binds and is dropped without Exit; A exits; B, unbound, is dropped.
+    let mut c = rt.local_client();
+    register(&mut c);
+    c.launch(launch("noop", Vec::new(), 1.0)).unwrap();
+    drop(c);
+    a.exit().unwrap();
+    drop(b);
+    assert_eq!(rt.context_count(), 0);
+
+    let mut bound = Vec::new();
+    let mut reasons = Vec::new();
+    for record in rt.trace() {
+        match record.event {
+            TraceEvent::Bound { ctx, vgpu } => {
+                assert!(!bound.contains(&(ctx, vgpu)), "{ctx:?} bound twice on {vgpu:?}");
+                bound.push((ctx, vgpu));
+            }
+            TraceEvent::Unbound { ctx, vgpu, reason } => {
+                let at = bound.iter().position(|&pair| pair == (ctx, vgpu));
+                let at = at.unwrap_or_else(|| panic!("{ctx:?} unbound from {vgpu:?} unbound"));
+                bound.remove(at);
+                reasons.push(reason);
+            }
+            _ => {}
+        }
+    }
+    assert!(bound.is_empty(), "bindings the trace never saw let go: {bound:?}");
+    use UnbindReason::{DeviceLoss, Finished, Victim};
+    assert_eq!(reasons, [Victim, DeviceLoss, Finished, Finished]);
+    rt.shutdown();
+}
+
+#[test]
 fn trace_disabled_by_zero_capacity() {
     let mut cfg = RuntimeConfig::paper_default();
     cfg.trace_capacity = 0;

@@ -99,9 +99,6 @@ pub mod lock_rank {
     /// which of them a reply sink left for the reactor to look at. Every
     /// reply takes it for a lookup, never across a write or a service call.
     pub const REACTOR_CONNS: LockRank = LockRank { value: 201, name: "REACTOR_CONNS" };
-    /// The server pump's connection registry (leaf tier: nothing below it
-    /// but a connection's write half; never held across runtime calls).
-    pub const CONN_REGISTRY: LockRank = LockRank { value: 202, name: "CONN_REGISTRY" };
     /// A multiplexed client connection's reply demux: the requests in
     /// flight, which caller is reading the socket, and what the last reader
     /// left buffered (leaf tier; never held across a read or a write).
@@ -134,7 +131,6 @@ pub mod lock_rank {
         KERNEL_STORE,
         TRACER_RING,
         REACTOR_CONNS,
-        CONN_REGISTRY,
         MUX_PENDING,
         CONN_OUT,
         CONN_WRITE,

@@ -32,10 +32,12 @@
 #                                policy-over-the-wire test runs in tier 2),
 #                                the 256-in-process-client stress of that
 #                                queue (each client's own thread serves it
-#                                and blocks in the dispatcher) and the
+#                                and blocks in the dispatcher), the
 #                                in-process wake-up budget (an eager launch
 #                                puts no worker and no reactor to sleep)
-#                                by name,
+#                                and the worker count (none on a node
+#                                without a listener, total_vgpus + 4 on a
+#                                listening one) by name,
 #                                the 10k-persistent-connection reactor soak
 #                                (out-of-process daemon; the client holds
 #                                its 10k connections on under 200 threads,
@@ -200,11 +202,14 @@ if [[ "$tier" == "all" || "$tier" == "4" ]]; then
         --exact dispatch_stress_256_tcp_clients
     # The same queue with the wire and the gateway taken out: 256
     # in-process clients, each served by its own thread, and the sleeps an
-    # in-process launch costs the node's serving threads (none).
+    # in-process launch costs the node's serving threads (none), and the
+    # serving threads a node has with and without a listener.
     timeout 60 cargo test -q --release --test dispatch_stress -- \
         --exact dispatch_stress_256_in_process_clients
     cargo test -q --release -p mtgpu-cluster --test wakeup_budget -- \
         --exact an_eager_in_process_launch_puts_no_serving_thread_to_sleep > /dev/null
+    cargo test -q --release -p mtgpu-cluster --test wakeup_budget -- \
+        --exact worker_threads_start_with_the_listener > /dev/null
     # 10k persistent connections multiplexed through one reactor, each
     # probed end-to-end, the client's thread count checked with all of them
     # open; a stalled reactor shows up as the timeout firing.
