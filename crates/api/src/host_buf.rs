@@ -64,10 +64,7 @@ impl HostBuf {
 
     /// A buffer carrying `f32` values as its exact content.
     pub fn from_f32s(values: &[f32]) -> Self {
-        let mut payload = Vec::with_capacity(values.len() * 4);
-        for v in values {
-            payload.extend_from_slice(&v.to_le_bytes());
-        }
+        let payload: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
         HostBuf { declared_len: payload.len() as u64, payload, content_hash: None }
     }
 
@@ -83,9 +80,10 @@ impl HostBuf {
         self.content_hash.is_none_or(|h| h == fnv1a(&self.payload))
     }
 
-    /// Interprets the payload as little-endian `f32`s.
+    /// Interprets the payload as little-endian `f32`s; 1–3 trailing bytes
+    /// are ignored.
     pub fn as_f32s(&self) -> Vec<f32> {
-        self.payload.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect()
+        self.payload.as_chunks::<4>().0.iter().map(|w| f32::from_le_bytes(*w)).collect()
     }
 }
 
@@ -111,6 +109,89 @@ mod tests {
     #[should_panic(expected = "exceeds declared length")]
     fn oversized_shadow_rejected() {
         let _ = HostBuf::with_shadow(2, vec![0; 3]);
+    }
+
+    /// The per-element encoder `from_f32s` had before it became one pass:
+    /// the bytes it must keep producing.
+    fn from_f32s_reference(values: &[f32]) -> Vec<u8> {
+        let mut payload = Vec::with_capacity(values.len() * 4);
+        for v in values {
+            payload.extend_from_slice(&v.to_le_bytes());
+        }
+        payload
+    }
+
+    /// The per-element decoder `as_f32s` had, as bits (a NaN is not equal
+    /// to itself, its bits are).
+    fn as_f32s_reference(payload: &[u8]) -> Vec<u32> {
+        payload
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]).to_bits())
+            .collect()
+    }
+
+    /// Both conversions of `values` against the references, byte for byte
+    /// and bit for bit.
+    fn assert_matches_reference(values: &[f32]) {
+        let b = HostBuf::from_f32s(values);
+        assert_eq!(b.payload, from_f32s_reference(values));
+        assert_eq!(b.declared_len, b.payload.len() as u64);
+        let bits: Vec<u32> = b.as_f32s().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, as_f32s_reference(&b.payload));
+        assert_eq!(bits, values.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn f32_conversions_match_the_per_element_reference_on_special_values() {
+        let bits = [
+            0x7fc0_0000, // quiet NaN
+            0x7fc0_0001,
+            0xffc1_2345, // negative quiet NaN with a payload
+            0x7f80_0001, // signalling NaNs
+            0x7fa0_0000,
+            0x7fbf_ffff,
+            0xff80_0001,
+            0x0000_0000, // ±0
+            0x8000_0000,
+            0x7f80_0000, // ±inf
+            0xff80_0000,
+            0x0000_0001, // subnormals
+            0x007f_ffff,
+            0x8000_0001,
+            0x807f_ffff,
+        ];
+        let mut values: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+        values.extend([f32::MIN_POSITIVE, -f32::MIN_POSITIVE, f32::MAX, f32::MIN]);
+        assert_matches_reference(&values);
+        // Each value alone, and every suffix, so each value lands at every
+        // position of a vectorised chunk and in the scalar tail.
+        for i in 0..values.len() {
+            assert_matches_reference(&values[i..i + 1]);
+            assert_matches_reference(&values[i..]);
+        }
+    }
+
+    #[test]
+    fn f32_conversions_match_the_per_element_reference_over_a_strided_sweep() {
+        let values: Vec<f32> = (0..=u32::MAX).step_by(65_537).map(f32::from_bits).collect();
+        assert_eq!(values.len(), 65_536);
+        assert_matches_reference(&values);
+    }
+
+    #[test]
+    fn f32_conversions_ignore_trailing_bytes_and_declare_the_payload() {
+        let bytes: Vec<u8> = (1..=7).collect();
+        for len in 0..=7 {
+            let b = HostBuf::from_slice(&bytes[..len]);
+            let bits: Vec<u32> = b.as_f32s().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits.len(), len / 4);
+            assert_eq!(bits, as_f32s_reference(&bytes[..len]));
+            let values: Vec<f32> = (0..len).map(|i| i as f32 - 3.5).collect();
+            let b = HostBuf::from_f32s(&values);
+            assert_eq!(b.payload.len(), 4 * len);
+            assert_eq!(b.declared_len, b.payload.len() as u64);
+            assert_matches_reference(&values);
+        }
     }
 
     #[test]

@@ -72,6 +72,11 @@ pub fn read_frame<T: Wire>(stream: &mut impl Read) -> Result<T> {
     decode_body(&body)
 }
 
+/// Largest buffer a connection keeps once it is drained. One that a bigger
+/// frame grew (a 16 MiB copy, an image import or export) is released then,
+/// so that frame does not pin its size for the connection's lifetime.
+pub(crate) const KEEP_BYTES: usize = 1 << 20;
+
 /// Smallest and largest spare room [`FrameBuf::read_from`] offers one read.
 /// Small so ten thousand idle connections stay cheap; the upper end is what
 /// a partial bulk frame is given per read.
@@ -149,7 +154,8 @@ impl FrameBuf {
     }
 
     /// Whether the last [`FrameBuf::read_from`] returned fewer bytes than the
-    /// room it offered: a socket had no more to give just then.
+    /// room it offered: a socket had no more to give just then. False once a
+    /// decode has released the storage, so the caller reads once more.
     pub fn read_short(&self) -> bool {
         self.tail < self.buf.len()
     }
@@ -166,6 +172,9 @@ impl FrameBuf {
         let Some(body) = rest.get(..len) else { return Ok(None) };
         let value = decode_body(body)?;
         self.head += 4 + len;
+        if self.head == self.tail && self.buf.capacity() > KEEP_BYTES {
+            *self = FrameBuf::new();
+        }
         Ok(Some(value))
     }
 
@@ -304,6 +313,35 @@ mod tests {
         let mut empty: &[u8] = &[];
         assert_eq!(fb.read_from(&mut empty).unwrap(), 0);
         assert!(fb.buf.capacity() <= 4 * MAX_READ, "reserved {}", fb.buf.capacity());
+    }
+
+    #[test]
+    fn a_drained_buffer_keeps_a_bulk_frame_but_not_a_big_one() {
+        let copy = |len: usize| {
+            let call =
+                CudaCall::MemcpyH2D { dst: DeviceAddr(0), buf: HostBuf::from_slice(&vec![7; len]) };
+            let mut bytes = Vec::new();
+            encode_frame(&call, &mut bytes).unwrap();
+            bytes
+        };
+        let mut fb = FrameBuf::new();
+        let mut drain = |bytes: &[u8]| {
+            let mut src = bytes;
+            while !src.is_empty() {
+                let n = fb.read_from(&mut src).unwrap();
+                assert_ne!(n, 0);
+            }
+            assert!(matches!(fb.next_frame::<CudaCall>(), Ok(Some(_))));
+            assert!(!fb.has_partial());
+            (fb.buf.as_ptr(), fb.buf.capacity())
+        };
+        // A 32 KiB frame (one `bulk_copy` upload) keeps its buffer.
+        let bulk = copy(32 << 10);
+        let (ptr, capacity) = drain(&bulk);
+        assert!(capacity >= bulk.len());
+        assert_eq!(drain(&bulk), (ptr, capacity));
+        // A 4 MiB one gives its memory back once it is decoded.
+        assert!(drain(&copy(4 << 20)).1 <= KEEP_BYTES);
     }
 
     #[test]

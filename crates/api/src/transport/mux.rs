@@ -40,7 +40,7 @@
 //! Framing and the body codec are [`super::frame`]'s, shared with the server
 //! reactor.
 
-use super::frame::{encode_frame, FrameBuf};
+use super::frame::{encode_frame, FrameBuf, KEEP_BYTES};
 use super::Transport;
 use crate::error::CudaError;
 use crate::protocol::{CudaCall, CudaReply, MuxFrame};
@@ -290,16 +290,12 @@ pub struct MuxChannel {
     /// Keeps the socket open for as long as this channel lives.
     conn: Arc<MuxConnInner>,
     chan: u64,
-    /// Encode buffer, kept across calls so a round trip allocates nothing
-    /// for its request frame.
+    /// Encode buffer, kept across calls (up to [`KEEP_BYTES`]) so a round
+    /// trip allocates nothing for its request frame.
     wbuf: Vec<u8>,
     /// Where this channel's caller sleeps while another caller leads.
     wake: Arc<RankedCondvar>,
 }
-
-/// Largest encode buffer a channel keeps between calls; one bigger (an
-/// image import, say) is released after its write.
-const WBUF_KEEP_BYTES: usize = 1 << 20;
 
 impl MuxChannel {
     /// The channel ID on the wire (diagnostic).
@@ -335,7 +331,7 @@ impl MuxChannel {
             // for every channel, and nobody else would notice.
             self.conn.fail(&mut self.conn.demux.lock());
         }
-        if self.wbuf.capacity() > WBUF_KEEP_BYTES {
+        if self.wbuf.capacity() > KEEP_BYTES {
             self.wbuf = Vec::new();
         }
         self.collect(first)

@@ -46,7 +46,7 @@
 //! counts the failure and leaves the listener out of the next poll rather
 //! than spin on it.
 
-use super::frame::{encode_frame, FrameBuf};
+use super::frame::{encode_frame, FrameBuf, KEEP_BYTES};
 use crate::error::CudaError;
 use crate::protocol::{CudaCall, CudaReply, MuxFrame};
 use mtgpu_simtime::{lock_rank, RankedMutex, Shadow};
@@ -260,6 +260,9 @@ impl Outbound {
         }
         if self.backlog() == 0 {
             self.outbuf.clear();
+            if self.outbuf.capacity() > KEEP_BYTES {
+                self.outbuf = Vec::new();
+            }
             self.out_sent = 0;
             Ok(true)
         } else if self.backlog() > max_outbuf {
@@ -990,6 +993,32 @@ mod tests {
             }
         }
         assert_eq!(ids, [FOREIGN, 0, 1, 2]);
+    }
+
+    #[test]
+    fn a_drained_outbuf_keeps_a_bulk_reply_but_not_a_big_one() {
+        let (stream, mut peer) = UnixStream::pair().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let (_sink, queue) = ReplySink::channel();
+        let out = queue.shared.attach(1, Arc::new(Sock::Unix(stream)));
+        let reader = std::thread::spawn(move || std::io::copy(&mut peer, &mut std::io::sink()));
+        let reply = |len: usize| Ok(ReplyValue::Bytes(HostBuf::from_slice(&vec![7; len])));
+        let drain = |len: usize| {
+            let mut out = out.lock();
+            out.push_reply(0, reply(len));
+            while !out.flush(usize::MAX).unwrap() {
+                std::thread::yield_now();
+            }
+            (out.outbuf.as_ptr(), out.outbuf.capacity())
+        };
+        // A 32 KiB reply (one `bulk_copy` download) keeps its buffer.
+        let (ptr, capacity) = drain(32 << 10);
+        assert!(capacity >= 32 << 10);
+        assert_eq!(drain(32 << 10), (ptr, capacity));
+        // A 4 MiB one gives its memory back once it is on the wire.
+        assert!(drain(4 << 20).1 <= KEEP_BYTES);
+        queue.shared.detach(1);
+        reader.join().unwrap().unwrap();
     }
 
     /// Answers `MemcpyD2H` with one byte more than a frame may carry, and

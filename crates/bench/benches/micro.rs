@@ -1,7 +1,8 @@
 //! Micro-benchmarks: the per-operation costs of the runtime's building
 //! blocks (page-table operations, device allocator, engine arbitration,
-//! end-to-end call overhead through the in-process connection, and one
-//! kernel's functional payload on the device model).
+//! end-to-end call overhead through the in-process connection, one
+//! kernel's functional payload on the device model, and the host buffer's
+//! f32 conversions).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mtgpu_api::{BareClient, CudaClient, HostBuf};
@@ -123,12 +124,29 @@ fn bench_kernel_payload(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_host_buf(c: &mut Criterion) {
+    // The client-side conversions under every f32 upload and download, on
+    // one `bulk_copy` buffer (8192 floats, 32 KiB), against a plain clone
+    // of the same bytes: the memory-speed floor. Reported, not gated; the
+    // best of 5000 runs.
+    const N: usize = 8192;
+    let values: Vec<f32> = (0..N).map(|i| i as f32 * 0.5 - 1000.0).collect();
+    let buf = HostBuf::from_f32s(&values);
+    let mut group = c.benchmark_group("host_buf");
+    group.sample_size(5000);
+    group.bench_function("from_f32s_8192", |b| b.iter(|| HostBuf::from_f32s(black_box(&values))));
+    group.bench_function("as_f32s_8192", |b| b.iter(|| black_box(&buf).as_f32s()));
+    group.bench_function("clone_32k", |b| b.iter(|| black_box(&buf.payload).clone()));
+    group.finish();
+}
+
 criterion_group!(
     micro,
     bench_block_allocator,
     bench_page_table,
     bench_engine,
     bench_end_to_end_call,
-    bench_kernel_payload
+    bench_kernel_payload,
+    bench_host_buf
 );
 criterion_main!(micro);

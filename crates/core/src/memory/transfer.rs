@@ -218,20 +218,25 @@ mod tests {
     fn two_lanes_halve_wall_time_on_two_engines() {
         // Wall-clock check at real scale: 4 transfers of 4 MiB over a
         // 4 GB/s PCIe model are ~1ms each; two engines should finish the
-        // batch in about half the serial time.
+        // batch in about half the serial time. Descheduling only ever
+        // stretches a span, so each is the least of three tries.
         let gpu = gpu_with(GpuSpec::tesla_c2050(), 1.0);
         let ctx = gpu.create_context().unwrap();
         let size = 4u64 << 20;
         let ops = upload_plan(&gpu, ctx, 4, size);
-        let start = Instant::now();
-        let (outs, _) = execute(&gpu, ctx, &ops, 1);
-        let serial = start.elapsed();
-        assert!(outs.iter().all(|o| o.result.is_ok()));
-        let start = Instant::now();
-        let (outs, shape) = execute(&gpu, ctx, &ops, 2);
-        let pipelined = start.elapsed();
-        assert!(outs.iter().all(|o| o.result.is_ok()));
-        assert!(shape.overlapped);
+        let span = |lanes| {
+            let times = (0..3).map(|_| {
+                let start = Instant::now();
+                let (outs, shape) = execute(&gpu, ctx, &ops, lanes);
+                let took = start.elapsed();
+                assert!(outs.iter().all(|o| o.result.is_ok()));
+                assert_eq!(shape.overlapped, lanes > 1);
+                took
+            });
+            times.min().unwrap()
+        };
+        let serial = span(1);
+        let pipelined = span(2);
         assert!(
             pipelined.as_secs_f64() < serial.as_secs_f64() * 0.75,
             "2 lanes should overlap: serial {serial:?} pipelined {pipelined:?}"

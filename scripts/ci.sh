@@ -12,8 +12,13 @@
 #                                the Black-Scholes payload's own exp and
 #                                ln against libm (within an ulp over a
 #                                strided sweep of every finite f32, exact
-#                                on special values) and its baseline and
-#                                AVX2 builds pricing bit for bit
+#                                on special values), its baseline and
+#                                AVX2 builds pricing bit for bit, and the
+#                                host buffer's one-pass f32 conversions
+#                                byte for byte against the per-element
+#                                ones (NaN payloads, ±0, ±inf, subnormals,
+#                                a strided sweep of every bit pattern,
+#                                trailing bytes)
 #   tier 3  determinism smoke    fig7 --quick --virtual-clock --seed 42 runs
 #                                clean, then the sequential det-harness replay
 #                                of the fig7 shape must be bit-identical, the
@@ -157,6 +162,12 @@ if [[ "$tier" == "all" || "$tier" == "2" ]]; then
         apps::blackscholes::tests::exp_and_ln_stay_within_an_ulp_of_libm \
         apps::blackscholes::tests::exp_and_ln_match_libm_exactly_on_special_values \
         apps::blackscholes::tests::baseline_and_avx2_builds_price_bit_for_bit > /dev/null
+    # The host buffer converts f32 payloads in one pass each way; in the
+    # release build those passes vectorise, so they are pinned there too.
+    cargo test -q --release -p mtgpu-api --lib -- --exact \
+        host_buf::tests::f32_conversions_match_the_per_element_reference_on_special_values \
+        host_buf::tests::f32_conversions_match_the_per_element_reference_over_a_strided_sweep \
+        host_buf::tests::f32_conversions_ignore_trailing_bytes_and_declare_the_payload > /dev/null
 fi
 
 if [[ "$tier" == "all" || "$tier" == "3" ]]; then
