@@ -1,6 +1,7 @@
-//! Ablations of the design choices DESIGN.md calls out: transfer deferral,
-//! inter-application swap, bulk-copy coalescing, and scheduler policy —
-//! each toggled on a fixed memory-pressured scenario.
+//! Ablations of the design choices DESIGN.md calls out: inter-application
+//! swap and scheduler policy, each toggled on a fixed memory-pressured
+//! scenario. Transfer deferral and copy coalescing are not ablated: they are
+//! the memory manager's only transfer policy.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mtgpu_bench::harness::{mixed_long_jobs, run_on_runtime, ExperimentScale, NodeSetup};
@@ -13,8 +14,8 @@ fn scale() -> ExperimentScale {
 
 /// The fixed scenario: twelve long jobs (3 BS-L + 9 MM-L) on the 3-GPU
 /// node — four tenants per device, three of them MM-L, so device memory is
-/// genuinely oversubscribed and the swap/deferral machinery under ablation
-/// actually runs.
+/// genuinely oversubscribed and the swap machinery under ablation actually
+/// runs.
 fn scenario(cfg: RuntimeConfig) -> f64 {
     let out = run_on_runtime(
         NodeSetup::ThreeGpu,
@@ -25,21 +26,6 @@ fn scenario(cfg: RuntimeConfig) -> f64 {
     out.total_secs()
 }
 
-fn bench_deferral(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_deferral");
-    g.sample_size(10).measurement_time(Duration::from_secs(8));
-    for (label, defer) in [("deferred", true), ("eager", false)] {
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                let mut cfg = RuntimeConfig::paper_default();
-                cfg.defer_transfers = defer;
-                scenario(cfg)
-            })
-        });
-    }
-    g.finish();
-}
-
 fn bench_inter_app_swap(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_interswap");
     g.sample_size(10).measurement_time(Duration::from_secs(8));
@@ -48,21 +34,6 @@ fn bench_inter_app_swap(c: &mut Criterion) {
             b.iter(|| {
                 let mut cfg = RuntimeConfig::paper_default();
                 cfg.inter_app_swap = swap;
-                scenario(cfg)
-            })
-        });
-    }
-    g.finish();
-}
-
-fn bench_coalescing(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_coalesce");
-    g.sample_size(10).measurement_time(Duration::from_secs(8));
-    for (label, coalesce) in [("coalesced", true), ("per_copy", false)] {
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                let mut cfg = RuntimeConfig::paper_default();
-                cfg.coalesce_transfers = coalesce;
                 scenario(cfg)
             })
         });
@@ -85,11 +56,5 @@ fn bench_schedulers(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    ablations,
-    bench_deferral,
-    bench_inter_app_swap,
-    bench_coalescing,
-    bench_schedulers
-);
+criterion_group!(ablations, bench_inter_app_swap, bench_schedulers);
 criterion_main!(ablations);

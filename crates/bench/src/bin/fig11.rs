@@ -2,15 +2,6 @@
 //! `--seed <n>` (deterministic scheduling), `--virtual-clock` (logical
 //! time, no real sleeps).
 
-use mtgpu_bench::harness::FigCli;
-
 fn main() {
-    let cli = FigCli::parse();
-    let mut opts = if cli.quick {
-        mtgpu_bench::figures::fig11::Opts::quick()
-    } else {
-        mtgpu_bench::figures::fig11::Opts::paper()
-    };
-    opts.scale = cli.apply(opts.scale);
-    mtgpu_bench::figures::fig11::run(&opts).print();
+    mtgpu_bench::figures::main("fig11");
 }

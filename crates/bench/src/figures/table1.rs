@@ -59,8 +59,8 @@ pub fn run() -> FigureReport {
     let driver = Driver::with_devices(clock, vec![GpuSpec::test_small()]);
     let gpu = driver.device(DeviceId(0)).unwrap();
     let mut cfg = RuntimeConfig::paper_default();
-    cfg.max_ptes_per_context = 64;
-    cfg.swap_capacity = Some(3 * gpu.mem_capacity());
+    cfg.memory.max_ptes_per_context = 64;
+    cfg.memory.swap_capacity = Some(3 * gpu.mem_capacity());
     let rt = NodeRuntime::start(driver, cfg);
     let mut c = rt.local_client();
     let m = c.register_fat_binary().unwrap();

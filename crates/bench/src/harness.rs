@@ -111,6 +111,15 @@ pub struct FigCli {
 impl FigCli {
     /// Parses the process arguments.
     pub fn parse() -> FigCli {
+        Self::parse_with(|_, _| false)
+    }
+
+    /// Parses the process arguments, offering each flag `FigCli` does not
+    /// know to `extra` first: it returns whether it took the flag, and takes
+    /// the flag's value, if any, from the iterator it is handed.
+    pub fn parse_with(
+        mut extra: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> bool,
+    ) -> FigCli {
         let mut cli = FigCli::default();
         let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
@@ -124,6 +133,7 @@ impl FigCli {
                         std::process::exit(2);
                     }
                 },
+                other if extra(other, &mut args) => {}
                 other => eprintln!("ignoring unknown flag `{other}`"),
             }
         }

@@ -3,7 +3,7 @@
 //!
 //! Each `figures::figN` module reproduces the corresponding figure's
 //! experiment; the `src/bin/figN` binaries print the paper-style series and
-//! the `repro-all` binary runs the whole evaluation and emits
+//! the `repro_all` binary runs the whole evaluation and emits
 //! `EXPERIMENTS.md`-ready markdown. Criterion benches (in `benches/`)
 //! cover micro-costs, shrunken figure scenarios and design-choice
 //! ablations.

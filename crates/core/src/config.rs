@@ -1,5 +1,6 @@
 //! Runtime configuration knobs.
 
+use crate::memory::MemoryConfig;
 use mtgpu_simtime::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -24,16 +25,9 @@ pub struct RuntimeConfig {
     /// Virtual GPUs spawned per physical device (the sharing degree, §4.4).
     /// The paper settles on 4 as "a good compromise" (§5.3.2).
     pub vgpus_per_device: u32,
-    /// Defer host-to-device transfers until the data is needed by a kernel
-    /// (§4.5). Eager mode writes through to the device once bound, enabling
-    /// compute/transfer overlap at the price of higher swap cost.
-    pub defer_transfers: bool,
     /// Enable inter-application swap (§4.5). When off, memory pressure is
     /// resolved only by unbind-and-retry.
     pub inter_app_swap: bool,
-    /// Coalesce repeated copies into one bulk upload per page-table entry
-    /// (§4.5 "multiple data copy operations ... single, bulk transfer").
-    pub coalesce_transfers: bool,
     /// Scheduling policy.
     pub scheduler: SchedulerPolicy,
     /// Live-migrate ([`crate::NodeRuntime::migrate_ctx`]) an idle context
@@ -49,12 +43,10 @@ pub struct RuntimeConfig {
     pub offload_threshold: Option<usize>,
     /// Peer runtime daemons (their listen addresses) eligible for offloading.
     pub offload_peers: Vec<String>,
-    /// Cap on total swap-area bytes per node; `None` = unbounded. Exceeding
-    /// it produces the Table 1 "Swap memory cannot be allocated" error.
-    pub swap_capacity: Option<u64>,
-    /// Cap on live page-table entries per context; exceeding it produces the
-    /// Table 1 "A virtual address cannot be assigned" error.
-    pub max_ptes_per_context: usize,
+    /// The memory manager's limits: page-table entries per context and the
+    /// swap area's capacity (§4.5). Transfers are always deferred to the
+    /// launch that needs them and coalesced into one upload per entry.
+    pub memory: MemoryConfig,
     /// Events retained by the runtime's trace ring buffer (0 disables
     /// tracing).
     pub trace_capacity: usize,
@@ -78,16 +70,13 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             vgpus_per_device: 4,
-            defer_transfers: true,
             inter_app_swap: true,
-            coalesce_transfers: true,
             scheduler: SchedulerPolicy::FcfsRoundRobin,
             dynamic_load_balancing: false,
             auto_checkpoint_after: None,
             offload_threshold: None,
             offload_peers: Vec::new(),
-            swap_capacity: None,
-            max_ptes_per_context: 1 << 20,
+            memory: MemoryConfig::default(),
             trace_capacity: 4096,
             seed: 0,
             background_monitor: true,
@@ -97,8 +86,8 @@ impl Default for RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// The paper's experimental configuration: 4 vGPUs per device, deferral
-    /// on, both swap kinds enabled, FCFS round-robin.
+    /// The paper's experimental configuration: 4 vGPUs per device, both swap
+    /// kinds enabled, FCFS round-robin.
     pub fn paper_default() -> Self {
         Self::default()
     }
@@ -148,7 +137,6 @@ mod tests {
     fn defaults_match_paper() {
         let c = RuntimeConfig::paper_default();
         assert_eq!(c.vgpus_per_device, 4);
-        assert!(c.defer_transfers);
         assert!(c.inter_app_swap);
         assert_eq!(c.scheduler, SchedulerPolicy::FcfsRoundRobin);
     }

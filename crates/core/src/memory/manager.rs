@@ -37,6 +37,7 @@ use mtgpu_api::{CudaError, CudaResult, HostBuf};
 use mtgpu_gpusim::device::DEFAULT_MATERIALIZE_CAP;
 use mtgpu_gpusim::{DeviceAddr, DeviceId, KernelArg};
 use mtgpu_simtime::{lock_rank, Clock, RankedMutex, Shadow};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -136,24 +137,20 @@ pub(super) struct NodeState {
     dev_swap: BTreeMap<DeviceId, (u64, u64)>,
 }
 
-/// Memory-manager configuration slice (copied from
-/// [`crate::config::RuntimeConfig`]).
-#[derive(Debug, Clone)]
+/// The memory manager's limits ([`crate::config::RuntimeConfig::memory`]).
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MemoryConfig {
-    pub defer_transfers: bool,
-    pub coalesce_transfers: bool,
+    /// Cap on live page-table entries per context; exceeding it produces the
+    /// Table 1 "A virtual address cannot be assigned" error.
     pub max_ptes_per_context: usize,
+    /// Cap on total swap-area bytes per node; `None` = unbounded. Exceeding
+    /// it produces the Table 1 "Swap memory cannot be allocated" error.
     pub swap_capacity: Option<u64>,
 }
 
 impl Default for MemoryConfig {
     fn default() -> Self {
-        MemoryConfig {
-            defer_transfers: true,
-            coalesce_transfers: true,
-            max_ptes_per_context: 1 << 20,
-            swap_capacity: None,
-        }
+        MemoryConfig { max_ptes_per_context: 1 << 20, swap_capacity: None }
     }
 }
 
@@ -221,11 +218,6 @@ impl MemoryManager {
     pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Self {
         self.tracer = Some(tracer);
         self
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &MemoryConfig {
-        &self.cfg
     }
 
     /// The context's memory. The leaf lock is let go before the caller
@@ -376,8 +368,8 @@ impl MemoryManager {
     }
 
     /// `cudaMemcpy` host→device (Table 1): check PTE, move data to swap.
-    /// Under deferral no device action occurs; in eager mode the region is
-    /// written through when the entry is already resident.
+    /// No device action occurs, resident entry or not: the copy waits in the
+    /// slab for the next launch that needs the entry, which uploads it once.
     pub fn copy_h2d(
         &self,
         ctx: CtxId,
@@ -403,7 +395,7 @@ impl MemoryManager {
             RuntimeMetrics::bump(&self.metrics.bad_ops_rejected);
             return Err(CudaError::SizeMismatch);
         }
-        if entry.flags.to_dev() && self.cfg.coalesce_transfers {
+        if entry.flags.to_dev() {
             // A previous copy into this entry has not been uploaded yet:
             // this one merges into the same future bulk transfer.
             RuntimeMetrics::bump(&self.metrics.coalesced_copies);
@@ -411,15 +403,6 @@ impl MemoryManager {
         entry.slab.write(offset, &buf.payload);
         entry.flags = entry.flags.on_copy_hd();
         entry.last_touch = touch;
-        // Eager mode only: write through to the resident copy.
-        if !self.cfg.defer_transfers && entry.flags.allocated() {
-            if let Some(b) = binding {
-                b.gpu
-                    .memcpy_h2d(b.gpu_ctx, entry.dptr(), entry.size, &entry.slab.data)
-                    .map_err(CudaError::from_gpu)?;
-                entry.flags = entry.flags.on_upload();
-            }
-        }
         Ok(())
     }
 
@@ -1087,9 +1070,11 @@ mod tests {
     }
 
     #[test]
-    fn eager_mode_writes_through_when_resident() {
-        let cfg = MemoryConfig { defer_transfers: false, ..MemoryConfig::default() };
-        let m = MemoryManager::new(cfg, Arc::new(RuntimeMetrics::default()));
+    fn copies_into_a_resident_entry_wait_for_the_next_launch() {
+        // A bound, resident entry is no exception to deferral: two copies
+        // (the second partial) stay in the slab and merge into one upload.
+        let metrics = Arc::new(RuntimeMetrics::default());
+        let m = MemoryManager::new(MemoryConfig::default(), Arc::clone(&metrics));
         m.register_ctx(CTX);
         let b = gpu_binding();
         let v = m.malloc(CTX, 256, AllocKind::Linear).unwrap();
@@ -1097,12 +1082,16 @@ mod tests {
         m.materialize(CTX, &c, &b).unwrap();
         let h2d_before = b.gpu.stats().snapshot().h2d_bytes;
         m.copy_h2d(CTX, v, &HostBuf::from_slice(&[1u8; 256]), Some(&b)).unwrap();
-        assert!(
-            b.gpu.stats().snapshot().h2d_bytes > h2d_before,
-            "eager mode must write through to the resident copy"
-        );
+        m.copy_h2d(CTX, DeviceAddr(v.0 + 64), &HostBuf::from_slice(&[2u8; 64]), Some(&b)).unwrap();
+        assert_eq!(b.gpu.stats().snapshot().h2d_bytes, h2d_before, "no write-through");
         let f = m.flags_of(CTX, v).unwrap();
-        assert!(f.allocated() && !f.to_dev());
+        assert!(f.allocated() && f.to_dev());
+        assert_eq!(metrics.snapshot().coalesced_copies, 1, "the second copy merged");
+        m.materialize(CTX, &c, &b).unwrap();
+        assert_eq!(b.gpu.stats().snapshot().h2d_bytes, h2d_before + 256, "one bulk upload");
+        let mut want = vec![1u8; 256];
+        want[64..128].fill(2);
+        assert_eq!(m.copy_d2h(CTX, v, 256, Some(&b)).unwrap().payload, want);
     }
 
     #[test]

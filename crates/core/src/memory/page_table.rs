@@ -53,8 +53,8 @@ impl Flags {
         self.to_swap
     }
 
-    /// Host-to-device copy under deferral: the slab now holds the
-    /// authoritative data, superseding any device copy.
+    /// Host-to-device copy: the slab now holds the authoritative data,
+    /// superseding any device copy.
     #[must_use]
     pub fn on_copy_hd(self) -> Flags {
         Flags { allocated: self.allocated, to_dev: true, to_swap: false }
@@ -96,8 +96,8 @@ impl Flags {
         Flags { allocated: true, ..self }
     }
 
-    /// The slab reached the device (bulk upload at launch, or an eager
-    /// write-through): both copies are current. No-op when not allocated.
+    /// The slab reached the device (the bulk upload at launch): both copies
+    /// are current. No-op when not allocated.
     #[must_use]
     pub fn on_upload(self) -> Flags {
         if self.allocated {

@@ -155,8 +155,8 @@ pub fn execute(
 mod tests {
     use super::*;
     use mtgpu_gpusim::GpuSpec;
-    use mtgpu_simtime::Clock;
-    use std::time::Instant;
+    use mtgpu_simtime::{Clock, SimDuration};
+    use std::time::Duration;
 
     fn gpu_with(spec: GpuSpec, scale: f64) -> std::sync::Arc<Gpu> {
         Gpu::new(spec, Clock::with_scale(scale), 0)
@@ -216,31 +216,42 @@ mod tests {
 
     #[test]
     fn two_lanes_halve_wall_time_on_two_engines() {
-        // Wall-clock check at real scale: 4 transfers of 4 MiB over a
-        // 4 GB/s PCIe model are ~1ms each; two engines should finish the
-        // batch in about half the serial time. Descheduling only ever
-        // stretches a span, so each is the least of three tries.
+        // Ordering, not speed: while another thread's long copy keeps lane
+        // 1's engine busy, two lanes finish lane 0's ops (plan ops 0 and 2)
+        // and only ops 1 and 3 wait. A serial executor queues op 1 behind
+        // the long copy and runs op 2 after it, so op 2's bytes cannot reach
+        // the device before lane 1's busy time moves off zero.
         let gpu = gpu_with(GpuSpec::tesla_c2050(), 1.0);
         let ctx = gpu.create_context().unwrap();
-        let size = 4u64 << 20;
-        let ops = upload_plan(&gpu, ctx, 4, size);
-        let span = |lanes| {
-            let times = (0..3).map(|_| {
-                let start = Instant::now();
-                let (outs, shape) = execute(&gpu, ctx, &ops, lanes);
-                let took = start.elapsed();
-                assert!(outs.iter().all(|o| o.result.is_ok()));
-                assert_eq!(shape.overlapped, lanes > 1);
-                took
-            });
-            times.min().unwrap()
-        };
-        let serial = span(1);
-        let pipelined = span(2);
-        assert!(
-            pipelined.as_secs_f64() < serial.as_secs_f64() * 0.75,
-            "2 lanes should overlap: serial {serial:?} pipelined {pipelined:?}"
-        );
+        let ops = upload_plan(&gpu, ctx, 4, 4096);
+        let op2 = ops[2].dptr;
+        // 512 MiB at 4 GB/s: lane 1 stays busy for ~134 ms.
+        let long = 512u64 << 20;
+        let long_dst = gpu.malloc(ctx, long).unwrap();
+        std::thread::scope(|s| {
+            s.spawn(|| gpu.memcpy_h2d_on(ctx, long_dst, long, &[], 1).unwrap());
+            // Until the long copy holds lane 1, the whole device can be held.
+            while let Some(hold) = gpu.try_hold() {
+                drop(hold);
+                std::thread::yield_now();
+            }
+            let plan = s.spawn(|| execute(&gpu, ctx, &ops, 2));
+            loop {
+                let op2_done = gpu.peek(op2, 64).unwrap() == FILLS[2];
+                let lane1_free = gpu.engine_busy_times()[1] > SimDuration::ZERO;
+                assert!(
+                    !lane1_free,
+                    "lane 1 came free before op 2 finished: the lanes ran in turn"
+                );
+                if op2_done {
+                    break;
+                }
+                std::thread::sleep(Duration::from_micros(50));
+            }
+            let (outs, shape) = plan.join().unwrap();
+            assert!(outs.iter().all(|o| o.result.is_ok()));
+            assert!(shape.overlapped);
+        });
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use crate::config::RuntimeConfig;
 use crate::ctx::{AppContext, CtxId, VGpuId};
-use crate::memory::{MemoryConfig, MemoryManager};
+use crate::memory::MemoryManager;
 use crate::metrics::{DeviceUtilization, MetricsSnapshot, RuntimeMetrics};
 use crate::monitor;
 use crate::mux::{self, Gateway, RelayedChannel};
@@ -94,17 +94,9 @@ impl NodeRuntime {
         let metrics = Arc::new(RuntimeMetrics::default());
         let clock = driver.clock().clone();
         let tracer = Arc::new(Tracer::new(clock.clone(), cfg.trace_capacity));
-        let mm = MemoryManager::new(
-            MemoryConfig {
-                defer_transfers: cfg.defer_transfers,
-                coalesce_transfers: cfg.coalesce_transfers,
-                max_ptes_per_context: cfg.max_ptes_per_context,
-                swap_capacity: cfg.swap_capacity,
-            },
-            Arc::clone(&metrics),
-        )
-        .with_tracer(Arc::clone(&tracer))
-        .with_clock(clock.clone());
+        let mm = MemoryManager::new(cfg.memory.clone(), Arc::clone(&metrics))
+            .with_tracer(Arc::clone(&tracer))
+            .with_clock(clock.clone());
         let bm = BindingManager::new_seeded(cfg.scheduler, Arc::clone(&metrics), cfg.seed);
         let local_slots = match (cfg.offload_threshold, cfg.offload_peers.is_empty()) {
             (Some(t), false) => t as i64,

@@ -2,10 +2,13 @@
 # CI tier ladder for the mtgpu workspace. Each tier must pass before the
 # next runs; the whole script is what "CI green" means for a PR.
 #
-#   tier 0  formatting           non-test line count (scripts/loc.sh, printed
-#                                for the record; gated only on the memory
-#                                manager's largest file, at most 600
-#                                lines), then cargo fmt --check
+#   tier 0  formatting           non-test line count per crate and the
+#                                settable fields of each configuration
+#                                struct the node reads, with their sum
+#                                (scripts/loc.sh, printed for the record;
+#                                gated only on the memory manager's largest
+#                                file, at most 600 lines), then cargo fmt
+#                                --check
 #   tier 1  lints                cargo clippy --workspace -D warnings
 #   tier 2  tests                cargo test -q --workspace, then by name
 #                                in release (where the passes vectorise)
@@ -138,7 +141,7 @@ run_tier() {
 }
 
 if [[ "$tier" == "all" || "$tier" == "0" ]]; then
-    run_tier 0 "non-test line count + cargo fmt --check"
+    run_tier 0 "non-test line count, settable fields + cargo fmt --check"
     loc=$(bash scripts/loc.sh)
     echo "$loc"
     # One file per seam in the memory manager: none over 600 non-test lines.

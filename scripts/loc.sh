@@ -4,10 +4,13 @@
 # `benches/`, `examples/`, `shims/`, `#[cfg(test)]` modules, blank lines and
 # comment-only lines (doc comments included). One row per crate, then the
 # total, then the largest file of the memory manager (CI tier 0 fails when
-# it is over 600 lines: split along a seam instead), then the number of
-# settable fields of `RuntimeConfig` and `MemoryConfig` (the ROADMAP's other
-# tracked number). CI tier 0 prints it; CHANGES.md records it before/after
-# each PR that moves it.
+# it is over 600 lines: split along a seam instead), then the settable
+# fields of every configuration struct the node reads (the ROADMAP's other
+# tracked number): `RuntimeConfig`, `MemoryConfig`, `TenantPolicyConfig`,
+# `ReactorConfig` and `DescriptorLimits`, one row each, and their sum
+# (`RuntimeConfig`'s `memory` and `tenant_policy` count there as one field
+# each besides their own rows). CI tier 0 prints it; CHANGES.md records it
+# before/after each PR that moves it.
 #
 # Usage: scripts/loc.sh [ROOT]   (default: this checkout)
 set -euo pipefail
@@ -61,5 +64,14 @@ fields() {
         inside && /^    pub [a-z_0-9]+:/ { n++ }
         END { print n + 0 }' "$2"
 }
-printf '%8d  RuntimeConfig fields\n' "$(fields RuntimeConfig crates/core/src/config.rs)"
-printf '%8d  MemoryConfig fields\n' "$(fields MemoryConfig crates/core/src/memory/manager.rs)"
+settable=0
+for row in RuntimeConfig:crates/core/src/config.rs \
+    MemoryConfig:crates/core/src/memory/manager.rs \
+    TenantPolicyConfig:crates/core/src/policy.rs \
+    ReactorConfig:crates/api/src/transport/reactor.rs \
+    DescriptorLimits:crates/api/src/guard.rs; do
+    n=$(fields "${row%%:*}" "${row#*:}")
+    settable=$((settable + n))
+    printf '%8d  %s fields\n' "$n" "${row%%:*}"
+done
+printf '%8d  settable fields in total\n' "$settable"

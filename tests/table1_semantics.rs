@@ -142,8 +142,8 @@ fn virtual_address_and_swap_exhaustion() {
     library::register(RegisteredKernel { desc: KernelDesc::plain("noop"), payload: None });
     let driver = Driver::with_devices(Clock::with_scale(1e-7), vec![GpuSpec::test_small()]);
     let mut cfg = RuntimeConfig::paper_default();
-    cfg.max_ptes_per_context = 4;
-    cfg.swap_capacity = Some(1 << 20);
+    cfg.memory.max_ptes_per_context = 4;
+    cfg.memory.swap_capacity = Some(1 << 20);
     let rt = NodeRuntime::start(driver, cfg);
     // "A virtual address cannot be assigned."
     let mut c = rt.local_client();
