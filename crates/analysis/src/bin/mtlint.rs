@@ -7,7 +7,7 @@
 //!
 //! With no `FILE` arguments it runs in *workspace mode*: lints every `.rs`
 //! file under `crates/{api,cluster,core,gpusim,loadgen}/src`, holds the
-//! vendored channel and lock shims to the `notify-all` rule, extracts the
+//! vendored lock shim to the `notify-all` rule, extracts the
 //! lock graph (rank declarations from `crates/simtime/src/sync.rs`,
 //! construction sites from the runtime crates), and writes
 //! `mtlint.json`, `lock_graph.json`, and `lock_graph.dot` into `--out`
@@ -26,11 +26,11 @@ use std::process::ExitCode;
 const LINT_CRATES: &[&str] = &["api", "cluster", "core", "gpusim", "loadgen"];
 
 /// Vendored shims the workspace walk also visits, for broadcast wake-ups
-/// only: every hand-off in the runtime goes through their condvars, so a
-/// `notify_all` there is a thundering herd under all of it. The other
-/// rules do not apply — the shims are what those rules steer code toward
-/// (they wrap the std locks and time their own waits).
-const SHIM_DIRS: &[&str] = &["shims/crossbeam/src", "shims/parking_lot/src"];
+/// only: every hand-off in the runtime goes through the lock shim's
+/// condvar, so a `notify_all` there is a thundering herd under all of it.
+/// The other rules do not apply — the shim is what those rules steer code
+/// toward (it wraps the std locks and times its own waits).
+const SHIM_DIRS: &[&str] = &["shims/parking_lot/src"];
 
 /// The rules a shim file answers to (and the allow hygiene around them).
 const SHIM_RULES: &[&str] = &["notify-all", "bad-allow", "dead-allow"];

@@ -129,6 +129,15 @@ mod fixture_tests {
     }
 
     #[test]
+    fn unranked_channel_fixture() {
+        let findings = fixture("unranked_channel.rs");
+        let v = violations(&findings);
+        assert_eq!(v.len(), 3, "{v:?}");
+        assert!(v.iter().all(|(r, _)| r == "unranked-lock"));
+        assert!(findings.iter().any(|f| f.allowed && f.rule == "unranked-lock"));
+    }
+
+    #[test]
     fn allowed_fixture_is_clean() {
         let findings = fixture("allowed_clean.rs");
         assert!(violations(&findings).is_empty(), "{:?}", violations(&findings));

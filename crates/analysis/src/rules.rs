@@ -15,9 +15,11 @@
 //!   order scheduler-dependent; each call site must justify why a targeted
 //!   `notify_one` is wrong.
 //! - `non-det-rng` — any randomness source other than the seeded `DetRng`.
-//! - `unranked-lock` — in `mtgpu-core`/`mtgpu-gpusim`, every lock must be a
-//!   `Ranked*` wrapper constructed with a declared `lock_rank` constant so
-//!   the runtime order checker can see it.
+//! - `unranked-lock` — in `mtgpu-core`/`mtgpu-gpusim`/`mtgpu-api`/
+//!   `mtgpu-loadgen`, every lock must be a `Ranked*` wrapper constructed
+//!   with a declared `lock_rank` constant so the runtime order checker can
+//!   see it; a `std::sync::mpsc` channel, whose lock no checker sees, is
+//!   flagged at its construction too.
 
 use crate::lexer::{TokKind, Token};
 use std::collections::BTreeSet;
@@ -189,6 +191,17 @@ pub fn scan(path: &str, toks: &[Token]) -> Vec<Finding> {
                     format!("field declared as raw `{word}` in a runtime crate; use Ranked{word}"),
                 );
             }
+        }
+        if check_ranks
+            && word == "mpsc"
+            && text(i + 1) == Some("::")
+            && matches!(text(i + 2), Some("channel" | "sync_channel"))
+        {
+            push(
+                t.line,
+                "unranked-lock",
+                "`mpsc` channel in a runtime crate: its lock is invisible to the rank checker, mtlint's lock graph and mtcheck; use a RankedMutex queue with a RankedCondvar".to_string(),
+            );
         }
         if check_ranks
             && matches!(word, "RankedMutex" | "RankedRwLock")

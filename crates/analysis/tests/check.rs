@@ -118,9 +118,9 @@ fn pinned_schedules_stay_clean_and_replay_identically() {
 /// (participant 0) runs `k` segments, the releasing visit (1) runs up to
 /// `m` in one go and the first resumes for the rest of them, then the third
 /// worker (2) runs to completion. Swapping the two steps in
-/// `mux::serve_channel` fails this sweep (first at `k` = 20, `m` = 26 when
-/// it was written: the third worker answers the call behind the launch and
-/// the run stalls waiting for replies in call order).
+/// `mux::serve_channel` fails this sweep (first at `k` = 21, `m` = 28: the
+/// third worker answers the call behind the launch and the replies leave
+/// out of call order).
 ///
 /// A schedule entry is an index into the enabled participants, sorted by id,
 /// taken modulo their number. With three participants that makes 0 the

@@ -6,7 +6,6 @@ use mtgpu_gpusim::{DeviceId, Gpu, GpuContextId};
 use mtgpu_simtime::{lock_rank, RankedMutex, RankedMutexGuard};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Identifier of an application context (one per application thread /
@@ -120,15 +119,6 @@ pub enum Ask {
     Yield,
 }
 
-/// Per-context counters.
-#[derive(Debug, Default)]
-pub struct CtxStats {
-    pub launches: AtomicU64,
-    pub times_swapped_out: AtomicU64,
-    pub times_migrated: AtomicU64,
-    pub kernel_busy_nanos: AtomicU64,
-}
-
 /// One application thread's context (the paper's `Context` structure, §4.6:
 /// connection link, last call info, error code — plus our locks).
 pub struct AppContext {
@@ -144,8 +134,6 @@ pub struct AppContext {
     service: RankedMutex<()>,
     /// Short-held metadata lock.
     inner: RankedMutex<CtxInner>,
-    /// Counters.
-    pub stats: CtxStats,
 }
 
 impl AppContext {
@@ -160,7 +148,6 @@ impl AppContext {
                 lock_rank::CTX_INNER,
                 CtxInner { credits: 4, ..CtxInner::default() },
             ),
-            stats: CtxStats::default(),
         })
     }
 
@@ -205,11 +192,6 @@ impl AppContext {
     /// Whether the context may participate in sharing/dynamic scheduling.
     pub fn is_eligible(&self) -> bool {
         self.inner.lock().ineligible_reason.is_none()
-    }
-
-    /// Records kernel busy time.
-    pub fn add_kernel_time(&self, nanos: u64) {
-        self.stats.kernel_busy_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 }
 

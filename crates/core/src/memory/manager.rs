@@ -59,8 +59,9 @@ pub enum Materialize {
     NeedBytes(u64),
 }
 
-/// Why a context's device state is being evicted (metric attribution).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Why a context's device state is being evicted (metric attribution and
+/// trace records).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SwapReason {
     /// Evicted as the victim of another application's memory need (§4.5).
     InterAppVictim,

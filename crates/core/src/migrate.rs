@@ -25,7 +25,6 @@ use crate::metrics::RuntimeMetrics;
 use crate::runtime::NodeRuntime;
 use crate::trace::{TraceEvent, UnbindReason};
 use mtgpu_gpusim::{DeviceAddr, DeviceId, Gpu};
-use std::sync::atomic::Ordering;
 
 /// Protocol phase, exposed so fault batteries can inject a device death at
 /// each boundary and abort traces can name where they stopped.
@@ -229,7 +228,6 @@ impl NodeRuntime {
         });
         self.tracer().record(TraceEvent::Migrated { ctx: ctx_id, from, to: dst });
         self.tracer().record(TraceEvent::Bound { ctx: ctx_id, vgpu: new_vgpu });
-        ctx.stats.times_migrated.fetch_add(1, Ordering::Relaxed);
         RuntimeMetrics::bump(&self.metrics_ref().migrations);
         RuntimeMetrics::bump(&self.metrics_ref().live_migrations);
         RuntimeMetrics::add(&self.metrics_ref().migration_p2p_bytes, p2p_bytes);

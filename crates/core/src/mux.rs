@@ -77,15 +77,15 @@ use crate::ctx::AppContext;
 use crate::metrics::RuntimeMetrics;
 use crate::runtime::NodeRuntime;
 use crate::service::{self, Abort, InProcessChannel};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use mtgpu_api::protocol::{CudaCall, CudaReply, ReplyValue};
 use mtgpu_api::transport::{
     spawn_reactor, ConnId, MuxService, ReactorConfig, ReactorHandle, ReplyQueue, ReplySink,
 };
 use mtgpu_api::{CudaError, Transport};
-use mtgpu_simtime::{lock_rank, RankedMutex, Shadow};
+use mtgpu_simtime::{lock_rank, RankedCondvar, RankedMutex, Shadow};
 use std::collections::{BTreeMap, VecDeque};
 use std::net::TcpListener;
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Weak};
 
 /// Workers beyond one per vGPU: every slot stays servable while unbound and
@@ -255,26 +255,68 @@ enum WorkItem {
     Stop,
 }
 
+/// The pool's work queue: FIFO, many producers (the reactor, workers, a
+/// grant's wake under the dispatcher lock), many consumers (the workers).
+/// A send wakes at most one parked worker, and none when nobody is parked.
+struct WorkQueue {
+    items: RankedMutex<VecDeque<WorkItem>>,
+    ready: RankedCondvar,
+    /// Waits begun in `recv` (test probe).
+    #[cfg(test)]
+    waits: std::sync::atomic::AtomicUsize,
+}
+
+impl WorkQueue {
+    fn new() -> WorkQueue {
+        WorkQueue {
+            items: RankedMutex::new(lock_rank::GATEWAY_WORK, VecDeque::new()),
+            ready: RankedCondvar::new(),
+            #[cfg(test)]
+            waits: Default::default(),
+        }
+    }
+
+    fn send(&self, item: WorkItem) {
+        self.items.lock().push_back(item);
+        self.ready.notify_one();
+    }
+
+    /// Blocks until an item is queued.
+    fn recv(&self) -> WorkItem {
+        let mut items = self.items.lock();
+        loop {
+            if let Some(item) = items.pop_front() {
+                return item;
+            }
+            #[cfg(test)]
+            self.waits.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            self.ready.wait(&mut items);
+        }
+    }
+
+    fn try_recv(&self) -> Option<WorkItem> {
+        self.items.lock().pop_front()
+    }
+}
+
 /// The gateway's state, owned by the runtime.
 pub(crate) struct Gateway {
     sink: ReplySink,
     /// channel key → state. BTreeMap so disconnects can range-scan a
     /// connection's channels and iteration order is deterministic.
     channels: RankedMutex<BTreeMap<ChanKey, Chan>>,
-    workq: Sender<WorkItem>,
-    work: Receiver<WorkItem>,
+    /// Shared with the wakes of channels waiting in the dispatcher.
+    work: Arc<WorkQueue>,
 }
 
 impl Gateway {
     pub(crate) fn new() -> Gateway {
-        let (workq, work) = unbounded();
         Gateway {
             // The other half is minted when a reactor is put in front
             // ([`NodeRuntime::reply_queue`]).
             sink: ReplySink::channel().0,
             channels: RankedMutex::new(lock_rank::CONN_CHANNELS, BTreeMap::new()),
-            workq,
-            work,
+            work: Arc::new(WorkQueue::new()),
         }
     }
 }
@@ -322,7 +364,7 @@ impl NodeRuntime {
     #[doc(hidden)]
     pub fn serve_queued(&self) -> usize {
         let mut served = 0;
-        while let Ok(item) = self.gateway().work.try_recv() {
+        while let Some(item) = self.gateway().work.try_recv() {
             if !serve_item(self, item) {
                 break;
             }
@@ -362,7 +404,8 @@ fn submit(rt: &NodeRuntime, key: ChanKey, id: u64, call: CudaCall, budget: &mut 
                 // unconditionally; any other new one needs a slot.
                 let holds_slot = rt.offloads() && !matches!(call, CudaCall::Offloaded);
                 if holds_slot && !rt.try_keep_local() {
-                    let (relay, calls) = unbounded();
+                    // mtlint: allow(unranked-lock, reason = "one consumer, the relay thread, which waits holding no lock; an unbounded send never blocks the map lock it runs under; dropping the sender is the hang-up")
+                    let (relay, calls) = mpsc::channel();
                     channels.insert(key, Chan::Relayed(relay));
                     // The thread spawn need not hold the map.
                     drop(channels);
@@ -385,7 +428,7 @@ fn submit(rt: &NodeRuntime, key: ChanKey, id: u64, call: CudaCall, budget: &mut 
     };
     match (idle, here) {
         (true, true) => serve_channel(rt, key, Some(budget)),
-        (true, false) => drop(g.workq.send(WorkItem::Chan(key))),
+        (true, false) => g.work.send(WorkItem::Chan(key)),
         (false, _) => {}
     }
 }
@@ -419,14 +462,14 @@ impl MuxService for NodeRuntime {
                 .collect()
         };
         if !removed.is_empty() {
-            let _ = g.workq.send(WorkItem::Teardown(removed));
+            g.work.send(WorkItem::Teardown(removed));
         }
     }
 }
 
 /// Stops serving: posts the stop marker behind whatever is queued.
 pub(crate) fn stop(rt: &NodeRuntime) {
-    let _ = rt.gateway().workq.send(WorkItem::Stop);
+    rt.gateway().work.send(WorkItem::Stop);
 }
 
 /// Tears a removed channel's context down and gives its local-service slot
@@ -449,11 +492,7 @@ fn bulk_bytes(reply: &CudaReply) -> usize {
 
 /// A pool worker's life: work items until the stop marker.
 fn worker_loop(rt: &Arc<NodeRuntime>) {
-    while let Ok(item) = rt.gateway().work.recv() {
-        if !serve_item(rt, item) {
-            break;
-        }
-    }
+    while serve_item(rt, rt.gateway().work.recv()) {}
 }
 
 /// Serves one work item; `false` on the stop marker, which stays queued for
@@ -461,7 +500,7 @@ fn worker_loop(rt: &Arc<NodeRuntime>) {
 fn serve_item(rt: &NodeRuntime, item: WorkItem) -> bool {
     match item {
         WorkItem::Stop => {
-            let _ = rt.gateway().workq.send(WorkItem::Stop);
+            rt.gateway().work.send(WorkItem::Stop);
             return false;
         }
         WorkItem::Teardown(states) => {
@@ -535,7 +574,7 @@ fn serve_channel(rt: &NodeRuntime, key: ChanKey, mut sweep: Option<&mut usize>) 
             Err(Abort::Fail(e)) => Err(e),
             Err(Abort::Busy(call)) => {
                 put_back((id, call), replies);
-                return drop(g.workq.send(WorkItem::Chan(key)));
+                return g.work.send(WorkItem::Chan(key));
             }
             Err(_) if rt.is_shutdown() => Err(CudaError::Disconnected),
             Err(Abort::WouldBlock { spec, room }) => {
@@ -544,8 +583,8 @@ fn serve_channel(rt: &NodeRuntime, key: ChanKey, mut sweep: Option<&mut usize>) 
                 // From here the channel is the dispatcher's: the wake, which
                 // may have run by the time `enqueue` returns, hands it to
                 // whichever worker is free, with the launch at its head.
-                let workq = g.workq.clone();
-                let wake = move || drop(workq.send(WorkItem::Chan(key)));
+                let queue = Arc::clone(&g.work);
+                let wake = move || queue.send(WorkItem::Chan(key));
                 return rt.bindings().enqueue(&state.ctx, work, mem, room, Box::new(wake));
             }
         };
@@ -582,7 +621,7 @@ fn serve_channel(rt: &NodeRuntime, key: ChanKey, mut sweep: Option<&mut usize>) 
         *q.scheduled
     };
     if more {
-        let _ = g.workq.send(WorkItem::Chan(key));
+        g.work.send(WorkItem::Chan(key));
     }
 }
 
@@ -717,6 +756,11 @@ mod tests {
         client.set_nonblocking(false).unwrap();
     }
 
+    /// Items on the work queue.
+    fn queued(rt: &NodeRuntime) -> usize {
+        rt.gateway().work.items.lock().len()
+    }
+
     /// The state of a channel the pool serves.
     fn local_state(rt: &NodeRuntime, key: ChanKey) -> Arc<ChannelState> {
         match rt.gateway().channels.lock().get(&key) {
@@ -734,7 +778,7 @@ mod tests {
         for id in 0..CALLS {
             rt.on_request(1, 1, id, malloc());
         }
-        assert_eq!(rt.gateway().work.len(), 1, "a channel sits on the work queue at most once");
+        assert_eq!(queued(&rt), 1, "a channel sits on the work queue at most once");
         assert_eq!(rt.serve_queued(), (CALLS as usize).div_ceil(VISIT_BUDGET));
         let replies = read_replies(&mut client, CALLS as usize);
         assert!(replies.iter().map(|(id, _)| *id).eq(0..CALLS), "replies out of order");
@@ -762,7 +806,7 @@ mod tests {
         // An idle channel: answered before the hook returns, nothing queued.
         sweep(&rt, 1, 0, malloc(), &mut budget);
         assert!(matches!(read_replies(&mut client, 1)[0], (0, Ok(ReplyValue::Ptr(_)))));
-        assert!(rt.gateway().work.is_empty());
+        assert_eq!(queued(&rt), 0);
         assert_eq!(budget, SWEEP_RUN_BUDGET - 1);
         // A context another thread holds (a victim swap, a quiesce): the
         // reactor does not wait for it, the pool does. The channel is taken
@@ -780,12 +824,12 @@ mod tests {
             sweep(&rt, 1, 2, CudaCall::GetDeviceCount, &mut budget);
             release.wait();
         });
-        assert_eq!(rt.gateway().work.len(), 1);
+        assert_eq!(queued(&rt), 1);
         // An Exit, and any call once the sweep's budget is spent: the pool's.
         // What the pool is handed takes none of the budget.
         sweep(&rt, 2, 10, CudaCall::Exit, &mut budget);
         sweep(&rt, 3, 20, CudaCall::GetDeviceCount, &mut 0);
-        assert_eq!(rt.gateway().work.len(), 3);
+        assert_eq!(queued(&rt), 3);
         assert_eq!(budget, SWEEP_RUN_BUDGET - 1);
         assert_eq!(rt.serve_queued(), 3);
         let ids: Vec<u64> = read_replies(&mut client, 4).iter().map(|(id, _)| *id).collect();
@@ -828,7 +872,7 @@ mod tests {
         let ids: Vec<u64> = read_replies(&mut client, 2).iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, [10, 20]);
         nothing_more_arrives(&mut client);
-        assert_eq!((budget, rt.gateway().work.len()), (SWEEP_RUN_BUDGET - 2, 2));
+        assert_eq!((budget, queued(&rt)), (SWEEP_RUN_BUDGET - 2, 2));
         assert_eq!(rt.load().bound, 2, "the launch that stopped keeps the vGPU it bound");
         assert_eq!(rt.serve_queued(), 2);
         let late = read_replies(&mut client, 3);
@@ -855,7 +899,7 @@ mod tests {
         nothing_more_arrives(&mut client);
         let m = rt.metrics();
         assert_eq!((budget, m.mux_retries, rt.load().waiting), (SWEEP_RUN_BUDGET - 2, 1, 1));
-        assert!(rt.gateway().work.is_empty());
+        assert_eq!(queued(&rt), 0);
         // The release's wake hands the channel to the pool: one visit runs
         // the launch and what queued behind it, in order.
         rt.bindings().release(hog.id, held.vgpu);
@@ -884,7 +928,7 @@ mod tests {
         let head = read_replies(&mut client, SWEEP_RUN_BUDGET);
         assert!(head.iter().map(|(id, _)| *id).eq(0..SWEEP_RUN_BUDGET as u64));
         nothing_more_arrives(&mut client);
-        assert_eq!((budget, rt.gateway().work.len()), (0, 1));
+        assert_eq!((budget, queued(&rt)), (0, 1));
         // One hand-off per visit budget of what is left, in call order.
         let rest = CALLS as usize - SWEEP_RUN_BUDGET;
         assert_eq!(rt.serve_queued(), rest.div_ceil(VISIT_BUDGET));
@@ -924,7 +968,7 @@ mod tests {
         assert!(early.iter().map(|(id, _)| *id).eq(0..2));
         nothing_more_arrives(&mut client);
         assert_eq!(rt.metrics().mux_retries, 1);
-        assert!(rt.gateway().work.is_empty());
+        assert_eq!(queued(&rt), 0);
         {
             let state = local_state(&rt, (1, 1));
             let q = state.queue.lock();
@@ -943,7 +987,7 @@ mod tests {
         // device is legal.
         rt.bindings().release(hog.id, held.vgpu);
         assert_eq!(rt.load().waiting, 0);
-        assert_eq!(rt.gateway().work.len(), 1);
+        assert_eq!(queued(&rt), 1);
         assert_eq!(rt.serve_queued(), 1);
         let late = read_replies(&mut client, 3);
         assert!(late.iter().map(|(id, _)| *id).eq(2..5));
@@ -978,7 +1022,7 @@ mod tests {
         assert_eq!(rt.bindings().waiting_count(), 1);
         // One release, one wake-up, and it is the second channel's.
         rt.bindings().release(hog.id, held.vgpu);
-        assert_eq!(rt.gateway().work.len(), 1);
+        assert_eq!(queued(&rt), 1);
         assert_eq!(rt.serve_queued(), 1);
         assert!(matches!(read_replies(&mut second, 1)[0], (1, Ok(_))));
         rt.on_request(2, 1, 2, CudaCall::Exit);
@@ -1019,7 +1063,7 @@ mod tests {
         clock.advance(SimDuration::from_secs(2));
         rt.monitor_tick();
         assert_eq!(rt.load().waiting, 0);
-        assert_eq!(rt.gateway().work.len(), 1, "the reaped entry's wake must run");
+        assert_eq!(queued(&rt), 1, "the reaped entry's wake must run");
         assert_eq!(rt.serve_queued(), 1);
         let late = read_replies(&mut client, 2);
         assert!(late.iter().map(|(id, _)| *id).eq(1..3));
@@ -1086,7 +1130,7 @@ mod tests {
         }
         assert_eq!(rt.binding_of(waiting.ctx.id), None);
         assert_eq!((rt.metrics().launch_retries, rt.load().waiting), (1, 1));
-        assert!(rt.gateway().work.is_empty());
+        assert_eq!(queued(&rt), 0);
         // A call of channel 1 that makes no room wakes nobody; no time
         // passes while the launch waits.
         rt.on_request(1, 1, 3, malloc());
@@ -1149,7 +1193,7 @@ mod tests {
         nothing_more_arrives(&mut client);
         assert_eq!((rt.metrics().launch_retries, budget), (1, SWEEP_RUN_BUDGET - 2));
         assert_eq!((clock.now(), rt.load().waiting), (before, 1));
-        assert!(rt.gateway().work.is_empty());
+        assert_eq!(queued(&rt), 0);
         // Channel 1 frees its memory, on the reactor too: its room event
         // hands channel 2 to the pool, whose one try goes through, and the
         // call behind the launch follows it.
@@ -1171,7 +1215,7 @@ mod tests {
         // What `submit` sets up for a channel it offloads, by hand: the
         // test is the relay thread.
         let open_relay = || {
-            let (relay, calls) = unbounded();
+            let (relay, calls) = mpsc::channel();
             rt.gateway().channels.lock().insert(key, Chan::Relayed(relay));
             let sink = rt.gateway().sink.clone();
             RelayedChannel { rt: rt.me(), key, calls, sink, awaiting: None, left: false }
@@ -1180,7 +1224,7 @@ mod tests {
         for (id, call) in [malloc(), CudaCall::Exit, malloc()].into_iter().enumerate() {
             rt.on_request(1, 2, id as u64, call);
         }
-        assert!(rt.gateway().work.is_empty(), "a relayed channel's calls never reach the pool");
+        assert_eq!(queued(&rt), 0, "a relayed channel's calls never reach the pool");
         assert!(matches!(conn.recv(), Some(CudaCall::Malloc { .. })));
         assert!(conn.send(Ok(ReplyValue::Unit)));
         assert!(!conn.send(Ok(ReplyValue::Unit)), "one reply per call");
@@ -1199,7 +1243,7 @@ mod tests {
         let mut conn = open_relay();
         rt.on_disconnect(1);
         assert_eq!(rt.channel_count(), 0);
-        assert!(rt.gateway().work.is_empty());
+        assert_eq!(queued(&rt), 0);
         assert!(conn.recv().is_none());
         drop(conn);
         rt.shutdown();
@@ -1220,7 +1264,7 @@ mod tests {
         // What `submit` sets up for a channel it offloads, by hand: the
         // test thread is the relay thread.
         let open_relay = |label: &str| {
-            let (relay, calls) = unbounded();
+            let (relay, calls) = mpsc::channel();
             rt.gateway().channels.lock().insert(key, Chan::Relayed(relay));
             let sink = rt.gateway().sink.clone();
             let chan =
@@ -1251,7 +1295,7 @@ mod tests {
         // channel, no context, nothing for a pool, and the slot taken over
         // the budget given back.
         assert_eq!((rt.channel_count(), rt.context_count()), (0, 0));
-        assert!(rt.gateway().work.is_empty());
+        assert_eq!(queued(&rt), 0);
         assert_eq!(rt.metrics().offloaded_connections, 0);
         assert!(slots_back_at_zero());
 
@@ -1260,7 +1304,7 @@ mod tests {
         rt.on_disconnect(1);
         run_relay(&rt, ctx, relayed, malloc());
         assert_eq!((rt.channel_count(), rt.context_count()), (0, 0));
-        assert!(rt.gateway().work.is_empty());
+        assert_eq!(queued(&rt), 0);
         assert!(slots_back_at_zero());
         rt.shutdown();
     }
@@ -1298,6 +1342,82 @@ mod tests {
         assert_eq!(ch.roundtrip(CudaCall::Exit), Ok(ReplyValue::Unit));
         reactor.shutdown();
         rt.shutdown();
+    }
+
+    /// Polls `read` until it reads `n`; panics after 30 s.
+    fn until(read: impl Fn() -> usize, n: usize) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while read() != n {
+            assert!(std::time::Instant::now() < deadline, "stuck at {} of {n}", read());
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn work_queue_send_wakes_exactly_one_of_n_parked_workers() {
+        use std::sync::atomic::Ordering::SeqCst;
+        const N: usize = 6;
+        let q = WorkQueue::new();
+        let (done, taken) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            for _ in 0..N {
+                let (q, done) = (&q, done.clone());
+                s.spawn(move || done.send(matches!(q.recv(), WorkItem::Chan(_))).unwrap());
+            }
+            until(|| q.waits.load(SeqCst), N);
+            q.send(WorkItem::Chan((0, 7)));
+            assert_eq!(taken.recv_timeout(Duration::from_secs(30)), Ok(true));
+            assert!(taken.try_recv().is_err());
+            for _ in 1..N {
+                q.send(WorkItem::Stop);
+            }
+        });
+        drop(done);
+        assert_eq!(taken.iter().filter(|chan| !chan).count(), N - 1);
+        // Every send found all the workers still waiting parked and took one
+        // out: none was woken for nothing and had to wait again.
+        assert_eq!(q.waits.load(SeqCst), N);
+    }
+
+    #[test]
+    fn work_queue_items_from_several_senders_are_each_taken_once() {
+        use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
+        const ITEMS: u64 = 100_000;
+        const WORKERS: usize = 8;
+        let q = WorkQueue::new();
+        let seen: Vec<AtomicU8> = (0..ITEMS).map(|_| AtomicU8::new(0)).collect();
+        let taken: usize = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..WORKERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut taken = 0;
+                        // As `worker_loop` does: the stop marker is passed on.
+                        while let WorkItem::Chan((_, i)) = q.recv() {
+                            seen[i as usize].fetch_add(1, Relaxed);
+                            taken += 1;
+                        }
+                        q.send(WorkItem::Stop);
+                        taken
+                    })
+                })
+                .collect();
+            // Two senders, so sends race each other as well as the workers.
+            let senders: Vec<_> = (0..2)
+                .map(|half| {
+                    let q = &q;
+                    s.spawn(move || {
+                        (half..ITEMS).step_by(2).for_each(|i| q.send(WorkItem::Chan((0, i))))
+                    })
+                })
+                .collect();
+            senders.into_iter().for_each(|t| t.join().unwrap());
+            q.send(WorkItem::Stop);
+            // A wake-up lost to `notify_one` would strand a worker with items
+            // queued, and this sum would never arrive.
+            workers.into_iter().map(|t| t.join().unwrap()).sum()
+        });
+        assert_eq!(taken, ITEMS as usize);
+        assert!(seen.iter().all(|n| n.load(Relaxed) == 1), "an item taken twice or never");
     }
 
     #[test]

@@ -46,7 +46,6 @@ use mtgpu_api::{CudaError, Transport};
 use mtgpu_gpusim::kernel::{library, RegisteredKernel};
 use mtgpu_gpusim::DeviceAddr;
 use mtgpu_gpusim::{Gpu, GpuError, GpuHold, LaunchSpec};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -543,8 +542,6 @@ fn launch_loop(
         match launched {
             Ok(dur) => {
                 rt.memory().mark_launched(ctx.id, written);
-                ctx.stats.launches.fetch_add(1, Ordering::Relaxed);
-                ctx.add_kernel_time(dur.as_nanos());
                 RuntimeMetrics::bump(&rt.metrics_ref().launches);
                 // §4.6: automatic checkpoint after long-running kernels.
                 if let Some(threshold) = rt.config().auto_checkpoint_after {
@@ -576,7 +573,7 @@ fn unbind_self(
         Ok(out) => rt.tracer().record(TraceEvent::SwappedOut {
             ctx: ctx.id,
             bytes: out.freed,
-            reason: SwapReason::Unbind.into(),
+            reason: SwapReason::Unbind,
         }),
         Err(CudaError::DeviceUnavailable) => {}
         Err(e) => return Err(e),
@@ -708,12 +705,7 @@ fn swap_out_co_tenant(rt: &NodeRuntime, ctx: &AppContext, vb: &Binding, reason: 
         Ok(out) if out.freed > 0 => out,
         _ => return 0,
     };
-    ctx.stats.times_swapped_out.fetch_add(1, Ordering::Relaxed);
-    rt.tracer().record(TraceEvent::SwappedOut {
-        ctx: ctx.id,
-        bytes: out.freed,
-        reason: reason.into(),
-    });
+    rt.tracer().record(TraceEvent::SwappedOut { ctx: ctx.id, bytes: out.freed, reason });
     if reason != SwapReason::Preempted {
         ctx.inner().binding = None;
         rt.bindings().release(ctx.id, vb.vgpu);
@@ -980,10 +972,7 @@ mod tests {
         assert!(
             matches!(
                 a_out(&rt).first(),
-                Some(TraceEvent::SwappedOut {
-                    reason: crate::trace::SwapKindTag::InterAppVictim,
-                    ..
-                })
+                Some(TraceEvent::SwappedOut { reason: SwapReason::InterAppVictim, .. })
             ),
             "{:?}",
             a_out(&rt)

@@ -29,7 +29,7 @@ pub enum TraceEvent {
     /// The context lost its vGPU.
     Unbound { ctx: CtxId, vgpu: VGpuId, reason: UnbindReason },
     /// A context's device-resident data was swapped out.
-    SwappedOut { ctx: CtxId, bytes: u64, reason: SwapKindTag },
+    SwappedOut { ctx: CtxId, bytes: u64, reason: SwapReason },
     /// A transfer plan (materialize/swap/checkpoint batch) was executed:
     /// `ops` transfers totalling `bytes`, spread over `lanes` copy-engine
     /// lanes (`lanes > 1` means the plan overlapped transfers).
@@ -89,26 +89,6 @@ pub enum UnbindReason {
     DeviceLoss,
     /// The tenant's lease expired and the context was reaped.
     LeaseReaped,
-}
-
-/// Serializable mirror of [`SwapReason`] for trace records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SwapKindTag {
-    InterAppVictim,
-    Unbind,
-    DeviceLoss,
-    Preempted,
-}
-
-impl From<SwapReason> for SwapKindTag {
-    fn from(r: SwapReason) -> Self {
-        match r {
-            SwapReason::InterAppVictim => SwapKindTag::InterAppVictim,
-            SwapReason::Unbind => SwapKindTag::Unbind,
-            SwapReason::DeviceLoss => SwapKindTag::DeviceLoss,
-            SwapReason::Preempted => SwapKindTag::Preempted,
-        }
-    }
 }
 
 /// A timestamped trace record.
@@ -227,7 +207,11 @@ mod tests {
     fn records_serialize() {
         let t = tracer(4);
         t.record(TraceEvent::Migrated { ctx: CtxId(1), from: DeviceId(0), to: DeviceId(1) });
+        let reason = SwapReason::InterAppVictim;
+        t.record(TraceEvent::SwappedOut { ctx: CtxId(2), bytes: 4096, reason });
         let json = serde_json::to_string(&t.events()).unwrap();
+        // The reason's bytes in a record are the variant's name.
+        assert!(json.contains(r#""reason":"InterAppVictim""#), "{json}");
         let back: Vec<TraceRecord> = serde_json::from_str(&json).unwrap();
         assert_eq!(back, t.events());
     }

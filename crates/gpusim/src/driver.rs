@@ -20,13 +20,6 @@ impl std::fmt::Display for DeviceId {
     }
 }
 
-/// Driver-wide knobs.
-#[derive(Debug, Clone, Default)]
-pub struct DriverConfig {
-    /// Reserved for future use (e.g. global context budget).
-    pub _private: (),
-}
-
 /// The per-node GPU driver: owns the device slots.
 pub struct Driver {
     clock: Clock,

@@ -35,7 +35,7 @@ pub mod spec;
 pub mod stats;
 
 pub use device::{DeviceAddr, Gpu, GpuContextId, GpuHold};
-pub use driver::{DeviceId, Driver, DriverConfig};
+pub use driver::{DeviceId, Driver};
 pub use error::GpuError;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use kernel::{

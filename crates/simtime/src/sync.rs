@@ -93,6 +93,9 @@ pub mod lock_rank {
     pub const ENGINE_TICKETS: LockRank = LockRank { value: 120, name: "ENGINE_TICKETS" };
     /// The process-global kernel library.
     pub const KERNEL_STORE: LockRank = LockRank { value: 150, name: "KERNEL_STORE" };
+    /// The gateway's work queue to the worker pool (leaf): a grant's wake
+    /// pushes onto it with the dispatcher lock held.
+    pub const GATEWAY_WORK: LockRank = LockRank { value: 190, name: "GATEWAY_WORK" };
     /// The runtime tracer's event ring (innermost: recorded from anywhere).
     pub const TRACER_RING: LockRank = LockRank { value: 200, name: "TRACER_RING" };
     /// The mux reactor's connection table: which connections exist and
@@ -129,6 +132,7 @@ pub mod lock_rank {
         DEVICE_STATE,
         ENGINE_TICKETS,
         KERNEL_STORE,
+        GATEWAY_WORK,
         TRACER_RING,
         REACTOR_CONNS,
         MUX_PENDING,

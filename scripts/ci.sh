@@ -45,7 +45,10 @@
 #                                puts no worker and no reactor to sleep)
 #                                and the worker count (none on a node
 #                                without a listener, total_vgpus + 4 on a
-#                                listening one) by name,
+#                                listening one) by name, and the gateway
+#                                work queue's two tests by name (one send
+#                                wakes one of six parked workers; items
+#                                from two senders are each taken once),
 #                                the 10k-persistent-connection reactor soak
 #                                (out-of-process daemon; the client holds
 #                                its 10k connections on under 200 threads,
@@ -224,6 +227,11 @@ if [[ "$tier" == "all" || "$tier" == "4" ]]; then
         --exact an_eager_in_process_launch_puts_no_serving_thread_to_sleep > /dev/null
     cargo test -q --release -p mtgpu-cluster --test wakeup_budget -- \
         --exact worker_threads_start_with_the_listener > /dev/null
+    # The pool's hand-off itself: a send wakes one parked worker, and no
+    # item is lost or taken twice.
+    cargo test -q --release -p mtgpu-core --lib -- --exact \
+        mux::tests::work_queue_send_wakes_exactly_one_of_n_parked_workers \
+        mux::tests::work_queue_items_from_several_senders_are_each_taken_once > /dev/null
     # 10k persistent connections multiplexed through one reactor, each
     # probed end-to-end, the client's thread count checked with all of them
     # open; a stalled reactor shows up as the timeout firing.
@@ -249,7 +257,7 @@ if [[ "$tier" == "all" || "$tier" == "4" ]]; then
     # workload is verified and every pass ends in a post-drain audit, so a
     # non-zero exit is a correctness failure, not a slow run.
     cargo run -q --release -p mtgpu-perf -- --workload all --seconds 2 > /dev/null
-    echo "256-client stress (local + TCP + in-process) + in-process wake-ups + 10k soak + loadgen fairness + memory bench smoke + perf workloads: ok"
+    echo "256-client stress (local + TCP + in-process) + in-process wake-ups + work queue + 10k soak + loadgen fairness + memory bench smoke + perf workloads: ok"
 fi
 
 if [[ "$tier" == "all" || "$tier" == "5" ]]; then

@@ -177,8 +177,9 @@ impl WaitTimeoutResult {
 /// return, so a notify can miss a waiter only if it ran before that waiter
 /// took the mutex. That is safe under the rule every caller in this
 /// workspace follows (`gpusim::engine`, `simtime::sync::RankedCondvar`,
-/// `api::transport::mux`, `cluster::{queue, sem}`, `core::sched::acquire`
-/// and the shutdown broadcast in `core::runtime`): **the predicate changes
+/// `api::transport::mux`, `cluster::sem`, `core::sched::acquire`, the
+/// gateway's work queue in `core::mux` and the shutdown broadcast in
+/// `core::runtime`): **the predicate changes
 /// under the mutex the waiters wait with**, before the notify. A waiter
 /// that locks later sees the new predicate and never sleeps; one that
 /// locked earlier was counted before it let go of the mutex, and the
