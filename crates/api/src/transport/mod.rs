@@ -16,6 +16,7 @@ mod frame;
 mod mux;
 mod reactor;
 
+use frame::KEEP_BYTES;
 pub use frame::{encode_frame, read_frame, write_frame, FrameBuf, MAX_FRAME_BYTES};
 pub use mux::{ByteStream, MuxChannel, MuxConnection, MuxPool};
 pub use reactor::{
@@ -25,7 +26,7 @@ pub use reactor::{
 
 use crate::client::CudaClient;
 use crate::error::CudaError;
-use crate::protocol::{CudaCall, CudaReply};
+use crate::protocol::{CudaCall, CudaReply, ReplyValue};
 
 /// Client side of a connection: ships one call, waits for one reply.
 pub trait Transport: Send {
@@ -45,16 +46,24 @@ pub trait Transport: Send {
 /// over a [`Transport`]. This is the piece that, in the paper, overrides the
 /// CUDA Runtime API inside the guest OS or unmodified application.
 ///
-/// With [`FrontendClient::with_pipelining`], kernel launches are pipelined:
-/// the frontend queues `ConfigureCall`/`Launch` pairs locally and ships the
-/// whole run with the next call whose reply the application actually needs
-/// (a transfer, a synchronize, an exit). Over a multiplexed transport that
-/// turns a launch loop into one write and one wait instead of a round trip
-/// per kernel — the CUDA runtime makes the same asynchrony promise. An
-/// error from a pipelined launch surfaces on the flushing call, like a
-/// deferred launch failure surfaces at `cudaDeviceSynchronize`. The default
-/// stays eager, preserving Table 1's synchronous error matrix (a launch on
-/// a bad pointer reports "No valid PTE" from the launch itself).
+/// With [`FrontendClient::with_pipelining`], every call that gives the
+/// application nothing back is pipelined: the frontend queues launches,
+/// host-to-device and device-to-device copies, frees and registrations
+/// locally, answers them `Unit`, and ships the queue with the next call
+/// whose reply the application actually needs (a malloc, a device-to-host
+/// copy, a synchronize, an exit). Over a multiplexed transport that turns a
+/// job's set-up copies, launch loop and frees into one write and one wait
+/// each instead of a round trip per call — the CUDA runtime makes the same
+/// asynchrony promise for launches, and under transfer deferral a
+/// host-to-device copy does not touch the device anyway. The server runs a
+/// channel's calls in arrival order, so a queued free makes room, and a
+/// queued copy lands, when the flush that carries it runs. An error from a
+/// queued call surfaces on the flushing call, like a deferred launch
+/// failure surfaces at `cudaDeviceSynchronize`; a pointer that flush
+/// allocated is freed again, since its reply is lost. The default stays
+/// eager, preserving Table 1's synchronous error matrix (a launch on a bad
+/// pointer reports "No valid PTE" from the launch itself, a copy into a
+/// freed pointer from the copy).
 pub struct FrontendClient<T: Transport> {
     transport: T,
     hung_up: bool,
@@ -66,21 +75,30 @@ pub struct FrontendClient<T: Transport> {
 /// an arbitrarily large wire burst. A launch loop of up to 80 kernels (a
 /// `ConfigureCall`/`Launch` pair each) fits in a single flush; longer ones,
 /// BS-S's 256 launches (512 calls) and MM-S's 200, go out in several
-/// flushes: the launch that finds the queue full ships it along with
-/// itself.
+/// flushes. Queued copies are bounded by the bytes they move as well, at
+/// [`KEEP_BYTES`], the size the connection buffers keep: a call that would
+/// cross either bound ships the queue along with itself, so a copy larger
+/// than that is never held back.
 const MAX_PIPELINE: usize = 160;
 
-/// Calls whose replies are always `Unit` and whose errors may be deferred,
-/// so queueing them loses nothing. Transfers stay eager: their failure
-/// modes (bad pointer, size mismatch) are part of the caller-visible
-/// contract.
+/// Calls whose replies are always `Unit` and that are neither a
+/// synchronization nor an admission point, so queueing them (and
+/// reporting their errors at the next flush) loses nothing the
+/// application reads. `Synchronize`, `Checkpoint`, `Exit`,
+/// `SetApplication`, `SetDevice` and `ImportImage` stay eager, and so does
+/// every call that returns a value.
 fn deferrable(call: &CudaCall) -> bool {
     matches!(
         call,
         CudaCall::ConfigureCall { .. }
             | CudaCall::RegisterFunction { .. }
+            | CudaCall::RegisterVar { .. }
+            | CudaCall::RegisterTexture { .. }
             | CudaCall::HintJobLength { .. }
             | CudaCall::RegisterNested { .. }
+            | CudaCall::Free { .. }
+            | CudaCall::MemcpyH2D { .. }
+            | CudaCall::MemcpyD2D { .. }
     )
 }
 
@@ -92,21 +110,44 @@ fn batch_deferrable(call: &CudaCall) -> bool {
     deferrable(call) || matches!(call, CudaCall::Launch { .. })
 }
 
+/// Bytes a queued call moves: a host-to-device copy's declared length, the
+/// size every layer past the client accounts and times it at (a scaled-down
+/// shadow payload stands for all of it).
+fn copy_bytes(call: &CudaCall) -> u64 {
+    match call {
+        CudaCall::MemcpyH2D { buf, .. } => buf.declared_len,
+        _ => 0,
+    }
+}
+
 impl<T: Transport> FrontendClient<T> {
     /// Wraps a connected transport.
     pub fn new(transport: T) -> Self {
         FrontendClient { transport, hung_up: false, pipeline: false, pending: Vec::new() }
     }
 
-    /// Opts into asynchronous launch pipelining (see the type docs).
+    /// Opts into pipelining every call that returns nothing (see the type
+    /// docs).
     pub fn with_pipelining(mut self) -> Self {
         self.pipeline = true;
         self
     }
 
+    /// The one admission check of the queue: whether `calls` may join it,
+    /// pipelining being on and both bounds ([`MAX_PIPELINE`] calls,
+    /// [`KEEP_BYTES`] moved) holding with them in. If not, they ship now,
+    /// with the queue ahead of them.
+    fn admit(&self, calls: &[CudaCall]) -> bool {
+        self.pipeline
+            && self.pending.len() + calls.len() <= MAX_PIPELINE
+            && self.pending.iter().chain(calls).map(copy_bytes).sum::<u64>() <= KEEP_BYTES as u64
+    }
+
     /// Ships the pipelined prefix plus `calls`, returning the replies for
-    /// `calls` — unless a pipelined launch failed, in which case its error
-    /// is reported for every call in the flush.
+    /// `calls` — unless a queued call failed, in which case its error is
+    /// reported for every call in the flush. The flush's own calls did run,
+    /// so a pointer one of them allocated is freed again rather than lost
+    /// with its reply.
     fn flush_with(&mut self, calls: Vec<CudaCall>) -> Vec<CudaReply> {
         let n = calls.len();
         let mut all = std::mem::take(&mut self.pending);
@@ -114,10 +155,15 @@ impl<T: Transport> FrontendClient<T> {
         all.extend(calls);
         let mut replies = self.transport.roundtrip_batch(all);
         let rest = replies.split_off(skip.min(replies.len()));
-        if let Some(err) = replies.into_iter().find_map(|r| r.err()) {
-            return (0..n).map(|_| Err(err.clone())).collect();
+        let Some(err) = replies.into_iter().find_map(|r| r.err()) else {
+            return rest;
+        };
+        for reply in rest {
+            if let Ok(ReplyValue::Ptr(ptr)) = reply {
+                let _ = self.transport.roundtrip(CudaCall::Free { ptr });
+            }
         }
-        rest
+        (0..n).map(|_| Err(err.clone())).collect()
     }
 }
 
@@ -129,9 +175,9 @@ impl<T: Transport> CudaClient for FrontendClient<T> {
         if matches!(call, CudaCall::Exit) {
             self.hung_up = true;
         }
-        if self.pipeline && deferrable(&call) && self.pending.len() < MAX_PIPELINE {
+        if deferrable(&call) && self.admit(std::slice::from_ref(&call)) {
             self.pending.push(call);
-            return Ok(crate::protocol::ReplyValue::Unit);
+            return Ok(ReplyValue::Unit);
         }
         if self.pending.is_empty() {
             return self.transport.roundtrip(call);
@@ -143,13 +189,10 @@ impl<T: Transport> CudaClient for FrontendClient<T> {
         if self.hung_up {
             return calls.iter().map(|_| Err(CudaError::Disconnected)).collect();
         }
-        if self.pipeline
-            && calls.iter().all(batch_deferrable)
-            && self.pending.len() + calls.len() <= MAX_PIPELINE
-        {
+        if calls.iter().all(batch_deferrable) && self.admit(&calls) {
             let n = calls.len();
             self.pending.extend(calls);
-            return (0..n).map(|_| Ok(crate::protocol::ReplyValue::Unit)).collect();
+            return (0..n).map(|_| Ok(ReplyValue::Unit)).collect();
         }
         if calls.iter().any(|c| matches!(c, CudaCall::Exit)) {
             self.hung_up = true;
@@ -162,7 +205,11 @@ impl<T: Transport> CudaClient for FrontendClient<T> {
 mod tests {
     use super::*;
     use crate::client::CudaClient;
-    use crate::protocol::ReplyValue;
+    use crate::error::CudaResult;
+    use crate::host_buf::HostBuf;
+    use crate::protocol::ModuleHandle;
+    use mtgpu_gpusim::{DeviceAddr, KernelDesc, LaunchConfig, LaunchSpec, Work};
+    use std::collections::BTreeMap;
 
     /// Answers every call `Unit` and counts them; `hung_up` makes it the
     /// far end of a dead connection.
@@ -206,5 +253,228 @@ mod tests {
         let mut echo = Echo { hung_up: true, ..Echo::default() };
         let mut client = FrontendClient::new(&mut echo);
         assert_eq!(client.synchronize(), Err(CudaError::Disconnected));
+    }
+
+    /// A device behind a counting transport: a malloc hands out a fresh
+    /// zeroed buffer, copies land in and come back out of it, and a free or
+    /// a copy on a pointer it never handed out (or already freed) fails
+    /// `InvalidDevicePointer`. Each `roundtrip`/`roundtrip_batch` is one
+    /// round trip; `flushes` keeps how many calls each carried.
+    #[derive(Default)]
+    struct Device {
+        mem: BTreeMap<u64, Vec<u8>>,
+        next: u64,
+        flushes: Vec<usize>,
+    }
+
+    impl Device {
+        fn serve(&mut self, call: CudaCall) -> CudaReply {
+            let bad = CudaError::InvalidDevicePointer;
+            match call {
+                CudaCall::Malloc { size, .. } => {
+                    self.next += 1 << 32;
+                    self.mem.insert(self.next, vec![0; size as usize]);
+                    Ok(ReplyValue::Ptr(DeviceAddr(self.next)))
+                }
+                CudaCall::Free { ptr } => {
+                    self.mem.remove(&ptr.0).map(|_| ReplyValue::Unit).ok_or(bad)
+                }
+                CudaCall::MemcpyH2D { dst, buf } => {
+                    let mem = self.mem.get_mut(&dst.0).ok_or(bad)?;
+                    let place = mem.get_mut(..buf.payload.len()).ok_or(CudaError::SizeMismatch)?;
+                    place.copy_from_slice(&buf.payload);
+                    Ok(ReplyValue::Unit)
+                }
+                CudaCall::MemcpyD2H { src, len } => {
+                    let mem = self.mem.get(&src.0).ok_or(bad)?;
+                    let bytes = mem.get(..len as usize).ok_or(CudaError::SizeMismatch)?;
+                    Ok(ReplyValue::Bytes(HostBuf::from_slice(bytes)))
+                }
+                CudaCall::MemcpyD2D { dst, src, len } => {
+                    let mem = self.mem.get(&src.0).ok_or(bad.clone())?;
+                    let bytes = mem.get(..len as usize).ok_or(CudaError::SizeMismatch)?.to_vec();
+                    let mem = self.mem.get_mut(&dst.0).ok_or(bad)?;
+                    let place = mem.get_mut(..bytes.len()).ok_or(CudaError::SizeMismatch)?;
+                    place.copy_from_slice(&bytes);
+                    Ok(ReplyValue::Unit)
+                }
+                CudaCall::GetDeviceCount => Ok(ReplyValue::DeviceCount(1)),
+                CudaCall::Launch { .. } => Ok(ReplyValue::LaunchDone { sim_nanos: 1 }),
+                _ => Ok(ReplyValue::Unit),
+            }
+        }
+    }
+
+    impl Transport for &mut Device {
+        fn roundtrip(&mut self, call: CudaCall) -> CudaReply {
+            self.flushes.push(1);
+            self.serve(call)
+        }
+
+        fn roundtrip_batch(&mut self, calls: Vec<CudaCall>) -> Vec<CudaReply> {
+            self.flushes.push(calls.len());
+            calls.into_iter().map(|c| self.serve(c)).collect()
+        }
+    }
+
+    fn kernel() -> LaunchSpec {
+        LaunchSpec {
+            kernel: "k".into(),
+            config: LaunchConfig::default(),
+            args: vec![],
+            work: Work::flops(1.0),
+        }
+    }
+
+    fn h2d(dst: DeviceAddr, len: usize) -> CudaCall {
+        CudaCall::MemcpyH2D { dst, buf: HostBuf::from_slice(&vec![1; len]) }
+    }
+
+    /// The shape of a catalog job: 3 mallocs, 2 uploads, a launch, a
+    /// download, 3 frees and `Exit`. Returns the three pointers and the
+    /// downloaded bytes.
+    fn catalog_job(client: &mut impl CudaClient) -> CudaResult<(Vec<DeviceAddr>, Vec<u8>)> {
+        let ptrs = vec![client.malloc(64)?, client.malloc(64)?, client.malloc(32)?];
+        client.memcpy_h2d(ptrs[0], HostBuf::from_slice(&[7; 64]))?;
+        client.memcpy_h2d(ptrs[1], HostBuf::from_slice(&[9; 64]))?;
+        client.launch(kernel())?;
+        let out = client.memcpy_d2h(ptrs[1], 64)?;
+        for &ptr in &ptrs {
+            client.free(ptr)?;
+        }
+        client.exit()?;
+        Ok((ptrs, out.payload))
+    }
+
+    #[test]
+    fn pipelined_catalog_job_is_five_round_trips_and_eager_eleven() {
+        let mut eager = Device::default();
+        let (eager_ptrs, eager_out) = catalog_job(&mut FrontendClient::new(&mut eager)).unwrap();
+        let mut piped = Device::default();
+        let (piped_ptrs, piped_out) =
+            catalog_job(&mut FrontendClient::new(&mut piped).with_pipelining()).unwrap();
+
+        // One round trip per call; the launch's two calls share one.
+        assert_eq!(eager.flushes, [1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1]);
+        // The mallocs, then uploads + launch with the download, then the
+        // frees with `Exit`.
+        assert_eq!(piped.flushes, [1, 1, 1, 5, 4]);
+        for (ptrs, out) in [(&eager_ptrs, &eager_out), (&piped_ptrs, &piped_out)] {
+            let distinct: std::collections::BTreeSet<_> = ptrs.iter().collect();
+            assert_eq!(distinct.len(), 3, "{ptrs:?}");
+            assert_eq!(out, &[9; 64], "the download reads the second upload");
+        }
+        assert!(eager.mem.is_empty() && piped.mem.is_empty(), "every free reached the device");
+    }
+
+    #[test]
+    fn deferred_copy_error_surfaces_on_every_call_of_the_flush() {
+        let freed = DeviceAddr(0xdead);
+        let mut eager = Device::default();
+        let mut client = FrontendClient::new(&mut eager);
+        assert_eq!(
+            client.memcpy_h2d(freed, HostBuf::from_slice(&[1; 8])),
+            Err(CudaError::InvalidDevicePointer)
+        );
+
+        let mut piped = Device::default();
+        let mut client = FrontendClient::new(&mut piped).with_pipelining();
+        let good = client.malloc(8).unwrap();
+        assert_eq!(client.memcpy_h2d(freed, HostBuf::from_slice(&[1; 8])), Ok(()), "queued");
+        assert_eq!(client.memcpy_d2h(good, 8), Err(CudaError::InvalidDevicePointer));
+        // The same through a batch: every call of the flush reports it,
+        // though the server ran both of them.
+        client.call(h2d(freed, 8)).unwrap();
+        let replies = client.call_batch(vec![CudaCall::GetDeviceCount, h2d(good, 8)]);
+        assert_eq!(
+            replies,
+            [Err(CudaError::InvalidDevicePointer), Err(CudaError::InvalidDevicePointer)]
+        );
+        assert_eq!(piped.flushes, [1, 2, 3]);
+        // A flush with no failed queued call answers as the server did.
+        let mut client = FrontendClient::new(&mut piped).with_pipelining();
+        client.call(h2d(good, 8)).unwrap();
+        assert_eq!(client.memcpy_d2h(good, 8).unwrap().payload, [1; 8]);
+    }
+
+    #[test]
+    fn queued_copies_ship_with_the_copy_that_crosses_keep_bytes() {
+        let quarter = KEEP_BYTES / 4;
+        let mut device = Device::default();
+        let mut client = FrontendClient::new(&mut device).with_pipelining();
+        let dst = client.malloc(2 * KEEP_BYTES as u64).unwrap();
+        // Four quarters sit exactly on the bound and wait; the fifth
+        // crosses it and ships them along with itself.
+        for _ in 0..4 {
+            assert_eq!(client.call(h2d(dst, quarter)), Ok(ReplyValue::Unit));
+        }
+        assert_eq!(client.call(h2d(dst, quarter)), Ok(ReplyValue::Unit));
+        // The same through `call_batch`: three wait, the batch of two
+        // crosses.
+        for _ in 0..3 {
+            client.call(h2d(dst, quarter)).unwrap();
+        }
+        let replies = client.call_batch(vec![h2d(dst, quarter), h2d(dst, quarter)]);
+        assert_eq!(replies, [Ok(ReplyValue::Unit), Ok(ReplyValue::Unit)]);
+        // One copy past the bound is never held back, not even on an
+        // empty queue, nor when only a small shadow of it is carried: the
+        // bound counts the bytes the copy declares it moves.
+        client.call(h2d(dst, KEEP_BYTES + 1)).unwrap();
+        let shadow = HostBuf::with_shadow(KEEP_BYTES as u64 + 1, vec![1; 8]);
+        client.call(CudaCall::MemcpyH2D { dst, buf: shadow }).unwrap();
+        // A copy of exactly the bound waits for the next call.
+        client.call(h2d(dst, KEEP_BYTES)).unwrap();
+        client.synchronize().unwrap();
+        assert_eq!(device.flushes, [1, 5, 5, 1, 1, 2]);
+    }
+
+    #[test]
+    fn failed_flush_frees_the_pointer_it_allocated() {
+        let mut device = Device::default();
+        let mut client = FrontendClient::new(&mut device).with_pipelining();
+        let ptr = client.malloc(8).unwrap();
+        client.free(ptr).unwrap();
+        client.free(ptr).unwrap();
+        // The malloc runs behind the double free and allocates, but the
+        // application only sees the error: the client gives the memory back.
+        assert_eq!(client.malloc(8), Err(CudaError::InvalidDevicePointer));
+        assert!(device.mem.is_empty(), "leaked {:?}", device.mem.keys());
+        assert_eq!(device.flushes, [1, 3, 1]);
+    }
+
+    #[test]
+    fn every_unit_call_but_a_sync_or_admission_point_waits() {
+        let module = ModuleHandle(1);
+        let mut device = Device::default();
+        let mut client = FrontendClient::new(&mut device).with_pipelining();
+        let (src, dst) = (client.malloc(8).unwrap(), client.malloc(8).unwrap());
+        let queued = [
+            CudaCall::RegisterFunction { module, kernel: KernelDesc::plain("k") },
+            CudaCall::RegisterVar { module, name: "v".into(), size: 4 },
+            CudaCall::RegisterTexture { module, name: "t".into() },
+            CudaCall::HintJobLength { flops: 1.0 },
+            CudaCall::RegisterNested { parent: src, members: vec![dst] },
+            h2d(src, 8),
+            CudaCall::MemcpyD2D { dst, src, len: 8 },
+            CudaCall::ConfigureCall { config: LaunchConfig::default() },
+        ];
+        for call in queued {
+            assert_eq!(client.call(call), Ok(ReplyValue::Unit));
+        }
+        // One round trip carries them all, in order: the download reads
+        // what the device-to-device copy moved.
+        assert_eq!(client.memcpy_d2h(dst, 8).unwrap().payload, [1; 8]);
+        client.free(src).unwrap();
+        let eager = [
+            CudaCall::Synchronize,
+            CudaCall::Checkpoint,
+            CudaCall::SetApplication { app_id: 1 },
+            CudaCall::SetDevice { device: 0 },
+        ];
+        for call in eager {
+            client.call(call).unwrap();
+        }
+        assert_eq!(device.flushes, [1, 1, 9, 2, 1, 1, 1]);
+        assert_eq!(device.mem.len(), 1, "the queued free ran with the synchronize");
     }
 }

@@ -126,6 +126,8 @@ struct MuxConnInner {
     unknown_responses: AtomicU64,
     /// Frames that were not `Response` at all (protocol violation).
     protocol_errors: AtomicU64,
+    /// Exchanges begun: one write of one or more requests, then one wait.
+    round_trips: AtomicU64,
     /// Written under the demux lock, so a caller that saw it clear there
     /// and went to sleep is woken by the `fail` that sets it.
     dead: AtomicBool,
@@ -235,6 +237,7 @@ impl MuxConnection {
             next_chan: AtomicU64::new(1),
             unknown_responses: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
+            round_trips: AtomicU64::new(0),
             dead: AtomicBool::new(false),
         };
         MuxConnection { inner: Arc::new(inner) }
@@ -266,6 +269,12 @@ impl MuxConnection {
     /// Frames received that were not responses at all.
     pub fn protocol_errors(&self) -> u64 {
         self.inner.protocol_errors.load(Ordering::Relaxed)
+    }
+
+    /// Round trips its channels have made: one per call shipped alone and
+    /// one per pipelined batch, however many requests it carried.
+    pub fn round_trips(&self) -> u64 {
+        self.inner.round_trips.load(Ordering::Relaxed)
     }
 
     /// Whether nobody is reading the stream and no request is in flight:
@@ -308,6 +317,7 @@ impl MuxChannel {
     /// one channel in order, so they complete in order even though the wire
     /// allows out-of-order delivery across channels.
     fn exchange(&mut self, calls: impl ExactSizeIterator<Item = CudaCall>) -> Vec<CudaReply> {
+        self.conn.round_trips.fetch_add(1, Ordering::Relaxed);
         let mut group =
             Group { replies: Vec::with_capacity(calls.len()), missing: 0, parked: None };
         // At least one ID, so that an empty batch too files under a key of
@@ -437,6 +447,11 @@ impl MuxPool {
     /// Sum of unknown-ID responses across the pool.
     pub fn unknown_responses(&self) -> u64 {
         self.conns.iter().map(|c| c.unknown_responses()).sum()
+    }
+
+    /// Sum of round trips across the pool.
+    pub fn round_trips(&self) -> u64 {
+        self.conns.iter().map(|c| c.round_trips()).sum()
     }
 
     /// Closes every pooled connection.

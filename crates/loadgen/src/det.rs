@@ -9,7 +9,7 @@
 
 use crate::harness::SeqHarness;
 use crate::hist::LatencyHistogram;
-use crate::report::{fairness_ratio, LoadReport, TenantReport};
+use crate::report::{fairness_ratio, per_request, LoadReport, TenantReport};
 use mtgpu_api::CudaClient;
 use mtgpu_core::MetricsSnapshot;
 use mtgpu_gpusim::GpuSpec;
@@ -147,6 +147,7 @@ pub fn run_det(cfg: &DetLoadConfig) -> (LoadReport, DetLoadFingerprint) {
         }
     }
 
+    let round_trips = harness.round_trips();
     let (metrics, final_virtual_nanos) = harness.finish();
 
     let summary = hist.summary();
@@ -187,6 +188,7 @@ pub fn run_det(cfg: &DetLoadConfig) -> (LoadReport, DetLoadFingerprint) {
         },
         latency: summary,
         fairness_ratio: fairness_ratio(&basis),
+        round_trips_per_request: per_request(round_trips, completed + errors),
         tenants,
         runtime: metrics,
     };

@@ -3,7 +3,7 @@
 //! Each tenant is a thread issuing catalog workloads (Table 2, tiny scale)
 //! against a freshly started node daemon. Both modes speak the one wire the
 //! node has (DESIGN.md §12), over the local socketpairs
-//! [`ClusterNode::mux_client`] and [`ClusterNode::mux_pool`] open, since the
+//! [`ClusterNode::local_connection`] and [`ClusterNode::mux_pool`] open, since the
 //! tenants run in the node's process; they differ in who owns the socket:
 //!
 //! * **Reconnect** (the default): one fresh connection per request, so
@@ -23,7 +23,7 @@
 //! coordinated-omission-free view).
 
 use crate::hist::LatencyHistogram;
-use crate::report::{fairness_ratio, LoadReport, TenantReport};
+use crate::report::{fairness_ratio, per_request, LoadReport, TenantReport};
 use mtgpu_api::transport::{MuxChannel, MuxConnection, MuxPool};
 use mtgpu_api::{CudaClient, FrontendClient};
 use mtgpu_cluster::ClusterNode;
@@ -103,6 +103,8 @@ struct TenantOutcome {
     completed: u64,
     errors: u64,
     makespan_nanos: u64,
+    /// Round trips on the tenant's own connections (reconnect mode).
+    round_trips: u64,
 }
 
 /// The one channel of a fresh TCP connection to the node's listener; the
@@ -144,8 +146,13 @@ fn tenant_loop(
 ) -> TenantOutcome {
     let mut rng = DetRng::from_seed(cfg.seed).fork(name);
     let kinds = catalog::draw_kinds(&catalog::short_pool(), cfg.requests_per_client, &mut rng);
-    let mut out =
-        TenantOutcome { hist: LatencyHistogram::new(), completed: 0, errors: 0, makespan_nanos: 0 };
+    let mut out = TenantOutcome {
+        hist: LatencyHistogram::new(),
+        completed: 0,
+        errors: 0,
+        makespan_nanos: 0,
+        round_trips: 0,
+    };
     for (r, kind) in kinds.into_iter().enumerate() {
         let job = kind.build(mtgpu_workloads::calib::Scale::TINY);
         let started = match cfg.mode {
@@ -164,11 +171,19 @@ fn tenant_loop(
                 intended // latency includes schedule slip
             }
         };
-        let client = match pool {
-            Some(pool) => Ok(FrontendClient::new(pool.channel())),
-            None => node.mux_client().map_err(|e| format!("connect: {e}")),
+        let result = match pool {
+            Some(pool) => run_request(FrontendClient::new(pool.channel()), job.as_ref(), clock),
+            None => match node.local_connection() {
+                Ok(conn) => {
+                    let result =
+                        run_request(FrontendClient::new(conn.channel()), job.as_ref(), clock);
+                    out.round_trips += conn.round_trips();
+                    result
+                }
+                Err(e) => Err(format!("connect: {e}")),
+            },
         };
-        match client.and_then(|client| run_request(client, job.as_ref(), clock)) {
+        match result {
             Ok(()) => {
                 out.completed += 1;
                 out.hist.record(started.elapsed().as_nanos() as u64);
@@ -255,6 +270,8 @@ pub(crate) fn run_load_beside<R>(
     node.runtime().wait_idle(DRAIN_TIMEOUT);
     let runtime = node.metrics();
     let pooled_conns = pool.as_ref().map_or(0, |p| p.len());
+    let round_trips = pool.as_ref().map_or(0, MuxPool::round_trips)
+        + outcomes.iter().map(|o| o.round_trips).sum::<u64>();
     drop(pool);
     node.shutdown();
 
@@ -285,6 +302,7 @@ pub(crate) fn run_load_beside<R>(
         },
         latency: hist.summary(),
         fairness_ratio: fairness_ratio(&basis),
+        round_trips_per_request: per_request(round_trips, completed + errors),
         tenants,
         runtime,
     };

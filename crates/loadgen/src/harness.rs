@@ -74,6 +74,11 @@ impl SeqHarness {
         }
     }
 
+    /// Round trips the run's clients have made on the wire (0 in-process).
+    pub fn round_trips(&self) -> u64 {
+        self.conn.as_ref().map_or(0, MuxConnection::round_trips)
+    }
+
     /// The determinism barrier after an exit or a severed transport: the
     /// reply leaves before the teardown, whose counters the next step must
     /// not race.

@@ -54,6 +54,10 @@ pub struct LoadReport {
     /// closed-loop runs (identical per-tenant demand), completed count for
     /// open-loop runs. 1.0 is perfectly fair.
     pub fairness_ratio: f64,
+    /// Client round trips on the wire per request issued: one per call
+    /// shipped alone and one per pipelined batch. 0 when no call crossed
+    /// the wire (the in-process deterministic driver).
+    pub round_trips_per_request: f64,
     pub tenants: Vec<TenantReport>,
     pub runtime: MetricsSnapshot,
 }
@@ -99,6 +103,15 @@ impl LoadReport {
             self.latency.p99_nanos as f64 / 1e6,
             self.fairness_ratio,
         )
+    }
+}
+
+/// `round_trips` over `requests`, 0 for no requests.
+pub(crate) fn per_request(round_trips: u64, requests: u64) -> f64 {
+    if requests == 0 {
+        0.0
+    } else {
+        round_trips as f64 / requests as f64
     }
 }
 
@@ -150,6 +163,7 @@ mod tests {
             throughput_rps: 64.0,
             latency: LatencySummary::default(),
             fairness_ratio: 1.25,
+            round_trips_per_request: 5.5,
             tenants: vec![TenantReport { tenant: 0, completed: 2, errors: 0, makespan_nanos: 9 }],
             runtime: MetricsSnapshot::default(),
         };

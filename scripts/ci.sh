@@ -21,7 +21,14 @@
 #                                byte for byte against the per-element
 #                                ones (NaN payloads, ±0, ±inf, subnormals,
 #                                a strided sweep of every bit pattern,
-#                                trailing bytes)
+#                                trailing bytes), and the pipelined
+#                                frontend's contract (a catalog-shaped job
+#                                in 5 round trips pipelined and 11 eager,
+#                                a queued copy's error on every call of the
+#                                flush that carries it, queued copies
+#                                bounded by 1 MiB declared, a failed flush
+#                                freeing the pointer it allocated, which
+#                                calls wait and which ship at once)
 #   tier 3  determinism smoke    fig7 --quick --virtual-clock --seed 42 runs
 #                                clean, then the sequential det-harness replay
 #                                of the fig7 shape must be bit-identical, the
@@ -170,10 +177,17 @@ if [[ "$tier" == "all" || "$tier" == "2" ]]; then
         apps::blackscholes::tests::baseline_and_avx2_builds_price_bit_for_bit > /dev/null
     # The host buffer converts f32 payloads in one pass each way; in the
     # release build those passes vectorise, so they are pinned there too.
+    # The pipelined frontend's round trips, deferred errors and byte
+    # bound are pinned in the build the benchmark runs.
     cargo test -q --release -p mtgpu-api --lib -- --exact \
         host_buf::tests::f32_conversions_match_the_per_element_reference_on_special_values \
         host_buf::tests::f32_conversions_match_the_per_element_reference_over_a_strided_sweep \
-        host_buf::tests::f32_conversions_ignore_trailing_bytes_and_declare_the_payload > /dev/null
+        host_buf::tests::f32_conversions_ignore_trailing_bytes_and_declare_the_payload \
+        transport::tests::pipelined_catalog_job_is_five_round_trips_and_eager_eleven \
+        transport::tests::deferred_copy_error_surfaces_on_every_call_of_the_flush \
+        transport::tests::queued_copies_ship_with_the_copy_that_crosses_keep_bytes \
+        transport::tests::failed_flush_frees_the_pointer_it_allocated \
+        transport::tests::every_unit_call_but_a_sync_or_admission_point_waits > /dev/null
 fi
 
 if [[ "$tier" == "all" || "$tier" == "3" ]]; then
