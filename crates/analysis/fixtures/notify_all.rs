@@ -1,7 +1,7 @@
 // mtlint fixture: the broadcast call must trip `notify-all`; the method
 // definition of the same name must not.
 struct Gate {
-    cv: parking_lot::Condvar,
+    cv: std::sync::Condvar,
 }
 
 impl Gate {

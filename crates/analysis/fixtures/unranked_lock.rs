@@ -1,6 +1,6 @@
 // mtlint fixture: all four sites must trip `unranked-lock` (the fixtures
 // directory is treated as runtime-crate scope).
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 
 struct Bad {
     state: Mutex<u32>, // hazard 1: raw lock field in a runtime crate

@@ -6,10 +6,9 @@
 //! ```
 //!
 //! With no `FILE` arguments it runs in *workspace mode*: lints every `.rs`
-//! file under `crates/{api,cluster,core,gpusim,loadgen}/src`, holds the
-//! vendored lock shim to the `notify-all` rule, extracts the
+//! file under `crates/{api,cluster,core,gpusim,loadgen}/src`, extracts the
 //! lock graph (rank declarations from `crates/simtime/src/sync.rs`,
-//! construction sites from the runtime crates), and writes
+//! construction sites from the ranked crates), and writes
 //! `mtlint.json`, `lock_graph.json`, and `lock_graph.dot` into `--out`
 //! (default `results/`). With explicit files it lints just those files and
 //! writes nothing — the mode the fixture checks use.
@@ -17,6 +16,7 @@
 //! Exit status: 0 when clean; 1 under `--deny` when any unsuppressed
 //! finding, malformed allow, or lock-graph error exists.
 
+use mtgpu_analysis::rules::RANKED_CRATES;
 use mtgpu_analysis::{lint_file, lock_graph, report, Finding};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -24,20 +24,6 @@ use std::process::ExitCode;
 /// Crates whose sources the workspace walk lints. `simtime` is exempt: it
 /// *implements* the clock and the ranked locks the rules steer code toward.
 const LINT_CRATES: &[&str] = &["api", "cluster", "core", "gpusim", "loadgen"];
-
-/// Vendored shims the workspace walk also visits, for broadcast wake-ups
-/// only: every hand-off in the runtime goes through the lock shim's
-/// condvar, so a `notify_all` there is a thundering herd under all of it.
-/// The other rules do not apply — the shim is what those rules steer code
-/// toward (it wraps the std locks and times its own waits).
-const SHIM_DIRS: &[&str] = &["shims/parking_lot/src"];
-
-/// The rules a shim file answers to (and the allow hygiene around them).
-const SHIM_RULES: &[&str] = &["notify-all", "bad-allow", "dead-allow"];
-
-/// Crates that must construct every lock through the ranked wrappers; also
-/// the crates the lock-graph sites are harvested from.
-const RANKED_CRATES: &[&str] = &["core", "gpusim"];
 
 fn main() -> ExitCode {
     let mut deny = false;
@@ -70,20 +56,12 @@ fn main() -> ExitCode {
         for krate in LINT_CRATES {
             collect_rs_files(&root.join("crates").join(krate).join("src"), &mut files);
         }
-        for dir in SHIM_DIRS {
-            collect_rs_files(&root.join(dir), &mut files);
-        }
         files.sort();
     }
 
     let mut findings: Vec<Finding> = Vec::new();
     for file in &files {
-        let in_shim =
-            workspace_mode && SHIM_DIRS.iter().any(|dir| file.starts_with(root.join(dir)));
         match lint_file(file) {
-            Ok(f) if in_shim => {
-                findings.extend(f.into_iter().filter(|f| SHIM_RULES.contains(&f.rule.as_str())))
-            }
             Ok(f) => findings.extend(f),
             Err(e) => {
                 eprintln!("mtlint: {}: {e}", file.display());

@@ -814,29 +814,29 @@ fn retry_vs_free() -> Vec<Participant> {
 const CHK_A: LockRank = LockRank { value: 240, name: "CHK_A" };
 const CHK_B: LockRank = LockRank { value: 241, name: "CHK_B" };
 
-/// The deliberately seeded race: the shadow cell sits behind a raw shim
+/// The deliberately seeded race: the shadow cell sits behind a raw std
 /// mutex (physically synchronized, no UB) while each thread "protects" it
 /// with a *different* ranked lock — so the model sees no ordering edge.
 fn fixture_race() -> Vec<Participant> {
     struct Fx {
         a: RankedMutex<()>,
         b: RankedMutex<()>,
-        cell: parking_lot::Mutex<Shadow<u64>>,
+        cell: std::sync::Mutex<Shadow<u64>>,
     }
     let fx = Arc::new(Fx {
         a: RankedMutex::new(CHK_A, ()),
         b: RankedMutex::new(CHK_B, ()),
-        cell: parking_lot::Mutex::new(Shadow::new("fixture.check.cell", 0)),
+        cell: std::sync::Mutex::new(Shadow::new("fixture.check.cell", 0)),
     });
     let (f1, f2) = (Arc::clone(&fx), fx);
     vec![
         Box::new(move || {
             let _g = f1.a.lock();
-            **f1.cell.lock() += 1;
+            **f1.cell.lock().unwrap() += 1;
         }),
         Box::new(move || {
             let _g = f2.b.lock();
-            **f2.cell.lock() += 1;
+            **f2.cell.lock().unwrap() += 1;
         }),
     ]
 }

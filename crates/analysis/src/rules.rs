@@ -15,11 +15,10 @@
 //!   order scheduler-dependent; each call site must justify why a targeted
 //!   `notify_one` is wrong.
 //! - `non-det-rng` — any randomness source other than the seeded `DetRng`.
-//! - `unranked-lock` — in `mtgpu-core`/`mtgpu-gpusim`/`mtgpu-api`/
-//!   `mtgpu-loadgen`, every lock must be a `Ranked*` wrapper constructed
-//!   with a declared `lock_rank` constant so the runtime order checker can
-//!   see it; a `std::sync::mpsc` channel, whose lock no checker sees, is
-//!   flagged at its construction too.
+//! - `unranked-lock` — in the [`RANKED_CRATES`], every lock must be a
+//!   `Ranked*` wrapper constructed with a declared `lock_rank` constant so
+//!   the runtime order checker can see it; a `std::sync::mpsc` channel,
+//!   whose lock no checker sees, is flagged at its construction too.
 
 use crate::lexer::{TokKind, Token};
 use std::collections::BTreeSet;
@@ -56,15 +55,18 @@ const ITER_METHODS: &[&str] = &[
 /// Identifiers that reach for a non-deterministic randomness source.
 const RNG_IDENTS: &[&str] = &["thread_rng", "from_entropy", "StdRng", "SmallRng", "RandomState"];
 
-/// Whether the `unranked-lock` rule applies to `path`: the ranked-lock
-/// contract covers the runtime crates — core, gpusim, and since the
-/// mtcheck work also the client-facing `api` and workload `loadgen`
-/// crates (their locks sit on the same call paths the race detector
-/// audits) — plus the lint's own fixtures.
+/// The crates under the ranked-lock contract: every lock they construct is
+/// a ranked wrapper (the `unranked-lock` rule), and mtlint's lock graph
+/// harvests its construction sites from them. They are the runtime crates
+/// `core` and `gpusim`, the client-facing `api` and workload `loadgen`
+/// crates (their locks sit on the call paths the race detector audits),
+/// and `cluster` (the head node's gate).
+pub const RANKED_CRATES: &[&str] = &["api", "cluster", "core", "gpusim", "loadgen"];
+
+/// Whether the `unranked-lock` rule applies to `path`: the
+/// [`RANKED_CRATES`] plus the lint's own fixtures.
 fn ranked_lock_scope(path: &str) -> bool {
-    ["crates/core/", "crates/gpusim/", "crates/api/", "crates/loadgen/"]
-        .iter()
-        .any(|p| path.contains(p))
+    RANKED_CRATES.iter().any(|k| path.contains(&format!("crates/{k}/")))
         || path.contains("fixtures")
 }
 
@@ -308,9 +310,11 @@ mod tests {
     fn unranked_lock_only_in_runtime_crates() {
         let src =
             "struct S { m: Mutex<u32> }\nfn f() { let m = Mutex::new(0); let c = Condvar::new(); }";
-        let core = run("crates/core/x.rs", src);
-        assert_eq!(rules_hit(&core), ["unranked-lock", "unranked-lock", "unranked-lock"]);
-        assert!(run("crates/cluster/x.rs", src).is_empty());
+        for krate in RANKED_CRATES {
+            let hits = run(&format!("crates/{krate}/x.rs"), src);
+            assert_eq!(rules_hit(&hits), ["unranked-lock"; 3], "{krate}");
+        }
+        assert!(run("crates/simtime/x.rs", src).is_empty());
     }
 
     #[test]

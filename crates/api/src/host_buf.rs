@@ -1,4 +1,4 @@
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A host-side buffer participating in a transfer.
 ///
@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// refuses sealed buffers whose bytes no longer match the digest (see
 /// [`crate::guard`]). Unsealed buffers (`content_hash == None`) skip the
 /// check.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Default)]
 pub struct HostBuf {
     /// Bytes this buffer *represents* (accounting/timing).
     pub declared_len: u64,

@@ -8,7 +8,7 @@
 use crate::error::CudaError;
 use crate::host_buf::HostBuf;
 use mtgpu_gpusim::{DeviceAddr, GpuSpec, KernelDesc, LaunchConfig, LaunchSpec};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A relocatable snapshot of one application context's memory state: every
 /// page-table entry with its virtual address and host-authoritative data.
@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// that, combined with a process checkpointer like BLCR, survives a full
 /// node restart. Virtual addresses are preserved, so the application's
 /// pointers remain valid after restoration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Default)]
 pub struct ContextImage {
     /// Diagnostic label of the source context.
     pub label: String,
@@ -27,7 +27,7 @@ pub struct ContextImage {
 }
 
 /// One allocation inside a [`ContextImage`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ImageEntry {
     /// The virtual address the application holds.
     pub vaddr: DeviceAddr,
@@ -56,11 +56,11 @@ impl ContextImage {
 }
 
 /// Handle to a registered fat binary (module).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct ModuleHandle(pub u64);
 
 /// A CUDA call crossing the interposition boundary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum CudaCall {
     // --- internal registration routines (issued before any context exists,
     //     §4.3) ------------------------------------------------------------
@@ -147,7 +147,7 @@ pub enum CudaCall {
 /// and a connection-unique request ID (`id`, the client-side demux key).
 /// Responses echo only the ID and may arrive in any order; the client
 /// matches them back to waiting callers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum MuxFrame {
     /// Client → server: one CUDA call on one channel.
     Request { chan: u64, id: u64, call: CudaCall },
@@ -157,7 +157,7 @@ pub enum MuxFrame {
 
 /// How a device allocation was requested (Table 1 groups them all under
 /// "Malloc" but the runtime records the kind).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Default)]
 pub enum AllocKind {
     #[default]
     Linear,
@@ -166,7 +166,7 @@ pub enum AllocKind {
 }
 
 /// Successful payloads of a [`CudaReply`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum ReplyValue {
     Unit,
     Module(ModuleHandle),

@@ -12,8 +12,9 @@
 //! `#[cfg(debug_assertions)]`, so release builds must compile
 //! `RankedMutex` down to the raw mutex it wraps. This bench measures
 //! uncontended lock/unlock on both and fails (`--gate-rank RATIO`,
-//! default 1.02) if the ranked wrapper costs more than RATIO× the raw
-//! shim mutex — i.e. the rank bookkeeping must be zero overhead within 2%.
+//! default 1.02) if the ranked wrapper costs more than RATIO× a raw
+//! `std::sync::Mutex` taken the same way (a poisoned lock taken over) —
+//! i.e. the rank bookkeeping must be zero overhead within 2%.
 //! Debug builds report the ratio but never gate on it (the bookkeeping is
 //! supposed to cost something there).
 //!
@@ -26,7 +27,7 @@ use mtgpu_core::{AppContext, BindingManager, CtxId, RuntimeMetrics, SchedulerPol
 use mtgpu_gpusim::{DeviceId, Gpu, GpuSpec};
 use mtgpu_simtime::{lock_rank, Clock, RankedMutex};
 use serde::Serialize;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 const DEVICES: u32 = 4;
@@ -109,9 +110,9 @@ fn lock_loop(iters: u64, samples: usize, mut lock_unlock: impl FnMut()) -> f64 {
 }
 
 fn rank_gate(iters: u64, samples: usize, max_ratio: f64) -> RankGate {
-    let raw = parking_lot::Mutex::new(0u64);
+    let raw = Mutex::new(0u64);
     let raw_nanos = lock_loop(iters, samples, || {
-        *std::hint::black_box(&raw).lock() += 1;
+        *std::hint::black_box(&raw).lock().unwrap_or_else(PoisonError::into_inner) += 1;
     });
     let ranked = RankedMutex::new(lock_rank::MM_STATE, 0u64);
     let ranked_nanos = lock_loop(iters, samples, || {

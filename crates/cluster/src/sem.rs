@@ -1,18 +1,21 @@
 //! A small counting semaphore (the GPU-aware head node's per-node capacity
 //! gate).
 
-use parking_lot::{Condvar, Mutex};
+use mtgpu_simtime::{lock_rank, RankedCondvar, RankedMutex};
 
 /// Counting semaphore.
 pub struct Semaphore {
-    permits: Mutex<usize>,
-    cv: Condvar,
+    permits: RankedMutex<usize>,
+    cv: RankedCondvar,
 }
 
 impl Semaphore {
     /// Creates a semaphore with `permits` initial permits.
     pub fn new(permits: usize) -> Self {
-        Semaphore { permits: Mutex::new(permits), cv: Condvar::new() }
+        Semaphore {
+            permits: RankedMutex::new(lock_rank::HEAD_GATE, permits),
+            cv: RankedCondvar::new(),
+        }
     }
 
     /// Blocks until a permit is available, then takes it.

@@ -2,11 +2,11 @@
 
 use crate::memory::MemoryConfig;
 use mtgpu_simtime::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which scheduling algorithm the dispatcher uses (§4.3: "the dispatcher can
 /// be configured to use different scheduling algorithms").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Default)]
 pub enum SchedulerPolicy {
     /// First-come-first-served, round-robin across devices, keeping the
     /// number of active vGPUs uniform — the policy used throughout §5.
@@ -20,7 +20,7 @@ pub enum SchedulerPolicy {
 }
 
 /// Configuration of the node runtime.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RuntimeConfig {
     /// Virtual GPUs spawned per physical device (the sharing degree, §4.4).
     /// The paper settles on 4 as "a good compromise" (§5.3.2).

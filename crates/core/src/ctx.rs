@@ -4,13 +4,13 @@ use mtgpu_api::CudaError;
 use mtgpu_gpusim::kernel::RegisteredKernel;
 use mtgpu_gpusim::{DeviceId, Gpu, GpuContextId};
 use mtgpu_simtime::{lock_rank, RankedMutex, RankedMutexGuard};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Identifier of an application context (one per application thread /
 /// connection), unique within a node runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct CtxId(pub u64);
 
 impl std::fmt::Display for CtxId {
@@ -20,7 +20,7 @@ impl std::fmt::Display for CtxId {
 }
 
 /// Identifier of a virtual GPU: device slot plus vGPU index on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct VGpuId {
     pub device: DeviceId,
     pub index: u32,

@@ -37,7 +37,7 @@ use mtgpu_api::{CudaError, CudaResult, HostBuf};
 use mtgpu_gpusim::device::DEFAULT_MATERIALIZE_CAP;
 use mtgpu_gpusim::{DeviceAddr, DeviceId, KernelArg};
 use mtgpu_simtime::{lock_rank, Clock, RankedMutex, Shadow};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -61,7 +61,7 @@ pub enum Materialize {
 
 /// Why a context's device state is being evicted (metric attribution and
 /// trace records).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum SwapReason {
     /// Evicted as the victim of another application's memory need (§4.5).
     InterAppVictim,
@@ -139,7 +139,7 @@ pub(super) struct NodeState {
 }
 
 /// The memory manager's limits ([`crate::config::RuntimeConfig::memory`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MemoryConfig {
     /// Cap on live page-table entries per context; exceeding it produces the
     /// Table 1 "A virtual address cannot be assigned" error.

@@ -12,7 +12,7 @@
 use crate::memory::eviction::TouchStamp;
 use mtgpu_api::protocol::AllocKind;
 use mtgpu_gpusim::DeviceAddr;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// The `isAllocated` / `toCopy2Dev` / `toCopy2Swap` flag triple. The fields
@@ -128,7 +128,7 @@ impl Flags {
 
 /// The swap-area slab backing one entry: declared length plus the
 /// materialized shadow payload.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct SwapSlab {
     /// Bytes this slab represents.
     pub declared: u64,

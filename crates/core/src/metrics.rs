@@ -2,13 +2,13 @@
 //! (swap operations in Figs. 7–8, migrations in Fig. 9, offloads in §5.4).
 
 use mtgpu_gpusim::DeviceId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One device's utilization sample, taken when a [`MetricsSnapshot`] is
 /// assembled: the pressure signals the rebalancer scores placements with
 /// (DESIGN.md §15), surfaced so operators can see them too.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct DeviceUtilization {
     pub device: DeviceId,
     /// Bytes currently device-resident across every context bound here.
@@ -41,7 +41,7 @@ macro_rules! counters {
         /// `per_device` is populated by [`crate::NodeRuntime::metrics`] (the
         /// raw counter struct has no device axis); snapshots taken straight
         /// off [`RuntimeMetrics::snapshot`] leave it empty.
-        #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
         pub struct MetricsSnapshot {
             $(pub $name: u64,)*
             /// Per-device utilization samples, in device-id order (empty

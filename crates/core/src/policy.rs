@@ -21,13 +21,13 @@
 use crate::ctx::CtxId;
 use mtgpu_api::{CudaError, CudaResult};
 use mtgpu_simtime::{lock_rank, RankedMutex, Shadow, SimDuration, SimInstant};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// One tenant's resource lease (per the Guardian/MTVGPU sharing model):
 /// how much device memory it may hold, how many contexts it may run, how
 /// long the lease lives, and how important its work is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct GpuLease {
     /// Device-memory quota in MiB (declared allocation sizes). `0` means
     /// unlimited.
@@ -80,7 +80,7 @@ impl Default for GpuLease {
 
 /// Node-wide tenant-policy configuration ([`crate::RuntimeConfig`] carries
 /// it as `Option`: `None` disables the policy layer entirely).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct TenantPolicyConfig {
     /// Lease attached to tenants with no explicit entry (including every
     /// anonymous per-context tenant).

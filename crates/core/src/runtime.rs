@@ -17,7 +17,7 @@ use mtgpu_api::transport::{FrontendClient, MuxChannel, MuxConnection};
 use mtgpu_api::Transport;
 use mtgpu_gpusim::{DeviceId, Driver, GpuSpec};
 use mtgpu_simtime::{lock_rank, Clock, RankedCondvar, RankedMutex, Shadow};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 /// A point-in-time description of the node's load, exposed to cluster-level
 /// schedulers (§2: "the node-level runtime may expose some information to
 /// the cluster-level scheduler").
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct LoadInfo {
     /// Connected application threads.
     pub contexts: usize,
@@ -445,7 +445,7 @@ impl NodeRuntime {
         let deadline = Instant::now() + timeout;
         let mut registry = self.registry.lock();
         while registry.len() > n {
-            if self.departed.wait_until(&mut registry, deadline).timed_out() {
+            if self.departed.wait_until(&mut registry, deadline) {
                 break;
             }
         }

@@ -447,7 +447,7 @@ impl BindingManager {
             match deadline {
                 None => woken.wait(&mut inner),
                 Some(deadline) => {
-                    if woken.wait_until(&mut inner, deadline).timed_out() {
+                    if woken.wait_until(&mut inner, deadline) {
                         return false;
                     }
                 }

@@ -12,12 +12,12 @@ use crate::ctx::{CtxId, VGpuId};
 use crate::memory::SwapReason;
 use mtgpu_gpusim::DeviceId;
 use mtgpu_simtime::{lock_rank, Clock, RankedMutex, SimDuration};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::VecDeque;
 use std::fmt;
 
 /// One traced runtime decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum TraceEvent {
     /// A connection was accepted and a context created.
     ContextCreated { ctx: CtxId, label: String },
@@ -75,7 +75,7 @@ pub enum TraceEvent {
 }
 
 /// Why a binding was released.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum UnbindReason {
     /// Job finished.
     Finished,
@@ -92,7 +92,7 @@ pub enum UnbindReason {
 }
 
 /// A timestamped trace record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TraceRecord {
     /// Simulated time since the runtime's clock epoch.
     pub at: SimDuration,
@@ -169,6 +169,7 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn tracer(cap: usize) -> Tracer {
         Tracer::new(Clock::with_scale(1e-6), cap)
@@ -210,10 +211,14 @@ mod tests {
         let reason = SwapReason::InterAppVictim;
         t.record(TraceEvent::SwappedOut { ctx: CtxId(2), bytes: 4096, reason });
         let json = serde_json::to_string(&t.events()).unwrap();
-        // The reason's bytes in a record are the variant's name.
-        assert!(json.contains(r#""reason":"InterAppVictim""#), "{json}");
-        let back: Vec<TraceRecord> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, t.events());
+        // Each record is an object with `at` and the externally tagged
+        // event; the reason's bytes in a record are the variant's name.
+        let migrated = r#""event":{"Migrated":{"ctx":1,"from":0,"to":1}}"#;
+        let swapped = r#""event":{"SwappedOut":{"ctx":2,"bytes":4096,"reason":"InterAppVictim"}}"#;
+        assert!(json.contains(migrated) && json.contains(swapped), "{json}");
+        let Ok(Value::Array(records)) = serde_json::from_str(&json) else { panic!("{json}") };
+        assert_eq!(records.len(), 2);
+        assert!(records.iter().all(|r| r.get("at").is_some()), "{json}");
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::spec::GpuSpec;
 use crate::stats::DeviceStats;
 use crate::Result;
 use mtgpu_simtime::{lock_rank, Clock, RankedMutex, SimDuration};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -27,9 +27,7 @@ pub const DEFAULT_MATERIALIZE_CAP: u64 = 16 * 1024 * 1024;
 
 /// An address in a device's memory space. Under the mtgpu runtime
 /// applications never see these — only the memory manager does.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default)]
 pub struct DeviceAddr(pub u64);
 
 impl std::fmt::Display for DeviceAddr {
@@ -39,7 +37,7 @@ impl std::fmt::Display for DeviceAddr {
 }
 
 /// Identifier of a CUDA context living on a device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct GpuContextId(pub u64);
 
 #[derive(Debug)]

@@ -6,12 +6,12 @@ use crate::error::GpuError;
 use crate::spec::GpuSpec;
 use crate::Result;
 use mtgpu_simtime::{lock_rank, Clock, RankedRwLock};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Ordinal of a device slot on a node. Slots are never reused within a
 /// driver's lifetime, so a `DeviceId` stays meaningful after hot removal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct DeviceId(pub u32);
 
 impl std::fmt::Display for DeviceId {

@@ -190,8 +190,8 @@ impl EngineBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
     use std::sync::Arc;
+    use std::sync::Mutex;
     use std::time::Instant;
 
     #[test]
@@ -234,7 +234,7 @@ mod tests {
             let e = Arc::clone(&engine);
             let o = Arc::clone(&order);
             joiners.push(std::thread::spawn(move || {
-                e.occupy_with(SimDuration::from_millis(1), || o.lock().push(i));
+                e.occupy_with(SimDuration::from_millis(1), || o.lock().unwrap().push(i));
             }));
             // Stagger arrivals so ticket order matches i.
             std::thread::sleep(std::time::Duration::from_millis(2));
@@ -243,7 +243,7 @@ mod tests {
         for j in joiners {
             j.join().unwrap();
         }
-        assert_eq!(*order.lock(), vec![0, 1, 2, 3]);
+        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -269,7 +269,7 @@ mod tests {
             }
             let (e, o) = (Arc::clone(&engine), Arc::clone(&order));
             joiners.push(std::thread::spawn(move || {
-                e.occupy_with(SimDuration::from_millis(1), || o.lock().push(i));
+                e.occupy_with(SimDuration::from_millis(1), || o.lock().unwrap().push(i));
             }));
         }
         while engine.queue_depth() < QUEUED + 1 {
@@ -280,7 +280,7 @@ mod tests {
         for j in joiners {
             j.join().unwrap();
         }
-        assert_eq!(*order.lock(), (0..QUEUED).collect::<Vec<_>>());
+        assert_eq!(*order.lock().unwrap(), (0..QUEUED).collect::<Vec<_>>());
         assert_eq!(engine.queue_depth(), 0);
     }
 
@@ -293,17 +293,17 @@ mod tests {
             let (e, o) = (Arc::clone(&engine), Arc::clone(&order));
             std::thread::spawn(move || {
                 assert!(!e.try_hold() && !e.held_here());
-                e.occupy_with(SimDuration::from_millis(1), || o.lock().push("other"));
+                e.occupy_with(SimDuration::from_millis(1), || o.lock().unwrap().push("other"));
             })
         };
         // The other thread queues behind the hold; the holder does not.
         while engine.queue_depth() < 2 {
             std::thread::yield_now();
         }
-        engine.occupy_with(SimDuration::from_millis(1), || order.lock().push("holder"));
+        engine.occupy_with(SimDuration::from_millis(1), || order.lock().unwrap().push("holder"));
         engine.release();
         other.join().unwrap();
-        assert_eq!(*order.lock(), ["holder", "other"]);
+        assert_eq!(*order.lock().unwrap(), ["holder", "other"]);
         assert!(!engine.held_here());
         assert_eq!(engine.queue_depth(), 0);
         assert_eq!(engine.busy_time(), SimDuration::from_millis(2));

@@ -1,4 +1,4 @@
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Errors surfaced by the device model and driver.
@@ -6,7 +6,7 @@ use std::fmt;
 /// These mirror the subset of `cudaError_t` codes the paper's runtime reacts
 /// to (Table 1): allocation failure, invalid pointers/sizes, device loss.
 /// The `mtgpu-api` crate maps them onto its CUDA-style error enum.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum GpuError {
     /// Device memory could not satisfy the allocation (capacity or
     /// fragmentation) — `cudaErrorMemoryAllocation`.
@@ -67,10 +67,13 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn serializes_externally_tagged() {
         let e = GpuError::UnknownKernel("matmul".into());
-        let json = serde_json::to_string(&e).unwrap();
-        let back: GpuError = serde_json::from_str(&json).unwrap();
-        assert_eq!(e, back);
+        assert_eq!(serde_json::to_string(&e).unwrap(), r#"{"UnknownKernel":"matmul"}"#);
+        let e = GpuError::OutOfBounds { addr: 0x100, len: 64, alloc_size: 32 };
+        assert_eq!(
+            serde_json::to_string(&e).unwrap(),
+            r#"{"OutOfBounds":{"addr":256,"len":64,"alloc_size":32}}"#
+        );
     }
 }

@@ -15,12 +15,12 @@
 
 use crate::device::DeviceAddr;
 use crate::error::GpuError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::sync::Arc;
 
 /// CUDA `dim3`: kernel grid/block dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Dim3 {
     pub x: u32,
     pub y: u32,
@@ -46,7 +46,7 @@ impl Default for Dim3 {
 }
 
 /// Execution configuration, as set by `cudaConfigureCall`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct LaunchConfig {
     pub grid: Dim3,
     pub block: Dim3,
@@ -61,7 +61,7 @@ impl Default for LaunchConfig {
 
 /// The work a launch represents, used by the device timing model:
 /// `time = max(flops / device_flops, bytes / device_membw) + overhead`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Work {
     /// Floating-point operations performed by the launch.
     pub flops: f64,
@@ -77,7 +77,7 @@ impl Work {
 }
 
 /// An argument passed to a kernel launch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum KernelArg {
     /// A device pointer (virtual under the mtgpu runtime, physical on the
     /// bare driver).
@@ -100,7 +100,7 @@ impl KernelArg {
 
 /// Static description of a kernel, registered via
 /// `__cudaRegisterFunction` from a fat binary.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct KernelDesc {
     /// Mangled-but-readable kernel name; the registry key.
     pub name: String,
@@ -142,7 +142,7 @@ impl KernelDesc {
 }
 
 /// A complete launch request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LaunchSpec {
     pub kernel: String,
     pub config: LaunchConfig,

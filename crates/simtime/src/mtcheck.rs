@@ -40,11 +40,11 @@
 #![cfg_attr(not(debug_assertions), allow(dead_code))]
 
 use crate::sync::{held_ranks, LockRank};
-use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Upper bound on participants per session (scenarios use 2–4 threads).
@@ -444,6 +444,8 @@ impl SessionState {
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static STATE: Mutex<Option<SessionState>> = Mutex::new(None);
+/// A held [`STATE`].
+type State = MutexGuard<'static, Option<SessionState>>;
 /// Participants parked for a turn wait here (re-checking `turn`).
 static GATE: Condvar = Condvar::new();
 /// The controller parks here waiting for quiescence.
@@ -458,6 +460,12 @@ thread_local! {
     /// epoch guards against a thread leaked by a stalled session touching a
     /// later session's state.
     static TID: Cell<Option<(u64, u32)>> = const { Cell::new(None) };
+}
+
+/// Locks [`STATE`]. A participant that panicked is caught outside every
+/// hook, so a poisoned lock only means a session was abandoned: go on.
+fn state() -> State {
+    STATE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[inline]
@@ -481,23 +489,23 @@ fn cur_tid(s: &SessionState) -> Option<u32> {
 }
 
 /// Waits until the controller grants `tid` the turn (explore mode).
-fn gate_wait(st: &mut MutexGuard<'_, Option<SessionState>>, tid: u32) {
+fn gate_wait(mut st: State, tid: u32) -> State {
     loop {
-        let Some(s) = st.as_mut() else { return };
+        let Some(s) = st.as_mut() else { return st };
         if s.aborting || s.turn == Some(tid) {
             s.statuses[tid as usize] = Status::Running;
-            return;
+            return st;
         }
-        GATE.wait(st);
+        st = GATE.wait(st).unwrap_or_else(PoisonError::into_inner);
     }
 }
 
 /// Parks `tid` at a sync point and waits for the next grant.
-fn arrive(st: &mut MutexGuard<'_, Option<SessionState>>, tid: u32, point: Point) {
+fn arrive(mut st: State, tid: u32, point: Point) -> State {
     {
-        let Some(s) = st.as_mut() else { return };
+        let Some(s) = st.as_mut() else { return st };
         if s.aborting {
-            return;
+            return st;
         }
         s.statuses[tid as usize] = Status::Arrived(point);
         if s.turn == Some(tid) {
@@ -505,7 +513,7 @@ fn arrive(st: &mut MutexGuard<'_, Option<SessionState>>, tid: u32, point: Point)
         }
         CTRL.notify_all();
     }
-    gate_wait(st, tid);
+    gate_wait(st, tid)
 }
 
 // ---------------------------------------------------------------------------
@@ -516,21 +524,21 @@ pub(crate) fn hook_before_lock(addr: usize, rank: LockRank, kind: AcqKind) {
     if !armed() {
         return;
     }
-    let mut st = STATE.lock();
+    let mut st = state();
     let Some(s) = st.as_mut() else { return };
     let Some(tid) = cur_tid(s) else { return };
     if s.mode != Mode::Explore {
         return;
     }
     s.lock_entry(addr);
-    arrive(&mut st, tid, Point::Lock { addr, rank: rank.name, kind });
+    drop(arrive(st, tid, Point::Lock { addr, rank: rank.name, kind }));
 }
 
 pub(crate) fn hook_acquired(addr: usize, kind: AcqKind) {
     if !armed() {
         return;
     }
-    let mut st = STATE.lock();
+    let mut st = state();
     let Some(s) = st.as_mut() else { return };
     let Some(tid) = cur_tid(s) else { return };
     let lock = s.lock_entry(addr);
@@ -551,7 +559,7 @@ pub(crate) fn hook_released(addr: usize) {
     if !armed() {
         return;
     }
-    let mut st = STATE.lock();
+    let mut st = state();
     let Some(s) = st.as_mut() else { return };
     let Some(tid) = cur_tid(s) else { return };
     let thread_vc = s.clocks[tid as usize].clone();
@@ -580,7 +588,7 @@ pub(crate) fn hook_try_failed(addr: usize) {
     if !armed() {
         return;
     }
-    let mut st = STATE.lock();
+    let mut st = state();
     let Some(s) = st.as_mut() else { return };
     let Some(tid) = cur_tid(s) else { return };
     let stable = s.lock_entry(addr).stable;
@@ -595,7 +603,7 @@ pub(crate) fn hook_cv_wait_begin(cv_addr: usize, mutex_addr: usize) -> Option<Mo
     if !armed() {
         return None;
     }
-    let mut st = STATE.lock();
+    let mut st = state();
     let s = st.as_mut()?;
     let tid = cur_tid(s)?;
     if s.mode == Mode::Explore && s.aborting {
@@ -633,7 +641,7 @@ pub(crate) fn hook_cv_wait_begin(cv_addr: usize, mutex_addr: usize) -> Option<Mo
 /// Whether a woken waiter may return from the wait (observe mode: always;
 /// explore mode: only once designated by a notify, or on abort).
 pub(crate) fn hook_cv_should_resume(cv_addr: usize) -> bool {
-    let mut st = STATE.lock();
+    let mut st = state();
     let Some(s) = st.as_mut() else { return true };
     let Some(tid) = cur_tid(s) else { return true };
     if s.mode != Mode::Explore || s.aborting {
@@ -652,7 +660,7 @@ pub(crate) fn hook_cv_wait_end(cv_addr: usize, mutex_addr: usize, rank: LockRank
     if !armed() {
         return;
     }
-    let mut st = STATE.lock();
+    let mut st = state();
     let Some(s) = st.as_mut() else { return };
     let Some(tid) = cur_tid(s) else { return };
     if let Some(cv) = s.cvs.get_mut(&cv_addr) {
@@ -661,7 +669,7 @@ pub(crate) fn hook_cv_wait_end(cv_addr: usize, mutex_addr: usize, rank: LockRank
     }
     s.lock_entry(mutex_addr).hold = Hold::Excl(tid);
     if s.mode == Mode::Explore && !s.aborting {
-        arrive(&mut st, tid, Point::PostWait { rank: rank.name });
+        st = arrive(st, tid, Point::PostWait { rank: rank.name });
     }
     let Some(s) = st.as_mut() else { return };
     let cv_vc = s.cvs.get(&cv_addr).map(|cv| cv.vc.clone()).unwrap_or_default();
@@ -679,7 +687,7 @@ pub(crate) fn hook_cv_notify(cv_addr: usize, all: bool) -> bool {
     if !armed() {
         return false;
     }
-    let mut st = STATE.lock();
+    let mut st = state();
     let Some(s) = st.as_mut() else { return false };
     let Some(tid) = cur_tid(s) else { return false };
     let thread_vc = s.clocks[tid as usize].clone();
@@ -718,7 +726,7 @@ fn cell_access(id: u64, name: &'static str, write: bool) {
     if !armed() {
         return;
     }
-    let mut st = STATE.lock();
+    let mut st = state();
     let Some(s) = st.as_mut() else { return };
     let Some(tid) = cur_tid(s) else { return };
     let my_vc = s.clocks[tid as usize].clone();
@@ -872,10 +880,10 @@ fn run(mode: Mode, schedule: Vec<u32>, threads: Vec<Participant>) -> RunReport {
         instrumentation_active(),
         "mtcheck sessions need a debug build (instrumentation is compiled out in release)"
     );
-    let _slot = SLOT.lock();
+    let _slot = SLOT.lock().unwrap_or_else(PoisonError::into_inner);
     let epoch = SESSION_EPOCH.fetch_add(1, Ordering::Relaxed) + 1;
     let nthreads = threads.len() as u32;
-    *STATE.lock() = Some(SessionState::new(epoch, mode, schedule, nthreads));
+    *state() = Some(SessionState::new(epoch, mode, schedule, nthreads));
     ARMED.store(true, Ordering::Release);
 
     let handles: Vec<_> = threads
@@ -893,7 +901,7 @@ fn run(mode: Mode, schedule: Vec<u32>, threads: Vec<Participant>) -> RunReport {
     };
 
     ARMED.store(false, Ordering::Release);
-    let s = STATE.lock().take().expect("session state present");
+    let s = state().take().expect("session state present");
     if completed {
         for h in handles {
             let _ = h.join();
@@ -924,7 +932,7 @@ fn run(mode: Mode, schedule: Vec<u32>, threads: Vec<Participant>) -> RunReport {
 fn participant_main(epoch: u64, tid: u32, body: Participant) {
     TID.with(|t| t.set(Some((epoch, tid))));
     {
-        let mut st = STATE.lock();
+        let mut st = state();
         let Some(s) = st.as_mut() else { return };
         if s.epoch != epoch {
             return;
@@ -938,11 +946,11 @@ fn participant_main(epoch: u64, tid: u32, body: Participant) {
         }
         CTRL.notify_all();
         if explore {
-            gate_wait(&mut st, tid);
+            drop(gate_wait(st, tid));
         }
     }
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(body));
-    let mut st = STATE.lock();
+    let mut st = state();
     if let Some(s) = st.as_mut() {
         if s.epoch == epoch {
             s.statuses[tid as usize] = Status::Finished;
@@ -998,14 +1006,16 @@ fn enabled_set(s: &SessionState) -> Vec<u32> {
 fn controller() -> bool {
     let mut step = 0usize;
     loop {
-        let mut st = STATE.lock();
+        let mut st = state();
         let deadline = Instant::now() + WATCHDOG;
         loop {
             let Some(s) = st.as_mut() else { return false };
             if quiescent(s) {
                 break;
             }
-            if CTRL.wait_until(&mut st, deadline).timed_out() {
+            let timed_out;
+            (st, timed_out) = ctrl_wait(st, deadline);
+            if timed_out {
                 let Some(s) = st.as_mut() else { return false };
                 if quiescent(s) {
                     break;
@@ -1078,6 +1088,14 @@ fn controller() -> bool {
     }
 }
 
+/// Waits on [`CTRL`] until notified or `deadline` passes; `true` when it
+/// passed.
+fn ctrl_wait(st: State, deadline: Instant) -> (State, bool) {
+    let dur = deadline.saturating_duration_since(Instant::now());
+    let (st, res) = CTRL.wait_timeout(st, dur).unwrap_or_else(PoisonError::into_inner);
+    (st, res.timed_out())
+}
+
 /// Broadcasts a real wakeup on an aborted session's condvar so modeled
 /// waiters re-check and observe the abort. The address was captured while a
 /// participant was parked inside `wait` on that very condvar, so the
@@ -1090,7 +1108,7 @@ fn wake_condvar(addr: usize) {
 /// Observe-mode completion: wait (with watchdog) for every participant.
 fn wait_all_finished(nthreads: u32) -> bool {
     let deadline = Instant::now() + WATCHDOG;
-    let mut st = STATE.lock();
+    let mut st = state();
     loop {
         let Some(s) = st.as_mut() else { return false };
         let done =
@@ -1098,7 +1116,9 @@ fn wait_all_finished(nthreads: u32) -> bool {
         if done {
             return true;
         }
-        if CTRL.wait_until(&mut st, deadline).timed_out() {
+        let timed_out;
+        (st, timed_out) = ctrl_wait(st, deadline);
+        if timed_out {
             let cvs = match st.as_mut() {
                 Some(s) => {
                     s.stalled = true;

@@ -1,33 +1,37 @@
 //! Ranked locks: the workspace's lock-order discipline, checked at runtime.
 //!
-//! Every long-lived lock in `mtgpu-core` and `mtgpu-gpusim` is constructed
-//! with a [`LockRank`] from [`lock_rank`]. Debug builds keep a per-thread
-//! stack of held ranks and panic the moment a thread acquires a lock whose
-//! rank is not strictly greater than every rank it already holds — turning
-//! a potential deadlock (which needs an unlucky interleaving to reproduce)
-//! into a deterministic failure on *any* interleaving that merely attempts
-//! the inverted order. Release builds compile the bookkeeping out entirely:
-//! `lock()` is a pure passthrough to the `parking_lot` shim (verified by
-//! the `rank-overhead` gate in `scripts/bench.sh`).
+//! Every lock in the runtime, transport, load and cluster crates is
+//! constructed with a [`LockRank`] from [`lock_rank`]. Debug builds keep a
+//! per-thread stack of held ranks and panic the moment a thread acquires a
+//! lock whose rank is not strictly greater than every rank it already
+//! holds — turning a potential deadlock (which needs an unlucky
+//! interleaving to reproduce) into a deterministic failure on *any*
+//! interleaving that merely attempts the inverted order. Release builds compile the bookkeeping out entirely:
+//! `lock()` is a pure passthrough to `std::sync::Mutex` (verified by the
+//! `rank-overhead` gate in `scripts/bench.sh`). No lock here poisons: a
+//! lock whose holder panicked is taken over as it was left
+//! ([`PoisonError::into_inner`]), which is all any caller would do.
 //!
 //! The static half of the contract lives in `mtgpu-analysis`: `mtlint`
-//! verifies every `Mutex`/`RwLock` in `core`/`gpusim` is a ranked lock
-//! constructed from a `lock_rank::` constant, and emits the workspace lock
-//! graph (`results/lock_graph.{json,dot}`) with cycle detection over the
-//! declared ranks.
+//! verifies every `Mutex`/`RwLock` in those crates (its `RANKED_CRATES`) is
+//! a ranked lock constructed from a `lock_rank::` constant, and emits the
+//! workspace lock graph (`results/lock_graph.{json,dot}`) with cycle
+//! detection over the declared ranks.
 //!
 //! Waiting on a [`RankedCondvar`] keeps the mutex's rank on the stack while
 //! parked. That is sound: a parked thread acquires nothing, so the stale
 //! entry can never participate in an inversion, and the guard is
 //! re-acquired before the wait returns, so the stack stays consistent.
 
-use parking_lot::{
-    Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, WaitTimeoutResult,
-};
 #[cfg(debug_assertions)]
 use std::cell::RefCell;
 #[cfg(debug_assertions)]
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{
+    Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+    TryLockError, TryLockResult,
+};
 use std::time::Instant;
 
 /// A declared position in the workspace-wide lock order. Lower ranks are
@@ -48,8 +52,12 @@ pub struct LockRank {
 pub mod lock_rank {
     use super::LockRank;
 
-    /// The reactor's per-connection channel→context map (outermost: held
-    /// while contexts are created/torn down for a multiplexed channel).
+    /// The head node's per-node capacity gate (`cluster::sem`; outermost:
+    /// a job waits for a permit before it touches any node, so waiting
+    /// there while holding a node's lock is an inversion).
+    pub const HEAD_GATE: LockRank = LockRank { value: 5, name: "HEAD_GATE" };
+    /// The reactor's per-connection channel→context map (held while
+    /// contexts are created/torn down for a multiplexed channel).
     pub const CONN_CHANNELS: LockRank = LockRank { value: 7, name: "CONN_CHANNELS" };
     /// One multiplexed channel's pending-call queue (taken after the
     /// channel map, before any runtime lock).
@@ -116,6 +124,7 @@ pub mod lock_rank {
 
     /// Every declared rank, in order — the lock graph's node set.
     pub const ALL: &[LockRank] = &[
+        HEAD_GATE,
         CONN_CHANNELS,
         CHAN_QUEUE,
         CTX_SERVICE,
@@ -199,9 +208,19 @@ pub fn held_ranks() -> Vec<LockRank> {
     }
 }
 
+/// A `try_lock` outcome with poisoning taken over: `None` only when the
+/// lock is held.
+fn unpoisoned<G>(res: TryLockResult<G>) -> Option<G> {
+    match res {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
+}
+
 /// A mutex carrying a declared [`LockRank`]. Debug builds enforce the rank
 /// order on every `lock()` and count contended acquisitions; release
-/// builds are a zero-cost wrapper over the `parking_lot` shim.
+/// builds are a zero-cost wrapper over `std::sync::Mutex`.
 pub struct RankedMutex<T> {
     rank: LockRank,
     #[cfg(debug_assertions)]
@@ -247,14 +266,14 @@ impl<T> RankedMutex<T> {
             let addr = self as *const Self as usize;
             check_order(self.rank);
             crate::mtcheck::hook_before_lock(addr, self.rank, crate::mtcheck::AcqKind::Mutex);
-            let inner = match self.inner.try_lock() {
+            let inner = match unpoisoned(self.inner.try_lock()) {
                 Some(guard) => guard,
                 None => {
                     // Contended: another thread holds it right now. Counted
                     // structurally (no timings) so the det harness — which
                     // drives the runtime sequentially — observes zero.
                     self.contended.fetch_add(1, Ordering::Relaxed);
-                    self.inner.lock()
+                    self.inner.lock().unwrap_or_else(PoisonError::into_inner)
                 }
             };
             push_rank(self.rank);
@@ -263,7 +282,7 @@ impl<T> RankedMutex<T> {
         }
         #[cfg(not(debug_assertions))]
         {
-            RankedMutexGuard { inner: self.inner.lock() }
+            RankedMutexGuard { inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner) }
         }
     }
 
@@ -279,7 +298,7 @@ impl<T> RankedMutex<T> {
         #[cfg(debug_assertions)]
         {
             let addr = self as *const Self as usize;
-            let Some(inner) = self.inner.try_lock() else {
+            let Some(inner) = unpoisoned(self.inner.try_lock()) else {
                 crate::mtcheck::hook_try_failed(addr);
                 return None;
             };
@@ -289,18 +308,18 @@ impl<T> RankedMutex<T> {
         }
         #[cfg(not(debug_assertions))]
         {
-            Some(RankedMutexGuard { inner: self.inner.try_lock()? })
+            Some(RankedMutexGuard { inner: unpoisoned(self.inner.try_lock())? })
         }
     }
 
     /// Mutable access without locking (requires exclusive ownership).
     pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Consumes the mutex, returning the inner value.
     pub fn into_inner(self) -> T {
-        self.inner.into_inner()
+        self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Contended acquisitions observed since the last call, and resets the
@@ -354,8 +373,6 @@ impl<T: std::fmt::Debug> std::fmt::Debug for RankedMutex<T> {
 /// write acquisitions participate in the rank order.
 pub struct RankedRwLock<T> {
     rank: LockRank,
-    #[cfg(debug_assertions)]
-    contended: AtomicU64,
     inner: RwLock<T>,
 }
 
@@ -380,12 +397,7 @@ pub struct RankedRwLockWriteGuard<'a, T> {
 impl<T> RankedRwLock<T> {
     /// An rwlock at the given position in the lock order.
     pub const fn new(rank: LockRank, value: T) -> Self {
-        RankedRwLock {
-            rank,
-            #[cfg(debug_assertions)]
-            contended: AtomicU64::new(0),
-            inner: RwLock::new(value),
-        }
+        RankedRwLock { rank, inner: RwLock::new(value) }
     }
 
     /// The declared rank.
@@ -401,19 +413,22 @@ impl<T> RankedRwLock<T> {
             let addr = self as *const Self as usize;
             check_order(self.rank);
             crate::mtcheck::hook_before_lock(addr, self.rank, crate::mtcheck::AcqKind::Read);
-            let inner = self.inner.read();
+            let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
             push_rank(self.rank);
             crate::mtcheck::hook_acquired(addr, crate::mtcheck::AcqKind::Read);
             RankedRwLockReadGuard { rank: self.rank, addr, inner }
         }
         #[cfg(not(debug_assertions))]
         {
-            RankedRwLockReadGuard { inner: self.inner.read() }
+            RankedRwLockReadGuard {
+                inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
+            }
         }
     }
 
     /// Acquires the exclusive write guard, enforcing the rank order in
-    /// debug builds and counting contended acquisitions.
+    /// debug builds. Contention is not counted: writes are rare (hotplug,
+    /// kernel registration).
     #[inline]
     pub fn write(&self) -> RankedRwLockWriteGuard<'_, T> {
         #[cfg(debug_assertions)]
@@ -421,32 +436,16 @@ impl<T> RankedRwLock<T> {
             let addr = self as *const Self as usize;
             check_order(self.rank);
             crate::mtcheck::hook_before_lock(addr, self.rank, crate::mtcheck::AcqKind::Write);
-            // std's RwLock has no try_write on the shim; approximate
-            // contention as "a reader or writer was active": not needed —
-            // writes on converted locks are rare (hotplug), so skip the
-            // probe and count nothing here.
-            let inner = self.inner.write();
+            let inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
             push_rank(self.rank);
             crate::mtcheck::hook_acquired(addr, crate::mtcheck::AcqKind::Write);
             RankedRwLockWriteGuard { rank: self.rank, addr, inner }
         }
         #[cfg(not(debug_assertions))]
         {
-            RankedRwLockWriteGuard { inner: self.inner.write() }
-        }
-    }
-
-    /// Contended acquisitions observed since the last call (reserved: the
-    /// shim exposes no `try_read`/`try_write`, so this is currently always
-    /// 0; kept so the observability surface matches [`RankedMutex`]).
-    pub fn take_contended(&self) -> u64 {
-        #[cfg(debug_assertions)]
-        {
-            self.contended.swap(0, Ordering::Relaxed)
-        }
-        #[cfg(not(debug_assertions))]
-        {
-            0
+            RankedRwLockWriteGuard {
+                inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
+            }
         }
     }
 }
@@ -498,27 +497,67 @@ impl<T> std::fmt::Debug for RankedRwLock<T> {
 
 /// A condition variable paired with [`RankedMutex`] guards. The mutex's
 /// rank stays on the thread's stack while parked (see module docs).
+///
+/// Unlike a bare `std::sync::Condvar`, whose notify is a `futex` system
+/// call whether or not anybody sleeps, it counts its waiters, and a notify
+/// with none returns at once. The count is raised in the wait while the
+/// guard's mutex is still held and lowered on return, so a notify can miss
+/// a waiter only if it ran before that waiter took the mutex. That is safe
+/// under the rule every caller in this workspace follows
+/// (`gpusim::engine`, `api::transport::mux`, `cluster::sem`,
+/// `core::sched::acquire`, the gateway's work queue in `core::mux` and the
+/// shutdown broadcast in `core::runtime`): **the predicate changes under
+/// the mutex the waiters wait with**, before the notify. A waiter that
+/// locks later sees the new predicate and never sleeps; one that locked
+/// earlier was counted before it let go of the mutex, and the notifier's
+/// own acquisition of that mutex makes the count visible.
 pub struct RankedCondvar {
     inner: Condvar,
+    waiters: AtomicUsize,
+    /// Signals handed to the std condvar (test probe).
+    #[cfg(test)]
+    signals: AtomicUsize,
 }
 
 impl RankedCondvar {
     /// A fresh condvar.
     pub const fn new() -> Self {
-        RankedCondvar { inner: Condvar::new() }
+        RankedCondvar {
+            inner: Condvar::new(),
+            waiters: AtomicUsize::new(0),
+            #[cfg(test)]
+            signals: AtomicUsize::new(0),
+        }
     }
 
     /// Blocks until notified, releasing the guard's mutex while parked.
     pub fn wait<T>(&self, guard: &mut RankedMutexGuard<'_, T>) {
+        self.wait_or_time_out(guard, None);
+    }
+
+    /// Blocks until notified or `deadline` passes; `true` when it timed
+    /// out. Under the explorer the real deadline is ignored (scenario time
+    /// is logical): the wait behaves like [`RankedCondvar::wait`] and
+    /// reports "notified".
+    pub fn wait_until<T>(&self, guard: &mut RankedMutexGuard<'_, T>, deadline: Instant) -> bool {
+        self.wait_or_time_out(guard, Some(deadline))
+    }
+
+    fn wait_or_time_out<T>(
+        &self,
+        guard: &mut RankedMutexGuard<'_, T>,
+        deadline: Option<Instant>,
+    ) -> bool {
         #[cfg(debug_assertions)]
         {
             use crate::mtcheck;
             let cv = self as *const Self as usize;
             match mtcheck::hook_cv_wait_begin(cv, guard.addr) {
-                None => self.inner.wait(&mut guard.inner),
+                None => self.park(guard, deadline),
                 Some(mtcheck::Mode::Observe) => {
-                    self.inner.wait(&mut guard.inner);
+                    let timed_out = self.park(guard, deadline);
                     mtcheck::hook_cv_wait_end(cv, guard.addr, guard.rank);
+                    timed_out
                 }
                 Some(mtcheck::Mode::Explore) => {
                     // Under the explorer, the *model* decides who a notify
@@ -526,52 +565,35 @@ impl RankedCondvar {
                     // the window where a broadcast lands before this thread
                     // is physically parked.
                     while !mtcheck::hook_cv_should_resume(cv) {
-                        let _ = self.inner.wait_until(
-                            &mut guard.inner,
-                            Instant::now() + std::time::Duration::from_millis(5),
-                        );
+                        let tick = Instant::now() + std::time::Duration::from_millis(5);
+                        self.park(guard, Some(tick));
                     }
                     mtcheck::hook_cv_wait_end(cv, guard.addr, guard.rank);
+                    false
                 }
             }
         }
         #[cfg(not(debug_assertions))]
-        self.inner.wait(&mut guard.inner);
+        self.park(guard, deadline)
     }
 
-    /// Blocks until notified or `deadline` passes. Under the explorer the
-    /// real deadline is ignored (scenario time is logical): the wait
-    /// behaves like [`RankedCondvar::wait`] and reports "notified".
-    pub fn wait_until<T>(
-        &self,
-        guard: &mut RankedMutexGuard<'_, T>,
-        deadline: Instant,
-    ) -> WaitTimeoutResult {
-        #[cfg(debug_assertions)]
-        {
-            use crate::mtcheck;
-            let cv = self as *const Self as usize;
-            match mtcheck::hook_cv_wait_begin(cv, guard.addr) {
-                None => self.inner.wait_until(&mut guard.inner, deadline),
-                Some(mtcheck::Mode::Observe) => {
-                    let res = self.inner.wait_until(&mut guard.inner, deadline);
-                    mtcheck::hook_cv_wait_end(cv, guard.addr, guard.rank);
-                    res
-                }
-                Some(mtcheck::Mode::Explore) => {
-                    while !mtcheck::hook_cv_should_resume(cv) {
-                        let _ = self.inner.wait_until(
-                            &mut guard.inner,
-                            Instant::now() + std::time::Duration::from_millis(5),
-                        );
-                    }
-                    mtcheck::hook_cv_wait_end(cv, guard.addr, guard.rank);
-                    WaitTimeoutResult::new(false)
-                }
+    /// Parks on the std condvar, counted as a waiter, until notified or
+    /// `deadline` (if any) passes; `true` when it passed.
+    fn park<T>(&self, guard: &mut RankedMutexGuard<'_, T>, deadline: Option<Instant>) -> bool {
+        let mut timed_out = false;
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        take_guard(&mut guard.inner, |g| match deadline {
+            None => self.inner.wait(g).unwrap_or_else(PoisonError::into_inner),
+            Some(deadline) => {
+                let dur = deadline.saturating_duration_since(Instant::now());
+                let (g, res) =
+                    self.inner.wait_timeout(g, dur).unwrap_or_else(PoisonError::into_inner);
+                timed_out = res.timed_out();
+                g
             }
-        }
-        #[cfg(not(debug_assertions))]
-        self.inner.wait_until(&mut guard.inner, deadline)
+        });
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
+        timed_out
     }
 
     /// Wakes one parked waiter.
@@ -580,10 +602,12 @@ impl RankedCondvar {
         if crate::mtcheck::hook_cv_notify(self as *const Self as usize, false) {
             // The explorer designated the winner in the model; broadcast so
             // the designation — not the OS queue order — decides who runs.
-            self.inner.notify_all();
+            self.broadcast();
             return;
         }
-        self.inner.notify_one();
+        if self.has_waiters() {
+            self.inner.notify_one();
+        }
     }
 
     /// Wakes every parked waiter. Call sites must justify the broadcast to
@@ -594,7 +618,40 @@ impl RankedCondvar {
         {
             let _ = crate::mtcheck::hook_cv_notify(self as *const Self as usize, true);
         }
-        self.inner.notify_all();
+        self.broadcast();
+    }
+
+    fn broadcast(&self) {
+        if self.has_waiters() {
+            self.inner.notify_all();
+        }
+    }
+
+    /// Whether a notify has anyone to wake (and counts it, under test).
+    fn has_waiters(&self) -> bool {
+        let any = self.waiters.load(Ordering::SeqCst) != 0;
+        #[cfg(test)]
+        self.signals.fetch_add(any as usize, Ordering::Relaxed);
+        any
+    }
+}
+
+/// Runs `f` on the guard in `slot`, putting back the guard `f` returns.
+/// `f` must not panic between taking and returning the guard (std's wait
+/// calls uphold this: a poisoned result still carries the re-acquired
+/// guard, which `into_inner` recovers).
+fn take_guard<'a, T>(
+    slot: &mut MutexGuard<'a, T>,
+    f: impl FnOnce(MutexGuard<'a, T>) -> MutexGuard<'a, T>,
+) {
+    // SAFETY: the guard is moved out, handed to `f` (which returns a live
+    // guard for the same mutex), and the result written back before anyone
+    // can observe the hole, so it is dropped exactly once. `f` (a std
+    // `Condvar` wait) does not unwind mid-wait on the platforms this
+    // workspace targets; a poisoned wait returns its guard instead.
+    unsafe {
+        let guard = std::ptr::read(slot);
+        std::ptr::write(slot, f(guard));
     }
 }
 
@@ -614,6 +671,7 @@ impl std::fmt::Debug for RankedCondvar {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     const LO: LockRank = LockRank { value: 1, name: "TEST_LO" };
     const HI: LockRank = LockRank { value: 2, name: "TEST_HI" };
@@ -730,6 +788,175 @@ mod tests {
         t.join().unwrap();
         assert_eq!(m.take_contended(), 1);
         assert_eq!(m.take_contended(), 0, "take drains the counter");
+    }
+
+    #[test]
+    fn mutex_try_lock_fails_only_while_held() {
+        let m = RankedMutex::new(LO, 1);
+        *m.lock() += 1;
+        assert_eq!(*m.lock(), 2);
+        assert!(m.try_lock().is_some());
+        let g = m.lock();
+        assert!(m.try_lock().is_none());
+        drop(g);
+    }
+
+    #[test]
+    fn mutex_stays_usable_after_a_holder_panicked() {
+        let m = Arc::new(RankedMutex::new(LO, 1u32));
+        let m2 = Arc::clone(&m);
+        let died = std::thread::spawn(move || {
+            *m2.lock() += 1;
+            let _g = m2.lock();
+            panic!("holder dies");
+        })
+        .join();
+        assert!(died.is_err());
+        *m.lock() += 1;
+        assert_eq!(*m.lock(), 3, "the dead holder's write is kept");
+        assert!(m.try_lock().is_some());
+        let cv = RankedCondvar::new();
+        assert!(cv.wait_until(&mut m.lock(), Instant::now() + Duration::from_millis(1)));
+        assert!(held_ranks().is_empty());
+        assert_eq!(Arc::try_unwrap(m).ok().unwrap().into_inner(), 3);
+    }
+
+    #[test]
+    fn rwlock_stays_usable_after_a_writer_panicked() {
+        let l = Arc::new(RankedRwLock::new(LO, 1u32));
+        let l2 = Arc::clone(&l);
+        let died = std::thread::spawn(move || {
+            *l2.write() += 1;
+            let _w = l2.write();
+            panic!("writer dies");
+        })
+        .join();
+        assert!(died.is_err());
+        assert_eq!(*l.read(), 2, "the dead writer's write is kept");
+        *l.write() += 1;
+        assert_eq!(*l.read(), 3);
+    }
+
+    #[test]
+    fn condvar_wait_until_times_out() {
+        let m = RankedMutex::new(LO, ());
+        let cv = RankedCondvar::new();
+        assert!(cv.wait_until(&mut m.lock(), Instant::now() + Duration::from_millis(10)));
+    }
+
+    #[test]
+    fn notify_without_waiter_is_not_stored() {
+        let m = RankedMutex::new(LO, ());
+        let cv = RankedCondvar::new();
+        cv.notify_one();
+        cv.notify_all();
+        let timed_out = cv.wait_until(&mut m.lock(), Instant::now() + Duration::from_millis(10));
+        assert!(timed_out, "a notify nobody heard must not wake a later waiter");
+    }
+
+    #[test]
+    fn ping_pong_loses_no_wakeup() {
+        const ROUNDS: u32 = 10_000;
+        let pair = Arc::new((RankedMutex::new(LO, 0u32), RankedCondvar::new()));
+        // Each side waits for the turn to reach its parity, then passes it.
+        let play = |pair: &(RankedMutex<u32>, RankedCondvar), parity: u32| {
+            let (turn, cv) = pair;
+            let mut t = turn.lock();
+            while *t < 2 * ROUNDS {
+                if *t % 2 == parity {
+                    *t += 1;
+                    cv.notify_one();
+                } else {
+                    let deadline = Instant::now() + Duration::from_secs(30);
+                    assert!(!cv.wait_until(&mut t, deadline), "wake-up lost at turn {}", *t);
+                }
+            }
+        };
+        let pair2 = Arc::clone(&pair);
+        let other = std::thread::spawn(move || play(&pair2, 1));
+        play(&pair, 0);
+        other.join().unwrap();
+        assert_eq!(*pair.0.lock(), 2 * ROUNDS);
+    }
+
+    #[test]
+    fn notify_all_wakes_every_parked_waiter() {
+        const N: usize = 8;
+        // (parked, go): a waiter counts itself in under the mutex just
+        // before it waits, so `parked == N` seen under the mutex means all
+        // N have let go of it inside `wait`.
+        let shared = Arc::new((RankedMutex::new(LO, (0usize, false)), RankedCondvar::new()));
+        let waiters: Vec<_> = (0..N)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || {
+                    let (m, cv) = &*shared;
+                    let mut st = m.lock();
+                    st.0 += 1;
+                    while !st.1 {
+                        cv.wait(&mut st);
+                    }
+                })
+            })
+            .collect();
+        let (m, cv) = &*shared;
+        loop {
+            let mut st = m.lock();
+            if st.0 == N {
+                st.1 = true;
+                cv.notify_all();
+                break;
+            }
+            drop(st);
+            std::thread::yield_now();
+        }
+        for w in waiters {
+            w.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn only_a_notify_somebody_waits_for_is_sent() {
+        const ROUNDS: usize = 1_000;
+        let m = RankedMutex::new(LO, 0usize);
+        let cv = RankedCondvar::new();
+        for _ in 0..ROUNDS {
+            *m.lock() += 1;
+            cv.notify_one();
+            cv.notify_all();
+        }
+        assert_eq!(cv.signals.load(Ordering::Relaxed), 0, "nobody waited: nothing to send");
+
+        // (round the waiter sleeps in, round the notifier released): the
+        // waiter publishes its round under the mutex just before it waits,
+        // so a notifier that reads it there finds the waiter counted.
+        let shared = Arc::new((RankedMutex::new(LO, (0usize, 0usize)), RankedCondvar::new()));
+        let shared2 = Arc::clone(&shared);
+        let waiter = std::thread::spawn(move || {
+            let (m, cv) = &*shared2;
+            let mut st = m.lock();
+            for round in 1..=ROUNDS {
+                st.0 = round;
+                while st.1 < round {
+                    cv.wait(&mut st);
+                }
+            }
+        });
+        let (m, cv) = &*shared;
+        for round in 1..=ROUNDS {
+            loop {
+                let mut st = m.lock();
+                if st.0 == round {
+                    st.1 = round;
+                    cv.notify_one();
+                    break;
+                }
+                drop(st);
+                std::thread::yield_now();
+            }
+        }
+        waiter.join().unwrap();
+        assert_eq!(cv.signals.load(Ordering::Relaxed), ROUNDS, "one signal per parked round");
     }
 
     #[test]

@@ -12,13 +12,13 @@ const RANK_A: LockRank = LockRank { value: 11, name: "FIX_A" };
 const RANK_B: LockRank = LockRank { value: 12, name: "FIX_B" };
 
 /// Two ranked mutexes plus a shadow cell. The cell lives behind a *raw*
-/// shim mutex so the physical accesses are synchronized (no UB) while the
+/// std mutex so the physical accesses are synchronized (no UB) while the
 /// model — which only sees ranked locks — observes whatever ordering the
 /// fixture's ranked locks do or don't provide.
 struct DualLockCell {
     a: RankedMutex<()>,
     b: RankedMutex<()>,
-    cell: parking_lot::Mutex<Shadow<u64>>,
+    cell: std::sync::Mutex<Shadow<u64>>,
 }
 
 impl DualLockCell {
@@ -26,7 +26,7 @@ impl DualLockCell {
         Arc::new(DualLockCell {
             a: RankedMutex::new(RANK_A, ()),
             b: RankedMutex::new(RANK_B, ()),
-            cell: parking_lot::Mutex::new(Shadow::new("fixture.cell", 0u64)),
+            cell: std::sync::Mutex::new(Shadow::new("fixture.cell", 0u64)),
         })
     }
 }
@@ -40,11 +40,11 @@ fn true_race_two_locks_is_detected() {
         vec![
             Box::new(move || {
                 let _g = f1.a.lock();
-                **f1.cell.lock() += 1;
+                **f1.cell.lock().unwrap() += 1;
             }),
             Box::new(move || {
                 let _g = f2.b.lock();
-                **f2.cell.lock() += 1;
+                **f2.cell.lock().unwrap() += 1;
             }),
         ],
     );
@@ -68,22 +68,22 @@ fn lock_ordered_access_is_not_a_race() {
         vec![
             Box::new(move || {
                 let _g = f1.a.lock();
-                **f1.cell.lock() += 1;
+                **f1.cell.lock().unwrap() += 1;
             }),
             Box::new(move || {
                 let _g = f2.a.lock(); // same mutex: release→acquire edge
-                **f2.cell.lock() += 1;
+                **f2.cell.lock().unwrap() += 1;
             }),
         ],
     );
     assert!(report.clean(), "mutex-ordered writes flagged: {:?}", report.races);
-    assert_eq!(**fx.cell.lock(), 2);
+    assert_eq!(**fx.cell.lock().unwrap(), 2);
 }
 
 struct Handoff {
     m: RankedMutex<bool>,
     cv: RankedCondvar,
-    cell: parking_lot::Mutex<Shadow<u64>>,
+    cell: std::sync::Mutex<Shadow<u64>>,
 }
 
 #[test]
@@ -91,7 +91,7 @@ fn condvar_handoff_orders_the_payload() {
     let fx = Arc::new(Handoff {
         m: RankedMutex::new(RANK_A, false),
         cv: RankedCondvar::new(),
-        cell: parking_lot::Mutex::new(Shadow::new("handoff.cell", 0u64)),
+        cell: std::sync::Mutex::new(Shadow::new("handoff.cell", 0u64)),
     });
     let (producer, consumer) = (Arc::clone(&fx), Arc::clone(&fx));
     let report = mtcheck::explore(
@@ -100,7 +100,7 @@ fn condvar_handoff_orders_the_payload() {
             Box::new(move || {
                 // Payload written *outside* the mutex: only the notify edge
                 // orders it for the consumer.
-                **producer.cell.lock() = 42;
+                **producer.cell.lock().unwrap() = 42;
                 let mut flag = producer.m.lock();
                 *flag = true;
                 producer.cv.notify_one();
@@ -111,7 +111,7 @@ fn condvar_handoff_orders_the_payload() {
                     consumer.cv.wait(&mut flag);
                 }
                 drop(flag);
-                assert_eq!(**consumer.cell.lock(), 42);
+                assert_eq!(**consumer.cell.lock().unwrap(), 42);
             }),
         ],
     );
@@ -127,14 +127,14 @@ fn condvar_handoff_explores_both_arrival_orders() {
         let fx = Arc::new(Handoff {
             m: RankedMutex::new(RANK_A, false),
             cv: RankedCondvar::new(),
-            cell: parking_lot::Mutex::new(Shadow::new("handoff.cell", 0u64)),
+            cell: std::sync::Mutex::new(Shadow::new("handoff.cell", 0u64)),
         });
         let (producer, consumer) = (Arc::clone(&fx), Arc::clone(&fx));
         let report = mtcheck::explore(
             schedule,
             vec![
                 Box::new(move || {
-                    **producer.cell.lock() = 7;
+                    **producer.cell.lock().unwrap() = 7;
                     let mut flag = producer.m.lock();
                     *flag = true;
                     producer.cv.notify_one();
@@ -156,7 +156,7 @@ fn lost_wakeup_is_reported_as_deadlock() {
     let fx = Arc::new(Handoff {
         m: RankedMutex::new(RANK_A, false),
         cv: RankedCondvar::new(),
-        cell: parking_lot::Mutex::new(Shadow::new("lost.cell", 0u64)),
+        cell: std::sync::Mutex::new(Shadow::new("lost.cell", 0u64)),
     });
     let (waiter, walker) = (Arc::clone(&fx), Arc::clone(&fx));
     let report = mtcheck::explore(
@@ -189,13 +189,13 @@ fn same_schedule_replays_bit_for_bit() {
                 Box::new(move || {
                     for _ in 0..3 {
                         let _g = f1.a.lock();
-                        **f1.cell.lock() += 1;
+                        **f1.cell.lock().unwrap() += 1;
                     }
                 }),
                 Box::new(move || {
                     for _ in 0..3 {
                         let _g = f2.a.lock();
-                        **f2.cell.lock() += 10;
+                        **f2.cell.lock().unwrap() += 10;
                     }
                 }),
             ],
@@ -227,11 +227,11 @@ fn observe_mode_detects_the_seeded_race_too() {
     let report = mtcheck::observe(vec![
         Box::new(move || {
             let _g = f1.a.lock();
-            **f1.cell.lock() += 1;
+            **f1.cell.lock().unwrap() += 1;
         }),
         Box::new(move || {
             let _g = f2.b.lock();
-            **f2.cell.lock() += 1;
+            **f2.cell.lock().unwrap() += 1;
         }),
     ]);
     assert!(!report.stalled);

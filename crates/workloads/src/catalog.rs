@@ -5,10 +5,10 @@ use crate::apps;
 use crate::calib::Scale;
 use crate::Workload;
 use mtgpu_simtime::DetRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The thirteen benchmark programs of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum AppKind {
     /// Back Propagation — 20 networks, 64K input nodes.
     Bp,

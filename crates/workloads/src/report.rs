@@ -1,10 +1,10 @@
 //! Per-run reports.
 
 use mtgpu_simtime::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The result of one workload execution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct WorkloadReport {
     /// Table 2 program name.
     pub name: String,

@@ -17,8 +17,8 @@ cargo bench -q -p mtgpu-bench --bench memory -- --gate 1.4 \
     --out "$PWD/results/BENCH_memory.json" "$@"
 # The one-lock dispatcher's churn throughput (8/64/256 clients; reported,
 # not gated) plus the ranked-lock overhead gate: in release
-# builds RankedMutex must cost no more than 1.02x the raw shim mutex (the
-# rank bookkeeping is #[cfg(debug_assertions)] and must compile out).
+# builds RankedMutex must cost no more than 1.02x a raw std::sync::Mutex
+# (the rank bookkeeping is #[cfg(debug_assertions)] and must compile out).
 # Since the mtcheck work this same 1.02x gate also covers the race-
 # detector instrumentation: every vector-clock hook call site in the
 # ranked locks, and the Shadow cell bookkeeping, is likewise

@@ -4,14 +4,15 @@
 # `benches/`, `examples/`, `shims/`, `#[cfg(test)]` modules, blank lines and
 # comment-only lines (doc comments included). One row per crate, then the
 # total, then the vendored shims' lines counted the same way (a row of their
-# own, out of the total), then the largest file of the memory manager (CI
-# tier 0 fails when it is over 600 lines: split along a seam instead), then
-# the settable fields of every configuration struct the node reads (the
-# ROADMAP's other tracked number): `RuntimeConfig`, `MemoryConfig`,
-# `TenantPolicyConfig`, `ReactorConfig` and `DescriptorLimits`, one row
-# each, and their sum (`RuntimeConfig`'s `memory` and `tenant_policy` count
-# there as one field each besides their own rows). CI tier 0 prints it;
-# CHANGES.md records it before/after each PR that moves it.
+# own, out of the total, and one row per shim under it), then the largest
+# file of the memory manager (CI tier 0 fails when it is over 600 lines:
+# split along a seam instead), then the settable fields of every
+# configuration struct the node reads (the ROADMAP's other tracked number):
+# `RuntimeConfig`, `MemoryConfig`, `TenantPolicyConfig`, `ReactorConfig`
+# and `DescriptorLimits`, one row each, and their sum (`RuntimeConfig`'s
+# `memory` and `tenant_policy` count there as one field each besides their
+# own rows). CI tier 0 prints it; CHANGES.md records it before/after each
+# PR that moves it.
 #
 # Usage: scripts/loc.sh [ROOT]   (default: this checkout)
 set -euo pipefail
@@ -47,6 +48,9 @@ for dir in src crates/*/src; do
 done
 printf '%8d  total non-test Rust lines\n' "$total"
 printf '%8d  shims (vendored dependencies, not in the total)\n' "$(count shims)"
+for dir in shims/*/src; do
+    printf '%8d    %s\n' "$(count "$dir")" "${dir%/src}"
+done
 
 largest=0
 for f in crates/core/src/memory/*.rs; do

@@ -1,16 +1,15 @@
-//! Minimal serde-compatible shim.
+//! Minimal serde-compatible shim, serialisation only.
 //!
 //! The build environment has no crates.io access, so the workspace vendors
 //! a Value-based serialization core: `Serialize` lowers to a JSON-like
-//! [`Value`] tree, `Deserialize` lifts from one, and the companion
-//! `serde_json` shim renders/parses the tree as JSON text. The derive
-//! macros (re-exported from the `serde_derive` shim) generate externally
-//! tagged enum representations, matching real serde_json defaults for the
-//! types this workspace derives (no `#[serde(...)]` attributes anywhere).
+//! [`Value`] tree and the companion `serde_json` shim renders the tree as
+//! JSON text. Nothing in the workspace reads a typed value back, so the
+//! shim has no deserialising half. The derive macro (re-exported from the
+//! `serde_derive` shim) generates externally tagged enum representations,
+//! matching real serde_json defaults for the types this workspace derives
+//! (no `#[serde(...)]` attributes anywhere).
 
-use std::fmt;
-
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 /// A JSON-shaped value tree. Integers keep signed/unsigned fidelity so
 /// `u64::MAX` round-trips exactly.
@@ -38,88 +37,9 @@ impl Value {
     }
 }
 
-/// Serialization/deserialization error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Error(String);
-
-impl Error {
-    pub fn msg(m: impl Into<String>) -> Self {
-        Error(m.into())
-    }
-
-    pub fn unknown_variant(variant: &str, enum_name: &str) -> Self {
-        Error(format!("unknown variant `{variant}` for {enum_name}"))
-    }
-
-    pub fn invalid_type(expected: &str, got: &Value) -> Self {
-        let kind = match got {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::I64(_) | Value::U64(_) => "integer",
-            Value::F64(_) => "float",
-            Value::Str(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
-        };
-        Error(format!("invalid type: expected {expected}, found {kind}"))
-    }
-
-    pub fn missing_field(field: &str) -> Self {
-        Error(format!("missing field `{field}`"))
-    }
-}
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for Error {}
-
 /// Types convertible to a [`Value`] tree.
 pub trait Serialize {
     fn to_value(&self) -> Value;
-}
-
-/// Types constructible from a [`Value`] tree.
-pub trait Deserialize: Sized {
-    fn from_value(v: &Value) -> Result<Self, Error>;
-}
-
-pub mod ser {
-    pub use crate::{Error, Serialize};
-}
-
-pub mod de {
-    pub use crate::{Deserialize, Error};
-
-    /// Owned-deserialization marker, blanket-implemented (the shim's
-    /// `Deserialize` is already lifetime-free).
-    pub trait DeserializeOwned: crate::Deserialize {}
-    impl<T: crate::Deserialize> DeserializeOwned for T {}
-}
-
-/// Derive-macro helper: extracts and deserializes a named field.
-pub fn __field<T: Deserialize>(v: &Value, name: &str) -> Result<T, Error> {
-    match v {
-        Value::Object(_) => match v.get(name) {
-            Some(inner) => T::from_value(inner),
-            None => Err(Error::missing_field(name)),
-        },
-        other => Err(Error::invalid_type("object", other)),
-    }
-}
-
-/// Derive-macro helper: checks a value is an `n`-element array.
-pub fn __tuple(v: &Value, n: usize) -> Result<&[Value], Error> {
-    match v {
-        Value::Array(items) if items.len() == n => Ok(items),
-        Value::Array(items) => {
-            Err(Error::msg(format!("expected {n}-tuple, found {} elements", items.len())))
-        }
-        other => Err(Error::invalid_type("array", other)),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -133,18 +53,6 @@ macro_rules! unsigned_impls {
                 Value::U64(*self as u64)
             }
         }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let n = match v {
-                    Value::U64(n) => *n,
-                    Value::I64(n) if *n >= 0 => *n as u64,
-                    other => return Err(Error::invalid_type("unsigned integer", other)),
-                };
-                <$t>::try_from(n).map_err(|_| {
-                    Error::msg(format!("integer {n} out of range for {}", stringify!($t)))
-                })
-            }
-        }
     )*};
 }
 
@@ -153,22 +61,6 @@ macro_rules! signed_impls {
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::I64(*self as i64)
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let n = match v {
-                    Value::I64(n) => *n,
-                    Value::U64(n) => {
-                        i64::try_from(*n).map_err(|_| {
-                            Error::msg(format!("integer {n} out of range for i64"))
-                        })?
-                    }
-                    other => return Err(Error::invalid_type("signed integer", other)),
-                };
-                <$t>::try_from(n).map_err(|_| {
-                    Error::msg(format!("integer {n} out of range for {}", stringify!($t)))
-                })
             }
         }
     )*};
@@ -183,26 +75,9 @@ impl Serialize for f64 {
     }
 }
 
-impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::F64(x) => Ok(*x),
-            Value::U64(n) => Ok(*n as f64),
-            Value::I64(n) => Ok(*n as f64),
-            other => Err(Error::invalid_type("float", other)),
-        }
-    }
-}
-
 impl Serialize for f32 {
     fn to_value(&self) -> Value {
         Value::F64(f64::from(*self))
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        f64::from_value(v).map(|x| x as f32)
     }
 }
 
@@ -212,42 +87,15 @@ impl Serialize for bool {
     }
 }
 
-impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::invalid_type("bool", other)),
-        }
-    }
-}
-
 impl Serialize for char {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
     }
 }
 
-impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            other => Err(Error::invalid_type("single-char string", other)),
-        }
-    }
-}
-
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(Error::invalid_type("string", other)),
-        }
     }
 }
 
@@ -260,15 +108,6 @@ impl Serialize for str {
 impl Serialize for () {
     fn to_value(&self) -> Value {
         Value::Null
-    }
-}
-
-impl Deserialize for () {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(()),
-            other => Err(Error::invalid_type("null", other)),
-        }
     }
 }
 
@@ -290,29 +129,11 @@ impl<T: Serialize> Serialize for Vec<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(Error::invalid_type("array", other)),
-        }
-    }
-}
-
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
         match self {
             Some(x) => x.to_value(),
             None => Value::Null,
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
         }
     }
 }
@@ -323,30 +144,11 @@ impl<T: Serialize + ?Sized> Serialize for Box<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        T::from_value(v).map(Box::new)
-    }
-}
-
 impl<T: Serialize, E: Serialize> Serialize for Result<T, E> {
     fn to_value(&self) -> Value {
         match self {
             Ok(x) => Value::Object(vec![("Ok".to_string(), x.to_value())]),
             Err(e) => Value::Object(vec![("Err".to_string(), e.to_value())]),
-        }
-    }
-}
-
-impl<T: Deserialize, E: Deserialize> Deserialize for Result<T, E> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Object(fields) if fields.len() == 1 => match fields[0].0.as_str() {
-                "Ok" => T::from_value(&fields[0].1).map(Ok),
-                "Err" => E::from_value(&fields[0].1).map(Err),
-                other => Err(Error::unknown_variant(other, "Result")),
-            },
-            other => Err(Error::invalid_type("Result object", other)),
         }
     }
 }
@@ -360,26 +162,11 @@ impl Serialize for std::time::Duration {
     }
 }
 
-impl Deserialize for std::time::Duration {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let secs: u64 = __field(v, "secs")?;
-        let nanos: u32 = __field(v, "nanos")?;
-        Ok(std::time::Duration::new(secs, nanos))
-    }
-}
-
 macro_rules! tuple_impls {
     ($(($($n:tt $t:ident),+))+) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
             fn to_value(&self) -> Value {
                 Value::Array(vec![$(self.$n.to_value()),+])
-            }
-        }
-        impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                const LEN: usize = 0 $(+ { let _ = $n; 1 })+;
-                let items = __tuple(v, LEN)?;
-                Ok(($($t::from_value(&items[$n])?,)+))
             }
         }
     )+};
@@ -397,11 +184,5 @@ tuple_impls! {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
-    }
-}
-
-impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(v.clone())
     }
 }

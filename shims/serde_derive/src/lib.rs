@@ -6,8 +6,9 @@
 //! named / tuple) and enums whose variants are unit, newtype, tuple, or
 //! struct-like. `#[serde(...)]` attributes are not supported and the
 //! workspace uses none. Generated impls target the shim's Value model:
-//! `Serialize::to_value` / `Deserialize::from_value` with externally
-//! tagged enums, matching serde_json's default representation.
+//! `Serialize::to_value` with externally tagged enums, matching
+//! serde_json's default representation. There is no deserialising
+//! derive: the workspace only writes JSON.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -15,12 +16,6 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     gen_serialize(&item).parse().expect("serde shim: generated Serialize impl must parse")
-}
-
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    gen_deserialize(&item).parse().expect("serde shim: generated Deserialize impl must parse")
 }
 
 struct Item {
@@ -255,89 +250,6 @@ fn gen_serialize(item: &Item) -> String {
     format!(
         "impl ::serde::Serialize for {name} {{\n\
          fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
-         }}"
-    )
-}
-
-fn gen_deserialize(item: &Item) -> String {
-    let name = &item.name;
-    let body = match &item.kind {
-        Kind::UnitStruct => format!("{{ let _ = __v; Ok({name}) }}"),
-        Kind::NamedStruct(fields) => {
-            let inits: Vec<String> =
-                fields.iter().map(|f| format!("{f}: ::serde::__field(__v, \"{f}\")?")).collect();
-            format!("Ok({name} {{ {} }})", inits.join(", "))
-        }
-        Kind::TupleStruct(1) => {
-            format!("Ok({name}(::serde::Deserialize::from_value(__v)?))")
-        }
-        Kind::TupleStruct(n) => {
-            let elems: Vec<String> =
-                (0..*n).map(|i| format!("::serde::Deserialize::from_value(&__a[{i}])?")).collect();
-            format!("{{ let __a = ::serde::__tuple(__v, {n})?; Ok({name}({})) }}", elems.join(", "))
-        }
-        Kind::Enum(variants) => {
-            let str_arms: Vec<String> = variants
-                .iter()
-                .filter(|v| matches!(v.kind, VariantKind::Unit))
-                .map(|v| format!("\"{vn}\" => Ok({name}::{vn}),", vn = v.name))
-                .collect();
-            let obj_arms: Vec<String> = variants
-                .iter()
-                .map(|v| {
-                    let vn = &v.name;
-                    match &v.kind {
-                        VariantKind::Unit => {
-                            format!("\"{vn}\" => {{ let _ = __inner; Ok({name}::{vn}) }},")
-                        }
-                        VariantKind::Newtype => format!(
-                            "\"{vn}\" => Ok({name}::{vn}(\
-                             ::serde::Deserialize::from_value(__inner)?)),"
-                        ),
-                        VariantKind::Tuple(n) => {
-                            let elems: Vec<String> = (0..*n)
-                                .map(|i| format!("::serde::Deserialize::from_value(&__a[{i}])?"))
-                                .collect();
-                            format!(
-                                "\"{vn}\" => {{ let __a = ::serde::__tuple(__inner, {n})?; \
-                                 Ok({name}::{vn}({})) }},",
-                                elems.join(", ")
-                            )
-                        }
-                        VariantKind::Struct(fields) => {
-                            let inits: Vec<String> = fields
-                                .iter()
-                                .map(|f| format!("{f}: ::serde::__field(__inner, \"{f}\")?"))
-                                .collect();
-                            format!("\"{vn}\" => Ok({name}::{vn} {{ {} }}),", inits.join(", "))
-                        }
-                    }
-                })
-                .collect();
-            format!(
-                "match __v {{\n\
-                 ::serde::Value::Str(__s) => match __s.as_str() {{\n\
-                 {}\n\
-                 __other => Err(::serde::Error::unknown_variant(__other, \"{name}\")),\n\
-                 }},\n\
-                 ::serde::Value::Object(__o) if __o.len() == 1 => {{\n\
-                 let (__tag, __inner) = &__o[0];\n\
-                 match __tag.as_str() {{\n\
-                 {}\n\
-                 __other => Err(::serde::Error::unknown_variant(__other, \"{name}\")),\n\
-                 }}\n\
-                 }},\n\
-                 __other => Err(::serde::Error::invalid_type(\"enum {name}\", __other)),\n\
-                 }}",
-                str_arms.join("\n"),
-                obj_arms.join("\n")
-            )
-        }
-    };
-    format!(
-        "impl ::serde::Deserialize for {name} {{\n\
-         fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> \
-         {{ {body} }}\n\
          }}"
     )
 }

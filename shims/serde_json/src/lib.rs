@@ -1,14 +1,15 @@
 //! Minimal `serde_json`-compatible shim over the serde shim's [`Value`]
-//! model: renders a `Value` tree as JSON text and parses JSON text back.
+//! model: renders a `Value` tree as JSON text, and parses JSON text into a
+//! `Value` tree (the only reader is the benchmark's own smoke test, which
+//! checks the JSON it prints; nothing deserialises typed values).
 //!
 //! The parser is a hand-rolled recursive-descent pass over bytes that must
-//! never panic (the wire-robustness tests feed it arbitrary garbage): all
-//! indexing is bounds-checked and nesting depth is capped. Matching real
-//! serde_json behaviour where it matters to this workspace: non-finite
-//! floats render as `null`, integers keep 64-bit fidelity, and enum
-//! representations are externally tagged (that part lives in the derive).
+//! never panic: all indexing is bounds-checked and nesting depth is capped.
+//! Matching real serde_json behaviour where it matters to this workspace:
+//! non-finite floats render as `null`, integers keep 64-bit fidelity, and
+//! enum representations are externally tagged (that part lives in the
+//! derive).
 
-use serde::de::DeserializeOwned;
 use serde::{Serialize, Value};
 use std::fmt;
 
@@ -34,12 +35,6 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<serde::Error> for Error {
-    fn from(e: serde::Error) -> Self {
-        Error(e.to_string())
-    }
-}
-
 /// Serializes `value` to a JSON string.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
@@ -47,21 +42,9 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     Ok(out)
 }
 
-/// Serializes `value` to JSON bytes.
-pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
-    to_string(value).map(String::into_bytes)
-}
-
-/// Deserializes a value from a JSON string.
-pub fn from_str<T: DeserializeOwned>(s: &str) -> Result<T, Error> {
-    let v = parse_value(s.as_bytes())?;
-    Ok(T::from_value(&v)?)
-}
-
-/// Deserializes a value from JSON bytes.
-pub fn from_slice<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, Error> {
-    let v = parse_value(bytes)?;
-    Ok(T::from_value(&v)?)
+/// Parses JSON text into a [`Value`] tree.
+pub fn from_str(s: &str) -> Result<Value, Error> {
+    parse_value(s.as_bytes())
 }
 
 // ---------------------------------------------------------------------------
@@ -113,8 +96,7 @@ fn write_value(out: &mut String, v: &Value) {
 }
 
 /// Formats a finite f64 so it re-parses as a float when it carries a
-/// fraction, and as an integer otherwise (accepted by the float
-/// deserializer either way).
+/// fraction, and as an integer otherwise.
 fn format_f64(x: f64) -> String {
     let s = x.to_string();
     debug_assert!(!s.contains("inf") && !s.contains("NaN"));
@@ -442,10 +424,12 @@ mod tests {
     fn typed_roundtrip() {
         let v: Vec<u64> = vec![0, 1, u64::MAX];
         let s = to_string(&v).unwrap();
-        let back: Vec<u64> = from_str(&s).unwrap();
-        assert_eq!(v, back);
+        assert_eq!(s, "[0,1,18446744073709551615]");
+        assert_eq!(
+            from_str(&s).unwrap(),
+            Value::Array(vec![Value::U64(0), Value::U64(1), Value::U64(u64::MAX)])
+        );
         let pair: (String, Option<u8>) = ("k".into(), None);
-        let back: (String, Option<u8>) = from_slice(&to_vec(&pair).unwrap()).unwrap();
-        assert_eq!(pair, back);
+        assert_eq!(to_string(&pair).unwrap(), r#"["k",null]"#);
     }
 }

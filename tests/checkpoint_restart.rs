@@ -4,6 +4,8 @@
 //! addresses are preserved, so the application resumes with its pointers
 //! intact.
 
+use mtgpu::api::protocol::ContextImage;
+use mtgpu::api::wire::{self, Wire};
 use mtgpu::api::{CudaClient, CudaError, HostBuf, KernelArg, LaunchConfig, LaunchSpec, Work};
 use mtgpu::core::{NodeRuntime, RuntimeConfig};
 use mtgpu::gpusim::kernel::{library, KernelExec, RegisteredKernel};
@@ -61,9 +63,12 @@ fn image_survives_node_migration_with_pointers_intact() {
     app_a.exit().unwrap();
     node_a.shutdown();
 
-    // The image is plain serializable data (what BLCR would persist).
-    let bytes = serde_json::to_vec(&image).unwrap();
-    let restored: mtgpu::api::protocol::ContextImage = serde_json::from_slice(&bytes).unwrap();
+    // The image is plain data (what BLCR would persist), in the wire
+    // layout `ExportImage`/`ImportImage` ship it in between nodes.
+    let mut bytes = Vec::new();
+    image.encode(&mut bytes);
+    let restored: ContextImage = wire::decode_exact(&bytes).unwrap();
+    assert_eq!(restored, image);
 
     // Restore on node B and continue with the SAME virtual pointer.
     let mut app_b = node_b.local_client();
