@@ -15,25 +15,57 @@
 
 use crate::error::{CudaError, CudaResult};
 use crate::host_buf::HostBuf;
-use crate::protocol::{CudaCall, CudaReply, ModuleHandle, ReplyValue};
+use crate::protocol::{CudaCall, CudaReply, ModuleHandle, ReplyValue, VaCursor};
 use mtgpu_gpusim::kernel::{library, RegisteredKernel};
-use mtgpu_gpusim::{DeviceId, Driver, Gpu, GpuContextId, KernelDesc, LaunchSpec};
-use std::collections::HashMap;
+use mtgpu_gpusim::{
+    DeviceAddr, DeviceId, Driver, Gpu, GpuContextId, KernelArg, KernelDesc, LaunchSpec,
+};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// A per-application-thread client talking directly to the driver.
+///
+/// Each context has an address space of its own, as a CUDA context has on
+/// a real device: the application holds addresses minted by the same rule
+/// the mtgpu runtime follows ([`CudaCall::Malloc`]), so two contexts' first
+/// allocations share a number, and the client translates them to the
+/// device model's addresses, which are unique device-wide. A pointer it did
+/// not hand out reaches the device model untranslated, which refuses it.
 pub struct BareClient {
     driver: Arc<Driver>,
     selected: u32,
     ctx: Option<(Arc<Gpu>, GpuContextId)>,
     kernels: HashMap<String, RegisteredKernel>,
     next_module: u64,
+    cursor: VaCursor,
+    /// Live allocations: address handed out → (declared size, device
+    /// address).
+    allocs: BTreeMap<u64, (u64, DeviceAddr)>,
 }
 
 impl BareClient {
     /// Creates a client for one application thread.
     pub fn new(driver: Arc<Driver>) -> Self {
-        BareClient { driver, selected: 0, ctx: None, kernels: HashMap::new(), next_module: 1 }
+        BareClient {
+            driver,
+            selected: 0,
+            ctx: None,
+            kernels: HashMap::new(),
+            next_module: 1,
+            cursor: VaCursor::default(),
+            allocs: BTreeMap::new(),
+        }
+    }
+
+    /// The device address behind a (possibly interior) pointer the client
+    /// handed out; any other pointer as it is.
+    fn device_addr(&self, ptr: DeviceAddr) -> DeviceAddr {
+        match self.allocs.range(..=ptr.0).next_back() {
+            Some((&base, &(size, dev))) if ptr.0 - base < size => {
+                DeviceAddr(dev.0 + (ptr.0 - base))
+            }
+            _ => ptr,
+        }
     }
 
     fn ensure_context(&mut self) -> CudaResult<(Arc<Gpu>, GpuContextId)> {
@@ -82,30 +114,36 @@ impl BareClient {
                 Ok(ReplyValue::Properties(Box::new(gpu.spec().clone())))
             }
             CudaCall::Malloc { size, .. } => {
+                let ptr = self.cursor.take(size);
                 let (gpu, ctx) = self.ensure_context()?;
-                let ptr = gpu.malloc(ctx, size).map_err(CudaError::from_gpu)?;
+                let dev = gpu.malloc(ctx, size).map_err(CudaError::from_gpu)?;
+                self.allocs.insert(ptr.0, (size, dev));
                 Ok(ReplyValue::Ptr(ptr))
             }
             CudaCall::Free { ptr } => {
                 let (gpu, ctx) = self.ensure_context()?;
-                gpu.free(ctx, ptr).map_err(CudaError::from_gpu)?;
+                gpu.free(ctx, self.device_addr(ptr)).map_err(CudaError::from_gpu)?;
+                self.allocs.remove(&ptr.0);
                 Ok(ReplyValue::Unit)
             }
             CudaCall::MemcpyH2D { dst, buf } => {
                 let (gpu, ctx) = self.ensure_context()?;
-                gpu.memcpy_h2d(ctx, dst, buf.declared_len, &buf.payload)
+                gpu.memcpy_h2d(ctx, self.device_addr(dst), buf.declared_len, &buf.payload)
                     .map_err(CudaError::from_gpu)?;
                 Ok(ReplyValue::Unit)
             }
             CudaCall::MemcpyD2H { src, len } => {
                 let (gpu, ctx) = self.ensure_context()?;
-                let payload = gpu.memcpy_d2h(ctx, src, len).map_err(CudaError::from_gpu)?;
+                let payload =
+                    gpu.memcpy_d2h(ctx, self.device_addr(src), len).map_err(CudaError::from_gpu)?;
                 Ok(ReplyValue::Bytes(HostBuf::with_shadow(len, payload)))
             }
             CudaCall::MemcpyD2D { dst, src, len } => {
                 let (gpu, ctx) = self.ensure_context()?;
-                let payload = gpu.memcpy_d2h(ctx, src, len).map_err(CudaError::from_gpu)?;
-                gpu.memcpy_h2d(ctx, dst, len, &payload).map_err(CudaError::from_gpu)?;
+                let payload =
+                    gpu.memcpy_d2h(ctx, self.device_addr(src), len).map_err(CudaError::from_gpu)?;
+                gpu.memcpy_h2d(ctx, self.device_addr(dst), len, &payload)
+                    .map_err(CudaError::from_gpu)?;
                 Ok(ReplyValue::Unit)
             }
             CudaCall::ConfigureCall { .. } => Ok(ReplyValue::Unit),
@@ -138,12 +176,17 @@ impl BareClient {
         self.kernels.insert(desc.name.clone(), RegisteredKernel { desc, payload });
     }
 
-    fn launch(&mut self, spec: LaunchSpec) -> CudaReply {
+    fn launch(&mut self, mut spec: LaunchSpec) -> CudaReply {
         let kernel = self
             .kernels
             .get(&spec.kernel)
             .cloned()
             .ok_or_else(|| CudaError::InvalidDeviceFunction(spec.kernel.clone()))?;
+        for arg in &mut spec.args {
+            if let KernelArg::Ptr(p) = arg {
+                *p = self.device_addr(*p);
+            }
+        }
         let (gpu, ctx) = self.ensure_context()?;
         let dur = gpu.launch(ctx, &kernel, &spec).map_err(CudaError::from_gpu)?;
         Ok(ReplyValue::LaunchDone { sim_nanos: dur.as_nanos() })
@@ -153,6 +196,8 @@ impl BareClient {
         if let Some((gpu, ctx)) = self.ctx.take() {
             let _ = gpu.destroy_context(ctx);
         }
+        self.allocs.clear();
+        self.cursor = VaCursor::default();
     }
 }
 
@@ -200,6 +245,21 @@ mod tests {
         assert_eq!(back.payload, vec![9u8; 1024]);
         c.free(ptr).unwrap();
         c.exit().unwrap();
+    }
+
+    #[test]
+    fn each_context_has_its_own_address_space() {
+        let d = driver();
+        let (mut a, mut b) = (BareClient::new(Arc::clone(&d)), BareClient::new(d));
+        let (pa, pb) = (a.malloc(64).unwrap(), b.malloc(64).unwrap());
+        assert_eq!(pa, pb, "both follow the runtime's rule");
+        a.memcpy_h2d(pa, HostBuf::from_slice(&[1u8; 64])).unwrap();
+        b.memcpy_h2d(pb, HostBuf::from_slice(&[2u8; 64])).unwrap();
+        assert_eq!(a.memcpy_d2h(DeviceAddr(pa.0 + 8), 8).unwrap().payload, [1u8; 8]);
+        assert_eq!(b.memcpy_d2h(pb, 64).unwrap().payload, [2u8; 64]);
+        a.free(pa).unwrap();
+        assert_eq!(a.memcpy_d2h(pa, 8), Err(CudaError::InvalidDevicePointer));
+        assert_eq!(b.memcpy_d2h(pb, 8).unwrap().payload, [2u8; 8]);
     }
 
     #[test]

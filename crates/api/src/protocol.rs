@@ -59,12 +59,56 @@ impl ContextImage {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct ModuleHandle(pub u64);
 
+/// Base of every context's virtual address space: the address a context's
+/// first `Malloc` gets. High enough to never collide with the device-salted
+/// physical addresses of the device model.
+pub const VADDR_BASE: u64 = 0x7f00_0000_0000;
+/// Virtual allocation alignment (matches the device allocator).
+pub const VALIGN: u64 = 256;
+
+/// The address space an allocation of `size` bytes takes: `size` rounded up
+/// to [`VALIGN`], or the largest multiple of it when that overflows.
+pub fn vspan(size: u64) -> u64 {
+    size.checked_next_multiple_of(VALIGN).unwrap_or(!(VALIGN - 1))
+}
+
+/// One context's virtual-address cursor: the rule on [`CudaCall::Malloc`]
+/// by which the runtime mints addresses, kept by the runtime in each
+/// context's page table and mirrored by a pipelining client for its channel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VaCursor(u64);
+
+impl Default for VaCursor {
+    fn default() -> Self {
+        VaCursor(VADDR_BASE)
+    }
+}
+
+impl VaCursor {
+    /// The address a `Malloc` of `size` gets, moving the cursor past it.
+    /// Every malloc takes its span, the ones the runtime refuses too.
+    pub fn take(&mut self, size: u64) -> DeviceAddr {
+        let vaddr = self.0;
+        self.0 = vaddr.saturating_add(vspan(size));
+        DeviceAddr(vaddr)
+    }
+
+    /// Lifts the cursor to at least the [`vspan`]-aligned end of an
+    /// imported image's highest entry, whether or not the import succeeds.
+    pub fn lift(&mut self, image: &ContextImage) {
+        let ends = image.entries.iter().map(|e| vspan(e.vaddr.0.saturating_add(e.size)));
+        self.0 = ends.fold(self.0, u64::max);
+    }
+}
+
 /// A CUDA call crossing the interposition boundary.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum CudaCall {
     // --- internal registration routines (issued before any context exists,
     //     §4.3) ------------------------------------------------------------
-    /// `__cudaRegisterFatBinary`: announces a module.
+    /// `__cudaRegisterFatBinary`: announces a module. The `n`-th one a
+    /// channel sends is answered `ModuleHandle(n)`, counting from 1, so a
+    /// client knows the handle without waiting for the reply.
     RegisterFatBinary,
     /// `__cudaRegisterFunction`: attaches a kernel to a module. Only the
     /// metadata crosses the wire; payloads resolve from the backend's
@@ -94,6 +138,17 @@ pub enum CudaCall {
     // --- memory -------------------------------------------------------------
     /// `cudaMalloc` and friends (`cudaMallocArray`, `cudaMallocPitch` are
     /// distinguished by `kind` for Table 1 fidelity).
+    ///
+    /// Addresses follow one rule per context, so a client knows a malloc's
+    /// address without waiting for the reply ([`VaCursor`]): a context's
+    /// next address is `VADDR_BASE + Σ vspan(size)` over every `Malloc` its
+    /// channel has sent, admitted or refused (zero size, lease quota, swap,
+    /// page-table cap), and an `ImportImage`, successful or not, lifts it to
+    /// at least the image's aligned end. Contexts do not share the cursor:
+    /// two contexts' first mallocs get the same address, each in its own
+    /// page table. A refused malloc's address is never handed out again, so
+    /// a client that answered it early sees a later use of it fail rather
+    /// than alias another allocation.
     Malloc { size: u64, kind: AllocKind },
     /// `cudaFree`.
     Free { ptr: DeviceAddr },

@@ -26,7 +26,7 @@ pub use reactor::{
 
 use crate::client::CudaClient;
 use crate::error::CudaError;
-use crate::protocol::{CudaCall, CudaReply, ReplyValue};
+use crate::protocol::{CudaCall, CudaReply, ModuleHandle, ReplyValue, VaCursor};
 
 /// Client side of a connection: ships one call, waits for one reply.
 pub trait Transport: Send {
@@ -46,29 +46,78 @@ pub trait Transport: Send {
 /// over a [`Transport`]. This is the piece that, in the paper, overrides the
 /// CUDA Runtime API inside the guest OS or unmodified application.
 ///
-/// With [`FrontendClient::with_pipelining`], every call that gives the
-/// application nothing back is pipelined: the frontend queues launches,
-/// host-to-device and device-to-device copies, frees and registrations
-/// locally, answers them `Unit`, and ships the queue with the next call
-/// whose reply the application actually needs (a malloc, a device-to-host
-/// copy, a synchronize, an exit). Over a multiplexed transport that turns a
-/// job's set-up copies, launch loop and frees into one write and one wait
-/// each instead of a round trip per call — the CUDA runtime makes the same
-/// asynchrony promise for launches, and under transfer deferral a
-/// host-to-device copy does not touch the device anyway. The server runs a
-/// channel's calls in arrival order, so a queued free makes room, and a
-/// queued copy lands, when the flush that carries it runs. An error from a
-/// queued call surfaces on the flushing call, like a deferred launch
-/// failure surfaces at `cudaDeviceSynchronize`; a pointer that flush
-/// allocated is freed again, since its reply is lost. The default stays
-/// eager, preserving Table 1's synchronous error matrix (a launch on a bad
-/// pointer reports "No valid PTE" from the launch itself, a copy into a
-/// freed pointer from the copy).
+/// With [`FrontendClient::with_pipelining`], every call whose reply the
+/// frontend knows in advance is pipelined: it queues launches, copies into
+/// and within the device, frees, registrations, mallocs and module
+/// registrations locally, answers them at once, and ships the queue with
+/// the next call whose reply only the server has (a device-to-host copy, a
+/// synchronize, an exit). A malloc is answered with the address the
+/// runtime will mint for it and a module registration with the handle it
+/// will hand out: both follow a per-channel rule
+/// ([`CudaCall::Malloc`], [`CudaCall::RegisterFatBinary`]) the frontend
+/// mirrors. Over a multiplexed transport that turns a job's set-up, launch
+/// loop and frees into one write and one wait each instead of a round trip
+/// per call — the CUDA runtime makes the same asynchrony promise for
+/// launches, and in the paper's runtime neither a malloc nor a
+/// host-to-device copy touches the device. The server runs a channel's
+/// calls in arrival order, so a queued free makes room, and a queued copy
+/// lands, when the flush that carries it runs. An error from a queued call
+/// (a refused malloc among them) surfaces on the flushing call, like a
+/// deferred launch failure surfaces at `cudaDeviceSynchronize`; a pointer
+/// that flush allocated is freed again, since its reply is lost. The
+/// default stays eager, preserving Table 1's synchronous error matrix (a
+/// launch on a bad pointer reports "No valid PTE" from the launch itself,
+/// a copy into a freed pointer from the copy).
+///
+/// Eager or not, the frontend checks every address and module handle the
+/// server answers against its mirror: a server that mints otherwise gets
+/// [`CudaError::Protocol`] on that call, never an address the application
+/// might already hold for another allocation.
 pub struct FrontendClient<T: Transport> {
     transport: T,
     hung_up: bool,
     pipeline: bool,
-    pending: Vec<CudaCall>,
+    /// Queued calls, each with the reply the mirror predicts for it.
+    pending: Vec<(CudaCall, Option<ReplyValue>)>,
+    mirror: Mirror,
+}
+
+/// What the runtime will answer this channel's mallocs and module
+/// registrations with, kept by the rules it mints them by.
+#[derive(Default)]
+struct Mirror {
+    cursor: VaCursor,
+    modules: u64,
+}
+
+impl Mirror {
+    /// Moves past a call the channel is about to send, returning the reply
+    /// it gets if it succeeds, where the rules fix it.
+    fn mint(&mut self, call: &CudaCall) -> Option<ReplyValue> {
+        match call {
+            CudaCall::Malloc { size, .. } => Some(ReplyValue::Ptr(self.cursor.take(*size))),
+            CudaCall::RegisterFatBinary => {
+                self.modules += 1;
+                Some(ReplyValue::Module(ModuleHandle(self.modules)))
+            }
+            CudaCall::ImportImage { image } => {
+                self.cursor.lift(image);
+                None
+            }
+            _ => None,
+        }
+    }
+}
+
+/// A reply as the application may see it: a success other than the one
+/// the mirror minted means client and server disagree on the rules.
+fn checked(reply: CudaReply, minted: &Option<ReplyValue>) -> CudaReply {
+    match (reply, minted) {
+        (Ok(got), Some(want)) if got != *want => {
+            Err(CudaError::Protocol(format!("server answered {got:?}, the rules give {want:?}")))
+        }
+        (reply, _) => reply,
+    }
 }
 
 /// Upper bound on queued pipelined calls, so one flush never balloons into
@@ -81,16 +130,19 @@ pub struct FrontendClient<T: Transport> {
 /// than that is never held back.
 const MAX_PIPELINE: usize = 160;
 
-/// Calls whose replies are always `Unit` and that are neither a
+/// Calls whose successful reply the client knows before sending them —
+/// `Unit`, or what the [`Mirror`] mints — and that are neither a
 /// synchronization nor an admission point, so queueing them (and
 /// reporting their errors at the next flush) loses nothing the
 /// application reads. `Synchronize`, `Checkpoint`, `Exit`,
 /// `SetApplication`, `SetDevice` and `ImportImage` stay eager, and so does
-/// every call that returns a value.
+/// every call whose value only the server has.
 fn deferrable(call: &CudaCall) -> bool {
     matches!(
         call,
-        CudaCall::ConfigureCall { .. }
+        CudaCall::RegisterFatBinary
+            | CudaCall::Malloc { .. }
+            | CudaCall::ConfigureCall { .. }
             | CudaCall::RegisterFunction { .. }
             | CudaCall::RegisterVar { .. }
             | CudaCall::RegisterTexture { .. }
@@ -123,11 +175,17 @@ fn copy_bytes(call: &CudaCall) -> u64 {
 impl<T: Transport> FrontendClient<T> {
     /// Wraps a connected transport.
     pub fn new(transport: T) -> Self {
-        FrontendClient { transport, hung_up: false, pipeline: false, pending: Vec::new() }
+        FrontendClient {
+            transport,
+            hung_up: false,
+            pipeline: false,
+            pending: Vec::new(),
+            mirror: Mirror::default(),
+        }
     }
 
-    /// Opts into pipelining every call that returns nothing (see the type
-    /// docs).
+    /// Opts into pipelining every call whose reply it knows in advance
+    /// (see the type docs).
     pub fn with_pipelining(mut self) -> Self {
         self.pipeline = true;
         self
@@ -138,22 +196,26 @@ impl<T: Transport> FrontendClient<T> {
     /// [`KEEP_BYTES`] moved) holding with them in. If not, they ship now,
     /// with the queue ahead of them.
     fn admit(&self, calls: &[CudaCall]) -> bool {
+        let queued = self.pending.iter().map(|(call, _)| call);
         self.pipeline
             && self.pending.len() + calls.len() <= MAX_PIPELINE
-            && self.pending.iter().chain(calls).map(copy_bytes).sum::<u64>() <= KEEP_BYTES as u64
+            && queued.chain(calls).map(copy_bytes).sum::<u64>() <= KEEP_BYTES as u64
     }
 
-    /// Ships the pipelined prefix plus `calls`, returning the replies for
-    /// `calls` — unless a queued call failed, in which case its error is
-    /// reported for every call in the flush. The flush's own calls did run,
-    /// so a pointer one of them allocated is freed again rather than lost
-    /// with its reply.
-    fn flush_with(&mut self, calls: Vec<CudaCall>) -> Vec<CudaReply> {
+    /// Ships the pipelined prefix plus `calls` (each with the reply the
+    /// mirror minted for it), returning the replies for `calls`, checked —
+    /// unless a queued call failed, in which case its error is reported for
+    /// every call in the flush. The flush's own calls did run, so a pointer
+    /// one of them allocated is freed again rather than lost with its reply.
+    fn flush_with(&mut self, calls: Vec<(CudaCall, Option<ReplyValue>)>) -> Vec<CudaReply> {
         let n = calls.len();
         let mut all = std::mem::take(&mut self.pending);
         let skip = all.len();
         all.extend(calls);
-        let mut replies = self.transport.roundtrip_batch(all);
+        let (all, minted): (Vec<_>, Vec<_>) = all.into_iter().unzip();
+        let replies = self.transport.roundtrip_batch(all);
+        let mut replies: Vec<_> =
+            replies.into_iter().zip(&minted).map(|(r, m)| checked(r, m)).collect();
         let rest = replies.split_off(skip.min(replies.len()));
         let Some(err) = replies.into_iter().find_map(|r| r.err()) else {
             return rest;
@@ -175,29 +237,33 @@ impl<T: Transport> CudaClient for FrontendClient<T> {
         if matches!(call, CudaCall::Exit) {
             self.hung_up = true;
         }
+        let minted = self.mirror.mint(&call);
         if deferrable(&call) && self.admit(std::slice::from_ref(&call)) {
-            self.pending.push(call);
-            return Ok(ReplyValue::Unit);
+            let reply = minted.clone().unwrap_or(ReplyValue::Unit);
+            self.pending.push((call, minted));
+            return Ok(reply);
         }
         if self.pending.is_empty() {
-            return self.transport.roundtrip(call);
+            return checked(self.transport.roundtrip(call), &minted);
         }
-        self.flush_with(vec![call]).pop().unwrap_or(Err(CudaError::Disconnected))
+        self.flush_with(vec![(call, minted)]).pop().unwrap_or(Err(CudaError::Disconnected))
     }
 
     fn call_batch(&mut self, calls: Vec<CudaCall>) -> Vec<CudaReply> {
         if self.hung_up {
             return calls.iter().map(|_| Err(CudaError::Disconnected)).collect();
         }
+        let minted: Vec<_> = calls.iter().map(|call| self.mirror.mint(call)).collect();
         if calls.iter().all(batch_deferrable) && self.admit(&calls) {
-            let n = calls.len();
-            self.pending.extend(calls);
-            return (0..n).map(|_| Ok(ReplyValue::Unit)).collect();
+            let replies =
+                minted.iter().map(|m| Ok(m.clone().unwrap_or(ReplyValue::Unit))).collect();
+            self.pending.extend(calls.into_iter().zip(minted));
+            return replies;
         }
         if calls.iter().any(|c| matches!(c, CudaCall::Exit)) {
             self.hung_up = true;
         }
-        self.flush_with(calls)
+        self.flush_with(calls.into_iter().zip(minted).collect())
     }
 }
 
@@ -207,7 +273,7 @@ mod tests {
     use crate::client::CudaClient;
     use crate::error::CudaResult;
     use crate::host_buf::HostBuf;
-    use crate::protocol::ModuleHandle;
+    use crate::protocol::{VADDR_BASE, VALIGN};
     use mtgpu_gpusim::{DeviceAddr, KernelDesc, LaunchConfig, LaunchSpec, Work};
     use std::collections::BTreeMap;
 
@@ -255,15 +321,22 @@ mod tests {
         assert_eq!(client.synchronize(), Err(CudaError::Disconnected));
     }
 
-    /// A device behind a counting transport: a malloc hands out a fresh
-    /// zeroed buffer, copies land in and come back out of it, and a free or
-    /// a copy on a pointer it never handed out (or already freed) fails
-    /// `InvalidDevicePointer`. Each `roundtrip`/`roundtrip_batch` is one
-    /// round trip; `flushes` keeps how many calls each carried.
+    /// One channel's context behind a counting transport: a malloc hands
+    /// out a fresh zeroed buffer at the address the rules give (plus
+    /// `skew`, for a server that mints otherwise) unless it asks for more
+    /// than `quota` bytes, copies land in and come back out of it, and a
+    /// free or a copy on a pointer it never handed out (or already freed)
+    /// fails `InvalidDevicePointer`. Module handles count from 1 (plus
+    /// `skew`). Each `roundtrip`/`roundtrip_batch` is one round trip;
+    /// `flushes` keeps how many calls each carried.
     #[derive(Default)]
     struct Device {
         mem: BTreeMap<u64, Vec<u8>>,
-        next: u64,
+        cursor: VaCursor,
+        modules: u64,
+        /// 0: no malloc is refused.
+        quota: u64,
+        skew: u64,
         flushes: Vec<usize>,
     }
 
@@ -272,9 +345,16 @@ mod tests {
             let bad = CudaError::InvalidDevicePointer;
             match call {
                 CudaCall::Malloc { size, .. } => {
-                    self.next += 1 << 32;
-                    self.mem.insert(self.next, vec![0; size as usize]);
-                    Ok(ReplyValue::Ptr(DeviceAddr(self.next)))
+                    let ptr = self.cursor.take(size).0 + self.skew;
+                    if self.quota > 0 && size > self.quota {
+                        return Err(CudaError::QuotaExceeded(format!("{size} bytes")));
+                    }
+                    self.mem.insert(ptr, vec![0; size as usize]);
+                    Ok(ReplyValue::Ptr(DeviceAddr(ptr)))
+                }
+                CudaCall::RegisterFatBinary => {
+                    self.modules += 1;
+                    Ok(ReplyValue::Module(ModuleHandle(self.modules + self.skew)))
                 }
                 CudaCall::Free { ptr } => {
                     self.mem.remove(&ptr.0).map(|_| ReplyValue::Unit).ok_or(bad)
@@ -330,10 +410,13 @@ mod tests {
         CudaCall::MemcpyH2D { dst, buf: HostBuf::from_slice(&vec![1; len]) }
     }
 
-    /// The shape of a catalog job: 3 mallocs, 2 uploads, a launch, a
-    /// download, 3 frees and `Exit`. Returns the three pointers and the
-    /// downloaded bytes.
+    /// The shape of a catalog job: a module with its kernel, 3 mallocs, 2
+    /// uploads, a launch, a download, 3 frees and `Exit`. Returns the three
+    /// pointers and the downloaded bytes.
     fn catalog_job(client: &mut impl CudaClient) -> CudaResult<(Vec<DeviceAddr>, Vec<u8>)> {
+        let module = client.register_fat_binary()?;
+        assert_eq!(module, ModuleHandle(1));
+        client.register_function(module, KernelDesc::plain("k"))?;
         let ptrs = vec![client.malloc(64)?, client.malloc(64)?, client.malloc(32)?];
         client.memcpy_h2d(ptrs[0], HostBuf::from_slice(&[7; 64]))?;
         client.memcpy_h2d(ptrs[1], HostBuf::from_slice(&[9; 64]))?;
@@ -347,7 +430,7 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_catalog_job_is_five_round_trips_and_eager_eleven() {
+    fn pipelined_catalog_job_is_two_round_trips_and_eager_thirteen() {
         let mut eager = Device::default();
         let (eager_ptrs, eager_out) = catalog_job(&mut FrontendClient::new(&mut eager)).unwrap();
         let mut piped = Device::default();
@@ -355,16 +438,59 @@ mod tests {
             catalog_job(&mut FrontendClient::new(&mut piped).with_pipelining()).unwrap();
 
         // One round trip per call; the launch's two calls share one.
-        assert_eq!(eager.flushes, [1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1]);
-        // The mallocs, then uploads + launch with the download, then the
-        // frees with `Exit`.
-        assert_eq!(piped.flushes, [1, 1, 1, 5, 4]);
+        assert_eq!(eager.flushes, [1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1]);
+        // Registration, mallocs, uploads and launch with the download,
+        // then the frees with `Exit`.
+        assert_eq!(piped.flushes, [10, 4]);
+        // Both get the addresses the rules give, answered early or not.
+        let rule = [VADDR_BASE, VADDR_BASE + VALIGN, VADDR_BASE + 2 * VALIGN].map(DeviceAddr);
         for (ptrs, out) in [(&eager_ptrs, &eager_out), (&piped_ptrs, &piped_out)] {
-            let distinct: std::collections::BTreeSet<_> = ptrs.iter().collect();
-            assert_eq!(distinct.len(), 3, "{ptrs:?}");
+            assert_eq!(ptrs, &rule);
             assert_eq!(out, &[9; 64], "the download reads the second upload");
         }
         assert!(eager.mem.is_empty() && piped.mem.is_empty(), "every free reached the device");
+    }
+
+    #[test]
+    fn a_server_minting_off_the_rules_gets_a_protocol_error_not_an_alias() {
+        let protocol = |reply: CudaResult<_>| matches!(reply, Err(CudaError::Protocol(_)));
+        // Eager: the reply itself is checked.
+        let mut skewed = Device { skew: VALIGN, ..Device::default() };
+        let mut client = FrontendClient::new(&mut skewed);
+        assert!(protocol(client.register_fat_binary().map(drop)));
+        assert!(protocol(client.malloc(8).map(drop)));
+        // Pipelined: the server's first buffer sits where the rules put the
+        // second. Both mallocs are answered from the mirror, and the flush
+        // that carries them reports the divergence instead of reading the
+        // first buffer through the second pointer.
+        let mut skewed = Device { skew: VALIGN, ..Device::default() };
+        let mut client = FrontendClient::new(&mut skewed).with_pipelining();
+        let first = client.malloc(8).unwrap();
+        let second = client.malloc(8).unwrap();
+        assert_eq!((first.0, second.0), (VADDR_BASE, VADDR_BASE + VALIGN));
+        client.memcpy_h2d(second, HostBuf::from_slice(&[1; 8])).unwrap();
+        assert!(protocol(client.memcpy_d2h(second, 8).map(drop)));
+        // And a server that keeps to the rules is not second-guessed.
+        let mut device = Device::default();
+        let mut client = FrontendClient::new(&mut device).with_pipelining();
+        let ptr = client.malloc(8).unwrap();
+        client.memcpy_h2d(ptr, HostBuf::from_slice(&[1; 8])).unwrap();
+        assert_eq!(client.memcpy_d2h(ptr, 8).unwrap().payload, [1; 8]);
+    }
+
+    #[test]
+    fn a_refused_queued_malloc_surfaces_on_the_next_flush_and_its_address_stays_unused() {
+        let mut device = Device { quota: 64, ..Device::default() };
+        let mut client = FrontendClient::new(&mut device).with_pipelining();
+        let refused = client.malloc(128).unwrap();
+        assert!(matches!(client.synchronize(), Err(CudaError::QuotaExceeded(_))));
+        // The refused malloc took its span: the next one lands past it.
+        let ptr = client.malloc(64).unwrap();
+        assert_eq!(ptr.0, refused.0 + VALIGN);
+        client.memcpy_h2d(ptr, HostBuf::from_slice(&[5; 64])).unwrap();
+        assert_eq!(client.memcpy_d2h(ptr, 64).unwrap().payload, [5; 64]);
+        assert_eq!(client.memcpy_d2h(refused, 64), Err(CudaError::InvalidDevicePointer));
+        assert_eq!(device.flushes, [2, 3, 1]);
     }
 
     #[test]
@@ -381,6 +507,7 @@ mod tests {
         let mut client = FrontendClient::new(&mut piped).with_pipelining();
         let good = client.malloc(8).unwrap();
         assert_eq!(client.memcpy_h2d(freed, HostBuf::from_slice(&[1; 8])), Ok(()), "queued");
+        // The flush carries the malloc, which ran: `good` is allocated.
         assert_eq!(client.memcpy_d2h(good, 8), Err(CudaError::InvalidDevicePointer));
         // The same through a batch: every call of the flush reports it,
         // though the server ran both of them.
@@ -390,7 +517,7 @@ mod tests {
             replies,
             [Err(CudaError::InvalidDevicePointer), Err(CudaError::InvalidDevicePointer)]
         );
-        assert_eq!(piped.flushes, [1, 2, 3]);
+        assert_eq!(piped.flushes, [3, 3]);
         // A flush with no failed queued call answers as the server did.
         let mut client = FrontendClient::new(&mut piped).with_pipelining();
         client.call(h2d(good, 8)).unwrap();
@@ -404,7 +531,7 @@ mod tests {
         let mut client = FrontendClient::new(&mut device).with_pipelining();
         let dst = client.malloc(2 * KEEP_BYTES as u64).unwrap();
         // Four quarters sit exactly on the bound and wait; the fifth
-        // crosses it and ships them along with itself.
+        // crosses it and ships them, and the malloc, along with itself.
         for _ in 0..4 {
             assert_eq!(client.call(h2d(dst, quarter)), Ok(ReplyValue::Unit));
         }
@@ -425,7 +552,7 @@ mod tests {
         // A copy of exactly the bound waits for the next call.
         client.call(h2d(dst, KEEP_BYTES)).unwrap();
         client.synchronize().unwrap();
-        assert_eq!(device.flushes, [1, 5, 5, 1, 1, 2]);
+        assert_eq!(device.flushes, [6, 5, 1, 1, 2]);
     }
 
     #[test]
@@ -435,18 +562,22 @@ mod tests {
         let ptr = client.malloc(8).unwrap();
         client.free(ptr).unwrap();
         client.free(ptr).unwrap();
-        // The malloc runs behind the double free and allocates, but the
-        // application only sees the error: the client gives the memory back.
+        while client.pending.len() < MAX_PIPELINE {
+            client.call(CudaCall::ConfigureCall { config: LaunchConfig::default() }).unwrap();
+        }
+        // A malloc past a full queue ships it along with itself and runs
+        // behind the double free, but the application only sees the
+        // error: the client gives the memory back.
         assert_eq!(client.malloc(8), Err(CudaError::InvalidDevicePointer));
         assert!(device.mem.is_empty(), "leaked {:?}", device.mem.keys());
-        assert_eq!(device.flushes, [1, 3, 1]);
+        assert_eq!(device.flushes, [MAX_PIPELINE + 1, 1]);
     }
 
     #[test]
-    fn every_unit_call_but_a_sync_or_admission_point_waits() {
-        let module = ModuleHandle(1);
+    fn every_call_with_a_known_reply_but_a_sync_or_admission_point_waits() {
         let mut device = Device::default();
         let mut client = FrontendClient::new(&mut device).with_pipelining();
+        let module = client.register_fat_binary().unwrap();
         let (src, dst) = (client.malloc(8).unwrap(), client.malloc(8).unwrap());
         let queued = [
             CudaCall::RegisterFunction { module, kernel: KernelDesc::plain("k") },
@@ -474,7 +605,7 @@ mod tests {
         for call in eager {
             client.call(call).unwrap();
         }
-        assert_eq!(device.flushes, [1, 1, 9, 2, 1, 1, 1]);
+        assert_eq!(device.flushes, [12, 2, 1, 1, 1]);
         assert_eq!(device.mem.len(), 1, "the queued free ran with the synchronize");
     }
 }

@@ -2,7 +2,7 @@
 //! addresses preserved, out of one runtime and into another.
 
 use crate::ctx::{Binding, CtxId};
-use crate::memory::manager::{MemoryManager, VADDR_BASE, VALIGN};
+use crate::memory::manager::MemoryManager;
 use crate::memory::page_table::{Flags, PageTableEntry, SwapSlab};
 use mtgpu_api::protocol::{ContextImage, ImageEntry};
 use mtgpu_api::{CudaError, CudaResult};
@@ -43,25 +43,17 @@ impl MemoryManager {
     /// preserving every virtual address. Fails with
     /// [`CudaError::InvalidValue`] if the context already has allocations,
     /// and with [`CudaError::SwapAllocation`] if the swap area cannot hold
-    /// the image.
+    /// the image. Either way the context's later mallocs land past the
+    /// image's range: the cursor is lifted first.
     pub fn import_image(&self, ctx: CtxId, image: ContextImage) -> CudaResult<()> {
         let cm = self.ctx_mem(ctx)?;
         let mut table = cm.table.lock();
+        table.cursor.lift(&image);
         if !table.is_empty() {
             return Err(CudaError::InvalidValue);
         }
         let declared = image.declared_bytes();
-        {
-            let mut node = self.node.lock();
-            node.swap.reserve(declared)?;
-            // Future mallocs (of any context) must not collide with the
-            // imported virtual range within this runtime.
-            let max_end =
-                image.entries.iter().map(|e| e.vaddr.0 + e.size).max().unwrap_or(VADDR_BASE);
-            if node.next_vaddr < max_end {
-                node.next_vaddr = (max_end + VALIGN - 1) & !(VALIGN - 1);
-            }
-        }
+        self.node.lock().swap.reserve(declared)?;
         cm.usage.fetch_add(declared, Ordering::Relaxed);
         let last_touch = self.stamp();
         // Host-authoritative: upload before the next kernel use.

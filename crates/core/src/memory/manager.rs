@@ -21,9 +21,9 @@
 //! a residency transition is **one pass under one acquisition** — device
 //! calls included, since that lock pins nobody but the context itself. A
 //! thread never holds two table locks. What is node-wide (the directory of
-//! tables, swap accounting, the virtual-address cursor, per-device swap
-//! traffic) sits behind the leaf lock `MM_STATE`, taken for a lookup or a
-//! sum and never across a device call.
+//! tables, swap accounting, per-device swap traffic) sits behind the leaf
+//! lock `MM_STATE`, taken for a lookup or a sum and never across a device
+//! call.
 
 use crate::ctx::{Binding, CtxId};
 use crate::memory::eviction::TouchStamp;
@@ -32,7 +32,7 @@ use crate::memory::swap::SwapArea;
 use crate::memory::transfer::{self, TransferOp};
 use crate::metrics::RuntimeMetrics;
 use crate::trace::{TraceEvent, Tracer};
-use mtgpu_api::protocol::AllocKind;
+use mtgpu_api::protocol::{vspan, AllocKind};
 use mtgpu_api::{CudaError, CudaResult, HostBuf};
 use mtgpu_gpusim::device::DEFAULT_MATERIALIZE_CAP;
 use mtgpu_gpusim::{DeviceAddr, DeviceId, KernelArg};
@@ -41,12 +41,6 @@ use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Base of the virtual address space handed to applications. High enough to
-/// never collide with device-salted physical addresses.
-pub(super) const VADDR_BASE: u64 = 0x7f00_0000_0000;
-/// Virtual allocation alignment (matches the device allocator).
-pub(super) const VALIGN: u64 = 256;
 
 /// Result of trying to make a launch's working set resident.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,7 +125,6 @@ pub(super) struct NodeState {
     /// Host swap accounting. Shadowed so mtcheck's happens-before detector
     /// audits every reserve/release against the leaf lock.
     pub(super) swap: Shadow<SwapArea>,
-    pub(super) next_vaddr: u64,
     /// Cumulative per-device swap traffic: `device → (bytes_in, bytes_out)`.
     /// `in` counts host→device uploads, `out` counts device→host
     /// writebacks — the pressure signal the rebalancer reads.
@@ -181,12 +174,7 @@ impl MemoryManager {
             clock: Clock::virtual_clock(),
             node: RankedMutex::new(
                 lock_rank::MM_STATE,
-                NodeState {
-                    tables: BTreeMap::new(),
-                    swap,
-                    next_vaddr: VADDR_BASE,
-                    dev_swap: BTreeMap::new(),
-                },
+                NodeState { tables: BTreeMap::new(), swap, dev_swap: BTreeMap::new() },
             ),
             touch_seq: AtomicU64::new(0),
         }
@@ -298,22 +286,19 @@ impl MemoryManager {
     }
 
     /// `cudaMalloc` (Table 1): create PTE, allocate swap. No device action.
+    /// The address comes off the context's cursor before any check, so a
+    /// refused malloc takes its span too (the rule on `CudaCall::Malloc`).
     pub fn malloc(&self, ctx: CtxId, size: u64, kind: AllocKind) -> CudaResult<DeviceAddr> {
+        let cm = self.ctx_mem(ctx)?;
+        let mut table = cm.table.lock();
+        let vaddr = table.cursor.take(size);
         if size == 0 {
             return Err(CudaError::InvalidValue);
         }
-        let cm = self.ctx_mem(ctx)?;
-        let mut table = cm.table.lock();
-        if table.len() >= self.cfg.max_ptes_per_context {
+        if table.len() >= self.cfg.max_ptes_per_context || vaddr.0.checked_add(size).is_none() {
             return Err(CudaError::VirtualAddressExhausted);
         }
-        let vaddr = {
-            let mut node = self.node.lock();
-            node.swap.reserve(size)?;
-            let vaddr = DeviceAddr(node.next_vaddr);
-            node.next_vaddr += (size + VALIGN - 1) & !(VALIGN - 1);
-            vaddr
-        };
+        self.node.lock().swap.reserve(size)?;
         table.insert(PageTableEntry {
             vaddr,
             size,
@@ -327,6 +312,14 @@ impl MemoryManager {
         });
         cm.usage.fetch_add(size, Ordering::Relaxed);
         Ok(vaddr)
+    }
+
+    /// A malloc refused before it reached the manager (over the tenant's
+    /// lease) still takes its span of the context's addresses.
+    pub fn refuse_malloc(&self, ctx: CtxId, size: u64) {
+        if let Ok(cm) = self.ctx_mem(ctx) {
+            cm.table.lock().cursor.take(size);
+        }
     }
 
     /// `cudaFree` (Table 1): check PTE, de-allocate swap, free device copy
@@ -591,7 +584,7 @@ impl MemoryManager {
         let Ok(cm) = self.ctx_mem(ctx) else { return 0 };
         let table = cm.table.lock();
         let sizes = bases.iter().filter_map(|&base| table.get(base)).map(|e| e.size);
-        sizes.map(|size| (size + VALIGN - 1) & !(VALIGN - 1)).sum()
+        sizes.map(vspan).sum()
     }
 
     /// Total swap-area bytes in use.
@@ -611,6 +604,7 @@ impl MemoryManager {
 mod tests {
     use super::*;
     use crate::ctx::VGpuId;
+    use mtgpu_api::protocol::{ContextImage, VADDR_BASE};
     use mtgpu_gpusim::{DeviceId, Gpu, GpuSpec};
     use mtgpu_simtime::Clock;
 
@@ -635,6 +629,81 @@ mod tests {
         assert_ne!(a, b);
         assert!(a.0 >= VADDR_BASE && b.0 >= VADDR_BASE);
         assert_eq!(m.mem_usage(CTX), 200);
+    }
+
+    #[test]
+    fn two_contexts_first_mallocs_mint_the_same_address() {
+        let m = mm();
+        let (a, b) = (CtxId(1), CtxId(2));
+        m.register_ctx(a);
+        m.register_ctx(b);
+        let pa = m.malloc(a, 64, AllocKind::Linear).unwrap();
+        let pb = m.malloc(b, 64, AllocKind::Linear).unwrap();
+        assert_eq!((pa, pb), (DeviceAddr(VADDR_BASE), DeviceAddr(VADDR_BASE)));
+        // Each in its own page table.
+        m.copy_h2d(a, pa, &HostBuf::from_slice(&[1; 64]), None).unwrap();
+        m.copy_h2d(b, pb, &HostBuf::from_slice(&[2; 64]), None).unwrap();
+        assert_eq!(m.copy_d2h(a, pa, 64, None).unwrap().payload, [1; 64]);
+        assert_eq!(m.copy_d2h(b, pb, 64, None).unwrap().payload, [2; 64]);
+    }
+
+    /// The next address a malloc of one byte gets in `ctx`. Takes its span.
+    fn next_vaddr(m: &MemoryManager, ctx: CtxId) -> u64 {
+        m.malloc(ctx, 1, AllocKind::Linear).unwrap().0
+    }
+
+    #[test]
+    fn a_refused_malloc_of_each_kind_takes_its_span() {
+        let cfg = MemoryConfig { max_ptes_per_context: 2, swap_capacity: Some(4096) };
+        let m = MemoryManager::new(cfg, Arc::new(RuntimeMetrics::default()));
+        m.register_ctx(CTX);
+        let (at, step) = (VADDR_BASE, 256);
+        assert_eq!(m.malloc(CTX, 0, AllocKind::Linear), Err(CudaError::InvalidValue));
+        assert_eq!(next_vaddr(&m, CTX), at, "a zero-size malloc spans nothing");
+        assert_eq!(m.malloc(CTX, 8192, AllocKind::Linear), Err(CudaError::SwapAllocation));
+        assert_eq!(next_vaddr(&m, CTX), at + step + 8192);
+        // Two entries live: the page-table cap refuses the next, at any size.
+        assert_eq!(m.malloc(CTX, 300, AllocKind::Linear), Err(CudaError::VirtualAddressExhausted));
+        m.free(CTX, DeviceAddr(at), None).unwrap();
+        assert_eq!(next_vaddr(&m, CTX), at + 2 * step + 8192 + 512);
+        // Refused before reaching the manager (over a lease quota).
+        m.free(CTX, DeviceAddr(at + step + 8192), None).unwrap();
+        m.refuse_malloc(CTX, 1000);
+        assert_eq!(next_vaddr(&m, CTX), at + 3 * step + 8192 + 512 + 1024);
+    }
+
+    #[test]
+    fn an_import_lifts_its_own_cursor_only_and_failed_or_not() {
+        let m = mm();
+        let (a, b, c) = (CtxId(1), CtxId(2), CtxId(3));
+        for ctx in [a, b, c] {
+            m.register_ctx(ctx);
+        }
+        let entry = |vaddr: u64, size: u64| mtgpu_api::protocol::ImageEntry {
+            vaddr: DeviceAddr(vaddr),
+            size,
+            kind: AllocKind::Linear,
+            data: vec![7; 16],
+            nested_members: Vec::new(),
+            nested_parent: None,
+        };
+        let image = |entries| ContextImage { label: "img".into(), entries };
+        let far = VADDR_BASE + (1 << 20);
+        // Succeeds: the next malloc lands past the image's aligned end.
+        m.import_image(a, image(vec![entry(VADDR_BASE, 64), entry(far, 100)])).unwrap();
+        assert_eq!(next_vaddr(&m, a), far + 256);
+        assert_eq!(m.copy_d2h(a, DeviceAddr(far), 16, None).unwrap().payload, [7; 16]);
+        // Fails (the table is not empty): the cursor is lifted all the same.
+        let before = next_vaddr(&m, b);
+        assert_eq!(m.import_image(b, image(vec![entry(far, 700)])), Err(CudaError::InvalidValue));
+        assert_eq!(next_vaddr(&m, b), far + 768);
+        assert!(before < far);
+        // An image below the cursor leaves it where it is.
+        let low = next_vaddr(&m, a);
+        m.import_image(a, image(vec![entry(VADDR_BASE, 8)])).unwrap_err();
+        assert_eq!(next_vaddr(&m, a), low + 256);
+        // Neither import moved another context's cursor.
+        assert_eq!(next_vaddr(&m, c), VADDR_BASE);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! the corresponding device operations and keeps the real state in sync.
 
 use crate::memory::eviction::TouchStamp;
-use mtgpu_api::protocol::AllocKind;
+use mtgpu_api::protocol::{AllocKind, VaCursor};
 use mtgpu_gpusim::DeviceAddr;
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -217,10 +217,14 @@ impl PageTableEntry {
 
 /// A context's page table: virtual-address-ordered entries with interior
 /// pointer resolution (applications do pointer arithmetic on their virtual
-/// pointers just as they would on device pointers).
+/// pointers just as they would on device pointers), and the cursor its
+/// context's addresses are minted from.
 #[derive(Debug, Default)]
 pub struct PageTable {
     entries: BTreeMap<u64, PageTableEntry>,
+    /// Every malloc the context was sent takes its span here, admitted or
+    /// refused (the rule on `CudaCall::Malloc`).
+    pub(crate) cursor: VaCursor,
 }
 
 impl PageTable {

@@ -385,7 +385,8 @@ fn handle_call(
 /// before the memory manager sees the request, and roll the charge back if
 /// the underlying allocation fails. Admission is reject-or-admit: an
 /// over-quota request comes back at once as the typed rejection, counted
-/// and traced; nothing is queued or retried here.
+/// and traced; nothing is queued or retried here. A refused request still
+/// takes its addresses, as a malloc the manager refuses does.
 fn admit_malloc(
     rt: &NodeRuntime,
     ctx: &Arc<AppContext>,
@@ -394,6 +395,7 @@ fn admit_malloc(
 ) -> Result<DeviceAddr, CudaError> {
     let policy = rt.policy();
     if let Err(e) = policy.try_charge(ctx.id, size) {
+        rt.memory().refuse_malloc(ctx.id, size);
         if matches!(e, CudaError::QuotaExceeded(_)) {
             RuntimeMetrics::bump(&rt.metrics_ref().quota_rejections);
             rt.tracer().record(TraceEvent::QuotaRejected {

@@ -2,7 +2,7 @@
 //! virtual memory, sharing, swapping, fault tolerance, migration.
 
 use mtgpu_api::{CudaClient, CudaError, HostBuf, KernelArg, LaunchConfig, LaunchSpec, Work};
-use mtgpu_core::{NodeRuntime, RuntimeConfig};
+use mtgpu_core::{GpuLease, NodeRuntime, RuntimeConfig, TenantPolicyConfig};
 use mtgpu_gpusim::kernel::{library, KernelExec, RegisteredKernel};
 use mtgpu_gpusim::{DeviceAddr, DeviceId, Driver, GpuSpec, KernelDesc};
 use mtgpu_simtime::Clock;
@@ -102,6 +102,24 @@ fn virtual_addresses_are_not_device_addresses() {
     // under (ordinal+1)<<40.
     assert!(ptr.0 >= 0x7f00_0000_0000, "app saw a non-virtual address {ptr}");
     c.exit().unwrap();
+    rt.shutdown();
+}
+
+#[test]
+fn every_context_mints_from_the_same_base_and_a_refused_malloc_takes_its_span() {
+    let lease = GpuLease { mem_mb: 1, ..GpuLease::unlimited() };
+    let policy = TenantPolicyConfig::default().with_default_lease(lease);
+    let rt = test_runtime(1, RuntimeConfig::paper_default().with_tenant_policy(policy));
+    let (mut a, mut b) = (rt.local_client(), rt.local_client());
+    let first = a.malloc(64).unwrap();
+    assert_eq!(b.malloc(64).unwrap(), first, "contexts do not share a cursor");
+    // Over the 1 MiB lease: refused before the memory manager, yet the
+    // refused span is taken, so the next malloc lands past it.
+    assert!(matches!(a.malloc(2 * MIB), Err(CudaError::QuotaExceeded(_))));
+    assert_eq!(a.malloc(64).unwrap().0, first.0 + 256 + 2 * MIB);
+    assert_eq!(b.malloc(64).unwrap().0, first.0 + 256);
+    a.exit().unwrap();
+    b.exit().unwrap();
     rt.shutdown();
 }
 

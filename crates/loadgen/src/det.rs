@@ -216,6 +216,24 @@ mod tests {
         assert!(a.p50_nanos > 0);
     }
 
+    /// `loadgen --persistent --virtual-clock --seed 42`, pinned: 4648
+    /// requests in 150 round trips. A pipelined catalog job waits only on
+    /// its downloads (71), its `Exit` (64) and a full queue (15); a higher
+    /// count means a call kind went eager, other requests mean the jobs
+    /// changed.
+    #[test]
+    fn persistent_seed42_run_is_150_round_trips_for_4648_requests() {
+        let cfg = DetLoadConfig {
+            requests_per_client: 4,
+            transport: DetTransport::Mux,
+            ..DetLoadConfig::default()
+        };
+        let (report, fingerprint) = run_det(&cfg);
+        assert_eq!((report.completed, report.errors), (64, 0));
+        assert_eq!(fingerprint.metrics.mux_requests, 4648);
+        assert_eq!(report.round_trips_per_request, 150.0 / 64.0);
+    }
+
     #[test]
     fn tiny_det_mux_run_replays() {
         let cfg = DetLoadConfig {

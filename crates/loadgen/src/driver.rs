@@ -115,9 +115,9 @@ pub(crate) fn fresh_connection(addr: SocketAddr) -> Result<MuxChannel, String> {
 
 /// One request on `client` (the one channel of a fresh connection in
 /// reconnect mode, a fresh channel on a pooled socket in persistent mode):
-/// register, run the workload, exit. Launches are pipelined — the workloads
-/// never read a launch reply. Returns an error string on any failure,
-/// including a wrong result.
+/// register, run the workload, exit. Pipelined: the request waits only
+/// on its downloads, its exit and a full queue (`FrontendClient`).
+/// Returns an error string on any failure, including a wrong result.
 fn run_request(
     client: FrontendClient<MuxChannel>,
     job: &dyn Workload,

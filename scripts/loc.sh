@@ -15,23 +15,65 @@
 # PR that moves it.
 #
 # Usage: scripts/loc.sh [ROOT]   (default: this checkout)
+#        scripts/loc.sh --count PATH...   (the count of PATH alone; CI tier
+#        0 checks the counter itself on scripts/loc_fixture.rs with it)
 set -euo pipefail
-cd "${1:-$(dirname "$0")/..}"
 
 count() {
     # A `#[cfg(test)]` attribute followed by a `mod` item opens a test
-    # module: skip to its closing brace (brace counting is exact enough —
-    # no test module here closes on a brace inside a string).
+    # module: skip to its closing brace. Braces inside string literals
+    # (plain, byte and raw, over several lines too), char literals and
+    # line comments do not count.
     find "$@" -name '*.rs' -print0 | xargs -0 awk '
-        FNR == 1 { pending = 0; depth = 0 }
+        # Net braces on `line` outside literals and comments; `quote`
+        # carries an open string to the next line: "" none, "\"" a plain
+        # one, else the closing quote of a raw one (`"` and its hashes).
+        function braces(line,    i, c, n, k) {
+            n = 0
+            for (i = 1; i <= length(line); i++) {
+                c = substr(line, i, 1)
+                if (quote == "\"") {
+                    if (c == "\\") i++
+                    else if (c == "\"") quote = ""
+                } else if (quote != "") {
+                    if (substr(line, i, length(quote)) == quote) {
+                        i += length(quote) - 1
+                        quote = ""
+                    }
+                } else if (c == "/" && substr(line, i + 1, 1) == "/") {
+                    break
+                } else if (c == "r" && substr(line, 1, i - 1) ~ /(^|[^A-Za-z0-9_])b?$/ &&
+                           match(substr(line, i + 1), /^#*"/)) {
+                    quote = "\"" substr(line, i + 1, RLENGTH - 1)
+                    i += RLENGTH
+                } else if (c == "\"") {
+                    quote = "\""
+                } else if (c == "\047") {
+                    # A char literal, unlike a lifetime, closes within a
+                    # few characters (an escape such as \u{7f} included).
+                    if (substr(line, i + 1, 1) == "\\") {
+                        k = index(substr(line, i + 3), "\047")
+                        if (k > 0) i += k + 2
+                    } else if (substr(line, i + 2, 1) == "\047") {
+                        i += 2
+                    }
+                } else if (c == "{") {
+                    n++
+                } else if (c == "}") {
+                    n--
+                }
+            }
+            return n
+        }
+        FNR == 1 { pending = 0; depth = 0; quote = "" }
         depth > 0 {
-            depth += gsub(/\{/, "{") - gsub(/\}/, "}")
+            depth += braces($0)
             next
         }
         /^[[:space:]]*#\[cfg\(test\)\]/ { pending = 1; next }
         pending && /^[[:space:]]*(pub )?mod [A-Za-z_0-9]+ *\{/ {
             pending = 0
-            depth = gsub(/\{/, "{") - gsub(/\}/, "}")
+            depth = braces($0)
             next
         }
         { pending = 0 }
@@ -39,6 +81,13 @@ count() {
         { n++ }
         END { print n + 0 }'
 }
+
+if [[ "${1:-}" == "--count" ]]; then
+    shift
+    count "$@"
+    exit
+fi
+cd "${1:-$(dirname "$0")/..}"
 
 total=0
 for dir in src crates/*/src; do
