@@ -15,6 +15,7 @@
 //! | `inline-vs-visit`   | gateway (reactor + pool) | `mux.chan.scheduled`, `sched.free` |
 //! | `cancel-vs-grant`   | [`BindingManager`] | `sched.free`              |
 //! | `retry-vs-free`     | gateway + dispatcher | `mux.chan.scheduled`, `sched.free` |
+//! | `run-vs-letgo`      | gateway (reactor + pool) | `mux.chan.scheduled`     |
 //! | `fixture-race`      | seeded fixture     | `fixture.check.cell`      |
 //!
 //! Every builder constructs *fresh* component state on the (unregistered)
@@ -72,7 +73,7 @@ pub fn find(name: &str) -> Option<&'static Scenario> {
     MATRIX.iter().find(|s| s.name == name)
 }
 
-static MATRIX: [Scenario; 12] = [
+static MATRIX: [Scenario; 13] = [
     Scenario {
         name: "dispatcher-churn",
         about: "two contexts churn try_acquire_on/release against one \
@@ -165,6 +166,16 @@ static MATRIX: [Scenario; 12] = [
                 in call order",
         expect_clean: true,
         builder: retry_vs_free,
+    },
+    Scenario {
+        name: "run-vs-letgo",
+        about: "the reactor hands over two runs of a channel — one short \
+                enough to run itself, one that is the pool's whole — while \
+                a worker's visit to it posts its replies and lets go, a \
+                second worker standing by: each call once, replies in call \
+                order, no run stranded",
+        expect_clean: true,
+        builder: run_vs_letgo,
     },
     Scenario {
         name: "fixture-race",
@@ -648,9 +659,9 @@ fn grant_vs_park() -> Vec<Participant> {
 }
 
 /// Run-to-completion against the pool on one channel (DESIGN.md §12). The
-/// reactor reads three calls of a channel whose visit a worker may still be
-/// finishing — posted its replies, about to look for more — and runs each
-/// itself if it finds the channel idle; the launch among them finds no vGPU
+/// reactor reads a run of three calls of a channel whose visit a worker may
+/// still be finishing — posted its replies, about to look for more — and
+/// runs it itself if it finds the channel idle; the launch among them finds no vGPU
 /// until a second worker tears down the context that holds it, whose release
 /// wakes the channel. Whoever wins each race, the channel is served by one
 /// thread at a time (`scheduled`, read and written under the channel's
@@ -672,11 +683,8 @@ fn inline_vs_visit() -> Vec<Participant> {
     // workers drain the work queue.
     let bodies: Vec<Body> = vec![
         Box::new(move |rt| {
-            let mut budget = SWEEP_RUN_BUDGET;
-            let calls = [register_noop(), noop_launch(Vec::new()), malloc(64)];
-            for (id, call) in calls.into_iter().enumerate() {
-                rt.on_sweep_request(WAITER, 1, 2 + id as u64, call, &mut budget);
-            }
+            let run = vec![(2, register_noop()), (3, noop_launch(Vec::new())), (4, malloc(64))];
+            rt.on_sweep_run(WAITER, 1, run, &mut SWEEP_RUN_BUDGET.clone());
         }),
         worker(),
         worker(),
@@ -782,12 +790,12 @@ fn retry_vs_free() -> Vec<Participant> {
         Box::new(move |rt| {
             let mut budget = SWEEP_RUN_BUDGET;
             let launch = noop_launch(vec![KernelArg::Ptr(wanted)]);
-            rt.on_sweep_request(RETRIER, 1, 2, launch, &mut budget);
+            rt.on_sweep_run(RETRIER, 1, vec![(2, launch)], &mut budget);
             launched.store(true, Ordering::SeqCst);
             if freed_seen.load(Ordering::SeqCst) {
                 assert_eq!(rt.load().waiting, 0, "the Free before the enqueue was lost");
             }
-            rt.on_sweep_request(RETRIER, 1, 3, malloc(64), &mut budget);
+            rt.on_sweep_run(RETRIER, 1, vec![(3, malloc(64))], &mut budget);
         }),
         Box::new(move |rt| {
             rt.on_request(HOLDER, 1, 3, CudaCall::Free { ptr: held });
@@ -808,6 +816,50 @@ fn retry_vs_free() -> Vec<Participant> {
         let retries = rt.metrics().launch_retries;
         assert!(retries <= 1, "{retries} retries");
         replies_in_order(rt, retrier, 2..4, 0);
+    })
+}
+
+/// The all-or-nothing run rule against a visit that is letting go (DESIGN.md
+/// §12). A worker visits a channel with two calls queued: it runs them,
+/// posts their replies, looks again and — finding nothing — clears
+/// `scheduled`. Meanwhile the reactor hands over two runs of the channel:
+/// three calls, a launch among them, short enough to run itself if it finds
+/// the channel idle, then [`SWEEP_RUN_BUDGET`] + 1 mallocs, which are the
+/// pool's whole. Wherever a run lands — inside the visit, between its post
+/// and its second look, or after it let go — it is either served by the
+/// visit, run by the reactor or handed to a worker as one item, never
+/// stranded on a taken channel: every call runs once, the launch once, and
+/// the replies arrive in call order.
+fn run_vs_letgo() -> Vec<Participant> {
+    const CLIENT: u64 = 1;
+    let (rt, client, _) = gateway_node(RuntimeConfig::default());
+    rt.on_request(CLIENT, 1, 0, register_noop());
+    rt.on_request(CLIENT, 1, 1, CudaCall::GetDeviceCount);
+    let bodies: Vec<Body> = vec![
+        Box::new(|rt| {
+            let mut budget = SWEEP_RUN_BUDGET;
+            let short = [noop_launch(Vec::new()), malloc(64), CudaCall::GetDeviceCount];
+            rt.on_sweep_run(CLIENT, 1, (2..).zip(short).collect(), &mut budget);
+            let long = std::iter::repeat_with(|| malloc(64)).take(SWEEP_RUN_BUDGET + 1);
+            rt.on_sweep_run(CLIENT, 1, (5..).zip(long).collect(), &mut budget);
+        }),
+        worker(),
+        worker(),
+    ];
+    gateway_participants(&rt, &client, bodies, |rt, client| {
+        let calls = 5 + SWEEP_RUN_BUDGET as u64 + 1;
+        let replies = read_replies(client, calls as usize);
+        assert!(replies.iter().map(|(id, _)| *id).eq(0..calls), "call order: {replies:?}");
+        assert!(replies.iter().all(|(_, r)| r.is_ok()), "{replies:?}");
+        assert!(matches!(replies[2].1, Ok(ReplyValue::LaunchDone { .. })), "{replies:?}");
+        // The next reply is the Exit's: nothing was answered twice.
+        rt.on_request(CLIENT, 1, calls, CudaCall::Exit);
+        rt.serve_queued();
+        assert_eq!(read_replies(client, 1), [(calls, Ok(ReplyValue::Unit))]);
+        let m = rt.metrics();
+        assert_eq!(m.launches, 1, "the launch ran {} time(s)", m.launches);
+        assert_eq!(m.bindings, m.unbindings, "{m:?}");
+        assert_eq!(rt.context_count(), 0);
     })
 }
 

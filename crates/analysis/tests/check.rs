@@ -7,7 +7,7 @@
 use mtgpu_analysis::check::{explore, parse_schedule_id, scenarios, schedule_id};
 
 #[test]
-fn matrix_has_eleven_clean_scenarios_plus_the_fixture() {
+fn matrix_has_twelve_clean_scenarios_plus_the_fixture() {
     let clean: Vec<_> =
         scenarios::all().iter().filter(|s| s.expect_clean).map(|s| s.name).collect();
     assert_eq!(
@@ -23,7 +23,8 @@ fn matrix_has_eleven_clean_scenarios_plus_the_fixture() {
             "grant-vs-park",
             "inline-vs-visit",
             "cancel-vs-grant",
-            "retry-vs-free"
+            "retry-vs-free",
+            "run-vs-letgo"
         ]
     );
     let fixture = scenarios::find("fixture-race").expect("fixture scenario");
@@ -171,13 +172,13 @@ fn schedule_ids_round_trip_through_the_report() {
 }
 
 /// Run-to-completion against a visit (DESIGN.md §12), swept: a worker
-/// (participant 1) runs `k` segments before the reactor (0) reads its three
-/// calls, then everyone runs in id order. Small `k` puts the reactor's reads
-/// inside the worker's visit — before it pops, between its calls, in the
-/// window after it posts and before it looks again — where the reactor must
-/// queue behind it; from `k` ≈ 14 the channel is idle and the reactor runs
-/// the calls itself, its launch waiting in the dispatcher for the hog's
-/// teardown until `k` ≈ 28 and binding at once after. Every cut must keep
+/// (participant 1) runs `k` segments before the reactor (0) hands over its
+/// run of three calls, then everyone runs in id order. Small `k` puts the
+/// run inside the worker's visit — before it pops, between its calls, in the
+/// window after it posts and before it looks again — where it must queue
+/// behind it; from `k` = 15 the channel is idle and the reactor runs the
+/// calls itself, its launch waiting in the dispatcher for the hog's teardown
+/// up to `k` = 29 and binding at once from 30. Every cut must keep
 /// one thread per channel, each call once and call order.
 #[test]
 fn inline_vs_visit_holds_wherever_the_reactor_cuts_into_the_visit() {
@@ -244,4 +245,34 @@ fn retry_vs_free_holds_wherever_the_free_cuts_into_the_launch() {
         explore::replay(scn, &schedule(IN_THE_WINDOW)),
     );
     assert_eq!((a.fingerprint, a.events), (b.fingerprint, b.events), "replay diverged");
+}
+
+/// The run rule against a visit that lets go (DESIGN.md §12), swept: the
+/// first worker (participant 1) runs `k` segments before the reactor (0)
+/// hands over both its runs, then everyone runs in id order. Small `k` lands
+/// the runs inside the visit, where they queue behind it and the visit
+/// serves them; larger `k` lands them in the window after it posted and
+/// before it looks again, or after it let go, where the reactor runs the
+/// short run itself and hands the long one to the pool as one item. Every
+/// cut must run each call once, in call order, and strand no run.
+#[test]
+fn run_vs_letgo_holds_wherever_the_runs_cut_into_the_visit() {
+    const REACTOR: u32 = 0;
+    const WORKER: u32 = 1;
+    let scn = scenarios::find("run-vs-letgo").unwrap();
+    for k in 0..48 {
+        let mut schedule = vec![WORKER; k];
+        schedule.extend(std::iter::repeat_n(REACTOR, 256));
+        let run = explore::replay(scn, &schedule);
+        let pin: Vec<u32> = run.decisions.iter().map(|d| d.chosen).collect();
+        assert!(
+            run.clean(),
+            "k={k} ({}): {:?} {:?} {:?} stalled={}",
+            schedule_id(&pin),
+            run.races,
+            run.deadlock,
+            run.panics,
+            run.stalled
+        );
+    }
 }

@@ -20,7 +20,7 @@
 //!
 //! Lock order: the sink's connection table, then one connection's outbound
 //! half; the table is never held while writing, and the reactor holds
-//! neither across [`MuxService::on_sweep_request`], so a service may reply
+//! neither across [`MuxService::on_sweep_run`], so a service may reply
 //! from inside it.
 //!
 //! The loop blocks in `poll(2)` — called directly through the C runtime the
@@ -123,21 +123,27 @@ impl ReactorWake {
 /// Identifies one connection for the lifetime of its sink, counting from 1.
 pub type ConnId = u64;
 
-/// Calls of one read sweep a service may run on the reactor thread (two fit
-/// a launch's two frames; EXPERIMENTS.md, *Run-to-completion on the reactor*).
+/// Calls of one read sweep a service may run on the reactor thread, and so
+/// the longest run it may take there (two fit a launch's two frames;
+/// EXPERIMENTS.md, *Run-to-completion on the reactor* and *A channel's
+/// frames as one run*).
 pub const SWEEP_RUN_BUDGET: usize = 4;
 
 /// What the reactor calls into when frames arrive. Implemented by the
 /// runtime's multiplex gateway; the request hooks run on the reactor thread,
-/// never wait on another thread and may answer the call before they return.
+/// never wait on another thread and may answer the calls before they return.
 pub trait MuxService: Send + Sync {
     /// One decoded request. Replies go back through the [`ReplySink`].
     fn on_request(&self, conn: ConnId, chan: u64, id: u64, call: CudaCall);
 
-    /// The same, with the sweep's budget left: the service may run the call
-    /// here while `*budget` > 0, taking one when it does. Default: never.
-    fn on_sweep_request(&self, conn: ConnId, chan: u64, id: u64, call: CudaCall, _: &mut usize) {
-        self.on_request(conn, chan, id, call)
+    /// A run: consecutive requests of one channel decoded from one read, in
+    /// arrival order, with the sweep's budget left. The service may run
+    /// calls here while `*budget` > 0, taking one for each it runs.
+    /// Default: [`Self::on_request`] per call, in order.
+    fn on_sweep_run(&self, conn: ConnId, chan: u64, run: Vec<(u64, CudaCall)>, _: &mut usize) {
+        for (id, call) in run {
+            self.on_request(conn, chan, id, call);
+        }
     }
 
     /// The connection closed (peer hangup, protocol violation or shed):
@@ -460,10 +466,10 @@ pub struct ReactorStats {
     /// `accept` calls that failed (out of descriptors, say); each leaves the
     /// listener out of one poll.
     pub accept_failures: AtomicU64,
-    /// Requests decoded and handed to the service.
+    /// Requests (frames, not runs) decoded and handed to the service.
     pub requests: AtomicU64,
     /// Of those, the ones the service ran on the reactor thread itself: the
-    /// sweep budget it spent ([`MuxService::on_sweep_request`]).
+    /// sweep budget it spent ([`MuxService::on_sweep_run`]).
     pub ran_inline: AtomicU64,
     /// Replies encoded and queued outbound.
     pub replies: AtomicU64,
@@ -829,8 +835,13 @@ fn poll_loop(
     stats.open.store(0, Ordering::Relaxed);
 }
 
-/// Decodes every complete frame buffered on `conn`; returns a close reason
-/// on a protocol violation.
+/// Decodes every complete frame buffered on `conn` and hands the requests
+/// to the service as runs: a run ends where the channel changes, or before
+/// a frame whose ID is still in flight, so the service may answer the
+/// earlier one first. A frame whose ID is in flight even then breaks the
+/// demux contract: the connection is shed, the service having seen every
+/// request before that frame and none from it on. Returns a close reason on
+/// a protocol violation.
 fn drain_frames(
     id: ConnId,
     conn: &mut Conn,
@@ -838,29 +849,36 @@ fn drain_frames(
     stats: &ReactorStats,
     budget: &mut usize,
 ) -> Option<CloseReason> {
-    loop {
+    let mut run: Vec<(u64, CudaCall)> = Vec::new();
+    let mut run_chan = 0;
+    let violation = loop {
         match conn.framebuf.next_frame::<MuxFrame>() {
             Ok(Some(MuxFrame::Request { chan, id: req_id, call })) => {
                 // The out lock covers the ID set only: the service may
                 // reply from inside the hook, which takes it again.
-                let fresh = conn.out.lock().inflight.insert(req_id);
+                let mut fresh = conn.out.lock().inflight.insert(req_id);
+                if !run.is_empty() && (chan != run_chan || !fresh) {
+                    service.on_sweep_run(id, run_chan, std::mem::take(&mut run), budget);
+                    fresh = fresh || conn.out.lock().inflight.insert(req_id);
+                }
                 if !fresh {
-                    // Duplicate in-flight request ID: the demux contract is
-                    // broken; shed the connection before the two replies
-                    // race for one ID.
-                    return Some(CloseReason::Protocol);
+                    // Duplicate in-flight request ID: shed the connection
+                    // before the two replies race for one ID.
+                    break Some(CloseReason::Protocol);
                 }
                 stats.requests.fetch_add(1, Ordering::Relaxed);
-                service.on_sweep_request(id, chan, req_id, call, budget);
+                run_chan = chan;
+                run.push((req_id, call));
             }
-            Ok(Some(MuxFrame::Response { .. })) => {
-                // Clients do not answer; a "response" here is hostile.
-                return Some(CloseReason::Protocol);
-            }
-            Ok(None) => return None,
-            Err(_) => return Some(CloseReason::Protocol),
+            // Clients do not answer; a "response" here is hostile.
+            Ok(Some(MuxFrame::Response { .. })) | Err(_) => break Some(CloseReason::Protocol),
+            Ok(None) => break None,
         }
+    };
+    if !run.is_empty() {
+        service.on_sweep_run(id, run_chan, run, budget);
     }
+    violation
 }
 
 #[cfg(test)]
@@ -993,6 +1011,89 @@ mod tests {
             }
         }
         assert_eq!(ids, [FOREIGN, 0, 1, 2]);
+    }
+
+    /// Runs as a service saw them: (chan, request IDs) each.
+    type Runs = Vec<(u64, Vec<u64>)>;
+
+    /// Records every run it is handed; answers each call from inside the
+    /// hook only if `answer` is set.
+    struct Recording {
+        sink: ReplySink,
+        answer: bool,
+        runs: std::sync::Mutex<Runs>,
+    }
+
+    impl MuxService for Recording {
+        fn on_request(&self, _: ConnId, _: u64, _: u64, _: CudaCall) {
+            unreachable!("the reactor hands over runs");
+        }
+        fn on_sweep_run(&self, conn: ConnId, chan: u64, run: Vec<(u64, CudaCall)>, _: &mut usize) {
+            let ids: Vec<u64> = run.iter().map(|(id, _)| *id).collect();
+            if self.answer {
+                self.sink.reply_batch(conn, ids.iter().map(|id| (*id, Ok(ReplyValue::Unit))));
+            }
+            self.runs.lock().unwrap().push((chan, ids));
+        }
+        fn on_disconnect(&self, _conn: ConnId) {}
+    }
+
+    fn request(chan: u64, id: u64) -> MuxFrame {
+        MuxFrame::Request { chan, id, call: CudaCall::Synchronize }
+    }
+
+    /// Writes `frames` to a fresh socketpair in one write and sweeps the
+    /// server end once: the runs a [`Recording`] service saw, the sweep's
+    /// verdict and the requests it counted.
+    fn sweep_frames(frames: &[MuxFrame], answer: bool) -> (Runs, Result<(), CloseReason>, u64) {
+        let (stream, mut peer) = UnixStream::pair().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let stream = Arc::new(Sock::Unix(stream));
+        let (sink, queue) = ReplySink::channel();
+        let out = queue.shared.attach(1, Arc::clone(&stream));
+        let mut conn =
+            Conn { stream, framebuf: FrameBuf::new(), partial_since: None, out, want_out: false };
+        let mut burst = Vec::new();
+        for frame in frames {
+            encode_frame(frame, &mut burst).unwrap();
+        }
+        peer.write_all(&burst).unwrap();
+        let service = Recording { sink, answer, runs: Default::default() };
+        let swept = sweep_conn(1, &mut conn, &service, &queue.shared.stats, usize::MAX);
+        let requests = queue.shared.stats.requests.load(Ordering::Relaxed);
+        (service.runs.into_inner().unwrap(), swept.map(|_| ()), requests)
+    }
+
+    #[test]
+    fn one_read_reaches_the_service_as_one_run_per_stretch_of_a_channel() {
+        const A: u64 = 3;
+        const B: u64 = 9;
+        let frames = [request(A, 1), request(A, 2), request(B, 3), request(A, 4)];
+        let (runs, swept, requests) = sweep_frames(&frames, false);
+        assert!(swept.is_ok());
+        assert_eq!(runs, [(A, vec![1, 2]), (B, vec![3]), (A, vec![4])]);
+        // Frames, not runs.
+        assert_eq!(requests, 4);
+    }
+
+    #[test]
+    fn a_duplicate_id_inside_a_run_sheds_the_connection_after_the_calls_before_it() {
+        let frames = [request(5, 1), request(5, 2), request(5, 1), request(5, 3)];
+        // Still in flight: the service saw the run up to the duplicate, and
+        // nothing from the duplicate on.
+        let (runs, swept, requests) = sweep_frames(&frames, false);
+        assert!(matches!(swept, Err(CloseReason::Protocol)), "{swept:?}");
+        assert_eq!((runs, requests), (vec![(5, vec![1, 2])], 2));
+        // Answered once the run before it is handed over: the ID is free
+        // again and the frame starts the next run.
+        let (runs, swept, requests) = sweep_frames(&frames, true);
+        assert!(swept.is_ok());
+        assert_eq!((runs, requests), (vec![(5, vec![1, 2]), (5, vec![1, 3])], 4));
+        // Any other violation sheds the same way: the run before it is seen.
+        let response = MuxFrame::Response { id: 9, reply: Ok(ReplyValue::Unit) };
+        let (runs, swept, _) = sweep_frames(&[request(5, 1), request(5, 2), response], false);
+        assert!(matches!(swept, Err(CloseReason::Protocol)), "{swept:?}");
+        assert_eq!(runs, [(5, vec![1, 2])]);
     }
 
     #[test]

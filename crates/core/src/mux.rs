@@ -3,14 +3,16 @@
 //! A wire connection is accepted by the node's reactor (remote frontends,
 //! peers relaying a stream, local socketpairs). It carries *channels* —
 //! (connection, chan) pairs, each backed by one [`AppContext`] — and they
-//! are served here. Each call the reactor reads is queued on its channel's
-//! FIFO and the channel *visited*: its calls run in order, each under the
-//! context's service lock, up to [`VISIT_BUDGET`], and their replies posted
-//! as one batch through the [`ReplySink`]. A call that finds its channel
-//! idle is visited by the thread that read it (§4.3), the reactor, within
-//! [`submit`]'s rule; any other runnable channel goes on a work queue for
-//! the runtime's fixed worker pool, so a pipelined flush costs one hand-off
-//! and one reply post, not one per call. The pool starts with the reactor
+//! are served here. The reactor hands over a channel's frames from one read
+//! as a *run*; the run is queued on its channel's FIFO and the channel
+//! *visited*: its calls run in order, each under the context's service
+//! lock, up to [`VISIT_BUDGET`], and their replies posted as one batch
+//! through the [`ReplySink`]. A run that finds its channel idle is visited
+//! by the thread that read it (§4.3), the reactor, if [`submit`]'s rule
+//! admits all of it; any other runnable channel goes on a work queue for the
+//! runtime's fixed worker pool as one item, so a pipelined flush costs one
+//! hand-off per [`VISIT_BUDGET`] calls and is never split between the
+//! reactor and a worker. The pool starts with the reactor
 //! ([`NodeRuntime::serve`]) and is handed only what a reactor read. An
 //! in-process client never comes here: it runs its own calls
 //! ([`crate::service::InProcessChannel`]).
@@ -374,18 +376,21 @@ impl NodeRuntime {
     }
 }
 
-/// Queues one call on its channel — created, and its §4.7 placement decided,
-/// with its first call — and makes the channel runnable. Never waits on
-/// another thread: context creation is a bounded map-insert + registry
-/// insert, plus one thread spawn for a channel this node offloads. `budget`
-/// is what the reactor's sweep has left; the reactor visits the channel
-/// itself if it is idle, the budget not spent and
-/// [`service::fits_on_reactor`] admits the call.
-fn submit(rt: &NodeRuntime, key: ChanKey, id: u64, call: CudaCall, budget: &mut usize) {
+/// Queues a run — consecutive calls of one channel, in arrival order — on
+/// its channel, created and its §4.7 placement decided with the run's first
+/// call, and makes the channel runnable. Never waits on another thread:
+/// context creation is a bounded map-insert + registry insert, plus one
+/// thread spawn for a channel this node offloads. `budget` is what the
+/// reactor's sweep has left; the reactor visits the channel itself only if
+/// it is idle, the run no longer than the budget and every call admitted by
+/// [`service::fits_on_reactor`]. Otherwise the whole run is one work item,
+/// so a flush is never split between the reactor's write and a worker's.
+fn submit(rt: &NodeRuntime, key: ChanKey, run: Vec<(u64, CudaCall)>, budget: &mut usize) {
     let g = rt.gateway();
     if rt.is_shutdown() {
-        // The pool is stopping: nobody would serve the call.
-        return g.sink.reply(key.0, id, Err(CudaError::Disconnected));
+        // The pool is stopping: nobody would serve the calls.
+        let dead = run.into_iter().map(|(id, _)| (id, Err(CudaError::Disconnected)));
+        return g.sink.reply_batch(key.0, dead);
     }
     let state = {
         let mut channels = g.channels.lock();
@@ -394,25 +399,31 @@ fn submit(rt: &NodeRuntime, key: ChanKey, id: u64, call: CudaCall, budget: &mut 
             Some(Chan::Relayed(relay)) => {
                 // Under the map lock, so the relay's final drain (which
                 // removes the key first) misses nothing.
-                let _ = relay.send((id, call));
+                run.into_iter().for_each(|call| drop(relay.send(call)));
                 return;
             }
             None => {
+                let Some((_, first)) = run.first() else { return };
                 let ctx = rt.new_context(format!("mux-{}-{}", key.0, key.1));
                 RuntimeMetrics::bump(&rt.metrics_ref().mux_channels);
                 // §4.7: a stream a peer relayed here is served
                 // unconditionally; any other new one needs a slot.
-                let holds_slot = rt.offloads() && !matches!(call, CudaCall::Offloaded);
+                let holds_slot = rt.offloads() && !matches!(first, CudaCall::Offloaded);
                 if holds_slot && !rt.try_keep_local() {
                     // mtlint: allow(unranked-lock, reason = "one consumer, the relay thread, which waits holding no lock; an unbounded send never blocks the map lock it runs under; dropping the sender is the hang-up")
                     let (relay, calls) = mpsc::channel();
+                    // The relay thread is handed the first call; the rest
+                    // of the run waits for it in order.
+                    let mut run = run.into_iter();
+                    let (id, first) = run.next().expect("the run's first call");
+                    run.for_each(|call| drop(relay.send(call)));
                     channels.insert(key, Chan::Relayed(relay));
                     // The thread spawn need not hold the map.
                     drop(channels);
                     let (sink, awaiting) = (g.sink.clone(), Some(id));
                     let relayed =
                         RelayedChannel { rt: rt.me(), key, calls, sink, awaiting, left: false };
-                    return rt.offload(ctx, relayed, call);
+                    return rt.offload(ctx, relayed, first);
                 }
                 let state = ChannelState::new(ctx, holds_slot);
                 channels.insert(key, Chan::Local(Arc::clone(&state)));
@@ -420,10 +431,11 @@ fn submit(rt: &NodeRuntime, key: ChanKey, id: u64, call: CudaCall, budget: &mut 
             }
         }
     };
-    let here = *budget > 0 && service::fits_on_reactor(rt, &state.ctx, &call);
+    let here = run.len() <= *budget
+        && run.iter().all(|(_, call)| service::fits_on_reactor(rt, &state.ctx, call));
     let idle = {
         let mut q = state.queue.lock();
-        q.calls.push_back((id, call));
+        q.calls.extend(run);
         !std::mem::replace(&mut *q.scheduled, true)
     };
     match (idle, here) {
@@ -436,12 +448,12 @@ fn submit(rt: &NodeRuntime, key: ChanKey, id: u64, call: CudaCall, budget: &mut 
 impl MuxService for NodeRuntime {
     /// No budget: the call is the pool's (the path tests playing worker drive).
     fn on_request(&self, conn: ConnId, chan: u64, id: u64, call: CudaCall) {
-        self.on_sweep_request(conn, chan, id, call, &mut 0);
+        self.on_sweep_run(conn, chan, vec![(id, call)], &mut 0);
     }
 
-    fn on_sweep_request(&self, conn: ConnId, chan: u64, id: u64, call: CudaCall, left: &mut usize) {
-        RuntimeMetrics::bump(&self.metrics_ref().mux_requests);
-        submit(self, (conn, chan), id, call, left);
+    fn on_sweep_run(&self, conn: ConnId, chan: u64, run: Vec<(u64, CudaCall)>, left: &mut usize) {
+        RuntimeMetrics::add(&self.metrics_ref().mux_requests, run.len() as u64);
+        submit(self, (conn, chan), run, left);
     }
 
     /// Detaches the connection's channels quickly and hands the
@@ -519,10 +531,10 @@ fn serve_item(rt: &NodeRuntime, item: WorkItem) -> bool {
 
 /// One visit to a runnable channel: executes its queued calls in order, up
 /// to [`VISIT_BUDGET`], and posts their replies as one batch. The reactor's
-/// visit (one call, `sweep` the budget it takes one from when it runs it)
+/// visit (one run, `sweep` the budget it takes one from per call it runs)
 /// waits neither for the service lock nor for a device: held elsewhere (a
 /// victim swap, a migration's quiesce, another channel's kernel), the call
-/// goes to the pool.
+/// and the rest of the run go to the pool.
 fn serve_channel(rt: &NodeRuntime, key: ChanKey, mut sweep: Option<&mut usize>) {
     let g = rt.gateway();
     let state = match g.channels.lock().get(&key) {
@@ -694,7 +706,7 @@ mod tests {
     /// of a loopback socket attached to its sink as connection 1. The tests
     /// that feed it through `on_request` drive the pool path: with no sweep
     /// budget every call is queued for a visit the test plays; [`sweep`]
-    /// feeds a call the way the reactor does.
+    /// feeds a run the way the reactor does.
     fn poolless_runtime(cfg: RuntimeConfig) -> (Arc<NodeRuntime>, std::net::TcpStream) {
         let driver = Driver::with_devices(Clock::with_scale(1e-7), vec![GpuSpec::test_small()]);
         let rt = NodeRuntime::start(driver, quiet(cfg));
@@ -724,10 +736,17 @@ mod tests {
         got
     }
 
-    /// A call of connection 1 read by the reactor, with what is left of
-    /// the sweep's budget: the gateway may run it on the calling thread.
-    fn sweep(rt: &NodeRuntime, chan: u64, id: u64, call: CudaCall, budget: &mut usize) {
-        rt.on_sweep_request(1, chan, id, call, budget);
+    /// A run of connection 1's channel `chan` read by the reactor, its
+    /// calls numbered from `first`, with what is left of the sweep's budget:
+    /// the gateway may run it on the calling thread.
+    fn sweep(
+        rt: &NodeRuntime,
+        chan: u64,
+        first: u64,
+        calls: impl IntoIterator<Item = CudaCall>,
+        budget: &mut usize,
+    ) {
+        rt.on_sweep_run(1, chan, (first..).zip(calls).collect(), budget);
     }
 
     fn malloc() -> CudaCall {
@@ -773,12 +792,12 @@ mod tests {
     fn pipelined_flush_costs_one_hand_off_per_visit_budget_and_keeps_order() {
         let (rt, mut client) = poolless_runtime(RuntimeConfig::default());
         // A full client pipeline (MAX_PIPELINE = 160) and the call that
-        // flushes it, all queued before any worker looks.
+        // flushes it, read as one run: all of it the pool's, none run here.
         const CALLS: u64 = 161;
-        for id in 0..CALLS {
-            rt.on_request(1, 1, id, malloc());
-        }
-        assert_eq!(queued(&rt), 1, "a channel sits on the work queue at most once");
+        let mut budget = SWEEP_RUN_BUDGET;
+        sweep(&rt, 1, 0, std::iter::repeat_with(malloc).take(CALLS as usize), &mut budget);
+        assert_eq!((budget, queued(&rt)), (SWEEP_RUN_BUDGET, 1), "one work item for the run");
+        nothing_more_arrives(&mut client);
         assert_eq!(rt.serve_queued(), (CALLS as usize).div_ceil(VISIT_BUDGET));
         let replies = read_replies(&mut client, CALLS as usize);
         assert!(replies.iter().map(|(id, _)| *id).eq(0..CALLS), "replies out of order");
@@ -804,13 +823,14 @@ mod tests {
         let (rt, mut client) = poolless_runtime(RuntimeConfig::default());
         let mut budget = SWEEP_RUN_BUDGET;
         // An idle channel: answered before the hook returns, nothing queued.
-        sweep(&rt, 1, 0, malloc(), &mut budget);
+        sweep(&rt, 1, 0, [malloc()], &mut budget);
         assert!(matches!(read_replies(&mut client, 1)[0], (0, Ok(ReplyValue::Ptr(_)))));
         assert_eq!(queued(&rt), 0);
         assert_eq!(budget, SWEEP_RUN_BUDGET - 1);
         // A context another thread holds (a victim swap, a quiesce): the
-        // reactor does not wait for it, the pool does. The channel is taken
-        // from then on, so the call behind it queues even with budget left.
+        // reactor does not wait for it, the pool does, and the rest of the
+        // run with it; the channel is taken from then on, so a later run
+        // queues behind it even with budget left.
         let state = local_state(&rt, (1, 1));
         let (held, release) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
         std::thread::scope(|s| {
@@ -820,21 +840,21 @@ mod tests {
                 release.wait();
             });
             held.wait();
-            sweep(&rt, 1, 1, malloc(), &mut budget);
-            sweep(&rt, 1, 2, CudaCall::GetDeviceCount, &mut budget);
+            sweep(&rt, 1, 1, [malloc(), CudaCall::GetDeviceCount], &mut budget);
+            sweep(&rt, 1, 3, [CudaCall::GetDeviceCount], &mut budget);
             release.wait();
         });
         assert_eq!(queued(&rt), 1);
         // An Exit, and any call once the sweep's budget is spent: the pool's.
         // What the pool is handed takes none of the budget.
-        sweep(&rt, 2, 10, CudaCall::Exit, &mut budget);
-        sweep(&rt, 3, 20, CudaCall::GetDeviceCount, &mut 0);
+        sweep(&rt, 2, 10, [CudaCall::Exit], &mut budget);
+        sweep(&rt, 3, 20, [CudaCall::GetDeviceCount], &mut 0);
         assert_eq!(queued(&rt), 3);
         assert_eq!(budget, SWEEP_RUN_BUDGET - 1);
         assert_eq!(rt.serve_queued(), 3);
-        let ids: Vec<u64> = read_replies(&mut client, 4).iter().map(|(id, _)| *id).collect();
-        assert_eq!(ids, [1, 2, 10, 20]);
-        assert_eq!((rt.metrics().mux_requests, rt.channel_count()), (5, 2));
+        let ids: Vec<u64> = read_replies(&mut client, 5).iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, [1, 2, 3, 10, 20]);
+        assert_eq!((rt.metrics().mux_requests, rt.channel_count()), (6, 2));
         rt.shutdown();
     }
 
@@ -842,16 +862,13 @@ mod tests {
     fn call_the_reactor_finds_its_device_busy_for_goes_to_the_pool_and_keeps_its_place() {
         let (rt, mut client) = poolless_runtime(RuntimeConfig::default());
         // Channel 1 binds and allocates, all of it run here.
-        let mut budget = SWEEP_RUN_BUDGET;
-        for (id, call) in [register_noop(), noop_launch(), malloc()].into_iter().enumerate() {
-            sweep(&rt, 1, id as u64, call, &mut budget);
-        }
+        sweep(&rt, 1, 0, [register_noop(), noop_launch(), malloc()], &mut SWEEP_RUN_BUDGET.clone());
         let Ok(ReplyValue::Ptr(src)) = read_replies(&mut client, 3)[2].1 else { panic!("malloc") };
         // Another thread's work occupies the device (a kernel, a swap): a
         // copy of the bound channel, and a launch that binds the unbound
-        // one, stop before they touch it and are the pool's; the channel
-        // keeps its call order, and calls that need no device still run
-        // here.
+        // one, stop before they touch it and are the pool's with the rest of
+        // their runs; the channel keeps its call order, and calls that need
+        // no device still run here.
         let gpu = rt.driver().device(DeviceId(0)).unwrap();
         let (held, release) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
         let mut budget = SWEEP_RUN_BUDGET;
@@ -862,11 +879,9 @@ mod tests {
                 release.wait();
             });
             held.wait();
-            sweep(&rt, 1, 3, CudaCall::MemcpyD2H { src, len: 64 }, &mut budget);
-            sweep(&rt, 1, 4, noop_launch(), &mut budget);
-            sweep(&rt, 2, 10, CudaCall::GetDeviceCount, &mut budget);
-            sweep(&rt, 3, 20, register_noop(), &mut budget);
-            sweep(&rt, 3, 21, noop_launch(), &mut budget);
+            sweep(&rt, 1, 3, [CudaCall::MemcpyD2H { src, len: 64 }, noop_launch()], &mut budget);
+            sweep(&rt, 2, 10, [CudaCall::GetDeviceCount], &mut budget);
+            sweep(&rt, 3, 20, [register_noop(), noop_launch()], &mut budget);
             release.wait();
         });
         let ids: Vec<u64> = read_replies(&mut client, 2).iter().map(|(id, _)| *id).collect();
@@ -889,9 +904,7 @@ mod tests {
         let hog = rt.new_context("hog".into());
         let held = rt.bindings().poll(&hog, 0).expect("free vGPU");
         let mut budget = SWEEP_RUN_BUDGET;
-        for (id, call) in [register_noop(), noop_launch(), malloc()].into_iter().enumerate() {
-            sweep(&rt, 1, id as u64, call, &mut budget);
-        }
+        sweep(&rt, 1, 0, [register_noop(), noop_launch(), malloc()], &mut budget);
         // The registration and the launch ran here; the launch found no
         // vGPU and left the channel, launch at its head and the malloc
         // behind it, to the dispatcher — not to the work queue.
@@ -916,25 +929,105 @@ mod tests {
     }
 
     #[test]
-    fn reactor_runs_the_head_of_a_long_flush_and_the_pool_the_rest_in_order() {
+    fn a_long_flush_read_as_two_runs_is_the_pools_whole_and_keeps_order() {
         let (rt, mut client) = poolless_runtime(RuntimeConfig::default());
-        // A full client pipeline read in one sweep, no worker looking yet:
-        // the first calls run here, the rest wait for the pool.
+        // A full client pipeline split across two reads of one sweep, no
+        // worker looking yet: the second run queues behind the first.
         const CALLS: u64 = 160;
+        const SPLIT: u64 = 100;
         let mut budget = SWEEP_RUN_BUDGET;
-        for id in 0..CALLS {
-            sweep(&rt, 1, id, malloc(), &mut budget);
-        }
-        let head = read_replies(&mut client, SWEEP_RUN_BUDGET);
-        assert!(head.iter().map(|(id, _)| *id).eq(0..SWEEP_RUN_BUDGET as u64));
+        let calls = |n| std::iter::repeat_with(malloc).take(n as usize);
+        sweep(&rt, 1, 0, calls(SPLIT), &mut budget);
+        sweep(&rt, 1, SPLIT, calls(CALLS - SPLIT), &mut budget);
         nothing_more_arrives(&mut client);
-        assert_eq!((budget, queued(&rt)), (0, 1));
-        // One hand-off per visit budget of what is left, in call order.
-        let rest = CALLS as usize - SWEEP_RUN_BUDGET;
-        assert_eq!(rt.serve_queued(), rest.div_ceil(VISIT_BUDGET));
-        let tail = read_replies(&mut client, rest);
-        assert!(tail.iter().map(|(id, _)| *id).eq(SWEEP_RUN_BUDGET as u64..CALLS));
-        assert!(tail.iter().all(|(_, r)| matches!(r, Ok(ReplyValue::Ptr(_)))));
+        assert_eq!((budget, queued(&rt)), (SWEEP_RUN_BUDGET, 1));
+        // One hand-off per visit budget of the flush, in call order.
+        assert_eq!(rt.serve_queued(), (CALLS as usize).div_ceil(VISIT_BUDGET));
+        let replies = read_replies(&mut client, CALLS as usize);
+        assert!(replies.iter().map(|(id, _)| *id).eq(0..CALLS));
+        assert!(replies.iter().all(|(_, r)| matches!(r, Ok(ReplyValue::Ptr(_)))));
+        rt.shutdown();
+    }
+
+    #[test]
+    fn a_run_of_at_most_k_fitting_calls_on_an_idle_channel_runs_on_the_reactor() {
+        let (rt, mut client) = poolless_runtime(RuntimeConfig::default());
+        // A new channel's first run, K calls long: one context, every call
+        // counted, all of it answered before the hook returns.
+        let mut budget = SWEEP_RUN_BUDGET;
+        let calls = std::iter::repeat_with(malloc).take(SWEEP_RUN_BUDGET);
+        sweep(&rt, 1, 0, calls, &mut budget);
+        assert_eq!((budget, queued(&rt)), (0, 0));
+        let replies = read_replies(&mut client, SWEEP_RUN_BUDGET);
+        assert!(replies.iter().map(|(id, _)| *id).eq(0..SWEEP_RUN_BUDGET as u64));
+        assert!(replies.iter().all(|(_, r)| matches!(r, Ok(ReplyValue::Ptr(_)))));
+        let m = rt.metrics();
+        assert_eq!((m.mux_channels, m.mux_requests), (1, SWEEP_RUN_BUDGET as u64));
+        assert_eq!((rt.channel_count(), rt.context_count()), (1, 1));
+        // The sweep's budget is spent: the next run is the pool's, whole.
+        sweep(&rt, 1, 10, [malloc(), CudaCall::GetDeviceCount], &mut budget);
+        nothing_more_arrives(&mut client);
+        assert_eq!(rt.serve_queued(), 1);
+        assert!(read_replies(&mut client, 2).iter().map(|(id, _)| *id).eq(10..12));
+        let m = rt.metrics();
+        assert_eq!((m.mux_channels, m.mux_requests), (1, SWEEP_RUN_BUDGET as u64 + 2));
+        assert_eq!(rt.context_count(), 1);
+        rt.shutdown();
+    }
+
+    #[test]
+    fn a_run_with_an_exit_an_unfit_copy_or_more_than_k_calls_goes_to_the_pool_whole() {
+        let (rt, mut client) = poolless_runtime(RuntimeConfig::default());
+        let mut budget = SWEEP_RUN_BUDGET;
+        sweep(&rt, 2, 0, [CudaCall::Malloc { size: 1 << 20, kind: AllocKind::Linear }], &mut 1);
+        let Ok(ReplyValue::Ptr(ptr)) = read_replies(&mut client, 1)[0].1 else { panic!("malloc") };
+        // A copy whose host bytes pass the visit's reply bound never fits.
+        let upload = mtgpu_api::HostBuf::from_slice(&vec![7; VISIT_REPLY_BYTES + 1]);
+        let runs = [
+            (1, vec![malloc(), CudaCall::GetDeviceCount, CudaCall::Exit]),
+            (2, vec![CudaCall::GetDeviceCount, CudaCall::MemcpyH2D { dst: ptr, buf: upload }]),
+            (3, vec![malloc(); SWEEP_RUN_BUDGET + 1]),
+        ];
+        let mut first = 10;
+        for (chan, run) in runs {
+            let len = run.len();
+            sweep(&rt, chan, first, run, &mut budget);
+            nothing_more_arrives(&mut client);
+            assert_eq!(rt.serve_queued(), 1, "channel {chan}: one work item for the run");
+            let replies = read_replies(&mut client, len);
+            assert!(replies.iter().map(|(id, _)| *id).eq(first..first + len as u64));
+            assert!(replies.iter().all(|(_, r)| r.is_ok()), "{replies:?}");
+            first += 10;
+        }
+        assert_eq!(budget, SWEEP_RUN_BUDGET, "nothing ran on the reactor");
+        assert_eq!((rt.channel_count(), rt.metrics().mux_requests), (2, 11));
+        rt.shutdown();
+    }
+
+    #[test]
+    fn a_run_the_reactor_serves_leaves_in_the_sweeps_one_write() {
+        let (rt, reactor) = start_node(1);
+        let mut client = std::net::TcpStream::connect(reactor.addr()).unwrap();
+        let mut burst = Vec::new();
+        for id in 0..SWEEP_RUN_BUDGET as u64 {
+            let request = MuxFrame::Request { chan: 1, id, call: CudaCall::GetDeviceCount };
+            mtgpu_api::transport::encode_frame(&request, &mut burst).unwrap();
+        }
+        std::io::Write::write_all(&mut client, &burst).unwrap();
+        // The first read takes every reply: they left in one write.
+        client.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let mut framebuf = FrameBuf::new();
+        assert_ne!(framebuf.read_from(&mut client).unwrap(), 0);
+        let mut ids = Vec::new();
+        while let Some(MuxFrame::Response { id, reply }) = framebuf.next_frame().unwrap() {
+            assert!(matches!(reply, Ok(ReplyValue::DeviceCount(_))), "{reply:?}");
+            ids.push(id);
+        }
+        assert!(ids.iter().copied().eq(0..SWEEP_RUN_BUDGET as u64), "{ids:?}");
+        let stats = reactor.stats();
+        let on_reactor = stats.ran_inline.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(on_reactor, SWEEP_RUN_BUDGET as u64);
+        reactor.shutdown();
         rt.shutdown();
     }
 
@@ -1171,14 +1264,14 @@ mod tests {
         // share and stays bound, all of it run here.
         let mut held = Vec::new();
         for chan in [1, 2] {
-            sweep(&rt, chan, 10 * chan, register_noop(), &mut SWEEP_RUN_BUDGET.clone());
-            sweep(&rt, chan, 10 * chan + 1, big_malloc.clone(), &mut SWEEP_RUN_BUDGET.clone());
+            let setup = [register_noop(), big_malloc.clone()];
+            sweep(&rt, chan, 10 * chan, setup, &mut SWEEP_RUN_BUDGET.clone());
             match read_replies(&mut client, 2)[1] {
                 (_, Ok(ReplyValue::Ptr(ptr))) => held.push(ptr),
                 ref other => panic!("not a pointer: {other:?}"),
             }
         }
-        sweep(&rt, 1, 12, launch_on(held[0]), &mut SWEEP_RUN_BUDGET.clone());
+        sweep(&rt, 1, 12, [launch_on(held[0])], &mut SWEEP_RUN_BUDGET.clone());
         assert!(read_replies(&mut client, 1)[0].1.is_ok());
         // Channel 2's launch, run here, gives its vGPU up for want of
         // memory: the call ahead of it is answered, the launch is back at
@@ -1186,9 +1279,7 @@ mod tests {
         // the dispatcher for channel 1 to make room.
         let before = clock.now();
         let mut budget = SWEEP_RUN_BUDGET;
-        for (id, call) in [malloc(), launch_on(held[1]), malloc()].into_iter().enumerate() {
-            sweep(&rt, 2, 22 + id as u64, call, &mut budget);
-        }
+        sweep(&rt, 2, 22, [malloc(), launch_on(held[1]), malloc()], &mut budget);
         assert!(matches!(read_replies(&mut client, 1)[0], (22, Ok(ReplyValue::Ptr(_)))));
         nothing_more_arrives(&mut client);
         assert_eq!((rt.metrics().launch_retries, budget), (1, SWEEP_RUN_BUDGET - 2));
@@ -1197,7 +1288,7 @@ mod tests {
         // Channel 1 frees its memory, on the reactor too: its room event
         // hands channel 2 to the pool, whose one try goes through, and the
         // call behind the launch follows it.
-        sweep(&rt, 1, 13, CudaCall::Free { ptr: held[0] }, &mut SWEEP_RUN_BUDGET.clone());
+        sweep(&rt, 1, 13, [CudaCall::Free { ptr: held[0] }], &mut SWEEP_RUN_BUDGET.clone());
         assert_eq!(rt.serve_queued(), 1);
         assert_eq!(rt.metrics().launch_retries, 1);
         let mut rest = read_replies(&mut client, 3);
@@ -1221,10 +1312,10 @@ mod tests {
             RelayedChannel { rt: rt.me(), key, calls, sink, awaiting: None, left: false }
         };
         let mut conn = open_relay();
-        for (id, call) in [malloc(), CudaCall::Exit, malloc()].into_iter().enumerate() {
-            rt.on_request(1, 2, id as u64, call);
-        }
+        let mut budget = SWEEP_RUN_BUDGET;
+        sweep(&rt, 2, 0, [malloc(), CudaCall::Exit, malloc()], &mut budget);
         assert_eq!(queued(&rt), 0, "a relayed channel's calls never reach the pool");
+        assert_eq!(budget, SWEEP_RUN_BUDGET, "nor run on the reactor");
         assert!(matches!(conn.recv(), Some(CudaCall::Malloc { .. })));
         assert!(conn.send(Ok(ReplyValue::Unit)));
         assert!(!conn.send(Ok(ReplyValue::Unit)), "one reply per call");
@@ -1306,6 +1397,32 @@ mod tests {
         assert_eq!((rt.channel_count(), rt.context_count()), (0, 0));
         assert_eq!(queued(&rt), 0);
         assert!(slots_back_at_zero());
+        rt.shutdown();
+    }
+
+    #[test]
+    fn a_channel_relayed_at_its_first_run_gets_the_whole_run_in_order() {
+        // Offloading configured, no slot to keep anything here, and the one
+        // peer refuses every connect: the relay thread serves the stream.
+        let unreachable = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let cfg = RuntimeConfig {
+            offload_threshold: Some(0),
+            offload_peers: vec![unreachable.to_string()],
+            ..RuntimeConfig::default()
+        };
+        let (rt, mut client) = poolless_runtime(cfg);
+        let run = [malloc(), CudaCall::GetDeviceCount, malloc(), CudaCall::Exit, malloc()];
+        sweep(&rt, 1, 0, run, &mut SWEEP_RUN_BUDGET.clone());
+        let replies = read_replies(&mut client, 5);
+        assert!(replies.iter().map(|(id, _)| *id).eq(0..5), "{replies:?}");
+        assert!(matches!(replies[1].1, Ok(ReplyValue::DeviceCount(_))), "{replies:?}");
+        assert!(matches!(replies[2].1, Ok(ReplyValue::Ptr(_))), "{replies:?}");
+        assert_eq!(replies[3].1, Ok(ReplyValue::Unit));
+        assert_eq!(replies[4].1, Err(CudaError::Disconnected));
+        assert!(rt.wait_idle(Duration::from_secs(30)), "the relayed context must go");
+        assert_eq!(queued(&rt), 0);
+        let m = rt.metrics();
+        assert_eq!((m.mux_channels, m.mux_requests), (1, 5));
         rt.shutdown();
     }
 

@@ -35,7 +35,15 @@
 #                                copies bounded by 1 MiB declared, a
 #                                failed flush freeing the pointer it
 #                                allocated, which calls wait and which
-#                                ship at once)
+#                                ship at once); in debug, the reactor's
+#                                runs (one per stretch of a channel's
+#                                frames in a read, a duplicate ID shedding
+#                                after the calls before it) and the
+#                                gateway's run rule (a run of at most K
+#                                fitting calls on the reactor in the
+#                                sweep's one write, any other run one work
+#                                item, a relayed channel forwarded its
+#                                first run in order)
 #   tier 3  determinism smoke    fig7 --quick --virtual-clock --seed 42 runs
 #                                clean, then the sequential det-harness replay
 #                                of the fig7 shape must be bit-identical, the
@@ -126,20 +134,23 @@
 #                                migrating shape is tier 3's)
 #   tier 8  race detection       mtcheck (debug build, instrumentation
 #                                armed): the DPOR-lite explorer over the
-#                                eleven workspace scenarios (inline-vs-visit,
+#                                twelve workspace scenarios (inline-vs-visit,
 #                                the reactor running a channel's calls
 #                                against a worker's visit and a dispatcher
-#                                wake, and retry-vs-free, a launch waiting
+#                                wake, retry-vs-free, a launch waiting
 #                                for room against its co-tenant's Free and
-#                                teardown, among them) must pass clean with
+#                                teardown, and run-vs-letgo, a channel's
+#                                runs landing on a visit that lets go,
+#                                among them) must pass clean with
 #                                >=50 distinct schedules per scenario
 #                                (retry-vs-free, named on its own: >=200)
 #                                under a watchdog timeout, the seeded race
 #                                fixture must be *detected* (nonzero exit
 #                                under --deny), and the engine's fixture
 #                                corpus + pinned-schedule regressions (and
-#                                the grant-vs-park, inline-vs-visit and
-#                                retry-vs-free sweeps) + replay property
+#                                the grant-vs-park, inline-vs-visit,
+#                                retry-vs-free and run-vs-letgo sweeps) +
+#                                replay property
 #                                must pass
 #
 # Usage: scripts/ci.sh [tier]   (default: all tiers)
@@ -205,6 +216,21 @@ if [[ "$tier" == "all" || "$tier" == "2" ]]; then
         transport::tests::queued_copies_ship_with_the_copy_that_crosses_keep_bytes \
         transport::tests::failed_flush_frees_the_pointer_it_allocated \
         transport::tests::every_call_with_a_known_reply_but_a_sync_or_admission_point_waits \
+        > /dev/null
+    # The reactor hands a channel's frames over as runs; the gateway serves
+    # a run on the reactor only whole, or hands it to the pool as one item.
+    cargo test -q -p mtgpu-api --lib -- --exact \
+        transport::reactor::tests::one_read_reaches_the_service_as_one_run_per_stretch_of_a_channel \
+        transport::reactor::tests::a_duplicate_id_inside_a_run_sheds_the_connection_after_the_calls_before_it \
+        > /dev/null
+    cargo test -q -p mtgpu-core --lib -- --exact \
+        mux::tests::a_run_of_at_most_k_fitting_calls_on_an_idle_channel_runs_on_the_reactor \
+        mux::tests::a_run_with_an_exit_an_unfit_copy_or_more_than_k_calls_goes_to_the_pool_whole \
+        mux::tests::a_run_the_reactor_serves_leaves_in_the_sweeps_one_write \
+        mux::tests::a_long_flush_read_as_two_runs_is_the_pools_whole_and_keeps_order \
+        mux::tests::pipelined_flush_costs_one_hand_off_per_visit_budget_and_keeps_order \
+        mux::tests::a_channel_relayed_at_its_first_run_gets_the_whole_run_in_order \
+        mux::tests::relayed_channel_is_forwarded_in_order_and_leaves_the_map_when_its_relay_ends \
         > /dev/null
 fi
 
@@ -383,10 +409,12 @@ if [[ "$tier" == "all" || "$tier" == "8" ]]; then
     # per scenario, no races/deadlocks/stalls — inside the watchdog. The
     # run-to-completion race and the unbind-and-retry wait are named on
     # their own as well, so dropping either from the matrix cannot pass
-    # unnoticed.
+    # unnoticed; so is the run rule against a visit that lets go.
     timeout 300 ./target/debug/mtcheck explore --deny
     timeout 120 ./target/debug/mtcheck explore --deny --scenario inline-vs-visit \
         --out target/ci-mtcheck-inline > /dev/null
+    timeout 120 ./target/debug/mtcheck explore --deny --scenario run-vs-letgo \
+        --out target/ci-mtcheck-runs > /dev/null
     timeout 120 ./target/debug/mtcheck explore --deny --scenario retry-vs-free \
         --budget 400 --min-distinct 200 --out target/ci-mtcheck-retry > /dev/null
     # The seeded fixture is the detector's self-test: its race must be
@@ -399,8 +427,8 @@ if [[ "$tier" == "all" || "$tier" == "8" ]]; then
     fi
     # Engine fixture corpus (true race / lock-ordered / condvar handoff /
     # lost wakeup / bit-for-bit replay), then the explorer's pinned
-    # schedules (and the grant-vs-park, inline-vs-visit and retry-vs-free
-    # sweeps) and the generative replay-determinism property.
+    # schedules (and the grant-vs-park, inline-vs-visit, retry-vs-free and
+    # run-vs-letgo sweeps) and the generative replay-determinism property.
     cargo test -q -p mtgpu-simtime --test mtcheck > /dev/null
     cargo test -q -p mtgpu-analysis --test check > /dev/null
     cargo test -q -p mtgpu-analysis --test replay_prop > /dev/null
