@@ -79,6 +79,8 @@ pub struct FrontendClient<T: Transport> {
     pipeline: bool,
     /// Queued calls, each with the reply the mirror predicts for it.
     pending: Vec<(CudaCall, Option<ReplyValue>)>,
+    /// [`copy_bytes`] summed over `pending`.
+    pending_bytes: u64,
     mirror: Mirror,
 }
 
@@ -180,6 +182,7 @@ impl<T: Transport> FrontendClient<T> {
             hung_up: false,
             pipeline: false,
             pending: Vec::new(),
+            pending_bytes: 0,
             mirror: Mirror::default(),
         }
     }
@@ -196,30 +199,45 @@ impl<T: Transport> FrontendClient<T> {
     /// [`KEEP_BYTES`] moved) holding with them in. If not, they ship now,
     /// with the queue ahead of them.
     fn admit(&self, calls: &[CudaCall]) -> bool {
-        let queued = self.pending.iter().map(|(call, _)| call);
         self.pipeline
             && self.pending.len() + calls.len() <= MAX_PIPELINE
-            && queued.chain(calls).map(copy_bytes).sum::<u64>() <= KEEP_BYTES as u64
+            && self.pending_bytes + calls.iter().map(copy_bytes).sum::<u64>() <= KEEP_BYTES as u64
+    }
+
+    /// Queues `calls` (each with its minted reply), which [`Self::admit`]
+    /// let in.
+    fn queue(&mut self, calls: impl IntoIterator<Item = (CudaCall, Option<ReplyValue>)>) {
+        for (call, minted) in calls {
+            self.pending_bytes += copy_bytes(&call);
+            self.pending.push((call, minted));
+        }
     }
 
     /// Ships the pipelined prefix plus `calls` (each with the reply the
-    /// mirror minted for it), returning the replies for `calls`, checked —
-    /// unless a queued call failed, in which case its error is reported for
-    /// every call in the flush. The flush's own calls did run, so a pointer
-    /// one of them allocated is freed again rather than lost with its reply.
-    fn flush_with(&mut self, calls: Vec<(CudaCall, Option<ReplyValue>)>) -> Vec<CudaReply> {
-        let n = calls.len();
-        let mut all = std::mem::take(&mut self.pending);
-        let skip = all.len();
-        all.extend(calls);
-        let (all, minted): (Vec<_>, Vec<_>) = all.into_iter().unzip();
-        let replies = self.transport.roundtrip_batch(all);
-        let mut replies: Vec<_> =
-            replies.into_iter().zip(&minted).map(|(r, m)| checked(r, m)).collect();
-        let rest = replies.split_off(skip.min(replies.len()));
-        let Some(err) = replies.into_iter().find_map(|r| r.err()) else {
-            return rest;
+    /// mirror minted for it, in `minted`), returning the replies for
+    /// `calls`, checked — unless a queued call failed, in which case its
+    /// error is reported for every call in the flush. The flush's own calls
+    /// did run, so a pointer one of them allocated is freed again rather
+    /// than lost with its reply.
+    fn flush_with(
+        &mut self,
+        calls: Vec<CudaCall>,
+        minted: Vec<Option<ReplyValue>>,
+    ) -> Vec<CudaReply> {
+        let (n, skip) = (calls.len(), self.pending.len());
+        let (all, minted): (Vec<_>, Vec<_>) = if skip == 0 {
+            (calls, minted)
+        } else {
+            let mut all = std::mem::take(&mut self.pending);
+            self.pending_bytes = 0;
+            all.extend(calls.into_iter().zip(minted));
+            all.into_iter().unzip()
         };
+        let replies = self.transport.roundtrip_batch(all);
+        let mut rest: Vec<_> =
+            replies.into_iter().zip(&minted).map(|(r, m)| checked(r, m)).collect();
+        let failed = rest.drain(..skip.min(rest.len())).find_map(|r| r.err());
+        let Some(err) = failed else { return rest };
         for reply in rest {
             if let Ok(ReplyValue::Ptr(ptr)) = reply {
                 let _ = self.transport.roundtrip(CudaCall::Free { ptr });
@@ -240,13 +258,13 @@ impl<T: Transport> CudaClient for FrontendClient<T> {
         let minted = self.mirror.mint(&call);
         if deferrable(&call) && self.admit(std::slice::from_ref(&call)) {
             let reply = minted.clone().unwrap_or(ReplyValue::Unit);
-            self.pending.push((call, minted));
+            self.queue([(call, minted)]);
             return Ok(reply);
         }
         if self.pending.is_empty() {
             return checked(self.transport.roundtrip(call), &minted);
         }
-        self.flush_with(vec![(call, minted)]).pop().unwrap_or(Err(CudaError::Disconnected))
+        self.flush_with(vec![call], vec![minted]).pop().unwrap_or(Err(CudaError::Disconnected))
     }
 
     fn call_batch(&mut self, calls: Vec<CudaCall>) -> Vec<CudaReply> {
@@ -257,13 +275,13 @@ impl<T: Transport> CudaClient for FrontendClient<T> {
         if calls.iter().all(batch_deferrable) && self.admit(&calls) {
             let replies =
                 minted.iter().map(|m| Ok(m.clone().unwrap_or(ReplyValue::Unit))).collect();
-            self.pending.extend(calls.into_iter().zip(minted));
+            self.queue(calls.into_iter().zip(minted));
             return replies;
         }
         if calls.iter().any(|c| matches!(c, CudaCall::Exit)) {
             self.hung_up = true;
         }
-        self.flush_with(calls.into_iter().zip(minted).collect())
+        self.flush_with(calls, minted)
     }
 }
 

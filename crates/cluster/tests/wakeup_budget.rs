@@ -25,14 +25,40 @@ use std::time::{Duration, Instant};
 /// One case at a time: the counters below are per process.
 static ONE_NODE: Mutex<()> = Mutex::new(());
 
-fn node() -> ClusterNode {
-    ClusterNode::start(
-        "wake".into(),
-        Clock::with_scale(1e-7),
-        vec![GpuSpec::test_small()],
-        RuntimeConfig::paper_default(),
-        true,
-    )
+/// A node that shuts down when dropped, by a case that panics too: its
+/// `mux-*` threads would otherwise outlive the case and be counted by the
+/// next one.
+struct Node(Option<ClusterNode>);
+
+impl Node {
+    fn start(name: &str, devices: usize, listen: bool) -> Node {
+        let (clock, config) = (Clock::with_scale(1e-7), RuntimeConfig::paper_default());
+        let specs = vec![GpuSpec::test_small(); devices];
+        Node(Some(ClusterNode::start(name.into(), clock, specs, config, listen)))
+    }
+
+    /// Shuts the node down now: dropping it does.
+    fn shutdown(self) {}
+}
+
+impl std::ops::Deref for Node {
+    type Target = ClusterNode;
+
+    fn deref(&self) -> &ClusterNode {
+        self.0.as_ref().expect("a running node")
+    }
+}
+
+impl Drop for Node {
+    fn drop(&mut self) {
+        if let Some(node) = self.0.take() {
+            node.shutdown();
+        }
+    }
+}
+
+fn node() -> Node {
+    Node::start("wake", 1, true)
 }
 
 /// `voluntary_ctxt_switches` of the task whose procfs directory is `task`,
@@ -294,13 +320,7 @@ fn an_eager_in_process_launch_puts_no_serving_thread_to_sleep() {
 #[test]
 fn worker_threads_start_with_the_listener() {
     let _alone = ONE_NODE.lock().unwrap_or_else(|e| e.into_inner());
-    let quiet = ClusterNode::start(
-        "quiet".into(),
-        Clock::with_scale(1e-7),
-        vec![GpuSpec::test_small(); 2],
-        RuntimeConfig::paper_default(),
-        false,
-    );
+    let quiet = Node::start("quiet", 2, false);
     let mut client = quiet.client();
     let module = client.register_fat_binary().unwrap();
     client.register_function(module, KernelDesc::plain("wake_noop")).unwrap();

@@ -35,7 +35,7 @@ use crate::trace::{TraceEvent, Tracer};
 use mtgpu_api::protocol::{vspan, AllocKind};
 use mtgpu_api::{CudaError, CudaResult, HostBuf};
 use mtgpu_gpusim::device::DEFAULT_MATERIALIZE_CAP;
-use mtgpu_gpusim::{DeviceAddr, DeviceId, KernelArg};
+use mtgpu_gpusim::{DeviceAddr, DeviceId};
 use mtgpu_simtime::{lock_rank, Clock, RankedMutex, Shadow};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -504,68 +504,6 @@ impl MemoryManager {
         Ok(())
     }
 
-    /// Resolves a launch's pointer arguments to PTE bases and extends the
-    /// set with registered nested members (transitively).
-    pub fn launch_closure<'a>(
-        &self,
-        ctx: CtxId,
-        args: impl IntoIterator<Item = &'a KernelArg>,
-    ) -> CudaResult<Vec<DeviceAddr>> {
-        let cm = self.ctx_mem(ctx)?;
-        let table = cm.table.lock();
-        let mut closure: Vec<DeviceAddr> = Vec::new();
-        let mut stack: Vec<DeviceAddr> = Vec::new();
-        for arg in args {
-            if let KernelArg::Ptr(p) = arg {
-                let base =
-                    table.resolve(*p).map(|(b, _)| b).ok_or(CudaError::InvalidDevicePointer)?;
-                stack.push(base);
-            }
-        }
-        while let Some(base) = stack.pop() {
-            if closure.contains(&base) {
-                continue;
-            }
-            closure.push(base);
-            let entry = table.get(base).ok_or(CudaError::InvalidDevicePointer)?;
-            stack.extend(entry.nested_members.iter().copied());
-        }
-        Ok(closure)
-    }
-
-    /// Rewrites a launch's virtual pointer arguments into device pointers.
-    /// All referenced entries must be resident (call [`Self::materialize`]
-    /// first).
-    pub fn translate_args(&self, ctx: CtxId, args: &[KernelArg]) -> CudaResult<Vec<KernelArg>> {
-        let cm = self.ctx_mem(ctx)?;
-        let table = cm.table.lock();
-        args.iter()
-            .map(|arg| match arg {
-                KernelArg::Ptr(p) => {
-                    let (entry, offset) =
-                        table.resolve_entry(*p).ok_or(CudaError::InvalidDevicePointer)?;
-                    let dptr = entry.device_ptr.ok_or(CudaError::InvalidDevicePointer)?;
-                    Ok(KernelArg::Ptr(DeviceAddr(dptr.0 + offset)))
-                }
-                other => Ok(*other),
-            })
-            .collect()
-    }
-
-    /// Applies the Figure 4 `launch` transition to the working set: data is
-    /// now resident and (conservatively) dirty on device.
-    pub fn mark_launched(&self, ctx: CtxId, bases: &[DeviceAddr]) {
-        let Ok(cm) = self.ctx_mem(ctx) else { return };
-        let mut table = cm.table.lock();
-        let touch = self.stamp();
-        for &base in bases {
-            if let Some(entry) = table.get_mut(base) {
-                entry.flags = entry.flags.on_launch();
-                entry.last_touch = touch;
-            }
-        }
-    }
-
     /// The context's total declared footprint (the paper's `MemUsage`).
     pub fn mem_usage(&self, ctx: CtxId) -> u64 {
         self.ctx_mem(ctx).map_or(0, |cm| cm.usage.load(Ordering::Relaxed))
@@ -605,7 +543,7 @@ mod tests {
     use super::*;
     use crate::ctx::VGpuId;
     use mtgpu_api::protocol::{ContextImage, VADDR_BASE};
-    use mtgpu_gpusim::{DeviceId, Gpu, GpuSpec};
+    use mtgpu_gpusim::{DeviceId, Gpu, GpuSpec, KernelArg};
     use mtgpu_simtime::Clock;
 
     fn mm() -> MemoryManager {

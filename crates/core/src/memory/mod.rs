@@ -4,15 +4,17 @@
 //! [`MemoryManager`] keeps the directory of them plus what is node-wide
 //! (swap accounting, the virtual-address cursor, per-device swap traffic)
 //! behind a leaf lock. Its methods are split along their seams:
-//! [`manager`] (tables, accounting, the Table 1 calls), [`residency`]
-//! (`materialize` and own-entry eviction), [`swapout`] (swap-out,
-//! checkpoint, device loss), [`migration`] and [`image`]. Every residency
+//! [`manager`] (tables, accounting, the Table 1 calls), [`launch`] (a
+//! launch's passes), [`residency`] (`materialize` and own-entry eviction),
+//! [`swapout`] (swap-out, checkpoint, device loss), [`migration`] and
+//! [`image`]. Every residency
 //! transition is one pass under the context's table lock, moving data
 //! through [`transfer::execute`] with payloads borrowed from the slabs;
 //! [`Flags`]' transitions are the only way a flag changes.
 
 pub mod eviction;
 mod image;
+mod launch;
 pub mod manager;
 mod migration;
 pub mod page_table;
@@ -22,6 +24,7 @@ mod swapout;
 pub mod transfer;
 
 pub use eviction::{EntryCandidate, TouchStamp};
+pub(crate) use launch::LaunchSet;
 pub use manager::{
     Materialize, MemoryConfig, MemoryManager, MigrationEntry, Recovery, SwapOutcome, SwapReason,
 };

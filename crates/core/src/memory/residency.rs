@@ -28,14 +28,27 @@ impl MemoryManager {
     ) -> CudaResult<Materialize> {
         let cm = self.ctx_mem(ctx)?;
         let mut table = cm.table.lock();
-        let table: &mut PageTable = &mut table;
+        self.materialize_locked(ctx, &cm, &mut table, bases, binding)
+    }
+
+    /// [`Self::materialize`] under the table lock the caller holds.
+    pub(super) fn materialize_locked(
+        &self,
+        ctx: CtxId,
+        cm: &CtxMemory,
+        table: &mut PageTable,
+        bases: &[DeviceAddr],
+        binding: &Binding,
+    ) -> CudaResult<Materialize> {
         // Allocate in working-set order (mallocs cost no simulated time);
         // an OOM evicts one own entry outside the working set and tries
         // again. The victim queue is built on the first OOM and serves the
         // whole pass: evictions only remove candidates.
         let mut victims: Option<VecDeque<DeviceAddr>> = None;
+        let mut uploads = false;
         for &base in bases {
             let entry = table.get(base).ok_or(CudaError::InvalidDevicePointer)?;
+            uploads |= entry.flags.to_dev();
             if entry.flags.allocated() {
                 continue;
             }
@@ -44,7 +57,7 @@ impl MemoryManager {
                 match binding.gpu.malloc(binding.gpu_ctx, size) {
                     Ok(dptr) => break dptr,
                     Err(GpuError::OutOfMemory) => {
-                        if !self.evict_next_own_entry(&cm, table, bases, binding, &mut victims)? {
+                        if !self.evict_next_own_entry(cm, table, bases, binding, &mut victims)? {
                             return Ok(Materialize::NeedBytes(size));
                         }
                     }
@@ -59,6 +72,9 @@ impl MemoryManager {
         let touch = self.stamp();
         for &base in bases {
             table.get_mut(base).expect("allocated above").last_touch = touch;
+        }
+        if !uploads {
+            return Ok(Materialize::Ready);
         }
         // One upload per entry awaiting its slab, in working-set order,
         // straight from the slab, across the copy engines.

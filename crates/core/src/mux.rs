@@ -1299,8 +1299,31 @@ mod tests {
         rt.shutdown();
     }
 
+    /// Runs `body`, which takes calls off a relayed channel and so blocks
+    /// for ever if one was never forwarded, on a thread of its own: past
+    /// 30 s the test fails instead of hanging the suite.
+    fn within_30_s(body: impl FnOnce() + Send + 'static) {
+        let (running, finished) = mpsc::channel::<()>();
+        let body = std::thread::spawn(move || {
+            let _running = running;
+            body();
+        });
+        // Nothing is sent: the sender drops when the body returns or unwinds.
+        let waited = finished.recv_timeout(Duration::from_secs(30));
+        if let Err(mpsc::RecvTimeoutError::Timeout) = waited {
+            panic!("still blocked after 30 s: a call was not forwarded");
+        }
+        if let Err(panic) = body.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+
     #[test]
     fn relayed_channel_is_forwarded_in_order_and_leaves_the_map_when_its_relay_ends() {
+        within_30_s(relayed_channel_forwarding);
+    }
+
+    fn relayed_channel_forwarding() {
         let (rt, mut client) = poolless_runtime(RuntimeConfig::default());
         let key = (1, 2);
         // What `submit` sets up for a channel it offloads, by hand: the
@@ -1342,6 +1365,10 @@ mod tests {
 
     #[test]
     fn relay_that_reaches_no_peer_serves_the_stream_itself_in_order() {
+        within_30_s(relay_serving_its_stream);
+    }
+
+    fn relay_serving_its_stream() {
         // Offloading configured, no slot to keep anything here, and the one
         // peer refuses every connect.
         let unreachable = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();

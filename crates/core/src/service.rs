@@ -19,8 +19,9 @@
 //!    *delayed binding* that makes informed scheduling possible.
 //!
 //! On launch-time memory pressure the escalation is: intra-application swap
-//! (inside [`crate::memory::MemoryManager::materialize`]) → inter-application swap of an
-//! idle victim on the same device → priority preemption → unbind-and-retry.
+//! (inside [`crate::memory::MemoryManager::prepare_launch`]) →
+//! inter-application swap of an idle victim on the same device → priority
+//! preemption → unbind-and-retry.
 //!
 //! Nothing in [`run_call`] waits for a vGPU: a launch that cannot bind at
 //! once comes back as [`Abort::WouldBlock`], and the only place it then
@@ -33,7 +34,7 @@
 //! puts it.
 
 use crate::ctx::{AppContext, Binding, CtxId};
-use crate::memory::{Materialize, Recovery, SwapReason};
+use crate::memory::{LaunchSet, Materialize, Recovery, SwapReason};
 use crate::metrics::RuntimeMetrics;
 use crate::monitor;
 use crate::mux::VISIT_REPLY_BYTES;
@@ -440,7 +441,7 @@ fn with_device_retry<T>(
 fn launch_loop(
     rt: &NodeRuntime,
     ctx: &Arc<AppContext>,
-    mut spec: LaunchSpec,
+    spec: LaunchSpec,
     engines: &mut Engines,
 ) -> Result<ReplyValue, Abort> {
     if let Some(err) = ctx.inner().failed.clone() {
@@ -455,29 +456,36 @@ fn launch_loop(
     }
     // An expired lease refuses new work even before the reaper visits.
     rt.policy().check_active(ctx.id)?;
-    let kernel = ctx.inner().kernels.get(&spec.kernel).cloned();
     // Table 1 "Launch": check valid PTEs (and extend to nested closures).
-    // A bad pointer is reported before an unregistered kernel.
-    let closure = rt.memory().launch_closure(ctx.id, &spec.args)?;
+    // A bad pointer is reported before an unregistered kernel, and before
+    // the launch is handed back to wait for a vGPU or a busy device.
+    let Some(kernel) = ctx.inner().kernels.get(&spec.kernel).cloned() else {
+        rt.memory().launch_closure(ctx.id, &spec.args)?;
+        return Err(CudaError::InvalidDeviceFunction(spec.kernel).into());
+    };
+    LaunchSet::with_spare(|set| launch_attempts(rt, ctx, spec, &kernel, engines, set))
+}
+
+/// A launch's attempts, one memory-manager pass into `set` each, until the
+/// kernel runs, fails or has to wait.
+fn launch_attempts(
+    rt: &NodeRuntime,
+    ctx: &Arc<AppContext>,
+    mut spec: LaunchSpec,
+    kernel: &RegisteredKernel,
+    engines: &mut Engines,
+    set: &mut LaunchSet,
+) -> Result<ReplyValue, Abort> {
     // §4.5 fine-grained handling: only entries reachable through read-write
     // arguments become dirty after the launch; with no annotations every
     // pointer argument is conservatively read-write (Figure 4's default).
-    let annotated = match kernel.as_ref().map(|k| &k.desc.read_only_args) {
-        Some(ro) if !ro.is_empty() => {
-            let args = spec.args.iter().enumerate();
-            let written_args = args.filter(|&(i, _)| !ro.contains(&(i as u32))).map(|(_, a)| a);
-            Some(rt.memory().launch_closure(ctx.id, written_args)?)
-        }
-        _ => None,
-    };
-    let written = annotated.as_deref().unwrap_or(&closure);
-    let kernel = kernel.ok_or_else(|| CudaError::InvalidDeviceFunction(spec.kernel.clone()))?;
-
+    let read_only = &kernel.desc.read_only_args;
     loop {
         // 1. Ensure a binding (delayed until this very first launch).
         let binding = match ctx.binding() {
             Some(b) => b,
             None => {
+                rt.memory().launch_closure(ctx.id, &spec.args)?;
                 let mem = rt.memory().mem_usage(ctx.id);
                 let Some(b) = rt.bindings().poll(ctx, mem) else {
                     return Err(Abort::WouldBlock { spec, room: None });
@@ -490,10 +498,12 @@ fn launch_loop(
         // Everything from here runs on the bound device, victims' swaps
         // included; the binding, if just made, stays for the next try.
         if !engines.enter(&binding.gpu) {
+            rt.memory().launch_closure(ctx.id, &spec.args)?;
             return Err(Abort::Busy(CudaCall::Launch { spec }));
         }
-        // 2. Make the working set resident (intra-app swap happens inside).
-        match rt.memory().materialize(ctx.id, &closure, &binding) {
+        // 2. One pass resolves the arguments and makes the working set
+        // resident (intra-app swap happens inside).
+        match rt.memory().prepare_launch(ctx.id, &spec.args, read_only, &binding, set) {
             Ok(Materialize::Ready) => {}
             Ok(Materialize::NeedBytes(need)) => {
                 // 3a. Inter-application swap: ask an idle co-tenant to give
@@ -519,7 +529,7 @@ fn launch_loop(
                 // once a co-tenant on the device makes room (§4.5). A
                 // working set no healthy device can hold, even alone, would
                 // wait for ever: it fails instead.
-                let needs = rt.memory().working_set_bytes(ctx.id, &closure);
+                let needs = rt.memory().working_set_bytes(ctx.id, set.closure());
                 if !rt.bindings().fits_alone(needs) {
                     return Err(CudaError::MemoryAllocation.into());
                 }
@@ -534,16 +544,14 @@ fn launch_loop(
             }
             Err(e) => return Err(e.into()),
         }
-        // 4. Translate virtual pointers and launch: the device sees its own
-        // addresses for the launch's duration, the spec gets the virtual
-        // ones back for a retry.
-        let args = rt.memory().translate_args(ctx.id, &spec.args)?;
-        let args = std::mem::replace(&mut spec.args, args);
-        let launched = binding.gpu.launch(binding.gpu_ctx, &kernel, &spec);
-        spec.args = args;
+        // 4. Launch: the device sees its own addresses for the launch's
+        // duration, the spec gets the virtual ones back for a retry.
+        spec.args.swap_with_slice(set.device_args());
+        let launched = binding.gpu.launch(binding.gpu_ctx, kernel, &spec);
+        spec.args.swap_with_slice(set.device_args());
         match launched {
             Ok(dur) => {
-                rt.memory().mark_launched(ctx.id, written);
+                rt.memory().launched(set);
                 RuntimeMetrics::bump(&rt.metrics_ref().launches);
                 // §4.6: automatic checkpoint after long-running kernels.
                 if let Some(threshold) = rt.config().auto_checkpoint_after {
@@ -845,6 +853,29 @@ mod tests {
         client.register_function(module, KernelDesc::plain("noop"))?;
         let (config, work) = (LaunchConfig::default(), Work::flops(1.0));
         client.launch(LaunchSpec { kernel: "noop".into(), config, args: Vec::new(), work })
+    }
+
+    #[test]
+    fn a_bad_pointer_fails_before_a_busy_device_hands_the_launch_back() {
+        let rt = node(1);
+        let mut client = rt.local_client();
+        bind(&mut client).unwrap();
+        let ptr = client.malloc(256).unwrap();
+        let ctx = rt.context(CtxId(1)).expect("the client's context");
+        let busy = rt.driver().device(DeviceId(0)).unwrap().try_hold().expect("an idle device");
+        let on_reactor = |ptr: DeviceAddr| {
+            let (config, work) = (LaunchConfig::default(), Work::flops(1.0));
+            let args = vec![KernelArg::Ptr(ptr)];
+            let spec = LaunchSpec { kernel: "noop".into(), config, args, work };
+            run_call(&rt, &ctx, CudaCall::Launch { spec }, true)
+        };
+        let dangling = on_reactor(DeviceAddr(ptr.0 + 4096));
+        assert!(matches!(dangling, Err(Abort::Fail(CudaError::InvalidDevicePointer))));
+        assert!(matches!(on_reactor(ptr), Err(Abort::Busy(CudaCall::Launch { .. }))));
+        drop(busy);
+        assert!(matches!(on_reactor(ptr), Ok(ReplyValue::LaunchDone { .. })));
+        client.exit().unwrap();
+        rt.shutdown();
     }
 
     #[test]

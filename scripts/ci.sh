@@ -35,7 +35,9 @@
 #                                copies bounded by 1 MiB declared, a
 #                                failed flush freeing the pointer it
 #                                allocated, which calls wait and which
-#                                ship at once); in debug, the reactor's
+#                                ship at once) and a resident in-process
+#                                launch allocating nothing in the runtime
+#                                (counting allocator); in debug, the reactor's
 #                                runs (one per stretch of a channel's
 #                                frames in a read, a duplicate ID shedding
 #                                after the calls before it) and the
@@ -217,6 +219,9 @@ if [[ "$tier" == "all" || "$tier" == "2" ]]; then
         transport::tests::failed_flush_frees_the_pointer_it_allocated \
         transport::tests::every_call_with_a_known_reply_but_a_sync_or_admission_point_waits \
         > /dev/null
+    # A launch whose working set is resident costs the runtime no heap
+    # allocation: pinned in release too.
+    cargo test -q --release -p mtgpu-core --test launch_allocations > /dev/null
     # The reactor hands a channel's frames over as runs; the gateway serves
     # a run on the reactor only whole, or hands it to the pool as one item.
     cargo test -q -p mtgpu-api --lib -- --exact \
