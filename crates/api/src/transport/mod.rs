@@ -5,9 +5,13 @@
 //! — multiplexed frames ([`MuxConnection`] on the client, [`spawn_reactor`]
 //! on the server) over two socket families: TCP to the node's one listener,
 //! which every remote frontend and the inter-node offload relay (§4.7)
-//! speak, and Unix-domain socketpairs ([`ReactorHandle::connect_local`])
-//! for clients in the daemon's own process, such as the load drivers and
-//! the benchmark: one codec, one framing, one set of hostile-peer checks.
+//! speak, and local connections ([`ReactorHandle::connect_local`]) for
+//! clients in the daemon's own process, such as the load drivers and the
+//! benchmark: one codec, one framing, one set of hostile-peer checks. A
+//! local connection ([`LocalStream`]) is two one-way Unix-domain
+//! socketpairs, requests on one and replies on the other, so a caller
+//! blocked on its reply is woken by the reply alone, not also when the
+//! reactor drains its request.
 //! Application threads that skip the wire (tests, figures, the in-process
 //! deterministic runs) never reach this module's server side: the runtime
 //! runs their calls on their own threads, behind a [`Transport`] of its own.
@@ -18,7 +22,7 @@ mod reactor;
 
 use frame::KEEP_BYTES;
 pub use frame::{encode_frame, read_frame, write_frame, FrameBuf, MAX_FRAME_BYTES};
-pub use mux::{ByteStream, MuxChannel, MuxConnection, MuxPool};
+pub use mux::{ByteStream, LocalStream, MuxChannel, MuxConnection, MuxPool};
 pub use reactor::{
     spawn_reactor, ConnId, MuxService, ReactorConfig, ReactorHandle, ReactorStats, ReplyQueue,
     ReplySink, SWEEP_RUN_BUDGET,

@@ -1,7 +1,7 @@
 //! Multiplexed client transport: many channels over one connection — the
 //! client side of the node's one wire, over TCP to its listener or, from the
-//! node's own process, over a Unix-domain socketpair
-//! ([`super::ReactorHandle::connect_local`]).
+//! node's own process, over a [`LocalStream`]: two one-way Unix-domain
+//! socketpairs from [`super::ReactorHandle::connect_local`].
 //!
 //! A strict request/response socket would cost every concurrent application
 //! thread a connection (and, server-side, a handler thread). The wire format
@@ -46,14 +46,14 @@ use crate::error::CudaError;
 use crate::protocol::{CudaCall, CudaReply, MuxFrame};
 use mtgpu_simtime::{lock_rank, RankedCondvar, RankedMutex, Shadow};
 use std::collections::BTreeMap;
-use std::io::{ErrorKind, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The byte stream under a connection: a [`TcpStream`] to a node's
-/// listener, a [`UnixStream`] from [`super::ReactorHandle::connect_local`],
+/// listener, a [`LocalStream`] from [`super::ReactorHandle::connect_local`],
 /// or a peer that mtcheck scripts over ranked locks, so that a read with
 /// nothing to return is a wait its explorer schedules around instead of a
 /// blocked thread.
@@ -78,15 +78,65 @@ impl ByteStream for TcpStream {
     }
 }
 
-impl ByteStream for UnixStream {
+/// One end of a local connection ([`super::ReactorHandle::connect_local`]):
+/// two one-way Unix-domain socketpairs, one per direction. This end reads
+/// `rx` and writes `tx`; the other end holds their peers, so a client's
+/// `tx` carries its requests and its `rx` the replies. AF_UNIX signals the
+/// send space a reader frees on the *sending* socket's wait queue, where
+/// with one bidirectional pair the caller sleeps in `read` for its reply:
+/// each request the reactor drained woke it once for nothing. With a pair
+/// per direction nobody sleeps where the request's space is freed, and the
+/// caller wakes for its reply alone (DESIGN.md §12).
+pub struct LocalStream {
+    /// The socket this end reads: a client's replies, a server's requests.
+    pub rx: UnixStream,
+    /// The socket this end writes.
+    pub tx: UnixStream,
+}
+
+impl LocalStream {
+    /// Both ends of a fresh local connection.
+    pub(crate) fn pair() -> std::io::Result<(LocalStream, LocalStream)> {
+        let (a_tx, b_rx) = UnixStream::pair()?;
+        let (b_tx, a_rx) = UnixStream::pair()?;
+        Ok((LocalStream { rx: a_rx, tx: a_tx }, LocalStream { rx: b_rx, tx: b_tx }))
+    }
+
+    /// Puts both sockets of this end in nonblocking mode.
+    pub(crate) fn set_nonblocking(&self) -> std::io::Result<()> {
+        self.rx.set_nonblocking(true)?;
+        self.tx.set_nonblocking(true)
+    }
+}
+
+impl Read for LocalStream {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        (&self.rx).read(buf)
+    }
+}
+
+impl Write for LocalStream {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        (&self.tx).write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl ByteStream for LocalStream {
     fn read_into(&self, framebuf: &mut FrameBuf) -> std::io::Result<usize> {
-        framebuf.read_from(&mut &*self)
+        framebuf.read_from(&mut &self.rx)
     }
     fn write_all(&self, buf: &[u8]) -> std::io::Result<()> {
-        Write::write_all(&mut &*self, buf)
+        Write::write_all(&mut &self.tx, buf)
     }
+    /// Shuts both sockets: a read blocked on either end returns, and a
+    /// write from either end fails.
     fn shutdown(&self) {
-        let _ = UnixStream::shutdown(self, Shutdown::Both);
+        let _ = self.rx.shutdown(Shutdown::Both);
+        let _ = self.tx.shutdown(Shutdown::Both);
     }
 }
 
@@ -219,7 +269,7 @@ impl MuxConnection {
         Ok(MuxConnection::over(stream))
     }
 
-    /// A connection over any byte stream: a local socketpair's client end,
+    /// A connection over any byte stream: a local connection's client end,
     /// or mtcheck's scripted peer.
     pub fn over(io: impl ByteStream) -> Self {
         let inner = MuxConnInner {
@@ -414,7 +464,7 @@ pub struct MuxPool {
 impl MuxPool {
     /// A pool of `conns` connections (at least one), each made by `connect`:
     /// [`MuxConnection::connect`] to a reactor's TCP endpoint, or a local
-    /// socketpair from [`super::ReactorHandle::connect_local`].
+    /// connection from [`super::ReactorHandle::connect_local`].
     pub fn open(
         conns: usize,
         connect: impl FnMut() -> std::io::Result<MuxConnection>,

@@ -2,12 +2,15 @@
 //!
 //! The server side of the node's one wire (DESIGN.md §12), over two socket
 //! families: TCP connections from the listener, and the server ends of
-//! Unix-domain socketpairs handed out by [`ReactorHandle::connect_local`] to
+//! local connections handed out by [`ReactorHandle::connect_local`] to
 //! clients in the node's own process, adopted at the top of the next round.
-//! Past that point nothing tells them apart. A single reactor thread owns
-//! every socket's *read* half: it accepts nonblockingly, waits for
-//! readiness, decodes [`MuxFrame::Request`]s and hands them to a
-//! [`MuxService`] (the runtime's gateway). The *write* half
+//! A local connection is two one-way Unix-domain socketpairs
+//! ([`LocalStream`]): the reactor reads requests from one and writes
+//! replies to the other, so draining a request wakes nobody. Past adoption
+//! nothing tells the families apart but the descriptor a reply is written
+//! to. A single reactor thread owns every socket's *read* half: it accepts
+//! nonblockingly, waits for readiness, decodes [`MuxFrame::Request`]s and
+//! hands them to a [`MuxService`] (the runtime's gateway). The *write* half
 //! of a connection — socket handle, unsent bytes, in-flight request IDs —
 //! sits behind one per-connection lock ([`Outbound`]), because replies are
 //! written by whoever completes them: a [`ReplySink`] encodes under that
@@ -26,10 +29,12 @@
 //! The loop blocks in `poll(2)` — called directly through the C runtime the
 //! process already links, no crate needed — so ten thousand idle
 //! connections cost zero CPU and a readable socket is served on the next
-//! scheduler slice. A sink that needs the reactor interrupts the poll
-//! through a socketpair: it writes one byte when (and only when) the
-//! reactor is committed to sleeping. `poll(2)` and the socketpair make the
-//! module Unix-only.
+//! scheduler slice. Each connection is one `POLLIN` entry; a local one
+//! whose sink left bytes over adds its reply descriptor for `POLLOUT`, and
+//! a round sweeps a connection once, whichever of its entries woke it. A
+//! sink that needs the reactor interrupts the poll through a socketpair: it
+//! writes one byte when (and only when) the reactor is committed to
+//! sleeping. `poll(2)` and the socketpairs make the module Unix-only.
 //!
 //! Hostile peers are shed per-connection, never per-server:
 //! - an oversized or undecodable frame closes that connection;
@@ -47,12 +52,13 @@
 //! than spin on it.
 
 use super::frame::{encode_frame, FrameBuf, KEEP_BYTES};
+use super::mux::LocalStream;
 use crate::error::CudaError;
 use crate::protocol::{CudaCall, CudaReply, MuxFrame};
 use mtgpu_simtime::{lock_rank, RankedMutex, Shadow};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -167,23 +173,27 @@ enum CloseReason {
 enum Sock {
     /// Accepted from the listener.
     Tcp(TcpStream),
-    /// The server end of a [`ReactorHandle::connect_local`] socketpair.
-    Unix(UnixStream),
+    /// The server end of a [`ReactorHandle::connect_local`] connection:
+    /// requests are read from `rx`, replies written to `tx`.
+    Unix(LocalStream),
 }
 
 impl Sock {
-    fn fd(&self) -> RawFd {
+    /// The descriptor requests are read from and the one replies are
+    /// written to: the same socket over TCP.
+    fn fds(&self) -> (RawFd, RawFd) {
         match self {
-            Sock::Tcp(s) => s.as_raw_fd(),
-            Sock::Unix(s) => s.as_raw_fd(),
+            Sock::Tcp(s) => (s.as_raw_fd(), s.as_raw_fd()),
+            Sock::Unix(s) => (s.rx.as_raw_fd(), s.tx.as_raw_fd()),
         }
     }
 
     fn shutdown(&self) {
-        let _ = match self {
-            Sock::Tcp(s) => s.shutdown(Shutdown::Both),
-            Sock::Unix(s) => s.shutdown(Shutdown::Both),
-        };
+        use super::ByteStream;
+        match self {
+            Sock::Tcp(s) => ByteStream::shutdown(s),
+            Sock::Unix(s) => ByteStream::shutdown(s),
+        }
     }
 }
 
@@ -191,7 +201,7 @@ impl Read for &Sock {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
             Sock::Tcp(s) => (&*s).read(buf),
-            Sock::Unix(s) => (&*s).read(buf),
+            Sock::Unix(s) => (&s.rx).read(buf),
         }
     }
 }
@@ -200,7 +210,7 @@ impl Write for &Sock {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self {
             Sock::Tcp(s) => (&*s).write(buf),
-            Sock::Unix(s) => (&*s).write(buf),
+            Sock::Unix(s) => (&s.tx).write(buf),
         }
     }
 
@@ -294,8 +304,8 @@ struct Table {
     /// Connections whose outbound half needs the reactor: `None` for bytes
     /// left over (watch for `POLLOUT`), a reason for one to retire.
     attention: Vec<(ConnId, Option<CloseReason>)>,
-    /// Server ends of local socketpairs the reactor has yet to adopt.
-    local: Vec<UnixStream>,
+    /// Server ends of local connections the reactor has yet to adopt.
+    local: Vec<LocalStream>,
 }
 
 struct Shared {
@@ -507,14 +517,15 @@ impl ReactorHandle {
     }
 
     /// A connection from the node's own process: the client end of a fresh
-    /// Unix-domain socketpair, for a [`super::MuxConnection`] to wrap. The
-    /// reactor adopts the other end at the top of its next round and serves
-    /// it as it serves an accepted one; until then requests wait in the
-    /// socket. A stream the reactor never adopts closes when its loop ends,
-    /// so a caller on it gets `Disconnected`, never a hang.
-    pub fn connect_local(&self) -> std::io::Result<UnixStream> {
-        let (client, server) = UnixStream::pair()?;
-        server.set_nonblocking(true)?;
+    /// pair of one-way Unix-domain socketpairs, for a
+    /// [`super::MuxConnection`] to wrap. The reactor adopts the other end at
+    /// the top of its next round and serves it as it serves an accepted
+    /// one; until then requests wait in the socket. A stream the reactor
+    /// never adopts closes when its loop ends, so a caller on it gets
+    /// `Disconnected`, never a hang.
+    pub fn connect_local(&self) -> std::io::Result<LocalStream> {
+        let (client, server) = LocalStream::pair()?;
+        server.set_nonblocking()?;
         self.shared.table.lock().local.push(server);
         self.shared.wake.notify();
         Ok(client)
@@ -728,7 +739,7 @@ fn poll_loop(
     let mut next_conn: ConnId = 1;
     let mut closed: Vec<(ConnId, CloseReason)> = Vec::new();
     let mut attention: Vec<(ConnId, Option<CloseReason>)> = Vec::new();
-    let mut local: Vec<UnixStream> = Vec::new();
+    let mut local: Vec<LocalStream> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
     let mut ids: Vec<ConnId> = Vec::new();
     let mut partials: usize = 0;
@@ -764,16 +775,23 @@ fn poll_loop(
         // --- build the poll set: listener, wake pipe, every connection ---
         // After a failed accept the listener sits this round out (poll
         // skips a negative descriptor), or its backlog would wake us at
-        // once, forever.
+        // once, forever. A connection owed bytes is watched for POLLOUT on
+        // its reply descriptor, a second entry for a local one.
         fds.clear();
         ids.clear();
         let listener_fd = if listening { listener.as_raw_fd() } else { -1 };
         fds.push(PollFd { fd: listener_fd, events: POLLIN, revents: 0 });
         fds.push(PollFd { fd: wake_rx.as_raw_fd(), events: POLLIN, revents: 0 });
         for (&id, conn) in conns.iter() {
-            let events = if conn.want_out { POLLIN | POLLOUT } else { POLLIN };
-            fds.push(PollFd { fd: conn.stream.fd(), events, revents: 0 });
+            let (rx, tx) = conn.stream.fds();
+            let shared_fd = conn.want_out && rx == tx;
+            let events = if shared_fd { POLLIN | POLLOUT } else { POLLIN };
+            fds.push(PollFd { fd: rx, events, revents: 0 });
             ids.push(id);
+            if conn.want_out && !shared_fd {
+                fds.push(PollFd { fd: tx, events: POLLOUT, revents: 0 });
+                ids.push(id);
+            }
         }
 
         // --- sleep until readiness, a wake byte, or the loris tick -------
@@ -799,12 +817,14 @@ fn poll_loop(
         listening = fds[0].revents == 0
             || accept_ready(&listener, &mut conns, &mut next_conn, service.as_ref(), shared);
 
-        // --- serve ready connections --------------------------------------
+        // --- serve ready connections, each once ----------------------------
+        // A connection's two entries sit side by side in `ids`.
+        let mut swept = None;
         for (i, &id) in ids.iter().enumerate() {
-            let re = fds[i + 2].revents;
-            if re == 0 {
+            if fds[i + 2].revents == 0 || swept == Some(id) {
                 continue;
             }
+            swept = Some(id);
             let Some(conn) = conns.get_mut(&id) else { continue };
             // Readable, writable or hung up: one sweep reads what is there
             // and writes what is owed.
@@ -888,6 +908,7 @@ mod tests {
     use crate::transport::{Transport, MAX_FRAME_BYTES};
     use crate::HostBuf;
     use mtgpu_gpusim::DeviceAddr;
+    use std::net::Shutdown;
 
     /// Replies `DeviceCount(chan)` to every request, immediately, from the
     /// reactor thread itself (exercises the sink → outbuf path).
@@ -1042,12 +1063,12 @@ mod tests {
         MuxFrame::Request { chan, id, call: CudaCall::Synchronize }
     }
 
-    /// Writes `frames` to a fresh socketpair in one write and sweeps the
-    /// server end once: the runs a [`Recording`] service saw, the sweep's
-    /// verdict and the requests it counted.
+    /// Writes `frames` to a fresh local connection in one write and sweeps
+    /// the server end once: the runs a [`Recording`] service saw, the
+    /// sweep's verdict and the requests it counted.
     fn sweep_frames(frames: &[MuxFrame], answer: bool) -> (Runs, Result<(), CloseReason>, u64) {
-        let (stream, mut peer) = UnixStream::pair().unwrap();
-        stream.set_nonblocking(true).unwrap();
+        let (stream, mut peer) = LocalStream::pair().unwrap();
+        stream.set_nonblocking().unwrap();
         let stream = Arc::new(Sock::Unix(stream));
         let (sink, queue) = ReplySink::channel();
         let out = queue.shared.attach(1, Arc::clone(&stream));
@@ -1098,8 +1119,8 @@ mod tests {
 
     #[test]
     fn a_drained_outbuf_keeps_a_bulk_reply_but_not_a_big_one() {
-        let (stream, mut peer) = UnixStream::pair().unwrap();
-        stream.set_nonblocking(true).unwrap();
+        let (stream, mut peer) = LocalStream::pair().unwrap();
+        stream.set_nonblocking().unwrap();
         let (_sink, queue) = ReplySink::channel();
         let out = queue.shared.attach(1, Arc::new(Sock::Unix(stream)));
         let reader = std::thread::spawn(move || std::io::copy(&mut peer, &mut std::io::sink()));

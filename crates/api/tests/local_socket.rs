@@ -1,23 +1,25 @@
 //! The reactor's local path (DESIGN.md §12): a client in the node's own
-//! process reaches the reactor over a Unix-domain socketpair
-//! (`ReactorHandle::connect_local`) and meets the same framing, the same
-//! shedding and the same `ReactorStats` as a peer on the TCP listener. Each
-//! hostile peer below is a local connection: it must be shed alone, counted
-//! once, while a sibling local connection keeps being served. A local
-//! connection made around the reactor's end never hangs its caller, and a
-//! listener out of descriptors does not spin the reactor.
+//! process reaches the reactor over a local connection
+//! (`ReactorHandle::connect_local`, a `LocalStream`: two one-way
+//! Unix-domain socketpairs, requests on one and replies on the other) and
+//! meets the same framing, the same shedding and the same `ReactorStats`
+//! as a peer on the TCP listener. Each hostile peer below is a local
+//! connection: it must be shed alone, counted once, while a sibling local
+//! connection keeps being served; so must one that closes its reply side
+//! and writes on. A local connection made around the reactor's end, or a
+//! caller blocked on its reply when the reactor goes, never hangs its
+//! caller, and a listener out of descriptors does not spin the reactor.
 #![cfg(target_os = "linux")]
 
 use mtgpu_api::protocol::{CudaCall, MuxFrame, ReplyValue};
 use mtgpu_api::transport::{
-    encode_frame, spawn_reactor, ConnId, FrontendClient, MuxConnection, MuxService, ReactorConfig,
-    ReactorHandle, ReactorStats, ReplySink,
+    encode_frame, spawn_reactor, ConnId, FrontendClient, LocalStream, MuxConnection, MuxService,
+    ReactorConfig, ReactorHandle, ReactorStats, ReplySink,
 };
 use mtgpu_api::{CudaClient, CudaError, HostBuf};
 use mtgpu_gpusim::DeviceAddr;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,13 +31,19 @@ const HELD: u64 = 0;
 
 /// Answers from the reactor thread at once — a download with as many bytes
 /// as it asks for, anything else with `DeviceCount(chan)` — except on
-/// channel [`HELD`], like a gateway whose workers have not got to it yet.
-struct Service(ReplySink);
+/// channel [`HELD`] and a `Synchronize` on any channel, like a gateway
+/// whose workers have not got to them yet. Counts the connections it was
+/// told are gone.
+struct Service {
+    sink: ReplySink,
+    disconnects: AtomicU64,
+}
 
 impl MuxService for Service {
     fn on_request(&self, conn: ConnId, chan: u64, id: u64, call: CudaCall) {
         let value = match call {
             _ if chan == HELD => return,
+            CudaCall::Synchronize => return,
             CudaCall::MemcpyD2H { len, .. } => ReplyValue::Bytes(HostBuf {
                 declared_len: len,
                 payload: vec![0; len as usize],
@@ -43,25 +51,27 @@ impl MuxService for Service {
             }),
             _ => ReplyValue::DeviceCount(chan as u32),
         };
-        self.0.reply(conn, id, Ok(value));
+        self.sink.reply(conn, id, Ok(value));
     }
-    fn on_disconnect(&self, _conn: ConnId) {}
+    fn on_disconnect(&self, _conn: ConnId) {
+        self.disconnects.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// A reactor with a short slow-loris deadline and a 1 MiB backlog bound, so
-/// the sheds below come quickly, and a clone of the sink it replies
-/// through, which outlives it as a runtime's does.
-fn spawn_with_sink() -> (ReactorHandle, ReplySink) {
+/// the sheds below come quickly, and the service it serves, whose sink
+/// outlives the reactor as a runtime's does.
+fn spawn_with_service() -> (ReactorHandle, Arc<Service>) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let (sink, queue) = ReplySink::channel();
     let cfg =
         ReactorConfig { frame_deadline: Duration::from_millis(200), max_outbuf_bytes: 1 << 20 };
-    let service = Arc::new(Service(sink.clone()));
-    (spawn_reactor(listener, cfg, service, queue).unwrap(), sink)
+    let service = Arc::new(Service { sink, disconnects: AtomicU64::new(0) });
+    (spawn_reactor(listener, cfg, Arc::clone(&service) as _, queue).unwrap(), service)
 }
 
 fn spawn() -> ReactorHandle {
-    spawn_with_sink().0
+    spawn_with_service().0
 }
 
 fn local_connection(reactor: &ReactorHandle) -> MuxConnection {
@@ -86,9 +96,10 @@ fn sheds(stats: &ReactorStats) -> [u64; 3] {
         .map(|counter| counter.load(Ordering::Relaxed))
 }
 
-/// Reads until the reactor closes `stream` (end of stream or a reset).
-fn expect_eof(stream: &mut UnixStream, what: &str) {
-    stream.set_read_timeout(Some(WATCHDOG)).unwrap();
+/// Reads until the reactor closes `stream`'s reply side (end of stream or
+/// a reset).
+fn expect_eof(stream: &mut LocalStream, what: &str) {
+    stream.rx.set_read_timeout(Some(WATCHDOG)).unwrap();
     let mut drain = [0u8; 64 << 10];
     loop {
         match stream.read(&mut drain) {
@@ -197,7 +208,7 @@ fn local_connections_made_around_the_reactors_end_fail_their_callers_instead_of_
         // that must close what it never adopted. Every other round the
         // loop is known to be running.
         for round in 0..64 {
-            let (reactor, _sink) = spawn_with_sink();
+            let (reactor, _service) = spawn_with_service();
             if round % 2 == 0 {
                 probe(&local_connection(&reactor));
             }
@@ -210,6 +221,58 @@ fn local_connections_made_around_the_reactors_end_fail_their_callers_instead_of_
             );
         }
     });
+}
+
+#[test]
+fn a_caller_blocked_on_its_reply_gets_disconnected_when_the_reactor_shuts_down() {
+    under_watchdog(|| {
+        let (reactor, _service) = spawn_with_service();
+        let conn = local_connection(&reactor);
+        probe(&conn);
+        // A synchronize is never answered: its caller blocks reading the
+        // reply side until the reactor's end shuts it.
+        let caller = {
+            let conn = conn.clone();
+            std::thread::spawn(move || FrontendClient::new(conn.channel()).synchronize())
+        };
+        let deadline = Instant::now() + WATCHDOG;
+        while reactor.stats().requests.load(Ordering::Relaxed) < 2 {
+            assert!(Instant::now() < deadline, "the synchronize never reached the reactor");
+            std::thread::yield_now();
+        }
+        drop(reactor);
+        assert_eq!(caller.join().unwrap(), Err(CudaError::Disconnected));
+        assert!(conn.is_dead());
+    });
+}
+
+#[test]
+fn a_local_peer_that_closes_its_reply_side_and_writes_on_is_retired_once() {
+    let (reactor, service) = spawn_with_service();
+    let sibling = local_connection(&reactor);
+    probe(&sibling);
+    let LocalStream { rx, mut tx } = reactor.connect_local().unwrap();
+    drop(rx);
+    // Every request is answered at once, into a reply side nobody holds:
+    // the reply's write fails and retires the connection, whose request
+    // side is then shut under the writer.
+    let deadline = Instant::now() + WATCHDOG;
+    for id in 1.. {
+        if tx.write_all(&request(1, id, CudaCall::GetDeviceCount)).is_err() {
+            break;
+        }
+        assert!(Instant::now() < deadline, "a peer with no reply side was never retired");
+        std::thread::yield_now();
+    }
+    // Writes past the retirement fail, and retire nothing more.
+    for id in 0..16 {
+        assert!(tx.write_all(&request(1, id, CudaCall::GetDeviceCount)).is_err());
+        probe(&sibling);
+    }
+    assert_eq!(service.disconnects.load(Ordering::Relaxed), 1, "on_disconnect once");
+    assert_eq!(reactor.open_connections(), 1, "only the sibling is left");
+    assert_eq!(sheds(reactor.stats()), [0; 3], "a hang-up, not a shed");
+    assert_eq!(reactor.stats().local.load(Ordering::Relaxed), 2);
 }
 
 // ---------------------------------------------------------------------
@@ -309,8 +372,9 @@ fn reactor_stat() -> std::fs::File {
     panic!("no mux-reactor thread")
 }
 
-/// The child's side: an open TCP connection and a local one, then a
-/// connection the listener cannot accept, for a second.
+/// The child's side: an open TCP connection (two descriptors, one each
+/// side) and a local one (four: a socket per direction on each side), then
+/// a connection the listener cannot accept, for a second.
 fn out_of_descriptors() {
     const WINDOW: Duration = Duration::from_secs(1);
     let reactor = spawn();
@@ -322,7 +386,8 @@ fn out_of_descriptors() {
     let stat = reactor_stat();
     // Take every descriptor but one, and spend that one on the client end
     // of a connection: the kernel completes it into the backlog, and the
-    // reactor's `accept` then has no descriptor to give it.
+    // reactor's `accept` then has no descriptor to give it. The open
+    // connections need none more to be served.
     limit_descriptors(256);
     let mut hoard: Vec<std::fs::File> =
         std::iter::from_fn(|| std::fs::File::open("/dev/null").ok()).collect();

@@ -21,10 +21,11 @@ pub(crate) fn reserve_listener() -> TcpListener {
 /// A listening node owns exactly one listener ([`ClusterNode::mux_addr`]):
 /// one nonblocking reactor multiplexing every connection into the runtime's
 /// gateway (DESIGN.md §12). The same reactor serves the node's own process
-/// over Unix-domain socketpairs ([`ClusterNode::mux_client`],
-/// [`ClusterNode::mux_pool`]). There is no second port, no acceptor thread
-/// and no second serving loop; an in-process client
-/// ([`ClusterNode::client`]) runs its calls on its own thread.
+/// over local connections, two one-way Unix-domain socketpairs each
+/// ([`ClusterNode::mux_client`], [`ClusterNode::mux_pool`]). There is no
+/// second port, no acceptor thread and no second serving loop; an
+/// in-process client ([`ClusterNode::client`]) runs its calls on its own
+/// thread.
 pub struct ClusterNode {
     name: String,
     runtime: Arc<NodeRuntime>,
@@ -106,8 +107,10 @@ impl ClusterNode {
         self.runtime.channel_count()
     }
 
-    /// A connection to the reactor from this process, over a Unix-domain
-    /// socketpair ([`ReactorHandle::connect_local`]); an error on a node
+    /// A connection to the reactor from this process, over two one-way
+    /// Unix-domain socketpairs ([`ReactorHandle::connect_local`]): requests
+    /// on one, replies on the other, so a caller waiting for its reply is
+    /// not also woken when the reactor reads its request. An error on a node
     /// that is not listening. Every client of the node's own process that
     /// goes over the wire connects here, a remote one dials
     /// [`Self::mux_addr`].
@@ -119,8 +122,8 @@ impl ClusterNode {
     }
 
     /// A client over a connection of its own (an application frontend on
-    /// this node, gVirtuS's AF_UNIX path): the one channel of a fresh
-    /// socketpair into the node's reactor, which closes when the client is
+    /// this node, gVirtuS's AF_UNIX path): the one channel of a fresh local
+    /// connection into the node's reactor, which closes when the client is
     /// dropped. The same wire, framing and shedding as over TCP, without
     /// the TCP stack; a remote frontend dials [`Self::mux_addr`] instead.
     pub fn mux_client(&self) -> std::io::Result<FrontendClient<MuxChannel>> {
@@ -128,8 +131,9 @@ impl ClusterNode {
     }
 
     /// A pool of `conns` multiplexed connections from this process, each a
-    /// socketpair into the node's reactor as for [`Self::mux_client`]; many
-    /// frontends share them round-robin via [`MuxPool::channel`].
+    /// local connection into the node's reactor as for
+    /// [`Self::mux_client`]; many frontends share them round-robin via
+    /// [`MuxPool::channel`].
     pub fn mux_pool(&self, conns: usize) -> std::io::Result<MuxPool> {
         MuxPool::open(conns, || self.local_connection())
     }

@@ -2,9 +2,10 @@
 //! often the calling thread, the gateway's workers and the reactor go to
 //! sleep per call, read from the kernel's own per-thread counters. The
 //! eager launch is read over both socket families, a TCP connection to the
-//! listener and the local socketpair `mux_client` opens, and on an
-//! in-process client, which no serving thread sees; the other cases run
-//! over `mux_pool`'s local socketpairs.
+//! listener and the local connection `mux_client` opens (two one-way
+//! Unix-domain socketpairs), under the same bounds, and on an in-process
+//! client, which no serving thread sees; the other cases run over
+//! `mux_pool`'s local connections.
 //! Independent of wall time, so it holds on a loaded machine; alone in its
 //! test binary and one case at a time, so every `mux-*` thread of the
 //! process belongs to the one node a case starts.
@@ -96,7 +97,7 @@ fn assert_no_reader_thread() {
     assert_eq!(readers, 0, "a client connection has a thread again");
 }
 
-/// The node's clients reached its reactor over `conns` local socketpairs
+/// The node's clients reached its reactor over `conns` local connections
 /// and dialed no TCP: what is measured here is the path `mux_client` and
 /// `mux_pool` take.
 fn assert_local(node: &ClusterNode, conns: u64) {
@@ -227,27 +228,23 @@ fn an_eager_launch_puts_caller_and_reactor_to_sleep_once_each_and_no_worker() {
     node.shutdown();
 }
 
-/// An application on the node, over the local socketpair `mux_client`
-/// opens. The caller sleeps once for the replies and, on many launches,
-/// once more for nothing: a Unix-domain reader blocked in `read` is woken
-/// when the reactor drains the request off the socketpair (the kernel
-/// signals the request's freed buffer space on the reader's own wait
-/// queue), finds no reply yet and sleeps again. That reads 1.2–2.0 per
-/// launch, pinned to one CPU or not, where the TCP case above reads 1.0;
-/// waiting in `poll(2)` would filter the wake but costs a syscall per call,
-/// and measured slower pinned and unpinned (DESIGN.md §12). A reply handed
-/// over by another thread would add a whole sleep per launch, so the bound
-/// sits half a sleep above the highest reading; the TCP case is the sharp
-/// check on hand-offs.
+/// An application on the node, over the local connection `mux_client`
+/// opens: the caller sleeps once per launch, for its replies, as over TCP.
+/// A local connection is two one-way socketpairs, so the reactor draining
+/// the request frees send space on a socket nobody sleeps on. Over one
+/// bidirectional socketpair the caller, blocked in `read` on the socket
+/// whose space was freed, was woken for nothing on many launches, found no
+/// reply and slept again: 1.2–2.0 sleeps per launch (DESIGN.md §12).
 #[test]
-fn an_eager_launch_over_a_local_socketpair_adds_only_the_drain_wake_up_to_the_caller() {
+fn an_eager_launch_over_a_local_connection_puts_the_caller_to_sleep_once_as_over_tcp() {
     let _alone = ONE_NODE.lock().unwrap_or_else(|e| e.into_inner());
     let node = node();
     let sleeps = eager_launch_sleeps(&node, &mut node.mux_client().unwrap());
     assert_local(&node, 1);
     assert!(
-        sleeps.caller <= 2.5,
-        "{:.2} caller sleeps per launch — is its reply handed over by another thread again?",
+        sleeps.caller <= 1.2,
+        "{:.2} caller sleeps per launch — is the request's drain waking the caller again, \
+         or its reply handed over by another thread?",
         sleeps.caller
     );
     node.shutdown();

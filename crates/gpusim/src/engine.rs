@@ -386,12 +386,18 @@ mod tests {
         let clock = Clock::with_scale(1e-3);
         let engine = Arc::new(FifoEngine::new(clock));
         assert_eq!(engine.queue_depth(), 0);
+        // The test holds the engine until it has looked, so the waiter
+        // cannot be served (and the depth drop back) before it is seen.
+        assert!(engine.try_hold());
+        assert_eq!(engine.queue_depth(), 1);
         let e = Arc::clone(&engine);
         let h = std::thread::spawn(move || e.occupy(SimDuration::from_secs(1)));
-        while engine.queue_depth() == 0 {
-            std::hint::spin_loop();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while engine.queue_depth() < 2 {
+            assert!(std::time::Instant::now() < deadline, "the waiter never queued");
+            std::thread::yield_now();
         }
-        assert!(engine.queue_depth() >= 1);
+        engine.release();
         h.join().unwrap();
         assert_eq!(engine.queue_depth(), 0);
     }

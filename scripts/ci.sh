@@ -37,7 +37,10 @@
 #                                allocated, which calls wait and which
 #                                ship at once) and a resident in-process
 #                                launch allocating nothing in the runtime
-#                                (counting allocator); in debug, the reactor's
+#                                (counting allocator), an eager launch
+#                                putting its caller to sleep at most 1.2
+#                                times, over TCP and over a local
+#                                connection alike; in debug, the reactor's
 #                                runs (one per stretch of a channel's
 #                                frames in a read, a duplicate ID shedding
 #                                after the calls before it) and the
@@ -222,6 +225,13 @@ if [[ "$tier" == "all" || "$tier" == "2" ]]; then
     # A launch whose working set is resident costs the runtime no heap
     # allocation: pinned in release too.
     cargo test -q --release -p mtgpu-core --test launch_allocations > /dev/null
+    # A caller sleeps once per eager launch, for its replies, over both
+    # socket families: a local connection's request side is not the
+    # socket its caller reads, so draining a request wakes nobody.
+    cargo test -q --release -p mtgpu-cluster --test wakeup_budget -- --exact \
+        an_eager_launch_puts_caller_and_reactor_to_sleep_once_each_and_no_worker \
+        an_eager_launch_over_a_local_connection_puts_the_caller_to_sleep_once_as_over_tcp \
+        > /dev/null
     # The reactor hands a channel's frames over as runs; the gateway serves
     # a run on the reactor only whole, or hands it to the pool as one item.
     cargo test -q -p mtgpu-api --lib -- --exact \
