@@ -362,8 +362,14 @@ impl MemoryManager {
     }
 
     /// `cudaMemcpy` host→device (Table 1): check PTE, move data to swap.
-    /// No device action occurs, resident entry or not: the copy waits in the
-    /// slab for the next launch that needs the entry, which uploads it once.
+    /// The copy waits in the slab for the next launch that needs the entry,
+    /// which uploads it once, and supersedes any device copy without
+    /// reading it back. The one exception is a copy that leaves some of a
+    /// kernel-written entry's slab bytes unwritten (it starts past offset 0
+    /// or its payload is shorter than the slab): those bytes must be the
+    /// kernel's, so the whole entry comes down first (D2H, counted as the
+    /// device's swap traffic) and the copy merges into it. A refused copy
+    /// touches nothing on the device.
     pub fn copy_h2d(
         &self,
         ctx: CtxId,
@@ -377,18 +383,24 @@ impl MemoryManager {
         let cm = self.ctx_mem(ctx)?;
         let mut table = cm.table.lock();
         let (entry, offset) = table.resolve_mut(dst).ok_or(CudaError::InvalidDevicePointer)?;
-        // If the entry is dirty on device (a kernel wrote it and no
-        // checkpoint followed), synchronize the slab first — a *partial*
-        // host write must merge into the kernel's output, not clobber the
-        // untouched region with the stale pre-kernel slab at the next bulk
-        // upload. (Figure 4's flags are per-entry; this keeps the swap tier
-        // authoritative at byte granularity.)
-        Self::sync_entry(entry, binding)?;
-        let touch = self.stamp();
         if offset + buf.declared_len > entry.size {
+            // Refused or not, a copy draws one touch stamp: the sequence
+            // the pinned replays follow does not depend on refusals.
+            self.stamp();
             RuntimeMetrics::bump(&self.metrics.bad_ops_rejected);
             return Err(CudaError::SizeMismatch);
         }
+        // Figure 4's flags are per entry, so a partial write into an entry
+        // a kernel dirtied must merge into the kernel's output, not clobber
+        // the region it leaves with the stale pre-kernel slab at the next
+        // upload. A copy that covers every slab byte has nothing to merge.
+        let covers = offset == 0 && buf.payload.len() as u64 >= entry.slab.max_len;
+        if !covers {
+            if let Some(dev) = Self::sync_entry(entry, binding)? {
+                self.note_dev_swap(dev, 0, entry.size);
+            }
+        }
+        let touch = self.stamp();
         if entry.flags.to_dev() {
             // A previous copy into this entry has not been uploaded yet:
             // this one merges into the same future bulk transfer.
@@ -1100,6 +1112,38 @@ mod tests {
         let mut want = vec![1u8; 256];
         want[64..128].fill(2);
         assert_eq!(m.copy_d2h(CTX, v, 256, Some(&b)).unwrap().payload, want);
+    }
+
+    #[test]
+    fn a_refused_copy_into_a_kernel_written_entry_touches_nothing() {
+        // The bounds check comes before any device action: a copy running
+        // past the entry's end neither downloads the kernel's output nor
+        // clears the flag saying the device holds it.
+        let m = mm();
+        m.register_ctx(CTX);
+        let b = gpu_binding();
+        let v = m.malloc(CTX, 256, AllocKind::Linear).unwrap();
+        m.copy_h2d(CTX, v, &HostBuf::from_slice(&[1u8; 256]), None).unwrap();
+        let c = m.launch_closure(CTX, &[KernelArg::Ptr(v)]).unwrap();
+        m.materialize(CTX, &c, &b).unwrap();
+        let [KernelArg::Ptr(dptr)] = m.translate_args(CTX, &[KernelArg::Ptr(v)]).unwrap()[..]
+        else {
+            unreachable!()
+        };
+        b.gpu.memcpy_h2d(b.gpu_ctx, dptr, 256, &[9u8; 256]).unwrap();
+        m.mark_launched(CTX, &c);
+        let flags = m.flags_of(CTX, v).unwrap();
+        let d2h = b.gpu.stats().snapshot().d2h_bytes;
+        let past_end = HostBuf::from_slice(&[2u8; 64]);
+        assert_eq!(
+            m.copy_h2d(CTX, DeviceAddr(v.0 + 224), &past_end, Some(&b)),
+            Err(CudaError::SizeMismatch)
+        );
+        assert!(flags.to_swap());
+        assert_eq!(m.flags_of(CTX, v).unwrap(), flags, "still the kernel's on the device");
+        let slab = m.export_image(CTX, "", None).unwrap().entries.remove(0).data;
+        assert_eq!(slab, [1u8; 256], "the slab was not overwritten");
+        assert_eq!(b.gpu.stats().snapshot().d2h_bytes, d2h, "no download");
     }
 
     #[test]

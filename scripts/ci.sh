@@ -40,15 +40,21 @@
 #                                (counting allocator), an eager launch
 #                                putting its caller to sleep at most 1.2
 #                                times, over TCP and over a local
-#                                connection alike; in debug, the reactor's
-#                                runs (one per stretch of a channel's
-#                                frames in a read, a duplicate ID shedding
-#                                after the calls before it) and the
-#                                gateway's run rule (a run of at most K
-#                                fitting calls on the reactor in the
-#                                sweep's one write, any other run one work
-#                                item, a relayed channel forwarded its
-#                                first run in order)
+#                                connection alike, and Copy_HD against
+#                                "download, then write" (a covering copy
+#                                reading nothing back, a partial one
+#                                merging into the kernel's output, a
+#                                refused one touching nothing, and the
+#                                proptest over every entry state, offset,
+#                                length and shadow length); in debug,
+#                                the reactor's runs (one per stretch of a
+#                                channel's frames in a read, a duplicate
+#                                ID shedding after the calls before it)
+#                                and the gateway's run rule (a run of at
+#                                most K fitting calls on the reactor in
+#                                the sweep's one write, any other run one
+#                                work item, a relayed channel forwarded
+#                                its first run in order)
 #   tier 3  determinism smoke    fig7 --quick --virtual-clock --seed 42 runs
 #                                clean, then the sequential det-harness replay
 #                                of the fig7 shape must be bit-identical, the
@@ -225,6 +231,16 @@ if [[ "$tier" == "all" || "$tier" == "2" ]]; then
     # A launch whose working set is resident costs the runtime no heap
     # allocation: pinned in release too.
     cargo test -q --release -p mtgpu-core --test launch_allocations > /dev/null
+    # A Copy_HD reads back only what it leaves of a kernel's output: a
+    # covering copy moves no device bytes, a partial one merges, a
+    # refused one touches nothing, pinned in the build the benchmark runs.
+    cargo test -q --release --test table1_semantics -- --exact \
+        covering_copy_hd_supersedes_kernel_output_without_reading_it \
+        partial_copy_hd_merges_into_kernel_output > /dev/null
+    cargo test -q --release --test proptests -- --exact copy_hd_is_sync_then_write > /dev/null
+    cargo test -q --release -p mtgpu-core --lib -- --exact \
+        memory::manager::tests::a_refused_copy_into_a_kernel_written_entry_touches_nothing \
+        > /dev/null
     # A caller sleeps once per eager launch, for its replies, over both
     # socket families: a local connection's request side is not the
     # socket its caller reads, so draining a request wakes nobody.

@@ -88,10 +88,15 @@ def main():
         row(args.change_sha, "change", args.parent_sha, seed, seconds, values["change"]),
     ]
     lines = [json.dumps(r) for r in rows]
-    print("\n".join(lines))
+    # Append before printing: a reader that closes stdout early must not
+    # cost the rows.
     if args.append:
-        with open(args.append, "a") as out:
-            out.write("".join(line + "\n" for line in lines))
+        try:
+            with open(args.append, "a") as out:
+                out.write("".join(line + "\n" for line in lines))
+        except OSError as e:
+            sys.exit(f"cannot append to {args.append}: {e}")
+    print("\n".join(lines))
 
     failed = sum(r["failed"] for r in both)
     wrong = sum(not r["correct"] for r in both)

@@ -1133,3 +1133,135 @@ proptest! {
         prop_assert_eq!(one, two);
     }
 }
+
+// ---------------------------------------------------------------------
+// Copy_HD against "sync, then write"
+// ---------------------------------------------------------------------
+
+/// Everything one side of [`copy_hd_is_sync_then_write`] can observe.
+#[derive(Debug, PartialEq)]
+struct CopyHdOutcome {
+    result: Result<(), mtgpu::api::CudaError>,
+    flags: Flags,
+    slab: Vec<u8>,
+    /// What the device holds after the next launch's materialization.
+    device: Vec<u8>,
+    /// Bytes the device sent down during the copy.
+    d2h: u64,
+    /// Swap traffic out of the device recorded during the copy.
+    swap_out: u64,
+}
+
+/// Brings a `size`-byte entry into Figure 4 state `state` (0 fresh, 1 host
+/// copy pending, 2 resident and clean, 3 resident with a copy pending, 4
+/// written by a kernel, 5 written by a kernel and swapped out), then runs
+/// one Copy_HD of `copy` = (offset, declared, shadow bytes) into it. With
+/// `reference` the copy is Table 1's written out: one in bounds first
+/// brings a kernel-written entry down whole (`copy_d2h`), then writes.
+fn copy_hd_outcome(
+    state: u8,
+    size: u64,
+    initial: usize,
+    copy: (u64, u64, usize),
+    reference: bool,
+) -> CopyHdOutcome {
+    use mtgpu::api::protocol::AllocKind;
+    use mtgpu::api::HostBuf;
+    use mtgpu::gpusim::KernelArg;
+
+    let pattern = |n: usize, salt: u8| -> Vec<u8> {
+        (0..n).map(|i| (i as u8).wrapping_mul(7) ^ salt).collect()
+    };
+    let mm = MemoryManager::new(MemoryConfig::default(), Arc::new(RuntimeMetrics::default()));
+    let ctx = CtxId(1);
+    mm.register_ctx(ctx);
+    let gpu = Gpu::new(GpuSpec::test_small(), Clock::with_scale(1e-9), 0);
+    let gpu_ctx = gpu.create_context().unwrap();
+    let binding =
+        Binding { vgpu: VGpuId { device: DeviceId(0), index: 0 }, gpu: Arc::clone(&gpu), gpu_ctx };
+    let base = mm.malloc(ctx, size, AllocKind::Linear).unwrap();
+    let dptr = |mm: &MemoryManager| {
+        let args = mm.translate_args(ctx, &[KernelArg::Ptr(base)]).unwrap();
+        let [KernelArg::Ptr(d)] = args[..] else { unreachable!() };
+        d
+    };
+    if state >= 1 {
+        let host = HostBuf::with_shadow(size, pattern(initial, 0x11));
+        mm.copy_h2d(ctx, base, &host, None).unwrap();
+    }
+    if state >= 2 {
+        mm.materialize(ctx, &[base], &binding).unwrap();
+    }
+    if state == 3 {
+        let tail = DeviceAddr(base.0 + size / 2);
+        mm.copy_h2d(ctx, tail, &HostBuf::from_slice(&[0x22; 8]), Some(&binding)).unwrap();
+    }
+    if state >= 4 {
+        let kernel = pattern(size as usize, 0x5A);
+        gpu.memcpy_h2d(gpu_ctx, dptr(&mm), size, &kernel).unwrap();
+        mm.mark_launched(ctx, &[base]);
+    }
+    if state == 5 {
+        mm.swap_out_ctx(ctx, &binding, SwapReason::Unbind).unwrap();
+    }
+
+    let (offset, declared, shadow) = copy;
+    let buf = HostBuf::with_shadow(declared, pattern(shadow, 0x77));
+    let d2h_before = gpu.stats().snapshot().d2h_bytes;
+    let out_before = mm.device_swap_traffic(DeviceId(0)).1;
+    if reference && offset + declared <= size {
+        mm.copy_d2h(ctx, base, 1, Some(&binding)).unwrap();
+    }
+    let result = mm.copy_h2d(ctx, DeviceAddr(base.0 + offset), &buf, Some(&binding));
+    let d2h = gpu.stats().snapshot().d2h_bytes - d2h_before;
+    let swap_out = mm.device_swap_traffic(DeviceId(0)).1 - out_before;
+    let flags = mm.flags_of(ctx, base).unwrap();
+    let slab = mm.export_image(ctx, "", None).unwrap().entries.remove(0).data;
+    mm.materialize(ctx, &[base], &binding).unwrap();
+    let device = gpu.peek(dptr(&mm), size).unwrap();
+    CopyHdOutcome { result, flags, slab, device, d2h, swap_out }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Copy_HD ends where "bring a kernel-written entry down, then write"
+    /// ends, over every Figure 4 state, offset, length and shadow length:
+    /// the same result, flags, slab bytes and next upload, and the same
+    /// device-to-host bytes (each counted as swap traffic), except none at
+    /// all for a copy that overwrites every slab byte.
+    #[test]
+    fn copy_hd_is_sync_then_write(
+        state in 0u8..6,
+        units in 1u64..32,
+        initial in any::<u16>(),
+        at in (0u8..3, any::<u64>()),
+        len in (0u8..3, any::<u64>()),
+        short in (0u8..2, any::<u64>()),
+    ) {
+        let size = units * 64;
+        let initial = (initial as u64 % (size + 1)) as usize;
+        // A third of the copies start at the entry's base; apart from
+        // that, a third end at the entry's end and a third run past it;
+        // half carry a full payload.
+        let offset = if at.0 == 0 { 0 } else { at.1 % size };
+        let room = size - offset;
+        let declared = match len.0 {
+            0 => room,
+            1 => 1 + len.1 % room,
+            _ => room + 1 + len.1 % 64,
+        };
+        let shadow = if short.0 == 0 { declared } else { short.1 % (declared + 1) } as usize;
+        let copy = (offset, declared, shadow);
+        let got = copy_hd_outcome(state, size, initial, copy, false);
+        let want = copy_hd_outcome(state, size, initial, copy, true);
+        let covers = offset == 0 && shadow as u64 >= size;
+        prop_assert_eq!(&got.result, &want.result);
+        prop_assert_eq!(got.flags, want.flags);
+        prop_assert_eq!(&got.slab, &want.slab);
+        prop_assert_eq!(&got.device, &want.device);
+        prop_assert_eq!(got.d2h, if covers { 0 } else { want.d2h });
+        prop_assert_eq!(got.swap_out, got.d2h, "a merge's download is swap traffic");
+        prop_assert_eq!(want.swap_out, want.d2h);
+    }
+}

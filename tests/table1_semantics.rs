@@ -4,13 +4,24 @@
 
 use mtgpu::api::{CudaClient, CudaError, HostBuf, KernelArg, LaunchConfig, LaunchSpec, Work};
 use mtgpu::core::{NodeRuntime, RuntimeConfig};
-use mtgpu::gpusim::kernel::{library, RegisteredKernel};
-use mtgpu::gpusim::{DeviceAddr, DeviceId, Driver, GpuSpec, KernelDesc};
+use mtgpu::gpusim::kernel::{library, KernelExec, RegisteredKernel};
+use mtgpu::gpusim::{DeviceAddr, DeviceId, Driver, GpuError, GpuSpec, KernelDesc};
 use mtgpu::simtime::Clock;
 use std::sync::Arc;
 
 fn setup() -> (Arc<NodeRuntime>, Arc<mtgpu::gpusim::Gpu>) {
     library::register(RegisteredKernel { desc: KernelDesc::plain("noop"), payload: None });
+    // Writes 0xEE over the first `len` bytes of its buffer (`fill_ee`).
+    library::register(RegisteredKernel {
+        desc: KernelDesc::plain("fill_ee"),
+        payload: Some(Arc::new(|exec: &mut KernelExec<'_>| {
+            let (KernelArg::Ptr(p), KernelArg::Scalar(len)) = (exec.args()[0], exec.args()[1])
+            else {
+                return Err(GpuError::InvalidValue);
+            };
+            exec.with_bytes_mut(p, len, &mut |b| b.fill(0xEE))
+        })),
+    });
     let driver = Driver::with_devices(Clock::with_scale(1e-7), vec![GpuSpec::test_small()]);
     let gpu = driver.device(DeviceId(0)).unwrap();
     let rt = NodeRuntime::start(driver, RuntimeConfig::paper_default());
@@ -86,6 +97,64 @@ fn copy_dh_synchronizes_dirty_data_once() {
     let _ = c.memcpy_d2h(ptr, 16).unwrap();
     let after = gpu.stats().snapshot();
     assert_eq!(after.d2h_bytes, mid.d2h_bytes, "clean data served from swap");
+    c.exit().unwrap();
+    rt.shutdown();
+}
+
+/// A launch of the kernel that writes `0xEE` over `len` bytes at `ptr`.
+fn fill_ee(ptr: DeviceAddr, len: u64) -> LaunchSpec {
+    LaunchSpec {
+        kernel: "fill_ee".into(),
+        config: LaunchConfig::default(),
+        args: vec![KernelArg::Ptr(ptr), KernelArg::Scalar(len)],
+        work: Work::flops(1e5),
+    }
+}
+
+#[test]
+fn covering_copy_hd_supersedes_kernel_output_without_reading_it() {
+    let (rt, gpu) = setup();
+    let mut c = rt.local_client();
+    let m = c.register_fat_binary().unwrap();
+    c.register_function(m, KernelDesc::plain("noop")).unwrap();
+    c.register_function(m, KernelDesc::plain("fill_ee")).unwrap();
+    let ptr = c.malloc(4096).unwrap();
+    c.launch(fill_ee(ptr, 4096)).unwrap();
+    // Every byte the kernel wrote is overwritten: no cudaMemcpyDH.
+    let before = gpu.stats().snapshot();
+    c.memcpy_h2d(ptr, HostBuf::from_slice(&[2u8; 4096])).unwrap();
+    let mid = gpu.stats().snapshot();
+    assert_eq!((mid.d2h_bytes, mid.h2d_bytes), (before.d2h_bytes, before.h2d_bytes));
+    // The next launch uploads the host bytes, which read back as written.
+    c.launch(noop_launch(&[ptr])).unwrap();
+    let after = gpu.stats().snapshot();
+    assert_eq!(after.h2d_bytes - mid.h2d_bytes, 4096, "one bulk upload");
+    assert_eq!(c.memcpy_d2h(ptr, 4096).unwrap().payload, [2u8; 4096]);
+    c.exit().unwrap();
+    rt.shutdown();
+}
+
+#[test]
+fn partial_copy_hd_merges_into_kernel_output() {
+    let (rt, gpu) = setup();
+    let mut c = rt.local_client();
+    let m = c.register_fat_binary().unwrap();
+    c.register_function(m, KernelDesc::plain("fill_ee")).unwrap();
+    let ptr = c.malloc(4096).unwrap();
+    c.memcpy_h2d(ptr, HostBuf::from_slice(&[1u8; 4096])).unwrap();
+    c.launch(fill_ee(ptr, 4096)).unwrap();
+    // The bytes the copy leaves must be the kernel's: one whole-entry
+    // cudaMemcpyDH, counted as the device's swap traffic.
+    let before = gpu.stats().snapshot();
+    let (_, out_before) = rt.memory().device_swap_traffic(DeviceId(0));
+    c.memcpy_h2d(DeviceAddr(ptr.0 + 1024), HostBuf::from_slice(&[3u8; 512])).unwrap();
+    let mid = gpu.stats().snapshot();
+    assert_eq!(mid.d2h_bytes - before.d2h_bytes, 4096, "whole-entry synchronization");
+    assert_eq!(rt.memory().device_swap_traffic(DeviceId(0)).1 - out_before, 4096);
+    let mut want = vec![0xEEu8; 4096];
+    want[1024..1536].fill(3);
+    assert_eq!(c.memcpy_d2h(ptr, 4096).unwrap().payload, want);
+    assert_eq!(gpu.stats().snapshot().d2h_bytes, mid.d2h_bytes, "served from swap");
     c.exit().unwrap();
     rt.shutdown();
 }
