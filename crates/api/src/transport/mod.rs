@@ -39,10 +39,11 @@ pub trait Transport: Send {
     fn roundtrip(&mut self, call: CudaCall) -> CudaReply;
 
     /// Ships a batch of calls, returning one reply per call in order. The
-    /// default is sequential roundtrips; multiplexed transports pipeline
+    /// calls are drained, so their buffer stays the caller's to fill again.
+    /// The default is sequential roundtrips; multiplexed transports pipeline
     /// the batch over a single write.
-    fn roundtrip_batch(&mut self, calls: Vec<CudaCall>) -> Vec<CudaReply> {
-        calls.into_iter().map(|c| self.roundtrip(c)).collect()
+    fn roundtrip_batch(&mut self, calls: &mut Vec<CudaCall>) -> Vec<CudaReply> {
+        calls.drain(..).map(|c| self.roundtrip(c)).collect()
     }
 }
 
@@ -81,8 +82,10 @@ pub struct FrontendClient<T: Transport> {
     transport: T,
     hung_up: bool,
     pipeline: bool,
-    /// Queued calls, each with the reply the mirror predicts for it.
-    pending: Vec<(CudaCall, Option<ReplyValue>)>,
+    /// Queued calls. The buffer is kept from one flush to the next.
+    pending: Vec<CudaCall>,
+    /// The reply the mirror predicts for each queued call, likewise kept.
+    minted: Vec<Option<ReplyValue>>,
     /// [`copy_bytes`] summed over `pending`.
     pending_bytes: u64,
     mirror: Mirror,
@@ -186,6 +189,7 @@ impl<T: Transport> FrontendClient<T> {
             hung_up: false,
             pipeline: false,
             pending: Vec::new(),
+            minted: Vec::new(),
             pending_bytes: 0,
             mirror: Mirror::default(),
         }
@@ -208,38 +212,25 @@ impl<T: Transport> FrontendClient<T> {
             && self.pending_bytes + calls.iter().map(copy_bytes).sum::<u64>() <= KEEP_BYTES as u64
     }
 
-    /// Queues `calls` (each with its minted reply), which [`Self::admit`]
-    /// let in.
-    fn queue(&mut self, calls: impl IntoIterator<Item = (CudaCall, Option<ReplyValue>)>) {
-        for (call, minted) in calls {
-            self.pending_bytes += copy_bytes(&call);
-            self.pending.push((call, minted));
-        }
+    /// Queues `call` with its minted reply.
+    fn queue(&mut self, call: CudaCall, minted: Option<ReplyValue>) {
+        self.pending_bytes += copy_bytes(&call);
+        self.pending.push(call);
+        self.minted.push(minted);
     }
 
-    /// Ships the pipelined prefix plus `calls` (each with the reply the
-    /// mirror minted for it, in `minted`), returning the replies for
-    /// `calls`, checked — unless a queued call failed, in which case its
-    /// error is reported for every call in the flush. The flush's own calls
-    /// did run, so a pointer one of them allocated is freed again rather
-    /// than lost with its reply.
-    fn flush_with(
-        &mut self,
-        calls: Vec<CudaCall>,
-        minted: Vec<Option<ReplyValue>>,
-    ) -> Vec<CudaReply> {
-        let (n, skip) = (calls.len(), self.pending.len());
-        let (all, minted): (Vec<_>, Vec<_>) = if skip == 0 {
-            (calls, minted)
-        } else {
-            let mut all = std::mem::take(&mut self.pending);
-            self.pending_bytes = 0;
-            all.extend(calls.into_iter().zip(minted));
-            all.into_iter().unzip()
-        };
-        let replies = self.transport.roundtrip_batch(all);
+    /// Ships the whole queue, returning the replies of the calls queued
+    /// after the first `skip`, checked — unless one of those `skip` failed,
+    /// in which case its error is reported for every call after them. Those
+    /// calls did run, so a pointer one of them allocated is freed again
+    /// rather than lost with its reply.
+    fn flush(&mut self, skip: usize) -> Vec<CudaReply> {
+        let n = self.pending.len() - skip;
+        self.pending_bytes = 0;
+        let replies = self.transport.roundtrip_batch(&mut self.pending);
+        let minted = self.minted.drain(..);
         let mut rest: Vec<_> =
-            replies.into_iter().zip(&minted).map(|(r, m)| checked(r, m)).collect();
+            replies.into_iter().zip(minted).map(|(r, m)| checked(r, &m)).collect();
         let failed = rest.drain(..skip.min(rest.len())).find_map(|r| r.err());
         let Some(err) = failed else { return rest };
         for reply in rest {
@@ -262,30 +253,33 @@ impl<T: Transport> CudaClient for FrontendClient<T> {
         let minted = self.mirror.mint(&call);
         if deferrable(&call) && self.admit(std::slice::from_ref(&call)) {
             let reply = minted.clone().unwrap_or(ReplyValue::Unit);
-            self.queue([(call, minted)]);
+            self.queue(call, minted);
             return Ok(reply);
         }
         if self.pending.is_empty() {
             return checked(self.transport.roundtrip(call), &minted);
         }
-        self.flush_with(vec![call], vec![minted]).pop().unwrap_or(Err(CudaError::Disconnected))
+        let skip = self.pending.len();
+        self.queue(call, minted);
+        self.flush(skip).pop().unwrap_or(Err(CudaError::Disconnected))
     }
 
     fn call_batch(&mut self, calls: Vec<CudaCall>) -> Vec<CudaReply> {
         if self.hung_up {
             return calls.iter().map(|_| Err(CudaError::Disconnected)).collect();
         }
-        let minted: Vec<_> = calls.iter().map(|call| self.mirror.mint(call)).collect();
-        if calls.iter().all(batch_deferrable) && self.admit(&calls) {
-            let replies =
-                minted.iter().map(|m| Ok(m.clone().unwrap_or(ReplyValue::Unit))).collect();
-            self.queue(calls.into_iter().zip(minted));
-            return replies;
-        }
-        if calls.iter().any(|c| matches!(c, CudaCall::Exit)) {
+        let skip = self.pending.len();
+        self.minted.extend(calls.iter().map(|call| self.mirror.mint(call)));
+        let admitted = calls.iter().all(batch_deferrable) && self.admit(&calls);
+        if !admitted && calls.iter().any(|c| matches!(c, CudaCall::Exit)) {
             self.hung_up = true;
         }
-        self.flush_with(calls, minted)
+        self.pending_bytes += calls.iter().map(copy_bytes).sum::<u64>();
+        self.pending.extend(calls);
+        if !admitted {
+            return self.flush(skip);
+        }
+        self.minted[skip..].iter().map(|m| Ok(m.clone().unwrap_or(ReplyValue::Unit))).collect()
     }
 }
 
@@ -413,9 +407,9 @@ mod tests {
             self.serve(call)
         }
 
-        fn roundtrip_batch(&mut self, calls: Vec<CudaCall>) -> Vec<CudaReply> {
+        fn roundtrip_batch(&mut self, calls: &mut Vec<CudaCall>) -> Vec<CudaReply> {
             self.flushes.push(calls.len());
-            calls.into_iter().map(|c| self.serve(c)).collect()
+            calls.drain(..).map(|c| self.serve(c)).collect()
         }
     }
 
@@ -449,6 +443,23 @@ mod tests {
         }
         client.exit()?;
         Ok((ptrs, out.payload))
+    }
+
+    #[test]
+    fn the_queue_keeps_its_buffers_from_one_flush_to_the_next() {
+        let mut device = Device::default();
+        let mut client = FrontendClient::new(&mut device).with_pipelining();
+        for _ in 0..2 {
+            let ptr = client.malloc(64).unwrap();
+            for _ in 0..9 {
+                client.memcpy_h2d(ptr, HostBuf::from_slice(&[1; 64])).unwrap();
+            }
+            client.synchronize().unwrap();
+            assert!(client.pending.is_empty() && client.minted.is_empty());
+            assert!(client.pending.capacity() >= 11 && client.minted.capacity() >= 11);
+        }
+        drop(client);
+        assert_eq!(device.flushes, [11, 11]);
     }
 
     #[test]

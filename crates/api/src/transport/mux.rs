@@ -445,8 +445,8 @@ impl Transport for MuxChannel {
         self.exchange(std::iter::once(call)).pop().unwrap_or(Err(CudaError::Disconnected))
     }
 
-    fn roundtrip_batch(&mut self, calls: Vec<CudaCall>) -> Vec<CudaReply> {
-        self.exchange(calls.into_iter())
+    fn roundtrip_batch(&mut self, calls: &mut Vec<CudaCall>) -> Vec<CudaReply> {
+        self.exchange(calls.drain(..))
     }
 }
 

@@ -949,7 +949,7 @@ mod tests {
         let reactor = spawn_echo(ReactorConfig::default());
         let mut ch = super::super::mux::MuxConnection::connect(reactor.addr()).unwrap().channel();
         let chan = ch.chan() as u32;
-        let replies = ch.roundtrip_batch(vec![
+        let replies = ch.roundtrip_batch(&mut vec![
             CudaCall::Synchronize,
             CudaCall::GetDeviceCount,
             CudaCall::Synchronize,

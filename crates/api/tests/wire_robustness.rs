@@ -292,8 +292,9 @@ fn mux_batch_of_64_interleaves_with_a_sibling_channels_single_calls() {
         let (conn, mut peer) = scripted_pair();
         let (mut batcher, mut sibling) = (conn.channel(), conn.channel());
         let batch_chan = batcher.chan();
-        let batch =
-            std::thread::spawn(move || batcher.roundtrip_batch(vec![CudaCall::Synchronize; BATCH]));
+        let batch = std::thread::spawn(move || {
+            batcher.roundtrip_batch(&mut vec![CudaCall::Synchronize; BATCH])
+        });
         let singles = std::thread::spawn(move || {
             (0..SINGLES).map(|_| sibling.roundtrip(CudaCall::GetDeviceCount)).collect::<Vec<_>>()
         });

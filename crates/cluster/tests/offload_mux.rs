@@ -251,7 +251,7 @@ fn sibling_channels_on_a_relayed_clients_connection_keep_their_own_order() {
     std::thread::scope(|s| {
         for (chan, ptr) in channels.iter_mut().zip(&ptrs) {
             s.spawn(move || {
-                let calls = (0..40u8)
+                let mut calls: Vec<_> = (0..40u8)
                     .flat_map(|round| {
                         [
                             CudaCall::MemcpyH2D {
@@ -262,7 +262,7 @@ fn sibling_channels_on_a_relayed_clients_connection_keep_their_own_order() {
                         ]
                     })
                     .collect();
-                let replies = chan.roundtrip_batch(calls);
+                let replies = chan.roundtrip_batch(&mut calls);
                 for (round, pair) in replies.chunks(2).enumerate() {
                     assert_eq!(pair[0], Ok(ReplyValue::Unit));
                     let Ok(ReplyValue::Bytes(buf)) = &pair[1] else { panic!("{:?}", pair[1]) };

@@ -369,7 +369,7 @@ fn a_flush_past_the_burst_bound_costs_one_hand_off_per_visit_budget_and_keeps_or
     let mut chan = pool.channel();
     let malloc = || CudaCall::Malloc { size: 64, kind: AllocKind::Linear };
     let mut flush = |last: &mut u64| {
-        for reply in chan.roundtrip_batch(vec![malloc(); CALLS]) {
+        for reply in chan.roundtrip_batch(&mut vec![malloc(); CALLS]) {
             let Ok(ReplyValue::Ptr(ptr)) = reply else { panic!("malloc failed: {reply:?}") };
             assert!(ptr.0 > *last, "{ptr:?} allocated after {last:#x}: calls ran out of order");
             *last = ptr.0;

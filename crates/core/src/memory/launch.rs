@@ -8,6 +8,15 @@
 //! ([`MemoryManager::launched`]). It all lands in a [`LaunchSet`] whose
 //! buffers each thread keeps from one launch to the next, so a resident
 //! working set costs no heap allocation.
+//!
+//! Nor does a launch that swaps: a pass allocates only while a kept buffer
+//! grows. The set is the launch's for all its attempts, the PTE check
+//! before it waits ([`MemoryManager::check_ptes`]) included; the upload
+//! plan's ops and outcomes are the thread's ([`super::transfer::Plan`]);
+//! an own entry evicted for room writes back into its slab; and a
+//! co-tenant swapped out for room does so through
+//! [`MemoryManager::swap_out_ctx`], whose writebacks land in their slabs
+//! too.
 
 use crate::ctx::{Binding, CtxId};
 use crate::memory::manager::{CtxMemory, Materialize, MemoryManager};
@@ -193,6 +202,22 @@ impl MemoryManager {
         };
         set.cm = Some(cm);
         Ok(ready)
+    }
+
+    /// Table 1's PTE check alone, for a launch about to be handed back
+    /// (to wait for a vGPU or a device) or refused: every pointer argument,
+    /// and every nested member reached from one, has an entry. Resolves
+    /// into the set the launch already holds, as [`Self::prepare_launch`]
+    /// does.
+    pub(crate) fn check_ptes(
+        &self,
+        ctx: CtxId,
+        args: &[KernelArg],
+        set: &mut LaunchSet,
+    ) -> CudaResult<()> {
+        let cm = self.ctx_mem(ctx)?;
+        let resolved = set.resolve(&cm.table.lock(), args, &[]);
+        resolved.map(|_| ())
     }
 
     /// The pass after the device ran the launch [`Self::prepare_launch`]

@@ -29,7 +29,7 @@ use crate::ctx::{Binding, CtxId};
 use crate::memory::eviction::TouchStamp;
 use crate::memory::page_table::{Flags, PageTable, PageTableEntry, SwapSlab};
 use crate::memory::swap::SwapArea;
-use crate::memory::transfer::{self, TransferOp};
+use crate::memory::transfer::{Outcomes, Plan};
 use crate::metrics::RuntimeMetrics;
 use crate::trace::{TraceEvent, Tracer};
 use mtgpu_api::protocol::{vspan, AllocKind};
@@ -218,17 +218,12 @@ impl MemoryManager {
     /// Runs a transfer plan across the bound device's copy engines (a
     /// one-engine device runs it inline, serially) and accounts it (metrics
     /// + trace). An empty plan moves nothing and counts as none.
-    pub(super) fn run_plan(
-        &self,
-        ctx: CtxId,
-        binding: &Binding,
-        ops: &[TransferOp<'_>],
-    ) -> Vec<transfer::TransferOutcome> {
-        if ops.is_empty() {
-            return Vec::new();
-        }
+    pub(super) fn run_plan(&self, ctx: CtxId, binding: &Binding, plan: Plan<'_>) -> Outcomes {
         let lanes = binding.gpu.spec().copy_engines as usize;
-        let (outcomes, shape) = transfer::execute(&binding.gpu, binding.gpu_ctx, ops, lanes);
+        let (outcomes, shape) = plan.execute(&binding.gpu, binding.gpu_ctx, lanes);
+        if shape.ops == 0 {
+            return outcomes;
+        }
         RuntimeMetrics::bump(&self.metrics.transfer_plans);
         if shape.overlapped {
             RuntimeMetrics::bump(&self.metrics.transfer_overlap_events);
@@ -355,9 +350,7 @@ impl MemoryManager {
             return Ok(None);
         }
         let b = binding.ok_or(CudaError::InvalidDevicePointer)?;
-        let bytes =
-            b.gpu.memcpy_d2h(b.gpu_ctx, entry.dptr(), entry.size).map_err(CudaError::from_gpu)?;
-        entry.take_writeback(bytes);
+        entry.write_back(&b.gpu, b.gpu_ctx)?;
         Ok(Some(b.vgpu.device))
     }
 

@@ -11,7 +11,8 @@
 
 use crate::memory::eviction::TouchStamp;
 use mtgpu_api::protocol::{AllocKind, VaCursor};
-use mtgpu_gpusim::DeviceAddr;
+use mtgpu_api::{CudaError, CudaResult};
+use mtgpu_gpusim::{DeviceAddr, Gpu, GpuContextId, GpuError};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -161,6 +162,25 @@ impl SwapSlab {
         self.data[start..start + n].copy_from_slice(&payload[..n]);
     }
 
+    /// Lands a whole-entry writeback in place: the bytes of the `size`-byte
+    /// device allocation at `dptr` (D2H from offset 0, on `lane` if given)
+    /// overwrite the slab's front, up to the cap, and grow it when they are
+    /// longer; what the slab holds past them stays. The copy goes straight
+    /// into the slab's own buffer, so a writeback allocates only to grow it.
+    /// A failed copy leaves the slab as it was.
+    pub(crate) fn write_back(
+        &mut self,
+        gpu: &Gpu,
+        gpu_ctx: GpuContextId,
+        dptr: DeviceAddr,
+        size: u64,
+        lane: Option<usize>,
+    ) -> Result<(), GpuError> {
+        gpu.memcpy_d2h_into(gpu_ctx, dptr, size, lane, &mut self.data)?;
+        self.data.truncate(self.max_len as usize);
+        Ok(())
+    }
+
     /// Reads up to `len` materialized bytes at `offset`.
     pub fn read(&self, offset: u64, len: u64) -> Vec<u8> {
         let start = (offset as usize).min(self.data.len());
@@ -200,18 +220,14 @@ impl PageTableEntry {
         self.device_ptr.expect("allocated without ptr")
     }
 
-    /// Lands a whole-entry writeback (D2H from offset 0) in the slab it
-    /// belongs to: both copies are current afterwards. A buffer that covers
-    /// the slab's materialized prefix becomes the slab; a shorter one is
-    /// copied over the front of it.
-    pub(crate) fn take_writeback(&mut self, mut bytes: Vec<u8>) {
-        bytes.truncate(self.slab.max_len as usize);
-        if bytes.len() >= self.slab.data.len() {
-            self.slab.data = bytes;
-        } else {
-            self.slab.write(0, &bytes);
-        }
+    /// Writes the device copy back into the slab ([`SwapSlab::write_back`])
+    /// and applies Figure 4's `copy_dh`: both copies are current afterwards.
+    /// A failed copy changes nothing.
+    pub(crate) fn write_back(&mut self, gpu: &Gpu, gpu_ctx: GpuContextId) -> CudaResult<()> {
+        let (dptr, size) = (self.dptr(), self.size);
+        self.slab.write_back(gpu, gpu_ctx, dptr, size, None).map_err(CudaError::from_gpu)?;
         self.flags = self.flags.on_copy_dh();
+        Ok(())
     }
 }
 
@@ -296,6 +312,8 @@ impl PageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mtgpu_gpusim::GpuSpec;
+    use mtgpu_simtime::Clock;
 
     fn entry(base: u64, size: u64) -> PageTableEntry {
         PageTableEntry {
@@ -411,27 +429,34 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// A writeback moved into its slab leaves the slab byte-identical to
-        /// one copied in at offset 0, for a device prefix shorter than,
-        /// equal to and longer than the slab's, and past its cap.
+        /// A writeback landed in its slab leaves the slab byte-identical to
+        /// the device's bytes copied in at offset 0, for a device prefix
+        /// shorter than, equal to and longer than the slab's, and past its
+        /// cap.
         #[test]
-        fn take_writeback_is_a_copy_at_offset_zero(
+        fn write_back_is_a_copy_at_offset_zero(
             slab_len in 0usize..=48,
             step in 1usize..24,
             salt in proptest::prelude::any::<u8>(),
         ) {
             const CAP: usize = 48;
+            let gpu = Gpu::new(GpuSpec::test_small(), Clock::virtual_clock(), 0);
+            let gpu_ctx = gpu.create_context().unwrap();
             for device_len in [slab_len.saturating_sub(step), slab_len, slab_len + step, CAP + step] {
                 let mut e = entry(0x1000, 1 << 20);
                 e.slab = SwapSlab::new(1 << 20, CAP as u64);
                 e.slab.write(0, &(0..slab_len).map(|i| i as u8).collect::<Vec<_>>());
                 e.flags = Flags::INITIAL.on_launch();
+                let dptr = gpu.malloc(gpu_ctx, e.size).unwrap();
+                e.device_ptr = Some(dptr);
                 let bytes: Vec<u8> = (0..device_len).map(|i| salt ^ (i as u8 | 0x80)).collect();
+                gpu.memcpy_h2d(gpu_ctx, dptr, e.size, &bytes).unwrap();
                 let mut copied = e.slab.clone();
                 copied.write(0, &bytes);
-                e.take_writeback(bytes);
+                e.write_back(&gpu, gpu_ctx).unwrap();
                 proptest::prop_assert_eq!(&e.slab, &copied);
                 proptest::prop_assert_eq!(e.flags, Flags::INITIAL.on_launch().on_copy_dh());
+                gpu.free(gpu_ctx, dptr).unwrap();
             }
         }
     }

@@ -6,7 +6,7 @@ use crate::ctx::{Binding, CtxId};
 use crate::memory::eviction::{self, EntryCandidate};
 use crate::memory::manager::{CtxMemory, Materialize, MemoryManager};
 use crate::memory::page_table::PageTable;
-use crate::memory::transfer::TransferOp;
+use crate::memory::transfer::{Plan, TransferOp};
 use crate::metrics::RuntimeMetrics;
 use mtgpu_api::{CudaError, CudaResult};
 use mtgpu_gpusim::{DeviceAddr, GpuError};
@@ -78,25 +78,26 @@ impl MemoryManager {
         }
         // One upload per entry awaiting its slab, in working-set order,
         // straight from the slab, across the copy engines.
-        let ops: Vec<TransferOp<'_>> = bases
-            .iter()
-            .filter_map(|&base| table.get(base))
-            .filter(|e| e.flags.to_dev())
-            .map(TransferOp::upload)
-            .collect();
-        let outcomes = self.run_plan(ctx, binding, &ops);
+        let mut plan = Plan::new();
+        plan.extend(
+            bases
+                .iter()
+                .filter_map(|&base| table.get(base))
+                .filter(|e| e.flags.to_dev())
+                .map(TransferOp::upload),
+        );
         // A failed upload keeps `to_dev`: the slab stays authoritative. The
         // first failure (in plan order) becomes the caller's error.
         let (mut uploaded, mut first_err) = (0, None);
-        for out in outcomes {
-            match out.result {
-                Ok(_) => {
+        for out in self.run_plan(ctx, binding, plan).iter() {
+            match &out.result {
+                Ok(()) => {
                     RuntimeMetrics::bump(&self.metrics.bulk_uploads);
                     let entry = table.get_mut(DeviceAddr(out.base)).expect("planned above");
                     entry.flags = entry.flags.on_upload();
                     uploaded += out.size;
                 }
-                Err(e) => first_err = first_err.or(Some(e)),
+                Err(e) => first_err = first_err.or_else(|| Some(e.clone())),
             }
         }
         self.note_dev_swap(binding.vgpu.device, uploaded, 0);
@@ -130,17 +131,15 @@ impl MemoryManager {
         });
         let Some(base) = queue.pop_front() else { return Ok(false) };
         let entry = table.get_mut(base).expect("queued under this lock");
-        let (dptr, size) = (entry.dptr(), entry.size);
-        let synced = if entry.flags.to_swap() {
-            Some(binding.gpu.memcpy_d2h(binding.gpu_ctx, dptr, size).map_err(CudaError::from_gpu)?)
-        } else {
-            None
-        };
+        let (dptr, size, synced) = (entry.dptr(), entry.size, entry.flags.to_swap());
+        // The device copy lands in the slab before the device memory goes.
+        if synced {
+            entry.write_back(&binding.gpu, binding.gpu_ctx)?;
+        }
         binding.gpu.free(binding.gpu_ctx, dptr).map_err(CudaError::from_gpu)?;
         RuntimeMetrics::bump(&self.metrics.intra_app_swaps);
         RuntimeMetrics::add(&self.metrics.swap_bytes, size);
-        if let Some(bytes) = synced {
-            entry.take_writeback(bytes);
+        if synced {
             self.note_dev_swap(binding.vgpu.device, 0, size);
         }
         entry.device_ptr = None;

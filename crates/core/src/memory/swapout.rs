@@ -1,11 +1,17 @@
 //! Leaving the device: whole-context swap-out (Table 1's `Swap`),
 //! checkpoint (§4.6) and device loss — each one pass under the context's
 //! table lock.
+//!
+//! A pass allocates nothing: each dirty entry's writeback is an op of one
+//! plan on the thread's kept buffers ([`super::transfer::Plan`]) that
+//! copies the device's bytes straight into the entry's slab
+//! (`SwapSlab::write_back`), and the outcomes, read in plan order, say
+//! which landed.
 
 use crate::ctx::{Binding, CtxId};
 use crate::memory::manager::{MemoryManager, Recovery, SwapOutcome, SwapReason};
 use crate::memory::page_table::PageTable;
-use crate::memory::transfer::TransferOp;
+use crate::memory::transfer::{Plan, TransferOp};
 use crate::metrics::RuntimeMetrics;
 use mtgpu_api::{CudaError, CudaResult};
 use mtgpu_gpusim::DeviceAddr;
@@ -35,26 +41,27 @@ impl MemoryManager {
         }
         let Ok(cm) = self.ctx_mem(ctx) else { return Ok(SwapOutcome::default()) };
         let mut table = cm.table.lock();
-        let ops: Vec<TransferOp<'_>> =
-            table.iter().filter(|e| e.flags.to_swap()).map(TransferOp::writeback).collect();
-        let mut writebacks = self.run_plan(ctx, binding, &ops).into_iter();
-        // Every allocated entry in page-table order: take its writeback if
-        // it was dirty, then free it. A dirty entry whose writeback failed
-        // keeps its device copy (the only current one); after a failed free
-        // the remaining writebacks still land, the remaining frees do not
-        // run.
+        let mut plan = Plan::new();
+        plan.extend(table.iter_mut().filter(|e| e.flags.to_swap()).map(TransferOp::writeback));
+        let outcomes = self.run_plan(ctx, binding, plan);
+        let mut writebacks = outcomes.iter();
+        // Every allocated entry in page-table order: if it was dirty, its
+        // writeback is in its slab unless it failed; then free it. A dirty
+        // entry whose writeback failed keeps its device copy (the only
+        // current one); after a failed free the remaining frees do not run,
+        // and the remaining writebacks count as landed all the same.
         let mut out = SwapOutcome::default();
         let (mut written, mut sync_err, mut free_err) = (0, None, None);
         for e in table.iter_mut().filter(|e| e.flags.allocated()) {
             let dirty = e.flags.to_swap();
             if dirty {
-                match writebacks.next().expect("one writeback per dirty entry").result {
-                    Ok(bytes) => {
-                        e.take_writeback(bytes);
+                match &writebacks.next().expect("one writeback per dirty entry").result {
+                    Ok(()) => {
+                        e.flags = e.flags.on_copy_dh();
                         written += e.size;
                     }
                     Err(err) => {
-                        sync_err = sync_err.or(Some(err));
+                        sync_err = sync_err.or_else(|| Some(err.clone()));
                         continue;
                     }
                 }
@@ -99,19 +106,17 @@ impl MemoryManager {
         table: &mut PageTable,
         binding: &Binding,
     ) -> CudaResult<()> {
-        let ops: Vec<TransferOp<'_>> =
-            table.iter().filter(|e| e.flags.to_swap()).map(TransferOp::writeback).collect();
+        let mut plan = Plan::new();
+        plan.extend(table.iter_mut().filter(|e| e.flags.to_swap()).map(TransferOp::writeback));
         let (mut written, mut first_err) = (0, None);
-        for out in self.run_plan(ctx, binding, &ops) {
-            match out.result {
-                Ok(bytes) => {
-                    table
-                        .get_mut(DeviceAddr(out.base))
-                        .expect("planned above")
-                        .take_writeback(bytes);
+        for out in self.run_plan(ctx, binding, plan).iter() {
+            match &out.result {
+                Ok(()) => {
+                    let e = table.get_mut(DeviceAddr(out.base)).expect("planned above");
+                    e.flags = e.flags.on_copy_dh();
                     written += out.size;
                 }
-                Err(e) => first_err = first_err.or(Some(e)),
+                Err(e) => first_err = first_err.or_else(|| Some(e.clone())),
             }
         }
         self.note_dev_swap(binding.vgpu.device, 0, written);

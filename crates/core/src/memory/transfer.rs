@@ -2,28 +2,47 @@
 //!
 //! The memory manager's residency passes (`materialize`, `swap_out_ctx`,
 //! `checkpoint`) build a *plan* — the full list of H2D/D2H operations a
-//! state transition needs — from the context's page table and hand it to
-//! [`execute`] with that table's lock still held: an upload borrows its
-//! payload straight from the slab, and the lane threads are scoped inside
-//! the caller's borrow. The executor spreads the plan across the device's
-//! copy-engine lanes so a C2050's two engines both carry traffic, while a
-//! single-engine C1060 runs the plan inline with zero threading overhead.
+//! state transition needs — from the context's page table and run it with
+//! that table's lock still held: an upload borrows its payload straight from
+//! the slab, a writeback lands straight in it (`SwapSlab::write_back`), and
+//! the lane threads are scoped inside the caller's borrow. The executor
+//! spreads the plan across the device's copy-engine lanes so a C2050's two
+//! engines both carry traffic, while a single-engine C1060 runs the plan
+//! inline with zero threading overhead.
+//!
+//! No allocation: a plan's operations and outcomes live in buffers each
+//! thread keeps from one plan to the next (`Plan`, `Outcomes`), and a
+//! writeback copies into the slab it belongs to, so an inline plan — one
+//! engine, or a device the calling thread holds — allocates nothing once
+//! its thread's buffers and its slabs have grown. A plan spread over lane
+//! threads spawns them, and deals their operations out, per plan.
 //!
 //! Determinism: operation `i` is pinned to lane `i % lanes`, and each lane
 //! issues its operations in plan order via the lane-pinned memcpy entry
-//! points ([`mtgpu_gpusim::Gpu::memcpy_h2d_on`]/`memcpy_d2h_on`). Which
+//! points ([`mtgpu_gpusim::Gpu::memcpy_h2d_on`]/`memcpy_d2h_into`). Which
 //! engine serves which transfer is therefore a pure function of the plan,
 //! not of thread scheduling, and per-engine busy time replays bit-for-bit
 //! under the virtual clock (concurrent sleeps on a shared atomic clock sum
 //! commutatively).
 
-use crate::memory::page_table::PageTableEntry;
+use crate::memory::page_table::{PageTableEntry, SwapSlab};
 use mtgpu_api::{CudaError, CudaResult};
 use mtgpu_gpusim::{DeviceAddr, Gpu, GpuContextId};
+use std::cell::Cell;
+use std::ops::Deref;
+
+/// What one operation of a plan moves.
+#[derive(Debug)]
+pub enum Payload<'a> {
+    /// Host bytes uploaded to the device (H2D).
+    Upload(&'a [u8]),
+    /// The slab the device copy is written back into, in place (D2H).
+    Writeback(&'a mut SwapSlab),
+}
 
 /// One operation of a transfer plan, addressed by the page-table entry's
 /// virtual base so the caller can apply flag transitions afterwards.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TransferOp<'a> {
     /// Virtual base address of the page-table entry this op serves.
     pub base: u64,
@@ -31,20 +50,21 @@ pub struct TransferOp<'a> {
     pub dptr: DeviceAddr,
     /// Declared transfer size in bytes (what the PCIe model charges).
     pub size: u64,
-    /// `Some(bytes)` uploads host data to the device (H2D); `None` reads
-    /// the device copy back (D2H sync).
-    pub payload: Option<&'a [u8]>,
+    /// What the op moves, and which way.
+    pub payload: Payload<'a>,
 }
 
 impl<'a> TransferOp<'a> {
     /// Upload of a resident entry's slab.
     pub(crate) fn upload(e: &'a PageTableEntry) -> Self {
-        TransferOp { payload: Some(&e.slab.data), ..TransferOp::writeback(e) }
+        let payload = Payload::Upload(&e.slab.data);
+        TransferOp { base: e.vaddr.0, dptr: e.dptr(), size: e.size, payload }
     }
 
-    /// Writeback of a resident entry's device copy.
-    pub(crate) fn writeback(e: &PageTableEntry) -> Self {
-        TransferOp { base: e.vaddr.0, dptr: e.dptr(), size: e.size, payload: None }
+    /// Writeback of a resident entry's device copy into its slab.
+    pub(crate) fn writeback(e: &'a mut PageTableEntry) -> Self {
+        let (base, dptr, size) = (e.vaddr.0, e.dptr(), e.size);
+        TransferOp { base, dptr, size, payload: Payload::Writeback(&mut e.slab) }
     }
 }
 
@@ -55,9 +75,9 @@ pub struct TransferOutcome {
     pub base: u64,
     /// Declared size of the op.
     pub size: u64,
-    /// The bytes a completed D2H sync read back (none for a completed H2D
-    /// upload), `Err` if the device rejected the transfer.
-    pub result: CudaResult<Vec<u8>>,
+    /// `Err` if the device rejected the transfer. A completed writeback is
+    /// in its slab.
+    pub result: CudaResult<()>,
 }
 
 /// What a plan execution looked like, for metrics/trace accounting.
@@ -73,18 +93,21 @@ pub struct PlanShape {
     pub overlapped: bool,
 }
 
-fn run_op(gpu: &Gpu, gpu_ctx: GpuContextId, op: &TransferOp<'_>, lane: usize) -> TransferOutcome {
-    let result = match op.payload {
-        Some(bytes) => gpu
-            .memcpy_h2d_on(gpu_ctx, op.dptr, op.size, bytes, lane)
-            .map(|()| Vec::new())
-            .map_err(CudaError::from_gpu),
-        None => gpu.memcpy_d2h_on(gpu_ctx, op.dptr, op.size, lane).map_err(CudaError::from_gpu),
-    };
-    TransferOutcome { base: op.base, size: op.size, result }
+fn run_op(
+    gpu: &Gpu,
+    gpu_ctx: GpuContextId,
+    op: &mut TransferOp<'_>,
+    lane: usize,
+) -> CudaResult<()> {
+    match &mut op.payload {
+        Payload::Upload(bytes) => gpu.memcpy_h2d_on(gpu_ctx, op.dptr, op.size, bytes, lane),
+        Payload::Writeback(slab) => slab.write_back(gpu, gpu_ctx, op.dptr, op.size, Some(lane)),
+    }
+    .map_err(CudaError::from_gpu)
 }
 
-/// Executes a transfer plan across up to `lanes` copy-engine lanes.
+/// Executes a transfer plan across up to `lanes` copy-engine lanes, its
+/// outcomes into `outcomes` (emptied first) in plan order.
 ///
 /// With one lane (or one op) the plan runs inline on the calling thread —
 /// the serial path pays no synchronization at all, which keeps the
@@ -94,16 +117,17 @@ fn run_op(gpu: &Gpu, gpu_ctx: GpuContextId, op: &TransferOp<'_>, lane: usize) ->
 /// lane issues its ops in plan order, so placement is canonical (op `i` →
 /// lane `i % lanes`).
 ///
-/// Outcomes are returned in plan order regardless of completion order. A
+/// Outcomes come in plan order regardless of completion order. A
 /// failed op does not stop its lane: later ops still run (on a failed
 /// device they fail fast via the alive check, so nothing stalls), and the
 /// caller decides per-entry what to commit.
 pub fn execute(
     gpu: &Gpu,
     gpu_ctx: GpuContextId,
-    ops: &[TransferOp<'_>],
+    ops: &mut [TransferOp<'_>],
     lanes: usize,
-) -> (Vec<TransferOutcome>, PlanShape) {
+    outcomes: &mut Vec<TransferOutcome>,
+) -> PlanShape {
     let lanes = lanes.max(1).min(ops.len().max(1));
     let shape = PlanShape {
         ops: ops.len() as u32,
@@ -111,44 +135,108 @@ pub fn execute(
         bytes: ops.iter().map(|o| o.size).sum(),
         overlapped: lanes > 1 && ops.len() > 1,
     };
-    if ops.is_empty() {
-        return (Vec::new(), shape);
-    }
+    // One outcome per op, each overwritten when its op runs.
+    outcomes.clear();
+    outcomes.extend(ops.iter().map(|op| TransferOutcome {
+        base: op.base,
+        size: op.size,
+        result: Ok(()),
+    }));
     // A device the calling thread holds would queue the other lanes' threads
     // behind the hold: its plan runs here, each op still on its own lane.
     if lanes == 1 || gpu.held_here() {
-        let outcomes =
-            ops.iter().enumerate().map(|(i, op)| run_op(gpu, gpu_ctx, op, i % lanes)).collect();
-        return (outcomes, shape);
+        for (i, (op, out)) in ops.iter_mut().zip(outcomes.iter_mut()).enumerate() {
+            out.result = run_op(gpu, gpu_ctx, op, i % lanes);
+        }
+        return shape;
     }
-    let mut outcomes: Vec<Option<TransferOutcome>> = Vec::new();
-    outcomes.resize_with(ops.len(), || None);
     // Deal ops and their outcome slots to lanes round-robin, preserving
     // plan order within each lane.
-    let mut per_lane: Vec<Vec<(&TransferOp<'_>, &mut Option<TransferOutcome>)>> =
+    let mut per_lane: Vec<Vec<(&mut TransferOp<'_>, &mut CudaResult<()>)>> =
         (0..lanes).map(|_| Vec::new()).collect();
-    let mut slot_iter = outcomes.iter_mut();
-    for (i, op) in ops.iter().enumerate() {
-        let slot = slot_iter.next().expect("one slot per op");
-        per_lane[i % lanes].push((op, slot));
+    for (i, (op, out)) in ops.iter_mut().zip(outcomes.iter_mut()).enumerate() {
+        per_lane[i % lanes].push((op, &mut out.result));
     }
-    drop(slot_iter);
     std::thread::scope(|scope| {
         let mut lane_work = per_lane.into_iter().enumerate();
         let (_, lane0) = lane_work.next().expect("lanes >= 1");
         for (lane_idx, work) in lane_work {
             scope.spawn(move || {
                 for (op, slot) in work {
-                    *slot = Some(run_op(gpu, gpu_ctx, op, lane_idx));
+                    *slot = run_op(gpu, gpu_ctx, op, lane_idx);
                 }
             });
         }
         for (op, slot) in lane0 {
-            *slot = Some(run_op(gpu, gpu_ctx, op, 0));
+            *slot = run_op(gpu, gpu_ctx, op, 0);
         }
     });
-    let outcomes = outcomes.into_iter().map(|o| o.expect("every op executed")).collect();
-    (outcomes, shape)
+    shape
+}
+
+thread_local! {
+    /// The thread's plan buffers between plans, both empty.
+    static SPARE: Cell<Option<(Vec<TransferOp<'static>>, Vec<TransferOutcome>)>> =
+        const { Cell::new(None) };
+}
+
+/// A transfer plan being built, on the calling thread's buffers: a plan
+/// allocates only while they grow to the longest plan the thread has run.
+pub(crate) struct Plan<'a> {
+    ops: Vec<TransferOp<'a>>,
+    outcomes: Vec<TransferOutcome>,
+}
+
+impl<'a> Plan<'a> {
+    /// An empty plan on the thread's buffers (fresh ones for a plan built
+    /// while another is open).
+    pub(crate) fn new() -> Self {
+        let (ops, outcomes) = SPARE.take().unwrap_or_default();
+        Plan { ops, outcomes }
+    }
+
+    /// Runs the plan ([`execute`]) and hands back its outcomes, with the
+    /// plan's borrows of the table ended.
+    pub(crate) fn execute(
+        mut self,
+        gpu: &Gpu,
+        gpu_ctx: GpuContextId,
+        lanes: usize,
+    ) -> (Outcomes, PlanShape) {
+        let shape = execute(gpu, gpu_ctx, &mut self.ops, lanes, &mut self.outcomes);
+        self.ops.clear();
+        // Only the borrow's lifetime differs: the collect keeps the buffer.
+        let ops = self.ops.into_iter().map(|_| unreachable!("emptied above")).collect();
+        (Outcomes { ops, outcomes: self.outcomes }, shape)
+    }
+}
+
+impl<'a> Extend<TransferOp<'a>> for Plan<'a> {
+    fn extend<I: IntoIterator<Item = TransferOp<'a>>>(&mut self, ops: I) {
+        self.ops.extend(ops);
+    }
+}
+
+/// A plan's outcomes, in plan order. Its buffers go back to the thread
+/// when it is dropped.
+pub(crate) struct Outcomes {
+    ops: Vec<TransferOp<'static>>,
+    outcomes: Vec<TransferOutcome>,
+}
+
+impl Deref for Outcomes {
+    type Target = [TransferOutcome];
+
+    fn deref(&self) -> &[TransferOutcome] {
+        &self.outcomes
+    }
+}
+
+impl Drop for Outcomes {
+    fn drop(&mut self) {
+        self.outcomes.clear();
+        SPARE.set(Some((std::mem::take(&mut self.ops), std::mem::take(&mut self.outcomes))));
+    }
 }
 
 #[cfg(test)]
@@ -162,6 +250,18 @@ mod tests {
         Gpu::new(spec, Clock::with_scale(scale), 0)
     }
 
+    /// [`execute`] with outcomes of its own.
+    fn run(
+        gpu: &Gpu,
+        ctx: GpuContextId,
+        ops: &mut [TransferOp<'_>],
+        lanes: usize,
+    ) -> (Vec<TransferOutcome>, PlanShape) {
+        let mut outcomes = Vec::new();
+        let shape = execute(gpu, ctx, ops, lanes, &mut outcomes);
+        (outcomes, shape)
+    }
+
     /// Op `i` uploads 64 bytes of `i`.
     static FILLS: [[u8; 64]; 6] = [[0; 64], [1; 64], [2; 64], [3; 64], [4; 64], [5; 64]];
 
@@ -171,7 +271,7 @@ mod tests {
                 base: i as u64,
                 dptr: gpu.malloc(ctx, size).unwrap(),
                 size,
-                payload: Some(&FILLS[i]),
+                payload: Payload::Upload(&FILLS[i]),
             })
             .collect()
     }
@@ -181,9 +281,9 @@ mod tests {
         for lanes in [1, 2, 4] {
             let gpu = gpu_with(GpuSpec::tesla_c2050(), 1e-7);
             let ctx = gpu.create_context().unwrap();
-            let ops = upload_plan(&gpu, ctx, 6, 4096);
+            let mut ops = upload_plan(&gpu, ctx, 6, 4096);
             let dptrs: Vec<DeviceAddr> = ops.iter().map(|o| o.dptr).collect();
-            let (outcomes, shape) = execute(&gpu, ctx, &ops, lanes);
+            let (outcomes, shape) = run(&gpu, ctx, &mut ops, lanes);
             assert_eq!(outcomes.len(), 6);
             for (i, out) in outcomes.iter().enumerate() {
                 assert_eq!(out.base, i as u64, "outcomes must keep plan order");
@@ -196,21 +296,35 @@ mod tests {
     }
 
     #[test]
-    fn d2h_ops_return_payloads_in_plan_order() {
+    fn writebacks_land_in_their_slabs_in_plan_order() {
         let gpu = gpu_with(GpuSpec::tesla_c2050(), 1e-7);
         let ctx = gpu.create_context().unwrap();
-        let uploads = upload_plan(&gpu, ctx, 4, 1024);
-        let sync_ops: Vec<TransferOp> = uploads
-            .iter()
-            .map(|o| TransferOp { base: o.base, dptr: o.dptr, size: 64, payload: None })
-            .collect();
-        let (outs, _) = execute(&gpu, ctx, &uploads, 2);
+        let mut uploads = upload_plan(&gpu, ctx, 4, 1024);
+        let (outs, _) = run(&gpu, ctx, &mut uploads, 2);
         assert!(outs.iter().all(|o| o.result.is_ok()));
-        let (outs, shape) = execute(&gpu, ctx, &sync_ops, 2);
+        // Slab 1 holds more than its device copy: its tail stays.
+        let mut slabs: Vec<SwapSlab> = (0..4).map(|_| SwapSlab::new(1024, 1024)).collect();
+        slabs[1].write(0, &[9; 80]);
+        let mut sync_ops: Vec<TransferOp> = uploads
+            .iter()
+            .zip(&mut slabs)
+            .map(|(o, slab)| TransferOp {
+                base: o.base,
+                dptr: o.dptr,
+                size: 1024,
+                payload: Payload::Writeback(slab),
+            })
+            .collect();
+        let (outs, shape) = run(&gpu, ctx, &mut sync_ops, 2);
         assert!(shape.overlapped);
-        for (i, out) in outs.iter().enumerate() {
-            let bytes = out.result.as_ref().unwrap();
-            assert_eq!(bytes, &vec![i as u8; 64], "op {i} returned wrong payload");
+        assert!(outs.iter().all(|o| o.result.is_ok()));
+        drop(sync_ops);
+        for (i, slab) in slabs.iter().enumerate() {
+            let mut want = vec![i as u8; 64];
+            if i == 1 {
+                want.extend([9; 16]);
+            }
+            assert_eq!(slab.data, want, "op {i} landed the wrong bytes");
         }
     }
 
@@ -223,7 +337,7 @@ mod tests {
         // the device before lane 1's busy time moves off zero.
         let gpu = gpu_with(GpuSpec::tesla_c2050(), 1.0);
         let ctx = gpu.create_context().unwrap();
-        let ops = upload_plan(&gpu, ctx, 4, 4096);
+        let mut ops = upload_plan(&gpu, ctx, 4, 4096);
         let op2 = ops[2].dptr;
         // 512 MiB at 4 GB/s: lane 1 stays busy for ~134 ms.
         let long = 512u64 << 20;
@@ -235,7 +349,7 @@ mod tests {
                 drop(hold);
                 std::thread::yield_now();
             }
-            let plan = s.spawn(|| execute(&gpu, ctx, &ops, 2));
+            let plan = s.spawn(|| run(&gpu, ctx, &mut ops, 2));
             loop {
                 let op2_done = gpu.peek(op2, 64).unwrap() == FILLS[2];
                 let lane1_free = gpu.engine_busy_times()[1] > SimDuration::ZERO;
@@ -258,9 +372,9 @@ mod tests {
     fn a_held_device_runs_a_pipelined_plan_on_the_holders_thread_on_the_same_lanes() {
         let gpu = gpu_with(GpuSpec::tesla_c2050(), 1e-7);
         let ctx = gpu.create_context().unwrap();
-        let ops = upload_plan(&gpu, ctx, 5, 4096);
+        let mut ops = upload_plan(&gpu, ctx, 5, 4096);
         let hold = gpu.try_hold().expect("an idle device");
-        let (outs, shape) = execute(&gpu, ctx, &ops, 2);
+        let (outs, shape) = run(&gpu, ctx, &mut ops, 2);
         drop(hold);
         assert!(outs.iter().all(|o| o.result.is_ok()));
         assert_eq!(shape.lanes, 2);
@@ -273,18 +387,31 @@ mod tests {
     fn failed_device_reports_errors_without_hanging() {
         let gpu = gpu_with(GpuSpec::tesla_c2050(), 1e-7);
         let ctx = gpu.create_context().unwrap();
-        let ops = upload_plan(&gpu, ctx, 4, 1024);
+        let mut ops = upload_plan(&gpu, ctx, 4, 1024);
         gpu.fail();
-        let (outs, _) = execute(&gpu, ctx, &ops, 2);
+        let (outs, _) = run(&gpu, ctx, &mut ops, 2);
         assert_eq!(outs.len(), 4);
         assert!(outs.iter().all(|o| o.result.is_err()));
+    }
+
+    #[test]
+    fn a_plan_runs_on_the_buffers_the_last_one_left() {
+        let gpu = gpu_with(GpuSpec::tesla_c1060(), 1e-7);
+        let ctx = gpu.create_context().unwrap();
+        let mut plan = Plan::new();
+        plan.extend(upload_plan(&gpu, ctx, 5, 1024));
+        let (outs, _) = plan.execute(&gpu, ctx, 1);
+        assert_eq!(outs.len(), 5);
+        drop(outs);
+        let plan = Plan::new();
+        assert!(plan.ops.capacity() >= 5 && plan.outcomes.capacity() >= 5);
     }
 
     #[test]
     fn empty_plan_is_a_noop() {
         let gpu = gpu_with(GpuSpec::tesla_c2050(), 1e-7);
         let ctx = gpu.create_context().unwrap();
-        let (outs, shape) = execute(&gpu, ctx, &[], 2);
+        let (outs, shape) = run(&gpu, ctx, &mut [], 2);
         assert!(outs.is_empty());
         assert_eq!(shape.ops, 0);
         assert!(!shape.overlapped);

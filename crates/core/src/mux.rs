@@ -1476,7 +1476,7 @@ mod tests {
             calls.push(CudaCall::MemcpyD2H { src: ptr, len: size });
             calls.push(CudaCall::GetDeviceCount);
         }
-        let replies = ch.roundtrip_batch(calls);
+        let replies = ch.roundtrip_batch(&mut calls);
         assert_eq!(replies.len(), 12);
         for pair in replies.chunks(2) {
             let Ok(ReplyValue::Bytes(buf)) = &pair[0] else { panic!("{:?}", pair[0]) };

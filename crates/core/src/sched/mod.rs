@@ -194,6 +194,11 @@ struct State {
     app_devices: BTreeMap<u64, (DeviceId, usize)>,
     /// Next FCFS ticket.
     next_seq: u64,
+    /// `place`'s candidate list between grants: (device, effective flops,
+    /// fits), kept so placing allocates nothing.
+    placing: Vec<(DeviceId, f64, bool)>,
+    /// `policy_order`'s list between grants, likewise.
+    order: Vec<usize>,
     /// Set by [`BindingManager::close`]: nothing is granted any more.
     closed: bool,
 }
@@ -221,6 +226,8 @@ impl BindingManager {
             rng: DetRng::from_seed(seed).fork("sched"),
             app_devices: BTreeMap::new(),
             next_seq: 0,
+            placing: Vec::new(),
+            order: Vec::new(),
             closed: false,
         };
         BindingManager { policy, metrics, state: RankedMutex::new(lock_rank::SCHED, state) }
@@ -524,30 +531,28 @@ impl BindingManager {
             let d = &st.devices[&dev];
             return (may(d) && fits(d)).then_some(dev);
         }
-        let open: Vec<(DeviceId, &Device, f64)> = st
-            .devices
-            .iter()
-            .filter(|(_, d)| may(d))
-            .map(|(&id, d)| (id, d, d.gpu.spec().effective_flops()))
-            .collect();
-        if open.is_empty() {
-            return None;
-        }
-        let draw = st.rng.next_u64() as usize;
-        let max_flops = open.iter().map(|&(_, _, flops)| flops).fold(f64::MIN, f64::max);
-        let load = |d: &Device, flops: f64| (d.bound.len() + 1) as f64 / (flops / max_flops);
-        let min_load = open.iter().map(|&(_, d, f)| load(d, f)).fold(f64::INFINITY, f64::min);
-        // Among near-equal loads (within 5%), prefer memory fit, then draw.
-        let close: Vec<(DeviceId, bool)> = open
-            .iter()
-            .filter(|&&(_, d, f)| load(d, f) <= min_load * 1.05)
-            .map(|&(id, d, _)| (id, d.gpu.mem_available() >= mem_usage))
-            .collect();
-        let any_fits = close.iter().any(|&(_, fit)| fit);
-        let tied: Vec<DeviceId> =
-            close.into_iter().filter(|&(_, fit)| fit == any_fits).map(|(id, _)| id).collect();
-        let dev = tied[draw % tied.len()];
-        fits(&st.devices[&dev]).then_some(dev)
+        let mut cands = std::mem::take(&mut st.placing);
+        cands.clear();
+        let open = st.devices.iter().filter(|(_, d)| may(d));
+        cands.extend(open.map(|(&id, d)| (id, d.gpu.spec().effective_flops(), false)));
+        let dev = (!cands.is_empty()).then(|| {
+            let draw = st.rng.next_u64() as usize;
+            let max_flops = cands.iter().map(|&(_, flops, _)| flops).fold(f64::MIN, f64::max);
+            let load =
+                |id, flops: f64| (st.devices[&id].bound.len() + 1) as f64 / (flops / max_flops);
+            let min_load =
+                cands.iter().map(|&(id, f, _)| load(id, f)).fold(f64::INFINITY, f64::min);
+            // Among near-equal loads (within 5%), prefer memory fit, then draw.
+            cands.retain(|&(id, f, _)| load(id, f) <= min_load * 1.05);
+            for (id, _, fit) in &mut cands {
+                *fit = st.devices[id].gpu.mem_available() >= mem_usage;
+            }
+            let any_fits = cands.iter().any(|&(_, _, fit)| fit);
+            cands.retain(|&(_, _, fit)| fit == any_fits);
+            cands[draw % cands.len()].0
+        });
+        st.placing = cands;
+        dev.filter(|dev| fits(&st.devices[dev]))
     }
 
     /// Takes a free slot on `dev` and records the binding and, for a CUDA
@@ -575,12 +580,15 @@ impl BindingManager {
     /// behind.
     fn grant_waiting(&self, st: &mut State) {
         while !st.waiting.is_empty() && st.devices.values().any(Device::open) {
-            let granted = self.policy_order(st).into_iter().find_map(|i| {
+            let mut order = std::mem::take(&mut st.order);
+            self.policy_order(st, &mut order);
+            let granted = order.iter().find_map(|&i| {
                 let w = &st.waiting[i];
                 let (app_id, mem_usage, needs, parked) =
                     (w.app_id, w.mem_usage, w.needs, w.parked_on.is_some());
                 Self::place(st, app_id, mem_usage, needs, parked).map(|dev| (i, dev))
             });
+            st.order = order;
             let Some((idx, dev)) = granted else { return };
             let w = st.waiting.remove(idx);
             let binding = Self::grant_slot(st, dev, w.ctx.id, w.app_id);
@@ -597,10 +605,11 @@ impl BindingManager {
         }
     }
 
-    /// The waiting list's indices in policy order.
-    fn policy_order(&self, st: &State) -> Vec<usize> {
+    /// The waiting list's indices in policy order, into `order`.
+    fn policy_order(&self, st: &State, order: &mut Vec<usize>) {
         let queue = &st.waiting;
-        let mut order: Vec<usize> = (0..queue.len()).collect();
+        order.clear();
+        order.extend(0..queue.len());
         match self.policy {
             SchedulerPolicy::FcfsRoundRobin => order.sort_by_key(|&i| queue[i].enq_seq),
             SchedulerPolicy::ShortestJobFirst => order.sort_by(|&a, &b| {
@@ -616,7 +625,6 @@ impl BindingManager {
                 order.sort_by_key(|&i| (u32::MAX - queue[i].ctx.inner().credits, queue[i].enq_seq));
             }
         }
-        order
     }
 
     /// Releases the vGPU bound to `ctx_id` and grants it to the next
@@ -677,6 +685,15 @@ impl BindingManager {
     /// Contexts currently bound to `device`, in context-id order.
     pub fn bound_on(&self, device: DeviceId) -> Vec<CtxId> {
         self.state.lock().devices.get(&device).map(Device::bound_ctxs).unwrap_or_default()
+    }
+
+    /// Calls `f` with every context bound to `device`, in vGPU order, with
+    /// the dispatcher's lock held: `f` must not block or call back into the
+    /// manager. For a caller that collects them into a buffer it keeps.
+    pub(crate) fn each_bound_on(&self, device: DeviceId, mut f: impl FnMut(CtxId)) {
+        if let Some(d) = self.state.lock().devices.get(&device) {
+            d.bound.values().for_each(|&(ctx, _)| f(ctx));
+        }
     }
 
     /// Snapshot of every registered device, in device-id order.

@@ -47,6 +47,7 @@ use mtgpu_api::{CudaError, Transport};
 use mtgpu_gpusim::kernel::{library, RegisteredKernel};
 use mtgpu_gpusim::DeviceAddr;
 use mtgpu_gpusim::{Gpu, GpuError, GpuHold, LaunchSpec};
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -212,8 +213,7 @@ pub(crate) fn fits_on_reactor(rt: &NodeRuntime, ctx: &AppContext, call: &CudaCal
         Some(work) => gpu.spec().worst_case_launch(work, copied),
         None => gpu.spec().copy_duration(copied),
     };
-    let devices = rt.driver().devices();
-    let worst = devices.iter().map(|(_, gpu)| on(gpu)).max().unwrap_or_default();
+    let worst = rt.driver().max_over(on).unwrap_or_default();
     worst.as_secs_f64() * rt.clock().scale() < REACTOR_CALL_LIMIT.as_secs_f64()
 }
 
@@ -459,11 +459,13 @@ fn launch_loop(
     // Table 1 "Launch": check valid PTEs (and extend to nested closures).
     // A bad pointer is reported before an unregistered kernel, and before
     // the launch is handed back to wait for a vGPU or a busy device.
-    let Some(kernel) = ctx.inner().kernels.get(&spec.kernel).cloned() else {
-        rt.memory().launch_closure(ctx.id, &spec.args)?;
-        return Err(CudaError::InvalidDeviceFunction(spec.kernel).into());
-    };
-    LaunchSet::with_spare(|set| launch_attempts(rt, ctx, spec, &kernel, engines, set))
+    LaunchSet::with_spare(|set| {
+        let Some(kernel) = ctx.inner().kernels.get(&spec.kernel).cloned() else {
+            rt.memory().check_ptes(ctx.id, &spec.args, set)?;
+            return Err(CudaError::InvalidDeviceFunction(spec.kernel).into());
+        };
+        launch_attempts(rt, ctx, spec, &kernel, engines, set)
+    })
 }
 
 /// A launch's attempts, one memory-manager pass into `set` each, until the
@@ -485,7 +487,7 @@ fn launch_attempts(
         let binding = match ctx.binding() {
             Some(b) => b,
             None => {
-                rt.memory().launch_closure(ctx.id, &spec.args)?;
+                rt.memory().check_ptes(ctx.id, &spec.args, set)?;
                 let mem = rt.memory().mem_usage(ctx.id);
                 let Some(b) = rt.bindings().poll(ctx, mem) else {
                     return Err(Abort::WouldBlock { spec, room: None });
@@ -498,7 +500,7 @@ fn launch_attempts(
         // Everything from here runs on the bound device, victims' swaps
         // included; the binding, if just made, stays for the next try.
         if !engines.enter(&binding.gpu) {
-            rt.memory().launch_closure(ctx.id, &spec.args)?;
+            rt.memory().check_ptes(ctx.id, &spec.args, set)?;
             return Err(Abort::Busy(CudaCall::Launch { spec }));
         }
         // 2. One pass resolves the arguments and makes the working set
@@ -673,16 +675,12 @@ fn ask_co_tenants(
         }
     };
     let device = binding.vgpu.device;
-    let mut asked: Vec<((u64, u64), CtxId)> = rt
-        .bindings()
-        .bound_on(device)
-        .into_iter()
-        .filter(|&id| id != requester)
-        .filter_map(|id| Some((victim(id)?, id)))
-        .collect();
+    let mut asked = ASKED.take();
+    rt.bindings().each_bound_on(device, |id| asked.push(((0, 0), id)));
+    asked.retain_mut(|(key, id)| *id != requester && victim(*id).map(|k| *key = k).is_some());
     asked.sort_unstable();
     let mut freed = 0;
-    for (_, victim_id) in asked {
+    for &(_, victim_id) in &asked {
         if freed >= need {
             break;
         }
@@ -703,7 +701,16 @@ fn ask_co_tenants(
             rt.tracer().record(TraceEvent::Preempted { victim: victim_id, by: requester, bytes });
         }
     }
+    asked.clear();
+    ASKED.set(asked);
     freed >= need
+}
+
+thread_local! {
+    /// The thread's victim list between [`ask_co_tenants`] calls: each
+    /// co-tenant asked, by its place in the victim order. Kept so a search
+    /// allocates nothing.
+    static ASKED: Cell<Vec<((u64, u64), CtxId)>> = const { Cell::new(Vec::new()) };
 }
 
 /// Swaps co-tenant `ctx`, bound at `vb`, out whole for `reason`; the caller

@@ -87,6 +87,52 @@ impl Allocation {
     }
 }
 
+/// The live allocations by internal base address, as a sorted vector. A
+/// device holds tens of them, so a malloc or a free shifts a few hundred
+/// bytes at most, and allocates nothing once the vector has grown to the
+/// device's peak; a B-tree map allocated a node at each split.
+#[derive(Debug, Default)]
+struct Allocs(Vec<(u64, Allocation)>);
+
+impl Allocs {
+    fn find(&self, base: u64) -> std::result::Result<usize, usize> {
+        self.0.binary_search_by_key(&base, |&(b, _)| b)
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn get(&self, base: u64) -> Option<&Allocation> {
+        self.find(base).ok().map(|i| &self.0[i].1)
+    }
+
+    fn get_mut(&mut self, base: u64) -> Option<&mut Allocation> {
+        self.find(base).ok().map(|i| &mut self.0[i].1)
+    }
+
+    /// Records an allocation at a base the allocator just handed out.
+    fn insert(&mut self, base: u64, alloc: Allocation) {
+        let at = self.find(base).expect_err("a fresh base is not live");
+        self.0.insert(at, (base, alloc));
+    }
+
+    fn remove(&mut self, base: u64) -> Option<Allocation> {
+        self.find(base).ok().map(|i| self.0.remove(i).1)
+    }
+
+    /// The allocation with the highest base at or below `addr`: the only
+    /// one whose range may hold it.
+    fn at_or_below(&self, addr: u64) -> Option<(u64, &Allocation)> {
+        let above = self.0.partition_point(|&(b, _)| b <= addr);
+        self.0[..above].last().map(|(b, a)| (*b, a))
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (u64, &Allocation)> {
+        self.0.iter().map(|(b, a)| (*b, a))
+    }
+}
+
 #[derive(Debug)]
 struct ContextInfo {
     /// Base address of the context's reserved arena.
@@ -95,21 +141,24 @@ struct ContextInfo {
 
 struct DeviceState {
     allocator: BlockAllocator,
-    allocs: BTreeMap<u64, Allocation>,
+    allocs: Allocs,
     contexts: BTreeMap<GpuContextId, ContextInfo>,
     /// Shadow buffers of freed allocations, emptied, for the next `malloc`
-    /// to reuse. Fewer than there are live allocations, so the spares never
-    /// outnumber the buffers the device holds in use.
+    /// to reuse. With the live allocations they never outnumber
+    /// `peak_allocs`: the device keeps no more buffers than it once held in
+    /// use, and a tenant swapped out leaves the next one its buffers.
     spare: Vec<Vec<u8>>,
+    /// Most allocations live at once so far.
+    peak_allocs: usize,
 }
 
 impl DeviceState {
     /// Releases the allocation at `base`: its range to the allocator, its
     /// emptied buffer to `spare` within that field's bound.
     fn release(&mut self, base: u64) -> Result<()> {
-        let alloc = self.allocs.remove(&base).ok_or(GpuError::InvalidAddress)?;
+        let alloc = self.allocs.remove(base).ok_or(GpuError::InvalidAddress)?;
         self.allocator.free(base, alloc.declared)?;
-        if self.spare.len() < self.allocs.len() && alloc.data.capacity() > 0 {
+        if self.spare.len() + self.allocs.len() < self.peak_allocs && alloc.data.capacity() > 0 {
             let mut data = alloc.data;
             // Another context's next allocation must not see these bytes.
             data.clear();
@@ -156,9 +205,10 @@ impl Gpu {
                 lock_rank::DEVICE_STATE,
                 DeviceState {
                     allocator: BlockAllocator::new(spec.mem_bytes),
-                    allocs: BTreeMap::new(),
+                    allocs: Allocs::default(),
                     contexts: BTreeMap::new(),
                     spare: Vec::new(),
+                    peak_allocs: 0,
                 },
             ),
             stats: DeviceStats::default(),
@@ -320,7 +370,7 @@ impl Gpu {
             let _ = st.allocator.free(base, self.spec.ctx_reserved_bytes);
         }
         let owned: Vec<u64> =
-            st.allocs.iter().filter(|(_, a)| a.owner == ctx).map(|(&b, _)| b).collect();
+            st.allocs.iter().filter(|(_, a)| a.owner == ctx).map(|(b, _)| b).collect();
         for base in owned {
             let _ = st.release(base);
         }
@@ -348,6 +398,7 @@ impl Gpu {
         let data = st.spare.pop().unwrap_or_default();
         let max_len = declared.min(self.materialize_cap);
         st.allocs.insert(base, Allocation { declared, data, max_len, owner: ctx });
+        st.peak_allocs = st.peak_allocs.max(st.allocs.len());
         DeviceStats::bump(&self.stats.allocs);
         Ok(DeviceAddr(base + self.addr_salt))
     }
@@ -358,7 +409,7 @@ impl Gpu {
         self.check_alive()?;
         let base = self.internal_base(addr)?;
         let mut st = self.state.lock();
-        if st.allocs.get(&base).is_none_or(|a| a.owner != ctx) {
+        if st.allocs.get(base).is_none_or(|a| a.owner != ctx) {
             return Err(GpuError::InvalidAddress);
         }
         st.release(base)?;
@@ -375,8 +426,7 @@ impl Gpu {
         addr: DeviceAddr,
     ) -> Result<(u64, u64, u64)> {
         let internal = addr.0.checked_sub(salt).ok_or(GpuError::InvalidAddress)?;
-        let (&base, alloc) =
-            st.allocs.range(..=internal).next_back().ok_or(GpuError::InvalidAddress)?;
+        let (base, alloc) = st.allocs.at_or_below(internal).ok_or(GpuError::InvalidAddress)?;
         if internal >= base + alloc.declared {
             return Err(GpuError::InvalidAddress);
         }
@@ -467,7 +517,7 @@ impl Gpu {
         self.check_alive()?;
         let mut st = self.state.lock();
         let (base, offset, _) = Self::resolve(&st, self.addr_salt, Some(ctx), dst)?;
-        st.allocs.get_mut(&base).expect("resolved allocation vanished").write(offset, payload);
+        st.allocs.get_mut(base).expect("resolved allocation vanished").write(offset, payload);
         DeviceStats::add(&self.stats.h2d_bytes, declared_len);
         Ok(())
     }
@@ -481,27 +531,24 @@ impl Gpu {
         src: DeviceAddr,
         declared_len: u64,
     ) -> Result<Vec<u8>> {
-        self.memcpy_d2h_inner(ctx, src, declared_len, None)
+        let mut out = Vec::new();
+        self.memcpy_d2h_into(ctx, src, declared_len, None, &mut out)?;
+        Ok(out)
     }
 
-    /// [`Gpu::memcpy_d2h`] pinned to copy-engine lane `lane % copy_engines`.
-    pub fn memcpy_d2h_on(
-        &self,
-        ctx: GpuContextId,
-        src: DeviceAddr,
-        declared_len: u64,
-        lane: usize,
-    ) -> Result<Vec<u8>> {
-        self.memcpy_d2h_inner(ctx, src, declared_len, Some(lane))
-    }
-
-    fn memcpy_d2h_inner(
+    /// [`Gpu::memcpy_d2h`] into a buffer the caller keeps: the bytes read
+    /// overwrite the front of `out`, which grows to hold them when they are
+    /// longer (to exactly their length); what `out` holds past them stays.
+    /// `out` is untouched unless the copy succeeds. With a `lane`, pinned to
+    /// copy-engine lane `lane % copy_engines`, as [`Gpu::memcpy_h2d_on`] is.
+    pub fn memcpy_d2h_into(
         &self,
         ctx: GpuContextId,
         src: DeviceAddr,
         declared_len: u64,
         lane: Option<usize>,
-    ) -> Result<Vec<u8>> {
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
         self.check_alive()?;
         if declared_len == 0 {
             return Err(GpuError::InvalidValue);
@@ -517,9 +564,14 @@ impl Gpu {
         self.check_alive()?;
         let st = self.state.lock();
         let (base, offset, _) = Self::resolve(&st, self.addr_salt, Some(ctx), src)?;
-        let alloc = st.allocs.get(&base).expect("resolved allocation vanished");
+        let bytes =
+            st.allocs.get(base).expect("resolved allocation vanished").read(offset, declared_len);
+        let kept = bytes.len().min(out.len());
+        out[..kept].copy_from_slice(&bytes[..kept]);
+        out.reserve_exact(bytes.len() - kept);
+        out.extend_from_slice(&bytes[kept..]);
         DeviceStats::add(&self.stats.d2h_bytes, declared_len);
-        Ok(alloc.read(offset, declared_len).to_vec())
+        Ok(())
     }
 
     /// Device-internal copy between two allocations owned by `ctx`: charges
@@ -554,9 +606,14 @@ impl Gpu {
         let (src_base, src_off, _) = Self::resolve(&st, self.addr_salt, Some(ctx), src)?;
         // Stage through a temporary so src and dst may live in the same
         // allocation (BTreeMap won't hand out two &mut into it anyway).
-        let bytes = st.allocs[&src_base].read(src_off, declared_len).to_vec();
+        let bytes = st
+            .allocs
+            .get(src_base)
+            .expect("resolved allocation vanished")
+            .read(src_off, declared_len)
+            .to_vec();
         let (dst_base, dst_off, _) = Self::resolve(&st, self.addr_salt, Some(ctx), dst)?;
-        st.allocs.get_mut(&dst_base).expect("resolved allocation vanished").write(dst_off, &bytes);
+        st.allocs.get_mut(dst_base).expect("resolved allocation vanished").write(dst_off, &bytes);
         DeviceStats::add(&self.stats.d2d_bytes, declared_len);
         Ok(())
     }
@@ -607,11 +664,15 @@ impl Gpu {
         let bytes = {
             let st = src_dev.state.lock();
             let (base, offset, _) = Self::resolve(&st, src_dev.addr_salt, Some(src_ctx), src)?;
-            st.allocs[&base].read(offset, declared_len).to_vec()
+            st.allocs
+                .get(base)
+                .expect("resolved allocation vanished")
+                .read(offset, declared_len)
+                .to_vec()
         };
         let mut st = dst_dev.state.lock();
         let (base, offset, _) = Self::resolve(&st, dst_dev.addr_salt, Some(dst_ctx), dst)?;
-        st.allocs.get_mut(&base).expect("resolved allocation vanished").write(offset, &bytes);
+        st.allocs.get_mut(base).expect("resolved allocation vanished").write(offset, &bytes);
         DeviceStats::add(&src_dev.stats.p2p_bytes_out, declared_len);
         DeviceStats::add(&dst_dev.stats.p2p_bytes_in, declared_len);
         Ok(())
@@ -651,7 +712,7 @@ impl Gpu {
             let mut resolve =
                 |addr: DeviceAddr, len: u64, f: &mut dyn FnMut(&mut [u8])| -> Result<()> {
                     let (base, offset) = Self::resolve_span(&st, salt, Some(ctx), addr, len)?;
-                    let alloc = st.allocs.get_mut(&base).expect("resolved allocation vanished");
+                    let alloc = st.allocs.get_mut(base).expect("resolved allocation vanished");
                     alloc.ensure_len(offset + len);
                     let start = (offset as usize).min(alloc.data.len());
                     let end = ((offset + len) as usize).min(alloc.data.len());
@@ -672,7 +733,7 @@ impl Gpu {
     pub fn peek(&self, addr: DeviceAddr, len: u64) -> Result<Vec<u8>> {
         let st = self.state.lock();
         let (base, offset, _) = Self::resolve(&st, self.addr_salt, None, addr)?;
-        Ok(st.allocs[&base].read(offset, len).to_vec())
+        Ok(st.allocs.get(base).expect("resolved allocation vanished").read(offset, len).to_vec())
     }
 }
 
@@ -822,9 +883,34 @@ mod tests {
         let ptr = gpu.malloc(ctx, 256).unwrap();
         // Lane indices far beyond the engine count wrap modulo the bank.
         gpu.memcpy_h2d_on(ctx, ptr, 256, &[5u8; 256], 7).unwrap();
-        assert_eq!(gpu.memcpy_d2h_on(ctx, ptr, 256, 0).unwrap(), vec![5u8; 256]);
+        let mut out = Vec::new();
+        gpu.memcpy_d2h_into(ctx, ptr, 256, Some(0), &mut out).unwrap();
+        assert_eq!(out, vec![5u8; 256]);
         assert_eq!(gpu.stats().snapshot().h2d_bytes, 256);
         assert_eq!(gpu.stats().snapshot().d2h_bytes, 256);
+    }
+
+    #[test]
+    fn a_copy_into_a_kept_buffer_overwrites_its_front_and_grows_it_exactly() {
+        let gpu = test_gpu();
+        let ctx = gpu.create_context().unwrap();
+        let ptr = gpu.malloc(ctx, 1024).unwrap();
+        gpu.memcpy_h2d(ctx, ptr, 1024, &[7; 4]).unwrap();
+        // Longer than the device's bytes: their length, the rest kept.
+        let mut out = vec![1; 6];
+        gpu.memcpy_d2h_into(ctx, ptr, 1024, None, &mut out).unwrap();
+        assert_eq!(out, [7, 7, 7, 7, 1, 1]);
+        // Shorter: grown to exactly the device's bytes.
+        gpu.memcpy_h2d(ctx, ptr, 1024, &[9; 64]).unwrap();
+        let mut out = vec![1; 2];
+        gpu.memcpy_d2h_into(ctx, ptr, 1024, None, &mut out).unwrap();
+        assert_eq!((out.len(), out.capacity()), (64, 64));
+        assert!(out.iter().all(|&b| b == 9));
+        // A refused copy leaves the buffer as it was.
+        gpu.fail();
+        let err = gpu.memcpy_d2h_into(ctx, ptr, 1024, None, &mut out);
+        assert_eq!(err, Err(GpuError::DeviceFailed));
+        assert_eq!(out, [9; 64]);
     }
 
     #[test]
@@ -1004,7 +1090,7 @@ mod tests {
         // reads zeros past what B wrote, through a kernel and through D2H.
         let gpu = test_gpu();
         let (a, b) = (gpu.create_context().unwrap(), gpu.create_context().unwrap());
-        // One live allocation, so the freed buffer is kept for reuse.
+        // Two live at the peak, so the freed buffer is kept for reuse.
         let _held = gpu.malloc(b, 256).unwrap();
         let secret = gpu.malloc(a, 4096).unwrap();
         gpu.memcpy_h2d(a, secret, 4096, &[0xAA; 4096]).unwrap();

@@ -77,6 +77,13 @@ impl Driver {
         self.slots.read().iter().flatten().count()
     }
 
+    /// The largest of `f` over the attached devices, read in their slots
+    /// (no handle is cloned); `None` with no device attached. `f` runs under
+    /// the slots' read lock, so it must not attach or detach a device.
+    pub fn max_over<T: Ord>(&self, f: impl Fn(&Gpu) -> T) -> Option<T> {
+        self.slots.read().iter().flatten().map(|gpu| f(gpu)).max()
+    }
+
     /// All attached devices with their ids, in slot order.
     pub fn devices(&self) -> Vec<(DeviceId, Arc<Gpu>)> {
         self.slots
@@ -110,6 +117,13 @@ mod tests {
         assert_eq!(driver.device(DeviceId(0)).unwrap().spec().name, "Tesla C2050");
         assert_eq!(driver.device(DeviceId(1)).unwrap().spec().name, "Tesla C1060");
         assert!(driver.device(DeviceId(2)).is_err());
+        let most = |f: fn(&Gpu) -> u64| driver.max_over(f);
+        assert_eq!(most(|g| g.spec().copy_engines as u64), Some(2));
+        assert_eq!(most(|g| g.mem_capacity()), Some(4 << 30));
+        driver.detach(DeviceId(0)).unwrap();
+        assert_eq!(most(|g| g.spec().copy_engines as u64), Some(1));
+        driver.detach(DeviceId(1)).unwrap();
+        assert_eq!(most(|g| g.mem_capacity()), None);
     }
 
     #[test]

@@ -36,7 +36,8 @@
 #                                failed flush freeing the pointer it
 #                                allocated, which calls wait and which
 #                                ship at once) and a resident in-process
-#                                launch allocating nothing in the runtime
+#                                launch, and one that swaps a co-tenant
+#                                out, allocating nothing in the runtime
 #                                (counting allocator), an eager launch
 #                                putting its caller to sleep at most 1.2
 #                                times, over TCP and over a local
@@ -228,7 +229,8 @@ if [[ "$tier" == "all" || "$tier" == "2" ]]; then
         transport::tests::failed_flush_frees_the_pointer_it_allocated \
         transport::tests::every_call_with_a_known_reply_but_a_sync_or_admission_point_waits \
         > /dev/null
-    # A launch whose working set is resident costs the runtime no heap
+    # A launch whose working set is resident, and one that swaps a
+    # co-tenant out whole to bring its own set in, cost the runtime no heap
     # allocation: pinned in release too.
     cargo test -q --release -p mtgpu-core --test launch_allocations > /dev/null
     # A Copy_HD reads back only what it leaves of a kernel's output: a
@@ -334,10 +336,11 @@ if [[ "$tier" == "all" || "$tier" == "4" ]]; then
     # Closed-loop smoke: the max/min tenant completion-time ratio gates
     # scheduling fairness. Tenants issue the same number of requests but
     # each draws its own jobs, so demand is not identical and the ratio has
-    # a per-seed floor (about 1.6 at the default seed 42). Over ~15 ms of
-    # wall time on two vCPUs the gate is noisy: on the unchanged PR 15
-    # parent one run was above 2.0 in 59 % of 150 (EXPERIMENTS.md,
-    # "Tier-4 fairness smoke"). Rerun before suspecting the scheduler.
+    # a per-seed floor (about 1.6 at the default seed 42). It judges 16
+    # requests over about 4 ms of wall time, so on two vCPUs host noise
+    # alone turns it red now and then: at commit d880673, run alone, 7 of
+    # 300 runs read above 2.0 (2.11-3.59, about 2.3 %; ROADMAP.md).
+    # Rerun before suspecting the scheduler.
     ./target/release/loadgen --quick --max-fairness 2.0 \
         --out target/ci-loadgen-quick.json > /dev/null
     # Transfer-pipelining + oversubscription smoke: materialize on two

@@ -1,0 +1,121 @@
+#!/usr/bin/env bash
+# Where one mtgpu-perf workload's CPU goes, by function.
+#
+#   scripts/profile.sh WORKLOAD [SECONDS]     (default 20 s, seed 42)
+#
+# Builds mtgpu-perf with frame pointers (-C force-frame-pointers=yes) into
+# target/profile, so the benchmark's own build is left alone, and the
+# sampler in scripts/profile_sampler.c with the system C compiler. The
+# sampler runs the workload and samples its task clock at 10 kHz through
+# perf_event_open, one event per CPU, inherited by every thread, taking
+# user-space IPs and call chains. The samples are symbolized with `nm`
+# against the binary's load base, and the script prints a flat table (the
+# function a sample was in) and an inclusive one (every function on its
+# stack, once per sample), each over the samples left after the
+# benchmark's own speed calibrator (`mtgpu_perf::calib`), which is not the
+# runtime. Frames in shared libraries count under the library's name and
+# the nearest caller in the binary the frame-pointer walk found: glibc is
+# stripped, so its memcpy and allocator are not told apart by name.
+#
+# At kernel.perf_event_paranoid 2 only user space can be sampled: time in
+# the kernel (syscalls, futex waits, page faults) is not in the tables.
+# The run's user and sys CPU seconds (its rusage, as time(1) reports it)
+# are printed next to them to show how much that is: sys read 29 %
+# (tenant_mix) to 57 % (launch_small) of the CPU of 10 s runs on a
+# two-vCPU machine.
+#
+# Not part of CI: it needs perf_event_open, which a container may forbid.
+set -euo pipefail
+
+workload=${1:?usage: scripts/profile.sh WORKLOAD [SECONDS]}
+seconds=${2:-20}
+root=$(cd "$(dirname "$0")/.." && pwd)
+out=$root/target/profile
+mkdir -p "$out"
+
+RUSTFLAGS="-C force-frame-pointers=yes" cargo build --release --offline -q \
+    --manifest-path "$root/Cargo.toml" -p mtgpu-perf --target-dir "$out"
+cc -O2 -Wall -o "$out/profile_sampler" "$root/scripts/profile_sampler.c"
+
+bin=$out/release/mtgpu-perf
+samples=$out/$workload.samples
+"$out/profile_sampler" "$samples" 10000 -- "$bin" \
+    --workload "$workload" --seed 42 --seconds "$seconds" > "$out/$workload.report"
+nm -C --defined-only "$bin" > "$out/mtgpu-perf.nm"
+
+python3 - "$samples" "$out/mtgpu-perf.nm" "$bin" <<'PY'
+import bisect
+import collections
+import os
+import re
+import sys
+
+samples_path, nm_path, binary = sys.argv[1:]
+binary = os.path.realpath(binary)
+
+# Function symbols, by address, with the hash suffix dropped.
+syms = []
+for line in open(nm_path):
+    parts = line.rstrip("\n").split(" ", 2)
+    if len(parts) == 3 and parts[1] in "tTwW":
+        syms.append((int(parts[0], 16), re.sub(r"::h[0-9a-f]{16}$", "", parts[2])))
+syms.sort()
+addrs = [a for a, _ in syms]
+
+maps, chains, lost, rusage = [], [], 0, None
+for line in open(samples_path):
+    kind, _, rest = line.rstrip("\n").partition(" ")
+    if kind == "S":
+        fields = rest.split()
+        chains.append([int(f, 16) for f in fields[1:]])
+    elif kind == "M":
+        f = rest.split(None, 5)
+        lo, hi = (int(x, 16) for x in f[0].split("-"))
+        maps.append((lo, hi, int(f[2], 16), f[5] if len(f) > 5 else ""))
+    elif kind == "L":
+        lost = int(rest)
+    elif kind == "R":
+        rusage = rest.split()
+
+# nm's addresses are relative to the mapping at file offset 0.
+base = min((lo for lo, _, off, path in maps if path == binary and off == 0), default=0)
+
+def name(ip):
+    for lo, hi, _, path in maps:
+        if lo <= ip < hi:
+            if path != binary:
+                return f"[{os.path.basename(path) or 'anon'}]"
+            i = bisect.bisect_right(addrs, ip - base) - 1
+            return syms[i][1] if i >= 0 else "[mtgpu-perf]"
+    return "[unknown]"
+
+flat, inclusive = collections.Counter(), collections.Counter()
+calib = outside = 0
+for chain in chains:
+    names = [name(ip) for ip in chain]
+    if any(n.startswith("mtgpu_perf::calib") for n in names):
+        calib += 1
+        continue
+    leaf = names[0]
+    if leaf.startswith("["):
+        # A library leaf (memcpy, malloc, a syscall stub) keeps no frame
+        # pointer: the walk resumes at its caller's caller, named here.
+        outside += 1
+        caller = next((n for n in names[1:] if not n.startswith("[")), "?")
+        leaf = f"{leaf} under {caller}"
+    flat[leaf] += 1
+    inclusive.update({n for n in names if not n.startswith("[")})
+kept = sum(flat.values())
+
+user, sys_s, status = rusage or ("?", "?", "?")
+print(f"{len(chains)} samples, {calib} in the calibrator left out, {kept} kept, {lost} lost")
+print(f"{100 * outside / max(kept, 1):.1f} % of the kept samples in shared libraries")
+if rusage:
+    cpu = float(user) + float(sys_s)
+    print(f"user {user} s, sys {sys_s} s ({100 * float(sys_s) / cpu:.0f} % of CPU, not sampled)")
+for title, counts in (("flat (self)", flat), ("inclusive", inclusive)):
+    print(f"\n{title:<10}  share  samples  function")
+    for fn, n in counts.most_common(30):
+        print(f"{'':<10} {100 * n / max(kept, 1):5.1f} % {n:8d}  {fn[:110]}")
+PY
+tail -n 1 "$out/$workload.report" | cut -c1-200

@@ -19,6 +19,7 @@ The reports do not carry the seed or the run length, so both are given.
 
 import argparse
 import json
+import os
 import statistics
 import sys
 from pathlib import Path
@@ -96,7 +97,13 @@ def main():
                 out.write("".join(line + "\n" for line in lines))
         except OSError as e:
             sys.exit(f"cannot append to {args.append}: {e}")
-    print("\n".join(lines))
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # The reader stopped reading (`| head -1`) after what it wanted, and
+        # the rows are appended: not a failure. Stdout goes to /dev/null so
+        # the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
     failed = sum(r["failed"] for r in both)
     wrong = sum(not r["correct"] for r in both)
