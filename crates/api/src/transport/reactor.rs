@@ -55,7 +55,7 @@ use super::frame::{encode_frame, FrameBuf, KEEP_BYTES};
 use super::mux::LocalStream;
 use crate::error::CudaError;
 use crate::protocol::{CudaCall, CudaReply, MuxFrame};
-use mtgpu_simtime::{lock_rank, RankedMutex, Shadow};
+use mtgpu_simtime::{current_thread_id, lock_rank, RankedMutex, Shadow};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -397,7 +397,7 @@ impl ReplySink {
                 return;
             }
             let max_outbuf = shared.max_outbuf.load(Ordering::Relaxed);
-            let corked = out.corked.is_some_and(|reactor| reactor == std::thread::current().id());
+            let corked = out.corked.is_some_and(|reactor| reactor == current_thread_id());
             let backlogged = out.backlog() > 0 || corked;
             for (id, reply) in replies {
                 out.push_reply(id, reply);
@@ -648,7 +648,7 @@ fn sweep_conn(
     stats: &ReactorStats,
     max_outbuf: usize,
 ) -> Result<(), CloseReason> {
-    conn.out.lock().corked = Some(std::thread::current().id());
+    conn.out.lock().corked = Some(current_thread_id());
     let mut budget = SWEEP_RUN_BUDGET;
     let swept = loop {
         match conn.framebuf.read_from(&mut &*conn.stream) {

@@ -1,20 +1,27 @@
 //! A kernel launch's passes through the memory manager (Table 1 "Launch":
-//! check PTEs, materialize, launch). Per attempt, one lookup of the
-//! context's table and one acquisition of its lock resolve each pointer
-//! argument once — into the working set, the entries the kernel may write
-//! and the arguments the device sees — and make the working set resident
-//! ([`MemoryManager::prepare_launch`]); after the device launch, one more
-//! acquisition applies Figure 4's `launch` transition
-//! ([`MemoryManager::launched`]). It all lands in a [`LaunchSet`] whose
-//! buffers each thread keeps from one launch to the next, so a resident
-//! working set costs no heap allocation.
+//! check PTEs, materialize, launch). A launch walks its arguments once, for
+//! all its attempts: the walk resolves each pointer argument into its
+//! entry's base and offset, and closes over registered nested members into
+//! the working set and the entries the kernel may write. It is made by the
+//! PTE check before a wait ([`MemoryManager::check_ptes`]) or by the first
+//! pass ([`MemoryManager::prepare_launch`]), and made again only when the
+//! context's table changed shape since ([`PageTable::shape`]): a retry
+//! after a co-tenant's swap-out, or after the launch waited for its vGPU,
+//! reuses it. Each pass, under one acquisition of the table's lock, makes
+//! the working set resident and, once an entry had to be allocated, builds
+//! the device arguments from the recorded bases and offsets by exact-key
+//! lookups; after the device launch, one more acquisition applies Figure
+//! 4's `launch` transition ([`MemoryManager::launched`]).
 //!
-//! Nor does a launch that swaps: a pass allocates only while a kept buffer
-//! grows. The set is the launch's for all its attempts, the PTE check
-//! before it waits ([`MemoryManager::check_ptes`]) included; the upload
-//! plan's ops and outcomes are the thread's ([`super::transfer::Plan`]);
-//! an own entry evicted for room writes back into its slab; and a
-//! co-tenant swapped out for room does so through
+//! The walk is linear: `close` removes duplicates through a small hash set
+//! of the bases it took, and read-only arguments are flags by argument
+//! index.
+//! Everything lands in a [`LaunchSet`] whose buffers each thread keeps from
+//! one launch to the next, so a resident working set costs no heap
+//! allocation. Nor does a launch that swaps: a pass allocates only while a
+//! kept buffer grows. The upload plan's ops and outcomes are the thread's
+//! ([`super::transfer::Plan`]); an own entry evicted for room writes back
+//! into its slab; and a co-tenant swapped out for room does so through
 //! [`MemoryManager::swap_out_ctx`], whose writebacks land in their slabs
 //! too.
 
@@ -24,23 +31,84 @@ use crate::memory::page_table::PageTable;
 use mtgpu_api::{CudaError, CudaResult};
 use mtgpu_gpusim::{DeviceAddr, KernelArg};
 use std::cell::Cell;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A base to close over, and whether its entry may have nested members
 /// (`false` only when its entry was seen to have none).
 type Root = (DeviceAddr, bool);
 
-/// One launch attempt's working set, resolved by
-/// [`MemoryManager::prepare_launch`] and held for the device launch and
+/// The bases one `close` took: open addressing with linear probing, kept
+/// at most half full, so a base costs one multiply and about one probe to
+/// look up. No entry has base `u64::MAX` (an entry holds at least a byte),
+/// so that marks an empty slot.
+#[derive(Default)]
+struct Seen {
+    slots: Vec<u64>,
+    len: usize,
+}
+
+impl Seen {
+    const EMPTY: u64 = u64::MAX;
+
+    /// Empties the set, keeping its slots.
+    fn clear(&mut self) {
+        self.slots.fill(Self::EMPTY);
+        self.len = 0;
+    }
+
+    /// Adds `base`; returns whether it was not in the set.
+    fn insert(&mut self, base: DeviceAddr) -> bool {
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = (base.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & mask;
+        loop {
+            match self.slots[i] {
+                Self::EMPTY => {
+                    self.slots[i] = base.0;
+                    self.len += 1;
+                    return true;
+                }
+                taken if taken == base.0 => return false,
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Doubles the slots (to 16 at first) and puts the bases back.
+    fn grow(&mut self) {
+        let old = std::mem::take(&mut self.slots);
+        self.slots = vec![Self::EMPTY; (2 * old.len()).max(16)];
+        self.len = 0;
+        for base in old.into_iter().filter(|&b| b != Self::EMPTY) {
+            self.insert(DeviceAddr(base));
+        }
+    }
+}
+
+/// A launch's walk of its arguments, and what its passes build on it: held
+/// for all the launch's attempts, the device launch and
 /// [`MemoryManager::launched`].
 #[derive(Default)]
 pub(crate) struct LaunchSet {
-    /// The context's memory, looked up once per attempt.
+    /// The context's memory, looked up once per launch.
     cm: Option<Arc<CtxMemory>>,
+    /// The shape of the context's table the walk was made on; `None`
+    /// before a walk.
+    walked: Option<u64>,
     /// The working set's walk: every pointer argument's entry to start.
     stack: Vec<Root>,
     /// The written entries' walk, when some arguments are read-only.
     rw_stack: Vec<Root>,
+    /// The bases `close` took so far.
+    seen: Seen,
+    /// Which arguments, by index, the kernel only reads, when `annotated`.
+    read_only: Vec<bool>,
+    /// Each pointer argument's entry base and offset into it, in argument
+    /// order.
+    ptrs: Vec<(DeviceAddr, u64)>,
     /// The working set, in the order it is made resident.
     closure: Vec<DeviceAddr>,
     /// The entries reached through read-write arguments, when `annotated`;
@@ -57,13 +125,14 @@ thread_local! {
 }
 
 impl LaunchSet {
-    /// Runs `f` with the calling thread's set, so a thread allocates a
-    /// launch's buffers once, not per launch. A nested use gets a fresh
-    /// set.
+    /// Runs `f` with the calling thread's set, walked for nothing yet, so a
+    /// thread allocates a launch's buffers once, not per launch. A nested
+    /// use gets a fresh set.
     pub(crate) fn with_spare<R>(f: impl FnOnce(&mut LaunchSet) -> R) -> R {
         let mut set = SPARE.take().unwrap_or_default();
         let out = f(&mut set);
         set.cm = None;
+        set.walked = None;
         SPARE.set(Some(set));
         out
     }
@@ -96,12 +165,14 @@ impl LaunchSet {
     /// is not looked up again.
     fn close(
         stack: &mut Vec<Root>,
+        seen: &mut Seen,
         table: &PageTable,
         out: &mut Vec<DeviceAddr>,
     ) -> CudaResult<()> {
         out.clear();
+        seen.clear();
         while let Some((base, members)) = stack.pop() {
-            if out.contains(&base) {
+            if !seen.insert(base) {
                 continue;
             }
             out.push(base);
@@ -113,21 +184,32 @@ impl LaunchSet {
         Ok(())
     }
 
-    /// Resolves `args` against `table`, each pointer once, into the
-    /// working set, the written entries (`read_only` names arguments the
-    /// kernel only reads) and the device arguments. Returns whether every
-    /// pointer's entry already had its device allocation, and so its
-    /// device address.
-    fn resolve(
+    /// Walks `args` on `table`, each pointer once: records its entry's base
+    /// and offset, the working set and the written entries (`read_only`
+    /// names arguments the kernel only reads), and the device arguments of
+    /// every pointer whose entry has its device allocation. Returns whether
+    /// every one had.
+    fn walk(
         &mut self,
         table: &PageTable,
         args: &[KernelArg],
         read_only: &[u32],
     ) -> CudaResult<bool> {
+        self.walked = None;
+        self.ptrs.clear();
         self.args.clear();
         self.stack.clear();
         self.rw_stack.clear();
         self.annotated = !read_only.is_empty();
+        self.read_only.clear();
+        if self.annotated {
+            self.read_only.resize(args.len(), false);
+            for &i in read_only {
+                if let Some(flag) = self.read_only.get_mut(i as usize) {
+                    *flag = true;
+                }
+            }
+        }
         let mut allocated = true;
         for (i, arg) in args.iter().enumerate() {
             let KernelArg::Ptr(ptr) = *arg else {
@@ -137,8 +219,9 @@ impl LaunchSet {
             let (entry, offset) =
                 table.resolve_entry(ptr).ok_or(CudaError::InvalidDevicePointer)?;
             let root = (entry.vaddr, !entry.nested_members.is_empty());
+            self.ptrs.push((entry.vaddr, offset));
             self.stack.push(root);
-            if self.annotated && !read_only.contains(&(i as u32)) {
+            if self.annotated && !self.read_only[i] {
                 self.rw_stack.push(root);
             }
             self.args.push(match entry.device_ptr {
@@ -149,22 +232,24 @@ impl LaunchSet {
                 }
             });
         }
-        Self::close(&mut self.stack, table, &mut self.closure)?;
+        Self::close(&mut self.stack, &mut self.seen, table, &mut self.closure)?;
         if self.annotated {
-            Self::close(&mut self.rw_stack, table, &mut self.written)?;
+            Self::close(&mut self.rw_stack, &mut self.seen, table, &mut self.written)?;
         }
+        self.walked = Some(table.shape());
         Ok(allocated)
     }
 
-    /// Translates `args` to device addresses into `self.args`, every
+    /// Builds the device arguments from the walk's bases and offsets, every
     /// pointer's entry being resident.
     fn translate(&mut self, table: &PageTable, args: &[KernelArg]) -> CudaResult<()> {
         self.args.clear();
+        let mut ptrs = self.ptrs.iter();
         for arg in args {
             self.args.push(match *arg {
-                KernelArg::Ptr(ptr) => {
-                    let (entry, offset) =
-                        table.resolve_entry(ptr).ok_or(CudaError::InvalidDevicePointer)?;
+                KernelArg::Ptr(_) => {
+                    let &(base, offset) = ptrs.next().expect("one per pointer argument");
+                    let entry = table.get(base).ok_or(CudaError::InvalidDevicePointer)?;
                     let dptr = entry.device_ptr.ok_or(CudaError::InvalidDevicePointer)?;
                     KernelArg::Ptr(DeviceAddr(dptr.0 + offset))
                 }
@@ -176,11 +261,39 @@ impl LaunchSet {
 }
 
 impl MemoryManager {
-    /// A launch attempt's one pass under `ctx`'s table lock: resolves
-    /// `args` into `set` (see [`LaunchSet`]) and makes the working set
-    /// resident on `binding` as [`Self::materialize`] does, intra-application
-    /// swap included. On [`Materialize::Ready`], `set` holds the arguments
-    /// as the device sees them.
+    /// The context's memory, looked up once for the launch `set` holds.
+    fn launch_mem(&self, ctx: CtxId, set: &mut LaunchSet) -> CudaResult<Arc<CtxMemory>> {
+        if let Some(cm) = &set.cm {
+            return Ok(Arc::clone(cm));
+        }
+        let cm = self.ctx_mem(ctx)?;
+        set.cm = Some(Arc::clone(&cm));
+        Ok(cm)
+    }
+
+    /// Walks `args` into `set` unless its walk holds for `table`'s shape.
+    /// Returns whether a walk made now found every pointer's entry with its
+    /// device allocation (and so the device arguments built).
+    fn walk_args(
+        &self,
+        set: &mut LaunchSet,
+        table: &PageTable,
+        args: &[KernelArg],
+        read_only: &[u32],
+    ) -> CudaResult<bool> {
+        if set.walked == Some(table.shape()) {
+            return Ok(false);
+        }
+        self.arg_walks.fetch_add(1, Ordering::Relaxed);
+        set.walk(table, args, read_only)
+    }
+
+    /// A launch attempt's one pass under `ctx`'s table lock: walks `args`
+    /// into `set` unless it holds a walk of them already (see
+    /// [`LaunchSet`]), and makes the working set resident on `binding` as
+    /// [`Self::materialize`] does, intra-application swap included. On
+    /// [`Materialize::Ready`], `set` holds the arguments as the device
+    /// sees them.
     pub(crate) fn prepare_launch(
         &self,
         ctx: CtxId,
@@ -189,35 +302,33 @@ impl MemoryManager {
         binding: &Binding,
         set: &mut LaunchSet,
     ) -> CudaResult<Materialize> {
-        let cm = self.ctx_mem(ctx)?;
-        let ready = {
-            let mut table = cm.table.lock();
-            let allocated = set.resolve(&table, args, read_only)?;
-            let ready = self.materialize_locked(ctx, &cm, &mut table, set.closure(), binding)?;
-            // An entry allocated in this pass has its device address only now.
-            if ready == Materialize::Ready && !allocated {
-                set.translate(&table, args)?;
-            }
-            ready
-        };
-        set.cm = Some(cm);
+        let cm = self.launch_mem(ctx, set)?;
+        let mut table = cm.table.lock();
+        let translated = self.walk_args(set, &table, args, read_only)?;
+        let ready = self.materialize_locked(ctx, &cm, &mut table, set.closure(), binding)?;
+        // Device addresses not known at the walk are known only now.
+        if ready == Materialize::Ready && !translated {
+            set.translate(&table, args)?;
+        }
         Ok(ready)
     }
 
     /// Table 1's PTE check alone, for a launch about to be handed back
     /// (to wait for a vGPU or a device) or refused: every pointer argument,
-    /// and every nested member reached from one, has an entry. Resolves
-    /// into the set the launch already holds, as [`Self::prepare_launch`]
-    /// does.
+    /// and every nested member reached from one, has an entry. Walks into
+    /// the set the launch holds, with the kernel's read-only arguments (none
+    /// for a kernel that is not registered), so the pass after the wait
+    /// finds the walk made.
     pub(crate) fn check_ptes(
         &self,
         ctx: CtxId,
         args: &[KernelArg],
+        read_only: &[u32],
         set: &mut LaunchSet,
     ) -> CudaResult<()> {
-        let cm = self.ctx_mem(ctx)?;
-        let resolved = set.resolve(&cm.table.lock(), args, &[]);
-        resolved.map(|_| ())
+        let cm = self.launch_mem(ctx, set)?;
+        let walked = self.walk_args(set, &cm.table.lock(), args, read_only);
+        walked.map(|_| ())
     }
 
     /// The pass after the device ran the launch [`Self::prepare_launch`]
@@ -240,6 +351,12 @@ impl MemoryManager {
         }
     }
 
+    /// Walks of launch arguments made so far: one per launch, and one more
+    /// for each attempt that found its context's table changed in shape.
+    pub fn arg_walks(&self) -> u64 {
+        self.arg_walks.load(Ordering::Relaxed)
+    }
+
     /// Resolves a launch's pointer arguments to PTE bases and extends the
     /// set with registered nested members (transitively), in the order
     /// [`Self::prepare_launch`] makes them resident.
@@ -251,7 +368,7 @@ impl MemoryManager {
         let args: Vec<KernelArg> = args.into_iter().copied().collect();
         let cm = self.ctx_mem(ctx)?;
         LaunchSet::with_spare(|set| {
-            set.resolve(&cm.table.lock(), &args, &[])?;
+            set.walk(&cm.table.lock(), &args, &[])?;
             Ok(set.closure.clone())
         })
     }
@@ -262,7 +379,10 @@ impl MemoryManager {
     pub fn translate_args(&self, ctx: CtxId, args: &[KernelArg]) -> CudaResult<Vec<KernelArg>> {
         let cm = self.ctx_mem(ctx)?;
         LaunchSet::with_spare(|set| {
-            set.translate(&cm.table.lock(), args)?;
+            let table = cm.table.lock();
+            if !set.walk(&table, args, &[])? {
+                set.translate(&table, args)?;
+            }
             Ok(set.args.clone())
         })
     }
@@ -358,6 +478,19 @@ mod tests {
             m.launched(set);
             (ready, device_args)
         })
+    }
+
+    #[test]
+    fn the_seen_set_takes_each_base_once_as_it_grows() {
+        let (mut seen, mut want) = (Seen::default(), std::collections::BTreeSet::new());
+        for _ in 0..3 {
+            seen.clear();
+            want.clear();
+            for i in 0..200u64 {
+                let base = DeviceAddr((1 << 20) + (i * 7919 % 97) * 4096);
+                assert_eq!(seen.insert(base), want.insert(base), "base {base}");
+            }
+        }
     }
 
     #[test]

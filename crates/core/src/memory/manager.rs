@@ -161,6 +161,8 @@ pub struct MemoryManager {
     /// Monotone touch sequence shared by every table: stamps are totally
     /// ordered, and replay-stable under a sequential driver.
     pub(super) touch_seq: AtomicU64,
+    /// Walks of launch arguments ([`Self::arg_walks`]).
+    pub(super) arg_walks: AtomicU64,
 }
 
 impl MemoryManager {
@@ -177,6 +179,7 @@ impl MemoryManager {
                 NodeState { tables: BTreeMap::new(), swap, dev_swap: BTreeMap::new() },
             ),
             touch_seq: AtomicU64::new(0),
+            arg_walks: AtomicU64::new(0),
         }
     }
 
@@ -506,19 +509,22 @@ impl MemoryManager {
             table.get_mut(mb).expect("member vanished").nested_parent = Some(parent_base);
         }
         table.get_mut(parent_base).expect("parent vanished").nested_members = member_bases;
+        table.reshaped();
         Ok(())
     }
 
     /// The context's total declared footprint (the paper's `MemUsage`).
     pub fn mem_usage(&self, ctx: CtxId) -> u64 {
-        self.ctx_mem(ctx).map_or(0, |cm| cm.usage.load(Ordering::Relaxed))
+        let node = self.node.lock();
+        node.tables.get(&ctx).map_or(0, |cm| cm.usage.load(Ordering::Relaxed))
     }
 
     /// Bytes of the context currently resident on its device. Reads the
     /// context's counter, so a victim search or the monitor never waits on
     /// a table that is mid-transfer.
     pub fn resident_bytes(&self, ctx: CtxId) -> u64 {
-        self.ctx_mem(ctx).map_or(0, |cm| cm.resident.load(Ordering::Relaxed))
+        let node = self.node.lock();
+        node.tables.get(&ctx).map_or(0, |cm| cm.resident.load(Ordering::Relaxed))
     }
 
     /// Device bytes the entries at `bases` take when all are resident, each

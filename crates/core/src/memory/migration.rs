@@ -45,6 +45,7 @@ impl MemoryManager {
     ) {
         let Ok(cm) = self.ctx_mem(ctx) else { return };
         let mut table = cm.table.lock();
+        table.reshaped();
         for &(vaddr, dst_dptr) in moves {
             if let Some(entry) = table.get_mut(vaddr) {
                 entry.device_ptr = Some(dst_dptr);

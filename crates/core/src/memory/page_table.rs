@@ -163,22 +163,26 @@ impl SwapSlab {
     }
 
     /// Lands a whole-entry writeback in place: the bytes of the `size`-byte
-    /// device allocation at `dptr` (D2H from offset 0, on `lane` if given)
-    /// overwrite the slab's front, up to the cap, and grow it when they are
-    /// longer; what the slab holds past them stays. The copy goes straight
-    /// into the slab's own buffer, so a writeback allocates only to grow it.
-    /// A failed copy leaves the slab as it was.
+    /// device allocation at `dptr` (D2H from offset 0) overwrite the slab's
+    /// front, up to the cap, and grow it when they are longer; what the
+    /// slab holds past them stays. The copy goes straight into the slab's
+    /// own buffer, so a writeback allocates only to grow it. A failed copy
+    /// leaves the slab as it was.
     pub(crate) fn write_back(
         &mut self,
         gpu: &Gpu,
         gpu_ctx: GpuContextId,
         dptr: DeviceAddr,
         size: u64,
-        lane: Option<usize>,
     ) -> Result<(), GpuError> {
-        gpu.memcpy_d2h_into(gpu_ctx, dptr, size, lane, &mut self.data)?;
-        self.data.truncate(self.max_len as usize);
+        gpu.memcpy_d2h_into(gpu_ctx, dptr, size, &mut self.data)?;
+        self.landed();
         Ok(())
+    }
+
+    /// Cuts a writeback that landed in `data` back to the cap.
+    pub(crate) fn landed(&mut self) {
+        self.data.truncate(self.max_len as usize);
     }
 
     /// Reads up to `len` materialized bytes at `offset`.
@@ -205,7 +209,8 @@ pub struct PageTableEntry {
     /// Swap slab (allocated at `malloc` time, per Table 1).
     pub slab: SwapSlab,
     /// Virtual addresses of nested members (entries this one points into),
-    /// registered through the runtime API (§1).
+    /// registered through the runtime API (§1). A change to them is a
+    /// change of the table's shape ([`PageTable::reshaped`]).
     pub nested_members: Vec<DeviceAddr>,
     /// Virtual address of the nesting parent, if this entry is a member.
     pub nested_parent: Option<DeviceAddr>,
@@ -225,7 +230,7 @@ impl PageTableEntry {
     /// A failed copy changes nothing.
     pub(crate) fn write_back(&mut self, gpu: &Gpu, gpu_ctx: GpuContextId) -> CudaResult<()> {
         let (dptr, size) = (self.dptr(), self.size);
-        self.slab.write_back(gpu, gpu_ctx, dptr, size, None).map_err(CudaError::from_gpu)?;
+        self.slab.write_back(gpu, gpu_ctx, dptr, size).map_err(CudaError::from_gpu)?;
         self.flags = self.flags.on_copy_dh();
         Ok(())
     }
@@ -235,9 +240,16 @@ impl PageTableEntry {
 /// pointer resolution (applications do pointer arithmetic on their virtual
 /// pointers just as they would on device pointers), and the cursor its
 /// context's addresses are minted from.
+///
+/// Its *shape* is which entries there are and what they nest; a counter
+/// moves with every change of it, so a launch's walk of its arguments
+/// ([`crate::memory::LaunchSet`]) holds for as long as the counter reads
+/// the same. Changes of residency and flags leave it.
 #[derive(Debug, Default)]
 pub struct PageTable {
     entries: BTreeMap<u64, PageTableEntry>,
+    /// Bumped by every change of the table's shape.
+    shape: u64,
     /// Every malloc the context was sent takes its span here, admitted or
     /// refused (the rule on `CudaCall::Malloc`).
     pub(crate) cursor: VaCursor,
@@ -251,13 +263,28 @@ impl PageTable {
 
     /// Inserts an entry keyed by its virtual base address.
     pub fn insert(&mut self, entry: PageTableEntry) {
+        self.reshaped();
         self.entries.insert(entry.vaddr.0, entry);
     }
 
     /// Removes the entry with virtual base `vaddr` (base only, CUDA
     /// semantics).
     pub fn remove(&mut self, vaddr: DeviceAddr) -> Option<PageTableEntry> {
+        self.reshaped();
         self.entries.remove(&vaddr.0)
+    }
+
+    /// The shape counter: it reads the same for as long as the entries and
+    /// their nesting do.
+    pub fn shape(&self) -> u64 {
+        self.shape
+    }
+
+    /// Notes a change of shape made through [`Self::get_mut`] (nesting, a
+    /// migration's rewrite); [`Self::insert`] and [`Self::remove`] note
+    /// their own.
+    pub fn reshaped(&mut self) {
+        self.shape += 1;
     }
 
     /// Resolves a (possibly interior) virtual address to `(base, offset)`.

@@ -1,17 +1,31 @@
 //! Making a launch's working set resident (§4.5): device allocation,
 //! intra-application swap on memory pressure, bulk upload — one pass under
 //! the context's table lock.
+//!
+//! The pass's device calls are batches: one for the entries to allocate
+//! ([`mtgpu_gpusim::Gpu::malloc_batch`], their addresses in a buffer the
+//! thread keeps) and one per copy lane for the uploads
+//! ([`super::transfer::execute`]). Only an allocation the device refuses
+//! sends the pass on entry by entry, each refusal evicting one of the
+//! context's own entries outside the working set, so the first-fit
+//! addresses are those of one malloc per entry in working-set order.
 
 use crate::ctx::{Binding, CtxId};
 use crate::memory::eviction::{self, EntryCandidate};
 use crate::memory::manager::{CtxMemory, Materialize, MemoryManager};
-use crate::memory::page_table::PageTable;
+use crate::memory::page_table::{PageTable, PageTableEntry};
 use crate::memory::transfer::{Plan, TransferOp};
 use crate::metrics::RuntimeMetrics;
 use mtgpu_api::{CudaError, CudaResult};
 use mtgpu_gpusim::{DeviceAddr, GpuError};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
+
+thread_local! {
+    /// The device addresses of the thread's last allocation batch.
+    static ADDRS: Cell<Vec<DeviceAddr>> = const { Cell::new(Vec::new()) };
+}
 
 impl MemoryManager {
     /// Makes every entry in `bases` device-resident and uploaded on the
@@ -40,34 +54,16 @@ impl MemoryManager {
         bases: &[DeviceAddr],
         binding: &Binding,
     ) -> CudaResult<Materialize> {
-        // Allocate in working-set order (mallocs cost no simulated time);
-        // an OOM evicts one own entry outside the working set and tries
-        // again. The victim queue is built on the first OOM and serves the
-        // whole pass: evictions only remove candidates.
-        let mut victims: Option<VecDeque<DeviceAddr>> = None;
-        let mut uploads = false;
+        let (mut uploads, mut missing) = (false, false);
         for &base in bases {
             let entry = table.get(base).ok_or(CudaError::InvalidDevicePointer)?;
             uploads |= entry.flags.to_dev();
-            if entry.flags.allocated() {
-                continue;
+            missing |= !entry.flags.allocated();
+        }
+        if missing {
+            if let Some(need) = self.allocate(cm, table, bases, binding)? {
+                return Ok(Materialize::NeedBytes(need));
             }
-            let size = entry.size;
-            let dptr = loop {
-                match binding.gpu.malloc(binding.gpu_ctx, size) {
-                    Ok(dptr) => break dptr,
-                    Err(GpuError::OutOfMemory) => {
-                        if !self.evict_next_own_entry(cm, table, bases, binding, &mut victims)? {
-                            return Ok(Materialize::NeedBytes(size));
-                        }
-                    }
-                    Err(e) => return Err(CudaError::from_gpu(e)),
-                }
-            };
-            let entry = table.get_mut(base).expect("entry seen above under this lock");
-            entry.device_ptr = Some(dptr);
-            entry.flags = entry.flags.on_alloc();
-            cm.resident.fetch_add(size, Ordering::Relaxed);
         }
         let touch = self.stamp();
         for &base in bases {
@@ -102,6 +98,76 @@ impl MemoryManager {
         }
         self.note_dev_swap(binding.vgpu.device, uploaded, 0);
         first_err.map_or(Ok(Materialize::Ready), Err)
+    }
+
+    /// Gives every entry of `bases` without one its device allocation, in
+    /// working-set order: one batch, then, from an entry the device refuses
+    /// on, one malloc per entry with own-entry eviction. Returns the bytes
+    /// of an entry that found no room even with nothing else of the
+    /// context's left on the device.
+    fn allocate(
+        &self,
+        cm: &CtxMemory,
+        table: &mut PageTable,
+        bases: &[DeviceAddr],
+        binding: &Binding,
+    ) -> CudaResult<Option<u64>> {
+        // Allocate in working-set order (mallocs cost no simulated time), in
+        // one call that stops at the first refusal.
+        let mut addrs = ADDRS.take();
+        let sizes = bases.iter().filter_map(|&base| table.get(base));
+        let sizes = sizes.filter(|e| !e.flags.allocated()).map(|e| e.size);
+        let batch = binding.gpu.malloc_batch(binding.gpu_ctx, sizes, &mut addrs);
+        let mut made = addrs.iter();
+        for &base in bases {
+            let entry = table.get_mut(base).expect("checked above");
+            if !entry.flags.allocated() {
+                let Some(&dptr) = made.next() else { break };
+                Self::allot(cm, entry, dptr);
+            }
+        }
+        ADDRS.set(addrs);
+        match batch {
+            Ok(()) => {}
+            Err(GpuError::OutOfMemory) => {
+                // From the refused entry on, one malloc per entry: an OOM
+                // evicts one own entry outside the working set and tries
+                // again. The victim queue is built on the first OOM and
+                // serves the whole pass: evictions only remove candidates.
+                let mut victims: Option<VecDeque<DeviceAddr>> = None;
+                let mut refused = true;
+                for &base in bases {
+                    let entry = table.get(base).expect("checked above");
+                    if entry.flags.allocated() {
+                        continue;
+                    }
+                    let size = entry.size;
+                    let dptr = loop {
+                        // The batch's refusal was the first entry's first try.
+                        if !std::mem::take(&mut refused) {
+                            match binding.gpu.malloc(binding.gpu_ctx, size) {
+                                Ok(dptr) => break dptr,
+                                Err(GpuError::OutOfMemory) => {}
+                                Err(e) => return Err(CudaError::from_gpu(e)),
+                            }
+                        }
+                        if !self.evict_next_own_entry(cm, table, bases, binding, &mut victims)? {
+                            return Ok(Some(size));
+                        }
+                    };
+                    Self::allot(cm, table.get_mut(base).expect("seen above"), dptr);
+                }
+            }
+            Err(e) => return Err(CudaError::from_gpu(e)),
+        }
+        Ok(None)
+    }
+
+    /// Records `dptr` as the device allocation of `entry`.
+    fn allot(cm: &CtxMemory, entry: &mut PageTableEntry, dptr: DeviceAddr) {
+        entry.device_ptr = Some(dptr);
+        entry.flags = entry.flags.on_alloc();
+        cm.resident.fetch_add(entry.size, Ordering::Relaxed);
     }
 
     /// Evicts the next victim among the context's own resident entries

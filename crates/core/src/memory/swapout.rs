@@ -4,14 +4,15 @@
 //!
 //! A pass allocates nothing: each dirty entry's writeback is an op of one
 //! plan on the thread's kept buffers ([`super::transfer::Plan`]) that
-//! copies the device's bytes straight into the entry's slab
-//! (`SwapSlab::write_back`), and the outcomes, read in plan order, say
-//! which landed.
+//! copies the device's bytes straight into the entry's slab, and the
+//! outcomes, read in plan order, say which landed. The plan is one device
+//! call per copy lane, and a swap-out frees its entries in one more
+//! ([`mtgpu_gpusim::Gpu::free_batch`]).
 
 use crate::ctx::{Binding, CtxId};
 use crate::memory::manager::{MemoryManager, Recovery, SwapOutcome, SwapReason};
-use crate::memory::page_table::PageTable;
-use crate::memory::transfer::{Plan, TransferOp};
+use crate::memory::page_table::{PageTable, PageTableEntry};
+use crate::memory::transfer::{Outcomes, Plan, TransferOp};
 use crate::metrics::RuntimeMetrics;
 use mtgpu_api::{CudaError, CudaResult};
 use mtgpu_gpusim::DeviceAddr;
@@ -41,52 +42,33 @@ impl MemoryManager {
         }
         let Ok(cm) = self.ctx_mem(ctx) else { return Ok(SwapOutcome::default()) };
         let mut table = cm.table.lock();
-        let mut plan = Plan::new();
-        plan.extend(table.iter_mut().filter(|e| e.flags.to_swap()).map(TransferOp::writeback));
-        let outcomes = self.run_plan(ctx, binding, plan);
-        let mut writebacks = outcomes.iter();
-        // Every allocated entry in page-table order: if it was dirty, its
-        // writeback is in its slab unless it failed; then free it. A dirty
-        // entry whose writeback failed keeps its device copy (the only
-        // current one); after a failed free the remaining frees do not run,
-        // and the remaining writebacks count as landed all the same.
+        let (outcomes, sync_err) = self.write_back_dirty(ctx, &mut table, binding);
+        // Every allocated entry whose slab is current, in page-table order,
+        // in one free call that stops at its first failure. A dirty entry
+        // whose writeback failed keeps its device copy (the only current
+        // one); the writebacks that landed count as landed whether or not
+        // their entries were freed.
+        let freeable = |e: &PageTableEntry| e.flags.allocated() && !e.flags.to_swap();
+        let dptrs = table.iter().filter(|e| freeable(e)).map(PageTableEntry::dptr);
+        let (freed, free_res) = binding.gpu.free_batch(binding.gpu_ctx, dptrs);
+        // The entries written back are the ones whose writebacks landed, in
+        // the same order.
+        let mut landed = outcomes.iter().filter(|o| o.result.is_ok()).map(|o| o.base).peekable();
         let mut out = SwapOutcome::default();
-        let (mut written, mut sync_err, mut free_err) = (0, None, None);
-        for e in table.iter_mut().filter(|e| e.flags.allocated()) {
-            let dirty = e.flags.to_swap();
-            if dirty {
-                match &writebacks.next().expect("one writeback per dirty entry").result {
-                    Ok(()) => {
-                        e.flags = e.flags.on_copy_dh();
-                        written += e.size;
-                    }
-                    Err(err) => {
-                        sync_err = sync_err.or_else(|| Some(err.clone()));
-                        continue;
-                    }
-                }
+        for e in table.iter_mut().filter(|e| freeable(e)).take(freed) {
+            if landed.next_if_eq(&e.vaddr.0).is_some() {
+                out.writeback_bytes += e.size;
+            } else {
+                out.clean_bytes += e.size;
             }
-            if free_err.is_some() {
-                continue;
-            }
-            match binding.gpu.free(binding.gpu_ctx, e.dptr()) {
-                Ok(()) => {
-                    out.freed += e.size;
-                    if dirty {
-                        out.writeback_bytes += e.size;
-                    } else {
-                        out.clean_bytes += e.size;
-                    }
-                    e.device_ptr = None;
-                    e.flags = e.flags.on_swap();
-                }
-                Err(err) => free_err = Some(CudaError::from_gpu(err)),
-            }
+            out.freed += e.size;
+            e.device_ptr = None;
+            e.flags = e.flags.on_swap();
         }
         cm.resident.fetch_sub(out.freed, Ordering::Relaxed);
-        self.note_dev_swap(binding.vgpu.device, 0, written);
         RuntimeMetrics::add(&self.metrics.swap_bytes_skipped_clean, out.clean_bytes);
         RuntimeMetrics::add(&self.metrics.swap_bytes, out.freed);
+        let free_err = free_res.err().map(CudaError::from_gpu);
         sync_err.or(free_err).map_or(Ok(out), Err)
     }
 
@@ -106,10 +88,28 @@ impl MemoryManager {
         table: &mut PageTable,
         binding: &Binding,
     ) -> CudaResult<()> {
+        if let (_, Some(e)) = self.write_back_dirty(ctx, table, binding) {
+            return Err(e);
+        }
+        RuntimeMetrics::bump(&self.metrics.checkpoints);
+        Ok(())
+    }
+
+    /// Writes every dirty entry of `table` back into its slab as one
+    /// pipelined D2H plan, applies Figure 4's `copy_dh` to the ones that
+    /// landed and counts their bytes as the device's swap traffic. Returns
+    /// the plan's outcomes and the first failure in plan order.
+    fn write_back_dirty(
+        &self,
+        ctx: CtxId,
+        table: &mut PageTable,
+        binding: &Binding,
+    ) -> (Outcomes, Option<CudaError>) {
         let mut plan = Plan::new();
         plan.extend(table.iter_mut().filter(|e| e.flags.to_swap()).map(TransferOp::writeback));
+        let outcomes = self.run_plan(ctx, binding, plan);
         let (mut written, mut first_err) = (0, None);
-        for out in self.run_plan(ctx, binding, plan).iter() {
+        for out in outcomes.iter() {
             match &out.result {
                 Ok(()) => {
                     let e = table.get_mut(DeviceAddr(out.base)).expect("planned above");
@@ -120,11 +120,7 @@ impl MemoryManager {
             }
         }
         self.note_dev_swap(binding.vgpu.device, 0, written);
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        RuntimeMetrics::bump(&self.metrics.checkpoints);
-        Ok(())
+        (outcomes, first_err)
     }
 
     /// Handles the loss of the device a context was bound to: resident

@@ -10,24 +10,28 @@
 //! engines both carry traffic, while a single-engine C1060 runs the plan
 //! inline with zero threading overhead.
 //!
-//! No allocation: a plan's operations and outcomes live in buffers each
-//! thread keeps from one plan to the next (`Plan`, `Outcomes`), and a
-//! writeback copies into the slab it belongs to, so an inline plan — one
-//! engine, or a device the calling thread holds — allocates nothing once
-//! its thread's buffers and its slabs have grown. A plan spread over lane
-//! threads spawns them, and deals their operations out, per plan.
-//!
-//! Determinism: operation `i` is pinned to lane `i % lanes`, and each lane
-//! issues its operations in plan order via the lane-pinned memcpy entry
-//! points ([`mtgpu_gpusim::Gpu::memcpy_h2d_on`]/`memcpy_d2h_into`). Which
-//! engine serves which transfer is therefore a pure function of the plan,
-//! not of thread scheduling, and per-engine busy time replays bit-for-bit
-//! under the virtual clock (concurrent sleeps on a shared atomic clock sum
+//! One device call per lane: operation `i` goes to lane `i % lanes`, and
+//! each lane's operations, in plan order, are one
+//! [`mtgpu_gpusim::Gpu::memcpy_batch`] pinned to that lane. The batch
+//! checks its ops under one device-state lock and holds its engine once,
+//! for their summed durations, landing each op as its time is spent, so
+//! per-engine busy time and the virtual clock advance exactly as with one
+//! copy per op. Which
+//! engine serves which transfer is a pure function of the plan, not of
+//! thread scheduling, and per-engine busy time replays bit-for-bit under
+//! the virtual clock (concurrent sleeps on a shared atomic clock sum
 //! commutatively).
+//!
+//! No allocation: a plan's operations and outcomes, and the lanes' copy
+//! batches, live in buffers each thread keeps from one plan to the next
+//! (`Plan`, `Outcomes`, `LANES`), and a writeback copies into the slab it
+//! belongs to, so an inline plan — one engine, or a device the calling
+//! thread holds — allocates nothing once its thread's buffers and its
+//! slabs have grown. A plan spread over lane threads spawns them per plan.
 
 use crate::memory::page_table::{PageTableEntry, SwapSlab};
 use mtgpu_api::{CudaError, CudaResult};
-use mtgpu_gpusim::{DeviceAddr, Gpu, GpuContextId};
+use mtgpu_gpusim::{CopyDir, CopyOp, DeviceAddr, Gpu, GpuContextId};
 use std::cell::Cell;
 use std::ops::Deref;
 
@@ -66,6 +70,15 @@ impl<'a> TransferOp<'a> {
         let (base, dptr, size) = (e.vaddr.0, e.dptr(), e.size);
         TransferOp { base, dptr, size, payload: Payload::Writeback(&mut e.slab) }
     }
+
+    /// The device copy this op makes, borrowing its payload.
+    fn copy(&mut self) -> CopyOp<'_> {
+        let dir = match &mut self.payload {
+            Payload::Upload(bytes) => CopyDir::H2d(bytes),
+            Payload::Writeback(slab) => CopyDir::D2h(&mut slab.data),
+        };
+        CopyOp { addr: self.dptr, declared_len: self.size, dir, result: Ok(()) }
+    }
 }
 
 /// Result of one plan operation, reported in plan order.
@@ -93,29 +106,16 @@ pub struct PlanShape {
     pub overlapped: bool,
 }
 
-fn run_op(
-    gpu: &Gpu,
-    gpu_ctx: GpuContextId,
-    op: &mut TransferOp<'_>,
-    lane: usize,
-) -> CudaResult<()> {
-    match &mut op.payload {
-        Payload::Upload(bytes) => gpu.memcpy_h2d_on(gpu_ctx, op.dptr, op.size, bytes, lane),
-        Payload::Writeback(slab) => slab.write_back(gpu, gpu_ctx, op.dptr, op.size, Some(lane)),
-    }
-    .map_err(CudaError::from_gpu)
-}
-
 /// Executes a transfer plan across up to `lanes` copy-engine lanes, its
 /// outcomes into `outcomes` (emptied first) in plan order.
 ///
-/// With one lane (or one op) the plan runs inline on the calling thread —
-/// the serial path pays no synchronization at all, which keeps the
-/// single-engine C1060 at parity with the pre-pipelining code — and so does
-/// a plan on a device the calling thread holds ([`Gpu::try_hold`]). With more,
-/// lane 0 runs on the calling thread and lanes 1.. on scoped threads; every
-/// lane issues its ops in plan order, so placement is canonical (op `i` →
-/// lane `i % lanes`).
+/// Op `i` goes to lane `i % lanes`, and each lane's ops, in plan order, are
+/// one device call ([`Gpu::memcpy_batch`]). With one lane (or one op) the
+/// batch runs inline on the calling thread — the serial path pays no
+/// synchronization at all, which keeps the single-engine C1060 at parity
+/// with the pre-pipelining code — and so do the batches of a device the
+/// calling thread holds ([`Gpu::try_hold`]), one lane after the other. With
+/// more, lane 0 runs on the calling thread and lanes 1.. on scoped threads.
 ///
 /// Outcomes come in plan order regardless of completion order. A
 /// failed op does not stop its lane: later ops still run (on a failed
@@ -135,49 +135,67 @@ pub fn execute(
         bytes: ops.iter().map(|o| o.size).sum(),
         overlapped: lanes > 1 && ops.len() > 1,
     };
-    // One outcome per op, each overwritten when its op runs.
     outcomes.clear();
     outcomes.extend(ops.iter().map(|op| TransferOutcome {
         base: op.base,
         size: op.size,
         result: Ok(()),
     }));
-    // A device the calling thread holds would queue the other lanes' threads
-    // behind the hold: its plan runs here, each op still on its own lane.
-    if lanes == 1 || gpu.held_here() {
-        for (i, (op, out)) in ops.iter_mut().zip(outcomes.iter_mut()).enumerate() {
-            out.result = run_op(gpu, gpu_ctx, op, i % lanes);
-        }
+    if ops.is_empty() {
         return shape;
     }
-    // Deal ops and their outcome slots to lanes round-robin, preserving
-    // plan order within each lane.
-    let mut per_lane: Vec<Vec<(&mut TransferOp<'_>, &mut CudaResult<()>)>> =
-        (0..lanes).map(|_| Vec::new()).collect();
-    for (i, (op, out)) in ops.iter_mut().zip(outcomes.iter_mut()).enumerate() {
-        per_lane[i % lanes].push((op, &mut out.result));
+    // Deal the ops' copies to their lanes' batches, plan order kept.
+    let mut kept = LANES.take();
+    if kept.len() < lanes {
+        kept.resize_with(lanes, Vec::new);
     }
-    std::thread::scope(|scope| {
-        let mut lane_work = per_lane.into_iter().enumerate();
-        let (_, lane0) = lane_work.next().expect("lanes >= 1");
-        for (lane_idx, work) in lane_work {
-            scope.spawn(move || {
-                for (op, slot) in work {
-                    *slot = run_op(gpu, gpu_ctx, op, lane_idx);
-                }
-            });
+    let mut batches: Vec<Vec<CopyOp<'_>>> = kept.into_iter().map(relifetime).collect();
+    for (i, op) in ops.iter_mut().enumerate() {
+        batches[i % lanes].push(op.copy());
+    }
+    let (lane0, rest) = batches[..lanes].split_first_mut().expect("lanes >= 1");
+    // A device the calling thread holds would queue the other lanes' threads
+    // behind the hold: its batches run here, each still on its own lane.
+    if lanes == 1 || gpu.held_here() {
+        gpu.memcpy_batch(gpu_ctx, 0, lane0);
+        for (i, batch) in rest.iter_mut().enumerate() {
+            gpu.memcpy_batch(gpu_ctx, i + 1, batch);
         }
-        for (op, slot) in lane0 {
-            *slot = run_op(gpu, gpu_ctx, op, 0);
+    } else {
+        std::thread::scope(|scope| {
+            for (i, batch) in rest.iter_mut().enumerate() {
+                scope.spawn(move || gpu.memcpy_batch(gpu_ctx, i + 1, batch));
+            }
+            gpu.memcpy_batch(gpu_ctx, 0, lane0);
+        });
+    }
+    for (i, out) in outcomes.iter_mut().enumerate() {
+        let result = std::mem::replace(&mut batches[i % lanes][i / lanes].result, Ok(()));
+        out.result = result.map_err(CudaError::from_gpu);
+    }
+    LANES.set(batches.into_iter().map(relifetime).collect());
+    // A writeback that landed keeps to its slab's cap.
+    for (op, out) in ops.iter_mut().zip(outcomes.iter()) {
+        if let (Payload::Writeback(slab), Ok(())) = (&mut op.payload, &out.result) {
+            slab.landed();
         }
-    });
+    }
     shape
+}
+
+/// `batch`, emptied, as a batch of another borrow's copies: only the
+/// lifetime differs, so the collect keeps the buffer.
+fn relifetime<'b>(mut batch: Vec<CopyOp<'_>>) -> Vec<CopyOp<'b>> {
+    batch.clear();
+    batch.into_iter().map(|_| unreachable!("emptied above")).collect()
 }
 
 thread_local! {
     /// The thread's plan buffers between plans, both empty.
     static SPARE: Cell<Option<(Vec<TransferOp<'static>>, Vec<TransferOutcome>)>> =
         const { Cell::new(None) };
+    /// The thread's per-lane copy batches between plans, all empty.
+    static LANES: Cell<Vec<Vec<CopyOp<'static>>>> = const { Cell::new(Vec::new()) };
 }
 
 /// A transfer plan being built, on the calling thread's buffers: a plan
@@ -343,7 +361,11 @@ mod tests {
         let long = 512u64 << 20;
         let long_dst = gpu.malloc(ctx, long).unwrap();
         std::thread::scope(|s| {
-            s.spawn(|| gpu.memcpy_h2d_on(ctx, long_dst, long, &[], 1).unwrap());
+            s.spawn(|| {
+                let mut long_copy = [CopyOp::h2d(long_dst, long, &[])];
+                gpu.memcpy_batch(ctx, 1, &mut long_copy);
+                long_copy[0].result.clone().unwrap();
+            });
             // Until the long copy holds lane 1, the whole device can be held.
             while let Some(hold) = gpu.try_hold() {
                 drop(hold);

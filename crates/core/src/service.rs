@@ -461,7 +461,7 @@ fn launch_loop(
     // the launch is handed back to wait for a vGPU or a busy device.
     LaunchSet::with_spare(|set| {
         let Some(kernel) = ctx.inner().kernels.get(&spec.kernel).cloned() else {
-            rt.memory().check_ptes(ctx.id, &spec.args, set)?;
+            rt.memory().check_ptes(ctx.id, &spec.args, &[], set)?;
             return Err(CudaError::InvalidDeviceFunction(spec.kernel).into());
         };
         launch_attempts(rt, ctx, spec, &kernel, engines, set)
@@ -487,7 +487,7 @@ fn launch_attempts(
         let binding = match ctx.binding() {
             Some(b) => b,
             None => {
-                rt.memory().check_ptes(ctx.id, &spec.args, set)?;
+                rt.memory().check_ptes(ctx.id, &spec.args, read_only, set)?;
                 let mem = rt.memory().mem_usage(ctx.id);
                 let Some(b) = rt.bindings().poll(ctx, mem) else {
                     return Err(Abort::WouldBlock { spec, room: None });
@@ -500,7 +500,7 @@ fn launch_attempts(
         // Everything from here runs on the bound device, victims' swaps
         // included; the binding, if just made, stays for the next try.
         if !engines.enter(&binding.gpu) {
-            rt.memory().check_ptes(ctx.id, &spec.args, set)?;
+            rt.memory().check_ptes(ctx.id, &spec.args, read_only, set)?;
             return Err(Abort::Busy(CudaCall::Launch { spec }));
         }
         // 2. One pass resolves the arguments and makes the working set

@@ -1,4 +1,17 @@
 //! The GPU device: memory, contexts, engines, failure.
+//!
+//! Every public entry point that acts on the device counts one call
+//! ([`DeviceStats::calls`]). Besides the single operations, the device
+//! takes a pass's work in one call each: a lane's copies
+//! ([`Gpu::memcpy_batch`]), a pass's allocations ([`Gpu::malloc_batch`])
+//! and its frees ([`Gpu::free_batch`]). A malloc or free batch runs its
+//! ops, in order, under one acquisition of the state lock. A copy batch
+//! checks its ops under one, then takes its lane's engine once and spends
+//! each op's duration on it in turn, landing the op as its time is spent,
+//! so per-engine busy time and the clock advance by the same integer
+//! nanoseconds as the ops made one by one. Outcomes stay per op: a batch
+//! fails exactly the ops that would fail alone, a device failing mid-batch
+//! included.
 
 use crate::alloc::BlockAllocator;
 use crate::engine::{EngineBank, FifoEngine};
@@ -39,6 +52,45 @@ impl std::fmt::Display for DeviceAddr {
 /// Identifier of a CUDA context living on a device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct GpuContextId(pub u64);
+
+/// Which way one copy of a batch ([`Gpu::memcpy_batch`]) moves, with its
+/// host side.
+#[derive(Debug)]
+pub enum CopyDir<'a> {
+    /// Host to device, as [`Gpu::memcpy_h2d`]: at most the op's declared
+    /// length of bytes, stored at its address.
+    H2d(&'a [u8]),
+    /// Device to host into a buffer the caller keeps, as
+    /// [`Gpu::memcpy_d2h_into`]: the bytes read overwrite its front and
+    /// grow it when they are longer; it is untouched unless the copy
+    /// succeeds.
+    D2h(&'a mut Vec<u8>),
+}
+
+/// One copy of a batch and, once the batch ran, its outcome.
+#[derive(Debug)]
+pub struct CopyOp<'a> {
+    /// The device address copied to or from (possibly interior).
+    pub addr: DeviceAddr,
+    /// Bytes charged against the PCIe model.
+    pub declared_len: u64,
+    /// The direction and the host side.
+    pub dir: CopyDir<'a>,
+    /// What the copy would have returned made alone; `Ok` until it runs.
+    pub result: Result<()>,
+}
+
+impl<'a> CopyOp<'a> {
+    /// An upload of `payload` (at most `declared_len` bytes) to `dst`.
+    pub fn h2d(dst: DeviceAddr, declared_len: u64, payload: &'a [u8]) -> Self {
+        CopyOp { addr: dst, declared_len, dir: CopyDir::H2d(payload), result: Ok(()) }
+    }
+
+    /// A download of `declared_len` bytes at `src` into `out`.
+    pub fn d2h(src: DeviceAddr, declared_len: u64, out: &'a mut Vec<u8>) -> Self {
+        CopyOp { addr: src, declared_len, dir: CopyDir::D2h(out), result: Ok(()) }
+    }
+}
 
 #[derive(Debug)]
 struct Allocation {
@@ -107,10 +159,6 @@ impl Allocs {
         self.find(base).ok().map(|i| &self.0[i].1)
     }
 
-    fn get_mut(&mut self, base: u64) -> Option<&mut Allocation> {
-        self.find(base).ok().map(|i| &mut self.0[i].1)
-    }
-
     /// Records an allocation at a base the allocator just handed out.
     fn insert(&mut self, base: u64, alloc: Allocation) {
         let at = self.find(base).expect_err("a fresh base is not live");
@@ -121,11 +169,23 @@ impl Allocs {
         self.find(base).ok().map(|i| self.0.remove(i).1)
     }
 
-    /// The allocation with the highest base at or below `addr`: the only
-    /// one whose range may hold it.
-    fn at_or_below(&self, addr: u64) -> Option<(u64, &Allocation)> {
-        let above = self.0.partition_point(|&(b, _)| b <= addr);
-        self.0[..above].last().map(|(b, a)| (*b, a))
+    /// The slot of the allocation with the highest base at or below
+    /// `addr`, the only one whose range may hold it, and that allocation.
+    fn at_or_below(&self, addr: u64) -> Option<(usize, u64, &Allocation)> {
+        let slot = self.0.partition_point(|&(b, _)| b <= addr).checked_sub(1)?;
+        let (base, alloc) = &self.0[slot];
+        Some((slot, *base, alloc))
+    }
+
+    /// The allocation in `slot` ([`Self::at_or_below`]), the vector not
+    /// changed since.
+    fn slot(&self, slot: usize) -> &Allocation {
+        &self.0[slot].1
+    }
+
+    /// [`Self::slot`], mutably.
+    fn slot_mut(&mut self, slot: usize) -> &mut Allocation {
+        &mut self.0[slot].1
     }
 
     fn iter(&self) -> impl Iterator<Item = (u64, &Allocation)> {
@@ -334,6 +394,7 @@ impl Gpu {
     /// Creates a CUDA context, reserving [`GpuSpec::ctx_reserved_bytes`] and
     /// enforcing [`GpuSpec::max_contexts`]. Costs [`CTX_CREATE_TIME`].
     pub fn create_context(&self) -> Result<GpuContextId> {
+        DeviceStats::bump(&self.stats.calls);
         self.check_alive()?;
         let id = GpuContextId(self.next_ctx.fetch_add(1, Ordering::Relaxed));
         {
@@ -362,6 +423,7 @@ impl Gpu {
     /// Destroys a context, releasing its reservation and every allocation it
     /// still owns (CUDA frees a context's memory on destruction).
     pub fn destroy_context(&self, ctx: GpuContextId) -> Result<()> {
+        DeviceStats::bump(&self.stats.calls);
         // Destroy is allowed on a failed device: it only releases host-side
         // bookkeeping.
         let mut st = self.state.lock();
@@ -383,8 +445,40 @@ impl Gpu {
 
     /// Allocates `declared` bytes of device memory for `ctx`.
     pub fn malloc(&self, ctx: GpuContextId, declared: u64) -> Result<DeviceAddr> {
+        DeviceStats::bump(&self.stats.calls);
         self.check_alive()?;
+        self.alloc_locked(&mut self.state.lock(), ctx, declared)
+    }
+
+    /// Allocates one block per size of `sizes`, in order, for `ctx`, as
+    /// that many [`Gpu::malloc`] calls would, under one acquisition of the
+    /// state lock. The addresses go to `out` (emptied first); the first
+    /// refusal stops the batch and is returned, `out` holding the prefix
+    /// made before it.
+    pub fn malloc_batch(
+        &self,
+        ctx: GpuContextId,
+        sizes: impl IntoIterator<Item = u64>,
+        out: &mut Vec<DeviceAddr>,
+    ) -> Result<()> {
+        DeviceStats::bump(&self.stats.calls);
+        out.clear();
+        let alive = self.check_alive();
         let mut st = self.state.lock();
+        for declared in sizes {
+            alive.clone()?;
+            out.push(self.alloc_locked(&mut st, ctx, declared)?);
+        }
+        Ok(())
+    }
+
+    /// One allocation under the state lock.
+    fn alloc_locked(
+        &self,
+        st: &mut DeviceState,
+        ctx: GpuContextId,
+        declared: u64,
+    ) -> Result<DeviceAddr> {
         if !st.contexts.contains_key(&ctx) {
             return Err(GpuError::InvalidContext);
         }
@@ -406,9 +500,36 @@ impl Gpu {
     /// Frees the allocation at `addr` (which must be its base address), owned
     /// by `ctx`.
     pub fn free(&self, ctx: GpuContextId, addr: DeviceAddr) -> Result<()> {
+        DeviceStats::bump(&self.stats.calls);
         self.check_alive()?;
-        let base = self.internal_base(addr)?;
+        self.free_locked(&mut self.state.lock(), ctx, addr)
+    }
+
+    /// Frees the allocations at `addrs`, in order, owned by `ctx`, as that
+    /// many [`Gpu::free`] calls would, under one acquisition of the state
+    /// lock. Returns how many it freed and, when one was refused, the
+    /// refusal, which stopped the batch.
+    pub fn free_batch(
+        &self,
+        ctx: GpuContextId,
+        addrs: impl IntoIterator<Item = DeviceAddr>,
+    ) -> (usize, Result<()>) {
+        DeviceStats::bump(&self.stats.calls);
+        let alive = self.check_alive();
         let mut st = self.state.lock();
+        let mut freed = 0;
+        for addr in addrs {
+            if let Err(e) = alive.clone().and_then(|()| self.free_locked(&mut st, ctx, addr)) {
+                return (freed, Err(e));
+            }
+            freed += 1;
+        }
+        (freed, Ok(()))
+    }
+
+    /// One free under the state lock.
+    fn free_locked(&self, st: &mut DeviceState, ctx: GpuContextId, addr: DeviceAddr) -> Result<()> {
+        let base = self.internal_base(addr)?;
         if st.allocs.get(base).is_none_or(|a| a.owner != ctx) {
             return Err(GpuError::InvalidAddress);
         }
@@ -418,15 +539,16 @@ impl Gpu {
     }
 
     /// Resolves `addr` (possibly interior) against `ctx`'s live allocations:
-    /// returns `(base, offset, allocation_declared_len)`.
+    /// returns `(slot, offset, allocation_declared_len)`, the slot in `st.allocs`.
     fn resolve(
         st: &DeviceState,
         salt: u64,
         ctx: Option<GpuContextId>,
         addr: DeviceAddr,
-    ) -> Result<(u64, u64, u64)> {
+    ) -> Result<(usize, u64, u64)> {
         let internal = addr.0.checked_sub(salt).ok_or(GpuError::InvalidAddress)?;
-        let (base, alloc) = st.allocs.at_or_below(internal).ok_or(GpuError::InvalidAddress)?;
+        let (slot, base, alloc) =
+            st.allocs.at_or_below(internal).ok_or(GpuError::InvalidAddress)?;
         if internal >= base + alloc.declared {
             return Err(GpuError::InvalidAddress);
         }
@@ -436,11 +558,11 @@ impl Gpu {
                 return Err(GpuError::InvalidAddress);
             }
         }
-        Ok((base, internal - base, alloc.declared))
+        Ok((slot, internal - base, alloc.declared))
     }
 
     /// [`Self::resolve`] plus a bounds check of the `len` bytes from `addr`:
-    /// returns `(base, offset)`. Lengths are outside input (a copy's, a
+    /// returns `(slot, offset)`. Lengths are outside input (a copy's, a
     /// launch's arguments), so an end past `u64::MAX` is out of bounds too.
     fn resolve_span(
         st: &DeviceState,
@@ -448,23 +570,12 @@ impl Gpu {
         ctx: Option<GpuContextId>,
         addr: DeviceAddr,
         len: u64,
-    ) -> Result<(u64, u64)> {
-        let (base, offset, alloc_len) = Self::resolve(st, salt, ctx, addr)?;
+    ) -> Result<(usize, u64)> {
+        let (slot, offset, alloc_len) = Self::resolve(st, salt, ctx, addr)?;
         if offset.checked_add(len).is_none_or(|end| end > alloc_len) {
             return Err(GpuError::OutOfBounds { addr: addr.0, len, alloc_size: alloc_len });
         }
-        Ok((base, offset))
-    }
-
-    /// Occupies one copy engine for a PCIe transfer of `declared_len`
-    /// bytes: round-robin placement by default, lane-pinned when a plan
-    /// executor dictates canonical placement.
-    fn occupy_copy(&self, declared_len: u64, lane: Option<usize>) {
-        let dur = self.spec.copy_duration(declared_len);
-        match lane {
-            Some(l) => self.copy.occupy_on(l, dur),
-            None => self.copy.occupy(dur),
-        };
+        Ok((slot, offset))
     }
 
     /// Host-to-device transfer: `declared_len` bytes are charged against the
@@ -477,49 +588,11 @@ impl Gpu {
         declared_len: u64,
         payload: &[u8],
     ) -> Result<()> {
-        self.memcpy_h2d_inner(ctx, dst, declared_len, payload, None)
-    }
-
-    /// [`Gpu::memcpy_h2d`] pinned to copy-engine lane `lane % copy_engines`.
-    /// Transfer-plan executors use this so engine assignment follows plan
-    /// order, not thread scheduling.
-    pub fn memcpy_h2d_on(
-        &self,
-        ctx: GpuContextId,
-        dst: DeviceAddr,
-        declared_len: u64,
-        payload: &[u8],
-        lane: usize,
-    ) -> Result<()> {
-        self.memcpy_h2d_inner(ctx, dst, declared_len, payload, Some(lane))
-    }
-
-    fn memcpy_h2d_inner(
-        &self,
-        ctx: GpuContextId,
-        dst: DeviceAddr,
-        declared_len: u64,
-        payload: &[u8],
-        lane: Option<usize>,
-    ) -> Result<()> {
-        self.check_alive()?;
-        if declared_len == 0 || payload.len() as u64 > declared_len {
-            return Err(GpuError::InvalidValue);
-        }
-        {
-            let st = self.state.lock();
-            if !st.contexts.contains_key(&ctx) {
-                return Err(GpuError::InvalidContext);
-            }
-            Self::resolve_span(&st, self.addr_salt, Some(ctx), dst, declared_len)?;
-        }
-        self.occupy_copy(declared_len, lane);
-        self.check_alive()?;
-        let mut st = self.state.lock();
-        let (base, offset, _) = Self::resolve(&st, self.addr_salt, Some(ctx), dst)?;
-        st.allocs.get_mut(base).expect("resolved allocation vanished").write(offset, payload);
-        DeviceStats::add(&self.stats.h2d_bytes, declared_len);
-        Ok(())
+        DeviceStats::bump(&self.stats.calls);
+        let mut op = [CopyOp::h2d(dst, declared_len, payload)];
+        self.copy(ctx, None, &mut op);
+        let [op] = op;
+        op.result
     }
 
     /// Device-to-host transfer: charges `declared_len` against the PCIe
@@ -532,45 +605,111 @@ impl Gpu {
         declared_len: u64,
     ) -> Result<Vec<u8>> {
         let mut out = Vec::new();
-        self.memcpy_d2h_into(ctx, src, declared_len, None, &mut out)?;
+        self.memcpy_d2h_into(ctx, src, declared_len, &mut out)?;
         Ok(out)
     }
 
     /// [`Gpu::memcpy_d2h`] into a buffer the caller keeps: the bytes read
     /// overwrite the front of `out`, which grows to hold them when they are
     /// longer (to exactly their length); what `out` holds past them stays.
-    /// `out` is untouched unless the copy succeeds. With a `lane`, pinned to
-    /// copy-engine lane `lane % copy_engines`, as [`Gpu::memcpy_h2d_on`] is.
+    /// `out` is untouched unless the copy succeeds.
     pub fn memcpy_d2h_into(
         &self,
         ctx: GpuContextId,
         src: DeviceAddr,
         declared_len: u64,
-        lane: Option<usize>,
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        self.check_alive()?;
-        if declared_len == 0 {
+        DeviceStats::bump(&self.stats.calls);
+        let mut op = [CopyOp::d2h(src, declared_len, out)];
+        self.copy(ctx, None, &mut op);
+        let [op] = op;
+        op.result
+    }
+
+    /// Runs `ops` on copy-engine lane `lane % copy_engines`, in order, as
+    /// [`Gpu::memcpy_h2d`] and [`Gpu::memcpy_d2h_into`] would one after
+    /// another on that lane, each op's outcome in its `result`. The lane
+    /// is held once, for the sum of the accepted ops' durations: another
+    /// thread's copy on the lane queues behind the whole batch, as behind
+    /// a DMA descriptor chain. Transfer-plan executors pin lanes so that
+    /// engine assignment follows plan order, not thread scheduling.
+    ///
+    /// The ops are checked under one acquisition of the state lock; each
+    /// lands as its time is spent, under one acquisition of its own, so a
+    /// device failing mid-batch fails exactly the ops after it.
+    pub fn memcpy_batch(&self, ctx: GpuContextId, lane: usize, ops: &mut [CopyOp<'_>]) {
+        DeviceStats::bump(&self.stats.calls);
+        self.copy(ctx, Some(lane), ops);
+    }
+
+    /// The copies of one engine turn: on `lane`, or the next engine
+    /// round-robin. Every op is checked under one acquisition of the state
+    /// lock (a refused op costs no time). The engine is then taken once,
+    /// and each accepted op in order spends its duration on it and lands,
+    /// unless the device failed meanwhile: a device that fails mid-batch
+    /// fails the ops still in flight, as it fails a chain of single copies.
+    fn copy(&self, ctx: GpuContextId, lane: Option<usize>, ops: &mut [CopyOp<'_>]) {
+        let mut accepted = false;
+        match self.check_alive() {
+            Err(e) => ops.iter_mut().for_each(|op| op.result = Err(e.clone())),
+            Ok(()) => {
+                let st = self.state.lock();
+                let live = st.contexts.contains_key(&ctx);
+                for op in ops.iter_mut() {
+                    op.result = self.check_copy(&st, ctx, live, op);
+                    accepted |= op.result.is_ok();
+                }
+            }
+        }
+        if !accepted {
+            return;
+        }
+        let mut turn = self.copy.turn(lane);
+        for op in ops.iter_mut().filter(|op| op.result.is_ok()) {
+            turn.spend(self.spec.copy_duration(op.declared_len));
+            op.result = self.check_alive().and_then(|()| self.land_copy(ctx, op));
+        }
+    }
+
+    /// Whether `op` may run: a length the model accepts, a live context
+    /// (`live`: `ctx` is one), and a span inside one of its allocations.
+    fn check_copy(
+        &self,
+        st: &DeviceState,
+        ctx: GpuContextId,
+        live: bool,
+        op: &CopyOp<'_>,
+    ) -> Result<()> {
+        let len = op.declared_len;
+        if len == 0 || matches!(op.dir, CopyDir::H2d(payload) if payload.len() as u64 > len) {
             return Err(GpuError::InvalidValue);
         }
-        {
-            let st = self.state.lock();
-            if !st.contexts.contains_key(&ctx) {
-                return Err(GpuError::InvalidContext);
-            }
-            Self::resolve_span(&st, self.addr_salt, Some(ctx), src, declared_len)?;
+        if !live {
+            return Err(GpuError::InvalidContext);
         }
-        self.occupy_copy(declared_len, lane);
-        self.check_alive()?;
-        let st = self.state.lock();
-        let (base, offset, _) = Self::resolve(&st, self.addr_salt, Some(ctx), src)?;
-        let bytes =
-            st.allocs.get(base).expect("resolved allocation vanished").read(offset, declared_len);
-        let kept = bytes.len().min(out.len());
-        out[..kept].copy_from_slice(&bytes[..kept]);
-        out.reserve_exact(bytes.len() - kept);
-        out.extend_from_slice(&bytes[kept..]);
-        DeviceStats::add(&self.stats.d2h_bytes, declared_len);
+        Self::resolve_span(st, self.addr_salt, Some(ctx), op.addr, len).map(|_| ())
+    }
+
+    /// Moves an accepted op's bytes, once its engine time is spent.
+    fn land_copy(&self, ctx: GpuContextId, op: &mut CopyOp<'_>) -> Result<()> {
+        let mut st = self.state.lock();
+        let (slot, offset, _) = Self::resolve(&st, self.addr_salt, Some(ctx), op.addr)?;
+        let alloc = st.allocs.slot_mut(slot);
+        match &mut op.dir {
+            CopyDir::H2d(payload) => {
+                alloc.write(offset, payload);
+                DeviceStats::add(&self.stats.h2d_bytes, op.declared_len);
+            }
+            CopyDir::D2h(out) => {
+                let bytes = alloc.read(offset, op.declared_len);
+                let kept = bytes.len().min(out.len());
+                out[..kept].copy_from_slice(&bytes[..kept]);
+                out.reserve_exact(bytes.len() - kept);
+                out.extend_from_slice(&bytes[kept..]);
+                DeviceStats::add(&self.stats.d2h_bytes, op.declared_len);
+            }
+        }
         Ok(())
     }
 
@@ -585,6 +724,7 @@ impl Gpu {
         src: DeviceAddr,
         declared_len: u64,
     ) -> Result<()> {
+        DeviceStats::bump(&self.stats.calls);
         self.check_alive()?;
         if declared_len == 0 {
             return Err(GpuError::InvalidValue);
@@ -603,17 +743,12 @@ impl Gpu {
         self.copy.occupy(dur);
         self.check_alive()?;
         let mut st = self.state.lock();
-        let (src_base, src_off, _) = Self::resolve(&st, self.addr_salt, Some(ctx), src)?;
+        let (src_slot, src_off, _) = Self::resolve(&st, self.addr_salt, Some(ctx), src)?;
         // Stage through a temporary so src and dst may live in the same
         // allocation (BTreeMap won't hand out two &mut into it anyway).
-        let bytes = st
-            .allocs
-            .get(src_base)
-            .expect("resolved allocation vanished")
-            .read(src_off, declared_len)
-            .to_vec();
-        let (dst_base, dst_off, _) = Self::resolve(&st, self.addr_salt, Some(ctx), dst)?;
-        st.allocs.get_mut(dst_base).expect("resolved allocation vanished").write(dst_off, &bytes);
+        let bytes = st.allocs.slot(src_slot).read(src_off, declared_len).to_vec();
+        let (dst_slot, dst_off, _) = Self::resolve(&st, self.addr_salt, Some(ctx), dst)?;
+        st.allocs.slot_mut(dst_slot).write(dst_off, &bytes);
         DeviceStats::add(&self.stats.d2d_bytes, declared_len);
         Ok(())
     }
@@ -636,6 +771,7 @@ impl Gpu {
         declared_len: u64,
         lane: usize,
     ) -> Result<()> {
+        DeviceStats::bump(&src_dev.stats.calls);
         src_dev.check_alive()?;
         dst_dev.check_alive()?;
         if declared_len == 0 {
@@ -663,16 +799,12 @@ impl Gpu {
         dst_dev.check_alive()?;
         let bytes = {
             let st = src_dev.state.lock();
-            let (base, offset, _) = Self::resolve(&st, src_dev.addr_salt, Some(src_ctx), src)?;
-            st.allocs
-                .get(base)
-                .expect("resolved allocation vanished")
-                .read(offset, declared_len)
-                .to_vec()
+            let (slot, offset, _) = Self::resolve(&st, src_dev.addr_salt, Some(src_ctx), src)?;
+            st.allocs.slot(slot).read(offset, declared_len).to_vec()
         };
         let mut st = dst_dev.state.lock();
-        let (base, offset, _) = Self::resolve(&st, dst_dev.addr_salt, Some(dst_ctx), dst)?;
-        st.allocs.get_mut(base).expect("resolved allocation vanished").write(offset, &bytes);
+        let (slot, offset, _) = Self::resolve(&st, dst_dev.addr_salt, Some(dst_ctx), dst)?;
+        st.allocs.slot_mut(slot).write(offset, &bytes);
         DeviceStats::add(&src_dev.stats.p2p_bytes_out, declared_len);
         DeviceStats::add(&dst_dev.stats.p2p_bytes_in, declared_len);
         Ok(())
@@ -689,6 +821,7 @@ impl Gpu {
         kernel: &RegisteredKernel,
         spec: &LaunchSpec,
     ) -> Result<SimDuration> {
+        DeviceStats::bump(&self.stats.calls);
         self.check_alive()?;
         if self.ctx_fault.swap(false, Ordering::SeqCst) {
             return Err(GpuError::LaunchFailed("injected transient context fault".into()));
@@ -711,8 +844,8 @@ impl Gpu {
             let salt = self.addr_salt;
             let mut resolve =
                 |addr: DeviceAddr, len: u64, f: &mut dyn FnMut(&mut [u8])| -> Result<()> {
-                    let (base, offset) = Self::resolve_span(&st, salt, Some(ctx), addr, len)?;
-                    let alloc = st.allocs.get_mut(base).expect("resolved allocation vanished");
+                    let (slot, offset) = Self::resolve_span(&st, salt, Some(ctx), addr, len)?;
+                    let alloc = st.allocs.slot_mut(slot);
                     alloc.ensure_len(offset + len);
                     let start = (offset as usize).min(alloc.data.len());
                     let end = ((offset + len) as usize).min(alloc.data.len());
@@ -732,8 +865,8 @@ impl Gpu {
     /// charging transfer time and without context checks.
     pub fn peek(&self, addr: DeviceAddr, len: u64) -> Result<Vec<u8>> {
         let st = self.state.lock();
-        let (base, offset, _) = Self::resolve(&st, self.addr_salt, None, addr)?;
-        Ok(st.allocs.get(base).expect("resolved allocation vanished").read(offset, len).to_vec())
+        let (slot, offset, _) = Self::resolve(&st, self.addr_salt, None, addr)?;
+        Ok(st.allocs.slot(slot).read(offset, len).to_vec())
     }
 }
 
@@ -882,9 +1015,13 @@ mod tests {
         let ctx = gpu.create_context().unwrap();
         let ptr = gpu.malloc(ctx, 256).unwrap();
         // Lane indices far beyond the engine count wrap modulo the bank.
-        gpu.memcpy_h2d_on(ctx, ptr, 256, &[5u8; 256], 7).unwrap();
+        let mut up = [CopyOp::h2d(ptr, 256, &[5u8; 256])];
+        gpu.memcpy_batch(ctx, 7, &mut up);
+        assert_eq!(up[0].result, Ok(()));
         let mut out = Vec::new();
-        gpu.memcpy_d2h_into(ctx, ptr, 256, Some(0), &mut out).unwrap();
+        let mut down = [CopyOp::d2h(ptr, 256, &mut out)];
+        gpu.memcpy_batch(ctx, 0, &mut down);
+        assert_eq!(down[0].result, Ok(()));
         assert_eq!(out, vec![5u8; 256]);
         assert_eq!(gpu.stats().snapshot().h2d_bytes, 256);
         assert_eq!(gpu.stats().snapshot().d2h_bytes, 256);
@@ -898,17 +1035,17 @@ mod tests {
         gpu.memcpy_h2d(ctx, ptr, 1024, &[7; 4]).unwrap();
         // Longer than the device's bytes: their length, the rest kept.
         let mut out = vec![1; 6];
-        gpu.memcpy_d2h_into(ctx, ptr, 1024, None, &mut out).unwrap();
+        gpu.memcpy_d2h_into(ctx, ptr, 1024, &mut out).unwrap();
         assert_eq!(out, [7, 7, 7, 7, 1, 1]);
         // Shorter: grown to exactly the device's bytes.
         gpu.memcpy_h2d(ctx, ptr, 1024, &[9; 64]).unwrap();
         let mut out = vec![1; 2];
-        gpu.memcpy_d2h_into(ctx, ptr, 1024, None, &mut out).unwrap();
+        gpu.memcpy_d2h_into(ctx, ptr, 1024, &mut out).unwrap();
         assert_eq!((out.len(), out.capacity()), (64, 64));
         assert!(out.iter().all(|&b| b == 9));
         // A refused copy leaves the buffer as it was.
         gpu.fail();
-        let err = gpu.memcpy_d2h_into(ctx, ptr, 1024, None, &mut out);
+        let err = gpu.memcpy_d2h_into(ctx, ptr, 1024, &mut out);
         assert_eq!(err, Err(GpuError::DeviceFailed));
         assert_eq!(out, [9; 64]);
     }

@@ -6,8 +6,18 @@
 //! "occupies" the engine for a simulated duration: callers queue in strict
 //! arrival order, and the simulated busy time is accumulated for utilization
 //! accounting.
+//!
+//! A caller may take an engine for a chain of occupancies ([`Turn`]): a
+//! copy batch (`Gpu::memcpy_batch`) takes its lane once and spends each
+//! op's duration in turn, its busy time their sum, so FIFO order between
+//! threads is per batch, as between DMA descriptor chains. Whether the
+//! caller holds an engine is a comparison with a thread id kept per thread
+//! ([`mtgpu_simtime::current_thread_id`]), not a fetch of the thread's
+//! handle per occupancy.
 
-use mtgpu_simtime::{lock_rank, Clock, RankedCondvar, RankedMutex, RankedMutexGuard, SimDuration};
+use mtgpu_simtime::{
+    current_thread_id, lock_rank, Clock, RankedCondvar, RankedMutex, RankedMutexGuard, SimDuration,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread::ThreadId;
 
@@ -57,9 +67,19 @@ impl FifoEngine {
     /// same engine. The engine's holder ([`crate::Gpu::try_hold`]) occupies
     /// it at once, on the ticket it holds.
     pub fn occupy_with<R>(&self, dur: SimDuration, work: impl FnOnce() -> R) -> R {
+        let mut turn = self.turn();
+        turn.spend(dur);
+        work()
+    }
+
+    /// Waits for the engine and takes it until the turn is dropped: a
+    /// chain of occupancies ([`Turn::spend`]) with no other caller's in
+    /// between, as a DMA engine runs a descriptor chain. The engine's
+    /// holder takes its turn at once, on the ticket it holds.
+    pub fn turn(&self) -> Turn<'_> {
         let held = {
             let mut t = self.tickets.lock();
-            let held = t.holder.is_some_and(|h| h == std::thread::current().id());
+            let held = t.holder.is_some_and(|h| h == current_thread_id());
             if !held {
                 let ticket = t.next;
                 t.next += 1;
@@ -69,15 +89,7 @@ impl FifoEngine {
             }
             held
         };
-        // We are the serving ticket: exclusive occupancy. Sleep outside the
-        // lock so waiters can enqueue without blocking each other.
-        self.clock.sleep(dur);
-        let result = work();
-        self.busy_nanos.fetch_add(dur.as_nanos(), Ordering::Relaxed);
-        if !held {
-            self.serve_next(self.tickets.lock());
-        }
-        result
+        Turn { engine: self, held, busy: SimDuration::ZERO }
     }
 
     /// Takes the engine for the calling thread if nothing occupies it and
@@ -90,7 +102,7 @@ impl FifoEngine {
             return false;
         }
         t.next += 1;
-        t.holder = Some(std::thread::current().id());
+        t.holder = Some(current_thread_id());
         true
     }
 
@@ -100,13 +112,13 @@ impl FifoEngine {
     pub(crate) fn release(&self) {
         let mut t = self.tickets.lock();
         let held = t.holder.take();
-        debug_assert_eq!(held, Some(std::thread::current().id()), "released by a non-holder");
+        debug_assert_eq!(held, Some(current_thread_id()), "released by a non-holder");
         self.serve_next(t);
     }
 
     /// Whether the calling thread holds the engine.
     pub(crate) fn held_here(&self) -> bool {
-        self.tickets.lock().holder.is_some_and(|h| h == std::thread::current().id())
+        self.tickets.lock().holder.is_some_and(|h| h == current_thread_id())
     }
 
     /// Ends the serving ticket's turn.
@@ -126,6 +138,34 @@ impl FifoEngine {
     pub fn queue_depth(&self) -> u64 {
         let t = self.tickets.lock();
         t.next.saturating_sub(t.serving)
+    }
+}
+
+/// One caller's turn on a [`FifoEngine`] ([`FifoEngine::turn`]): the
+/// serving ticket, or the holder's. Dropping it adds the time spent to the
+/// engine's busy time and serves the next ticket.
+pub struct Turn<'a> {
+    engine: &'a FifoEngine,
+    held: bool,
+    busy: SimDuration,
+}
+
+impl Turn<'_> {
+    /// Occupies the engine for `dur` of simulated time. The sleep is
+    /// outside the ticket lock, so waiters can enqueue without blocking
+    /// each other.
+    pub fn spend(&mut self, dur: SimDuration) {
+        self.engine.clock.sleep(dur);
+        self.busy += dur;
+    }
+}
+
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        self.engine.busy_nanos.fetch_add(self.busy.as_nanos(), Ordering::Relaxed);
+        if !self.held {
+            self.engine.serve_next(self.engine.tickets.lock());
+        }
     }
 }
 
@@ -159,6 +199,13 @@ impl EngineBank {
     /// thread arrival order — and per-engine busy time replays exactly.
     pub fn occupy_on(&self, lane: usize, dur: SimDuration) -> SimDuration {
         self.engines[lane % self.engines.len()].occupy(dur)
+    }
+
+    /// A turn on the engine at `lane % len`, or on the least-recently-
+    /// assigned one when `lane` is `None`.
+    pub fn turn(&self, lane: Option<usize>) -> Turn<'_> {
+        let idx = lane.unwrap_or_else(|| self.next.fetch_add(1, Ordering::Relaxed) as usize);
+        self.engines[idx % self.engines.len()].turn()
     }
 
     /// Aggregate busy time across the bank.

@@ -34,7 +34,7 @@ pub mod kernel;
 pub mod spec;
 pub mod stats;
 
-pub use device::{DeviceAddr, Gpu, GpuContextId, GpuHold};
+pub use device::{CopyDir, CopyOp, DeviceAddr, Gpu, GpuContextId, GpuHold};
 pub use driver::{DeviceId, Driver};
 pub use error::GpuError;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};

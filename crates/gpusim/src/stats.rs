@@ -6,6 +6,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Lock-free counters maintained by a [`crate::Gpu`].
 #[derive(Debug, Default)]
 pub struct DeviceStats {
+    /// Calls into the device: one per public entry point that acts on it
+    /// (context create and destroy, malloc and free, a copy, a launch, and
+    /// a batch of any of these kinds), whatever it does or refuses.
+    pub calls: AtomicU64,
     pub kernels_launched: AtomicU64,
     pub h2d_bytes: AtomicU64,
     pub d2h_bytes: AtomicU64,
@@ -27,6 +31,7 @@ pub struct DeviceStats {
 /// serialize into experiment reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct DeviceStatsSnapshot {
+    pub calls: u64,
     pub kernels_launched: u64,
     pub h2d_bytes: u64,
     pub d2h_bytes: u64,
@@ -44,6 +49,7 @@ impl DeviceStats {
     /// cross-counter skew is bounded by in-flight operations).
     pub fn snapshot(&self) -> DeviceStatsSnapshot {
         DeviceStatsSnapshot {
+            calls: self.calls.load(Ordering::Relaxed),
             kernels_launched: self.kernels_launched.load(Ordering::Relaxed),
             h2d_bytes: self.h2d_bytes.load(Ordering::Relaxed),
             d2h_bytes: self.d2h_bytes.load(Ordering::Relaxed),

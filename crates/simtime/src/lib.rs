@@ -36,6 +36,6 @@ pub use mtcheck::Shadow;
 pub use rng::DetRng;
 pub use stopwatch::Stopwatch;
 pub use sync::{
-    lock_rank, LockRank, RankedCondvar, RankedMutex, RankedMutexGuard, RankedRwLock,
-    RankedRwLockReadGuard, RankedRwLockWriteGuard,
+    current_thread_id, lock_rank, LockRank, RankedCondvar, RankedMutex, RankedMutexGuard,
+    RankedRwLock, RankedRwLockReadGuard, RankedRwLockWriteGuard,
 };

@@ -32,6 +32,7 @@ use std::sync::{
     Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
     TryLockError, TryLockResult,
 };
+use std::thread::ThreadId;
 use std::time::Instant;
 
 /// A declared position in the workspace-wide lock order. Lower ranks are
@@ -206,6 +207,19 @@ pub fn held_ranks() -> Vec<LockRank> {
     {
         Vec::new()
     }
+}
+
+thread_local! {
+    /// The thread's id, read from the standard library once per thread.
+    static THREAD_ID: ThreadId = std::thread::current().id();
+}
+
+/// The calling thread's id. `std::thread::current()` clones the thread's
+/// handle and drops it again on every call; this reads a copy kept per
+/// thread, for the paths that ask "is it me?" per operation (an engine's
+/// holder, a connection's cork).
+pub fn current_thread_id() -> ThreadId {
+    THREAD_ID.with(|id| *id)
 }
 
 /// A `try_lock` outcome with poisoning taken over: `None` only when the

@@ -11,6 +11,8 @@
 //
 // OUT gets one line per record:
 //   S <tid> <ip> <caller> <caller's caller> ...   (hex, leaf first)
+//   T <tid> <name>                                 (a thread named or exec'd)
+//   F <tid> <parent tid>                           (a thread started)
 //   M <a line of CMD's /proc/PID/maps>             (once CMD has exec'd)
 //   L <samples the kernel dropped>
 //   R <user s> <sys s> <exit status>               (CMD's rusage, last)
@@ -85,6 +87,16 @@ static void drain(struct ring *r) {
                 leaf = 0;
             }
             fputc('\n', out);
+        } else if (h.type == PERF_RECORD_COMM) {
+            /* pid, tid, then the NUL-terminated name */
+            uint32_t *ids = (uint32_t *)(rec + sizeof h);
+            const char *comm = (const char *)(ids + 2);
+            size_t room = h.size - sizeof h - 2 * sizeof *ids;
+            fprintf(out, "T %u %.*s\n", ids[1], (int)strnlen(comm, room), comm);
+        } else if (h.type == PERF_RECORD_FORK) {
+            /* pid, ppid, tid, ptid: a thread keeps its parent's name */
+            uint32_t *ids = (uint32_t *)(rec + sizeof h);
+            fprintf(out, "F %u %u\n", ids[2], ids[3]);
         } else if (h.type == PERF_RECORD_LOST) {
             lost += ((uint64_t *)(rec + sizeof h))[1];
         }
@@ -166,6 +178,8 @@ int main(int argc, char **argv) {
         attr.exclude_kernel = 1;
         attr.exclude_hv = 1;
         attr.exclude_callchain_kernel = 1;
+        attr.comm = 1;
+        attr.task = 1;
         attr.wakeup_events = 64;
         int fd = syscall(SYS_perf_event_open, &attr, pid, (int)cpu, -1, PERF_FLAG_FD_CLOEXEC);
         if (fd < 0) {
