@@ -61,7 +61,7 @@ fn bench_page_table(c: &mut Criterion) {
 fn bench_engine(c: &mut Criterion) {
     c.bench_function("engine/occupy_zero_duration", |b| {
         let engine = FifoEngine::new(Clock::with_scale(1e-9));
-        b.iter(|| engine.occupy(black_box(SimDuration::ZERO)));
+        b.iter(|| engine.turn().spend(black_box(SimDuration::ZERO)));
     });
 }
 

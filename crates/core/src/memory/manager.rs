@@ -29,7 +29,7 @@ use crate::ctx::{Binding, CtxId};
 use crate::memory::eviction::TouchStamp;
 use crate::memory::page_table::{Flags, PageTable, PageTableEntry, SwapSlab};
 use crate::memory::swap::SwapArea;
-use crate::memory::transfer::{Outcomes, Plan};
+use crate::memory::transfer::Plan;
 use crate::metrics::RuntimeMetrics;
 use crate::trace::{TraceEvent, Tracer};
 use mtgpu_api::protocol::{vspan, AllocKind};
@@ -218,28 +218,33 @@ impl MemoryManager {
         self.node.lock().tables.get(&ctx).cloned().ok_or(CudaError::InvalidDevicePointer)
     }
 
-    /// Runs a transfer plan across the bound device's copy engines (a
-    /// one-engine device runs it inline, serially) and accounts it (metrics
-    /// + trace). An empty plan moves nothing and counts as none.
-    pub(super) fn run_plan(&self, ctx: CtxId, binding: &Binding, plan: Plan<'_>) -> Outcomes {
-        let lanes = binding.gpu.spec().copy_engines as usize;
-        let (outcomes, shape) = plan.execute(&binding.gpu, binding.gpu_ctx, lanes);
-        if shape.ops == 0 {
-            return outcomes;
+    /// Runs a transfer plan on the bound device, one call that spreads it
+    /// over the device's copy engines, accounts it (metrics + trace) and
+    /// ends its borrows ([`Plan::settle`]). An empty plan makes no call and
+    /// counts as none.
+    pub(super) fn run_plan(
+        &self,
+        ctx: CtxId,
+        binding: &Binding,
+        mut plan: Plan<'_>,
+    ) -> Plan<'static> {
+        if plan.is_empty() {
+            return plan.settle();
         }
+        let engines = binding.gpu.memcpy_batch(binding.gpu_ctx, &mut plan);
         RuntimeMetrics::bump(&self.metrics.transfer_plans);
-        if shape.overlapped {
+        if engines > 1 {
             RuntimeMetrics::bump(&self.metrics.transfer_overlap_events);
         }
         if let Some(tracer) = &self.tracer {
             tracer.record(TraceEvent::TransferPlan {
                 ctx,
-                ops: shape.ops,
-                lanes: shape.lanes,
-                bytes: shape.bytes,
+                ops: plan.len() as u32,
+                lanes: engines as u32,
+                bytes: plan.iter().map(|op| op.declared_len).sum(),
             });
         }
-        outcomes
+        plan.settle()
     }
 
     /// Records a pass's swap traffic against its device.

@@ -1,16 +1,16 @@
 //! Virtual memory for GPUs: page table, swap area, memory manager (§4.5).
 //!
-//! One [`PageTable`] per context, each behind its own lock; the
-//! [`MemoryManager`] keeps the directory of them plus what is node-wide
-//! (swap accounting, the virtual-address cursor, per-device swap traffic)
-//! behind a leaf lock. Its methods are split along their seams:
+//! One [`PageTable`] per context, each behind its own lock and minting its
+//! context's virtual addresses; the [`MemoryManager`] keeps the directory
+//! of them plus what is node-wide (swap accounting, per-device swap
+//! traffic) behind a leaf lock. Its methods are split along their seams:
 //! [`manager`] (tables, accounting, the Table 1 calls), [`launch`] (a
 //! launch's passes), [`residency`] (`materialize` and own-entry eviction),
 //! [`swapout`] (swap-out, checkpoint, device loss), [`migration`] and
-//! [`image`]. Every residency
-//! transition is one pass under the context's table lock, moving data
-//! through [`transfer::execute`] with payloads borrowed from the slabs;
-//! [`Flags`]' transitions are the only way a flag changes.
+//! [`image`]. Every residency transition is one pass under the context's
+//! table lock, moving data as one device call per plan
+//! ([`transfer::Plan`]) with payloads borrowed from the slabs; [`Flags`]'
+//! transitions are the only way a flag changes.
 
 pub mod eviction;
 mod image;
@@ -21,7 +21,7 @@ pub mod page_table;
 mod residency;
 pub mod swap;
 mod swapout;
-pub mod transfer;
+mod transfer;
 
 pub use eviction::{EntryCandidate, TouchStamp};
 pub(crate) use launch::LaunchSet;
@@ -33,4 +33,3 @@ pub use swap::SwapArea;
 // The allocation-kind tag travels with the wire protocol; re-exported so
 // tooling that drives the manager (mtcheck scenarios) needs no api dep.
 pub use mtgpu_api::protocol::AllocKind;
-pub use transfer::{PlanShape, TransferOp, TransferOutcome};

@@ -4,20 +4,21 @@
 //!
 //! The pass's device calls are batches: one for the entries to allocate
 //! ([`mtgpu_gpusim::Gpu::malloc_batch`], their addresses in a buffer the
-//! thread keeps) and one per copy lane for the uploads
-//! ([`super::transfer::execute`]). Only an allocation the device refuses
-//! sends the pass on entry by entry, each refusal evicting one of the
-//! context's own entries outside the working set, so the first-fit
-//! addresses are those of one malloc per entry in working-set order.
+//! thread keeps) and one for the uploads (a [`super::transfer::Plan`],
+//! which the device spreads over its copy engines). Only an allocation the
+//! device refuses sends the pass on entry by entry, each refusal evicting
+//! one of the context's own entries outside the working set, so the
+//! first-fit addresses are those of one malloc per entry in working-set
+//! order.
 
 use crate::ctx::{Binding, CtxId};
 use crate::memory::eviction::{self, EntryCandidate};
 use crate::memory::manager::{CtxMemory, Materialize, MemoryManager};
 use crate::memory::page_table::{PageTable, PageTableEntry};
-use crate::memory::transfer::{Plan, TransferOp};
+use crate::memory::transfer::Plan;
 use crate::metrics::RuntimeMetrics;
 use mtgpu_api::{CudaError, CudaResult};
-use mtgpu_gpusim::{DeviceAddr, GpuError};
+use mtgpu_gpusim::{CopyOp, DeviceAddr, GpuError};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -80,20 +81,24 @@ impl MemoryManager {
                 .iter()
                 .filter_map(|&base| table.get(base))
                 .filter(|e| e.flags.to_dev())
-                .map(TransferOp::upload),
+                .map(|e| CopyOp::h2d(e.dptr(), e.size, &e.slab.data)),
         );
-        // A failed upload keeps `to_dev`: the slab stays authoritative. The
-        // first failure (in plan order) becomes the caller's error.
+        // The ops, in plan order, are the working set's entries that await
+        // their slabs. A failed upload keeps `to_dev`: the slab stays
+        // authoritative. The first failure becomes the caller's error.
+        let plan = self.run_plan(ctx, binding, plan);
+        let mut ops = plan.iter().peekable();
         let (mut uploaded, mut first_err) = (0, None);
-        for out in self.run_plan(ctx, binding, plan).iter() {
-            match &out.result {
+        for &base in bases {
+            let entry = table.get_mut(base).expect("allocated above");
+            let Some(op) = ops.next_if(|op| op.addr == entry.dptr()) else { continue };
+            match &op.result {
                 Ok(()) => {
                     RuntimeMetrics::bump(&self.metrics.bulk_uploads);
-                    let entry = table.get_mut(DeviceAddr(out.base)).expect("planned above");
                     entry.flags = entry.flags.on_upload();
-                    uploaded += out.size;
+                    uploaded += entry.size;
                 }
-                Err(e) => first_err = first_err.or_else(|| Some(e.clone())),
+                Err(e) => first_err = first_err.or_else(|| Some(CudaError::from_gpu(e.clone()))),
             }
         }
         self.note_dev_swap(binding.vgpu.device, uploaded, 0);

@@ -3,19 +3,19 @@
 //! table lock.
 //!
 //! A pass allocates nothing: each dirty entry's writeback is an op of one
-//! plan on the thread's kept buffers ([`super::transfer::Plan`]) that
-//! copies the device's bytes straight into the entry's slab, and the
-//! outcomes, read in plan order, say which landed. The plan is one device
-//! call per copy lane, and a swap-out frees its entries in one more
+//! plan on the thread's kept buffer ([`super::transfer::Plan`]) that
+//! copies the device's bytes straight into the entry's slab, and the ops'
+//! results, read in plan order, say which landed. The plan is one device
+//! call, and a swap-out frees its entries in one more
 //! ([`mtgpu_gpusim::Gpu::free_batch`]).
 
 use crate::ctx::{Binding, CtxId};
 use crate::memory::manager::{MemoryManager, Recovery, SwapOutcome, SwapReason};
 use crate::memory::page_table::{PageTable, PageTableEntry};
-use crate::memory::transfer::{Outcomes, Plan, TransferOp};
+use crate::memory::transfer::Plan;
 use crate::metrics::RuntimeMetrics;
 use mtgpu_api::{CudaError, CudaResult};
-use mtgpu_gpusim::DeviceAddr;
+use mtgpu_gpusim::CopyOp;
 use std::sync::atomic::Ordering;
 
 impl MemoryManager {
@@ -42,7 +42,7 @@ impl MemoryManager {
         }
         let Ok(cm) = self.ctx_mem(ctx) else { return Ok(SwapOutcome::default()) };
         let mut table = cm.table.lock();
-        let (outcomes, sync_err) = self.write_back_dirty(ctx, &mut table, binding);
+        let (plan, sync_err) = self.write_back_dirty(ctx, &mut table, binding);
         // Every allocated entry whose slab is current, in page-table order,
         // in one free call that stops at its first failure. A dirty entry
         // whose writeback failed keeps its device copy (the only current
@@ -53,10 +53,10 @@ impl MemoryManager {
         let (freed, free_res) = binding.gpu.free_batch(binding.gpu_ctx, dptrs);
         // The entries written back are the ones whose writebacks landed, in
         // the same order.
-        let mut landed = outcomes.iter().filter(|o| o.result.is_ok()).map(|o| o.base).peekable();
+        let mut landed = plan.iter().filter(|op| op.result.is_ok()).map(|op| op.addr).peekable();
         let mut out = SwapOutcome::default();
         for e in table.iter_mut().filter(|e| freeable(e)).take(freed) {
-            if landed.next_if_eq(&e.vaddr.0).is_some() {
+            if landed.next_if_eq(&e.dptr()).is_some() {
                 out.writeback_bytes += e.size;
             } else {
                 out.clean_bytes += e.size;
@@ -98,29 +98,37 @@ impl MemoryManager {
     /// Writes every dirty entry of `table` back into its slab as one
     /// pipelined D2H plan, applies Figure 4's `copy_dh` to the ones that
     /// landed and counts their bytes as the device's swap traffic. Returns
-    /// the plan's outcomes and the first failure in plan order.
+    /// the plan that ran and the first failure in plan order.
     fn write_back_dirty(
         &self,
         ctx: CtxId,
         table: &mut PageTable,
         binding: &Binding,
-    ) -> (Outcomes, Option<CudaError>) {
+    ) -> (Plan<'static>, Option<CudaError>) {
         let mut plan = Plan::new();
-        plan.extend(table.iter_mut().filter(|e| e.flags.to_swap()).map(TransferOp::writeback));
-        let outcomes = self.run_plan(ctx, binding, plan);
+        plan.extend(
+            table
+                .iter_mut()
+                .filter(|e| e.flags.to_swap())
+                .map(|e| CopyOp::d2h(e.dptr(), e.size, &mut e.slab.data)),
+        );
+        let plan = self.run_plan(ctx, binding, plan);
+        // The ops, in plan order, are the dirty entries in table order.
         let (mut written, mut first_err) = (0, None);
-        for out in outcomes.iter() {
-            match &out.result {
+        for (e, op) in table.iter_mut().filter(|e| e.flags.to_swap()).zip(plan.iter()) {
+            match &op.result {
                 Ok(()) => {
-                    let e = table.get_mut(DeviceAddr(out.base)).expect("planned above");
+                    e.slab.landed();
                     e.flags = e.flags.on_copy_dh();
-                    written += out.size;
+                    written += e.size;
                 }
-                Err(e) => first_err = first_err.or_else(|| Some(e.clone())),
+                Err(err) => {
+                    first_err = first_err.or_else(|| Some(CudaError::from_gpu(err.clone())))
+                }
             }
         }
         self.note_dev_swap(binding.vgpu.device, 0, written);
-        (outcomes, first_err)
+        (plan, first_err)
     }
 
     /// Handles the loss of the device a context was bound to: resident

@@ -143,12 +143,11 @@ impl NodeRuntime {
         let new = self.bindings().try_acquire_on(ctx_id, dst).ok_or(MigrationError::NoSlot)?;
 
         // Phase 2 — transfer. Device-current entries are copied peer-to-
-        // peer, lane-pinned in plan order for deterministic engine
-        // placement. No PTE is mutated here: failure rolls the destination
-        // back and the context never left its source.
+        // peer, each with its place among the moves, which picks its copy
+        // engine as in a plan. No PTE is mutated here: failure rolls the
+        // destination back and the context never left its source.
         probe(MigrationPhase::Transfer);
         let plan = self.memory().migration_plan(ctx_id);
-        let lanes = (old.gpu.spec().copy_engines as usize).max(1);
         let mut moves: Vec<(DeviceAddr, DeviceAddr)> = Vec::new();
         let mut dropped: Vec<DeviceAddr> = Vec::new();
         let mut p2p_bytes = 0u64;
@@ -172,7 +171,7 @@ impl NodeRuntime {
                 new.gpu_ctx,
                 dst_ptr,
                 entry.size,
-                moves.len() % lanes,
+                moves.len(),
             );
             if copied.is_err() {
                 let _ = new.gpu.free(new.gpu_ctx, dst_ptr);
@@ -219,7 +218,7 @@ impl NodeRuntime {
             ctx: ctx_id,
             p2p_bytes,
             skipped_bytes,
-            lanes: lanes as u32,
+            lanes: old.gpu.spec().copy_engines.max(1),
         });
         self.tracer().record(TraceEvent::Unbound {
             ctx: ctx_id,

@@ -72,8 +72,8 @@ fn a_resident_launch_is_one_device_call_and_one_walk() {
 /// `launch_allocations.rs`: each launch swaps the other out whole. Its
 /// one walk serves the pass that finds no room and the pass after the
 /// swap-out. Its six device calls: the first pass's allocation batch,
-/// which the device refuses partway; the victim's writebacks (one lane on
-/// a `test_small`) and its frees; the second pass's allocation batch for
+/// which the device refuses partway; the victim's writebacks (one plan)
+/// and its frees; the second pass's allocation batch for
 /// the rest and its uploads; the launch. One call per operation made
 /// 34: five mallocs, eight writebacks, eight frees, four mallocs, eight
 /// uploads and the launch.

@@ -2,16 +2,19 @@
 //!
 //! Every public entry point that acts on the device counts one call
 //! ([`DeviceStats::calls`]). Besides the single operations, the device
-//! takes a pass's work in one call each: a lane's copies
+//! takes a pass's work in one call each: a plan's copies
 //! ([`Gpu::memcpy_batch`]), a pass's allocations ([`Gpu::malloc_batch`])
 //! and its frees ([`Gpu::free_batch`]). A malloc or free batch runs its
 //! ops, in order, under one acquisition of the state lock. A copy batch
-//! checks its ops under one, then takes its lane's engine once and spends
-//! each op's duration on it in turn, landing the op as its time is spent,
-//! so per-engine busy time and the clock advance by the same integer
-//! nanoseconds as the ops made one by one. Outcomes stay per op: a batch
-//! fails exactly the ops that would fail alone, a device failing mid-batch
-//! included.
+//! deals op `i` to copy engine `i % copy_engines`, so which engine serves
+//! which op is a function of the plan, not of thread scheduling, and runs
+//! the engines side by side unless there is one, or the calling thread
+//! holds the device ([`Gpu::try_hold`]). Each engine checks its ops under
+//! one acquisition, is taken once and spends each op's duration in turn,
+//! landing the op as its time is spent, so per-engine busy time and the
+//! clock advance by the same integer nanoseconds as the ops made one by
+//! one on that engine. Outcomes stay per op: a batch fails exactly the ops
+//! that would fail alone, a device failing mid-batch included.
 
 use crate::alloc::BlockAllocator;
 use crate::engine::{EngineBank, FifoEngine};
@@ -22,6 +25,7 @@ use crate::stats::DeviceStats;
 use crate::Result;
 use mtgpu_simtime::{lock_rank, Clock, RankedMutex, SimDuration};
 use serde::Serialize;
+use std::borrow::BorrowMut;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -306,8 +310,8 @@ impl Gpu {
         self.compute.queue_depth()
     }
 
-    /// Per-lane copy-engine busy times, indexed by lane. Exposes whether
-    /// a transfer plan's lane-pinned traffic actually overlapped.
+    /// Per-engine copy busy times, indexed by engine. Exposes whether a
+    /// transfer plan's traffic was spread over the engines.
     pub fn engine_busy_times(&self) -> Vec<SimDuration> {
         self.copy.busy_times()
     }
@@ -321,7 +325,7 @@ impl Gpu {
     pub fn try_hold(self: &Arc<Self>) -> Option<GpuHold> {
         let engines = || std::iter::once(&self.compute).chain(self.copy.engines());
         let taken = engines().take_while(|e| e.try_hold()).count();
-        if taken == 1 + self.copy.len() {
+        if taken == 1 + self.copy.engines().len() {
             return Some(GpuHold { gpu: Arc::clone(self), _thread: PhantomData });
         }
         engines().take(taken).for_each(FifoEngine::release);
@@ -329,7 +333,7 @@ impl Gpu {
     }
 
     /// Whether the calling thread holds the device ([`Gpu::try_hold`]).
-    pub fn held_here(&self) -> bool {
+    pub(crate) fn held_here(&self) -> bool {
         self.compute.held_here()
     }
 
@@ -590,7 +594,7 @@ impl Gpu {
     ) -> Result<()> {
         DeviceStats::bump(&self.stats.calls);
         let mut op = [CopyOp::h2d(dst, declared_len, payload)];
-        self.copy(ctx, None, &mut op);
+        self.copy(ctx, None, &mut op, 1);
         let [op] = op;
         op.result
     }
@@ -622,41 +626,71 @@ impl Gpu {
     ) -> Result<()> {
         DeviceStats::bump(&self.stats.calls);
         let mut op = [CopyOp::d2h(src, declared_len, out)];
-        self.copy(ctx, None, &mut op);
+        self.copy(ctx, None, &mut op, 1);
         let [op] = op;
         op.result
     }
 
-    /// Runs `ops` on copy-engine lane `lane % copy_engines`, in order, as
-    /// [`Gpu::memcpy_h2d`] and [`Gpu::memcpy_d2h_into`] would one after
-    /// another on that lane, each op's outcome in its `result`. The lane
-    /// is held once, for the sum of the accepted ops' durations: another
-    /// thread's copy on the lane queues behind the whole batch, as behind
-    /// a DMA descriptor chain. Transfer-plan executors pin lanes so that
-    /// engine assignment follows plan order, not thread scheduling.
+    /// Runs `ops` as one plan, op `i` on copy engine `i % copy_engines`,
+    /// each engine's ops in plan order as [`Gpu::memcpy_h2d`] and
+    /// [`Gpu::memcpy_d2h_into`] would run them one after another on it, each
+    /// op's outcome in its `result`. Returns how many engines the plan was
+    /// spread over: at most one per op.
     ///
-    /// The ops are checked under one acquisition of the state lock; each
-    /// lands as its time is spent, under one acquisition of its own, so a
-    /// device failing mid-batch fails exactly the ops after it.
-    pub fn memcpy_batch(&self, ctx: GpuContextId, lane: usize, ops: &mut [CopyOp<'_>]) {
+    /// The engines run side by side, engine 0's ops on the calling thread
+    /// and each other engine's on a scoped thread. One engine, a one-op
+    /// plan or a device the calling thread holds runs every engine's ops on
+    /// the calling thread, one engine after the other, without a thread or
+    /// a heap allocation: a held device would queue the other threads
+    /// behind the hold. An engine is taken once, for the sum of its
+    /// accepted ops' durations: another thread's copy on it queues behind
+    /// the whole batch, as behind a DMA descriptor chain.
+    pub fn memcpy_batch(&self, ctx: GpuContextId, ops: &mut [CopyOp<'_>]) -> usize {
         DeviceStats::bump(&self.stats.calls);
-        self.copy(ctx, Some(lane), ops);
+        let engines = self.copy.engines().len().min(ops.len());
+        if engines <= 1 || self.held_here() {
+            for engine in 0..engines {
+                self.copy(ctx, Some(engine), &mut ops[engine..], engines);
+            }
+        } else {
+            let mut dealt: Vec<Vec<&mut CopyOp<'_>>> = (0..engines).map(|_| Vec::new()).collect();
+            for (i, op) in ops.iter_mut().enumerate() {
+                dealt[i % engines].push(op);
+            }
+            let (first, rest) = dealt.split_first_mut().expect("two engines or more");
+            std::thread::scope(|scope| {
+                for (i, ops) in rest.iter_mut().enumerate() {
+                    scope.spawn(move || self.copy(ctx, Some(i + 1), ops, 1));
+                }
+                self.copy(ctx, Some(0), first, 1);
+            });
+        }
+        engines
     }
 
-    /// The copies of one engine turn: on `lane`, or the next engine
-    /// round-robin. Every op is checked under one acquisition of the state
-    /// lock (a refused op costs no time). The engine is then taken once,
-    /// and each accepted op in order spends its duration on it and lands,
-    /// unless the device failed meanwhile: a device that fails mid-batch
-    /// fails the ops still in flight, as it fails a chain of single copies.
-    fn copy(&self, ctx: GpuContextId, lane: Option<usize>, ops: &mut [CopyOp<'_>]) {
+    /// The copies `ops[0]`, `ops[step]`, `ops[2 * step]`... as one turn on
+    /// copy engine `engine`, or on the next engine round-robin. Every op is
+    /// checked under one acquisition of the state lock (a refused op costs
+    /// no time). The engine is then taken once, and each accepted op in
+    /// order spends its duration on it and lands, unless the device failed
+    /// meanwhile: a device that fails mid-batch fails the ops still in
+    /// flight, as it fails a chain of single copies.
+    fn copy<'a, T: BorrowMut<CopyOp<'a>>>(
+        &self,
+        ctx: GpuContextId,
+        engine: Option<usize>,
+        ops: &mut [T],
+        step: usize,
+    ) {
         let mut accepted = false;
         match self.check_alive() {
-            Err(e) => ops.iter_mut().for_each(|op| op.result = Err(e.clone())),
+            Err(e) => {
+                ops.iter_mut().step_by(step).for_each(|op| op.borrow_mut().result = Err(e.clone()))
+            }
             Ok(()) => {
                 let st = self.state.lock();
                 let live = st.contexts.contains_key(&ctx);
-                for op in ops.iter_mut() {
+                for op in ops.iter_mut().step_by(step).map(BorrowMut::borrow_mut) {
                     op.result = self.check_copy(&st, ctx, live, op);
                     accepted |= op.result.is_ok();
                 }
@@ -665,8 +699,9 @@ impl Gpu {
         if !accepted {
             return;
         }
-        let mut turn = self.copy.turn(lane);
-        for op in ops.iter_mut().filter(|op| op.result.is_ok()) {
+        let mut turn = self.copy.turn(engine);
+        let ops = ops.iter_mut().step_by(step).map(BorrowMut::borrow_mut);
+        for op in ops.filter(|op| op.result.is_ok()) {
             turn.spend(self.spec.copy_duration(op.declared_len));
             op.result = self.check_alive().and_then(|()| self.land_copy(ctx, op));
         }
@@ -740,12 +775,12 @@ impl Gpu {
         }
         let dur = COPY_OVERHEAD
             + SimDuration::from_secs_f64(declared_len as f64 / self.spec.mem_bytes_per_sec);
-        self.copy.occupy(dur);
+        self.copy.turn(None).spend(dur);
         self.check_alive()?;
         let mut st = self.state.lock();
         let (src_slot, src_off, _) = Self::resolve(&st, self.addr_salt, Some(ctx), src)?;
-        // Stage through a temporary so src and dst may live in the same
-        // allocation (BTreeMap won't hand out two &mut into it anyway).
+        // Stage through a temporary: src and dst may be one allocation, and
+        // `Allocs` lends one slot at a time.
         let bytes = st.allocs.slot(src_slot).read(src_off, declared_len).to_vec();
         let (dst_slot, dst_off, _) = Self::resolve(&st, self.addr_salt, Some(ctx), dst)?;
         st.allocs.slot_mut(dst_slot).write(dst_off, &bytes);
@@ -756,8 +791,9 @@ impl Gpu {
     /// Peer-to-peer copy between two *different* devices: a single PCIe
     /// hop (peer DMA), not a host-staged round trip. Validates both
     /// endpoints up front, charges the transfer against the **source**
-    /// device's copy engine (lane-pinned so plan executors get canonical
-    /// placement), then moves the materialized bytes. The two
+    /// device's copy engine `index % copy_engines` (`index` is the copy's
+    /// place in its caller's plan, so placement follows the plan as in
+    /// [`Gpu::memcpy_batch`]), then moves the materialized bytes. The two
     /// `DEVICE_STATE` locks share a rank, so they are only ever taken
     /// sequentially — never nested.
     #[allow(clippy::too_many_arguments)]
@@ -769,7 +805,7 @@ impl Gpu {
         dst_ctx: GpuContextId,
         dst: DeviceAddr,
         declared_len: u64,
-        lane: usize,
+        index: usize,
     ) -> Result<()> {
         DeviceStats::bump(&src_dev.stats.calls);
         src_dev.check_alive()?;
@@ -794,7 +830,7 @@ impl Gpu {
         // One hop: the slower of the two PCIe links bounds the transfer.
         let dur =
             src_dev.spec.copy_duration(declared_len).max(dst_dev.spec.copy_duration(declared_len));
-        src_dev.copy.occupy_on(lane, dur);
+        src_dev.copy.turn(Some(index)).spend(dur);
         src_dev.check_alive()?;
         dst_dev.check_alive()?;
         let bytes = {
@@ -836,10 +872,11 @@ impl Gpu {
             }
         }
         let dur = self.spec.kernel_duration(spec.work);
-        let payload_result = self.compute.occupy_with(dur, || {
-            let Some(payload) = kernel.payload.as_ref() else {
-                return Ok(());
-            };
+        // The payload runs before the compute engine is let go, so no other
+        // kernel on the device sees its bytes half written.
+        let mut turn = self.compute.turn();
+        turn.spend(dur);
+        if let Some(payload) = kernel.payload.as_ref() {
             let mut st = self.state.lock();
             let salt = self.addr_salt;
             let mut resolve =
@@ -853,9 +890,9 @@ impl Gpu {
                     Ok(())
                 };
             let mut exec = KernelExec { resolve: &mut resolve, args: &spec.args, work: spec.work };
-            payload(&mut exec)
-        });
-        payload_result?;
+            payload(&mut exec)?;
+        }
+        drop(turn);
         self.check_alive()?;
         DeviceStats::bump(&self.stats.kernels_launched);
         Ok(dur)
@@ -1010,21 +1047,23 @@ mod tests {
     }
 
     #[test]
-    fn lane_pinned_copies_are_functionally_identical() {
+    fn one_op_batches_move_what_single_copies_move() {
         let gpu = Gpu::new(GpuSpec::tesla_c2050(), Clock::with_scale(1e-7), 0);
         let ctx = gpu.create_context().unwrap();
         let ptr = gpu.malloc(ctx, 256).unwrap();
-        // Lane indices far beyond the engine count wrap modulo the bank.
         let mut up = [CopyOp::h2d(ptr, 256, &[5u8; 256])];
-        gpu.memcpy_batch(ctx, 7, &mut up);
+        assert_eq!(gpu.memcpy_batch(ctx, &mut up), 1);
         assert_eq!(up[0].result, Ok(()));
         let mut out = Vec::new();
         let mut down = [CopyOp::d2h(ptr, 256, &mut out)];
-        gpu.memcpy_batch(ctx, 0, &mut down);
+        gpu.memcpy_batch(ctx, &mut down);
         assert_eq!(down[0].result, Ok(()));
         assert_eq!(out, vec![5u8; 256]);
         assert_eq!(gpu.stats().snapshot().h2d_bytes, 256);
         assert_eq!(gpu.stats().snapshot().d2h_bytes, 256);
+        // Both ops were op 0 of their plan: engine 0 served both.
+        assert_eq!(gpu.engine_busy_times()[1], SimDuration::ZERO);
+        assert_eq!(gpu.memcpy_batch(ctx, &mut []), 0);
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! arrival order, and the simulated busy time is accumulated for utilization
 //! accounting.
 //!
-//! A caller may take an engine for a chain of occupancies ([`Turn`]): a
-//! copy batch (`Gpu::memcpy_batch`) takes its lane once and spends each
-//! op's duration in turn, its busy time their sum, so FIFO order between
-//! threads is per batch, as between DMA descriptor chains. Whether the
+//! Every occupancy is a [`Turn`]: the caller waits for the engine once and
+//! spends durations on it, its busy time their sum. A kernel spends one
+//! and applies its payload before it lets go; a copy batch
+//! (`Gpu::memcpy_batch`) spends each op's on the op's engine in turn, so
+//! FIFO order between threads is per batch, as between DMA descriptor
+//! chains. Whether the
 //! caller holds an engine is a comparison with a thread id kept per thread
 //! ([`mtgpu_simtime::current_thread_id`]), not a fetch of the thread's
 //! handle per occupancy.
@@ -50,26 +52,6 @@ impl FifoEngine {
             cv: RankedCondvar::new(),
             busy_nanos: AtomicU64::new(0),
         }
-    }
-
-    /// Blocks until all earlier arrivals have completed, then occupies the
-    /// engine for `dur` of simulated time.
-    ///
-    /// Returns the simulated duration actually occupied (i.e. `dur`), which
-    /// callers use for accounting.
-    pub fn occupy(&self, dur: SimDuration) -> SimDuration {
-        self.occupy_with(dur, || dur)
-    }
-
-    /// Like [`FifoEngine::occupy`], but runs `work` while holding the engine
-    /// (after the timed occupancy). Used by kernel launches to apply their
-    /// functional payload atomically with respect to other kernels on the
-    /// same engine. The engine's holder ([`crate::Gpu::try_hold`]) occupies
-    /// it at once, on the ticket it holds.
-    pub fn occupy_with<R>(&self, dur: SimDuration, work: impl FnOnce() -> R) -> R {
-        let mut turn = self.turn();
-        turn.spend(dur);
-        work()
     }
 
     /// Waits for the engine and takes it until the turn is dropped: a
@@ -186,51 +168,21 @@ impl EngineBank {
         }
     }
 
-    /// Occupies the least-recently-assigned engine for `dur`.
-    pub fn occupy(&self, dur: SimDuration) -> SimDuration {
-        let idx = self.next.fetch_add(1, Ordering::Relaxed) as usize % self.engines.len();
-        self.engines[idx].occupy(dur)
-    }
-
-    /// Occupies the engine at `lane % len` for `dur`. Lane-pinned placement
-    /// bypasses the round-robin cursor: a transfer-plan executor assigns
-    /// operation `i` to lane `i % lanes` in canonical order, so which
-    /// engine serves which transfer is a pure function of the plan — not of
-    /// thread arrival order — and per-engine busy time replays exactly.
-    pub fn occupy_on(&self, lane: usize, dur: SimDuration) -> SimDuration {
-        self.engines[lane % self.engines.len()].occupy(dur)
-    }
-
-    /// A turn on the engine at `lane % len`, or on the least-recently-
-    /// assigned one when `lane` is `None`.
-    pub fn turn(&self, lane: Option<usize>) -> Turn<'_> {
-        let idx = lane.unwrap_or_else(|| self.next.fetch_add(1, Ordering::Relaxed) as usize);
+    /// A turn on the engine at `index % len`, or on the least-recently-
+    /// assigned one when `index` is `None`.
+    pub fn turn(&self, index: Option<usize>) -> Turn<'_> {
+        let idx = index.unwrap_or_else(|| self.next.fetch_add(1, Ordering::Relaxed) as usize);
         self.engines[idx % self.engines.len()].turn()
     }
 
-    /// Aggregate busy time across the bank.
-    pub fn busy_time(&self) -> SimDuration {
-        self.engines.iter().map(|e| e.busy_time()).sum()
-    }
-
-    /// Per-lane busy times, indexed by lane.
+    /// Per-engine busy times, indexed by engine.
     pub fn busy_times(&self) -> Vec<SimDuration> {
         self.engines.iter().map(|e| e.busy_time()).collect()
     }
 
-    /// The bank's engines, by lane.
+    /// The bank's engines, by index.
     pub(crate) fn engines(&self) -> &[FifoEngine] {
         &self.engines
-    }
-
-    /// Number of engines in the bank.
-    pub fn len(&self) -> usize {
-        self.engines.len()
-    }
-
-    /// Always false; a bank holds at least one engine.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 }
 
@@ -240,6 +192,13 @@ mod tests {
     use std::sync::Arc;
     use std::sync::Mutex;
     use std::time::Instant;
+
+    /// One turn of `dur` on `engine`, running `work` before it lets go.
+    fn occupy<R>(engine: &FifoEngine, dur: SimDuration, work: impl FnOnce() -> R) -> R {
+        let mut turn = engine.turn();
+        turn.spend(dur);
+        work()
+    }
 
     #[test]
     fn occupancy_serializes() {
@@ -251,7 +210,7 @@ mod tests {
         let handles: Vec<_> = (0..2)
             .map(|_| {
                 let e = Arc::clone(&engine);
-                std::thread::spawn(move || e.occupy(SimDuration::from_secs(5)))
+                std::thread::spawn(move || e.turn().spend(SimDuration::from_secs(5)))
             })
             .collect();
         for h in handles {
@@ -273,7 +232,7 @@ mod tests {
         // Pin the engine so later arrivals stack behind a known head.
         let head = {
             let e = Arc::clone(&engine);
-            std::thread::spawn(move || e.occupy(SimDuration::from_secs(20)))
+            std::thread::spawn(move || e.turn().spend(SimDuration::from_secs(20)))
         };
         std::thread::sleep(std::time::Duration::from_millis(5));
         let mut joiners = Vec::new();
@@ -281,7 +240,7 @@ mod tests {
             let e = Arc::clone(&engine);
             let o = Arc::clone(&order);
             joiners.push(std::thread::spawn(move || {
-                e.occupy_with(SimDuration::from_millis(1), || o.lock().unwrap().push(i));
+                occupy(&e, SimDuration::from_millis(1), || o.lock().unwrap().push(i));
             }));
             // Stagger arrivals so ticket order matches i.
             std::thread::sleep(std::time::Duration::from_millis(2));
@@ -306,7 +265,7 @@ mod tests {
         let head = {
             let e = Arc::clone(&engine);
             std::thread::spawn(move || {
-                e.occupy_with(SimDuration::from_secs(1), || held.recv().unwrap())
+                occupy(&e, SimDuration::from_secs(1), || held.recv().unwrap())
             })
         };
         let mut joiners = Vec::new();
@@ -316,7 +275,7 @@ mod tests {
             }
             let (e, o) = (Arc::clone(&engine), Arc::clone(&order));
             joiners.push(std::thread::spawn(move || {
-                e.occupy_with(SimDuration::from_millis(1), || o.lock().unwrap().push(i));
+                occupy(&e, SimDuration::from_millis(1), || o.lock().unwrap().push(i));
             }));
         }
         while engine.queue_depth() < QUEUED + 1 {
@@ -340,14 +299,14 @@ mod tests {
             let (e, o) = (Arc::clone(&engine), Arc::clone(&order));
             std::thread::spawn(move || {
                 assert!(!e.try_hold() && !e.held_here());
-                e.occupy_with(SimDuration::from_millis(1), || o.lock().unwrap().push("other"));
+                occupy(&e, SimDuration::from_millis(1), || o.lock().unwrap().push("other"));
             })
         };
         // The other thread queues behind the hold; the holder does not.
         while engine.queue_depth() < 2 {
             std::thread::yield_now();
         }
-        engine.occupy_with(SimDuration::from_millis(1), || order.lock().unwrap().push("holder"));
+        occupy(&engine, SimDuration::from_millis(1), || order.lock().unwrap().push("holder"));
         engine.release();
         other.join().unwrap();
         assert_eq!(*order.lock().unwrap(), ["holder", "other"]);
@@ -371,7 +330,7 @@ mod tests {
                 let gate = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     gate.wait();
-                    b.occupy(SimDuration::from_secs(5))
+                    b.turn(None).spend(SimDuration::from_secs(5))
                 })
             })
             .collect();
@@ -391,7 +350,7 @@ mod tests {
         // rely on.
         let clock = Clock::with_scale(1e-3);
         let bank = Arc::new(EngineBank::new(clock.clone(), 2));
-        // Each worker reads its own start and end around `occupy_on`: a
+        // Each worker reads its own start and end around its turn: a
         // stopwatch on the spawning thread, started after the barrier, takes
         // that thread's scheduling delays for the engines'.
         let run_pair = |lane_a: usize, lane_b: usize| {
@@ -404,7 +363,7 @@ mod tests {
                     std::thread::spawn(move || {
                         gate.wait();
                         let start = Instant::now();
-                        b.occupy_on(lane, SimDuration::from_secs(5));
+                        b.turn(Some(lane)).spend(SimDuration::from_secs(5));
                         (start, Instant::now())
                     })
                 })
@@ -438,7 +397,7 @@ mod tests {
         assert!(engine.try_hold());
         assert_eq!(engine.queue_depth(), 1);
         let e = Arc::clone(&engine);
-        let h = std::thread::spawn(move || e.occupy(SimDuration::from_secs(1)));
+        let h = std::thread::spawn(move || e.turn().spend(SimDuration::from_secs(1)));
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         while engine.queue_depth() < 2 {
             assert!(std::time::Instant::now() < deadline, "the waiter never queued");
@@ -470,7 +429,7 @@ mod stress_tests {
                 .map(|micros| {
                     let e = Arc::clone(&engine);
                     std::thread::spawn(move || {
-                        e.occupy(SimDuration::from_micros(micros));
+                        e.turn().spend(SimDuration::from_micros(micros));
                     })
                 })
                 .collect();

@@ -1,12 +1,12 @@
 //! A device's batched entry points against the same work one operation at
 //! a time, on two identical devices: a plan's copies as one
-//! `Gpu::memcpy_batch` per lane against one single-op batch per op on the
-//! same lane (what a lane-pinned copy was), a pass's allocations as one
-//! `Gpu::malloc_batch` against one `Gpu::malloc` per size up to the first
-//! refusal, and its frees as one `Gpu::free_batch` against one `Gpu::free`
-//! per address up to the first refusal. Outcomes, device bytes, the
-//! caller's buffers, the counters (all but `calls`), per-engine busy time
-//! and the clock must agree.
+//! `Gpu::memcpy_batch` against one batch per op that puts the op alone on
+//! the engine the plan deals it to (op `i` on engine `i % copy_engines`),
+//! a pass's allocations as one `Gpu::malloc_batch` against one
+//! `Gpu::malloc` per size up to the first refusal, and its frees as one
+//! `Gpu::free_batch` against one `Gpu::free` per address up to the first
+//! refusal. Outcomes, device bytes, the caller's buffers, the counters
+//! (all but `calls`), per-engine busy time and the clock must agree.
 
 use mtgpu_gpusim::stats::DeviceStatsSnapshot;
 use mtgpu_gpusim::{CopyOp, DeviceAddr, Gpu, GpuContextId, GpuError, GpuSpec};
@@ -74,7 +74,7 @@ struct Seen {
     now: SimInstant,
 }
 
-/// Runs `plan` on a fresh device: one batch per lane, or one batch per op.
+/// Runs `plan` on a fresh device: one batch, or one batch per op.
 fn run(spec: &GpuSpec, sizes: &[u64], plan: &[Op], fail_first: bool, batched: bool) -> Seen {
     let (gpu, clock, ctx, addrs) = device(spec, sizes);
     let payloads: Vec<Vec<u8>> =
@@ -83,46 +83,40 @@ fn run(spec: &GpuSpec, sizes: &[u64], plan: &[Op], fail_first: bool, batched: bo
     if fail_first {
         gpu.fail();
     }
-    let lanes = spec.copy_engines as usize;
-    let mut copies: Vec<(usize, CopyOp<'_>)> = plan
+    let engines = spec.copy_engines as usize;
+    let mut copies: Vec<CopyOp<'_>> = plan
         .iter()
         .zip(&payloads)
         .zip(buffers.iter_mut())
         .enumerate()
         .map(|(i, ((op, payload), buffer))| {
+            // The engines of a batch run side by side: ops on different
+            // engines target different allocations, so no op reads what
+            // another engine's op may or may not have written yet.
+            let target = op.target.map(|t| t - t % engines + i % engines);
             // Past the last allocation's end: inside no allocation.
-            let base = op.target.map_or(DeviceAddr(addrs[3].0 + (64 << 20)), |t| addrs[t]);
+            let base = target.map_or(DeviceAddr(addrs[3].0 + (64 << 20)), |t| addrs[t]);
             let addr = DeviceAddr(base.0 + op.offset);
-            let copy = if op.upload {
+            if op.upload {
                 CopyOp::h2d(addr, op.declared, payload)
             } else {
                 CopyOp::d2h(addr, op.declared, buffer)
-            };
-            (i % lanes, copy)
+            }
         })
         .collect();
     if batched {
-        for lane in 0..lanes {
-            let mut batch: Vec<CopyOp<'_>> = Vec::new();
-            let mut at = Vec::new();
-            for (i, (l, copy)) in copies.iter_mut().enumerate() {
-                if *l == lane {
-                    let taken = std::mem::replace(copy, CopyOp::h2d(DeviceAddr(0), 0, &[]));
-                    batch.push(taken);
-                    at.push(i);
-                }
-            }
-            gpu.memcpy_batch(ctx, lane, &mut batch);
-            for (i, copy) in at.into_iter().zip(batch) {
-                copies[i].1 = copy;
-            }
-        }
+        assert_eq!(gpu.memcpy_batch(ctx, &mut copies), engines.min(plan.len()));
     } else {
-        for (lane, copy) in copies.iter_mut() {
-            gpu.memcpy_batch(ctx, *lane, std::slice::from_mut(copy));
+        // Op `i` behind `i % engines` refused zero-length copies, which
+        // cost nothing: alone on the engine the plan deals it to.
+        for (i, copy) in copies.iter_mut().enumerate() {
+            let mut alone: Vec<CopyOp<'_>> = (0..i % engines).map(|_| refused()).collect();
+            alone.push(std::mem::replace(copy, refused()));
+            gpu.memcpy_batch(ctx, &mut alone);
+            *copy = alone.pop().unwrap();
         }
     }
-    let results = copies.into_iter().map(|(_, copy)| copy.result).collect();
+    let results = copies.into_iter().map(|copy| copy.result).collect();
     gpu.repair();
     let device = addrs.iter().map(|&a| gpu.peek(a, 1 << 20).unwrap()).collect();
     Seen {
@@ -135,6 +129,11 @@ fn run(spec: &GpuSpec, sizes: &[u64], plan: &[Op], fail_first: bool, batched: bo
     }
 }
 
+/// A copy every device refuses before it takes an engine.
+fn refused() -> CopyOp<'static> {
+    CopyOp::h2d(DeviceAddr(0), 0, &[])
+}
+
 fn specs() -> impl Strategy<Value = GpuSpec> {
     prop_oneof![Just(GpuSpec::test_small()), Just(GpuSpec::tesla_c2050())]
 }
@@ -144,8 +143,8 @@ proptest! {
 
     /// Bad pointers, ops past their allocation's end, payloads longer than
     /// their declared length, zero lengths and a device failed before the
-    /// plan: a lane's batch gives every op the outcome, the bytes and the
-    /// time it gives alone.
+    /// plan: a batch gives every op the outcome, the bytes and the time it
+    /// gives alone on its engine.
     #[test]
     fn copy_batches_match_single_copies(
         spec in specs(),
@@ -202,4 +201,73 @@ proptest! {
         };
         prop_assert_eq!(run(true), run(false));
     }
+}
+
+/// A C2050 with four 4 KiB allocations for the mixed plan.
+fn mixed_plan_device() -> (Arc<Gpu>, GpuContextId, Vec<DeviceAddr>) {
+    let (gpu, _, ctx, addrs) = device(&GpuSpec::tesla_c2050(), &[4096; 4]);
+    (gpu, ctx, addrs)
+}
+
+/// Runs the mixed plan: op `i` moves `LENS[i]` declared bytes, uploads
+/// and downloads alternating in threes. Returns each engine's busy time
+/// the plan added and the engines it was spread over.
+fn run_mixed_plan(gpu: &Gpu, ctx: GpuContextId, addrs: &[DeviceAddr]) -> (Vec<SimDuration>, usize) {
+    const LENS: [u64; 6] = [4096, 64, 1024, 3000, 8, 512];
+    let before = gpu.engine_busy_times();
+    let payload = [7u8; 8];
+    let mut outs: Vec<Vec<u8>> = vec![Vec::new(); LENS.len()];
+    let mut plan: Vec<CopyOp<'_>> = LENS
+        .iter()
+        .zip(outs.iter_mut())
+        .enumerate()
+        .map(|(i, (&len, out))| {
+            if (i / 3) % 2 == 0 {
+                CopyOp::h2d(addrs[i % 4], len, &payload)
+            } else {
+                CopyOp::d2h(addrs[i % 4], len, out)
+            }
+        })
+        .collect();
+    let engines = gpu.memcpy_batch(ctx, &mut plan);
+    assert!(plan.iter().all(|op| op.result.is_ok()));
+    let spent: Vec<SimDuration> =
+        gpu.engine_busy_times().iter().zip(&before).map(|(&after, &b)| after - b).collect();
+    // Op `i` on engine `i % 2`: each engine busy for its ops' sum.
+    let spec = gpu.spec();
+    let on = |engine: usize| {
+        LENS.iter().skip(engine).step_by(2).map(|&len| spec.copy_duration(len)).sum::<SimDuration>()
+    };
+    assert_eq!(spent, [on(0), on(1)]);
+    assert_ne!(on(0), on(1), "a plan whose engines' sums agree cannot tell them apart");
+    (spent, engines)
+}
+
+#[test]
+fn a_mixed_plan_on_a_c2050_keeps_op_i_on_engine_i_mod_2() {
+    let (gpu, ctx, addrs) = mixed_plan_device();
+    let calls = gpu.stats().snapshot().calls;
+    let (_, engines) = run_mixed_plan(&gpu, ctx, &addrs);
+    assert_eq!(engines, 2);
+    assert_eq!(gpu.stats().snapshot().calls, calls + 1, "a plan is one device call");
+}
+
+#[test]
+fn a_held_c2050_runs_a_plan_on_the_holders_thread_on_the_same_engines() {
+    // Spread over threads, the other engine's ops would queue behind the
+    // hold their own plan waits in: the plan would never end.
+    let (gpu, ctx, addrs) = mixed_plan_device();
+    let (done, ended) = std::sync::mpsc::channel();
+    let holder = Arc::clone(&gpu);
+    std::thread::spawn(move || {
+        let hold = holder.try_hold().expect("an idle device");
+        let ran = run_mixed_plan(&holder, ctx, &addrs);
+        drop(hold);
+        done.send(ran).unwrap();
+    });
+    let (_, engines) = ended
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the held device's plan waited behind its own hold");
+    assert_eq!(engines, 2);
+    assert!(gpu.try_hold().is_some(), "the hold was let go");
 }

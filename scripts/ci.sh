@@ -1,173 +1,17 @@
 #!/usr/bin/env bash
 # CI tier ladder for the mtgpu workspace. Each tier must pass before the
-# next runs; the whole script is what "CI green" means for a PR.
+# next runs; the whole script is what "CI green" means for a PR. What each
+# tier runs by name, and why, is written once, in the tier's code below.
 #
-#   tier 0  formatting           non-test line count per crate and the
-#                                settable fields of each configuration
-#                                struct the node reads, with their sum
-#                                (scripts/loc.sh, printed for the record;
-#                                gated only on the memory manager's largest
-#                                file, at most 600 lines), the counter's
-#                                own check on a fixture whose test modules
-#                                hold unbalanced braces in strings, chars
-#                                and comments, then cargo fmt --check
-#   tier 1  lints                cargo clippy --workspace -D warnings
-#   tier 2  tests                cargo test -q --workspace, then by name
-#                                in release (where the passes vectorise)
-#                                the Black-Scholes payload's own exp and
-#                                ln against libm (within an ulp over a
-#                                strided sweep of every finite f32, exact
-#                                on special values), its baseline and
-#                                AVX2 builds pricing bit for bit, and the
-#                                host buffer's one-pass f32 conversions
-#                                byte for byte against the per-element
-#                                ones (NaN payloads, ±0, ±inf, subnormals,
-#                                a strided sweep of every bit pattern,
-#                                trailing bytes), and the pipelined
-#                                frontend's contract (a catalog-shaped job
-#                                in 2 round trips pipelined and 13 eager,
-#                                a server minting addresses or module
-#                                handles off the rules getting a protocol
-#                                error, a refused queued malloc surfacing
-#                                at the next flush with its address never
-#                                reused, a queued copy's error on every
-#                                call of the flush that carries it, queued
-#                                copies bounded by 1 MiB declared, a
-#                                failed flush freeing the pointer it
-#                                allocated, which calls wait and which
-#                                ship at once) and a resident in-process
-#                                launch, and one that swaps a co-tenant
-#                                out, allocating nothing in the runtime
-#                                (counting allocator), the same two as
-#                                one device call and one argument walk,
-#                                and six calls and one walk, the device's
-#                                copy, malloc and free batches against
-#                                the same work op by op, an eager launch
-#                                putting its caller to sleep at most 1.2
-#                                times, over TCP and over a local
-#                                connection alike, and Copy_HD against
-#                                "download, then write" (a covering copy
-#                                reading nothing back, a partial one
-#                                merging into the kernel's output, a
-#                                refused one touching nothing, and the
-#                                proptest over every entry state, offset,
-#                                length and shadow length); in debug,
-#                                the reactor's runs (one per stretch of a
-#                                channel's frames in a read, a duplicate
-#                                ID shedding after the calls before it)
-#                                and the gateway's run rule (a run of at
-#                                most K fitting calls on the reactor in
-#                                the sweep's one write, any other run one
-#                                work item, a relayed channel forwarded
-#                                its first run in order)
-#   tier 3  determinism smoke    fig7 --quick --virtual-clock --seed 42 runs
-#                                clean, then the sequential det-harness replay
-#                                of the fig7 shape must be bit-identical, the
-#                                persistent seed-42 loadgen det run must make
-#                                exactly 150 round trips for its 4648
-#                                requests, the
-#                                pipelined-transfer fingerprint must be
-#                                stable across three runs, as must the
-#                                intra-application eviction order's (and it
-#                                must differ from the run that never evicts)
-#                                and the live-migration shape's
-#   tier 4  dispatch stress      256 reconnecting clients on the node's
-#                                reactor, once over local socketpairs (as
-#                                loadgen connects) and once each dialing
-#                                its TCP listener, under a 60s timeout
-#                                each (every launch
-#                                that cannot bind waits in the dispatcher's
-#                                one queue, remote or in-process; the
-#                                policy-over-the-wire test runs in tier 2),
-#                                the 256-in-process-client stress of that
-#                                queue (each client's own thread serves it
-#                                and blocks in the dispatcher), the
-#                                in-process wake-up budget (an eager launch
-#                                puts no worker and no reactor to sleep)
-#                                and the worker count (none on a node
-#                                without a listener, total_vgpus + 4 on a
-#                                listening one) by name, and the gateway
-#                                work queue's two tests by name (one send
-#                                wakes one of six parked workers; items
-#                                from two senders are each taken once),
-#                                the 10k-persistent-connection reactor soak
-#                                (out-of-process daemon; the client holds
-#                                its 10k connections on under 200 threads,
-#                                a caller reads its own reply) under a 600s
-#                                timeout, a --quick loadgen smoke that fails
-#                                if the tenant fairness ratio exceeds 2.0,
-#                                then a --quick memory-transfer bench smoke
-#                                (two copy engines >= one, and the
-#                                oversubscription rotation's h2d/d2h/eviction
-#                                counts exactly as recorded),
-#                                then the mtgpu-perf benchmark over all four
-#                                workloads at 2 s each (non-zero exit unless
-#                                every op verified and every post-drain
-#                                audit held)
-#   tier 5  static analysis      mtlint --deny over the workspace (all
-#                                determinism rules + the ranked-lock
-#                                constructor check + lock-graph cycle
-#                                detection), then the debug-build ranked-
-#                                lock test subset (seeded inversion panics,
-#                                mid-swap fault never trips the checker)
-#   tier 6  tenant isolation     the adversarial-tenant battery: quota-
-#                                pressure deterministic replay must be
-#                                bit-identical, the hostile wire battery
-#                                over TCP (wire_robustness) and over the
-#                                local AF_UNIX socketpairs in-process
-#                                clients take (local_socket: each hostile
-#                                peer shed alone, no hang around the
-#                                reactor's end, no spin on a listener out
-#                                of descriptors), the hostile launch
-#                                arguments (a misaligned pointer, a scalar
-#                                in a pointer slot, a 2^40-element count, a
-#                                matrix multiplication declaring less work
-#                                than it takes: typed errors, and the
-#                                node's reactor keeps answering), hostile
-#                                pricing inputs (NaN, ±inf, ±0, negatives
-#                                and denormals priced as the host
-#                                reference prices them), the
-#                                mid-preemption
-#                                fault case and the no-leak tests (a
-#                                device buffer recycled from one tenant's
-#                                free reads as zeros to the next, in the
-#                                device model and through a victim's
-#                                swap-out at runtime level) must pass,
-#                                then loadgen --profile hostile must hold
-#                                a greedy tenant to its lease (zero
-#                                over-quota grants) with honest p99 within
-#                                2x of the hostile-free baseline
-#                                (results/BENCH_isolation.json)
-#   tier 7  live migration       the migration fault battery (device death
-#                                at each protocol phase leaves every PTE
-#                                classifiable, the context all-or-nothing),
-#                                cross-node staging, then a --quick
-#                                skewed-profile smoke (load balancing on
-#                                must at least match static placement; the
-#                                full 1.3x gate is the same loadgen profile,
-#                                run by bench.sh — there is no bench target
-#                                for it; the 3-run replay fingerprint of the
-#                                migrating shape is tier 3's)
-#   tier 8  race detection       mtcheck (debug build, instrumentation
-#                                armed): the DPOR-lite explorer over the
-#                                twelve workspace scenarios (inline-vs-visit,
-#                                the reactor running a channel's calls
-#                                against a worker's visit and a dispatcher
-#                                wake, retry-vs-free, a launch waiting
-#                                for room against its co-tenant's Free and
-#                                teardown, and run-vs-letgo, a channel's
-#                                runs landing on a visit that lets go,
-#                                among them) must pass clean with
-#                                >=50 distinct schedules per scenario
-#                                (retry-vs-free, named on its own: >=200)
-#                                under a watchdog timeout, the seeded race
-#                                fixture must be *detected* (nonzero exit
-#                                under --deny), and the engine's fixture
-#                                corpus + pinned-schedule regressions (and
-#                                the grant-vs-park, inline-vs-visit,
-#                                retry-vs-free and run-vs-letgo sweeps) +
-#                                replay property
-#                                must pass
+#   tier 0  non-test line count and settable fields (scripts/loc.sh), cargo fmt --check
+#   tier 1  cargo clippy --workspace --all-targets -D warnings
+#   tier 2  cargo test --workspace, then pinned tests by name, most in release
+#   tier 3  determinism: seeded fig7 smoke, det-harness replays and fingerprints
+#   tier 4  dispatch stress, 10k soak, loadgen fairness, memory bench and perf smokes
+#   tier 5  mtlint --deny and the ranked-lock checker tests
+#   tier 6  tenant isolation: replay, hostile wire/launch/fault battery, no-leak, p99 gate
+#   tier 7  live migration: fault battery, cross-node staging, skewed smoke
+#   tier 8  mtcheck race detection: scenario matrix, seeded fixture, regressions
 #
 # Usage: scripts/ci.sh [tier]   (default: all tiers)
 
