@@ -30,7 +30,7 @@ impl Opts {
         }
     }
 
-    /// A shrunken configuration for Criterion/smoke runs.
+    /// A shrunken configuration for smoke runs.
     pub fn quick() -> Self {
         Opts { scale: ExperimentScale::quick(), job_counts: vec![2, 4], vgpu_counts: vec![1, 4] }
     }

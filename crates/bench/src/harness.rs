@@ -61,10 +61,10 @@ impl ExperimentScale {
         }
     }
 
-    /// Shrunken preset for Criterion scenario benches and CI smoke runs:
+    /// Shrunken preset for the figures' `--quick` runs and CI smoke runs:
     /// 20× shorter kernels on a clock coarse enough that those kernels
     /// (≥ ~60 ms sim ⇒ ≥ ~120 µs real) still dominate per-call overhead,
-    /// so ablation comparisons measure simulated behaviour.
+    /// so the comparisons measure simulated behaviour.
     pub fn quick() -> Self {
         ExperimentScale {
             clock_scale: 2e-3,

@@ -4,9 +4,8 @@
 //! Each `figures::figN` module reproduces the corresponding figure's
 //! experiment; the `src/bin/figN` binaries print the paper-style series and
 //! the `repro_all` binary runs the whole evaluation and emits
-//! `EXPERIMENTS.md`-ready markdown. Criterion benches (in `benches/`)
-//! cover micro-costs, shrunken figure scenarios and design-choice
-//! ablations.
+//! `EXPERIMENTS.md`-ready markdown. The runtime's own host cost is measured
+//! by the repository benchmark, `mtgpu-perf` (`crates/perf`), not here.
 //!
 //! Absolute numbers are simulated seconds on the modelled 2012 testbed; the
 //! comparisons the paper makes (who wins, by what factor, where crossovers

@@ -47,9 +47,6 @@ pub struct RuntimeConfig {
     /// swap area's capacity (§4.5). Transfers are always deferred to the
     /// launch that needs them and coalesced into one upload per entry.
     pub memory: MemoryConfig,
-    /// Events retained by the runtime's trace ring buffer (0 disables
-    /// tracing).
-    pub trace_capacity: usize,
     /// Root seed for every randomized decision the runtime makes
     /// (dispatcher tie-breaks draw from a [`mtgpu_simtime::DetRng`] derived
     /// from it), so a whole run replays bit-for-bit. `0` is a seed like any
@@ -77,7 +74,6 @@ impl Default for RuntimeConfig {
             offload_threshold: None,
             offload_peers: Vec::new(),
             memory: MemoryConfig::default(),
-            trace_capacity: 4096,
             seed: 0,
             background_monitor: true,
             tenant_policy: None,

@@ -219,3 +219,105 @@ impl MemoryManager {
         Ok(true)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ctx::VGpuId;
+    use crate::memory::launch::LaunchSet;
+    use crate::memory::manager::{MemoryConfig, SwapReason};
+    use mtgpu_api::protocol::AllocKind;
+    use mtgpu_api::HostBuf;
+    use mtgpu_gpusim::{DeviceId, Gpu, GpuSpec, KernelArg};
+    use mtgpu_simtime::{Clock, SimDuration};
+    use std::sync::Arc;
+
+    const CTX: CtxId = CtxId(1);
+    /// What a buffer declares, and so what the PCIe model charges; it
+    /// carries 4 KiB, so host memory stays small.
+    const BUFFER: u64 = 4 << 20;
+
+    /// A manager with one context, bound to a `spec` device of its own on
+    /// the virtual clock.
+    fn bound(spec: GpuSpec) -> (MemoryManager, Binding) {
+        let m = MemoryManager::new(MemoryConfig::default(), Arc::new(RuntimeMetrics::default()));
+        m.register_ctx(CTX);
+        let gpu = Gpu::new(spec, Clock::virtual_clock(), 0);
+        let gpu_ctx = gpu.create_context().unwrap();
+        (m, Binding { vgpu: VGpuId { device: DeviceId(0), index: 0 }, gpu, gpu_ctx })
+    }
+
+    /// `n` buffers, each with a payload uploaded into its slab.
+    fn dirty(m: &MemoryManager, n: usize) -> Vec<KernelArg> {
+        (0..n)
+            .map(|i| {
+                let v = m.malloc(CTX, BUFFER, AllocKind::Linear).unwrap();
+                let buf = HostBuf::with_shadow(BUFFER, vec![(i % 251) as u8; 4096]);
+                m.copy_h2d(CTX, v, &buf, None).unwrap();
+                KernelArg::Ptr(v)
+            })
+            .collect()
+    }
+
+    /// A launch's passes as the service makes them: the working set made
+    /// resident, then the written entries marked.
+    fn launch(m: &MemoryManager, b: &Binding, args: &[KernelArg], read_only: &[u32]) {
+        LaunchSet::with_spare(|set| {
+            let ready = m.prepare_launch(CTX, args, read_only, b, set).unwrap();
+            assert_eq!(ready, Materialize::Ready, "the working set fits");
+            m.launched(set);
+        });
+    }
+
+    #[test]
+    fn two_copy_engines_each_carry_half_of_a_swap_in_and_of_a_swap_out() {
+        // Per-engine busy time of bringing 16 dirty buffers in, then of
+        // swapping them out.
+        let busy = |copy_engines| {
+            let (m, b) = bound(GpuSpec { copy_engines, ..GpuSpec::tesla_c2050() });
+            launch(&m, &b, &dirty(&m, 16), &[]);
+            let swap_in = b.gpu.engine_busy_times();
+            let out = m.swap_out_ctx(CTX, &b, SwapReason::Unbind).unwrap();
+            assert_eq!(out.freed, 16 * BUFFER);
+            let total = b.gpu.engine_busy_times();
+            let swap_out: Vec<_> = total.iter().zip(&swap_in).map(|(&t, &i)| t - i).collect();
+            (swap_in, swap_out)
+        };
+        let (one_in, one_out) = busy(1);
+        let (two_in, two_out) = busy(2);
+        for (phase, one, two) in [("swap-in", one_in, two_in), ("swap-out", one_out, two_out)] {
+            assert!(one[0] > SimDuration::ZERO, "{phase} moved nothing");
+            assert_eq!(two, [one[0] / 2; 2], "{phase}: one engine was busy for {:?}", one[0]);
+        }
+    }
+
+    /// `(factor, h2d MiB, d2h MiB, intra_app_swaps)` of the rotation below,
+    /// as measured on the commit that made this victim order the only one.
+    const OVERSUB_EXPECTED: [(f64, u64, u64, u64); 3] =
+        [(1.5, 92, 0, 8), (2.0, 120, 0, 15), (4.0, 240, 0, 45)];
+
+    #[test]
+    fn the_victim_order_streams_stale_clean_buffers_past_a_dirty_hot_set() {
+        // A rotation of `factor` × device memory: a hot kernel rewrites its
+        // six buffers, then each of two streaming kernels reads one fresh
+        // cold buffer and leaves it clean. The cold buffers are allocated
+        // first (low addresses) and the hot set last, so a largest-first
+        // order with a highest-address tie-break would evict the hot set.
+        for (factor, h2d_mib, d2h_mib, swaps) in OVERSUB_EXPECTED {
+            let (m, b) = bound(GpuSpec { copy_engines: 2, ..GpuSpec::test_small() });
+            let capacity = (b.gpu.mem_available() / BUFFER) as usize;
+            let total = (capacity as f64 * factor).round() as usize;
+            let cold = dirty(&m, total - 6);
+            let hot = dirty(&m, 6);
+            for chunk in cold.chunks(2) {
+                launch(&m, &b, &hot, &[]);
+                for c in chunk {
+                    launch(&m, &b, std::slice::from_ref(c), &[0]);
+                }
+            }
+            let moved = b.gpu.stats().snapshot();
+            let got = (moved.h2d_bytes, moved.d2h_bytes, m.metrics.snapshot().intra_app_swaps);
+            assert_eq!(got, (h2d_mib << 20, d2h_mib << 20, swaps), "{factor}x");
+        }
+    }
+}

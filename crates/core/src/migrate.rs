@@ -218,7 +218,8 @@ impl NodeRuntime {
             ctx: ctx_id,
             p2p_bytes,
             skipped_bytes,
-            lanes: old.gpu.spec().copy_engines.max(1),
+            // Move i ran on copy engine i % copy_engines.
+            lanes: moves.len().min(old.gpu.spec().copy_engines.max(1) as usize) as u32,
         });
         self.tracer().record(TraceEvent::Unbound {
             ctx: ctx_id,
@@ -237,5 +238,45 @@ impl NodeRuntime {
             moved_entries: moves.len(),
             dropped_entries: dropped.len(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::RuntimeConfig;
+    use mtgpu_api::client::CudaClient;
+    use mtgpu_gpusim::{Driver, GpuSpec, KernelArg, KernelDesc, LaunchConfig, LaunchSpec, Work};
+    use mtgpu_simtime::Clock;
+
+    /// The `lanes` traced by migrating, between two C2050s, a context that
+    /// holds `entries` device-resident buffers.
+    fn traced_lanes(entries: usize) -> u32 {
+        let c2050 = GpuSpec::tesla_c2050();
+        let driver = Driver::with_devices(Clock::with_scale(1e-7), vec![c2050.clone(), c2050]);
+        let cfg = RuntimeConfig::default().with_vgpus(1).with_background_monitor(false);
+        let rt = NodeRuntime::start(driver, cfg);
+        let mut c = rt.local_client();
+        let module = c.register_fat_binary().unwrap();
+        c.register_function(module, KernelDesc::plain("noop")).unwrap();
+        let args = (0..entries).map(|_| KernelArg::Ptr(c.malloc(4096).unwrap())).collect();
+        let config = LaunchConfig::default();
+        c.launch(LaunchSpec { kernel: "noop".into(), config, args, work: Work::flops(1.0) })
+            .unwrap();
+        let from = rt.binding_of(CtxId(1)).expect("bound by its launch").device;
+        rt.migrate_ctx(CtxId(1), DeviceId(1 - from.0)).unwrap();
+        let lanes = rt.trace().iter().find_map(|r| match r.event {
+            TraceEvent::MigrationTransferred { lanes, .. } => Some(lanes),
+            _ => None,
+        });
+        c.exit().unwrap();
+        rt.shutdown();
+        lanes.expect("a migration was traced")
+    }
+
+    #[test]
+    fn a_migration_traces_the_copy_engines_its_moves_ran_on() {
+        assert_eq!(traced_lanes(1), 1);
+        assert_eq!(traced_lanes(2), 2);
     }
 }

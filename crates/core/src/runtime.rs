@@ -24,6 +24,9 @@ use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Events the runtime's trace ring keeps (oldest evicted).
+const TRACE_CAPACITY: usize = 4096;
+
 /// A point-in-time description of the node's load, exposed to cluster-level
 /// schedulers (§2: "the node-level runtime may expose some information to
 /// the cluster-level scheduler").
@@ -93,7 +96,7 @@ impl NodeRuntime {
     pub fn start(driver: Arc<Driver>, cfg: RuntimeConfig) -> Arc<NodeRuntime> {
         let metrics = Arc::new(RuntimeMetrics::default());
         let clock = driver.clock().clone();
-        let tracer = Arc::new(Tracer::new(clock.clone(), cfg.trace_capacity));
+        let tracer = Arc::new(Tracer::new(clock.clone(), TRACE_CAPACITY));
         let mm = MemoryManager::new(cfg.memory.clone(), Arc::clone(&metrics))
             .with_tracer(Arc::clone(&tracer))
             .with_clock(clock.clone());

@@ -37,7 +37,8 @@ pub enum TraceEvent {
     /// A context migrated between devices (§5.3.4 dynamic binding).
     Migrated { ctx: CtxId, from: DeviceId, to: DeviceId },
     /// A live migration (`migrate_ctx`) moved `p2p_bytes` of working set
-    /// device-to-device over `lanes` peer-DMA lanes and dropped
+    /// device-to-device on `lanes` of the source's copy engines (the
+    /// engines its moves ran on, as a plan's `lanes` counts them) and dropped
     /// `skipped_bytes` of slab-authoritative pages (rematerialized lazily
     /// on the destination).
     MigrationTransferred { ctx: CtxId, p2p_bytes: u64, skipped_bytes: u64, lanes: u32 },

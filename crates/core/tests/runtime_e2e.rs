@@ -749,19 +749,6 @@ fn trace_pairs_every_bound_with_an_unbound() {
 }
 
 #[test]
-fn trace_disabled_by_zero_capacity() {
-    let mut cfg = RuntimeConfig::paper_default();
-    cfg.trace_capacity = 0;
-    let rt = test_runtime(1, cfg);
-    let mut c = rt.local_client();
-    c.malloc(64).unwrap();
-    c.exit().unwrap();
-    rt.wait_idle(Duration::from_secs(2));
-    assert!(rt.trace().is_empty());
-    rt.shutdown();
-}
-
-#[test]
 fn cuda4_application_threads_colocate() {
     // §4.8: threads announcing the same application id must land on the
     // same device, even when load balancing would otherwise spread them.

@@ -207,24 +207,6 @@ fn main_hostile(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// What `--profile skewed` writes: the report and the gate's verdict on it
-/// (`scripts/bench.sh` indexes every object that carries a `pass`).
-#[derive(serde::Serialize)]
-struct SkewedOutput {
-    bench: &'static str,
-    report: mtgpu_loadgen::MigrationBenchReport,
-    gate: SkewedGate,
-}
-
-#[derive(serde::Serialize)]
-struct SkewedGate {
-    speedup: f64,
-    min_speedup: f64,
-    p99_ratio: f64,
-    live_migrations: u64,
-    pass: bool,
-}
-
 /// The skewed migration benchmark (`--profile skewed`): static placement
 /// against dynamic load balancing on a churned 4-device mix.
 fn main_skewed(args: &Args) -> ExitCode {
@@ -243,26 +225,13 @@ fn main_skewed(args: &Args) -> ExitCode {
         report.p99_ratio,
         report.rebalanced_pass.live_migrations,
     );
-    // Structural checks (clean passes, a live migration, no aborts) always
-    // gate; `--min-speedup` adds the throughput bound on top.
-    let min_speedup = args.min_speedup.unwrap_or(0.0);
-    let verdict = report.gate(min_speedup);
-    let output = SkewedOutput {
-        bench: "migration",
-        gate: SkewedGate {
-            speedup: report.speedup,
-            min_speedup,
-            p99_ratio: report.p99_ratio,
-            live_migrations: report.rebalanced_pass.live_migrations,
-            pass: verdict.is_ok(),
-        },
-        report,
-    };
-    let json = serde_json::to_string(&output).expect("report serializes");
+    let json = serde_json::to_string(&report).expect("report serializes");
     if !write_bench_report(args, "BENCH_migration.json", &json) {
         return ExitCode::FAILURE;
     }
-    if let Err(reason) = verdict {
+    // Structural checks (clean passes, a live migration, no aborts) always
+    // gate; `--min-speedup` adds the throughput bound on top.
+    if let Err(reason) = report.gate(args.min_speedup.unwrap_or(0.0)) {
         eprintln!("migration gate failed: {reason}");
         return ExitCode::FAILURE;
     }

@@ -27,9 +27,11 @@
 //!    un-signaled condvar is reported as a lost-wakeup deadlock.
 //!
 //! The instrumentation call sites live in [`crate::sync`] behind
-//! `cfg(debug_assertions)` — release builds compile the entire layer out
-//! (the same `bench.sh` rank-overhead gate that covers the rank checker
-//! covers these hooks). Even in debug builds every hook is two loads
+//! `cfg(debug_assertions)` — release builds compile the entire layer out:
+//! a release build of `crate::sync` fails to compile if a ranked guard
+//! keeps its debug-only `addr` (the hooks' lock identity), and the release
+//! benchmark (`mtgpu-perf`) times every lock the request path takes. Even
+//! in debug builds every hook is two loads
 //! (an armed flag and a thread-local) unless a session is active *and* the
 //! calling thread registered as a participant, so the ordinary test suite
 //! pays nothing.

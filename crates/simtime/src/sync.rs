@@ -7,8 +7,9 @@
 //! holds — turning a potential deadlock (which needs an unlucky
 //! interleaving to reproduce) into a deterministic failure on *any*
 //! interleaving that merely attempts the inverted order. Release builds compile the bookkeeping out entirely:
-//! `lock()` is a pure passthrough to `std::sync::Mutex` (verified by the
-//! `rank-overhead` gate in `scripts/bench.sh`). No lock here poisons: a
+//! `lock()` is a pure passthrough to `std::sync::Mutex`, and a release
+//! build fails to compile if a ranked lock or guard is larger than its
+//! `std::sync` counterpart (plus the lock's rank). No lock here poisons: a
 //! lock whose holder panicked is taken over as it was left
 //! ([`PoisonError::into_inner`]), which is all any caller would do.
 //!
@@ -508,6 +509,17 @@ impl<T> std::fmt::Debug for RankedRwLock<T> {
         f.debug_struct("RankedRwLock").field("rank", &self.rank).finish_non_exhaustive()
     }
 }
+
+// Release builds compile the rank bookkeeping out: each ranked lock is its
+// `std::sync` lock and its rank, and each ranked guard is its `std` guard.
+#[cfg(not(debug_assertions))]
+const _: () = {
+    assert!(size_of::<RankedMutex<u64>>() == size_of::<(LockRank, Mutex<u64>)>());
+    assert!(size_of::<RankedRwLock<u64>>() == size_of::<(LockRank, RwLock<u64>)>());
+    assert!(size_of::<RankedMutexGuard<u64>>() == size_of::<MutexGuard<u64>>());
+    assert!(size_of::<RankedRwLockReadGuard<u64>>() == size_of::<RwLockReadGuard<u64>>());
+    assert!(size_of::<RankedRwLockWriteGuard<u64>>() == size_of::<RwLockWriteGuard<u64>>());
+};
 
 /// A condition variable paired with [`RankedMutex`] guards. The mutex's
 /// rank stays on the thread's stack while parked (see module docs).

@@ -3,14 +3,15 @@
 # next runs; the whole script is what "CI green" means for a PR. What each
 # tier runs by name, and why, is written once, in the tier's code below.
 #
-#   tier 0  non-test line count and settable fields (scripts/loc.sh), cargo fmt --check
+#   tier 0  non-test line count and settable fields (scripts/loc.sh), trajectory.py's verdict
+#           fixture, pair.sh syntax, cargo fmt --check
 #   tier 1  cargo clippy --workspace --all-targets -D warnings
 #   tier 2  cargo test --workspace, then pinned tests by name, most in release
 #   tier 3  determinism: seeded fig7 smoke, det-harness replays and fingerprints
-#   tier 4  dispatch stress, 10k soak, loadgen fairness, memory bench and perf smokes
+#   tier 4  dispatch stress, 10k soak, loadgen fairness, memory-manager gates, perf smokes
 #   tier 5  mtlint --deny and the ranked-lock checker tests
 #   tier 6  tenant isolation: replay, hostile wire/launch/fault battery, no-leak, p99 gate
-#   tier 7  live migration: fault battery, cross-node staging, skewed smoke
+#   tier 7  live migration: fault battery, cross-node staging, skewed gate
 #   tier 8  mtcheck race detection: scenario matrix, seeded fixture, regressions
 #
 # Usage: scripts/ci.sh [tier]   (default: all tiers)
@@ -32,7 +33,7 @@ run_tier() {
 }
 
 if [[ "$tier" == "all" || "$tier" == "0" ]]; then
-    run_tier 0 "non-test line count, settable fields + cargo fmt --check"
+    run_tier 0 "non-test line count, settable fields, verdict fixture + cargo fmt --check"
     loc=$(bash scripts/loc.sh)
     echo "$loc"
     # One file per seam in the memory manager: none over 600 non-test lines.
@@ -43,6 +44,17 @@ if [[ "$tier" == "all" || "$tier" == "0" ]]; then
     # the fixture's two test modules).
     [[ $(bash scripts/loc.sh --count scripts/loc_fixture.rs) == 9 ]] ||
         { echo "scripts/loc.sh miscounts scripts/loc_fixture.rs" >&2; exit 1; }
+    # The verdict math a claim is judged by (scripts/pair.sh hands every
+    # session to it): two three-run report files, and the rows and table
+    # worked out by hand for them.
+    fixture=scripts/trajectory_fixture
+    mkdir -p target
+    python3 scripts/trajectory.py "$fixture/parent.jsonl" "$fixture/change.jsonl" \
+        --parent-sha 1111111 --change-sha 2222222 --seed 7 --seconds 20 \
+        > target/ci-trajectory.jsonl 2> target/ci-trajectory.stderr
+    diff "$fixture/expected.jsonl" target/ci-trajectory.jsonl
+    diff "$fixture/expected.stderr" target/ci-trajectory.stderr
+    bash -n scripts/pair.sh
     cargo fmt --all -- --check
 fi
 
@@ -158,7 +170,7 @@ if [[ "$tier" == "all" || "$tier" == "3" ]]; then
 fi
 
 if [[ "$tier" == "all" || "$tier" == "4" ]]; then
-    run_tier 4 "dispatch stress + 10k soak + loadgen fairness smoke"
+    run_tier 4 "dispatch stress + 10k soak + loadgen fairness smoke + memory-manager gates"
     cargo build -q --release -p mtgpu --test dispatch_stress
     cargo build -q --release -p mtgpu-loadgen --bin loadgen
     # The 10k soak drives a separate node_daemon process (10k sockets per
@@ -201,18 +213,20 @@ if [[ "$tier" == "all" || "$tier" == "4" ]]; then
     # Rerun before suspecting the scheduler.
     ./target/release/loadgen --quick --max-fairness 2.0 \
         --out target/ci-loadgen-quick.json > /dev/null
-    # Transfer-pipelining + oversubscription smoke: materialize on two
-    # copy engines must at least match the same device with one (the full
-    # 1.4x gate runs via bench.sh), and the oversubscription rotation must
-    # move exactly the bytes and evict exactly the entries it did when the
-    # eviction order was chosen (counters, so no noise).
-    cargo bench -q -p mtgpu-bench --bench memory -- --quick --gate 1.0 \
-        --out "$PWD/target/ci-bench-memory.json" 2> /dev/null
+    # The memory manager on the virtual clock, exact: a C2050's two copy
+    # engines each carry half of what one engine carries when 16 buffers
+    # are swapped in and out, and the oversubscription rotation moves
+    # exactly the bytes and evicts exactly the entries it did when the
+    # victim order was chosen.
+    cargo test -q -p mtgpu-core --lib -- --exact \
+        memory::residency::tests::two_copy_engines_each_carry_half_of_a_swap_in_and_of_a_swap_out \
+        memory::residency::tests::the_victim_order_streams_stale_clean_buffers_past_a_dirty_hot_set \
+        > /dev/null
     # The repository benchmark (BENCHMARK.json), short: every op of every
     # workload is verified and every pass ends in a post-drain audit, so a
     # non-zero exit is a correctness failure, not a slow run.
     cargo run -q --release -p mtgpu-perf -- --workload all --seconds 2 > /dev/null
-    echo "256-client stress (local + TCP + in-process) + in-process wake-ups + work queue + 10k soak + loadgen fairness + memory bench smoke + perf workloads: ok"
+    echo "256-client stress (local + TCP + in-process) + in-process wake-ups + work queue + 10k soak + loadgen fairness + memory-manager gates + perf workloads: ok"
 fi
 
 if [[ "$tier" == "all" || "$tier" == "5" ]]; then
@@ -278,7 +292,7 @@ if [[ "$tier" == "all" || "$tier" == "6" ]]; then
 fi
 
 if [[ "$tier" == "all" || "$tier" == "7" ]]; then
-    run_tier 7 "live-migration fault battery + staging + skewed smoke"
+    run_tier 7 "live-migration fault battery + staging + skewed gate"
     cargo build -q --release -p mtgpu-loadgen --bin loadgen
     # Device death at every protocol phase (quiesce/transfer/rebind/
     # resume, source and destination) must leave all PTEs classifiable,
@@ -288,12 +302,14 @@ if [[ "$tier" == "all" || "$tier" == "7" ]]; then
     # Cross-node staging: pointers intact on the new node, failed import
     # leaves the source runnable.
     cargo test -q -p mtgpu-cluster --test stage_migration > /dev/null
-    # Skewed smoke: the load-balanced pass must migrate, keep p99, and at
-    # least match static placement (bench.sh runs this profile in full
-    # against the 1.3x gate).
-    ./target/release/loadgen --profile skewed --quick --min-speedup 1.0 \
-        --out target/ci-migration-quick.json > /dev/null
-    echo "migration fault battery + staging + skewed smoke: ok"
+    # Skewed gate: the load-balanced pass must migrate, keep p99, and
+    # deliver 1.3x static placement's throughput. The profile runs on the
+    # virtual clock, one request at a time, so the ratio is exact
+    # (1.516786416394467 at seed 42) and the full profile takes well under
+    # a second.
+    ./target/release/loadgen --profile skewed --min-speedup 1.3 \
+        --out target/ci-migration.json > /dev/null
+    echo "migration fault battery + staging + skewed gate: ok"
 fi
 
 if [[ "$tier" == "all" || "$tier" == "8" ]]; then

@@ -118,8 +118,11 @@ def main():
         iqr = ps["q3"] - ps["q1"]
         ratio = cm / pm if pm else float("nan")
         wide = "yes" if abs(cm - pm) > iqr else "no"
-        same = "  identical in every run" if len(set(p + c)) == 1 else ""
-        print(f"{name:<14} {pm:>12.6g} {cm:>12.6g} {ratio:>7.3f} {won:>2}/{n}  {wide}{same}", file=sys.stderr)
+        # An exact metric (each side reads one value) prints in full.
+        exact = len(set(p)) == 1 and len(set(c)) == 1
+        digits, same = (10, "  identical in every run") if exact else (6, "")
+        print(f"{name:<14} {pm:>12.{digits}g} {cm:>12.{digits}g} {ratio:>7.3f} {won:>2}/{n}  {wide}{same}",
+              file=sys.stderr)
 
 
 if __name__ == "__main__":
