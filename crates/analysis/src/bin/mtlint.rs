@@ -1,23 +1,20 @@
-//! mtlint — determinism lint + ranked-lock order checker for the mtgpu
-//! workspace.
+//! mtlint — determinism lint + ranked-lock rule for the mtgpu workspace.
 //!
 //! ```text
 //! mtlint [--deny] [--out DIR] [--root DIR] [FILE…]
 //! ```
 //!
 //! With no `FILE` arguments it runs in *workspace mode*: lints every `.rs`
-//! file under `crates/{api,cluster,core,gpusim,loadgen}/src`, extracts the
-//! lock graph (rank declarations from `crates/simtime/src/sync.rs`,
-//! construction sites from the ranked crates), and writes
-//! `mtlint.json`, `lock_graph.json`, and `lock_graph.dot` into `--out`
-//! (default `results/`). With explicit files it lints just those files and
-//! writes nothing — the mode the fixture checks use.
+//! file under `crates/{api,cluster,core,gpusim,loadgen}/src` and writes
+//! `mtlint.json` into `--out` (default `results/`). With explicit files it
+//! lints just those files and writes nothing — the mode the fixture checks
+//! use. The rank table itself needs no lint: it is one list in
+//! `crates/simtime/src/sync.rs` whose order the build checks.
 //!
 //! Exit status: 0 when clean; 1 under `--deny` when any unsuppressed
-//! finding, malformed allow, or lock-graph error exists.
+//! finding or malformed allow exists.
 
-use mtgpu_analysis::rules::RANKED_CRATES;
-use mtgpu_analysis::{lint_file, lock_graph, report, Finding};
+use mtgpu_analysis::{lint_file, report, Finding};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -70,36 +67,15 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut failed = false;
     for f in findings.iter().filter(|f| !f.allowed) {
         println!("{}:{}: {}: {}", f.file, f.line, f.rule, f.message);
-        failed = true;
     }
-
-    let graph = workspace_mode.then(|| extract_lock_graph(&root, &files));
-    if let Some(graph) = &graph {
-        for e in &graph.errors {
-            println!("lock-graph: {e}");
-            failed = true;
-        }
-    }
-
     let violations = findings.iter().filter(|f| !f.allowed).count();
-    let allowed = findings.len() - violations;
     println!(
-        "mtlint: {} file(s), {} violation(s), {} allowed finding(s){}",
+        "mtlint: {} file(s), {} violation(s), {} allowed finding(s)",
         files.len(),
         violations,
-        allowed,
-        match &graph {
-            Some(g) => format!(
-                ", lock graph: {} rank(s), {} site(s), {}",
-                g.nodes.len(),
-                g.nodes.iter().map(|n| n.sites.len()).sum::<usize>(),
-                if g.acyclic() { "acyclic" } else { "CYCLIC" }
-            ),
-            None => String::new(),
-        }
+        findings.len() - violations
     );
 
     if workspace_mode {
@@ -107,22 +83,14 @@ fn main() -> ExitCode {
             eprintln!("mtlint: create {}: {e}", out_dir.display());
             return ExitCode::FAILURE;
         }
-        let lint_json = report::lint_json(files.len(), &findings);
-        let graph = graph.expect("workspace mode builds the graph");
-        for (name, content) in [
-            ("mtlint.json", lint_json),
-            ("lock_graph.json", graph.to_json()),
-            ("lock_graph.dot", graph.to_dot()),
-        ] {
-            let path = out_dir.join(name);
-            if let Err(e) = std::fs::write(&path, content) {
-                eprintln!("mtlint: write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+        let path = out_dir.join("mtlint.json");
+        if let Err(e) = std::fs::write(&path, report::lint_json(files.len(), &findings)) {
+            eprintln!("mtlint: write {}: {e}", path.display());
+            return ExitCode::FAILURE;
         }
     }
 
-    if deny && failed {
+    if deny && violations > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
@@ -140,32 +108,4 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
             out.push(path);
         }
     }
-}
-
-/// Builds the workspace lock graph: rank table from simtime's sync module,
-/// construction sites from the ranked crates' lint file set.
-fn extract_lock_graph(root: &Path, files: &[PathBuf]) -> lock_graph::LockGraph {
-    let sync_path = root.join("crates/simtime/src/sync.rs");
-    let ranks = match std::fs::read_to_string(&sync_path) {
-        Ok(src) => lock_graph::parse_ranks(&src),
-        Err(_) => Vec::new(),
-    };
-    let mut sites = Vec::new();
-    for file in files {
-        let path_str = file.to_string_lossy();
-        let in_ranked_crate =
-            RANKED_CRATES.iter().any(|k| path_str.contains(&format!("crates/{k}/")));
-        if !in_ranked_crate {
-            continue;
-        }
-        if let Ok(src) = std::fs::read_to_string(file) {
-            let toks = mtgpu_analysis::lexer::lex(&src);
-            lock_graph::collect_sites(&path_str, &toks, &mut sites);
-        }
-    }
-    let mut graph = lock_graph::build(&ranks, sites);
-    if graph.nodes.is_empty() {
-        graph.errors.push(format!("no lock ranks found in {}", sync_path.display()));
-    }
-    graph
 }

@@ -7,11 +7,13 @@
 //!    lint over the runtime crates that flags determinism hazards (see
 //!    [`rules`] for the rule list) with an inline, reason-carrying escape
 //!    hatch (see [`allow`]).
-//! 2. **Lock-graph extraction** ([`lock_graph`]) — harvests the declared
-//!    lock ranks and every ranked-lock construction site, emits the
-//!    workspace lock-order graph (JSON + DOT), and fails on rank cycles.
+//! 2. **mtcheck** (`check`, behind the `check` feature) — happens-before
+//!    race detection and schedule exploration over the ranked locks.
 //!
-//! The crate has no dependencies and parses Rust with a deliberately small
+//! The lock-rank table needs neither: it is one list in `mtgpu-simtime`
+//! whose strict order the build itself checks.
+//!
+//! The lint half has no dependencies and parses Rust with a deliberately small
 //! hand-rolled lexer ([`lexer`]); it trades full-fidelity parsing for a
 //! rule set whose patterns are robust at the token level.
 
@@ -19,7 +21,6 @@ pub mod allow;
 #[cfg(feature = "check")]
 pub mod check;
 pub mod lexer;
-pub mod lock_graph;
 pub mod report;
 pub mod rules;
 

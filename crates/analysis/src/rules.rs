@@ -56,8 +56,7 @@ const ITER_METHODS: &[&str] = &[
 const RNG_IDENTS: &[&str] = &["thread_rng", "from_entropy", "StdRng", "SmallRng", "RandomState"];
 
 /// The crates under the ranked-lock contract: every lock they construct is
-/// a ranked wrapper (the `unranked-lock` rule), and mtlint's lock graph
-/// harvests its construction sites from them. They are the runtime crates
+/// a ranked wrapper (the `unranked-lock` rule). They are the runtime crates
 /// `core` and `gpusim`, the client-facing `api` and workload `loadgen`
 /// crates (their locks sit on the call paths the race detector audits),
 /// and `cluster` (the head node's gate).
@@ -202,7 +201,7 @@ pub fn scan(path: &str, toks: &[Token]) -> Vec<Finding> {
             push(
                 t.line,
                 "unranked-lock",
-                "`mpsc` channel in a runtime crate: its lock is invisible to the rank checker, mtlint's lock graph and mtcheck; use a RankedMutex queue with a RankedCondvar".to_string(),
+                "`mpsc` channel in a runtime crate: its lock is invisible to the rank checker and mtcheck; use a RankedMutex queue with a RankedCondvar".to_string(),
             );
         }
         if check_ranks

@@ -18,28 +18,32 @@ use crate::error::{CudaError, CudaResult};
 use crate::host_buf::HostBuf;
 use mtgpu_gpusim::{KernelDesc, LaunchSpec};
 
+/// Most entries a launch's argument list may hold.
+pub const MAX_ARGS: usize = 64;
+
 /// Bounds every submitted descriptor must satisfy. The defaults mirror real
 /// CUDA limits where one exists (grid/block extents, 48 KiB static shared
 /// memory) and otherwise pick generous-but-finite caps: a descriptor that
-/// exceeds them is hostile or corrupt, not ambitious.
+/// exceeds them is hostile or corrupt, not ambitious. The bounds are fixed:
+/// [`DescriptorLimits::default`] is the only value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DescriptorLimits {
-    /// Maximum entries in a launch's argument list.
-    pub max_args: usize,
+    /// Maximum entries in a launch's argument list ([`MAX_ARGS`]).
+    max_args: usize,
     /// Maximum kernel-name length in bytes.
-    pub max_name_len: usize,
+    max_name_len: usize,
     /// Maximum extent of any single grid dimension.
-    pub max_grid_dim: u32,
+    max_grid_dim: u32,
     /// Maximum threads per block (product of the block dims).
-    pub max_block_threads: u64,
+    max_block_threads: u64,
     /// Maximum static shared memory per block, in bytes.
-    pub max_shared_mem_bytes: u32,
+    max_shared_mem_bytes: u32,
 }
 
 impl Default for DescriptorLimits {
     fn default() -> Self {
         DescriptorLimits {
-            max_args: 64,
+            max_args: MAX_ARGS,
             max_name_len: 256,
             max_grid_dim: 65_535,
             max_block_threads: 1024,

@@ -7,11 +7,14 @@
 //! - integers are fixed-width little-endian; `f64` travels as `to_bits`, so
 //!   every bit pattern (NaN payloads, ±∞, −0.0) survives and it is
 //!   [`crate::guard`], not the codec, that refuses non-finite values;
-//! - an enum is one `u8` tag (declaration order, from 0) followed by the
-//!   variant's fields; a struct is its fields in declaration order;
+//! - an enum is one `u8` tag followed by the variant's fields; a struct is
+//!   its fields in declaration order. Each type's layout is written once, as
+//!   a `wire_struct!` or `wire_enum!` list: a tag is the variant's index in
+//!   its type's list (which follows the declaration, from 0), and encoder,
+//!   decoder and `MIN_WIRE` are all generated from that one list;
 //! - strings, byte payloads and vectors carry a `u32` length/count prefix;
-//!   [`HostBuf::payload`] and [`ImageEntry::data`] are the raw bytes, moved
-//!   with one `extend_from_slice` each way.
+//!   a byte payload ([`HostBuf::payload`], [`ImageEntry::data`]) is the raw
+//!   bytes, moved with one `extend_from_slice` each way.
 //!
 //! Values are written straight into the frame buffer and read straight out
 //! of it; there is no intermediate tree.
@@ -27,7 +30,7 @@
 use crate::error::CudaError;
 use crate::host_buf::HostBuf;
 use crate::protocol::{
-    AllocKind, ContextImage, CudaCall, ImageEntry, ModuleHandle, MuxFrame, ReplyValue,
+    AllocKind, ContextImage, CudaCall, CudaReply, ImageEntry, ModuleHandle, MuxFrame, ReplyValue,
 };
 use mtgpu_gpusim::{
     DeviceAddr, Dim3, GpuSpec, KernelArg, KernelDesc, LaunchConfig, LaunchSpec, Work,
@@ -199,8 +202,8 @@ impl Wire for String {
     }
 }
 
-/// Vectors of structured elements. Byte payloads do not come through here
-/// (`u8` has no `Wire` impl): they are length + raw bytes, see [`HostBuf`].
+/// Vectors of structured elements. Byte payloads do not come through here:
+/// a `Vec<u8>` is a length and the raw bytes (the impl below).
 impl<T: Wire> Wire for Vec<T> {
     const MIN_WIRE: usize = 4;
     fn encode(&self, out: &mut Vec<u8>) {
@@ -223,23 +226,15 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
-impl<T: Wire> Wire for Option<T> {
-    const MIN_WIRE: usize = 1;
+/// A byte payload ([`HostBuf::payload`], [`ImageEntry::data`]): its length,
+/// then the raw bytes, moved with one `extend_from_slice` each way.
+impl Wire for Vec<u8> {
+    const MIN_WIRE: usize = 4;
     fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            None => out.push(0),
-            Some(v) => {
-                out.push(1);
-                v.encode(out);
-            }
-        }
+        put_bytes(self, out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(None),
-            1 => T::decode(r).map(Some),
-            tag => unknown_tag("Option", tag),
-        }
+        r.bytes().map(<[u8]>::to_vec)
     }
 }
 
@@ -253,37 +248,14 @@ impl<T: Wire> Wire for Box<T> {
     }
 }
 
-/// `CudaReply` is `Result<ReplyValue, CudaError>`: tag 0 = `Ok`, 1 = `Err`.
-impl<T: Wire, E: Wire> Wire for Result<T, E> {
-    const MIN_WIRE: usize = 1;
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Ok(v) => {
-                out.push(0);
-                v.encode(out);
-            }
-            Err(e) => {
-                out.push(1);
-                e.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => T::decode(r).map(Ok),
-            1 => E::decode(r).map(Err),
-            tag => unknown_tag("Result", tag),
-        }
-    }
-}
-
 // --- structs: fields in declaration order -----------------------------------------
 
 /// Implements [`Wire`] for a struct as the concatenation of the listed
-/// fields. Every field must be listed (the decode side is a struct
-/// literal), so adding a field without extending the layout fails to build.
+/// fields (a tuple struct's by index: `DeviceAddr { 0: u64 }`). Every field
+/// must be listed (the decode side is a struct literal), so adding a field
+/// without extending the layout fails to build.
 macro_rules! wire_struct {
-    ($ty:ident { $($field:ident: $fty:ty),+ $(,)? }) => {
+    ($ty:ident { $($field:tt: $fty:ty),+ $(,)? }) => {
         impl Wire for $ty {
             const MIN_WIRE: usize = 0 $(+ <$fty as Wire>::MIN_WIRE)+;
             fn encode(&self, out: &mut Vec<u8>) {
@@ -296,6 +268,8 @@ macro_rules! wire_struct {
     };
 }
 
+wire_struct!(DeviceAddr { 0: u64 });
+wire_struct!(ModuleHandle { 0: u64 });
 wire_struct!(Dim3 { x: u32, y: u32, z: u32 });
 wire_struct!(LaunchConfig { grid: Dim3, block: Dim3, shared_mem_bytes: u32 });
 wire_struct!(Work { flops: f64, bytes: f64 });
@@ -319,384 +293,145 @@ wire_struct!(GpuSpec {
     ctx_reserved_bytes: u64,
     max_contexts: u32,
 });
+wire_struct!(HostBuf { declared_len: u64, payload: Vec<u8>, content_hash: Option<u64> });
+wire_struct!(ImageEntry {
+    vaddr: DeviceAddr,
+    size: u64,
+    kind: AllocKind,
+    data: Vec<u8>,
+    nested_members: Vec<DeviceAddr>,
+    nested_parent: Option<DeviceAddr>,
+});
 wire_struct!(ContextImage { label: String, entries: Vec<ImageEntry> });
 
-impl Wire for DeviceAddr {
-    const MIN_WIRE: usize = 8;
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        u64::decode(r).map(DeviceAddr)
-    }
-}
+// --- enums: a u8 tag (the index in the list), then the variant's fields -----------
 
-impl Wire for ModuleHandle {
-    const MIN_WIRE: usize = 8;
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        u64::decode(r).map(ModuleHandle)
-    }
-}
-
-impl Wire for HostBuf {
-    const MIN_WIRE: usize = 8 + 4 + 1;
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.declared_len.encode(out);
-        put_bytes(&self.payload, out);
-        self.content_hash.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(HostBuf {
-            declared_len: u64::decode(r)?,
-            payload: r.bytes()?.to_vec(),
-            content_hash: Option::decode(r)?,
-        })
-    }
-}
-
-impl Wire for ImageEntry {
-    const MIN_WIRE: usize = 8 + 8 + 1 + 4 + 4 + 1;
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.vaddr.encode(out);
-        self.size.encode(out);
-        self.kind.encode(out);
-        put_bytes(&self.data, out);
-        self.nested_members.encode(out);
-        self.nested_parent.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ImageEntry {
-            vaddr: DeviceAddr::decode(r)?,
-            size: u64::decode(r)?,
-            kind: AllocKind::decode(r)?,
-            data: r.bytes()?.to_vec(),
-            nested_members: Vec::decode(r)?,
-            nested_parent: Option::decode(r)?,
-        })
-    }
-}
-
-// --- enums: a u8 tag in declaration order, then the variant's fields --------------
-
-impl Wire for AllocKind {
-    const MIN_WIRE: usize = 1;
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            AllocKind::Linear => 0,
-            AllocKind::Array => 1,
-            AllocKind::Pitched => 2,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(AllocKind::Linear),
-            1 => Ok(AllocKind::Array),
-            2 => Ok(AllocKind::Pitched),
-            tag => unknown_tag("AllocKind", tag),
+/// The shortest of a list of lengths, for `MIN_WIRE`.
+const fn shortest(lens: &[usize]) -> usize {
+    let mut min = usize::MAX;
+    let mut i = 0;
+    while i < lens.len() {
+        if lens[i] < min {
+            min = lens[i];
         }
+        i += 1;
     }
+    min
 }
 
-impl Wire for KernelArg {
-    const MIN_WIRE: usize = 1 + 8;
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            KernelArg::Ptr(p) => {
-                out.push(0);
-                p.encode(out);
+/// Implements [`Wire`] for an enum from one list of its variants, in
+/// declaration order: a variant's tag is its index in the list, its fields
+/// follow in the listed order, and `MIN_WIRE` is the tag plus the shortest
+/// variant. A tuple variant names its fields (`Ptr(addr: DeviceAddr)`) so
+/// the encoder can bind them. The encoder's `match` is exhaustive and its
+/// patterns name every field, so a variant or a field left out of the list
+/// fails to build.
+macro_rules! wire_enum {
+    ($ty:ident $(<$($param:ident),+>)? {
+        $($variant:ident
+            $(($($bind:ident: $tty:ty),+))?
+            $({ $($field:ident: $fty:ty),+ $(,)? })?
+        ),+ $(,)?
+    }) => {
+        const _: () = {
+            /// The list's tags: each variant's index, by its own name.
+            #[allow(non_upper_case_globals, dead_code)]
+            mod tag {
+                #[repr(u8)]
+                enum Index { $($variant),+ }
+                $(pub const $variant: u8 = Index::$variant as u8;)+
             }
-            KernelArg::Scalar(v) => {
-                out.push(1);
-                v.encode(out);
-            }
-            KernelArg::Float(v) => {
-                out.push(2);
-                v.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => DeviceAddr::decode(r).map(KernelArg::Ptr),
-            1 => u64::decode(r).map(KernelArg::Scalar),
-            2 => f64::decode(r).map(KernelArg::Float),
-            tag => unknown_tag("KernelArg", tag),
-        }
-    }
-}
 
-impl Wire for CudaError {
-    const MIN_WIRE: usize = 1;
-    fn encode(&self, out: &mut Vec<u8>) {
-        let (tag, msg) = match self {
-            CudaError::MemoryAllocation => (0, None),
-            CudaError::InvalidValue => (1, None),
-            CudaError::InvalidDevicePointer => (2, None),
-            CudaError::OutOfBounds => (3, None),
-            CudaError::InvalidDevice => (4, None),
-            CudaError::NoDevice => (5, None),
-            CudaError::LaunchFailure(m) => (6, Some(m)),
-            CudaError::InvalidDeviceFunction(m) => (7, Some(m)),
-            CudaError::DeviceUnavailable => (8, None),
-            CudaError::TooManyContexts => (9, None),
-            CudaError::VirtualAddressExhausted => (10, None),
-            CudaError::SwapAllocation => (11, None),
-            CudaError::SizeMismatch => (12, None),
-            CudaError::SwapDeallocation => (13, None),
-            CudaError::NotEligible(m) => (14, Some(m)),
-            CudaError::QuotaExceeded(m) => (15, Some(m)),
-            CudaError::LeaseExpired => (16, None),
-            CudaError::MalformedDescriptor(m) => (17, Some(m)),
-            CudaError::PayloadHashMismatch => (18, None),
-            CudaError::Disconnected => (19, None),
-            CudaError::Protocol(m) => (20, Some(m)),
+            impl $(<$($param: Wire),+>)? Wire for $ty $(<$($param),+>)? {
+                const MIN_WIRE: usize = 1 + shortest(&[$(
+                    0 $($(+ <$tty as Wire>::MIN_WIRE)+)? $($(+ <$fty as Wire>::MIN_WIRE)+)?
+                ),+]);
+                fn encode(&self, out: &mut Vec<u8>) {
+                    match self {
+                        $($ty::$variant $(($($bind),+))? $({ $($field),+ })? => {
+                            out.push(tag::$variant);
+                            $($($bind.encode(out);)+)?
+                            $($($field.encode(out);)+)?
+                        })+
+                    }
+                }
+                fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                    Ok(match r.u8()? {
+                        $(tag::$variant => $ty::$variant
+                            $(($(<$tty as Wire>::decode(r)?),+))?
+                            $({ $($field: <$fty as Wire>::decode(r)?),+ })?,)+
+                        other => return unknown_tag(stringify!($ty), other),
+                    })
+                }
+            }
         };
-        out.push(tag);
-        if let Some(msg) = msg {
-            msg.encode(out);
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => CudaError::MemoryAllocation,
-            1 => CudaError::InvalidValue,
-            2 => CudaError::InvalidDevicePointer,
-            3 => CudaError::OutOfBounds,
-            4 => CudaError::InvalidDevice,
-            5 => CudaError::NoDevice,
-            6 => CudaError::LaunchFailure(String::decode(r)?),
-            7 => CudaError::InvalidDeviceFunction(String::decode(r)?),
-            8 => CudaError::DeviceUnavailable,
-            9 => CudaError::TooManyContexts,
-            10 => CudaError::VirtualAddressExhausted,
-            11 => CudaError::SwapAllocation,
-            12 => CudaError::SizeMismatch,
-            13 => CudaError::SwapDeallocation,
-            14 => CudaError::NotEligible(String::decode(r)?),
-            15 => CudaError::QuotaExceeded(String::decode(r)?),
-            16 => CudaError::LeaseExpired,
-            17 => CudaError::MalformedDescriptor(String::decode(r)?),
-            18 => CudaError::PayloadHashMismatch,
-            19 => CudaError::Disconnected,
-            20 => CudaError::Protocol(String::decode(r)?),
-            tag => return unknown_tag("CudaError", tag),
-        })
-    }
+    };
 }
 
-impl Wire for ReplyValue {
-    const MIN_WIRE: usize = 1;
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ReplyValue::Unit => out.push(0),
-            ReplyValue::Module(m) => {
-                out.push(1);
-                m.encode(out);
-            }
-            ReplyValue::DeviceCount(n) => {
-                out.push(2);
-                n.encode(out);
-            }
-            ReplyValue::Properties(spec) => {
-                out.push(3);
-                spec.encode(out);
-            }
-            ReplyValue::Ptr(p) => {
-                out.push(4);
-                p.encode(out);
-            }
-            ReplyValue::Bytes(buf) => {
-                out.push(5);
-                buf.encode(out);
-            }
-            ReplyValue::LaunchDone { sim_nanos } => {
-                out.push(6);
-                sim_nanos.encode(out);
-            }
-            ReplyValue::Image(image) => {
-                out.push(7);
-                image.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => ReplyValue::Unit,
-            1 => ReplyValue::Module(ModuleHandle::decode(r)?),
-            2 => ReplyValue::DeviceCount(u32::decode(r)?),
-            3 => ReplyValue::Properties(Box::decode(r)?),
-            4 => ReplyValue::Ptr(DeviceAddr::decode(r)?),
-            5 => ReplyValue::Bytes(HostBuf::decode(r)?),
-            6 => ReplyValue::LaunchDone { sim_nanos: u64::decode(r)? },
-            7 => ReplyValue::Image(Box::decode(r)?),
-            tag => return unknown_tag("ReplyValue", tag),
-        })
-    }
-}
-
-impl Wire for CudaCall {
-    const MIN_WIRE: usize = 1;
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CudaCall::RegisterFatBinary => out.push(0),
-            CudaCall::RegisterFunction { module, kernel } => {
-                out.push(1);
-                module.encode(out);
-                kernel.encode(out);
-            }
-            CudaCall::RegisterVar { module, name, size } => {
-                out.push(2);
-                module.encode(out);
-                name.encode(out);
-                size.encode(out);
-            }
-            CudaCall::RegisterTexture { module, name } => {
-                out.push(3);
-                module.encode(out);
-                name.encode(out);
-            }
-            CudaCall::SetApplication { app_id } => {
-                out.push(4);
-                app_id.encode(out);
-            }
-            CudaCall::SetDevice { device } => {
-                out.push(5);
-                device.encode(out);
-            }
-            CudaCall::GetDeviceCount => out.push(6),
-            CudaCall::GetDeviceProperties { device } => {
-                out.push(7);
-                device.encode(out);
-            }
-            CudaCall::Malloc { size, kind } => {
-                out.push(8);
-                size.encode(out);
-                kind.encode(out);
-            }
-            CudaCall::Free { ptr } => {
-                out.push(9);
-                ptr.encode(out);
-            }
-            CudaCall::MemcpyH2D { dst, buf } => {
-                out.push(10);
-                dst.encode(out);
-                buf.encode(out);
-            }
-            CudaCall::MemcpyD2H { src, len } => {
-                out.push(11);
-                src.encode(out);
-                len.encode(out);
-            }
-            CudaCall::MemcpyD2D { dst, src, len } => {
-                out.push(12);
-                dst.encode(out);
-                src.encode(out);
-                len.encode(out);
-            }
-            CudaCall::ConfigureCall { config } => {
-                out.push(13);
-                config.encode(out);
-            }
-            CudaCall::Launch { spec } => {
-                out.push(14);
-                spec.encode(out);
-            }
-            CudaCall::Synchronize => out.push(15),
-            CudaCall::RegisterNested { parent, members } => {
-                out.push(16);
-                parent.encode(out);
-                members.encode(out);
-            }
-            CudaCall::Checkpoint => out.push(17),
-            CudaCall::HintJobLength { flops } => {
-                out.push(18);
-                flops.encode(out);
-            }
-            CudaCall::ExportImage => out.push(19),
-            CudaCall::ImportImage { image } => {
-                out.push(20);
-                image.encode(out);
-            }
-            CudaCall::Offloaded => out.push(21),
-            CudaCall::Exit => out.push(22),
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => CudaCall::RegisterFatBinary,
-            1 => CudaCall::RegisterFunction {
-                module: ModuleHandle::decode(r)?,
-                kernel: KernelDesc::decode(r)?,
-            },
-            2 => CudaCall::RegisterVar {
-                module: ModuleHandle::decode(r)?,
-                name: String::decode(r)?,
-                size: u64::decode(r)?,
-            },
-            3 => CudaCall::RegisterTexture {
-                module: ModuleHandle::decode(r)?,
-                name: String::decode(r)?,
-            },
-            4 => CudaCall::SetApplication { app_id: u64::decode(r)? },
-            5 => CudaCall::SetDevice { device: u32::decode(r)? },
-            6 => CudaCall::GetDeviceCount,
-            7 => CudaCall::GetDeviceProperties { device: u32::decode(r)? },
-            8 => CudaCall::Malloc { size: u64::decode(r)?, kind: AllocKind::decode(r)? },
-            9 => CudaCall::Free { ptr: DeviceAddr::decode(r)? },
-            10 => CudaCall::MemcpyH2D { dst: DeviceAddr::decode(r)?, buf: HostBuf::decode(r)? },
-            11 => CudaCall::MemcpyD2H { src: DeviceAddr::decode(r)?, len: u64::decode(r)? },
-            12 => CudaCall::MemcpyD2D {
-                dst: DeviceAddr::decode(r)?,
-                src: DeviceAddr::decode(r)?,
-                len: u64::decode(r)?,
-            },
-            13 => CudaCall::ConfigureCall { config: LaunchConfig::decode(r)? },
-            14 => CudaCall::Launch { spec: LaunchSpec::decode(r)? },
-            15 => CudaCall::Synchronize,
-            16 => CudaCall::RegisterNested {
-                parent: DeviceAddr::decode(r)?,
-                members: Vec::decode(r)?,
-            },
-            17 => CudaCall::Checkpoint,
-            18 => CudaCall::HintJobLength { flops: f64::decode(r)? },
-            19 => CudaCall::ExportImage,
-            20 => CudaCall::ImportImage { image: ContextImage::decode(r)? },
-            21 => CudaCall::Offloaded,
-            22 => CudaCall::Exit,
-            tag => return unknown_tag("CudaCall", tag),
-        })
-    }
-}
-
-impl Wire for MuxFrame {
-    const MIN_WIRE: usize = 1 + 8 + 1 + 1;
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            MuxFrame::Request { chan, id, call } => {
-                out.push(0);
-                chan.encode(out);
-                id.encode(out);
-                call.encode(out);
-            }
-            MuxFrame::Response { id, reply } => {
-                out.push(1);
-                id.encode(out);
-                reply.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(MuxFrame::Request {
-                chan: u64::decode(r)?,
-                id: u64::decode(r)?,
-                call: CudaCall::decode(r)?,
-            }),
-            1 => Ok(MuxFrame::Response { id: u64::decode(r)?, reply: Result::decode(r)? }),
-            tag => unknown_tag("MuxFrame", tag),
-        }
-    }
-}
+wire_enum!(Option<T> { None, Some(value: T) });
+// `CudaReply` is `Result<ReplyValue, CudaError>`: tag 0 = `Ok`, 1 = `Err`.
+wire_enum!(Result<T, E> { Ok(value: T), Err(error: E) });
+wire_enum!(AllocKind { Linear, Array, Pitched });
+wire_enum!(KernelArg { Ptr(addr: DeviceAddr), Scalar(value: u64), Float(value: f64) });
+wire_enum!(CudaError {
+    MemoryAllocation,
+    InvalidValue,
+    InvalidDevicePointer,
+    OutOfBounds,
+    InvalidDevice,
+    NoDevice,
+    LaunchFailure(msg: String),
+    InvalidDeviceFunction(msg: String),
+    DeviceUnavailable,
+    TooManyContexts,
+    VirtualAddressExhausted,
+    SwapAllocation,
+    SizeMismatch,
+    SwapDeallocation,
+    NotEligible(msg: String),
+    QuotaExceeded(msg: String),
+    LeaseExpired,
+    MalformedDescriptor(msg: String),
+    PayloadHashMismatch,
+    Disconnected,
+    Protocol(msg: String),
+});
+wire_enum!(ReplyValue {
+    Unit,
+    Module(handle: ModuleHandle),
+    DeviceCount(count: u32),
+    Properties(spec: Box<GpuSpec>),
+    Ptr(addr: DeviceAddr),
+    Bytes(buf: HostBuf),
+    LaunchDone { sim_nanos: u64 },
+    Image(image: Box<ContextImage>),
+});
+wire_enum!(CudaCall {
+    RegisterFatBinary,
+    RegisterFunction { module: ModuleHandle, kernel: KernelDesc },
+    RegisterVar { module: ModuleHandle, name: String, size: u64 },
+    RegisterTexture { module: ModuleHandle, name: String },
+    SetApplication { app_id: u64 },
+    SetDevice { device: u32 },
+    GetDeviceCount,
+    GetDeviceProperties { device: u32 },
+    Malloc { size: u64, kind: AllocKind },
+    Free { ptr: DeviceAddr },
+    MemcpyH2D { dst: DeviceAddr, buf: HostBuf },
+    MemcpyD2H { src: DeviceAddr, len: u64 },
+    MemcpyD2D { dst: DeviceAddr, src: DeviceAddr, len: u64 },
+    ConfigureCall { config: LaunchConfig },
+    Launch { spec: LaunchSpec },
+    Synchronize,
+    RegisterNested { parent: DeviceAddr, members: Vec<DeviceAddr> },
+    Checkpoint,
+    HintJobLength { flops: f64 },
+    ExportImage,
+    ImportImage { image: ContextImage },
+    Offloaded,
+    Exit,
+});
+wire_enum!(MuxFrame {
+    Request { chan: u64, id: u64, call: CudaCall },
+    Response { id: u64, reply: CudaReply },
+});

@@ -1,9 +1,11 @@
 //! The binary wire codec (`mtgpu_api::wire`, DESIGN.md §12): every protocol
-//! value round-trips, three frames are pinned byte for byte, frame sizes
-//! stay within their budget, and a seeded mutation fuzzer shows the decoder
-//! answers hostile bytes with `Err` or a valid value — never a panic, never
-//! an allocation a length field alone could size.
+//! value round-trips, three frames are pinned byte for byte and every
+//! variant's bytes by one digest, frame sizes stay within their budget, and
+//! a seeded mutation fuzzer shows the decoder answers hostile bytes with
+//! `Err` or a valid value — never a panic, never an allocation a length
+//! field alone could size.
 
+use mtgpu_api::host_buf::fnv1a;
 use mtgpu_api::protocol::{
     AllocKind, ContextImage, CudaCall, CudaReply, ImageEntry, ModuleHandle, MuxFrame, ReplyValue,
 };
@@ -592,6 +594,28 @@ fn golden_frames_are_pinned_byte_for_byte() {
         0x00,                                           // content_hash: None
     ];
     assert_eq!(framed(&bytes_reply), reply_bytes);
+}
+
+/// The bytes of every variant of every protocol enum, pinned as one digest:
+/// the generated frames cover each call, reply and error variant forty
+/// times, the edge frames the payload and image extremes. Two tags swapped
+/// on both the encode and the decode side round-trip cleanly, but not here.
+/// The shortest forms that bound vector counts are pinned with them.
+#[test]
+fn every_variant_is_pinned_by_digest() {
+    let mut frames = Gen::new(0x5EED_0001, 4096).frames(40);
+    frames.extend(edge_frames());
+    let wire: Vec<u8> = frames.iter().flat_map(framed).collect();
+    assert_eq!((frames.len(), wire.len()), (2087, 5_496_781));
+    assert_eq!(fnv1a(&wire), 0x84b2_3c95_0b59_1951);
+
+    assert_eq!(AllocKind::MIN_WIRE, 1);
+    assert_eq!(KernelArg::MIN_WIRE, 9);
+    assert_eq!(CudaError::MIN_WIRE, 1);
+    assert_eq!(ReplyValue::MIN_WIRE, 1);
+    assert_eq!(CudaCall::MIN_WIRE, 1);
+    assert_eq!(MuxFrame::MIN_WIRE, 11);
+    assert_eq!((HostBuf::MIN_WIRE, ImageEntry::MIN_WIRE), (13, 26));
 }
 
 #[test]

@@ -711,7 +711,7 @@ fn hostile_descriptors_rejected_with_typed_errors_before_dispatch() {
 
     // Oversized argument list.
     let mut s = good_spec.clone();
-    s.args = vec![KernelArg::Scalar(0); DescriptorLimits::default().max_args + 1];
+    s.args = vec![KernelArg::Scalar(0); guard::MAX_ARGS + 1];
     assert!(matches!(
         client.call(CudaCall::Launch { spec: s }),
         Err(CudaError::MalformedDescriptor(_))

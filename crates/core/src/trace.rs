@@ -107,8 +107,7 @@ impl fmt::Display for TraceRecord {
     }
 }
 
-/// A bounded, thread-safe event log. Capacity 0 disables tracing (no
-/// locking on the hot path beyond one atomic-free check of the capacity).
+/// A bounded, thread-safe event log.
 pub struct Tracer {
     clock: Clock,
     capacity: usize,
@@ -117,7 +116,13 @@ pub struct Tracer {
 
 impl Tracer {
     /// Creates a tracer holding up to `capacity` events (oldest evicted).
+    ///
+    /// # Panics
+    ///
+    /// If `capacity` is 0: `record` always keeps the newest event, so a
+    /// ring holds at least one.
     pub fn new(clock: Clock, capacity: usize) -> Self {
+        assert!(capacity > 0, "a tracer holds at least one event");
         Tracer {
             clock,
             capacity,
@@ -128,16 +133,8 @@ impl Tracer {
         }
     }
 
-    /// Whether tracing is enabled.
-    pub fn enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// Records an event (no-op when disabled).
+    /// Records an event, evicting the oldest when the ring is full.
     pub fn record(&self, event: TraceEvent) {
-        if self.capacity == 0 {
-            return;
-        }
         let at = self.clock.now().since_epoch();
         let mut ring = self.ring.lock();
         if ring.len() == self.capacity {
@@ -177,11 +174,9 @@ mod tests {
     }
 
     #[test]
-    fn disabled_tracer_records_nothing() {
-        let t = tracer(0);
-        assert!(!t.enabled());
-        t.record(TraceEvent::DeviceLost { device: DeviceId(0) });
-        assert!(t.is_empty());
+    #[should_panic(expected = "at least one event")]
+    fn zero_capacity_is_refused() {
+        tracer(0);
     }
 
     #[test]

@@ -13,11 +13,12 @@
 //! lock whose holder panicked is taken over as it was left
 //! ([`PoisonError::into_inner`]), which is all any caller would do.
 //!
-//! The static half of the contract lives in `mtgpu-analysis`: `mtlint`
-//! verifies every `Mutex`/`RwLock` in those crates (its `RANKED_CRATES`) is
-//! a ranked lock constructed from a `lock_rank::` constant, and emits the
-//! workspace lock graph (`results/lock_graph.{json,dot}`) with cycle
-//! detection over the declared ranks.
+//! The static half of the contract is checked at build time: the rank
+//! table is one list whose values must strictly ascend (a `const`
+//! assertion, so two equal ranks fail `cargo build`), and `mtlint`
+//! (`mtgpu-analysis`) verifies every `Mutex`/`RwLock` in those crates (its
+//! `RANKED_CRATES`) is a ranked lock constructed from a `lock_rank::`
+//! constant.
 //!
 //! Waiting on a [`RankedCondvar`] keeps the mutex's rank on the stack while
 //! parked. That is sound: a parked thread acquires nothing, so the stale
@@ -43,113 +44,111 @@ use std::time::Instant;
 pub struct LockRank {
     /// Position in the global order (lower = acquired earlier).
     pub value: u32,
-    /// Stable name, used in panic messages and the emitted lock graph.
+    /// Stable name (the constant's), used in panic messages.
     pub name: &'static str,
 }
 
 /// The workspace lock-rank table (DESIGN.md §11). Validated against every
 /// traced nesting path in the dispatcher, memory manager, transfer
-/// pipeline and device model; `mtlint` regenerates the lock graph from
-/// these declarations.
+/// pipeline and device model. Each rank is declared once, in the `ranks!`
+/// list below, which makes its constant, its name and [`lock_rank::ALL`];
+/// the build fails unless the values strictly ascend down the list.
 pub mod lock_rank {
     use super::LockRank;
 
-    /// The head node's per-node capacity gate (`cluster::sem`; outermost:
-    /// a job waits for a permit before it touches any node, so waiting
-    /// there while holding a node's lock is an inversion).
-    pub const HEAD_GATE: LockRank = LockRank { value: 5, name: "HEAD_GATE" };
-    /// The reactor's per-connection channel→context map (held while
-    /// contexts are created/torn down for a multiplexed channel).
-    pub const CONN_CHANNELS: LockRank = LockRank { value: 7, name: "CONN_CHANNELS" };
-    /// One multiplexed channel's pending-call queue (taken after the
-    /// channel map, before any runtime lock).
-    pub const CHAN_QUEUE: LockRank = LockRank { value: 8, name: "CHAN_QUEUE" };
-    /// A context's service lock: held for the duration of one CUDA call.
-    pub const CTX_SERVICE: LockRank = LockRank { value: 10, name: "CTX_SERVICE" };
-    /// The node-wide migration turnstile: serializes live context
-    /// migrations. Outer to every scheduler/memory lock so a migration may
-    /// reserve slots and rewrite page tables while holding it, but inner to
-    /// the service lock (migration quiesces a context first).
-    pub const MIGRATION: LockRank = LockRank { value: 20, name: "MIGRATION" };
-    /// The dispatcher's one lock: every device's vGPU slots, the waiting
-    /// list, the affinity map and the tie-break generator.
-    pub const SCHED: LockRank = LockRank { value: 40, name: "SCHED" };
-    /// A context's inner bookkeeping (binding, credits, kernels, and the
-    /// outcome of its queued vGPU request, which the dispatcher writes with
-    /// its lock held).
-    pub const CTX_INNER: LockRank = LockRank { value: 70, name: "CTX_INNER" };
-    /// The tenant-policy lease book (quota charges, TTLs, priorities).
-    pub const TENANT_POLICY: LockRank = LockRank { value: 75, name: "TENANT_POLICY" };
-    /// The driver's device-slot table (held across `Gpu::fail` on detach).
-    pub const DRIVER_SLOTS: LockRank = LockRank { value: 80, name: "DRIVER_SLOTS" };
-    /// Runtime handler-thread bookkeeping (join handles).
-    pub const RT_HANDLERS: LockRank = LockRank { value: 90, name: "RT_HANDLERS" };
-    /// The runtime's monitor-thread handle.
-    pub const RT_MONITOR: LockRank = LockRank { value: 91, name: "RT_MONITOR" };
-    /// The runtime's context registry.
-    pub const RT_REGISTRY: LockRank = LockRank { value: 95, name: "RT_REGISTRY" };
-    /// One context's page table: held for a whole residency pass, device
-    /// calls included (it pins nobody but its context); a thread never
-    /// holds two.
-    pub const MM_TABLE: LockRank = LockRank { value: 98, name: "MM_TABLE" };
-    /// The memory manager's node-wide leaf: the directory of tables, swap
-    /// accounting, the virtual-address cursor and per-device swap traffic.
-    /// Taken under a table lock for a lookup or a sum, never across a
-    /// device call.
-    pub const MM_STATE: LockRank = LockRank { value: 100, name: "MM_STATE" };
-    /// One simulated device's allocator/context state.
-    pub const DEVICE_STATE: LockRank = LockRank { value: 110, name: "DEVICE_STATE" };
-    /// One FIFO engine's ticket turnstile.
-    pub const ENGINE_TICKETS: LockRank = LockRank { value: 120, name: "ENGINE_TICKETS" };
-    /// The process-global kernel library.
-    pub const KERNEL_STORE: LockRank = LockRank { value: 150, name: "KERNEL_STORE" };
-    /// The gateway's work queue to the worker pool (leaf): a grant's wake
-    /// pushes onto it with the dispatcher lock held.
-    pub const GATEWAY_WORK: LockRank = LockRank { value: 190, name: "GATEWAY_WORK" };
-    /// The runtime tracer's event ring (innermost: recorded from anywhere).
-    pub const TRACER_RING: LockRank = LockRank { value: 200, name: "TRACER_RING" };
-    /// The mux reactor's connection table: which connections exist and
-    /// which of them a reply sink left for the reactor to look at. Every
-    /// reply takes it for a lookup, never across a write or a service call.
-    pub const REACTOR_CONNS: LockRank = LockRank { value: 201, name: "REACTOR_CONNS" };
-    /// A multiplexed client connection's reply demux: the requests in
-    /// flight, which caller is reading the socket, and what the last reader
-    /// left buffered (leaf tier; never held across a read or a write).
-    pub const MUX_PENDING: LockRank = LockRank { value: 203, name: "MUX_PENDING" };
-    /// One reactor connection's outbound half (socket, unsent bytes,
-    /// in-flight IDs): held by whichever thread encodes and writes a
-    /// reply, taken after the reactor's table, never across a service call.
-    pub const CONN_OUT: LockRank = LockRank { value: 204, name: "CONN_OUT" };
-    /// One client connection's write half: serializes frame writes
-    /// (innermost of the transport tier).
-    pub const CONN_WRITE: LockRank = LockRank { value: 205, name: "CONN_WRITE" };
+    macro_rules! ranks {
+        ($($(#[$doc:meta])* $name:ident = $value:literal;)+) => {
+            $(
+                $(#[$doc])*
+                pub const $name: LockRank = LockRank { value: $value, name: stringify!($name) };
+            )+
 
-    /// Every declared rank, in order — the lock graph's node set.
-    pub const ALL: &[LockRank] = &[
-        HEAD_GATE,
-        CONN_CHANNELS,
-        CHAN_QUEUE,
-        CTX_SERVICE,
-        MIGRATION,
-        SCHED,
-        CTX_INNER,
-        TENANT_POLICY,
-        DRIVER_SLOTS,
-        RT_HANDLERS,
-        RT_MONITOR,
-        RT_REGISTRY,
-        MM_TABLE,
-        MM_STATE,
-        DEVICE_STATE,
-        ENGINE_TICKETS,
-        KERNEL_STORE,
-        GATEWAY_WORK,
-        TRACER_RING,
-        REACTOR_CONNS,
-        MUX_PENDING,
-        CONN_OUT,
-        CONN_WRITE,
-    ];
+            /// Every declared rank, in order.
+            pub const ALL: &[LockRank] = &[$($name),+];
+        };
+    }
+
+    ranks! {
+        /// The head node's per-node capacity gate (`cluster::sem`; outermost:
+        /// a job waits for a permit before it touches any node, so waiting
+        /// there while holding a node's lock is an inversion).
+        HEAD_GATE = 5;
+        /// The reactor's per-connection channel→context map (held while
+        /// contexts are created/torn down for a multiplexed channel).
+        CONN_CHANNELS = 7;
+        /// One multiplexed channel's pending-call queue (taken after the
+        /// channel map, before any runtime lock).
+        CHAN_QUEUE = 8;
+        /// A context's service lock: held for the duration of one CUDA call.
+        CTX_SERVICE = 10;
+        /// The node-wide migration turnstile: serializes live context
+        /// migrations. Outer to every scheduler/memory lock so a migration may
+        /// reserve slots and rewrite page tables while holding it, but inner to
+        /// the service lock (migration quiesces a context first).
+        MIGRATION = 20;
+        /// The dispatcher's one lock: every device's vGPU slots, the waiting
+        /// list, the affinity map and the tie-break generator.
+        SCHED = 40;
+        /// A context's inner bookkeeping (binding, credits, kernels, and the
+        /// outcome of its queued vGPU request, which the dispatcher writes with
+        /// its lock held).
+        CTX_INNER = 70;
+        /// The tenant-policy lease book (quota charges, TTLs, priorities).
+        TENANT_POLICY = 75;
+        /// The driver's device-slot table (held across `Gpu::fail` on detach).
+        DRIVER_SLOTS = 80;
+        /// Runtime handler-thread bookkeeping (join handles).
+        RT_HANDLERS = 90;
+        /// The runtime's monitor-thread handle.
+        RT_MONITOR = 91;
+        /// The runtime's context registry.
+        RT_REGISTRY = 95;
+        /// One context's page table: held for a whole residency pass, device
+        /// calls included (it pins nobody but its context); a thread never
+        /// holds two.
+        MM_TABLE = 98;
+        /// The memory manager's node-wide leaf: the directory of tables, swap
+        /// accounting, the virtual-address cursor and per-device swap traffic.
+        /// Taken under a table lock for a lookup or a sum, never across a
+        /// device call.
+        MM_STATE = 100;
+        /// One simulated device's allocator/context state.
+        DEVICE_STATE = 110;
+        /// One FIFO engine's ticket turnstile.
+        ENGINE_TICKETS = 120;
+        /// The process-global kernel library.
+        KERNEL_STORE = 150;
+        /// The gateway's work queue to the worker pool (leaf): a grant's wake
+        /// pushes onto it with the dispatcher lock held.
+        GATEWAY_WORK = 190;
+        /// The runtime tracer's event ring (innermost: recorded from anywhere).
+        TRACER_RING = 200;
+        /// The mux reactor's connection table: which connections exist and
+        /// which of them a reply sink left for the reactor to look at. Every
+        /// reply takes it for a lookup, never across a write or a service call.
+        REACTOR_CONNS = 201;
+        /// A multiplexed client connection's reply demux: the requests in
+        /// flight, which caller is reading the socket, and what the last reader
+        /// left buffered (leaf tier; never held across a read or a write).
+        MUX_PENDING = 203;
+        /// One reactor connection's outbound half (socket, unsent bytes,
+        /// in-flight IDs): held by whichever thread encodes and writes a
+        /// reply, taken after the reactor's table, never across a service call.
+        CONN_OUT = 204;
+        /// One client connection's write half: serializes frame writes
+        /// (innermost of the transport tier).
+        CONN_WRITE = 205;
+    }
+
+    /// Two equal ranks could not be ordered, and a list out of order would
+    /// not read as the order it sets.
+    const _: () = {
+        let mut i = 1;
+        while i < ALL.len() {
+            assert!(ALL[i - 1].value < ALL[i].value, "lock ranks must strictly ascend");
+            i += 1;
+        }
+    };
 }
 
 #[cfg(debug_assertions)]
@@ -983,19 +982,5 @@ mod tests {
         }
         waiter.join().unwrap();
         assert_eq!(cv.signals.load(Ordering::Relaxed), ROUNDS, "one signal per parked round");
-    }
-
-    #[test]
-    fn rank_table_is_strictly_increasing_and_unique() {
-        for pair in lock_rank::ALL.windows(2) {
-            assert!(
-                pair[0].value < pair[1].value,
-                "{} ({}) must precede {} ({})",
-                pair[0].name,
-                pair[0].value,
-                pair[1].name,
-                pair[1].value
-            );
-        }
     }
 }

@@ -109,10 +109,6 @@ fn equal_ranks_are_rejected() {
 /// published order holds, and a read lock participates in the same order.
 #[test]
 fn workspace_table_order_is_consistent() {
-    assert!(
-        lock_rank::ALL.windows(2).all(|w| w[0].value < w[1].value),
-        "lock_rank::ALL must be strictly ascending"
-    );
     let slots = Arc::new(RankedRwLock::new(lock_rank::DRIVER_SLOTS, ()));
     let table = Arc::new(RankedMutex::new(lock_rank::MM_TABLE, ()));
     let mm = Arc::new(RankedMutex::new(lock_rank::MM_STATE, ()));

@@ -231,8 +231,8 @@ fi
 
 if [[ "$tier" == "all" || "$tier" == "5" ]]; then
     run_tier 5 "mtlint --deny + ranked-lock checker tests"
-    # Workspace must lint clean (every escape hatch carries a reason) and
-    # the extracted lock graph must be acyclic; artifacts land in results/.
+    # Workspace must lint clean (every escape hatch carries a reason); the
+    # report lands in results/. The rank table's order is a build check.
     cargo run -q -p mtgpu-analysis --bin mtlint -- --deny
     # Runtime half of the discipline, debug build (checker armed): the
     # seeded two-thread inversion must panic deterministically, and a
@@ -240,7 +240,7 @@ if [[ "$tier" == "all" || "$tier" == "5" ]]; then
     cargo test -q -p mtgpu-simtime --test ranked_lock > /dev/null
     cargo test -q --test fault_matrix \
         device_failure_mid_swap_never_trips_lock_checker > /dev/null
-    echo "mtlint workspace-clean + lock-graph acyclic + ranked-lock tests: ok"
+    echo "mtlint workspace-clean + ranked-lock tests: ok"
 fi
 
 if [[ "$tier" == "all" || "$tier" == "6" ]]; then
