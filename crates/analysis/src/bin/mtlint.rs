@@ -14,13 +14,10 @@
 //! Exit status: 0 when clean; 1 under `--deny` when any unsuppressed
 //! finding or malformed allow exists.
 
+use mtgpu_analysis::rules::RANKED_CRATES;
 use mtgpu_analysis::{lint_file, report, Finding};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-/// Crates whose sources the workspace walk lints. `simtime` is exempt: it
-/// *implements* the clock and the ranked locks the rules steer code toward.
-const LINT_CRATES: &[&str] = &["api", "cluster", "core", "gpusim", "loadgen"];
 
 fn main() -> ExitCode {
     let mut deny = false;
@@ -50,7 +47,10 @@ fn main() -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
-        for krate in LINT_CRATES {
+        // The crates the walk lints are the ranked-lock crates: `simtime`
+        // is exempt, as it *implements* the clock and the ranked locks the
+        // rules steer code toward.
+        for krate in RANKED_CRATES {
             collect_rs_files(&root.join("crates").join(krate).join("src"), &mut files);
         }
         files.sort();

@@ -59,7 +59,8 @@ const RNG_IDENTS: &[&str] = &["thread_rng", "from_entropy", "StdRng", "SmallRng"
 /// a ranked wrapper (the `unranked-lock` rule). They are the runtime crates
 /// `core` and `gpusim`, the client-facing `api` and workload `loadgen`
 /// crates (their locks sit on the call paths the race detector audits),
-/// and `cluster` (the head node's gate).
+/// and `cluster` (the head node's gate). They are also the crates
+/// `mtlint`'s workspace walk lints.
 pub const RANKED_CRATES: &[&str] = &["api", "cluster", "core", "gpusim", "loadgen"];
 
 /// Whether the `unranked-lock` rule applies to `path`: the

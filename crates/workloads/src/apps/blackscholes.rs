@@ -13,7 +13,8 @@ use mtgpu_api::{CudaClient, CudaResult, KernelArg};
 use mtgpu_gpusim::kernel::{library, KernelExec, RegisteredKernel};
 use mtgpu_gpusim::KernelDesc;
 use mtgpu_simtime::Clock;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::sync::{Arc, OnceLock};
 
 const SHADOW: usize = 256;
 const RISK_FREE: f32 = 0.02;
@@ -168,52 +169,91 @@ pub fn price(s: f32, x: f32, t: f32) -> (f32, f32) {
     (call, put)
 }
 
-/// [`price`] over whole arrays, one step per pass: every option goes
-/// through the same f32 operations in the same order, so each result is
-/// bit-identical to `price`'s, but no option waits on the one before, and
-/// every pass is a plain loop over slices that vectorises, `exp` and `ln`
-/// included. `cnd(d)` and `cnd(-d)` share one Gaussian and one polynomial:
-/// `-d` has the same `|d|` and `d * d`. Five buffers: `d1` holds `s / x`
-/// and its `ln` first, `d2` holds `sqrt(t)`, and the two Gaussians'
-/// buffers become the calls and puts.
+/// [`price`] over whole arrays, into `call` and `put`, one step per pass:
+/// every option goes through the same f32 operations in the same order, so
+/// each result is bit-identical to `price`'s, but no option waits on the
+/// one before, and every pass is a plain loop over slices that vectorises,
+/// `exp` and `ln` included. `cnd(d)` and `cnd(-d)` share one Gaussian and
+/// one polynomial: `-d` has the same `|d|` and `d * d`.
 ///
-/// On x86_64 a CPU with AVX2 runs the passes compiled for it, wider
-/// vectors over the same IEEE operations: no FMA (Rust never contracts a
-/// multiply and an add), nothing reassociated, so the bits are the same
-/// either way.
-fn price_all(s: &[f32], x: &[f32], t: &[f32]) -> (Vec<f32>, Vec<f32>) {
-    #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU has just been found to support AVX2.
-        return unsafe { price_all_avx2(s, x, t) };
-    }
-    price_passes(s, x, t)
+/// The passes run on the widest build of them the CPU has (see
+/// [`builds`]), picked on the first call. Every build does the same IEEE
+/// operations, wider or narrower: no FMA (Rust never contracts a multiply
+/// and an add), nothing reassociated, so the bits are the same on each.
+fn price_all(s: &[f32], x: &[f32], t: &[f32], call: &mut [f32], put: &mut [f32]) {
+    static WIDEST: OnceLock<Build> = OnceLock::new();
+    let build = WIDEST.get_or_init(|| builds()[0].1);
+    // SAFETY: `builds` lists only builds this CPU supports.
+    unsafe { build(s, x, t, call, put) }
 }
 
-/// The passes compiled with AVX2 enabled; a caller must know the CPU has
-/// AVX2, which is why calling it takes `unsafe`.
+/// One build of [`price_all`]'s passes.
+///
+/// # Safety
+///
+/// A build compiled for a target feature runs only on a CPU that has it:
+/// call one [`builds`] listed.
+type Build = unsafe fn(&[f32], &[f32], &[f32], &mut [f32], &mut [f32]);
+
+/// The builds of the passes this CPU can run, widest first, by name: on
+/// x86_64 AVX-512 and AVX2 where the CPU has them, and everywhere the
+/// baseline target's.
+fn builds() -> Vec<(&'static str, Build)> {
+    let mut builds: Vec<(&'static str, Build)> = Vec::new();
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::is_x86_feature_detected!("avx512f") {
+            builds.push(("AVX-512", price_all_avx512));
+        }
+        if std::is_x86_feature_detected!("avx2") {
+            builds.push(("AVX2", price_all_avx2));
+        }
+    }
+    builds.push(("baseline", price_passes));
+    builds
+}
+
+/// The passes compiled with AVX-512 enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn price_all_avx512(s: &[f32], x: &[f32], t: &[f32], call: &mut [f32], put: &mut [f32]) {
+    price_passes(s, x, t, call, put)
+}
+
+/// The passes compiled with AVX2 enabled.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn price_all_avx2(s: &[f32], x: &[f32], t: &[f32]) -> (Vec<f32>, Vec<f32>) {
-    price_passes(s, x, t)
+fn price_all_avx2(s: &[f32], x: &[f32], t: &[f32], call: &mut [f32], put: &mut [f32]) {
+    price_passes(s, x, t, call, put)
 }
 
-/// The five passes of [`price_all`], inlined into each build of it: the
-/// baseline one wherever it is called, the AVX2 one in `price_all_avx2`.
+/// Options priced per round of the five passes: their intermediates live
+/// on the stack, three arrays of this many f32s.
+const CHUNK: usize = 256;
+
+/// The five passes of [`price_all`], inlined into each build of it, over
+/// the options `CHUNK` at a time. `d1` holds `s / x` and its `ln` first,
+/// `d2` holds `sqrt(t)`, and the two Gaussians are computed in `call` and
+/// `put`, which the last pass overwrites with the prices.
 #[inline(always)]
-fn price_passes(s: &[f32], x: &[f32], t: &[f32]) -> (Vec<f32>, Vec<f32>) {
+fn price_passes(s: &[f32], x: &[f32], t: &[f32], call: &mut [f32], put: &mut [f32]) {
     let n = s.len();
-    let (x, t) = (&x[..n], &t[..n]);
-    // 1. s / x and sqrt(t); 2. ln.
-    let mut d1: Vec<f32> = s.iter().zip(x).map(|(s, x)| s / x).collect();
-    let mut d2: Vec<f32> = t.iter().map(|t| t.sqrt()).collect();
-    d1.iter_mut().for_each(|v| *v = ln(*v));
-    // 3. d1, d2 and the three exponent arguments. Every slice is cut to
-    // `n`, so the loops carry no bounds checks.
-    let (mut exp_rt, mut g1, mut g2) = (vec![0f32; n], vec![0f32; n], vec![0f32; n]);
-    {
+    let options = s.chunks(CHUNK).zip(x[..n].chunks(CHUNK)).zip(t[..n].chunks(CHUNK));
+    let prices = call[..n].chunks_mut(CHUNK).zip(put[..n].chunks_mut(CHUNK));
+    for (((s, x), t), (call, put)) in options.zip(prices) {
+        // Every slice is cut to the chunk's `n`, so the loops carry no
+        // bounds checks.
+        let n = s.len();
+        let (mut d1, mut d2, mut exp_rt) = ([0f32; CHUNK], [0f32; CHUNK], [0f32; CHUNK]);
         let (d1, d2, exp_rt) = (&mut d1[..n], &mut d2[..n], &mut exp_rt[..n]);
-        let (g1, g2) = (&mut g1[..n], &mut g2[..n]);
+        let (x, t, g1, g2) = (&x[..n], &t[..n], &mut call[..n], &mut put[..n]);
+        // 1. s / x and sqrt(t); 2. ln.
+        for i in 0..n {
+            d1[i] = s[i] / x[i];
+            d2[i] = t[i].sqrt();
+        }
+        d1.iter_mut().for_each(|v| *v = ln(*v));
+        // 3. d1, d2 and the three exponent arguments.
         for i in 0..n {
             let sqrt_t = d2[i];
             d1[i] = (d1[i] + (RISK_FREE + 0.5 * VOLATILITY * VOLATILITY) * t[i])
@@ -223,34 +263,41 @@ fn price_passes(s: &[f32], x: &[f32], t: &[f32]) -> (Vec<f32>, Vec<f32>) {
             g1[i] = -0.5 * d1[i] * d1[i];
             g2[i] = -0.5 * d2[i] * d2[i];
         }
-    }
-    // 4. The three exps.
-    for v in [&mut exp_rt, &mut g1, &mut g2] {
-        v.iter_mut().for_each(|v| *v = exp(*v));
-    }
-    // 5. The four cnds and the call/put combine. `cnd(d)` is `1 - w` when
-    // `d < 0.0`, `cnd(-d)` when `-d < 0.0`, that is `d > 0.0`.
-    let w = |d: f32, gauss: f32| {
-        let k = 1.0 / (1.0 + CND_K * d.abs());
-        let poly = k * (A[0] + k * (A[1] + k * (A[2] + k * (A[3] + k * A[4]))));
-        1.0 - gauss * poly / (2.0 * std::f32::consts::PI).sqrt()
-    };
-    let cnd_pair =
-        |d: f32, w: f32| (if d < 0.0 { 1.0 - w } else { w }, if d > 0.0 { 1.0 - w } else { w });
-    {
-        let (d1, d2, exp_rt) = (&d1[..n], &d2[..n], &exp_rt[..n]);
-        let (call, put) = (&mut g1[..n], &mut g2[..n]);
+        // 4. The three exps.
+        for v in [&mut *exp_rt, &mut *g1, &mut *g2] {
+            v.iter_mut().for_each(|v| *v = exp(*v));
+        }
+        // 5. The four cnds and the call/put combine. `cnd(d)` is `1 - w`
+        // when `d < 0.0`, `cnd(-d)` when `-d < 0.0`, that is `d > 0.0`.
+        let w = |d: f32, gauss: f32| {
+            let k = 1.0 / (1.0 + CND_K * d.abs());
+            let poly = k * (A[0] + k * (A[1] + k * (A[2] + k * (A[3] + k * A[4]))));
+            1.0 - gauss * poly / (2.0 * std::f32::consts::PI).sqrt()
+        };
+        let cnd_pair =
+            |d: f32, w: f32| (if d < 0.0 { 1.0 - w } else { w }, if d > 0.0 { 1.0 - w } else { w });
         for i in 0..n {
-            let (c1, c1_neg) = cnd_pair(d1[i], w(d1[i], call[i]));
-            let (c2, c2_neg) = cnd_pair(d2[i], w(d2[i], put[i]));
-            call[i] = s[i] * c1 - x[i] * exp_rt[i] * c2;
-            put[i] = x[i] * exp_rt[i] * c2_neg - s[i] * c1_neg;
+            let (c1, c1_neg) = cnd_pair(d1[i], w(d1[i], g1[i]));
+            let (c2, c2_neg) = cnd_pair(d2[i], w(d2[i], g2[i]));
+            g1[i] = s[i] * c1 - x[i] * exp_rt[i] * c2;
+            g2[i] = x[i] * exp_rt[i] * c2_neg - s[i] * c1_neg;
         }
     }
-    (g1, g2)
+}
+
+thread_local! {
+    /// A serving thread's copies of one launch's spots, strikes and
+    /// maturities and its call and put prices, kept from one launch to the
+    /// next so a launch of at most `SHADOW` options (a catalog job's)
+    /// allocates nothing once the thread has priced one. A larger launch
+    /// gives what it grew back when it ends.
+    static BUFFERS: RefCell<[Vec<f32>; 5]> = const { RefCell::new([const { Vec::new() }; 5]) };
 }
 
 /// Installs `bs_price`: prices the shadow options into call/put arrays.
+/// The inputs are copied out whole before any output is written, and the
+/// calls are written whole before the puts, so arguments that alias one
+/// another read and write as that order says.
 pub(crate) fn install() {
     library::register(RegisteredKernel {
         desc: KernelDesc::plain("bs_price"),
@@ -261,12 +308,25 @@ pub(crate) fn install() {
             let call_out = ptr_arg(exec, 3)?;
             let put_out = ptr_arg(exec, 4)?;
             let n = scalar_arg(exec, 5) as usize;
-            let s = read_f32(exec, spot, n)?;
-            let x = read_f32(exec, strike, n)?;
-            let t = read_f32(exec, years, n)?;
-            let (call, put) = price_all(&s, &x, &t);
-            exec.with_f32_mut(call_out, f32_bytes(n)?, |v| v.copy_from_slice(&call))?;
-            exec.with_f32_mut(put_out, f32_bytes(n)?, |v| v.copy_from_slice(&put))
+            BUFFERS.with_borrow_mut(|buffers| {
+                let [s, x, t, call, put] = &mut *buffers;
+                let mut priced = || {
+                    read_f32_into(exec, spot, n, s)?;
+                    read_f32_into(exec, strike, n, x)?;
+                    read_f32_into(exec, years, n, t)?;
+                    call.resize(n, 0.0);
+                    put.resize(n, 0.0);
+                    price_all(s, x, t, call, put);
+                    exec.with_f32_mut(call_out, f32_bytes(n)?, |v| v.copy_from_slice(call))?;
+                    exec.with_f32_mut(put_out, f32_bytes(n)?, |v| v.copy_from_slice(put))
+                };
+                let priced = priced();
+                for v in buffers.iter_mut().filter(|v| v.capacity() > SHADOW) {
+                    v.clear();
+                    v.shrink_to(SHADOW);
+                }
+                priced
+            })
         })),
     });
 }
@@ -371,7 +431,8 @@ mod tests {
     }
 
     fn assert_bit_identical(s: &[f32], x: &[f32], t: &[f32]) {
-        let (calls, puts) = price_all(s, x, t);
+        let (mut calls, mut puts) = (vec![0f32; s.len()], vec![0f32; s.len()]);
+        price_all(s, x, t, &mut calls, &mut puts);
         for i in 0..s.len() {
             let (call, put) = price(s[i], x[i], t[i]);
             assert_eq!(
@@ -583,34 +644,35 @@ mod tests {
     }
 
     #[test]
-    fn baseline_and_avx2_builds_price_bit_for_bit() {
-        #[cfg(target_arch = "x86_64")]
-        if std::is_x86_feature_detected!("avx2") {
-            let [mut s, mut x, mut t] = seeded_options();
-            // Every special value in every slot, against an ordinary option.
-            for v in SPECIALS {
-                for slot in 0..3 {
-                    let mut option = [20.0, 25.0, 1.0];
-                    option[slot] = v;
-                    s.push(option[0]);
-                    x.push(option[1]);
-                    t.push(option[2]);
-                }
+    fn every_build_prices_bit_for_bit_like_price() {
+        let [mut s, mut x, mut t] = seeded_options();
+        // Every special value in every slot, against an ordinary option;
+        // 60 066 options in all, so the last chunk is a partial one.
+        for v in SPECIALS {
+            for slot in 0..3 {
+                let mut option = [20.0, 25.0, 1.0];
+                option[slot] = v;
+                s.push(option[0]);
+                x.push(option[1]);
+                t.push(option[2]);
             }
-            let base = price_passes(&s, &x, &t);
-            // SAFETY: the CPU supports AVX2.
-            let wide = unsafe { price_all_avx2(&s, &x, &t) };
-            for (i, ((c0, p0), (c1, p1))) in
-                base.0.iter().zip(&base.1).zip(wide.0.iter().zip(&wide.1)).enumerate()
-            {
-                for (a, b) in [(c0, c1), (p0, p1)] {
-                    let same = if a.is_nan() { b.is_nan() } else { a.to_bits() == b.to_bits() };
-                    assert!(same, "S={} X={} T={}: baseline {a} vs AVX2 {b}", s[i], x[i], t[i]);
-                }
-            }
-            return;
         }
-        println!("no AVX2 build on this CPU: price_all has one path, nothing to compare");
+        assert_ne!(s.len() % CHUNK, 0);
+        let expected: Vec<_> = (0..s.len()).map(|i| price(s[i], x[i], t[i])).collect();
+        let builds = builds();
+        for &(name, build) in &builds {
+            let (mut calls, mut puts) = (vec![0f32; s.len()], vec![0f32; s.len()]);
+            // SAFETY: `builds` lists only builds this CPU supports.
+            unsafe { build(&s, &x, &t, &mut calls, &mut puts) };
+            for (i, &(call, put)) in expected.iter().enumerate() {
+                for (a, b) in [(calls[i], call), (puts[i], put)] {
+                    let same = if b.is_nan() { a.is_nan() } else { a.to_bits() == b.to_bits() };
+                    assert!(same, "S={} X={} T={}: {name} {a} vs price {b}", s[i], x[i], t[i]);
+                }
+            }
+        }
+        let names: Vec<_> = builds.iter().map(|&(name, _)| name).collect();
+        println!("{} options priced alike by price and by {names:?}", s.len());
     }
 
     #[test]

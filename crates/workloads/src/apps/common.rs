@@ -107,8 +107,22 @@ pub(crate) fn read_f32(
     count: usize,
 ) -> Result<Vec<f32>, GpuError> {
     let mut out = Vec::new();
-    exec.with_f32_mut(ptr, f32_bytes(count)?, |v| out = v.to_vec())?;
+    read_f32_into(exec, ptr, count, &mut out)?;
     Ok(out)
+}
+
+/// [`read_f32`] into a buffer the caller keeps: `out` becomes the `count`
+/// f32s, reusing its capacity, and grows only after the buffer resolved.
+pub(crate) fn read_f32_into(
+    exec: &mut KernelExec<'_>,
+    ptr: DeviceAddr,
+    count: usize,
+    out: &mut Vec<f32>,
+) -> Result<(), GpuError> {
+    exec.with_f32_mut(ptr, f32_bytes(count)?, |v| {
+        out.clear();
+        out.extend_from_slice(v);
+    })
 }
 
 /// A deterministic xorshift PRNG for reproducible inputs.

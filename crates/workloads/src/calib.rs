@@ -6,10 +6,13 @@
 //! seconds on a C2050 and proportionally longer on slower devices.
 
 use mtgpu_gpusim::{GpuSpec, Work};
+use std::sync::OnceLock;
 
-/// Effective C2050 throughput in FLOP/s (the calibration anchor).
+/// Effective C2050 throughput in FLOP/s (the calibration anchor), worked
+/// out from the spec once: every catalog launch declares its work by it.
 pub fn c2050_flops() -> f64 {
-    GpuSpec::tesla_c2050().effective_flops()
+    static FLOPS: OnceLock<f64> = OnceLock::new();
+    *FLOPS.get_or_init(|| GpuSpec::tesla_c2050().effective_flops())
 }
 
 /// Work that occupies a C2050 for `secs` simulated seconds.

@@ -67,12 +67,15 @@ if [[ "$tier" == "all" || "$tier" == "2" ]]; then
     run_tier 2 "cargo test"
     cargo test -q --workspace
     # The Black-Scholes payload brings its own exp and ln; in the release
-    # build its passes vectorise, and on x86_64 run in a baseline and an
-    # AVX2 build that must price bit for bit alike.
+    # build its passes vectorise, and on x86_64 run in a baseline, an AVX2
+    # and an AVX-512 build, each of which must price bit for bit like the
+    # scalar `price`. After its first launch on a thread a catalog-sized
+    # launch allocates nothing, and a larger one keeps nothing it grew.
     cargo test -q --release -p mtgpu-workloads --lib -- --exact \
         apps::blackscholes::tests::exp_and_ln_stay_within_an_ulp_of_libm \
         apps::blackscholes::tests::exp_and_ln_match_libm_exactly_on_special_values \
-        apps::blackscholes::tests::baseline_and_avx2_builds_price_bit_for_bit > /dev/null
+        apps::blackscholes::tests::every_build_prices_bit_for_bit_like_price > /dev/null
+    cargo test -q --release -p mtgpu-workloads --test payload_allocations > /dev/null
     # The host buffer converts f32 payloads in one pass each way; in the
     # release build those passes vectorise, so they are pinned there too.
     # The pipelined frontend's round trips, deferred errors and byte

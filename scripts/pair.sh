@@ -15,7 +15,9 @@
 #   --seed S        every run's --seed (default 42)
 #   --append        also append the two rows to bench/trajectory/W.jsonl
 #
-# Every run lasts BENCHMARK.json's run_seconds. The session stops at the
+# Every run lasts BENCHMARK.json's run_seconds. The session first prints
+# the CPU and its AVX2 and AVX-512F flags on stderr (scripts/cpu.sh): the
+# Black-Scholes payload's speed depends on them. The session stops at the
 # first run that exits non-zero or reports `correct: false`, naming the side
 # and the pair. The worktrees are removed on exit.
 set -euo pipefail
@@ -49,6 +51,7 @@ if sys.argv[1] not in [w["name"] for w in spec["workloads"]]:
     sys.exit(f"unknown workload {sys.argv[1]!r}")
 print(spec["run_seconds"])' "$workload")
 
+bash scripts/cpu.sh >&2
 work=$PWD/target/pair
 mkdir -p "$work"
 trees=()
@@ -60,10 +63,15 @@ cleanup() {
 trap cleanup EXIT
 
 # build SIDE REV: the side's binary as $work/mtgpu-perf-SIDE, its
-# abbreviated sha (empty for `.`) in sha_SIDE.
+# abbreviated sha (empty for `.`) in sha_SIDE. Each tree builds into a
+# target directory of its own: cargo names a workspace's artifacts and
+# records their sources by paths relative to the workspace root, so a
+# second tree built into the first one's directory finds its files older
+# than the first tree's artifacts and is handed those, unbuilt.
 build() {
-    local side=$1 rev=$2 tree=$PWD sha=""
+    local side=$1 rev=$2 tree=$PWD sha="" target=$PWD/target
     if [[ "$rev" != "." ]]; then
+        target=$work/target-$side
         sha=$(git rev-parse --short=7 --verify "$rev^{commit}")
         tree=$work/tree-$side
         # A session that was killed may have left its tree behind.
@@ -74,8 +82,8 @@ build() {
     fi
     echo "building $side ($rev${sha:+ = $sha})" >&2
     cargo build --release --offline --quiet --manifest-path "$tree/crates/perf/Cargo.toml" \
-        --target-dir "$work/target"
-    cp "$work/target/release/mtgpu-perf" "$work/mtgpu-perf-$side"
+        --target-dir "$target"
+    cp "$target/release/mtgpu-perf" "$work/mtgpu-perf-$side"
     printf -v "sha_$side" '%s' "$sha"
 }
 build parent "${revs[0]}"

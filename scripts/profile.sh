@@ -23,6 +23,10 @@
 # the nearest caller in the binary the frame-pointer walk found: glibc is
 # stripped, so its memcpy and allocator are not told apart by name.
 #
+# It first prints the CPU and its AVX2 and AVX-512F flags on stderr
+# (scripts/cpu.sh): the Black-Scholes payload runs the widest build of its
+# passes the CPU has, so its share depends on them.
+#
 # At kernel.perf_event_paranoid 2 only user space can be sampled: time in
 # the kernel (syscalls, futex waits, page faults) is not in the tables.
 # The run's user and sys CPU seconds (its rusage, as time(1) reports it)
@@ -39,6 +43,7 @@ only=${3:-}
 root=$(cd "$(dirname "$0")/.." && pwd)
 out=$root/target/profile
 mkdir -p "$out"
+bash "$root/scripts/cpu.sh" >&2
 
 RUSTFLAGS="-C force-frame-pointers=yes" cargo build --release --offline -q \
     --manifest-path "$root/Cargo.toml" -p mtgpu-perf --target-dir "$out"
